@@ -22,9 +22,18 @@
 //
 // # Scan readahead
 //
-// Iterators additionally pipeline leaf fetches: while the consumer
-// drains the current leaf, a background goroutine resolves the next
-// leaf by its fence key (Config.ReadaheadLeaves bounds how far ahead).
+// An iterator is given the Range its consumer needs — low key, high
+// key, expected cell count — and every leaf read is windowed to it, so
+// a scan that one leaf can answer is one leaf read and nothing else.
+// Only when the leaf in hand cannot finish the scan does the iterator
+// pipeline: if the leaf's high fence lies below the range's Hi and the
+// leaf holds fewer cells than the range's outstanding Limit (or there
+// is no Limit), a background goroutine resolves the following leaves by
+// fence key while the consumer drains the current one
+// (Config.ReadaheadLeaves bounds how far ahead), and it stops as soon
+// as the leaves it delivered cover the Limit or reach Hi. Hi is a hard
+// bound; Limit only sizes reads — iterating past it stays correct and
+// simply fetches further leaves on demand.
 // When the inner-node cache can predict the run of upcoming leaves,
 // the prefetcher fetches the whole run with one batched RPC
 // (MethodReadBatch) instead of one round trip per leaf, validating

@@ -3,7 +3,10 @@ package dbt_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,7 +83,7 @@ func TestReadaheadScanDuringSplits(t *testing.T) {
 
 	tx := c.Begin()
 	defer tx.Abort()
-	it := ra.NewIterator(ctx, tx, nil)
+	it := ra.NewIterator(ctx, tx, dbt.Range{})
 	defer it.Close()
 	var got []kv.Cell
 	for i := 0; i < 5 && it.Valid(); i++ {
@@ -123,7 +126,7 @@ func TestReadaheadScanSeesStagedWrites(t *testing.T) {
 
 	tx := c.Begin()
 	defer tx.Abort()
-	it := ra.NewIterator(ctx, tx, nil)
+	it := ra.NewIterator(ctx, tx, dbt.Range{})
 	defer it.Close()
 	var got []kv.Cell
 	for i := 0; i < 3 && it.Valid(); i++ {
@@ -224,6 +227,159 @@ func TestReadaheadFollowerReads(t *testing.T) {
 		t.Fatalf("follower scan saw %d cells, want 80", len(want))
 	}
 	requireSameCells(t, got, want)
+}
+
+// collect drains an iterator.
+func collect(t *testing.T, it *dbt.Iterator) []kv.Cell {
+	t.Helper()
+	defer it.Close()
+	var out []kv.Cell
+	for ; it.Valid(); it.Next() {
+		out = append(out, kv.Cell{Key: it.Key(), Value: it.Value()})
+	}
+	if err := it.Err(); err != nil {
+		t.Fatalf("iterator: %v", err)
+	}
+	return out
+}
+
+// TestBoundedIteratorMatchesUnbounded is the property the bounded
+// access paths rest on: for any Range, the iterator yields exactly what
+// an unbounded iterator at the same snapshot yields, filtered to
+// [Lo, Hi) — including when the consumer iterates past the advisory
+// Limit — over random trees, while another handle keeps splitting
+// leaves, with and without staged writes in the reading transaction,
+// with readahead on and off.
+func TestBoundedIteratorMatchesUnbounded(t *testing.T) {
+	ctx := context.Background()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
+	for _, readahead := range []bool{true, false} {
+		t.Run(fmt.Sprintf("readahead=%v", readahead), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			for trial := 0; trial < 5; trial++ {
+				maxCells := 4 + rng.Intn(13)
+				_, c, loader := startTree(t, 1+rng.Intn(3), dbt.Config{MaxCells: maxCells, SyncSplit: true})
+				n := 60 + rng.Intn(140)
+				for i := 0; i < n; i += 2 { // even keys; odd ones are left for staged inserts
+					putAuto(t, c, loader, string(key(i)), fmt.Sprintf("v%d", i))
+					if err := loader.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
+						t.Fatalf("MaintainNow: %v", err)
+					}
+				}
+				bounded, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, NoReadahead: !readahead})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, NoReadahead: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				// Splits keep running under the readers: commits after the
+				// readers' snapshots, invisible to them, restructuring the
+				// leaves they walk.
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				stopWriter := sync.OnceFunc(func() {
+					close(stop)
+					wg.Wait()
+				})
+				t.Cleanup(stopWriter) // before the cluster goes away, also when the test fails
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 1; ; i += 2 {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						tx := c.Begin()
+						err := loader.Put(ctx, tx, key(i%n), []byte("late"))
+						if err == nil {
+							err = tx.Commit(ctx)
+						} else {
+							tx.Abort()
+						}
+						if err == nil {
+							err = loader.MaintainNow(ctx)
+						}
+						if err != nil && !errors.Is(err, kv.ErrConflict) {
+							t.Errorf("background writer: %v", err)
+							return
+						}
+					}
+				}()
+
+				for _, staged := range []bool{false, true} {
+					tx := c.Begin()
+					if staged {
+						for j := 0; j < 10; j++ {
+							if err := bounded.Put(ctx, tx, key(2*rng.Intn(n/2)+1), []byte("staged")); err != nil {
+								t.Fatal(err)
+							}
+							err := bounded.Delete(ctx, tx, key(2*rng.Intn(n/2)))
+							if err != nil && !errors.Is(err, dbt.ErrKeyNotFound) {
+								t.Fatal(err)
+							}
+						}
+					}
+					all := collect(t, ref.NewIterator(ctx, tx, dbt.Range{}))
+					for q := 0; q < 40; q++ {
+						var r dbt.Range
+						if rng.Intn(5) > 0 {
+							r.Lo = key(rng.Intn(n + 10))
+						}
+						if rng.Intn(3) > 0 {
+							r.Hi = key(rng.Intn(n + 10)) // sometimes below Lo: an empty range
+						}
+						if rng.Intn(3) > 0 {
+							r.Limit = 1 + rng.Intn(3*maxCells)
+						}
+						var want []kv.Cell
+						for _, cell := range all {
+							if bytes.Compare(cell.Key, r.Lo) >= 0 && (r.Hi == nil || bytes.Compare(cell.Key, r.Hi) < 0) {
+								want = append(want, cell)
+							}
+						}
+						got := collect(t, bounded.NewIterator(ctx, tx, r))
+						if len(got) != len(want) {
+							t.Fatalf("trial %d staged=%v range [%q, %q) limit %d: %d cells, want %d",
+								trial, staged, r.Lo, r.Hi, r.Limit, len(got), len(want))
+						}
+						requireSameCells(t, got, want)
+					}
+					tx.Abort()
+				}
+				stopWriter()
+				bounded.Close()
+				ref.Close()
+			}
+		})
+	}
+}
+
+// TestEmptyRangeReadsNothing: a range that cannot hold a key costs no
+// node read at all.
+func TestEmptyRangeReadsNothing(t *testing.T) {
+	cl, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8, SyncSplit: true})
+	fillSequential(t, c, tree, 40)
+	ctx := context.Background()
+	tx := c.Begin()
+	defer tx.Abort()
+	before := cl.Stats().Reads
+	for _, r := range []dbt.Range{
+		{Lo: []byte{}, Hi: []byte{}},
+		{Lo: []byte("k000020"), Hi: []byte("k000020")},
+		{Lo: []byte("k000030"), Hi: []byte("k000010")},
+	} {
+		if got := collect(t, tree.NewIterator(ctx, tx, r)); len(got) != 0 {
+			t.Fatalf("range [%q, %q) yielded %d cells", r.Lo, r.Hi, len(got))
+		}
+	}
+	if n := cl.Stats().Reads - before; n != 0 {
+		t.Fatalf("empty ranges cost %d server reads", n)
+	}
 }
 
 // TestGetBatch covers the batched multi-key read path: warm-cache

@@ -213,8 +213,9 @@ func cellFloor(v *kv.Value, key []byte) (int, bool) {
 func compare(a, b []byte) int { return bytes.Compare(a, b) }
 
 // window describes which cells of the leaf a descent actually needs.
-// Point operations request a single-key window; iterators request a
-// tail; full forces whole-node reads (NoDelta rewrites, ablations).
+// Point operations request a single-key window; iterators request
+// their range's remainder, capped while a limit is outstanding; full
+// forces whole-node reads (NoDelta rewrites, ablations).
 type window struct {
 	from, to []byte
 	max      uint32
@@ -226,8 +227,6 @@ func pointWindow(key []byte) window {
 	// own cell.
 	return window{from: key, to: upperBoundExclusive(key), max: 2}
 }
-
-func tailWindow(start []byte) window { return window{from: start} }
 
 // leafInfo is the result of a descent: the leaf (possibly a windowed
 // view of it) and its total cell count for split heuristics.

@@ -104,3 +104,98 @@ func TestTxReadPartMissing(t *testing.T) {
 		t.Fatalf("missing object: %v", err)
 	}
 }
+
+// TestTxReadPartMemo: a repeat of a windowed read inside one
+// transaction is answered without a server round trip, the remembered
+// answer is the BASE — staged operations are overlaid on every call, so
+// Get → Put → Get reads its own write — and neither a reused key buffer
+// nor a different window is mistaken for the remembered request.
+func TestTxReadPartMemo(t *testing.T) {
+	cl, c := startCluster(t, 1)
+	ctx := context.Background()
+	oid := c.NewOID(0)
+
+	init := c.Begin()
+	v := kv.NewSuper()
+	for i := 0; i < 10; i++ {
+		v.ListAdd([]byte(fmt.Sprintf("c%02d", i)), []byte("old"))
+	}
+	init.Put(oid, v)
+	if err := init.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	tx := c.Begin()
+	defer tx.Abort()
+	serverReads := func() uint64 { return cl.Stats().Reads }
+	get := func(key string) (string, bool) {
+		t.Helper()
+		k := []byte(key)
+		part, _, err := tx.ReadPart(ctx, oid, k, append(k, 0), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val, ok := part.ListGet(k)
+		return string(val), ok
+	}
+
+	before := serverReads()
+	if val, ok := get("c05"); !ok || val != "old" {
+		t.Fatalf("first read: %q %v", val, ok)
+	}
+	if val, ok := get("c05"); !ok || val != "old" {
+		t.Fatalf("repeated read: %q %v", val, ok)
+	}
+	if n := serverReads() - before; n != 1 {
+		t.Fatalf("two identical reads cost %d server reads, want 1", n)
+	}
+
+	// Another transaction's commit must stay invisible (it would be
+	// anyway, at this snapshot), and our own staged write must not.
+	other := c.Begin()
+	other.ListAdd(oid, []byte("c05"), []byte("theirs"))
+	if err := other.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tx.ListAdd(oid, []byte("c05"), []byte("mine"))
+	if val, ok := get("c05"); !ok || val != "mine" {
+		t.Fatalf("read after own write: %q %v", val, ok)
+	}
+	tx.ListDelRange(oid, []byte("c05"), []byte("c05\x00"))
+	if val, ok := get("c05"); ok {
+		t.Fatalf("read after own delete: %q", val)
+	}
+	if n := serverReads() - before; n != 1 {
+		t.Fatalf("overlaid re-reads cost %d server reads in total, want 1", n)
+	}
+
+	// Same key bytes in a reused buffer, different contents: a new request.
+	buf := []byte("c01")
+	if _, _, err := tx.ReadPart(ctx, oid, buf, []byte("c01\x00"), 2); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "c02")
+	part, _, err := tx.ReadPart(ctx, oid, buf, []byte("c02\x00"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := part.ListGet([]byte("c02")); !ok {
+		t.Fatal("a reused key buffer was answered from the memo of its old contents")
+	}
+	// Same from, wider window: a new request too.
+	part, _, err = tx.ReadPart(ctx, oid, []byte("c01"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.NumCells() != 8 { // c01..c09 minus the deleted c05
+		t.Fatalf("unbounded window after a point read of the same key: %d cells", part.NumCells())
+	}
+	// More distinct requests than the memo holds: the oldest is simply
+	// read again.
+	for i := 0; i < 6; i++ {
+		get(fmt.Sprintf("c%02d", i))
+	}
+	if val, ok := get("c00"); !ok || val != "old" {
+		t.Fatalf("read after eviction: %q %v", val, ok)
+	}
+}

@@ -1,6 +1,7 @@
 package kvclient
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -24,6 +25,11 @@ type Tx struct {
 	// read-your-own-writes.
 	ops   []*kv.Op
 	byOID map[kv.OID][]*kv.Op
+
+	// memo remembers the last few windowed base reads (see readPartBase);
+	// memoNext is the slot the next one overwrites.
+	memo     [partMemoSize]partMemo
+	memoNext int
 
 	// TestHookAfterVote, when non-nil, runs once after every
 	// participant voted yes and before any phase-two request is sent.
@@ -137,6 +143,55 @@ func (t *Tx) Read(ctx context.Context, oid kv.OID) (*kv.Value, error) {
 	return base, nil
 }
 
+// partMemoSize is how many windowed base reads a Tx remembers. A
+// statement re-reads only what it has just read — the leaf a lookup
+// found and the write then descends to, once per tree it touches — so a
+// handful of entries covers it.
+const partMemoSize = 4
+
+// partMemo is one remembered ReadPart answer from the servers: the
+// request (oid, from, to, max) and the base value and cell count it
+// returned. hasTo tells a nil to (unbounded) from an empty one.
+type partMemo struct {
+	oid      kv.OID
+	from, to []byte
+	hasTo    bool
+	max      uint32
+	val      *kv.Value
+	total    int
+}
+
+// readPartBase is the server's answer to a windowed read at the
+// transaction's snapshot, without the overlay of staged operations.
+// Under snapshot isolation that answer cannot change for the life of
+// the transaction, so a repeat of a recent request is answered locally:
+// a Get followed by a Put or Delete of the same key asks for the same
+// window of the same leaf twice, and pays for one read. Returned values
+// are shared between callers and must not be modified (staged
+// operations are applied to clones).
+func (t *Tx) readPartBase(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error) {
+	for i := range t.memo {
+		m := &t.memo[i]
+		if m.val != nil && m.oid == oid && m.max == max && m.hasTo == (to != nil) &&
+			bytes.Equal(m.from, from) && bytes.Equal(m.to, to) {
+			return m.val, m.total, nil
+		}
+	}
+	val, total, err := t.c.readPartAt(ctx, oid, t.start, from, to, max)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The keys are copied (into one allocation): callers may reuse their
+	// buffers, and a remembered request must not change under them.
+	buf := append(append(make([]byte, 0, len(from)+len(to)), from...), to...)
+	t.memo[t.memoNext] = partMemo{
+		oid: oid, from: buf[:len(from):len(from)], to: buf[len(from):], hasTo: to != nil,
+		max: max, val: val, total: total,
+	}
+	t.memoNext = (t.memoNext + 1) % partMemoSize
+	return val, total, nil
+}
+
 // ReadPart returns a windowed view of a supervalue as this transaction
 // sees it: cells in [floor(from), to) capped at max, plus the node's
 // (approximate, see below) total cell count. Compared with Read it
@@ -169,7 +224,7 @@ func (t *Tx) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint
 		}
 	}
 
-	base, total, err := t.c.readPartAt(ctx, oid, t.start, from, to, max)
+	base, total, err := t.readPartBase(ctx, oid, from, to, max)
 	if err != nil {
 		if !errors.Is(err, kv.ErrNotFound) {
 			return nil, 0, err

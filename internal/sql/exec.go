@@ -227,7 +227,7 @@ func (db *DB) runStmt(ctx context.Context, tx *kvclient.Tx, stmt Stmt, args []Va
 		rows, err := db.execSelect(ctx, tx, st, args)
 		return Result{}, rows, err
 	case Explain:
-		rows, err := db.execExplain(ctx, tx, st)
+		rows, err := db.execExplain(ctx, tx, st, args)
 		return Result{}, rows, err
 	}
 	return Result{}, nil, fmt.Errorf("sql: unhandled statement %T", stmt)
@@ -265,19 +265,28 @@ func (db *DB) checkUnique(ctx context.Context, tx *kvclient.Tx, table *Table, id
 		return nil // SQL: NULLs are exempt from UNIQUE
 	}
 	k := EncodeKey(v)
-	cells, err := table.IndexTrees[idxPos].Scan(ctx, tx, k, 1)
+	taken := false
+	err := db.scanTreeRange(ctx, tx, table.IndexTrees[idxPos], dbt.Range{Lo: k, Hi: KeySuccessor(k), Limit: 1},
+		func(_, _ []byte) (bool, error) {
+			taken = true
+			return false, nil
+		})
 	if err != nil {
 		return err
 	}
-	if len(cells) > 0 && bytesCompare(cells[0].Key, KeySuccessor(k)) < 0 {
+	if taken {
 		return fmt.Errorf("sql: UNIQUE constraint failed: %s.%s", is.Table, is.Col)
 	}
 	return nil
 }
 
-// insertIndexEntries stages index entries for a new/updated row.
-func (db *DB) insertIndexEntries(ctx context.Context, tx *kvclient.Tx, table *Table, rowKey []byte, vals []Value) error {
+// insertIndexEntries stages index entries for a new/updated row. only,
+// when non-nil, selects the indexes to maintain by position.
+func (db *DB) insertIndexEntries(ctx context.Context, tx *kvclient.Tx, table *Table, rowKey []byte, vals []Value, only []bool) error {
 	for i, is := range table.Schema.Indexes {
+		if only != nil && !only[i] {
+			continue
+		}
 		v := vals[is.ColIdx]
 		if is.Unique {
 			if err := db.checkUnique(ctx, tx, table, i, v); err != nil {
@@ -291,9 +300,13 @@ func (db *DB) insertIndexEntries(ctx context.Context, tx *kvclient.Tx, table *Ta
 	return nil
 }
 
-// deleteIndexEntries stages removal of a row's index entries.
-func (db *DB) deleteIndexEntries(ctx context.Context, tx *kvclient.Tx, table *Table, rowKey []byte, vals []Value) error {
+// deleteIndexEntries stages removal of a row's index entries, of the
+// indexes only selects when it is non-nil.
+func (db *DB) deleteIndexEntries(ctx context.Context, tx *kvclient.Tx, table *Table, rowKey []byte, vals []Value, only []bool) error {
 	for i, is := range table.Schema.Indexes {
+		if only != nil && !only[i] {
+			continue
+		}
 		err := table.IndexTrees[i].Delete(ctx, tx, indexEntryKey(vals[is.ColIdx], rowKey))
 		if err != nil && !errors.Is(err, dbt.ErrKeyNotFound) {
 			return err
@@ -363,7 +376,7 @@ func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args [
 		if err := table.Tree.Put(ctx, tx, rowKey, EncodeRow(vals)); err != nil {
 			return Result{}, err
 		}
-		if err := db.insertIndexEntries(ctx, tx, table, rowKey, vals); err != nil {
+		if err := db.insertIndexEntries(ctx, tx, table, rowKey, vals, nil); err != nil {
 			return Result{}, err
 		}
 		affected++
@@ -386,7 +399,7 @@ func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, table *Table,
 	b := &binding{alias: alias, schema: table.Schema}
 	e.bindings = []*binding{b}
 	var out []matchedRow
-	err := db.scanTable(ctx, tx, table, path, e, func(rowKey []byte, row []Value) (bool, error) {
+	err := db.scanTable(ctx, tx, table, path, e, 0, func(rowKey []byte, row []Value) (bool, error) {
 		b.row = row
 		if where != nil {
 			v, err := e.eval(where)
@@ -424,6 +437,7 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 	e := &env{params: args}
 	b := &binding{alias: st.Table, schema: s}
 	e.bindings = []*binding{b}
+	changed := make([]bool, len(s.Indexes))
 	for _, m := range matches {
 		b.row = m.row
 		newVals := append([]Value(nil), m.row...)
@@ -459,13 +473,21 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 				return Result{}, err
 			}
 		}
-		if err := db.deleteIndexEntries(ctx, tx, table, m.key, m.row); err != nil {
+		// An index entry is (column value, row key): only the indexes
+		// where that pair changed need maintenance. Rewriting the others
+		// would cost three descents each to end where it began, and stage
+		// writes on a second tree that can turn a one-server commit into
+		// a two-phase one.
+		for i, is := range s.Indexes {
+			changed[i] = pkChanged || Compare(m.row[is.ColIdx], newVals[is.ColIdx]) != 0
+		}
+		if err := db.deleteIndexEntries(ctx, tx, table, m.key, m.row, changed); err != nil {
 			return Result{}, err
 		}
 		if err := table.Tree.Put(ctx, tx, newKey, EncodeRow(newVals)); err != nil {
 			return Result{}, err
 		}
-		if err := db.insertIndexEntries(ctx, tx, table, newKey, newVals); err != nil {
+		if err := db.insertIndexEntries(ctx, tx, table, newKey, newVals, changed); err != nil {
 			return Result{}, err
 		}
 	}
@@ -485,7 +507,7 @@ func (db *DB) execDelete(ctx context.Context, tx *kvclient.Tx, st Delete, args [
 		if err := table.Tree.Delete(ctx, tx, m.key); err != nil && !errors.Is(err, dbt.ErrKeyNotFound) {
 			return Result{}, err
 		}
-		if err := db.deleteIndexEntries(ctx, tx, table, m.key, m.row); err != nil {
+		if err := db.deleteIndexEntries(ctx, tx, table, m.key, m.row, nil); err != nil {
 			return Result{}, err
 		}
 	}

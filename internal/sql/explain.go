@@ -9,24 +9,46 @@ import (
 )
 
 // EXPLAIN: report the access paths the planner would use, one line per
-// table in join order, without executing the statement.
+// table in join order, and what each will fetch, without executing the
+// statement.
 
-func (p accessPath) describe(table *Table) string {
+// describe names the path and, in a trailing parenthesis, what it asks
+// the storage layer for: a point read (one cell of one leaf), or a scan
+// that is bounded (it has an upper key, so no leaf read goes past it) or
+// open-ended, with the row limit handed down to size its leaf reads, if
+// any. limit is the statement's row limit for this table (0 = none).
+func (p accessPath) describe(table *Table, limit int) string {
 	s := table.Schema
+	var what string
 	switch p.kind {
 	case pathPKEq:
-		return fmt.Sprintf("PRIMARY KEY lookup on %s (%s = ...)", s.Name, s.Cols[s.PKCol].Name)
+		return fmt.Sprintf("PRIMARY KEY lookup on %s (%s = ...) (point read)", s.Name, s.Cols[s.PKCol].Name)
 	case pathPKRange:
-		return fmt.Sprintf("PRIMARY KEY range scan on %s (%s)", s.Name, describeBounds(s.Cols[s.PKCol].Name, p))
+		what = fmt.Sprintf("PRIMARY KEY range scan on %s (%s)", s.Name, describeBounds(s.Cols[s.PKCol].Name, p))
 	case pathIdxEq:
 		is := s.Indexes[p.idx]
-		return fmt.Sprintf("INDEX lookup on %s via %s (%s = ...)", s.Name, is.Name, is.Col)
+		what = fmt.Sprintf("INDEX lookup on %s via %s (%s = ...)", s.Name, is.Name, is.Col)
 	case pathIdxRange:
 		is := s.Indexes[p.idx]
-		return fmt.Sprintf("INDEX range scan on %s via %s (%s)", s.Name, is.Name, describeBounds(is.Col, p))
+		what = fmt.Sprintf("INDEX range scan on %s via %s (%s)", s.Name, is.Name, describeBounds(is.Col, p))
 	default:
-		return fmt.Sprintf("FULL SCAN of %s", s.Name)
+		what = fmt.Sprintf("FULL SCAN of %s", s.Name)
 	}
+	var fetch []string
+	switch {
+	case p.kind == pathFull:
+	case p.eq != nil || p.hi != nil:
+		fetch = append(fetch, "bounded")
+	default:
+		fetch = append(fetch, "open-ended")
+	}
+	if n := p.scanLimit(table, limit); n > 0 {
+		fetch = append(fetch, fmt.Sprintf("limit %d", n))
+	}
+	if len(fetch) == 0 {
+		return what
+	}
+	return what + " (" + strings.Join(fetch, ", ") + ")"
 }
 
 func describeBounds(col string, p accessPath) string {
@@ -48,7 +70,7 @@ func describeBounds(col string, p accessPath) string {
 	return strings.Join(parts, " AND ")
 }
 
-func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain) (*Rows, error) {
+func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain, args []Value) (*Rows, error) {
 	rows := &Rows{Columns: []string{"plan"}}
 	addLine := func(depth int, line string) {
 		rows.rows = append(rows.rows, []Value{Text(strings.Repeat("  ", depth) + line)})
@@ -68,6 +90,13 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain) (*Ro
 		for _, j := range s.Joins {
 			conj = conjuncts(j.On, conj)
 		}
+		agg := len(s.GroupBy) > 0 || s.Having != nil
+		for _, it := range s.Items {
+			if hasAggregate(it.E) {
+				agg = true
+			}
+		}
+		orderBy := s.OrderBy
 		outer := make(map[string]bool)
 		for depth, r := range refs {
 			alias := r.Alias
@@ -78,19 +107,24 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain) (*Ro
 			if err != nil {
 				return nil, err
 			}
+			limit := 0
+			if len(refs) == 1 {
+				if !agg && !s.Distinct && scanOrdered(s, table, alias, conj) {
+					orderBy = nil
+				}
+				// A LIMIT that cannot be evaluated here (a parameter
+				// EXPLAIN was not given) is reported as not handed down.
+				if early, err := earlyLimit(&env{params: args}, s, agg, orderBy); err == nil {
+					limit = scanRowLimit(early, 1)
+				}
+			}
 			path := planAccess(table, alias, conj, outer)
 			prefix := ""
 			if depth > 0 {
 				prefix = "NESTED LOOP JOIN: "
 			}
-			addLine(depth, prefix+path.describe(table))
+			addLine(depth, prefix+path.describe(table, limit))
 			outer[alias] = true
-		}
-		agg := len(s.GroupBy) > 0 || s.Having != nil
-		for _, it := range s.Items {
-			if hasAggregate(it.E) {
-				agg = true
-			}
 		}
 		if agg {
 			addLine(0, fmt.Sprintf("HASH AGGREGATE (%d group-by keys)", len(s.GroupBy)))
@@ -98,8 +132,8 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain) (*Ro
 		if s.Distinct {
 			addLine(0, "DISTINCT")
 		}
-		if len(s.OrderBy) > 0 {
-			addLine(0, fmt.Sprintf("SORT (%d keys)", len(s.OrderBy)))
+		if len(orderBy) > 0 {
+			addLine(0, fmt.Sprintf("SORT (%d keys)", len(orderBy)))
 		}
 		if s.Limit != nil {
 			addLine(0, "LIMIT")
@@ -110,7 +144,7 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain) (*Ro
 			return nil, err
 		}
 		path := planAccess(table, s.Table, conjuncts(s.Where, nil), nil)
-		addLine(0, "UPDATE via "+path.describe(table))
+		addLine(0, "UPDATE via "+path.describe(table, 0))
 		if len(table.Schema.Indexes) > 0 {
 			addLine(1, fmt.Sprintf("maintains %d secondary index(es)", len(table.Schema.Indexes)))
 		}
@@ -120,7 +154,7 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain) (*Ro
 			return nil, err
 		}
 		path := planAccess(table, s.Table, conjuncts(s.Where, nil), nil)
-		addLine(0, "DELETE via "+path.describe(table))
+		addLine(0, "DELETE via "+path.describe(table, 0))
 		if len(table.Schema.Indexes) > 0 {
 			addLine(1, fmt.Sprintf("maintains %d secondary index(es)", len(table.Schema.Indexes)))
 		}

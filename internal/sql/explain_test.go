@@ -9,22 +9,41 @@ func TestExplainAccessPaths(t *testing.T) {
 	db := newDB(t, 1)
 	setupUsers(t, db)
 	mustExec(t, db, "CREATE INDEX idx_city ON users (city)")
+	mustExec(t, db, "CREATE UNIQUE INDEX idx_name ON users (name)")
 	mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, user_id INTEGER)")
 
 	cases := []struct {
 		q    string
 		want []string // substrings expected in order-insensitive fashion
 	}{
+		// Each path says what it will fetch: a point read, or a scan that
+		// is bounded above or open-ended, with the row limit handed down
+		// to it when every row it yields is a result row.
 		{"EXPLAIN SELECT * FROM users WHERE id = 1",
-			[]string{"PRIMARY KEY lookup on users"}},
+			[]string{"PRIMARY KEY lookup on users (id = ...) (point read)"}},
 		{"EXPLAIN SELECT * FROM users WHERE id > 1 AND id < 10",
-			[]string{"PRIMARY KEY range scan on users"}},
+			[]string{"PRIMARY KEY range scan on users (id > ... AND id < ...) (bounded)"}},
+		{"EXPLAIN SELECT * FROM users WHERE id >= 1 LIMIT 5",
+			[]string{"PRIMARY KEY range scan on users (id >= ...) (open-ended, limit 5)", "LIMIT"}},
+		{"EXPLAIN SELECT * FROM users WHERE id >= 1 LIMIT 5 OFFSET 2",
+			[]string{"(open-ended, limit 7)"}},
+		// A residual predicate may reject rows, so the limit stays up here.
+		{"EXPLAIN SELECT * FROM users WHERE id >= 1 AND age > 3 LIMIT 5",
+			[]string{"PRIMARY KEY range scan on users (id >= ...) (open-ended)\n"}},
+		// So does one that has to see every row first.
+		{"EXPLAIN SELECT * FROM users WHERE id >= 1 ORDER BY age LIMIT 5",
+			[]string{"(open-ended)\n", "SORT (1 keys)"}},
+		// ORDER BY the primary key is the scan's own order: no sort.
+		{"EXPLAIN SELECT * FROM users ORDER BY id LIMIT 3",
+			[]string{"FULL SCAN of users (limit 3)"}},
 		{"EXPLAIN SELECT * FROM users WHERE city = 'paris'",
-			[]string{"INDEX lookup on users via idx_city"}},
-		{"EXPLAIN SELECT * FROM users WHERE city >= 'a'",
-			[]string{"INDEX range scan on users via idx_city"}},
+			[]string{"INDEX lookup on users via idx_city (city = ...) (bounded)"}},
 		{"EXPLAIN SELECT * FROM users WHERE name = 'bob'",
-			[]string{"FULL SCAN of users"}},
+			[]string{"INDEX lookup on users via idx_name (name = ...) (bounded, limit 1)"}},
+		{"EXPLAIN SELECT * FROM users WHERE city >= 'a'",
+			[]string{"INDEX range scan on users via idx_city (city >= ...) (open-ended)"}},
+		{"EXPLAIN SELECT * FROM users WHERE age = 3",
+			[]string{"FULL SCAN of users\n"}},
 		// Left-deep join in FROM order: outer users (no usable
 		// predicate at depth 0), inner orders driven by its PK.
 		{"EXPLAIN SELECT u.name FROM users u JOIN orders o ON o.user_id = u.id WHERE o.oid = 5",

@@ -1,0 +1,15 @@
+package sql_test
+
+import (
+	"testing"
+
+	"yesquel/internal/leakcheck"
+)
+
+// TestMain fails the package if any test leaves a goroutine running: a
+// scan's prefetcher must be gone when its statement returns, and the
+// clusters, clients and splitters the tests start must be torn down by
+// the test that started them.
+func TestMain(m *testing.M) {
+	leakcheck.Main(m)
+}

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"yesquel/internal/dbt"
@@ -19,7 +20,10 @@ import (
 //	full:     everything else    -> full table scan
 //
 // The full WHERE clause is always re-evaluated on each row, so access
-// paths are pure optimizations and cannot change results.
+// paths are pure optimizations and cannot change results. The range a
+// path needs — low key, high key, and, when the path accounts for every
+// conjunct, the statement's row limit — travels down to the leaf reads
+// as a dbt.Range, so no layer fetches more than the statement can use.
 
 type pathKind uint8
 
@@ -42,6 +46,10 @@ type accessPath struct {
 	eq   Expr
 	lo   *bound
 	hi   *bound
+	// exact reports that the path's bounds stand for every conjunct it
+	// was planned from: each row the scan yields is a row of the result,
+	// so a row limit may be handed to the scan.
+	exact bool
 }
 
 // conjuncts flattens nested ANDs.
@@ -143,12 +151,15 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 	if schema.PKCol >= 0 {
 		pkName = schema.Cols[schema.PKCol].Name
 	}
+	// loC and hiC are the positions in conj of the conjuncts the range
+	// bounds came from (one BETWEEN can supply both).
 	type colBounds struct {
-		eq     Expr
-		lo, hi *bound
+		eq       Expr
+		lo, hi   *bound
+		loC, hiC int
 	}
 	byCol := make(map[string]*colBounds)
-	for _, c := range conj {
+	for i, c := range conj {
 		col, op, rhs, ok := colPredicate(c, alias, schema, outer)
 		if !ok {
 			continue
@@ -162,17 +173,17 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 		case "=":
 			cb.eq = rhs
 		case ">":
-			cb.lo = &bound{e: rhs}
+			cb.lo, cb.loC = &bound{e: rhs}, i
 		case ">=":
-			cb.lo = &bound{e: rhs, incl: true}
+			cb.lo, cb.loC = &bound{e: rhs, incl: true}, i
 		case "<":
-			cb.hi = &bound{e: rhs}
+			cb.hi, cb.hiC = &bound{e: rhs}, i
 		case "<=":
-			cb.hi = &bound{e: rhs, incl: true}
+			cb.hi, cb.hiC = &bound{e: rhs, incl: true}, i
 		}
 	}
 	// Also treat BETWEEN as a range.
-	for _, c := range conj {
+	for i, c := range conj {
 		bt, ok := c.(Between)
 		if !ok || bt.Not {
 			continue
@@ -190,35 +201,54 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 			byCol[cr.Col] = cb
 		}
 		if cb.lo == nil {
-			cb.lo = &bound{e: bt.Lo, incl: true}
+			cb.lo, cb.loC = &bound{e: bt.Lo, incl: true}, i
 		}
 		if cb.hi == nil {
-			cb.hi = &bound{e: bt.Hi, incl: true}
+			cb.hi, cb.hiC = &bound{e: bt.Hi, incl: true}, i
 		}
 	}
 
+	// pathFor builds the path over one column's bounds; it is exact when
+	// the conjuncts behind the bounds it uses are all there are.
+	pathFor := func(cb *colBounds, eqKind, rangeKind pathKind, idx int) (accessPath, bool) {
+		switch {
+		case cb == nil:
+		case cb.eq != nil:
+			return accessPath{kind: eqKind, idx: idx, eq: cb.eq, exact: len(conj) == 1}, true
+		case cb.lo != nil || cb.hi != nil:
+			used := 1
+			if cb.lo != nil && cb.hi != nil && cb.loC != cb.hiC {
+				used = 2
+			}
+			return accessPath{kind: rangeKind, idx: idx, lo: cb.lo, hi: cb.hi, exact: len(conj) == used}, true
+		}
+		return accessPath{}, false
+	}
 	// Primary key first: it avoids the extra index hop.
 	if pkName != "" {
-		if cb := byCol[pkName]; cb != nil {
-			if cb.eq != nil {
-				return accessPath{kind: pathPKEq, eq: cb.eq}
-			}
-			if cb.lo != nil || cb.hi != nil {
-				return accessPath{kind: pathPKRange, lo: cb.lo, hi: cb.hi}
-			}
+		if p, ok := pathFor(byCol[pkName], pathPKEq, pathPKRange, 0); ok {
+			return p
 		}
 	}
 	for i, is := range schema.Indexes {
-		if cb := byCol[is.Col]; cb != nil {
-			if cb.eq != nil {
-				return accessPath{kind: pathIdxEq, idx: i, eq: cb.eq}
-			}
-			if cb.lo != nil || cb.hi != nil {
-				return accessPath{kind: pathIdxRange, idx: i, lo: cb.lo, hi: cb.hi}
-			}
+		if p, ok := pathFor(byCol[is.Col], pathIdxEq, pathIdxRange, i); ok {
+			return p
 		}
 	}
-	return accessPath{kind: pathFull}
+	return accessPath{kind: pathFull, exact: len(conj) == 0}
+}
+
+// scanLimit is the row limit to hand to the path's scan, given the
+// limit the statement allows (0 = none): a UNIQUE index holds at most
+// one entry per value, whatever the statement says.
+func (p accessPath) scanLimit(table *Table, limit int) int {
+	if p.kind == pathIdxEq && table.Schema.Indexes[p.idx].Unique {
+		return 1
+	}
+	if !p.exact {
+		return 0
+	}
+	return limit
 }
 
 // rowVisitor receives each fetched row; returning false stops the scan.
@@ -286,95 +316,106 @@ func evalKeyBounds(e *env, path accessPath, ct Type) (lo, hi []byte, ok bool, er
 }
 
 // scanTable drives the chosen access path, invoking visit for each row.
-func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path accessPath, e *env, visit rowVisitor) error {
+// limit is how many rows the statement can use if every row the path
+// yields counts (0 = no limit); it sizes the leaf reads and nothing
+// else, the visitor decides when the scan stops.
+func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path accessPath, e *env, limit int, visit rowVisitor) error {
 	schema := table.Schema
-	switch path.kind {
-	case pathPKEq, pathPKRange:
-		ct := schema.Cols[schema.PKCol].Type
-		lo, hi, ok, err := evalKeyBounds(e, path, ct)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return db.scanTreeRange(ctx, tx, table.Tree, lo, hi, func(key, val []byte) (bool, error) {
-				row, err := DecodeRow(val)
-				if err != nil {
-					return false, err
-				}
-				return visit(key, row)
-			})
-		}
-	case pathIdxEq, pathIdxRange:
-		is := schema.Indexes[path.idx]
-		ct := schema.Cols[is.ColIdx].Type
-		lo, hi, ok, err := evalKeyBounds(e, path, ct)
-		if err != nil {
-			return err
-		}
-		if ok {
-			idxTree := table.IndexTrees[path.idx]
-			// Gather matching row keys in chunks and fetch the rows with
-			// one batched read per chunk (dbt.GetBatch): the index scan
-			// stays pipelined, and the row lookups shed their
-			// round-trip-per-row cost.
-			const rowBatch = 64
-			keys := make([][]byte, 0, rowBatch)
-			flush := func() (bool, error) {
-				if len(keys) == 0 {
-					return true, nil
-				}
-				rows, err := table.Tree.GetBatch(ctx, tx, keys)
-				if err != nil {
-					return false, err
-				}
-				for i, raw := range rows {
-					if raw == nil {
-						return false, fmt.Errorf("sql: index %s points at missing row", is.Name)
-					}
-					row, err := DecodeRow(raw)
-					if err != nil {
-						return false, err
-					}
-					cont, err := visit(keys[i], row)
-					if err != nil || !cont {
-						return cont, err
-					}
-				}
-				keys = keys[:0]
-				return true, nil
-			}
-			if err := db.scanTreeRange(ctx, tx, idxTree, lo, hi, func(_, rowKey []byte) (bool, error) {
-				keys = append(keys, rowKey)
-				if len(keys) == rowBatch {
-					return flush()
-				}
-				return true, nil
-			}); err != nil {
-				return err
-			}
-			_, err := flush()
-			return err
-		}
-	}
-	// Full scan.
-	return db.scanTreeRange(ctx, tx, table.Tree, nil, nil, func(key, val []byte) (bool, error) {
+	visitCell := func(key, val []byte) (bool, error) {
 		row, err := DecodeRow(val)
 		if err != nil {
 			return false, err
 		}
 		return visit(key, row)
+	}
+	keyCol := -1
+	switch path.kind {
+	case pathPKEq, pathPKRange:
+		keyCol = schema.PKCol
+	case pathIdxEq, pathIdxRange:
+		keyCol = schema.Indexes[path.idx].ColIdx
+	}
+	if keyCol < 0 {
+		return db.scanTreeRange(ctx, tx, table.Tree, dbt.Range{Limit: path.scanLimit(table, limit)}, visitCell)
+	}
+	lo, hi, ok, err := evalKeyBounds(e, path, schema.Cols[keyCol].Type)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		// The bound could not be coerced to the key's type: scan
+		// everything and leave the decision to the row predicates.
+		return db.scanTreeRange(ctx, tx, table.Tree, dbt.Range{}, visitCell)
+	}
+	if hi != nil && bytesCompare(lo, hi) >= 0 {
+		return nil // col = NULL, or contradictory bounds: nothing to read
+	}
+	limit = path.scanLimit(table, limit)
+	switch path.kind {
+	case pathPKEq:
+		val, err := table.Tree.Get(ctx, tx, lo)
+		if errors.Is(err, dbt.ErrKeyNotFound) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		_, err = visitCell(lo, val)
+		return err
+	case pathPKRange:
+		return db.scanTreeRange(ctx, tx, table.Tree, dbt.Range{Lo: lo, Hi: hi, Limit: limit}, visitCell)
+	}
+	is := schema.Indexes[path.idx]
+	// Gather matching row keys in chunks and fetch the rows with one
+	// batched read per chunk (dbt.GetBatch): the index scan stays
+	// pipelined, and the row lookups shed their round-trip-per-row
+	// cost. A chunk is no larger than the row limit, so the index scan
+	// is not driven past the entries the statement can use.
+	rowBatch := 64
+	if limit > 0 && limit < rowBatch {
+		rowBatch = limit
+	}
+	keys := make([][]byte, 0, rowBatch)
+	flush := func() (bool, error) {
+		if len(keys) == 0 {
+			return true, nil
+		}
+		rows, err := table.Tree.GetBatch(ctx, tx, keys)
+		if err != nil {
+			return false, err
+		}
+		fetched := keys
+		keys = keys[:0] // nothing is appended until the chunk has been visited
+		for i, raw := range rows {
+			if raw == nil {
+				return false, fmt.Errorf("sql: index %s points at missing row", is.Name)
+			}
+			cont, err := visitCell(fetched[i], raw)
+			if err != nil || !cont {
+				return cont, err
+			}
+		}
+		return true, nil
+	}
+	err = db.scanTreeRange(ctx, tx, table.IndexTrees[path.idx], dbt.Range{Lo: lo, Hi: hi, Limit: limit}, func(_, rowKey []byte) (bool, error) {
+		keys = append(keys, rowKey)
+		if len(keys) == rowBatch {
+			return flush()
+		}
+		return true, nil
 	})
+	if err != nil {
+		return err
+	}
+	_, err = flush()
+	return err
 }
 
-// scanTreeRange iterates tree cells with keys in [lo, hi); nil bounds
-// are unbounded.
-func (db *DB) scanTreeRange(ctx context.Context, tx *kvclient.Tx, tree *dbt.Tree, lo, hi []byte, visit func(key, val []byte) (bool, error)) error {
-	it := tree.NewIterator(ctx, tx, lo)
+// scanTreeRange iterates the tree cells of r.
+func (db *DB) scanTreeRange(ctx context.Context, tx *kvclient.Tx, tree *dbt.Tree, r dbt.Range, visit func(key, val []byte) (bool, error)) error {
+	it := tree.NewIterator(ctx, tx, r)
 	defer it.Close()
 	for ; it.Valid(); it.Next() {
-		if hi != nil && bytesCompare(it.Key(), hi) >= 0 {
-			break
-		}
 		cont, err := visit(it.Key(), it.Value())
 		if err != nil {
 			return err

@@ -66,9 +66,11 @@ func TestOrderByPKPushdownStopsEarly(t *testing.T) {
 	}
 	statsAfter := table.Tree.Stats()
 	reads := statsAfter.NodeReads - statsBefore.NodeReads
-	// With MaxCells=16 the table spans ~25+ leaves; ten LIMIT-1 queries
-	// must not read anywhere near 10 full scans' worth of nodes.
-	if reads > 30 {
+	t.Logf("10 LIMIT-1 queries read %d nodes", reads)
+	// With MaxCells=16 the table spans ~25+ leaves; a LIMIT-1 query reads
+	// one capped window of the first leaf and starts no prefetcher, so
+	// ten of them read ten nodes (inner nodes are cached from the load).
+	if reads > 10 {
 		t.Fatalf("LIMIT 1 ordered by pk read %d nodes over 10 queries; early termination broken", reads)
 	}
 }

@@ -268,38 +268,16 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 		}
 	}
 
-	// ORDER BY pushdown: a single-table query ordered by the primary
-	// key ascending needs no sort — the DBT scan already delivers rows
-	// in primary-key order (and an index-equality scan delivers them in
-	// row-key order within the fixed value). This also re-enables early
-	// LIMIT termination for the Web-typical `ORDER BY pk LIMIT n`.
 	orderBy := st.OrderBy
-	if len(srcs) == 1 && !isAgg && !st.Distinct && len(orderBy) == 1 && !orderBy[0].Desc {
-		s0 := srcs[0]
-		if pk := s0.table.Schema.PKCol; pk >= 0 {
-			if cr, ok := orderBy[0].E.(ColRef); ok &&
-				cr.Col == s0.table.Schema.Cols[pk].Name &&
-				(cr.Table == "" || cr.Table == s0.alias) {
-				path := planAccess(s0.table, s0.alias, allConj, nil)
-				if path.kind != pathIdxRange {
-					orderBy = nil // scan order == requested order
-				}
-			}
-		}
+	if len(srcs) == 1 && !isAgg && !st.Distinct && scanOrdered(st, srcs[0].table, srcs[0].alias, allConj) {
+		orderBy = nil // scan order == requested order
 	}
 
 	// The scan pipeline produces joined rows.
 	var joined []joinedRow
-	limitEarly := -1
-	if !isAgg && len(orderBy) == 0 && !st.Distinct && st.Limit != nil {
-		// Early termination: LIMIT without sorting can stop the scan.
-		lim, off, err := evalLimit(e, st)
-		if err != nil {
-			return nil, err
-		}
-		if lim >= 0 {
-			limitEarly = lim + off
-		}
+	limitEarly, err := earlyLimit(e, st, isAgg, orderBy)
+	if err != nil {
+		return nil, err
 	}
 
 	// Conjunct readiness: a conjunct applies at depth d if it
@@ -334,7 +312,7 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 		}
 		path := planAccess(s.table, s.alias, conjDepth[depth+1], outer)
 		cont := true
-		err := db.scanTable(ctx, tx, s.table, path, e, func(rowKey []byte, row []Value) (bool, error) {
+		err := db.scanTable(ctx, tx, s.table, path, e, scanRowLimit(limitEarly, len(srcs)), func(rowKey []byte, row []Value) (bool, error) {
 			e.bindings[depth].row = row
 			// Apply predicates that become decidable at this depth.
 			for _, c := range conjDepth[depth+1] {
@@ -477,6 +455,50 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	}
 
 	return &Rows{Columns: colNames, rows: outRows}, nil
+}
+
+// scanOrdered reports whether the scan of a single-table query already
+// delivers rows in the order st asks for, so that no sort is needed: an
+// ORDER BY on the primary key ascending, since the DBT scan delivers
+// rows in primary-key order (and an index-equality scan delivers them
+// in row-key order within the fixed value). This also re-enables early
+// LIMIT termination for the Web-typical `ORDER BY pk LIMIT n`.
+func scanOrdered(st Select, table *Table, alias string, conj []Expr) bool {
+	pk := table.Schema.PKCol
+	if len(st.OrderBy) != 1 || st.OrderBy[0].Desc || pk < 0 {
+		return false
+	}
+	cr, ok := st.OrderBy[0].E.(ColRef)
+	if !ok || cr.Col != table.Schema.Cols[pk].Name || (cr.Table != "" && cr.Table != alias) {
+		return false
+	}
+	return planAccess(table, alias, conj, nil).kind != pathIdxRange
+}
+
+// earlyLimit returns how many joined rows the scans need to produce for
+// st — LIMIT plus OFFSET — when nothing downstream (aggregation,
+// DISTINCT, a sort left in orderBy) has to see every row, and -1
+// otherwise.
+func earlyLimit(e *env, st Select, isAgg bool, orderBy []OrderItem) (int, error) {
+	if isAgg || len(orderBy) > 0 || st.Distinct || st.Limit == nil {
+		return -1, nil
+	}
+	lim, off, err := evalLimit(e, st)
+	if err != nil || lim < 0 {
+		return -1, err
+	}
+	return lim + off, nil
+}
+
+// scanRowLimit turns an early limit into the row limit handed to the
+// table scan (0 = none). Only a single-table query's scan yields one
+// row per joined row; whether each of those rows also passes the
+// predicates is the access path's business (accessPath.scanLimit).
+func scanRowLimit(limitEarly, tables int) int {
+	if limitEarly < 0 || tables != 1 {
+		return 0
+	}
+	return max(limitEarly, 1)
 }
 
 // predicateDepth returns 1 + the highest binding index referenced, i.e.

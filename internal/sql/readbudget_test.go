@@ -1,0 +1,268 @@
+package sql_test
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"yesquel/internal/cluster"
+	"yesquel/internal/dbt"
+	"yesquel/internal/kv/kvserver"
+	"yesquel/internal/sql"
+)
+
+// budgetRows is how many rows loadBudgetDB puts in each table: enough
+// for several leaves under the default MaxCells, so the trees have inner
+// nodes to cache.
+const budgetRows = 600
+
+// loadBudgetDB starts a two-server cluster with the default dbt.Config
+// (readahead on, background splitter) and loads the tables the read
+// budget test and the layer benches share:
+//
+//	p (id INTEGER PRIMARY KEY, v TEXT)                       -- pk only
+//	t (id INTEGER PRIMARY KEY, u INTEGER, v TEXT), UNIQUE(u) -- u = id+1000000
+//
+// It returns once the splitter has caught up and every tree's inner
+// nodes are in the session's cache, so the statements that follow cost
+// leaf reads only.
+func loadBudgetDB(tb testing.TB) (*cluster.Cluster, *sql.DB) {
+	tb.Helper()
+	ctx := context.Background()
+	cl, err := cluster.Start(2, kvserver.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(cl.Close)
+	c, err := cl.NewClient()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	db := sql.NewDB(c, dbt.Config{})
+	tb.Cleanup(db.Close)
+	exec := func(q string, args ...sql.Value) {
+		tb.Helper()
+		if _, err := db.Exec(ctx, q, args...); err != nil {
+			tb.Fatalf("Exec(%q): %v", q, err)
+		}
+	}
+	exec("CREATE TABLE p (id INTEGER PRIMARY KEY, v TEXT)")
+	exec("CREATE TABLE t (id INTEGER PRIMARY KEY, u INTEGER, v TEXT)")
+	exec("CREATE UNIQUE INDEX t_u ON t (u)")
+	// Auto-commit inserts: each retries if it collides with a split.
+	for i := 0; i < budgetRows; i++ {
+		exec("INSERT INTO p VALUES (?, ?)", sql.Int(int64(i)), sql.Text(fmt.Sprintf("p%d", i)))
+		exec("INSERT INTO t VALUES (?, ?, ?)", sql.Int(int64(i)), sql.Int(int64(i+1000000)), sql.Text(fmt.Sprintf("t%d", i)))
+	}
+	// Wait for the delegated splits, then warm the inner-node caches with
+	// one pass over each tree.
+	for _, name := range []string{"p", "t"} {
+		tx := c.Begin()
+		table, err := db.Catalog().GetTable(ctx, tx, name)
+		tx.Abort()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, tree := range append([]*dbt.Tree{table.Tree}, table.IndexTrees...) {
+			deadline := time.Now().Add(20 * time.Second)
+			for {
+				tx := c.Begin()
+				res, err := tree.Check(ctx, tx)
+				tx.Abort()
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if res.MaxFanout <= 128 && res.Height >= 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					tb.Fatalf("tree of %s never settled: %+v", name, res)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			tx := c.Begin()
+			_, err := tree.Scan(ctx, tx, nil, -1)
+			tx.Abort()
+			if err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return cl, db
+}
+
+// treeReads sums NodeReads over the trees of the two budget tables.
+func treeReads(tb testing.TB, db *sql.DB) uint64 {
+	tb.Helper()
+	var n uint64
+	for _, name := range []string{"p", "t"} {
+		tx := db.Client().Begin()
+		table, err := db.Catalog().GetTable(context.Background(), tx, name)
+		tx.Abort()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		n += table.Tree.Stats().NodeReads
+		for _, it := range table.IndexTrees {
+			n += it.Stats().NodeReads
+		}
+	}
+	return n
+}
+
+// TestReadBudgetPerStatementShape pins what each common statement shape
+// may cost once inner nodes are cached: reads the SERVERS observed (so a
+// prefetch the statement threw away counts) and commits, with the
+// default configuration — readahead on. It also checks that no goroutine
+// outlives a statement.
+func TestReadBudgetPerStatementShape(t *testing.T) {
+	cl, db := loadBudgetDB(t)
+	ctx := context.Background()
+
+	type shape struct {
+		name    string
+		q       string
+		args    []sql.Value
+		reads   uint64
+		commits uint64
+		rows    int // expected result rows; -1 = an Exec
+	}
+	shapes := []shape{
+		{"select pk", "SELECT v FROM p WHERE id = ?", []sql.Value{sql.Int(321)}, 1, 0, 1},
+		{"select pk miss", "SELECT v FROM p WHERE id = ?", []sql.Value{sql.Int(-5)}, 1, 0, 0},
+		{"update pk, no indexed column changed", "UPDATE t SET v = ? WHERE id = ?", []sql.Value{sql.Text("new"), sql.Int(123)}, 1, 1, -1},
+		{"insert into pk-only table", "INSERT INTO p VALUES (?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Text("x")}, 1, 1, -1},
+		{"delete pk from pk-only table", "DELETE FROM p WHERE id = ?", []sql.Value{sql.Int(17)}, 1, 1, -1},
+		{"select unique column", "SELECT v FROM t WHERE u = ?", []sql.Value{sql.Int(1000222)}, 2, 0, 1},
+		{"select pk = NULL", "SELECT v FROM p WHERE id = NULL", nil, 0, 0, 0},
+		{"select contradictory range", "SELECT v FROM p WHERE id > 9 AND id < 3", nil, 0, 0, 0},
+		{"select first row by pk order", "SELECT id FROM p ORDER BY id LIMIT 1", nil, 1, 0, 1},
+	}
+	run := func(s shape) (reads, commits uint64) {
+		t.Helper()
+		goroutines := runtime.NumGoroutine()
+		before, treeBefore := cl.Stats(), treeReads(t, db)
+		if s.rows < 0 {
+			if _, err := db.Exec(ctx, s.q, s.args...); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+		} else {
+			rows, err := db.Query(ctx, s.q, s.args...)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			if rows.Len() != s.rows {
+				t.Errorf("%s: %d rows, want %d", s.name, rows.Len(), s.rows)
+			}
+		}
+		after := cl.Stats()
+		reads = after.Reads - before.Reads
+		commits = after.FastCommits + after.Commits - before.FastCommits - before.Commits
+		t.Logf("%-40s server reads %d, commits %d, dbt NodeReads %d", s.name, reads, commits, treeReads(t, db)-treeBefore)
+		// A prefetcher the statement abandoned would still be winding down.
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
+			if time.Now().After(deadline) {
+				t.Errorf("%s: %d goroutines before the statement, %d after", s.name, goroutines, runtime.NumGoroutine())
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return reads, commits
+	}
+	for _, s := range shapes {
+		reads, commits := run(s)
+		if reads != s.reads || commits != s.commits {
+			t.Errorf("%s: %d server reads and %d commits, want %d and %d", s.name, reads, commits, s.reads, s.commits)
+		}
+	}
+
+	// A pk range inside one leaf is one read. Leaves hold at least 64
+	// cells, so of three adjacent two-key ranges at most one can straddle
+	// a leaf boundary (and then costs two).
+	ones := 0
+	for _, lo := range []int64{400, 402, 404} {
+		reads, _ := run(shape{"select pk range", "SELECT v FROM p WHERE id BETWEEN ? AND ?",
+			[]sql.Value{sql.Int(lo), sql.Int(lo + 1)}, 1, 0, 2})
+		switch reads {
+		case 1:
+			ones++
+		case 2:
+		default:
+			t.Errorf("pk range [%d, %d]: %d server reads", lo, lo+1, reads)
+		}
+	}
+	if ones < 2 {
+		t.Errorf("only %d of 3 two-key pk ranges cost one read", ones)
+	}
+}
+
+// TestUpdateMaintainsOnlyChangedIndexes: an UPDATE that leaves an
+// indexed column alone stages nothing on that index's tree (so it stays
+// a one-object commit), while a change to the column still moves the
+// entry and still trips the UNIQUE check.
+func TestUpdateMaintainsOnlyChangedIndexes(t *testing.T) {
+	db := newDB(t, 2)
+	ctx := context.Background()
+	mustExec(t, db, "CREATE TABLE page (id INTEGER PRIMARY KEY, title TEXT, latest INTEGER)")
+	mustExec(t, db, "CREATE UNIQUE INDEX page_title ON page (title)")
+	mustExec(t, db, "CREATE INDEX page_latest ON page (latest)")
+	for i := int64(0); i < 5; i++ {
+		mustExec(t, db, "INSERT INTO page VALUES (?, ?, ?)", sql.Int(i), sql.Text(fmt.Sprintf("T%d", i)), sql.Int(0))
+	}
+	tx := db.Client().Begin()
+	table, err := db.Catalog().GetTable(ctx, tx, "page")
+	tx.Abort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var title, latest *dbt.Tree
+	for i, is := range table.Schema.Indexes {
+		switch is.Name {
+		case "page_title":
+			title = table.IndexTrees[i]
+		case "page_latest":
+			latest = table.IndexTrees[i]
+		}
+	}
+
+	// Every write to a tree starts with a descent of it, so a tree the
+	// statement never descended has nothing staged on it.
+	titleBefore, latestBefore := title.Stats().Descents, latest.Stats().Descents
+	mustExec(t, db, "UPDATE page SET latest = ? WHERE id = ?", sql.Int(9), sql.Int(2))
+	if d := title.Stats().Descents - titleBefore; d != 0 {
+		t.Errorf("UPDATE of latest descended page_title's tree %d times", d)
+	}
+	if d := latest.Stats().Descents - latestBefore; d == 0 {
+		t.Error("UPDATE of latest never touched page_latest's tree")
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM page WHERE latest = 9")); got != "2\n" {
+		t.Errorf("lookup by new latest: %q", got)
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM page WHERE latest = 0 ORDER BY id")); got != "0\n1\n3\n4\n" {
+		t.Errorf("lookup by old latest: %q", got)
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM page WHERE title = 'T2'")); got != "2\n" {
+		t.Errorf("lookup by untouched title: %q", got)
+	}
+
+	// A changed UNIQUE column is still checked, and still moved.
+	if _, err := db.Exec(ctx, "UPDATE page SET title = 'T3' WHERE id = 2"); err == nil {
+		t.Error("UPDATE to a taken title succeeded")
+	}
+	mustExec(t, db, "UPDATE page SET title = 'fresh' WHERE id = 2")
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM page WHERE title = 'fresh'")); got != "2\n" {
+		t.Errorf("lookup by new title: %q", got)
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM page WHERE title = 'T2'")); got != "" {
+		t.Errorf("old title still indexed: %q", got)
+	}
+	// Setting a column to the value it has is not a change either.
+	titleBefore = title.Stats().Descents
+	mustExec(t, db, "UPDATE page SET title = 'fresh', latest = 10 WHERE id = 2")
+	if d := title.Stats().Descents - titleBefore; d != 0 {
+		t.Errorf("UPDATE to the same title descended page_title's tree %d times", d)
+	}
+}
