@@ -930,18 +930,26 @@ func BenchmarkResync(b *testing.B) {
 			}
 			go backup.Serve()
 			backup.Store().StartResync()
-			watermark, err := primary.AttachBackup(backup.Addr())
+			watermark, err := primary.AttachBackupMember(backup.Addr())
 			if err != nil {
 				b.Fatal(err)
 			}
 			if err := backup.SyncFrom(primary.Addr(), watermark); err != nil {
 				b.Fatal(err)
 			}
+			// The epoch bump that admits the synced member completes
+			// the join.
+			if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
+				b.Fatal(err)
+			}
 			b.StopTimer()
 			if got := backup.Store().StateDigest(); got != want {
 				b.Fatalf("resynced digest %x != primary %x", got, want)
 			}
-			primary.SetMirror("")
+			primary.DetachAllBackups()
+			if _, err := primary.BumpEpoch([]string{primary.Addr()}); err != nil {
+				b.Fatal(err)
+			}
 			backup.Close()
 			b.StartTimer()
 		}

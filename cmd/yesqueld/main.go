@@ -1,15 +1,22 @@
 // yesqueld is the Yesquel storage server daemon: one instance of the
 // transactional key-value store (boxes 3 in Figure 1 of the paper).
 // Start one per storage machine and hand the full address list to the
-// clients.
+// clients. Every server is a member of a replication group and -addr is
+// its member identity — the address clients are redirected to and a
+// primary's -mirror names — so it must be ip:port with a specific IP.
+// A lone server is the sole member of its own group; -mirror forms a
+// larger one (start the backups first):
 //
-//	yesqueld -addr :7000
+//	yesqueld -addr 10.0.0.2:7000 -replication-log on
+//	yesqueld -addr 10.0.0.3:7000 -replication-log on
+//	yesqueld -addr 10.0.0.1:7000 -mirror 10.0.0.2:7000,10.0.0.3:7000
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -20,22 +27,28 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":7000", "listen address")
+	addr := flag.String("addr", "127.0.0.1:7000", "listen address as ip:port with a specific IP: it is this server's member identity, the address clients and peers reach it at")
 	retention := flag.Duration("retention", 10*time.Second, "how long superseded MVCC versions remain readable")
 	maxVersions := flag.Int("max-versions", 64, "hard cap on a hot object's version chain")
 	logPath := flag.String("log", "", "write-ahead log path (empty = in-memory only)")
 	logSync := flag.Bool("log-sync", false, "fsync the log on every commit")
-	mirror := flag.String("mirror", "", "backup server address(es) to replicate commits to, comma-separated (two or more form a quorum group: commits are acknowledged once a majority of the group — this primary plus its backups — holds them)")
+	mirror := flag.String("mirror", "", "backup server address(es), comma-separated, already running: this server attaches them and installs the group [this server, backups...] as a new epoch, so it serves under their lease grants and commits are acknowledged once a majority of the group holds them")
 	replLog := flag.String("replication-log", "auto", "keep the in-memory replication log so backups can resync from this server (auto/on/off; auto = on when replication flags are set)")
 	replLogMax := flag.Int("replication-log-max", 0, "bound the in-memory replication log to this many records: beyond it the server checkpoints (state snapshot + WAL rotation) and truncates, and backups too far behind catch up by snapshot transfer (0 = unbounded)")
 	syncFrom := flag.String("sync-from", "", "primary address to stream missed commits from before serving (join or rejoin a replication group as its backup)")
-	lease := flag.Duration("lease", 2*time.Second, "primary lease duration (epoch-bearing groups: how long the primary may serve after its last backup ack, and how long a promotion must wait)")
+	lease := flag.Duration("lease", 2*time.Second, "primary lease duration in a group of more than one member: how long the primary may serve after its last backup ack, and how long a promotion must wait")
 	mirrorBatch := flag.Int("mirror-batch", 256, "max stream records per group-commit mirror batch RPC (batches are also byte-capped under the frame limit)")
 	groupCommitInterval := flag.Duration("group-commit-interval", 0, "how long the replication pipeline waits after waking before flushing, letting a batch build (0 = flush as soon as free)")
 	followerReads := flag.Bool("follower-reads", true, "serve snapshot reads from this server while it is a backup, up to its durability watermark's frontier (false = redirect every read to the primary)")
 	statsEvery := flag.Duration("stats", 0, "periodically log epoch, role, lease state, and activity counters (0 = off)")
 	flag.Parse()
 
+	// The bound address is the member identity: it must be the literal
+	// that clients are redirected to and that a primary's -mirror names.
+	host, _, err := net.SplitHostPort(*addr)
+	if ip := net.ParseIP(host); err != nil || ip == nil || ip.IsUnspecified() {
+		log.Fatalf("yesqueld: -addr %q must be ip:port with a specific IP: the address is this server's member identity, which clients and peers are redirected to", *addr)
+	}
 	if *replLog != "auto" && *replLog != "on" && *replLog != "off" {
 		log.Fatalf("yesqueld: -replication-log must be auto, on, or off (got %q)", *replLog)
 	}
@@ -68,21 +81,23 @@ func main() {
 		}
 		log.Printf("yesqueld: synced %d commits", store.ReplSeq())
 	}
-	if *mirror != "" {
-		backups := strings.Split(*mirror, ",")
-		for _, b := range backups {
-			b = strings.TrimSpace(b)
-			if b == "" {
-				continue
-			}
-			if _, err := srv.AttachBackupMember(b); err != nil {
-				log.Fatalf("yesqueld: %v", err)
-			}
-		}
-		log.Printf("yesqueld: replicating commits to %s", *mirror)
-	}
+	// Listen before forming the group: the bound address is the member
+	// identity the new epoch's membership names.
 	if err := srv.Listen(*addr); err != nil {
 		log.Fatalf("yesqueld: %v", err)
+	}
+	if *mirror != "" {
+		var backups []string
+		for _, b := range strings.Split(*mirror, ",") {
+			if b = strings.TrimSpace(b); b != "" {
+				backups = append(backups, b)
+			}
+		}
+		epoch, err := srv.FormGroup(backups)
+		if err != nil {
+			log.Fatalf("yesqueld: forming group with %v: %v", backups, err)
+		}
+		log.Printf("yesqueld: primary of %v at epoch %d", store.Members(), epoch)
 	}
 	log.Printf("yesqueld: serving on %s (retention %v, max versions %d, lease %v)", srv.Addr(), *retention, *maxVersions, *lease)
 

@@ -17,12 +17,12 @@ import (
 )
 
 // Group is one server slot's replication group: an acting primary and
-// its live backups. Replicated groups carry an epoch: every membership
-// change (promotion after a failure, re-formation with a fresh backup)
-// is an explicit epoch bump recorded in the replication stream, and the
-// epoch's primary only serves while it holds a lease granted by a
-// majority of its backups. Unreplicated slots stay at epoch 0 (no
-// epoch discipline).
+// its live backups. Every group carries an epoch: every membership
+// change (formation, promotion after a failure, re-formation with a
+// fresh backup) is an explicit epoch bump recorded in the replication
+// stream, and the epoch's primary only serves while it holds a lease
+// granted by a majority of its backups. An rf=1 slot is the sole-member
+// group its store was born as.
 type Group struct {
 	Primary *kvserver.Server
 	Backups []*kvserver.Server // live backups (empty when unreplicated or after failovers)
@@ -38,7 +38,6 @@ func (g *Group) Epoch() uint64 { return g.Primary.Store().Epoch() }
 // Cluster is a set of running storage server slots.
 type Cluster struct {
 	// Servers holds each slot's acting primary; Addrs its address.
-	// (Kept flat for the common unreplicated case and compatibility.)
 	Servers []*kvserver.Server
 	Addrs   []string
 	Groups  []*Group
@@ -62,6 +61,10 @@ type Cluster struct {
 	cfg kvserver.Config
 	rf  int
 }
+
+// listenAddr is where every member listens: an ephemeral loopback port.
+// A variable only so a test can make the listen fail.
+var listenAddr = "127.0.0.1:0"
 
 // maxReplicationFactor bounds rf to something a loopback test harness
 // can plausibly run; the quorum math itself has no such limit.
@@ -90,7 +93,10 @@ func StartReplicated(n, rf int, cfg kvserver.Config) (*Cluster, error) {
 	if rf < 1 || rf > maxReplicationFactor {
 		return nil, fmt.Errorf("cluster: replication factor must be between 1 and %d, got %d", maxReplicationFactor, rf)
 	}
-	cl := &Cluster{cfg: cfg, rf: rf}
+	// Like every store and client, the cluster is born holding the
+	// version-0 identity directory (one route per slot, Routes[i] = i);
+	// members starting below install it as a no-op.
+	cl := &Cluster{cfg: cfg, rf: rf, dir: kv.IdentityDirectory(n)}
 	for i := 0; i < n; i++ {
 		g, err := cl.startGroup(i)
 		if err != nil {
@@ -101,16 +107,18 @@ func StartReplicated(n, rf int, cfg kvserver.Config) (*Cluster, error) {
 		cl.Servers = append(cl.Servers, g.Primary)
 		cl.Addrs = append(cl.Addrs, g.Primary.Addr())
 	}
-	// Publish the identity directory (version 1, Routes[i] = i): the
-	// same placement the legacy modulo rule computes, now explicit,
-	// versioned, and movable (see migrate.go).
-	cl.buildDirectory()
+	// Publish it as version 1 — now carrying the groups' addresses — so
+	// every member and client routes by the same explicit, versioned,
+	// movable map (see migrate.go).
+	d := cl.dir.Clone()
+	d.Version = 1
+	cl.installDirectory(d, -1)
 	return cl, nil
 }
 
 // startGroup launches one full replica group for slot/group index i: a
-// primary, rf-1 synced backups, and (when replicated) epoch 1 installed
-// with the fresh membership. Used by StartReplicated for the initial
+// primary, rf-1 synced backups, and (when replicated) an epoch bump
+// installing the fresh membership. Used by StartReplicated for the initial
 // slots and by AddServer for scale-out groups.
 //
 // NOTE: the group is NOT yet appended to cl.Groups; attachBackup needs
@@ -147,7 +155,7 @@ func (cl *Cluster) startGroup(i int) (*Group, error) {
 		}
 	}
 	if cl.rf > 1 {
-		// Install epoch 1 with the fresh group as members. The RecEpoch
+		// Install the fresh group as the membership. The RecEpoch
 		// record mirrors to every backup like any stream record, and its
 		// acks double as the primary's first lease grants.
 		if _, err := g.Primary.BumpEpoch(append([]string(nil), g.Addrs...)); err != nil {
@@ -181,7 +189,11 @@ func (cl *Cluster) startMember(i int, suffix string) (*kvserver.Server, error) {
 		return nil, err
 	}
 	srv := kvserver.NewServer(store)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	if err := srv.Listen(listenAddr); err != nil {
+		// The store's log file and flusher, and the server's sweeper,
+		// are already running; nobody else will ever stop them.
+		srv.Close()
+		store.CloseLog()
 		return nil, err
 	}
 	go srv.Serve()
@@ -222,9 +234,7 @@ func (cl *Cluster) attachBackup(i int) error {
 	// A member started after the directory was published needs its own
 	// copy — without it the fresh backup would accept follower reads
 	// for routes its group no longer owns.
-	if cl.dir != nil {
-		backup.Store().InstallDirectory(cl.dir, uint32(i))
-	}
+	backup.Store().InstallDirectory(cl.dir, uint32(i))
 	return nil
 }
 
@@ -432,10 +442,8 @@ func (cl *Cluster) Restart(slot int) error {
 			return err
 		}
 	}
-	if g.Epoch() > 0 || cl.rf > 1 {
-		if _, err := g.Primary.BumpEpoch(append([]string(nil), g.Addrs...)); err != nil {
-			return fmt.Errorf("cluster: slot %d epoch bump: %w", slot, err)
-		}
+	if _, err := g.Primary.BumpEpoch(append([]string(nil), g.Addrs...)); err != nil {
+		return fmt.Errorf("cluster: slot %d epoch bump: %w", slot, err)
 	}
 	return nil
 }
@@ -454,11 +462,9 @@ func (cl *Cluster) NewClient() (*kvclient.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cl.dir != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_ = c.FetchDirectory(ctx, 0)
-		cancel()
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	_ = c.FetchDirectory(ctx, 0)
+	cancel()
 	return c, nil
 }
 

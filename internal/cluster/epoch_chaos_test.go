@@ -56,6 +56,7 @@ func TestIsolatedStalePrimaryNeverAcksAfterNewEpoch(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
+	formed := cl.Groups[0].Epoch() // the epoch the pair was formed at
 
 	c, err := cl.NewClient()
 	if err != nil {
@@ -145,17 +146,17 @@ func TestIsolatedStalePrimaryNeverAcksAfterNewEpoch(t *testing.T) {
 
 	// And the direct probes agree: a write is rejected with
 	// ErrWrongEpoch (its lease expired; nothing was executed) ...
-	ok, err := rawFastCommit(oldAddr, 9_999_999, 1, start, &kv.Op{
+	ok, err := rawFastCommit(oldAddr, 9_999_999, formed, start, &kv.Op{
 		Kind: kv.OpPut, OID: kv.MakeOID(0, 424242), Value: kv.NewPlain([]byte("never"))})
 	if ok {
 		t.Fatal("stale primary acknowledged a direct write after promotion")
 	}
 	if we, parsed := kv.ParseWrongEpoch(err.Error()); !parsed {
 		t.Fatalf("stale-primary rejection not a wrong-epoch redirect: %v", err)
-	} else if we.Epoch != 1 {
-		// The isolated primary cannot have learned epoch 2 (its lease
-		// renewals are partitioned too); it rejects on lease expiry,
-		// still reporting its own epoch.
+	} else if we.Epoch != formed {
+		// The isolated primary cannot have learned the new epoch (its
+		// lease renewals are partitioned too); it rejects on lease
+		// expiry, still reporting its own epoch.
 		t.Fatalf("stale primary reports epoch %d", we.Epoch)
 	}
 
@@ -165,7 +166,7 @@ func TestIsolatedStalePrimaryNeverAcksAfterNewEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_, err = conn.Call(ctx, kv.MethodRead, (&kv.ReadReq{OID: pre, Snap: oldStore.Clock().Now(), Epoch: 1}).Encode())
+	_, err = conn.Call(ctx, kv.MethodRead, (&kv.ReadReq{OID: pre, Snap: oldStore.Clock().Now(), Epoch: formed}).Encode())
 	if err == nil {
 		t.Fatal("stale primary served a read after its lease expired")
 	}
@@ -178,8 +179,8 @@ func TestIsolatedStalePrimaryNeverAcksAfterNewEpoch(t *testing.T) {
 	if st := old.Stats(); st.WrongEpochRejects == 0 {
 		t.Fatalf("stale primary's WrongEpochRejects = 0: %+v", st)
 	}
-	if got := cl.Groups[0].Epoch(); got != 2 {
-		t.Fatalf("promoted member's epoch = %d, want 2", got)
+	if got := cl.Groups[0].Epoch(); got != formed+1 {
+		t.Fatalf("promoted member's epoch = %d, want %d", got, formed+1)
 	}
 
 	// Pre-partition acknowledged data survived onto the new epoch.
@@ -203,7 +204,9 @@ func TestPreFailoverClientFollowsGroup(t *testing.T) {
 	defer cl.Close()
 	ctx := context.Background()
 
-	// The client opens while the group is [A, B] at epoch 1.
+	// The client opens while the group is [A, B] at the epoch it was
+	// formed at (call it e).
+	formed := cl.Groups[0].Epoch()
 	c, err := cl.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -230,38 +233,38 @@ func TestPreFailoverClientFollowsGroup(t *testing.T) {
 			}
 		}
 	}
-	o1 := write("epoch-1")
+	o1 := write("epoch-e")
 
-	// Failover 1: A dies, B is promoted (epoch 2, members [B]).
+	// Failover 1: A dies, B is promoted (epoch e+1, members [B]).
 	if err := cl.KillPrimary(0); err != nil {
 		t.Fatal(err)
 	}
-	o2 := write("epoch-2")
+	o2 := write("epoch-e+1")
 
-	// Re-formation: fresh member C joins as backup (epoch 3, [B, C]).
+	// Re-formation: fresh member C joins as backup (epoch e+2, [B, C]).
 	// C's address did not exist when the client opened.
 	if err := cl.Restart(0); err != nil {
 		t.Fatal(err)
 	}
-	o3 := write("epoch-3")
+	o3 := write("epoch-e+2")
 
-	// Failover 2: B dies, C is promoted (epoch 4, members [C]). The
-	// client can only reach C because the epoch-3 redirect taught it
+	// Failover 2: B dies, C is promoted (epoch e+3, members [C]). The
+	// client can only reach C because the epoch-e+2 redirect taught it
 	// C's address.
 	if err := cl.KillPrimary(0); err != nil {
 		t.Fatal(err)
 	}
-	o4 := write("epoch-4")
+	o4 := write("epoch-e+3")
 
-	if got := cl.Groups[0].Epoch(); got != 4 {
-		t.Fatalf("group epoch = %d, want 4", got)
+	if got := cl.Groups[0].Epoch(); got != formed+3 {
+		t.Fatalf("group epoch = %d, want %d", got, formed+3)
 	}
 
 	// Every write of every configuration is readable through the
 	// same original client.
 	check := c.Begin()
 	defer check.Abort()
-	for oid, want := range map[kv.OID]string{o1: "epoch-1", o2: "epoch-2", o3: "epoch-3", o4: "epoch-4"} {
+	for oid, want := range map[kv.OID]string{o1: "epoch-e", o2: "epoch-e+1", o3: "epoch-e+2", o4: "epoch-e+3"} {
 		if v, err := check.Read(ctx, oid); err != nil || string(v.Data) != want {
 			t.Fatalf("read %q through the pre-failover client: %v %v", want, v, err)
 		}
@@ -321,9 +324,9 @@ func TestOpenReplicatedToleratesDownReplica(t *testing.T) {
 	}
 }
 
-// TestBackupRejectsDirectClientWrites: in an epoch-bearing group, a
-// client that reaches the backup directly (the PR 1 failure mode that
-// produced divergence for the mirror guard to detect) is turned away
+// TestBackupRejectsDirectClientWrites: a
+// client that reaches the backup directly (the failure mode that would
+// produce divergence for the mirror guard to detect) is turned away
 // with a redirect to the primary — the write never lands, so there is
 // nothing to detect.
 func TestBackupRejectsDirectClientWrites(t *testing.T) {
@@ -336,7 +339,7 @@ func TestBackupRejectsDirectClientWrites(t *testing.T) {
 	backupAddr := g.Backups[0].Addr()
 	start := g.Primary.Store().Clock().Now()
 
-	for _, epoch := range []uint64{0, 1} {
+	for _, epoch := range []uint64{0, g.Epoch()} {
 		ok, err := rawFastCommit(backupAddr, 8_000_000+epoch, epoch, start, &kv.Op{
 			Kind: kv.OpPut, OID: kv.MakeOID(0, 777), Value: kv.NewPlain([]byte("stray"))})
 		if ok {
@@ -379,14 +382,15 @@ func TestEpochStatsExposed(t *testing.T) {
 	if len(st) != 1 {
 		t.Fatalf("group stats: %+v", st)
 	}
-	if st[0].Epoch != 1 || st[0].Role != kvserver.RolePrimary || len(st[0].Members) != 2 || !st[0].LeaseValid {
+	formed := st[0].Epoch
+	if formed < 2 || st[0].Role != kvserver.RolePrimary || len(st[0].Members) != 2 || !st[0].LeaseValid {
 		t.Fatalf("fresh pair stats: %+v", st[0])
 	}
 	if err := cl.KillPrimary(0); err != nil {
 		t.Fatal(err)
 	}
 	st = cl.GroupStats()
-	if st[0].Epoch != 2 || st[0].Role != kvserver.RolePrimary || len(st[0].Members) != 1 {
+	if st[0].Epoch != formed+1 || st[0].Role != kvserver.RolePrimary || len(st[0].Members) != 1 {
 		t.Fatalf("post-failover stats: %+v", st[0])
 	}
 	if agg := cl.Stats(); agg.EpochBumps == 0 {

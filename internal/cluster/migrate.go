@@ -61,21 +61,8 @@ import (
 	"yesquel/internal/kv/kvserver"
 )
 
-// directory returns the cluster's current slot directory (nil before
-// buildDirectory, which StartReplicated always runs).
+// Directory returns the cluster's current slot directory.
 func (cl *Cluster) Directory() *kv.Directory { return cl.dir }
-
-// buildDirectory creates the identity directory: version 1, one route
-// per initial slot, Routes[i] = i — exactly the legacy `slot % n` rule,
-// so adopting it changes no placement.
-func (cl *Cluster) buildDirectory() {
-	d := &kv.Directory{Version: 1, Routes: make([]uint32, len(cl.Groups))}
-	for i := range cl.Groups {
-		d.Routes[i] = uint32(i)
-	}
-	cl.dir = d
-	cl.installDirectory(d.Clone(), -1)
-}
 
 // StartElastic launches a cluster built for scale-out: `groups` replica
 // groups of the given replication factor, serving groups*routesPerGroup
@@ -86,12 +73,12 @@ func (cl *Cluster) buildDirectory() {
 // serving capacity.
 //
 // Placement parity: because groups divides the route count,
-// (slot % routes) % groups == slot % groups, so a directory-unaware
-// client given the group addresses routes every OID to the same group
-// the directory names — until the first migration. Directory-aware
-// clients should adopt the directory before allocating OIDs (NumServers
-// is the route count, not the group count); Cluster.NewClient does so
-// eagerly.
+// (slot % routes) % groups == slot % groups, so a client still on the
+// identity directory it was born with routes every OID to the same
+// group the published directory names — until the first migration.
+// Clients should adopt the published directory before allocating OIDs
+// (NumServers is the route count, not the group count);
+// Cluster.NewClient does so eagerly.
 func StartElastic(groups, routesPerGroup, rf int, cfg kvserver.Config) (*Cluster, error) {
 	if routesPerGroup < 1 {
 		return nil, fmt.Errorf("cluster: need at least one route per group, got %d", routesPerGroup)

@@ -6,8 +6,8 @@ import (
 	"yesquel/internal/wire"
 )
 
-// Directory is the versioned slot→group map that replaces the implicit
-// `oid % n` routing rule. Routes has a FIXED length chosen when the
+// Directory is the versioned slot→group map every server and client
+// routes by. Routes has a FIXED length chosen when the
 // cluster first forms (the initial server count): an OID's route index
 // is `slot % len(Routes)`, and Routes[route] names the group that owns
 // every OID on that route. Scale-out never changes len(Routes) — a new
@@ -22,16 +22,29 @@ import (
 // through ErrWrongEpoch redirects and ack piggybacks. The directory
 // only says which group to talk to, not who currently leads it.
 //
-// Version is monotonic, like an epoch. Version 0 means "no directory":
-// servers piggyback their version on every Ack (Ack.DirVersion), reject
-// requests for routes they no longer own with the typed
-// WrongSlotError, and serve the full map via MethodDirectory. A client
-// holding version v adopts any directory with a larger version and
-// never moves backwards.
+// Version is monotonic, like an epoch. Version 0 is the identity
+// directory every store and client is born with (a store: one route,
+// its own group; a client: one route per group it was opened with),
+// which any published directory supersedes. Servers piggyback their
+// version on every Ack (Ack.DirVersion), reject requests for routes
+// they no longer own with the typed WrongSlotError, and serve the full
+// map via MethodDirectory. A client holding version v adopts any
+// directory with a larger version and never moves backwards.
 type Directory struct {
 	Version uint64
 	Routes  []uint32   // route index (slot % len(Routes)) → group index
 	Groups  [][]string // group index → replica addresses, primary first
+}
+
+// IdentityDirectory returns the version-0 directory over n groups:
+// route i is owned by group i, and the groups' address lists are empty
+// until the holder fills them in.
+func IdentityDirectory(n int) *Directory {
+	d := &Directory{Routes: make([]uint32, n), Groups: make([][]string, n)}
+	for i := range d.Routes {
+		d.Routes[i] = uint32(i)
+	}
+	return d
 }
 
 // maxRoutes bounds a decoded route table (sanity, not policy — real
@@ -79,8 +92,7 @@ func EncodeDirectory(b *wire.Buffer, d *Directory) {
 }
 
 // DecodeDirectory is the inverse of EncodeDirectory. Trailing bytes are
-// left unread, so messages may append optional fields after the
-// directory without breaking old decoders.
+// left unread: messages embed a directory and continue after it.
 func DecodeDirectory(r *wire.Reader) (*Directory, error) {
 	d := &Directory{}
 	var err error

@@ -209,9 +209,9 @@ var (
 // match errors structurally instead of grepping message text. The
 // registry spans every service in the tree — codes 1–49 are the kv
 // sentinels above, 50+ belong to server-side sentinels that still
-// need client-visible classification (snapshot sessions, the RPC
-// layer's own unknown-method rejection). Code 0 means unclassified;
-// never assign it. Values are wire protocol: append, never renumber.
+// need client-visible classification (snapshot sessions). Code 0 means
+// unclassified; never assign it. Values are wire protocol: append,
+// never renumber.
 const (
 	CodeConflict           uint64 = 1
 	CodeAborted            uint64 = 2
@@ -222,7 +222,6 @@ const (
 	CodeWrongEpoch         uint64 = 7
 	CodeWrongSlot          uint64 = 8
 	CodeSnapSessionExpired uint64 = 50
-	CodeUnknownMethod      uint64 = 51
 )
 
 // WireErrorCode maps a handler error to its wire code, or 0 if the

@@ -34,8 +34,8 @@ type Client struct {
 	// enough. Lock order: mu before any replicaGroup.mu.
 	mu     sync.Mutex
 	groups []*replicaGroup
-	// dir is the adopted slot directory (nil until one is learned — the
-	// client then routes by the legacy slot-modulo rule). Replaced
+	// dir is the adopted slot directory, born as the version-0 identity
+	// map over the groups the client was opened with. Replaced
 	// wholesale on adoption, never mutated in place; version-gated so
 	// the view only moves forward. Learned from Ack.DirVersion
 	// piggybacks (async fetch) and WrongSlotError redirects (in-place
@@ -90,7 +90,7 @@ func (c *Client) SetDurableReads(on bool) { c.durableReads.Store(on) }
 type replicaGroup struct {
 	mu       sync.Mutex
 	addrs    []string
-	epoch    uint64 // group epoch last learned (0 = unaware / legacy)
+	epoch    uint64 // group epoch last learned (0 = not yet learned)
 	cur      int    // index into addrs the connection (or next dial) uses
 	conn     *rpc.Client
 	connAddr string // address conn was dialed to
@@ -122,13 +122,6 @@ type replicaGroup struct {
 	// as monotone-safe, being the same quorum-durable bound one hop
 	// later.
 	readFrontier uint64
-
-	// noBatch remembers that a replica of this group rejected
-	// MethodReadBatch as unknown (the peer predates the method), so
-	// later batches skip straight to the per-object fallback instead of
-	// paying a doomed round trip each time. Reset when the membership
-	// changes: a new configuration may be all upgraded servers.
-	noBatch atomic.Bool
 }
 
 // readSeed staggers which backup each successive client pins its
@@ -305,7 +298,6 @@ func (g *replicaGroup) noteEpoch(epoch uint64, members []string) bool {
 		delete(g.readConns, a)
 	}
 	g.readCur = int(readSeed.Add(1))
-	g.noBatch.Store(false)
 	return true
 }
 
@@ -337,8 +329,9 @@ func (g *replicaGroup) close() {
 }
 
 // Open dials every storage server. The order of addrs defines server
-// slots: an OID with slot s lives on addrs[s % len(addrs)]. Each slot
-// has a single replica; use OpenReplicated for failover.
+// slots: until a published directory says otherwise, an OID with slot s
+// lives on addrs[s % len(addrs)]. Each slot has a single replica; use
+// OpenReplicated for failover.
 func Open(addrs []string) (*Client, error) {
 	groups := make([][]string, len(addrs))
 	for i, a := range addrs {
@@ -362,7 +355,9 @@ func OpenReplicated(groups [][]string) (*Client, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("kvclient: no servers")
 	}
-	c := &Client{hlc: clock.New()}
+	// Born holding the identity directory: route i is group i.
+	c := &Client{hlc: clock.New(), dir: kv.IdentityDirectory(len(groups))}
+	c.dir.Groups = groups
 	// Random bases make transaction ids and OIDs unique across client
 	// processes without coordination.
 	var seed [16]byte
@@ -492,34 +487,25 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// NumServers returns the number of placement slots OIDs spread across.
-// With a slot directory adopted this is the directory's fixed route
-// count — frozen at cluster formation, unchanged by scale-out — so
-// placement computed from it (dbt root OIDs) stays stable when servers
-// join. Without a directory it is the number of known groups (the
-// legacy modulo rule).
+// NumServers returns the number of placement slots OIDs spread across:
+// the directory's fixed route count — frozen at cluster formation,
+// unchanged by scale-out — so placement computed from it (dbt root
+// OIDs) stays stable when servers join.
 func (c *Client) NumServers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dir != nil {
-		return len(c.dir.Routes)
-	}
-	return len(c.groups)
+	return len(c.dir.Routes)
 }
 
 // Clock exposes the client's hybrid logical clock.
 func (c *Client) Clock() *clock.HLC { return c.hlc }
 
-// ServerFor maps an OID to the index of the replica group that owns it:
-// through the adopted slot directory when one is known, by the legacy
-// slot-modulo rule otherwise.
+// ServerFor maps an OID to the index of the replica group that owns it
+// under the adopted slot directory.
 func (c *Client) ServerFor(oid kv.OID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dir != nil {
-		return int(c.dir.GroupFor(oid))
-	}
-	return int(oid.Slot()) % len(c.groups)
+	return int(c.dir.GroupFor(oid))
 }
 
 // group returns the replica group at index i (stable pointer).
@@ -537,13 +523,10 @@ func (c *Client) groupList() []*replicaGroup {
 }
 
 // DirectoryVersion returns the adopted slot directory's version (0 =
-// none adopted; routing falls back to slot modulo).
+// the identity directory the client was born with).
 func (c *Client) DirectoryVersion() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dir == nil {
-		return 0
-	}
 	return c.dir.Version
 }
 
@@ -556,7 +539,7 @@ func (c *Client) adoptDirectory(d *kv.Directory) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dir != nil && d.Version <= c.dir.Version {
+	if d.Version <= c.dir.Version {
 		return false
 	}
 	d = d.Clone()
@@ -581,16 +564,8 @@ func (c *Client) ensureGroupsLocked(d *kv.Directory) {
 
 // FetchDirectory fetches the slot directory from server's group and
 // adopts it if newer — an eager, synchronous alternative to learning it
-// from ack piggybacks. Old peers answer unknown-method; the error
-// leaves modulo routing in force.
+// from ack piggybacks.
 func (c *Client) FetchDirectory(ctx context.Context, server int) error {
-	return c.fetchDirectory(ctx, server)
-}
-
-// fetchDirectory fetches the slot directory from server's group and
-// adopts it if newer. Old peers answer unknown-method; the error is the
-// caller's signal to keep modulo routing.
-func (c *Client) fetchDirectory(ctx context.Context, server int) error {
 	respB, err := c.call(ctx, server, kv.MethodDirectory, func(uint64) []byte { return nil }, retryAlways)
 	if err != nil {
 		return err
@@ -619,7 +594,7 @@ func (c *Client) fetchDirectoryAsync(server int) {
 	go func() {
 		defer c.dirWG.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), heartbeatTimeout)
-		c.fetchDirectory(ctx, server) // best-effort: the next ack re-triggers
+		c.FetchDirectory(ctx, server) // best-effort: the next ack re-triggers
 		cancel()
 		c.mu.Lock()
 		c.dirFetching = false
@@ -630,16 +605,11 @@ func (c *Client) fetchDirectoryAsync(server int) {
 // noteWrongSlot reacts to a WrongSlotError redirect from server: it
 // patches the adopted directory's route in place (keeping the adopted
 // version, so the follow-up full fetch — which carries the rejecting
-// server's newer version — still lands), and triggers that fetch. A
-// client with no directory yet fetches synchronously: it cannot patch
-// what it does not have, and without the map every retry would bounce.
+// server's newer version — still lands), and triggers that fetch.
 func (c *Client) noteWrongSlot(server int, ws *kv.WrongSlotError) {
 	c.mu.Lock()
-	cur := uint64(0)
-	if c.dir != nil {
-		cur = c.dir.Version
-	}
-	if c.dir != nil && ws.Version > cur &&
+	cur := c.dir.Version
+	if ws.Version > cur &&
 		int(ws.Route) < len(c.dir.Routes) && c.dir.Routes[ws.Route] != ws.Group {
 		d := c.dir.Clone()
 		for int(ws.Group) >= len(d.Groups) {
@@ -653,16 +623,9 @@ func (c *Client) noteWrongSlot(server int, ws *kv.WrongSlotError) {
 		c.dir = d
 	}
 	c.mu.Unlock()
-	if ws.Version <= cur {
-		return
+	if ws.Version > cur {
+		c.fetchDirectoryAsync(server)
 	}
-	if cur == 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), heartbeatTimeout)
-		c.fetchDirectory(ctx, server)
-		cancel()
-		return
-	}
-	c.fetchDirectoryAsync(server)
 }
 
 // Wrong-slot redirects are transient by design: during a migration
@@ -732,6 +695,10 @@ const (
 // epoch; the bound only guards against a pathological ping-pong.
 const maxEpochHops = 4
 
+// wrongEpochPause spaces the retries of a redirect that taught nothing
+// (see call).
+const wrongEpochPause = 2 * time.Millisecond
+
 // call issues method(enc(epoch)) against server slot's current
 // replica; enc re-encodes the request on every attempt so retries
 // always carry the freshest known group epoch. Transport failures
@@ -777,8 +744,13 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 				continue
 			}
 			// Nothing new learned (a backup bounced us, or a primary
-			// without a lease): try the next replica.
+			// without a lease): try the next replica — after a pause,
+			// because both are what a group looks like for the moment a
+			// promotion or a fresh epoch's first lease grant is in flight,
+			// and a walk that outruns it fails an operation the new
+			// configuration would have served.
 			g.invalidate(conn)
+			time.Sleep(wrongEpochPause)
 			continue
 		}
 		if ctx.Err() != nil {
@@ -986,58 +958,25 @@ func (c *Client) readPartAt(ctx context.Context, oid kv.OID, snap clock.Timestam
 // readBatchAt serves items — all living on server slot server — at
 // snap with one MethodReadBatch RPC, routed like any other snapshot
 // read (follower pinning, primary fallback, frontier bookkeeping).
-// Against a peer that predates the method it downgrades to per-object
-// reads, remembering the downgrade on the group so later batches skip
-// the doomed attempt. Results are positional; absent objects come back
-// Found=false (Version is zero on the fallback path).
+// Results are positional; absent objects come back Found=false.
 func (c *Client) readBatchAt(ctx context.Context, server int, snap clock.Timestamp, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
-	g := c.group(server)
-	if !g.noBatch.Load() {
-		durable := c.durableReads.Load()
-		respB, viaFollower, err := c.readCall(ctx, server, snap, kv.MethodReadBatch, func(epoch uint64) []byte {
-			return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Durable: durable, Items: items}).Encode()
-		})
-		switch {
-		case err == nil:
-			resp, err := kv.DecodeReadBatchResp(respB)
-			if err != nil {
-				return nil, err
-			}
-			if len(resp.Results) != len(items) {
-				return nil, fmt.Errorf("kvclient: read batch answered %d of %d items", len(resp.Results), len(items))
-			}
-			c.hlc.Observe(resp.Clock)
-			c.noteReadResp(server, resp.Frontier, viaFollower)
-			return resp.Results, nil
-		case isUnknownMethod(err):
-			g.noBatch.Store(true)
-		default:
-			return nil, translateRPCErr(err)
-		}
+	durable := c.durableReads.Load()
+	respB, viaFollower, err := c.readCall(ctx, server, snap, kv.MethodReadBatch, func(epoch uint64) []byte {
+		return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Durable: durable, Items: items}).Encode()
+	})
+	if err != nil {
+		return nil, translateRPCErr(err)
 	}
-	results := make([]kv.ReadBatchResult, len(items))
-	for i := range items {
-		item := &items[i]
-		var (
-			val   *kv.Value
-			total int
-			err   error
-		)
-		if item.Part {
-			val, total, err = c.readPartAt(ctx, item.OID, snap, item.From, item.To, item.Max)
-		} else {
-			val, err = c.readAt(ctx, item.OID, snap)
-		}
-		switch {
-		case err == nil:
-			results[i] = kv.ReadBatchResult{Found: true, Value: val, Total: uint32(total)}
-		case errors.Is(err, kv.ErrNotFound):
-			// Found=false result: one absent object must not fail the batch.
-		default:
-			return nil, err
-		}
+	resp, err := kv.DecodeReadBatchResp(respB)
+	if err != nil {
+		return nil, err
 	}
-	return results, nil
+	if len(resp.Results) != len(items) {
+		return nil, fmt.Errorf("kvclient: read batch answered %d of %d items", len(resp.Results), len(items))
+	}
+	c.hlc.Observe(resp.Clock)
+	c.noteReadResp(server, resp.Frontier, viaFollower)
+	return resp.Results, nil
 }
 
 // readBatchSlots partitions items by owning group, sends each group's
@@ -1111,13 +1050,6 @@ func (c *Client) readBatchSlotsOnce(ctx context.Context, snap clock.Timestamp, i
 	return results, 0, nil
 }
 
-// isUnknownMethod reports that the server answered "no such RPC
-// method" — the signal that a peer predates a newer method and the
-// caller should fall back to older ones.
-func isUnknownMethod(err error) bool {
-	return rpc.AppErrIs(err, kv.CodeUnknownMethod, rpc.ErrUnknownMethod)
-}
-
 // ReadView is a concurrency-safe, read-only view of the store at a
 // fixed snapshot timestamp. Unlike a Tx it stages no writes and
 // overlays nothing, so it may be shared across goroutines; the dbt
@@ -1170,36 +1102,30 @@ func (v *ReadView) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]k
 // translateRPCErr maps application errors from the server back to the
 // package's sentinel errors so callers can match with errors.Is. The
 // match is by wire code (rpc.AppError.Code, assigned by the server's
-// error coder); rpc.AppErrIs falls back to text matching only for a
-// response from a server predating codes.
+// error coder, which ranks an uncertain commit above the not-executed
+// sentinels its message may embed — see kv.WireErrorCode).
 func translateRPCErr(err error) error {
 	var app *rpc.AppError
 	if errors.As(err, &app) {
-		switch {
-		case rpc.AppErrIs(err, kv.CodeUncertain, kv.ErrUncertain):
+		switch app.Code {
+		case kv.CodeUncertain:
 			// A commit that failed its replication/durability wait: the
 			// record is in the primary's local stream but the backup's
 			// acknowledgment never came, so whether it survives a
 			// failover is unknown — the same contract as a lost ack.
-			// Matched FIRST: the message embeds the underlying batch
-			// error, which may itself name wrong-epoch/conflict/bad-
-			// request — sentinels whose contracts promise the operation
-			// was NOT executed, the opposite of what happened here.
-			// (Coded responses already resolve this precedence on the
-			// server; the legacy text fallback still relies on it.)
 			return fmt.Errorf("%w: %s", kv.ErrUncertain, app.Msg)
-		case rpc.AppErrIs(err, kv.CodeConflict, kv.ErrConflict):
+		case kv.CodeConflict:
 			return fmt.Errorf("%w: %s", kv.ErrConflict, app.Msg)
-		case rpc.AppErrIs(err, kv.CodeWrongEpoch, kv.ErrWrongEpoch):
+		case kv.CodeWrongEpoch:
 			return fmt.Errorf("%w: %s", kv.ErrWrongEpoch, app.Msg)
-		case rpc.AppErrIs(err, kv.CodeWrongSlot, kv.ErrWrongSlot):
+		case kv.CodeWrongSlot:
 			// Keep the typed redirect: the data paths re-route on it
 			// (retryWrongSlot) instead of surfacing it.
 			if ws, ok := kv.ParseWrongSlot(app.Msg); ok {
 				return ws
 			}
 			return fmt.Errorf("%w: %s", kv.ErrWrongSlot, app.Msg)
-		case rpc.AppErrIs(err, kv.CodeBadRequest, kv.ErrBadRequest):
+		case kv.CodeBadRequest:
 			return fmt.Errorf("%w: %s", kv.ErrBadRequest, app.Msg)
 		}
 	}

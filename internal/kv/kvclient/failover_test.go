@@ -14,8 +14,8 @@ import (
 	"yesquel/internal/wire"
 )
 
-// startPair launches a mirrored primary+backup pair and a client whose
-// server slot 0 knows both replicas.
+// startPair launches a primary+backup group and a client whose server
+// slot 0 knows both replicas.
 func startPair(t *testing.T) (*kvserver.Server, *kvserver.Server, *kvclient.Client) {
 	t.Helper()
 	newSrv := func() *kvserver.Server {
@@ -28,7 +28,7 @@ func startPair(t *testing.T) (*kvserver.Server, *kvserver.Server, *kvclient.Clie
 		return srv
 	}
 	primary, backup := newSrv(), newSrv()
-	if err := primary.SetMirror(backup.Addr()); err != nil {
+	if _, err := primary.FormGroup([]string{backup.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := kvclient.OpenReplicated([][]string{{primary.Addr(), backup.Addr()}})
@@ -40,10 +40,11 @@ func startPair(t *testing.T) (*kvserver.Server, *kvserver.Server, *kvclient.Clie
 }
 
 // TestFailoverToBackup drives each idempotent operation through a
-// primary crash: the same client must transparently retry on the
-// backup and see every acknowledged write.
+// primary crash and the backup's promotion: the same client must
+// transparently retry on the new primary and see every acknowledged
+// write.
 func TestFailoverToBackup(t *testing.T) {
-	primary, _, c := startPair(t)
+	primary, backup, c := startPair(t)
 	ctx := context.Background()
 
 	plain := c.NewOID(0)
@@ -57,6 +58,9 @@ func TestFailoverToBackup(t *testing.T) {
 	}
 
 	primary.Close()
+	if _, err := backup.Promote(true); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string

@@ -4,14 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
 	"testing"
 
-	"yesquel/internal/cluster"
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
-	"yesquel/internal/kv/kvserver"
-	"yesquel/internal/rpc"
 )
 
 // seedBatchObjects commits one plain object and one supervalue per
@@ -133,75 +129,6 @@ func TestTxReadBatchStagedOverlay(t *testing.T) {
 		t.Fatalf("staged overwrites invisible: %+v %+v", results[1].Value, results[2].Value)
 	}
 	checkBatchAgainstSingles(t, tx, items, results)
-}
-
-// startOldServerProxy fronts addr with an RPC server that forwards
-// every method EXCEPT MethodReadBatch — the wire behaviour of a peer
-// that predates the method, which answers rpc.ErrUnknownMethod.
-func startOldServerProxy(t *testing.T, addr string) string {
-	t.Helper()
-	up, err := rpc.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { up.Close() })
-	srv := rpc.NewServer()
-	forward := func(method string) rpc.Handler {
-		return func(ctx context.Context, req []byte) ([]byte, error) {
-			return up.Call(ctx, method, req)
-		}
-	}
-	for _, m := range []string{
-		kv.MethodRead, kv.MethodReadPart, kv.MethodPrepare, kv.MethodCommit,
-		kv.MethodAbort, kv.MethodFastCommit, kv.MethodPing,
-	} {
-		srv.Register(m, forward(m))
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return ln.Addr().String()
-}
-
-// TestTxReadBatchFallbackOldServer runs a batch against a server
-// without the MethodReadBatch handler, end to end: the client must
-// detect the unknown method, downgrade to per-object reads, remember
-// the downgrade, and still answer correctly.
-func TestTxReadBatchFallbackOldServer(t *testing.T) {
-	cl, err := cluster.Start(1, kvserver.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	oldAddr := startOldServerProxy(t, cl.Addrs[0])
-	c, err := kvclient.Open([]string{oldAddr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-
-	plain, super := seedBatchObjects(t, c, 1)
-	for round := 0; round < 2; round++ { // round 2 exercises the memoized downgrade
-		tx := c.Begin()
-		items := []kv.ReadBatchItem{
-			{OID: plain[0]},
-			{OID: super[0], Part: true, From: []byte("k02"), To: []byte("k05")},
-			{OID: c.NewOID(0)}, // absent
-		}
-		results, err := tx.ReadBatch(context.Background(), items)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if !results[0].Found || !results[1].Found || results[2].Found {
-			t.Fatalf("round %d: found flags %v %v %v", round,
-				results[0].Found, results[1].Found, results[2].Found)
-		}
-		checkBatchAgainstSingles(t, tx, items, results)
-		tx.Abort()
-	}
 }
 
 // TestReadViewMatchesTx asserts a ReadView answers exactly what a

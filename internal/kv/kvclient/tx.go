@@ -261,15 +261,14 @@ func (t *Tx) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint
 // writes are grouped by server slot and each slot's sub-batch goes out
 // as one MethodReadBatch call, the sub-batches in parallel over the
 // existing read connections (follower pinning and primary fallback
-// included — the client layer downgrades to per-object reads against a
-// peer that predates the method). Items whose OIDs carry staged
+// included). Items whose OIDs carry staged
 // operations are served through the ordinary overlay paths on the
 // calling goroutine, so read-your-own-writes holds item by item.
 //
 // Results are positional: results[i] answers items[i], with Found=false
-// for absent objects (never an error, unlike Read). Version may be zero
-// on the per-object fallback path; Total is meaningful only for
-// windowed (Part) items.
+// for absent objects (never an error, unlike Read). Version is zero for
+// items served through the staged-write overlay; Total is meaningful
+// only for windowed (Part) items.
 func (t *Tx) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
 	if t.done {
 		return nil, kv.ErrAborted
@@ -535,9 +534,9 @@ func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int
 		// The transaction is decided-committed but a participant's
 		// whole replica group was unreachable for the full drive
 		// window. Surface the error: callers must not assume the write
-		// is readable everywhere — and if the group stays dark past
-		// PrepareTTL, the orphan sweep there aborts against the
-		// decision (the documented gap until leases/epochs).
+		// is readable everywhere. The participant keeps the prepare
+		// (within its epoch the orphan sweep never aborts it), so a
+		// retried decision still lands once the group is reachable.
 		return fmt.Errorf("kv: commit incomplete: %w", commitErr)
 	}
 	return nil

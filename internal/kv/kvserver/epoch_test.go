@@ -10,8 +10,8 @@ import (
 	"yesquel/internal/kv"
 )
 
-// TestSweepOrphansEpochGuard is the acceptance test for the PR 2 gap:
-// in an epoch-bearing group, SweepOrphans never TTL-aborts a prepare
+// TestSweepOrphansEpochGuard pins the one orphan rule:
+// SweepOrphans never TTL-aborts a prepare
 // whose epoch is still current — its coordinator may legitimately be
 // mid-drive on a decided commit — and only reaps it after the epoch is
 // provably superseded AND a fresh TTL (restarted at the bump, giving
@@ -19,7 +19,7 @@ import (
 func TestSweepOrphansEpochGuard(t *testing.T) {
 	s := NewStore(nil, Config{PrepareTTL: 20 * time.Millisecond})
 	s.SetSelf("a")
-	if err := s.InstallEpoch(1, []string{"a", "b"}); err != nil {
+	if err := s.InstallEpoch(2, []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
 	oid := kv.MakeOID(0, 1)
@@ -45,7 +45,7 @@ func TestSweepOrphansEpochGuard(t *testing.T) {
 	// A failover happens: the epoch is superseded. The TTL restarts at
 	// the bump, so an immediate sweep still must not reap — the
 	// coordinator gets a full window to redirect its decision.
-	if err := s.InstallEpoch(2, []string{"a"}); err != nil {
+	if err := s.InstallEpoch(3, []string{"a"}); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.SweepOrphans(); n != 0 {
@@ -63,35 +63,27 @@ func TestSweepOrphansEpochGuard(t *testing.T) {
 	if st := s.Stats(); st.OrphanAborts != 1 {
 		t.Fatalf("orphan counters: %+v", st)
 	}
-	// The late coordinator's commit is answered with the abort outcome,
-	// exactly as in the legacy TTL path.
+	// The late coordinator's commit is answered with the abort outcome.
 	if err := s.Commit(txid, s.Clock().Now()); !errors.Is(err, kv.ErrConflict) {
 		t.Fatalf("late commit after epoch-guarded orphan abort: %v, want ErrConflict", err)
 	}
 }
 
 // TestCheckClientOpRoles pins the serving matrix of the epoch
-// discipline: legacy stores serve anyone; a multi-member primary
-// serves only current-epoch (or epoch-unaware) requests and only under
-// a valid lease; backups and removed members always redirect.
+// discipline: a primary serves only current-epoch requests (or ones
+// from a client that has not learned the epoch yet) and, with other
+// members in the group, only under a valid lease; backups and removed
+// members always redirect.
 func TestCheckClientOpRoles(t *testing.T) {
-	// Legacy store: epoch 0, everything allowed.
+	// A fresh store is a sole-member primary: no lease needed (no one
+	// else could be promoted), stale epochs still rejected.
 	s := NewStore(nil, Config{})
 	s.SetSelf("a")
-	if err := s.CheckClientOp(0); err != nil {
-		t.Fatalf("legacy store rejected a client op: %v", err)
-	}
-
-	// Sole-member primary: no lease needed (no one else could be
-	// promoted), stale epochs still rejected.
-	if err := s.InstallEpoch(1, []string{"a"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.CheckClientOp(1); err != nil {
 		t.Fatalf("sole-member primary rejected a current-epoch op: %v", err)
 	}
 	if err := s.CheckClientOp(0); err != nil {
-		t.Fatalf("sole-member primary rejected an epoch-unaware op: %v", err)
+		t.Fatalf("sole-member primary rejected an op from a client that has not learned the epoch: %v", err)
 	}
 	if err := s.CheckClientOp(7); !errors.Is(err, kv.ErrWrongEpoch) {
 		t.Fatalf("future-epoch op: %v, want ErrWrongEpoch", err)
@@ -148,11 +140,11 @@ func TestWALPersistsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetSelf("a")
-	if err := s.InstallEpoch(1, []string{"a", "b"}); err != nil {
+	if err := s.InstallEpoch(2, []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
-	commitPut(t, s, kv.MakeOID(0, 1), "epoch-1-data")
-	if err := s.InstallEpoch(2, []string{"a"}); err != nil {
+	commitPut(t, s, kv.MakeOID(0, 1), "epoch-2-data")
+	if err := s.InstallEpoch(3, []string{"a"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CloseLog(); err != nil {
@@ -164,8 +156,8 @@ func TestWALPersistsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.CloseLog()
-	if got := r.Epoch(); got != 2 {
-		t.Fatalf("recovered epoch: %d, want 2", got)
+	if got := r.Epoch(); got != 3 {
+		t.Fatalf("recovered epoch: %d, want 3", got)
 	}
 	if m := r.Members(); len(m) != 1 || m[0] != "a" {
 		t.Fatalf("recovered members: %v", m)
@@ -211,24 +203,26 @@ func TestWALRefusesUnrecognizedFormat(t *testing.T) {
 func TestMirrorRejectsStalePrimaryEpoch(t *testing.T) {
 	b := NewStore(nil, Config{ReplicationLog: true})
 	b.SetSelf("b")
-	// The replica applies an epoch-1 record, then is promoted to epoch 2.
-	rec1 := kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 1, Members: []string{"a", "b"}}
-	if err := b.ApplyMirrored(0, rec1); err != nil {
+	mirror := func(seq uint64, rec kv.ReplRecord) error {
+		return b.ApplyMirroredBatch([]kv.SyncRec{{Seq: seq, Rec: rec}})
+	}
+	// The replica applies an epoch-2 record, then is promoted to epoch 3.
+	if err := mirror(0, kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 2, Members: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.InstallEpoch(2, []string{"b"}); err != nil {
+	if err := b.InstallEpoch(3, []string{"b"}); err != nil {
 		t.Fatal(err)
 	}
-	// A stale primary's live record at epoch 1 must be turned away.
-	stale := kv.ReplRecord{Kind: kv.RecCommit, Epoch: 1, TS: b.Clock().Now(),
+	// A stale primary's live record at epoch 2 must be turned away.
+	stale := kv.ReplRecord{Kind: kv.RecCommit, Epoch: 2, TS: b.Clock().Now(),
 		Ops: []*kv.Op{{Kind: kv.OpPut, OID: kv.MakeOID(0, 9), Value: kv.NewPlain([]byte("split"))}}}
-	err := b.ApplyMirrored(2, stale)
+	err := mirror(2, stale)
 	if !errors.Is(err, kv.ErrWrongEpoch) {
 		t.Fatalf("stale-epoch mirror record: %v, want ErrWrongEpoch", err)
 	}
 	// A stale RecEpoch (e.g. the deposed primary trying to re-form its
 	// own group) is rejected too.
-	err = b.ApplyMirrored(2, kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 2, Members: []string{"a"}})
+	err = mirror(2, kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 3, Members: []string{"a"}})
 	if !errors.Is(err, kv.ErrWrongEpoch) {
 		t.Fatalf("stale RecEpoch: %v, want ErrWrongEpoch", err)
 	}

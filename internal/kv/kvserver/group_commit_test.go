@@ -10,8 +10,8 @@ import (
 	"yesquel/internal/kv/kvclient"
 )
 
-// TestGroupCommitConcurrentWritersMirrorExactly drives a hand-wired
-// mirror pair with concurrent writers through the group-commit
+// TestGroupCommitConcurrentWritersMirrorExactly drives a
+// primary-backup pair with concurrent writers through the group-commit
 // pipeline and pins the stream invariant batching must not bend: after
 // every write is acknowledged, primary and backup hold byte-identical
 // state (batching may coalesce round trips, but it must never reorder
@@ -19,9 +19,7 @@ import (
 func TestGroupCommitConcurrentWritersMirrorExactly(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	ctx := context.Background()
 
 	const workers = 8
@@ -71,14 +69,12 @@ func TestGroupCommitConcurrentWritersMirrorExactly(t *testing.T) {
 // moment the backup is gone, no commit is acknowledged — a waiter may
 // only succeed when its record's batch was applied by the backup, so
 // every attempt must surface an error (the client treats it as
-// uncertain). Detaching the dead backup restores solo service, exactly
-// like the pre-batching strict-mirror behavior.
+// uncertain). Dropping the dead backup from the group restores solo
+// service.
 func TestGroupCommitDeadBackupNeverFalseAcks(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	ctx := context.Background()
 
 	// Concurrent load first, so the kill lands mid-pipeline rather
@@ -130,11 +126,9 @@ func TestGroupCommitDeadBackupNeverFalseAcks(t *testing.T) {
 		}
 	}
 
-	// Operator detaches the dead backup: replication is no longer a
+	// Operator drops the dead backup: replication is no longer a
 	// requirement, and the primary serves alone again.
-	if err := primary.SetMirror(""); err != nil {
-		t.Fatal(err)
-	}
+	dropBackups(t, primary)
 	oid := c.NewOID(0)
 	tx := c.Begin()
 	tx.Put(oid, kv.NewPlain([]byte("solo")))

@@ -12,8 +12,7 @@ package kvserver
 // version is re-emitted as an ordinary RecCommit record (a synthetic
 // transaction id with the high bit set), so the destination's backups
 // converge through the normal mirror/sync machinery and no new record
-// kind is needed on the wire — old peers replicate migrated state as
-// plain commits. Ingest is idempotent: a version whose timestamp is at
+// kind is needed on the wire. Ingest is idempotent: a version whose timestamp is at
 // or below the object's newest is skipped BEFORE emission, so a
 // restarted migration (new bulk capture overlapping an already-applied
 // tail) never double-applies on the primary or its backups.
@@ -53,12 +52,13 @@ func (s *Store) InstallDirectory(d *kv.Directory, groupIdx uint32) bool {
 	defer s.repMu.Unlock()
 	s.dirMu.Lock()
 	defer s.dirMu.Unlock()
-	if s.dir != nil && d.Version <= s.dir.Version {
+	if d.Version <= s.dir.Version {
 		return false
 	}
 	if len(s.routeLoad) != len(d.Routes) {
-		// Route count changes only at formation (e.g. an elastic
-		// directory replacing the identity one); new counters start
+		// Route count changes only at formation (the cluster's
+		// directory replacing the one-route birth directory, or an
+		// elastic one replacing the identity one); new counters start
 		// cold.
 		s.routeLoad = make([]atomic.Uint64, len(d.Routes))
 	}
@@ -67,7 +67,7 @@ func (s *Store) InstallDirectory(d *kv.Directory, groupIdx uint32) bool {
 	return true
 }
 
-// Directory returns the installed slot directory (nil if none). The
+// Directory returns the installed slot directory. The
 // returned value is shared and must be treated as read-only — installs
 // replace the pointer, never mutate in place.
 func (s *Store) Directory() *kv.Directory {
@@ -76,30 +76,23 @@ func (s *Store) Directory() *kv.Directory {
 	return s.dir
 }
 
-// DirVersion returns the installed directory's version (0 = none), the
-// value every Ack piggybacks.
+// DirVersion returns the installed directory's version (0 = the birth
+// directory), the value every Ack piggybacks.
 func (s *Store) DirVersion() uint64 {
 	s.dirMu.Lock()
 	defer s.dirMu.Unlock()
-	if s.dir == nil {
-		return 0
-	}
 	return s.dir.Version
 }
 
 // CheckClientSlot gates a client operation on oid behind the slot
-// directory: if a directory is installed and oid's route is owned by
+// directory: if oid's route is owned by
 // another group, the typed WrongSlotError (carrying the directory
 // version and the owner) rejects it — a guarantee the operation was not
 // executed. On success the route's load counter is bumped — the
-// rebalancer's donor-selection signal. Stores without a directory
-// accept everything (legacy modulo routing).
+// rebalancer's donor-selection signal.
 func (s *Store) CheckClientSlot(oid kv.OID) error {
 	s.dirMu.Lock()
 	defer s.dirMu.Unlock()
-	if s.dir == nil {
-		return nil
-	}
 	route := s.dir.RouteFor(oid)
 	if s.dir.Routes[route] != s.dirGroup {
 		return s.wrongSlotLocked(route)
@@ -109,8 +102,7 @@ func (s *Store) CheckClientSlot(oid kv.OID) error {
 }
 
 // wrongSlotLocked builds the typed rejection carrying the current
-// directory version and the route's owning group. Caller holds dirMu
-// with a directory installed.
+// directory version and the route's owning group. Caller holds dirMu.
 func (s *Store) wrongSlotLocked(route uint32) *kv.WrongSlotError {
 	s.stats.WrongSlotRejects.Add(1)
 	owner := s.dir.Routes[route]
@@ -124,14 +116,11 @@ func (s *Store) wrongSlotLocked(route uint32) *kv.WrongSlotError {
 // fencedOIDsLocked is the write-path fence: it re-checks route
 // ownership for every OID a transaction writes, under repMu, so the
 // check and the subsequent record emission are one atomic point in the
-// stream relative to InstallDirectory. Returns nil when no directory is
-// installed or every route is owned. Caller holds repMu.
+// stream relative to InstallDirectory. Returns nil when every route is
+// owned. Caller holds repMu.
 func (s *Store) fencedOIDsLocked(oids []kv.OID) *kv.WrongSlotError {
 	s.dirMu.Lock()
 	defer s.dirMu.Unlock()
-	if s.dir == nil {
-		return nil
-	}
 	for _, oid := range oids {
 		route := s.dir.RouteFor(oid)
 		if s.dir.Routes[route] != s.dirGroup {
@@ -141,8 +130,7 @@ func (s *Store) fencedOIDsLocked(oids []kv.OID) *kv.WrongSlotError {
 	return nil
 }
 
-// RouteLoad returns a copy of the per-route client-operation counters
-// (nil before the first directory install).
+// RouteLoad returns a copy of the per-route client-operation counters.
 func (s *Store) RouteLoad() []uint64 {
 	s.dirMu.Lock()
 	loads := s.routeLoad

@@ -20,8 +20,8 @@ func testDirectory(version uint64) *kv.Directory {
 
 func TestInstallDirectoryVersionGate(t *testing.T) {
 	s := NewStore(nil, Config{})
-	if s.Directory() != nil || s.DirVersion() != 0 {
-		t.Fatal("fresh store has a directory")
+	if d := s.Directory(); d.Version != 0 || len(d.Routes) != 1 || s.DirVersion() != 0 {
+		t.Fatalf("fresh store's directory is %+v, want the version-0 one-route identity", d)
 	}
 	if !s.InstallDirectory(testDirectory(2), 0) {
 		t.Fatal("first install refused")

@@ -23,12 +23,58 @@ func startServer(t *testing.T) *kvserver.Server {
 	return srv
 }
 
+// formGroup makes primary the primary of [primary, backups...], the way
+// cluster.startGroup does: each backup enters resync mode, is attached,
+// and catches up to the attach watermark (nothing, on an empty stream);
+// then one epoch bump installs the membership.
+func formGroup(t *testing.T, primary *kvserver.Server, backups ...*kvserver.Server) {
+	t.Helper()
+	members := []string{primary.Addr()}
+	for _, b := range backups {
+		b.Store().StartResync()
+		watermark, err := primary.AttachBackupMember(b.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if watermark == 0 {
+			err = b.Store().FinishResync()
+		} else {
+			err = b.SyncFrom(primary.Addr(), watermark)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, b.Addr())
+	}
+	if _, err := primary.BumpEpoch(members); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dropBackups is the operator's answer to dead backups: detach them and
+// re-form the group around the primary alone.
+func dropBackups(t *testing.T, primary *kvserver.Server) {
+	t.Helper()
+	primary.DetachAllBackups()
+	if _, err := primary.BumpEpoch([]string{primary.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// failOver kills primary and force-promotes backup (the orchestrator
+// killed the primary itself, so there is no lease to wait out).
+func failOver(t *testing.T, primary, backup *kvserver.Server) {
+	t.Helper()
+	primary.Close()
+	if _, err := backup.Promote(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMirrorReplicatesAndFailsOver(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	ctx := context.Background()
 
 	c, err := kvclient.Open([]string{primary.Addr()})
@@ -65,8 +111,8 @@ func TestMirrorReplicatesAndFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fail over: kill the primary, connect to the backup.
-	primary.Close()
+	// Fail over: kill the primary, promote the backup, connect to it.
+	failOver(t, primary, backup)
 	c2, err := kvclient.Open([]string{backup.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +129,7 @@ func TestMirrorReplicatesAndFailsOver(t *testing.T) {
 	if v, err := check.Read(ctx, oids[2]); err != nil || v.NumCells() != 1 || v.Attrs[1] != 42 {
 		t.Fatalf("failover deltas: %+v %v", v, err)
 	}
-	// The backup accepts new writes (it was a plain server all along).
+	// The promoted backup accepts new writes.
 	tx2 := c2.Begin()
 	tx2.Put(oids[3], kv.NewPlain([]byte("after-failover")))
 	if err := tx2.Commit(ctx); err != nil {
@@ -94,9 +140,7 @@ func TestMirrorReplicatesAndFailsOver(t *testing.T) {
 func TestMirrorPreservesVersionOrderUnderLoad(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	ctx := context.Background()
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
@@ -115,14 +159,7 @@ func TestMirrorPreservesVersionOrderUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c2, err := kvclient.Open([]string{backup.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	check := c2.Begin()
-	defer check.Abort()
-	v, err := check.Read(ctx, oid)
+	v, _, err := backup.Store().Read(oid, backup.Store().Clock().Now())
 	if err != nil || string(v.Data) != "v49" {
 		t.Fatalf("backup newest version: %v %v", v, err)
 	}
@@ -131,9 +168,7 @@ func TestMirrorPreservesVersionOrderUnderLoad(t *testing.T) {
 func TestMirrorStrictFailure(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	ctx := context.Background()
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
@@ -155,10 +190,8 @@ func TestMirrorStrictFailure(t *testing.T) {
 	if err := tx.Commit(ctx); err == nil {
 		t.Fatal("commit succeeded with dead backup")
 	}
-	// Detach the backup: the primary serves alone again.
-	if err := primary.SetMirror(""); err != nil {
-		t.Fatal(err)
-	}
+	// Drop the backup: the primary serves alone again.
+	dropBackups(t, primary)
 	tx = c.Begin()
 	tx.Put(oid, kv.NewPlain([]byte("solo")))
 	if err := tx.Commit(ctx); err != nil {

@@ -10,16 +10,14 @@ package kvserver
 // one file write, one fsync). Committers block on the DURABILITY
 // WATERMARK before acknowledging the client.
 //
-// With one backup the watermark is "the backup acked ∧ fsynced" —
-// the original mirror-pair rule. With N backups each member has its
-// own send queue and its own sender goroutine (a slow or dead member
-// must not stall the others' batches), and the watermark generalizes
-// to the QUORUM rule: a record is replication-durable once at least
-// need = (members+1)/2 members have acknowledged it — together with
-// the primary's own copy, a majority of the group of members+1, so any
-// majority that survives a failure intersects the ack set and the
-// most-caught-up survivor holds every acknowledged record. For a pair
-// (one member) need is 1 and nothing changes.
+// Each backup member has its own send queue and its own sender
+// goroutine (a slow or dead member must not stall the others'
+// batches), and the watermark follows the QUORUM rule: a record is
+// replication-durable once at least need = (members+1)/2 members have
+// acknowledged it — together with the primary's own copy, a majority
+// of the group of members+1, so any majority that survives a failure
+// intersects the ack set and the most-caught-up survivor holds every
+// acknowledged record. For a pair (one member) need is 1.
 //
 // Failure semantics are watermark semantics. A batch that fails marks
 // its member BROKEN: the member's queue is dropped and no further
@@ -37,14 +35,13 @@ package kvserver
 // explicit operator detach, which removes the replication requirement
 // itself and fails — not acks — the waiters already in flight).
 //
-// One deliberate optimism, inherited from the pair design: a member
-// attached mid-life starts its ack accounting at the attach watermark,
-// and the orchestrator owes the stream a resync of the history below
-// it. The quorum count treats that member as holding the history once
-// its resync was MANDATED, not once it completed — exactly the
-// contract AttachMirrorBatch's returned watermark always expressed.
-// Orchestrators must complete the resync before treating the member
-// as promotable.
+// One deliberate optimism: a member attached mid-life starts its ack
+// accounting at the attach watermark, and the orchestrator owes the
+// stream a resync of the history below it. The quorum count treats
+// that member as holding the history once its resync was MANDATED, not
+// once it completed — the contract AttachMirrorMember's returned
+// watermark expresses. Orchestrators must complete the resync before
+// treating the member as promotable.
 
 import (
 	"fmt"
@@ -69,11 +66,6 @@ const mirrorBatchBytes = 4 << 20
 // waiter whose record is never covered by a quorum of acks fails
 // loudly at this bound instead of wedging the client forever.
 const replWaitTimeout = 2*mirrorTimeout + maxGroupCommitInterval + 2*time.Second
-
-// soloMirrorID names the member installed by the single-backup
-// compatibility interfaces (AttachMirrorBatch / AttachMirror), which
-// have no member identity of their own.
-const soloMirrorID = "mirror"
 
 // pipeWaiter is one durability wait: ch receives nil once seq is
 // durable, or the error that made it impossible.
@@ -581,11 +573,6 @@ func (p *replPipe) completeWaitersLocked() {
 func (s *Store) AttachMirrorMember(id string, send func([]kv.SyncRec) error) uint64 {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	return s.attachMemberLocked(id, send)
-}
-
-// attachMemberLocked implements AttachMirrorMember. Caller holds repMu.
-func (s *Store) attachMemberLocked(id string, send func([]kv.SyncRec) error) uint64 {
 	p := &s.pipe
 	p.mu.Lock()
 	for i, m := range p.members {
@@ -702,26 +689,11 @@ func (s *Store) ReplicationStatus() (head, watermark uint64, need int, members [
 	return head, watermark, need, members
 }
 
-// AttachMirrorBatch installs send as the sole replication member,
-// detaching any members already attached — the single-backup
-// interface, kept for hand-wired pairs and tests. Pass nil to detach
-// every member. Semantics of the returned watermark and of detaching
-// match AttachMirrorMember / DetachMirrorMember.
-func (s *Store) AttachMirrorBatch(send func([]kv.SyncRec) error) uint64 {
+// DetachAllMirrorMembers stops and removes every member, failing —
+// not acking — the waiters still awaiting a quorum.
+func (s *Store) DetachAllMirrorMembers() {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	if send == nil {
-		s.detachAllMembersLocked(fmt.Errorf("kvserver: mirror detached while awaiting replication"))
-		return s.repSeq
-	}
-	s.detachAllMembersLocked(fmt.Errorf("kvserver: mirror replaced while awaiting replication"))
-	return s.attachMemberLocked(soloMirrorID, send)
-}
-
-// detachAllMembersLocked stops and removes every member, failing —
-// not acking — the waiters still awaiting a quorum. Caller holds
-// repMu.
-func (s *Store) detachAllMembersLocked(err error) {
 	p := &s.pipe
 	p.mu.Lock()
 	for _, m := range p.members {
@@ -729,7 +701,7 @@ func (s *Store) detachAllMembersLocked(err error) {
 	}
 	p.members = nil
 	if p.mirrorOn {
-		p.failMirrorWindowLocked(s.repSeq, err)
+		p.failMirrorWindowLocked(s.repSeq, fmt.Errorf("kvserver: mirror detached while awaiting replication"))
 		p.mirrorOn = false
 	}
 	p.recomputeQuorumLocked()
@@ -765,24 +737,6 @@ func (p *replPipe) failMirrorWindowLocked(head uint64, err error) {
 		p.waiters[i] = pipeWaiter{}
 	}
 	p.waiters = keep
-}
-
-// AttachMirror installs fn as a per-record replication hook — the
-// pre-batching interface, kept for tests and hand-wired pairs. It
-// adapts fn into a batch sender that replays the batch record by
-// record; semantics are otherwise identical to AttachMirrorBatch.
-func (s *Store) AttachMirror(fn func(seq uint64, rec kv.ReplRecord) error) uint64 {
-	if fn == nil {
-		return s.AttachMirrorBatch(nil)
-	}
-	return s.AttachMirrorBatch(func(recs []kv.SyncRec) error {
-		for i := range recs {
-			if err := fn(recs[i].Seq, recs[i].Rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // memberLoop is one member's sender goroutine: woken by emissions, it

@@ -44,22 +44,16 @@ type Server struct {
 }
 
 // errorCode classifies handler errors for the wire (rpc.AppError.Code):
-// the kvserver-local sentinels first, then the shared kv registry.
-// Installed on the RPC server at construction, it also stamps the RPC
-// layer's own unknown-method rejection so version-probing clients can
-// match it without text comparison.
+// the kvserver-local sentinel first, then the shared kv registry.
 func errorCode(err error) uint64 {
-	switch {
-	case errors.Is(err, ErrSnapshotSessionExpired):
+	if errors.Is(err, ErrSnapshotSessionExpired) {
 		return kv.CodeSnapSessionExpired
-	case errors.Is(err, rpc.ErrUnknownMethod):
-		return kv.CodeUnknownMethod
 	}
 	return kv.WireErrorCode(err)
 }
 
-// NewServer wraps store in an RPC service. Call Serve (or ListenAndServe)
-// to start it.
+// NewServer wraps store in an RPC service. Call Listen, then Serve, to
+// start it.
 func NewServer(store *Store) *Server {
 	s := &Server{store: store, rpc: rpc.NewServer(), stopCh: make(chan struct{})}
 	s.rpc.SetErrorCoder(errorCode)
@@ -98,7 +92,6 @@ func NewServer(store *Store) *Server {
 	s.rpc.Register(kv.MethodAbort, s.handleAbort)
 	s.rpc.Register(kv.MethodFastCommit, s.handleFastCommit)
 	s.rpc.Register(kv.MethodPing, s.handlePing)
-	s.rpc.Register(kv.MethodMirror, s.handleMirror)
 	s.rpc.Register(kv.MethodMirrorBatch, s.handleMirrorBatch)
 	s.rpc.Register(kv.MethodSync, s.handleSync)
 	s.rpc.Register(kv.MethodSnap, s.handleSnap)
@@ -124,44 +117,25 @@ func (s *Server) ack() []byte {
 
 // handleDirectory serves the full slot directory (MethodDirectory). A
 // client that learns of a newer version — from an Ack piggyback or a
-// WrongSlotError redirect — fetches the map here; servers without a
-// directory answer BadRequest and the client stays on modulo routing.
+// WrongSlotError redirect — fetches the map here.
 func (s *Server) handleDirectory(_ context.Context, _ []byte) ([]byte, error) {
-	dir := s.store.Directory()
-	if dir == nil {
-		return nil, fmt.Errorf("%w: no slot directory installed", kv.ErrBadRequest)
-	}
-	return (&kv.DirectoryResp{Dir: dir, Clock: s.store.Clock().Now()}).Encode(), nil
-}
-
-// AttachBackup makes this server a primary that replicates every
-// stream record — commits, two-phase prepares, and phase-two decisions
-// — to the backup at addr before acknowledging it; on primary failure,
-// clients fail over to the backup and see every acknowledged write,
-// and the backup holds every prepared in-flight transaction, so a
-// coordinator can still drive (or the orphan sweep eventually aborts)
-// cross-server transactions caught between the vote and phase two.
-// Replication is pipelined group commit: the store's batcher coalesces
-// concurrently emitted records into one MirrorBatchReq round trip
-// whose single acknowledgment covers — and extends the lease for —
-// the whole batch; committers are acknowledged only once their record
-// is covered (see pipeline.go). It returns the replication-stream
-// watermark: the backup holds every acknowledged record once it has
-// synced up to that sequence number (a fresh pair starts at 0 and
-// needs no sync; a backup attached mid-life calls SyncFrom with it).
-func (s *Server) AttachBackup(addr string) (uint64, error) {
-	s.DetachAllBackups()
-	return s.AttachBackupMember(addr)
+	return (&kv.DirectoryResp{Dir: s.store.Directory(), Clock: s.store.Clock().Now()}).Encode(), nil
 }
 
 // AttachBackupMember adds the backup at addr to this primary's
-// replication group WITHOUT detaching the members already attached —
-// the rf >= 3 interface. Each member gets its own connection, its own
-// batch sender (a dead member's timeout never stalls the others), and
-// its own lease-renewal loop; committers are acknowledged once a
-// MAJORITY of the group (the primary plus a quorum of backups) holds
-// their record. Like AttachBackup, it returns the replication-stream
-// watermark the new member must SyncFrom up to.
+// replication group: every stream record — commits, two-phase prepares,
+// and phase-two decisions — is replicated to it, so after a primary
+// failure a promoted backup holds every acknowledged write and every
+// prepared in-flight transaction. Each member gets its own connection,
+// its own batch sender (a dead member's timeout never stalls the
+// others), and its own lease-renewal loop; replication is pipelined
+// group commit (see pipeline.go), and committers are acknowledged once
+// a MAJORITY of the group (the primary plus a quorum of backups) holds
+// their record. It returns the replication-stream watermark: the member
+// holds every acknowledged record once it has synced up to that
+// sequence number (a member attached to an empty stream needs no sync;
+// one attached mid-life calls SyncFrom with it). The member joins the
+// membership — roles, leases, client redirects — at the next BumpEpoch.
 func (s *Server) AttachBackupMember(addr string) (uint64, error) {
 	conn, err := rpc.Dial(addr)
 	if err != nil {
@@ -208,7 +182,7 @@ func (s *Server) DetachBackupMember(addr string) {
 // DetachAllBackups removes every attached backup; in-flight durability
 // waiters fail (they are uncertain, not acked).
 func (s *Server) DetachAllBackups() {
-	s.store.AttachMirrorBatch(nil)
+	s.store.DetachAllMirrorMembers()
 	s.mirrorMu.Lock()
 	for addr, stop := range s.leaseStops {
 		close(stop)
@@ -311,14 +285,10 @@ func (s *Server) startLeaseLoop(addr string, conn *rpc.Client) {
 // own — with rf >= 3 the lease survives on the remaining members'
 // grants as long as they form a majority.
 func (s *Server) renewLease(addr string, conn *rpc.Client) bool {
-	epoch := s.store.Epoch()
-	if epoch == 0 {
-		return true // legacy pair: no lease discipline (yet)
-	}
 	if s.store.Role() != RolePrimary {
 		return false // deposed or reconfigured away: nothing to renew
 	}
-	req := &kv.LeaseReq{Epoch: epoch, Watermark: s.store.DurableWatermark()}
+	req := &kv.LeaseReq{Epoch: s.store.Epoch(), Watermark: s.store.DurableWatermark()}
 	err := s.callExtendingLease(conn, addr, kv.MethodLease, req.Encode())
 	var app *rpc.AppError
 	if errors.As(err, &app) {
@@ -392,6 +362,25 @@ func (s *Server) BumpEpoch(members []string) (uint64, error) {
 	return newEpoch, nil
 }
 
+// FormGroup makes this server the primary of a group with the backups
+// at addrs: each is attached as a replication member, then one epoch
+// bump installs [this server, addrs...] as the membership. The RecEpoch
+// record reaches every backup through the stream it was just attached
+// to, and its acks are the primary's first lease grants. The server
+// must be listening — its address is its member identity — and each
+// backup must already hold this server's stream (fresh stores at an
+// empty stream do; a member joining mid-life is attached, synced with
+// SyncFrom, and then admitted by BumpEpoch, as cluster.attachBackup
+// does).
+func (s *Server) FormGroup(addrs []string) (uint64, error) {
+	for _, a := range addrs {
+		if _, err := s.AttachBackupMember(a); err != nil {
+			return 0, err
+		}
+	}
+	return s.BumpEpoch(append([]string{s.Addr()}, addrs...))
+}
+
 // BumpEpochTo installs the given epoch with the given membership (this
 // server first) — the failover promotion path, where the new epoch
 // must exceed whatever ANY live member has seen, not merely this
@@ -403,29 +392,6 @@ func (s *Server) BumpEpochTo(epoch uint64, members []string) error {
 
 // mirrorTimeout bounds one synchronous mirror round trip.
 const mirrorTimeout = 5 * time.Second
-
-// SetMirror attaches (or, with "", detaches) a backup. It is the
-// flag-friendly wrapper around AttachBackup for pairs formed before
-// any writes, where the watermark is necessarily zero.
-func (s *Server) SetMirror(addr string) error {
-	if addr == "" {
-		s.DetachAllBackups()
-		return nil
-	}
-	_, err := s.AttachBackup(addr)
-	return err
-}
-
-func (s *Server) handleMirror(_ context.Context, p []byte) ([]byte, error) {
-	req, err := kv.DecodeMirrorReq(p)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.store.ApplyMirrored(req.Seq, req.Rec); err != nil {
-		return nil, err
-	}
-	return s.ack(), nil
-}
 
 // handleMirrorBatch applies one group-commit batch; the single ack
 // covers (and, via callExtendingLease on the primary, renews the lease
@@ -520,7 +486,7 @@ func (s *Server) SyncFrom(addr string, until uint64) error {
 		req := kv.SyncReq{From: from, Max: 512, Epoch: s.store.StreamEpoch()}
 		respB, err := conn.Call(ctx, kv.MethodSync, req.Encode())
 		if err != nil {
-			if rpc.AppErrIs(err, kv.CodeDiverged, kv.ErrDiverged) {
+			if rpc.AppErrIs(err, kv.CodeDiverged) {
 				return fmt.Errorf("%w: sync source %s rejected seq %d: %v", kv.ErrDiverged, addr, from, err)
 			}
 			return fmt.Errorf("kvserver: sync from %s: %w", addr, err)
@@ -603,7 +569,7 @@ func (s *Server) transferSnapshotFrom(ctx context.Context, conn *rpc.Client, add
 			req := kv.SnapReq{ID: id, Chunk: chunk}
 			respB, err := conn.Call(ctx, kv.MethodSnap, req.Encode())
 			if err != nil {
-				if rpc.AppErrIs(err, kv.CodeSnapSessionExpired, ErrSnapshotSessionExpired) {
+				if rpc.AppErrIs(err, kv.CodeSnapSessionExpired) {
 					lastErr = err
 					expired = true
 					break
@@ -708,19 +674,6 @@ func (s *Server) Stats() ServerStats {
 		Frontier:      uint64(s.store.DurableFrontier()),
 		WatermarkLag:  lag,
 	}
-}
-
-// ListenAndServe binds addr and serves until Close. It returns the
-// bound address on a channel-free API: call Addr after it returns nil
-// from Listen. For tests, use Listen + Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.ln = ln
-	s.store.SetSelf(ln.Addr().String())
-	return s.rpc.Serve(ln)
 }
 
 // Listen binds addr without serving. Serve must be called next. The

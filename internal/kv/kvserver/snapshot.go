@@ -390,7 +390,7 @@ func (s *Store) InstallSnapshot(enc []byte) error {
 	}
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	return s.installSnapshotLocked(sn, enc, true)
+	return s.installSnapshotLocked(sn, enc)
 }
 
 // InstallSnapshotDiscardingTail installs a snapshot even when it lies
@@ -416,19 +416,16 @@ func (s *Store) InstallSnapshotDiscardingTail(enc []byte) error {
 			delete(s.pending, seq)
 		}
 	}
-	return s.installSnapshotLocked(sn, enc, true)
+	return s.installSnapshotLocked(sn, enc)
 }
 
 // installSnapshotLocked implements InstallSnapshot; OpenStore also uses
 // it to replay a write-ahead log's checkpoint frame into a fresh store.
 // Caller holds repMu. enc is the snapshot's canonical encoding for the
-// WAL rotation (re-encoded if nil). viaStream marks prepares staged
-// from another replica's snapshot (the transfer path) rather than this
-// node's own checkpoint replay — like the live stream, it only affects
-// the orphan sweep's grace period (own prepares get the normal TTL).
+// WAL rotation (re-encoded if nil).
 //
 //yesqlint:allow repmublock -- deliberate: replacing the whole visible state must exclude concurrent stream applies, and the inline WAL rotation/close is bounded local file work, never a network call
-func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte, viaStream bool) error {
+func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 	if sn.Seq < s.repSeq {
 		return fmt.Errorf("%w: snapshot covers seq %d but this replica is already at %d: refusing to move the stream backwards", kv.ErrBadRequest, sn.Seq, s.repSeq)
 	}
@@ -480,7 +477,7 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte, viaStream b
 	for i := range sn.Prepared {
 		p := &sn.Prepared[i]
 		rec := kv.ReplRecord{Kind: kv.RecPrepare, Epoch: p.Epoch, TxID: p.TxID, TS: p.TS, Ops: p.Ops}
-		if err := s.stageReplicatedPrepare(rec, viaStream); err != nil {
+		if err := s.stageReplicatedPrepare(rec); err != nil {
 			return fmt.Errorf("kvserver: installing snapshot prepare for tx %d: %w", p.TxID, err)
 		}
 	}
@@ -521,9 +518,7 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte, viaStream b
 		// its epoch is what the stream had installed there.
 		s.streamEpoch = sn.Epoch
 	}
-	if sn.Epoch > 0 {
-		s.installEpochState(sn.Epoch, append([]string(nil), sn.Members...))
-	}
+	s.installEpochState(sn.Epoch, append([]string(nil), sn.Members...))
 	// Rotate the WAL onto the snapshot before draining buffered records,
 	// so their (best-effort) appends land in the new file's tail. A
 	// rotation that never swapped files fails the install AND disables
@@ -576,7 +571,7 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte, viaStream b
 			break
 		}
 		delete(s.pending, s.repSeq)
-		if err := s.applyRecordLocked(rec, true); err != nil {
+		if err := s.applyRecordLocked(rec); err != nil {
 			return err
 		}
 	}
@@ -608,8 +603,7 @@ const (
 // ErrSnapshotSessionExpired rejects a chunk request whose session is
 // unknown, expired, or was evicted; the transfer must restart from
 // scratch (Server.installSnapshotFrom does, bounded). It crosses the
-// RPC boundary as an application-error string, so peers match on its
-// message text (the same contract kv.ErrDiverged uses).
+// RPC boundary as kv.CodeSnapSessionExpired.
 var ErrSnapshotSessionExpired = errors.New("kvserver: unknown or expired snapshot session")
 
 // SweepSnapshotSessions drops expired state-transfer sessions — an

@@ -92,9 +92,7 @@ func TestMirroredBackupLogStaysBounded(t *testing.T) {
 	const max = 16
 	primary := startBoundedReplServer(t, max)
 	backup := startBoundedReplServer(t, max)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +135,7 @@ func TestSnapshotResyncByteForByte(t *testing.T) {
 	// Fresh backup at seq 0: its position predates logBase, so SyncFrom
 	// must fall back to install-snapshot-then-tail.
 	backup := startReplServer(t)
-	backup.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := backup.SyncFrom(primary.Addr(), watermark); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	if got, want := backup.Store().StateDigest(), primary.Store().StateDigest(); got != want {
 		t.Fatalf("after snapshot resync: backup digest %x != primary digest %x", got, want)
 	}
@@ -171,7 +162,7 @@ func TestSnapshotResyncByteForByte(t *testing.T) {
 	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	primary.Close()
+	failOver(t, primary, backup)
 	c2, err := kvclient.Open([]string{backup.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -230,14 +221,7 @@ func TestSnapshotCarriesPreparedAndDecidedState(t *testing.T) {
 	}
 
 	backup := startReplServer(t)
-	backup.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := backup.SyncFrom(primary.Addr(), watermark); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	if !backup.Store().IsLocked(pendingOID) {
 		t.Fatal("snapshot did not carry the prepared transaction's lock")
 	}
@@ -415,7 +399,7 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 		}
 	}
 	backup.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup.Addr())
+	watermark, err := primary.AttachBackupMember(backup.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,14 +447,7 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 
 	// And a fresh resync from the recovered primary completes.
 	backup2 := startReplServer(t)
-	backup2.Store().StartResync()
-	wm2, err := rsrv.AttachBackup(backup2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := backup2.SyncFrom(rsrv.Addr(), wm2); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, rsrv, backup2)
 	if got, want := backup2.Store().StateDigest(), rstore.StateDigest(); got != want {
 		t.Fatalf("post-recovery resync digest %x != primary %x", got, want)
 	}

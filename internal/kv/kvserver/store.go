@@ -14,12 +14,14 @@
 //
 // Fault tolerance lives in this layer, as the paper prescribes: the
 // SQL layer above is stateless and the client library fails over, so
-// only the storage server needs to replicate. A server can run as the
-// primary of a primary-backup pair (Server.AttachBackup): every stream
-// record is assigned a sequence number in the primary's replication
-// stream and mirrored to the backup, and the client's acknowledgment
-// is withheld until the backup has acknowledged the record, so a
-// failover to the backup never loses an acknowledged write. Backups
+// only the storage server needs to replicate. Every server is a member
+// of a replication group — a fresh store is the sole primary of its own
+// one-member group, and Server.FormGroup attaches backups and installs
+// the larger membership. Every stream record is assigned a sequence
+// number in the primary's replication stream and mirrored to the
+// backups, and the client's acknowledgment is withheld until a majority
+// of the group holds the record, so a failover never loses an
+// acknowledged write. Backups
 // apply the stream in strict sequence order; a gap (the backup missed
 // records, e.g. it restarted) makes mirroring fail loudly instead of
 // silently diverging, and the backup re-joins by streaming the missed
@@ -91,8 +93,7 @@
 // not just whole commits, so in-flight two-phase transactions survive
 // a primary failure:
 //
-//   - RecCommit: a whole committed transaction (one-shot fast commits,
-//     and commits whose prepare predates replication).
+//   - RecCommit: a whole committed transaction (one-shot fast commits).
 //   - RecPrepare: a participant's phase-one vote — the staged ops and
 //     write locks, replicated before the yes vote is returned. A
 //     promoted backup therefore reconstructs the prepared-transaction
@@ -151,16 +152,15 @@
 //     executed, so clients retry it safely after adopting the carried
 //     membership — including non-idempotent prepares and commits.
 //
-// Epochs close the PR 2 orphan-abort gap: in an epoch-bearing group,
-// SweepOrphans may TTL-abort a prepare only when the epoch under which
-// it was accepted is provably superseded (and the TTL, restarted at
-// the bump, has given the coordinator a redirect window). A prepare
-// whose epoch is still current is never unilaterally aborted — the
-// abort-after-decided-commit window is gone; within a stable epoch 2PC
-// blocks, safely, and an operator can bump the epoch to reap a
-// provably dead coordinator's locks. Legacy (epoch-0) stores — an
-// unreplicated server, or a hand-wired SetMirror pair — keep all
-// pre-epoch behavior, including the availability-first TTL abort.
+// Epochs also bound the orphan sweep: SweepOrphans may TTL-abort a
+// prepare only when the epoch under which it was accepted is provably
+// superseded (and the TTL, restarted at the bump, has given the
+// coordinator a redirect window). A prepare whose epoch is still
+// current is never unilaterally aborted — a participant that times out
+// after its coordinator decided commit would break atomicity; within a
+// stable epoch 2PC blocks, safely, and an operator can bump the epoch
+// to reap a provably dead coordinator's locks. This holds for every
+// store, a sole-member group included.
 //
 // # Quorum groups
 //
@@ -316,12 +316,11 @@
 //     same-package call) is flagged.
 //   - errsentinel: errors are classified by errors.Is/errors.As or by
 //     the typed RPC code (rpc.AppError.Code, kv.WireErrorCode), never
-//     by comparing message text. rpc.AppErrIs holds the single
-//     sanctioned legacy-text fallback for pre-code peers.
+//     by comparing message text.
 //   - wirecodec: hand-rolled Encode/Decode pairs must read fields in
-//     the exact order they were written, and optional
-//     backward-compatible fields (guarded by Reader.Remaining) must
-//     be trailing.
+//     the exact order they were written, and every message has one
+//     layout: no Decode function may guard a read behind
+//     Reader.Remaining.
 //   - timerloop: no per-iteration time.After/NewTimer allocation in
 //     wait loops; hoist one reusable timer.
 //
@@ -357,14 +356,12 @@ type Config struct {
 	// transaction to resolve (default 2s).
 	LockWaitTimeout time.Duration
 	// PrepareTTL bounds how long an undecided prepare may hold its
-	// write locks (default 60s). A coordinator that dies between phase
-	// one and phase two strands its participants' locks forever;
-	// SweepOrphans unilaterally aborts local prepares older than the
-	// TTL (and replicates the abort decision), never one that already
-	// received a decision. The TTL must comfortably exceed a
-	// coordinator's worst-case phase-two drive time: a participant that
-	// times out and aborts after the coordinator decided commit breaks
-	// atomicity — the blocking weakness 2PC has without leases/epochs.
+	// write locks once the epoch it was accepted under is superseded
+	// (default 60s). SweepOrphans aborts such prepares after the TTL,
+	// restarted at the epoch bump (and replicates the abort decision),
+	// never one that already received a decision. The TTL must
+	// comfortably exceed a coordinator's worst-case time to redirect its
+	// phase-two drive to the new configuration.
 	PrepareTTL time.Duration
 	// DecidedTTL is how long phase-two outcomes stay in the decided-
 	// transaction table (default 60s), which makes Commit/Abort
@@ -388,7 +385,7 @@ type Config struct {
 	// state snapshot at the stream head, rotates the write-ahead log onto
 	// it, and truncates the log — so a backup that falls behind the
 	// retained tail catches up by snapshot install (MethodSnap) + tail
-	// instead of a full-history replay. 0 = unbounded (legacy behavior).
+	// instead of a full-history replay. 0 = unbounded.
 	ReplicationLogMaxRecords int
 	// ReplicationLogMaxBytes is the same policy measured in estimated
 	// record bytes. Either limit triggers a checkpoint. 0 = unbounded.
@@ -402,8 +399,8 @@ type Config struct {
 	// mirror ack and lease-renewal ack extends the primary's lease; the
 	// backup symmetrically promises not to accept a promotion until the
 	// grant expires. Shorter leases mean faster failover but less
-	// tolerance for mirror-path hiccups. Only meaningful once the group
-	// carries an epoch (InstallEpoch) with more than one member.
+	// tolerance for mirror-path hiccups. Only meaningful in a group of
+	// more than one member.
 	LeaseDuration time.Duration
 	// MirrorBatchMaxRecords caps how many stream records one mirror
 	// batch RPC carries (default 256; batches are also byte-capped
@@ -609,15 +606,10 @@ type txRecord struct {
 	// replication stream, so the decision (commit or abort) must be
 	// replicated too.
 	replicated bool
-	// viaStream: the prepare was staged by a replicated record rather
-	// than a native Prepare call. In legacy (epoch-0) groups SweepOrphans
-	// gives such prepares a longer leash — the primary normally delivers
-	// the decision; only a promoted backup should clean them up itself.
-	viaStream bool
-	// epoch is the group epoch under which the prepare was accepted. In
-	// an epoch-bearing group, SweepOrphans may only TTL-abort a prepare
-	// whose epoch has been superseded; while it is current the
-	// coordinator may still legitimately drive a decided commit.
+	// epoch is the group epoch under which the prepare was accepted.
+	// SweepOrphans may only TTL-abort a prepare whose epoch has been
+	// superseded; while it is current the coordinator may still
+	// legitimately drive a decided commit.
 	epoch uint64
 	// preparedAt drives the orphan-prepare TTL. An epoch bump resets it
 	// for prepares of older epochs, so a coordinator gets a full TTL
@@ -643,11 +635,6 @@ type decision struct {
 // decidedMax bounds the decided-transaction table; beyond it the
 // oldest entries are evicted early (before their TTL).
 const decidedMax = 1 << 16
-
-// streamOrphanGrace multiplies PrepareTTL for stream-staged prepares:
-// while the pair is healthy the primary's own TTL abort arrives over
-// the stream well before the backup's local timer fires.
-const streamOrphanGrace = 4
 
 // Store is the storage engine of one server. It is safe for concurrent
 // use and may also be embedded in-process (the centralized-SQL baseline
@@ -722,8 +709,8 @@ type Store struct {
 	// clocks. Lock order: repMu (and txMu) before epochMu; epochMu
 	// holders never take another store mutex.
 	epochMu sync.Mutex
-	// epoch is the group's configuration number; 0 means the store
-	// predates epoch discipline (legacy mode: no role or lease checks).
+	// epoch is the group's configuration number. A store is born at
+	// epoch 1 as the sole member of its own group, so it is never zero.
 	epoch uint64
 	// epochMembers is the current membership, acting primary first.
 	epochMembers []string
@@ -769,16 +756,16 @@ type Store struct {
 	// directory install and a record emission are totally ordered), and
 	// dirMu holders take no other mutex.
 	dirMu sync.Mutex
-	// dir is the installed directory; nil until the cluster installs
-	// one (legacy modulo routing — no slot checks, no piggybacks).
+	// dir is the installed directory. A store is born holding the
+	// version-0 identity directory — one route, owned by its own group —
+	// which any directory the cluster publishes supersedes.
 	dir *kv.Directory
 	// dirGroup is the index in dir.Groups of the group this store
 	// belongs to; dir.Routes entries equal to it are the routes this
 	// store serves.
 	dirGroup uint32
 	// routeLoad counts client operations per directory route — the
-	// rebalancer's donor-selection signal. Sized len(dir.Routes) at the
-	// first install; the route count never changes after that.
+	// rebalancer's donor-selection signal, sized len(dir.Routes).
 	routeLoad []atomic.Uint64
 
 	stats Stats
@@ -800,9 +787,6 @@ func (s *Store) ReplSeq() uint64 {
 
 // Member roles derived from the current epoch's membership.
 const (
-	// RoleLegacy: the store carries no epoch (epoch 0); pre-epoch
-	// behavior applies — any member serves, no leases, TTL orphan sweep.
-	RoleLegacy = "legacy"
 	// RolePrimary: first member of the current epoch; serves client
 	// operations while its lease is valid.
 	RolePrimary = "primary"
@@ -818,14 +802,23 @@ const (
 // SetSelf records this member's advertised address; the epoch role
 // (primary / backup / removed) follows from its position in the
 // current membership. Server.Listen calls it with the bound address.
+// The member keeps its place in the membership under the new name, so
+// a fresh store stays the sole primary of its own group.
 func (s *Store) SetSelf(addr string) {
 	s.epochMu.Lock()
-	s.self = addr
+	// Renamed in a copy: the installed slice may be shared with the
+	// RecEpoch record that installed it.
+	members := append([]string(nil), s.epochMembers...)
+	for i, m := range members {
+		if m == s.self {
+			members[i] = addr
+		}
+	}
+	s.epochMembers, s.self = members, addr
 	s.epochMu.Unlock()
 }
 
-// Epoch returns the store's current replication-group epoch (0 =
-// legacy, no epoch discipline).
+// Epoch returns the store's current replication-group epoch.
 func (s *Store) Epoch() uint64 {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
@@ -858,9 +851,6 @@ func (s *Store) Role() string {
 }
 
 func (s *Store) roleLocked() string {
-	if s.epoch == 0 {
-		return RoleLegacy
-	}
 	if len(s.epochMembers) > 0 && s.epochMembers[0] == s.self {
 		return RolePrimary
 	}
@@ -873,22 +863,23 @@ func (s *Store) roleLocked() string {
 }
 
 // LeaseValid reports whether this member currently holds the authority
-// a lease confers: true for legacy stores, sole members, and backups
-// (their authority questions are answered by role, not lease), and for
+// a lease confers: true for sole members and backups (their authority
+// questions are answered by role, not lease), and for
 // a multi-member primary only while a majority of the group backs it —
 // its own vote plus unexpired grants from at least half the remaining
 // members (the quorum lease; a pair needs its one backup's grant).
 func (s *Store) LeaseValid() bool {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	return s.leaseValidLocked(time.Now())
+	return s.leaseValidLocked()
 }
 
 // leaseValidLocked implements LeaseValid. Caller holds epochMu.
-func (s *Store) leaseValidLocked(now time.Time) bool {
-	if s.epoch == 0 || len(s.epochMembers) <= 1 || s.roleLocked() != RolePrimary {
+func (s *Store) leaseValidLocked() bool {
+	if len(s.epochMembers) <= 1 || s.roleLocked() != RolePrimary {
 		return true
 	}
+	now := time.Now()
 	need := len(s.epochMembers) / 2 // backup grants completing a majority with the primary's own vote
 	granted := 0
 	for _, m := range s.epochMembers[1:] {
@@ -950,7 +941,7 @@ func (s *Store) RenewLeaseGrant(reqEpoch uint64) error {
 	until := time.Now().Add(s.cfg.LeaseDuration)
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	if s.promoting || (s.epoch != 0 && reqEpoch != s.epoch) {
+	if s.promoting || reqEpoch != s.epoch {
 		return s.wrongEpochLocked()
 	}
 	if until.After(s.grantUntil) {
@@ -969,28 +960,23 @@ func (s *Store) wrongEpochLocked() *kv.WrongEpochError {
 // CheckClientOp gates a client operation (read or write) behind the
 // epoch discipline: only the current epoch's primary serves, only
 // while its lease is valid, and only for requests stamped with the
-// current epoch (or 0, an epoch-unaware client that will learn the
-// configuration from the response's piggyback). Every rejection is a
+// current epoch (or 0, a client that has not yet learned its group's
+// epoch and will from the response's piggyback). Every rejection is a
 // *WrongEpochError carrying the current epoch and membership, and
-// guarantees the operation was not executed. Legacy (epoch-0) stores
-// accept everything, preserving pre-epoch behavior for unreplicated
-// servers and hand-wired mirror pairs.
+// guarantees the operation was not executed.
 func (s *Store) CheckClientOp(reqEpoch uint64) error {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	if s.epoch == 0 {
-		return nil
-	}
-	if s.roleLocked() != RolePrimary {
-		return s.wrongEpochLocked()
-	}
-	if reqEpoch != 0 && reqEpoch != s.epoch {
-		return s.wrongEpochLocked()
-	}
-	if !s.leaseValidLocked(time.Now()) {
-		// Quorum lease lost: a majority of the group may already have
-		// promoted a successor and be acknowledging writes under a new
-		// epoch. Serving anything — even a read — could contradict it.
+	return s.checkClientOpLocked(reqEpoch)
+}
+
+// checkClientOpLocked implements CheckClientOp. Caller holds epochMu.
+func (s *Store) checkClientOpLocked(reqEpoch uint64) error {
+	// A lost quorum lease rejects like a wrong role: a majority of the
+	// group may already have promoted a successor and be acknowledging
+	// writes under a new epoch, and serving anything — even a read —
+	// could contradict it.
+	if s.roleLocked() != RolePrimary || (reqEpoch != 0 && reqEpoch != s.epoch) || !s.leaseValidLocked() {
 		return s.wrongEpochLocked()
 	}
 	return nil
@@ -1010,14 +996,11 @@ func (s *Store) CheckClientOp(reqEpoch uint64) error {
 // maybe-durable state. Writes always go through CheckClientOp.
 func (s *Store) CheckClientRead(reqEpoch uint64, snap clock.Timestamp) error {
 	s.epochMu.Lock()
-	if s.epoch == 0 {
-		s.epochMu.Unlock()
-		return nil
-	}
-	role := s.roleLocked()
-	if role != RoleBackup || s.cfg.NoFollowerReads {
-		s.epochMu.Unlock()
-		return s.CheckClientOp(reqEpoch)
+	if s.roleLocked() != RoleBackup || s.cfg.NoFollowerReads {
+		// Role, epoch and lease are judged under this one acquisition:
+		// every read on a primary takes this path.
+		defer s.epochMu.Unlock()
+		return s.checkClientOpLocked(reqEpoch)
 	}
 	if reqEpoch != 0 && reqEpoch != s.epoch {
 		defer s.epochMu.Unlock()
@@ -1171,7 +1154,7 @@ func (s *Store) installEpochState(newEpoch uint64, members []string) bool {
 	// epoch role: a backup's frontier may only advance on the primary's
 	// word (its own WAL isn't evidence of quorum durability), while a
 	// primary computes the watermark from its members' acks directly.
-	s.setFollower(role != RolePrimary && role != RoleLegacy)
+	s.setFollower(role != RolePrimary)
 	return true
 }
 
@@ -1504,6 +1487,14 @@ func NewStore(hlc *clock.HLC, cfg Config) *Store {
 		clock:   hlc,
 		txs:     make(map[uint64]*txRecord),
 		decided: make(map[uint64]decision),
+		// Born the sole primary of its own one-member group (named by
+		// SetSelf once it has an address), its stream starting in epoch 1
+		// and its directory the one-route identity map.
+		epoch:        1,
+		streamEpoch:  1,
+		epochMembers: []string{""},
+		dir:          kv.IdentityDirectory(1),
+		routeLoad:    make([]atomic.Uint64, 1),
 	}
 	for i := range s.shard {
 		s.shard[i].objs = make(map[kv.OID]*object)
@@ -2211,26 +2202,16 @@ func (s *Store) abortLocked(txid uint64, rec *txRecord, orphan bool) {
 }
 
 // SweepOrphans aborts prepares whose decision never arrived, subject
-// to the epoch discipline:
-//
-// In an epoch-bearing group, a prepare may be TTL-aborted only when
+// to the epoch discipline: a prepare may be TTL-aborted only when
 // the epoch under which it was accepted is provably superseded (the
 // group moved on — a failover or re-formation happened, and the TTL,
 // restarted at the bump, has since given the coordinator a full window
 // to redirect its decision to this member). A prepare whose epoch is
 // still current is NEVER unilaterally aborted: its coordinator may be
 // slow, partitioned, or mid-drive on a decided commit, and aborting
-// against a decided commit breaks atomicity — the exact window the
-// PR 2 TTL left open. Within a stable epoch, 2PC blocks, safely; an
-// operator can force an epoch bump to reap a provably dead
-// coordinator's locks.
-//
-// Legacy (epoch-0) stores keep the old availability-first TTL abort:
-// there is no configuration history to consult, and an unreplicated
-// server's stranded locks have no safe owner to wait for. Prepares
-// staged over the replication stream get streamOrphanGrace times the
-// TTL there — while the primary is alive its own TTL abort arrives
-// over the stream first.
+// against a decided commit breaks atomicity. Within a stable epoch, 2PC
+// blocks, safely; an operator can force an epoch bump to reap a
+// provably dead coordinator's locks.
 //
 // A transaction with a recorded decision is never swept (it left the
 // prepared table when the decision was applied). The server runs this
@@ -2242,20 +2223,8 @@ func (s *Store) SweepOrphans() int {
 	var victims []uint64
 	s.txMu.Lock()
 	for txid, rec := range s.txs {
-		if curEpoch > 0 {
-			if rec.epoch >= curEpoch {
-				continue // coordinator's epoch still current: block, never abort
-			}
-			if now.Sub(rec.preparedAt) >= s.cfg.PrepareTTL {
-				victims = append(victims, txid)
-			}
-			continue
-		}
-		ttl := s.cfg.PrepareTTL
-		if rec.viaStream {
-			ttl *= streamOrphanGrace
-		}
-		if now.Sub(rec.preparedAt) >= ttl {
+		// A prepare whose epoch is still current blocks, never aborts.
+		if rec.epoch < curEpoch && now.Sub(rec.preparedAt) >= s.cfg.PrepareTTL {
 			victims = append(victims, txid)
 		}
 	}

@@ -508,13 +508,56 @@ func TestCommitIdempotentReplay(t *testing.T) {
 	}
 }
 
-// TestOrphanPrepareTTL covers the stranded-lock cleanup on a LEGACY
-// (epoch-0) store: a prepare whose coordinator never sends phase two
-// is unilaterally aborted after the TTL, its locks come free, and the
-// abort is a recorded decision — while a decided transaction is never
-// swept. Epoch-bearing groups replace the unconditional TTL with the
-// superseded-epoch rule (TestSweepOrphansEpochGuard).
-func TestOrphanPrepareTTL(t *testing.T) {
+// TestBareStoreIsSolePrimary: a store opened with no Server around it
+// is born the sole primary of its own group — epoch at least 1, lease
+// trivially valid — and serves the whole transaction surface, which is
+// what every embedder (the centralized-SQL baseline, the benchmark's
+// store probe) relies on.
+func TestBareStoreIsSolePrimary(t *testing.T) {
+	s, err := OpenStore(nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Epoch() < 1 || s.Role() != RolePrimary || !s.LeaseValid() {
+		t.Fatalf("bare store: epoch=%d role=%s leaseValid=%v, want epoch >= 1, primary, valid", s.Epoch(), s.Role(), s.LeaseValid())
+	}
+	if err := s.CheckClientOp(s.Epoch()); err != nil {
+		t.Fatalf("bare store refuses a current-epoch client op: %v", err)
+	}
+	if err := s.CheckClientSlot(kv.MakeOID(7, 1)); err != nil {
+		t.Fatalf("bare store refuses a slot under its birth directory: %v", err)
+	}
+	fast, twoPC := kv.MakeOID(0, 1), kv.MakeOID(7, 2)
+	if _, err := s.FastCommit(newTxID(), s.Clock().Now(), []*kv.Op{
+		{Kind: kv.OpPut, OID: fast, Value: kv.NewPlain([]byte("one-shot"))},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	txid := newTxID()
+	proposed, err := s.Prepare(txid, s.Clock().Now(), []*kv.Op{
+		{Kind: kv.OpPut, OID: twoPC, Value: kv.NewPlain([]byte("two-phase"))},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(txid, proposed); err != nil {
+		t.Fatal(err)
+	}
+	for oid, want := range map[kv.OID]string{fast: "one-shot", twoPC: "two-phase"} {
+		if v, _, err := s.Read(oid, s.Clock().Now()); err != nil || string(v.Data) != want {
+			t.Fatalf("read %v: %v %v, want %q", oid, v, err, want)
+		}
+	}
+}
+
+// TestOrphanPrepareSoleMember covers the stranded-lock cleanup on a
+// sole-member group, which follows the one orphan rule like any other:
+// within a stable epoch a prepare whose coordinator never sends phase
+// two keeps its locks however long it waits (its coordinator may have
+// decided commit); after an epoch bump and a fresh TTL it is aborted,
+// its locks come free, and the abort is a recorded decision — while a
+// decided transaction is never swept.
+func TestOrphanPrepareSoleMember(t *testing.T) {
 	s := NewStore(nil, Config{PrepareTTL: 10 * time.Millisecond})
 	oid := kv.MakeOID(0, 1)
 	txid := newTxID()
@@ -523,12 +566,21 @@ func TestOrphanPrepareTTL(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	time.Sleep(20 * time.Millisecond)
+	if n := s.SweepOrphans(); n != 0 || !s.IsLocked(oid) {
+		t.Fatalf("prepare swept past its TTL in a stable epoch: n=%d locked=%v", n, s.IsLocked(oid))
+	}
+	// The operator's unwedge: bump the epoch. The TTL restarts at the
+	// bump, then the sweep reaps.
+	if err := s.InstallEpoch(s.Epoch()+1, s.Members()); err != nil {
+		t.Fatal(err)
+	}
 	if n := s.SweepOrphans(); n != 0 {
-		t.Fatalf("fresh prepare swept: %d", n)
+		t.Fatalf("superseded prepare swept before its post-bump TTL: %d", n)
 	}
 	time.Sleep(20 * time.Millisecond)
 	if n := s.SweepOrphans(); n != 1 {
-		t.Fatalf("expired prepare not swept: %d", n)
+		t.Fatalf("superseded, expired prepare not swept: %d", n)
 	}
 	if s.IsLocked(oid) {
 		t.Fatal("orphan abort did not release the lock")

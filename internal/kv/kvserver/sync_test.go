@@ -61,9 +61,7 @@ func writeBatch(t *testing.T, c *kvclient.Client, tag string, n int) {
 func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 	primary := startReplServer(t)
 	backup1 := startReplServer(t)
-	if err := primary.SetMirror(backup1.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup1)
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -72,27 +70,16 @@ func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 
 	writeBatch(t, c, "before", 20)
 
-	// Backup dies; the operator detaches it and the primary serves alone.
+	// Backup dies; the operator drops it and the primary serves alone.
 	backup1.Close()
-	if err := primary.SetMirror(""); err != nil {
-		t.Fatal(err)
-	}
+	dropBackups(t, primary)
 	writeBatch(t, c, "alone", 20)
 
 	// A fresh backup re-forms the pair: resync mode first, then attach
-	// (so live commits buffer), then stream the missed history.
+	// (so live commits buffer), then stream the missed history, then the
+	// epoch bump that admits it.
 	backup2 := startReplServer(t)
-	backup2.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if watermark == 0 {
-		t.Fatal("watermark = 0 after 50 commits")
-	}
-	if err := backup2.SyncFrom(primary.Addr(), watermark); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup2)
 	if got, want := backup2.Store().StateDigest(), primary.Store().StateDigest(); got != want {
 		t.Fatalf("after sync: backup digest %x != primary digest %x", got, want)
 	}
@@ -113,7 +100,7 @@ func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	primary.Close()
+	failOver(t, primary, backup2)
 	c2, err := kvclient.Open([]string{backup2.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -152,14 +139,7 @@ func TestSyncCarriesPreparedState(t *testing.T) {
 
 	// A fresh backup re-forms the pair while the prepare is pending.
 	backup := startReplServer(t)
-	backup.Store().StartResync()
-	watermark, err := primary.AttachBackup(backup.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := backup.SyncFrom(primary.Addr(), watermark); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	if !backup.Store().IsLocked(oid) {
 		t.Fatal("resync did not carry the prepared transaction's lock")
 	}
@@ -193,7 +173,7 @@ func TestMirrorGapFailsLoudly(t *testing.T) {
 	writeBatch(t, c, "history", 8)
 
 	stale := startReplServer(t)
-	if _, err := primary.AttachBackup(stale.Addr()); err != nil {
+	if _, err := primary.AttachBackupMember(stale.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	tx := c.Begin()
@@ -212,16 +192,13 @@ func TestMirrorGapFailsLoudly(t *testing.T) {
 }
 
 // TestMirrorDetectsDivergedBackup pins the split-brain guard on the
-// other side: a backup that served native client writes of its own
-// (e.g. a client failed over while the primary was still alive) is
-// ahead of the primary's stream. The next mirrored commit must fail
-// loudly instead of being acknowledged and silently dropped.
+// other side: a backup whose stream holds a record the primary never
+// sent is ahead of the primary's stream. The next mirrored commit must
+// fail loudly instead of being acknowledged and silently dropped.
 func TestMirrorDetectsDivergedBackup(t *testing.T) {
 	primary := startReplServer(t)
 	backup := startReplServer(t)
-	if err := primary.SetMirror(backup.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	ctx := context.Background()
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
@@ -234,16 +211,13 @@ func TestMirrorDetectsDivergedBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A stray client writes directly to the backup: its stream head
-	// advances past the primary's.
-	stray, err := kvclient.Open([]string{backup.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stray.Close()
-	stx := stray.Begin()
-	stx.Put(stray.NewOID(0), kv.NewPlain([]byte("split-brain")))
-	if err := stx.Commit(ctx); err != nil {
+	// A write lands natively in the backup's store (the RPC boundary
+	// turns clients away; only a bug or an operator error gets here):
+	// its stream head advances past the primary's.
+	bs := backup.Store()
+	if _, err := bs.FastCommit(1<<40, bs.Clock().Now(), []*kv.Op{
+		{Kind: kv.OpPut, OID: kv.MakeOID(0, 424242), Value: kv.NewPlain([]byte("split-brain"))},
+	}); err != nil {
 		t.Fatal(err)
 	}
 

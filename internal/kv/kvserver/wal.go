@@ -60,9 +60,11 @@ import (
 
 // walMagic identifies the format; bump the trailing version digits
 // whenever the frame layout or kv.EncodeReplRecord's layout changes
-// (v2: epoch-stamped records with RecEpoch membership; v3: kind-tagged
-// frames with snapshot checkpoints).
-const walMagic = "YSQWAL03"
+// or the meaning of a field does (v2: epoch-stamped records with
+// RecEpoch membership; v3: kind-tagged frames with snapshot
+// checkpoints; v4: every stream starts in epoch 1, so a record stamped
+// 0 fails the splice guard).
+const walMagic = "YSQWAL04"
 
 // Frame kinds (first payload byte).
 const (
@@ -483,10 +485,8 @@ func OpenStore(hlc *clock.HLC, cfg Config) (*Store, error) {
 			// parses" would be an empty store wearing a real log's name.
 			return nil, fmt.Errorf("kvserver: log %s checkpoint snapshot: %w", cfg.LogPath, err)
 		}
-		// The checkpoint is this node's own log, so its prepares get the
-		// normal orphan TTL, not the stream-staged grace.
 		s.repMu.Lock()
-		err = s.installSnapshotLocked(sn, snapEnc, false)
+		err = s.installSnapshotLocked(sn, snapEnc)
 		s.repMu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("kvserver: log %s checkpoint snapshot: %w", cfg.LogPath, err)
@@ -523,13 +523,11 @@ func OpenStore(hlc *clock.HLC, cfg Config) (*Store, error) {
 // next position in the replication stream: a write-ahead-log record
 // during recovery, where sequence order is the file order. Records
 // mirrored over the network carry explicit sequence numbers; use
-// ApplyReplicatedSeq for those. Prepares replayed here are this
-// node's own (its WAL holds what it emitted or acknowledged), so they
-// get the normal orphan TTL, not the stream-staged grace.
+// ApplyReplicatedSeq for those.
 func (s *Store) ApplyReplicated(rec kv.ReplRecord) error {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	if err := s.applyRecordLocked(rec, false); err != nil {
+	if err := s.applyRecordLocked(rec); err != nil {
 		return err
 	}
 	s.maybeCheckpointLocked()
@@ -542,33 +540,36 @@ func (s *Store) ApplyReplicated(rec kv.ReplRecord) error {
 // records that a concurrent mirror already buffered); records above it
 // are buffered while a resync is filling in the gap, and rejected
 // otherwise — a silent gap would diverge the replica forever, so the
-// primary's mirror call must fail loudly instead.
+// primary's mirror call must fail loudly instead. The replication-log
+// bound is enforced exactly: nobody is blocked on a catch-up apply.
 func (s *Store) ApplyReplicatedSeq(seq uint64, rec kv.ReplRecord) error {
-	return s.applyReplicated(seq, rec, false)
-}
-
-// ApplyMirrored is the live-mirror variant of ApplyReplicatedSeq. The
-// primary sends each sequence number exactly once and in order, so a
-// mirror record below the local stream head means this replica applied
-// records the primary never streamed — it served writes of its own
-// while the primary was alive (split brain). Acknowledging would make
-// the primary believe a record is replicated when this replica dropped
-// it, so the duplicate fails loudly and the primary's operation aborts.
-func (s *Store) ApplyMirrored(seq uint64, rec kv.ReplRecord) error {
-	return s.applyReplicated(seq, rec, true)
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	if err := s.applyReplicatedLocked(seq, rec, false); err != nil {
+		return err
+	}
+	s.maybeCheckpointLocked()
+	return nil
 }
 
 // ApplyMirroredBatch applies a contiguous group-commit batch from the
-// primary under ONE stream-lock acquisition: each record still passes
-// the per-record epoch, grant, and sequence checks (a gap or
-// divergence inside a batch fails exactly where a per-record mirror
-// would), but the whole batch costs one lock round and one
+// primary under ONE stream-lock acquisition, the live-mirror (strict)
+// variant of ApplyReplicatedSeq: the primary sends each sequence number
+// exactly once and in order, so a record below the local stream head
+// that the retained log cannot prove identical means this replica
+// applied records the primary never streamed (split brain), and the
+// batch fails loudly rather than letting the primary believe a dropped
+// record is replicated. Each record passes the per-record epoch, grant,
+// and sequence checks, but the whole batch costs one lock round and one
 // acknowledgment — the backup half of the group-commit pipeline. An
 // error on record k leaves records 0..k-1 applied (a contiguous,
 // consistent prefix of the primary's stream; the backup is merely
 // behind) and fails the RPC, which fails every primary-side waiter in
 // the batch. The replication-log bound runs once per batch, with the
-// live-mirror slack (see mirrorCheckpointSlack).
+// live-mirror slack (see mirrorCheckpointSlack): the primary is waiting
+// for the ack, so routine truncation is left to the server's checkpoint
+// ticker, with a hard ceiling so the memory bound never rests on a
+// ticker alone.
 func (s *Store) ApplyMirroredBatch(recs []kv.SyncRec) error {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
@@ -609,14 +610,12 @@ func (s *Store) acceptStreamRecordLocked(rec *kv.ReplRecord) error {
 	if s.promoting {
 		return fmt.Errorf("promotion in progress: %w", s.wrongEpochLocked())
 	}
-	if s.epoch != 0 {
-		if rec.Kind == kv.RecEpoch {
-			if rec.Epoch <= s.epoch {
-				return fmt.Errorf("stale configuration change: %w", s.wrongEpochLocked())
-			}
-		} else if rec.Epoch < s.epoch {
-			return fmt.Errorf("record from deposed primary: %w", s.wrongEpochLocked())
+	if rec.Kind == kv.RecEpoch {
+		if rec.Epoch <= s.epoch {
+			return fmt.Errorf("stale configuration change: %w", s.wrongEpochLocked())
 		}
+	} else if rec.Epoch < s.epoch {
+		return fmt.Errorf("record from deposed primary: %w", s.wrongEpochLocked())
 	}
 	if until := time.Now().Add(s.cfg.LeaseDuration); until.After(s.grantUntil) {
 		s.grantUntil = until
@@ -624,31 +623,8 @@ func (s *Store) acceptStreamRecordLocked(rec *kv.ReplRecord) error {
 	return nil
 }
 
-func (s *Store) applyReplicated(seq uint64, rec kv.ReplRecord, strict bool) error {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	if err := s.applyReplicatedLocked(seq, rec, strict); err != nil {
-		return err
-	}
-	// State is consistent with the stream head here, so this is a safe
-	// point for the log-bound policy (backups append to their
-	// replication log too and must truncate it likewise). The
-	// non-strict path (sync catch-up, WAL replay) enforces the bound
-	// exactly — nobody is blocked on those applies. A live mirror
-	// record has the primary waiting for the batch ack, and an O(state)
-	// capture there could delay it: routine truncation is left to the
-	// server's checkpoint ticker, with a hard ceiling at slack times
-	// the cap so the memory bound never rests on a ticker alone.
-	if strict {
-		s.maybeCheckpointSlackLocked(mirrorCheckpointSlack)
-	} else {
-		s.maybeCheckpointLocked()
-	}
-	return nil
-}
-
 // applyReplicatedLocked installs one replicated record (see
-// ApplyReplicatedSeq / ApplyMirrored for the strictness contract) and
+// ApplyReplicatedSeq / ApplyMirroredBatch for the strictness contract) and
 // drains any resync-buffered records that become contiguous. Caller
 // holds repMu and runs the log-bound policy afterwards.
 func (s *Store) applyReplicatedLocked(seq uint64, rec kv.ReplRecord, strict bool) error {
@@ -669,11 +645,11 @@ func (s *Store) applyReplicatedLocked(seq uint64, rec kv.ReplRecord, strict bool
 			// replication log settles it — if the epoch stamped on our
 			// record at that position matches the incoming record's, the
 			// single-writer-per-epoch stream guarantees they are the same
-			// record and the duplicate is safe to acknowledge. Legacy
-			// epoch-0 pairs have no single-writer guarantee (a stray
-			// client can write natively to the backup), so identity is
-			// pinned on the full record header — kind, epoch, transaction
-			// and timestamp — not the epoch alone. A mismatch means this
+			// record and the duplicate is safe to acknowledge. Identity
+			// is pinned on the full record header — kind, epoch,
+			// transaction and timestamp — not the epoch alone: two stores
+			// that never formed a group both stamp their birth epoch. A
+			// mismatch means this
 			// replica's history holds something else there: genuinely
 			// diverged, rejoin by state transfer.
 			if strict {
@@ -701,7 +677,7 @@ func (s *Store) applyReplicatedLocked(seq uint64, rec kv.ReplRecord, strict bool
 			s.pending[seq] = rec
 			return nil
 		}
-		if err := s.applyRecordLocked(rec, true); err != nil {
+		if err := s.applyRecordLocked(rec); err != nil {
 			return err
 		}
 		next, ok := s.pending[s.repSeq]
@@ -718,10 +694,7 @@ func (s *Store) applyReplicatedLocked(seq uint64, rec kv.ReplRecord, strict bool
 // follows from stream order. The record is appended to the replication
 // log and this replica's own write-ahead log, so a backup is durable
 // and can itself serve resyncs after a failover promotes it.
-// viaStream marks prepares staged from another replica's live stream
-// (mirror or sync) rather than this node's own log replay; it only
-// affects the orphan sweep's grace period.
-func (s *Store) applyRecordLocked(rec kv.ReplRecord, viaStream bool) error {
+func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 	// The per-record epoch check — the splice guard. Every record except
 	// RecEpoch must be stamped with exactly the epoch this stream
 	// installed at or below the current head (streamEpoch; RecEpoch
@@ -746,7 +719,7 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord, viaStream bool) error {
 			s.recordDecision(rec.TxID, decision{commit: true, commitTS: rec.TS})
 		}
 	case kv.RecPrepare:
-		if err := s.stageReplicatedPrepare(rec, viaStream); err != nil {
+		if err := s.stageReplicatedPrepare(rec); err != nil {
 			return err
 		}
 	case kv.RecDecide:
@@ -830,14 +803,14 @@ func (s *Store) applyCommittedOpsLocked(commitTS clock.Timestamp, ops []*kv.Op) 
 // validated conflicts before emitting the record and the stream is
 // applied in order, so the locks must be free here; a holder means the
 // replicas diverged.
-func (s *Store) stageReplicatedPrepare(rec kv.ReplRecord, viaStream bool) error {
+func (s *Store) stageReplicatedPrepare(rec kv.ReplRecord) error {
 	oids, byOID := groupOps(rec.Ops)
 	s.txMu.Lock()
 	if _, dup := s.txs[rec.TxID]; dup {
 		s.txMu.Unlock()
 		return fmt.Errorf("%w: replicated duplicate prepare for tx %d", kv.ErrBadRequest, rec.TxID)
 	}
-	s.txs[rec.TxID] = &txRecord{oids: oids, replicated: true, viaStream: viaStream, epoch: rec.Epoch, preparedAt: time.Now()}
+	s.txs[rec.TxID] = &txRecord{oids: oids, replicated: true, epoch: rec.Epoch, preparedAt: time.Now()}
 	s.txMu.Unlock()
 	for _, oid := range oids {
 		sh := s.shardFor(oid)

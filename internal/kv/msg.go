@@ -12,20 +12,15 @@ const (
 	MethodReadPart = "kv.readpart"
 	// MethodReadBatch serves N object reads — each a whole-object read
 	// or a ReadPart window — at one snapshot timestamp in a single RPC.
-	// A server that predates the method answers rpc.ErrUnknownMethod;
-	// clients fall back to per-object MethodRead/MethodReadPart.
 	MethodReadBatch  = "kv.readbatch"
 	MethodPrepare    = "kv.prepare"
 	MethodCommit     = "kv.commit"
 	MethodAbort      = "kv.abort"
 	MethodFastCommit = "kv.fastcommit"
 	MethodPing       = "kv.ping"
-	// MethodMirror carries a committed transaction from a primary to
-	// its backup replica (see kvserver.Server.AttachBackup).
-	MethodMirror = "kv.mirror"
 	// MethodMirrorBatch carries a contiguous run of stream records from
-	// a primary to its backup in one round trip — the group-commit
-	// replication path. The backup applies the records in order (the
+	// a primary to one of its backups in one round trip (see
+	// kvserver.Server.AttachBackupMember). The backup applies the records in order (the
 	// per-record sequence check still catches gaps and divergence
 	// inside a batch) and one acknowledgment covers, and extends the
 	// lease for, the whole batch.
@@ -47,9 +42,7 @@ const (
 	// MethodDirectory returns the server's current slot directory (the
 	// versioned slot→group map; see Directory). Clients call it when an
 	// ack's DirVersion piggyback or an ErrWrongSlot redirect reveals a
-	// newer version than the one they hold. A server that predates the
-	// method answers rpc.ErrUnknownMethod; such clusters have no
-	// directory and clients keep modulo routing.
+	// newer version than the one they hold.
 	MethodDirectory = "kv.directory"
 )
 
@@ -61,8 +54,7 @@ const (
 // back in-flight two-phase transactions instead of stranding them.
 const (
 	// RecCommit is a whole committed transaction: ops applied at TS.
-	// Single-participant fast commits and commits whose prepare predates
-	// replication use it.
+	// Single-participant fast commits use it.
 	RecCommit uint8 = 0
 	// RecPrepare stages a two-phase transaction's ops and write locks
 	// (phase one). TS is the participant's proposed commit timestamp.
@@ -194,48 +186,18 @@ func DecodeLeaseReq(p []byte) (*LeaseReq, error) {
 		return nil, err
 	}
 	m := &LeaseReq{Epoch: epoch}
-	if r.Remaining() > 0 {
-		if m.Watermark, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
+	if m.Watermark, err = r.Uvarint(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// MirrorReq replicates one stream record to a backup. Seq is the
-// record's position in the primary's replication stream; backups apply
-// records in strict sequence order, so a gap means the backup missed
-// records and must resync before mirroring can resume.
-type MirrorReq struct {
-	Seq uint64
-	Rec ReplRecord
-}
-
-func (m *MirrorReq) Encode() []byte {
-	b := wire.NewBuffer(64)
-	b.PutUvarint(m.Seq)
-	EncodeReplRecord(b, &m.Rec)
-	return b.Bytes()
-}
-
-func DecodeMirrorReq(p []byte) (*MirrorReq, error) {
-	r := wire.NewReader(p)
-	seq, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	rec, err := DecodeReplRecord(r)
-	if err != nil {
-		return nil, err
-	}
-	return &MirrorReq{Seq: seq, Rec: rec}, nil
-}
-
 // MirrorBatchReq replicates a contiguous run of stream records to a
-// backup in one RPC. Records are in strict sequence order; the backup
-// applies them one by one under a single stream-lock acquisition, so a
-// gap or divergence inside the batch fails exactly where a per-record
-// mirror call would have. Watermark piggybacks the primary's durability
+// backup in one RPC. Records are in strict sequence order — each Seq is
+// the record's position in the primary's replication stream — and the
+// backup applies them one by one under a single stream-lock
+// acquisition, so a gap means the backup missed records and must resync
+// before mirroring can resume. Watermark piggybacks the primary's durability
 // watermark as of the batch's departure (every record below it is
 // quorum-acked and fsynced): the backup advances its follower-read
 // frontier with it, at zero extra round trips.
@@ -278,10 +240,8 @@ func DecodeMirrorBatchReq(p []byte) (*MirrorBatchReq, error) {
 		}
 		m.Recs = append(m.Recs, rec)
 	}
-	if r.Remaining() > 0 {
-		if m.Watermark, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
+	if m.Watermark, err = r.Uvarint(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -484,8 +444,8 @@ func DecodeSnapResp(p []byte) (*SnapResp, error) {
 }
 
 // ReadReq asks for the newest version of OID visible at Snap. Epoch is
-// the replication-group epoch the client believes current (0 = epoch-
-// unaware); the server rejects a stale epoch with ErrWrongEpoch so the
+// the replication-group epoch the client believes current (0 = not yet
+// learned); the server rejects a stale epoch with ErrWrongEpoch so the
 // client adopts the new membership before retrying. Durable asks the
 // server to answer only from quorum-durable state: a primary whose
 // durability frontier has not yet passed Snap blocks (bounded) until it
@@ -510,7 +470,6 @@ type ReadResp struct {
 	// snapshots its next transactions at the highest frontier a backup
 	// has REPORTED rather than the primary-fresh one, so steady-state
 	// reads never arrive ahead of the backup's watermark copy.
-	// Trailing optional field: zero when absent.
 	Frontier Timestamp
 }
 
@@ -527,7 +486,7 @@ type ReadPartReq struct {
 	From    []byte
 	To      []byte // nil = unbounded
 	Max     uint32 // 0 = unlimited
-	Epoch   uint64 // group epoch the client believes current (0 = unaware)
+	Epoch   uint64 // group epoch the client believes current (0 = not yet learned)
 	Durable bool   // answer only from quorum-durable state (see ReadReq)
 }
 
@@ -540,7 +499,7 @@ type ReadPartResp struct {
 	Total   uint32
 	Clock   Timestamp
 	// Frontier is the serving replica's durability frontier (see
-	// ReadResp.Frontier). Trailing optional field: zero when absent.
+	// ReadResp.Frontier).
 	Frontier Timestamp
 }
 
@@ -589,10 +548,8 @@ func DecodeReadPartReq(p []byte) (*ReadPartReq, error) {
 	if m.Epoch, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
-	if r.Remaining() > 0 {
-		if m.Durable, err = r.Bool(); err != nil {
-			return nil, err
-		}
+	if m.Durable, err = r.Bool(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -631,13 +588,11 @@ func DecodeReadPartResp(p []byte) (*ReadPartResp, error) {
 		return nil, err
 	}
 	m.Clock = Timestamp(ck)
-	if r.Remaining() > 0 {
-		f, err := r.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		m.Frontier = Timestamp(f)
+	f, err := r.Uint64()
+	if err != nil {
+		return nil, err
 	}
+	m.Frontier = Timestamp(f)
 	return m, nil
 }
 
@@ -660,7 +615,7 @@ type ReadBatchItem struct {
 // batch never mixes replicas or admission decisions mid-flight.
 type ReadBatchReq struct {
 	Snap    Timestamp
-	Epoch   uint64 // group epoch the client believes current (0 = unaware)
+	Epoch   uint64 // group epoch the client believes current (0 = not yet learned)
 	Durable bool   // answer only from quorum-durable state (see ReadReq)
 	Items   []ReadBatchItem
 }
@@ -682,7 +637,7 @@ type ReadBatchResp struct {
 	Results []ReadBatchResult
 	Clock   Timestamp
 	// Frontier is the serving replica's durability frontier (see
-	// ReadResp.Frontier). Trailing optional field: zero when absent.
+	// ReadResp.Frontier).
 	Frontier Timestamp
 }
 
@@ -814,13 +769,11 @@ func DecodeReadBatchResp(p []byte) (*ReadBatchResp, error) {
 		return nil, err
 	}
 	m.Clock = Timestamp(ck)
-	if r.Remaining() > 0 {
-		f, err := r.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		m.Frontier = Timestamp(f)
+	f, err := r.Uint64()
+	if err != nil {
+		return nil, err
 	}
+	m.Frontier = Timestamp(f)
 	return m, nil
 }
 
@@ -860,7 +813,7 @@ type PrepareReq struct {
 	TxID  uint64
 	Start Timestamp
 	Ops   []*Op
-	Epoch uint64 // group epoch the client believes current (0 = unaware)
+	Epoch uint64 // group epoch the client believes current (0 = not yet learned)
 }
 
 // PrepareResp reports the vote. When OK, Proposed is this participant's
@@ -876,13 +829,13 @@ type PrepareResp struct {
 type CommitReq struct {
 	TxID     uint64
 	CommitTS Timestamp
-	Epoch    uint64 // group epoch the client believes current (0 = unaware)
+	Epoch    uint64 // group epoch the client believes current (0 = not yet learned)
 }
 
 // AbortReq discards the transaction's locks and staged writes.
 type AbortReq struct {
 	TxID  uint64
-	Epoch uint64 // group epoch the client believes current (0 = unaware)
+	Epoch uint64 // group epoch the client believes current (0 = not yet learned)
 }
 
 // FastCommitReq commits a single-participant transaction in one round
@@ -891,14 +844,13 @@ type FastCommitReq struct {
 	TxID  uint64
 	Start Timestamp
 	Ops   []*Op
-	Epoch uint64 // group epoch the client believes current (0 = unaware)
+	Epoch uint64 // group epoch the client believes current (0 = not yet learned)
 }
 
 // FastCommitResp reports the outcome of a fast commit. Frontier
 // piggybacks the primary's durability frontier like Ack.Frontier does:
 // a client that only ever writes through fast commits still keeps its
-// follower-read bound fresh at per-commit granularity (trailing
-// optional field, zero when absent).
+// follower-read bound fresh at per-commit granularity.
 type FastCommitResp struct {
 	OK       bool
 	CommitTS Timestamp
@@ -908,16 +860,15 @@ type FastCommitResp struct {
 
 // Ack is the generic response for commit/abort/ping/mirror/lease. It
 // piggybacks the responding member's replication-group epoch and
-// membership (acting primary first; empty on epoch-unaware servers), so
+// membership (acting primary first), so
 // a fresh client learns the live configuration from its opening pings
 // and every later ack keeps it current without extra round trips.
 // Frontier piggybacks the responder's durability frontier — the highest
 // commit timestamp at which a snapshot read is quorum-durable — so
 // clients learn where follower reads are safe from ordinary traffic
 // (including the idle-client heartbeat ping). DirVersion piggybacks the
-// responder's slot-directory version (0 = no directory installed): a
-// client holding an older version fetches the full map with
-// MethodDirectory. Both are trailing optional fields old peers ignore.
+// responder's slot-directory version: a client holding an older
+// version fetches the full map with MethodDirectory.
 type Ack struct {
 	Clock      Timestamp
 	Epoch      uint64
@@ -950,10 +901,8 @@ func DecodeReadReq(p []byte) (*ReadReq, error) {
 		return nil, err
 	}
 	m := &ReadReq{OID: OID(oid), Snap: Timestamp(snap), Epoch: epoch}
-	if r.Remaining() > 0 {
-		if m.Durable, err = r.Bool(); err != nil {
-			return nil, err
-		}
+	if m.Durable, err = r.Bool(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -988,13 +937,11 @@ func DecodeReadResp(p []byte) (*ReadResp, error) {
 		return nil, err
 	}
 	m.Clock = Timestamp(ck)
-	if r.Remaining() > 0 {
-		f, err := r.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		m.Frontier = Timestamp(f)
+	f, err := r.Uint64()
+	if err != nil {
+		return nil, err
 	}
+	m.Frontier = Timestamp(f)
 	return m, nil
 }
 
@@ -1181,12 +1128,10 @@ func DecodeFastCommitResp(p []byte) (*FastCommitResp, error) {
 		return nil, err
 	}
 	m.Clock = Timestamp(v)
-	if r.Remaining() > 0 {
-		if v, err = r.Uint64(); err != nil {
-			return nil, err
-		}
-		m.Frontier = Timestamp(v)
+	if v, err = r.Uint64(); err != nil {
+		return nil, err
 	}
+	m.Frontier = Timestamp(v)
 	return m, nil
 }
 
@@ -1215,17 +1160,13 @@ func DecodeAck(p []byte) (*Ack, error) {
 		return nil, err
 	}
 	m := &Ack{Clock: Timestamp(v), Epoch: epoch, Members: members}
-	if r.Remaining() > 0 {
-		fr, err := r.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		m.Frontier = Timestamp(fr)
+	fr, err := r.Uint64()
+	if err != nil {
+		return nil, err
 	}
-	if r.Remaining() > 0 {
-		if m.DirVersion, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
+	m.Frontier = Timestamp(fr)
+	if m.DirVersion, err = r.Uvarint(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -94,42 +94,6 @@ func recEqual(t *testing.T, got, want ReplRecord) {
 	opsEqual(t, got.Ops, want.Ops)
 }
 
-func TestMirrorReqRoundTrip(t *testing.T) {
-	cases := []MirrorReq{
-		{Seq: 0, Rec: ReplRecord{Kind: RecCommit, TxID: 7, TS: 1}},
-		{Seq: 1, Rec: ReplRecord{Kind: RecPrepare, TxID: 1 << 63, TS: 123456789, Ops: sampleOps()[:1], Epoch: 3}},
-		{Seq: 2, Rec: ReplRecord{Kind: RecDecide, TxID: 42, TS: 99, Commit: true, Epoch: 1 << 32}},
-		{Seq: 3, Rec: ReplRecord{Kind: RecDecide, TxID: 42, TS: 0, Commit: false}},
-		{Seq: 1 << 40, Rec: ReplRecord{Kind: RecCommit, TS: Timestamp(1) << 60, Ops: sampleOps()}},
-		{Seq: 9, Rec: ReplRecord{Kind: RecEpoch, Epoch: 5, Members: []string{"127.0.0.1:7000", "127.0.0.1:7001"}}},
-		{Seq: 10, Rec: ReplRecord{Kind: RecEpoch, Epoch: 6, Members: []string{"127.0.0.1:7001"}}},
-	}
-	for i, in := range cases {
-		out, err := DecodeMirrorReq(in.Encode())
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if out.Seq != in.Seq {
-			t.Fatalf("case %d: got seq=%d, want seq=%d", i, out.Seq, in.Seq)
-		}
-		recEqual(t, out.Rec, in.Rec)
-	}
-}
-
-func TestMirrorReqDecodeErrors(t *testing.T) {
-	for _, p := range [][]byte{nil, {0x01}, {0x01, 0xff, 0xff}} {
-		if _, err := DecodeMirrorReq(p); err == nil {
-			t.Fatalf("decode of truncated payload %v succeeded", p)
-		}
-	}
-	// An unknown record kind must be rejected, not decoded as garbage.
-	bad := (&MirrorReq{Seq: 1, Rec: ReplRecord{Kind: RecCommit, TxID: 1, TS: 1}}).Encode()
-	bad[1] = 0xee // the kind byte follows the one-byte seq uvarint
-	if _, err := DecodeMirrorReq(bad); err == nil {
-		t.Fatal("decode of unknown record kind succeeded")
-	}
-}
-
 func TestMirrorBatchReqRoundTrip(t *testing.T) {
 	cases := []MirrorBatchReq{
 		{Recs: nil},
@@ -137,8 +101,9 @@ func TestMirrorBatchReqRoundTrip(t *testing.T) {
 		{Recs: []SyncRec{
 			{Seq: 5, Rec: ReplRecord{Kind: RecCommit, TxID: 1, TS: 10, Ops: sampleOps()[:3], Epoch: 2}},
 			{Seq: 6, Rec: ReplRecord{Kind: RecPrepare, TxID: 2, TS: 20, Ops: sampleOps()[3:], Epoch: 2}},
-			{Seq: 7, Rec: ReplRecord{Kind: RecDecide, TxID: 2, TS: 30, Commit: true, Epoch: 2}},
-			{Seq: 8, Rec: ReplRecord{Kind: RecEpoch, Epoch: 3, Members: []string{"127.0.0.1:7000", "127.0.0.1:7001"}}},
+			{Seq: 7, Rec: ReplRecord{Kind: RecDecide, TxID: 2, TS: 30, Commit: true, Epoch: 1 << 32}},
+			{Seq: 8, Rec: ReplRecord{Kind: RecDecide, TxID: 1 << 63, TS: 0, Commit: false}},
+			{Seq: 9, Rec: ReplRecord{Kind: RecEpoch, Epoch: 3, Members: []string{"127.0.0.1:7000", "127.0.0.1:7001"}}},
 			{Seq: 1 << 40, Rec: ReplRecord{Kind: RecCommit, TS: Timestamp(1) << 60, Ops: sampleOps()}},
 		}},
 	}
@@ -296,70 +261,86 @@ func TestPiggybackFieldsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPiggybackFieldsBackwardCompat decodes payloads in the PRE-
-// piggyback layouts (no trailing watermark/frontier/durable field):
-// every trailing optional field must come back zero-valued, never an
-// error — old and new servers interoperate during a rolling upgrade.
-func TestPiggybackFieldsBackwardCompat(t *testing.T) {
-	// LeaseReq was once just the epoch uvarint.
-	old := (&LeaseReq{Epoch: 7}).Encode()
-	old = old[:len(old)-1] // strip the zero watermark uvarint
-	if got, err := DecodeLeaseReq(old); err != nil || got.Epoch != 7 || got.Watermark != 0 {
-		t.Fatalf("old lease: got %+v (%v)", got, err)
+// TestTruncatedMessagesFailToDecode pins the one-layout rule for every
+// kv message: each is encoded fully populated and then cut at every
+// prefix length, and no prefix may pass for a shorter message. Cutting
+// into the last field — for most messages a field that used to be
+// optional — is a short buffer; an interior cut may instead trip a
+// count-versus-payload allocation guard.
+func TestTruncatedMessagesFailToDecode(t *testing.T) {
+	sv := NewSuper()
+	sv.ListAdd([]byte("k1"), []byte("v1"))
+	recs := []SyncRec{
+		{Seq: 5, Rec: ReplRecord{Kind: RecPrepare, TxID: 2, TS: 20, Ops: sampleOps(), Epoch: 2}},
+		{Seq: 6, Rec: ReplRecord{Kind: RecEpoch, Epoch: 3, Members: []string{"a:1", "b:2"}}},
 	}
-
-	// MirrorBatchReq without the trailing watermark.
-	old = (&MirrorBatchReq{Recs: []SyncRec{{Seq: 5, Rec: ReplRecord{Kind: RecCommit, TxID: 1, TS: 10}}}}).Encode()
-	old = old[:len(old)-1]
-	if got, err := DecodeMirrorBatchReq(old); err != nil || got.Watermark != 0 || len(got.Recs) != 1 {
-		t.Fatalf("old mirror batch: got %+v (%v)", got, err)
+	dir := &Directory{Version: 3, Routes: []uint32{0, 1}, Groups: [][]string{{"a:1"}, {"b:2", "c:3"}}}
+	cases := []struct {
+		name   string
+		full   []byte
+		decode func([]byte) error
+	}{
+		{"ReplRecord", func() []byte { b := wire.NewBuffer(64); EncodeReplRecord(b, &recs[1].Rec); return b.Bytes() }(),
+			func(p []byte) error { _, err := DecodeReplRecord(wire.NewReader(p)); return err }},
+		{"LeaseReq", (&LeaseReq{Epoch: 7, Watermark: 9}).Encode(),
+			func(p []byte) error { _, err := DecodeLeaseReq(p); return err }},
+		{"MirrorBatchReq", (&MirrorBatchReq{Recs: recs, Watermark: 6}).Encode(),
+			func(p []byte) error { _, err := DecodeMirrorBatchReq(p); return err }},
+		{"SyncReq", (&SyncReq{From: 42, Max: 512, Epoch: 3}).Encode(),
+			func(p []byte) error { _, err := DecodeSyncReq(p); return err }},
+		{"SyncResp", (&SyncResp{Records: recs, Head: 7, Clock: 99, TooOld: true, LogBase: 4}).Encode(),
+			func(p []byte) error { _, err := DecodeSyncResp(p); return err }},
+		{"SnapReq", (&SnapReq{ID: 7, Chunk: 3}).Encode(),
+			func(p []byte) error { _, err := DecodeSnapReq(p); return err }},
+		{"SnapResp", (&SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("slice"), Clock: 55}).Encode(),
+			func(p []byte) error { _, err := DecodeSnapResp(p); return err }},
+		{"ReadReq", (&ReadReq{OID: MakeOID(1, 2), Snap: 77, Epoch: 4, Durable: true}).Encode(),
+			func(p []byte) error { _, err := DecodeReadReq(p); return err }},
+		{"ReadResp", (&ReadResp{Found: true, Version: 10, Value: sv, Clock: 11, Frontier: 9}).Encode(),
+			func(p []byte) error { _, err := DecodeReadResp(p); return err }},
+		{"ReadPartReq", (&ReadPartReq{OID: MakeOID(1, 2), Snap: 77, From: []byte("a"), To: []byte("m"), Max: 8, Epoch: 4, Durable: true}).Encode(),
+			func(p []byte) error { _, err := DecodeReadPartReq(p); return err }},
+		{"ReadPartResp", (&ReadPartResp{Found: true, Version: 10, Value: sv, Total: 3, Clock: 11, Frontier: 9}).Encode(),
+			func(p []byte) error { _, err := DecodeReadPartResp(p); return err }},
+		{"ReadBatchReq", (&ReadBatchReq{Snap: 1, Epoch: 2, Durable: true, Items: []ReadBatchItem{
+			{OID: MakeOID(1, 1)},
+			{OID: MakeOID(1, 2), Part: true, From: []byte("f"), To: []byte("t"), Max: 3},
+		}}).Encode(),
+			func(p []byte) error { _, err := DecodeReadBatchReq(p); return err }},
+		{"ReadBatchResp", (&ReadBatchResp{Results: []ReadBatchResult{
+			{Found: true, Version: 3, Value: NewPlain([]byte("x"))}, {}, {Found: true, Version: 4, Value: sv, Total: 31},
+		}, Clock: 9, Frontier: 4}).Encode(),
+			func(p []byte) error { _, err := DecodeReadBatchResp(p); return err }},
+		{"PrepareReq", (&PrepareReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}).Encode(),
+			func(p []byte) error { _, err := DecodePrepareReq(p); return err }},
+		{"PrepareResp", (&PrepareResp{OK: true, Proposed: 5, Clock: 6}).Encode(),
+			func(p []byte) error { _, err := DecodePrepareResp(p); return err }},
+		{"CommitReq", (&CommitReq{TxID: 1, CommitTS: 2, Epoch: 3}).Encode(),
+			func(p []byte) error { _, err := DecodeCommitReq(p); return err }},
+		{"AbortReq", (&AbortReq{TxID: 1, Epoch: 3}).Encode(),
+			func(p []byte) error { _, err := DecodeAbortReq(p); return err }},
+		{"FastCommitReq", (&FastCommitReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}).Encode(),
+			func(p []byte) error { _, err := DecodeFastCommitReq(p); return err }},
+		{"FastCommitResp", (&FastCommitResp{OK: true, CommitTS: 50, Clock: 51, Frontier: 49}).Encode(),
+			func(p []byte) error { _, err := DecodeFastCommitResp(p); return err }},
+		{"Ack", (&Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, Frontier: 88, DirVersion: 2}).Encode(),
+			func(p []byte) error { _, err := DecodeAck(p); return err }},
+		{"DirectoryResp", (&DirectoryResp{Dir: dir, Clock: 77}).Encode(),
+			func(p []byte) error { _, err := DecodeDirectoryResp(p); return err }},
 	}
-
-	// Ack without the trailing frontier and directory version (strip
-	// the zero DirVersion uvarint, then the frontier uint64).
-	old = (&Ack{Clock: 99, Epoch: 3, Members: []string{"a:1"}}).Encode()
-	old = old[:len(old)-1-8]
-	if got, err := DecodeAck(old); err != nil || got.Frontier != 0 || got.DirVersion != 0 || got.Epoch != 3 {
-		t.Fatalf("old ack: got %+v (%v)", got, err)
-	}
-
-	// Ack with the frontier but without the directory version (the
-	// intermediate vintage).
-	old = (&Ack{Clock: 99, Epoch: 3, Members: []string{"a:1"}, Frontier: 42}).Encode()
-	old = old[:len(old)-1]
-	if got, err := DecodeAck(old); err != nil || got.Frontier != 42 || got.DirVersion != 0 {
-		t.Fatalf("mid ack: got %+v (%v)", got, err)
-	}
-
-	// FastCommitResp without the trailing frontier.
-	old = (&FastCommitResp{OK: true, CommitTS: 50, Clock: 51}).Encode()
-	old = old[:len(old)-8]
-	if got, err := DecodeFastCommitResp(old); err != nil || got.Frontier != 0 || got.CommitTS != 50 {
-		t.Fatalf("old fast commit: got %+v (%v)", got, err)
-	}
-
-	// ReadResp / ReadPartResp without the trailing frontier.
-	old = (&ReadResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Clock: 11}).Encode()
-	old = old[:len(old)-8]
-	if got, err := DecodeReadResp(old); err != nil || got.Frontier != 0 || got.Clock != 11 {
-		t.Fatalf("old read resp: got %+v (%v)", got, err)
-	}
-	old = (&ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Total: 3, Clock: 11}).Encode()
-	old = old[:len(old)-8]
-	if got, err := DecodeReadPartResp(old); err != nil || got.Frontier != 0 || got.Total != 3 {
-		t.Fatalf("old read part resp: got %+v (%v)", got, err)
-	}
-
-	// ReadReq / ReadPartReq without the trailing durable flag.
-	old = (&ReadReq{OID: MakeOID(1, 2), Snap: 77, Epoch: 4}).Encode()
-	old = old[:len(old)-1]
-	if got, err := DecodeReadReq(old); err != nil || got.Durable || got.Snap != 77 {
-		t.Fatalf("old read req: got %+v (%v)", got, err)
-	}
-	old = (&ReadPartReq{OID: MakeOID(1, 2), Snap: 77, From: []byte("a"), Epoch: 4}).Encode()
-	old = old[:len(old)-1]
-	if got, err := DecodeReadPartReq(old); err != nil || got.Durable || got.Epoch != 4 {
-		t.Fatalf("old read part req: got %+v (%v)", got, err)
+	for _, c := range cases {
+		if err := c.decode(c.full); err != nil {
+			t.Fatalf("%s: full message does not decode: %v", c.name, err)
+		}
+		for cut := 0; cut < len(c.full); cut++ {
+			err := c.decode(c.full[:cut])
+			if err == nil {
+				t.Fatalf("%s truncated to %d of %d bytes decoded successfully", c.name, cut, len(c.full))
+			}
+			if !errors.Is(err, wire.ErrShortBuffer) && (cut == len(c.full)-1 || !errors.Is(err, ErrBadRequest)) {
+				t.Fatalf("%s truncated to %d of %d bytes: err = %v, want ErrShortBuffer", c.name, cut, len(c.full), err)
+			}
+		}
 	}
 }
 
@@ -421,43 +402,17 @@ func TestReadBatchMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadBatchDecodeErrors exercises the failure paths: truncation at
-// every prefix length and the item-count allocation guard.
+// TestReadBatchDecodeErrors exercises the item-count allocation guards
+// (truncation is covered by TestTruncatedMessagesFailToDecode).
 func TestReadBatchDecodeErrors(t *testing.T) {
-	full := (&ReadBatchReq{Snap: 1, Epoch: 2, Items: []ReadBatchItem{
-		{OID: MakeOID(1, 1)},
-		{OID: MakeOID(1, 2), Part: true, From: []byte("f"), To: []byte("t"), Max: 3},
-	}}).Encode()
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeReadBatchReq(full[:cut]); err == nil {
-			t.Fatalf("req truncated to %d bytes decoded successfully", cut)
-		}
-	}
 	// A claimed item count the payload cannot hold must be rejected
 	// before it sizes an allocation.
 	b := wireEncodeBatchHeader(1, 2, false, 1<<40)
 	if _, err := DecodeReadBatchReq(b); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("absurd item count: err = %v, want ErrBadRequest", err)
 	}
-
-	fullR := (&ReadBatchResp{Results: []ReadBatchResult{
-		{Found: true, Version: 3, Value: NewPlain([]byte("x"))},
-	}, Clock: 9, Frontier: 4}).Encode()
-	// The trailing 8 bytes are the optional frontier; every shorter cut
-	// must fail cleanly.
-	for cut := 0; cut < len(fullR)-8; cut++ {
-		if _, err := DecodeReadBatchResp(fullR[:cut]); err == nil {
-			t.Fatalf("resp truncated to %d bytes decoded successfully", cut)
-		}
-	}
 	if _, err := DecodeReadBatchResp(wireEncodeBatchCount(1 << 40)); !errors.Is(err, ErrBadRequest) {
 		t.Fatal("absurd result count accepted")
-	}
-
-	// Frontier-less responses (an older peer) decode with Frontier 0.
-	old := fullR[:len(fullR)-8]
-	if got, err := DecodeReadBatchResp(old); err != nil || got.Frontier != 0 || got.Clock != 9 {
-		t.Fatalf("old read batch resp: got %+v (%v)", got, err)
 	}
 }
 

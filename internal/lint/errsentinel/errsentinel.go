@@ -3,9 +3,9 @@
 // reworded (PR 4's failover bug was exactly that) and cannot survive
 // wrapping; the replication stack exports typed sentinels
 // (kv.ErrDiverged, kv.ErrWrongEpoch, kv.ErrUncertain, kv.ErrConflict,
-// kvserver.ErrSnapshotSessionExpired, ...) and, since this PR, a
-// typed code on rpc.AppError, so every cross-process error can be
-// classified with errors.Is/errors.As or the code — never the text.
+// kvserver.ErrSnapshotSessionExpired, ...) and a typed code on
+// rpc.AppError, so every cross-process error can be classified with
+// errors.Is/errors.As or the code — never the text.
 //
 // Flagged shapes:
 //
@@ -13,10 +13,12 @@
 //	strings.Contains(app.Msg, ...)     // AppError's laundered text
 //	err.Error() == "..."               // equality on rendered text
 //
-// The sanctioned decoders that must parse structured payloads out of
-// an error string (kv.ParseWrongEpoch, kv.ParseClockMark, the legacy
-// pre-code fallback in rpc.AppErrIs) carry //yesqlint:allow
-// errsentinel annotations with their justification.
+// Nothing in the repository is exempt. The decoders that extract a
+// structured payload from a message (kv.ParseWrongEpoch,
+// kv.ParseWrongSlot, kv.ParseClockMark) take it as a plain string and
+// decode fields, which is not classification; a site that ever does
+// need an exemption carries //yesqlint:allow errsentinel with its
+// justification.
 package errsentinel
 
 import (

@@ -4,13 +4,13 @@ package a
 
 import "yesquel/internal/wire"
 
-// Sym is a symmetric message with a nested helper, a counted loop,
-// and a trailing-optional field: fully clean.
+// Sym is a symmetric message with a nested helper and a counted loop:
+// fully clean.
 type Sym struct {
 	ID    uint64
 	Name  string
 	Items []uint32
-	Mark  uint64 // trailing-optional since v2
+	Mark  uint64
 }
 
 func encodeHeader(b *wire.Buffer, id uint64, name string) {
@@ -59,10 +59,8 @@ func DecodeSym(p []byte) (*Sym, error) {
 		}
 		m.Items = append(m.Items, v)
 	}
-	if r.Remaining() > 0 {
-		if m.Mark, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
+	if m.Mark, err = r.Uvarint(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -116,36 +114,56 @@ func DecodeShort(p []byte) (*Short, error) {
 	return m, nil
 }
 
-// MidOpt violates the trailing-optional contract: an unconditional
-// read follows a Remaining()-guarded one.
-type MidOpt struct {
+// Opt violates the one-layout rule: the decoder reads B only when
+// bytes remain, so a buffer truncated before B passes for a message.
+type Opt struct {
 	A uint64
-	B uint64 // optional since v2
-	C uint64 // v1 field ordered after the optional one: broken
+	B uint64
 }
 
-func (m *MidOpt) Encode() []byte {
-	b := wire.NewBuffer(24)
+func (m *Opt) Encode() []byte {
+	b := wire.NewBuffer(16)
 	b.PutUvarint(m.A)
 	b.PutUvarint(m.B)
-	b.PutUvarint(m.C)
 	return b.Bytes()
 }
 
-func DecodeMidOpt(p []byte) (*MidOpt, error) {
+func DecodeOpt(p []byte) (*Opt, error) {
 	r := wire.NewReader(p)
-	m := &MidOpt{}
+	m := &Opt{}
+	var err error
+	if m.A, err = r.Uvarint(); err != nil {
+		return nil, err
+	}
+	if r.Remaining() > 0 { // want `DecodeOpt reads a field only when Remaining\(\) says it is there`
+		if m.B, err = r.Uvarint(); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// A Remaining() check that guards no read is fine: rejecting trailing
+// garbage is input validation, not a second layout.
+type Exact struct {
+	A uint64
+}
+
+func (m *Exact) Encode() []byte {
+	b := wire.NewBuffer(8)
+	b.PutUvarint(m.A)
+	return b.Bytes()
+}
+
+func DecodeExact(p []byte) (*Exact, error) {
+	r := wire.NewReader(p)
+	m := &Exact{}
 	var err error
 	if m.A, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
 	if r.Remaining() > 0 {
-		if m.B, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	if m.C, err = r.Uvarint(); err != nil { // want `DecodeMidOpt reads uvarint unconditionally after a Remaining\(\)-guarded field`
-		return nil, err
+		return nil, wire.ErrShortBuffer
 	}
 	return m, nil
 }

@@ -3,10 +3,9 @@
 // flat sequence of typed primitives written through wire.Buffer and
 // read back through wire.Reader; the two sides are written by hand,
 // so nothing structural stops an encoder writing a uvarint where the
-// decoder reads a uint64, or a new field landing in the middle of a
-// message and silently shearing every peer that speaks the old
-// layout. This analyzer extracts the ordered primitive-kind sequence
-// from both sides of each pair and diffs them.
+// decoder reads a uint64, or a field being written and never read.
+// This analyzer extracts the ordered primitive-kind sequence from both
+// sides of each pair and diffs them.
 //
 // Pairing is by name: the method (m *T) Encode() pairs with the
 // function DecodeT; helper pairs like encodeOps/decodeOps and
@@ -14,14 +13,10 @@
 // helper call inside a codec body is matched as one unit against the
 // other side's corresponding helper call.
 //
-// The second rule is the repository's backward-compat contract
-// (PRs 7-8): fields added after a message's base version must be
-// TRAILING and optional — the decoder guards them with
-// `if r.Remaining() > 0`, so a short buffer from an old peer decodes
-// cleanly. Consequently, once a decoder reads one guarded field,
-// every later top-level read must be guarded too; an unguarded read
-// after a guarded one would fail on exactly the short buffers the
-// guard exists for.
+// The second rule is that every message has ONE layout: no Decode
+// function may read a field only `if r.Remaining() > 0`. A field the
+// encoder always writes is always read, so a buffer truncated at any
+// field fails to decode instead of passing for a shorter message.
 //
 // Codec bodies whose wire operations sit under data-dependent
 // conditionals (e.g. the per-kind switch in EncodeOp/DecodeOp) are
@@ -42,7 +37,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "wirecodec",
-	Doc:  "Encode/Decode primitive-order symmetry and trailing-optional short-buffer discipline for wire codecs",
+	Doc:  "Encode/Decode primitive-order symmetry and the one-layout rule (no Remaining()-guarded reads) for wire codecs",
 	Run:  run,
 }
 
@@ -51,7 +46,6 @@ type item struct {
 	kind     string // primitive kind, or "sub:<name>" for a helper call
 	loop     bool
 	children []item
-	optional bool // decode side: guarded by r.Remaining() > 0
 	pos      ast.Node
 }
 
@@ -110,6 +104,7 @@ func run(pass *analysis.Pass) error {
 					encoders[key] = c
 				} else {
 					decoders[key] = c
+					ex.checkOneLayout(c)
 				}
 			}
 		}
@@ -126,37 +121,21 @@ func run(pass *analysis.Pass) error {
 			}
 			pass.Reportf(pos.Pos(), "%s", msg)
 		}
-		checkTrailingOptional(pass, dec)
-	}
-	// Decoders also get the trailing-optional check when their encoder
-	// bailed out (or lives elsewhere).
-	for key, dec := range decoders {
-		if enc, ok := encoders[key]; ok && enc.ok && dec.ok {
-			continue // already checked above
-		}
-		if dec.ok {
-			checkTrailingOptional(pass, dec)
-		}
 	}
 	return nil
 }
 
-// checkTrailingOptional enforces: once one top-level read is guarded
-// by Remaining(), every later top-level read must be too.
-func checkTrailingOptional(pass *analysis.Pass, dec *codec) {
-	seenOptional := false
-	for _, it := range dec.seq {
-		if it.optional {
-			seenOptional = true
-			continue
+// checkOneLayout reports every read in dec that is guarded by a
+// Remaining() condition.
+func (ex *extractor) checkOneLayout(dec *codec) {
+	ast.Inspect(dec.fd.Body, func(n ast.Node) bool {
+		if s, ok := n.(*ast.IfStmt); ok && isRemainingGuard(s.Cond) && ex.containsWireOps(s.Body, false) {
+			ex.pass.Reportf(s.Pos(),
+				"%s reads a field only when Remaining() says it is there; every message has one layout (read it unconditionally)",
+				dec.name)
 		}
-		if seenOptional {
-			pass.Reportf(it.pos.Pos(),
-				"%s reads %s unconditionally after a Remaining()-guarded field; trailing-optional fields must stay trailing (guard this read too, or reorder the message)",
-				dec.name, describe(it))
-			return
-		}
-	}
+		return true
+	})
 }
 
 // codecKey classifies fd as an encoder or decoder and returns the
@@ -237,17 +216,7 @@ func (ex *extractor) extractStmt(s ast.Stmt, isEnc bool) ([]item, bool) {
 		if !ok {
 			return nil, false
 		}
-		if !isEnc && isRemainingGuard(s.Cond) {
-			inner, iok := ex.extract(s.Body.List, isEnc)
-			if !iok {
-				return nil, false
-			}
-			for i := range inner {
-				inner[i].optional = true
-			}
-			return append(items, inner...), true
-		}
-		// Any other conditional: fine while it performs no wire ops
+		// A conditional is fine while it performs no wire ops
 		// (error checks, count-sanity guards); otherwise the codec is
 		// not a flat sequence.
 		if ex.containsWireOps(s.Body, isEnc) || (s.Else != nil && ex.containsWireOps(s.Else, isEnc)) {
@@ -408,7 +377,7 @@ func (ex *extractor) containsWireOps(n ast.Node, isEnc bool) bool {
 	return found
 }
 
-// isRemainingGuard matches `r.Remaining() > 0` (and != 0) conditions.
+// isRemainingGuard matches conditions on r.Remaining().
 func isRemainingGuard(cond ast.Expr) bool {
 	found := false
 	ast.Inspect(cond, func(n ast.Node) bool {

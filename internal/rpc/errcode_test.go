@@ -11,11 +11,10 @@ import (
 )
 
 // Typed error codes: the server's coder stamps AppError.Code onto the
-// wire as a trailing optional field, and AppErrIs matches it without
-// looking at message text. These tests pin the round trip, the
-// unknown-method stamping, the coder-less zero, the legacy text
-// fallback, and — via a hand-built old-format frame — that a new
-// client still decodes responses from servers predating codes.
+// wire, and AppErrIs matches it without looking at message text. These
+// tests pin the round trip, the unknown-method stamping, the coder-less
+// zero, and that the error frame has one layout: a frame cut short of
+// its code is a bad frame, never a code-less error.
 
 var errTestSentinel = errors.New("errcode_test: sentinel")
 
@@ -47,13 +46,11 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 	if app.Code != testCode {
 		t.Fatalf("Code = %d, want %d", app.Code, testCode)
 	}
-	// The code decides; the sentinel argument is only the legacy
-	// fallback and must not rescue a mismatched code.
-	if !AppErrIs(err, testCode, nil) {
+	if !AppErrIs(err, testCode) {
 		t.Fatal("AppErrIs(code) = false for matching code")
 	}
-	if AppErrIs(err, testCode+1, errTestSentinel) {
-		t.Fatal("AppErrIs matched a different code on a coded response")
+	if AppErrIs(err, testCode+1) {
+		t.Fatal("AppErrIs matched a different code")
 	}
 }
 
@@ -73,14 +70,14 @@ func TestErrorCodeUnknownMethod(t *testing.T) {
 	defer c.Close()
 
 	_, err = c.Call(context.Background(), "no-such-method", nil)
-	if !AppErrIs(err, testCode, ErrUnknownMethod) {
+	if !AppErrIs(err, testCode) {
 		t.Fatalf("unknown-method rejection not stamped with coder's code: %v", err)
 	}
 }
 
-func TestErrorCodeLegacyTextFallback(t *testing.T) {
-	// No coder installed: the server sends code 0 and clients must fall
-	// back to matching the sentinel's text, the pre-code scheme.
+func TestErrorCodeCoderless(t *testing.T) {
+	// No coder installed: the server sends code 0, and the sentinel's
+	// text in the message classifies nothing.
 	s := NewServer()
 	s.Register("fail", func(_ context.Context, _ []byte) ([]byte, error) {
 		return nil, fmt.Errorf("outer: %w", errTestSentinel)
@@ -100,20 +97,34 @@ func TestErrorCodeLegacyTextFallback(t *testing.T) {
 	if app.Code != 0 {
 		t.Fatalf("Code = %d, want 0 from a coder-less server", app.Code)
 	}
-	if !AppErrIs(err, testCode, errTestSentinel) {
-		t.Fatal("legacy fallback did not match the sentinel text")
-	}
-	if AppErrIs(err, testCode, errors.New("some other text")) {
-		t.Fatal("legacy fallback matched a sentinel not in the message")
+	if AppErrIs(err, testCode) {
+		t.Fatal("a code-0 response matched a code by its message text")
 	}
 }
 
-// TestDecodeLegacyErrorFrame feeds the client an error response in the
-// OLD wire format — no trailing code — from a hand-rolled server, and
-// checks the client decodes it as Code 0 rather than failing the
-// connection: the backward-compatibility contract of the trailing
-// optional field.
-func TestDecodeLegacyErrorFrame(t *testing.T) {
+// TestTruncatedResponseFrames cuts an error response and an ok response
+// at every prefix length: none may decode.
+func TestTruncatedResponseFrames(t *testing.T) {
+	for name, full := range map[string][]byte{
+		"error": encodeResponse(7, nil, errTestSentinel, testCode),
+		"ok":    encodeResponse(7, []byte("body"), nil, 0),
+	} {
+		if _, _, err := decodeResponse(full); err != nil {
+			t.Fatalf("%s frame: %v", name, err)
+		}
+		for cut := 0; cut < len(full); cut++ {
+			if _, _, err := decodeResponse(full[:cut]); !errors.Is(err, wire.ErrShortBuffer) {
+				t.Fatalf("%s frame truncated to %d of %d bytes: err = %v, want ErrShortBuffer", name, cut, len(full), err)
+			}
+		}
+	}
+}
+
+// TestCodelessErrorFrameFailsConnection feeds the client an error
+// response that stops after the message — no code — from a hand-rolled
+// server: the client must treat it as a bad frame and fail the
+// connection, not deliver a code-0 application error.
+func TestCodelessErrorFrameFailsConnection(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +147,7 @@ func TestDecodeLegacyErrorFrame(t *testing.T) {
 		b.PutByte(kindResponse)
 		b.PutUvarint(id)
 		b.PutByte(statusErr)
-		b.PutString("legacy: " + errTestSentinel.Error())
-		// Deliberately NO trailing code uvarint.
+		b.PutString("no code follows")
 		wire.WriteFrame(conn, b.Bytes())
 		wire.ReadFrame(conn) // hold the conn open until the client is done
 	}()
@@ -149,13 +159,7 @@ func TestDecodeLegacyErrorFrame(t *testing.T) {
 	defer c.Close()
 	_, err = c.Call(context.Background(), "anything", nil)
 	var app *AppError
-	if !errors.As(err, &app) {
-		t.Fatalf("want *AppError from legacy frame, got %v", err)
-	}
-	if app.Code != 0 {
-		t.Fatalf("Code = %d, want 0 from a legacy frame", app.Code)
-	}
-	if !AppErrIs(err, testCode, errTestSentinel) {
-		t.Fatal("legacy frame did not fall back to text matching")
+	if errors.As(err, &app) || !errors.Is(err, ErrClosed) {
+		t.Fatalf("code-less error frame: err = %v, want the connection failed with ErrClosed", err)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +53,7 @@ var (
 // AppError is an error returned by the remote handler (as opposed to a
 // transport failure). The text crosses the wire; the type does not.
 // Code, when nonzero, is a service-defined classification assigned by
-// the server's error coder (SetErrorCoder). It travels as a trailing
-// optional wire field: a response from a server predating codes
-// decodes with Code 0, and a coder-less server sends 0 explicitly.
+// the server's error coder (SetErrorCoder); a coder-less server sends 0.
 type AppError struct {
 	Msg  string
 	Code uint64
@@ -65,22 +62,10 @@ type AppError struct {
 func (e *AppError) Error() string { return e.Msg }
 
 // AppErrIs reports whether err is an application error whose wire code
-// is code. For responses that carry no code (Code 0 — a server
-// predating codes, or one without a coder), it falls back to matching
-// sentinel's text in the message, the legacy classification scheme
-// the codes replace. This function is the ONE sanctioned home of that
-// string match; everything else must compare codes or errors.Is a
-// sentinel that survived the wire.
-func AppErrIs(err error, code uint64, sentinel error) bool {
+// is code.
+func AppErrIs(err error, code uint64) bool {
 	var app *AppError
-	if !errors.As(err, &app) {
-		return false
-	}
-	if app.Code != 0 {
-		return app.Code == code
-	}
-	//yesqlint:allow errsentinel -- legacy fallback: a pre-code response conveys the class only in its text
-	return sentinel != nil && strings.Contains(app.Msg, sentinel.Error())
+	return errors.As(err, &app) && app.Code == code
 }
 
 // frame kinds
@@ -111,14 +96,48 @@ func encodeResponse(id uint64, body []byte, appErr error, code uint64) []byte {
 	if appErr != nil {
 		b.PutByte(statusErr)
 		b.PutString(appErr.Error())
-		// Trailing optional field: old clients stop after the message
-		// and never see it; new clients read it only when present.
 		b.PutUvarint(code)
 	} else {
 		b.PutByte(statusOK)
 		b.PutBytes(body)
 	}
 	return b.Bytes()
+}
+
+// decodeResponse is the inverse of encodeResponse: the request id the
+// frame answers and the call's outcome. A frame that is not a complete
+// response is an error (the caller drops the connection).
+func decodeResponse(payload []byte) (id uint64, res callResult, err error) {
+	r := wire.NewReader(payload)
+	kind, err := r.Byte()
+	if err != nil {
+		return 0, res, err
+	}
+	if kind != kindResponse {
+		return 0, res, fmt.Errorf("rpc: frame kind %d where a response was expected", kind)
+	}
+	if id, err = r.Uvarint(); err != nil {
+		return 0, res, err
+	}
+	status, err := r.Byte()
+	if err != nil {
+		return 0, res, err
+	}
+	if status == statusErr {
+		app := &AppError{}
+		if app.Msg, err = r.String(); err != nil {
+			return 0, res, err
+		}
+		if app.Code, err = r.Uvarint(); err != nil {
+			return 0, res, err
+		}
+		res.err = app
+		return id, res, nil
+	}
+	if res.body, err = r.BytesCopy(); err != nil {
+		return 0, res, err
+	}
+	return id, res, nil
 }
 
 // Server serves RPC requests on a listener. Methods are registered
@@ -158,8 +177,7 @@ func (s *Server) Register(method string, h Handler) {
 // (AppError.Code on the client side). Like Register, it must be called
 // before Serve. The coder also classifies the server's own
 // unknown-method rejection, which wraps ErrUnknownMethod. A nil or
-// absent coder sends code 0 (clients then fall back to text matching;
-// see AppErrIs).
+// absent coder sends code 0.
 func (s *Server) SetErrorCoder(f func(error) uint64) {
 	s.coder = f
 }
@@ -371,44 +389,10 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 			return
 		}
-		r := wire.NewReader(payload)
-		kind, err := r.Byte()
-		if err != nil || kind != kindResponse {
-			c.fail(fmt.Errorf("%w: bad frame", ErrClosed))
-			return
-		}
-		id, err := r.Uvarint()
+		id, res, err := decodeResponse(payload)
 		if err != nil {
-			c.fail(fmt.Errorf("%w: bad frame", ErrClosed))
+			c.fail(fmt.Errorf("%w: bad frame: %v", ErrClosed, err))
 			return
-		}
-		status, err := r.Byte()
-		if err != nil {
-			c.fail(fmt.Errorf("%w: bad frame", ErrClosed))
-			return
-		}
-		var res callResult
-		if status == statusErr {
-			msg, err := r.String()
-			if err != nil {
-				c.fail(fmt.Errorf("%w: bad frame", ErrClosed))
-				return
-			}
-			var code uint64
-			if r.Remaining() > 0 { // trailing optional: absent from pre-code servers
-				if code, err = r.Uvarint(); err != nil {
-					c.fail(fmt.Errorf("%w: bad frame", ErrClosed))
-					return
-				}
-			}
-			res.err = &AppError{Msg: msg, Code: code}
-		} else {
-			body, err := r.BytesCopy()
-			if err != nil {
-				c.fail(fmt.Errorf("%w: bad frame", ErrClosed))
-				return
-			}
-			res.body = body
 		}
 		c.mu.Lock()
 		ch, ok := c.pending[id]
