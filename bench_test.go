@@ -8,12 +8,9 @@ package yesquel_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -99,8 +96,7 @@ func BenchmarkE9_Replication(b *testing.B) { runExperiment(b, "e9") }
 // replWorkload drives `writers` concurrent clients against a 1-slot
 // cluster with the given replication factor for the given duration and
 // reports aggregate ops plus the slot's primary counters. It is the
-// shared harness behind BenchmarkReplicationConcurrent and the
-// BENCH_replication.json artifact: single-writer numbers hide the
+// harness behind BenchmarkReplicationConcurrent: single-writer numbers hide the
 // write path's serialization entirely (one synchronous client observes
 // the same latency either way), so the concurrent variant is the one
 // that shows whether group commit is amortizing mirror round trips and
@@ -624,198 +620,6 @@ func BenchmarkReplicationConcurrent(b *testing.B) {
 	}
 }
 
-// replBenchPoint is one row of BENCH_replication.json. The write-path
-// rows fill OpsPerSec and the batching fields; the read-mostly rows
-// fill the read fields instead (ReadOpsPerSec, latency percentiles,
-// and FollowerReads — how many of the reads backups served).
-type replBenchPoint struct {
-	Config          string  `json:"config"`
-	Writers         int     `json:"writers"`
-	OpsPerSec       float64 `json:"ops_per_sec,omitempty"`
-	MirrorBatches   uint64  `json:"mirror_batches,omitempty"`
-	BatchDepth      float64 `json:"batch_depth,omitempty"`
-	FsyncsPerCommit float64 `json:"fsyncs_per_commit,omitempty"`
-	ReadOpsPerSec   float64 `json:"read_ops_per_sec,omitempty"`
-	ScanOpsPerSec   float64 `json:"scan_ops_per_sec,omitempty"`
-	FollowerReads   uint64  `json:"follower_reads,omitempty"`
-	P50Micros       float64 `json:"read_p50_us,omitempty"`
-	P95Micros       float64 `json:"read_p95_us,omitempty"`
-	P99Micros       float64 `json:"read_p99_us,omitempty"`
-	CommitP50Micros float64 `json:"commit_p50_us,omitempty"`
-	CommitP99Micros float64 `json:"commit_p99_us,omitempty"`
-}
-
-// TestReplicationBenchArtifact emits BENCH_replication.json — the
-// replication write path's performance trajectory (ops/sec single and
-// concurrent, achieved batch depth, fsyncs per commit) — when
-// YESQUEL_BENCH_JSON names an output path. CI runs it and uploads the
-// file as a build artifact so regressions in the replicated write
-// path are visible per commit; it is skipped in plain `go test` runs
-// to keep the tier-1 suite fast.
-func TestReplicationBenchArtifact(t *testing.T) {
-	out := os.Getenv("YESQUEL_BENCH_JSON")
-	if out == "" {
-		t.Skip("set YESQUEL_BENCH_JSON=<path> to emit the replication bench artifact")
-	}
-	const d = 2 * time.Second
-	var points []replBenchPoint
-	for _, rf := range []int{2, 3} {
-		for _, w := range []int{1, 8} {
-			start := time.Now()
-			ops, st := replWorkload(t, w, rf, kvserver.Config{}, d)
-			p := replBenchPoint{Config: fmt.Sprintf("rf%d", rf), Writers: w, OpsPerSec: float64(ops) / time.Since(start).Seconds(), MirrorBatches: st.MirrorBatches}
-			if st.MirrorBatches > 0 {
-				p.BatchDepth = float64(st.MirrorBatchRecords) / float64(st.MirrorBatches)
-			}
-			points = append(points, p)
-		}
-		for _, w := range []int{1, 8} {
-			start := time.Now()
-			ops, st := replWorkload(t, w, rf, kvserver.Config{LogPath: t.TempDir(), LogSync: true}, d)
-			p := replBenchPoint{Config: fmt.Sprintf("rf%d+logsync", rf), Writers: w, OpsPerSec: float64(ops) / time.Since(start).Seconds(), MirrorBatches: st.MirrorBatches}
-			if st.MirrorBatches > 0 {
-				p.BatchDepth = float64(st.MirrorBatchRecords) / float64(st.MirrorBatches)
-			}
-			if commits := st.Commits + st.FastCommits; commits > 0 {
-				p.FsyncsPerCommit = float64(st.WALSyncs) / float64(commits)
-			}
-			points = append(points, p)
-		}
-	}
-	// Read-mostly column (rf=3, YCSB-B 95/5 and YCSB-C read-only, 8
-	// workers): primary-only routing vs watermark-gated follower
-	// reads. The follower rows should show strictly more read ops/s —
-	// reads fan out across the replicas instead of queueing on the
-	// primary behind the write path. The two configurations run as
-	// back-to-back pairs and the reported pair is the one with the
-	// MEDIAN follower/primary ratio: slow-machine drift between reps
-	// hits both numbers of a pair alike, so the comparison reflects
-	// the typical relative performance, not which rep drew the fast
-	// scheduling.
-	const readReps = 5
-	for _, wl := range []ycsb.Workload{ycsb.WorkloadB, ycsb.WorkloadC} {
-		type pair struct{ primary, follower replReadResult }
-		pairs := make([]pair, 0, readReps)
-		for rep := 0; rep < readReps; rep++ {
-			pairs = append(pairs, pair{
-				primary:  replReadWorkload(t, 8, 3, wl, false, d),
-				follower: replReadWorkload(t, 8, 3, wl, true, d),
-			})
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			return pairs[i].follower.readsPerSec/pairs[i].primary.readsPerSec <
-				pairs[j].follower.readsPerSec/pairs[j].primary.readsPerSec
-		})
-		med := pairs[len(pairs)/2]
-		if med.follower.st.FollowerReads == 0 {
-			t.Errorf("rf3+ycsb-%c+follower-reads: no follower reads served", wl)
-		}
-		for _, m := range []struct {
-			cfg string
-			res replReadResult
-		}{
-			{fmt.Sprintf("rf3+ycsb-%c+primary-only", wl), med.primary},
-			{fmt.Sprintf("rf3+ycsb-%c+follower-reads", wl), med.follower},
-		} {
-			points = append(points, replBenchPoint{
-				Config:        m.cfg,
-				Writers:       8,
-				ReadOpsPerSec: m.res.readsPerSec,
-				FollowerReads: m.res.st.FollowerReads,
-				P50Micros:     float64(m.res.p50.Microseconds()),
-				P95Micros:     float64(m.res.p95.Microseconds()),
-				P99Micros:     float64(m.res.p99.Microseconds()),
-			})
-		}
-	}
-	// Scan column (single server, 8-cell leaves): the client read
-	// pipeline of this PR — scan readahead with batched leaf-run
-	// fetches vs the synchronous leaf-at-a-time iterator, over
-	// identical seeded trees. Same pairing discipline as the
-	// read-mostly rows: each rep runs both configurations back to
-	// back and the reported pair is the one with the MEDIAN
-	// readahead/synchronous throughput ratio.
-	const scanReps = 5
-	for _, sw := range []struct {
-		name string
-		e1   bool
-	}{
-		{"scan100", true},
-		{"ycsb-e", false},
-	} {
-		type scanPair struct{ syncRes, raRes scanRunResult }
-		spairs := make([]scanPair, 0, scanReps)
-		for rep := 0; rep < scanReps; rep++ {
-			s, r := scanBenchPair(t, sw.e1, d)
-			spairs = append(spairs, scanPair{syncRes: s, raRes: r})
-		}
-		sort.Slice(spairs, func(i, j int) bool {
-			return spairs[i].raRes.scansPerSec/spairs[i].syncRes.scansPerSec <
-				spairs[j].raRes.scansPerSec/spairs[j].syncRes.scansPerSec
-		})
-		smed := spairs[len(spairs)/2]
-		for _, m := range []struct {
-			cfg string
-			res scanRunResult
-		}{
-			{sw.name + "+no-readahead", smed.syncRes},
-			{sw.name + "+readahead", smed.raRes},
-		} {
-			points = append(points, replBenchPoint{
-				Config:        m.cfg,
-				Writers:       1,
-				ScanOpsPerSec: m.res.scansPerSec,
-				P50Micros:     float64(m.res.p50.Microseconds()),
-				P95Micros:     float64(m.res.p95.Microseconds()),
-				P99Micros:     float64(m.res.p99.Microseconds()),
-			})
-		}
-	}
-	// Scale-out column: the elastic-sharding demo as a trajectory row.
-	// The before/after rows bracket a mid-run server join (2 groups →
-	// 3, two of six routes migrated live by the rebalancer); the
-	// during-join row shows the workload's throughput and commit
-	// latency percentiles while the migration itself runs. After-join
-	// ops/s exceeding before-join is the point of the feature.
-	so := scaleOutWorkload(t, d)
-	points = append(points,
-		replBenchPoint{Config: "scale-out+before-join", Writers: 32,
-			OpsPerSec: float64(so.before) / so.windowSecs},
-		replBenchPoint{Config: "scale-out+during-join", Writers: 32,
-			OpsPerSec:       float64(so.during) / so.joinSecs,
-			CommitP50Micros: float64(so.durP50.Microseconds()),
-			CommitP99Micros: float64(so.durP99.Microseconds())},
-		replBenchPoint{Config: "scale-out+after-join", Writers: 32,
-			OpsPerSec: float64(so.after) / so.windowSecs},
-	)
-
-	doc := map[string]any{
-		"bench":       "replication",
-		"description": "replicated write path: 1-slot loopback cluster at rf=2 (pair) and rf=3 (quorum group: ack once a majority — primary + 1 of 2 backups — holds the record), single-object puts; concurrent writers share mirror batches and WAL fsyncs (group commit); read-mostly rows run YCSB-B/C with reads either pinned to the primary or served by any replica at the durability watermark's frontier (follower reads); scan rows run E1-style scan100 and YCSB-E scans on a single-server 8-cell-leaf tree, comparing the synchronous leaf-at-a-time iterator against scan readahead with batched leaf-run fetches (MethodReadBatch); scale-out rows run the elastic-sharding demo (2 groups/6 routes under sustained load, a third group joins mid-run, the rebalancer migrates two routes live) with MirrorSendDelay emulating a bounded-capacity replication link so added groups add measurable capacity",
-		"cpus":        runtime.NumCPU(),
-		"points":      points,
-		// The same workload measured immediately before group commit
-		// landed (PR 5), on a 1-CPU host: the pre-PR write path held
-		// repMu across a per-record mirror RPC and fsync, so 8 writers
-		// ran no faster than 1. Kept here as the fixed reference point
-		// for the trajectory.
-		"pre_group_commit_reference": map[string]float64{
-			"rf2/writers=1":         20534,
-			"rf2/writers=8":         21427,
-			"rf2+logsync/writers=1": 3355,
-			"rf2+logsync/writers=8": 3662,
-		},
-	}
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(enc, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s:\n%s", out, enc)
-}
-
 // BenchmarkFailover measures availability through a failover: the wall
 // time from killing a replicated slot's primary until the first write
 // acknowledged under the new epoch (kill → forced promotion → client
@@ -895,7 +699,6 @@ func BenchmarkFailover(b *testing.B) {
 func BenchmarkResync(b *testing.B) {
 	const history = 2000
 	run := func(b *testing.B, cfg kvserver.Config) {
-		cfg.ReplicationLog = true
 		primary := kvserver.NewServer(kvserver.NewStore(nil, cfg))
 		if err := primary.Listen("127.0.0.1:0"); err != nil {
 			b.Fatal(err)
@@ -924,7 +727,7 @@ func BenchmarkResync(b *testing.B) {
 		want := primary.Store().StateDigest()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			backup := kvserver.NewServer(kvserver.NewStore(nil, kvserver.Config{ReplicationLog: true}))
+			backup := kvserver.NewServer(kvserver.NewStore(nil, kvserver.Config{}))
 			if err := backup.Listen("127.0.0.1:0"); err != nil {
 				b.Fatal(err)
 			}

@@ -7,8 +7,8 @@
 // A lone server is the sole member of its own group; -mirror forms a
 // larger one (start the backups first):
 //
-//	yesqueld -addr 10.0.0.2:7000 -replication-log on
-//	yesqueld -addr 10.0.0.3:7000 -replication-log on
+//	yesqueld -addr 10.0.0.2:7000
+//	yesqueld -addr 10.0.0.3:7000
 //	yesqueld -addr 10.0.0.1:7000 -mirror 10.0.0.2:7000,10.0.0.3:7000
 package main
 
@@ -33,8 +33,7 @@ func main() {
 	logPath := flag.String("log", "", "write-ahead log path (empty = in-memory only)")
 	logSync := flag.Bool("log-sync", false, "fsync the log on every commit")
 	mirror := flag.String("mirror", "", "backup server address(es), comma-separated, already running: this server attaches them and installs the group [this server, backups...] as a new epoch, so it serves under their lease grants and commits are acknowledged once a majority of the group holds them")
-	replLog := flag.String("replication-log", "auto", "keep the in-memory replication log so backups can resync from this server (auto/on/off; auto = on when replication flags are set)")
-	replLogMax := flag.Int("replication-log-max", 0, "bound the in-memory replication log to this many records: beyond it the server checkpoints (state snapshot + WAL rotation) and truncates, and backups too far behind catch up by snapshot transfer (0 = unbounded)")
+	replLogMax := flag.Int("replication-log-max", 0, "bound the retained stream tail (what backups resync from) to this many records: beyond it the server checkpoints (state snapshot + WAL rotation) and truncates, and backups too far behind catch up by snapshot transfer (0 = the built-in byte bound)")
 	syncFrom := flag.String("sync-from", "", "primary address to stream missed commits from before serving (join or rejoin a replication group as its backup)")
 	lease := flag.Duration("lease", 2*time.Second, "primary lease duration in a group of more than one member: how long the primary may serve after its last backup ack, and how long a promotion must wait")
 	mirrorBatch := flag.Int("mirror-batch", 256, "max stream records per group-commit mirror batch RPC (batches are also byte-capped under the frame limit)")
@@ -49,16 +48,11 @@ func main() {
 	if ip := net.ParseIP(host); err != nil || ip == nil || ip.IsUnspecified() {
 		log.Fatalf("yesqueld: -addr %q must be ip:port with a specific IP: the address is this server's member identity, which clients and peers are redirected to", *addr)
 	}
-	if *replLog != "auto" && *replLog != "on" && *replLog != "off" {
-		log.Fatalf("yesqueld: -replication-log must be auto, on, or off (got %q)", *replLog)
-	}
-	keepRepLog := *replLog == "on" || (*replLog == "auto" && (*mirror != "" || *syncFrom != "" || *replLogMax > 0))
 	store, err := kvserver.OpenStore(nil, kvserver.Config{
 		RetentionMillis:          uint64(retention.Milliseconds()),
 		MaxVersions:              *maxVersions,
 		LogPath:                  *logPath,
 		LogSync:                  *logSync,
-		ReplicationLog:           keepRepLog,
 		ReplicationLogMaxRecords: *replLogMax,
 		LeaseDuration:            *lease,
 		MirrorBatchMaxRecords:    *mirrorBatch,

@@ -939,7 +939,7 @@ func RunE9(ctx context.Context, p Params) (*Table, error) {
 	p = p.WithDefaults()
 	table := &Table{
 		Title:   "E9: replicated vs plain write path (1 slot)",
-		Comment: "rf=2 pays a mirror acknowledgment per commit; group commit batches\nconcurrent commits into shared round trips and fsyncs (see\nBENCH_replication.json); reads are unaffected (not shown)",
+		Comment: "rf=2 pays a mirror acknowledgment per commit; group commit batches\nconcurrent commits into shared round trips and fsyncs;\nreads are unaffected (not shown)",
 		Header:  []string{"config", "writes/s", "mean", "p99"},
 	}
 	configs := []struct {

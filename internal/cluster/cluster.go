@@ -181,9 +181,6 @@ func (cl *Cluster) startMember(i int, suffix string) (*kvserver.Server, error) {
 			scfg.LogPath = fmt.Sprintf("%s/server-%d.%s.log", cl.cfg.LogPath, i, suffix)
 		}
 	}
-	// Replicated members keep the replication log so any of them can
-	// serve a MethodSync resync after roles swap.
-	scfg.ReplicationLog = scfg.ReplicationLog || cl.rf > 1
 	store, err := kvserver.OpenStore(nil, scfg)
 	if err != nil {
 		return nil, err

@@ -278,6 +278,64 @@ func TestScaleOutLive(t *testing.T) {
 	}
 }
 
+// TestScaleOutRF1 is the paper's own topology — unreplicated servers,
+// default configuration — scaling out under load: every store retains
+// its stream tail, so a lone rf=1 server can be a migration source (its
+// capture is consistent with a stream position, and the tail after it
+// is served from the retained records). As in TestScaleOutLive, the
+// cutover digest check runs inside Rebalance, so its nil error pins
+// "source and destination SlotDigests agree at cutover".
+func TestScaleOutRF1(t *testing.T) {
+	cl, err := cluster.StartElastic(2, 2, 1, kvserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const nroutes = 4
+
+	load := startScaleOutLoad(t, cl, 4, nroutes, nil)
+	waitOps := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for start := load.ops.Load(); load.ops.Load() < start+n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("load stalled: %d ops", load.ops.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitOps(200)
+	gi, err := cl.AddServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := cl.Rebalance(gi)
+	if err != nil {
+		t.Fatalf("Rebalance: %v", err)
+	}
+	if moved != 1 {
+		t.Fatalf("Rebalance moved %d routes, want 1 (4 routes over 3 groups)", moved)
+	}
+	waitOps(200) // writes keep landing, now through the new directory
+	acked := load.finish()
+
+	for route, g := range cl.Directory().Routes {
+		oid := kv.MakeOID(uint16(route), 1)
+		for og := range cl.Groups {
+			err := cl.Groups[og].Primary.Store().CheckClientSlot(oid)
+			if owner := og == int(g); owner && err != nil {
+				t.Errorf("group %d rejects its own route %d: %v", og, route, err)
+			} else if !owner && !errors.Is(err, kv.ErrWrongSlot) {
+				t.Errorf("group %d accepts route %d owned by group %d: %v", og, route, g, err)
+			}
+		}
+	}
+	verifyAckedWrites(t, cl, acked)
+	if s := cl.Stats(); s.MigratedVersions == 0 {
+		t.Error("no migrated versions counted across the cluster")
+	}
+}
+
 // TestMigrationChaosKillSourcePrimary kills the SOURCE group's primary
 // at the protocol's most delicate point — right after the fence went
 // up, before the final tail — while client load continues. The fence

@@ -711,6 +711,13 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 	g := c.group(server)
 	var lastErr error
 	epochHops := 0
+	// One reusable timer for every wrong-epoch pause of this call.
+	var pause *time.Timer
+	defer func() {
+		if pause != nil {
+			pause.Stop()
+		}
+	}()
 	for attempt := 0; attempt <= g.size(); attempt++ {
 		conn, err := g.get()
 		if err != nil {
@@ -750,7 +757,16 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 			// and a walk that outruns it fails an operation the new
 			// configuration would have served.
 			g.invalidate(conn)
-			time.Sleep(wrongEpochPause)
+			if pause == nil {
+				pause = time.NewTimer(wrongEpochPause)
+			} else {
+				pause.Reset(wrongEpochPause) // it fired and was drained below
+			}
+			select {
+			case <-pause.C:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 			continue
 		}
 		if ctx.Err() != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
 	"yesquel/internal/kv/kvserver"
+	"yesquel/internal/rpc"
 	"yesquel/internal/wire"
 )
 
@@ -308,5 +310,70 @@ func TestOpenMergesServerClocks(t *testing.T) {
 	v, err := check.Read(ctx, oid)
 	if err != nil || string(v.Data) != "from-the-future" {
 		t.Fatalf("fresh client missed committed data: %v %v", v, err)
+	}
+}
+
+// cancelledAfterFirstWait is a context cancelled the moment the first
+// wait on it is over: live for that wait (the RPC's), done at every
+// later one.
+type cancelledAfterFirstWait struct {
+	context.Context
+	waits atomic.Int32
+}
+
+func (c *cancelledAfterFirstWait) Done() <-chan struct{} {
+	if c.waits.Add(1) == 1 {
+		return nil
+	}
+	done := make(chan struct{})
+	close(done)
+	return done
+}
+
+func (c *cancelledAfterFirstWait) Err() error {
+	if c.waits.Load() < 2 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestCallStopsAtCancellation: a call bounced by a wrong-epoch answer
+// that taught it nothing pauses before walking on. A context cancelled
+// by then ends the call there, with the context's error — not after the
+// pause, by way of another request to the next replica.
+func TestCallStopsAtCancellation(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	srv := rpc.NewServer()
+	srv.SetErrorCoder(kv.WireErrorCode)
+	var pings atomic.Int32
+	bounced := make(chan struct{}, 8) // one per bounced request; the call makes at most 5
+	srv.Register(kv.MethodPing, func(context.Context, []byte) ([]byte, error) {
+		if pings.Add(1) == 1 { // Open's: teach the client the configuration
+			return (&kv.Ack{Epoch: 1, Members: []string{addr}}).Encode(), nil
+		}
+		bounced <- struct{}{}
+		return nil, &kv.WrongEpochError{Epoch: 1, Members: []string{addr}}
+	})
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := kvclient.Open([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	err = c.Ping(&cancelledAfterFirstWait{Context: context.Background()}, 0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call: got %v, want context.Canceled", err)
+	}
+	<-bounced
+	select {
+	case <-bounced:
+		t.Fatal("cancelled call went on to send another request")
+	case <-time.After(50 * time.Millisecond):
 	}
 }

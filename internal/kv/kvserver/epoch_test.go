@@ -201,7 +201,7 @@ func TestWALRefusesUnrecognizedFormat(t *testing.T) {
 // ErrWrongEpoch (the deposed primary must not get its record
 // acknowledged), while sync replays of history remain exempt.
 func TestMirrorRejectsStalePrimaryEpoch(t *testing.T) {
-	b := NewStore(nil, Config{ReplicationLog: true})
+	b := NewStore(nil, Config{})
 	b.SetSelf("b")
 	mirror := func(seq uint64, rec kv.ReplRecord) error {
 		return b.ApplyMirroredBatch([]kv.SyncRec{{Seq: seq, Rec: rec}})

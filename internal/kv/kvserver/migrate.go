@@ -205,9 +205,6 @@ type MigPrepare struct {
 func (s *Store) CaptureRoute(route, nroutes uint32) (enc []byte, head uint64, err error) {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	if !s.cfg.ReplicationLog {
-		return nil, 0, fmt.Errorf("%w: route capture requires the replication log (Config.ReplicationLog)", kv.ErrBadRequest)
-	}
 	head = s.repSeq
 
 	onRoute := func(oid kv.OID) bool { return uint32(oid.Slot())%nroutes == route }
@@ -549,31 +546,10 @@ func (s *Store) MigrationRecords(from uint64, max int) (recs []kv.SyncRec, head,
 	}
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	if !s.cfg.ReplicationLog {
-		return nil, s.repSeq, s.logBase, fmt.Errorf("%w: server keeps no replication log", kv.ErrBadRequest)
-	}
 	if from > s.repSeq {
 		return nil, s.repSeq, s.logBase, fmt.Errorf("%w: migration cursor %d is beyond this replica's head %d", kv.ErrDiverged, from, s.repSeq)
 	}
-	if from < s.logBase || from >= s.logBase+uint64(len(s.commitLog)) {
-		return nil, s.repSeq, s.logBase, nil
-	}
-	end := from + uint64(max)
-	if top := s.logBase + uint64(len(s.commitLog)); end > top {
-		end = top
-	}
-	recs = make([]kv.SyncRec, 0, end-from)
-	bytes := 0
-	for seq := from; seq < end; seq++ {
-		rec := s.commitLog[seq-s.logBase]
-		sz := recordSize(&rec)
-		if len(recs) > 0 && bytes+sz > syncBatchBytes {
-			break
-		}
-		bytes += sz
-		recs = append(recs, kv.SyncRec{Seq: seq, Rec: rec})
-	}
-	return recs, s.repSeq, s.logBase, nil
+	return s.retainedLocked(from, max), s.repSeq, s.logBase, nil
 }
 
 // WaitSeqDurable blocks until every stream record below head has

@@ -97,7 +97,7 @@ func TestCommitFencedAfterMidFlightInstall(t *testing.T) {
 	// A transaction whose prepare did NOT enter the replication stream
 	// (the fast-commit staging path) must be fenced at commit time: its
 	// ops would otherwise enter the stream above the fence point.
-	s := NewStore(nil, Config{ReplicationLog: true})
+	s := NewStore(nil, Config{})
 	oid := kv.MakeOID(1, 7)
 	txid := newTxID()
 	proposed, err := s.prepare(txid, s.Clock().Now(), []*kv.Op{
@@ -127,7 +127,7 @@ func TestReplicatedPrepareExemptFromCommitFence(t *testing.T) {
 	// migration tail carries it and its decision to the destination, so
 	// fencing the commit would strand a promised vote. The decision must
 	// land.
-	s := NewStore(nil, Config{ReplicationLog: true})
+	s := NewStore(nil, Config{})
 	oid := kv.MakeOID(1, 8)
 	txid := newTxID()
 	proposed, err := s.Prepare(txid, s.Clock().Now(), []*kv.Op{
@@ -143,7 +143,7 @@ func TestReplicatedPrepareExemptFromCommitFence(t *testing.T) {
 }
 
 func TestCaptureIngestRoundTrip(t *testing.T) {
-	src := NewStore(nil, Config{ReplicationLog: true})
+	src := NewStore(nil, Config{})
 	moving1 := kv.MakeOID(1, 1) // route 1 of 2
 	moving3 := kv.MakeOID(3, 2) // slot 3 → route 1 of 2
 	staying := kv.MakeOID(0, 3) // route 0 of 2
@@ -161,7 +161,7 @@ func TestCaptureIngestRoundTrip(t *testing.T) {
 		t.Fatal("capture head = 0")
 	}
 
-	dst := NewStore(nil, Config{ReplicationLog: true})
+	dst := NewStore(nil, Config{})
 	srcHead, preps, err := dst.IngestMigratedObjects(enc)
 	if err != nil {
 		t.Fatalf("IngestMigratedObjects: %v", err)
@@ -191,16 +191,8 @@ func TestCaptureIngestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCaptureRouteRequiresReplicationLog(t *testing.T) {
-	s := NewStore(nil, Config{})
-	commitPut(t, s, kv.MakeOID(1, 1), "x")
-	if _, _, err := s.CaptureRoute(1, 2); err == nil {
-		t.Fatal("capture succeeded without a replication log")
-	}
-}
-
 func TestIngestMigratedCommitDedupe(t *testing.T) {
-	dst := NewStore(nil, Config{ReplicationLog: true})
+	dst := NewStore(nil, Config{})
 	oid := kv.MakeOID(1, 9)
 	ts := dst.Clock().Now()
 	ops := []*kv.Op{{Kind: kv.OpPut, OID: oid, Value: kv.NewPlain([]byte("once"))}}
@@ -244,7 +236,7 @@ func TestSlotDigestOrderIndependent(t *testing.T) {
 	// The digest is an XOR combine: ingest order must not matter, and
 	// per-object history depth must not matter (newest version only).
 	mk := func(vals [][3]uint64) *Store {
-		s := NewStore(nil, Config{ReplicationLog: true})
+		s := NewStore(nil, Config{})
 		for _, v := range vals {
 			oid := kv.MakeOID(uint16(v[0]), v[1])
 			err := s.IngestMigratedCommit(clock.Timestamp(v[2]), []*kv.Op{

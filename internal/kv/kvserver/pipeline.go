@@ -126,12 +126,11 @@ type replPipe struct {
 	mirrored uint64
 	synced   uint64
 
-	// mirrorOn: at least one member is attached, waiters require the
-	// quorum watermark. needWAL: the store has a write-ahead log,
-	// waiters require the synced watermark — which advances only once a
-	// batch is WRITTEN to the file (and fsynced, when LogSync is set).
-	mirrorOn bool
-	needWAL  bool
+	// needWAL: the store has a write-ahead log, waiters require the
+	// synced watermark — which advances only once a batch is WRITTEN to
+	// the file (and fsynced, when LogSync is set). The other sink is the
+	// member set: see hasMembersLocked.
+	needWAL bool
 
 	// quorumErr is set while fewer than need members are live: no
 	// record at or above quorumFrom can ever gather a quorum, so its
@@ -147,8 +146,8 @@ type replPipe struct {
 	// complete — records emitted under a mirror that was detached or
 	// replaced before a quorum acknowledged them. A waiter for such a
 	// record must FAIL (uncertain) even if it registers after the
-	// detach already ran: the detach clears mirrorOn, so without this
-	// record the late waiter would see "no mirror required" and ack a
+	// detach already ran: the detach empties the member set, so without
+	// this record the late waiter would see "no mirror required" and ack a
 	// record too few members applied. Bounded: one entry per
 	// detach/replace event, oldest dropped past failRangesMax (by then
 	// every possible waiter has long timed out).
@@ -245,10 +244,15 @@ func (p *replPipe) failureFor(seq uint64) error {
 	return nil
 }
 
+// hasMembersLocked is the one statement of "this store has a backup":
+// with at least one member attached, waiters require the quorum
+// watermark. Caller holds pipe.mu.
+func (p *replPipe) hasMembersLocked() bool { return len(p.members) > 0 }
+
 // durableLocked reports whether the record at seq satisfies every
 // durability requirement currently in force. Caller holds pipe.mu.
 func (p *replPipe) durableLocked(seq uint64) bool {
-	if p.mirrorOn && seq >= p.mirrored {
+	if p.hasMembersLocked() && seq >= p.mirrored {
 		return false
 	}
 	if p.needWAL && seq >= p.synced {
@@ -266,7 +270,7 @@ func (p *replPipe) durableLocked(seq uint64) bool {
 // pipe.mu.
 func (p *replPipe) recomputeQuorumLocked() {
 	defer p.advanceFrontierLocked()
-	if len(p.members) == 0 {
+	if !p.hasMembersLocked() {
 		p.need = 0
 		p.quorumErr = nil
 		return
@@ -339,7 +343,7 @@ func (p *replPipe) durableSeqLocked() uint64 {
 		return d
 	}
 	d := p.head
-	if p.mirrorOn && p.mirrored < d {
+	if p.hasMembersLocked() && p.mirrored < d {
 		d = p.mirrored
 	}
 	if p.needWAL && p.synced < d {
@@ -599,11 +603,9 @@ func (s *Store) AttachMirrorMember(id string, send func([]kv.SyncRec) error) uin
 		wake:   make(chan struct{}, 1),
 	}
 	p.members = append(p.members, m)
-	p.mirrorOn = true
 	p.recomputeQuorumLocked()
 	p.completeWaitersLocked()
 	p.mu.Unlock()
-	s.hasMirror.Store(true)
 	go s.memberLoop(m)
 	return s.repSeq
 }
@@ -616,35 +618,39 @@ func (s *Store) AttachMirrorMember(id string, send func([]kv.SyncRec) error) uin
 // acks. Detaching one of several members re-judges waiters against the
 // smaller group's quorum.
 func (s *Store) DetachMirrorMember(id string) {
+	s.detachMembers(func(m *mirrorMember) bool { return m.id == id })
+}
+
+// DetachAllMirrorMembers stops and removes every member, failing —
+// not acking — the waiters still awaiting a quorum.
+func (s *Store) DetachAllMirrorMembers() {
+	s.detachMembers(func(*mirrorMember) bool { return true })
+}
+
+// detachMembers stops and removes the members detach selects, then
+// re-judges the waiters: against the smaller group's quorum, or — when
+// the last member just left — by failing the unacknowledged window.
+func (s *Store) detachMembers(detach func(*mirrorMember) bool) {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
 	p := &s.pipe
 	p.mu.Lock()
-	found := false
-	for i, m := range p.members {
-		if m.id != id {
-			continue
+	defer p.mu.Unlock()
+	had := p.hasMembersLocked()
+	var keep []*mirrorMember
+	for _, m := range p.members {
+		if detach(m) {
+			close(m.stopCh)
+		} else {
+			keep = append(keep, m)
 		}
-		close(m.stopCh)
-		p.members = append(p.members[:i], p.members[i+1:]...)
-		found = true
-		break
 	}
-	if !found {
-		p.mu.Unlock()
-		return
-	}
-	if len(p.members) == 0 && p.mirrorOn {
+	p.members = keep
+	if had && !p.hasMembersLocked() {
 		p.failMirrorWindowLocked(s.repSeq, fmt.Errorf("kvserver: mirror detached while awaiting replication"))
-		p.mirrorOn = false
 	}
 	p.recomputeQuorumLocked()
 	p.completeWaitersLocked()
-	empty := len(p.members) == 0
-	p.mu.Unlock()
-	if empty {
-		s.hasMirror.Store(false)
-	}
 }
 
 // MirrorMembers returns the attached members' ids (diagnostics).
@@ -689,33 +695,12 @@ func (s *Store) ReplicationStatus() (head, watermark uint64, need int, members [
 	return head, watermark, need, members
 }
 
-// DetachAllMirrorMembers stops and removes every member, failing —
-// not acking — the waiters still awaiting a quorum.
-func (s *Store) DetachAllMirrorMembers() {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	p := &s.pipe
-	p.mu.Lock()
-	for _, m := range p.members {
-		close(m.stopCh)
-	}
-	p.members = nil
-	if p.mirrorOn {
-		p.failMirrorWindowLocked(s.repSeq, fmt.Errorf("kvserver: mirror detached while awaiting replication"))
-		p.mirrorOn = false
-	}
-	p.recomputeQuorumLocked()
-	p.completeWaitersLocked()
-	p.mu.Unlock()
-	s.hasMirror.Store(false)
-}
-
 // failMirrorWindowLocked permanently fails the unacknowledged window
 // [mirrored, head): registered waiters in it get err now, and the
 // window is recorded so a waiter registering later (its committer had
 // released repMu but not yet called waitReplicated when the mirror
-// went away) fails identically instead of slipping past a cleared
-// mirrorOn. Caller holds pipe.mu.
+// went away) fails identically instead of slipping past an emptied
+// member set. Caller holds pipe.mu.
 //
 //yesqlint:allow repmublock -- each waiter channel is buffered (cap 1) and receives exactly one completion; the send cannot block
 func (p *replPipe) failMirrorWindowLocked(head uint64, err error) {

@@ -508,11 +508,9 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 		}
 	}
 	s.resetFrontierLocked(sn.Seq, maxTS)
-	if s.cfg.ReplicationLog {
-		s.commitLog = nil
-		s.commitLogBytes = 0
-		s.logBase = sn.Seq
-	}
+	s.commitLog = nil
+	s.commitLogBytes = 0
+	s.logBase = sn.Seq
 	if sn.Epoch > s.streamEpoch {
 		// The snapshot's coverage includes every RecEpoch below its seq;
 		// its epoch is what the stream had installed there.
@@ -636,14 +634,6 @@ func (s *Store) expireSnapSessionsLocked(now time.Time) {
 // than a risk of splicing two states.
 func (s *Store) ServeSnapshotChunk(id uint64, chunk uint32) (outID, seq uint64, chunks uint32, data []byte, err error) {
 	if id == 0 {
-		// Without the replication log there is no consistent capture
-		// (plain and WAL-only commits apply outside the stream lock,
-		// see commitDetached) — and SyncRecords could not serve the log
-		// tail above a snapshot anyway, so a transfer from such a store
-		// could never complete a resync. cfg is immutable, no lock.
-		if !s.cfg.ReplicationLog {
-			return 0, 0, 0, nil, fmt.Errorf("%w: server keeps no replication log to snapshot from", kv.ErrBadRequest)
-		}
 		// Share a session already covering the current head: concurrent
 		// cold-joiners (an idle source, or several peers starting at
 		// once) then read one immutable encoded snapshot instead of

@@ -22,7 +22,6 @@ import (
 func startBoundedReplServer(t *testing.T, maxRecords int) *kvserver.Server {
 	t.Helper()
 	srv := kvserver.NewServer(kvserver.NewStore(nil, kvserver.Config{
-		ReplicationLog:           true,
 		ReplicationLogMaxRecords: maxRecords,
 		SnapshotChunkBytes:       512,
 	}))
@@ -40,7 +39,7 @@ func startBoundedReplServer(t *testing.T, maxRecords int) *kvserver.Server {
 // not on a sweeper's schedule).
 func TestCheckpointBoundsReplicationLog(t *testing.T) {
 	const max = 32
-	st := kvserver.NewStore(nil, kvserver.Config{ReplicationLog: true, ReplicationLogMaxRecords: max})
+	st := kvserver.NewStore(nil, kvserver.Config{ReplicationLogMaxRecords: max})
 	for i := 0; i < 10*max; i++ {
 		oid := kv.MakeOID(0, uint64(i))
 		if _, err := st.FastCommit(uint64(i+1), st.Clock().Now(), []*kv.Op{
@@ -66,7 +65,7 @@ func TestCheckpointBoundsReplicationLog(t *testing.T) {
 // policy: a log of large records truncates long before any record
 // count would trip.
 func TestCheckpointBoundsReplicationLogBytes(t *testing.T) {
-	st := kvserver.NewStore(nil, kvserver.Config{ReplicationLog: true, ReplicationLogMaxBytes: 4096})
+	st := kvserver.NewStore(nil, kvserver.Config{ReplicationLogMaxBytes: 4096})
 	big := make([]byte, 1024)
 	for i := 0; i < 64; i++ {
 		if _, err := st.FastCommit(uint64(i+1), st.Clock().Now(), []*kv.Op{
@@ -134,7 +133,7 @@ func TestSnapshotResyncByteForByte(t *testing.T) {
 
 	// Fresh backup at seq 0: its position predates logBase, so SyncFrom
 	// must fall back to install-snapshot-then-tail.
-	backup := startReplServer(t)
+	backup := startServer(t)
 	formGroup(t, primary, backup)
 	if got, want := backup.Store().StateDigest(), primary.Store().StateDigest(); got != want {
 		t.Fatalf("after snapshot resync: backup digest %x != primary digest %x", got, want)
@@ -220,7 +219,7 @@ func TestSnapshotCarriesPreparedAndDecidedState(t *testing.T) {
 		t.Fatalf("logBase %d after checkpoint at %d", base, ckptSeq)
 	}
 
-	backup := startReplServer(t)
+	backup := startServer(t)
 	formGroup(t, primary, backup)
 	if !backup.Store().IsLocked(pendingOID) {
 		t.Fatal("snapshot did not carry the prepared transaction's lock")
@@ -247,7 +246,7 @@ func TestSnapshotCarriesPreparedAndDecidedState(t *testing.T) {
 // divergence error — the old behavior returned an empty batch and the
 // backup reported resync complete over irreconcilable histories.
 func TestSyncFromRejectsDivergedAheadBackup(t *testing.T) {
-	primary := startReplServer(t)
+	primary := startServer(t)
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +254,7 @@ func TestSyncFromRejectsDivergedAheadBackup(t *testing.T) {
 	defer c.Close()
 	writeBatch(t, c, "short", 3)
 
-	diverged := startReplServer(t)
+	diverged := startServer(t)
 	c2, err := kvclient.Open([]string{diverged.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +281,7 @@ func TestSyncFromRejectsDivergedAheadBackup(t *testing.T) {
 // — and keeps appending to the rotated log.
 func TestWALCheckpointRestartReplaysSnapshotPlusTail(t *testing.T) {
 	dir := t.TempDir()
-	cfg := kvserver.Config{LogPath: dir + "/wal.log", ReplicationLog: true}
+	cfg := kvserver.Config{LogPath: dir + "/wal.log"}
 	st, err := kvserver.OpenStore(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +348,6 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 	dir := t.TempDir()
 	pcfg := kvserver.Config{
 		LogPath:                  dir + "/primary.log",
-		ReplicationLog:           true,
 		ReplicationLogMaxRecords: 8,
 		SnapshotChunkBytes:       256,
 	}
@@ -385,7 +383,7 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 		t.Fatal("no truncation happened; the test needs the snapshot path")
 	}
 
-	backup := kvserver.NewServer(kvserver.NewStore(nil, kvserver.Config{ReplicationLog: true}))
+	backup := kvserver.NewServer(kvserver.NewStore(nil, kvserver.Config{}))
 	if err := backup.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +444,7 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 	}
 
 	// And a fresh resync from the recovered primary completes.
-	backup2 := startReplServer(t)
+	backup2 := startServer(t)
 	formGroup(t, rsrv, backup2)
 	if got, want := backup2.Store().StateDigest(), rstore.StateDigest(); got != want {
 		t.Fatalf("post-recovery resync digest %x != primary %x", got, want)

@@ -14,60 +14,75 @@
 //
 // Fault tolerance lives in this layer, as the paper prescribes: the
 // SQL layer above is stateless and the client library fails over, so
-// only the storage server needs to replicate. Every server is a member
-// of a replication group — a fresh store is the sole primary of its own
-// one-member group, and Server.FormGroup attaches backups and installs
-// the larger membership. Every stream record is assigned a sequence
-// number in the primary's replication stream and mirrored to the
-// backups, and the client's acknowledgment is withheld until a majority
-// of the group holds the record, so a failover never loses an
-// acknowledged write. Backups
+// only the storage server needs to replicate. There is one kind of
+// store. Every store is a deterministic function of a prefix of its
+// replication STREAM: every commit, prepare, decision and epoch change
+// is a record with a sequence number, emitted and applied in one
+// critical section, and every store retains a bounded tail of that
+// stream in memory. What differs between deployments is only where the
+// records also go — the SINKS: a write-ahead log (Config.LogPath) and
+// attached members (backups). A store with neither pays a slice append
+// per record and acknowledges at once; it can still be snapshotted,
+// take a backup mid-life, or be the source of a slot migration, because
+// its visible state always equals a stream position.
+//
+// Every server is a member of a replication group — a fresh store is
+// the sole primary of its own one-member group, and Server.FormGroup
+// attaches backups and installs the larger membership. Every stream
+// record is mirrored to the attached members, and the client's
+// acknowledgment is withheld until a majority of the group holds the
+// record, so a failover never loses an acknowledged write. Backups
 // apply the stream in strict sequence order; a gap (the backup missed
 // records, e.g. it restarted) makes mirroring fail loudly instead of
 // silently diverging, and the backup re-joins by streaming the missed
-// records from the primary's replication log (Server.SyncFrom /
-// MethodSync, the same records the write-ahead log holds).
+// records from the primary's retained tail (Server.SyncFrom /
+// MethodSync, the same records the write-ahead log holds) or, when the
+// tail no longer reaches back that far, by state transfer.
 //
 // # Group commit and pipelined mirroring
 //
-// Emission and the durability wait are decoupled (pipeline.go). What
-// still happens under repMu — the invariants every consumer of the
-// stream relies on:
+// Emission and the durability wait are decoupled (pipeline.go). Every
+// commit, prepare and abort has one shape: emit the record, apply its
+// effects, record the decision — one repMu critical section — then wait
+// on the durability watermark outside it. What happens under repMu, on
+// every store — the invariants every consumer of the stream relies on:
 //
 //   - sequence assignment and the epoch stamp;
-//   - the in-memory replication-log append;
+//   - the retained-tail append;
 //   - the application of the record's effects (commit versions,
 //     staged prepares, epoch installs) — so visible state always
 //     equals the stream position when repMu is free, which is what
-//     lets snapshot captures and resyncs claim exact coverage.
+//     lets snapshot captures, resyncs and route captures claim exact
+//     coverage.
 //
-// What no longer happens under repMu: the mirror RPC and the
-// write-ahead-log write/fsync. Emitted records are queued to a
-// per-store flusher goroutine that coalesces whatever accumulated —
-// at any concurrency, everything emitted during the previous batch's
-// round trip — into ONE MirrorBatchReq RPC (one round trip, one lease
-// extension, one backup-side contiguous apply under one stream-lock
-// acquisition) and ONE batched WAL append (one buffer, one lock, one
-// write, one fsync). Config.MirrorBatchMaxRecords caps a batch;
-// Config.GroupCommitInterval optionally lets one build.
+// What never happens under repMu: the mirror RPC and the
+// write-ahead-log write/fsync. Emitted records are queued to the
+// sinks: each attached member's sender goroutine coalesces whatever
+// accumulated — at any concurrency, everything emitted during the
+// previous batch's round trip — into ONE MirrorBatchReq RPC (one round
+// trip, one lease extension, one backup-side contiguous apply under one
+// stream-lock acquisition), and the WAL flusher into ONE batched append
+// (one buffer, one lock, one write, one fsync).
+// Config.MirrorBatchMaxRecords caps a batch; Config.GroupCommitInterval
+// optionally lets one build.
 //
-// The WATERMARK ACK RULE replaces the old strict per-record mirror: a
-// commit, prepare, or epoch change is acknowledged only once its
-// sequence number clears the durability watermark — covered by a
-// backup batch acknowledgment (when a mirror is attached) AND by a
-// WAL fsync (when LogSync is set). A batch that fails (backup dead,
-// gap, divergence, epoch reject) fails every waiter whose record rode
-// in it: commits surface kv.ErrUncertain (the record is in the local
+// The WATERMARK ACK RULE: a commit, prepare, or epoch change is
+// acknowledged only once its sequence number clears the durability
+// watermark — covered by a quorum of member acknowledgments (when
+// members are attached) AND written to the WAL (when there is one;
+// fsynced when LogSync is set). With no sink the watermark is the
+// stream head and the wait returns at once. A batch that fails (backup
+// dead, gap, divergence, epoch reject) fails every waiter whose record
+// rode in it: commits surface kv.ErrUncertain (the record is in the local
 // stream, its effects visible; whether it survives a failover depends
 // on whether the batch landed — exactly a lost ack's contract), and
 // prepares vote no and abort, emitting the owed decision record.
 // Waiters never succeed on a record the backup did not apply, so "an
 // acked write survives primary failure" holds unchanged while N
 // concurrent writers share each round trip and fsync. Abort decisions
-// remain fire-and-forget, as before. Throughput under concurrency now
-// scales with the batch depth instead of serializing on one
-// round-trip-plus-fsync per record; BenchmarkReplicationConcurrent
-// and BENCH_replication.json track it.
+// remain fire-and-forget. Throughput under concurrency scales with the
+// batch depth instead of serializing on one round-trip-plus-fsync per
+// record (BenchmarkReplicationConcurrent).
 //
 // One tradeoff is deliberate and worth stating precisely: effects
 // become VISIBLE at emission (under repMu), before the batch is
@@ -258,25 +273,28 @@
 //
 // # Log truncation and snapshots
 //
-// The replication log that serves MethodSync resyncs is bounded. When
-// it exceeds Config.ReplicationLogMaxRecords (or MaxBytes) the store
-// CHECKPOINTS: it captures a consistent snapshot of its full state —
-// every object's version history with conflict metadata, the prepared-
-// and decided-transaction tables, the epoch and membership — tagged
-// with the stream sequence number it covers, rotates the write-ahead
-// log onto that snapshot (a restart replays snapshot + tail instead of
-// the full history, and the file stays bounded by the checkpoint
-// cadence), and truncates the in-memory log, advancing its base to the
-// stream head. A primary enforces the bound inline in its emit-and-
-// apply paths, so its log never exceeds the cap. A live-mirror backup
+// The stream tail every store retains — what MethodSync resyncs and
+// migration tails are served from — is bounded: by
+// Config.ReplicationLogMaxRecords and/or MaxBytes, or, when neither is
+// set, by the built-in defaultLogMaxBytes. When the tail exceeds its
+// bound the store CHECKPOINTS, in one sequence (checkpointLocked):
+// capture a consistent snapshot of its full state — every object's
+// version history with conflict metadata, the prepared- and decided-
+// transaction tables, the epoch and membership — tagged with the stream
+// sequence number it covers; truncate the tail to its newest half-cap;
+// and, when there is a write-ahead log, rotate it onto that snapshot (a
+// restart replays snapshot + tail instead of the full history, and the
+// file stays bounded by the checkpoint cadence). A store without a log
+// only truncates. A primary enforces the bound inline in its emit-and-
+// apply paths, so its tail never exceeds the cap. A live-mirror backup
 // defers routine truncation off the ack path (an O(state) checkpoint
 // while the primary synchronously awaits the mirror ack could outlast
 // the mirror timeout): a one-second server ticker bounds its overshoot
 // to about a second of writes, with a hard inline ceiling at four
 // times the cap so memory never rests on the ticker alone.
 //
-// Consistency of the capture comes from the stream lock: the native
-// write paths hold repMu across a record's emission AND the
+// Consistency of the capture comes from the stream lock: every write
+// path, on every store, holds repMu across a record's emission AND the
 // application of its effects, so a snapshot taken under repMu always
 // equals "every record below repSeq applied, none above" — the
 // contract a resyncing replica needs. Prepares whose record has not
@@ -375,20 +393,19 @@ type Config struct {
 	// LogSync fsyncs the log on every commit. Off, the log is still
 	// written in commit order but a host crash can lose the tail.
 	LogSync bool
-	// ReplicationLog keeps the stream's records in memory so the store
-	// can serve MethodSync resyncs to a fresh or restarted backup.
-	// Enable it on every member of a replication group. Without a
-	// truncation policy (below) the log grows without bound.
-	ReplicationLog bool
-	// ReplicationLogMaxRecords bounds the in-memory replication log: when
-	// it exceeds this many records the store checkpoints — captures a
-	// state snapshot at the stream head, rotates the write-ahead log onto
-	// it, and truncates the log — so a backup that falls behind the
-	// retained tail catches up by snapshot install (MethodSnap) + tail
-	// instead of a full-history replay. 0 = unbounded.
+	// ReplicationLogMaxRecords bounds the stream tail every store retains
+	// in memory (what MethodSync resyncs and migration tails are served
+	// from): when it exceeds this many records the store checkpoints —
+	// captures a state snapshot at the stream head, rotates the
+	// write-ahead log onto it (if there is one), and truncates the tail —
+	// so a backup that falls behind the retained tail catches up by
+	// snapshot install (MethodSnap) + tail instead of a full-history
+	// replay. 0 = no record bound.
 	ReplicationLogMaxRecords int
 	// ReplicationLogMaxBytes is the same policy measured in estimated
-	// record bytes. Either limit triggers a checkpoint. 0 = unbounded.
+	// record bytes. Either limit triggers a checkpoint. 0 = no byte bound
+	// — unless ReplicationLogMaxRecords is zero too: then the built-in
+	// defaultLogMaxBytes applies, so no store's tail is unbounded.
 	ReplicationLogMaxBytes int
 	// SnapshotChunkBytes sizes MethodSnap transfer chunks (default 1 MiB,
 	// comfortably under the wire frame limit). Tests shrink it to force
@@ -457,6 +474,9 @@ func (c *Config) withDefaults() Config {
 	if out.MirrorBatchMaxRecords == 0 {
 		out.MirrorBatchMaxRecords = 256
 	}
+	if out.ReplicationLogMaxRecords == 0 && out.ReplicationLogMaxBytes == 0 {
+		out.ReplicationLogMaxBytes = defaultLogMaxBytes
+	}
 	// The durability wait times out at replWaitTimeout; an interval at
 	// or above it would fail every commit while the batch lands fine
 	// moments later. Clamp well below, where coalescing gains flattened
@@ -466,6 +486,14 @@ func (c *Config) withDefaults() Config {
 	}
 	return out
 }
+
+// defaultLogMaxBytes bounds the retained stream tail of a store whose
+// Config names no bound. It is a memory budget, not a tuning: 64 MiB of
+// estimated record bytes is a few percent of the memory a storage server
+// is provisioned with, and is minutes of write history at the rates one
+// server sustains — ample for a briefly absent backup to rejoin by
+// record replay rather than state transfer.
+const defaultLogMaxBytes = 64 << 20
 
 // maxGroupCommitInterval caps the configured coalescing delay far
 // below the pipeline's durability-wait timeout.
@@ -654,20 +682,19 @@ type Store struct {
 	wal *wal
 
 	// repMu orders the replication stream: sequence assignment, the
-	// synchronous mirror call, the replication log, and the write-ahead
-	// log all happen under it, so stream order, log order, and
-	// per-object version order agree on every replica. Lock order is
-	// repMu before shard mutexes.
+	// retained-tail append, the hand-off to the sinks' queues, and the
+	// application of each record's effects all happen under it, so
+	// stream order, log order, and per-object version order agree on
+	// every replica. Lock order is repMu before shard mutexes.
 	repMu sync.Mutex
 	// repSeq is the next sequence number: the number of stream records
 	// (commits, prepares, decisions) this store has applied, natively
 	// or replicated.
 	repSeq uint64
-	// commitLog holds the stream's retained tail when cfg.ReplicationLog
-	// is set: commitLog[i] is the record at sequence logBase+i. A
-	// snapshot checkpoint truncates the log and advances logBase to the
-	// stream head; resyncs below logBase are served by state transfer
-	// (snapshot + tail) instead of record replay.
+	// commitLog holds the stream's retained tail: commitLog[i] is the
+	// record at sequence logBase+i. A checkpoint truncates the log and
+	// advances logBase; resyncs below logBase are served by state
+	// transfer (snapshot + tail) instead of record replay.
 	commitLog []kv.ReplRecord
 	// logBase is the sequence number of commitLog[0] (records below it
 	// were truncated at the last checkpoint).
@@ -695,10 +722,8 @@ type Store struct {
 	// pipe is the group-commit replication pipeline: emitted records
 	// are queued here and a flusher goroutine batches them into mirror
 	// RPCs and WAL appends; committers wait on its durability watermark
-	// (see pipeline.go). hasMirror mirrors pipe.mirrorOn for lock-free
-	// reads on the emit paths.
-	pipe      replPipe
-	hasMirror atomic.Bool
+	// (see pipeline.go).
+	pipe replPipe
 	// ckptBusy single-flights asynchronous checkpoint rotations: while
 	// one is encoding/rotating off-lock, further policy triggers only
 	// truncate in memory (the bound holds; the WAL catches up at the
@@ -1219,9 +1244,6 @@ func (s *Store) SyncRecords(from uint64, max int, reqEpoch uint64) (recs []kv.Sy
 	}
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	if !s.cfg.ReplicationLog {
-		return nil, s.repSeq, s.logBase, fmt.Errorf("%w: server keeps no replication log", kv.ErrBadRequest)
-	}
 	if from > s.repSeq {
 		return nil, s.repSeq, s.logBase, fmt.Errorf("%w: requested seq %d is beyond this replica's head %d: the requester applied records never in this stream, re-form the group", kv.ErrDiverged, from, s.repSeq)
 	}
@@ -1233,14 +1255,23 @@ func (s *Store) SyncRecords(from uint64, max int, reqEpoch uint64) (recs []kv.Sy
 			return nil, s.repSeq, s.logBase, fmt.Errorf("%w: requester's stream is at epoch %d below seq %d but this stream had epoch %d in force there: the histories diverged, rejoin by state transfer", kv.ErrDiverged, reqEpoch, from, srcEpoch)
 		}
 	}
+	return s.retainedLocked(from, max), s.repSeq, s.logBase, nil
+}
+
+// retainedLocked slices up to max records of the retained tail starting
+// at sequence number from, stopping early once the batch would pass
+// syncBatchBytes (at least one record always goes). A from outside the
+// retained window — truncated below logBase, or at the head — yields
+// nothing. Caller holds repMu.
+func (s *Store) retainedLocked(from uint64, max int) []kv.SyncRec {
 	if from < s.logBase || from >= s.logBase+uint64(len(s.commitLog)) {
-		return nil, s.repSeq, s.logBase, nil
+		return nil
 	}
 	end := from + uint64(max)
 	if top := s.logBase + uint64(len(s.commitLog)); end > top {
 		end = top
 	}
-	recs = make([]kv.SyncRec, 0, end-from)
+	recs := make([]kv.SyncRec, 0, end-from)
 	bytes := 0
 	for seq := from; seq < end; seq++ {
 		rec := s.commitLog[seq-s.logBase]
@@ -1251,7 +1282,7 @@ func (s *Store) SyncRecords(from uint64, max int, reqEpoch uint64) (recs []kv.Sy
 		bytes += sz
 		recs = append(recs, kv.SyncRec{Seq: seq, Rec: rec})
 	}
-	return recs, s.repSeq, s.logBase, nil
+	return recs
 }
 
 // recordSize estimates the wire size of one replication record,
@@ -1289,44 +1320,46 @@ func (s *Store) LogBounds() (logBase, head uint64) {
 // by state transfer. It returns the sequence number the checkpoint
 // covers. The automatic policy path instead retains a half-cap tail
 // (see checkpointLocked), so a replica that is merely a little behind
-// at checkpoint time still catches up by record replay.
+// at checkpoint time still catches up by record replay. A store without
+// a write-ahead log only truncates.
 func (s *Store) Checkpoint() (uint64, error) {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	if !s.cfg.ReplicationLog {
-		// Without the replication log there is nothing to truncate, a
-		// mirror-less store applies commits outside the stream lock
-		// (commitDetached) so no consistent capture exists, and
-		// ServeSnapshotChunk refuses such stores anyway.
-		return 0, fmt.Errorf("%w: checkpointing requires the replication log (Config.ReplicationLog)", kv.ErrBadRequest)
-	}
 	return s.checkpointLocked(false)
 }
 
-// checkpointLocked implements Checkpoint, synchronously. Caller holds
-// repMu, and the visible state must be consistent with repSeq (every
-// emitted record fully applied) — true at the end of any emit-and-apply
-// critical section, never in the middle of one. With retainTail, the
-// newest half-cap of records is kept (the policy path): truncating to
-// empty would force O(state) transfer on any replica even one record
-// behind, while retaining half leaves headroom so the next append does
-// not immediately re-trip the bound.
+// checkpointLocked is the one checkpoint sequence: capture → truncate →
+// drain → beginRotate → finish. Caller holds repMu, and the visible
+// state must be consistent with repSeq (every emitted record fully
+// applied) — true at the end of any emit-and-apply critical section,
+// never in the middle of one. async selects the policy flavour: the
+// newest half-cap of records is kept (truncating to empty would force
+// O(state) transfer on any replica even one record behind, while
+// retaining half leaves headroom so the next append does not
+// immediately re-trip the bound), and the O(state) encode and the
+// rotation run on a goroutine, off repMu. The explicit Checkpoint
+// truncates everything and finishes inline, so its caller learns the
+// rotation's outcome. A store without a write-ahead log has nothing to
+// rotate: its checkpoint is the truncation.
 //
 //yesqlint:allow repmublock -- deliberate: the explicit Checkpoint keeps the rotation inline under repMu (bounded local file work); the policy paths run finishCheckpoint on a goroutine, off-lock
-func (s *Store) checkpointLocked(retainTail bool) (uint64, error) {
+func (s *Store) checkpointLocked(async bool) (uint64, error) {
 	if s.wal == nil {
-		s.truncateLogLocked(retainTail)
+		s.truncateLogLocked(async)
 		s.stats.Checkpoints.Add(1)
 		return s.repSeq, nil
 	}
 	if !s.ckptBusy.CompareAndSwap(false, true) {
-		// An asynchronous rotation is still in flight; the memory bound
-		// must hold anyway.
-		s.truncateLogLocked(retainTail)
+		// A rotation is still encoding/writing off-lock: truncate in
+		// memory now (the bound is strict) and let the in-flight
+		// checkpoint — or the next one — bound the file.
+		s.truncateLogLocked(async)
 		return 0, fmt.Errorf("kvserver: a checkpoint rotation is already in progress")
 	}
+	// Under repMu: capture the minimal in-memory copy and write the
+	// already-emitted records into the file.
 	sn := s.captureSnapshotLocked()
-	s.truncateLogLocked(retainTail)
+	s.truncateLogLocked(async)
 	if !s.drainWALLocked() {
 		// Queued records could not reach the file; rotating now would
 		// let a later flush tee them after a snapshot that already
@@ -1338,23 +1371,24 @@ func (s *Store) checkpointLocked(retainTail bool) (uint64, error) {
 	}
 	s.wal.beginRotate()
 	seq := s.repSeq
+	if async {
+		go s.finishCheckpoint(s.wal, sn)
+		return seq, nil
+	}
 	if err := s.finishCheckpoint(s.wal, sn); err != nil {
 		return 0, err
 	}
 	return seq, nil
 }
 
-// truncateLogLocked drops the in-memory replication log (keeping the
-// newest half-cap of records when retainTail is set), independent of
+// truncateLogLocked drops the retained stream tail (keeping the newest
+// half-cap of records when retainTail is set), independent of
 // any WAL rotation outcome: serving a resync below logBase only needs
 // an on-demand snapshot (ServeSnapshotChunk), not the rotated file,
 // and a restart replays the old, un-rotated log correctly — longer,
 // but complete. The memory bound must hold even when the disk does not
 // cooperate. Caller holds repMu.
 func (s *Store) truncateLogLocked(retainTail bool) {
-	if !s.cfg.ReplicationLog || len(s.commitLog) == 0 {
-		return
-	}
 	keep, keepBytes := 0, 0
 	if retainTail {
 		keep, keepBytes = s.retainableTailLocked()
@@ -1397,9 +1431,6 @@ func (s *Store) finishCheckpoint(w *wal, sn *stateSnapshot) error {
 // within half of each configured bound, and their estimated byte size
 // (so the caller need not rescan them). Caller holds repMu.
 func (s *Store) retainableTailLocked() (n, bytes int) {
-	if s.cfg.ReplicationLogMaxRecords == 0 && s.cfg.ReplicationLogMaxBytes == 0 {
-		return 0, 0
-	}
 	for i := len(s.commitLog) - 1; i >= 0; i-- {
 		sz := recordSize(&s.commitLog[i])
 		if s.cfg.ReplicationLogMaxRecords > 0 && n+1 > s.cfg.ReplicationLogMaxRecords/2 {
@@ -1439,40 +1470,15 @@ func (s *Store) maybeCheckpointLocked() (bool, error) {
 }
 
 func (s *Store) maybeCheckpointSlackLocked(slack int) (bool, error) {
-	if !s.cfg.ReplicationLog {
-		return false, nil
-	}
 	overRecords := s.cfg.ReplicationLogMaxRecords > 0 && len(s.commitLog) > slack*s.cfg.ReplicationLogMaxRecords
 	overBytes := s.cfg.ReplicationLogMaxBytes > 0 && s.commitLogBytes > slack*s.cfg.ReplicationLogMaxBytes
 	if !overRecords && !overBytes {
 		return false, nil
 	}
-	if s.wal == nil {
-		s.truncateLogLocked(true)
-		s.stats.Checkpoints.Add(1)
-		return true, nil
-	}
-	if !s.ckptBusy.CompareAndSwap(false, true) {
-		// A rotation is still encoding/writing off-lock: truncate in
-		// memory now (the bound is strict) and let the in-flight
-		// checkpoint — or the next one — bound the file.
-		s.truncateLogLocked(true)
-		return true, nil
-	}
-	// Under repMu: capture the minimal in-memory copy and write the
-	// already-emitted records into the file (a record left queued
-	// across the rotation would land after a snapshot that covers it
-	// and double-apply on replay). Off repMu (goroutine): the O(state)
-	// encode and the rotation itself.
-	sn := s.captureSnapshotLocked()
-	s.truncateLogLocked(true)
-	if !s.drainWALLocked() {
-		s.ckptBusy.Store(false)
-		s.stats.CheckpointFailures.Add(1)
-		return true, nil
-	}
-	s.wal.beginRotate()
-	go s.finishCheckpoint(s.wal, sn)
+	// The bound held whatever the rotation's fate (the truncation never
+	// fails), and a failed bound must not fail the commit that tripped
+	// it: CheckpointFailures is the operator's signal.
+	s.checkpointLocked(true)
 	return true, nil
 }
 
@@ -1607,7 +1613,15 @@ func (s *Store) Read(oid kv.OID, snap clock.Timestamp) (*kv.Value, clock.Timesta
 			}
 		}
 		v, ts, ok := visibleVersion(obj, snap)
+		trimmed := obj.gcFloor != 0
 		sh.mu.Unlock()
+		if !ok && trimmed {
+			// Every retained version is newer than snap, and older ones
+			// were garbage-collected: what snap should see is gone, and
+			// "not found" would be a wrong answer (a hot tree root would
+			// read as dangling). The reader must take a fresh snapshot.
+			return nil, 0, fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
+		}
 		if !ok || v == nil {
 			return nil, 0, kv.ErrNotFound
 		}
@@ -1787,10 +1801,6 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 			s.txMu.Unlock()
 			return 0, wse
 		}
-		if !s.replicatingLocked() {
-			s.repMu.Unlock()
-			return proposed, nil
-		}
 		seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecPrepare, TxID: txid, TS: proposed, Ops: ops})
 		s.txMu.Lock()
 		if s.txs[txid] != rec {
@@ -1816,13 +1826,6 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		}
 	}
 	return proposed, nil
-}
-
-// replicatingLocked reports whether stream records have anywhere to
-// go: a write-ahead log, an in-memory replication log, or a live
-// mirror. Caller holds repMu.
-func (s *Store) replicatingLocked() bool {
-	return s.wal != nil || s.cfg.ReplicationLog || s.hasMirror.Load()
 }
 
 // emitLocked appends one record to the replication stream: it assigns
@@ -1856,10 +1859,8 @@ func (s *Store) emitLocked(rec kv.ReplRecord) uint64 {
 	}
 	seq := s.repSeq
 	s.repSeq++
-	if s.cfg.ReplicationLog {
-		s.commitLog = append(s.commitLog, rec)
-		s.commitLogBytes += recordSize(&rec)
-	}
+	s.commitLog = append(s.commitLog, rec)
+	s.commitLogBytes += recordSize(&rec)
 	s.enqueueLocked(seq, rec)
 	return seq
 }
@@ -1909,14 +1910,11 @@ func (s *Store) Commit(txid uint64, commitTS clock.Timestamp) error {
 }
 
 func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err error) {
-	// On a stream-consistent store the whole transition — emit the
-	// decision, apply the staged ops, record the outcome — is one repMu
-	// critical section: the stream position and the visible state never
-	// disagree, which is what lets a state snapshot captured under
-	// repMu (and tagged with repSeq) claim to cover every record below
-	// it. Other stores never serve snapshots or resyncs, so they keep
-	// the concurrent path (commitDetached): staged ops apply in
-	// parallel across shards, outside the stream lock.
+	// The whole transition — emit the decision, apply the staged ops,
+	// record the outcome — is one repMu critical section: the stream
+	// position and the visible state never disagree, which is what lets
+	// a state snapshot captured under repMu (and tagged with repSeq)
+	// claim to cover every record below it.
 	//
 	// The DURABILITY WAIT happens after the critical section: the
 	// record is emitted and its effects applied under repMu, but the
@@ -1927,10 +1925,6 @@ func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err
 	// acked-writes-survive-failover guarantee holds because no ack went
 	// out.
 	s.repMu.Lock()
-	if !s.streamConsistentLocked() {
-		s.repMu.Unlock()
-		return s.commitDetached(txid, commitTS)
-	}
 	rec, dup, err := s.takePrepared(txid)
 	if rec == nil {
 		s.repMu.Unlock()
@@ -2024,60 +2018,6 @@ func (s *Store) takePrepared(txid uint64) (*txRecord, decision, error) {
 	}
 	delete(s.txs, txid)
 	return rec, decision{}, nil
-}
-
-// streamConsistentLocked reports whether this store maintains the
-// snapshot-capture invariant — visible state equals the stream
-// position whenever repMu is free. Only stores that can actually serve
-// a resync (replication log) or feed one (live mirror) pay for it;
-// plain and WAL-only stores trade it for concurrent commit
-// application. Caller holds repMu.
-func (s *Store) streamConsistentLocked() bool {
-	return s.cfg.ReplicationLog || s.hasMirror.Load()
-}
-
-// commitDetached is the commit path of stores outside the stream-
-// consistency discipline: unreplicated (nothing to emit — the stream
-// lock is touched only for the sequence count) and WAL-only
-// (durability without resync service — the record is emitted under
-// repMu, but staged ops apply outside it, concurrently across shards,
-// exactly the pre-snapshot behavior; the LogSync durability wait rides
-// the same group-commit watermark as the replicated path).
-func (s *Store) commitDetached(txid uint64, commitTS clock.Timestamp) (applied bool, err error) {
-	rec, dup, err := s.takePrepared(txid)
-	if rec == nil {
-		if err == nil && dup.replSeq > 0 {
-			if werr := s.waitReplicated(dup.replSeq - 1); werr != nil {
-				return false, fmt.Errorf("%w: replicating commit: %v", kv.ErrUncertain, werr)
-			}
-		}
-		return false, err
-	}
-	s.clock.Observe(commitTS)
-	var seq uint64
-	hasSeq := false
-	s.repMu.Lock()
-	if s.replicatingLocked() {
-		seq = s.emitLocked(s.commitRecord(txid, rec, commitTS))
-		hasSeq = true
-	} else {
-		// Count the record in the stream even without a log or mirror,
-		// so a later AttachMirror reports an honest watermark.
-		s.repSeq++
-	}
-	s.repMu.Unlock()
-	s.applyStaged(txid, rec.oids, commitTS)
-	d := decision{commit: true, commitTS: commitTS}
-	if hasSeq {
-		d.replSeq = seq + 1
-	}
-	s.recordDecision(txid, d)
-	if hasSeq {
-		if err := s.waitReplicated(seq); err != nil {
-			return true, fmt.Errorf("%w: replicating commit: %v", kv.ErrUncertain, err)
-		}
-	}
-	return true, nil
 }
 
 // applyStaged turns a prepared transaction's staged ops into visible
@@ -2190,7 +2130,7 @@ func (s *Store) abort(txid uint64, orphan bool) {
 // when the backup is unreachable; a missed record surfaces as a loud
 // sequence gap on the backup's next batch.
 func (s *Store) abortLocked(txid uint64, rec *txRecord, orphan bool) {
-	if rec.replicated && s.replicatingLocked() {
+	if rec.replicated {
 		s.emitLocked(kv.ReplRecord{Kind: kv.RecDecide, TxID: txid, Commit: false})
 	}
 	s.releaseLocks(txid, rec.oids)

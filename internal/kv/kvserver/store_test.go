@@ -316,11 +316,20 @@ func TestPrepareRejectsBadDelta(t *testing.T) {
 func TestGCTrimsVersions(t *testing.T) {
 	s := NewStore(nil, Config{MaxVersions: 4, RetentionMillis: 1})
 	oid := kv.MakeOID(0, 1)
+	var first clock.Timestamp
 	for i := 0; i < 20; i++ {
-		commitPut(t, s, oid, fmt.Sprintf("v%d", i))
+		ts := commitPut(t, s, oid, fmt.Sprintf("v%d", i))
+		if i == 0 {
+			first = ts
+		}
 	}
 	if n := s.VersionCount(oid); n > 4 {
 		t.Fatalf("version chain not trimmed: %d", n)
+	}
+	// A snapshot whose version was collected is told so — the object
+	// existed there, so "not found" would be a wrong answer.
+	if _, _, err := s.Read(oid, first); !errors.Is(err, kv.ErrConflict) {
+		t.Fatalf("read below the GC floor: got %v, want ErrConflict", err)
 	}
 	// Latest version must survive GC.
 	v, _, err := s.Read(oid, s.Clock().Now())
@@ -466,7 +475,7 @@ func TestCommitFastCommitCountersDisjoint(t *testing.T) {
 // request, and expect an acknowledgment (nil) instead of
 // "commit of unknown tx".
 func TestCommitIdempotentReplay(t *testing.T) {
-	s := NewStore(nil, Config{ReplicationLog: true})
+	s := NewStore(nil, Config{})
 	oid := kv.MakeOID(0, 1)
 	txid := newTxID()
 	proposed, err := s.Prepare(txid, s.Clock().Now(), []*kv.Op{

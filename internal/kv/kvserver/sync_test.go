@@ -2,7 +2,6 @@ package kvserver_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,18 +10,6 @@ import (
 	"yesquel/internal/kv/kvclient"
 	"yesquel/internal/kv/kvserver"
 )
-
-// startReplServer launches a kvserver that keeps the replication log.
-func startReplServer(t *testing.T) *kvserver.Server {
-	t.Helper()
-	srv := kvserver.NewServer(kvserver.NewStore(nil, kvserver.Config{ReplicationLog: true}))
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	return srv
-}
 
 // writeBatch commits n transactions with a mix of op shapes through c.
 func writeBatch(t *testing.T, c *kvclient.Client, tag string, n int) {
@@ -59,8 +46,8 @@ func writeBatch(t *testing.T, c *kvclient.Client, tag string, n int) {
 // up via MethodSync until its multi-version state digests equal the
 // primary's — then live mirroring keeps them equal.
 func TestSyncRebuildsBackupByteForByte(t *testing.T) {
-	primary := startReplServer(t)
-	backup1 := startReplServer(t)
+	primary := startServer(t)
+	backup1 := startServer(t)
 	formGroup(t, primary, backup1)
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
@@ -78,7 +65,7 @@ func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 	// A fresh backup re-forms the pair: resync mode first, then attach
 	// (so live commits buffer), then stream the missed history, then the
 	// epoch bump that admits it.
-	backup2 := startReplServer(t)
+	backup2 := startServer(t)
 	formGroup(t, primary, backup2)
 	if got, want := backup2.Store().StateDigest(), primary.Store().StateDigest(); got != want {
 		t.Fatalf("after sync: backup digest %x != primary digest %x", got, want)
@@ -118,7 +105,7 @@ func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 // just committed history — so a subsequent failover can still apply
 // the coordinator's decision.
 func TestSyncCarriesPreparedState(t *testing.T) {
-	primary := startReplServer(t)
+	primary := startServer(t)
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +125,7 @@ func TestSyncCarriesPreparedState(t *testing.T) {
 	}
 
 	// A fresh backup re-forms the pair while the prepare is pending.
-	backup := startReplServer(t)
+	backup := startServer(t)
 	formGroup(t, primary, backup)
 	if !backup.Store().IsLocked(oid) {
 		t.Fatal("resync did not carry the prepared transaction's lock")
@@ -164,7 +151,7 @@ func TestSyncCarriesPreparedState(t *testing.T) {
 // must fail the primary's next commit instead of silently mirroring a
 // stream with a gap.
 func TestMirrorGapFailsLoudly(t *testing.T) {
-	primary := startReplServer(t)
+	primary := startServer(t)
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +159,7 @@ func TestMirrorGapFailsLoudly(t *testing.T) {
 	defer c.Close()
 	writeBatch(t, c, "history", 8)
 
-	stale := startReplServer(t)
+	stale := startServer(t)
 	if _, err := primary.AttachBackupMember(stale.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +183,8 @@ func TestMirrorGapFailsLoudly(t *testing.T) {
 // sent is ahead of the primary's stream. The next mirrored commit must
 // fail loudly instead of being acknowledged and silently dropped.
 func TestMirrorDetectsDivergedBackup(t *testing.T) {
-	primary := startReplServer(t)
-	backup := startReplServer(t)
+	primary := startServer(t)
+	backup := startServer(t)
 	formGroup(t, primary, backup)
 	ctx := context.Background()
 	c, err := kvclient.Open([]string{primary.Addr()})
@@ -234,17 +221,55 @@ func TestMirrorDetectsDivergedBackup(t *testing.T) {
 	}
 }
 
-// TestSyncFromRequiresReplicationLog verifies the sync source refuses
-// when it has no log to serve from.
-func TestSyncFromRequiresReplicationLog(t *testing.T) {
-	plain := startServer(t) // no ReplicationLog
-	backup := startReplServer(t)
-	backup.Store().StartResync()
-	err := backup.SyncFrom(plain.Addr(), 1)
-	if err == nil {
-		t.Fatal("sync from a server without a replication log succeeded")
-	}
-	if !errors.Is(err, kv.ErrBadRequest) && !strings.Contains(err.Error(), "replication log") {
-		t.Fatalf("unexpected error: %v", err)
+// TestDefaultStoreAcceptsMidLifeBackup: a store opened with the zero
+// Config, with history nobody asked it to keep for anyone, takes a
+// backup mid-life — by record replay while its retained tail still
+// reaches back to the joiner's position, and through the state-transfer
+// fallback once the tail has been truncated past it.
+func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		truncate bool
+	}{
+		{"tail replay", false},
+		{"tail too short: state transfer", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := kvserver.OpenStore(nil, kvserver.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			primary := kvserver.NewServer(store)
+			if err := primary.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			go primary.Serve()
+			defer primary.Close()
+			c, err := kvclient.Open([]string{primary.Addr()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			writeBatch(t, c, "history", 20)
+			if tc.truncate {
+				if _, err := store.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				writeBatch(t, c, "tail", 4)
+			}
+
+			backup := startServer(t)
+			formGroup(t, primary, backup) // attach → SyncFrom → BumpEpoch
+			if got, want := backup.Store().StateDigest(), store.StateDigest(); got != want {
+				t.Fatalf("after join: backup digest %x != primary digest %x", got, want)
+			}
+			if got := backup.Store().Stats().SnapshotsInstalled; (got > 0) != tc.truncate {
+				t.Fatalf("backup installed %d snapshots, truncated tail = %v", got, tc.truncate)
+			}
+			writeBatch(t, c, "mirrored", 8)
+			if got, want := backup.Store().StateDigest(), store.StateDigest(); got != want {
+				t.Fatalf("after live mirroring: backup digest %x != primary digest %x", got, want)
+			}
+		})
 	}
 }

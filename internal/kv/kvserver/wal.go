@@ -751,10 +751,8 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 	}
 	seq := s.repSeq
 	s.repSeq++
-	if s.cfg.ReplicationLog {
-		s.commitLog = append(s.commitLog, rec)
-		s.commitLogBytes += recordSize(&rec)
-	}
+	s.commitLog = append(s.commitLog, rec)
+	s.commitLogBytes += recordSize(&rec)
 	// Always enqueue, even with no WAL: the pipeline tracks the
 	// commit-timestamp marks that turn the durability watermark into an
 	// HLC frontier for follower reads, and that bookkeeping must see
@@ -836,8 +834,7 @@ func (s *Store) stageReplicatedPrepare(rec kv.ReplRecord) error {
 }
 
 // CloseLog drains the pipeline's queued records into the write-ahead
-// log, then flushes and closes it (if any). The flusher goroutine is
-// stopped unless a mirror still needs it.
+// log, stops its flusher, then flushes and closes it (if any).
 func (s *Store) CloseLog() error {
 	if s.wal == nil {
 		return nil
@@ -845,8 +842,6 @@ func (s *Store) CloseLog() error {
 	s.repMu.Lock()
 	s.drainWALLocked()
 	s.repMu.Unlock()
-	if !s.hasMirror.Load() {
-		s.stopFlusher()
-	}
+	s.stopFlusher()
 	return s.wal.close()
 }

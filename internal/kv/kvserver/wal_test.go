@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"yesquel/internal/kv"
 )
@@ -172,7 +173,7 @@ func TestWALCheckpointMultiFrameSnapshot(t *testing.T) {
 	defer func() { walSnapChunkBytes = old }()
 
 	path := filepath.Join(t.TempDir(), "store.log")
-	cfg := Config{LogPath: path, ReplicationLog: true}
+	cfg := Config{LogPath: path}
 	s, err := OpenStore(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +198,59 @@ func TestWALCheckpointMultiFrameSnapshot(t *testing.T) {
 	}
 	if got := s2.ReplSeq(); got != seq {
 		t.Fatalf("multi-frame restart seq %d != %d", got, seq)
+	}
+}
+
+// TestWALOnlyStoreCheckpointsAndRestarts: a store configured with a
+// log file and a tail bound — nothing else — checkpoints when the bound
+// is passed, so its file holds a snapshot plus a tail instead of its
+// whole history, and a restart replays exactly that.
+func TestWALOnlyStoreCheckpointsAndRestarts(t *testing.T) {
+	const max = 32
+	path := filepath.Join(t.TempDir(), "store.log")
+	cfg := Config{LogPath: path, ReplicationLogMaxRecords: max}
+	s, err := OpenStore(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4*max; i++ { // two stream records per commit
+		commitPut(t, s, kv.MakeOID(0, uint64(i%8)), fmt.Sprintf("v%d", i))
+	}
+	// The policy path rotates on a goroutine.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Checkpoints == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint after %d commits over a %d-record bound (failures %d)", 4*max, max, s.Stats().CheckpointFailures)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if base, head := s.LogBounds(); head-base > max {
+		t.Fatalf("retained tail %d records exceeds the bound %d", head-base, max)
+	}
+	commitPut(t, s, kv.MakeOID(0, 99), "tail")
+	digest, seq := s.StateDigest(), s.ReplSeq()
+	s.CloseLog()
+
+	snap, recs, err := replayWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("log file was never rotated onto a snapshot")
+	}
+	if uint64(len(recs)) >= seq {
+		t.Fatalf("rotated file still holds the whole history: %d records of %d", len(recs), seq)
+	}
+
+	s2, err := OpenStore(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.CloseLog()
+	if got := s2.StateDigest(); got != digest {
+		t.Fatalf("restart digest %x != %x", got, digest)
+	}
+	if got := s2.ReplSeq(); got != seq {
+		t.Fatalf("restart seq %d != %d", got, seq)
 	}
 }
 

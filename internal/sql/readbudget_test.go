@@ -18,15 +18,17 @@ import (
 // nodes to cache.
 const budgetRows = 600
 
-// loadBudgetDB starts a two-server cluster with the default dbt.Config
-// (readahead on, background splitter) and loads the tables the read
+// loadBudgetDB starts a two-server cluster and loads the tables the read
 // budget test and the layer benches share:
 //
 //	p (id INTEGER PRIMARY KEY, v TEXT)                       -- pk only
 //	t (id INTEGER PRIMARY KEY, u INTEGER, v TEXT), UNIQUE(u) -- u = id+1000000
 //
-// It returns once the splitter has caught up and every tree's inner
-// nodes are in the session's cache, so the statements that follow cost
+// The load goes through a handle that splits synchronously, so every
+// leaf ends within MaxCells and which leaves exist is the same on every
+// run. The handle it returns has the default dbt.Config (readahead on,
+// background splitter), nothing queued for that splitter, and every
+// tree's inner nodes in its cache, so the statements that follow cost
 // leaf reads only.
 func loadBudgetDB(tb testing.TB) (*cluster.Cluster, *sql.DB) {
 	tb.Helper()
@@ -41,63 +43,49 @@ func loadBudgetDB(tb testing.TB) (*cluster.Cluster, *sql.DB) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { c.Close() })
-	db := sql.NewDB(c, dbt.Config{})
-	tb.Cleanup(db.Close)
+	loader := sql.NewDB(c, dbt.Config{SyncSplit: true})
+	tb.Cleanup(loader.Close)
 	exec := func(q string, args ...sql.Value) {
 		tb.Helper()
-		if _, err := db.Exec(ctx, q, args...); err != nil {
+		if _, err := loader.Exec(ctx, q, args...); err != nil {
 			tb.Fatalf("Exec(%q): %v", q, err)
 		}
 	}
 	exec("CREATE TABLE p (id INTEGER PRIMARY KEY, v TEXT)")
 	exec("CREATE TABLE t (id INTEGER PRIMARY KEY, u INTEGER, v TEXT)")
 	exec("CREATE UNIQUE INDEX t_u ON t (u)")
-	// Auto-commit inserts: each retries if it collides with a split.
+	loaderTrees := budgetTrees(tb, loader)
 	for i := 0; i < budgetRows; i++ {
 		exec("INSERT INTO p VALUES (?, ?)", sql.Int(int64(i)), sql.Text(fmt.Sprintf("p%d", i)))
 		exec("INSERT INTO t VALUES (?, ?, ?)", sql.Int(int64(i)), sql.Int(int64(i+1000000)), sql.Text(fmt.Sprintf("t%d", i)))
+		quiesce(tb, loaderTrees)
 	}
-	// Wait for the delegated splits, then warm the inner-node caches with
-	// one pass over each tree.
-	for _, name := range []string{"p", "t"} {
+
+	db := sql.NewDB(c, dbt.Config{})
+	tb.Cleanup(db.Close)
+	// Warm the inner-node caches with one pass over each tree.
+	for _, tree := range budgetTrees(tb, db) {
 		tx := c.Begin()
-		table, err := db.Catalog().GetTable(ctx, tx, name)
+		res, err := tree.Check(ctx, tx)
+		if err == nil && res.Height < 1 {
+			err = fmt.Errorf("tree has no inner nodes to cache: %+v", res)
+		}
+		if err == nil {
+			_, err = tree.Scan(ctx, tx, nil, -1)
+		}
 		tx.Abort()
 		if err != nil {
 			tb.Fatal(err)
-		}
-		for _, tree := range append([]*dbt.Tree{table.Tree}, table.IndexTrees...) {
-			deadline := time.Now().Add(20 * time.Second)
-			for {
-				tx := c.Begin()
-				res, err := tree.Check(ctx, tx)
-				tx.Abort()
-				if err != nil {
-					tb.Fatal(err)
-				}
-				if res.MaxFanout <= 128 && res.Height >= 1 {
-					break
-				}
-				if time.Now().After(deadline) {
-					tb.Fatalf("tree of %s never settled: %+v", name, res)
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			tx := c.Begin()
-			_, err := tree.Scan(ctx, tx, nil, -1)
-			tx.Abort()
-			if err != nil {
-				tb.Fatal(err)
-			}
 		}
 	}
 	return cl, db
 }
 
-// treeReads sums NodeReads over the trees of the two budget tables.
-func treeReads(tb testing.TB, db *sql.DB) uint64 {
+// budgetTrees returns db's handles to the trees of the two budget
+// tables.
+func budgetTrees(tb testing.TB, db *sql.DB) []*dbt.Tree {
 	tb.Helper()
-	var n uint64
+	var trees []*dbt.Tree
 	for _, name := range []string{"p", "t"} {
 		tx := db.Client().Begin()
 		table, err := db.Catalog().GetTable(context.Background(), tx, name)
@@ -105,10 +93,28 @@ func treeReads(tb testing.TB, db *sql.DB) uint64 {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		n += table.Tree.Stats().NodeReads
-		for _, it := range table.IndexTrees {
-			n += it.Stats().NodeReads
+		trees = append(append(trees, table.Tree), table.IndexTrees...)
+	}
+	return trees
+}
+
+// quiesce runs every split the trees have queued, so none is left to
+// read nodes inside a later statement.
+func quiesce(tb testing.TB, trees []*dbt.Tree) {
+	tb.Helper()
+	for _, tree := range trees {
+		if err := tree.MaintainNow(context.Background()); err != nil {
+			tb.Fatalf("MaintainNow: %v", err)
 		}
+	}
+}
+
+// treeReads sums NodeReads over the trees of the two budget tables.
+func treeReads(tb testing.TB, db *sql.DB) uint64 {
+	tb.Helper()
+	var n uint64
+	for _, tree := range budgetTrees(tb, db) {
+		n += tree.Stats().NodeReads
 	}
 	return n
 }
@@ -143,6 +149,7 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 	}
 	run := func(s shape) (reads, commits uint64) {
 		t.Helper()
+		quiesce(t, budgetTrees(t, db))
 		goroutines := runtime.NumGoroutine()
 		before, treeBefore := cl.Stats(), treeReads(t, db)
 		if s.rows < 0 {
