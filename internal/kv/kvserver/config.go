@@ -1,0 +1,261 @@
+package kvserver
+
+import (
+	"sync/atomic"
+	"time"
+)
+
+// Config tunes a Store. Zero values select defaults.
+type Config struct {
+	// MaxVersions caps the length of a version chain (default 64).
+	MaxVersions int
+	// RetentionMillis is how long superseded versions stay readable
+	// (default 10000). Snapshots older than this may miss versions.
+	RetentionMillis uint64
+	// LockWaitTimeout bounds how long a read waits for a prepared
+	// transaction to resolve (default 2s).
+	LockWaitTimeout time.Duration
+	// PrepareTTL bounds how long an undecided prepare may hold its
+	// write locks once the epoch it was accepted under is superseded
+	// (default 60s). SweepOrphans aborts such prepares after the TTL,
+	// restarted at the epoch bump (and replicates the abort decision),
+	// never one that already received a decision. The TTL must
+	// comfortably exceed a coordinator's worst-case time to redirect its
+	// phase-two drive to the new configuration.
+	PrepareTTL time.Duration
+	// DecidedTTL is how long phase-two outcomes stay in the decided-
+	// transaction table (default 60s), which makes Commit/Abort
+	// idempotent: a retried decision for an already-decided transaction
+	// is acknowledged with the recorded outcome instead of rejected.
+	DecidedTTL time.Duration
+	// LogPath enables the write-ahead log: committed operations are
+	// appended there and replayed by OpenStore after a restart. Empty
+	// disables durability (pure in-memory server).
+	LogPath string
+	// LogSync fsyncs the log on every commit. Off, the log is still
+	// written in commit order but a host crash can lose the tail.
+	LogSync bool
+	// ReplicationLogMaxRecords bounds the stream tail every store retains
+	// in memory (what MethodSync resyncs and migration tails are served
+	// from): when it exceeds this many records the store checkpoints —
+	// captures a state snapshot at the stream head, rotates the
+	// write-ahead log onto it (if there is one), and truncates the tail —
+	// so a backup that falls behind the retained tail catches up by
+	// snapshot install (MethodSnap) + tail instead of a full-history
+	// replay. 0 = no record bound.
+	ReplicationLogMaxRecords int
+	// ReplicationLogMaxBytes is the same policy measured in estimated
+	// record bytes. Either limit triggers a checkpoint. 0 = no byte bound
+	// — unless ReplicationLogMaxRecords is zero too: then the built-in
+	// defaultLogMaxBytes applies, so no store's tail is unbounded.
+	ReplicationLogMaxBytes int
+	// SnapshotChunkBytes sizes MethodSnap transfer chunks (default 1 MiB,
+	// comfortably under the wire frame limit). Tests shrink it to force
+	// multi-chunk transfers.
+	SnapshotChunkBytes int
+	// LeaseDuration is how long a primary's authority to serve lasts
+	// after its last acknowledgment from the backup (default 2s). Every
+	// mirror ack and lease-renewal ack extends the primary's lease; the
+	// backup symmetrically promises not to accept a promotion until the
+	// grant expires. Shorter leases mean faster failover but less
+	// tolerance for mirror-path hiccups. Only meaningful in a group of
+	// more than one member.
+	LeaseDuration time.Duration
+	// MirrorBatchMaxRecords caps how many stream records one mirror
+	// batch RPC carries (default 256; batches are also byte-capped
+	// below the wire frame limit). Larger batches amortize the round
+	// trip further at the cost of per-batch latency under bursts.
+	MirrorBatchMaxRecords int
+	// GroupCommitInterval is how long the replication pipeline waits
+	// after waking before it flushes, letting a batch build (default 0:
+	// flush as soon as the flusher is free — a lone writer pays no
+	// added latency, and concurrent writers still coalesce into
+	// whatever accumulated during the previous batch's round trip).
+	GroupCommitInterval time.Duration
+	// MirrorSendDelay inserts a fixed wall-clock delay before every
+	// mirror batch send, emulating a slow replication link or storage
+	// device. Combined with MirrorBatchMaxRecords it turns a group's
+	// replication pipeline into a bounded-capacity resource
+	// (MaxRecords/Delay records per second per member), which the
+	// elastic-sharding drills and benchmarks use to demonstrate
+	// capacity scaling on hosts whose core count cannot — on a
+	// one-core CI box a purely in-memory pipeline measures CPU, and
+	// added groups cannot add CPU. 0 (the default) disables it.
+	MirrorSendDelay time.Duration
+	// NoFollowerReads disables serving snapshot reads from this store
+	// while it is a BACKUP (CheckClientRead then redirects every read
+	// to the primary, watermark or not). Off by default: a backup
+	// serves reads at or below its durability frontier. The yesqueld
+	// -follower-reads=false flag sets it.
+	NoFollowerReads bool
+}
+
+func (c *Config) withDefaults() Config {
+	out := *c
+	if out.MaxVersions == 0 {
+		out.MaxVersions = 64
+	}
+	if out.RetentionMillis == 0 {
+		out.RetentionMillis = 10000
+	}
+	if out.LockWaitTimeout == 0 {
+		out.LockWaitTimeout = 2 * time.Second
+	}
+	if out.PrepareTTL == 0 {
+		out.PrepareTTL = 60 * time.Second
+	}
+	if out.DecidedTTL == 0 {
+		out.DecidedTTL = 60 * time.Second
+	}
+	if out.LeaseDuration == 0 {
+		out.LeaseDuration = 2 * time.Second
+	}
+	if out.SnapshotChunkBytes == 0 {
+		out.SnapshotChunkBytes = 1 << 20
+	}
+	if out.MirrorBatchMaxRecords == 0 {
+		out.MirrorBatchMaxRecords = 256
+	}
+	if out.ReplicationLogMaxRecords == 0 && out.ReplicationLogMaxBytes == 0 {
+		out.ReplicationLogMaxBytes = defaultLogMaxBytes
+	}
+	// The durability wait times out at replWaitTimeout; an interval at
+	// or above it would fail every commit while the batch lands fine
+	// moments later. Clamp well below, where coalescing gains flattened
+	// out long ago.
+	if out.GroupCommitInterval > maxGroupCommitInterval {
+		out.GroupCommitInterval = maxGroupCommitInterval
+	}
+	return out
+}
+
+// defaultLogMaxBytes bounds the retained stream tail of a store whose
+// Config names no bound. It is a memory budget, not a tuning: 64 MiB of
+// estimated record bytes is a few percent of the memory a storage server
+// is provisioned with, and is minutes of write history at the rates one
+// server sustains — ample for a briefly absent backup to rejoin by
+// record replay rather than state transfer.
+const defaultLogMaxBytes = 64 << 20
+
+// maxGroupCommitInterval caps the configured coalescing delay far
+// below the pipeline's durability-wait timeout.
+const maxGroupCommitInterval = time.Second
+
+// Stats counts store activity; read with Snapshot. Commits counts
+// two-phase (prepare/commit) transactions and FastCommits one-shot
+// transactions; the two are disjoint, so Commits+FastCommits is the
+// total number of logical commits.
+type Stats struct {
+	Reads        atomic.Uint64
+	ReadWaits    atomic.Uint64
+	Prepares     atomic.Uint64
+	Commits      atomic.Uint64
+	FastCommits  atomic.Uint64
+	Aborts       atomic.Uint64
+	OrphanAborts atomic.Uint64
+	Conflicts    atomic.Uint64
+	GCVersions   atomic.Uint64
+	// EpochBumps counts configuration changes installed on this member
+	// (promotions, group re-formations); WrongEpochRejects counts
+	// requests and stream records turned away by the epoch/lease
+	// discipline — a nonzero value after a failover is the split-brain
+	// prevention working, a steadily climbing one means a stale client
+	// or deposed primary keeps knocking.
+	EpochBumps        atomic.Uint64
+	WrongEpochRejects atomic.Uint64
+	// Checkpoints counts snapshot checkpoints (log truncations + WAL
+	// rotations); LogRecordsTruncated the replication-log records they
+	// dropped. CheckpointFailures counts WAL rotations that failed —
+	// the in-memory log bound still holds (truncation proceeds
+	// regardless), but restart-replay cost is no longer bounded and
+	// the disk needs attention. SnapshotsServed counts state-transfer
+	// snapshots captured for a resyncing peer, SnapshotsInstalled
+	// snapshots this member installed in place of a full-history
+	// replay.
+	Checkpoints         atomic.Uint64
+	CheckpointFailures  atomic.Uint64
+	LogRecordsTruncated atomic.Uint64
+	SnapshotsServed     atomic.Uint64
+	SnapshotsInstalled  atomic.Uint64
+	// MirrorBatches counts group-commit batch RPCs sent to the backup;
+	// MirrorBatchRecords the stream records they carried, so
+	// MirrorBatchRecords/MirrorBatches is the achieved batch depth.
+	// WALSyncs counts write-ahead-log fsyncs on the record path (group
+	// commit amortizes them: WALSyncs/(Commits+FastCommits) < 1 under
+	// concurrent load). WALFailures counts batched WAL appends that
+	// failed — with LogSync the affected committers saw the error; off
+	// it, durability of those records silently degraded and the disk
+	// needs attention.
+	MirrorBatches      atomic.Uint64
+	MirrorBatchRecords atomic.Uint64
+	WALSyncs           atomic.Uint64
+	WALFailures        atomic.Uint64
+	// FollowerReads counts snapshot reads this member served as a
+	// backup under the durability-frontier gate (zero on a primary).
+	// FollowerReadWaits counts the subset that arrived ahead of this
+	// member's watermark copy and parked for the piggyback race to
+	// close — a climbing share of FollowerReads means clients outrun
+	// the mirror stream. DurableReadWaits counts durable-mode reads
+	// that found the frontier below their snapshot and had to wait out
+	// the watermark — a climbing value means readers routinely outrun
+	// durability and the mirror/fsync path is the read path's
+	// bottleneck.
+	FollowerReads     atomic.Uint64
+	FollowerReadWaits atomic.Uint64
+	DurableReadWaits  atomic.Uint64
+	// WrongSlotRejects counts requests turned away by the slot-directory
+	// fence — a stale client routing to a group that no longer owns the
+	// OID's route. A burst during a migration cutover is the fence
+	// working; a steadily climbing value means some client never adopts
+	// the new directory. MigratedVersions counts object versions this
+	// store ingested as a migration DESTINATION (bulk capture plus live
+	// tail).
+	WrongSlotRejects atomic.Uint64
+	MigratedVersions atomic.Uint64
+}
+
+// StatsSnapshot is a plain copy of the counters.
+type StatsSnapshot struct {
+	Reads, ReadWaits, Prepares, Commits, FastCommits, Aborts, OrphanAborts, Conflicts, GCVersions uint64
+	EpochBumps, WrongEpochRejects                                                                 uint64
+	Checkpoints, CheckpointFailures, LogRecordsTruncated, SnapshotsServed, SnapshotsInstalled     uint64
+	MirrorBatches, MirrorBatchRecords, WALSyncs, WALFailures                                      uint64
+	FollowerReads, FollowerReadWaits, DurableReadWaits                                            uint64
+	WrongSlotRejects, MigratedVersions                                                            uint64
+}
+
+// Stats returns a snapshot of activity counters.
+func (s *Store) Stats() StatsSnapshot {
+	return StatsSnapshot{
+		Reads:        s.stats.Reads.Load(),
+		ReadWaits:    s.stats.ReadWaits.Load(),
+		Prepares:     s.stats.Prepares.Load(),
+		Commits:      s.stats.Commits.Load(),
+		FastCommits:  s.stats.FastCommits.Load(),
+		Aborts:       s.stats.Aborts.Load(),
+		OrphanAborts: s.stats.OrphanAborts.Load(),
+		Conflicts:    s.stats.Conflicts.Load(),
+		GCVersions:   s.stats.GCVersions.Load(),
+
+		EpochBumps:        s.stats.EpochBumps.Load(),
+		WrongEpochRejects: s.stats.WrongEpochRejects.Load(),
+
+		Checkpoints:         s.stats.Checkpoints.Load(),
+		CheckpointFailures:  s.stats.CheckpointFailures.Load(),
+		LogRecordsTruncated: s.stats.LogRecordsTruncated.Load(),
+		SnapshotsServed:     s.stats.SnapshotsServed.Load(),
+		SnapshotsInstalled:  s.stats.SnapshotsInstalled.Load(),
+
+		MirrorBatches:      s.stats.MirrorBatches.Load(),
+		MirrorBatchRecords: s.stats.MirrorBatchRecords.Load(),
+		WALSyncs:           s.stats.WALSyncs.Load(),
+		WALFailures:        s.stats.WALFailures.Load(),
+
+		FollowerReads:     s.stats.FollowerReads.Load(),
+		FollowerReadWaits: s.stats.FollowerReadWaits.Load(),
+		DurableReadWaits:  s.stats.DurableReadWaits.Load(),
+
+		WrongSlotRejects: s.stats.WrongSlotRejects.Load(),
+		MigratedVersions: s.stats.MigratedVersions.Load(),
+	}
+}

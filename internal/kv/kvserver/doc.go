@@ -1,0 +1,348 @@
+// Package kvserver implements a Yesquel storage server: a multi-version
+// key-value store with snapshot-isolation transactions (prepare /
+// commit / abort participant logic) exposed over RPC.
+//
+// Concurrency control follows the paper's description of the lowest
+// layer: multi-version concurrency control with versions managed "at
+// the layer that stores the actual data". Writers stage operations
+// under per-object write locks during prepare; readers never block
+// writers; a reader blocks only in the narrow window where a prepared
+// transaction could commit below the reader's snapshot (the Clock-SI
+// read rule), which lasts one commit round trip.
+//
+// # Replication
+//
+// Fault tolerance lives in this layer, as the paper prescribes: the
+// SQL layer above is stateless and the client library fails over, so
+// only the storage server needs to replicate. There is one kind of
+// store. Every store is a deterministic function of a prefix of its
+// replication STREAM: every commit, prepare, decision and epoch change
+// is a record with a sequence number, emitted and applied in one
+// critical section, and every store retains a bounded tail of that
+// stream in memory. What differs between deployments is only where the
+// records also go — the SINKS: a write-ahead log (Config.LogPath) and
+// attached members (backups). A store with neither pays a slice append
+// per record and acknowledges at once; it can still be snapshotted,
+// take a backup mid-life, or be the source of a slot migration, because
+// its visible state always equals a stream position.
+//
+// Every server is a member of a replication group — a fresh store is
+// the sole primary of its own one-member group, and Server.FormGroup
+// attaches backups and installs the larger membership. Every stream
+// record is mirrored to the attached members, and the client's
+// acknowledgment is withheld until a majority of the group holds the
+// record, so a failover never loses an acknowledged write. Backups
+// apply the stream in strict sequence order; a gap (the backup missed
+// records, e.g. it restarted) makes mirroring fail loudly instead of
+// silently diverging, and the backup re-joins by streaming the missed
+// records from the primary's retained tail (Server.SyncFrom /
+// MethodSync, the same records the write-ahead log holds) or, when the
+// tail no longer reaches back that far, by state transfer.
+//
+// # Group commit and pipelined mirroring
+//
+// Emission and the durability wait are decoupled (pipeline.go). Every
+// commit, prepare and abort has one shape: emit the record, apply its
+// effects, record the decision — one repMu critical section — then wait
+// on the durability watermark outside it. What happens under repMu, on
+// every store — the invariants every consumer of the stream relies on:
+//
+//   - sequence assignment and the epoch stamp;
+//   - the retained-tail append;
+//   - the application of the record's effects (commit versions,
+//     staged prepares, epoch installs) — so visible state always
+//     equals the stream position when repMu is free, which is what
+//     lets snapshot captures, resyncs and route captures claim exact
+//     coverage.
+//
+// What never happens under repMu: the mirror RPC and the
+// write-ahead-log write/fsync. Emitted records are queued to the
+// sinks: each attached member's sender goroutine coalesces whatever
+// accumulated — at any concurrency, everything emitted during the
+// previous batch's round trip — into ONE MirrorBatchReq RPC (one round
+// trip, one lease extension, one backup-side contiguous apply under one
+// stream-lock acquisition), and the WAL flusher into ONE batched append
+// (one buffer, one lock, one write, one fsync).
+// Config.MirrorBatchMaxRecords caps a batch; Config.GroupCommitInterval
+// optionally lets one build.
+//
+// The WATERMARK ACK RULE: a commit, prepare, or epoch change is
+// acknowledged only once its sequence number clears the durability
+// watermark — covered by a quorum of member acknowledgments (when
+// members are attached) AND written to the WAL (when there is one;
+// fsynced when LogSync is set). With no sink the watermark is the
+// stream head and the wait returns at once. A batch that fails (backup
+// dead, gap, divergence, epoch reject) fails every waiter whose record
+// rode in it: commits surface kv.ErrUncertain (the record is in the local
+// stream, its effects visible; whether it survives a failover depends
+// on whether the batch landed — exactly a lost ack's contract), and
+// prepares vote no and abort, emitting the owed decision record.
+// Waiters never succeed on a record the backup did not apply, so "an
+// acked write survives primary failure" holds unchanged while N
+// concurrent writers share each round trip and fsync. Abort decisions
+// remain fire-and-forget. Throughput under concurrency scales with the
+// batch depth instead of serializing on one round-trip-plus-fsync per
+// record (BenchmarkReplicationConcurrent).
+//
+// One tradeoff is deliberate and worth stating precisely: effects
+// become VISIBLE at emission (under repMu), before the batch is
+// acknowledged or fsynced. The guarantee is therefore two-tiered.
+// VISIBLE-AT-EMISSION: a default read on the primary observes every
+// record emitted so far — including commits still awaiting their
+// quorum ack — so it can observe a write whose writer later gets
+// ErrUncertain and which a failover then erases (the classic
+// group-commit visibility window; it exists only while the primary is
+// alive but failing its mirror). DURABLE-AT-WATERMARK: everything at
+// or below the durability watermark is held by a majority and fsynced
+// when LogSync demands it, so no failover can erase it. The DURABLE
+// READ mode (ReadReq.Durable on the wire, kvclient's DurableReads
+// option) is what closes the window: the server blocks such a read
+// until the durability frontier passes its snapshot (Store.WaitDurable),
+// so the response reflects quorum-durable state only. Default primary
+// reads keep the window; follower reads never had it — a backup only
+// serves at or below its frontier (see the follower-reads section).
+//
+// # Two-phase commit outcome recovery
+//
+// The replication stream carries three record kinds (kv.ReplRecord),
+// not just whole commits, so in-flight two-phase transactions survive
+// a primary failure:
+//
+//   - RecCommit: a whole committed transaction (one-shot fast commits).
+//   - RecPrepare: a participant's phase-one vote — the staged ops and
+//     write locks, replicated before the yes vote is returned. A
+//     promoted backup therefore reconstructs the prepared-transaction
+//     table instead of starting empty, and a MethodSync resync carries
+//     prepared state to a re-formed backup.
+//   - RecDecide: the phase-two outcome (commit at a timestamp, or
+//     abort) for a previously replicated prepare.
+//
+// Decisions are remembered in a bounded, time-evicted decided-
+// transaction table, making Commit/Abort idempotent: a coordinator
+// whose phase-two acknowledgment was lost re-sends the decision — to
+// the same server or to a promoted backup — and gets the recorded
+// outcome instead of "unknown transaction". Prepares whose decision
+// never arrives are handled by SweepOrphans under the epoch rules
+// below; a decided transaction is never swept.
+//
+// # Epochs and leases
+//
+// A replication group carries a monotonically increasing configuration
+// **epoch** with a membership list (acting primary first). Every
+// membership change — promoting the backup after a failure, re-forming
+// the pair with a fresh member — is an explicit epoch bump, recorded
+// as a RecEpoch record in the same totally ordered replication stream
+// as data (so it is mirrored, resynced, and WAL-persisted like any
+// commit, and a replayed or resynced member finishes at the epoch the
+// stream left it at). Every other stream record is stamped with the
+// epoch in effect when it was emitted, and every client request is
+// stamped with the epoch the client believes current.
+//
+// The serving rules (Store.CheckClientOp, enforced at the RPC
+// boundary):
+//
+//   - Only the current epoch's primary serves client operations; a
+//     backup answers every data request with a typed kv.ErrWrongEpoch
+//     redirect naming the current epoch and membership. The PR 1
+//     failure mode — a client blip sending retries to the backup while
+//     the primary lives — is therefore prevented, not detected: the
+//     stray write never lands.
+//   - A multi-member primary serves only while it holds a **lease**:
+//     every mirror ack and MethodLease renewal from the backup extends
+//     its authority to send-time + Config.LeaseDuration, and the
+//     backup symmetrically promises (its grant, recorded atomically
+//     with accepting the record or renewal and measured from receipt,
+//     so the grant always outlasts the authority) not to accept a
+//     promotion before the grant expires. A promotion therefore waits
+//     out the grant (Server.Promote without force), which guarantees a
+//     partitioned stale primary stopped acknowledging reads AND writes
+//     before the new epoch acknowledges its first one. Orchestrators
+//     that killed the primary themselves may force-promote — fencing
+//     by certainty instead of clocks. A sole-member primary needs no
+//     lease (no one else could be promoted).
+//   - A live mirror record stamped with an older epoch than the
+//     replica's is rejected (the sender is a deposed primary); the
+//     rejection carries the new configuration, deposing it gracefully.
+//   - An ErrWrongEpoch rejection guarantees the request was NOT
+//     executed, so clients retry it safely after adopting the carried
+//     membership — including non-idempotent prepares and commits.
+//
+// Epochs also bound the orphan sweep: SweepOrphans may TTL-abort a
+// prepare only when the epoch under which it was accepted is provably
+// superseded (and the TTL, restarted at the bump, has given the
+// coordinator a redirect window). A prepare whose epoch is still
+// current is never unilaterally aborted — a participant that times out
+// after its coordinator decided commit would break atomicity; within a
+// stable epoch 2PC blocks, safely, and an operator can bump the epoch
+// to reap a provably dead coordinator's locks. This holds for every
+// store, a sole-member group included.
+//
+// # Quorum groups
+//
+// The mirror pair generalizes to replication factors above 2: a
+// primary fans each batch out to N backup members in parallel (one
+// member loop, queue, and connection per member — pipeline.go), and
+// the durability watermark becomes "a MAJORITY of members have
+// acknowledged the sequence number, and it is fsynced locally when
+// LogSync demands it". With rf = 3 that means one backup ack
+// suffices, so a minority of backups being down, slow, or broken
+// stalls nothing: writes keep flowing at the speed of the fastest
+// majority, and a broken member's past acks still count toward
+// watermarks they already covered. Only when fewer live members
+// remain than a majority requires does the pipeline fail fast,
+// surfacing kv.ErrUncertain to in-flight commits instead of hanging.
+//
+// The lease generalizes the same way: a multi-member primary serves
+// while it holds unexpired grants from a MAJORITY of its backups
+// (every member's batch ack and lease renewal is a grant), and a
+// promotion without force waits out the grants it observed. The two
+// majorities intersect, which is the whole safety argument: any
+// acknowledged write lives on at least one member of any electing
+// majority, and the member chosen by promotion is the MOST CAUGHT-UP
+// live member — the orchestrator freezes every live member
+// (BeginPromotion), compares stream heads, promotes the maximum, and
+// re-joins the rest as backups of the winner (cluster.promote). A
+// member whose head is behind the winner's syncs the missing tail; a
+// member whose history DIVERGED — it holds records at positions the
+// winner's stream stamped with a different epoch, the classic
+// isolated-old-primary-with-stranded-writes case — is rejected with
+// kv.ErrDiverged at every splice point and re-joins by state transfer
+// only:
+//
+//   - the sync source compares the requester's stream epoch against
+//     the epoch its own log held at the requested position;
+//   - every applied record's epoch stamp must equal the epoch the
+//     replica's stream installed at that position (the per-record
+//     splice guard), so stranded old-epoch records can never be
+//     overlaid by a successor's re-stamped history, nor vice versa;
+//   - a record arriving BELOW the replica's head is acknowledged as a
+//     duplicate only if the retained log proves identity (same kind,
+//     epoch, transaction, timestamp at that position) — the
+//     attach-before-sync overlap ships some records twice by design,
+//     and content, not timing, is what tells a benign duplicate from
+//     a split brain.
+//
+// # Follower reads and the durability watermark
+//
+// Backups serve snapshot reads, so read capacity scales with the
+// replication factor instead of idling at 1/rf of it. The machinery
+// is the durability FRONTIER: the highest commit timestamp t such
+// that every committed version at or below t is applied locally AND
+// quorum-durable. The pipeline tracks the prefix-max commit timestamp
+// per stream position (pipeline.go's tsMark) and publishes the
+// frontier as the durable prefix advances — on a primary from its own
+// quorum and WAL watermarks, on a backup from the watermark the
+// primary piggybacks on every mirror batch and lease renewal. A
+// backup never treats its OWN stream position as durable: records it
+// holds may have been acked by no one else, and a replica restarted
+// from its WAL cannot know how far the group's quorum reached — its
+// frontier is frozen until the current primary vouches afresh.
+//
+// A backup serves Read/ReadPart when the request's snapshot is at or
+// below its frontier (Store.CheckClientRead); above it — or for any
+// write — it answers with the usual ErrWrongEpoch redirect, so the
+// client falls back to the primary instead of reading maybe-durable
+// state (no silently stale data). Safety is two rules composed:
+// (1) every commit with ts <= frontier is durable, by construction of
+// the marks; (2) no commit with ts <= frontier can arrive later,
+// because proposed timestamps are drawn from a clock that has
+// observed every earlier record's timestamp, and a two-phase decision
+// whose prepare sits below the watermark has that prepare's locks
+// applied on the backup, where the Clock-SI read rule makes readers
+// at or above the proposed timestamp wait the decision out. A
+// follower read is therefore exactly a primary snapshot read at the
+// same timestamp — minus the visibility window. kvclient pins each
+// client's eligible read-only snapshot ops to one backup (staggered
+// across clients, rotating on failure) and learns each group's
+// frontier for free from the Ack piggyback (including the idle
+// heartbeat ping) and from fast-commit and read responses; read-only
+// transactions snapshot at the frontier a backup last REPORTED, so in
+// steady state a follower read never arrives ahead of the backup's
+// own watermark copy.
+//
+// Batched reads (MethodReadBatch) ride these rules unchanged: the
+// batch carries ONE snapshot for its N object reads, so the epoch and
+// frontier admission checks and the optional durable-read wait run
+// once for the whole batch, and a replica that may serve one of the
+// reads may serve them all. The per-item reads then take their
+// per-shard locks exactly as N single Read/ReadPart calls would —
+// including the Clock-SI wait on prepared transactions — so a batch
+// answers precisely what N single reads at the same snapshot would
+// have answered, in one round trip; the response piggybacks the
+// serving replica's frontier like any read response.
+//
+// # Log truncation and snapshots
+//
+// The stream tail every store retains — what MethodSync resyncs and
+// migration tails are served from — is bounded: by
+// Config.ReplicationLogMaxRecords and/or MaxBytes, or, when neither is
+// set, by the built-in defaultLogMaxBytes. When the tail exceeds its
+// bound the store CHECKPOINTS, in one sequence (checkpointLocked):
+// capture a consistent snapshot of its full state — every object's
+// version history with conflict metadata, the prepared- and decided-
+// transaction tables, the epoch and membership — tagged with the stream
+// sequence number it covers; truncate the tail to its newest half-cap;
+// and, when there is a write-ahead log, rotate it onto that snapshot (a
+// restart replays snapshot + tail instead of the full history, and the
+// file stays bounded by the checkpoint cadence). A store without a log
+// only truncates. A primary enforces the bound inline in its emit-and-
+// apply paths, so its tail never exceeds the cap. A live-mirror backup
+// defers routine truncation off the ack path (an O(state) checkpoint
+// while the primary synchronously awaits the mirror ack could outlast
+// the mirror timeout): a one-second server ticker bounds its overshoot
+// to about a second of writes, with a hard inline ceiling at four
+// times the cap so memory never rests on the ticker alone.
+//
+// Consistency of the capture comes from the stream lock: every write
+// path, on every store, holds repMu across a record's emission AND the
+// application of its effects, so a snapshot taken under repMu always
+// equals "every record below repSeq applied, none above" — the
+// contract a resyncing replica needs. Prepares whose record has not
+// entered the stream yet are skipped (their records arrive in the
+// tail).
+//
+// A backup that asks to sync from a position below the truncated log's
+// base gets SyncResp.TooOld and falls back to STATE TRANSFER
+// (Server.SyncFrom does this automatically): it streams a chunked
+// snapshot (MethodSnap), installs it — replacing its own stale state,
+// which is a prefix of the source's — and resumes the normal log-tail
+// sync from the snapshot's sequence number. This is what makes a
+// late-joining or long-dead replica cost the current state's size
+// rather than the primary's full write history, and it removes blocker
+// (c) for replication factors above 2 (see ROADMAP). A backup that is
+// AHEAD of its sync source is rejected with kv.ErrDiverged — an
+// irreconcilable history must be re-formed, never papered over.
+//
+// # Invariants and linting
+//
+// The rules above lean on conventions no compiler checks, so the repo
+// carries its own analyzer suite (internal/lint, run as
+// `go run ./cmd/yesqlint ./...`, blocking in CI) that enforces them
+// mechanically:
+//
+//   - repmublock: no blocking operation on a path holding repMu — no
+//     channel waits, selects, time.Sleep, RPC calls, or fsyncs.
+//     Blocking leaf functions are marked //yesqlint:blocking (e.g.
+//     rpc.(*Client).Call, the wal's batched fsync append) and the
+//     property propagates through same-package call chains. The few
+//     deliberate bounded waits under repMu (the checkpoint drain, the
+//     snapshot-install rotation) each carry a //yesqlint:allow with
+//     the justification inline.
+//   - lockorder: the store's mutexes nest in one global order —
+//     repMu, then txMu, then epochMu, then snapMu, then dirMu.
+//     Acquiring them in any other order (directly or via a
+//     same-package call) is flagged.
+//   - errsentinel: errors are classified by errors.Is/errors.As or by
+//     the typed RPC code (rpc.AppError.Code, kv.WireErrorCode), never
+//     by comparing message text.
+//   - wirecodec: hand-rolled Encode/Decode pairs must read fields in
+//     the exact order they were written, and every message has one
+//     layout: no Decode function may guard a read behind
+//     Reader.Remaining.
+//   - timerloop: no per-iteration time.After/NewTimer allocation in
+//     wait loops; hoist one reusable timer.
+//
+// Annotations: //yesqlint:blocking marks a leaf that blocks;
+// //yesqlint:allow <analyzer> -- <reason> suppresses one finding (on
+// the doc comment for a whole function, or on/above the line).
+package kvserver

@@ -1,0 +1,348 @@
+package kvserver
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"sort"
+	"sync"
+	"time"
+
+	"yesquel/internal/clock"
+	"yesquel/internal/kv"
+	"yesquel/internal/wire"
+)
+
+const numShards = 64
+
+type version struct {
+	ts  clock.Timestamp
+	val *kv.Value // nil = tombstone
+	// Conflict metadata: structural commits (full writes, fence
+	// changes, range deletes) conflict with every concurrent write;
+	// commutative commits record the cell/attr keys they touched and
+	// conflict only with overlapping touches.
+	structural bool
+	touched    map[string]struct{}
+}
+
+// classifyOps computes the conflict metadata for a set of ops on one
+// object.
+func classifyOps(ops []*kv.Op) (structural bool, touched map[string]struct{}) {
+	touched = make(map[string]struct{}, len(ops))
+	for _, op := range ops {
+		key, ok := op.CommutativeTouch()
+		if !ok {
+			return true, nil
+		}
+		touched[string(key)] = struct{}{}
+	}
+	return false, touched
+}
+
+type object struct {
+	versions []version // ascending by ts; values are immutable once stored
+	lock     *lockState
+	// gcFloor is the highest timestamp whose version was garbage-
+	// collected; conflict checks for snapshots at or below it must be
+	// conservative because the trimmed history is unknown.
+	gcFloor clock.Timestamp
+}
+
+type shard struct {
+	mu   sync.Mutex
+	objs map[kv.OID]*object
+}
+
+func (s *Store) shardFor(oid kv.OID) *shard {
+	// OID locals are assigned sequentially or randomly; fold the bits.
+	h := uint64(oid)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return &s.shard[h%numShards]
+}
+
+// Read returns the newest version of oid visible at snap. The returned
+// value must not be mutated by the caller (versions are immutable).
+func (s *Store) Read(oid kv.OID, snap clock.Timestamp) (*kv.Value, clock.Timestamp, error) {
+	s.stats.Reads.Add(1)
+	// Advance the local clock past the snapshot before touching the
+	// store: together with assigning proposed timestamps only after all
+	// prepare locks are held, this guarantees that any commit that this
+	// read could not see lands strictly above snap (Clock-SI).
+	s.clock.Observe(snap)
+	sh := s.shardFor(oid)
+	deadline := time.Now().Add(s.cfg.LockWaitTimeout)
+	// One reusable timer for the whole wait loop: time.After leaks a
+	// live timer until the deadline on EVERY woken iteration, and a
+	// read can be woken once per conflicting transaction.
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for {
+		sh.mu.Lock()
+		obj := sh.objs[oid]
+		if obj == nil {
+			sh.mu.Unlock()
+			return nil, 0, kv.ErrNotFound
+		}
+		// Clock-SI read rule: a prepared-but-unresolved transaction with
+		// proposed <= snap might commit below our snapshot; wait for it.
+		if obj.lock != nil && obj.lock.proposed <= snap {
+			ch := obj.lock.done
+			sh.mu.Unlock()
+			s.stats.ReadWaits.Add(1)
+			if timer == nil {
+				timer = time.NewTimer(time.Until(deadline))
+			} else {
+				// The previous wait ended on ch, but the timer may have
+				// fired concurrently; drain the stale tick before
+				// rearming or the next select would time out instantly.
+				if !timer.Stop() {
+					select {
+					case <-timer.C:
+					default:
+					}
+				}
+				timer.Reset(time.Until(deadline))
+			}
+			select {
+			case <-ch:
+				continue
+			case <-timer.C:
+				timer = nil
+				return nil, 0, fmt.Errorf("%w: read blocked on prepared transaction", kv.ErrConflict)
+			}
+		}
+		v, ts, ok := visibleVersion(obj, snap)
+		trimmed := obj.gcFloor != 0
+		sh.mu.Unlock()
+		if !ok && trimmed {
+			// Every retained version is newer than snap, and older ones
+			// were garbage-collected: what snap should see is gone, and
+			// "not found" would be a wrong answer (a hot tree root would
+			// read as dangling). The reader must take a fresh snapshot.
+			return nil, 0, fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
+		}
+		if !ok || v == nil {
+			return nil, 0, kv.ErrNotFound
+		}
+		return v, ts, nil
+	}
+}
+
+// ReadPart returns a windowed view of oid at snap: attributes and
+// bounds always, cells limited to [floor(from), to) capped at max, and
+// the node's total cell count. Plain values come back whole.
+func (s *Store) ReadPart(oid kv.OID, snap clock.Timestamp, from, to []byte, max uint32) (*kv.Value, int, clock.Timestamp, error) {
+	v, ts, err := s.Read(oid, snap)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if v.Kind != kv.KindSuper {
+		return v, 0, ts, nil
+	}
+	// Versions are immutable; build a shallow partial view.
+	part := &kv.Value{
+		Kind:    kv.KindSuper,
+		Attrs:   v.Attrs,
+		LowKey:  v.LowKey,
+		HighKey: v.HighKey,
+		Cells:   v.WindowCells(from, to, max),
+	}
+	return part, len(v.Cells), ts, nil
+}
+
+func visibleVersion(obj *object, snap clock.Timestamp) (*kv.Value, clock.Timestamp, bool) {
+	// versions ascend by ts; find the newest with ts <= snap.
+	i := sort.Search(len(obj.versions), func(i int) bool {
+		return obj.versions[i].ts > snap
+	})
+	if i == 0 {
+		return nil, 0, false
+	}
+	ver := obj.versions[i-1]
+	return ver.val, ver.ts, true
+}
+
+// conflictLocked applies the first-committer-wins rule for a
+// transaction with snapshot start writing ops to obj. Caller holds the
+// shard mutex.
+func conflictLocked(obj *object, start clock.Timestamp, ops []*kv.Op) error {
+	n := len(obj.versions)
+	if n == 0 || obj.versions[n-1].ts <= start {
+		return nil // nothing committed since the snapshot
+	}
+	if start <= obj.gcFloor {
+		// History below the GC floor is gone; we cannot prove the
+		// touched sets are disjoint.
+		return fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
+	}
+	txStructural, txTouched := classifyOps(ops)
+	for i := n - 1; i >= 0 && obj.versions[i].ts > start; i-- {
+		v := &obj.versions[i]
+		if txStructural || v.structural {
+			return fmt.Errorf("%w: concurrent structural write", kv.ErrConflict)
+		}
+		for k := range txTouched {
+			if _, hit := v.touched[k]; hit {
+				return fmt.Errorf("%w: concurrent write to same cell", kv.ErrConflict)
+			}
+		}
+	}
+	return nil
+}
+
+// applyStaged turns a prepared transaction's staged ops into visible
+// versions at commitTS and releases its locks.
+func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp) {
+	for _, oid := range oids {
+		sh := s.shardFor(oid)
+		sh.mu.Lock()
+		obj := sh.objs[oid]
+		if obj == nil || obj.lock == nil || obj.lock.txid != txid {
+			sh.mu.Unlock()
+			continue // defensive; cannot happen with a correct client
+		}
+		base, _, _ := visibleVersion(obj, clock.Max)
+		val := base
+		for _, op := range obj.lock.ops {
+			next, err := op.Apply(val)
+			if err != nil {
+				// Validated at prepare; unreachable unless the client
+				// mutated ops concurrently. Keep prior value.
+				break
+			}
+			val = next
+		}
+		structural, touched := classifyOps(obj.lock.ops)
+		obj.versions = append(obj.versions, version{ts: commitTS, val: val, structural: structural, touched: touched})
+		s.trimLocked(obj)
+		close(obj.lock.done)
+		obj.lock = nil
+		// Tombstones are kept until the retention horizon passes (the
+		// sweeper removes them): erasing the object now would also
+		// erase the conflict history a concurrent transaction with an
+		// older snapshot still needs.
+		sh.mu.Unlock()
+	}
+}
+
+// trimLocked garbage-collects superseded versions. Caller holds the
+// shard mutex. We always keep the newest version, plus the newest
+// version at or below the retention horizon (the base any
+// within-retention snapshot could need).
+func (s *Store) trimLocked(obj *object) {
+	if len(obj.versions) <= 1 {
+		return
+	}
+	nowMillis := s.clock.Last().WallMillis()
+	var horizon clock.Timestamp
+	if nowMillis > s.cfg.RetentionMillis {
+		horizon = clock.Make(nowMillis-s.cfg.RetentionMillis, 0)
+	}
+	// Index of newest version with ts <= horizon; everything before it
+	// is unreachable by any snapshot >= horizon.
+	cut := 0
+	for i, v := range obj.versions {
+		if v.ts <= horizon {
+			cut = i
+		}
+	}
+	// Hard cap: never let a hot object's chain grow without bound even
+	// inside the retention window.
+	if over := len(obj.versions) - s.cfg.MaxVersions; over > cut {
+		cut = over
+	}
+	if cut > 0 {
+		s.stats.GCVersions.Add(uint64(cut))
+		if f := obj.versions[cut-1].ts; f > obj.gcFloor {
+			obj.gcFloor = f
+		}
+		obj.versions = append([]version(nil), obj.versions[cut:]...)
+	}
+}
+
+// SweepTombstones removes unlocked objects whose only version is a
+// tombstone older than the retention horizon. The server runs this
+// periodically; tests call it directly.
+func (s *Store) SweepTombstones() int {
+	nowMillis := s.clock.Last().WallMillis()
+	var horizon clock.Timestamp
+	if nowMillis > s.cfg.RetentionMillis {
+		horizon = clock.Make(nowMillis-s.cfg.RetentionMillis, 0)
+	}
+	removed := 0
+	for i := range s.shard {
+		sh := &s.shard[i]
+		sh.mu.Lock()
+		for oid, obj := range sh.objs {
+			n := len(obj.versions)
+			if obj.lock == nil && n > 0 &&
+				obj.versions[n-1].val == nil && obj.versions[n-1].ts <= horizon {
+				// Newest version is a tombstone past the horizon: no
+				// snapshot inside retention can see older data.
+				delete(sh.objs, oid)
+				removed++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return removed
+}
+
+// NumObjects reports the number of live objects (for tests and stats).
+func (s *Store) NumObjects() int {
+	n := 0
+	for i := range s.shard {
+		s.shard[i].mu.Lock()
+		n += len(s.shard[i].objs)
+		s.shard[i].mu.Unlock()
+	}
+	return n
+}
+
+// VersionCount reports the number of stored versions of oid (tests).
+func (s *Store) VersionCount(oid kv.OID) int {
+	sh := s.shardFor(oid)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	obj := sh.objs[oid]
+	if obj == nil {
+		return 0
+	}
+	return len(obj.versions)
+}
+
+// StateDigest returns a deterministic digest of the store's full
+// multi-version state: every object's version history with commit
+// timestamps and encoded values. Two replicas that applied the same
+// replication stream have equal digests (per-object hashes are XORed,
+// so shard iteration order does not matter).
+func (s *Store) StateDigest() uint64 {
+	var total uint64
+	var tsb [8]byte
+	for i := range s.shard {
+		sh := &s.shard[i]
+		sh.mu.Lock()
+		for oid, obj := range sh.objs {
+			h := fnv.New64a()
+			binary.BigEndian.PutUint64(tsb[:], uint64(oid))
+			h.Write(tsb[:])
+			for _, v := range obj.versions {
+				binary.BigEndian.PutUint64(tsb[:], uint64(v.ts))
+				h.Write(tsb[:])
+				b := wire.NewBuffer(v.val.EncodedSize())
+				kv.EncodeValue(b, v.val)
+				h.Write(b.Bytes())
+			}
+			total ^= h.Sum64()
+		}
+		sh.mu.Unlock()
+	}
+	return total
+}
