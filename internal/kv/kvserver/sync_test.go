@@ -8,7 +8,6 @@ import (
 
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
-	"yesquel/internal/kv/kvserver"
 )
 
 // writeBatch commits n transactions with a mix of op shapes through c.
@@ -235,16 +234,8 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 		{"tail too short: state transfer", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			store, err := kvserver.OpenStore(nil, kvserver.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			primary := kvserver.NewServer(store)
-			if err := primary.Listen("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
-			go primary.Serve()
-			defer primary.Close()
+			primary := startServer(t) // NewStore(nil, Config{})
+			store := primary.Store()
 			c, err := kvclient.Open([]string{primary.Addr()})
 			if err != nil {
 				t.Fatal(err)

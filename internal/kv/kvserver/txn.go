@@ -76,11 +76,11 @@ func groupOps(ops []*kv.Op) ([]kv.OID, map[kv.OID][]*kv.Op) {
 
 // Prepare validates and locks the transaction's writes (phase one of
 // two-phase commit). On success it returns the proposed commit
-// timestamp (a lower bound chosen by this participant) — and, on a
-// replicated store, the staged ops and locks have been replicated as a
-// RecPrepare record, so a promoted backup holds the prepared
-// transaction and can still apply the coordinator's decision. On
-// conflict it returns kv.ErrConflict and leaves no state behind.
+// timestamp (a lower bound chosen by this participant) — and the staged
+// ops and locks are in the stream as a RecPrepare record, held by a
+// quorum of the members (if any), so a promoted backup holds the
+// prepared transaction and can still apply the coordinator's decision.
+// On conflict it returns kv.ErrConflict and leaves no state behind.
 func (s *Store) Prepare(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, error) {
 	return s.prepare(txid, start, ops, true)
 }

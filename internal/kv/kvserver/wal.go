@@ -749,20 +749,12 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 	default:
 		return fmt.Errorf("%w: replication record kind %d", kv.ErrBadRequest, rec.Kind)
 	}
-	seq := s.repSeq
-	s.repSeq++
-	s.commitLog = append(s.commitLog, rec)
-	s.commitLogBytes += recordSize(&rec)
-	// Always enqueue, even with no WAL: the pipeline tracks the
-	// commit-timestamp marks that turn the durability watermark into an
-	// HLC frontier for follower reads, and that bookkeeping must see
-	// every record. With a WAL the record also rides the batched flush —
-	// best-effort, since replicated state is already acknowledged
-	// upstream; a write error here only costs durability of this replica
-	// (WALFailures counts it), and batching keeps the backup's apply
-	// path — and therefore the primary's batch acknowledgment — off the
-	// fsync.
-	s.enqueueLocked(seq, rec)
+	// With a WAL the record also rides the batched flush — best-effort,
+	// since replicated state is already acknowledged upstream; a write
+	// error here only costs durability of this replica (WALFailures
+	// counts it), and batching keeps the backup's apply path — and
+	// therefore the primary's batch acknowledgment — off the fsync.
+	s.appendLocked(rec)
 	return nil
 }
 

@@ -109,11 +109,10 @@ func quiesce(tb testing.TB, trees []*dbt.Tree) {
 	}
 }
 
-// treeReads sums NodeReads over the trees of the two budget tables.
-func treeReads(tb testing.TB, db *sql.DB) uint64 {
-	tb.Helper()
+// treeReads sums NodeReads over trees.
+func treeReads(trees []*dbt.Tree) uint64 {
 	var n uint64
-	for _, tree := range budgetTrees(tb, db) {
+	for _, tree := range trees {
 		n += tree.Stats().NodeReads
 	}
 	return n
@@ -127,6 +126,7 @@ func treeReads(tb testing.TB, db *sql.DB) uint64 {
 func TestReadBudgetPerStatementShape(t *testing.T) {
 	cl, db := loadBudgetDB(t)
 	ctx := context.Background()
+	trees := budgetTrees(t, db)
 
 	type shape struct {
 		name    string
@@ -149,9 +149,9 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 	}
 	run := func(s shape) (reads, commits uint64) {
 		t.Helper()
-		quiesce(t, budgetTrees(t, db))
+		quiesce(t, trees)
 		goroutines := runtime.NumGoroutine()
-		before, treeBefore := cl.Stats(), treeReads(t, db)
+		before, treeBefore := cl.Stats(), treeReads(trees)
 		if s.rows < 0 {
 			if _, err := db.Exec(ctx, s.q, s.args...); err != nil {
 				t.Fatalf("%s: %v", s.name, err)
@@ -168,7 +168,7 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		after := cl.Stats()
 		reads = after.Reads - before.Reads
 		commits = after.FastCommits + after.Commits - before.FastCommits - before.Commits
-		t.Logf("%-40s server reads %d, commits %d, dbt NodeReads %d", s.name, reads, commits, treeReads(t, db)-treeBefore)
+		t.Logf("%-40s server reads %d, commits %d, dbt NodeReads %d", s.name, reads, commits, treeReads(trees)-treeBefore)
 		// A prefetcher the statement abandoned would still be winding down.
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
 			if time.Now().After(deadline) {
