@@ -18,6 +18,23 @@
 // The store is multi-versioned; transactions run under snapshot
 // isolation (Berenson et al.), with versions tagged by hybrid logical
 // clock timestamps (internal/clock).
+//
+// # Immutability
+//
+// A Value that has been handed to anyone else is immutable: a version a
+// store holds, a value a read returned (Store.Read and ReadPart return
+// the stored version or a window onto its cell array, not a copy), an
+// entry of a transaction's read memo, a base passed to Op.Apply. The
+// same holds for an Op once it is staged. Everything below leans on it:
+// Op.Apply builds the next version by copying the Cells header array
+// and sharing every untouched cell's key and value bytes, and the fence
+// keys, with its base, so consecutive versions of a DBT leaf alias one
+// another and a commit costs its delta, not the leaf (every sixteenth
+// step also copies the cells' bytes back into one allocation, so that
+// reading a leaf stays a walk through adjacent memory). The mutating
+// methods (Value.ListAdd, ListDelRange, direct field writes) are for
+// building a value nobody else has seen yet; whoever needs to edit a
+// value it received takes a private copy first with Value.Clone.
 package kv
 
 import (
@@ -85,6 +102,11 @@ type Value struct {
 	LowKey  []byte // inclusive lower bound (DBT fence); nil = unbounded
 	HighKey []byte // exclusive upper bound (DBT fence); nil = unbounded
 	Cells   []Cell // sorted by Key
+
+	// scattered counts the copy-on-write steps since the cells' bytes
+	// were last laid out together (see Op.Apply). It describes the
+	// memory, not the value: it is never encoded or compared.
+	scattered uint8
 }
 
 // NewSuper returns an empty supervalue.
@@ -93,9 +115,11 @@ func NewSuper() *Value { return &Value{Kind: KindSuper} }
 // NewPlain returns a plain value holding data (not copied).
 func NewPlain(data []byte) *Value { return &Value{Kind: KindPlain, Data: data} }
 
-// Clone returns a deep copy of v. The MVCC store clones the latest
-// version before applying delta operations so older versions stay
-// immutable.
+// Clone returns a deep copy of v, sharing nothing with it: the private
+// copy a caller needs before editing a value it received (see
+// "Immutability" in the package comment). Op.Apply does not use it for
+// delta operations; OpPut does, so the stored version never aliases the
+// caller's value.
 func (v *Value) Clone() *Value {
 	if v == nil {
 		return nil
@@ -433,7 +457,15 @@ type Op struct {
 // Apply applies op to base and returns the resulting value. base may be
 // nil (object absent); delta ops on an absent object create an empty
 // supervalue first, so a blind ListAdd works without a prior read.
-// Apply never mutates base.
+//
+// Apply never mutates base, and the result of a delta op is
+// copy-on-write: it shares base's fence keys and every cell the op did
+// not touch (ListAdd and ListDelRange copy the Cells header array,
+// AttrSet and SetBounds share it whole), so its cost is the header
+// array plus the op's own bytes, and one leaf-sized copy every
+// gatherEvery steps (see Value.gather). Both base and the
+// result are immutable from here on. The op's own key, value and bounds
+// are copied in, so the caller's buffers stay its own.
 func (op *Op) Apply(base *Value) (*Value, error) {
 	switch op.Kind {
 	case OpPut:
@@ -442,20 +474,23 @@ func (op *Op) Apply(base *Value) (*Value, error) {
 		return nil, nil
 	}
 	// Delta operations need a supervalue to operate on.
-	var v *Value
+	v := &Value{Kind: KindSuper}
 	switch {
 	case base == nil:
-		v = NewSuper()
 	case base.Kind != KindSuper:
 		return nil, fmt.Errorf("%w: delta op on plain value", ErrBadRequest)
 	default:
-		v = base.Clone()
+		*v = *base
 	}
 	switch op.Kind {
 	case OpListAdd:
-		v.ListAdd(op.Cell.Key, op.Cell.Value)
+		v.Cells = cellsWith(v.Cells, op.Cell.Key, op.Cell.Value)
+		v.gather()
 	case OpListDelRange:
-		v.ListDelRange(op.From, op.To)
+		if cells := cellsWithout(v.Cells, op.From, op.To); len(cells) != len(v.Cells) {
+			v.Cells = cells
+			v.gather()
+		}
 	case OpAttrSet:
 		if op.Attr >= NumAttrs {
 			return nil, fmt.Errorf("%w: attr index %d", ErrBadRequest, op.Attr)

@@ -167,8 +167,9 @@ type partMemo struct {
 // the transaction, so a repeat of a recent request is answered locally:
 // a Get followed by a Put or Delete of the same key asks for the same
 // window of the same leaf twice, and pays for one read. Returned values
-// are shared between callers and must not be modified (staged
-// operations are applied to clones).
+// are shared between callers and must not be modified (kv.Op.Apply
+// overlays staged operations copy-on-write, so an overlaid result
+// shares its untouched cells with the remembered base).
 func (t *Tx) readPartBase(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error) {
 	for i := range t.memo {
 		m := &t.memo[i]

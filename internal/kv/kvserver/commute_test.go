@@ -177,14 +177,22 @@ func TestSweepTombstones(t *testing.T) {
 	if s.NumObjects() != 1 {
 		t.Fatalf("objects after delete = %d", s.NumObjects())
 	}
-	// ...and is swept once past the horizon. Advance the clock: fake
-	// wall time far in the future.
+	// ...and the member's own clock running on does not sweep it: the
+	// horizon follows the commit timestamps in the stream, so that every
+	// member of a group sweeps alike.
 	s.Clock().Observe(makeFutureTS(s))
+	if n := s.SweepTombstones(); n != 0 {
+		t.Fatalf("swept %d on the local clock alone, want 0", n)
+	}
+	// A commit a retention later moves the horizon past the tombstone.
+	if err := prepCommit(t, s, s.Clock().Now(), []*kv.Op{{Kind: kv.OpPut, OID: kv.MakeOID(0, 2), Value: kv.NewPlain([]byte("y"))}}); err != nil {
+		t.Fatal(err)
+	}
 	if n := s.SweepTombstones(); n != 1 {
 		t.Fatalf("swept %d, want 1", n)
 	}
-	if s.NumObjects() != 0 {
-		t.Fatalf("objects after sweep = %d", s.NumObjects())
+	if s.NumObjects() != 1 {
+		t.Fatalf("objects after sweep = %d, want the one live object", s.NumObjects())
 	}
 }
 

@@ -10,7 +10,10 @@ type Config struct {
 	// MaxVersions caps the length of a version chain (default 64).
 	MaxVersions int
 	// RetentionMillis is how long superseded versions stay readable
-	// (default 10000). Snapshots older than this may miss versions.
+	// (default 10000), measured against the newest commit timestamp in
+	// the stream rather than this member's clock, so that every member of
+	// a group collects the same versions (see "Version GC" in the package
+	// comment). Snapshots older than this may miss versions.
 	RetentionMillis uint64
 	// LockWaitTimeout bounds how long a read waits for a prepared
 	// transaction to resolve (default 2s).
@@ -37,16 +40,21 @@ type Config struct {
 	LogSync bool
 	// ReplicationLogMaxRecords bounds the stream tail every store retains
 	// in memory (what MethodSync resyncs and migration tails are served
-	// from): when it exceeds this many records the store checkpoints —
-	// captures a state snapshot at the stream head, rotates the
-	// write-ahead log onto it (if there is one), and truncates the tail —
-	// so a backup that falls behind the retained tail catches up by
-	// snapshot install (MethodSnap) + tail instead of a full-history
-	// replay. 0 = no record bound.
+	// from). The promise is about memory and it is strict: when the tail
+	// exceeds this many records it is cut to its newest half, so a backup
+	// that falls behind the retained tail catches up by snapshot install
+	// (MethodSnap) + tail instead of a full-history replay. It is also
+	// the floor of the write-ahead log's rotation cadence — the file is
+	// considered only when the tail is cut — but no longer its trigger:
+	// the log is rotated onto a state snapshot once the records appended
+	// since the last one amount to the state's own size (see
+	// "Checkpoints" in the package comment), which bounds the file and a
+	// restart's replay at about twice the state whatever this is set to.
+	// 0 = no record bound.
 	ReplicationLogMaxRecords int
-	// ReplicationLogMaxBytes is the same policy measured in estimated
-	// record bytes. Either limit triggers a checkpoint. 0 = no byte bound
-	// — unless ReplicationLogMaxRecords is zero too: then the built-in
+	// ReplicationLogMaxBytes is the same bound measured in estimated
+	// record bytes. Either limit cuts the tail. 0 = no byte bound —
+	// unless ReplicationLogMaxRecords is zero too: then the built-in
 	// defaultLogMaxBytes applies, so no store's tail is unbounded.
 	ReplicationLogMaxBytes int
 	// SnapshotChunkBytes sizes MethodSnap transfer chunks (default 1 MiB,
@@ -163,12 +171,13 @@ type Stats struct {
 	// or deposed primary keeps knocking.
 	EpochBumps        atomic.Uint64
 	WrongEpochRejects atomic.Uint64
-	// Checkpoints counts snapshot checkpoints (log truncations + WAL
-	// rotations); LogRecordsTruncated the replication-log records they
-	// dropped. CheckpointFailures counts WAL rotations that failed —
-	// the in-memory log bound still holds (truncation proceeds
-	// regardless), but restart-replay cost is no longer bounded and
-	// the disk needs attention. SnapshotsServed counts state-transfer
+	// Checkpoints counts write-ahead-log rotations onto a state snapshot
+	// (on a store without a log, whose checkpoint is the truncation,
+	// tail truncations); LogRecordsTruncated the records cut from the
+	// retained tail, with or without a rotation. CheckpointFailures
+	// counts WAL rotations that failed — the in-memory log bound still
+	// holds (truncation proceeds regardless), but restart-replay cost is
+	// no longer bounded and the disk needs attention. SnapshotsServed counts state-transfer
 	// snapshots captured for a resyncing peer, SnapshotsInstalled
 	// snapshots this member installed in place of a full-history
 	// replay.

@@ -271,27 +271,55 @@
 // have answered, in one round trip; the response piggybacks the
 // serving replica's frontier like any read response.
 //
-// # Log truncation and snapshots
+// # Checkpoints
 //
-// The stream tail every store retains — what MethodSync resyncs and
-// migration tails are served from — is bounded: by
-// Config.ReplicationLogMaxRecords and/or MaxBytes, or, when neither is
-// set, by the built-in defaultLogMaxBytes. When the tail exceeds its
-// bound the store CHECKPOINTS, in one sequence (checkpointLocked):
-// capture a consistent snapshot of its full state — every object's
-// version history with conflict metadata, the prepared- and decided-
-// transaction tables, the epoch and membership — tagged with the stream
-// sequence number it covers; truncate the tail to its newest half-cap;
-// and, when there is a write-ahead log, rotate it onto that snapshot (a
-// restart replays snapshot + tail instead of the full history, and the
-// file stays bounded by the checkpoint cadence). A store without a log
-// only truncates. A primary enforces the bound inline in its emit-and-
-// apply paths, so its tail never exceeds the cap. A live-mirror backup
-// defers routine truncation off the ack path (an O(state) checkpoint
-// while the primary synchronously awaits the mirror ack could outlast
-// the mirror timeout): a one-second server ticker bounds its overshoot
-// to about a second of writes, with a hard inline ceiling at four
-// times the cap so memory never rests on the ticker alone.
+// A store is a function of a prefix of its stream, so the log already
+// is the delta: neither a commit nor a checkpoint should cost the size
+// of the state to record one cell. Three costs are kept proportional to
+// what changed. A new version shares every untouched cell with the one
+// before it (kv.Op.Apply copies the cell header array, not the leaf).
+// The ops are applied once per commit per member: prepare keeps its dry
+// run on the lock and commit installs it. And the two things a
+// checkpoint does are bounded separately, each by what it costs:
+//
+//   - The stream tail every store retains IN MEMORY — what MethodSync
+//     resyncs and migration tails are served from — is bounded
+//     strictly, by Config.ReplicationLogMaxRecords and/or MaxBytes, or,
+//     when neither is set, by the built-in defaultLogMaxBytes. Past the
+//     bound the tail is cut to its newest half-cap
+//     (truncateLogLocked), which costs a copy of what is kept. A
+//     primary enforces the bound inline in its emit-and-apply paths, so
+//     its tail never exceeds the cap; a live-mirror backup leaves
+//     routine truncation to a one-second server ticker, with a hard
+//     inline ceiling at four times the cap so memory never rests on the
+//     ticker alone.
+//   - The write-ahead log ON DISK is bounded by the state it describes:
+//     at most a snapshot prefix plus as many bytes of records again,
+//     about twice the state. Rotating the file (checkpointLocked:
+//     capture a consistent snapshot of the full state — every object's
+//     version history with conflict metadata, the prepared- and
+//     decided-transaction tables, the epoch and membership — tagged
+//     with the stream sequence number it covers; drain; write the
+//     snapshot to a new file; rename it over the log) rewrites the
+//     whole multi-version state, so the policy does it only when a tail
+//     bound trips AND the records appended since the file's snapshot
+//     prefix (walTailBytes) have reached the size of the state
+//     (stateBytes, a running count kept where versions are installed,
+//     trimmed and swept). Every byte a rotation writes has then been
+//     paid for by a byte of log already written — write amplification
+//     of at most 2× — and a restart replays at most a state's worth of
+//     records on top of the prefix. (Rotating at every trip would, on
+//     a table whose version chains dwarf its tail bound, have each
+//     member re-encode ~100 MB of state for ~750 KB of new log.) The
+//     explicit Store.Checkpoint rotates unconditionally.
+//
+// A rotation never holds the encoding in memory: encodeSnapshot hands
+// it over a chunk at a time, each chunk becoming one snapshot frame of
+// the new file (or one chunk of a MethodSnap transfer session). The
+// encode and the file write run off repMu, on a goroutine, while
+// appends that race them are teed into the new file; a rotation that
+// fails or dies part-way leaves the old log as it was. A store without
+// a log only truncates.
 //
 // Consistency of the capture comes from the stream lock: every write
 // path, on every store, holds repMu across a record's emission AND the
@@ -312,6 +340,22 @@
 // (c) for replication factors above 2 (see ROADMAP). A backup that is
 // AHEAD of its sync source is rejected with kv.ErrDiverged — an
 // irreconcilable history must be re-formed, never papered over.
+//
+// # Version GC
+//
+// Superseded versions are trimmed where a version is installed, and
+// tombstoned objects swept on a timer, both against a retention horizon
+// that is a function of the stream: the highest commit timestamp among
+// the records applied so far (Store.streamTS), minus
+// Config.RetentionMillis. A member's own clock will not do — reads
+// advance it, so members' clocks differ — whereas every member that has
+// applied the same records holds the same mark, trims the same versions
+// at the same sequence number and sweeps the same tombstones, and
+// StateDigest stays equal across a group however long it runs. (One
+// corner is left: an OID deleted, swept by some members and not yet by
+// others, then written again holds one more version on the members that
+// had not swept, until that tombstone is trimmed. The DBT never reuses
+// an OID.)
 //
 // # Invariants and linting
 //

@@ -17,7 +17,10 @@ const numShards = 64
 
 type version struct {
 	ts  clock.Timestamp
-	val *kv.Value // nil = tombstone
+	val *kv.Value // nil = tombstone; shares untouched cells with its predecessor (kv.Op.Apply)
+	// size is what this version adds to Store.stateBytes, remembered so
+	// trimming it needs no second pass over the value.
+	size int
 	// Conflict metadata: structural commits (full writes, fence
 	// changes, range deletes) conflict with every concurrent write;
 	// commutative commits record the cell/attr keys they touched and
@@ -197,8 +200,36 @@ func conflictLocked(obj *object, start clock.Timestamp, ops []*kv.Op) error {
 	return nil
 }
 
+// applyOps folds ops over base (nil = absent) and returns the value they
+// produce. It stops at the first op that fails, returning the value
+// reached so far with the error. base is not modified: every step is
+// copy-on-write (kv.Op.Apply).
+func applyOps(base *kv.Value, ops []*kv.Op) (*kv.Value, error) {
+	for _, op := range ops {
+		next, err := op.Apply(base)
+		if err != nil {
+			return base, err
+		}
+		base = next
+	}
+	return base, nil
+}
+
+// newestValue returns obj's newest value (nil for none or a tombstone):
+// the base a commit's ops apply to.
+func newestValue(obj *object) *kv.Value {
+	if n := len(obj.versions); n > 0 {
+		return obj.versions[n-1].val
+	}
+	return nil
+}
+
 // applyStaged turns a prepared transaction's staged ops into visible
-// versions at commitTS and releases its locks.
+// versions at commitTS and releases its locks. A lock staged by prepare
+// on this store carries the value its dry run produced, which is
+// installed as it is while the object's newest value is still the one
+// it was computed on; a lock rebuilt from a stream record or a snapshot
+// carries none, and the ops are applied here.
 func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp) {
 	for _, oid := range oids {
 		sh := s.shardFor(oid)
@@ -208,21 +239,15 @@ func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp
 			sh.mu.Unlock()
 			continue // defensive; cannot happen with a correct client
 		}
-		base, _, _ := visibleVersion(obj, clock.Max)
-		val := base
-		for _, op := range obj.lock.ops {
-			next, err := op.Apply(val)
-			if err != nil {
-				// Validated at prepare; unreachable unless the client
-				// mutated ops concurrently. Keep prior value.
-				break
-			}
-			val = next
+		lock := obj.lock
+		val, base := lock.staged, newestValue(obj)
+		if !lock.hasStaged || base != lock.stagedOn {
+			// Validated when the prepare was first accepted, so an error
+			// is unreachable; the value reached is kept.
+			val, _ = applyOps(base, lock.ops)
 		}
-		structural, touched := classifyOps(obj.lock.ops)
-		obj.versions = append(obj.versions, version{ts: commitTS, val: val, structural: structural, touched: touched})
-		s.trimLocked(obj)
-		close(obj.lock.done)
+		s.installVersionLocked(obj, commitTS, val, lock.ops)
+		close(lock.done)
 		obj.lock = nil
 		// Tombstones are kept until the retention horizon passes (the
 		// sweeper removes them): erasing the object now would also
@@ -230,6 +255,41 @@ func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp
 		// older snapshot still needs.
 		sh.mu.Unlock()
 	}
+}
+
+// installVersionLocked appends val as obj's version at ts — the one
+// place a commit's effects become visible, natively or replicated —
+// then advances the stream's commit-timestamp mark and trims the chain
+// against it. Caller holds repMu and the shard mutex.
+func (s *Store) installVersionLocked(obj *object, ts clock.Timestamp, val *kv.Value, ops []*kv.Op) {
+	structural, touched := classifyOps(ops)
+	size := versionOverhead + val.EncodedSize()
+	obj.versions = append(obj.versions, version{ts: ts, val: val, size: size, structural: structural, touched: touched})
+	s.stateBytes.Add(int64(size))
+	if uint64(ts) > s.streamTS.Load() {
+		s.streamTS.Store(uint64(ts))
+	}
+	s.trimLocked(obj)
+}
+
+// versionOverhead is what a version adds to a state snapshot beside its
+// encoded value: timestamp, flags and a typical touched set.
+const versionOverhead = 32
+
+// retentionHorizon is the timestamp at or below which superseded
+// versions may be collected. It is a function of the stream, not of
+// this member's clock: streamTS is the highest commit timestamp among
+// the records applied so far, so every member of a group computes the
+// same horizon at the same sequence number, trims the same versions
+// there, and StateDigest stays a replica invariant however long the
+// group runs. (A member's own clock runs ahead of its commits by
+// however many reads it has served.)
+func (s *Store) retentionHorizon() clock.Timestamp {
+	mark := clock.Timestamp(s.streamTS.Load()).WallMillis()
+	if mark <= s.cfg.RetentionMillis {
+		return 0
+	}
+	return clock.Make(mark-s.cfg.RetentionMillis, 0)
 }
 
 // trimLocked garbage-collects superseded versions. Caller holds the
@@ -240,11 +300,7 @@ func (s *Store) trimLocked(obj *object) {
 	if len(obj.versions) <= 1 {
 		return
 	}
-	nowMillis := s.clock.Last().WallMillis()
-	var horizon clock.Timestamp
-	if nowMillis > s.cfg.RetentionMillis {
-		horizon = clock.Make(nowMillis-s.cfg.RetentionMillis, 0)
-	}
+	horizon := s.retentionHorizon()
 	// Index of newest version with ts <= horizon; everything before it
 	// is unreachable by any snapshot >= horizon.
 	cut := 0
@@ -258,24 +314,33 @@ func (s *Store) trimLocked(obj *object) {
 	if over := len(obj.versions) - s.cfg.MaxVersions; over > cut {
 		cut = over
 	}
-	if cut > 0 {
-		s.stats.GCVersions.Add(uint64(cut))
-		if f := obj.versions[cut-1].ts; f > obj.gcFloor {
-			obj.gcFloor = f
-		}
-		obj.versions = append([]version(nil), obj.versions[cut:]...)
+	if cut == 0 {
+		return
 	}
+	s.stats.GCVersions.Add(uint64(cut))
+	if f := obj.versions[cut-1].ts; f > obj.gcFloor {
+		obj.gcFloor = f
+	}
+	freed := 0
+	for i := range obj.versions[:cut] {
+		freed += obj.versions[i].size
+	}
+	s.stateBytes.Add(-int64(freed))
+	// Shift down in place: a hot object sits at MaxVersions and trims on
+	// every commit, and the array it already has is the right size. The
+	// vacated tail is zeroed so the dropped values can be collected.
+	n := copy(obj.versions, obj.versions[cut:])
+	clear(obj.versions[n:])
+	obj.versions = obj.versions[:n]
 }
 
-// SweepTombstones removes unlocked objects whose only version is a
-// tombstone older than the retention horizon. The server runs this
-// periodically; tests call it directly.
+// SweepTombstones removes unlocked objects whose newest version is a
+// tombstone at or below the retention horizon — the stream's horizon
+// (retentionHorizon), so members that have applied the same records
+// sweep the same objects. The server runs this periodically; tests call
+// it directly.
 func (s *Store) SweepTombstones() int {
-	nowMillis := s.clock.Last().WallMillis()
-	var horizon clock.Timestamp
-	if nowMillis > s.cfg.RetentionMillis {
-		horizon = clock.Make(nowMillis-s.cfg.RetentionMillis, 0)
-	}
+	horizon := s.retentionHorizon()
 	removed := 0
 	for i := range s.shard {
 		sh := &s.shard[i]

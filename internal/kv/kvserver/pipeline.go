@@ -45,7 +45,6 @@ package kvserver
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -276,20 +275,26 @@ func (p *replPipe) recomputeQuorumLocked() {
 		return
 	}
 	p.need = (len(p.members) + 1) / 2
-	acks := make([]uint64, len(p.members))
 	live := 0
 	var memberErr error
-	for i, m := range p.members {
-		acks[i] = m.acked
+	for _, m := range p.members {
 		if m.broken {
 			memberErr = m.err
 		} else {
 			live++
 		}
-	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
-	if w := acks[p.need-1]; w > p.mirrored {
-		p.mirrored = w
+		// The need-th largest ack is the largest one that need members
+		// have reached. This runs on every member ack and a group has a
+		// handful of members, so count in place rather than sort a copy.
+		reached := 0
+		for _, o := range p.members {
+			if o.acked >= m.acked {
+				reached++
+			}
+		}
+		if reached >= p.need && m.acked > p.mirrored {
+			p.mirrored = m.acked
+		}
 	}
 	if live < p.need {
 		if p.quorumErr == nil {

@@ -61,7 +61,7 @@ type snapVersion struct {
 	TS         clock.Timestamp
 	Val        *kv.Value // nil = tombstone
 	Structural bool
-	Touched    [][]byte
+	Touched    map[string]struct{} // aliases the stored version's set, which is never modified
 }
 
 type snapPrepare struct {
@@ -140,15 +140,7 @@ func (s *Store) captureSnapshotLocked() *stateSnapshot {
 			}
 			o := snapObject{OID: oid, GCFloor: obj.gcFloor, Versions: make([]snapVersion, 0, len(obj.versions))}
 			for _, v := range obj.versions {
-				sv := snapVersion{TS: v.ts, Val: v.val, Structural: v.structural}
-				if len(v.touched) > 0 {
-					sv.Touched = make([][]byte, 0, len(v.touched))
-					for k := range v.touched {
-						sv.Touched = append(sv.Touched, []byte(k))
-					}
-					sort.Slice(sv.Touched, func(a, b int) bool { return string(sv.Touched[a]) < string(sv.Touched[b]) })
-				}
-				o.Versions = append(o.Versions, sv)
+				o.Versions = append(o.Versions, snapVersion{TS: v.ts, Val: v.val, Structural: v.structural, Touched: v.touched})
 			}
 			sn.Objects = append(sn.Objects, o)
 		}
@@ -159,58 +151,116 @@ func (s *Store) captureSnapshotLocked() *stateSnapshot {
 }
 
 // encodeSnapshot serializes sn in the canonical snapshot format shared
-// by MethodSnap transfers and write-ahead-log checkpoint frames.
-func encodeSnapshot(sn *stateSnapshot) []byte {
+// by MethodSnap transfers and write-ahead-log checkpoint frames, handing
+// it to emit in consecutive pieces of exactly chunk bytes (the last may
+// be shorter), each valid only during the call. Nothing is sized by the
+// state: one version at a time is encoded into a scratch buffer and
+// copied into the piece being filled, so producing the encoding takes
+// one chunk of memory plus the largest value.
+func encodeSnapshot(sn *stateSnapshot, chunk int, emit func([]byte) error) error {
+	// Allocated whole (append would allocate several times its size on
+	// the way up), unless chunk is beyond what a state is likely to fill.
+	piece := make([]byte, 0, min(chunk, 1<<20))
+	var emitErr error
+	var keys []string
 	b := wire.NewBuffer(1 << 12)
+	// spill moves the scratch bytes into the piece, emitting it as it fills.
+	spill := func() {
+		p := b.Bytes()
+		for len(p) > 0 && emitErr == nil {
+			n := min(chunk-len(piece), len(p))
+			piece = append(piece, p[:n]...)
+			p = p[n:]
+			if len(piece) == chunk {
+				emitErr = emit(piece)
+				piece = piece[:0]
+			}
+		}
+		b.Reset()
+	}
 	b.PutByte(snapFormat)
 	b.PutUvarint(sn.Seq)
 	b.PutUvarint(sn.Epoch)
-	b.PutUvarint(uint64(len(sn.Members)))
+	encodeCount(b, len(sn.Members))
 	for _, m := range sn.Members {
 		b.PutString(m)
 	}
-	b.PutUint64(uint64(sn.Clock))
-	b.PutUvarint(uint64(len(sn.Objects)))
+	encodeTS(b, sn.Clock)
+	encodeCount(b, len(sn.Objects))
 	for i := range sn.Objects {
 		o := &sn.Objects[i]
 		b.PutUint64(uint64(o.OID))
-		b.PutUint64(uint64(o.GCFloor))
-		b.PutUvarint(uint64(len(o.Versions)))
+		encodeTS(b, o.GCFloor)
+		encodeCount(b, len(o.Versions))
 		for j := range o.Versions {
 			v := &o.Versions[j]
-			b.PutUint64(uint64(v.TS))
+			encodeTS(b, v.TS)
 			kv.EncodeValue(b, v.Val)
 			b.PutBool(v.Structural)
-			b.PutUvarint(uint64(len(v.Touched)))
-			for _, k := range v.Touched {
-				b.PutBytes(k)
+			// Sorted so equal states encode equally; here, off the stream lock.
+			keys = keys[:0]
+			for k := range v.Touched {
+				keys = append(keys, k)
 			}
+			sort.Strings(keys)
+			encodeCount(b, len(keys))
+			for _, k := range keys {
+				b.PutString(k)
+			}
+			spill()
+		}
+		if emitErr != nil {
+			return emitErr
 		}
 	}
-	b.PutUvarint(uint64(len(sn.Prepared)))
+	encodeCount(b, len(sn.Prepared))
 	for i := range sn.Prepared {
 		p := &sn.Prepared[i]
 		b.PutUint64(p.TxID)
 		b.PutUvarint(p.Epoch)
-		b.PutUint64(uint64(p.TS))
-		b.PutUvarint(uint64(len(p.Ops)))
+		encodeTS(b, p.TS)
+		encodeCount(b, len(p.Ops))
 		for _, op := range p.Ops {
 			kv.EncodeOp(b, op)
 		}
+		spill()
 	}
-	b.PutUvarint(uint64(len(sn.Decided)))
+	encodeCount(b, len(sn.Decided))
 	for i := range sn.Decided {
 		d := &sn.Decided[i]
 		b.PutUint64(d.TxID)
 		b.PutBool(d.Commit)
-		b.PutUint64(uint64(d.TS))
+		encodeTS(b, d.TS)
 	}
-	return b.Bytes()
+	spill()
+	if emitErr == nil && len(piece) > 0 {
+		emitErr = emit(piece)
+	}
+	return emitErr
 }
 
 // snapMaxCount sanity-bounds decoded element counts (like the wire
 // decoders, this guards against garbage, not policy).
 const snapMaxCount = uint64(wire.MaxFrameSize)
+
+// encodeCount and decodeCount carry an element count, encodeTS and
+// decodeTS a timestamp (named so that yesqlint's wirecodec pairs them).
+func encodeCount(b *wire.Buffer, n int) { b.PutUvarint(uint64(n)) }
+
+func decodeCount(r *wire.Reader) (uint64, error) {
+	n, err := r.Uvarint()
+	if err == nil && n > snapMaxCount {
+		err = kv.ErrBadRequest
+	}
+	return n, err
+}
+
+func encodeTS(b *wire.Buffer, ts clock.Timestamp) { b.PutUint64(uint64(ts)) }
+
+func decodeTS(r *wire.Reader) (clock.Timestamp, error) {
+	ts, err := r.Uint64()
+	return clock.Timestamp(ts), err
+}
 
 // decodeSnapshot is the inverse of encodeSnapshot.
 func decodeSnapshot(p []byte) (*stateSnapshot, error) {
@@ -229,12 +279,9 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 	if sn.Epoch, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
-	nm, err := r.Uvarint()
+	nm, err := decodeCount(r)
 	if err != nil {
 		return nil, err
-	}
-	if nm > snapMaxCount {
-		return nil, kv.ErrBadRequest
 	}
 	for i := uint64(0); i < nm; i++ {
 		m, err := r.String()
@@ -243,18 +290,13 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 		}
 		sn.Members = append(sn.Members, m)
 	}
-	ck, err := r.Uint64()
-	if err != nil {
+	if sn.Clock, err = decodeTS(r); err != nil {
 		return nil, err
 	}
-	sn.Clock = clock.Timestamp(ck)
 
-	nobj, err := r.Uvarint()
+	nobj, err := decodeCount(r)
 	if err != nil {
 		return nil, err
-	}
-	if nobj > snapMaxCount {
-		return nil, kv.ErrBadRequest
 	}
 	sn.Objects = make([]snapObject, 0, nobj)
 	for i := uint64(0); i < nobj; i++ {
@@ -264,57 +306,47 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 			return nil, err
 		}
 		o.OID = kv.OID(oid)
-		floor, err := r.Uint64()
-		if err != nil {
+		if o.GCFloor, err = decodeTS(r); err != nil {
 			return nil, err
 		}
-		o.GCFloor = clock.Timestamp(floor)
-		nv, err := r.Uvarint()
+		nv, err := decodeCount(r)
 		if err != nil {
 			return nil, err
-		}
-		if nv > snapMaxCount {
-			return nil, kv.ErrBadRequest
 		}
 		o.Versions = make([]snapVersion, 0, nv)
 		for j := uint64(0); j < nv; j++ {
 			var v snapVersion
-			ts, err := r.Uint64()
-			if err != nil {
+			if v.TS, err = decodeTS(r); err != nil {
 				return nil, err
 			}
-			v.TS = clock.Timestamp(ts)
 			if v.Val, err = kv.DecodeValue(r); err != nil {
 				return nil, err
 			}
 			if v.Structural, err = r.Bool(); err != nil {
 				return nil, err
 			}
-			nt, err := r.Uvarint()
+			nt, err := decodeCount(r)
 			if err != nil {
 				return nil, err
 			}
-			if nt > snapMaxCount {
-				return nil, kv.ErrBadRequest
+			if nt > 0 {
+				v.Touched = make(map[string]struct{})
 			}
 			for k := uint64(0); k < nt; k++ {
-				key, err := r.BytesCopy()
+				key, err := r.String()
 				if err != nil {
 					return nil, err
 				}
-				v.Touched = append(v.Touched, key)
+				v.Touched[key] = struct{}{}
 			}
 			o.Versions = append(o.Versions, v)
 		}
 		sn.Objects = append(sn.Objects, o)
 	}
 
-	np, err := r.Uvarint()
+	np, err := decodeCount(r)
 	if err != nil {
 		return nil, err
-	}
-	if np > snapMaxCount {
-		return nil, kv.ErrBadRequest
 	}
 	sn.Prepared = make([]snapPrepare, 0, np)
 	for i := uint64(0); i < np; i++ {
@@ -325,17 +357,12 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 		if pr.Epoch, err = r.Uvarint(); err != nil {
 			return nil, err
 		}
-		ts, err := r.Uint64()
-		if err != nil {
+		if pr.TS, err = decodeTS(r); err != nil {
 			return nil, err
 		}
-		pr.TS = clock.Timestamp(ts)
-		nops, err := r.Uvarint()
+		nops, err := decodeCount(r)
 		if err != nil {
 			return nil, err
-		}
-		if nops > snapMaxCount {
-			return nil, kv.ErrBadRequest
 		}
 		for j := uint64(0); j < nops; j++ {
 			op, err := kv.DecodeOp(r)
@@ -347,12 +374,9 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 		sn.Prepared = append(sn.Prepared, pr)
 	}
 
-	nd, err := r.Uvarint()
+	nd, err := decodeCount(r)
 	if err != nil {
 		return nil, err
-	}
-	if nd > snapMaxCount {
-		return nil, kv.ErrBadRequest
 	}
 	sn.Decided = make([]snapDecision, 0, nd)
 	for i := uint64(0); i < nd; i++ {
@@ -363,11 +387,9 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 		if d.Commit, err = r.Bool(); err != nil {
 			return nil, err
 		}
-		ts, err := r.Uint64()
-		if err != nil {
+		if d.TS, err = decodeTS(r); err != nil {
 			return nil, err
 		}
-		d.TS = clock.Timestamp(ts)
 		sn.Decided = append(sn.Decided, d)
 	}
 	return sn, nil
@@ -390,7 +412,7 @@ func (s *Store) InstallSnapshot(enc []byte) error {
 	}
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	return s.installSnapshotLocked(sn, enc)
+	return s.installSnapshotLocked(sn)
 }
 
 // InstallSnapshotDiscardingTail installs a snapshot even when it lies
@@ -412,20 +434,18 @@ func (s *Store) InstallSnapshotDiscardingTail(enc []byte) error {
 	if sn.Seq < s.repSeq {
 		s.repSeq = sn.Seq
 		s.streamEpoch = 0
-		for seq := range s.pending {
-			delete(s.pending, seq)
-		}
+		clear(s.pending)
 	}
-	return s.installSnapshotLocked(sn, enc)
+	return s.installSnapshotLocked(sn)
 }
 
 // installSnapshotLocked implements InstallSnapshot; OpenStore also uses
-// it to replay a write-ahead log's checkpoint frame into a fresh store.
-// Caller holds repMu. enc is the snapshot's canonical encoding for the
-// WAL rotation (re-encoded if nil).
+// it to replay a write-ahead log's checkpoint frame into a fresh store
+// (which has no log open yet, so nothing is rotated). Caller holds
+// repMu.
 //
 //yesqlint:allow repmublock -- deliberate: replacing the whole visible state must exclude concurrent stream applies, and the inline WAL rotation/close is bounded local file work, never a network call
-func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
+func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	if sn.Seq < s.repSeq {
 		return fmt.Errorf("%w: snapshot covers seq %d but this replica is already at %d: refusing to move the stream backwards", kv.ErrBadRequest, sn.Seq, s.repSeq)
 	}
@@ -444,6 +464,8 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 		sh.objs = make(map[kv.OID]*object)
 		sh.mu.Unlock()
 	}
+	s.stateBytes.Store(0)
+	var maxTS clock.Timestamp // highest version or decided-commit timestamp held
 	now := time.Now()
 	s.txMu.Lock()
 	s.txs = make(map[uint64]*txRecord)
@@ -452,6 +474,9 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 	for _, d := range sn.Decided {
 		s.decided[d.TxID] = decision{commit: d.Commit, commitTS: d.TS}
 		s.decidedQ = append(s.decidedQ, decidedEntry{txid: d.TxID, at: now})
+		if d.Commit && d.TS > maxTS {
+			maxTS = d.TS
+		}
 	}
 	s.txMu.Unlock()
 
@@ -462,14 +487,12 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 		obj := &object{gcFloor: o.GCFloor, versions: make([]version, 0, len(o.Versions))}
 		for j := range o.Versions {
 			v := &o.Versions[j]
-			var touched map[string]struct{}
-			if len(v.Touched) > 0 {
-				touched = make(map[string]struct{}, len(v.Touched))
-				for _, k := range v.Touched {
-					touched[string(k)] = struct{}{}
-				}
+			size := versionOverhead + v.Val.EncodedSize()
+			s.stateBytes.Add(int64(size))
+			obj.versions = append(obj.versions, version{ts: v.TS, val: v.Val, size: size, structural: v.Structural, touched: v.Touched})
+			if v.TS > maxTS {
+				maxTS = v.TS
 			}
-			obj.versions = append(obj.versions, version{ts: v.TS, val: v.Val, structural: v.Structural, touched: touched})
 		}
 		sh.objs[o.OID] = obj
 		sh.mu.Unlock()
@@ -485,8 +508,7 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 	s.clock.Observe(sn.Clock)
 	s.repSeq = sn.Seq
 	// Reinstall the durability-frontier bookkeeping over the new state.
-	// The frontier bound comes from the DATA — the highest version or
-	// decided-commit timestamp the snapshot actually holds — never from
+	// The frontier bound comes from the DATA (maxTS), never from
 	// sn.Clock: the source's clock runs ahead of its commits (reads
 	// observe their snapshots into it), and a frontier above the real
 	// data would vouch for timestamps at which this replica's answer is
@@ -494,20 +516,11 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 	// durableSeqLocked: on a follower the reset also drops the remote
 	// watermark, so the frontier stays frozen until the current primary
 	// vouches for the installed coverage afresh.
-	var maxTS clock.Timestamp
-	for i := range sn.Objects {
-		for j := range sn.Objects[i].Versions {
-			if ts := sn.Objects[i].Versions[j].TS; ts > maxTS {
-				maxTS = ts
-			}
-		}
-	}
-	for i := range sn.Decided {
-		if d := &sn.Decided[i]; d.Commit && d.TS > maxTS {
-			maxTS = d.TS
-		}
-	}
 	s.resetFrontierLocked(sn.Seq, maxTS)
+	// Version GC resumes from the mark the source had at sn.Seq: the
+	// record with the highest commit timestamp left the newest version of
+	// whatever it wrote, which no trim or sweep has removed yet.
+	s.streamTS.Store(uint64(maxTS))
 	s.commitLog = nil
 	s.commitLogBytes = 0
 	s.logBase = sn.Seq
@@ -530,16 +543,13 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 	// the path IS the snapshot file, and the in-memory install is
 	// already complete; the durability doubt is counted, not fatal.
 	if s.wal != nil {
-		if enc == nil {
-			enc = encodeSnapshot(sn)
-		}
 		// Quiesce the pipeline first: queued (and in-flight) batched
 		// appends hold records below the snapshot's coverage; teed into
 		// the rotated file they would replay on top of a snapshot that
 		// already contains their effects. The snapshot subsumes them, so
 		// they are dropped, not written.
 		s.discardWALLocked()
-		if swapped, err := s.wal.rotate(enc); err != nil {
+		if swapped, err := s.wal.rotate(snapshotFrames(sn)); err != nil {
 			s.stats.CheckpointFailures.Add(1)
 			if !swapped {
 				s.wal.close()
@@ -558,6 +568,9 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 		}
 		s.pipe.mu.Unlock()
 	}
+	// The log (rotated just now, or being replayed by OpenStore) begins at
+	// this snapshot, and any rotation that was in flight has finished.
+	s.walTailBytes.Store(0)
 	for seq := range s.pending {
 		if seq < s.repSeq {
 			delete(s.pending, seq)
@@ -578,12 +591,12 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot, enc []byte) error {
 }
 
 // snapSession is one in-progress state transfer: a consistent encoded
-// snapshot being served chunk-by-chunk. lastUsed advances on every
-// served chunk, so the idle TTL never expires a transfer that is
-// actively (if slowly) making progress.
+// snapshot, held as the chunks it is served in (never one contiguous
+// buffer). lastUsed advances on every served chunk, so the idle TTL
+// never expires a transfer that is actively (if slowly) making progress.
 type snapSession struct {
 	seq      uint64
-	data     []byte
+	chunks   [][]byte
 	lastUsed time.Time
 }
 
@@ -633,81 +646,76 @@ func (s *Store) expireSnapSessionsLocked(now time.Time) {
 // session is a loud error (the caller restarts the transfer) rather
 // than a risk of splicing two states.
 func (s *Store) ServeSnapshotChunk(id uint64, chunk uint32) (outID, seq uint64, chunks uint32, data []byte, err error) {
-	if id == 0 {
-		// Share a session already covering the current head: concurrent
-		// cold-joiners (an idle source, or several peers starting at
-		// once) then read one immutable encoded snapshot instead of
-		// capturing per peer and evicting each other past the session
-		// cap. Sessions are immutable, so sharing is read-only safe.
-		// Captures are single-flighted per head — simultaneous first
-		// requests wait for one capture instead of each paying the
-		// O(state) pass and thrashing the session table.
-		for id == 0 {
-			// Re-read the window each iteration: under ongoing writes a
-			// capture lands above the head its waiters recorded, and a
-			// stale comparison would send every waiter into its own
-			// capture. Any session at or above logBase is shareable —
-			// the log tail continues from its seq — so concurrent
-			// joiners converge on the newest one.
-			base, head := s.LogBounds()
-			now := time.Now()
-			s.snapMu.Lock()
-			s.expireSnapSessionsLocked(now)
-			for sid, sess := range s.snapSessions {
-				if sess.seq >= base && (id == 0 || sess.seq > s.snapSessions[id].seq) {
-					id = sid
-				}
+	// Share a session already covering the current head: concurrent
+	// cold-joiners (an idle source, or several peers starting at once) then
+	// read one immutable encoded snapshot instead of capturing per peer and
+	// evicting each other past the session cap. Sessions are immutable, so
+	// sharing is read-only safe. Captures are single-flighted per head —
+	// simultaneous first requests wait for one capture instead of each
+	// paying the O(state) pass and thrashing the session table.
+	for id == 0 {
+		// Re-read the window each iteration: under ongoing writes a
+		// capture lands above the head its waiters recorded, and a stale
+		// comparison would send every waiter into its own capture. Any
+		// session at or above logBase is shareable — the log tail
+		// continues from its seq — so concurrent joiners converge on the
+		// newest one.
+		base, head := s.LogBounds()
+		now := time.Now()
+		s.snapMu.Lock()
+		s.expireSnapSessionsLocked(now)
+		for sid, sess := range s.snapSessions {
+			if sess.seq >= base && (id == 0 || sess.seq > s.snapSessions[id].seq) {
+				id = sid
 			}
-			if id != 0 {
-				s.snapSessions[id].lastUsed = now
-				s.snapMu.Unlock()
-				break
-			}
-			if ch, busy := s.snapCapturing[head]; busy {
-				// Another request is capturing this head: wait for its
-				// session, then re-check.
-				s.snapMu.Unlock()
-				<-ch
-				continue
-			}
-			if s.snapCapturing == nil {
-				s.snapCapturing = make(map[uint64]chan struct{})
-			}
-			done := make(chan struct{})
-			s.snapCapturing[head] = done
-			s.snapMu.Unlock()
-
-			s.repMu.Lock()
-			sn := s.captureSnapshotLocked()
-			s.repMu.Unlock()
-			// Serialize outside the stream lock: the capture is a
-			// private copy (values aliased but immutable), and encoding
-			// is a second O(state) pass the write paths need not wait
-			// for.
-			enc := encodeSnapshot(sn)
-			now = time.Now()
-			s.snapMu.Lock()
-			delete(s.snapCapturing, head)
-			close(done)
-			if s.snapSessions == nil {
-				s.snapSessions = make(map[uint64]*snapSession)
-			}
-			s.expireSnapSessionsLocked(now)
-			for len(s.snapSessions) >= snapSessionMax {
-				oldest, oldestAt := uint64(0), now
-				for sid, sess := range s.snapSessions {
-					if oldest == 0 || sess.lastUsed.Before(oldestAt) {
-						oldest, oldestAt = sid, sess.lastUsed
-					}
-				}
-				delete(s.snapSessions, oldest)
-			}
-			s.snapLastID++
-			id = s.snapLastID
-			s.snapSessions[id] = &snapSession{seq: sn.Seq, data: enc, lastUsed: now}
-			s.snapMu.Unlock()
-			s.stats.SnapshotsServed.Add(1)
 		}
+		if id != 0 {
+			s.snapSessions[id].lastUsed = now
+			s.snapMu.Unlock()
+			break
+		}
+		if ch, busy := s.snapCapturing[head]; busy {
+			// Another request is capturing this head: wait for its
+			// session, then re-check.
+			s.snapMu.Unlock()
+			<-ch
+			continue
+		}
+		done := make(chan struct{})
+		s.snapCapturing[head] = done
+		s.snapMu.Unlock()
+
+		s.repMu.Lock()
+		sn := s.captureSnapshotLocked()
+		s.repMu.Unlock()
+		// Serialize outside the stream lock: the capture is a
+		// private copy (values aliased but immutable), and encoding
+		// is a second O(state) pass the write paths need not wait
+		// for.
+		var chunks [][]byte
+		_ = encodeSnapshot(sn, s.cfg.SnapshotChunkBytes, func(piece []byte) error {
+			chunks = append(chunks, append([]byte(nil), piece...))
+			return nil
+		})
+		now = time.Now()
+		s.snapMu.Lock()
+		delete(s.snapCapturing, head)
+		close(done)
+		s.expireSnapSessionsLocked(now)
+		for len(s.snapSessions) >= snapSessionMax {
+			oldest, oldestAt := uint64(0), now
+			for sid, sess := range s.snapSessions {
+				if oldest == 0 || sess.lastUsed.Before(oldestAt) {
+					oldest, oldestAt = sid, sess.lastUsed
+				}
+			}
+			delete(s.snapSessions, oldest)
+		}
+		s.snapLastID++
+		id = s.snapLastID
+		s.snapSessions[id] = &snapSession{seq: sn.Seq, chunks: chunks, lastUsed: now}
+		s.snapMu.Unlock()
+		s.stats.SnapshotsServed.Add(1)
 	}
 	s.snapMu.Lock()
 	// Enforce the TTL on the serving path too, not only when a new
@@ -722,18 +730,9 @@ func (s *Store) ServeSnapshotChunk(id uint64, chunk uint32) (outID, seq uint64, 
 	if sess == nil {
 		return 0, 0, 0, nil, fmt.Errorf("%w %d: restart the transfer", ErrSnapshotSessionExpired, id)
 	}
-	cs := s.cfg.SnapshotChunkBytes
-	total := uint32((len(sess.data) + cs - 1) / cs)
-	if total == 0 {
-		total = 1
-	}
+	total := uint32(len(sess.chunks))
 	if chunk >= total {
 		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot chunk %d of %d", kv.ErrBadRequest, chunk, total)
 	}
-	start := int(chunk) * cs
-	end := start + cs
-	if end > len(sess.data) {
-		end = len(sess.data)
-	}
-	return id, sess.seq, total, sess.data[start:end], nil
+	return id, sess.seq, total, sess.chunks[chunk], nil
 }

@@ -16,6 +16,17 @@ type Store struct {
 	cfg   Config
 	clock *clock.HLC
 	shard [numShards]shard
+	// streamTS is the highest commit timestamp among the records applied
+	// so far: the clock version GC runs on (see retentionHorizon). It is
+	// advanced only where a version is installed, under repMu, and
+	// re-derived from the data by a snapshot install; atomic because the
+	// tombstone sweep reads it without repMu.
+	streamTS atomic.Uint64
+	// stateBytes estimates the encoded size of every stored version —
+	// what a checkpoint rotation would write — kept where versions are
+	// installed, trimmed and swept, so the rotation policy never needs a
+	// pass over the state to consult it.
+	stateBytes atomic.Int64
 
 	// txMu guards the prepared-transaction table and the decided-
 	// transaction table (with its FIFO eviction queue).
@@ -74,6 +85,14 @@ type Store struct {
 	// truncate in memory (the bound holds; the WAL catches up at the
 	// next checkpoint).
 	ckptBusy atomic.Bool
+	// walTailBytes estimates the record bytes the write-ahead log holds
+	// after its snapshot prefix: appendLocked adds each record's size, a
+	// rotation that succeeds subtracts what its snapshot covered. The
+	// policy rotates only once this reaches stateBytes (see
+	// maybeCheckpointSlackLocked). It counts on a store without a log
+	// too, where nothing reads it: OpenStore replays the file before it
+	// attaches it.
+	walTailBytes atomic.Int64
 
 	// epochMu guards the replication-group configuration and lease
 	// clocks. Lock order: repMu (and txMu) before epochMu; epochMu
@@ -160,6 +179,9 @@ func NewStore(hlc *clock.HLC, cfg Config) *Store {
 		epochMembers: []string{""},
 		dir:          kv.IdentityDirectory(1),
 		routeLoad:    make([]atomic.Uint64, 1),
+
+		snapSessions:  make(map[uint64]*snapSession),
+		snapCapturing: make(map[uint64]chan struct{}),
 	}
 	for i := range s.shard {
 		s.shard[i].objs = make(map[kv.OID]*object)

@@ -160,10 +160,10 @@ func (s *Store) LogBounds() (logBase, head uint64) {
 // — an explicit checkpoint is an operator's full truncation). A
 // backup that later asks to sync from below the new logBase is served
 // by state transfer. It returns the sequence number the checkpoint
-// covers. The automatic policy path instead retains a half-cap tail
-// (see checkpointLocked), so a replica that is merely a little behind
-// at checkpoint time still catches up by record replay. A store without
-// a write-ahead log only truncates.
+// covers. Unlike the policy (maybeCheckpointSlackLocked), which keeps a
+// half-cap tail and rotates the file only once the log has earned it,
+// the explicit checkpoint always rotates. A store without a
+// write-ahead log only truncates.
 func (s *Store) Checkpoint() (uint64, error) {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
@@ -175,14 +175,11 @@ func (s *Store) Checkpoint() (uint64, error) {
 // state must be consistent with repSeq (every emitted record fully
 // applied) — true at the end of any emit-and-apply critical section,
 // never in the middle of one. async selects the policy flavour: the
-// newest half-cap of records is kept (truncating to empty would force
-// O(state) transfer on any replica even one record behind, while
-// retaining half leaves headroom so the next append does not
-// immediately re-trip the bound), and the O(state) encode and the
-// rotation run on a goroutine, off repMu. The explicit Checkpoint
-// truncates everything and finishes inline, so its caller learns the
-// rotation's outcome. A store without a write-ahead log has nothing to
-// rotate: its checkpoint is the truncation.
+// newest half-cap of records is kept (see truncateLogLocked), and the
+// O(state) encode and the rotation run on a goroutine, off repMu. The
+// explicit Checkpoint truncates everything and finishes inline, so its
+// caller learns the rotation's outcome. A store without a write-ahead
+// log has nothing to rotate: its checkpoint is the truncation.
 //
 //yesqlint:allow repmublock -- deliberate: the explicit Checkpoint keeps the rotation inline under repMu (bounded local file work); the policy paths run finishCheckpoint on a goroutine, off-lock
 func (s *Store) checkpointLocked(async bool) (uint64, error) {
@@ -212,24 +209,31 @@ func (s *Store) checkpointLocked(async bool) (uint64, error) {
 		return 0, fmt.Errorf("kvserver: checkpoint aborted: write-ahead log append failing; records re-queued for retry")
 	}
 	s.wal.beginRotate()
+	// Everything appended so far is below the snapshot's coverage and
+	// leaves the file with the rotation; what arrives from here on is
+	// the new file's tail.
+	covered := s.walTailBytes.Load()
 	seq := s.repSeq
 	if async {
-		go s.finishCheckpoint(s.wal, sn)
+		go s.finishCheckpoint(s.wal, sn, covered)
 		return seq, nil
 	}
-	if err := s.finishCheckpoint(s.wal, sn); err != nil {
+	if err := s.finishCheckpoint(s.wal, sn, covered); err != nil {
 		return 0, err
 	}
 	return seq, nil
 }
 
-// truncateLogLocked drops the retained stream tail (keeping the newest
-// half-cap of records when retainTail is set), independent of
-// any WAL rotation outcome: serving a resync below logBase only needs
-// an on-demand snapshot (ServeSnapshotChunk), not the rotated file,
-// and a restart replays the old, un-rotated log correctly — longer,
-// but complete. The memory bound must hold even when the disk does not
-// cooperate. Caller holds repMu.
+// truncateLogLocked drops the retained stream tail, keeping the newest
+// half-cap of records when retainTail is set: truncating to empty would
+// force O(state) transfer on any replica even one record behind, while
+// retaining half leaves headroom so the next append does not
+// immediately re-trip the bound. It is independent of any WAL rotation:
+// serving a resync below logBase only needs an on-demand snapshot
+// (ServeSnapshotChunk), not a rotated file, and a restart replays the
+// un-rotated log correctly — longer, but complete. Its cost is a copy
+// of the records it keeps, nothing that grows with the state. Caller
+// holds repMu.
 func (s *Store) truncateLogLocked(retainTail bool) {
 	keep, keepBytes := 0, 0
 	if retainTail {
@@ -247,24 +251,26 @@ func (s *Store) truncateLogLocked(retainTail bool) {
 
 // finishCheckpoint is the off-lock tail of a checkpoint: encode the
 // captured snapshot and rotate the write-ahead log onto it. The
-// expensive O(state) serialization and file write run WITHOUT repMu —
-// the ROADMAP-flagged latency spike where a checkpoint under the
-// stream lock could stall mirror applies past the mirror timeout —
-// while appends that race the rotation are teed into the new file by
-// the wal itself (see wal.finishRotate). The policy paths run it on a
-// goroutine; the explicit Checkpoint keeps it inline.
-func (s *Store) finishCheckpoint(w *wal, sn *stateSnapshot) error {
+// O(state) serialization and file write run WITHOUT repMu, and the
+// encoding goes to the file a chunk at a time (encodeSnapshot), so a
+// rotation's memory is one chunk whatever the state's size; appends
+// that race the rotation are teed into the new file by the wal itself
+// (see wal.finishRotate). covered is the walTailBytes the snapshot
+// subsumes, taken off the count once the new file is the log. The
+// policy paths run it on a goroutine; the explicit Checkpoint keeps it
+// inline.
+func (s *Store) finishCheckpoint(w *wal, sn *stateSnapshot, covered int64) error {
 	defer s.ckptBusy.Store(false)
-	enc := encodeSnapshot(sn)
-	if _, err := w.finishRotate(enc); err != nil {
+	if _, err := w.finishRotate(snapshotFrames(sn)); err != nil {
 		// The counter is the operator signal: the inline policy
 		// callers never see this error (a failed bound must not fail
 		// the commit that tripped it), so a climbing value is how a
-		// full disk — or a state too large for one checkpoint frame —
-		// shows up before memory pressure does.
+		// full disk shows up before the log's length does. walTailBytes
+		// keeps what it counted, so the next trip tries again.
 		s.stats.CheckpointFailures.Add(1)
 		return fmt.Errorf("kvserver: rotating log onto checkpoint: %w", err)
 	}
+	s.walTailBytes.Add(-covered)
 	s.stats.Checkpoints.Add(1)
 	return nil
 }
@@ -287,12 +293,11 @@ func (s *Store) retainableTailLocked() (n, bytes int) {
 	return n, bytes
 }
 
-// MaybeCheckpoint checkpoints if the retained replication log exceeds
-// the configured bounds, reporting whether it did. The emit paths call
-// the locked variant inline (the bound is strict on a primary, not
-// best-effort); the server runs it on a short ticker too, which is
-// what bounds a live-mirror backup between the hard-ceiling triggers
-// (see mirrorCheckpointSlack).
+// MaybeCheckpoint enforces the retained-tail bounds, reporting whether
+// they had been passed. The emit paths call the locked variant inline
+// (the bound is strict on a primary, not best-effort); the server runs
+// it on a short ticker too, which is what bounds a live-mirror backup
+// between the hard-ceiling triggers (see mirrorCheckpointSlack).
 func (s *Store) MaybeCheckpoint() (bool, error) {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
@@ -311,11 +316,32 @@ func (s *Store) maybeCheckpointLocked() (bool, error) {
 	return s.maybeCheckpointSlackLocked(1)
 }
 
+// maybeCheckpointSlackLocked is the policy: two bounds, two costs.
+//
+// The in-memory tail is bounded STRICTLY by ReplicationLogMax{Records,
+// Bytes}: past either, the tail is cut to its newest half-cap, at the
+// cost of copying what is kept.
+//
+// The write-ahead log is bounded by the state it describes. Rotating
+// it rewrites the whole multi-version state, so it is worth doing only
+// when the records the file has gathered since its snapshot prefix
+// (walTailBytes) amount to the state they would be rewritten over
+// (stateBytes). Rotating then, and no sooner, bounds both ends: every
+// byte a rotation writes was paid for by a byte of log already
+// appended, so write amplification is at most 2×, and the file a
+// restart replays is at most snapshot prefix + as much tail again. The
+// configured tail bound is the floor — the file is never considered
+// more often than the tail is cut — and deciding reads two counters,
+// never the state.
 func (s *Store) maybeCheckpointSlackLocked(slack int) (bool, error) {
 	overRecords := s.cfg.ReplicationLogMaxRecords > 0 && len(s.commitLog) > slack*s.cfg.ReplicationLogMaxRecords
 	overBytes := s.cfg.ReplicationLogMaxBytes > 0 && s.commitLogBytes > slack*s.cfg.ReplicationLogMaxBytes
 	if !overRecords && !overBytes {
 		return false, nil
+	}
+	if s.wal != nil && s.walTailBytes.Load() < s.stateBytes.Load() {
+		s.truncateLogLocked(true)
+		return true, nil
 	}
 	// The bound held whatever the rotation's fate (the truncation never
 	// fails), and a failed bound must not fail the commit that tripped
@@ -366,7 +392,9 @@ func (s *Store) appendLocked(rec kv.ReplRecord) uint64 {
 	seq := s.repSeq
 	s.repSeq++
 	s.commitLog = append(s.commitLog, rec)
-	s.commitLogBytes += recordSize(&rec)
+	size := recordSize(&rec)
+	s.commitLogBytes += size
+	s.walTailBytes.Add(int64(size))
 	s.enqueueLocked(seq, rec)
 	return seq
 }

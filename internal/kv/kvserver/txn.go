@@ -14,6 +14,16 @@ type lockState struct {
 	proposed clock.Timestamp
 	ops      []*kv.Op
 	done     chan struct{} // closed when the transaction resolves
+	// staged is the value ops produce on stagedOn, the object's newest
+	// value when prepare ran them — its dry run, kept so that commit
+	// installs it instead of applying the ops a second time. Under the
+	// lock nothing but a migration ingest (which asks no lock) can put a
+	// newer version on the object; commit checks stagedOn against the
+	// newest value and applies the ops afresh if it did. hasStaged is
+	// false on a lock rebuilt from a stream record or a snapshot
+	// (stageReplicatedPrepare), whose commit applies the ops itself.
+	staged, stagedOn *kv.Value
+	hasStaged        bool
 }
 
 type txRecord struct {
@@ -133,25 +143,17 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 			sh.mu.Unlock()
 			return fail(err)
 		}
-		// Dry-run the ops so commit cannot fail later: the base cannot
-		// change while we hold the lock.
-		base, _, _ := visibleVersion(obj, clock.Max)
-		ok := true
-		var applyErr error
-		for _, op := range byOID[oid] {
-			base, applyErr = op.Apply(base)
-			if applyErr != nil {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		// Apply the ops now, so commit cannot fail later and has nothing
+		// left to compute: the base cannot change while we hold the lock.
+		base := newestValue(obj)
+		staged, applyErr := applyOps(base, byOID[oid])
+		if applyErr != nil {
 			sh.mu.Unlock()
 			return fail(fmt.Errorf("%w: %v", kv.ErrBadRequest, applyErr))
 		}
 		// proposed stays 0 (sentinel) until every lock is held; readers
 		// that hit the lock in this window wait conservatively.
-		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{})}
+		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{}), staged: staged, stagedOn: base, hasStaged: true}
 		sh.mu.Unlock()
 		locked = append(locked, oid)
 	}

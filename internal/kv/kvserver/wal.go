@@ -228,9 +228,17 @@ func (w *wal) appendBatch(recs []kv.ReplRecord) (synced bool, err error) {
 
 // walSnapChunkBytes splits a rotated snapshot across consecutive
 // leading frames: a state larger than one wire frame (64 MiB) must
-// still checkpoint, or its log could never be bounded. A variable so
-// tests can exercise the multi-frame path without gigabytes of state.
-var walSnapChunkBytes = 16 << 20
+// still checkpoint, or its log could never be bounded — and the chunk
+// is all the memory a rotation holds of the encoding, so it is kept
+// small. A variable so tests can exercise the multi-frame path without
+// gigabytes of state.
+var walSnapChunkBytes = 1 << 20
+
+// snapshotFrames is a captured snapshot in the form rotate and
+// finishRotate take: its encoding, one frame's worth at a time.
+func snapshotFrames(sn *stateSnapshot) func(emit func([]byte) error) error {
+	return func(emit func([]byte) error) error { return encodeSnapshot(sn, walSnapChunkBytes, emit) }
+}
 
 // rotate atomically replaces the log with one that begins at a
 // snapshot checkpoint: a fresh file holding the snapshot frames (plus
@@ -243,10 +251,14 @@ var walSnapChunkBytes = 16 << 20
 // even if the follow-up directory fsync fails (the error still reports
 // that the rename's own durability is unestablished).
 //
+// snapshot streams the snapshot's encoding, calling emit with
+// consecutive pieces of it (snapshotFrames); each piece becomes
+// one frame, so the log never holds more of it in memory than a piece.
+//
 // rotate is the synchronous form; the policy checkpoint path splits it
 // (beginRotate under the stream lock, finishRotate off it) so the
 // O(state) encode and write never stall the stream.
-func (w *wal) rotate(snapshot []byte) (swapped bool, err error) {
+func (w *wal) rotate(snapshot func(emit func([]byte) error) error) (swapped bool, err error) {
 	w.beginRotate()
 	return w.finishRotate(snapshot)
 }
@@ -266,12 +278,15 @@ func (w *wal) beginRotate() {
 	w.mu.Unlock()
 }
 
-// finishRotate writes the replacement file (magic + chunked snapshot
-// frames), then — briefly under the append lock — flushes the teed
-// tail after it, fsyncs, and renames it over the log. Appends are
-// blocked only for the tail flush and swap, never for the O(snapshot)
-// write. Must follow a beginRotate.
-func (w *wal) finishRotate(snapshot []byte) (swapped bool, err error) {
+// finishRotate writes the replacement file (magic + snapshot frames, one
+// per piece the snapshot function emits), then — briefly under the
+// append lock — flushes the teed tail after it, fsyncs, and renames it
+// over the log. Appends are blocked only for the tail flush and swap,
+// never for the O(snapshot) write. A failure part-way (or a crash)
+// leaves the frames written so far in the .ckpt file beside the log,
+// which is never read: the log itself is untouched until the rename.
+// Must follow a beginRotate.
+func (w *wal) finishRotate(snapshot func(emit func([]byte) error) error) (swapped bool, err error) {
 	defer w.rotMu.Unlock()
 	endTee := func() {
 		w.teeing = false
@@ -289,19 +304,9 @@ func (w *wal) finishRotate(snapshot []byte) (swapped bool, err error) {
 		if _, err := f.WriteString(walMagic); err != nil {
 			return err
 		}
-		for off := 0; ; {
-			end := off + walSnapChunkBytes
-			if end > len(snapshot) {
-				end = len(snapshot)
-			}
-			if err := writeFrame(f, walFrameSnapshot, snapshot[off:end]); err != nil {
-				return err
-			}
-			if off = end; off >= len(snapshot) {
-				break
-			}
-		}
-		return nil
+		return snapshot(func(piece []byte) error {
+			return writeFrame(f, walFrameSnapshot, piece)
+		})
 	}()
 	if err != nil {
 		f.Close()
@@ -486,7 +491,7 @@ func OpenStore(hlc *clock.HLC, cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("kvserver: log %s checkpoint snapshot: %w", cfg.LogPath, err)
 		}
 		s.repMu.Lock()
-		err = s.installSnapshotLocked(sn, snapEnc)
+		err = s.installSnapshotLocked(sn)
 		s.repMu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("kvserver: log %s checkpoint snapshot: %w", cfg.LogPath, err)
@@ -770,18 +775,9 @@ func (s *Store) applyCommittedOpsLocked(commitTS clock.Timestamp, ops []*kv.Op) 
 			obj = &object{}
 			sh.objs[oid] = obj
 		}
-		base, _, _ := visibleVersion(obj, clock.Max)
-		val := base
-		for _, op := range byOID[oid] {
-			next, err := op.Apply(val)
-			if err != nil {
-				break // a bad record op; keep what we have
-			}
-			val = next
-		}
-		structural, touched := classifyOps(byOID[oid])
-		obj.versions = append(obj.versions, version{ts: commitTS, val: val, structural: structural, touched: touched})
-		s.trimLocked(obj)
+		// A bad record op ends the fold; keep what we have.
+		val, _ := applyOps(newestValue(obj), byOID[oid])
+		s.installVersionLocked(obj, commitTS, val, byOID[oid])
 		sh.mu.Unlock()
 	}
 }

@@ -780,7 +780,7 @@ func DecodeReadBatchResp(p []byte) (*ReadBatchResp, error) {
 // WindowCells returns the cells of v with keys in [floor(from), to),
 // capped at max (0 = unlimited), plus the index where the window
 // starts. The returned slice aliases v's cells; callers treat it as
-// immutable.
+// immutable (its capacity is clipped, so an append cannot reach them).
 func (v *Value) WindowCells(from, to []byte, max uint32) []Cell {
 	start := 0
 	if from != nil {
@@ -804,7 +804,7 @@ func (v *Value) WindowCells(from, to []byte, max uint32) []Cell {
 	if max > 0 && end-start > int(max) {
 		end = start + int(max)
 	}
-	return v.Cells[start:end]
+	return v.Cells[start:end:end]
 }
 
 // PrepareReq is phase one of two-phase commit: validate write-write
