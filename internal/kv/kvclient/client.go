@@ -103,11 +103,12 @@ type replicaGroup struct {
 	// this group has piggybacked (monotone — the frontier only ever
 	// covers quorum-durable prefixes, which every successor epoch
 	// preserves), the backup this client's reads are pinned to, and
-	// one dedicated connection per backup (the primary connection
-	// above stays reserved for writes and fallback). Reads stick to
-	// one backup and rotate only on failure: clients spread across
-	// backups via the process-wide seed, while each individual client
-	// keeps a single warm read connection.
+	// one rpc.Client per backup (the primary's, above, stays reserved
+	// for writes and fallback). Reads stick to one backup and rotate
+	// only on failure: clients spread across backups via the
+	// process-wide seed, while each individual client keeps one
+	// backup's connection pool warm — as many connections as it has
+	// reads in flight at once, not one.
 	frontier  uint64
 	readCur   int
 	readConns map[string]*rpc.Client

@@ -122,6 +122,41 @@ func TestFailoverToBackup(t *testing.T) {
 	}
 }
 
+// TestFirstCommitAfterIdlePrimaryDeath: the primary dies while the
+// client holds only idle connections to it, and the first thing the
+// client does afterwards is a one-shot commit — the one operation that
+// may not be retried once sent. The dead connection must be found out
+// before the commit is written on it, so the commit is provably unsent,
+// rotates to the promoted backup and succeeds; written first and found
+// out second, it could only report kv.ErrUncertain.
+func TestFirstCommitAfterIdlePrimaryDeath(t *testing.T) {
+	primary, backup, c := startPair(t)
+	ctx := context.Background()
+
+	oid := c.NewOID(0)
+	tx := c.Begin()
+	tx.Put(oid, kv.NewPlain([]byte("before")))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	primary.Close()
+	if _, err := backup.Promote(true); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = c.Begin()
+	tx.Put(oid, kv.NewPlain([]byte("after")))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatalf("first commit after the idle primary died: %v (uncertain: %v)", err, errors.Is(err, kv.ErrUncertain))
+	}
+	check := c.Begin()
+	defer check.Abort()
+	if v, err := check.Read(ctx, oid); err != nil || string(v.Data) != "after" {
+		t.Fatalf("read back from the promoted backup: %v %v", v, err)
+	}
+}
+
 // stubServer speaks just enough of the rpc frame protocol to answer
 // pings, then kills the connection upon the first request of the named
 // method — after reading it, so the client's request was definitely

@@ -299,15 +299,25 @@ func TestLogRotationAmortisedAgainstState(t *testing.T) {
 		t.Fatalf("kill with a long tail: reopened at seq %d digest %x, want seq %d digest %x", seq, digest, s.ReplSeq(), s.StateDigest())
 	}
 
-	// Keep writing until the tail has caught up with the state: the next
-	// trip rotates, on a goroutine.
-	for s.walTailBytes.Load() < s.stateBytes.Load() {
-		update(maxRecords)
+	// Keep writing, a commit at a time, until a trip starts the rotation
+	// (on a goroutine): it is due at the first trip after the tail has
+	// caught up with the state. Stopping at its START matters — writing a
+	// fixed batch past the catch-up point lets a quick rotation finish
+	// and the tail grow all the way back, so that the rotation counted
+	// below is not the one whose tail is then read.
+	started := func() bool { return s.ckptBusy.Load() || s.Stats().Checkpoints != rotations }
+	for overdue := 0; !started(); {
+		if s.walTailBytes.Load() >= s.stateBytes.Load() {
+			if overdue++; overdue > 2*maxRecords {
+				t.Fatalf("no rotation begun %d commits after the log tail (%d bytes) caught up with the state (%d bytes)",
+					overdue, s.walTailBytes.Load(), s.stateBytes.Load())
+			}
+		}
+		update(1)
 	}
-	update(maxRecords)
 	for deadline := time.Now().Add(10 * time.Second); s.Stats().Checkpoints == rotations; {
 		if time.Now().After(deadline) {
-			t.Fatalf("no rotation with a log tail of %d bytes over a state of %d (failures %d)",
+			t.Fatalf("rotation not finished with a log tail of %d bytes over a state of %d (failures %d)",
 				s.walTailBytes.Load(), s.stateBytes.Load(), s.Stats().CheckpointFailures)
 		}
 		time.Sleep(time.Millisecond)

@@ -651,6 +651,11 @@ type ServerStats struct {
 	// emissions).
 	Frontier     uint64
 	WatermarkLag uint64
+	// Conns is the number of open inbound connections. The rpc layer
+	// puts one call on a connection, so this is the peak concurrency of
+	// every client — SQL clients, the primary's mirror senders and lease
+	// loops — that has not yet closed.
+	Conns int
 }
 
 // Stats reports counters plus epoch/lease/replication state (see
@@ -673,6 +678,7 @@ func (s *Server) Stats() ServerStats {
 		Replicas:      replicas,
 		Frontier:      uint64(s.store.DurableFrontier()),
 		WatermarkLag:  lag,
+		Conns:         s.rpc.Conns(),
 	}
 }
 

@@ -105,9 +105,12 @@ func TestErrorCodeCoderless(t *testing.T) {
 // TestTruncatedResponseFrames cuts an error response and an ok response
 // at every prefix length: none may decode.
 func TestTruncatedResponseFrames(t *testing.T) {
+	var errFrame, okFrame wire.Buffer
+	encodeResponse(&errFrame, 7, nil, errTestSentinel, testCode)
+	encodeResponse(&okFrame, 7, []byte("body"), nil, 0)
 	for name, full := range map[string][]byte{
-		"error": encodeResponse(7, nil, errTestSentinel, testCode),
-		"ok":    encodeResponse(7, []byte("body"), nil, 0),
+		"error": errFrame.Bytes()[framePrefix:],
+		"ok":    okFrame.Bytes()[framePrefix:],
 	} {
 		if _, _, err := decodeResponse(full); err != nil {
 			t.Fatalf("%s frame: %v", name, err)

@@ -3,13 +3,29 @@
 //
 // Design:
 //
-//   - One TCP connection per (client, server) pair, multiplexed: many
-//     in-flight calls share the connection and responses may arrive out
-//     of order, matched to callers by request id.
+//   - One call in flight per TCP connection. A Client is a pool of
+//     connections to one address: Call checks one out, writes the
+//     request and reads the reply on the calling goroutine, and checks
+//     it back in, so a round trip wakes two goroutines — the server's
+//     connection reader and the caller — and hands off to no other.
+//   - Since nothing can queue behind a call on its connection, the
+//     server runs the handler on the connection's own goroutine and
+//     writes the reply itself; a blocked handler delays only its caller.
+//   - The pool grows with the callers' concurrency (a call that finds no
+//     idle connection dials one), is bounded by its peak, reuses the
+//     most recently used connection first, and never shrinks before
+//     Close.
 //   - Payloads are opaque []byte; marshalling belongs to the caller
 //     (internal/kv hand-rolls encoders with internal/wire).
-//   - Contexts: a call fails with ctx.Err() when its context is done;
-//     cancellation does not tear down the connection.
+//   - Contexts: a call fails with ctx.Err() when its context is done.
+//     Cancellation interrupts the blocked read and costs that one
+//     connection (its reply may still arrive, so it is closed, never
+//     reused), not the Client.
+//   - Any other transport error, on any connection, fails the whole
+//     Client: every later Call returns ErrNotSent and the owner redials
+//     or rotates. An idle connection is probed for a dead peer before a
+//     request is written on it, so a call that starts after the peer's
+//     death is ErrNotSent as well, not a call of unknown outcome.
 //   - Errors returned by handlers travel back as application errors and
 //     are distinguished from transport errors.
 package rpc
@@ -21,18 +37,19 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
+	"syscall"
 	"time"
 
 	"yesquel/internal/wire"
 )
 
-// readBufSize sizes the buffered reader in front of each connection.
-// Frame reads otherwise cost two read syscalls each (header, payload);
-// buffering collapses them to one and, under pipelined load, drains
-// several queued frames per syscall — on loopback the RPC stack is
-// syscall-bound, so this is a measurable share of commit latency.
-const readBufSize = 1 << 16
+// readBufSize sizes the buffered reader in front of each connection: a
+// frame's header and a small payload arrive in one read syscall instead
+// of two. With one frame in flight there is never a second one to
+// drain, and bufio reads what a larger payload still lacks straight
+// into its destination, so a bigger buffer would only cost memory —
+// per connection, on both sides, times the callers' concurrency.
+const readBufSize = 4 << 10
 
 // Handler processes one request and returns the response payload.
 // Returning an error sends an application error to the caller; the
@@ -66,78 +83,6 @@ func (e *AppError) Error() string { return e.Msg }
 func AppErrIs(err error, code uint64) bool {
 	var app *AppError
 	return errors.As(err, &app) && app.Code == code
-}
-
-// frame kinds
-const (
-	kindRequest  = 0
-	kindResponse = 1
-)
-
-// response status
-const (
-	statusOK  = 0
-	statusErr = 1
-)
-
-func encodeRequest(id uint64, method string, body []byte) []byte {
-	b := wire.NewBuffer(16 + len(method) + len(body))
-	b.PutByte(kindRequest)
-	b.PutUvarint(id)
-	b.PutString(method)
-	b.PutBytes(body)
-	return b.Bytes()
-}
-
-func encodeResponse(id uint64, body []byte, appErr error, code uint64) []byte {
-	b := wire.NewBuffer(16 + len(body))
-	b.PutByte(kindResponse)
-	b.PutUvarint(id)
-	if appErr != nil {
-		b.PutByte(statusErr)
-		b.PutString(appErr.Error())
-		b.PutUvarint(code)
-	} else {
-		b.PutByte(statusOK)
-		b.PutBytes(body)
-	}
-	return b.Bytes()
-}
-
-// decodeResponse is the inverse of encodeResponse: the request id the
-// frame answers and the call's outcome. A frame that is not a complete
-// response is an error (the caller drops the connection).
-func decodeResponse(payload []byte) (id uint64, res callResult, err error) {
-	r := wire.NewReader(payload)
-	kind, err := r.Byte()
-	if err != nil {
-		return 0, res, err
-	}
-	if kind != kindResponse {
-		return 0, res, fmt.Errorf("rpc: frame kind %d where a response was expected", kind)
-	}
-	if id, err = r.Uvarint(); err != nil {
-		return 0, res, err
-	}
-	status, err := r.Byte()
-	if err != nil {
-		return 0, res, err
-	}
-	if status == statusErr {
-		app := &AppError{}
-		if app.Msg, err = r.String(); err != nil {
-			return 0, res, err
-		}
-		if app.Code, err = r.Uvarint(); err != nil {
-			return 0, res, err
-		}
-		res.err = app
-		return id, res, nil
-	}
-	if res.body, err = r.BytesCopy(); err != nil {
-		return 0, res, err
-	}
-	return id, res, nil
 }
 
 // Server serves RPC requests on a listener. Methods are registered
@@ -189,6 +134,14 @@ func (s *Server) errCode(err error) uint64 {
 	return s.coder(err)
 }
 
+// Conns returns the number of open inbound connections: one per call
+// in flight or idle in some client's pool.
+func (s *Server) Conns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
 // Serve accepts connections on ln until Close is called. It blocks.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
@@ -223,8 +176,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting, closes all connections, and waits for handler
-// goroutines to drain.
+// Close stops accepting, closes all connections, and waits for the
+// connection goroutines — and the handlers running on them — to drain.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -245,6 +198,9 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// serveConn answers the connection's calls one at a time, running each
+// handler on this goroutine: the protocol puts one call on a connection,
+// so no request can be waiting behind the handler.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -254,74 +210,60 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 
-	var writeMu sync.Mutex
-	var handlerWG sync.WaitGroup
-	defer handlerWG.Wait()
-
 	br := bufio.NewReaderSize(conn, readBufSize)
+	var reply wire.Buffer
 	for {
+		// Every request frame is its own allocation, never a reused
+		// buffer: kv.Decode* alias the request bytes and committed
+		// values keep them.
 		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
-		r := wire.NewReader(payload)
-		kind, err := r.Byte()
-		if err != nil || kind != kindRequest {
+		id, method, body, err := decodeRequest(payload)
+		if err != nil {
 			return // protocol error: drop the connection
 		}
-		id, err := r.Uvarint()
-		if err != nil {
+		var resp []byte
+		var appErr error
+		if h, ok := s.handlers[string(method)]; ok {
+			resp, appErr = h(s.baseCtx, body)
+		} else {
+			appErr = fmt.Errorf("%w: %s", ErrUnknownMethod, method)
+		}
+		encodeResponse(&reply, id, resp, appErr, s.errCode(appErr))
+		if err := writeFrame(conn, &reply); err != nil {
 			return
 		}
-		method, err := r.String()
-		if err != nil {
-			return
-		}
-		body, err := r.Bytes()
-		if err != nil {
-			return
-		}
-		h, ok := s.handlers[method]
-		if !ok {
-			unknownErr := fmt.Errorf("%w: %s", ErrUnknownMethod, method)
-			writeMu.Lock()
-			wire.WriteFrame(conn, encodeResponse(id, nil, unknownErr, s.errCode(unknownErr)))
-			writeMu.Unlock()
-			continue
-		}
-		// Handlers run concurrently: a slow prepare must not block an
-		// unrelated read on the same connection.
-		handlerWG.Add(1)
-		go func(id uint64, body []byte) {
-			defer handlerWG.Done()
-			resp, appErr := h(s.baseCtx, body)
-			writeMu.Lock()
-			err := wire.WriteFrame(conn, encodeResponse(id, resp, appErr, s.errCode(appErr)))
-			writeMu.Unlock()
-			if err != nil {
-				conn.Close()
-			}
-		}(id, body)
 	}
 }
 
-// Client is a multiplexed RPC client bound to one server address.
-// It is safe for concurrent use by multiple goroutines.
+// Client is an RPC client bound to one server address: a pool of
+// connections, each carrying one call at a time. It is safe for
+// concurrent use by multiple goroutines.
 type Client struct {
-	conn    net.Conn
-	writeMu sync.Mutex
+	addr    string
+	timeout time.Duration
 
-	mu      sync.Mutex
-	pending map[uint64]chan callResult
-	closed  bool
-	err     error
-
-	nextID atomic.Uint64
+	mu    sync.Mutex
+	idle  []*clientConn            // checked in, most recently used last
+	conns map[*clientConn]struct{} // every open connection, idle or in a call
+	err   error                    // set once, by fail: no call after it is sent
 }
 
-type callResult struct {
-	body []byte
-	err  error
+// clientConn is one pooled connection; while checked out it belongs to
+// the calling goroutine alone. The two funcs are built once per
+// connection so that a call allocates neither.
+type clientConn struct {
+	nc     net.Conn
+	br     *bufio.Reader
+	wbuf   wire.Buffer // write scratch
+	lastID uint64
+
+	raw       syscall.RawConn
+	probe     func(fd uintptr) bool // one non-blocking read; sets idle
+	idle      bool                  // the probe found the peer alive and silent
+	interrupt func()                // fails a cancelled call's blocked read or write
 }
 
 // defaultDialTimeout bounds connection establishment: a blackholed
@@ -337,74 +279,114 @@ func Dial(addr string) (*Client, error) {
 }
 
 // DialTimeout connects to a server at addr, failing after the given
-// connect timeout (0 = the package default).
+// connect timeout (0 = the package default), which also bounds each
+// dial by which the pool later grows.
 //
 //yesqlint:blocking
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = defaultDialTimeout
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	c := &Client{addr: addr, timeout: timeout, conns: make(map[*clientConn]struct{})}
+	cn, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) // small RPCs dominate; never batch at the kernel
-	}
-	c := &Client{
-		conn:    conn,
-		pending: make(map[uint64]chan callResult),
-	}
-	go c.readLoop()
+	c.idle = append(c.idle, cn)
 	return c, nil
 }
 
-// Close tears down the connection. In-flight calls fail with ErrClosed.
+func (c *Client) dial() (*clientConn, error) {
+	nc, err := net.DialTimeout("tcp", c.addr, c.timeout)
+	if err != nil {
+		return nil, err
+	}
+	tc := nc.(*net.TCPConn)
+	tc.SetNoDelay(true) // small RPCs dominate; never batch at the kernel
+	raw, err := tc.SyscallConn()
+	if err != nil {
+		nc.Close()
+		return nil, err
+	}
+	cn := &clientConn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize), raw: raw}
+	cn.probe = func(fd uintptr) bool {
+		var b [1]byte
+		_, err := syscall.Read(int(fd), b[:])
+		// Anything but "nothing to read yet" — data, end of stream, a
+		// reset — means this connection cannot carry another call.
+		cn.idle = err == syscall.EAGAIN || err == syscall.EINTR
+		return true // never wait for readability
+	}
+	cn.interrupt = func() { nc.SetDeadline(time.Unix(1, 0)) }
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		nc.Close()
+		return nil, c.err
+	}
+	c.conns[cn] = struct{}{}
+	return cn, nil
+}
+
+// Close tears down every connection. In-flight calls fail with
+// ErrClosed.
 func (c *Client) Close() error {
 	c.fail(ErrClosed)
 	return nil
 }
 
-func (c *Client) fail(err error) {
+// fail records the client's first failure and closes every connection,
+// failing the calls blocked on them; it returns that first failure.
+func (c *Client) fail(err error) error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err, c.idle = err, nil
+		for cn := range c.conns {
+			cn.nc.Close()
+		}
 	}
-	c.closed = true
-	c.err = err
-	for id, ch := range c.pending {
-		ch <- callResult{err: err}
-		delete(c.pending, id)
-	}
-	c.mu.Unlock()
-	c.conn.Close()
+	return c.err
 }
 
-func (c *Client) readLoop() {
-	br := bufio.NewReaderSize(c.conn, readBufSize)
-	for {
-		payload, err := wire.ReadFrame(br)
-		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-			return
+// checkOut takes the most recently used idle connection, or dials one
+// when every connection is in a call. A pooled connection is probed
+// first: a peer that died while it sat idle has closed or reset it, and
+// learning that before the request is written is what keeps such a call
+// unsent. The probe is one read syscall that must find nothing.
+func (c *Client) checkOut() (*clientConn, error) {
+	c.mu.Lock()
+	err := c.err
+	var cn *clientConn
+	if n := len(c.idle); n > 0 && err == nil {
+		cn, c.idle = c.idle[n-1], c.idle[:n-1]
+	}
+	c.mu.Unlock()
+	switch {
+	case err != nil:
+		return nil, err
+	case cn == nil:
+		if cn, err = c.dial(); err != nil {
+			return nil, c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 		}
-		id, res, err := decodeResponse(payload)
-		if err != nil {
-			c.fail(fmt.Errorf("%w: bad frame: %v", ErrClosed, err))
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[id]
-		if ok {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- res
-		}
-		// A response for an unknown id means the call was cancelled;
-		// drop it.
+	case cn.raw.Read(cn.probe) != nil || !cn.idle || cn.br.Buffered() > 0:
+		return nil, c.fail(fmt.Errorf("%w: peer closed an idle connection", ErrClosed))
+	}
+	return cn, nil
+}
+
+// checkIn returns a connection to the pool, or — when its stream can no
+// longer be trusted, as after a cancelled call whose reply may yet
+// arrive — closes that one connection and leaves the client healthy.
+func (c *Client) checkIn(cn *clientConn, reuse bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case !reuse:
+		delete(c.conns, cn)
+		cn.nc.Close()
+	case c.err == nil: // a failed client has closed it already
+		c.idle = append(c.idle, cn)
 	}
 }
 
@@ -412,43 +394,52 @@ func (c *Client) readLoop() {
 //
 //yesqlint:blocking
 func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, error) {
-	id := c.nextID.Add(1)
-	ch := make(chan callResult, 1)
-
-	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
+	cn, err := c.checkOut()
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	if err := c.send(encodeRequest(id, method, req)); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		// A write error means the frame did not go out whole; the server
-		// drops torn frames without executing them.
-		return nil, fmt.Errorf("%w: %w", ErrNotSent, err)
+	// A context that can end interrupts the exchange by expiring the
+	// connection's deadline; stop reports false once that has begun.
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, cn.interrupt)
 	}
-
-	select {
-	case res := <-ch:
+	cn.lastID++
+	encodeRequest(&cn.wbuf, cn.lastID, method, req)
+	sent := false
+	var res callResult
+	if err = writeFrame(cn.nc, &cn.wbuf); err == nil {
+		sent = true
+		res, err = cn.readResponse()
+	}
+	clean := stop()
+	switch {
+	case err == nil:
+		c.checkIn(cn, clean) // a reply that beat the cancellation still counts
 		return res.body, res.err
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+	case !clean:
+		c.checkIn(cn, false)
 		return nil, ctx.Err()
 	}
+	err = c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
+	if !sent {
+		// A write error means the frame did not go out whole; the server
+		// drops torn frames without executing them.
+		err = fmt.Errorf("%w: %w", ErrNotSent, err)
+	}
+	return nil, err
 }
 
-func (c *Client) send(frame []byte) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return wire.WriteFrame(c.conn, frame)
+// readResponse reads the reply to the request just written. The reply
+// frame is a fresh allocation, owned by the caller through res.body.
+func (cn *clientConn) readResponse() (res callResult, err error) {
+	payload, err := wire.ReadFrame(cn.br)
+	if err != nil {
+		return res, err
+	}
+	id, res, err := decodeResponse(payload)
+	if err == nil && id != cn.lastID {
+		err = fmt.Errorf("reply to call %d where %d was expected", id, cn.lastID)
+	}
+	return res, err
 }

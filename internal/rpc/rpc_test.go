@@ -8,21 +8,43 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// startServer launches s on an ephemeral port and returns its address
-// and a cleanup function.
+// startServer launches s on an ephemeral port, closes it when the test
+// ends, and returns its address.
 func startServer(t *testing.T, s *Server) string {
+	addr, _ := startCountingServer(t, s)
+	return addr
+}
+
+// countingListener counts the connections it has accepted: with one call
+// per connection, that is how far a client's pool has grown.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+func startCountingServer(t *testing.T, s *Server) (string, *countingListener) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go s.Serve(ln)
+	cl := &countingListener{Listener: ln}
+	go s.Serve(cl)
 	t.Cleanup(func() { s.Close() })
-	return ln.Addr().String()
+	return ln.Addr().String(), cl
 }
 
 func TestCallEcho(t *testing.T) {
@@ -166,14 +188,20 @@ func TestSlowHandlerDoesNotBlockOthers(t *testing.T) {
 	}
 }
 
+// TestCallContextCancel cancels a call parked in its handler: the call
+// returns ctx.Err(), the cancellation costs that one connection and not
+// the client, and no later call is handed the cancelled call's reply
+// when the handler finally sends it.
 func TestCallContextCancel(t *testing.T) {
 	s := NewServer()
-	block := make(chan struct{})
+	entered, release := make(chan struct{}), make(chan struct{})
 	s.Register("block", func(_ context.Context, _ []byte) ([]byte, error) {
-		<-block
-		return nil, nil
+		entered <- struct{}{}
+		<-release
+		return []byte("late reply"), nil
 	})
-	addr := startServer(t, s)
+	s.Register("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
+	addr, ln := startCountingServer(t, s)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -186,25 +214,120 @@ func TestCallContextCancel(t *testing.T) {
 		_, err := c.Call(ctx, "block", nil)
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	<-entered
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	close(block)
-	// The client must still work after a cancelled call.
-	s2 := make(chan struct{})
-	_ = s2
-	if _, err := c.Call(context.Background(), "block", nil); err != nil {
-		// handler blocks again; use a quick path instead
+
+	// The client still works, on a connection of its own: the cancelled
+	// call's was retired, so the pool dials a second one.
+	echo := func(msg string) {
+		t.Helper()
+		got, err := c.Call(context.Background(), "echo", []byte(msg))
+		if err != nil || string(got) != msg {
+			t.Fatalf("call after a cancelled one: %q, %v; want %q", got, err, msg)
+		}
+	}
+	echo("before the late reply")
+	if n := ln.accepted.Load(); n != 2 {
+		t.Fatalf("%d connections accepted after one cancelled call and one more, want 2", n)
+	}
+	close(release) // the handler now answers a call nobody waits for
+	for i := 0; i < 20; i++ {
+		echo(fmt.Sprintf("after the late reply %d", i))
+	}
+	if n := ln.accepted.Load(); n != 2 {
+		t.Fatalf("%d connections accepted, want 2: the late reply must cost nothing more", n)
+	}
+}
+
+// TestPoolGrowsWithConcurrency: sequential calls share one connection,
+// and M concurrent callers open at most M.
+func TestPoolGrowsWithConcurrency(t *testing.T) {
+	s := NewServer()
+	const callers = 6
+	var inHandler sync.WaitGroup
+	inHandler.Add(callers)
+	allIn := make(chan struct{})
+	s.Register("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
+	s.Register("meet", func(_ context.Context, _ []byte) ([]byte, error) {
+		inHandler.Done()
+		<-allIn // every caller's call is in flight at once
+		return nil, nil
+	})
+	addr, ln := startCountingServer(t, s)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for i := 0; i < 100; i++ {
+		if _, err := c.Call(context.Background(), "echo", []byte("seq")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ln.accepted.Load(); n != 1 {
+		t.Fatalf("100 sequential calls used %d connections, want 1", n)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Call(context.Background(), "meet", nil); err != nil {
+				t.Error(err)
+			}
+			for i := 0; i < 50; i++ {
+				if _, err := c.Call(context.Background(), "echo", []byte("par")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	inHandler.Wait()
+	close(allIn)
+	wg.Wait()
+	if n := ln.accepted.Load(); n != callers {
+		t.Fatalf("%d callers in flight at once used %d connections, want exactly %d", callers, n, callers)
+	}
+	if n := s.Conns(); n != callers {
+		t.Fatalf("Server.Conns() = %d, want %d", n, callers)
+	}
+}
+
+// TestCallAfterPeerDeathIsNotSent: the server goes away while the pool
+// sits idle. The next call must find that out before it writes — it is
+// ErrNotSent, safe to retry elsewhere — and not after, when all it
+// could say is that the outcome is unknown.
+func TestCallAfterPeerDeathIsNotSent(t *testing.T) {
+	s := NewServer()
+	s.Register("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
+	c, err := Dial(startServer(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Call(context.Background(), "echo", []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := c.Call(context.Background(), "echo", []byte("x")); !errors.Is(err, ErrNotSent) {
+			t.Fatalf("call %d after the server closed: %v, want ErrNotSent", i, err)
+		}
 	}
 }
 
 func TestServerCloseFailsPendingCalls(t *testing.T) {
 	s := NewServer()
-	block := make(chan struct{})
+	block, entered := make(chan struct{}), make(chan struct{})
 	defer close(block)
 	s.Register("block", func(ctx context.Context, _ []byte) ([]byte, error) {
+		close(entered)
 		select {
 		case <-block:
 		case <-ctx.Done():
@@ -223,12 +346,15 @@ func TestServerCloseFailsPendingCalls(t *testing.T) {
 		_, err := c.Call(context.Background(), "block", nil)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-entered
 	s.Close()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("call should fail when the server closes")
+		// The handler's ctx error may still get out as a reply before the
+		// connection closes; either way the call fails, and a call that
+		// was in flight when its peer died never claims it was not sent.
+		if err == nil || errors.Is(err, ErrNotSent) {
+			t.Fatalf("call in flight when the server closed: %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending call did not fail after server close")
@@ -237,9 +363,10 @@ func TestServerCloseFailsPendingCalls(t *testing.T) {
 
 func TestClientCloseFailsPendingCalls(t *testing.T) {
 	s := NewServer()
-	block := make(chan struct{})
+	block, entered := make(chan struct{}), make(chan struct{})
 	defer close(block)
 	s.Register("block", func(ctx context.Context, _ []byte) ([]byte, error) {
+		close(entered)
 		select {
 		case <-block:
 		case <-ctx.Done():
@@ -257,14 +384,14 @@ func TestClientCloseFailsPendingCalls(t *testing.T) {
 		_, err := c.Call(context.Background(), "block", nil)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-entered
 	c.Close()
-	if err := <-done; !errors.Is(err, ErrClosed) {
-		t.Fatalf("want ErrClosed, got %v", err)
+	if err := <-done; !errors.Is(err, ErrClosed) || errors.Is(err, ErrNotSent) {
+		t.Fatalf("call in flight at Close: want ErrClosed and not ErrNotSent, got %v", err)
 	}
-	// Calls after close fail immediately.
-	if _, err := c.Call(context.Background(), "block", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("call after close: want ErrClosed, got %v", err)
+	// Calls after close fail immediately, unsent.
+	if _, err := c.Call(context.Background(), "block", nil); !errors.Is(err, ErrClosed) || !errors.Is(err, ErrNotSent) {
+		t.Fatalf("call after close: want ErrNotSent wrapping ErrClosed, got %v", err)
 	}
 }
 
