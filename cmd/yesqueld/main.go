@@ -110,9 +110,9 @@ func main() {
 					}
 					replicas += fmt.Sprintf(" replica=%s acked=%d lag=%d state=%s", r.Member, r.AckedSeq, lag, state)
 				}
-				log.Printf("yesqueld: epoch=%d role=%s members=%v lease_valid=%v repl_head=%d quorum_mark=%d watermark_lag=%d frontier=%d quorum_need=%d%s bumps=%d wrong_epoch_rejects=%d reads=%d follower_reads=%d durable_read_waits=%d commits=%d fastcommits=%d conflicts=%d orphan_aborts=%d checkpoints=%d ckpt_failures=%d log_truncated=%d snaps_served=%d snaps_installed=%d mirror_batches=%d mirror_batch_records=%d wal_syncs=%d wal_failures=%d conns=%d",
+				log.Printf("yesqueld: epoch=%d role=%s members=%v lease_valid=%v repl_head=%d quorum_mark=%d watermark_lag=%d frontier=%d quorum_need=%d%s bumps=%d wrong_epoch_rejects=%d reads=%d follower_reads=%d commits=%d fastcommits=%d conflicts=%d orphan_aborts=%d checkpoints=%d ckpt_failures=%d log_truncated=%d snaps_served=%d snaps_installed=%d mirror_batches=%d mirror_batch_records=%d wal_syncs=%d wal_failures=%d conns=%d",
 					st.Epoch, st.Role, st.Members, st.LeaseValid, st.ReplHead, st.QuorumMark, st.WatermarkLag, st.Frontier, st.QuorumNeed, replicas, st.EpochBumps, st.WrongEpochRejects,
-					st.Reads, st.FollowerReads, st.DurableReadWaits, st.Commits, st.FastCommits, st.Conflicts, st.OrphanAborts,
+					st.Reads, st.FollowerReads, st.Commits, st.FastCommits, st.Conflicts, st.OrphanAborts,
 					st.Checkpoints, st.CheckpointFailures, st.LogRecordsTruncated, st.SnapshotsServed, st.SnapshotsInstalled,
 					st.MirrorBatches, st.MirrorBatchRecords, st.WALSyncs, st.WALFailures, st.Conns)
 			}

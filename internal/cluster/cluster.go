@@ -497,7 +497,6 @@ func (cl *Cluster) Stats() kvserver.StatsSnapshot {
 			out.Reads += st.Reads
 			out.FollowerReads += st.FollowerReads
 			out.FollowerReadWaits += st.FollowerReadWaits
-			out.DurableReadWaits += st.DurableReadWaits
 		}
 	}
 	for _, s := range cl.Servers {
@@ -506,7 +505,6 @@ func (cl *Cluster) Stats() kvserver.StatsSnapshot {
 		out.ReadWaits += st.ReadWaits
 		out.FollowerReads += st.FollowerReads
 		out.FollowerReadWaits += st.FollowerReadWaits
-		out.DurableReadWaits += st.DurableReadWaits
 		out.Prepares += st.Prepares
 		out.Commits += st.Commits
 		out.FastCommits += st.FastCommits

@@ -166,7 +166,7 @@ func TestIsolatedStalePrimaryNeverAcksAfterNewEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_, err = conn.Call(ctx, kv.MethodRead, (&kv.ReadReq{OID: pre, Snap: oldStore.Clock().Now(), Epoch: formed}).Encode())
+	_, err = conn.Call(ctx, kv.MethodReadPart, (&kv.ReadPartReq{Snap: oldStore.Clock().Now(), Epoch: formed, Item: kv.ReadBatchItem{OID: pre}}).Encode())
 	if err == nil {
 		t.Fatal("stale primary served a read after its lease expired")
 	}

@@ -1,0 +1,114 @@
+package dbt_test
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"yesquel/internal/cluster"
+	"yesquel/internal/dbt"
+	"yesquel/internal/kv"
+	"yesquel/internal/kv/kvclient"
+	"yesquel/internal/kv/kvserver"
+)
+
+// Layer micro-benches for the tree: one operation per iteration, each in
+// its own transaction, against a two-server in-process cluster, through
+// a handle with the default dbt.Config whose inner-node cache is warm —
+// so a point Get costs exactly its one windowed leaf read and a scan its
+// leaf reads, which is the path every read in the system takes
+// (kvclient's readItems). Beside time and allocs each reports reads/op,
+// the reads the servers observed per operation.
+//
+//	go test ./internal/dbt -run '^$' -bench . -benchtime 2000x
+
+// benchKeys is how many keys the benches load: several dozen leaves
+// under the default MaxCells, spread over both servers.
+const benchKeys = 4096
+
+func benchKey(i int) []byte { return []byte(fmt.Sprintf("key%06d", i*7919%benchKeys)) }
+
+// loadBenchTree loads benchKeys keys through a handle that splits
+// synchronously (which leaves exist is the same on every run) and
+// returns a default-config handle with the inner nodes cached.
+func loadBenchTree(b *testing.B) (*cluster.Cluster, *kvclient.Client, *dbt.Tree) {
+	b.Helper()
+	ctx := context.Background()
+	cl, err := cluster.Start(2, kvserver.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cl.Close)
+	c, err := cl.NewClient()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	loader, err := dbt.Create(ctx, c, 1, dbt.Config{SyncSplit: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(loader.Close)
+	for i := 0; i < benchKeys; i += 32 {
+		tx := c.Begin()
+		for j := i; j < i+32; j++ {
+			if err := loader.Put(ctx, tx, []byte(fmt.Sprintf("key%06d", j)), []byte(fmt.Sprintf("value-%06d", j))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if err := loader.MaintainNow(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tree, err := dbt.Open(ctx, c, 1, dbt.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(tree.Close)
+	if _, err := tree.Get(ctx, c.Begin(), benchKey(0)); err != nil {
+		b.Fatal(err)
+	}
+	return cl, c, tree
+}
+
+var (
+	benchValue []byte    // keeps the measured call's result alive
+	benchCells []kv.Cell // likewise
+)
+
+func BenchmarkGetCached(b *testing.B) {
+	cl, c, tree := loadBenchTree(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	before := cl.Stats().Reads
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := tree.Get(ctx, c.Begin(), benchKey(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchValue = v
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cl.Stats().Reads-before)/float64(b.N), "reads/op")
+}
+
+func BenchmarkScan50(b *testing.B) {
+	cl, c, tree := loadBenchTree(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	before := cl.Stats().Reads
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cells, err := tree.Scan(ctx, c.Begin(), benchKey(i), 50)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCells = cells
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cl.Stats().Reads-before)/float64(b.N), "reads/op")
+}

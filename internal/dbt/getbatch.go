@@ -31,9 +31,9 @@ func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([]
 	useBatch := !t.cfg.NoCache && !t.cfg.NoPartial
 	for i, key := range keys {
 		if useBatch {
-			if oid, ok := t.leafFromCache(key); ok {
+			if run := t.leafRunFromCache(key, 1); len(run) == 1 {
 				win := pointWindow(key)
-				items = append(items, kv.ReadBatchItem{OID: oid, Part: true, From: win.from, To: win.to, Max: win.max})
+				items = append(items, kv.ReadBatchItem{OID: run[0], Part: true, From: win.from, To: win.to, Max: win.max})
 				itemKey = append(itemKey, i)
 				continue
 			}
@@ -82,10 +82,10 @@ func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([]
 // starting at the one that should hold key, up to n. The run stops at
 // the parent's last child — crossing into the next parent would need
 // another cached route, and the caller re-predicts from the following
-// fence key anyway. Like leafFromCache, a non-empty answer is routing
-// only: the caller validates the fetched leaves' fences and falls back
-// to a descent when the route turns out stale. Returns nil when any
-// level of the path is uncached.
+// fence key anyway. A non-empty answer is routing only — it may be
+// stale: the caller validates the fetched leaves' fences and falls back
+// to a descent, exactly as a descent backs down. Returns nil when any
+// level of the path is uncached or unusable.
 func (t *Tree) leafRunFromCache(key []byte, n int) []kv.OID {
 	cur := t.root
 	const maxDepth = 64
@@ -94,6 +94,8 @@ func (t *Tree) leafRunFromCache(key []byte, n int) []kv.OID {
 		if !ok {
 			return nil
 		}
+		// Cached nodes are inner by construction, but the tree id and a
+		// positive height are re-checked before trusting the route.
 		if v.Kind != kv.KindSuper || v.Attrs[AttrTree] != t.id || v.Attrs[AttrHeight] == 0 {
 			return nil
 		}
@@ -133,34 +135,4 @@ func (t *Tree) sameSlotPrefix(run []kv.OID) []kv.OID {
 		}
 	}
 	return run
-}
-
-// leafFromCache routes key through cached inner nodes only, returning
-// the OID of the leaf that SHOULD hold it. ok is false when any level
-// of the path is uncached or the cached route is unusable; a true
-// result may still be stale — callers validate the fetched leaf's
-// fences and back down, exactly as a descent would.
-func (t *Tree) leafFromCache(key []byte) (kv.OID, bool) {
-	cur := t.root
-	const maxDepth = 64
-	for depth := 0; depth < maxDepth; depth++ {
-		v, ok := t.cache.get(cur)
-		if !ok {
-			return 0, false
-		}
-		// Cached nodes are inner by construction, but the tree id and a
-		// positive height are re-checked before trusting the route.
-		if v.Kind != kv.KindSuper || v.Attrs[AttrTree] != t.id || v.Attrs[AttrHeight] == 0 {
-			return 0, false
-		}
-		child, err := childFor(v, key)
-		if err != nil {
-			return 0, false
-		}
-		if v.Attrs[AttrHeight] == 1 {
-			return child, true
-		}
-		cur = child
-	}
-	return 0, false
 }

@@ -40,14 +40,14 @@ type StatsSnapshot struct {
 	Evictions                                                            uint64
 }
 
-// nodeReader is the read capability a descent needs. *kvclient.Tx
-// satisfies it (reads overlay the transaction's staged writes); so
-// does *kvclient.ReadView, which is what lets the scan readahead
-// prefetch leaves from a plain goroutine — a ReadView reads the same
-// MVCC snapshot with no overlay and is safe for concurrent use, while
-// a Tx is not.
+// nodeReader is the read capability a descent needs: a window of a
+// node, the zero window being the whole of it. *kvclient.Tx satisfies
+// it (reads overlay the transaction's staged writes); so does
+// *kvclient.ReadView, which is what lets the scan readahead prefetch
+// leaves from a plain goroutine — a ReadView reads the same MVCC
+// snapshot with no overlay and is safe for concurrent use, while a Tx
+// is not.
 type nodeReader interface {
-	Read(ctx context.Context, oid kv.OID) (*kv.Value, error)
 	ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error)
 }
 
@@ -214,13 +214,15 @@ func compare(a, b []byte) int { return bytes.Compare(a, b) }
 
 // window describes which cells of the leaf a descent actually needs.
 // Point operations request a single-key window; iterators request
-// their range's remainder, capped while a limit is outstanding; full
-// forces whole-node reads (NoDelta rewrites, ablations).
+// their range's remainder, capped while a limit is outstanding; the
+// zero window is the whole node (NoDelta rewrites, ablations).
 type window struct {
 	from, to []byte
 	max      uint32
-	full     bool
 }
+
+// whole reports whether w is the zero window.
+func (w window) whole() bool { return w.from == nil && w.to == nil && w.max == 0 }
 
 func pointWindow(key []byte) window {
 	// Max 2: the floor cell (possibly the predecessor) plus the key's
@@ -243,7 +245,7 @@ type leafInfo struct {
 // search. The final cache-free attempt is guaranteed to terminate
 // because transactional reads see a consistent snapshot of the tree.
 // Leaf reads fetch only the requested window unless the configuration
-// disables partial reads.
+// disables partial reads; every other node is read whole.
 func (t *Tree) descend(ctx context.Context, r nodeReader, key []byte, win window) (leafInfo, error) {
 	t.stats.Descents.Add(1)
 	maxAttempts := t.cfg.MaxDescentRetries
@@ -262,21 +264,6 @@ func (t *Tree) descend(ctx context.Context, r nodeReader, key []byte, win window
 	return leafInfo{}, fmt.Errorf("dbt: descent for key %q did not converge", key)
 }
 
-// readNode fetches cur, windowed when the caller expects a leaf and the
-// configuration allows. It returns the node and its total cell count.
-func (t *Tree) readNode(ctx context.Context, r nodeReader, cur kv.OID, win window, expectLeaf bool) (*kv.Value, int, error) {
-	t.stats.NodeReads.Add(1)
-	if expectLeaf && !win.full && !t.cfg.NoPartial {
-		node, total, err := r.ReadPart(ctx, cur, win.from, win.to, win.max)
-		return node, total, err
-	}
-	node, err := r.Read(ctx, cur)
-	if err != nil {
-		return nil, 0, err
-	}
-	return node, node.NumCells(), nil
-}
-
 func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win window, useCache bool) (leafInfo, error) {
 	cur := t.root
 	var path []kv.OID
@@ -286,7 +273,13 @@ func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win wi
 		var node *kv.Value
 		total := 0
 		fromCache := false
-		partial := false
+		// A node is read through the caller's window only where a leaf is
+		// expected and the configuration allows; anything else is read
+		// whole, and only a whole inner node may enter the cache.
+		nodeWin := window{}
+		if expectLeaf && !t.cfg.NoPartial {
+			nodeWin = win
+		}
 		if useCache {
 			if v, ok := t.cache.get(cur); ok {
 				node = v
@@ -296,7 +289,8 @@ func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win wi
 			}
 		}
 		if node == nil {
-			v, n, err := t.readNode(ctx, r, cur, win, expectLeaf)
+			t.stats.NodeReads.Add(1)
+			v, n, err := r.ReadPart(ctx, cur, nodeWin.from, nodeWin.to, nodeWin.max)
 			if err != nil {
 				if errors.Is(err, kv.ErrNotFound) {
 					// Dangling pointer: the node was moved by a split
@@ -307,7 +301,6 @@ func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win wi
 				return leafInfo{}, err
 			}
 			node, total = v, n
-			partial = expectLeaf && !win.full && !t.cfg.NoPartial
 		}
 		if node.Kind != kv.KindSuper || node.Attrs[AttrTree] != t.id {
 			t.cache.invalidate(append(path, cur)...)
@@ -338,7 +331,7 @@ func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win wi
 				t.cache.invalidate(append(path, cur)...)
 				return leafInfo{}, fmt.Errorf("%w: inner fence miss", errStale)
 			}
-			if useCache && !partial {
+			if useCache && nodeWin.whole() {
 				t.cache.put(cur, node)
 			}
 		}
@@ -375,7 +368,7 @@ func (t *Tree) Get(ctx context.Context, tx *kvclient.Tx, key []byte) ([]byte, er
 func (t *Tree) Put(ctx context.Context, tx *kvclient.Tx, key, value []byte) error {
 	win := pointWindow(key)
 	if t.cfg.NoDelta {
-		win.full = true // rewriting the node needs all of it
+		win = window{} // rewriting the node needs all of it
 	}
 	li, err := t.descend(ctx, tx, key, win)
 	if err != nil {
@@ -400,7 +393,7 @@ func (t *Tree) Put(ctx context.Context, tx *kvclient.Tx, key, value []byte) erro
 func (t *Tree) Delete(ctx context.Context, tx *kvclient.Tx, key []byte) error {
 	win := pointWindow(key)
 	if t.cfg.NoDelta {
-		win.full = true
+		win = window{}
 	}
 	li, err := t.descend(ctx, tx, key, win)
 	if err != nil {

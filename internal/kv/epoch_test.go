@@ -58,13 +58,17 @@ func TestWrongEpochErrorRoundTrip(t *testing.T) {
 // epoch-unaware (zero) stamp survives too.
 func TestEpochStampedRequestsRoundTrip(t *testing.T) {
 	for _, epoch := range []uint64{0, 1, 1 << 50} {
-		r, err := DecodeReadReq((&ReadReq{OID: MakeOID(1, 2), Snap: 7, Epoch: epoch}).Encode())
+		r, err := DecodeReadPartReq((&ReadPartReq{Snap: 7, Epoch: epoch, Item: ReadBatchItem{OID: MakeOID(1, 2)}}).Encode())
 		if err != nil || r.Epoch != epoch {
-			t.Fatalf("ReadReq epoch %d: %+v %v", epoch, r, err)
+			t.Fatalf("whole-object ReadPartReq epoch %d: %+v %v", epoch, r, err)
 		}
-		rp, err := DecodeReadPartReq((&ReadPartReq{OID: MakeOID(1, 2), Snap: 7, From: []byte("a"), Epoch: epoch}).Encode())
+		rp, err := DecodeReadPartReq((&ReadPartReq{Snap: 7, Epoch: epoch, Item: ReadBatchItem{OID: MakeOID(1, 2), Part: true, From: []byte("a")}}).Encode())
 		if err != nil || rp.Epoch != epoch {
 			t.Fatalf("ReadPartReq epoch %d: %+v %v", epoch, rp, err)
+		}
+		rb, err := DecodeReadBatchReq((&ReadBatchReq{Snap: 7, Epoch: epoch, Items: []ReadBatchItem{{OID: MakeOID(1, 2)}}}).Encode())
+		if err != nil || rb.Epoch != epoch {
+			t.Fatalf("ReadBatchReq epoch %d: %+v %v", epoch, rb, err)
 		}
 		p, err := DecodePrepareReq((&PrepareReq{TxID: 9, Start: 3, Ops: sampleOps(), Epoch: epoch}).Encode())
 		if err != nil || p.Epoch != epoch || len(p.Ops) != len(sampleOps()) {

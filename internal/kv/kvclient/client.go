@@ -54,14 +54,8 @@ type Client struct {
 	// below a group's learned durability frontier to that group's
 	// backups, round-robin — read throughput scales with the
 	// replication factor instead of pinning every read on the primary.
-	// durableReads stamps every read Durable: the serving replica holds
-	// the answer until the durability frontier passes the snapshot, so
-	// the transaction never observes a write a failover could erase
-	// (closing the group-commit visibility window at the price of the
-	// in-flight batch's round trip). See SetFollowerReads /
-	// SetDurableReads.
+	// See SetFollowerReads.
 	followerReads atomic.Bool
-	durableReads  atomic.Bool
 
 	// hbStop terminates the membership heartbeat goroutine (see
 	// StartHeartbeat); hbMu guards restarts.
@@ -73,12 +67,6 @@ type Client struct {
 // to backup replicas. Safe to flip at any time; in-flight reads finish
 // on the path they started.
 func (c *Client) SetFollowerReads(on bool) { c.followerReads.Store(on) }
-
-// SetDurableReads toggles durable-read mode: every read waits out the
-// durability watermark, so no transaction observes a write that is not
-// quorum-durable. Reads below the frontier are unaffected (the wait is
-// a no-op there).
-func (c *Client) SetDurableReads(on bool) { c.durableReads.Store(on) }
 
 // replicaGroup is one server slot's replica set: the membership the
 // client currently believes (acting primary first), the group's epoch,
@@ -669,10 +657,11 @@ type callPolicy int
 const (
 	// retryAlways: the operation is idempotent; retry on the next
 	// replica regardless of whether the first attempt was delivered.
-	// (Caveat: a read retried on the backup while the primary is still
-	// alive skips the primary's prepare locks and the Clock-SI wait
-	// they enforce; the window only exists for a connection failure
-	// without a primary crash — see ROADMAP "quorum reads".)
+	// (A read retried on a backup while the primary is still alive is
+	// refused, not served stale: an unpromoted backup answers
+	// ErrWrongEpoch unless the snapshot is at or below its durability
+	// frontier, and below the frontier it holds the same prepare locks
+	// and enforces the same Clock-SI wait as the primary.)
 	retryAlways callPolicy = iota
 	// retryUnsent: retry only when the request provably never left this
 	// process (rpc.ErrNotSent); a sent-but-unacknowledged attempt fails
@@ -883,150 +872,43 @@ func (c *Client) readCall(ctx context.Context, server int, snap clock.Timestamp,
 	return respB, false, err
 }
 
-// noteReadResp files the durability frontier a read response carried:
-// a backup's answer vouches for the backup-reported bound, a primary's
-// for the fresh one.
-func (c *Client) noteReadResp(server int, frontier clock.Timestamp, viaFollower bool) {
-	if frontier == 0 {
-		return
+// readItems is the one read path: it answers items at snap into out,
+// positionally (an absent object leaves Found=false, never an error),
+// in as few RPCs as the data's placement allows — one per owning group,
+// in parallel when there are several. A wrong-slot redirect from any
+// group means the partition itself was stale, so the whole round is
+// partitioned again under the directory the redirect taught and
+// retried.
+func (c *Client) readItems(ctx context.Context, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) error {
+	if len(items) == 0 {
+		return nil
 	}
-	g := c.group(server)
-	if viaFollower {
-		g.noteReadFrontier(frontier)
-	} else {
-		g.noteFrontier(frontier)
-	}
-}
-
-// readAt fetches the newest version of oid visible at snap, re-routing
-// through the directory on wrong-slot redirects (the owning group moved
-// mid-migration).
-func (c *Client) readAt(ctx context.Context, oid kv.OID, snap clock.Timestamp) (*kv.Value, error) {
-	durable := c.durableReads.Load()
-	var (
-		respB       []byte
-		viaFollower bool
-		server      int
-	)
 	for tries := 0; ; tries++ {
-		server = c.ServerFor(oid)
-		var err error
-		respB, viaFollower, err = c.readCall(ctx, server, snap, kv.MethodRead, func(epoch uint64) []byte {
-			return (&kv.ReadReq{OID: oid, Snap: snap, Epoch: epoch, Durable: durable}).Encode()
-		})
-		if err != nil {
-			terr := translateRPCErr(err)
-			if c.retryWrongSlot(ctx, server, terr, tries) {
-				continue
-			}
-			return nil, terr
+		server, err := c.readRound(ctx, snap, items, out)
+		if err == nil || !c.retryWrongSlot(ctx, server, err, tries) {
+			return err
 		}
-		break
-	}
-	resp, err := kv.DecodeReadResp(respB)
-	if err != nil {
-		return nil, err
-	}
-	c.hlc.Observe(resp.Clock)
-	c.noteReadResp(server, resp.Frontier, viaFollower)
-	if !resp.Found {
-		return nil, kv.ErrNotFound
-	}
-	return resp.Value, nil
-}
-
-// readPartAt fetches a windowed view of oid at snap: cells in
-// [floor(from), to) capped at max (0 = unlimited), plus the node's
-// total cell count. Like readAt it carries no staged-write overlay.
-func (c *Client) readPartAt(ctx context.Context, oid kv.OID, snap clock.Timestamp, from, to []byte, max uint32) (*kv.Value, int, error) {
-	durable := c.durableReads.Load()
-	var (
-		respB       []byte
-		viaFollower bool
-		server      int
-	)
-	for tries := 0; ; tries++ {
-		server = c.ServerFor(oid)
-		var err error
-		respB, viaFollower, err = c.readCall(ctx, server, snap, kv.MethodReadPart, func(epoch uint64) []byte {
-			return (&kv.ReadPartReq{OID: oid, Snap: snap, From: from, To: to, Max: max, Epoch: epoch, Durable: durable}).Encode()
-		})
-		if err != nil {
-			terr := translateRPCErr(err)
-			if c.retryWrongSlot(ctx, server, terr, tries) {
-				continue
-			}
-			return nil, 0, terr
-		}
-		break
-	}
-	resp, err := kv.DecodeReadPartResp(respB)
-	if err != nil {
-		return nil, 0, err
-	}
-	c.hlc.Observe(resp.Clock)
-	c.noteReadResp(server, resp.Frontier, viaFollower)
-	if !resp.Found {
-		return nil, 0, kv.ErrNotFound
-	}
-	return resp.Value, int(resp.Total), nil
-}
-
-// readBatchAt serves items — all living on server slot server — at
-// snap with one MethodReadBatch RPC, routed like any other snapshot
-// read (follower pinning, primary fallback, frontier bookkeeping).
-// Results are positional; absent objects come back Found=false.
-func (c *Client) readBatchAt(ctx context.Context, server int, snap clock.Timestamp, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
-	durable := c.durableReads.Load()
-	respB, viaFollower, err := c.readCall(ctx, server, snap, kv.MethodReadBatch, func(epoch uint64) []byte {
-		return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Durable: durable, Items: items}).Encode()
-	})
-	if err != nil {
-		return nil, translateRPCErr(err)
-	}
-	resp, err := kv.DecodeReadBatchResp(respB)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(items) {
-		return nil, fmt.Errorf("kvclient: read batch answered %d of %d items", len(resp.Results), len(items))
-	}
-	c.hlc.Observe(resp.Clock)
-	c.noteReadResp(server, resp.Frontier, viaFollower)
-	return resp.Results, nil
-}
-
-// readBatchSlots partitions items by owning group, sends each group's
-// sub-batch with one readBatchAt call — the sub-batches in parallel
-// when more than one group is involved — and merges the answers
-// positionally. A wrong-slot redirect from any group re-partitions the
-// whole batch under the directory the redirect taught and retries: the
-// grouping itself, not just one item's placement, is stale.
-func (c *Client) readBatchSlots(ctx context.Context, snap clock.Timestamp, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
-	for tries := 0; ; tries++ {
-		results, server, err := c.readBatchSlotsOnce(ctx, snap, items)
-		if err != nil && c.retryWrongSlot(ctx, server, err, tries) {
-			continue
-		}
-		return results, err
 	}
 }
 
-// readBatchSlotsOnce runs one partition-and-fan-out round; server is
-// the group whose sub-batch produced err (for the redirect machinery).
-func (c *Client) readBatchSlotsOnce(ctx context.Context, snap clock.Timestamp, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, int, error) {
+// readRound runs one partition-and-fetch round of readItems; server is
+// the group whose call produced err (for the redirect machinery). Items
+// that share one group — a single item always does — go out on the
+// calling goroutine with nothing built around them.
+func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) (server int, err error) {
+	server = c.ServerFor(items[0].OID)
+	spread := false
+	for i := 1; i < len(items) && !spread; i++ {
+		spread = c.ServerFor(items[i].OID) != server
+	}
+	if !spread {
+		return server, c.readGroup(ctx, server, snap, items, out)
+	}
 	bySlot := make(map[int][]int)
 	for i := range items {
 		s := c.ServerFor(items[i].OID)
 		bySlot[s] = append(bySlot[s], i)
 	}
-	if len(bySlot) == 1 {
-		for s := range bySlot {
-			res, err := c.readBatchAt(ctx, s, snap, items)
-			return res, s, err
-		}
-	}
-	results := make([]kv.ReadBatchResult, len(items))
 	type slotResult struct {
 		server int
 		idx    []int
@@ -1040,31 +922,78 @@ func (c *Client) readBatchSlotsOnce(ctx context.Context, snap clock.Timestamp, i
 			sub[j] = items[i]
 		}
 		go func(s int, idx []int, sub []kv.ReadBatchItem) {
-			res, err := c.readBatchAt(ctx, s, snap, sub)
+			res := make([]kv.ReadBatchResult, len(sub))
+			err := c.readGroup(ctx, s, snap, sub, res)
 			ch <- slotResult{server: s, idx: idx, res: res, err: err}
 		}(s, idx, sub)
 	}
-	var firstErr error
-	errServer := 0
 	for range bySlot {
 		sr := <-ch
 		if sr.err != nil {
 			// Prefer reporting a wrong-slot failure: it is the one the
-			// caller can fix by re-partitioning.
+			// caller can fix by partitioning again.
 			var ws *kv.WrongSlotError
-			if firstErr == nil || (errors.As(sr.err, &ws) && !errors.Is(firstErr, kv.ErrWrongSlot)) {
-				firstErr, errServer = sr.err, sr.server
+			if err == nil || (errors.As(sr.err, &ws) && !errors.Is(err, kv.ErrWrongSlot)) {
+				server, err = sr.server, sr.err
 			}
 			continue
 		}
 		for j, i := range sr.idx {
-			results[i] = sr.res[j]
+			out[i] = sr.res[j]
 		}
 	}
-	if firstErr != nil {
-		return nil, errServer, firstErr
+	return server, err
+}
+
+// readGroup fetches items — all owned by group server — at snap with
+// one RPC, routed like every snapshot read (follower pin, primary
+// fallback), and files the clock and frontier the response carries. The
+// encoding follows the input's size: one item travels as a
+// MethodReadPart call, several as a MethodReadBatch.
+func (c *Client) readGroup(ctx context.Context, server int, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) error {
+	method := kv.MethodReadBatch
+	if len(items) == 1 {
+		method = kv.MethodReadPart
 	}
-	return results, 0, nil
+	respB, viaFollower, err := c.readCall(ctx, server, snap, method, func(epoch uint64) []byte {
+		if len(items) == 1 {
+			return (&kv.ReadPartReq{Snap: snap, Epoch: epoch, Item: items[0]}).Encode()
+		}
+		return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Items: items}).Encode()
+	})
+	if err != nil {
+		return translateRPCErr(err)
+	}
+	var clk, frontier clock.Timestamp
+	if len(items) == 1 {
+		resp, err := kv.DecodeReadPartResp(respB)
+		if err != nil {
+			return err
+		}
+		out[0] = kv.ReadBatchResult{Found: resp.Found, Version: resp.Version, Value: resp.Value, Total: resp.Total}
+		clk, frontier = resp.Clock, resp.Frontier
+	} else {
+		resp, err := kv.DecodeReadBatchResp(respB)
+		if err != nil {
+			return err
+		}
+		if len(resp.Results) != len(items) {
+			return fmt.Errorf("kvclient: read batch answered %d of %d items", len(resp.Results), len(items))
+		}
+		copy(out, resp.Results)
+		clk, frontier = resp.Clock, resp.Frontier
+	}
+	c.hlc.Observe(clk)
+	if frontier != 0 {
+		// A backup's answer vouches for the backup-reported bound, a
+		// primary's for the fresh one.
+		if g := c.group(server); viaFollower {
+			g.noteReadFrontier(frontier)
+		} else {
+			g.noteFrontier(frontier)
+		}
+	}
+	return nil
 }
 
 // ReadView is a concurrency-safe, read-only view of the store at a
@@ -1095,25 +1024,32 @@ func (t *Tx) View() *ReadView { return t.c.View(t.start) }
 // Snapshot returns the view's snapshot timestamp.
 func (v *ReadView) Snapshot() clock.Timestamp { return v.snap }
 
-// Read fetches the newest version of oid visible at the snapshot.
-func (v *ReadView) Read(ctx context.Context, oid kv.OID) (*kv.Value, error) {
-	return v.c.readAt(ctx, oid, v.snap)
-}
-
 // ReadPart fetches a window of the supervalue at oid: cells in
 // [floor(from), to) capped at max, plus the node's total cell count.
+// The zero window (nil, nil, 0) is the whole object.
 func (v *ReadView) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error) {
-	return v.c.readPartAt(ctx, oid, v.snap, from, to, max)
+	var out [1]kv.ReadBatchResult
+	item := [1]kv.ReadBatchItem{{OID: oid, Part: true, From: from, To: to, Max: max}}
+	if err := v.c.readItems(ctx, v.snap, item[:], out[:]); err != nil {
+		return nil, 0, err
+	}
+	if !out[0].Found {
+		return nil, 0, kv.ErrNotFound
+	}
+	return out[0].Value, int(out[0].Total), nil
 }
 
 // ReadBatch performs len(items) snapshot reads in as few RPCs as the
-// data's placement allows: one MethodReadBatch per involved server
-// slot, in parallel. The same contract as Tx.ReadBatch minus any
-// overlay: results are positional, absent objects come back
-// Found=false. The dbt scan readahead uses this to fetch runs of
-// predicted leaves with one round trip.
+// data's placement allows (see readItems). The same contract as
+// Tx.ReadBatch minus any overlay: results are positional, absent
+// objects come back Found=false. The dbt scan readahead uses this to
+// fetch runs of predicted leaves with one round trip.
 func (v *ReadView) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
-	return v.c.readBatchSlots(ctx, v.snap, items)
+	out := make([]kv.ReadBatchResult, len(items))
+	if err := v.c.readItems(ctx, v.snap, items, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // translateRPCErr maps application errors from the server back to the

@@ -231,7 +231,7 @@ func TestCommitUncertainOnLostAck(t *testing.T) {
 // ErrUncertain; with no backup to fail over to it errors, with a
 // healthy backup it succeeds (covered by TestFailoverToBackup).
 func TestReadRetriesThroughLostConnection(t *testing.T) {
-	addr := stubServer(t, kv.MethodRead)
+	addr := stubServer(t, kv.MethodReadPart)
 	c, err := kvclient.Open([]string{addr})
 	if err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func TestReadViewMatchesTx(t *testing.T) {
 		t.Fatalf("view snapshot %v != tx snapshot %v", view.Snapshot(), tx.Snapshot())
 	}
 	for _, oid := range plain {
-		got, err := view.Read(ctx, oid)
+		got, _, err := view.ReadPart(ctx, oid, nil, nil, 0)
 		want, werr := tx.Read(ctx, oid)
 		if err != nil || werr != nil || !got.Equal(want) {
 			t.Fatalf("view read %v: %+v (%v) vs %+v (%v)", oid, got, err, want, werr)

@@ -105,8 +105,8 @@ func TestTxReadPartMissing(t *testing.T) {
 	}
 }
 
-// TestTxReadPartMemo: a repeat of a windowed read inside one
-// transaction is answered without a server round trip, the remembered
+// TestTxReadPartMemo: a repeat of a read inside one transaction —
+// windowed or whole — is answered without a server round trip, the remembered
 // answer is the BASE — staged operations are overlaid on every call, so
 // Get → Put → Get reads its own write — and neither a reused key buffer
 // nor a different window is mistaken for the remembered request.
@@ -189,6 +189,17 @@ func TestTxReadPartMemo(t *testing.T) {
 	}
 	if part.NumCells() != 8 { // c01..c09 minus the deleted c05
 		t.Fatalf("unbounded window after a point read of the same key: %d cells", part.NumCells())
+	}
+	// A whole-object read is the zero window and is remembered like any
+	// other: Read twice, one server read.
+	before = serverReads()
+	for i := 0; i < 2; i++ {
+		if whole, err := tx.Read(ctx, oid); err != nil || whole.NumCells() != 9 {
+			t.Fatalf("whole-object read %d: %+v (%v)", i, whole, err)
+		}
+	}
+	if n := serverReads() - before; n != 1 {
+		t.Fatalf("two whole-object reads cost %d server reads, want 1", n)
 	}
 	// More distinct requests than the memo holds: the oldest is simply
 	// read again.

@@ -26,9 +26,9 @@ type Tx struct {
 	ops   []*kv.Op
 	byOID map[kv.OID][]*kv.Op
 
-	// memo remembers the last few windowed base reads (see readPartBase);
-	// memoNext is the slot the next one overwrites.
-	memo     [partMemoSize]partMemo
+	// memo remembers the last few base reads (see readBase); memoNext is
+	// the slot the next one overwrites.
+	memo     [memoSize]memoEntry
 	memoNext int
 
 	// TestHookAfterVote, when non-nil, runs once after every
@@ -107,244 +107,187 @@ func (t *Tx) SetBounds(oid kv.OID, low, high []byte) {
 // Read returns oid's value as this transaction sees it: the snapshot
 // version overlaid with the transaction's own staged operations.
 func (t *Tx) Read(ctx context.Context, oid kv.OID) (*kv.Value, error) {
-	if t.done {
-		return nil, kv.ErrAborted
-	}
-	staged := t.byOID[oid]
-	// If the last full overwrite (Put/Delete) precedes some suffix of
-	// delta ops, the base below that point is irrelevant.
-	baseNeeded := true
-	from := 0
-	for i := len(staged) - 1; i >= 0; i-- {
-		if staged[i].Kind == kv.OpPut || staged[i].Kind == kv.OpDelete {
-			baseNeeded = false
-			from = i
-			break
-		}
-	}
-	var base *kv.Value
-	if baseNeeded {
-		v, err := t.c.readAt(ctx, oid, t.start)
-		if err != nil && !errors.Is(err, kv.ErrNotFound) {
-			return nil, err
-		}
-		base = v
-	}
-	for _, op := range staged[from:] {
-		next, err := op.Apply(base)
-		if err != nil {
-			return nil, err
-		}
-		base = next
-	}
-	if base == nil {
-		return nil, kv.ErrNotFound
-	}
-	return base, nil
-}
-
-// partMemoSize is how many windowed base reads a Tx remembers. A
-// statement re-reads only what it has just read — the leaf a lookup
-// found and the write then descends to, once per tree it touches — so a
-// handful of entries covers it.
-const partMemoSize = 4
-
-// partMemo is one remembered ReadPart answer from the servers: the
-// request (oid, from, to, max) and the base value and cell count it
-// returned. hasTo tells a nil to (unbounded) from an empty one.
-type partMemo struct {
-	oid      kv.OID
-	from, to []byte
-	hasTo    bool
-	max      uint32
-	val      *kv.Value
-	total    int
-}
-
-// readPartBase is the server's answer to a windowed read at the
-// transaction's snapshot, without the overlay of staged operations.
-// Under snapshot isolation that answer cannot change for the life of
-// the transaction, so a repeat of a recent request is answered locally:
-// a Get followed by a Put or Delete of the same key asks for the same
-// window of the same leaf twice, and pays for one read. Returned values
-// are shared between callers and must not be modified (kv.Op.Apply
-// overlays staged operations copy-on-write, so an overlaid result
-// shares its untouched cells with the remembered base).
-func (t *Tx) readPartBase(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error) {
-	for i := range t.memo {
-		m := &t.memo[i]
-		if m.val != nil && m.oid == oid && m.max == max && m.hasTo == (to != nil) &&
-			bytes.Equal(m.from, from) && bytes.Equal(m.to, to) {
-			return m.val, m.total, nil
-		}
-	}
-	val, total, err := t.c.readPartAt(ctx, oid, t.start, from, to, max)
-	if err != nil {
-		return nil, 0, err
-	}
-	// The keys are copied (into one allocation): callers may reuse their
-	// buffers, and a remembered request must not change under them.
-	buf := append(append(make([]byte, 0, len(from)+len(to)), from...), to...)
-	t.memo[t.memoNext] = partMemo{
-		oid: oid, from: buf[:len(from):len(from)], to: buf[len(from):], hasTo: to != nil,
-		max: max, val: val, total: total,
-	}
-	t.memoNext = (t.memoNext + 1) % partMemoSize
-	return val, total, nil
+	v, _, err := t.ReadPart(ctx, oid, nil, nil, 0)
+	return v, err
 }
 
 // ReadPart returns a windowed view of a supervalue as this transaction
 // sees it: cells in [floor(from), to) capped at max, plus the node's
-// (approximate, see below) total cell count. Compared with Read it
-// ships only the needed cells over the network — the mechanism that
-// keeps DBT point operations off the bandwidth cliff for large nodes.
-//
-// The transaction's own staged delta operations are overlaid on the
-// window. The returned total is exact for clean objects; staged inserts
-// make it an upper-bound estimate (callers use it only as a split
-// heuristic).
+// total cell count; the zero window (nil, nil, 0) is the whole object.
+// Compared with Read it ships only the needed cells over the network —
+// the mechanism that keeps DBT point operations off the bandwidth cliff
+// for large nodes. The transaction's staged operations are overlaid on
+// the window (see readItem for what that does to the cells and the
+// count).
 func (t *Tx) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error) {
-	if t.done {
-		return nil, 0, kv.ErrAborted
-	}
-	staged := t.byOID[oid]
-	// A staged full overwrite makes the server state irrelevant from
-	// that op onward: materialize locally via Read and slice.
-	for i := len(staged) - 1; i >= 0; i-- {
-		if staged[i].Kind == kv.OpPut || staged[i].Kind == kv.OpDelete {
-			full, err := t.Read(ctx, oid)
-			if err != nil {
-				return nil, 0, err
-			}
-			if full.Kind != kv.KindSuper {
-				return full, 0, nil
-			}
-			part := &kv.Value{Kind: kv.KindSuper, Attrs: full.Attrs, LowKey: full.LowKey, HighKey: full.HighKey}
-			part.Cells = full.WindowCells(from, to, max)
-			return part, full.NumCells(), nil
-		}
-	}
-
-	base, total, err := t.readPartBase(ctx, oid, from, to, max)
+	res, err := t.readItem(ctx, kv.ReadBatchItem{OID: oid, Part: true, From: from, To: to, Max: max}, nil)
 	if err != nil {
-		if !errors.Is(err, kv.ErrNotFound) {
-			return nil, 0, err
-		}
-		if len(staged) == 0 {
-			return nil, 0, kv.ErrNotFound
-		}
-		base, total = nil, 0
+		return nil, 0, err
 	}
-	if len(staged) == 0 {
-		return base, total, nil
-	}
-	// Overlay staged deltas. Extra cells outside the window are
-	// harmless for the callers (they select by key anyway).
-	v := base
-	for _, op := range staged {
-		next, err := op.Apply(v)
-		if err != nil {
-			return nil, 0, err
-		}
-		v = next
-		if op.Kind == kv.OpListAdd {
-			total++ // upper bound: the key may have existed already
-		}
-	}
-	if v == nil {
+	if !res.Found {
 		return nil, 0, kv.ErrNotFound
 	}
-	return v, total, nil
+	return res.Value, int(res.Total), nil
 }
 
 // ReadBatch performs len(items) reads at the transaction's snapshot in
-// as few RPCs as the data's placement allows: items free of staged
-// writes are grouped by server slot and each slot's sub-batch goes out
-// as one MethodReadBatch call, the sub-batches in parallel over the
-// existing read connections (follower pinning and primary fallback
-// included). Items whose OIDs carry staged
-// operations are served through the ordinary overlay paths on the
-// calling goroutine, so read-your-own-writes holds item by item.
+// as few RPCs as the data's placement allows: every item that needs the
+// servers' state — all but those a staged Put or Delete has overwritten
+// — goes out in one Client.readItems round, one RPC per owning group,
+// the groups in parallel. Staged operations are then overlaid item by
+// item, so read-your-own-writes holds exactly as for ReadPart.
 //
 // Results are positional: results[i] answers items[i], with Found=false
 // for absent objects (never an error, unlike Read). Version is zero for
-// items served through the staged-write overlay; Total is meaningful
-// only for windowed (Part) items.
+// items that carry staged operations.
 func (t *Tx) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
 	if t.done {
 		return nil, kv.ErrAborted
 	}
-	results := make([]kv.ReadBatchResult, len(items))
-	var stagedIdx, cleanIdx []int
+	fetch := make([]kv.ReadBatchItem, 0, len(items))
 	for i := range items {
-		if len(t.byOID[items[i].OID]) > 0 {
-			stagedIdx = append(stagedIdx, i)
-		} else {
-			cleanIdx = append(cleanIdx, i)
+		if lastOverwrite(t.byOID[items[i].OID]) < 0 {
+			fetch = append(fetch, items[i].Windowed())
 		}
 	}
-	type cleanResult struct {
-		res []kv.ReadBatchResult
-		err error
+	bases := make([]kv.ReadBatchResult, len(fetch))
+	if err := t.c.readItems(ctx, t.start, fetch, bases); err != nil {
+		return nil, err
 	}
-	var ch chan cleanResult
-	if len(cleanIdx) > 0 {
-		sub := make([]kv.ReadBatchItem, len(cleanIdx))
-		for j, i := range cleanIdx {
-			sub[j] = items[i]
+	results := make([]kv.ReadBatchResult, len(items))
+	for i := range items {
+		var base *kv.ReadBatchResult
+		if lastOverwrite(t.byOID[items[i].OID]) < 0 {
+			base, bases = &bases[0], bases[1:]
 		}
-		ch = make(chan cleanResult, 1)
-		// The goroutine touches only the concurrency-safe Client (and
-		// the immutable snapshot), never the Tx; readBatchSlots fans the
-		// sub-batch out per server slot from there.
-		go func() {
-			res, err := t.c.readBatchSlots(ctx, t.start, sub)
-			ch <- cleanResult{res: res, err: err}
-		}()
-	}
-	// Staged items overlay on the calling goroutine while the sub-batches
-	// are in flight.
-	var stagedErr error
-	for _, i := range stagedIdx {
-		item := &items[i]
-		var (
-			val   *kv.Value
-			total int
-			err   error
-		)
-		if item.Part {
-			val, total, err = t.ReadPart(ctx, item.OID, item.From, item.To, item.Max)
-		} else {
-			val, err = t.Read(ctx, item.OID)
+		var err error
+		if results[i], err = t.readItem(ctx, items[i].Windowed(), base); err != nil {
+			return nil, err
 		}
-		switch {
-		case err == nil:
-			results[i] = kv.ReadBatchResult{Found: true, Value: val, Total: uint32(total)}
-		case errors.Is(err, kv.ErrNotFound):
-		default:
-			if stagedErr == nil {
-				stagedErr = err
-			}
-		}
-	}
-	var firstErr error
-	if ch != nil {
-		cr := <-ch
-		if cr.err != nil {
-			firstErr = cr.err
-		} else {
-			for j, i := range cleanIdx {
-				results[i] = cr.res[j]
-			}
-		}
-	}
-	if firstErr == nil {
-		firstErr = stagedErr
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return results, nil
+}
+
+// lastOverwrite returns the index of the last Put or Delete among an
+// object's staged ops, or -1: from that op on, what the servers hold is
+// irrelevant to a read.
+func lastOverwrite(staged []*kv.Op) int {
+	for i := len(staged) - 1; i >= 0; i-- {
+		if staged[i].Kind == kv.OpPut || staged[i].Kind == kv.OpDelete {
+			return i
+		}
+	}
+	return -1
+}
+
+// readItem answers one item as this transaction sees it, and is the one
+// place a read meets the staged writes. The base is the servers' answer
+// at the snapshot — handed in by a caller that already fetched it
+// (ReadBatch), else taken from the memo or the servers (readBase) — or
+// nothing at all once a staged Put or Delete has overwritten the
+// object. The object's staged ops from that point on are applied on top,
+// copy-on-write (kv.Op.Apply), so the result shares its untouched cells
+// with the base.
+//
+// Over a fetched window, staged deltas land wherever they fall in the
+// node — extra cells outside the window are harmless, the callers select
+// by key — and each staged insert counts into Total, which makes it an
+// upper bound (the key may have existed already; callers use it only as
+// a split heuristic). When the whole object is in hand — the zero
+// window, or a staged overwrite materialised locally — the window is cut
+// from it and Total is exact.
+func (t *Tx) readItem(ctx context.Context, it kv.ReadBatchItem, base *kv.ReadBatchResult) (kv.ReadBatchResult, error) {
+	if t.done {
+		return kv.ReadBatchResult{}, kv.ErrAborted
+	}
+	staged := t.byOID[it.OID]
+	over := lastOverwrite(staged)
+	var res kv.ReadBatchResult
+	if over < 0 {
+		if base == nil {
+			fetched, err := t.readBase(ctx, it)
+			if err != nil {
+				return kv.ReadBatchResult{}, err
+			}
+			base = &fetched
+		}
+		if len(staged) == 0 {
+			return *base, nil
+		}
+		res.Value, res.Total = base.Value, base.Total
+	} else {
+		staged = staged[over:]
+	}
+	for _, op := range staged {
+		next, err := op.Apply(res.Value)
+		if err != nil {
+			return kv.ReadBatchResult{}, err
+		}
+		res.Value = next
+		if op.Kind == kv.OpListAdd {
+			res.Total++
+		}
+	}
+	if res.Value == nil {
+		return kv.ReadBatchResult{}, nil
+	}
+	res.Found = true
+	whole := over >= 0 || (it.From == nil && it.To == nil && it.Max == 0)
+	if full := res.Value; whole && full.Kind == kv.KindSuper {
+		res.Value = &kv.Value{Kind: kv.KindSuper, Attrs: full.Attrs, LowKey: full.LowKey, HighKey: full.HighKey,
+			Cells: full.WindowCells(it.From, it.To, it.Max)}
+		res.Total = uint32(full.NumCells())
+	}
+	return res, nil
+}
+
+// memoSize is how many base reads a Tx remembers. A statement re-reads
+// only what it has just read — the leaf a lookup found and the write
+// then descends to, once per tree it touches — so a handful of entries
+// covers it.
+const memoSize = 4
+
+// memoEntry is one remembered answer from the servers: the item asked
+// for (its keys copied) and the base result it got.
+type memoEntry struct {
+	item kv.ReadBatchItem
+	base kv.ReadBatchResult
+}
+
+// readBase is the servers' answer to one item at the transaction's
+// snapshot, without the overlay of staged operations. Under snapshot
+// isolation that answer cannot change for the life of the transaction,
+// so a repeat of a recent request is answered locally: a Get followed by
+// a Put or Delete of the same key asks for the same window of the same
+// leaf twice, and pays for one read; so does a node read whole twice.
+// Returned values are shared between callers and must not be modified
+// (readItem overlays copy-on-write).
+func (t *Tx) readBase(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchResult, error) {
+	for i := range t.memo {
+		m := &t.memo[i]
+		if m.base.Found && m.item.OID == it.OID && m.item.Max == it.Max && (m.item.To == nil) == (it.To == nil) &&
+			bytes.Equal(m.item.From, it.From) && bytes.Equal(m.item.To, it.To) {
+			return m.base, nil
+		}
+	}
+	var out [1]kv.ReadBatchResult
+	items := [1]kv.ReadBatchItem{it}
+	if err := t.c.readItems(ctx, t.start, items[:], out[:]); err != nil {
+		return kv.ReadBatchResult{}, err
+	}
+	if out[0].Found {
+		// The keys are copied (into one allocation): callers may reuse
+		// their buffers, and a remembered request must not change under
+		// them.
+		buf := append(append(make([]byte, 0, len(it.From)+len(it.To)), it.From...), it.To...)
+		it.From = buf[:len(it.From):len(it.From)]
+		if it.To != nil {
+			it.To = buf[len(it.From):]
+		}
+		t.memo[t.memoNext] = memoEntry{item: it, base: out[0]}
+		t.memoNext = (t.memoNext + 1) % memoSize
+	}
+	return out[0], nil
 }
 
 // Commit atomically applies the staged writes. Read-only transactions

@@ -204,14 +204,9 @@ type Stats struct {
 	// FollowerReadWaits counts the subset that arrived ahead of this
 	// member's watermark copy and parked for the piggyback race to
 	// close — a climbing share of FollowerReads means clients outrun
-	// the mirror stream. DurableReadWaits counts durable-mode reads
-	// that found the frontier below their snapshot and had to wait out
-	// the watermark — a climbing value means readers routinely outrun
-	// durability and the mirror/fsync path is the read path's
-	// bottleneck.
+	// the mirror stream.
 	FollowerReads     atomic.Uint64
 	FollowerReadWaits atomic.Uint64
-	DurableReadWaits  atomic.Uint64
 	// WrongSlotRejects counts requests turned away by the slot-directory
 	// fence — a stale client routing to a group that no longer owns the
 	// OID's route. A burst during a migration cutover is the fence
@@ -229,7 +224,7 @@ type StatsSnapshot struct {
 	EpochBumps, WrongEpochRejects                                                                 uint64
 	Checkpoints, CheckpointFailures, LogRecordsTruncated, SnapshotsServed, SnapshotsInstalled     uint64
 	MirrorBatches, MirrorBatchRecords, WALSyncs, WALFailures                                      uint64
-	FollowerReads, FollowerReadWaits, DurableReadWaits                                            uint64
+	FollowerReads, FollowerReadWaits                                                              uint64
 	WrongSlotRejects, MigratedVersions                                                            uint64
 }
 
@@ -262,7 +257,6 @@ func (s *Store) Stats() StatsSnapshot {
 
 		FollowerReads:     s.stats.FollowerReads.Load(),
 		FollowerReadWaits: s.stats.FollowerReadWaits.Load(),
-		DurableReadWaits:  s.stats.DurableReadWaits.Load(),
 
 		WrongSlotRejects: s.stats.WrongSlotRejects.Load(),
 		MigratedVersions: s.stats.MigratedVersions.Load(),

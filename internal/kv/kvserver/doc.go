@@ -94,13 +94,14 @@
 // group-commit visibility window; it exists only while the primary is
 // alive but failing its mirror). DURABLE-AT-WATERMARK: everything at
 // or below the durability watermark is held by a majority and fsynced
-// when LogSync demands it, so no failover can erase it. The DURABLE
-// READ mode (ReadReq.Durable on the wire, kvclient's DurableReads
-// option) is what closes the window: the server blocks such a read
-// until the durability frontier passes its snapshot (Store.WaitDurable),
-// so the response reflects quorum-durable state only. Default primary
-// reads keep the window; follower reads never had it — a backup only
-// serves at or below its frontier (see the follower-reads section).
+// when LogSync demands it, so no failover can erase it. A client that
+// must read only majority-held state snapshots AT the watermark instead
+// of waiting for it: kvclient's BeginFollower starts the transaction at
+// the durability frontier the group last reported, and nothing at or
+// below that timestamp is still awaiting an ack — on the primary or on a
+// backup, which only ever serves at or below its frontier (see the
+// follower-reads section). Default primary reads, at a fresh snapshot,
+// keep the window.
 //
 // # Two-phase commit outcome recovery
 //
@@ -260,16 +261,16 @@
 // steady state a follower read never arrives ahead of the backup's
 // own watermark copy.
 //
-// Batched reads (MethodReadBatch) ride these rules unchanged: the
-// batch carries ONE snapshot for its N object reads, so the epoch and
-// frontier admission checks and the optional durable-read wait run
-// once for the whole batch, and a replica that may serve one of the
-// reads may serve them all. The per-item reads then take their
-// per-shard locks exactly as N single Read/ReadPart calls would —
+// Batched reads (MethodReadBatch) ride these rules unchanged — a single
+// read (MethodReadPart) is the batch of one, and Server.serveReads
+// serves both: the request carries ONE snapshot for its N items, so the
+// epoch, frontier and slot admission checks run once for the whole
+// request, and a replica that may serve one of the reads may serve them
+// all. The per-item reads then take their per-shard locks one by one —
 // including the Clock-SI wait on prepared transactions — so a batch
 // answers precisely what N single reads at the same snapshot would
 // have answered, in one round trip; the response piggybacks the
-// serving replica's frontier like any read response.
+// serving replica's frontier.
 //
 // # Checkpoints
 //

@@ -265,30 +265,6 @@ func (s *Store) waitFrontierBounded(snap clock.Timestamp, d time.Duration) bool 
 	}
 }
 
-// WaitDurable blocks until the durability frontier passes snap, so a
-// read at snap afterwards observes only quorum-durable writes — the
-// DurableReads mode. Observing snap into the clock FIRST is what makes
-// the subsequent watermark wait sufficient: any commit proposed after
-// the observation lands strictly above snap (the same Clock-SI rule
-// Read relies on), so waiting out the records already emitted covers
-// everything a read at snap could ever see. On an idle store the wait
-// is the in-flight batch's round trip; the fast path is one atomic
-// load.
-func (s *Store) WaitDurable(snap clock.Timestamp) error {
-	if s.DurableFrontier() >= snap {
-		return nil
-	}
-	s.clock.Observe(snap)
-	s.repMu.Lock()
-	head := s.repSeq
-	s.repMu.Unlock()
-	if s.DurableFrontier() >= snap || head == 0 {
-		return nil
-	}
-	s.stats.DurableReadWaits.Add(1)
-	return s.waitReplicated(head - 1)
-}
-
 // InstallEpoch moves the group to a new configuration: the epoch must
 // exceed the current one, and the change is a RecEpoch record in the
 // replication stream — mirrored to the backup (if attached), appended

@@ -84,7 +84,6 @@ func NewServer(store *Store) *Server {
 			}
 		}
 	}()
-	s.rpc.Register(kv.MethodRead, s.handleRead)
 	s.rpc.Register(kv.MethodReadPart, s.handleReadPart)
 	s.rpc.Register(kv.MethodReadBatch, s.handleReadBatch)
 	s.rpc.Register(kv.MethodPrepare, s.handlePrepare)
@@ -733,41 +732,37 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) handleRead(_ context.Context, p []byte) ([]byte, error) {
-	req, err := kv.DecodeReadReq(p)
-	if err != nil {
-		return nil, err
+// serveReads is the one admission rule and the one read loop: it
+// answers items at snap into out, positionally. Admission is decided
+// once for the request — the watermark-aware authority check (the
+// primary under the usual epoch/lease rules, a backup whenever snap is
+// at or below its durability frontier), then slot ownership, where one
+// stale item rejects the lot: the client regroups every item under the
+// directory version the redirect carries, so a partial answer would
+// only be fetched again. The reads then take their per-shard locks one
+// by one. An absent object leaves its result Found=false: absence is a
+// normal outcome and must not fail the items beside it.
+func (s *Server) serveReads(snap kv.Timestamp, epoch uint64, items []kv.ReadBatchItem, out []kv.ReadBatchResult) error {
+	if err := s.store.CheckClientRead(epoch, snap); err != nil {
+		return err
 	}
-	// Reads pass the watermark-aware authority check: the primary under
-	// the usual epoch/lease rules, a backup whenever the snapshot is at
-	// or below its durability frontier.
-	if err := s.store.CheckClientRead(req.Epoch, req.Snap); err != nil {
-		return nil, err
-	}
-	if err := s.store.CheckClientSlot(req.OID); err != nil {
-		return nil, err
-	}
-	if req.Durable {
-		if err := s.store.WaitDurable(req.Snap); err != nil {
-			return nil, err
+	for i := range items {
+		if err := s.store.CheckClientSlot(items[i].OID); err != nil {
+			return err
 		}
 	}
-	resp := &kv.ReadResp{}
-	val, ver, err := s.store.Read(req.OID, req.Snap)
-	switch {
-	case err == nil:
-		resp.Found = true
-		resp.Version = ver
-		resp.Value = val
-	case errors.Is(err, kv.ErrNotFound):
-		// Found=false response, not an RPC error: absence is a normal
-		// outcome for reads.
-	default:
-		return nil, err
+	for i := range items {
+		it := &items[i]
+		val, total, ver, err := s.store.ReadPart(it.OID, snap, it.From, it.To, it.Max)
+		switch {
+		case err == nil:
+			out[i] = kv.ReadBatchResult{Found: true, Version: ver, Value: val, Total: uint32(total)}
+		case errors.Is(err, kv.ErrNotFound):
+		default:
+			return err
+		}
 	}
-	resp.Clock = s.store.Clock().Now()
-	resp.Frontier = s.store.DurableFrontier()
-	return resp.Encode(), nil
+	return nil
 }
 
 func (s *Server) handleReadPart(_ context.Context, p []byte) ([]byte, error) {
@@ -775,87 +770,24 @@ func (s *Server) handleReadPart(_ context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.store.CheckClientRead(req.Epoch, req.Snap); err != nil {
+	var out [1]kv.ReadBatchResult
+	if err := s.serveReads(req.Snap, req.Epoch, []kv.ReadBatchItem{req.Item}, out[:]); err != nil {
 		return nil, err
 	}
-	if err := s.store.CheckClientSlot(req.OID); err != nil {
-		return nil, err
-	}
-	if req.Durable {
-		if err := s.store.WaitDurable(req.Snap); err != nil {
-			return nil, err
-		}
-	}
-	resp := &kv.ReadPartResp{}
-	val, total, ver, err := s.store.ReadPart(req.OID, req.Snap, req.From, req.To, req.Max)
-	switch {
-	case err == nil:
-		resp.Found = true
-		resp.Version = ver
-		resp.Value = val
-		resp.Total = uint32(total)
-	case errors.Is(err, kv.ErrNotFound):
-	default:
-		return nil, err
-	}
-	resp.Clock = s.store.Clock().Now()
-	resp.Frontier = s.store.DurableFrontier()
+	res := &out[0]
+	resp := kv.ReadPartResp{Found: res.Found, Version: res.Version, Value: res.Value, Total: res.Total,
+		Clock: s.store.Clock().Now(), Frontier: s.store.DurableFrontier()}
 	return resp.Encode(), nil
 }
 
-// handleReadBatch serves N reads at one snapshot in a single RPC. The
-// admission checks — epoch, follower-read frontier, and the optional
-// durability wait — run ONCE for the whole batch; the per-item reads
-// then take their per-shard locks exactly as N single reads would, so
-// batches ride the follower-read path unchanged.
 func (s *Server) handleReadBatch(_ context.Context, p []byte) ([]byte, error) {
 	req, err := kv.DecodeReadBatchReq(p)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.store.CheckClientRead(req.Epoch, req.Snap); err != nil {
+	resp := kv.ReadBatchResp{Results: make([]kv.ReadBatchResult, len(req.Items))}
+	if err := s.serveReads(req.Snap, req.Epoch, req.Items, resp.Results); err != nil {
 		return nil, err
-	}
-	// One stale item rejects the whole batch: the client regroups every
-	// item under the directory version the redirect carries, so a
-	// partial answer would only be re-fetched anyway.
-	for i := range req.Items {
-		if err := s.store.CheckClientSlot(req.Items[i].OID); err != nil {
-			return nil, err
-		}
-	}
-	if req.Durable {
-		if err := s.store.WaitDurable(req.Snap); err != nil {
-			return nil, err
-		}
-	}
-	resp := &kv.ReadBatchResp{Results: make([]kv.ReadBatchResult, len(req.Items))}
-	for i := range req.Items {
-		item := &req.Items[i]
-		res := &resp.Results[i]
-		var (
-			val   *kv.Value
-			total int
-			ver   kv.Timestamp
-			err   error
-		)
-		if item.Part {
-			val, total, ver, err = s.store.ReadPart(item.OID, req.Snap, item.From, item.To, item.Max)
-		} else {
-			val, ver, err = s.store.Read(item.OID, req.Snap)
-		}
-		switch {
-		case err == nil:
-			res.Found = true
-			res.Version = ver
-			res.Value = val
-			res.Total = uint32(total)
-		case errors.Is(err, kv.ErrNotFound):
-			// Found=false result, not an RPC error: absence is a normal
-			// outcome, and one missing object must not fail the batch.
-		default:
-			return nil, err
-		}
 	}
 	resp.Clock = s.store.Clock().Now()
 	resp.Frontier = s.store.DurableFrontier()

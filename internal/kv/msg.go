@@ -8,10 +8,11 @@ import (
 
 // RPC method names served by a storage server.
 const (
-	MethodRead     = "kv.read"
-	MethodReadPart = "kv.readpart"
-	// MethodReadBatch serves N object reads — each a whole-object read
-	// or a ReadPart window — at one snapshot timestamp in a single RPC.
+	// MethodReadPart and MethodReadBatch are the one read there is — a
+	// window of an object at a snapshot (ReadBatchItem) — in its two
+	// encodings: one item, or N items answered at one snapshot in a
+	// single RPC.
+	MethodReadPart   = "kv.readpart"
 	MethodReadBatch  = "kv.readbatch"
 	MethodPrepare    = "kv.prepare"
 	MethodCommit     = "kv.commit"
@@ -443,123 +444,204 @@ func DecodeSnapResp(p []byte) (*SnapResp, error) {
 	return m, nil
 }
 
-// ReadReq asks for the newest version of OID visible at Snap. Epoch is
-// the replication-group epoch the client believes current (0 = not yet
-// learned); the server rejects a stale epoch with ErrWrongEpoch so the
-// client adopts the new membership before retrying. Durable asks the
-// server to answer only from quorum-durable state: a primary whose
-// durability frontier has not yet passed Snap blocks (bounded) until it
-// does, so the response can never show a write a failover later erases.
-type ReadReq struct {
-	OID     OID
-	Snap    Timestamp
-	Epoch   uint64
-	Durable bool
+// ReadBatchItem is the one read there is: the cells of OID with keys in
+// [floor(From), To), at most Max of them (0 = unlimited), where
+// floor(From) is the greatest cell key <= From. The floor semantics
+// serve both leaf point reads (the cell equal to the key, if any) and
+// inner-node routing (the child pointer covering the key) without
+// shipping the whole node. The zero window — nil From, nil To, Max 0 —
+// is the whole object, and a plain value always comes back whole. The
+// supervalue's attributes and fence keys come back with every window,
+// plus the node's total cell count, so fence checks and split
+// heuristics work on the window.
+//
+// An item with Part unset asks for the whole object whatever From, To
+// and Max hold: Windowed gives it the zero window, which the decoder and
+// kvclient.Tx.ReadBatch apply on the way in, so nothing past them reads
+// Part.
+type ReadBatchItem struct {
+	OID  OID
+	Part bool
+	From []byte
+	To   []byte // nil = unbounded
+	Max  uint32 // 0 = unlimited
 }
 
-// ReadResp carries the result of a read. Clock is the server's HLC
-// reading, merged into the client clock (every message carries a
-// timestamp; see internal/clock).
-type ReadResp struct {
+// Windowed returns it with the window it means (see ReadBatchItem).
+func (it ReadBatchItem) Windowed() ReadBatchItem {
+	if !it.Part {
+		it.From, it.To, it.Max = nil, nil, 0
+	}
+	return it
+}
+
+// ReadBatchResult is the answer to one item: the windowed supervalue
+// (or whole plain value) and the cell count of the full node, the
+// window's own length when the window is the whole object. Found is
+// false, and the rest zero, for an object absent at the snapshot —
+// absence is a normal outcome of a read, not an error.
+type ReadBatchResult struct {
 	Found   bool
 	Version Timestamp
 	Value   *Value
-	Clock   Timestamp
-	// Frontier is the serving replica's own durability frontier, the
-	// same value Ack.Frontier piggybacks. A follower-reading client
-	// snapshots its next transactions at the highest frontier a backup
-	// has REPORTED rather than the primary-fresh one, so steady-state
-	// reads never arrive ahead of the backup's watermark copy.
+	Total   uint32
+}
+
+// minReadItemSize and minReadResultSize are the fewest bytes an item
+// and a result occupy on the wire (empty keys, nil value). The batch
+// decoders bound a claimed count by them BEFORE the allocation it would
+// size, so a garbage frame cannot make its receiver allocate more than
+// a small multiple of the frame's own length. readHeaderMax bounds the
+// bytes ahead of a request's items: Snap, then Epoch and the item count
+// as uvarints.
+const (
+	minReadItemSize   = 8 + 1 + 1 + 1 + 1 + 4
+	minReadResultSize = 1 + 8 + 1 + 4
+	readHeaderMax     = 8 + 10 + 10
+)
+
+// readItemSize bounds it's encoded length from above (a key's length
+// prefix is at most five bytes, one of them in minReadItemSize).
+func readItemSize(it *ReadBatchItem) int {
+	return minReadItemSize + 2*4 + len(it.From) + len(it.To)
+}
+
+func encodeReadItem(b *wire.Buffer, it *ReadBatchItem) {
+	b.PutUint64(uint64(it.OID))
+	b.PutBool(it.Part)
+	b.PutBytes(it.From)
+	b.PutBytes(it.To)
+	b.PutBool(it.To != nil)
+	b.PutUint32(it.Max)
+}
+
+func decodeReadItem(r *wire.Reader, it *ReadBatchItem) error {
+	oid, err := r.Uint64()
+	if err != nil {
+		return err
+	}
+	it.OID = OID(oid)
+	if it.Part, err = r.Bool(); err != nil {
+		return err
+	}
+	if it.From, err = r.BytesCopy(); err != nil {
+		return err
+	}
+	to, err := r.BytesCopy()
+	if err != nil {
+		return err
+	}
+	hasTo, err := r.Bool()
+	if err != nil {
+		return err
+	}
+	if hasTo {
+		it.To = to
+	}
+	if it.Max, err = r.Uint32(); err != nil {
+		return err
+	}
+	*it = it.Windowed()
+	return nil
+}
+
+func encodeReadResult(b *wire.Buffer, res *ReadBatchResult) {
+	b.PutBool(res.Found)
+	b.PutUint64(uint64(res.Version))
+	EncodeValue(b, res.Value)
+	b.PutUint32(res.Total)
+}
+
+func decodeReadResult(r *wire.Reader, res *ReadBatchResult) error {
+	var err error
+	if res.Found, err = r.Bool(); err != nil {
+		return err
+	}
+	ver, err := r.Uint64()
+	if err != nil {
+		return err
+	}
+	res.Version = Timestamp(ver)
+	if res.Value, err = DecodeValue(r); err != nil {
+		return err
+	}
+	res.Total, err = r.Uint32()
+	return err
+}
+
+// ReadPartReq asks for one item at Snap; ReadBatchReq asks for N at one
+// snapshot in a single RPC. Epoch is the replication-group epoch the
+// client believes current (0 = not yet learned): the server rejects a
+// stale one with ErrWrongEpoch so the client adopts the new membership
+// before retrying. Admission — epoch, follower-read frontier, slot
+// ownership — is decided ONCE per request: either every item may be
+// served or the request is rejected, so a batch never mixes replicas or
+// admission decisions mid-flight.
+type ReadPartReq struct {
+	Snap  Timestamp
+	Epoch uint64
+	Item  ReadBatchItem
+}
+
+type ReadBatchReq struct {
+	Snap  Timestamp
+	Epoch uint64
+	Items []ReadBatchItem
+}
+
+// ReadPartResp answers a ReadPartReq: the item's result, flattened,
+// then Clock — the server's HLC reading, merged into the client clock
+// (every message carries a timestamp; see internal/clock) — and
+// Frontier, the serving replica's own durability frontier, the same
+// value Ack.Frontier piggybacks. A follower-reading client snapshots
+// its next transactions at the highest frontier a backup has REPORTED
+// rather than the primary-fresh one, so steady-state reads never arrive
+// ahead of the backup's watermark copy.
+type ReadPartResp struct {
+	Found    bool
+	Version  Timestamp
+	Value    *Value
+	Total    uint32
+	Clock    Timestamp
 	Frontier Timestamp
 }
 
-// ReadPartReq asks for a window of a supervalue: the cells with keys in
-// [floor(From), To), at most Max cells (0 = unlimited), where floor(From)
-// is the greatest cell key <= From. The floor semantics serve both leaf
-// point reads (the cell equal to the key, if any) and inner-node routing
-// (the child pointer covering the key) without shipping the whole node.
-// A bounds/attrs-only header always comes back, plus the node's total
-// cell count, so fence checks and split heuristics work on the window.
-type ReadPartReq struct {
-	OID     OID
-	Snap    Timestamp
-	From    []byte
-	To      []byte // nil = unbounded
-	Max     uint32 // 0 = unlimited
-	Epoch   uint64 // group epoch the client believes current (0 = not yet learned)
-	Durable bool   // answer only from quorum-durable state (see ReadReq)
-}
-
-// ReadPartResp carries the windowed value and the total cell count of
-// the full node.
-type ReadPartResp struct {
-	Found   bool
-	Version Timestamp
-	Value   *Value // partial supervalue (or full plain value)
-	Total   uint32
-	Clock   Timestamp
-	// Frontier is the serving replica's durability frontier (see
-	// ReadResp.Frontier).
+// ReadBatchResp answers a ReadBatchReq: one result per item,
+// positionally, then the Clock and Frontier a ReadPartResp carries.
+type ReadBatchResp struct {
+	Results  []ReadBatchResult
+	Clock    Timestamp
 	Frontier Timestamp
 }
 
 func (m *ReadPartReq) Encode() []byte {
-	b := wire.NewBuffer(32 + len(m.From) + len(m.To))
-	b.PutUint64(uint64(m.OID))
+	b := wire.NewBuffer(readHeaderMax + readItemSize(&m.Item))
 	b.PutUint64(uint64(m.Snap))
-	b.PutBytes(m.From)
-	b.PutBytes(m.To)
-	b.PutBool(m.To != nil)
-	b.PutUint32(m.Max)
 	b.PutUvarint(m.Epoch)
-	b.PutBool(m.Durable)
+	encodeReadItem(b, &m.Item)
 	return b.Bytes()
 }
 
 func DecodeReadPartReq(p []byte) (*ReadPartReq, error) {
 	r := wire.NewReader(p)
 	m := &ReadPartReq{}
-	v, err := r.Uint64()
+	snap, err := r.Uint64()
 	if err != nil {
 		return nil, err
 	}
-	m.OID = OID(v)
-	if v, err = r.Uint64(); err != nil {
-		return nil, err
-	}
-	m.Snap = Timestamp(v)
-	if m.From, err = r.BytesCopy(); err != nil {
-		return nil, err
-	}
-	to, err := r.BytesCopy()
-	if err != nil {
-		return nil, err
-	}
-	hasTo, err := r.Bool()
-	if err != nil {
-		return nil, err
-	}
-	if hasTo {
-		m.To = to
-	}
-	if m.Max, err = r.Uint32(); err != nil {
-		return nil, err
-	}
+	m.Snap = Timestamp(snap)
 	if m.Epoch, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
-	if m.Durable, err = r.Bool(); err != nil {
+	if err = decodeReadItem(r, &m.Item); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
 func (m *ReadPartResp) Encode() []byte {
-	b := wire.NewBuffer(48 + m.Value.EncodedSize())
-	b.PutBool(m.Found)
-	b.PutUint64(uint64(m.Version))
-	EncodeValue(b, m.Value)
-	b.PutUint32(m.Total)
+	b := wire.NewBuffer(32 + m.Value.EncodedSize())
+	encodeReadResult(b, &ReadBatchResult{Found: m.Found, Version: m.Version, Value: m.Value, Total: m.Total})
 	b.PutUint64(uint64(m.Clock))
 	b.PutUint64(uint64(m.Frontier))
 	return b.Bytes()
@@ -567,22 +649,11 @@ func (m *ReadPartResp) Encode() []byte {
 
 func DecodeReadPartResp(p []byte) (*ReadPartResp, error) {
 	r := wire.NewReader(p)
-	m := &ReadPartResp{}
-	var err error
-	if m.Found, err = r.Bool(); err != nil {
+	var res ReadBatchResult
+	if err := decodeReadResult(r, &res); err != nil {
 		return nil, err
 	}
-	ver, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Version = Timestamp(ver)
-	if m.Value, err = DecodeValue(r); err != nil {
-		return nil, err
-	}
-	if m.Total, err = r.Uint32(); err != nil {
-		return nil, err
-	}
+	m := &ReadPartResp{Found: res.Found, Version: res.Version, Value: res.Value, Total: res.Total}
 	ck, err := r.Uint64()
 	if err != nil {
 		return nil, err
@@ -596,65 +667,17 @@ func DecodeReadPartResp(p []byte) (*ReadPartResp, error) {
 	return m, nil
 }
 
-// ReadBatchItem is one read inside a ReadBatchReq: a whole-object read
-// of OID, or — when Part is set — a windowed read of the cells in
-// [floor(From), To) capped at Max (ReadPartReq documents the floor
-// semantics). From/To/Max are ignored when Part is false.
-type ReadBatchItem struct {
-	OID  OID
-	Part bool
-	From []byte
-	To   []byte // nil = unbounded
-	Max  uint32 // 0 = unlimited
-}
-
-// ReadBatchReq asks for N objects at one snapshot timestamp in a
-// single RPC. Epoch and Durable mean exactly what they mean on ReadReq
-// and are checked ONCE for the whole batch: either every item may be
-// served under the follower-read rules, or the batch is rejected — a
-// batch never mixes replicas or admission decisions mid-flight.
-type ReadBatchReq struct {
-	Snap    Timestamp
-	Epoch   uint64 // group epoch the client believes current (0 = not yet learned)
-	Durable bool   // answer only from quorum-durable state (see ReadReq)
-	Items   []ReadBatchItem
-}
-
-// ReadBatchResult is one per-item answer, positionally matched to the
-// request's Items. Total carries the full-node cell count for windowed
-// items (see ReadPartResp); it is zero for whole-object reads.
-type ReadBatchResult struct {
-	Found   bool
-	Version Timestamp
-	Value   *Value
-	Total   uint32
-}
-
-// ReadBatchResp carries the batch's results plus the same Clock and
-// Frontier piggybacks a ReadResp carries, so batches advance the
-// client's clock and follower-read frontier exactly like single reads.
-type ReadBatchResp struct {
-	Results []ReadBatchResult
-	Clock   Timestamp
-	// Frontier is the serving replica's durability frontier (see
-	// ReadResp.Frontier).
-	Frontier Timestamp
-}
-
 func (m *ReadBatchReq) Encode() []byte {
-	b := wire.NewBuffer(32 + 24*len(m.Items))
+	size := readHeaderMax
+	for i := range m.Items {
+		size += readItemSize(&m.Items[i])
+	}
+	b := wire.NewBuffer(size)
 	b.PutUint64(uint64(m.Snap))
 	b.PutUvarint(m.Epoch)
-	b.PutBool(m.Durable)
 	b.PutUvarint(uint64(len(m.Items)))
 	for i := range m.Items {
-		it := &m.Items[i]
-		b.PutUint64(uint64(it.OID))
-		b.PutBool(it.Part)
-		b.PutBytes(it.From)
-		b.PutBytes(it.To)
-		b.PutBool(it.To != nil)
-		b.PutUint32(it.Max)
+		encodeReadItem(b, &m.Items[i])
 	}
 	return b.Bytes()
 }
@@ -670,65 +693,31 @@ func DecodeReadBatchReq(p []byte) (*ReadBatchReq, error) {
 	if m.Epoch, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
-	if m.Durable, err = r.Bool(); err != nil {
-		return nil, err
-	}
 	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	// Each item costs at least two bytes on the wire, so a count the
-	// remaining payload cannot possibly hold is garbage — rejected
-	// BEFORE the allocation it would otherwise size.
-	if n > uint64(len(p))/2 {
+	if n > uint64(r.Remaining())/minReadItemSize {
 		return nil, fmt.Errorf("%w: read batch of %d items in %d bytes", ErrBadRequest, n, len(p))
 	}
-	m.Items = make([]ReadBatchItem, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var it ReadBatchItem
-		oid, err := r.Uint64()
-		if err != nil {
+	m.Items = make([]ReadBatchItem, n)
+	for i := range m.Items {
+		if err = decodeReadItem(r, &m.Items[i]); err != nil {
 			return nil, err
 		}
-		it.OID = OID(oid)
-		if it.Part, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if it.From, err = r.BytesCopy(); err != nil {
-			return nil, err
-		}
-		to, err := r.BytesCopy()
-		if err != nil {
-			return nil, err
-		}
-		hasTo, err := r.Bool()
-		if err != nil {
-			return nil, err
-		}
-		if hasTo {
-			it.To = to
-		}
-		if it.Max, err = r.Uint32(); err != nil {
-			return nil, err
-		}
-		m.Items = append(m.Items, it)
 	}
 	return m, nil
 }
 
 func (m *ReadBatchResp) Encode() []byte {
-	size := 32
+	size := 10 + 16 // the count, then Clock and Frontier
 	for i := range m.Results {
-		size += 16 + m.Results[i].Value.EncodedSize()
+		size += minReadResultSize + m.Results[i].Value.EncodedSize()
 	}
 	b := wire.NewBuffer(size)
 	b.PutUvarint(uint64(len(m.Results)))
 	for i := range m.Results {
-		res := &m.Results[i]
-		b.PutBool(res.Found)
-		b.PutUint64(uint64(res.Version))
-		EncodeValue(b, res.Value)
-		b.PutUint32(res.Total)
+		encodeReadResult(b, &m.Results[i])
 	}
 	b.PutUint64(uint64(m.Clock))
 	b.PutUint64(uint64(m.Frontier))
@@ -742,27 +731,14 @@ func DecodeReadBatchResp(p []byte) (*ReadBatchResp, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(p))/2 {
+	if n > uint64(r.Remaining())/minReadResultSize {
 		return nil, fmt.Errorf("%w: read batch of %d results in %d bytes", ErrBadRequest, n, len(p))
 	}
-	m.Results = make([]ReadBatchResult, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var res ReadBatchResult
-		if res.Found, err = r.Bool(); err != nil {
+	m.Results = make([]ReadBatchResult, n)
+	for i := range m.Results {
+		if err = decodeReadResult(r, &m.Results[i]); err != nil {
 			return nil, err
 		}
-		ver, err := r.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		res.Version = Timestamp(ver)
-		if res.Value, err = DecodeValue(r); err != nil {
-			return nil, err
-		}
-		if res.Total, err = r.Uint32(); err != nil {
-			return nil, err
-		}
-		m.Results = append(m.Results, res)
 	}
 	ck, err := r.Uint64()
 	if err != nil {
@@ -778,9 +754,9 @@ func DecodeReadBatchResp(p []byte) (*ReadBatchResp, error) {
 }
 
 // WindowCells returns the cells of v with keys in [floor(from), to),
-// capped at max (0 = unlimited), plus the index where the window
-// starts. The returned slice aliases v's cells; callers treat it as
-// immutable (its capacity is clipped, so an append cannot reach them).
+// capped at max (0 = unlimited). The returned slice aliases v's cells;
+// callers treat it as immutable (its capacity is clipped, so an append
+// cannot reach them).
 func (v *Value) WindowCells(from, to []byte, max uint32) []Cell {
 	start := 0
 	if from != nil {
@@ -875,74 +851,6 @@ type Ack struct {
 	Members    []string
 	Frontier   Timestamp
 	DirVersion uint64
-}
-
-func (m *ReadReq) Encode() []byte {
-	b := wire.NewBuffer(32)
-	b.PutUint64(uint64(m.OID))
-	b.PutUint64(uint64(m.Snap))
-	b.PutUvarint(m.Epoch)
-	b.PutBool(m.Durable)
-	return b.Bytes()
-}
-
-func DecodeReadReq(p []byte) (*ReadReq, error) {
-	r := wire.NewReader(p)
-	oid, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	snap, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	epoch, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	m := &ReadReq{OID: OID(oid), Snap: Timestamp(snap), Epoch: epoch}
-	if m.Durable, err = r.Bool(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func (m *ReadResp) Encode() []byte {
-	b := wire.NewBuffer(40 + m.Value.EncodedSize())
-	b.PutBool(m.Found)
-	b.PutUint64(uint64(m.Version))
-	EncodeValue(b, m.Value)
-	b.PutUint64(uint64(m.Clock))
-	b.PutUint64(uint64(m.Frontier))
-	return b.Bytes()
-}
-
-func DecodeReadResp(p []byte) (*ReadResp, error) {
-	r := wire.NewReader(p)
-	m := &ReadResp{}
-	var err error
-	if m.Found, err = r.Bool(); err != nil {
-		return nil, err
-	}
-	ver, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Version = Timestamp(ver)
-	if m.Value, err = DecodeValue(r); err != nil {
-		return nil, err
-	}
-	ck, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Clock = Timestamp(ck)
-	f, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Frontier = Timestamp(f)
-	return m, nil
 }
 
 func encodeOps(b *wire.Buffer, ops []*Op) {

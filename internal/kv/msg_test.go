@@ -213,7 +213,7 @@ func TestSyncRespDecodeErrors(t *testing.T) {
 // TestPiggybackFieldsRoundTrip covers the watermark/frontier fields
 // that ride existing messages: the primary's durability watermark on
 // lease renewals and mirror batches, the durability frontier on acks,
-// fast-commit and read responses, and the Durable read flag.
+// fast-commit and read responses.
 func TestPiggybackFieldsRoundTrip(t *testing.T) {
 	lease := &LeaseReq{Epoch: 7, Watermark: 1 << 40}
 	if got, err := DecodeLeaseReq(lease.Encode()); err != nil || *got != *lease {
@@ -239,25 +239,34 @@ func TestPiggybackFieldsRoundTrip(t *testing.T) {
 		t.Fatalf("fast commit: got %+v (%v), want %+v", got, err, fc)
 	}
 
-	rr := &ReadResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Clock: 11, Frontier: 9}
-	gotRR, err := DecodeReadResp(rr.Encode())
-	if err != nil || gotRR.Frontier != rr.Frontier || !gotRR.Value.Equal(rr.Value) {
-		t.Fatalf("read resp: got %+v (%v), want %+v", gotRR, err, rr)
-	}
-
 	rp := &ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Total: 3, Clock: 11, Frontier: 9}
 	gotRP, err := DecodeReadPartResp(rp.Encode())
-	if err != nil || gotRP.Frontier != rp.Frontier || gotRP.Total != rp.Total {
+	if err != nil || gotRP.Frontier != rp.Frontier || gotRP.Total != rp.Total || gotRP.Clock != rp.Clock ||
+		gotRP.Found != rp.Found || gotRP.Version != rp.Version || !gotRP.Value.Equal(rp.Value) {
 		t.Fatalf("read part resp: got %+v (%v), want %+v", gotRP, err, rp)
 	}
+}
 
-	req := &ReadReq{OID: MakeOID(1, 2), Snap: 77, Epoch: 4, Durable: true}
-	if got, err := DecodeReadReq(req.Encode()); err != nil || *got != *req {
-		t.Fatalf("read req: got %+v (%v), want %+v", got, err, req)
-	}
-	preq := &ReadPartReq{OID: MakeOID(1, 2), Snap: 77, From: []byte("a"), Epoch: 4, Durable: true}
-	if got, err := DecodeReadPartReq(preq.Encode()); err != nil || got.Durable != preq.Durable || got.Epoch != preq.Epoch {
-		t.Fatalf("read part req: got %+v (%v), want %+v", got, err, preq)
+// TestReadPartReqRoundTrip covers the one-item request: a whole-object
+// read, a window, and the rule that an item without Part loses whatever
+// window it carried on the way in (ReadBatchItem.Windowed).
+func TestReadPartReqRoundTrip(t *testing.T) {
+	for _, item := range []ReadBatchItem{
+		{OID: MakeOID(1, 2)},
+		{OID: MakeOID(1, 2), Part: true, From: []byte("a"), To: []byte("m"), Max: 8},
+		{OID: MakeOID(1, 2), Part: true, From: []byte{}}, // tail window: nil To survives
+		{OID: MakeOID(1, 2), From: []byte("a"), To: []byte("m"), Max: 8},
+	} {
+		req := &ReadPartReq{Snap: 77, Epoch: 4, Item: item}
+		got, err := DecodeReadPartReq(req.Encode())
+		if err != nil || got.Snap != req.Snap || got.Epoch != req.Epoch {
+			t.Fatalf("read part req: got %+v (%v), want %+v", got, err, req)
+		}
+		g, w := got.Item, item.Windowed()
+		if g.OID != w.OID || g.Part != w.Part || g.Max != w.Max ||
+			!bytes.Equal(g.From, w.From) || (g.To == nil) != (w.To == nil) || !bytes.Equal(g.To, w.To) {
+			t.Fatalf("item: got %+v, want %+v", g, w)
+		}
 	}
 }
 
@@ -294,15 +303,15 @@ func TestTruncatedMessagesFailToDecode(t *testing.T) {
 			func(p []byte) error { _, err := DecodeSnapReq(p); return err }},
 		{"SnapResp", (&SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("slice"), Clock: 55}).Encode(),
 			func(p []byte) error { _, err := DecodeSnapResp(p); return err }},
-		{"ReadReq", (&ReadReq{OID: MakeOID(1, 2), Snap: 77, Epoch: 4, Durable: true}).Encode(),
-			func(p []byte) error { _, err := DecodeReadReq(p); return err }},
-		{"ReadResp", (&ReadResp{Found: true, Version: 10, Value: sv, Clock: 11, Frontier: 9}).Encode(),
-			func(p []byte) error { _, err := DecodeReadResp(p); return err }},
-		{"ReadPartReq", (&ReadPartReq{OID: MakeOID(1, 2), Snap: 77, From: []byte("a"), To: []byte("m"), Max: 8, Epoch: 4, Durable: true}).Encode(),
+		{"ReadPartReq whole object", (&ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2)}}).Encode(),
+			func(p []byte) error { _, err := DecodeReadPartReq(p); return err }},
+		{"ReadPartResp plain value", (&ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Clock: 11, Frontier: 9}).Encode(),
+			func(p []byte) error { _, err := DecodeReadPartResp(p); return err }},
+		{"ReadPartReq", (&ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2), Part: true, From: []byte("a"), To: []byte("m"), Max: 8}}).Encode(),
 			func(p []byte) error { _, err := DecodeReadPartReq(p); return err }},
 		{"ReadPartResp", (&ReadPartResp{Found: true, Version: 10, Value: sv, Total: 3, Clock: 11, Frontier: 9}).Encode(),
 			func(p []byte) error { _, err := DecodeReadPartResp(p); return err }},
-		{"ReadBatchReq", (&ReadBatchReq{Snap: 1, Epoch: 2, Durable: true, Items: []ReadBatchItem{
+		{"ReadBatchReq", (&ReadBatchReq{Snap: 1, Epoch: 2, Items: []ReadBatchItem{
 			{OID: MakeOID(1, 1)},
 			{OID: MakeOID(1, 2), Part: true, From: []byte("f"), To: []byte("t"), Max: 3},
 		}}).Encode(),
@@ -351,9 +360,8 @@ func TestReadBatchMessagesRoundTrip(t *testing.T) {
 	sv := NewSuper()
 	sv.ListAdd([]byte("k1"), []byte("v1"))
 	req := &ReadBatchReq{
-		Snap:    42,
-		Epoch:   7,
-		Durable: true,
+		Snap:  42,
+		Epoch: 7,
 		Items: []ReadBatchItem{
 			{OID: MakeOID(1, 10)},
 			{OID: MakeOID(2, 20), Part: true, From: []byte("a"), To: []byte("m"), Max: 8},
@@ -364,7 +372,7 @@ func TestReadBatchMessagesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Snap != req.Snap || got.Epoch != req.Epoch || got.Durable != req.Durable || len(got.Items) != len(req.Items) {
+	if got.Snap != req.Snap || got.Epoch != req.Epoch || len(got.Items) != len(req.Items) {
 		t.Fatalf("req header: %+v != %+v", got, req)
 	}
 	for i := range req.Items {
@@ -402,34 +410,76 @@ func TestReadBatchMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadBatchDecodeErrors exercises the item-count allocation guards
-// (truncation is covered by TestTruncatedMessagesFailToDecode).
+// TestReadBatchDecodeErrors exercises the count-versus-payload
+// allocation guards (truncation is covered by
+// TestTruncatedMessagesFailToDecode): a claimed count is bounded by the
+// fewest bytes an item or a result really occupies, so the hostile
+// frames below — whose counts a "two bytes each" bound admits, sizing an
+// allocation dozens of times the frame — are refused before anything is
+// allocated, as ErrBadRequest rather than as the short buffer the first
+// undecodable item would report afterwards.
 func TestReadBatchDecodeErrors(t *testing.T) {
-	// A claimed item count the payload cannot hold must be rejected
-	// before it sizes an allocation.
-	b := wireEncodeBatchHeader(1, 2, false, 1<<40)
-	if _, err := DecodeReadBatchReq(b); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("absurd item count: err = %v, want ErrBadRequest", err)
+	garbage := make([]byte, 4096)
+	for _, c := range []struct {
+		name   string
+		frame  []byte
+		decode func([]byte) error
+	}{
+		{"absurd item count", readBatchReqPrefix(1 << 40), func(p []byte) error { _, err := DecodeReadBatchReq(p); return err }},
+		{"absurd result count", readBatchRespPrefix(1 << 40), func(p []byte) error { _, err := DecodeReadBatchResp(p); return err }},
+		{"hostile item count", append(readBatchReqPrefix(uint64(len(garbage))/2), garbage...),
+			func(p []byte) error { _, err := DecodeReadBatchReq(p); return err }},
+		{"hostile result count", append(readBatchRespPrefix(uint64(len(garbage))/2), garbage...),
+			func(p []byte) error { _, err := DecodeReadBatchResp(p); return err }},
+		{"one item too many", append(readBatchReqPrefix(uint64(len(garbage))/minReadItemSize+1), garbage...),
+			func(p []byte) error { _, err := DecodeReadBatchReq(p); return err }},
+		{"one result too many", append(readBatchRespPrefix(uint64(len(garbage))/minReadResultSize+1), garbage...),
+			func(p []byte) error { _, err := DecodeReadBatchResp(p); return err }},
+	} {
+		if err := c.decode(c.frame); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", c.name, err)
+		}
 	}
-	if _, err := DecodeReadBatchResp(wireEncodeBatchCount(1 << 40)); !errors.Is(err, ErrBadRequest) {
-		t.Fatal("absurd result count accepted")
+	// The bound is the true minimum: a frame of exactly that many
+	// smallest items decodes.
+	n := len(garbage) / minReadItemSize
+	req := &ReadBatchReq{Snap: 1, Epoch: 2, Items: make([]ReadBatchItem, n)}
+	if got, err := DecodeReadBatchReq(req.Encode()); err != nil || len(got.Items) != n {
+		t.Fatalf("batch of %d smallest items: %v", n, err)
+	}
+	resp := &ReadBatchResp{Results: make([]ReadBatchResult, n)}
+	if got, err := DecodeReadBatchResp(resp.Encode()); err != nil || len(got.Results) != n {
+		t.Fatalf("batch of %d smallest results: %v", n, err)
 	}
 }
 
-// wireEncodeBatchHeader hand-builds a ReadBatchReq prefix with an
-// arbitrary (possibly absurd) item count.
-func wireEncodeBatchHeader(snap, epoch uint64, durable bool, count uint64) []byte {
+// TestReadBatchReqEncodeSizesItsBuffer pins that the request encoder
+// counts the window keys: the scan readahead's batches carry a To on
+// every item, and a buffer sized without them regrows mid-encode.
+func TestReadBatchReqEncodeSizesItsBuffer(t *testing.T) {
+	items := make([]ReadBatchItem, 8)
+	for i := range items {
+		items[i] = ReadBatchItem{OID: MakeOID(1, uint64(i)), Part: true, From: bytes.Repeat([]byte("f"), 40), To: bytes.Repeat([]byte("t"), 40)}
+	}
+	req := &ReadBatchReq{Snap: 1, Epoch: 2, Items: items}
+	if allocs := testing.AllocsPerRun(100, func() { req.Encode() }); allocs > 2 {
+		t.Fatalf("ReadBatchReq.Encode: %v allocations, want the buffer and its header only", allocs)
+	}
+}
+
+// readBatchReqPrefix hand-builds the bytes ahead of a ReadBatchReq's
+// items with an arbitrary (possibly absurd) item count.
+func readBatchReqPrefix(count uint64) []byte {
 	b := wire.NewBuffer(32)
-	b.PutUint64(snap)
-	b.PutUvarint(epoch)
-	b.PutBool(durable)
+	b.PutUint64(1)  // Snap
+	b.PutUvarint(2) // Epoch
 	b.PutUvarint(count)
 	return b.Bytes()
 }
 
-// wireEncodeBatchCount hand-builds a ReadBatchResp prefix with an
-// arbitrary result count.
-func wireEncodeBatchCount(count uint64) []byte {
+// readBatchRespPrefix hand-builds the count ahead of a ReadBatchResp's
+// results.
+func readBatchRespPrefix(count uint64) []byte {
 	b := wire.NewBuffer(16)
 	b.PutUvarint(count)
 	return b.Bytes()
