@@ -157,12 +157,13 @@ func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv
 // encoding follows the input's size: one item travels as a
 // MethodReadPart call, several as a MethodReadBatch.
 func (c *Client) readGroup(ctx context.Context, server int, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) error {
+	one := len(items) == 1
 	method := kv.MethodReadBatch
-	if len(items) == 1 {
+	if one {
 		method = kv.MethodReadPart
 	}
 	respB, viaFollower, err := c.readCall(ctx, server, snap, method, func(epoch uint64) []byte {
-		if len(items) == 1 {
+		if one {
 			return (&kv.ReadPartReq{Snap: snap, Epoch: epoch, Item: items[0]}).Encode()
 		}
 		return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Items: items}).Encode()
@@ -171,7 +172,7 @@ func (c *Client) readGroup(ctx context.Context, server int, snap clock.Timestamp
 		return translateRPCErr(err)
 	}
 	var clk, frontier clock.Timestamp
-	if len(items) == 1 {
+	if one {
 		resp, err := kv.DecodeReadPartResp(respB)
 		if err != nil {
 			return err

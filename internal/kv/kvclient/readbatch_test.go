@@ -130,33 +130,3 @@ func TestTxReadBatchStagedOverlay(t *testing.T) {
 	}
 	checkBatchAgainstSingles(t, tx, items, results)
 }
-
-// TestReadViewMatchesTx asserts a ReadView answers exactly what a
-// clean transaction at the same snapshot answers — the property the
-// dbt readahead relies on.
-func TestReadViewMatchesTx(t *testing.T) {
-	_, c := startCluster(t, 2)
-	ctx := context.Background()
-	plain, super := seedBatchObjects(t, c, 2)
-
-	tx := c.Begin()
-	defer tx.Abort()
-	view := tx.View()
-	if view.Snapshot() != tx.Snapshot() {
-		t.Fatalf("view snapshot %v != tx snapshot %v", view.Snapshot(), tx.Snapshot())
-	}
-	for _, oid := range plain {
-		got, _, err := view.ReadPart(ctx, oid, nil, nil, 0)
-		want, werr := tx.Read(ctx, oid)
-		if err != nil || werr != nil || !got.Equal(want) {
-			t.Fatalf("view read %v: %+v (%v) vs %+v (%v)", oid, got, err, want, werr)
-		}
-	}
-	for _, oid := range super {
-		got, gt, err := view.ReadPart(ctx, oid, []byte("k02"), []byte("k08"), 3)
-		want, wt, werr := tx.ReadPart(ctx, oid, []byte("k02"), []byte("k08"), 3)
-		if err != nil || werr != nil || !got.Equal(want) || gt != wt {
-			t.Fatalf("view readpart %v: %+v/%d (%v) vs %+v/%d (%v)", oid, got, gt, err, want, wt, werr)
-		}
-	}
-}

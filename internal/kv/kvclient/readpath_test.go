@@ -16,7 +16,7 @@ import (
 // signatures, so for every kind of object, every kind of staged write
 // and every kind of window they must agree on Found, on the cells and on
 // the cell count — and a ReadView must agree with a transaction that has
-// staged nothing.
+// staged nothing, which is the property the dbt readahead relies on.
 func TestEveryReadEntryPointSeesTheSameBytes(t *testing.T) {
 	_, c := startCluster(t, 2)
 	ctx := context.Background()
@@ -136,6 +136,9 @@ func TestEveryReadEntryPointSeesTheSameBytes(t *testing.T) {
 					}
 					if st.name == "clean" {
 						view := tx.View()
+						if view.Snapshot() != tx.Snapshot() {
+							t.Fatalf("view snapshot %v != tx snapshot %v", view.Snapshot(), tx.Snapshot())
+						}
 						vpart, vtotal, verr := view.ReadPart(ctx, obj.oid, win.from, win.to, win.max)
 						if (verr == nil) != found || (found && (!vpart.Equal(part) || vtotal != total)) {
 							t.Fatalf("view ReadPart %+v/%d (%v), tx %+v/%d (%v)", vpart, vtotal, verr, part, total, err)

@@ -147,7 +147,7 @@ func (t *Tx) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.Read
 	fetch := make([]kv.ReadBatchItem, 0, len(items))
 	for i := range items {
 		if lastOverwrite(t.byOID[items[i].OID]) < 0 {
-			fetch = append(fetch, items[i].Windowed())
+			fetch = append(fetch, items[i])
 		}
 	}
 	bases := make([]kv.ReadBatchResult, len(fetch))
@@ -161,7 +161,7 @@ func (t *Tx) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.Read
 			base, bases = &bases[0], bases[1:]
 		}
 		var err error
-		if results[i], err = t.readItem(ctx, items[i].Windowed(), base); err != nil {
+		if results[i], err = t.readItem(ctx, items[i], base); err != nil {
 			return nil, err
 		}
 	}
@@ -200,6 +200,7 @@ func (t *Tx) readItem(ctx context.Context, it kv.ReadBatchItem, base *kv.ReadBat
 	if t.done {
 		return kv.ReadBatchResult{}, kv.ErrAborted
 	}
+	it = it.Windowed()
 	staged := t.byOID[it.OID]
 	over := lastOverwrite(staged)
 	var res kv.ReadBatchResult

@@ -457,7 +457,7 @@ func DecodeSnapResp(p []byte) (*SnapResp, error) {
 //
 // An item with Part unset asks for the whole object whatever From, To
 // and Max hold: Windowed gives it the zero window, which the decoder and
-// kvclient.Tx.ReadBatch apply on the way in, so nothing past them reads
+// kvclient.Tx.readItem apply on the way in, so nothing past them reads
 // Part.
 type ReadBatchItem struct {
 	OID  OID

@@ -262,12 +262,17 @@ func TestReadPartReqRoundTrip(t *testing.T) {
 		if err != nil || got.Snap != req.Snap || got.Epoch != req.Epoch {
 			t.Fatalf("read part req: got %+v (%v), want %+v", got, err, req)
 		}
-		g, w := got.Item, item.Windowed()
-		if g.OID != w.OID || g.Part != w.Part || g.Max != w.Max ||
-			!bytes.Equal(g.From, w.From) || (g.To == nil) != (w.To == nil) || !bytes.Equal(g.To, w.To) {
+		if g, w := got.Item, item.Windowed(); !sameReadItem(g, w) {
 			t.Fatalf("item: got %+v, want %+v", g, w)
 		}
 	}
+}
+
+// sameReadItem compares two items field by field, telling a nil To
+// (unbounded) from an empty one.
+func sameReadItem(g, w ReadBatchItem) bool {
+	return g.OID == w.OID && g.Part == w.Part && g.Max == w.Max &&
+		bytes.Equal(g.From, w.From) && (g.To == nil) == (w.To == nil) && bytes.Equal(g.To, w.To)
 }
 
 // TestTruncatedMessagesFailToDecode pins the one-layout rule for every
@@ -376,9 +381,7 @@ func TestReadBatchMessagesRoundTrip(t *testing.T) {
 		t.Fatalf("req header: %+v != %+v", got, req)
 	}
 	for i := range req.Items {
-		g, w := got.Items[i], req.Items[i]
-		if g.OID != w.OID || g.Part != w.Part || g.Max != w.Max ||
-			!bytes.Equal(g.From, w.From) || (g.To == nil) != (w.To == nil) || !bytes.Equal(g.To, w.To) {
+		if g, w := got.Items[i], req.Items[i]; !sameReadItem(g, w) {
 			t.Fatalf("item %d: got %+v, want %+v", i, g, w)
 		}
 	}
