@@ -82,15 +82,21 @@ func main() {
 		}
 		for {
 			tx := kvc.Begin()
-			if err := profiles.Put(ctx, tx, []byte(name), []byte(fmt.Sprintf("score=%d", score))); err != nil {
-				log.Fatal(err)
+			err := profiles.Put(ctx, tx, []byte(name), []byte(fmt.Sprintf("score=%d", score)))
+			if err == nil {
+				err = board.Put(ctx, tx, scoreKey(score, name), nil)
 			}
-			if err := board.Put(ctx, tx, scoreKey(score, name), nil); err != nil {
-				log.Fatal(err)
+			if err == nil {
+				err = tx.Commit(ctx)
+			} else {
+				tx.Abort()
 			}
-			if err := tx.Commit(ctx); err == nil {
+			if err == nil {
 				break
-			} else if !errors.Is(err, kv.ErrConflict) {
+			}
+			// A conflict — from Commit, or from a Put whose leaf was split
+			// under the transaction — means: again, at a fresh snapshot.
+			if !errors.Is(err, kv.ErrConflict) {
 				log.Fatal(err)
 			}
 		}
@@ -105,15 +111,15 @@ func main() {
 				tx.Abort()
 				return err
 			}
-			if err := board.Put(ctx, tx, scoreKey(new, name), nil); err != nil {
-				tx.Abort()
-				return err
+			err := board.Put(ctx, tx, scoreKey(new, name), nil)
+			if err == nil {
+				err = profiles.Put(ctx, tx, []byte(name), []byte(fmt.Sprintf("score=%d", new)))
 			}
-			if err := profiles.Put(ctx, tx, []byte(name), []byte(fmt.Sprintf("score=%d", new))); err != nil {
+			if err == nil {
+				err = tx.Commit(ctx)
+			} else {
 				tx.Abort()
-				return err
 			}
-			err := tx.Commit(ctx)
 			if err == nil {
 				return nil
 			}

@@ -13,63 +13,26 @@ import (
 // positional; an absent key yields a nil entry rather than an error —
 // multi-key lookups routinely include misses.
 //
-// Keys whose leaf the inner-node cache can predict are served with one
-// batched point-window read per server slot (kvclient.Tx.ReadBatch),
-// turning the N serial leaf round trips of N Gets into a handful of
-// parallel RPCs. The prediction is only routing: each returned leaf is
-// validated against its fences exactly like a descent validates, and
-// any key the cache cannot place — or whose predicted leaf turns out
-// stale — falls back to an ordinary Get, whose back-down search
-// repairs the cache.
+// It is a read plan of one tree: every key's leaf read goes out in one
+// round (PlanPoint, kvclient.Tx.Prefetch), turning the N serial leaf
+// round trips of N Gets into a handful of parallel RPCs, and then every
+// key is an ordinary Get, whose leaf read the round has already
+// answered.
 func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([][]byte, error) {
-	out := make([][]byte, len(keys))
-	var (
-		items   []kv.ReadBatchItem
-		itemKey []int // items[j] serves keys[itemKey[j]]
-		syncIdx []int
-	)
-	useBatch := !t.cfg.NoCache && !t.cfg.NoPartial
-	for i, key := range keys {
-		if useBatch {
-			if run := t.leafRunFromCache(key, 1); len(run) == 1 {
-				win := pointWindow(key)
-				items = append(items, kv.ReadBatchItem{OID: run[0], Part: true, From: win.from, To: win.to, Max: win.max})
-				itemKey = append(itemKey, i)
-				continue
-			}
-		}
-		syncIdx = append(syncIdx, i)
-	}
-	if len(items) > 0 {
-		t.stats.NodeReads.Add(uint64(len(items)))
-		results, err := tx.ReadBatch(ctx, items)
-		if err != nil {
+	var plan []kv.ReadBatchItem
+	for _, key := range keys {
+		var err error
+		if plan, err = t.PlanPoint(ctx, tx, plan, key); err != nil {
 			return nil, err
 		}
-		for j := range results {
-			res := &results[j]
-			i := itemKey[j]
-			key := keys[i]
-			leaf := res.Value
-			if !res.Found || leaf.Kind != kv.KindSuper || leaf.Attrs[AttrTree] != t.id ||
-				leaf.Attrs[AttrHeight] != 0 || !leaf.InBounds(key) {
-				// Stale routing (the leaf split, moved, or grew into an
-				// inner node since it was cached): back down to a full
-				// descent for this key.
-				syncIdx = append(syncIdx, i)
-				continue
-			}
-			if v, ok := leaf.ListGet(key); ok {
-				out[i] = v
-			}
-		}
 	}
-	for _, i := range syncIdx {
-		v, err := t.Get(ctx, tx, keys[i])
-		if err != nil {
-			if errors.Is(err, ErrKeyNotFound) {
-				continue
-			}
+	if err := tx.Prefetch(ctx, plan); err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(keys))
+	for i, key := range keys {
+		v, err := t.Get(ctx, tx, key)
+		if err != nil && !errors.Is(err, ErrKeyNotFound) {
 			return nil, err
 		}
 		out[i] = v
@@ -77,16 +40,74 @@ func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([]
 	return out, nil
 }
 
+// Read plans. A caller that knows beforehand which keys it will touch —
+// a multi-key lookup, a write statement that has evaluated its rows —
+// asks each tree for the leaf reads those operations will make
+// (PlanPoint, PlanFirst), across as many trees as it likes, and hands
+// the lot to kvclient.Tx.Prefetch: one read round. The operations
+// themselves then run unchanged, and their descents find the leaf reads
+// answered in the transaction's read set. A plan is routing only: it
+// walks the inner-node cache to the leaf's parent and names the leaf,
+// reading an inner node only where the cache has none (a cold handle
+// pays for its inner nodes once, as a descent would, and plans all its
+// leaves after that). A stale route plans a read of the wrong leaf; the
+// operation's own descent, which validates fences and backs down as
+// ever, then pays for the read it needs. A plan costs a wasted read at
+// worst, never a wrong answer.
+
+// PlanPoint appends to plan the leaf read that Get, Put or Delete of key
+// will make. (A NoDelta handle's Put and Delete read the leaf whole:
+// only its Gets are planned right.)
+func (t *Tree) PlanPoint(ctx context.Context, tx *kvclient.Tx, plan []kv.ReadBatchItem, key []byte) ([]kv.ReadBatchItem, error) {
+	return t.planLeafRead(ctx, tx, plan, key, pointWindow(key))
+}
+
+// PlanFirst appends to plan the leaf read that First(lo, hi) will make.
+func (t *Tree) PlanFirst(ctx context.Context, tx *kvclient.Tx, plan []kv.ReadBatchItem, lo, hi []byte) ([]kv.ReadBatchItem, error) {
+	return t.planLeafRead(ctx, tx, plan, lo, firstWindow(lo, hi))
+}
+
+// planLeafRead appends the read descend(key, win) will make of key's
+// leaf: the window travels only when the handle reads leaves in part
+// (see descendOnce). It plans nothing for a handle without a cache,
+// whose descents read every level themselves; when the route it follows
+// turns out stale on the way; and when the root is itself the leaf — the
+// walk has then read it, whole, into tx's read set, which is all a
+// descent will ask for.
+func (t *Tree) planLeafRead(ctx context.Context, tx *kvclient.Tx, plan []kv.ReadBatchItem, key []byte, win window) ([]kv.ReadBatchItem, error) {
+	if t.cfg.NoCache {
+		return plan, nil
+	}
+	var leaf kv.OID
+	var one [1]kv.OID
+	if run := t.leafRunFromCache(one[:0], key, 1); len(run) == 1 {
+		leaf = run[0]
+	} else {
+		li, err := t.descendOnce(ctx, tx, key, win, true, true)
+		if errors.Is(err, errStale) || (err == nil && li.node != nil) {
+			return plan, nil
+		}
+		if err != nil {
+			return plan, err
+		}
+		leaf = li.oid
+	}
+	if t.cfg.NoPartial {
+		win = window{}
+	}
+	return append(plan, kv.ReadBatchItem{OID: leaf, Part: true, From: win.from, To: win.to, Max: win.max}), nil
+}
+
 // leafRunFromCache routes key through cached inner nodes to its
-// height-1 parent and returns the run of consecutive child leaf OIDs
-// starting at the one that should hold key, up to n. The run stops at
-// the parent's last child — crossing into the next parent would need
+// height-1 parent and returns, appended to run, the consecutive child
+// leaf OIDs starting at the one that should hold key, up to n. The run
+// stops at the parent's last child — crossing into the next parent would need
 // another cached route, and the caller re-predicts from the following
 // fence key anyway. A non-empty answer is routing only — it may be
 // stale: the caller validates the fetched leaves' fences and falls back
 // to a descent, exactly as a descent backs down. Returns nil when any
 // level of the path is uncached or unusable.
-func (t *Tree) leafRunFromCache(key []byte, n int) []kv.OID {
+func (t *Tree) leafRunFromCache(run []kv.OID, key []byte, n int) []kv.OID {
 	cur := t.root
 	const maxDepth = 64
 	for depth := 0; depth < maxDepth; depth++ {
@@ -104,7 +125,6 @@ func (t *Tree) leafRunFromCache(key []byte, n int) []kv.OID {
 			return nil
 		}
 		if v.Attrs[AttrHeight] == 1 {
-			run := make([]kv.OID, 0, n)
 			for ; idx < len(v.Cells) && len(run) < n; idx++ {
 				oid, err := childOID(v.Cells[idx])
 				if err != nil {

@@ -231,7 +231,7 @@ func (it *Iterator) maybeReadahead(inHand int) {
 			// missing, foreign, or no longer covers its fence key. Extra
 			// cells a leaf read returns below the fence are harmless: the
 			// consumer positions by binary search inside every leaf.
-			if run := t.sameSlotPrefix(t.leafRunFromCache(key, batch)); len(run) >= 2 {
+			if run := t.sameSlotPrefix(t.leafRunFromCache(nil, key, batch)); len(run) >= 2 {
 				items := make([]kv.ReadBatchItem, len(run))
 				for i, oid := range run {
 					items[i] = kv.ReadBatchItem{OID: oid, Part: true, To: hi}

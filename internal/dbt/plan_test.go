@@ -1,0 +1,181 @@
+package dbt_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"yesquel/internal/cluster"
+	"yesquel/internal/dbt"
+	"yesquel/internal/kv/kvclient"
+)
+
+// planTree loads 64 keys through a handle that splits synchronously
+// (small leaves, so the tree has two inner levels) and returns it with
+// the cluster and client.
+func planTree(t *testing.T) (*cluster.Cluster, *kvclient.Client, *dbt.Tree) {
+	t.Helper()
+	cl, c, loader := startTree(t, 2, dbt.Config{MaxCells: 8, SyncSplit: true})
+	fillSequential(t, c, loader, 64)
+	tx := c.Begin()
+	defer tx.Abort()
+	if res, err := loader.Check(context.Background(), tx); err != nil || res.Height < 2 {
+		t.Fatalf("Check: %+v, %v; want a tree with two inner levels", res, err)
+	}
+	return cl, c, loader
+}
+
+// openReader opens one more handle to tree 1. Its MaxCells is out of
+// reach, so its own writes never find a leaf oversized.
+func openReader(t *testing.T, c *kvclient.Client) *dbt.Tree {
+	t.Helper()
+	tree, err := dbt.Open(context.Background(), c, 1, dbt.Config{MaxCells: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tree.Close)
+	return tree
+}
+
+// insertCost inserts key through tree the way a write statement does —
+// probe, then put — in a transaction of its own, with the leaf read
+// planned and prefetched first when planned is set, and reports what it
+// cost: reads the servers saw, read rounds the client made, back-downs.
+func insertCost(t *testing.T, cl *cluster.Cluster, c *kvclient.Client, tree *dbt.Tree, key string, planned bool) (reads, rounds, backDowns uint64) {
+	t.Helper()
+	ctx := context.Background()
+	reads, rounds, backDowns = cl.Stats().Reads, c.ReadRounds(), tree.Stats().BackDowns
+	tx := c.Begin()
+	if planned {
+		plan, err := tree.PlanPoint(ctx, tx, nil, []byte(key))
+		if err == nil {
+			err = tx.Prefetch(ctx, plan)
+		}
+		if err != nil {
+			t.Fatalf("plan for %q: %v", key, err)
+		}
+	}
+	if _, err := tree.Get(ctx, tx, []byte(key)); !errors.Is(err, dbt.ErrKeyNotFound) {
+		t.Fatalf("probe of %q: %v, want not found", key, err)
+	}
+	if err := tree.Put(ctx, tx, []byte(key), []byte("v-"+key)); err != nil {
+		t.Fatalf("Put %q: %v", key, err)
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatalf("commit of %q: %v", key, err)
+	}
+	return cl.Stats().Reads - reads, c.ReadRounds() - rounds, tree.Stats().BackDowns - backDowns
+}
+
+// TestStalePlanCostsReadsNeverRows: another handle splits the target
+// leaf between a handle's cache fill and its planned write. The plan
+// then names the old leaf, and the write's own descent finds the fence
+// wrong, backs down once and lands the row where it belongs — for what
+// the same write costs the same stale handle without a plan. A planned
+// GetBatch through a stale route likewise returns what is there.
+func TestStalePlanCostsReadsNeverRows(t *testing.T) {
+	cl, c, loader := planTree(t)
+	ctx := context.Background()
+	planned, unplanned := openReader(t, c), openReader(t, c)
+	for _, tree := range []*dbt.Tree{planned, unplanned} {
+		tx := c.Begin()
+		scanAllAt(t, tree, tx) // fills the handle's inner-node cache
+		tx.Abort()
+	}
+
+	// Grow and split the leaf that holds k000031: everything from
+	// k000031a up moves to a leaf the two handles have not heard of.
+	splits := loader.Stats().SplitsDone
+	for i := 0; i < 8; i++ {
+		putAuto(t, c, loader, fmt.Sprintf("k000031%c", 'a'+i), "filler")
+		if err := loader.MaintainNow(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if loader.Stats().SplitsDone == splits {
+		t.Fatal("the fillers split nothing")
+	}
+
+	pReads, pRounds, pBack := insertCost(t, cl, c, planned, "k000031x", true)
+	uReads, _, uBack := insertCost(t, cl, c, unplanned, "k000031y", false)
+	if pBack != 1 || uBack != 1 {
+		t.Fatalf("back-downs: %d planned, %d unplanned, want 1 each (the route was not stale?)", pBack, uBack)
+	}
+	if pReads != uReads {
+		t.Errorf("a planned insert through a stale route cost %d server reads, an unplanned one %d", pReads, uReads)
+	}
+	t.Logf("stale route: %d server reads in %d rounds planned, %d unplanned", pReads, pRounds, uReads)
+	// The back-down repaired the route: the next planned insert is one read.
+	if reads, rounds, back := insertCost(t, cl, c, planned, "k000031z", true); reads != 1 || rounds != 1 || back != 0 {
+		t.Errorf("planned insert after the repair: %d reads in %d rounds, %d back-downs, want 1, 1, 0", reads, rounds, back)
+	}
+
+	tx := c.Begin()
+	defer tx.Abort()
+	fresh := openReader(t, c)
+	if res, err := fresh.Check(ctx, tx); err != nil || res.Cells != 64+8+3 {
+		t.Fatalf("Check after the inserts: %+v, %v", res, err)
+	}
+	for _, key := range []string{"k000031x", "k000031y", "k000031z"} {
+		if v, err := fresh.Get(ctx, tx, []byte(key)); err != nil || string(v) != "v-"+key {
+			t.Errorf("Get %q through a fresh handle: %q, %v", key, v, err)
+		}
+	}
+
+	// A third handle, stale the same way, reads through its plan.
+	stale := openReader(t, c)
+	old := c.BeginAt(tx.Snapshot())
+	scanAllAt(t, stale, old)
+	old.Abort()
+	for i := 0; i < 8; i++ {
+		putAuto(t, c, loader, fmt.Sprintf("k000047%c", 'a'+i), "filler")
+		if err := loader.MaintainNow(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := c.Begin()
+	defer now.Abort()
+	got, err := stale.GetBatch(ctx, now, [][]byte{[]byte("k000047h"), []byte("k000003"), []byte("k000047zz"), []byte("k000048")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[0]) != "filler" || string(got[1]) != "v3" || got[2] != nil || string(got[3]) != "v48" {
+		t.Errorf("GetBatch through a stale route: %q", got)
+	}
+}
+
+// TestPlanOnColdCache: a handle that has cached nothing plans by reading
+// the inner nodes on its way — what its first descent would have read —
+// so a planned insert costs a cold handle the reads an unplanned one
+// does, and a cold multi-key lookup is the inner nodes and then one
+// round for all its leaves.
+func TestPlanOnColdCache(t *testing.T) {
+	cl, c, _ := planTree(t)
+	pReads, pRounds, _ := insertCost(t, cl, c, openReader(t, c), "k000031x", true)
+	uReads, uRounds, _ := insertCost(t, cl, c, openReader(t, c), "k000031y", false)
+	if pReads != uReads || pRounds != uRounds {
+		t.Errorf("cold planned insert: %d reads in %d rounds; unplanned: %d in %d", pReads, pRounds, uReads, uRounds)
+	}
+
+	cold := openReader(t, c)
+	keys := [][]byte{[]byte("k000002"), []byte("k000017"), []byte("k000033"), []byte("k000049"), []byte("k000063"), []byte("absent")}
+	reads, rounds := cl.Stats().Reads, c.ReadRounds()
+	tx := c.Begin()
+	defer tx.Abort()
+	got, err := cold.GetBatch(context.Background(), tx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"v2", "v17", "v33", "v49", "v63", ""} {
+		if string(got[i]) != want {
+			t.Errorf("cold GetBatch %q: %q, want %q", keys[i], got[i], want)
+		}
+	}
+	reads, rounds = cl.Stats().Reads-reads, c.ReadRounds()-rounds
+	inner := uint64(cold.CacheSize())
+	if reads != inner+uint64(len(keys)) || rounds != inner+1 {
+		t.Errorf("cold GetBatch of %d keys: %d reads in %d rounds with %d inner nodes read, want %d in %d",
+			len(keys), reads, rounds, inner, inner+uint64(len(keys)), inner+1)
+	}
+}

@@ -5,18 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
 )
 
 // Splits. An oversized node is split in its own transaction, separate
-// from the transaction that grew it — the paper's "delegated splits":
-// clients never block on structural maintenance, and because the split
-// runs under the same snapshot-isolation transactions as everything
-// else, readers either see the tree entirely before or entirely after
-// the split.
+// from the transaction that grew it, on the handle's splitter goroutine
+// — the paper's "delegated splits": the write that fills a leaf past
+// its limit commits without structural work, and because the split runs
+// under the same snapshot-isolation transactions as everything else,
+// readers either see the tree entirely before or entirely after the
+// split. The next write to a leaf already past its limit waits for the
+// splitter's attempt at it (awaitSplit): delegation decides who does
+// the work, not whether an oversized leaf may keep growing.
 //
 // A split of node X with fences [l, h) at a mid key m:
 //   - creates a fresh right sibling R on a server chosen by the
@@ -31,18 +33,26 @@ import (
 // node of height+1, so the root OID never changes.
 
 type splitter struct {
-	t      *Tree
-	mu     sync.Mutex
-	queued map[kv.OID]bool
+	t  *Tree
+	mu sync.Mutex
+	// queued holds the nodes waiting for a split attempt or under one.
+	queued map[kv.OID]*splitTicket
 	ch     chan kv.OID
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 }
 
+// splitTicket is one queued node's attempt: done closes when the
+// splitter has made it, and split then says whether it split the node.
+type splitTicket struct {
+	done  chan struct{}
+	split bool
+}
+
 func (t *Tree) startSplitter() {
 	s := &splitter{
 		t:      t,
-		queued: make(map[kv.OID]bool),
+		queued: make(map[kv.OID]*splitTicket),
 		ch:     make(chan kv.OID, 1024),
 		stopCh: make(chan struct{}),
 	}
@@ -53,31 +63,76 @@ func (t *Tree) startSplitter() {
 	}
 }
 
-// noteOversized reports that a node looked oversized; the splitter will
-// verify against committed state and split if warranted. With SyncSplit
-// the caller must invoke MaintainNow after committing.
-func (t *Tree) noteOversized(oid kv.OID) {
+// noteOversized reports that a node is oversized; the splitter will
+// verify against committed state and split if warranted, once per note —
+// a conflict with a concurrent writer is not retried, the next write to
+// the node notes it again. With SyncSplit the caller must invoke
+// MaintainNow after committing. The ticket tells when the attempt has
+// been made (nil: the queue was full and the note dropped).
+func (t *Tree) noteOversized(oid kv.OID) *splitTicket {
 	s := t.splitter
 	if s == nil {
-		return
+		return nil
 	}
 	s.mu.Lock()
-	if s.queued[oid] {
-		s.mu.Unlock()
-		return
+	ticket, queued := s.queued[oid]
+	if !queued {
+		ticket = &splitTicket{done: make(chan struct{})}
+		s.queued[oid] = ticket
 	}
-	s.queued[oid] = true
 	s.mu.Unlock()
-	if t.cfg.SyncSplit {
-		return // drained by MaintainNow
+	if queued || t.cfg.SyncSplit {
+		return ticket // SyncSplit: drained by MaintainNow
 	}
 	select {
 	case s.ch <- oid:
+		return ticket
 	default:
-		// Queue full: drop; the next write to the node re-triggers.
-		s.mu.Lock()
+		s.finish(oid, false)
+		return nil
+	}
+}
+
+// finish takes oid off the queue and tells whoever waits for it whether
+// it was split.
+func (s *splitter) finish(oid kv.OID, split bool) {
+	s.mu.Lock()
+	if ticket, ok := s.queued[oid]; ok {
 		delete(s.queued, oid)
-		s.mu.Unlock()
+		ticket.split = split
+		close(ticket.done)
+	}
+	s.mu.Unlock()
+}
+
+// awaitSplit is the writer's side of a split. A write to an oversized
+// leaf notes the leaf and then waits here for this handle's splitter to
+// have made its attempt, instead of racing it: a split conflicts with
+// every commit on the node since the split began, and a writer whose
+// transaction is one planned read round and a commit lands one in every
+// attempt — the splitter would never win and the leaf would grow
+// without bound, each commit on it costlier than the last. Writers to
+// other leaves, and other clients, never wait; the split itself stays a
+// transaction of its own on the splitter's goroutine.
+//
+// The error is kv.ErrConflict when the leaf was split: the split is
+// newer than tx's snapshot, so tx, which is about to write to the leaf,
+// can no longer commit, and says so now rather than at Commit.
+func (t *Tree) awaitSplit(ctx context.Context, oid kv.OID) error {
+	ticket := t.noteOversized(oid)
+	if ticket == nil || t.cfg.SyncSplit {
+		return nil
+	}
+	select {
+	case <-ticket.done:
+		if ticket.split {
+			return fmt.Errorf("%w: leaf %v was split under the transaction", kv.ErrConflict, oid)
+		}
+		return nil
+	case <-t.splitter.stopCh:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -96,14 +151,13 @@ func (t *Tree) MaintainNow(ctx context.Context) error {
 			oid, found = o, true
 			break
 		}
-		if found {
-			delete(s.queued, oid)
-		}
 		s.mu.Unlock()
 		if !found {
 			return nil
 		}
-		if err := t.splitNode(ctx, oid); err != nil {
+		split, err := t.splitNode(ctx, oid)
+		s.finish(oid, split)
+		if err != nil {
 			return err
 		}
 	}
@@ -112,43 +166,17 @@ func (t *Tree) MaintainNow(ctx context.Context) error {
 func (s *splitter) run() {
 	defer s.wg.Done()
 	ctx := context.Background()
-	// One reusable backoff timer across all retries the goroutine ever
-	// makes; allocated on first use, Reset per retry.
-	var backoff *time.Timer
-	defer func() {
-		if backoff != nil {
-			backoff.Stop()
-		}
-	}()
 	for {
 		select {
 		case <-s.stopCh:
 			return
 		case oid := <-s.ch:
-			s.mu.Lock()
-			delete(s.queued, oid)
-			s.mu.Unlock()
-			// Conflicts with concurrent writers are expected; retry a
-			// few times with a small pause, then give up — the next
-			// write re-triggers the split.
-			for i := 0; i < 5; i++ {
-				err := s.t.splitNode(ctx, oid)
-				if err == nil || !errors.Is(err, kv.ErrConflict) {
-					break
-				}
+			split, err := s.t.splitNode(ctx, oid)
+			if errors.Is(err, kv.ErrConflict) {
+				// Another client wrote to the node, or split it: expected.
 				s.t.stats.SplitConflict.Add(1)
-				d := time.Duration(i+1) * time.Millisecond
-				if backoff == nil {
-					backoff = time.NewTimer(d)
-				} else {
-					backoff.Reset(d)
-				}
-				select {
-				case <-s.stopCh:
-					return
-				case <-backoff.C:
-				}
 			}
+			s.finish(oid, split)
 		}
 	}
 }
@@ -166,9 +194,10 @@ func (s *splitter) stop() {
 	s.wg.Wait()
 }
 
-// splitNode splits oid if its committed state is oversized. A split
-// that would overflow the parent queues the parent too.
-func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
+// splitNode splits oid if its committed state is oversized, and reports
+// whether it did. A split that would overflow the parent queues the
+// parent too.
+func (t *Tree) splitNode(ctx context.Context, oid kv.OID) (bool, error) {
 	tx := t.c.Begin()
 	defer func() {
 		// Commit is explicit below; Abort on a committed tx is a no-op
@@ -178,15 +207,15 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
 	node, err := tx.Read(ctx, oid)
 	if err != nil {
 		if errors.Is(err, kv.ErrNotFound) {
-			return nil // already split away or deleted
+			return false, nil // already split away or deleted
 		}
-		return err
+		return false, err
 	}
 	if node.Kind != kv.KindSuper || node.Attrs[AttrTree] != t.id {
-		return nil
+		return false, nil
 	}
 	if node.NumCells() <= t.cfg.MaxCells {
-		return nil // shrank since it was queued
+		return false, nil // shrank since it was queued
 	}
 
 	mid := node.NumCells() / 2
@@ -194,29 +223,39 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
 	// Degenerate: all cells share a prefix region such that midKey
 	// equals the low fence; cannot split there.
 	if compare(midKey, node.LowKey) == 0 {
-		return nil
+		return false, nil
 	}
 
+	// router is the inner node that routes to the new sibling, as the
+	// split leaves it.
+	routerOID, router := t.root, (*kv.Value)(nil)
 	if oid == t.root {
-		err = t.growRoot(ctx, tx, node, mid)
+		router = t.growRoot(tx, node, mid)
 	} else {
-		err = t.splitNonRoot(ctx, tx, oid, node, mid)
+		routerOID, router, err = t.splitNonRoot(ctx, tx, oid, node, mid)
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
 	if err := tx.Commit(ctx); err != nil {
-		return err
+		return false, err
 	}
 	t.stats.SplitsDone.Add(1)
-	// Routing changed: drop cached copies of what we rewrote.
+	// Routing changed: drop the cached copy of what was split, and cache
+	// the router as it is now — this handle's next descent, or read plan,
+	// for a key that moved would otherwise follow the old route to the old
+	// leaf and have to back down.
 	t.cache.invalidate(oid)
-	return nil
+	if !t.cfg.NoCache {
+		t.cache.put(routerOID, router)
+	}
+	return true, nil
 }
 
 // growRoot turns the (oversized) root into an inner node with two fresh
-// children. The root OID is preserved — clients hold it statically.
-func (t *Tree) growRoot(ctx context.Context, tx *kvclient.Tx, root *kv.Value, mid int) error {
+// children, and returns the new root. The root OID is preserved —
+// clients hold it statically.
+func (t *Tree) growRoot(tx *kvclient.Tx, root *kv.Value, mid int) *kv.Value {
 	midKey := root.Cells[mid].Key
 
 	left := kv.NewSuper()
@@ -253,12 +292,12 @@ func (t *Tree) growRoot(ctx context.Context, tx *kvclient.Tx, root *kv.Value, mi
 	tx.Put(leftOID, left)
 	tx.Put(rightOID, right)
 	tx.Put(t.root, newRoot)
-	return nil
+	return newRoot
 }
 
 // splitNonRoot moves the upper half of node into a fresh sibling and
-// links it into the parent.
-func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, node *kv.Value, mid int) error {
+// links it into the parent, which it returns as the link leaves it.
+func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, node *kv.Value, mid int) (kv.OID, *kv.Value, error) {
 	midKey := node.Cells[mid].Key
 
 	rightOID := t.newNodeOID()
@@ -282,13 +321,16 @@ func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, no
 	// that the uncached walk does not matter.
 	parentOID, parent, err := t.findParent(ctx, tx, node, oid)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	tx.ListAdd(parentOID, midKey, encodeChild(rightOID))
 	if parent.NumCells()+1 > t.cfg.MaxCells {
 		t.noteOversized(parentOID)
 	}
-	return nil
+	// The parent again, now under the staged link: answered from tx's
+	// read set, no round trip.
+	parent, err = tx.Read(ctx, parentOID)
+	return parentOID, parent, err
 }
 
 // findParent locates the node at child's height+1 whose range covers

@@ -230,8 +230,16 @@ func pointWindow(key []byte) window {
 	return window{from: key, to: upperBoundExclusive(key), max: 2}
 }
 
+// firstWindow is the window of First(lo, hi): every cell of [lo, hi)
+// the leaf holds. Uncapped, because staged writes are overlaid on the
+// window wherever they fall: were it cut short at the first cell, a
+// staged delete of that cell would leave the window showing nothing of
+// a range that holds more.
+func firstWindow(lo, hi []byte) window { return window{from: lo, to: hi} }
+
 // leafInfo is the result of a descent: the leaf (possibly a windowed
-// view of it) and its total cell count for split heuristics.
+// view of it) and its total cell count, by which a write tells an
+// oversized leaf.
 type leafInfo struct {
 	oid   kv.OID
 	node  *kv.Value
@@ -252,7 +260,7 @@ func (t *Tree) descend(ctx context.Context, r nodeReader, key []byte, win window
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		// The last two attempts bypass the cache entirely.
 		useCache := !t.cfg.NoCache && attempt < maxAttempts-2
-		li, err := t.descendOnce(ctx, r, key, win, useCache)
+		li, err := t.descendOnce(ctx, r, key, win, useCache, false)
 		if err == nil {
 			return li, nil
 		}
@@ -264,12 +272,20 @@ func (t *Tree) descend(ctx context.Context, r nodeReader, key []byte, win window
 	return leafInfo{}, fmt.Errorf("dbt: descent for key %q did not converge", key)
 }
 
-func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win window, useCache bool) (leafInfo, error) {
+// descendOnce is one walk from the root towards key's leaf. With short
+// set it stops at the leaf's parent and returns the leaf's OID alone,
+// unread (a read plan: see planLeafRead) — unless the root is itself
+// the leaf, which only reading it can tell, and which is then returned
+// like any leaf.
+func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win window, useCache, short bool) (leafInfo, error) {
 	cur := t.root
 	var path []kv.OID
 	expectLeaf := false // unknown height at the root: read it whole
 	const maxDepth = 64
 	for depth := 0; depth < maxDepth; depth++ {
+		if short && expectLeaf {
+			return leafInfo{oid: cur}, nil
+		}
 		var node *kv.Value
 		total := 0
 		fromCache := false
@@ -362,6 +378,28 @@ func (t *Tree) Get(ctx context.Context, tx *kvclient.Tx, key []byte) ([]byte, er
 	return v, nil
 }
 
+// First returns the first cell with a key in [lo, hi) — a nil hi is no
+// bound — as seen by tx's snapshot (including tx's own buffered writes),
+// and whether there is one. It is the existence probe of a key prefix — a UNIQUE check — and
+// costs one leaf read unless the range straddles a leaf boundary.
+func (t *Tree) First(ctx context.Context, tx *kvclient.Tx, lo, hi []byte) (kv.Cell, bool, error) {
+	for key := lo; ; {
+		li, err := t.descend(ctx, tx, key, firstWindow(key, hi))
+		if err != nil {
+			return kv.Cell{}, false, err
+		}
+		if c, ok := li.node.ListCeil(key); ok {
+			return c, hi == nil || compare(c.Key, hi) < 0, nil
+		}
+		// Nothing at or after key in this leaf: the range goes on in the
+		// next one if this leaf ends inside it.
+		key = li.node.HighKey
+		if key == nil || (hi != nil && compare(key, hi) >= 0) {
+			return kv.Cell{}, false, nil
+		}
+	}
+}
+
 // Put inserts or replaces key's value within tx. The write is staged as
 // a one-cell delta (unless NoDelta), so committing it costs no
 // read-modify-write of the leaf.
@@ -374,6 +412,11 @@ func (t *Tree) Put(ctx context.Context, tx *kvclient.Tx, key, value []byte) erro
 	if err != nil {
 		return err
 	}
+	if li.total > t.cfg.MaxCells {
+		if err := t.awaitSplit(ctx, li.oid); err != nil {
+			return err
+		}
+	}
 	if t.cfg.NoDelta {
 		// Ablation: rewrite the whole leaf.
 		clone := li.node.Clone()
@@ -381,9 +424,6 @@ func (t *Tree) Put(ctx context.Context, tx *kvclient.Tx, key, value []byte) erro
 		tx.Put(li.oid, clone)
 	} else {
 		tx.ListAdd(li.oid, key, value)
-	}
-	if li.total+1 > t.cfg.MaxCells {
-		t.noteOversized(li.oid)
 	}
 	return nil
 }

@@ -44,16 +44,19 @@ func putAuto(t *testing.T, c *kvclient.Client, tree *dbt.Tree, key, value string
 	ctx := context.Background()
 	for i := 0; ; i++ {
 		tx := c.Begin()
-		if err := tree.Put(ctx, tx, []byte(key), []byte(value)); err != nil {
+		err := tree.Put(ctx, tx, []byte(key), []byte(value))
+		if err == nil {
+			err = tx.Commit(ctx)
+		} else {
 			tx.Abort()
-			t.Fatalf("Put %q: %v", key, err)
 		}
-		err := tx.Commit(ctx)
 		if err == nil {
 			return
 		}
+		// A split of the leaf, before the commit or under the Put, is a
+		// conflict either way.
 		if !errors.Is(err, kv.ErrConflict) || i > 20 {
-			t.Fatalf("Put %q commit: %v", key, err)
+			t.Fatalf("Put %q: %v", key, err)
 		}
 	}
 }

@@ -132,6 +132,49 @@ func TestApplyMatchesDeepCloneOracle(t *testing.T) {
 	}
 }
 
+// TestOverlayMatchesApplyFold: over random op sequences on a random base,
+// Overlay returns what folding Apply does (or fails where the fold
+// first fails), and neither the base nor any op's value changes under it.
+func TestOverlayMatchesApplyFold(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var base *Value
+		for i := r.Intn(4); i > 0; i-- {
+			base, _ = randomOp(r).Apply(base)
+		}
+		ops := make([]*Op, r.Intn(12))
+		var puts []*Value
+		for i := range ops {
+			ops[i] = randomOp(r)
+			if ops[i].Kind == OpPut {
+				puts = append(puts, ops[i].Value)
+			}
+		}
+		frozen := [][]byte{encoded(base)}
+		for _, v := range puts {
+			frozen = append(frozen, encoded(v))
+		}
+		want, wantErr := base, error(nil)
+		for _, op := range ops {
+			if want, wantErr = op.Apply(want); wantErr != nil {
+				break
+			}
+		}
+		got, err := Overlay(base, ops)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("seed %d: err %v, fold err %v", seed, err, wantErr)
+		}
+		if err == nil && (!got.Equal(want) || !bytes.Equal(encoded(got), encoded(want))) {
+			t.Fatalf("seed %d:\n got %+v\nwant %+v", seed, got, want)
+		}
+		for i, v := range append([]*Value{base}, puts...) {
+			if !bytes.Equal(encoded(v), frozen[i]) {
+				t.Fatalf("seed %d: Overlay changed one of its inputs (%d)", seed, i)
+			}
+		}
+	}
+}
+
 // TestApplySharesUntouchedCells pins what makes a commit cost its delta:
 // the result of a one-cell ListAdd holds the very same key and value
 // bytes as its base for every other cell, and the same fence keys.

@@ -24,8 +24,9 @@
 // A Value that has been handed to anyone else is immutable: a version a
 // store holds, a value a read returned (Store.Read and ReadPart return
 // the stored version or a window onto its cell array, not a copy), an
-// entry of a transaction's read memo, a base passed to Op.Apply. The
-// same holds for an Op once it is staged. Everything below leans on it:
+// entry of a transaction's read set, a base passed to Op.Apply or
+// Overlay. The same holds for an Op once it is staged. Everything below
+// leans on it:
 // Op.Apply builds the next version by copying the Cells header array
 // and sharing every untouched cell's key and value bytes, and the fence
 // keys, with its base, so consecutive versions of a DBT leaf alias one
@@ -501,6 +502,54 @@ func (op *Op) Apply(base *Value) (*Value, error) {
 		v.HighKey = append([]byte(nil), op.High...)
 	default:
 		return nil, fmt.Errorf("%w: op kind %d", ErrBadRequest, op.Kind)
+	}
+	return v, nil
+}
+
+// Overlay returns base as it looks under ops applied in order: what a
+// transaction reads of an object it has staged writes on. The result
+// equals folding Op.Apply over ops, at a different price. Apply makes a
+// version someone will keep, so every step copies the cells' header
+// array; a read keeps nothing, so Overlay copies the array once, with
+// room for every op, and applies the ops to that private copy in place —
+// a read under N staged ops costs the window plus N, not N copies of a
+// growing array. The cells' bytes and the fence keys are shared with
+// base and with the ops, all immutable, and so is the result once it is
+// returned. base may be nil (object absent) and is not modified.
+func Overlay(base *Value, ops []*Op) (*Value, error) {
+	v := base
+	private := false // v's header array is this call's own copy, free to edit
+	for _, op := range ops {
+		switch op.Kind {
+		case OpPut:
+			v, private = op.Value, false
+		case OpDelete:
+			v, private = nil, false
+		case OpListAdd, OpListDelRange:
+			if v != nil && v.Kind != KindSuper {
+				return nil, fmt.Errorf("%w: delta op on plain value", ErrBadRequest)
+			}
+			if !private {
+				own := &Value{Kind: KindSuper}
+				if v != nil {
+					*own = *v
+				}
+				own.Cells = append(make([]Cell, 0, len(own.Cells)+len(ops)), own.Cells...)
+				v, private = own, true
+			}
+			if op.Kind == OpListAdd {
+				v.setCell(op.Cell)
+			} else {
+				v.ListDelRange(op.From, op.To)
+			}
+		default:
+			// AttrSet, SetBounds: Apply copies the header and shares the
+			// array, so the array stays as private as it was.
+			var err error
+			if v, err = op.Apply(v); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return v, nil
 }

@@ -49,6 +49,8 @@ type Client struct {
 	nextTx  atomic.Uint64
 	nextOID atomic.Uint64
 
+	readRounds atomic.Uint64 // see ReadRounds
+
 	// followerReads routes snapshot reads whose timestamp lies at or
 	// below a group's learned durability frontier to that group's
 	// backups, round-robin — read throughput scales with the

@@ -97,11 +97,18 @@ func (c *Client) readItems(ctx context.Context, snap clock.Timestamp, items []kv
 	}
 }
 
+// ReadRounds counts the read rounds this client has made: one per
+// readItems call, plus one per wrong-slot retry. A round is one message
+// delay however many items and groups it spans, so rounds — not the
+// servers' count of items read — are what a caller waits for.
+func (c *Client) ReadRounds() uint64 { return c.readRounds.Load() }
+
 // readRound runs one partition-and-fetch round of readItems; server is
 // the group whose call produced err (for the redirect machinery). Items
 // that share one group — a single item always does — go out on the
 // calling goroutine with nothing built around them.
 func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) (server int, err error) {
+	c.readRounds.Add(1)
 	server = c.ServerFor(items[0].OID)
 	spread := false
 	for i := 1; i < len(items) && !spread; i++ {

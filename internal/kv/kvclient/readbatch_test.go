@@ -130,3 +130,87 @@ func TestTxReadBatchStagedOverlay(t *testing.T) {
 	}
 	checkBatchAgainstSingles(t, tx, items, results)
 }
+
+// TestPrefetchFillsTheReadSet: a Prefetch is one read round however many
+// items and servers it spans, every base it fetched then answers its
+// item locally — all of them, a plan of twenty as well as one of three —
+// under whatever the transaction stages afterwards; an item already
+// held, or overwritten by a staged Put, is not fetched, and when nothing
+// is left to fetch there is no round. ReadBatch's bases enter the set
+// the same way.
+func TestPrefetchFillsTheReadSet(t *testing.T) {
+	cl, c := startCluster(t, 2)
+	ctx := context.Background()
+	_, super := seedBatchObjects(t, c, 2)
+
+	point := func(oid kv.OID, i int) kv.ReadBatchItem {
+		k := []byte(fmt.Sprintf("k%02d", i))
+		return kv.ReadBatchItem{OID: oid, Part: true, From: k, To: append(k[:len(k):len(k)], 0), Max: 2}
+	}
+	var plan []kv.ReadBatchItem
+	for i := 0; i < 10; i++ {
+		plan = append(plan, point(super[0], i), point(super[1], i))
+	}
+	cost := func(f func()) (reads, rounds uint64) {
+		reads, rounds = cl.Stats().Reads, c.ReadRounds()
+		f()
+		return cl.Stats().Reads - reads, c.ReadRounds() - rounds
+	}
+
+	tx := c.Begin()
+	defer tx.Abort()
+	if reads, rounds := cost(func() {
+		if _, _, err := tx.ReadPart(ctx, super[0], plan[6].From, plan[6].To, plan[6].Max); err != nil {
+			t.Fatal(err)
+		}
+	}); reads != 1 || rounds != 1 {
+		t.Fatalf("a single read: %d reads in %d rounds", reads, rounds)
+	}
+	if reads, rounds := cost(func() {
+		if err := tx.Prefetch(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	}); reads != 19 || rounds != 1 {
+		t.Fatalf("prefetch of 20 items, one of them held already: %d reads in %d rounds, want 19 in 1", reads, rounds)
+	}
+	tx.ListAdd(super[1], []byte("k03"), []byte("mine"))
+	if reads, rounds := cost(func() {
+		for i, it := range plan {
+			v, _, err := tx.ReadPart(ctx, it.OID, it.From, it.To, it.Max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []byte{byte(i % 2), byte(i / 2)}
+			if it.OID == super[1] && i/2 == 3 {
+				want = []byte("mine")
+			}
+			if got, ok := v.ListGet(it.From); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("item %d after the prefetch: %q, want %q", i, got, want)
+			}
+		}
+		if err := tx.Prefetch(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	}); reads != 0 || rounds != 0 {
+		t.Fatalf("reads of prefetched items, and prefetching them again: %d reads in %d rounds, want none", reads, rounds)
+	}
+
+	// A batch remembers what it fetched; a staged Put makes the servers'
+	// copy irrelevant.
+	tx2 := c.Begin()
+	defer tx2.Abort()
+	tx2.Put(super[1], kv.NewSuper())
+	if reads, rounds := cost(func() {
+		if _, err := tx2.ReadBatch(ctx, plan[:6]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx2.ReadBatch(ctx, plan[:6]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tx2.ReadPart(ctx, super[0], plan[4].From, plan[4].To, plan[4].Max); err != nil {
+			t.Fatal(err)
+		}
+	}); reads != 3 || rounds != 1 {
+		t.Fatalf("a batch of 6 (3 of them overwritten) twice, then one of its items: %d reads in %d rounds, want 3 in 1", reads, rounds)
+	}
+}

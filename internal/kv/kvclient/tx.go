@@ -26,10 +26,13 @@ type Tx struct {
 	ops   []*kv.Op
 	byOID map[kv.OID][]*kv.Op
 
-	// memo remembers the last few base reads (see readBase); memoNext is
-	// the slot the next one overwrites.
-	memo     [memoSize]memoEntry
-	memoNext int
+	// reads is the read set (see readBase): a ring of remembered base
+	// reads, oldest at readsOldest once it is full. It starts out in
+	// readsBuf, so a transaction that reads a few items allocates nothing
+	// for it, and grows to whatever a Prefetch plans.
+	reads       []readEntry
+	readsOldest int
+	readsBuf    [3]readEntry
 
 	// TestHookAfterVote, when non-nil, runs once after every
 	// participant voted yes and before any phase-two request is sent.
@@ -52,12 +55,14 @@ func (c *Client) Begin() *Tx {
 // BeginAt starts a transaction reading at the given snapshot. Used for
 // time-travel reads and by layers that coordinate snapshots themselves.
 func (c *Client) BeginAt(snap clock.Timestamp) *Tx {
-	return &Tx{
+	t := &Tx{
 		c:     c,
 		txid:  c.nextTx.Add(1),
 		start: snap,
 		byOID: make(map[kv.OID][]*kv.Op),
 	}
+	t.reads = t.readsBuf[:0]
+	return t
 }
 
 // Snapshot returns the transaction's start timestamp.
@@ -113,14 +118,14 @@ func (t *Tx) Read(ctx context.Context, oid kv.OID) (*kv.Value, error) {
 
 // ReadPart returns a windowed view of a supervalue as this transaction
 // sees it: cells in [floor(from), to) capped at max, plus the node's
-// total cell count; the zero window (nil, nil, 0) is the whole object.
+// stored cell count; the zero window (nil, nil, 0) is the whole object.
 // Compared with Read it ships only the needed cells over the network —
 // the mechanism that keeps DBT point operations off the bandwidth cliff
 // for large nodes. The transaction's staged operations are overlaid on
 // the window (see readItem for what that does to the cells and the
 // count).
 func (t *Tx) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error) {
-	res, err := t.readItem(ctx, kv.ReadBatchItem{OID: oid, Part: true, From: from, To: to, Max: max}, nil)
+	res, err := t.readItem(ctx, kv.ReadBatchItem{OID: oid, Part: true, From: from, To: to, Max: max})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -131,41 +136,73 @@ func (t *Tx) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint
 }
 
 // ReadBatch performs len(items) reads at the transaction's snapshot in
-// as few RPCs as the data's placement allows: every item that needs the
-// servers' state — all but those a staged Put or Delete has overwritten
-// — goes out in one Client.readItems round, one RPC per owning group,
-// the groups in parallel. Staged operations are then overlaid item by
-// item, so read-your-own-writes holds exactly as for ReadPart.
+// as few RPCs as the data's placement allows: a Prefetch of the items,
+// then each answered from the read set. Staged operations are overlaid
+// item by item, so read-your-own-writes holds exactly as for ReadPart.
 //
 // Results are positional: results[i] answers items[i], with Found=false
 // for absent objects (never an error, unlike Read). Version is zero for
 // items that carry staged operations.
 func (t *Tx) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
-	if t.done {
-		return nil, kv.ErrAborted
-	}
-	fetch := make([]kv.ReadBatchItem, 0, len(items))
-	for i := range items {
-		if lastOverwrite(t.byOID[items[i].OID]) < 0 {
-			fetch = append(fetch, items[i])
-		}
-	}
-	bases := make([]kv.ReadBatchResult, len(fetch))
-	if err := t.c.readItems(ctx, t.start, fetch, bases); err != nil {
+	if err := t.Prefetch(ctx, items); err != nil {
 		return nil, err
 	}
 	results := make([]kv.ReadBatchResult, len(items))
 	for i := range items {
-		var base *kv.ReadBatchResult
-		if lastOverwrite(t.byOID[items[i].OID]) < 0 {
-			base, bases = &bases[0], bases[1:]
-		}
 		var err error
-		if results[i], err = t.readItem(ctx, items[i], base); err != nil {
+		if results[i], err = t.readItem(ctx, items[i]); err != nil {
 			return nil, err
 		}
 	}
 	return results, nil
+}
+
+// Prefetch brings the bases of items into the read set with one
+// Client.readItems round — one RPC per owning group, the groups in
+// parallel — so that the reads that follow, however they are issued
+// (ReadPart, Read, ReadBatch), are answered locally. It is how a caller
+// that can tell beforehand what it will read turns N serial round trips
+// into one. Items the set already holds, and items a staged Put or
+// Delete has overwritten, are not fetched; if none is left there is no
+// round. Prefetching is never needed for correctness and never changes
+// what a read returns: an item that was not prefetched is simply read
+// when it is asked for.
+func (t *Tx) Prefetch(ctx context.Context, items []kv.ReadBatchItem) error {
+	if t.done {
+		return kv.ErrAborted
+	}
+	var fetch []kv.ReadBatchItem
+	for i := range items {
+		it := items[i].Windowed()
+		if lastOverwrite(t.byOID[it.OID]) >= 0 || t.remembered(it) != nil {
+			continue
+		}
+		if fetch == nil {
+			fetch = make([]kv.ReadBatchItem, 0, len(items)-i)
+		}
+		fetch = append(fetch, it)
+	}
+	if len(fetch) == 0 {
+		return nil
+	}
+	bases := make([]kv.ReadBatchResult, len(fetch))
+	if err := t.c.readItems(ctx, t.start, fetch, bases); err != nil {
+		return err
+	}
+	ownKeys(fetch)
+	// Room for the whole plan beside the last few reads before it: no
+	// planned base may push out another, or the read that led to the plan
+	// (the lookup whose leaf the write will ask for again), before it is
+	// used.
+	if cap(t.reads) < len(fetch)+min(len(t.reads), len(t.readsBuf)) {
+		grown := make([]readEntry, 0, len(fetch)+len(t.readsBuf))
+		grown = append(append(grown, t.reads[t.readsOldest:]...), t.reads[:t.readsOldest]...)
+		t.reads, t.readsOldest = grown, 0
+	}
+	for i := range fetch {
+		t.remember(fetch[i], bases[i])
+	}
+	return nil
 }
 
 // lastOverwrite returns the index of the last Put or Delete among an
@@ -182,21 +219,21 @@ func lastOverwrite(staged []*kv.Op) int {
 
 // readItem answers one item as this transaction sees it, and is the one
 // place a read meets the staged writes. The base is the servers' answer
-// at the snapshot — handed in by a caller that already fetched it
-// (ReadBatch), else taken from the memo or the servers (readBase) — or
-// nothing at all once a staged Put or Delete has overwritten the
-// object. The object's staged ops from that point on are applied on top,
-// copy-on-write (kv.Op.Apply), so the result shares its untouched cells
-// with the base.
+// at the snapshot (readBase: the read set, else the servers), or nothing
+// at all once a staged Put or Delete has overwritten the object. The
+// object's staged ops from that point on are applied on top
+// (kv.Overlay), so the result shares its untouched cells with the base.
 //
 // Over a fetched window, staged deltas land wherever they fall in the
 // node — extra cells outside the window are harmless, the callers select
-// by key — and each staged insert counts into Total, which makes it an
-// upper bound (the key may have existed already; callers use it only as
-// a split heuristic). When the whole object is in hand — the zero
-// window, or a staged overwrite materialised locally — the window is cut
-// from it and Total is exact.
-func (t *Tx) readItem(ctx context.Context, it kv.ReadBatchItem, base *kv.ReadBatchResult) (kv.ReadBatchResult, error) {
+// by key. When the whole object is in hand — the zero window, or a
+// staged overwrite materialised locally — the window is cut from it.
+// Total is never overlaid: it is the cell count of the object the
+// servers hold at the snapshot — what a caller deciding whether the
+// object wants splitting needs, since the splitter will look at the
+// stored object too — and zero for an object the transaction has
+// overwritten, of which the servers hold nothing yet.
+func (t *Tx) readItem(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchResult, error) {
 	if t.done {
 		return kv.ReadBatchResult{}, kv.ErrAborted
 	}
@@ -205,29 +242,17 @@ func (t *Tx) readItem(ctx context.Context, it kv.ReadBatchItem, base *kv.ReadBat
 	over := lastOverwrite(staged)
 	var res kv.ReadBatchResult
 	if over < 0 {
-		if base == nil {
-			fetched, err := t.readBase(ctx, it)
-			if err != nil {
-				return kv.ReadBatchResult{}, err
-			}
-			base = &fetched
-		}
-		if len(staged) == 0 {
-			return *base, nil
+		base, err := t.readBase(ctx, it)
+		if err != nil || len(staged) == 0 {
+			return base, err
 		}
 		res.Value, res.Total = base.Value, base.Total
 	} else {
 		staged = staged[over:]
 	}
-	for _, op := range staged {
-		next, err := op.Apply(res.Value)
-		if err != nil {
-			return kv.ReadBatchResult{}, err
-		}
-		res.Value = next
-		if op.Kind == kv.OpListAdd {
-			res.Total++
-		}
+	var err error
+	if res.Value, err = kv.Overlay(res.Value, staged); err != nil {
+		return kv.ReadBatchResult{}, err
 	}
 	if res.Value == nil {
 		return kv.ReadBatchResult{}, nil
@@ -237,20 +262,13 @@ func (t *Tx) readItem(ctx context.Context, it kv.ReadBatchItem, base *kv.ReadBat
 	if full := res.Value; whole && full.Kind == kv.KindSuper {
 		res.Value = &kv.Value{Kind: kv.KindSuper, Attrs: full.Attrs, LowKey: full.LowKey, HighKey: full.HighKey,
 			Cells: full.WindowCells(it.From, it.To, it.Max)}
-		res.Total = uint32(full.NumCells())
 	}
 	return res, nil
 }
 
-// memoSize is how many base reads a Tx remembers. A statement re-reads
-// only what it has just read — the leaf a lookup found and the write
-// then descends to, once per tree it touches — so a handful of entries
-// covers it.
-const memoSize = 4
-
-// memoEntry is one remembered answer from the servers: the item asked
+// readEntry is one remembered answer from the servers: the item asked
 // for (its keys copied) and the base result it got.
-type memoEntry struct {
+type readEntry struct {
 	item kv.ReadBatchItem
 	base kv.ReadBatchResult
 }
@@ -258,37 +276,74 @@ type memoEntry struct {
 // readBase is the servers' answer to one item at the transaction's
 // snapshot, without the overlay of staged operations. Under snapshot
 // isolation that answer cannot change for the life of the transaction,
-// so a repeat of a recent request is answered locally: a Get followed by
-// a Put or Delete of the same key asks for the same window of the same
-// leaf twice, and pays for one read; so does a node read whole twice.
-// Returned values are shared between callers and must not be modified
-// (readItem overlays copy-on-write).
+// so the transaction keeps a read set and answers a repeat locally: a
+// Get followed by a Put or Delete of the same key asks for the same
+// window of the same leaf twice, and pays for one read; so does a node
+// read whole twice; and a statement that planned its reads (Prefetch)
+// finds every one of them here. The set is a ring: it holds the last few
+// single reads, or as many as the largest Prefetch put in, and the
+// oldest makes way for the newest — a transaction that reads a whole
+// table remembers none of it for long. Returned values are shared
+// between callers and must not be modified (kv.Overlay copies before it
+// edits).
 func (t *Tx) readBase(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchResult, error) {
-	for i := range t.memo {
-		m := &t.memo[i]
-		if m.base.Found && m.item.OID == it.OID && m.item.Max == it.Max && (m.item.To == nil) == (it.To == nil) &&
-			bytes.Equal(m.item.From, it.From) && bytes.Equal(m.item.To, it.To) {
-			return m.base, nil
-		}
+	if e := t.remembered(it); e != nil {
+		return e.base, nil
 	}
 	var out [1]kv.ReadBatchResult
 	items := [1]kv.ReadBatchItem{it}
 	if err := t.c.readItems(ctx, t.start, items[:], out[:]); err != nil {
 		return kv.ReadBatchResult{}, err
 	}
-	if out[0].Found {
-		// The keys are copied (into one allocation): callers may reuse
-		// their buffers, and a remembered request must not change under
-		// them.
-		buf := append(append(make([]byte, 0, len(it.From)+len(it.To)), it.From...), it.To...)
-		it.From = buf[:len(it.From):len(it.From)]
-		if it.To != nil {
-			it.To = buf[len(it.From):]
-		}
-		t.memo[t.memoNext] = memoEntry{item: it, base: out[0]}
-		t.memoNext = (t.memoNext + 1) % memoSize
-	}
+	ownKeys(items[:])
+	t.remember(items[0], out[0])
 	return out[0], nil
+}
+
+// remembered returns the read set's entry for it, or nil.
+func (t *Tx) remembered(it kv.ReadBatchItem) *readEntry {
+	for i := range t.reads {
+		e := &t.reads[i]
+		if e.item.OID == it.OID && e.item.Max == it.Max && (e.item.To == nil) == (it.To == nil) &&
+			bytes.Equal(e.item.From, it.From) && bytes.Equal(e.item.To, it.To) {
+			return e
+		}
+	}
+	return nil
+}
+
+// ownKeys repoints the items' keys at copies, all in one allocation:
+// callers may reuse their buffers, and a remembered request must not
+// change under them.
+func ownKeys(items []kv.ReadBatchItem) {
+	n := 0
+	for i := range items {
+		n += len(items[i].From) + len(items[i].To)
+	}
+	buf := make([]byte, 0, n)
+	for i := range items {
+		it := &items[i]
+		from := len(buf)
+		buf = append(buf, it.From...)
+		to := len(buf)
+		buf = append(buf, it.To...)
+		it.From = buf[from:to:to]
+		if it.To != nil {
+			it.To = buf[to:len(buf):len(buf)]
+		}
+	}
+}
+
+// remember files base as the answer to it (whose keys the set now owns),
+// in place of the oldest entry when the set is full.
+func (t *Tx) remember(it kv.ReadBatchItem, base kv.ReadBatchResult) {
+	e := readEntry{item: it, base: base}
+	if len(t.reads) < cap(t.reads) {
+		t.reads = append(t.reads, e)
+		return
+	}
+	t.reads[t.readsOldest] = e
+	t.readsOldest = (t.readsOldest + 1) % len(t.reads)
 }
 
 // Commit atomically applies the staged writes. Read-only transactions

@@ -8,9 +8,9 @@ import (
 // Supervalue cell-list manipulation. Cells are kept sorted by Key under
 // bytes.Compare with unique keys; everything here maintains that
 // invariant. ListAdd and ListDelRange mutate the receiver, so they are
-// only for a value nobody else has seen (one being built, or a Clone);
-// Op.Apply goes through cellsWith and cellsWithout, which leave their
-// input alone.
+// only for a value nobody else has seen (one being built, a Clone, or
+// Overlay's private copy); Op.Apply goes through cellsWith and
+// cellsWithout, which leave their input alone.
 
 // cellIndex returns the position of key in the sorted cells and whether
 // an exact match exists. Without a match, the position is the insertion
@@ -108,18 +108,23 @@ func (v *Value) gather() {
 	}
 }
 
-// ListAdd inserts a cell, replacing the value if the key exists.
+// ListAdd inserts a cell, replacing the value if the key exists. key and
+// value are copied.
 func (v *Value) ListAdd(key, value []byte) {
-	key = append([]byte(nil), key...)
-	value = append([]byte(nil), value...)
-	i, found := v.cellIndex(key)
+	v.setCell(Cell{Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)})
+}
+
+// setCell inserts c, replacing the value if the key exists, in place;
+// the value holds c's own bytes from here on.
+func (v *Value) setCell(c Cell) {
+	i, found := v.cellIndex(c.Key)
 	if found {
-		v.Cells[i].Value = value
+		v.Cells[i].Value = c.Value
 		return
 	}
 	v.Cells = append(v.Cells, Cell{})
 	copy(v.Cells[i+1:], v.Cells[i:])
-	v.Cells[i] = Cell{Key: key, Value: value}
+	v.Cells[i] = c
 }
 
 // ListDelRange removes all cells with keys in [from, to). A nil from

@@ -2,8 +2,12 @@ package sql_test
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
+	"yesquel/internal/dbt"
 	"yesquel/internal/sql"
 )
 
@@ -63,4 +67,60 @@ func BenchmarkScan50(b *testing.B) {
 	benchStatement(b, "SELECT id, v FROM p WHERE id >= ? LIMIT 50", func(i int) []sql.Value {
 		return []sql.Value{sql.Int(benchKey(i))}
 	})
+}
+
+// BenchmarkInsertRows loads fresh ascending keys into the pk-only table,
+// rows per INSERT statement as named: what a row costs to write, and how
+// that falls as a statement carries more of them (its reads are one
+// round whatever its size — rounds/op — and a read under its staged
+// writes costs the window plus the writes, not their square). The
+// session splits synchronously and does so between the timed statements,
+// so the number is the statement's own: a split costs a writer the same
+// per row however the rows are grouped, and setup_s in the repo
+// benchmark is where it shows.
+func BenchmarkInsertRows(b *testing.B) {
+	for _, n := range []int{1, 8, 64} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			_, warm := loadBudgetDB(b)
+			db := sql.NewDB(warm.Client(), dbt.Config{SyncSplit: true})
+			b.Cleanup(db.Close)
+			trees := budgetTrees(b, db)
+			ctx := context.Background()
+			stmt, err := db.Prepare("INSERT INTO p VALUES (?, ?)" + strings.Repeat(", (?, ?)", n-1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			insert := func(first int) {
+				args := make([]sql.Value, 0, 2*n)
+				for j := 0; j < n; j++ {
+					args = append(args, sql.Int(int64(first+j)), sql.Text("loaded"))
+				}
+				if _, err := stmt.Exec(ctx, args...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			insert(-n) // fills the new handle's inner-node cache
+			var mallocs, rounds uint64
+			var before, after runtime.MemStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				quiesce(b, trees)
+				runtime.ReadMemStats(&before)
+				roundsBefore := db.Client().ReadRounds()
+				b.StartTimer()
+				insert(budgetRows + i*n)
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+				rounds += db.Client().ReadRounds() - roundsBefore
+				b.StartTimer()
+			}
+			b.StopTimer()
+			rows := float64(b.N * n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+			b.ReportMetric(float64(mallocs)/rows, "allocs/row")
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
+	}
 }

@@ -294,3 +294,65 @@ func TestManyStatementsOneExplicitTx(t *testing.T) {
 		t.Fatalf("%q", got)
 	}
 }
+
+// TestFailedStatementStagesNothing: a statement that fails a constraint
+// leaves an open transaction as it found it — every check runs before
+// the first write is staged — so COMMIT commits what the statements
+// that succeeded did and nothing of the one that failed. The checks see
+// the statement's own plan: two of its rows claiming one key is a
+// violation, a key one of its rows gives up is free for another.
+func TestFailedStatementStagesNothing(t *testing.T) {
+	db := newDB(t, 2)
+	ctx := context.Background()
+	mustExec(t, db, "CREATE TABLE a (id INTEGER PRIMARY KEY, u TEXT)")
+	mustExec(t, db, "CREATE UNIQUE INDEX a_u ON a (u)")
+	mustExec(t, db, "INSERT INTO a VALUES (2, 'two'), (3, 'three'), (4, 'four')")
+	all := func() string {
+		t.Helper()
+		return rowsToString(mustQuery(t, db, "SELECT id, u FROM a ORDER BY id"))
+	}
+	before := all()
+
+	for _, q := range []string{
+		"INSERT INTO a VALUES (1, 'x'), (2, 'dup')",   // row 2: primary key taken
+		"INSERT INTO a VALUES (1, 'x'), (5, 'three')", // row 2: UNIQUE value taken
+		"INSERT INTO a VALUES (1, 'x'), (1, 'y')",     // the statement's own rows share a primary key
+		"INSERT INTO a VALUES (1, 'x'), (5, 'x')",     // ... or a UNIQUE value
+		"UPDATE a SET u = 'same' WHERE id >= 2",       // second row updated trips over the first
+		"UPDATE a SET u = 'four' WHERE id IN (2, 3)",  // taken by a row the statement leaves alone
+		"UPDATE a SET id = 4 WHERE id = 2",            // primary key taken
+		"UPDATE a SET id = id + 1 WHERE id IN (2, 3)", // 3 -> 4, which row 4 keeps
+	} {
+		mustExec(t, db, "BEGIN")
+		if _, err := db.Exec(ctx, q); err == nil || !strings.Contains(err.Error(), "UNIQUE constraint failed") {
+			t.Fatalf("%s: %v, want a UNIQUE violation", q, err)
+		}
+		if got := all(); got != before {
+			t.Errorf("%s failed, yet inside the transaction the table reads\n%swant\n%s", q, got, before)
+		}
+		mustExec(t, db, "COMMIT")
+		if got := all(); got != before {
+			t.Errorf("%s failed, yet after COMMIT the table reads\n%swant\n%s", q, got, before)
+		}
+	}
+
+	// What a statement removes is free for what it adds, whatever the
+	// order of its rows: every key moves up by one, every value to the
+	// next row's.
+	mustExec(t, db, "UPDATE a SET id = id + 1")
+	if got, want := all(), "3|two\n4|three\n5|four\n"; got != want {
+		t.Errorf("after shifting every primary key:\n%swant\n%s", got, want)
+	}
+	mustExec(t, db, "UPDATE a SET u = 'hold' WHERE id = 5")
+	mustExec(t, db, "UPDATE a SET u = 'four' WHERE id = 4")
+	mustExec(t, db, "UPDATE a SET id = 9 WHERE id = 3") // the UNIQUE entry moves with its row
+	if got, want := all(), "4|four\n5|hold\n9|two\n"; got != want {
+		t.Errorf("after moving rows and values:\n%swant\n%s", got, want)
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM a WHERE u = 'two'")); got != "9\n" {
+		t.Errorf("lookup by the moved row's UNIQUE value: %q", got)
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM a WHERE u = 'three'")); got != "" {
+		t.Errorf("lookup by a value no row has any more: %q", got)
+	}
+}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -174,9 +175,12 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 		return db.runStmt(ctx, db.tx, stmt, args)
 	}
 
-	// Auto-commit: one kv transaction per statement, retried on
-	// conflict with jittered backoff (splits and write races are
-	// expected and transient).
+	// Auto-commit: one kv transaction per statement, retried on conflict
+	// (splits and write races are expected and transient). The first
+	// retry is immediate: whatever the statement lost to has committed —
+	// a write that waited for its leaf to be split hears of the conflict
+	// once the split is done — so a fresh snapshot is all it needs. When
+	// conflicts keep coming the retries back off, with jitter.
 	var lastErr error
 	for attempt := 0; attempt <= db.maxRetries; attempt++ {
 		tx := db.c.Begin()
@@ -194,7 +198,9 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 			return Result{}, nil, err
 		}
 		lastErr = err
-		sleepJitter(attempt)
+		if attempt > 0 {
+			sleepJitter(attempt - 1)
+		}
 	}
 	return Result{}, nil, fmt.Errorf("sql: giving up after %d conflicts: %w", db.maxRetries, lastErr)
 }
@@ -258,61 +264,181 @@ func indexEntryKey(colVal Value, rowKey []byte) []byte {
 	return append(out, rowKey...)
 }
 
-// checkUnique verifies no index entry exists for value v.
-func (db *DB) checkUnique(ctx context.Context, tx *kvclient.Tx, table *Table, idxPos int, v Value) error {
-	is := table.Schema.Indexes[idxPos]
-	if v.IsNull() {
-		return nil // SQL: NULLs are exempt from UNIQUE
-	}
-	k := EncodeKey(v)
-	taken := false
-	err := db.scanTreeRange(ctx, tx, table.IndexTrees[idxPos], dbt.Range{Lo: k, Hi: KeySuccessor(k), Limit: 1},
-		func(_, _ []byte) (bool, error) {
-			taken = true
-			return false, nil
-		})
-	if err != nil {
-		return err
-	}
-	if taken {
-		return fmt.Errorf("sql: UNIQUE constraint failed: %s.%s", is.Table, is.Col)
-	}
-	return nil
+// rowWrite is one row's part in a write statement: the row as stored
+// (old, under oldKey; nil in an INSERT) and as it will be (new, under
+// newKey; nil in a DELETE).
+type rowWrite struct {
+	oldKey, newKey []byte
+	old, new       []Value
 }
 
-// insertIndexEntries stages index entries for a new/updated row. only,
-// when non-nil, selects the indexes to maintain by position.
-func (db *DB) insertIndexEntries(ctx context.Context, tx *kvclient.Tx, table *Table, rowKey []byte, vals []Value, only []bool) error {
-	for i, is := range table.Schema.Indexes {
-		if only != nil && !only[i] {
+// A treeOp is one thing a write statement does to one tree of its
+// table: tree 0 is the table's own, tree i+1 that of index i.
+type treeOp struct {
+	kind opKind
+	tree int
+	key  []byte
+	val  []byte // opPut
+}
+
+type opKind uint8
+
+const (
+	opDelete opKind = iota // remove key
+	opPut                  // store val under key
+	opClaim                // opPut of a key that must be free: a new primary key
+	opUnique               // no key with prefix key may exist: a value entering a UNIQUE index
+)
+
+// treeKey names a key of one of the table's trees.
+type treeKey struct {
+	tree int
+	key  string
+}
+
+// writeRows is how every write statement reaches storage, in three
+// steps: plan, one read round, stage. Planning lists every operation the
+// rows need on the table's tree and on the index trees whose (value, row
+// key) entry changes, and asks each tree which leaf read each operation
+// will make (dbt's read plans); the reads go out together as one round
+// (Tx.Prefetch), where row by row each would have waited for its own.
+// Then every constraint is checked before anything is staged, so a
+// statement that fails leaves the transaction as it found it; the checks
+// see the transaction as it was before the statement plus the
+// statement's own plan: a key the statement removes is free, and a key
+// two of its rows claim is taken. Staging removes before it adds, so a
+// key one row gives up and another takes ends up taken.
+func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writes []rowWrite) error {
+	s := table.Schema
+	tree := func(op treeOp) *dbt.Tree {
+		if op.tree == 0 {
+			return table.Tree
+		}
+		return table.IndexTrees[op.tree-1]
+	}
+	ops := make([]treeOp, 0, len(writes)*(1+len(s.Indexes)))
+	for i := range writes {
+		w := &writes[i]
+		moved := w.old == nil || w.new == nil || !bytes.Equal(w.oldKey, w.newKey)
+		if w.old != nil && moved {
+			ops = append(ops, treeOp{kind: opDelete, key: w.oldKey})
+		}
+		if w.new != nil {
+			kind := opPut
+			if moved && s.PKCol >= 0 {
+				kind = opClaim
+			}
+			ops = append(ops, treeOp{kind: kind, key: w.newKey, val: EncodeRow(w.new)})
+		}
+		// An index entry is (column value, row key): only the indexes
+		// where that pair changed need maintenance. Rewriting the others
+		// would cost three descents each to end where it began, and stage
+		// writes on a second tree that can turn a one-server commit into
+		// a two-phase one.
+		for j, is := range s.Indexes {
+			if !moved && Compare(w.old[is.ColIdx], w.new[is.ColIdx]) == 0 {
+				continue
+			}
+			if w.old != nil {
+				ops = append(ops, treeOp{kind: opDelete, tree: j + 1, key: indexEntryKey(w.old[is.ColIdx], w.oldKey)})
+			}
+			if w.new != nil {
+				v := w.new[is.ColIdx]
+				if is.Unique && !v.IsNull() { // SQL: NULLs are exempt from UNIQUE
+					ops = append(ops, treeOp{kind: opUnique, tree: j + 1, key: EncodeKey(v)})
+				}
+				ops = append(ops, treeOp{kind: opPut, tree: j + 1, key: indexEntryKey(v, w.newKey), val: w.newKey})
+			}
+		}
+	}
+
+	plan := make([]kv.ReadBatchItem, 0, len(ops))
+	for _, op := range ops {
+		var err error
+		if op.kind == opUnique {
+			plan, err = tree(op).PlanFirst(ctx, tx, plan, op.key, KeySuccessor(op.key))
+		} else {
+			plan, err = tree(op).PlanPoint(ctx, tx, plan, op.key)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := tx.Prefetch(ctx, plan); err != nil {
+		return err
+	}
+
+	var freed, claimed map[treeKey]struct{}
+	for _, op := range ops {
+		var holder []byte // the stored key that stands in the way, if any
+		switch op.kind {
+		case opClaim:
+			if _, err := table.Tree.Get(ctx, tx, op.key); err == nil {
+				holder = op.key
+			} else if !errors.Is(err, dbt.ErrKeyNotFound) {
+				return err
+			}
+		case opUnique:
+			c, found, err := tree(op).First(ctx, tx, op.key, KeySuccessor(op.key))
+			if err != nil {
+				return err
+			}
+			if found {
+				holder = c.Key
+			}
+		default:
 			continue
 		}
-		v := vals[is.ColIdx]
-		if is.Unique {
-			if err := db.checkUnique(ctx, tx, table, i, v); err != nil {
+		if holder != nil {
+			if freed == nil {
+				freed = make(map[treeKey]struct{})
+				for _, d := range ops {
+					if d.kind == opDelete {
+						freed[treeKey{d.tree, string(d.key)}] = struct{}{}
+					}
+				}
+			}
+			if _, ok := freed[treeKey{op.tree, string(holder)}]; !ok {
+				return uniqueViolation(s, op.tree)
+			}
+		}
+		if len(writes) > 1 {
+			if claimed == nil {
+				claimed = make(map[treeKey]struct{})
+			}
+			k := treeKey{op.tree, string(op.key)}
+			if _, ok := claimed[k]; ok {
+				return uniqueViolation(s, op.tree)
+			}
+			claimed[k] = struct{}{}
+		}
+	}
+
+	for _, op := range ops {
+		if op.kind == opDelete {
+			if err := tree(op).Delete(ctx, tx, op.key); err != nil && !errors.Is(err, dbt.ErrKeyNotFound) {
 				return err
 			}
 		}
-		if err := table.IndexTrees[i].Put(ctx, tx, indexEntryKey(v, rowKey), rowKey); err != nil {
-			return err
+	}
+	for _, op := range ops {
+		if op.kind == opPut || op.kind == opClaim {
+			if err := tree(op).Put(ctx, tx, op.key, op.val); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// deleteIndexEntries stages removal of a row's index entries, of the
-// indexes only selects when it is non-nil.
-func (db *DB) deleteIndexEntries(ctx context.Context, tx *kvclient.Tx, table *Table, rowKey []byte, vals []Value, only []bool) error {
-	for i, is := range table.Schema.Indexes {
-		if only != nil && !only[i] {
-			continue
-		}
-		err := table.IndexTrees[i].Delete(ctx, tx, indexEntryKey(vals[is.ColIdx], rowKey))
-		if err != nil && !errors.Is(err, dbt.ErrKeyNotFound) {
-			return err
-		}
+// uniqueViolation is the error for a taken key of one of the table's
+// trees (see treeOp).
+func uniqueViolation(s *TableSchema, tree int) error {
+	if tree == 0 {
+		return fmt.Errorf("sql: UNIQUE constraint failed: %s.%s", s.Name, s.Cols[s.PKCol].Name)
 	}
-	return nil
+	is := s.Indexes[tree-1]
+	return fmt.Errorf("sql: UNIQUE constraint failed: %s.%s", is.Table, is.Col)
 }
 
 func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args []Value) (Result, error) {
@@ -339,7 +465,7 @@ func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args [
 	}
 
 	e := &env{params: args}
-	var affected int64
+	writes := make([]rowWrite, 0, len(st.Rows))
 	for _, rowExprs := range st.Rows {
 		if len(rowExprs) != len(colPos) {
 			return Result{}, fmt.Errorf("sql: %d values for %d columns", len(rowExprs), len(colPos))
@@ -356,49 +482,42 @@ func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args [
 			}
 			vals[colPos[j]] = cv
 		}
-		for i, c := range s.Cols {
-			if (c.NotNull || i == s.PKCol) && vals[i].IsNull() {
-				return Result{}, fmt.Errorf("sql: NOT NULL constraint failed: %s.%s", s.Name, c.Name)
-			}
+		if err := checkNotNull(s, vals); err != nil {
+			return Result{}, err
 		}
 		rowKey, err := db.rowKeyFor(table, vals)
 		if err != nil {
 			return Result{}, err
 		}
-		if s.PKCol >= 0 {
-			if _, err := table.Tree.Get(ctx, tx, rowKey); err == nil {
-				return Result{}, fmt.Errorf("sql: UNIQUE constraint failed: %s.%s",
-					s.Name, s.Cols[s.PKCol].Name)
-			} else if !errors.Is(err, dbt.ErrKeyNotFound) {
-				return Result{}, err
-			}
-		}
-		if err := table.Tree.Put(ctx, tx, rowKey, EncodeRow(vals)); err != nil {
-			return Result{}, err
-		}
-		if err := db.insertIndexEntries(ctx, tx, table, rowKey, vals, nil); err != nil {
-			return Result{}, err
-		}
-		affected++
+		writes = append(writes, rowWrite{newKey: rowKey, new: vals})
 	}
-	return Result{RowsAffected: affected}, nil
+	if err := db.writeRows(ctx, tx, table, writes); err != nil {
+		return Result{}, err
+	}
+	return Result{RowsAffected: int64(len(writes))}, nil
 }
 
-type matchedRow struct {
-	key []byte
-	row []Value
+// checkNotNull enforces the NOT NULL columns (the primary key among
+// them) on a row about to be stored.
+func checkNotNull(s *TableSchema, vals []Value) error {
+	for i, c := range s.Cols {
+		if (c.NotNull || i == s.PKCol) && vals[i].IsNull() {
+			return fmt.Errorf("sql: NOT NULL constraint failed: %s.%s", s.Name, c.Name)
+		}
+	}
+	return nil
 }
 
-// collectMatches gathers rows of table matching where (for UPDATE and
-// DELETE; mutation happens after the scan so the scan's iterator does
-// not chase its own writes).
-func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, table *Table, alias string, where Expr, args []Value) ([]matchedRow, error) {
+// collectMatches gathers the rows of table matching where, as the old
+// half of a rowWrite each (for UPDATE and DELETE; mutation happens after
+// the scan so the scan's iterator does not chase its own writes).
+func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, table *Table, alias string, where Expr, args []Value) ([]rowWrite, error) {
 	conj := conjuncts(where, nil)
 	path := planAccess(table, alias, conj, nil)
 	e := &env{params: args}
 	b := &binding{alias: alias, schema: table.Schema}
 	e.bindings = []*binding{b}
-	var out []matchedRow
+	var out []rowWrite
 	err := db.scanTable(ctx, tx, table, path, e, 0, func(rowKey []byte, row []Value) (bool, error) {
 		b.row = row
 		if where != nil {
@@ -410,7 +529,7 @@ func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, table *Table,
 				return true, nil
 			}
 		}
-		out = append(out, matchedRow{key: append([]byte(nil), rowKey...), row: row})
+		out = append(out, rowWrite{oldKey: append([]byte(nil), rowKey...), old: row})
 		return true, nil
 	})
 	return out, err
@@ -430,17 +549,17 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 		}
 		setPos[i] = p
 	}
-	matches, err := db.collectMatches(ctx, tx, table, st.Table, st.Where, args)
+	writes, err := db.collectMatches(ctx, tx, table, st.Table, st.Where, args)
 	if err != nil {
 		return Result{}, err
 	}
 	e := &env{params: args}
 	b := &binding{alias: st.Table, schema: s}
 	e.bindings = []*binding{b}
-	changed := make([]bool, len(s.Indexes))
-	for _, m := range matches {
-		b.row = m.row
-		newVals := append([]Value(nil), m.row...)
+	for i := range writes {
+		w := &writes[i]
+		b.row = w.old
+		w.new = append([]Value(nil), w.old...)
 		for i, set := range st.Set {
 			v, err := e.eval(set.E)
 			if err != nil {
@@ -450,48 +569,20 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 			if err != nil {
 				return Result{}, err
 			}
-			newVals[setPos[i]] = cv
+			w.new[setPos[i]] = cv
 		}
-		for i, c := range s.Cols {
-			if (c.NotNull || i == s.PKCol) && newVals[i].IsNull() {
-				return Result{}, fmt.Errorf("sql: NOT NULL constraint failed: %s.%s", s.Name, c.Name)
-			}
-		}
-		newKey := m.key
-		pkChanged := false
-		if s.PKCol >= 0 && Compare(m.row[s.PKCol], newVals[s.PKCol]) != 0 {
-			pkChanged = true
-			newKey = EncodeKey(newVals[s.PKCol])
-		}
-		if pkChanged {
-			if _, err := table.Tree.Get(ctx, tx, newKey); err == nil {
-				return Result{}, fmt.Errorf("sql: UNIQUE constraint failed: %s.%s", s.Name, s.Cols[s.PKCol].Name)
-			} else if !errors.Is(err, dbt.ErrKeyNotFound) {
-				return Result{}, err
-			}
-			if err := table.Tree.Delete(ctx, tx, m.key); err != nil {
-				return Result{}, err
-			}
-		}
-		// An index entry is (column value, row key): only the indexes
-		// where that pair changed need maintenance. Rewriting the others
-		// would cost three descents each to end where it began, and stage
-		// writes on a second tree that can turn a one-server commit into
-		// a two-phase one.
-		for i, is := range s.Indexes {
-			changed[i] = pkChanged || Compare(m.row[is.ColIdx], newVals[is.ColIdx]) != 0
-		}
-		if err := db.deleteIndexEntries(ctx, tx, table, m.key, m.row, changed); err != nil {
+		if err := checkNotNull(s, w.new); err != nil {
 			return Result{}, err
 		}
-		if err := table.Tree.Put(ctx, tx, newKey, EncodeRow(newVals)); err != nil {
-			return Result{}, err
-		}
-		if err := db.insertIndexEntries(ctx, tx, table, newKey, newVals, changed); err != nil {
-			return Result{}, err
+		w.newKey = w.oldKey
+		if s.PKCol >= 0 && Compare(w.old[s.PKCol], w.new[s.PKCol]) != 0 {
+			w.newKey = EncodeKey(w.new[s.PKCol])
 		}
 	}
-	return Result{RowsAffected: int64(len(matches))}, nil
+	if err := db.writeRows(ctx, tx, table, writes); err != nil {
+		return Result{}, err
+	}
+	return Result{RowsAffected: int64(len(writes))}, nil
 }
 
 func (db *DB) execDelete(ctx context.Context, tx *kvclient.Tx, st Delete, args []Value) (Result, error) {
@@ -499,19 +590,14 @@ func (db *DB) execDelete(ctx context.Context, tx *kvclient.Tx, st Delete, args [
 	if err != nil {
 		return Result{}, err
 	}
-	matches, err := db.collectMatches(ctx, tx, table, st.Table, st.Where, args)
+	writes, err := db.collectMatches(ctx, tx, table, st.Table, st.Where, args)
 	if err != nil {
 		return Result{}, err
 	}
-	for _, m := range matches {
-		if err := table.Tree.Delete(ctx, tx, m.key); err != nil && !errors.Is(err, dbt.ErrKeyNotFound) {
-			return Result{}, err
-		}
-		if err := db.deleteIndexEntries(ctx, tx, table, m.key, m.row, nil); err != nil {
-			return Result{}, err
-		}
+	if err := db.writeRows(ctx, tx, table, writes); err != nil {
+		return Result{}, err
 	}
-	return Result{RowsAffected: int64(len(matches))}, nil
+	return Result{RowsAffected: int64(len(writes))}, nil
 }
 
 // execCreateIndex creates the index and backfills it from the table, all

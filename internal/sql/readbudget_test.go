@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,8 +121,11 @@ func treeReads(trees []*dbt.Tree) uint64 {
 
 // TestReadBudgetPerStatementShape pins what each common statement shape
 // may cost once inner nodes are cached: reads the SERVERS observed (so a
-// prefetch the statement threw away counts) and commits, with the
-// default configuration — readahead on. It also checks that no goroutine
+// prefetch the statement threw away counts), the read rounds the client
+// made to get them (what the statement waited for: a write statement
+// plans its leaf reads and sends them as one round, after the round or
+// rounds that found the rows it matches), and commits, with the default
+// configuration — readahead on. It also checks that no goroutine
 // outlives a statement.
 func TestReadBudgetPerStatementShape(t *testing.T) {
 	cl, db := loadBudgetDB(t)
@@ -133,25 +137,43 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		q       string
 		args    []sql.Value
 		reads   uint64
+		rounds  uint64
 		commits uint64
 		rows    int // expected result rows; -1 = an Exec
 	}
-	shapes := []shape{
-		{"select pk", "SELECT v FROM p WHERE id = ?", []sql.Value{sql.Int(321)}, 1, 0, 1},
-		{"select pk miss", "SELECT v FROM p WHERE id = ?", []sql.Value{sql.Int(-5)}, 1, 0, 0},
-		{"update pk, no indexed column changed", "UPDATE t SET v = ? WHERE id = ?", []sql.Value{sql.Text("new"), sql.Int(123)}, 1, 1, -1},
-		{"insert into pk-only table", "INSERT INTO p VALUES (?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Text("x")}, 1, 1, -1},
-		{"delete pk from pk-only table", "DELETE FROM p WHERE id = ?", []sql.Value{sql.Int(17)}, 1, 1, -1},
-		{"select unique column", "SELECT v FROM t WHERE u = ?", []sql.Value{sql.Int(1000222)}, 2, 0, 1},
-		{"select pk = NULL", "SELECT v FROM p WHERE id = NULL", nil, 0, 0, 0},
-		{"select contradictory range", "SELECT v FROM p WHERE id > 9 AND id < 3", nil, 0, 0, 0},
-		{"select first row by pk order", "SELECT id FROM p ORDER BY id LIMIT 1", nil, 1, 0, 1},
+	// Eight fresh rows in one statement; the 21-row ranges lie inside one
+	// leaf each (the load is sequential and splits synchronously, so the
+	// leaves are the same on every run; the SELECT before each, one read
+	// for 21 rows, says so).
+	insert8 := "INSERT INTO p VALUES (?, ?)" + strings.Repeat(", (?, ?)", 7)
+	var insert8Args []sql.Value
+	for i := 0; i < 8; i++ {
+		insert8Args = append(insert8Args, sql.Int(int64(budgetRows+100+i)), sql.Text("x"))
 	}
-	run := func(s shape) (reads, commits uint64) {
+	shapes := []shape{
+		{"select pk", "SELECT v FROM p WHERE id = ?", []sql.Value{sql.Int(321)}, 1, 1, 0, 1},
+		{"select pk miss", "SELECT v FROM p WHERE id = ?", []sql.Value{sql.Int(-5)}, 1, 1, 0, 0},
+		{"update pk, no indexed column changed", "UPDATE t SET v = ? WHERE id = ?", []sql.Value{sql.Text("new"), sql.Int(123)}, 1, 1, 1, -1},
+		{"insert into pk-only table", "INSERT INTO p VALUES (?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Text("x")}, 1, 1, 1, -1},
+		{"delete pk from pk-only table", "DELETE FROM p WHERE id = ?", []sql.Value{sql.Int(17)}, 1, 1, 1, -1},
+		{"select unique column", "SELECT v FROM t WHERE u = ?", []sql.Value{sql.Int(1000222)}, 2, 2, 0, 1},
+		{"select pk = NULL", "SELECT v FROM p WHERE id = NULL", nil, 0, 0, 0, 0},
+		{"select contradictory range", "SELECT v FROM p WHERE id > 9 AND id < 3", nil, 0, 0, 0, 0},
+		{"select first row by pk order", "SELECT id FROM p ORDER BY id LIMIT 1", nil, 1, 1, 0, 1},
+		{"insert 8 rows into pk-only table", insert8, insert8Args, 8, 1, 1, -1},
+		{"insert with one UNIQUE index", "INSERT INTO t VALUES (?, ?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Int(5), sql.Text("x")}, 3, 1, 1, -1},
+		{"update UNIQUE column by pk", "UPDATE t SET u = ? WHERE id = ?", []sql.Value{sql.Int(6), sql.Int(300)}, 4, 2, 1, -1},
+		{"delete pk from indexed table", "DELETE FROM t WHERE id = ?", []sql.Value{sql.Int(301)}, 2, 2, 1, -1},
+		{"select 21-row pk range", "SELECT v FROM p WHERE id BETWEEN 200 AND 220", nil, 1, 1, 0, 21},
+		{"update 21-row pk range", "UPDATE p SET v = 'y' WHERE id BETWEEN 200 AND 220", nil, 22, 2, 1, -1},
+		{"select 21-row pk range", "SELECT v FROM p WHERE id BETWEEN 264 AND 284", nil, 1, 1, 0, 21},
+		{"delete 21-row pk range", "DELETE FROM p WHERE id BETWEEN 264 AND 284", nil, 22, 2, 1, -1},
+	}
+	run := func(s shape) (reads, rounds, commits uint64) {
 		t.Helper()
 		quiesce(t, trees)
 		goroutines := runtime.NumGoroutine()
-		before, treeBefore := cl.Stats(), treeReads(trees)
+		before, treeBefore, roundsBefore := cl.Stats(), treeReads(trees), db.Client().ReadRounds()
 		if s.rows < 0 {
 			if _, err := db.Exec(ctx, s.q, s.args...); err != nil {
 				t.Fatalf("%s: %v", s.name, err)
@@ -167,8 +189,9 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		}
 		after := cl.Stats()
 		reads = after.Reads - before.Reads
+		rounds = db.Client().ReadRounds() - roundsBefore
 		commits = after.FastCommits + after.Commits - before.FastCommits - before.Commits
-		t.Logf("%-40s server reads %d, commits %d, dbt NodeReads %d", s.name, reads, commits, treeReads(trees)-treeBefore)
+		t.Logf("%-40s server reads %d in %d rounds, commits %d, dbt NodeReads %d", s.name, reads, rounds, commits, treeReads(trees)-treeBefore)
 		// A prefetcher the statement abandoned would still be winding down.
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
 			if time.Now().After(deadline) {
@@ -177,12 +200,13 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		return reads, commits
+		return reads, rounds, commits
 	}
 	for _, s := range shapes {
-		reads, commits := run(s)
-		if reads != s.reads || commits != s.commits {
-			t.Errorf("%s: %d server reads and %d commits, want %d and %d", s.name, reads, commits, s.reads, s.commits)
+		reads, rounds, commits := run(s)
+		if reads != s.reads || rounds != s.rounds || commits != s.commits {
+			t.Errorf("%s: %d server reads in %d rounds and %d commits, want %d in %d and %d",
+				s.name, reads, rounds, commits, s.reads, s.rounds, s.commits)
 		}
 	}
 
@@ -191,8 +215,8 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 	// a leaf boundary (and then costs two).
 	ones := 0
 	for _, lo := range []int64{400, 402, 404} {
-		reads, _ := run(shape{"select pk range", "SELECT v FROM p WHERE id BETWEEN ? AND ?",
-			[]sql.Value{sql.Int(lo), sql.Int(lo + 1)}, 1, 0, 2})
+		reads, _, _ := run(shape{"select pk range", "SELECT v FROM p WHERE id BETWEEN ? AND ?",
+			[]sql.Value{sql.Int(lo), sql.Int(lo + 1)}, 1, 1, 0, 2})
 		switch reads {
 		case 1:
 			ones++
