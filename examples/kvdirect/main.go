@@ -82,21 +82,15 @@ func main() {
 		}
 		for {
 			tx := kvc.Begin()
-			err := profiles.Put(ctx, tx, []byte(name), []byte(fmt.Sprintf("score=%d", score)))
-			if err == nil {
-				err = board.Put(ctx, tx, scoreKey(score, name), nil)
+			if err := profiles.Put(ctx, tx, []byte(name), []byte(fmt.Sprintf("score=%d", score))); err != nil {
+				log.Fatal(err)
 			}
-			if err == nil {
-				err = tx.Commit(ctx)
-			} else {
-				tx.Abort()
+			if err := board.Put(ctx, tx, scoreKey(score, name), nil); err != nil {
+				log.Fatal(err)
 			}
-			if err == nil {
+			if err := tx.Commit(ctx); err == nil {
 				break
-			}
-			// A conflict — from Commit, or from a Put whose leaf was split
-			// under the transaction — means: again, at a fresh snapshot.
-			if !errors.Is(err, kv.ErrConflict) {
+			} else if !errors.Is(err, kv.ErrConflict) {
 				log.Fatal(err)
 			}
 		}
@@ -111,15 +105,15 @@ func main() {
 				tx.Abort()
 				return err
 			}
-			err := board.Put(ctx, tx, scoreKey(new, name), nil)
-			if err == nil {
-				err = profiles.Put(ctx, tx, []byte(name), []byte(fmt.Sprintf("score=%d", new)))
-			}
-			if err == nil {
-				err = tx.Commit(ctx)
-			} else {
+			if err := board.Put(ctx, tx, scoreKey(new, name), nil); err != nil {
 				tx.Abort()
+				return err
 			}
+			if err := profiles.Put(ctx, tx, []byte(name), []byte(fmt.Sprintf("score=%d", new))); err != nil {
+				tx.Abort()
+				return err
+			}
+			err := tx.Commit(ctx)
 			if err == nil {
 				return nil
 			}

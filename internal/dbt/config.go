@@ -16,11 +16,11 @@
 //     and descends again with transactional reads.
 //   - Delta operations. Inserts and deletes stage one-cell supervalue
 //     deltas (ListAdd / ListDelRange) instead of rewriting the node.
-//   - Delegated (asynchronous) splits. A write that finds its leaf
-//     past MaxCells hands it to the handle's splitter goroutine, which
-//     splits it in a transaction of its own, and waits for that attempt
-//     rather than racing it (see "Write statements"); the write that
-//     filled the leaf paid nothing.
+//   - Delegated (asynchronous) splits. Writers enqueue oversized
+//     leaves; a splitter goroutine splits them in separate
+//     transactions, so no transaction carries structural work. The
+//     writer that grew a leaf past MaxCells waits, after its commit, for
+//     that attempt (see "Write statements").
 //
 // # Write statements
 //
@@ -28,14 +28,14 @@
 // DELETE once its rows are evaluated — need not wait for one leaf read
 // per key, one after the other. It asks each tree for the leaf read
 // each Get, Put, Delete or First will make (PlanPoint, PlanFirst: a walk
-// of the inner-node cache to the leaf's parent, reading an inner node
-// only where the cache has none), sends the reads of all its trees as
-// one round (kvclient.Tx.Prefetch) and then performs the operations
-// unchanged: their descents find the leaf reads answered in the
-// transaction's read set. The plan is routing only. A stale route names
-// the wrong leaf, the operation's descent sees the fence miss, backs
-// down and reads what it needs: a wasted read, never a misplaced row.
-// GetBatch is the same thing for reads of one tree.
+// of the inner-node cache to the leaf's parent), sends the reads of all
+// its trees as one round (kvclient.Tx.Prefetch) and then performs the
+// operations unchanged: their descents find the leaf reads answered in
+// the transaction's read set. The plan is routing only. A key the cache
+// cannot route plans nothing; a stale route names the wrong leaf, the
+// operation's descent sees the fence miss, backs down and reads what it
+// needs: a wasted read, never a misplaced row. GetBatch is the same
+// thing for reads of one tree.
 //
 // Such a writer's transaction is one read round and a commit, which is
 // shorter than a split (read the leaf, find the parent, commit across
@@ -43,14 +43,16 @@
 // since it began. Left to race, the splitter of a leaf under steady
 // insertion never wins, the leaf grows without bound and every commit on
 // it costs more than the last (measured: a 10,000-row load made 8 of
-// its 150 splits and ran slower than with one read per row). So a Put
-// that finds its leaf past MaxCells waits for the handle's splitter to
-// have made its attempt; if the leaf was split, the Put returns
-// kv.ErrConflict — the split is newer than the transaction's snapshot,
-// the transaction could not have committed its write to that leaf — and
-// the caller retries at a fresh snapshot, as it does for a conflict at
-// Commit. Writers to other leaves, readers, and other clients never
-// wait. A SyncSplit handle never waits either: its caller runs
+// its 150 splits and ran slower than with one read per row). So the
+// writer whose Put grew a leaf past MaxCells hands the leaf to the
+// splitter when it has committed (kvclient.Tx.OnCommit), and its Commit
+// returns once the splitter has made its attempt. The wait fails
+// nothing and dooms nothing: Put never refuses a write, a transaction
+// that aborts asks for no split, and the writer's next transaction
+// starts at a snapshot that has the split in it — from a cache that has
+// it too, the splitter having cached the router as the split left it.
+// Writers that grow no leaf past its limit, readers, and other clients
+// never wait. A SyncSplit handle never waits either: its caller runs
 // MaintainNow.
 //
 // # Scan readahead

@@ -21,10 +21,7 @@ import (
 func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([][]byte, error) {
 	var plan []kv.ReadBatchItem
 	for _, key := range keys {
-		var err error
-		if plan, err = t.PlanPoint(ctx, tx, plan, key); err != nil {
-			return nil, err
-		}
+		plan = t.PlanPoint(plan, key)
 	}
 	if err := tx.Prefetch(ctx, plan); err != nil {
 		return nil, err
@@ -47,55 +44,37 @@ func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([]
 // the lot to kvclient.Tx.Prefetch: one read round. The operations
 // themselves then run unchanged, and their descents find the leaf reads
 // answered in the transaction's read set. A plan is routing only: it
-// walks the inner-node cache to the leaf's parent and names the leaf,
-// reading an inner node only where the cache has none (a cold handle
-// pays for its inner nodes once, as a descent would, and plans all its
-// leaves after that). A stale route plans a read of the wrong leaf; the
-// operation's own descent, which validates fences and backs down as
-// ever, then pays for the read it needs. A plan costs a wasted read at
-// worst, never a wrong answer.
+// walks the inner-node cache to the leaf's parent and names the leaf. A
+// key the cache cannot route plans nothing, and a stale route plans a
+// read of the wrong leaf; either way the operation's own descent, which
+// validates fences and backs down as ever, pays for the read it needs. A
+// plan costs a wasted read at worst, never a wrong answer.
 
 // PlanPoint appends to plan the leaf read that Get, Put or Delete of key
 // will make. (A NoDelta handle's Put and Delete read the leaf whole:
 // only its Gets are planned right.)
-func (t *Tree) PlanPoint(ctx context.Context, tx *kvclient.Tx, plan []kv.ReadBatchItem, key []byte) ([]kv.ReadBatchItem, error) {
-	return t.planLeafRead(ctx, tx, plan, key, pointWindow(key))
+func (t *Tree) PlanPoint(plan []kv.ReadBatchItem, key []byte) []kv.ReadBatchItem {
+	return t.planLeafRead(plan, key, pointWindow(key))
 }
 
 // PlanFirst appends to plan the leaf read that First(lo, hi) will make.
-func (t *Tree) PlanFirst(ctx context.Context, tx *kvclient.Tx, plan []kv.ReadBatchItem, lo, hi []byte) ([]kv.ReadBatchItem, error) {
-	return t.planLeafRead(ctx, tx, plan, lo, firstWindow(lo, hi))
+func (t *Tree) PlanFirst(plan []kv.ReadBatchItem, lo, hi []byte) []kv.ReadBatchItem {
+	return t.planLeafRead(plan, lo, firstWindow(lo, hi))
 }
 
 // planLeafRead appends the read descend(key, win) will make of key's
-// leaf: the window travels only when the handle reads leaves in part
-// (see descendOnce). It plans nothing for a handle without a cache,
-// whose descents read every level themselves; when the route it follows
-// turns out stale on the way; and when the root is itself the leaf — the
-// walk has then read it, whole, into tx's read set, which is all a
-// descent will ask for.
-func (t *Tree) planLeafRead(ctx context.Context, tx *kvclient.Tx, plan []kv.ReadBatchItem, key []byte, win window) ([]kv.ReadBatchItem, error) {
-	if t.cfg.NoCache {
-		return plan, nil
-	}
-	var leaf kv.OID
+// leaf, if the cache routes key to one: the window travels only when the
+// handle reads leaves in part (see descendOnce).
+func (t *Tree) planLeafRead(plan []kv.ReadBatchItem, key []byte, win window) []kv.ReadBatchItem {
 	var one [1]kv.OID
-	if run := t.leafRunFromCache(one[:0], key, 1); len(run) == 1 {
-		leaf = run[0]
-	} else {
-		li, err := t.descendOnce(ctx, tx, key, win, true, true)
-		if errors.Is(err, errStale) || (err == nil && li.node != nil) {
-			return plan, nil
-		}
-		if err != nil {
-			return plan, err
-		}
-		leaf = li.oid
+	run := t.leafRunFromCache(one[:0], key, 1)
+	if len(run) == 0 {
+		return plan
 	}
 	if t.cfg.NoPartial {
 		win = window{}
 	}
-	return append(plan, kv.ReadBatchItem{OID: leaf, Part: true, From: win.from, To: win.to, Max: win.max}), nil
+	return append(plan, kv.ReadBatchItem{OID: run[0], Part: true, From: win.from, To: win.to, Max: win.max})
 }
 
 // leafRunFromCache routes key through cached inner nodes to its

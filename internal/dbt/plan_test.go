@@ -48,11 +48,7 @@ func insertCost(t *testing.T, cl *cluster.Cluster, c *kvclient.Client, tree *dbt
 	reads, rounds, backDowns = cl.Stats().Reads, c.ReadRounds(), tree.Stats().BackDowns
 	tx := c.Begin()
 	if planned {
-		plan, err := tree.PlanPoint(ctx, tx, nil, []byte(key))
-		if err == nil {
-			err = tx.Prefetch(ctx, plan)
-		}
-		if err != nil {
+		if err := tx.Prefetch(ctx, tree.PlanPoint(nil, []byte(key))); err != nil {
 			t.Fatalf("plan for %q: %v", key, err)
 		}
 	}
@@ -145,11 +141,11 @@ func TestStalePlanCostsReadsNeverRows(t *testing.T) {
 	}
 }
 
-// TestPlanOnColdCache: a handle that has cached nothing plans by reading
-// the inner nodes on its way — what its first descent would have read —
-// so a planned insert costs a cold handle the reads an unplanned one
-// does, and a cold multi-key lookup is the inner nodes and then one
-// round for all its leaves.
+// TestPlanOnColdCache: a handle that has cached nothing can route no
+// key, plans nothing, and pays what it paid before there were plans: a
+// planned insert costs a cold handle the reads an unplanned one does,
+// and a cold multi-key lookup is one Get after another, each inner node
+// read once on the way.
 func TestPlanOnColdCache(t *testing.T) {
 	cl, c, _ := planTree(t)
 	pReads, pRounds, _ := insertCost(t, cl, c, openReader(t, c), "k000031x", true)
@@ -174,8 +170,8 @@ func TestPlanOnColdCache(t *testing.T) {
 	}
 	reads, rounds = cl.Stats().Reads-reads, c.ReadRounds()-rounds
 	inner := uint64(cold.CacheSize())
-	if reads != inner+uint64(len(keys)) || rounds != inner+1 {
+	if want := inner + uint64(len(keys)); reads != want || rounds != want {
 		t.Errorf("cold GetBatch of %d keys: %d reads in %d rounds with %d inner nodes read, want %d in %d",
-			len(keys), reads, rounds, inner, inner+uint64(len(keys)), inner+1)
+			len(keys), reads, rounds, inner, want, want)
 	}
 }

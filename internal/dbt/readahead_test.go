@@ -314,14 +314,11 @@ func TestBoundedIteratorMatchesUnbounded(t *testing.T) {
 				for _, staged := range []bool{false, true} {
 					tx := c.Begin()
 					if staged {
-						// Staged through the loader's handle: it never waits for
-						// a split of the leaf it writes to (SyncSplit), which in
-						// a transaction that lives on would be a conflict.
 						for j := 0; j < 10; j++ {
-							if err := loader.Put(ctx, tx, key(2*rng.Intn(n/2)+1), []byte("staged")); err != nil {
+							if err := bounded.Put(ctx, tx, key(2*rng.Intn(n/2)+1), []byte("staged")); err != nil {
 								t.Fatal(err)
 							}
-							err := loader.Delete(ctx, tx, key(2*rng.Intn(n/2)))
+							err := bounded.Delete(ctx, tx, key(2*rng.Intn(n/2)))
 							if err != nil && !errors.Is(err, dbt.ErrKeyNotFound) {
 								t.Fatal(err)
 							}
@@ -386,8 +383,8 @@ func TestEmptyRangeReadsNothing(t *testing.T) {
 }
 
 // TestGetBatch covers the batched multi-key read path: warm-cache
-// batched lookups, a cold cache filled by the plan, staleness repair
-// after another handle splits leaves, and staged-write overlay.
+// batched lookups, cold-cache fallback, staleness repair after
+// another handle splits leaves, and staged-write overlay.
 func TestGetBatch(t *testing.T) {
 	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8, SyncSplit: true})
 	fillSequential(t, c, loader, 120)
@@ -424,7 +421,7 @@ func TestGetBatch(t *testing.T) {
 		}
 	}
 
-	// Cold cache: the plan reads the inner nodes on its way.
+	// Cold cache: every key falls back to a synchronous Get.
 	check(warm, "cold")
 	// Warm the cache so leaves are predictable, then batch for real.
 	{

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
@@ -12,13 +13,13 @@ import (
 
 // Splits. An oversized node is split in its own transaction, separate
 // from the transaction that grew it, on the handle's splitter goroutine
-// — the paper's "delegated splits": the write that fills a leaf past
-// its limit commits without structural work, and because the split runs
-// under the same snapshot-isolation transactions as everything else,
-// readers either see the tree entirely before or entirely after the
-// split. The next write to a leaf already past its limit waits for the
-// splitter's attempt at it (awaitSplit): delegation decides who does
-// the work, not whether an oversized leaf may keep growing.
+// — the paper's "delegated splits": no transaction carries structural
+// work, and because the split runs under the same snapshot-isolation
+// transactions as everything else, readers either see the tree entirely
+// before or entirely after the split. The writer that grew the leaf past
+// its limit does wait, once it has committed, for the splitter's attempt
+// (awaitSplit): delegation decides who does the work, not whether an
+// oversized leaf may keep growing.
 //
 // A split of node X with fences [l, h) at a mid key m:
 //   - creates a fresh right sibling R on a server chosen by the
@@ -35,24 +36,18 @@ import (
 type splitter struct {
 	t  *Tree
 	mu sync.Mutex
-	// queued holds the nodes waiting for a split attempt or under one.
-	queued map[kv.OID]*splitTicket
+	// queued holds the nodes waiting for their split attempt, each with
+	// the channel that is closed once the attempt has been made.
+	queued map[kv.OID]chan struct{}
 	ch     chan kv.OID
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 }
 
-// splitTicket is one queued node's attempt: done closes when the
-// splitter has made it, and split then says whether it split the node.
-type splitTicket struct {
-	done  chan struct{}
-	split bool
-}
-
 func (t *Tree) startSplitter() {
 	s := &splitter{
 		t:      t,
-		queued: make(map[kv.OID]*splitTicket),
+		queued: make(map[kv.OID]chan struct{}),
 		ch:     make(chan kv.OID, 1024),
 		stopCh: make(chan struct{}),
 	}
@@ -63,76 +58,68 @@ func (t *Tree) startSplitter() {
 	}
 }
 
-// noteOversized reports that a node is oversized; the splitter will
-// verify against committed state and split if warranted, once per note —
-// a conflict with a concurrent writer is not retried, the next write to
-// the node notes it again. With SyncSplit the caller must invoke
-// MaintainNow after committing. The ticket tells when the attempt has
-// been made (nil: the queue was full and the note dropped).
-func (t *Tree) noteOversized(oid kv.OID) *splitTicket {
+// noteOversized reports that a node looked oversized; the splitter will
+// verify against committed state and split if warranted. With SyncSplit
+// the caller must invoke MaintainNow after committing. The channel is
+// closed when the attempt has been made; it is nil on a handle that has
+// no splitter.
+func (t *Tree) noteOversized(oid kv.OID) <-chan struct{} {
 	s := t.splitter
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	ticket, queued := s.queued[oid]
+	done, queued := s.queued[oid]
 	if !queued {
-		ticket = &splitTicket{done: make(chan struct{})}
-		s.queued[oid] = ticket
+		done = make(chan struct{})
+		s.queued[oid] = done
 	}
 	s.mu.Unlock()
 	if queued || t.cfg.SyncSplit {
-		return ticket // SyncSplit: drained by MaintainNow
+		return done // SyncSplit: drained by MaintainNow
 	}
 	select {
 	case s.ch <- oid:
-		return ticket
 	default:
-		s.finish(oid, false)
-		return nil
+		// Queue full: drop; the next write to the node re-triggers.
+		close(s.dequeue(oid))
 	}
+	return done
 }
 
-// finish takes oid off the queue and tells whoever waits for it whether
-// it was split.
-func (s *splitter) finish(oid kv.OID, split bool) {
+// dequeue takes oid off the queue and returns its channel, for the
+// caller to close after the attempt (one nobody waits on if MaintainNow
+// took oid first).
+func (s *splitter) dequeue(oid kv.OID) chan struct{} {
 	s.mu.Lock()
-	if ticket, ok := s.queued[oid]; ok {
-		delete(s.queued, oid)
-		ticket.split = split
-		close(ticket.done)
-	}
+	done := s.queued[oid]
+	delete(s.queued, oid)
 	s.mu.Unlock()
+	if done == nil {
+		done = make(chan struct{})
+	}
+	return done
 }
 
-// awaitSplit is the writer's side of a split. A write to an oversized
-// leaf notes the leaf and then waits here for this handle's splitter to
-// have made its attempt, instead of racing it: a split conflicts with
-// every commit on the node since the split began, and a writer whose
-// transaction is one planned read round and a commit lands one in every
-// attempt — the splitter would never win and the leaf would grow
-// without bound, each commit on it costlier than the last. Writers to
-// other leaves, and other clients, never wait; the split itself stays a
-// transaction of its own on the splitter's goroutine.
-//
-// The error is kv.ErrConflict when the leaf was split: the split is
-// newer than tx's snapshot, so tx, which is about to write to the leaf,
-// can no longer commit, and says so now rather than at Commit.
-func (t *Tree) awaitSplit(ctx context.Context, oid kv.OID) error {
-	ticket := t.noteOversized(oid)
-	if ticket == nil || t.cfg.SyncSplit {
-		return nil
+// awaitSplit is what a writer does once it has committed a write that
+// grew leaf oid past its limit: hand the leaf to this handle's splitter
+// and wait until the splitter has made its attempt. A split conflicts
+// with every commit on its node since it began; a writer that went
+// straight on — a statement is one planned read round and a commit —
+// would land one in every attempt, the splitter would never win, and the
+// leaf would grow without bound, each commit on it costlier than the
+// last. Waiting after the commit costs no transaction anything: the
+// next one starts at a snapshot that has the split in it. Only writers
+// that grow a leaf past its limit wait, and only for their own handle.
+func (t *Tree) awaitSplit(ctx context.Context, oid kv.OID) {
+	done := t.noteOversized(oid)
+	if done == nil || t.cfg.SyncSplit {
+		return
 	}
 	select {
-	case <-ticket.done:
-		if ticket.split {
-			return fmt.Errorf("%w: leaf %v was split under the transaction", kv.ErrConflict, oid)
-		}
-		return nil
+	case <-done:
 	case <-t.splitter.stopCh:
-		return nil
 	case <-ctx.Done():
-		return ctx.Err()
 	}
 }
 
@@ -146,17 +133,18 @@ func (t *Tree) MaintainNow(ctx context.Context) error {
 	for {
 		s.mu.Lock()
 		var oid kv.OID
-		found := false
-		for o := range s.queued {
-			oid, found = o, true
+		var done chan struct{}
+		for o, d := range s.queued {
+			oid, done = o, d
 			break
 		}
+		delete(s.queued, oid)
 		s.mu.Unlock()
-		if !found {
+		if done == nil {
 			return nil
 		}
-		split, err := t.splitNode(ctx, oid)
-		s.finish(oid, split)
+		err := t.splitNode(ctx, oid)
+		close(done)
 		if err != nil {
 			return err
 		}
@@ -166,17 +154,42 @@ func (t *Tree) MaintainNow(ctx context.Context) error {
 func (s *splitter) run() {
 	defer s.wg.Done()
 	ctx := context.Background()
+	// One reusable backoff timer across all retries the goroutine ever
+	// makes; allocated on first use, Reset per retry.
+	var backoff *time.Timer
+	defer func() {
+		if backoff != nil {
+			backoff.Stop()
+		}
+	}()
 	for {
 		select {
 		case <-s.stopCh:
 			return
 		case oid := <-s.ch:
-			split, err := s.t.splitNode(ctx, oid)
-			if errors.Is(err, kv.ErrConflict) {
-				// Another client wrote to the node, or split it: expected.
+			done := s.dequeue(oid)
+			// Conflicts with concurrent writers are expected; retry a
+			// few times with a small pause, then give up — the next
+			// write re-triggers the split.
+			for i := 0; i < 5; i++ {
+				err := s.t.splitNode(ctx, oid)
+				if err == nil || !errors.Is(err, kv.ErrConflict) {
+					break
+				}
 				s.t.stats.SplitConflict.Add(1)
+				d := time.Duration(i+1) * time.Millisecond
+				if backoff == nil {
+					backoff = time.NewTimer(d)
+				} else {
+					backoff.Reset(d)
+				}
+				select {
+				case <-s.stopCh:
+					return
+				case <-backoff.C:
+				}
 			}
-			s.finish(oid, split)
+			close(done)
 		}
 	}
 }
@@ -194,10 +207,9 @@ func (s *splitter) stop() {
 	s.wg.Wait()
 }
 
-// splitNode splits oid if its committed state is oversized, and reports
-// whether it did. A split that would overflow the parent queues the
-// parent too.
-func (t *Tree) splitNode(ctx context.Context, oid kv.OID) (bool, error) {
+// splitNode splits oid if its committed state is oversized. A split
+// that would overflow the parent queues the parent too.
+func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
 	tx := t.c.Begin()
 	defer func() {
 		// Commit is explicit below; Abort on a committed tx is a no-op
@@ -207,15 +219,15 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) (bool, error) {
 	node, err := tx.Read(ctx, oid)
 	if err != nil {
 		if errors.Is(err, kv.ErrNotFound) {
-			return false, nil // already split away or deleted
+			return nil // already split away or deleted
 		}
-		return false, err
+		return err
 	}
 	if node.Kind != kv.KindSuper || node.Attrs[AttrTree] != t.id {
-		return false, nil
+		return nil
 	}
 	if node.NumCells() <= t.cfg.MaxCells {
-		return false, nil // shrank since it was queued
+		return nil // shrank since it was queued
 	}
 
 	mid := node.NumCells() / 2
@@ -223,39 +235,42 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) (bool, error) {
 	// Degenerate: all cells share a prefix region such that midKey
 	// equals the low fence; cannot split there.
 	if compare(midKey, node.LowKey) == 0 {
-		return false, nil
+		return nil
 	}
 
-	// router is the inner node that routes to the new sibling, as the
-	// split leaves it.
-	routerOID, router := t.root, (*kv.Value)(nil)
+	router := t.root // the inner node that routes to the new sibling
 	if oid == t.root {
-		router = t.growRoot(tx, node, mid)
+		err = t.growRoot(ctx, tx, node, mid)
 	} else {
-		routerOID, router, err = t.splitNonRoot(ctx, tx, oid, node, mid)
+		router, err = t.splitNonRoot(ctx, tx, oid, node, mid)
 	}
 	if err != nil {
-		return false, err
+		return err
+	}
+	// The router as the split leaves it: tx's own writes over what it has
+	// read, no round trip.
+	routing, err := tx.Read(ctx, router)
+	if err != nil {
+		return err
 	}
 	if err := tx.Commit(ctx); err != nil {
-		return false, err
+		return err
 	}
 	t.stats.SplitsDone.Add(1)
-	// Routing changed: drop the cached copy of what was split, and cache
-	// the router as it is now — this handle's next descent, or read plan,
-	// for a key that moved would otherwise follow the old route to the old
-	// leaf and have to back down.
+	// Routing changed: drop the cached copy of what was split and cache
+	// the router as it is now, or this handle's next read plan for a key
+	// that moved names the old leaf and every planned read behind it is
+	// wasted.
 	t.cache.invalidate(oid)
 	if !t.cfg.NoCache {
-		t.cache.put(routerOID, router)
+		t.cache.put(router, routing)
 	}
-	return true, nil
+	return nil
 }
 
 // growRoot turns the (oversized) root into an inner node with two fresh
-// children, and returns the new root. The root OID is preserved —
-// clients hold it statically.
-func (t *Tree) growRoot(tx *kvclient.Tx, root *kv.Value, mid int) *kv.Value {
+// children. The root OID is preserved — clients hold it statically.
+func (t *Tree) growRoot(ctx context.Context, tx *kvclient.Tx, root *kv.Value, mid int) error {
 	midKey := root.Cells[mid].Key
 
 	left := kv.NewSuper()
@@ -292,12 +307,12 @@ func (t *Tree) growRoot(tx *kvclient.Tx, root *kv.Value, mid int) *kv.Value {
 	tx.Put(leftOID, left)
 	tx.Put(rightOID, right)
 	tx.Put(t.root, newRoot)
-	return newRoot
+	return nil
 }
 
 // splitNonRoot moves the upper half of node into a fresh sibling and
-// links it into the parent, which it returns as the link leaves it.
-func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, node *kv.Value, mid int) (kv.OID, *kv.Value, error) {
+// links it into the parent, whose OID it returns.
+func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, node *kv.Value, mid int) (kv.OID, error) {
 	midKey := node.Cells[mid].Key
 
 	rightOID := t.newNodeOID()
@@ -321,16 +336,13 @@ func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, no
 	// that the uncached walk does not matter.
 	parentOID, parent, err := t.findParent(ctx, tx, node, oid)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	tx.ListAdd(parentOID, midKey, encodeChild(rightOID))
 	if parent.NumCells()+1 > t.cfg.MaxCells {
 		t.noteOversized(parentOID)
 	}
-	// The parent again, now under the staged link: answered from tx's
-	// read set, no round trip.
-	parent, err = tx.Read(ctx, parentOID)
-	return parentOID, parent, err
+	return parentOID, nil
 }
 
 // findParent locates the node at child's height+1 whose range covers

@@ -238,8 +238,7 @@ func pointWindow(key []byte) window {
 func firstWindow(lo, hi []byte) window { return window{from: lo, to: hi} }
 
 // leafInfo is the result of a descent: the leaf (possibly a windowed
-// view of it) and its total cell count, by which a write tells an
-// oversized leaf.
+// view of it) and its total cell count for split heuristics.
 type leafInfo struct {
 	oid   kv.OID
 	node  *kv.Value
@@ -260,7 +259,7 @@ func (t *Tree) descend(ctx context.Context, r nodeReader, key []byte, win window
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		// The last two attempts bypass the cache entirely.
 		useCache := !t.cfg.NoCache && attempt < maxAttempts-2
-		li, err := t.descendOnce(ctx, r, key, win, useCache, false)
+		li, err := t.descendOnce(ctx, r, key, win, useCache)
 		if err == nil {
 			return li, nil
 		}
@@ -272,20 +271,12 @@ func (t *Tree) descend(ctx context.Context, r nodeReader, key []byte, win window
 	return leafInfo{}, fmt.Errorf("dbt: descent for key %q did not converge", key)
 }
 
-// descendOnce is one walk from the root towards key's leaf. With short
-// set it stops at the leaf's parent and returns the leaf's OID alone,
-// unread (a read plan: see planLeafRead) — unless the root is itself
-// the leaf, which only reading it can tell, and which is then returned
-// like any leaf.
-func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win window, useCache, short bool) (leafInfo, error) {
+func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win window, useCache bool) (leafInfo, error) {
 	cur := t.root
 	var path []kv.OID
 	expectLeaf := false // unknown height at the root: read it whole
 	const maxDepth = 64
 	for depth := 0; depth < maxDepth; depth++ {
-		if short && expectLeaf {
-			return leafInfo{oid: cur}, nil
-		}
 		var node *kv.Value
 		total := 0
 		fromCache := false
@@ -412,11 +403,6 @@ func (t *Tree) Put(ctx context.Context, tx *kvclient.Tx, key, value []byte) erro
 	if err != nil {
 		return err
 	}
-	if li.total > t.cfg.MaxCells {
-		if err := t.awaitSplit(ctx, li.oid); err != nil {
-			return err
-		}
-	}
 	if t.cfg.NoDelta {
 		// Ablation: rewrite the whole leaf.
 		clone := li.node.Clone()
@@ -425,7 +411,22 @@ func (t *Tree) Put(ctx context.Context, tx *kvclient.Tx, key, value []byte) erro
 	} else {
 		tx.ListAdd(li.oid, key, value)
 	}
+	cells := li.total // of the leaf once this write is in
+	if _, replaces := li.node.ListGet(key); !replaces {
+		cells++
+	}
+	if cells > t.cfg.MaxCells {
+		oid := li.oid
+		tx.OnCommit(splitOf{t, oid}, func(ctx context.Context) { t.awaitSplit(ctx, oid) })
+	}
 	return nil
+}
+
+// splitOf names a leaf's pending split among a transaction's OnCommit
+// hooks, so that many writes to one leaf ask for one split.
+type splitOf struct {
+	t   *Tree
+	oid kv.OID
 }
 
 // Delete removes key within tx. Deleting an absent key returns

@@ -44,19 +44,16 @@ func putAuto(t *testing.T, c *kvclient.Client, tree *dbt.Tree, key, value string
 	ctx := context.Background()
 	for i := 0; ; i++ {
 		tx := c.Begin()
-		err := tree.Put(ctx, tx, []byte(key), []byte(value))
-		if err == nil {
-			err = tx.Commit(ctx)
-		} else {
+		if err := tree.Put(ctx, tx, []byte(key), []byte(value)); err != nil {
 			tx.Abort()
+			t.Fatalf("Put %q: %v", key, err)
 		}
+		err := tx.Commit(ctx)
 		if err == nil {
 			return
 		}
-		// A split of the leaf, before the commit or under the Put, is a
-		// conflict either way.
 		if !errors.Is(err, kv.ErrConflict) || i > 20 {
-			t.Fatalf("Put %q: %v", key, err)
+			t.Fatalf("Put %q commit: %v", key, err)
 		}
 	}
 }
@@ -148,6 +145,60 @@ func TestSplitsSequentialInsert(t *testing.T) {
 		if v, ok := getAuto(t, c, tree, key); !ok || v != fmt.Sprintf("v%d", i) {
 			t.Fatalf("get %s after splits: %q %v", key, v, ok)
 		}
+	}
+}
+
+// TestWriterWaitsForItsSplit: through a handle whose splitter runs in the
+// background, the writer that grows a leaf past its limit has seen the
+// splitter's attempt by the time Commit returns. Single-row writers with
+// nothing between them therefore leave no leaf over the limit, lose no
+// split to their own next commit, and never fail; a transaction that
+// stages on a leaf due a split commits whole.
+func TestWriterWaitsForItsSplit(t *testing.T) {
+	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 8})
+	ctx := context.Background()
+	const n = 200
+	for i := 0; i < n; i++ {
+		tx := c.Begin()
+		if err := tree.Put(ctx, tx, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatalf("commit %d: %v (a lone writer that waits for its splits conflicts with nothing)", i, err)
+		}
+	}
+	tx := c.Begin()
+	res, err := tree.Check(ctx, tx)
+	tx.Abort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sequential keys only ever grow the last leaf: all the others are
+	// halves of a split.
+	if st := tree.Stats(); res.Cells != n || res.Leaves < n/5 || st.SplitConflict != 0 {
+		t.Fatalf("%d cells in %d leaves after %d splits, %d of them lost: the writer ran ahead of its splitter",
+			res.Cells, res.Leaves, st.SplitsDone, st.SplitConflict)
+	}
+
+	// Many rows onto one leaf in one transaction: every Put succeeds,
+	// the commit is whole, and the one split it asks for happens.
+	splits := tree.Stats().SplitsDone
+	tx = c.Begin()
+	for i := 0; i < 40; i++ {
+		if err := tree.Put(ctx, tx, []byte(fmt.Sprintf("k%06dx%02d", n, i)), []byte("v")); err != nil {
+			t.Fatalf("Put %d of the batch: %v", i, err)
+		}
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := tree.Stats().SplitsDone; got == splits {
+		t.Error("a batch that grew its leaf to five times the limit returned from Commit with no split made")
+	}
+	tx = c.Begin()
+	defer tx.Abort()
+	if res, err := tree.Check(ctx, tx); err != nil || res.Cells != n+40 {
+		t.Fatalf("Check after the batch: %+v, %v", res, err)
 	}
 }
 

@@ -192,6 +192,44 @@ func TestWriteWriteConflict(t *testing.T) {
 	}
 }
 
+// TestOnCommitRunsAfterACommitOnly: a hook runs once per key, after the
+// commit and before Commit returns; a transaction that loses its commit,
+// or is aborted, runs none.
+func TestOnCommitRunsAfterACommitOnly(t *testing.T) {
+	_, c := startCluster(t, 1)
+	ctx := context.Background()
+	oid := c.NewOID(0)
+	ran := map[string]int{}
+	hook := func(name string) func(context.Context) {
+		return func(context.Context) {
+			if v, err := c.Begin().Read(ctx, oid); err != nil || string(v.Data) != name {
+				t.Errorf("hook of %q sees %v, %v: it ran before the commit", name, v, err)
+			}
+			ran[name]++
+		}
+	}
+
+	won, lost, aborted := c.Begin(), c.Begin(), c.Begin()
+	for name, tx := range map[string]*kvclient.Tx{"won": won, "lost": lost, "aborted": aborted} {
+		if _, err := tx.Read(ctx, oid); !errors.Is(err, kv.ErrNotFound) {
+			t.Fatal(err)
+		}
+		tx.Put(oid, kv.NewPlain([]byte(name)))
+		tx.OnCommit(oid, hook(name))
+		tx.OnCommit(oid, hook(name)) // the key is taken
+	}
+	if err := won.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := lost.Commit(ctx); !errors.Is(err, kv.ErrConflict) {
+		t.Fatalf("second writer: got %v, want ErrConflict", err)
+	}
+	aborted.Abort()
+	if ran["won"] != 1 || ran["lost"] != 0 || ran["aborted"] != 0 {
+		t.Fatalf("hooks ran %v, want the committed transaction's, once", ran)
+	}
+}
+
 func TestMultiServer2PC(t *testing.T) {
 	_, c := startCluster(t, 4)
 	ctx := context.Background()

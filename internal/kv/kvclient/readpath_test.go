@@ -124,16 +124,7 @@ func TestEveryReadEntryPointSeesTheSameBytes(t *testing.T) {
 						t.Fatalf("Read: %v, ReadPart: %v", werr, err)
 					}
 					if found {
-						// The total is the servers': what they hold of the
-						// object, nothing of one the transaction overwrote.
-						_, stored, err := tx.View().ReadPart(ctx, obj.oid, nil, nil, 0)
-						if err != nil && !errors.Is(err, kv.ErrNotFound) {
-							t.Fatal(err)
-						}
-						if st.name == "put then deltas" {
-							stored = 0
-						}
-						checkWindowOf(t, whole, part, total, stored, win.from, win.to, win.max, st.name == "deltas")
+						checkWindowOf(t, whole, part, total, win.from, win.to, win.max, st.name == "deltas")
 					}
 					if win.name == "unbounded" {
 						// An item without Part is the whole object whatever
@@ -175,10 +166,9 @@ func TestEveryReadEntryPointSeesTheSameBytes(t *testing.T) {
 // capped at max of whole, the object Tx.Read returned. Staged deltas over
 // a fetched window (overlaid) land wherever they fall and may delete the
 // floor cell, so there the window's cells from the key on must all be
-// present and right and extra ones must be cells of whole; everywhere
-// else the match is exact. The total is stored, the cell count of the
-// object the servers hold, whatever is staged.
-func checkWindowOf(t *testing.T, whole, part *kv.Value, total, stored int, from, to []byte, max uint32, overlaid bool) {
+// present and right, extra ones must be cells of whole, and the total is
+// an upper bound; everywhere else the match is exact.
+func checkWindowOf(t *testing.T, whole, part *kv.Value, total int, from, to []byte, max uint32, overlaid bool) {
 	t.Helper()
 	if whole.Kind != kv.KindSuper {
 		if !part.Equal(whole) {
@@ -191,11 +181,12 @@ func checkWindowOf(t *testing.T, whole, part *kv.Value, total, stored int, from,
 		t.Fatalf("window header %+v differs from the object's %+v", part, whole)
 	}
 	want := whole.WindowCells(from, to, max)
-	if total != stored {
-		t.Fatalf("total %d, the stored object has %d cells", total, stored)
-	}
-	if (!overlaid || unbounded) && len(part.Cells) != len(want) {
-		t.Fatalf("window of %d cells, want %d", len(part.Cells), len(want))
+	if !overlaid || unbounded {
+		if total != whole.NumCells() || len(part.Cells) != len(want) {
+			t.Fatalf("window of %d cells, total %d; want %d cells of %d", len(part.Cells), total, len(want), whole.NumCells())
+		}
+	} else if total < whole.NumCells() {
+		t.Fatalf("total %d is below the object's %d cells", total, whole.NumCells())
 	}
 	for _, cell := range want {
 		if overlaid && bytes.Compare(cell.Key, from) < 0 {

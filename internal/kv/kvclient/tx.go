@@ -2,9 +2,11 @@ package kvclient
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"yesquel/internal/clock"
@@ -26,13 +28,17 @@ type Tx struct {
 	ops   []*kv.Op
 	byOID map[kv.OID][]*kv.Op
 
-	// reads is the read set (see readBase): a ring of remembered base
-	// reads, oldest at readsOldest once it is full. It starts out in
-	// readsBuf, so a transaction that reads a few items allocates nothing
-	// for it, and grows to whatever a Prefetch plans.
+	// The read set (see readBase): the last few single reads, a ring in
+	// reads (over readsBuf: a transaction allocates nothing for it) with
+	// the oldest at readsOldest once it is full, and the bases of the
+	// latest Prefetch in planned, sorted by item.
 	reads       []readEntry
 	readsOldest int
 	readsBuf    [3]readEntry
+	planned     []readEntry
+
+	// onCommit holds the OnCommit hooks by key.
+	onCommit map[any]func(context.Context)
 
 	// TestHookAfterVote, when non-nil, runs once after every
 	// participant voted yes and before any phase-two request is sent.
@@ -109,6 +115,20 @@ func (t *Tx) SetBounds(oid kv.OID, low, high []byte) {
 	t.stage(&kv.Op{Kind: kv.OpSetBounds, OID: oid, Low: low, High: high})
 }
 
+// OnCommit registers f to run when the transaction has committed, before
+// Commit returns — never if it aborts or its commit fails. A key
+// registers once however often it is offered: the layer above stages many
+// writes and wants one follow-up (a tree whose leaf the transaction grew
+// past its limit waits there for the split).
+func (t *Tx) OnCommit(key any, f func(context.Context)) {
+	if t.onCommit == nil {
+		t.onCommit = make(map[any]func(context.Context))
+	}
+	if _, ok := t.onCommit[key]; !ok {
+		t.onCommit[key] = f
+	}
+}
+
 // Read returns oid's value as this transaction sees it: the snapshot
 // version overlaid with the transaction's own staged operations.
 func (t *Tx) Read(ctx context.Context, oid kv.OID) (*kv.Value, error) {
@@ -118,7 +138,7 @@ func (t *Tx) Read(ctx context.Context, oid kv.OID) (*kv.Value, error) {
 
 // ReadPart returns a windowed view of a supervalue as this transaction
 // sees it: cells in [floor(from), to) capped at max, plus the node's
-// stored cell count; the zero window (nil, nil, 0) is the whole object.
+// total cell count; the zero window (nil, nil, 0) is the whole object.
 // Compared with Read it ships only the needed cells over the network —
 // the mechanism that keeps DBT point operations off the bandwidth cliff
 // for large nodes. The transaction's staged operations are overlaid on
@@ -190,18 +210,20 @@ func (t *Tx) Prefetch(ctx context.Context, items []kv.ReadBatchItem) error {
 		return err
 	}
 	ownKeys(fetch)
-	// Room for the whole plan beside the last few reads before it: no
-	// planned base may push out another, or the read that led to the plan
-	// (the lookup whose leaf the write will ask for again), before it is
-	// used.
-	if cap(t.reads) < len(fetch)+min(len(t.reads), len(t.readsBuf)) {
-		grown := make([]readEntry, 0, len(fetch)+len(t.readsBuf))
-		grown = append(append(grown, t.reads[t.readsOldest:]...), t.reads[:t.readsOldest]...)
-		t.reads, t.readsOldest = grown, 0
+	// The plan replaces the one before it, whose statement is over: what
+	// this one asks for again is carried across, the rest is dropped, so
+	// the set is never larger than the largest plan.
+	planned := make([]readEntry, 0, len(items))
+	for i := range items {
+		if e := t.remembered(items[i].Windowed()); e != nil {
+			planned = append(planned, *e)
+		}
 	}
 	for i := range fetch {
-		t.remember(fetch[i], bases[i])
+		planned = append(planned, readEntry{item: fetch[i], base: bases[i]})
 	}
+	slices.SortFunc(planned, func(a, b readEntry) int { return compareItems(a.item, b.item) })
+	t.planned = planned
 	return nil
 }
 
@@ -228,11 +250,10 @@ func lastOverwrite(staged []*kv.Op) int {
 // node — extra cells outside the window are harmless, the callers select
 // by key. When the whole object is in hand — the zero window, or a
 // staged overwrite materialised locally — the window is cut from it.
-// Total is never overlaid: it is the cell count of the object the
-// servers hold at the snapshot — what a caller deciding whether the
-// object wants splitting needs, since the splitter will look at the
-// stored object too — and zero for an object the transaction has
-// overwritten, of which the servers hold nothing yet.
+// Over a fetched window each staged insert counts into Total, which
+// makes it an upper bound (the key may have existed already; callers use
+// it only as a split heuristic); with the whole object in hand Total is
+// exact.
 func (t *Tx) readItem(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchResult, error) {
 	if t.done {
 		return kv.ReadBatchResult{}, kv.ErrAborted
@@ -258,10 +279,16 @@ func (t *Tx) readItem(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchRes
 		return kv.ReadBatchResult{}, nil
 	}
 	res.Found = true
+	for _, op := range staged {
+		if op.Kind == kv.OpListAdd {
+			res.Total++
+		}
+	}
 	whole := over >= 0 || (it.From == nil && it.To == nil && it.Max == 0)
 	if full := res.Value; whole && full.Kind == kv.KindSuper {
 		res.Value = &kv.Value{Kind: kv.KindSuper, Attrs: full.Attrs, LowKey: full.LowKey, HighKey: full.HighKey,
 			Cells: full.WindowCells(it.From, it.To, it.Max)}
+		res.Total = uint32(full.NumCells())
 	}
 	return res, nil
 }
@@ -280,12 +307,11 @@ type readEntry struct {
 // Get followed by a Put or Delete of the same key asks for the same
 // window of the same leaf twice, and pays for one read; so does a node
 // read whole twice; and a statement that planned its reads (Prefetch)
-// finds every one of them here. The set is a ring: it holds the last few
-// single reads, or as many as the largest Prefetch put in, and the
-// oldest makes way for the newest — a transaction that reads a whole
-// table remembers none of it for long. Returned values are shared
-// between callers and must not be modified (kv.Overlay copies before it
-// edits).
+// finds every one of them here. The set is bounded: the last few single
+// reads, the oldest making way for the newest, and the latest plan — a
+// transaction that reads a whole table remembers none of it for long.
+// Returned values are shared between callers and must not be modified
+// (kv.Overlay copies before it edits).
 func (t *Tx) readBase(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchResult, error) {
 	if e := t.remembered(it); e != nil {
 		return e.base, nil
@@ -296,20 +322,51 @@ func (t *Tx) readBase(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchRes
 		return kv.ReadBatchResult{}, err
 	}
 	ownKeys(items[:])
-	t.remember(items[0], out[0])
+	e := readEntry{item: items[0], base: out[0]}
+	if len(t.reads) < cap(t.reads) {
+		t.reads = append(t.reads, e)
+	} else {
+		t.reads[t.readsOldest] = e
+		t.readsOldest = (t.readsOldest + 1) % len(t.reads)
+	}
 	return out[0], nil
 }
 
-// remembered returns the read set's entry for it, or nil.
+// remembered returns the read set's entry for it, or nil: a scan of the
+// few single reads, a binary search of the plan.
 func (t *Tx) remembered(it kv.ReadBatchItem) *readEntry {
 	for i := range t.reads {
-		e := &t.reads[i]
-		if e.item.OID == it.OID && e.item.Max == it.Max && (e.item.To == nil) == (it.To == nil) &&
-			bytes.Equal(e.item.From, it.From) && bytes.Equal(e.item.To, it.To) {
-			return e
+		if compareItems(t.reads[i].item, it) == 0 {
+			return &t.reads[i]
 		}
 	}
-	return nil
+	i, ok := slices.BinarySearchFunc(t.planned, it, func(e readEntry, it kv.ReadBatchItem) int {
+		return compareItems(e.item, it)
+	})
+	if !ok {
+		return nil
+	}
+	return &t.planned[i]
+}
+
+// compareItems orders windowed items: by object, then by window.
+func compareItems(a, b kv.ReadBatchItem) int {
+	if c := cmp.Compare(a.OID, b.OID); c != 0 {
+		return c
+	}
+	if c := bytes.Compare(a.From, b.From); c != 0 {
+		return c
+	}
+	if (a.To == nil) != (b.To == nil) { // no upper bound sorts last
+		if a.To == nil {
+			return 1
+		}
+		return -1
+	}
+	if c := bytes.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Max, b.Max)
 }
 
 // ownKeys repoints the items' keys at copies, all in one allocation:
@@ -332,18 +389,6 @@ func ownKeys(items []kv.ReadBatchItem) {
 			it.To = buf[to:len(buf):len(buf)]
 		}
 	}
-}
-
-// remember files base as the answer to it (whose keys the set now owns),
-// in place of the oldest entry when the set is full.
-func (t *Tx) remember(it kv.ReadBatchItem, base kv.ReadBatchResult) {
-	e := readEntry{item: it, base: base}
-	if len(t.reads) < cap(t.reads) {
-		t.reads = append(t.reads, e)
-		return
-	}
-	t.reads[t.readsOldest] = e
-	t.readsOldest = (t.readsOldest + 1) % len(t.reads)
 }
 
 // Commit atomically applies the staged writes. Read-only transactions
@@ -372,6 +417,11 @@ func (t *Tx) Commit(ctx context.Context) error {
 			t.c.retryWrongSlot(ctx, t.c.ServerFor(t.ops[0].OID), err, tries) {
 			t.txid = t.c.nextTx.Add(1)
 			continue
+		}
+		if err == nil {
+			for _, f := range t.onCommit {
+				f(ctx)
+			}
 		}
 		return err
 	}

@@ -356,3 +356,34 @@ func TestFailedStatementStagesNothing(t *testing.T) {
 		t.Errorf("lookup by a value no row has any more: %q", got)
 	}
 }
+
+// TestWritesOnLeavesDueASplit: no statement fails, or commits in part,
+// for the state its leaves are in. Single-row loads in random order leave
+// leaves at every fill; a statement that then writes to all of them runs
+// once, and an explicit transaction whose rows land on a full leaf and
+// on another commits both or neither.
+func TestWritesOnLeavesDueASplit(t *testing.T) {
+	db := newDB(t, 2) // MaxCells 16, background splitter
+	ctx := context.Background()
+	mustExec(t, db, "CREATE TABLE b (id INTEGER PRIMARY KEY, v TEXT)")
+	mustExec(t, db, "CREATE INDEX b_v ON b (v)")
+	const n = 1500
+	for _, id := range rand.New(rand.NewSource(7)).Perm(n) {
+		mustExec(t, db, "INSERT INTO b VALUES (?, 'x')", sql.Int(int64(id)))
+	}
+	if res, err := db.Exec(ctx, "UPDATE b SET v = 'y'"); err != nil || res.RowsAffected != n {
+		t.Fatalf("UPDATE of every row: %+v, %v", res, err)
+	}
+	mustExec(t, db, "BEGIN")
+	mustExec(t, db, "INSERT INTO b VALUES (-1, 'l'), (?, 'r')", sql.Int(n))
+	for i := 0; i < 40; i++ { // past the limit of whichever leaf holds the top of the table
+		mustExec(t, db, "INSERT INTO b VALUES (?, 'r')", sql.Int(int64(n+1+i)))
+	}
+	mustExec(t, db, "COMMIT")
+	if got := rowsToString(mustQuery(t, db, "SELECT COUNT(*) FROM b WHERE v = 'y'")); got != "1500\n" {
+		t.Errorf("rows updated: %q", got)
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT COUNT(*) FROM b WHERE id < 0 OR id >= ?", sql.Int(n))); got != "42\n" {
+		t.Errorf("rows of the explicit transaction: %q, want all 42", got)
+	}
+}

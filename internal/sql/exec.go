@@ -175,12 +175,9 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 		return db.runStmt(ctx, db.tx, stmt, args)
 	}
 
-	// Auto-commit: one kv transaction per statement, retried on conflict
-	// (splits and write races are expected and transient). The first
-	// retry is immediate: whatever the statement lost to has committed —
-	// a write that waited for its leaf to be split hears of the conflict
-	// once the split is done — so a fresh snapshot is all it needs. When
-	// conflicts keep coming the retries back off, with jitter.
+	// Auto-commit: one kv transaction per statement, retried on
+	// conflict with jittered backoff (splits and write races are
+	// expected and transient).
 	var lastErr error
 	for attempt := 0; attempt <= db.maxRetries; attempt++ {
 		tx := db.c.Begin()
@@ -198,9 +195,7 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 			return Result{}, nil, err
 		}
 		lastErr = err
-		if attempt > 0 {
-			sleepJitter(attempt - 1)
-		}
+		sleepJitter(attempt)
 	}
 	return Result{}, nil, fmt.Errorf("sql: giving up after %d conflicts: %w", db.maxRetries, lastErr)
 }
@@ -354,14 +349,10 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 
 	plan := make([]kv.ReadBatchItem, 0, len(ops))
 	for _, op := range ops {
-		var err error
 		if op.kind == opUnique {
-			plan, err = tree(op).PlanFirst(ctx, tx, plan, op.key, KeySuccessor(op.key))
+			plan = tree(op).PlanFirst(plan, op.key, KeySuccessor(op.key))
 		} else {
-			plan, err = tree(op).PlanPoint(ctx, tx, plan, op.key)
-		}
-		if err != nil {
-			return err
+			plan = tree(op).PlanPoint(plan, op.key)
 		}
 	}
 	if err := tx.Prefetch(ctx, plan); err != nil {
