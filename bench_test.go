@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,7 +18,6 @@ import (
 
 	"yesquel/internal/bench"
 	"yesquel/internal/cluster"
-	"yesquel/internal/dbt"
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
 	"yesquel/internal/kv/kvserver"
@@ -431,133 +429,6 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, follower
 		p99:         latPercentile(all, 99),
 		st:          cl.Stats(),
 	}
-}
-
-// scanRunResult summarizes one scan workload run.
-type scanRunResult struct {
-	scans         int
-	scansPerSec   float64
-	p50, p95, p99 time.Duration
-}
-
-// scanWorkload drives tree scans from a single consumer for d and
-// reports throughput plus per-scan latency percentiles. One worker on
-// purpose: scan readahead is a per-iterator pipeline, and a single
-// consumer shows its effect undiluted by CPU contention between
-// workers. With e1 set the shape is E1's scan100 (uniform start, 100
-// cells); otherwise it is YCSB-E's scan mix (zipfian start, length
-// uniform in 1..100) with the generator's 5% inserts skipped — the
-// row measures the read pipeline, and the write path has its own rows.
-func scanWorkload(tb testing.TB, c *kvclient.Client, tree *dbt.Tree, records int, e1 bool, d time.Duration) scanRunResult {
-	tb.Helper()
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(1))
-	gen, err := ycsb.NewGenerator(ycsb.WorkloadE, int64(records), 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var lats []time.Duration
-	n := 0
-	start := time.Now()
-	deadline := start.Add(d)
-	for time.Now().Before(deadline) {
-		var key string
-		var scanLen int
-		if e1 {
-			key = ycsb.KeyName(rng.Int63n(int64(records)))
-			scanLen = 100
-		} else {
-			op := gen.Next()
-			if op.Kind != ycsb.OpScan {
-				continue
-			}
-			key = ycsb.KeyName(op.Key)
-			scanLen = op.ScanLen
-		}
-		t0 := time.Now()
-		tx := c.Begin()
-		if _, err := tree.Scan(ctx, tx, []byte(key), scanLen); err != nil {
-			tb.Fatalf("scan: %v", err)
-		}
-		tx.Abort()
-		lats = append(lats, time.Since(t0))
-		n++
-	}
-	elapsed := time.Since(start)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return scanRunResult{
-		scans:       n,
-		scansPerSec: float64(n) / elapsed.Seconds(),
-		p50:         latPercentile(lats, 50),
-		p95:         latPercentile(lats, 95),
-		p99:         latPercentile(lats, 99),
-	}
-}
-
-// scanBenchPair seeds a fresh single-server tree and measures the same
-// scan workload through the synchronous iterator (NoReadahead) and the
-// readahead pipeline, back to back against the identical data. Small
-// leaves (MaxCells=8) make a scan100 cross ~13 leaves, the regime the
-// leaf pipeline targets; a single server keeps adjacent leaves
-// co-located so the prefetcher's batched run fetch (two leaves per
-// MethodReadBatch RPC) actually consolidates round trips.
-func scanBenchPair(tb testing.TB, e1 bool, d time.Duration) (syncRes, raRes scanRunResult) {
-	tb.Helper()
-	const records = 2000
-	const maxCells = 8
-	cl, err := cluster.Start(1, kvserver.Config{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer cl.Close()
-	c, err := cl.NewClient()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	loader, err := dbt.Create(ctx, c, 1, dbt.Config{MaxCells: maxCells, SyncSplit: true})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer loader.Close()
-	for i := 0; i < records; i++ {
-		for attempt := 0; ; attempt++ {
-			tx := c.Begin()
-			if err := loader.Put(ctx, tx, []byte(ycsb.KeyName(int64(i))), ycsb.Value(int64(i))); err != nil {
-				tb.Fatalf("seed put: %v", err)
-			}
-			err := tx.Commit(ctx)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, kv.ErrConflict) || attempt > 20 {
-				tb.Fatalf("seed commit: %v", err)
-			}
-		}
-	}
-	syncTree, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, NoReadahead: true})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer syncTree.Close()
-	raTree, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer raTree.Close()
-	// Warm both handles' inner-node caches: the comparison is about
-	// leaf fetching, not cold-cache descent costs.
-	for _, tr := range []*dbt.Tree{syncTree, raTree} {
-		tx := c.Begin()
-		if _, err := tr.Scan(ctx, tx, nil, -1); err != nil {
-			tb.Fatalf("warm scan: %v", err)
-		}
-		tx.Abort()
-	}
-	syncRes = scanWorkload(tb, c, syncTree, records, e1, d)
-	raRes = scanWorkload(tb, c, raTree, records, e1, d)
-	return syncRes, raRes
 }
 
 // BenchmarkReplicationConcurrent measures the replicated write path

@@ -18,7 +18,8 @@ import (
 // so a point Get costs exactly its one windowed leaf read and a scan its
 // leaf reads, which is the path every read in the system takes
 // (kvclient's readItems). Beside time and allocs each reports reads/op,
-// the reads the servers observed per operation.
+// the reads the servers observed per operation, and the scan rounds/op,
+// the read rounds the client made to get them.
 //
 //	go test ./internal/dbt -run '^$' -bench . -benchtime 2000x
 
@@ -100,7 +101,7 @@ func BenchmarkScan50(b *testing.B) {
 	cl, c, tree := loadBenchTree(b)
 	ctx := context.Background()
 	b.ReportAllocs()
-	before := cl.Stats().Reads
+	before, rounds := cl.Stats().Reads, c.ReadRounds()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cells, err := tree.Scan(ctx, c.Begin(), benchKey(i), 50)
@@ -111,4 +112,5 @@ func BenchmarkScan50(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(cl.Stats().Reads-before)/float64(b.N), "reads/op")
+	b.ReportMetric(float64(c.ReadRounds()-rounds)/float64(b.N), "rounds/op")
 }

@@ -55,34 +55,40 @@
 // never wait. A SyncSplit handle never waits either: its caller runs
 // MaintainNow.
 //
-// # Scan readahead
+// # Scan plans
 //
 // An iterator is given the Range its consumer needs — low key, high
 // key, expected cell count — and every leaf read is windowed to it, so
-// a scan that one leaf can answer is one leaf read and nothing else.
-// Only when the leaf in hand cannot finish the scan does the iterator
-// pipeline: if the leaf's high fence lies below the range's Hi and the
-// leaf holds fewer cells than the range's outstanding Limit (or there
-// is no Limit), a background goroutine resolves the following leaves by
-// fence key while the consumer drains the current one
-// (Config.ReadaheadLeaves bounds how far ahead), and it stops as soon
-// as the leaves it delivered cover the Limit or reach Hi. Hi is a hard
-// bound; Limit only sizes reads — iterating past it stays correct and
-// simply fetches further leaves on demand.
-// When the inner-node cache can predict the run of upcoming leaves,
-// the prefetcher fetches the whole run with one batched RPC
-// (MethodReadBatch) instead of one round trip per leaf, validating
-// each leaf's fences against the chain and falling back to an ordinary
-// descent on any staleness.
-// The prefetch reads a concurrency-safe snapshot view at the owning
-// transaction's timestamp — plain MVCC snapshot reads, never the
-// transaction itself — so a prefetched leaf is byte-identical to what
-// a synchronous descent would have returned, and always safe to
-// discard: stale-cache back-downs, prefetch errors, and staged writes
-// appearing mid-scan all just fall back to the synchronous path.
-// Readahead is off under NoReadahead and whenever an ablation switch
-// is active (Ablated), since ablation baselines must measure the
-// un-pipelined path.
+// a scan that one leaf can answer is one leaf read and nothing else. A
+// scan that needs more leaves reads them the way a write statement reads
+// its rows' leaves: planned, in one round. When the iterator needs a
+// leaf and holds none it walks the inner-node cache to the leaf's parent,
+// whose cells name the leaves that follow and the key each begins at,
+// and reads in one round (kvclient.Tx.ReadBatch: one RPC per server, the
+// servers in parallel) every leaf the rest of the scan is more likely
+// than not to touch: the children whose separators lie below the range's
+// Hi, and of those, while a Limit is outstanding, as many as the wanted
+// cells reach into if a leaf holds MaxCells/2 — what a split leaves, so
+// the estimate errs towards reading a leaf too many, each capped at the
+// wanted cells, rather than paying a second round. A scan with neither
+// Hi nor Limit doubles its run from round to round (1, 2, 4, …, each
+// ending at its parent's last child): a consumer that stops early has
+// over-read no more than it consumed, and one that reads a whole tree
+// makes a round or two per parent. The rule has no knob because
+// everything it depends on — the range, the Limit, the split threshold,
+// the parent's separators — is in the iterator's hands when it plans. Hi
+// is a hard bound; Limit only sizes reads — iterating past it stays
+// correct and simply costs further rounds.
+// The plan is routing only. The iterator takes the fetched leaves in
+// chain order and checks of each what a descent checks of the leaf it
+// arrives at (found, this tree's, a leaf, fences around the key wanted);
+// the first that fails drops the rest of the run, and the ordinary
+// validated descent backs down and reads what the scan needs. A stale or
+// cold cache costs a wasted round at worst, never a row.
+// A transaction with staged writes scans leaf by leaf through its
+// overlay (a leaf fetched ahead, or cut short by a cap, cannot show
+// writes staged since), and so does a handle with an ablation switch on
+// (Ablated), whose baselines must measure the serial path.
 package dbt
 
 import "yesquel/internal/kv"
@@ -134,21 +140,6 @@ type Config struct {
 	// gives up caching entirely. Default 6.
 	MaxDescentRetries int
 
-	// ReadaheadLeaves bounds how many leaves ahead of the consumer a
-	// scan iterator may prefetch (see the package doc's "Scan
-	// readahead" section). It is also the batching depth: when the
-	// inner-node cache can predict a run of that many upcoming leaves,
-	// the prefetcher fetches the run with one batched RPC. Default 2
-	// (set 1 for a strictly leaf-at-a-time pipeline); clamped to at
-	// most 2 — deeper pipelines would only pile up leaves the consumer
-	// hasn't asked for yet.
-	ReadaheadLeaves int
-
-	// NoReadahead disables scan readahead: the iterator fetches every
-	// leaf synchronously when the consumer reaches it. Also implied by
-	// any ablation switch (Ablated).
-	NoReadahead bool
-
 	// CacheMaxNodes caps the inner-node cache in entries. When full,
 	// admitting a fresh node evicts a random resident one — eviction
 	// order does not matter for correctness (stale entries are caught
@@ -164,12 +155,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxDescentRetries == 0 {
 		c.MaxDescentRetries = 6
 	}
-	if c.ReadaheadLeaves <= 0 {
-		c.ReadaheadLeaves = 2
-	}
-	if c.ReadaheadLeaves > 2 {
-		c.ReadaheadLeaves = 2
-	}
 	if c.CacheMaxNodes == 0 {
 		c.CacheMaxNodes = 4096
 	}
@@ -177,10 +162,10 @@ func (c Config) withDefaults() Config {
 }
 
 // Ablated reports whether any of the paper's ablation switches is
-// active. Scan readahead turns itself off then: the ablation
-// experiments measure the cost of each mechanism in isolation, and a
-// pipelined leaf fetch would mask exactly the serialization they are
-// trying to expose.
+// active. Scans plan no read rounds then: the ablation experiments
+// measure the cost of each mechanism in isolation, and leaves fetched
+// together would mask exactly the serialization they are trying to
+// expose.
 func (c Config) Ablated() bool {
 	return c.NoCache || c.NoDelta || c.NoPartial || c.SyncSplit
 }

@@ -38,8 +38,9 @@ func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([]
 }
 
 // Read plans. A caller that knows beforehand which keys it will touch —
-// a multi-key lookup, a write statement that has evaluated its rows —
-// asks each tree for the leaf reads those operations will make
+// a multi-key lookup, a write statement that has evaluated its rows (a
+// scan plans its own leaves the same way: Iterator.readRound) — asks
+// each tree for the leaf reads those operations will make
 // (PlanPoint, PlanFirst), across as many trees as it likes, and hands
 // the lot to kvclient.Tx.Prefetch: one read round. The operations
 // themselves then run unchanged, and their descents find the leaf reads
@@ -66,72 +67,52 @@ func (t *Tree) PlanFirst(plan []kv.ReadBatchItem, lo, hi []byte) []kv.ReadBatchI
 // leaf, if the cache routes key to one: the window travels only when the
 // handle reads leaves in part (see descendOnce).
 func (t *Tree) planLeafRead(plan []kv.ReadBatchItem, key []byte, win window) []kv.ReadBatchItem {
-	var one [1]kv.OID
-	run := t.leafRunFromCache(one[:0], key, 1)
-	if len(run) == 0 {
+	parent, idx := t.routeFromCache(key)
+	if parent == nil {
+		return plan
+	}
+	oid, err := childOID(parent.Cells[idx])
+	if err != nil {
 		return plan
 	}
 	if t.cfg.NoPartial {
 		win = window{}
 	}
-	return append(plan, kv.ReadBatchItem{OID: run[0], Part: true, From: win.from, To: win.to, Max: win.max})
+	return append(plan, kv.ReadBatchItem{OID: oid, Part: true, From: win.from, To: win.to, Max: win.max})
 }
 
-// leafRunFromCache routes key through cached inner nodes to its
-// height-1 parent and returns, appended to run, the consecutive child
-// leaf OIDs starting at the one that should hold key, up to n. The run
-// stops at the parent's last child — crossing into the next parent would need
-// another cached route, and the caller re-predicts from the following
-// fence key anyway. A non-empty answer is routing only — it may be
-// stale: the caller validates the fetched leaves' fences and falls back
-// to a descent, exactly as a descent backs down. Returns nil when any
-// level of the path is uncached or unusable.
-func (t *Tree) leafRunFromCache(run []kv.OID, key []byte, n int) []kv.OID {
+// routeFromCache routes key through cached inner nodes to its height-1
+// parent and returns that node with the index of the child that should
+// hold key; the cells from there on name the leaves that follow it, by
+// their separators, up to the parent's last child. The answer is routing
+// only — it may be stale: whoever reads the leaves it names validates
+// their fences and falls back to a descent, exactly as a descent backs
+// down. Returns nil when any level of the path is uncached or unusable.
+func (t *Tree) routeFromCache(key []byte) (parent *kv.Value, idx int) {
 	cur := t.root
 	const maxDepth = 64
 	for depth := 0; depth < maxDepth; depth++ {
 		v, ok := t.cache.get(cur)
 		if !ok {
-			return nil
+			return nil, 0
 		}
 		// Cached nodes are inner by construction, but the tree id and a
 		// positive height are re-checked before trusting the route.
 		if v.Kind != kv.KindSuper || v.Attrs[AttrTree] != t.id || v.Attrs[AttrHeight] == 0 {
-			return nil
+			return nil, 0
 		}
-		idx, _ := cellFloor(v, key)
-		if idx < 0 {
-			return nil
+		i, _ := cellFloor(v, key)
+		if i < 0 {
+			return nil, 0
 		}
 		if v.Attrs[AttrHeight] == 1 {
-			for ; idx < len(v.Cells) && len(run) < n; idx++ {
-				oid, err := childOID(v.Cells[idx])
-				if err != nil {
-					return nil
-				}
-				run = append(run, oid)
-			}
-			return run
+			return v, i
 		}
-		child, err := childFor(v, key)
+		child, err := childOID(v.Cells[i])
 		if err != nil {
-			return nil
+			return nil, 0
 		}
 		cur = child
 	}
-	return nil
-}
-
-// sameSlotPrefix trims run to its leading same-server prefix.
-func (t *Tree) sameSlotPrefix(run []kv.OID) []kv.OID {
-	if len(run) == 0 {
-		return run
-	}
-	slot := t.c.ServerFor(run[0])
-	for i := 1; i < len(run); i++ {
-		if t.c.ServerFor(run[i]) != slot {
-			return run[:i]
-		}
-	}
-	return run
+	return nil, 0
 }

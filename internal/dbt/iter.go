@@ -1,7 +1,6 @@
 package dbt
 
 import (
-	"bytes"
 	"context"
 	"sort"
 
@@ -19,33 +18,26 @@ type Range struct {
 	// the server for cells at or beyond it.
 	Hi []byte
 	// Limit is how many cells the consumer expects to take; <= 0 means
-	// unknown. It is advisory: leaf reads are capped and the prefetcher
-	// paced by it, but a consumer that keeps iterating past it (say,
-	// because a residual predicate rejected rows) still gets every cell
-	// of [Lo, Hi), at the price of further leaf reads.
+	// unknown. It is advisory: leaf reads are capped and read rounds sized
+	// by it, but a consumer that keeps iterating past it (say, because a
+	// residual predicate rejected rows) still gets every cell of [Lo, Hi),
+	// at the price of further leaf reads.
 	Limit int
 }
 
 // Iterator walks the cells of one Range in ascending key order within
 // one transaction's snapshot. Iteration navigates by fence keys: after
-// exhausting a leaf, it descends for the leaf's high fence. Because
-// inner-node descents are served by the cache, advancing to the next
-// leaf costs one transactional leaf read — the same as following a
-// sibling pointer, but immune to stale links.
+// exhausting a leaf, it wants the leaf that holds the leaf's high fence.
 //
 // Every leaf read is windowed to [position, Hi) and, while a Limit is
 // outstanding, capped at the cells the consumer still expects. A scan
 // that one leaf can answer therefore costs exactly one leaf read.
 //
-// With readahead enabled (the default; see the package doc's "Scan
-// readahead" section) later leaf reads are pipelined: once the leaf in
-// hand cannot finish the scan — its high fence is below Hi and it holds
-// fewer cells than the outstanding Limit — a background goroutine
-// resolves the following leaves on a snapshot ReadView while the
-// consumer drains the current one, and the synchronous path remains the
-// fallback whenever a prefetch cannot be used. Call Close on an iterator
-// abandoned before exhaustion so a running prefetcher is released
-// promptly.
+// Leaves are read in planned rounds (see the package doc's "Scan plans"
+// section): when the iterator needs a leaf and holds none, the inner-node
+// cache names that leaf and the ones the rest of the scan will probably
+// touch, and one read round fetches them all. Nothing runs beside the
+// consumer; Close only marks the iterator finished.
 type Iterator struct {
 	t   *Tree
 	tx  *kvclient.Tx
@@ -60,33 +52,15 @@ type Iterator struct {
 	done  bool
 	err   error
 
-	ra    *readahead
-	raOff bool // readahead permanently disabled for this iterator
-}
-
-// readahead is the iterator's leaf prefetcher: one goroutine following
-// the fence-key chain on a snapshot ReadView, delivering each leaf on
-// a channel whose capacity (plus the descent in flight) bounds how far
-// it runs ahead of the consumer. The goroutine closes the channel when
-// it stops, whether the chain ended or the scan's Limit was covered.
-type readahead struct {
-	cancel context.CancelFunc
-	ch     chan raResult
-}
-
-// raResult is one prefetched leaf: the fence key it was descended for,
-// so the consumer can verify it is being handed the leaf it wants.
-type raResult struct {
-	key []byte
-	li  leafInfo
-	err error
+	run    []kv.ReadBatchResult // the planned round's leaves not yet reached, in chain order
+	runMax uint32               // the cap they were read with; 0 = none
+	ahead  int                  // leaves the next round names while no Limit is outstanding
 }
 
 // NewIterator returns an iterator positioned at the first key of r. An
 // empty range (Hi set and Lo >= Hi) yields nothing and reads nothing.
 func (t *Tree) NewIterator(ctx context.Context, tx *kvclient.Tx, r Range) *Iterator {
-	it := &Iterator{t: t, tx: tx, ctx: ctx, hi: r.Hi, want: max(r.Limit, 0)}
-	it.raOff = t.cfg.NoReadahead || t.cfg.Ablated()
+	it := &Iterator{t: t, tx: tx, ctx: ctx, hi: r.Hi, want: max(r.Limit, 0), ahead: 1}
 	lo := r.Lo
 	if lo == nil {
 		lo = []byte{}
@@ -108,44 +82,24 @@ func (it *Iterator) pastHi(key []byte) bool {
 // >= key.
 func (it *Iterator) load(key []byte) {
 	for {
-		li, ok := it.takeReadahead(key)
-		capped := false
-		if !ok {
-			win := window{from: key, to: it.hi}
-			// The cap is the floor cell (possibly a predecessor of key),
-			// the cells still wanted, and one more that tells a window cut
-			// short by the cap from a leaf that simply ended. Staged
-			// writes are overlaid on the window wherever they fall in the
-			// leaf, which a capped window cannot represent (cells between
-			// the cap and a staged cell would go missing), so the cap is
-			// used on clean transactions only.
-			if it.want > 0 && it.tx.NumWrites() == 0 {
-				win.max = uint32(it.want) + 2
-				capped = true
-			}
-			var err error
-			li, err = it.t.descend(it.ctx, it.tx, key, win)
-			if err != nil {
-				it.err = err
-				it.done = true
-				return
-			}
+		leaf, capped, err := it.fetch(key)
+		if err != nil {
+			it.err = err
+			it.done = true
+			return
 		}
-		leaf := li.node
 		end := len(leaf.Cells)
 		if it.hi != nil {
 			end = sort.Search(end, func(i int) bool { return compare(leaf.Cells[i].Key, it.hi) >= 0 })
 		}
 		it.cells = leaf.Cells[:end]
 		it.pos = sort.Search(end, func(i int) bool { return compare(it.cells[i].Key, key) >= 0 })
-		inHand := end - it.pos
 		switch {
 		case end < len(leaf.Cells):
 			it.next = nil // the leaf holds a cell at or past hi
-		case capped && inHand > it.want:
-			// A capped window holds at most one cell below key, so only
-			// one cut short by the cap can hold more than want cells from
-			// key on: the leaf may continue after the last cell in hand.
+		case capped > 0 && end >= int(capped):
+			// The window came back full, so the cap may have cut it short:
+			// the leaf may continue after the last cell in hand.
 			it.next = upperBoundExclusive(it.cells[end-1].Key)
 			if it.pastHi(it.next) {
 				it.next = nil
@@ -155,7 +109,6 @@ func (it *Iterator) load(key []byte) {
 		default:
 			it.next = append([]byte(nil), leaf.HighKey...)
 		}
-		it.maybeReadahead(inHand)
 		if it.pos < end {
 			return
 		}
@@ -168,159 +121,102 @@ func (it *Iterator) load(key []byte) {
 	}
 }
 
-// maybeReadahead starts the prefetcher for the upcoming leaves, unless
-// one is already running, the scan can end in the current leaf (there is
-// no next one, or its inHand cells cover the outstanding Limit), or the
-// iterator must stay synchronous. Staged writes disable readahead for
-// good: the prefetcher reads the bare snapshot, and from the first
-// staged write on, every leaf must be overlaid through the transaction.
-func (it *Iterator) maybeReadahead(inHand int) {
-	if it.ra != nil || it.raOff || it.next == nil || (it.want > 0 && inHand >= it.want) {
-		return
-	}
+// fetch returns the leaf that holds key, windowed to [key, Hi) or wider,
+// and the cap the window was read with (0 = none): the next leaf of the
+// planned round if that is the one, else what a new round or, failing
+// that, an ordinary descent brings.
+func (it *Iterator) fetch(key []byte) (*kv.Value, uint32, error) {
+	win := window{from: key, to: it.hi}
+	// Staged writes are overlaid on a window wherever they fall in the
+	// leaf, which neither a capped window can represent (cells between the
+	// cap and a staged cell would go missing) nor a leaf fetched before
+	// the write was staged: from the first staged write on, the scan goes
+	// leaf by leaf, uncapped, through the transaction. So does an ablated
+	// handle's, whose experiments measure exactly that serialisation.
 	if it.tx.NumWrites() > 0 {
-		it.raOff = true
-		return
+		it.run = nil
+	} else {
+		if it.want > 0 {
+			// The floor cell (possibly a predecessor of key), the cells
+			// still wanted, and one more that tells a window cut short by
+			// the cap from a leaf that simply ended.
+			win.max = uint32(it.want) + 2
+		}
+		if len(it.run) == 0 && !it.t.cfg.Ablated() {
+			if err := it.readRound(key, win.max); err != nil {
+				return nil, 0, err
+			}
+		}
+		if len(it.run) > 0 {
+			res := it.run[0]
+			it.run = it.run[1:]
+			// What a descent checks of the leaf it arrives at. A leaf that
+			// fails was named by a stale cache: the rest of the run hangs
+			// off it and goes too, and the descent below backs down.
+			if leaf := res.Value; res.Found && leaf.Kind == kv.KindSuper && leaf.Attrs[AttrTree] == it.t.id &&
+				leaf.Attrs[AttrHeight] == 0 && leaf.InBounds(key) {
+				return leaf, it.runMax, nil
+			}
+			it.run = nil
+		}
 	}
-	ctx, cancel := context.WithCancel(it.ctx)
-	// Channel capacity plus the fetch in flight = ReadaheadLeaves (1–2)
-	// leaves ahead of the consumer, at most.
-	ch := make(chan raResult, it.t.cfg.ReadaheadLeaves-1)
-	view := it.tx.View()
+	li, err := it.t.descend(it.ctx, it.tx, key, win)
+	return li.node, win.max, err
+}
+
+// readRound plans the scan's next read round from key on (the rule and
+// its reasons: the package doc's "Scan plans") and, when the plan names
+// more than one leaf, reads them into it.run, each windowed to [key or
+// its first cell, Hi) and capped at capped; a single leaf is left to the
+// descent, which reads exactly that. The run is key's leaf and the
+// successors whose separators lie below Hi, up to the parent's last
+// child. Of those, while a Limit is outstanding, as many as want cells
+// reach into when a leaf holds MaxCells/2 and the scan starts anywhere in
+// its first: the k-th successor is touched for certain once
+// want >= k*MaxCells/2 and as likely as not at (k-1/2)*MaxCells/2. A
+// scan with neither Limit nor Hi doubles its run from one round to the
+// next. The plan is routing only (routeFromCache): fetch validates every
+// leaf it takes from the run.
+func (it *Iterator) readRound(key []byte, capped uint32) error {
 	t := it.t
-	hi := it.hi
-	batch := it.t.cfg.ReadaheadLeaves
-	// need is how many cells the following leaves still have to supply;
-	// the prefetcher stops once it has delivered that many. Zero means
-	// the scan has no Limit outstanding: follow the chain to its end.
-	need := 0
+	parent, idx := t.routeFromCache(key)
+	if parent == nil {
+		return nil
+	}
+	n := len(parent.Cells)
 	if it.want > 0 {
-		need = it.want - inHand
+		half := max(t.cfg.MaxCells/2, 1)
+		n = 1 + (2*it.want+half)/(2*half)
+	} else if it.hi == nil {
+		n = min(n, it.ahead)
+		it.ahead = 2 * n
 	}
-	go func(key []byte) {
-		defer close(ch)
-		// deliver sends one prefetched leaf; false means the iterator is
-		// gone (context cancelled), the chain ended at this leaf, or the
-		// leaves delivered so far cover the scan's Limit.
-		deliver := func(key []byte, li leafInfo, err error) bool {
-			select {
-			case ch <- raResult{key: key, li: li, err: err}:
-			case <-ctx.Done():
-				return false
-			}
-			if err != nil || li.node.HighKey == nil || (hi != nil && compare(li.node.HighKey, hi) >= 0) {
-				return false
-			}
-			if need > 0 {
-				if need -= len(li.node.Cells); need <= 0 {
-					return false
-				}
-			}
-			return true
+	last := idx + 1
+	for last < len(parent.Cells) && last < idx+n && !it.pastHi(parent.Cells[last].Key) {
+		last++
+	}
+	if last-idx < 2 {
+		return nil
+	}
+	items := make([]kv.ReadBatchItem, 0, last-idx)
+	for _, c := range parent.Cells[idx:last] {
+		oid, err := childOID(c)
+		if err != nil {
+			return nil // the descent meets the same pointer and reports it
 		}
-		for {
-			// Fast path: when the inner-node cache can predict a run of
-			// upcoming leaves on ONE server slot, fetch the whole run
-			// with one batched RPC instead of one round trip per leaf.
-			// The run is trimmed to the leading same-slot prefix because
-			// batching pays off only by consolidating RPCs — a cross-slot
-			// pair costs the same two RPCs either way, plus fan-out
-			// overhead. Prediction is routing only — each fetched leaf is
-			// fence-checked against the chain and the run is abandoned
-			// (falling back to a validated descent) the moment a leaf is
-			// missing, foreign, or no longer covers its fence key. Extra
-			// cells a leaf read returns below the fence are harmless: the
-			// consumer positions by binary search inside every leaf.
-			if run := t.sameSlotPrefix(t.leafRunFromCache(nil, key, batch)); len(run) >= 2 {
-				items := make([]kv.ReadBatchItem, len(run))
-				for i, oid := range run {
-					items[i] = kv.ReadBatchItem{OID: oid, Part: true, To: hi}
-				}
-				t.stats.NodeReads.Add(uint64(len(items)))
-				results, err := view.ReadBatch(ctx, items)
-				if err != nil {
-					// Transport trouble: let the synchronous path report it.
-					deliver(key, leafInfo{}, err)
-					return
-				}
-				advanced := false
-				for i := range results {
-					leaf := results[i].Value
-					if !results[i].Found || leaf.Kind != kv.KindSuper ||
-						leaf.Attrs[AttrTree] != t.id || leaf.Attrs[AttrHeight] != 0 ||
-						!leaf.InBounds(key) {
-						break
-					}
-					if !deliver(key, leafInfo{oid: run[i], node: leaf, total: int(results[i].Total)}, nil) {
-						return
-					}
-					advanced = true
-					key = append([]byte(nil), leaf.HighKey...)
-				}
-				if advanced {
-					continue
-				}
-				// The first predicted leaf was already stale: descend.
-			}
-			li, err := t.descend(ctx, view, key, window{from: key, to: hi})
-			if !deliver(key, li, err) {
-				return
-			}
-			key = append([]byte(nil), li.node.HighKey...)
-		}
-	}(it.next)
-	it.ra = &readahead{cancel: cancel, ch: ch}
+		items = append(items, kv.ReadBatchItem{OID: oid, Part: true, To: it.hi, Max: capped})
+	}
+	items[0].From = key // the leaves after it are read from their first cell
+	t.stats.NodeReads.Add(uint64(len(items)))
+	run, err := it.tx.ReadBatch(it.ctx, items)
+	it.run, it.runMax = run, capped
+	return err
 }
 
-// takeReadahead consumes the prefetched leaf for key, if one is (or
-// will shortly be) available and still usable. A miss of any kind —
-// no prefetcher running, staged writes appeared (the prefetch carries
-// no overlay), the prefetcher stopped or failed, or it answered a
-// different fence key — shuts the pipeline down and sends the caller to
-// the synchronous path, which recomputes the same leaf under the full
-// overlay and back-down rules. Discarding is always safe: prefetched
-// leaves are plain snapshot reads the synchronous descent reproduces
-// byte for byte.
-func (it *Iterator) takeReadahead(key []byte) (leafInfo, bool) {
-	if it.ra == nil {
-		return leafInfo{}, false
-	}
-	if it.tx.NumWrites() > 0 {
-		it.stopReadahead()
-		return leafInfo{}, false
-	}
-	var (
-		res raResult
-		ok  bool
-	)
-	select {
-	case res, ok = <-it.ra.ch:
-	case <-it.ctx.Done():
-	}
-	if !ok || res.err != nil || !bytes.Equal(res.key, key) {
-		it.stopReadahead()
-		return leafInfo{}, false
-	}
-	return res.li, true
-}
-
-// stopReadahead tears the prefetcher down (it exits on the cancelled
-// context even if parked on a send) and pins the iterator to the
-// synchronous path.
-func (it *Iterator) stopReadahead() {
-	if it.ra != nil {
-		it.ra.cancel()
-		it.ra = nil
-	}
-	it.raOff = true
-}
-
-// Close releases the iterator's background resources. It is idempotent
-// and safe on exhausted iterators; call it whenever an iterator may be
-// abandoned before exhaustion (e.g. a LIMITed scan), or a running
-// prefetch goroutine lingers until the surrounding context ends.
+// Close marks the iterator finished. It is idempotent and safe on
+// exhausted iterators.
 func (it *Iterator) Close() {
-	it.stopReadahead()
+	it.run = nil
 	it.done = true
 }
 

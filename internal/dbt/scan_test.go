@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"yesquel/internal/clock"
 	"yesquel/internal/cluster"
 	"yesquel/internal/dbt"
 	"yesquel/internal/kv"
@@ -39,60 +40,101 @@ func requireSameCells(t *testing.T, got, want []kv.Cell) {
 	}
 }
 
-// TestReadaheadScanMatchesSync is the core determinism check: the same
-// snapshot scanned through a readahead iterator and through a
-// synchronous (NoReadahead) iterator must produce byte-identical
-// cells.
-func TestReadaheadScanMatchesSync(t *testing.T) {
+// openWarm opens one more handle to tree 1 and fills its inner-node
+// cache with a scan, so the scans that follow are planned. A handle fresh
+// from dbt.Open is cold: it routes nothing, plans nothing and reads leaf
+// by leaf until its descents have cached the inner nodes, as does, for
+// good, a handle with an ablation switch on (the loaders here, which
+// split synchronously): those are the reference a planned scan is held
+// to.
+func openWarm(t *testing.T, c *kvclient.Client, cfg dbt.Config) *dbt.Tree {
+	t.Helper()
+	tree, err := dbt.Open(context.Background(), c, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tree.Close)
+	tx := c.Begin()
+	scanAllAt(t, tree, tx)
+	tx.Abort()
+	return tree
+}
+
+// TestPlannedScanMatchesLeafByLeaf is the core determinism check: the
+// same snapshot scanned in planned rounds, by a cold handle and leaf by
+// leaf must produce byte-identical cells — and the planned scan must
+// have made fewer rounds than there are leaves, or nothing was planned.
+func TestPlannedScanMatchesLeafByLeaf(t *testing.T) {
 	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8, SyncSplit: true})
 	fillSequential(t, c, loader, 120)
 	ctx := context.Background()
-
-	ra, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: 8, ReadaheadLeaves: 2})
+	warm := openWarm(t, c, dbt.Config{MaxCells: 8})
+	cold, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ra.Close()
-
-	tx1 := c.Begin()
-	defer tx1.Abort()
-	tx2 := c.BeginAt(tx1.Snapshot())
-	defer tx2.Abort()
-	got := scanAllAt(t, ra, tx1)
-	want := scanAllAt(t, loader, tx2)
-	if len(want) != 120 {
-		t.Fatalf("sync scan saw %d cells, want 120", len(want))
-	}
-	requireSameCells(t, got, want)
-}
-
-// TestReadaheadScanDuringSplits starts a readahead scan, lets another
-// handle commit inserts that split leaves mid-scan, and checks the
-// scan still returns exactly its snapshot — identical to a synchronous
-// scan at the same snapshot taken after the splits.
-func TestReadaheadScanDuringSplits(t *testing.T) {
-	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8, SyncSplit: true})
-	fillSequential(t, c, loader, 100)
-	ctx := context.Background()
-
-	ra, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: 8, ReadaheadLeaves: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ra.Close()
+	defer cold.Close()
 
 	tx := c.Begin()
 	defer tx.Abort()
-	it := ra.NewIterator(ctx, tx, dbt.Range{})
+	rounds := c.ReadRounds()
+	want := scanAllAt(t, loader, tx)
+	serial := c.ReadRounds() - rounds
+	if len(want) != 120 {
+		t.Fatalf("leaf-by-leaf scan saw %d cells, want 120", len(want))
+	}
+	for _, tree := range []*dbt.Tree{warm, cold} {
+		at := c.BeginAt(tx.Snapshot())
+		rounds = c.ReadRounds()
+		requireSameCells(t, scanAllAt(t, tree, at), want)
+		at.Abort()
+		if planned := c.ReadRounds() - rounds; tree == warm && planned*2 > serial {
+			t.Errorf("planned scan made %d read rounds, the leaf-by-leaf one %d", planned, serial)
+		}
+	}
+	// A Limit sizes the first round: the same cells, in one round.
+	for _, limit := range []int{1, 5, 13, 40} {
+		at := c.BeginAt(tx.Snapshot())
+		rounds = c.ReadRounds()
+		got, err := warm.Scan(ctx, at, []byte("k000017"), limit)
+		at.Abort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameCells(t, got, want[17:17+limit])
+		if n := c.ReadRounds() - rounds; limit <= 13 && n != 1 {
+			t.Errorf("Scan of %d cells made %d read rounds, want 1", limit, n)
+		}
+	}
+}
+
+// TestPlannedScanDuringSplits starts a planned scan, lets another
+// handle commit inserts that split leaves mid-scan — the leaves of the
+// round in hand among them — and checks the scan still returns exactly
+// its snapshot: what a leaf-by-leaf scan at the same snapshot returns
+// after the splits.
+func TestPlannedScanDuringSplits(t *testing.T) {
+	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8, SyncSplit: true})
+	fillSequential(t, c, loader, 100)
+	ctx := context.Background()
+	warm := openWarm(t, c, dbt.Config{MaxCells: 8})
+
+	tx := c.Begin()
+	defer tx.Abort()
+	it := warm.NewIterator(ctx, tx, dbt.Range{})
 	defer it.Close()
 	var got []kv.Cell
-	for i := 0; i < 5 && it.Valid(); i++ {
+	for i := 0; i < 6 && it.Valid(); i++ {
 		got = append(got, kv.Cell{Key: it.Key(), Value: it.Value()})
 		it.Next()
 	}
-	// Splits land while the iterator (and its prefetcher) are mid-tree.
+	// Splits land while the iterator is mid-tree.
 	for i := 100; i < 160; i++ {
 		putAuto(t, c, loader, fmt.Sprintf("k%06d", i), fmt.Sprintf("v%d", i))
+		putAuto(t, c, loader, fmt.Sprintf("k%06da", i-95), "late")
+		if err := loader.MaintainNow(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for ; it.Valid(); it.Next() {
 		got = append(got, kv.Cell{Key: it.Key(), Value: it.Value()})
@@ -110,32 +152,34 @@ func TestReadaheadScanDuringSplits(t *testing.T) {
 	requireSameCells(t, got, want)
 }
 
-// TestReadaheadScanSeesStagedWrites stages a write mid-scan: the
-// prefetched leaves carry no overlay, so the iterator must shut the
-// pipeline down and keep serving the transaction's own writes.
-func TestReadaheadScanSeesStagedWrites(t *testing.T) {
+// TestPlannedScanSeesStagedWrites stages a write mid-scan, into a leaf
+// the round in hand has already fetched: fetched leaves carry no overlay,
+// so the iterator must drop them and keep serving the transaction's own
+// writes.
+func TestPlannedScanSeesStagedWrites(t *testing.T) {
 	_, c, loader := startTree(t, 2, dbt.Config{MaxCells: 8, SyncSplit: true})
 	fillSequential(t, c, loader, 100)
 	ctx := context.Background()
-
-	ra, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ra.Close()
+	warm := openWarm(t, c, dbt.Config{MaxCells: 8})
 
 	tx := c.Begin()
 	defer tx.Abort()
-	it := ra.NewIterator(ctx, tx, dbt.Range{})
+	// Leaves hold four cells. The first round is the first leaf, the
+	// second the two after it: six cells in, the third leaf is in hand.
+	it := warm.NewIterator(ctx, tx, dbt.Range{})
 	defer it.Close()
 	var got []kv.Cell
-	for i := 0; i < 3 && it.Valid(); i++ {
+	for i := 0; i < 6 && it.Valid(); i++ {
 		got = append(got, kv.Cell{Key: it.Key(), Value: it.Value()})
 		it.Next()
 	}
-	staged := "k000050a" // well ahead of the current position
-	if err := ra.Put(ctx, tx, []byte(staged), []byte("staged")); err != nil {
-		t.Fatalf("staged Put: %v", err)
+	for _, staged := range []string{"k000009a", "k000050a"} {
+		if err := warm.Put(ctx, tx, []byte(staged), []byte("staged")); err != nil {
+			t.Fatalf("staged Put: %v", err)
+		}
+	}
+	if err := warm.Delete(ctx, tx, []byte("k000010")); err != nil {
+		t.Fatalf("staged Delete: %v", err)
 	}
 	for ; it.Valid(); it.Next() {
 		got = append(got, kv.Cell{Key: it.Key(), Value: it.Value()})
@@ -143,31 +187,19 @@ func TestReadaheadScanSeesStagedWrites(t *testing.T) {
 	if err := it.Err(); err != nil {
 		t.Fatalf("iterator: %v", err)
 	}
-	if len(got) != 101 {
-		t.Fatalf("scan saw %d cells, want 101", len(got))
+	// The loader scans leaf by leaf through the same transaction.
+	want := scanAllAt(t, loader, tx)
+	if len(want) != 101 {
+		t.Fatalf("leaf-by-leaf scan saw %d cells, want 101", len(want))
 	}
-	seen := false
-	for i, cell := range got {
-		if i > 0 && bytes.Compare(got[i-1].Key, cell.Key) >= 0 {
-			t.Fatalf("scan out of order at %d: %q then %q", i, got[i-1].Key, cell.Key)
-		}
-		if string(cell.Key) == staged {
-			seen = true
-			if string(cell.Value) != "staged" {
-				t.Fatalf("staged cell value %q", cell.Value)
-			}
-		}
-	}
-	if !seen {
-		t.Fatalf("staged key %q missing from scan", staged)
-	}
+	requireSameCells(t, got, want)
 }
 
-// TestReadaheadFollowerReads checks readahead-on and readahead-off
-// scans stay byte-identical when reads route to followers: the
-// prefetcher's ReadView must obey the same watermark-gated routing as
-// the transaction it serves.
-func TestReadaheadFollowerReads(t *testing.T) {
+// TestPlannedScanFollowerReads checks planned and leaf-by-leaf scans
+// stay byte-identical when reads route to followers: a planned round
+// obeys the same watermark-gated routing as any read of the transaction
+// it serves.
+func TestPlannedScanFollowerReads(t *testing.T) {
 	cl, err := cluster.StartReplicated(1, 3, kvserver.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -185,48 +217,145 @@ func TestReadaheadFollowerReads(t *testing.T) {
 	}
 	t.Cleanup(loader.Close)
 	fillSequential(t, c, loader, 80)
-
-	ra, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: 8, ReadaheadLeaves: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ra.Close()
+	warm := openWarm(t, c, dbt.Config{MaxCells: 8})
 
 	c.SetFollowerReads(true)
 	last := []byte(fmt.Sprintf("k%06d", 79))
-	// Wait for the durability frontier to cover the fill: primary reads
-	// teach the client the frontier, and once a frontier-snapshot read
-	// sees the last key, every filled write is below the watermark.
+	// Wait for the durability frontier to cover the fill, and for the
+	// client's pinned backup to have caught up with it: primary reads
+	// teach the client the frontier, and once a read at the frontier
+	// snapshot sees the last key and a backup has served it, every read
+	// of either scan at that snapshot can go to the backup.
+	var snap clock.Timestamp
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, ok := getAuto(t, c, loader, string(last)); !ok {
 			t.Fatal("seed key missing")
 		}
-		if snap := c.FollowerSnapshot(); uint64(snap) > 0 {
+		if snap = c.FollowerSnapshot(); snap > 0 {
+			served := cl.Stats().FollowerReads
 			tx := c.BeginAt(snap)
 			_, err := loader.Get(ctx, tx, last)
 			tx.Abort()
-			if err == nil {
+			if err == nil && cl.Stats().FollowerReads > served {
 				break
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("durability frontier never covered the fill")
+			t.Fatal("no backup ever served a read at a frontier that covers the fill")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	snap := c.FollowerSnapshot()
 	tx1 := c.BeginAt(snap)
 	defer tx1.Abort()
 	tx2 := c.BeginAt(snap)
 	defer tx2.Abort()
-	got := scanAllAt(t, ra, tx1)
+	followerReads := cl.Stats().FollowerReads
+	got := scanAllAt(t, warm, tx1)
 	want := scanAllAt(t, loader, tx2)
 	if len(want) != 80 {
 		t.Fatalf("follower scan saw %d cells, want 80", len(want))
 	}
 	requireSameCells(t, got, want)
+	if cl.Stats().FollowerReads == followerReads {
+		t.Error("no read of either scan was served by a follower")
+	}
+}
+
+// TestStaleScanPlanCostsReadsNeverRows: another handle splits a scan's
+// start leaf and the leaf after it between a handle's cache fill and its
+// scan. The round the stale cache plans then names a start leaf that no
+// longer holds the start key, and later a successor that no longer
+// follows its predecessor: each time the iterator drops the run, the
+// ordinary descent backs down, and the scan returns what a fresh
+// handle's does, for the wasted rounds and the back-downs more.
+func TestStaleScanPlanCostsReadsNeverRows(t *testing.T) {
+	cl, c, loader := planTree(t)
+	ctx := context.Background()
+	stale, fresh := openWarm(t, c, dbt.Config{MaxCells: 8}), openWarm(t, c, dbt.Config{MaxCells: 8})
+
+	// Grow and split the leaves that hold k000031 and k000033: the fillers
+	// from k000031a and from k000033c up move to leaves the stale handle
+	// has not heard of.
+	splits := loader.Stats().SplitsDone
+	for _, at := range []int{31, 33} {
+		for i := 0; i < 8; i++ {
+			putAuto(t, c, loader, fmt.Sprintf("k%06d%c", at, 'a'+i), "filler")
+			if err := loader.MaintainNow(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if loader.Stats().SplitsDone < splits+2 {
+		t.Fatal("the fillers did not split two leaves")
+	}
+	tx := c.Begin()
+	scanAllAt(t, fresh, tx) // fresh has heard of them
+	tx.Abort()
+
+	scan := func(tree *dbt.Tree) (cells []kv.Cell, reads, rounds, backDowns uint64) {
+		t.Helper()
+		reads, rounds, backDowns = cl.Stats().Reads, c.ReadRounds(), tree.Stats().BackDowns
+		tx := c.Begin()
+		defer tx.Abort()
+		cells, err := tree.Scan(ctx, tx, []byte("k000031c"), 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells, cl.Stats().Reads - reads, c.ReadRounds() - rounds, tree.Stats().BackDowns - backDowns
+	}
+	want, fReads, fRounds, fBack := scan(fresh)
+	got, sReads, sRounds, sBack := scan(stale)
+	requireSameCells(t, got, want)
+	if len(want) != 12 || string(want[0].Key) != "k000031c" || string(want[11].Key) != "k000033d" {
+		t.Fatalf("scan returned %d cells from %q to %q", len(want), want[0].Key, want[len(want)-1].Key)
+	}
+	t.Logf("12 cells from k000031c: fresh %d reads in %d rounds, stale %d reads in %d rounds and %d back-downs",
+		fReads, fRounds, sReads, sRounds, sBack)
+	// One back-down per split the scan ran into; the first repairs the
+	// second's route too when the two leaves share a parent.
+	if fBack != 0 || sBack < 1 || sBack > 2 {
+		t.Errorf("back-downs: %d fresh, %d stale, want 0 and 1 or 2 (the route was not stale?)", fBack, sBack)
+	}
+	if sRounds <= fRounds || sReads <= fReads {
+		t.Errorf("stale scan cost %d reads in %d rounds, fresh %d in %d: want the stale one dearer", sReads, sRounds, fReads, fRounds)
+	}
+	// The back-down repaired the route: the same scan again costs what
+	// the fresh handle's did.
+	if _, reads, rounds, back := scan(stale); reads != fReads || rounds != fRounds || back != 0 {
+		t.Errorf("scan after the repair: %d reads in %d rounds, %d back-downs, want %d, %d, 0", reads, rounds, back, fReads, fRounds)
+	}
+	check := c.Begin()
+	defer check.Abort()
+	if res, err := stale.Check(ctx, check); err != nil || res.Cells != 64+16 {
+		t.Fatalf("Check through the stale handle: %+v, %v", res, err)
+	}
+}
+
+// TestInnerSplitLeavesRoutableCache: a handle that splits an inner node
+// (or grows an inner root) caches both halves with the router, so the
+// read plan for the next key — sequential keys land under the newest
+// sibling — still names a leaf. Without that the statement after an inner
+// split plans nothing and reads row by row.
+func TestInnerSplitLeavesRoutableCache(t *testing.T) {
+	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 4, SyncSplit: true})
+	ctx := context.Background()
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("k%06d", i)
+		if plan := tree.PlanPoint(nil, []byte(key)); i > 4 && len(plan) != 1 {
+			t.Fatalf("after %d keys the cache routes %q to %d leaves, want 1", i, key, len(plan))
+		}
+		putAuto(t, c, tree, key, "v")
+		if err := tree.MaintainNow(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := c.Begin()
+	defer tx.Abort()
+	if res, err := tree.Check(ctx, tx); err != nil || res.Height < 3 {
+		t.Fatalf("Check: %+v, %v; want inner nodes to have split", res, err)
+	}
 }
 
 // collect drains an iterator.
@@ -249,12 +378,12 @@ func collect(t *testing.T, it *dbt.Iterator) []kv.Cell {
 // [Lo, Hi) — including when the consumer iterates past the advisory
 // Limit — over random trees, while another handle keeps splitting
 // leaves, with and without staged writes in the reading transaction,
-// with readahead on and off.
+// in planned rounds and leaf by leaf.
 func TestBoundedIteratorMatchesUnbounded(t *testing.T) {
 	ctx := context.Background()
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
-	for _, readahead := range []bool{true, false} {
-		t.Run(fmt.Sprintf("readahead=%v", readahead), func(t *testing.T) {
+	for _, planned := range []bool{true, false} {
+		t.Run(fmt.Sprintf("planned=%v", planned), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 5; trial++ {
 				maxCells := 4 + rng.Intn(13)
@@ -266,11 +395,12 @@ func TestBoundedIteratorMatchesUnbounded(t *testing.T) {
 						t.Fatalf("MaintainNow: %v", err)
 					}
 				}
-				bounded, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, NoReadahead: !readahead})
+				// A handle that splits synchronously is ablated: it plans nothing.
+				bounded, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, SyncSplit: !planned})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, NoReadahead: true})
+				ref, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, SyncSplit: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -238,13 +238,24 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
 		return nil
 	}
 
+	// The two halves as the split leaves them: the left keeps the node's
+	// OID — unless the node is the root, whose OID stays the root's and
+	// whose halves both move to fresh nodes — the right is new, on a server
+	// chosen by the placement policy.
+	leftOID := oid
+	if oid == t.root {
+		leftOID = t.newNodeOID()
+	}
+	rightOID := t.newNodeOID()
+	left, right := *node, *node
+	left.HighKey, right.LowKey = midKey, midKey
+	left.Cells, right.Cells = node.Cells[:mid:mid], node.Cells[mid:]
+	left.Attrs[AttrNext] = uint64(rightOID)
+
 	router := t.root // the inner node that routes to the new sibling
 	if oid == t.root {
-		err = t.growRoot(ctx, tx, node, mid)
-	} else {
-		router, err = t.splitNonRoot(ctx, tx, oid, node, mid)
-	}
-	if err != nil {
+		t.growRoot(tx, node, leftOID, &left, rightOID, &right)
+	} else if router, err = t.splitNonRoot(ctx, tx, oid, node, rightOID, &right); err != nil {
 		return err
 	}
 	// The router as the split leaves it: tx's own writes over what it has
@@ -257,41 +268,24 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
 		return err
 	}
 	t.stats.SplitsDone.Add(1)
-	// Routing changed: drop the cached copy of what was split and cache
-	// the router as it is now, or this handle's next read plan for a key
-	// that moved names the old leaf and every planned read behind it is
-	// wasted.
-	t.cache.invalidate(oid)
+	// Routing changed: cache the router as it is now and, when what split
+	// was an inner node, both halves in place of the cached whole — or this
+	// handle's next read plan under them routes nothing (or names the old
+	// leaf) and every planned read behind it is wasted.
 	if !t.cfg.NoCache {
 		t.cache.put(router, routing)
+		if node.Attrs[AttrHeight] > 0 {
+			t.cache.put(leftOID, &left)
+			t.cache.put(rightOID, &right)
+		}
 	}
 	return nil
 }
 
-// growRoot turns the (oversized) root into an inner node with two fresh
-// children. The root OID is preserved — clients hold it statically.
-func (t *Tree) growRoot(ctx context.Context, tx *kvclient.Tx, root *kv.Value, mid int) error {
-	midKey := root.Cells[mid].Key
-
-	left := kv.NewSuper()
-	left.Attrs[AttrHeight] = root.Attrs[AttrHeight]
-	left.Attrs[AttrTree] = t.id
-	left.LowKey = root.LowKey
-	left.HighKey = append([]byte(nil), midKey...)
-	left.Cells = append([]kv.Cell(nil), root.Cells[:mid]...)
-
-	right := kv.NewSuper()
-	right.Attrs[AttrHeight] = root.Attrs[AttrHeight]
-	right.Attrs[AttrTree] = t.id
-	right.LowKey = append([]byte(nil), midKey...)
-	right.HighKey = root.HighKey
-	right.Cells = append([]kv.Cell(nil), root.Cells[mid:]...)
-
-	leftOID := t.newNodeOID()
-	rightOID := t.newNodeOID()
-	left.Attrs[AttrNext] = uint64(rightOID)
-	right.Attrs[AttrNext] = root.Attrs[AttrNext]
-
+// growRoot turns the (oversized) root into an inner node over its two
+// halves, which move to fresh nodes. The root OID is preserved — clients
+// hold it statically.
+func (t *Tree) growRoot(tx *kvclient.Tx, root *kv.Value, leftOID kv.OID, left *kv.Value, rightOID kv.OID, right *kv.Value) {
 	newRoot := kv.NewSuper()
 	newRoot.Attrs[AttrHeight] = root.Attrs[AttrHeight] + 1
 	newRoot.Attrs[AttrTree] = t.id
@@ -302,27 +296,17 @@ func (t *Tree) growRoot(ctx context.Context, tx *kvclient.Tx, root *kv.Value, mi
 		lowCell = []byte{}
 	}
 	newRoot.ListAdd(lowCell, encodeChild(leftOID))
-	newRoot.ListAdd(midKey, encodeChild(rightOID))
+	newRoot.ListAdd(right.LowKey, encodeChild(rightOID))
 
 	tx.Put(leftOID, left)
 	tx.Put(rightOID, right)
 	tx.Put(t.root, newRoot)
-	return nil
 }
 
-// splitNonRoot moves the upper half of node into a fresh sibling and
-// links it into the parent, whose OID it returns.
-func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, node *kv.Value, mid int) (kv.OID, error) {
-	midKey := node.Cells[mid].Key
-
-	rightOID := t.newNodeOID()
-	right := kv.NewSuper()
-	right.Attrs[AttrHeight] = node.Attrs[AttrHeight]
-	right.Attrs[AttrTree] = t.id
-	right.Attrs[AttrNext] = node.Attrs[AttrNext]
-	right.LowKey = append([]byte(nil), midKey...)
-	right.HighKey = node.HighKey
-	right.Cells = append([]kv.Cell(nil), node.Cells[mid:]...)
+// splitNonRoot moves the upper half of node into the fresh sibling right
+// and links it into the parent, whose OID it returns.
+func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, node *kv.Value, rightOID kv.OID, right *kv.Value) (kv.OID, error) {
+	midKey := right.LowKey
 	tx.Put(rightOID, right)
 
 	// Shrink the left half in place with deltas: the surviving cells

@@ -40,17 +40,6 @@ type StatsSnapshot struct {
 	Evictions                                                            uint64
 }
 
-// nodeReader is the read capability a descent needs: a window of a
-// node, the zero window being the whole of it. *kvclient.Tx satisfies
-// it (reads overlay the transaction's staged writes); so does
-// *kvclient.ReadView, which is what lets the scan readahead prefetch
-// leaves from a plain goroutine — a ReadView reads the same MVCC
-// snapshot with no overlay and is safe for concurrent use, while a Tx
-// is not.
-type nodeReader interface {
-	ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error)
-}
-
 // Tree is a client handle to one distributed balanced tree. Handles are
 // safe for concurrent use; each operation runs inside a caller-supplied
 // kv transaction, so one SQL statement can touch many trees atomically.
@@ -253,13 +242,13 @@ type leafInfo struct {
 // because transactional reads see a consistent snapshot of the tree.
 // Leaf reads fetch only the requested window unless the configuration
 // disables partial reads; every other node is read whole.
-func (t *Tree) descend(ctx context.Context, r nodeReader, key []byte, win window) (leafInfo, error) {
+func (t *Tree) descend(ctx context.Context, tx *kvclient.Tx, key []byte, win window) (leafInfo, error) {
 	t.stats.Descents.Add(1)
 	maxAttempts := t.cfg.MaxDescentRetries
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		// The last two attempts bypass the cache entirely.
 		useCache := !t.cfg.NoCache && attempt < maxAttempts-2
-		li, err := t.descendOnce(ctx, r, key, win, useCache)
+		li, err := t.descendOnce(ctx, tx, key, win, useCache)
 		if err == nil {
 			return li, nil
 		}
@@ -271,7 +260,7 @@ func (t *Tree) descend(ctx context.Context, r nodeReader, key []byte, win window
 	return leafInfo{}, fmt.Errorf("dbt: descent for key %q did not converge", key)
 }
 
-func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win window, useCache bool) (leafInfo, error) {
+func (t *Tree) descendOnce(ctx context.Context, tx *kvclient.Tx, key []byte, win window, useCache bool) (leafInfo, error) {
 	cur := t.root
 	var path []kv.OID
 	expectLeaf := false // unknown height at the root: read it whole
@@ -297,7 +286,7 @@ func (t *Tree) descendOnce(ctx context.Context, r nodeReader, key []byte, win wi
 		}
 		if node == nil {
 			t.stats.NodeReads.Add(1)
-			v, n, err := r.ReadPart(ctx, cur, nodeWin.from, nodeWin.to, nodeWin.max)
+			v, n, err := tx.ReadPart(ctx, cur, nodeWin.from, nodeWin.to, nodeWin.max)
 			if err != nil {
 				if errors.Is(err, kv.ErrNotFound) {
 					// Dangling pointer: the node was moved by a split

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"yesquel/internal/clock"
 	"yesquel/internal/kv"
@@ -106,7 +107,9 @@ func (c *Client) ReadRounds() uint64 { return c.readRounds.Load() }
 // readRound runs one partition-and-fetch round of readItems; server is
 // the group whose call produced err (for the redirect machinery). Items
 // that share one group — a single item always does — go out on the
-// calling goroutine with nothing built around them.
+// calling goroutine with nothing built around them; of a round over k
+// groups the caller makes the first group's call itself and k-1
+// goroutines the others'.
 func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) (server int, err error) {
 	c.readRounds.Add(1)
 	server = c.ServerFor(items[0].OID)
@@ -117,42 +120,55 @@ func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv
 	if !spread {
 		return server, c.readGroup(ctx, server, snap, items, out)
 	}
-	bySlot := make(map[int][]int)
-	for i := range items {
-		s := c.ServerFor(items[i].OID)
-		bySlot[s] = append(bySlot[s], i)
-	}
-	type slotResult struct {
+	// One part per group, in order of first appearance (few groups: a
+	// linear search), each with its items and where their answers go.
+	type part struct {
 		server int
 		idx    []int
+		items  []kv.ReadBatchItem
 		res    []kv.ReadBatchResult
 		err    error
 	}
-	ch := make(chan slotResult, len(bySlot))
-	for s, idx := range bySlot {
-		sub := make([]kv.ReadBatchItem, len(idx))
-		for j, i := range idx {
-			sub[j] = items[i]
+	var parts []part
+	for i := range items {
+		s := c.ServerFor(items[i].OID)
+		at := 0
+		for at < len(parts) && parts[at].server != s {
+			at++
 		}
-		go func(s int, idx []int, sub []kv.ReadBatchItem) {
-			res := make([]kv.ReadBatchResult, len(sub))
-			err := c.readGroup(ctx, s, snap, sub, res)
-			ch <- slotResult{server: s, idx: idx, res: res, err: err}
-		}(s, idx, sub)
+		if at == len(parts) {
+			parts = append(parts, part{server: s})
+		}
+		parts[at].idx = append(parts[at].idx, i)
+		parts[at].items = append(parts[at].items, items[i])
 	}
-	for range bySlot {
-		sr := <-ch
-		if sr.err != nil {
+	fetch := func(p *part) {
+		p.res = make([]kv.ReadBatchResult, len(p.items))
+		p.err = c.readGroup(ctx, p.server, snap, p.items, p.res)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(parts); i++ {
+		wg.Add(1)
+		go func(p *part) {
+			defer wg.Done()
+			fetch(p)
+		}(&parts[i])
+	}
+	fetch(&parts[0])
+	wg.Wait()
+	for i := range parts {
+		p := &parts[i]
+		if p.err != nil {
 			// Prefer reporting a wrong-slot failure: it is the one the
 			// caller can fix by partitioning again.
 			var ws *kv.WrongSlotError
-			if err == nil || (errors.As(sr.err, &ws) && !errors.Is(err, kv.ErrWrongSlot)) {
-				server, err = sr.server, sr.err
+			if err == nil || (errors.As(p.err, &ws) && !errors.Is(err, kv.ErrWrongSlot)) {
+				server, err = p.server, p.err
 			}
 			continue
 		}
-		for j, i := range sr.idx {
-			out[i] = sr.res[j]
+		for j, i := range p.idx {
+			out[i] = p.res[j]
 		}
 	}
 	return server, err
@@ -208,60 +224,4 @@ func (c *Client) readGroup(ctx context.Context, server int, snap clock.Timestamp
 		}
 	}
 	return nil
-}
-
-// ReadView is a concurrency-safe, read-only view of the store at a
-// fixed snapshot timestamp. Unlike a Tx it stages no writes and
-// overlays nothing, so it may be shared across goroutines; the dbt
-// scan readahead uses one to prefetch leaves on a background goroutine
-// while the owning transaction's goroutine keeps consuming. Reads
-// route exactly like transaction reads (follower pinning, primary
-// fallback, frontier bookkeeping), and — reading a fixed MVCC snapshot
-// — return the same bytes a transaction at the same snapshot with no
-// staged writes would see, no matter which goroutine or replica serves
-// them.
-type ReadView struct {
-	c    *Client
-	snap clock.Timestamp
-}
-
-// View returns a read view of the store at snap.
-func (c *Client) View(snap clock.Timestamp) *ReadView {
-	return &ReadView{c: c, snap: snap}
-}
-
-// View returns a concurrency-safe read view at this transaction's
-// snapshot. The view does NOT see the transaction's staged writes —
-// callers that may have writes pending must overlay via the Tx.
-func (t *Tx) View() *ReadView { return t.c.View(t.start) }
-
-// Snapshot returns the view's snapshot timestamp.
-func (v *ReadView) Snapshot() clock.Timestamp { return v.snap }
-
-// ReadPart fetches a window of the supervalue at oid: cells in
-// [floor(from), to) capped at max, plus the node's total cell count.
-// The zero window (nil, nil, 0) is the whole object.
-func (v *ReadView) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error) {
-	var out [1]kv.ReadBatchResult
-	item := [1]kv.ReadBatchItem{{OID: oid, Part: true, From: from, To: to, Max: max}}
-	if err := v.c.readItems(ctx, v.snap, item[:], out[:]); err != nil {
-		return nil, 0, err
-	}
-	if !out[0].Found {
-		return nil, 0, kv.ErrNotFound
-	}
-	return out[0].Value, int(out[0].Total), nil
-}
-
-// ReadBatch performs len(items) snapshot reads in as few RPCs as the
-// data's placement allows (see readItems). The same contract as
-// Tx.ReadBatch minus any overlay: results are positional, absent
-// objects come back Found=false. The dbt scan readahead uses this to
-// fetch runs of predicted leaves with one round trip.
-func (v *ReadView) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
-	out := make([]kv.ReadBatchResult, len(items))
-	if err := v.c.readItems(ctx, v.snap, items, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -15,8 +15,7 @@ import (
 // one-item and an eight-item Tx.ReadBatch are one read path behind four
 // signatures, so for every kind of object, every kind of staged write
 // and every kind of window they must agree on Found, on the cells and on
-// the cell count — and a ReadView must agree with a transaction that has
-// staged nothing, which is the property the dbt readahead relies on.
+// the cell count.
 func TestEveryReadEntryPointSeesTheSameBytes(t *testing.T) {
 	_, c := startCluster(t, 2)
 	ctx := context.Background()
@@ -132,28 +131,6 @@ func TestEveryReadEntryPointSeesTheSameBytes(t *testing.T) {
 						res, err := tx.ReadBatch(ctx, []kv.ReadBatchItem{{OID: obj.oid}, {OID: obj.oid, From: []byte("k05"), Max: 1}})
 						if err != nil || !same(res[0], found, part, total) || !same(res[1], found, part, total) {
 							t.Fatalf("Part-less items: %+v (%v), want %+v/%d", res, err, part, total)
-						}
-					}
-					if st.name == "clean" {
-						view := tx.View()
-						if view.Snapshot() != tx.Snapshot() {
-							t.Fatalf("view snapshot %v != tx snapshot %v", view.Snapshot(), tx.Snapshot())
-						}
-						vpart, vtotal, verr := view.ReadPart(ctx, obj.oid, win.from, win.to, win.max)
-						if (verr == nil) != found || (found && (!vpart.Equal(part) || vtotal != total)) {
-							t.Fatalf("view ReadPart %+v/%d (%v), tx %+v/%d (%v)", vpart, vtotal, verr, part, total, err)
-						}
-						for _, items := range [][]kv.ReadBatchItem{{item}, eight} {
-							vres, verr := view.ReadBatch(ctx, items)
-							tres, terr := tx.ReadBatch(ctx, items)
-							if verr != nil || terr != nil {
-								t.Fatalf("view batch: %v, tx batch: %v", verr, terr)
-							}
-							for i := range vres {
-								if !same(vres[i], tres[i].Found, tres[i].Value, int(tres[i].Total)) || vres[i].Version != tres[i].Version {
-									t.Fatalf("view item %d: %+v, tx: %+v", i, vres[i], tres[i])
-								}
-							}
 						}
 					}
 				})

@@ -457,7 +457,7 @@ func TestReadBatchDecodeErrors(t *testing.T) {
 }
 
 // TestReadBatchReqEncodeSizesItsBuffer pins that the request encoder
-// counts the window keys: the scan readahead's batches carry a To on
+// counts the window keys: a scan's planned rounds carry a To on
 // every item, and a buffer sized without them regrows mid-encode.
 func TestReadBatchReqEncodeSizesItsBuffer(t *testing.T) {
 	items := make([]ReadBatchItem, 8)

@@ -14,8 +14,10 @@ import (
 // Layer micro-benches for the SQL layer: one prepared statement per
 // shape against the two-server in-process cluster of loadBudgetDB
 // (default dbt.Config, warm inner-node cache). Beside time and allocs
-// each reports reads/op — reads the servers observed per statement —
-// which is the number a change to an access path moves first.
+// each reports reads/op — reads the servers observed per statement,
+// which is the number a change to an access path moves first — and
+// rounds/op, the read rounds the client made to get them: what the
+// statement waited for.
 //
 //	go test ./internal/sql -run '^$' -bench . -benchtime 2000x
 
@@ -29,7 +31,7 @@ func benchStatement(b *testing.B, query string, args func(i int) []sql.Value) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	before := cl.Stats().Reads
+	before, rounds := cl.Stats().Reads, db.Client().ReadRounds()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows, err := stmt.Query(ctx, args(i)...)
@@ -40,6 +42,7 @@ func benchStatement(b *testing.B, query string, args func(i int) []sql.Value) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(cl.Stats().Reads-before)/float64(b.N), "reads/op")
+	b.ReportMetric(float64(db.Client().ReadRounds()-rounds)/float64(b.N), "rounds/op")
 }
 
 // benchKey spreads successive iterations over the loaded rows.

@@ -7,7 +7,7 @@ import (
 )
 
 // TestMain fails the package if any test leaves a goroutine running: a
-// scan's prefetcher must be gone when its statement returns, and the
+// statement's read rounds must be over when it returns, and the
 // clusters, clients and splitters the tests start must be torn down by
 // the test that started them.
 func TestMain(m *testing.M) {

@@ -68,8 +68,8 @@ func TestOrderByPKPushdownStopsEarly(t *testing.T) {
 	reads := statsAfter.NodeReads - statsBefore.NodeReads
 	t.Logf("10 LIMIT-1 queries read %d nodes", reads)
 	// With MaxCells=16 the table spans ~25+ leaves; a LIMIT-1 query reads
-	// one capped window of the first leaf and starts no prefetcher, so
-	// ten of them read ten nodes (inner nodes are cached from the load).
+	// one capped window of the first leaf and plans no other, so ten of
+	// them read ten nodes (inner nodes are cached from the load).
 	if reads > 10 {
 		t.Fatalf("LIMIT 1 ordered by pk read %d nodes over 10 queries; early termination broken", reads)
 	}

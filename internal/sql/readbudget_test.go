@@ -27,7 +27,7 @@ const budgetRows = 600
 //
 // The load goes through a handle that splits synchronously, so every
 // leaf ends within MaxCells and which leaves exist is the same on every
-// run. The handle it returns has the default dbt.Config (readahead on,
+// run. The handle it returns has the default dbt.Config (planned scans,
 // background splitter), nothing queued for that splitter, and every
 // tree's inner nodes in its cache, so the statements that follow cost
 // leaf reads only.
@@ -121,12 +121,12 @@ func treeReads(trees []*dbt.Tree) uint64 {
 
 // TestReadBudgetPerStatementShape pins what each common statement shape
 // may cost once inner nodes are cached: reads the SERVERS observed (so a
-// prefetch the statement threw away counts), the read rounds the client
-// made to get them (what the statement waited for: a write statement
-// plans its leaf reads and sends them as one round, after the round or
-// rounds that found the rows it matches), and commits, with the default
-// configuration — readahead on. It also checks that no goroutine
-// outlives a statement.
+// leaf a scan planned and never reached counts), the read rounds the
+// client made to get them (what the statement waited for: a scan plans
+// the leaves it will probably touch and a write statement its rows' leaf
+// reads, each sent as one round, the write's after the round or rounds
+// that found the rows it matches), and commits, with the default
+// configuration. It also checks that no goroutine outlives a statement.
 func TestReadBudgetPerStatementShape(t *testing.T) {
 	cl, db := loadBudgetDB(t)
 	ctx := context.Background()
@@ -143,8 +143,13 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 	}
 	// Eight fresh rows in one statement; the 21-row ranges lie inside one
 	// leaf each (the load is sequential and splits synchronously, so the
-	// leaves are the same on every run; the SELECT before each, one read
-	// for 21 rows, says so).
+	// leaves are the same on every run — 64 rows each, a new one at every
+	// multiple of 64; the SELECT before each, one read for 21 rows, says
+	// so). A scan plans its leaves from its Limit, or from where its range
+	// ends, before it has seen one: 5 rows are one leaf wherever they
+	// start, 50 are two (one too many only when they start in a leaf's
+	// first quarter), 200 are four — one round as long as the rows do not
+	// reach into a fifth.
 	insert8 := "INSERT INTO p VALUES (?, ?)" + strings.Repeat(", (?, ?)", 7)
 	var insert8Args []sql.Value
 	for i := 0; i < 8; i++ {
@@ -160,6 +165,10 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		{"select pk = NULL", "SELECT v FROM p WHERE id = NULL", nil, 0, 0, 0, 0},
 		{"select contradictory range", "SELECT v FROM p WHERE id > 9 AND id < 3", nil, 0, 0, 0, 0},
 		{"select first row by pk order", "SELECT id FROM p ORDER BY id LIMIT 1", nil, 1, 1, 0, 1},
+		{"select 5 rows from mid-leaf", "SELECT id FROM p WHERE id >= ? LIMIT 5", []sql.Value{sql.Int(100)}, 1, 1, 0, 5},
+		{"select pk range across a leaf boundary", "SELECT v FROM p WHERE id BETWEEN 120 AND 135", nil, 2, 1, 0, 16},
+		{"select 50 rows from ten before a leaf boundary", "SELECT id FROM p WHERE id >= ? LIMIT 50", []sql.Value{sql.Int(118)}, 2, 1, 0, 50},
+		{"select 200 rows across four leaves", "SELECT id FROM p WHERE id >= ? LIMIT 200", []sql.Value{sql.Int(350)}, 4, 1, 0, 200},
 		{"insert 8 rows into pk-only table", insert8, insert8Args, 8, 1, 1, -1},
 		{"insert with one UNIQUE index", "INSERT INTO t VALUES (?, ?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Int(5), sql.Text("x")}, 3, 1, 1, -1},
 		{"update UNIQUE column by pk", "UPDATE t SET u = ? WHERE id = ?", []sql.Value{sql.Int(6), sql.Int(300)}, 4, 2, 1, -1},
@@ -192,7 +201,8 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		rounds = db.Client().ReadRounds() - roundsBefore
 		commits = after.FastCommits + after.Commits - before.FastCommits - before.Commits
 		t.Logf("%-40s server reads %d in %d rounds, commits %d, dbt NodeReads %d", s.name, reads, rounds, commits, treeReads(trees)-treeBefore)
-		// A prefetcher the statement abandoned would still be winding down.
+		// Nothing a statement starts may run on after it: a scan reads in
+		// rounds it waits for, and a spread round's goroutines end with it.
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
 			if time.Now().After(deadline) {
 				t.Errorf("%s: %d goroutines before the statement, %d after", s.name, goroutines, runtime.NumGoroutine())
@@ -212,11 +222,14 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 
 	// A pk range inside one leaf is one read. Leaves hold at least 64
 	// cells, so of three adjacent two-key ranges at most one can straddle
-	// a leaf boundary (and then costs two).
+	// a leaf boundary (and then costs two, in the one round).
 	ones := 0
 	for _, lo := range []int64{400, 402, 404} {
-		reads, _, _ := run(shape{"select pk range", "SELECT v FROM p WHERE id BETWEEN ? AND ?",
+		reads, rounds, _ := run(shape{"select pk range", "SELECT v FROM p WHERE id BETWEEN ? AND ?",
 			[]sql.Value{sql.Int(lo), sql.Int(lo + 1)}, 1, 1, 0, 2})
+		if rounds != 1 {
+			t.Errorf("pk range [%d, %d]: %d read rounds", lo, lo+1, rounds)
+		}
 		switch reads {
 		case 1:
 			ones++
