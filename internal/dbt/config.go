@@ -89,6 +89,11 @@
 // overlay (a leaf fetched ahead, or cut short by a cap, cannot show
 // writes staged since), and so does a handle with an ablation switch on
 // (Ablated), whose baselines must measure the serial path.
+// A caller that will read more once a scan has answered — sql's index
+// lookup, which has a guess at the rows — asks for the scan's first round
+// beforehand (PlanScan, the same leaf naming) and sends it with its own
+// reads as one Prefetch; the iterator, unchanged, finds the round in the
+// transaction's read set.
 package dbt
 
 import "yesquel/internal/kv"

@@ -19,12 +19,14 @@ import (
 // key is an ordinary Get, whose leaf read the round has already
 // answered.
 func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([][]byte, error) {
-	var plan []kv.ReadBatchItem
-	for _, key := range keys {
-		plan = t.PlanPoint(plan, key)
-	}
-	if err := tx.Prefetch(ctx, plan); err != nil {
-		return nil, err
+	if len(keys) > 1 { // one key is one Get: there is nothing to gather into a round
+		plan := make([]kv.ReadBatchItem, 0, len(keys))
+		for _, key := range keys {
+			plan = t.PlanPoint(plan, key)
+		}
+		if err := tx.Prefetch(ctx, plan); err != nil {
+			return nil, err
+		}
 	}
 	out := make([][]byte, len(keys))
 	for i, key := range keys {
@@ -64,8 +66,7 @@ func (t *Tree) PlanFirst(plan []kv.ReadBatchItem, lo, hi []byte) []kv.ReadBatchI
 }
 
 // planLeafRead appends the read descend(key, win) will make of key's
-// leaf, if the cache routes key to one: the window travels only when the
-// handle reads leaves in part (see descendOnce).
+// leaf, if the cache routes key to one.
 func (t *Tree) planLeafRead(plan []kv.ReadBatchItem, key []byte, win window) []kv.ReadBatchItem {
 	parent, idx := t.routeFromCache(key)
 	if parent == nil {
@@ -75,10 +76,17 @@ func (t *Tree) planLeafRead(plan []kv.ReadBatchItem, key []byte, win window) []k
 	if err != nil {
 		return plan
 	}
+	return append(plan, t.leafItem(oid, win))
+}
+
+// leafItem is the read a descent through win makes of the leaf oid: the
+// window travels only when the handle reads leaves in part (see
+// descendOnce).
+func (t *Tree) leafItem(oid kv.OID, win window) kv.ReadBatchItem {
 	if t.cfg.NoPartial {
 		win = window{}
 	}
-	return append(plan, kv.ReadBatchItem{OID: oid, Part: true, From: win.from, To: win.to, Max: win.max})
+	return kv.ReadBatchItem{OID: oid, Part: true, From: win.from, To: win.to, Max: win.max}
 }
 
 // routeFromCache routes key through cached inner nodes to its height-1

@@ -61,16 +61,22 @@ type Iterator struct {
 // empty range (Hi set and Lo >= Hi) yields nothing and reads nothing.
 func (t *Tree) NewIterator(ctx context.Context, tx *kvclient.Tx, r Range) *Iterator {
 	it := &Iterator{t: t, tx: tx, ctx: ctx, hi: r.Hi, want: max(r.Limit, 0), ahead: 1}
-	lo := r.Lo
-	if lo == nil {
-		lo = []byte{}
-	}
-	if r.Hi != nil && compare(lo, r.Hi) >= 0 {
+	lo, empty := r.start()
+	if empty {
 		it.done = true
 		return it
 	}
 	it.load(lo)
 	return it
+}
+
+// start returns the key a scan of r starts at and whether r is empty.
+func (r Range) start() (lo []byte, empty bool) {
+	lo = r.Lo
+	if lo == nil {
+		lo = []byte{}
+	}
+	return lo, r.Hi != nil && compare(lo, r.Hi) >= 0
 }
 
 // pastHi reports whether key lies at or beyond the scan's upper bound.
@@ -136,12 +142,7 @@ func (it *Iterator) fetch(key []byte) (*kv.Value, uint32, error) {
 	if it.tx.NumWrites() > 0 {
 		it.run = nil
 	} else {
-		if it.want > 0 {
-			// The floor cell (possibly a predecessor of key), the cells
-			// still wanted, and one more that tells a window cut short by
-			// the cap from a leaf that simply ended.
-			win.max = uint32(it.want) + 2
-		}
+		win.max = scanCap(it.want)
 		if len(it.run) == 0 && !it.t.cfg.Ablated() {
 			if err := it.readRound(key, win.max); err != nil {
 				return nil, 0, err
@@ -164,53 +165,117 @@ func (it *Iterator) fetch(key []byte) (*kv.Value, uint32, error) {
 	return li.node, win.max, err
 }
 
-// readRound plans the scan's next read round from key on (the rule and
-// its reasons: the package doc's "Scan plans") and, when the plan names
-// more than one leaf, reads them into it.run, each windowed to [key or
-// its first cell, Hi) and capped at capped; a single leaf is left to the
-// descent, which reads exactly that. The run is key's leaf and the
-// successors whose separators lie below Hi, up to the parent's last
-// child. Of those, while a Limit is outstanding, as many as want cells
-// reach into when a leaf holds MaxCells/2 and the scan starts anywhere in
-// its first: the k-th successor is touched for certain once
-// want >= k*MaxCells/2 and as likely as not at (k-1/2)*MaxCells/2. A
-// scan with neither Limit nor Hi doubles its run from one round to the
-// next. The plan is routing only (routeFromCache): fetch validates every
-// leaf it takes from the run.
+// readRound plans the scan's next read round from key on (scanRun) and,
+// when the plan names more than one leaf, reads them into it.run, each
+// windowed to [key or its first cell, Hi) and capped at capped; a single
+// leaf is left to the descent, which reads exactly that. A scan with
+// neither Limit nor Hi doubles its run from one round to the next. The
+// plan is routing only (routeFromCache): fetch validates every leaf it
+// takes from the run.
 func (it *Iterator) readRound(key []byte, capped uint32) error {
 	t := it.t
-	parent, idx := t.routeFromCache(key)
+	parent, idx, last := t.scanRun(key, it.hi, it.want, it.ahead)
 	if parent == nil {
 		return nil
 	}
-	n := len(parent.Cells)
-	if it.want > 0 {
-		half := max(t.cfg.MaxCells/2, 1)
-		n = 1 + (2*it.want+half)/(2*half)
-	} else if it.hi == nil {
-		n = min(n, it.ahead)
-		it.ahead = 2 * n
-	}
-	last := idx + 1
-	for last < len(parent.Cells) && last < idx+n && !it.pastHi(parent.Cells[last].Key) {
-		last++
+	if it.want == 0 && it.hi == nil {
+		it.ahead = 2 * min(it.ahead, len(parent.Cells))
 	}
 	if last-idx < 2 {
 		return nil
 	}
-	items := make([]kv.ReadBatchItem, 0, last-idx)
-	for _, c := range parent.Cells[idx:last] {
-		oid, err := childOID(c)
-		if err != nil {
-			return nil // the descent meets the same pointer and reports it
-		}
-		items = append(items, kv.ReadBatchItem{OID: oid, Part: true, To: it.hi, Max: capped})
+	items, ok := runItems(make([]kv.ReadBatchItem, 0, last-idx), parent.Cells[idx:last], key, it.hi, capped)
+	if !ok {
+		return nil // the descent meets the same pointer and reports it
 	}
-	items[0].From = key // the leaves after it are read from their first cell
 	t.stats.NodeReads.Add(uint64(len(items)))
 	run, err := it.tx.ReadBatch(it.ctx, items)
 	it.run, it.runMax = run, capped
 	return err
+}
+
+// scanRun names the leaves one read round of a scan reads from key on,
+// as the children [idx, last) of their cached height-1 parent (nil when
+// the cache cannot route key; the rule and its reasons: the package doc's
+// "Scan plans"). The run is key's leaf and the successors whose separators
+// lie below hi, up to the parent's last child. Of those, while a Limit is
+// outstanding, as many as want cells reach into when a leaf holds
+// MaxCells/2 and the scan starts anywhere in its first: the k-th successor
+// is touched for certain once want >= k*MaxCells/2 and as likely as not at
+// (k-1/2)*MaxCells/2. With neither Limit nor hi the run is ahead leaves.
+func (t *Tree) scanRun(key, hi []byte, want, ahead int) (parent *kv.Value, idx, last int) {
+	parent, idx = t.routeFromCache(key)
+	if parent == nil {
+		return nil, 0, 0
+	}
+	n := len(parent.Cells)
+	if want > 0 {
+		half := max(t.cfg.MaxCells/2, 1)
+		n = 1 + (2*want+half)/(2*half)
+	} else if hi == nil {
+		n = min(n, ahead)
+	}
+	last = idx + 1
+	for last < len(parent.Cells) && last < idx+n && (hi == nil || compare(parent.Cells[last].Key, hi) < 0) {
+		last++
+	}
+	return parent, idx, last
+}
+
+// runItems appends to plan the reads of a run of leaves (the cells of
+// their parent that point at them), each windowed to hi and capped at
+// capped, the first starting at key and the rest at their first cell.
+// ok is false, and plan as it was, if a cell is no child pointer.
+func runItems(plan []kv.ReadBatchItem, leaves []kv.Cell, key, hi []byte, capped uint32) (items []kv.ReadBatchItem, ok bool) {
+	items = plan
+	for _, c := range leaves {
+		oid, err := childOID(c)
+		if err != nil {
+			return plan, false
+		}
+		items = append(items, kv.ReadBatchItem{OID: oid, Part: true, To: hi, Max: capped})
+	}
+	items[len(plan)].From = key
+	return items, true
+}
+
+// PlanScan appends to plan the leaf reads the first round of a scan of r
+// will make, whether the iterator leaves a single leaf to its descent or
+// reads a run: a caller that knows what it will read once the scan has
+// answered sends both as one kvclient.Tx.Prefetch, and the scan, run
+// unchanged, finds its round in the transaction's read set. It plans for a
+// transaction without staged writes (one with them scans through other
+// windows: Iterator.fetch), and nothing where the cache cannot route.
+func (t *Tree) PlanScan(plan []kv.ReadBatchItem, r Range) []kv.ReadBatchItem {
+	lo, empty := r.start()
+	if empty {
+		return plan
+	}
+	want := max(r.Limit, 0)
+	parent, idx, last := t.scanRun(lo, r.Hi, want, 1)
+	if parent == nil {
+		return plan
+	}
+	if last-idx > 1 && !t.cfg.Ablated() {
+		plan, _ = runItems(plan, parent.Cells[idx:last], lo, r.Hi, scanCap(want))
+		return plan
+	}
+	oid, err := childOID(parent.Cells[idx])
+	if err != nil {
+		return plan
+	}
+	return append(plan, t.leafItem(oid, window{from: lo, to: r.Hi, max: scanCap(want)}))
+}
+
+// scanCap is the cap of a scan's leaf reads while want cells are
+// outstanding (0 = unknown: no cap): the floor cell (possibly a
+// predecessor of the key), the cells still wanted, and one more that
+// tells a window cut short by the cap from a leaf that simply ended.
+func scanCap(want int) uint32 {
+	if want <= 0 {
+		return 0
+	}
+	return uint32(want) + 2
 }
 
 // Close marks the iterator finished. It is idempotent and safe on

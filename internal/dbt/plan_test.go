@@ -175,3 +175,91 @@ func TestPlanOnColdCache(t *testing.T) {
 			len(keys), reads, rounds, inner, want, want)
 	}
 }
+
+// TestPlanScanIsTheScansFirstRound: the reads PlanScan names for a range
+// are the ones the range's scan asks for first, so a caller that
+// prefetches them (with whatever else it will read) leaves that scan
+// nothing to wait for — whether the iterator would have left the one leaf
+// to its descent or read a run of them — and has read nothing the scan
+// alone would not have. A handle that reads leaves whole (an ablation)
+// scans leaf by leaf, and its plan is the first of them, whole. A cold
+// handle and an empty range plan nothing.
+func TestPlanScanIsTheScansFirstRound(t *testing.T) {
+	for _, cfg := range []dbt.Config{{MaxCells: 8}, {MaxCells: 8, NoPartial: true}} {
+		t.Run(fmt.Sprintf("NoPartial=%v", cfg.NoPartial), func(t *testing.T) { testPlanScan(t, cfg) })
+	}
+}
+
+func testPlanScan(t *testing.T, cfg dbt.Config) {
+	cl, c, _ := planTree(t)
+	ctx := context.Background()
+	tree, err := dbt.Open(ctx, c, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tree.Close)
+	if plan := tree.PlanScan(nil, dbt.Range{Lo: []byte("k000010"), Hi: []byte("k000030")}); plan != nil {
+		t.Errorf("a cold handle planned %d reads", len(plan))
+	}
+	warm := c.Begin()
+	scanAllAt(t, tree, warm)
+	warm.Abort()
+
+	scan := func(tx *kvclient.Tx, r dbt.Range) (keys string) {
+		it := tree.NewIterator(ctx, tx, r)
+		defer it.Close()
+		for n := 0; it.Valid() && (r.Limit <= 0 || n < r.Limit); it.Next() {
+			keys += string(it.Key()) + " "
+			n++
+		}
+		if err := it.Err(); err != nil {
+			t.Fatalf("scan of %+v: %v", r, err)
+		}
+		return keys
+	}
+	for _, tc := range []struct {
+		name string
+		r    dbt.Range
+		more bool // the scan goes on past its first round
+	}{
+		{"inside one leaf", dbt.Range{Lo: []byte("k000009"), Hi: []byte("k000011")}, false},
+		{"across leaves to Hi", dbt.Range{Lo: []byte("k000002"), Hi: []byte("k000011")}, false},
+		{"one cell wanted", dbt.Range{Lo: []byte("k000040"), Hi: []byte("k000040\x00"), Limit: 1}, false},
+		{"a Limit that reaches into later leaves", dbt.Range{Lo: []byte("k000017"), Limit: 9}, false},
+		{"a prefix nothing has", dbt.Range{Lo: []byte("k0000205"), Hi: []byte("k0000206")}, false},
+		{"across parents to Hi", dbt.Range{Lo: []byte("k000010"), Hi: []byte("k000023")}, true},
+		{"to the end", dbt.Range{Lo: []byte("k000050")}, true},
+	} {
+		reads, rounds := cl.Stats().Reads, c.ReadRounds()
+		tx := c.Begin()
+		want := scan(tx, tc.r)
+		tx.Abort()
+		reads, rounds = cl.Stats().Reads-reads, c.ReadRounds()-rounds
+		if (rounds > 1) != tc.more && !cfg.Ablated() {
+			t.Errorf("%s: the scan alone made %d rounds", tc.name, rounds)
+		}
+
+		pReads, pRounds := cl.Stats().Reads, c.ReadRounds()
+		tx = c.Begin()
+		plan := tree.PlanScan(nil, tc.r)
+		if err := tx.Prefetch(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+		if n := c.ReadRounds() - pRounds; len(plan) == 0 || n != 1 {
+			t.Errorf("%s: %d reads planned, fetched in %d rounds", tc.name, len(plan), n)
+		}
+		got := scan(tx, tc.r)
+		tx.Abort()
+		pReads, pRounds = cl.Stats().Reads-pReads, c.ReadRounds()-pRounds
+		t.Logf("%s: %d reads planned; %d reads in %d rounds", tc.name, len(plan), pReads, pRounds)
+		if got != want {
+			t.Errorf("%s: planned scan %q, unplanned %q", tc.name, got, want)
+		}
+		if pReads != reads || pRounds != rounds {
+			t.Errorf("%s: planned scan cost %d reads in %d rounds, unplanned %d in %d", tc.name, pReads, pRounds, reads, rounds)
+		}
+	}
+	if plan := tree.PlanScan(nil, dbt.Range{Lo: []byte("k000030"), Hi: []byte("k000010")}); plan != nil {
+		t.Errorf("an empty range planned %d reads", len(plan))
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"yesquel/internal/clock"
 	"yesquel/internal/kv"
@@ -142,20 +141,11 @@ func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv
 		parts[at].idx = append(parts[at].idx, i)
 		parts[at].items = append(parts[at].items, items[i])
 	}
-	fetch := func(p *part) {
+	fanOut(len(parts), func(i int) {
+		p := &parts[i]
 		p.res = make([]kv.ReadBatchResult, len(p.items))
 		p.err = c.readGroup(ctx, p.server, snap, p.items, p.res)
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(parts); i++ {
-		wg.Add(1)
-		go func(p *part) {
-			defer wg.Done()
-			fetch(p)
-		}(&parts[i])
-	}
-	fetch(&parts[0])
-	wg.Wait()
+	})
 	for i := range parts {
 		p := &parts[i]
 		if p.err != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"yesquel/internal/clock"
@@ -473,67 +474,55 @@ func (t *Tx) fastCommit(ctx context.Context, server int, ops []*kv.Op) error {
 }
 
 func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int][]*kv.Op) error {
-	type voteResult struct {
-		server   int
+	type vote struct {
 		ok       bool
 		proposed clock.Timestamp
 		err      error
 	}
-	votes := make(chan voteResult, len(servers))
-	for _, s := range servers {
-		go func(s int) {
-			// Prepare retries on a backup only when the request provably
-			// never reached the primary (it was already dead) — or when
-			// it was rejected with ErrWrongEpoch, which guarantees
-			// nothing was staged. If the ack was merely lost, the
-			// primary may hold the vote, and re-preparing elsewhere
-			// would stage the transaction twice; the transaction aborts
-			// instead.
-			respB, err := t.c.call(ctx, s, kv.MethodPrepare, func(epoch uint64) []byte {
-				return (&kv.PrepareReq{TxID: t.txid, Start: t.start, Ops: byServer[s], Epoch: epoch}).Encode()
-			}, retryUnsent)
-			if err != nil {
-				votes <- voteResult{server: s, err: translateRPCErr(err)}
-				return
-			}
-			resp, err := kv.DecodePrepareResp(respB)
-			if err != nil {
-				votes <- voteResult{server: s, err: err}
-				return
-			}
-			t.c.hlc.Observe(resp.Clock)
-			votes <- voteResult{server: s, ok: resp.OK, proposed: resp.Proposed}
-		}(s)
-	}
+	votes := make([]vote, len(servers))
+	fanOut(len(servers), func(i int) {
+		s := servers[i]
+		// Prepare retries on a backup only when the request provably
+		// never reached the primary (it was already dead) — or when
+		// it was rejected with ErrWrongEpoch, which guarantees
+		// nothing was staged. If the ack was merely lost, the
+		// primary may hold the vote, and re-preparing elsewhere
+		// would stage the transaction twice; the transaction aborts
+		// instead.
+		respB, err := t.c.call(ctx, s, kv.MethodPrepare, func(epoch uint64) []byte {
+			return (&kv.PrepareReq{TxID: t.txid, Start: t.start, Ops: byServer[s], Epoch: epoch}).Encode()
+		}, retryUnsent)
+		if err != nil {
+			votes[i].err = translateRPCErr(err)
+			return
+		}
+		resp, err := kv.DecodePrepareResp(respB)
+		if err != nil {
+			votes[i].err = err
+			return
+		}
+		t.c.hlc.Observe(resp.Clock)
+		votes[i] = vote{ok: resp.OK, proposed: resp.Proposed}
+	})
 
 	commitTS := clock.Timestamp(0)
-	allOK := true
 	var firstErr error
-	for range servers {
-		v := <-votes
+	for _, v := range votes {
 		switch {
 		case v.err != nil:
-			allOK = false
 			if firstErr == nil {
 				firstErr = v.err
 			}
 		case !v.ok:
-			allOK = false
 			if firstErr == nil {
 				firstErr = kv.ErrConflict
 			}
-		default:
-			if v.proposed > commitTS {
-				commitTS = v.proposed
-			}
+		case v.proposed > commitTS:
+			commitTS = v.proposed
 		}
 	}
-
-	if !allOK {
+	if firstErr != nil {
 		t.abortAll(ctx, servers)
-		if firstErr == nil {
-			firstErr = kv.ErrConflict
-		}
 		return firstErr
 	}
 
@@ -548,48 +537,59 @@ func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int
 	}
 	ctx, cancelDecide := context.WithTimeout(context.WithoutCancel(ctx), decideTimeout)
 	defer cancelDecide()
-	errs := make(chan error, len(servers))
-	for _, s := range servers {
-		go func(s int) {
-			// The decision may be retried on any replica: prepares are
-			// replicated before the yes vote, so a promoted backup holds
-			// the prepared transaction, and decided outcomes are
-			// remembered server-side, so a duplicate CommitReq (lost
-			// acknowledgment, then retry) is acknowledged rather than
-			// rejected. (A retry reaching an unpromoted backup while the
-			// primary is alive but unreachable is answered with
-			// ErrWrongEpoch, so split brain is prevented, not merely
-			// detected: the decision lands only on the epoch's primary.)
-			respB, err := t.c.call(ctx, s, kv.MethodCommit, func(epoch uint64) []byte {
-				return (&kv.CommitReq{TxID: t.txid, CommitTS: commitTS, Epoch: epoch}).Encode()
-			}, retryAlways)
-			if err != nil {
-				errs <- fmt.Errorf("commit on server %d: %w", s, err)
-				return
-			}
-			if ack, err := kv.DecodeAck(respB); err == nil {
-				t.c.observeAck(s, ack)
-			}
-			errs <- nil
-		}(s)
-	}
-	var commitErr error
-	for range servers {
-		if err := <-errs; err != nil && commitErr == nil {
-			commitErr = err
+	errs := make([]error, len(servers))
+	fanOut(len(servers), func(i int) {
+		s := servers[i]
+		// The decision may be retried on any replica: prepares are
+		// replicated before the yes vote, so a promoted backup holds
+		// the prepared transaction, and decided outcomes are
+		// remembered server-side, so a duplicate CommitReq (lost
+		// acknowledgment, then retry) is acknowledged rather than
+		// rejected. (A retry reaching an unpromoted backup while the
+		// primary is alive but unreachable is answered with
+		// ErrWrongEpoch, so split brain is prevented, not merely
+		// detected: the decision lands only on the epoch's primary.)
+		respB, err := t.c.call(ctx, s, kv.MethodCommit, func(epoch uint64) []byte {
+			return (&kv.CommitReq{TxID: t.txid, CommitTS: commitTS, Epoch: epoch}).Encode()
+		}, retryAlways)
+		if err != nil {
+			errs[i] = fmt.Errorf("commit on server %d: %w", s, err)
+			return
+		}
+		if ack, err := kv.DecodeAck(respB); err == nil {
+			t.c.observeAck(s, ack)
+		}
+	})
+	t.c.hlc.Observe(commitTS)
+	for _, err := range errs {
+		if err != nil {
+			// The transaction is decided-committed but a participant's
+			// whole replica group was unreachable for the full drive
+			// window. Surface the error: callers must not assume the write
+			// is readable everywhere. The participant keeps the prepare
+			// (within its epoch the orphan sweep never aborts it), so a
+			// retried decision still lands once the group is reachable.
+			return fmt.Errorf("kv: commit incomplete: %w", err)
 		}
 	}
-	t.c.hlc.Observe(commitTS)
-	if commitErr != nil {
-		// The transaction is decided-committed but a participant's
-		// whole replica group was unreachable for the full drive
-		// window. Surface the error: callers must not assume the write
-		// is readable everywhere. The participant keeps the prepare
-		// (within its epoch the orphan sweep never aborts it), so a
-		// retried decision still lands once the group is reachable.
-		return fmt.Errorf("kv: commit incomplete: %w", commitErr)
-	}
 	return nil
+}
+
+// fanOut runs call(0), …, call(n-1) at once and returns when all have:
+// the first on the calling goroutine, which would otherwise only wait,
+// the rest on goroutines of their own. Every round a client makes to
+// several groups — reads, prepares, decisions, aborts — goes out this way.
+func fanOut(n int, call func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			call(i)
+		}(i)
+	}
+	call(0)
+	wg.Wait()
 }
 
 // abortTimeout bounds the abort fan-out after a failed prepare round.
@@ -611,23 +611,17 @@ func (t *Tx) abortAll(ctx context.Context, servers []int) {
 	// locks until the orphan sweep.
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
 	defer cancel()
-	done := make(chan struct{}, len(servers))
-	for _, s := range servers {
-		go func(s int) {
-			defer func() { done <- struct{}{} }()
-			respB, err := t.c.call(ctx, s, kv.MethodAbort, func(epoch uint64) []byte {
-				return (&kv.AbortReq{TxID: t.txid, Epoch: epoch}).Encode()
-			}, retryAlways)
-			if err == nil {
-				if ack, err := kv.DecodeAck(respB); err == nil {
-					t.c.observeAck(s, ack)
-				}
+	fanOut(len(servers), func(i int) {
+		s := servers[i]
+		respB, err := t.c.call(ctx, s, kv.MethodAbort, func(epoch uint64) []byte {
+			return (&kv.AbortReq{TxID: t.txid, Epoch: epoch}).Encode()
+		}, retryAlways)
+		if err == nil {
+			if ack, err := kv.DecodeAck(respB); err == nil {
+				t.c.observeAck(s, ack)
 			}
-		}(s)
-	}
-	for range servers {
-		<-done
-	}
+		}
+	})
 }
 
 // Abort discards the transaction. Since writes are buffered

@@ -1,9 +1,11 @@
 package sql
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"yesquel/internal/dbt"
@@ -160,6 +162,77 @@ type Table struct {
 	Tree   *dbt.Tree
 	// IndexTrees is parallel to Schema.Indexes.
 	IndexTrees []*dbt.Tree
+	// hints is parallel to Schema.Indexes too.
+	hints []indexHints
+}
+
+// indexHints remembers, for one index, the row keys each value yielded
+// the last time a session looked it up, so that the next lookup of that
+// value can ask for those rows in the same read round as the index
+// (scanTable). It is the inner-node cache's bargain one level up (see
+// dbt's nodeCache): an entry may be arbitrarily stale — another client
+// moved the row, this one deleted it — because nothing is ever answered
+// from it. The rows a lookup returns are the ones the index names at its
+// snapshot; a wrong hint costs reads nobody uses, never a wrong row, and
+// is replaced by what the lookup found. So it needs no coherence, lives
+// with the handle (Catalog.Invalidate drops both), and is bounded the way
+// that cache is: admitting a value past maxIndexHints evicts a random
+// resident one.
+type indexHints struct {
+	mu   sync.RWMutex
+	rows map[string][][]byte // encoded index value -> row keys; a stored slice is never modified
+}
+
+// maxIndexHints bounds one index's hints. A hint is a value and a few
+// row keys, some tens of bytes.
+const maxIndexHints = 4096
+
+// get returns the row keys remembered for value (shared: read only).
+func (h *indexHints) get(value []byte) [][]byte {
+	h.mu.RLock()
+	rows := h.rows[string(value)]
+	h.mu.RUnlock()
+	return rows
+}
+
+// put makes rows (copied) the hint for value; none forgets the value.
+// Lookups mostly find what they found before, which takes the read lock
+// only.
+func (h *indexHints) put(value []byte, rows [][]byte) {
+	if slices.EqualFunc(h.get(value), rows, bytes.Equal) {
+		return
+	}
+	var own [][]byte
+	if len(rows) > 0 {
+		n := 0
+		for _, r := range rows {
+			n += len(r)
+		}
+		buf := make([]byte, 0, n)
+		own = make([][]byte, len(rows))
+		for i, r := range rows {
+			buf = append(buf, r...)
+			own[i] = buf[len(buf)-len(r) : len(buf) : len(buf)]
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if own == nil {
+		delete(h.rows, string(value))
+		return
+	}
+	if h.rows == nil {
+		h.rows = make(map[string][][]byte)
+	}
+	if _, resident := h.rows[string(value)]; !resident {
+		for len(h.rows) >= maxIndexHints {
+			for victim := range h.rows {
+				delete(h.rows, victim)
+				break
+			}
+		}
+	}
+	h.rows[string(value)] = own
 }
 
 // Catalog caches schemas and open tree handles for one client. Schemas
@@ -170,7 +243,7 @@ type Catalog struct {
 	c       *kvclient.Client
 	treeCfg dbt.Config
 
-	mu     sync.Mutex
+	mu     sync.RWMutex
 	cat    *dbt.Tree // catalog tree handle
 	tables map[string]*Table
 }
@@ -207,6 +280,12 @@ func (cat *Catalog) Ensure(ctx context.Context) error {
 
 // catalogTree opens (or creates) the catalog tree.
 func (cat *Catalog) catalogTree(ctx context.Context) (*dbt.Tree, error) {
+	cat.mu.RLock()
+	t := cat.cat
+	cat.mu.RUnlock()
+	if t != nil {
+		return t, nil // every statement of every session passes here (Ensure)
+	}
 	cat.mu.Lock()
 	defer cat.mu.Unlock()
 	return cat.catalogTreeLocked(ctx)
@@ -257,12 +336,12 @@ func (cat *Catalog) allocTreeID(ctx context.Context, tx *kvclient.Tx, n uint64) 
 // GetTable returns the runtime handle for name, reading the catalog at
 // tx's snapshot on a cache miss.
 func (cat *Catalog) GetTable(ctx context.Context, tx *kvclient.Tx, name string) (*Table, error) {
-	cat.mu.Lock()
-	if t, ok := cat.tables[name]; ok {
-		cat.mu.Unlock()
+	cat.mu.RLock()
+	t, ok := cat.tables[name]
+	cat.mu.RUnlock()
+	if ok {
 		return t, nil
 	}
-	cat.mu.Unlock()
 
 	ct, err := cat.catalogTree(ctx)
 	if err != nil {
@@ -300,7 +379,7 @@ func (cat *Catalog) GetTable(ctx context.Context, tx *kvclient.Tx, name string) 
 
 	// Trees open unchecked: their roots were committed with the schema
 	// (or staged in the caller's own transaction for in-tx DDL).
-	table := &Table{Schema: ts}
+	table := &Table{Schema: ts, hints: make([]indexHints, len(ts.Indexes))}
 	if table.Tree, err = dbt.OpenUnchecked(cat.c, ts.TreeID, cat.treeCfg); err != nil {
 		return nil, fmt.Errorf("sql: opening tree of table %s: %w", name, err)
 	}

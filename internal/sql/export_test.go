@@ -1,0 +1,7 @@
+package sql
+
+import "yesquel/internal/clock"
+
+// BeginAt opens db's explicit transaction at snap, as BEGIN does at the
+// current time: tests compare sessions at one snapshot with it.
+func (db *DB) BeginAt(snap clock.Timestamp) { db.tx = db.c.BeginAt(snap) }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"yesquel/internal/dbt"
+	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
 )
 
@@ -15,8 +16,12 @@ import (
 //
 //	pkEq:     WHERE pk = e        -> one DBT Get
 //	pkRange:  WHERE pk <op> e ... -> bounded DBT scan
-//	idxEq/idxRange: predicates on an indexed column -> bounded scan of
+//	idxRange: range predicates on an indexed column -> bounded scan of
 //	          the index tree, then row fetches by primary key
+//	idxEq:    WHERE indexed = e   -> the same scan and fetches, both
+//	          answered by one read round when the value has been looked
+//	          up before: the rows it named then are asked for along with
+//	          the index (indexHints)
 //	full:     everything else    -> full table scan
 //
 // The full WHERE clause is always re-evaluated on each row, so access
@@ -376,7 +381,35 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 		rowBatch = limit
 	}
 	keys := make([][]byte, 0, rowBatch)
+	idxRange := dbt.Range{Lo: lo, Hi: hi, Limit: limit}
+	// An equality lookup is a read plan too, where the value has been
+	// looked up through this handle before: the index scan's own first
+	// round and the leaf reads of the rows it named then go out as one
+	// round. What follows is none the wiser — the scan and GetBatch find
+	// their reads in the transaction's read set, and rows are fetched by
+	// the keys the index holds at this snapshot, so a stale hint is reads
+	// wasted and the round GetBatch makes anyway. A transaction with staged
+	// writes scans through other windows (dbt.Tree.PlanScan) and is left
+	// alone.
+	var hints *indexHints
+	if path.kind == pathIdxEq && tx.NumWrites() == 0 {
+		hints = &table.hints[path.idx]
+		if rows := hints.get(lo); len(rows) > 0 {
+			rows = rows[:min(len(rows), rowBatch)]
+			plan := table.IndexTrees[path.idx].PlanScan(make([]kv.ReadBatchItem, 0, 1+len(rows)), idxRange)
+			for _, rowKey := range rows {
+				plan = table.Tree.PlanPoint(plan, rowKey)
+			}
+			if err := tx.Prefetch(ctx, plan); err != nil {
+				return err
+			}
+		}
+	}
 	flush := func() (bool, error) {
+		if hints != nil {
+			hints.put(lo, keys) // the first chunk, be it empty, is the next lookup's hint
+			hints = nil
+		}
 		if len(keys) == 0 {
 			return true, nil
 		}
@@ -397,7 +430,7 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 		}
 		return true, nil
 	}
-	err = db.scanTreeRange(ctx, tx, table.IndexTrees[path.idx], dbt.Range{Lo: lo, Hi: hi, Limit: limit}, func(_, rowKey []byte) (bool, error) {
+	err = db.scanTreeRange(ctx, tx, table.IndexTrees[path.idx], idxRange, func(_, rowKey []byte) (bool, error) {
 		keys = append(keys, rowKey)
 		if len(keys) == rowBatch {
 			return flush()

@@ -24,6 +24,7 @@ const budgetRows = 600
 //
 //	p (id INTEGER PRIMARY KEY, v TEXT)                       -- pk only
 //	t (id INTEGER PRIMARY KEY, u INTEGER, v TEXT), UNIQUE(u) -- u = id+1000000
+//	l (id INTEGER PRIMARY KEY, src INTEGER, v TEXT), INDEX(src) -- src = id/5
 //
 // The load goes through a handle that splits synchronously, so every
 // leaf ends within MaxCells and which leaves exist is the same on every
@@ -55,10 +56,13 @@ func loadBudgetDB(tb testing.TB) (*cluster.Cluster, *sql.DB) {
 	exec("CREATE TABLE p (id INTEGER PRIMARY KEY, v TEXT)")
 	exec("CREATE TABLE t (id INTEGER PRIMARY KEY, u INTEGER, v TEXT)")
 	exec("CREATE UNIQUE INDEX t_u ON t (u)")
+	exec("CREATE TABLE l (id INTEGER PRIMARY KEY, src INTEGER, v TEXT)")
+	exec("CREATE INDEX l_src ON l (src)")
 	loaderTrees := budgetTrees(tb, loader)
 	for i := 0; i < budgetRows; i++ {
 		exec("INSERT INTO p VALUES (?, ?)", sql.Int(int64(i)), sql.Text(fmt.Sprintf("p%d", i)))
 		exec("INSERT INTO t VALUES (?, ?, ?)", sql.Int(int64(i)), sql.Int(int64(i+1000000)), sql.Text(fmt.Sprintf("t%d", i)))
+		exec("INSERT INTO l VALUES (?, ?, ?)", sql.Int(int64(i)), sql.Int(int64(i/5)), sql.Text(fmt.Sprintf("l%d", i)))
 		quiesce(tb, loaderTrees)
 	}
 
@@ -82,12 +86,11 @@ func loadBudgetDB(tb testing.TB) (*cluster.Cluster, *sql.DB) {
 	return cl, db
 }
 
-// budgetTrees returns db's handles to the trees of the two budget
-// tables.
+// budgetTrees returns db's handles to the trees of the budget tables.
 func budgetTrees(tb testing.TB, db *sql.DB) []*dbt.Tree {
 	tb.Helper()
 	var trees []*dbt.Tree
-	for _, name := range []string{"p", "t"} {
+	for _, name := range []string{"p", "t", "l"} {
 		tx := db.Client().Begin()
 		table, err := db.Catalog().GetTable(context.Background(), tx, name)
 		tx.Abort()
@@ -149,7 +152,12 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 	// ends, before it has seen one: 5 rows are one leaf wherever they
 	// start, 50 are two (one too many only when they start in a leaf's
 	// first quarter), 200 are four — one round as long as the rows do not
-	// reach into a fifth.
+	// reach into a fifth. An equality lookup through an index is the index
+	// leaf and then the rows it names, two rounds, the first time a value is
+	// looked up, and one round from then on: the rows it named ride along
+	// with the index read, five of them (l.src = id/5) or one, and both
+	// index leaves where the value's entries straddle two (entries are 64 to
+	// a leaf, so src 12, ids 60..64, does).
 	insert8 := "INSERT INTO p VALUES (?, ?)" + strings.Repeat(", (?, ?)", 7)
 	var insert8Args []sql.Value
 	for i := 0; i < 8; i++ {
@@ -162,6 +170,11 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		{"insert into pk-only table", "INSERT INTO p VALUES (?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Text("x")}, 1, 1, 1, -1},
 		{"delete pk from pk-only table", "DELETE FROM p WHERE id = ?", []sql.Value{sql.Int(17)}, 1, 1, 1, -1},
 		{"select unique column", "SELECT v FROM t WHERE u = ?", []sql.Value{sql.Int(1000222)}, 2, 2, 0, 1},
+		{"select unique column, repeated", "SELECT v FROM t WHERE u = ?", []sql.Value{sql.Int(1000222)}, 2, 1, 0, 1},
+		{"select 5 rows through an index", "SELECT id FROM l WHERE src = ?", []sql.Value{sql.Int(20)}, 6, 2, 0, 5},
+		{"select 5 rows through an index, repeated", "SELECT id FROM l WHERE src = ?", []sql.Value{sql.Int(20)}, 6, 1, 0, 5},
+		{"select 5 rows across an index-leaf boundary", "SELECT id FROM l WHERE src = ?", []sql.Value{sql.Int(12)}, 7, 2, 0, 5},
+		{"select 5 rows across an index-leaf boundary, repeated", "SELECT id FROM l WHERE src = ?", []sql.Value{sql.Int(12)}, 7, 1, 0, 5},
 		{"select pk = NULL", "SELECT v FROM p WHERE id = NULL", nil, 0, 0, 0, 0},
 		{"select contradictory range", "SELECT v FROM p WHERE id > 9 AND id < 3", nil, 0, 0, 0, 0},
 		{"select first row by pk order", "SELECT id FROM p ORDER BY id LIMIT 1", nil, 1, 1, 0, 1},
@@ -178,6 +191,7 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		{"select 21-row pk range", "SELECT v FROM p WHERE id BETWEEN 264 AND 284", nil, 1, 1, 0, 21},
 		{"delete 21-row pk range", "DELETE FROM p WHERE id BETWEEN 264 AND 284", nil, 22, 2, 1, -1},
 	}
+	var got string // the rows of the last query run
 	run := func(s shape) (reads, rounds, commits uint64) {
 		t.Helper()
 		quiesce(t, trees)
@@ -195,6 +209,7 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 			if rows.Len() != s.rows {
 				t.Errorf("%s: %d rows, want %d", s.name, rows.Len(), s.rows)
 			}
+			got = rowsToString(rows)
 		}
 		after := cl.Stats()
 		reads = after.Reads - before.Reads
@@ -212,11 +227,59 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		}
 		return reads, rounds, commits
 	}
-	for _, s := range shapes {
+	check := func(s shape) {
+		t.Helper()
 		reads, rounds, commits := run(s)
 		if reads != s.reads || rounds != s.rounds || commits != s.commits {
 			t.Errorf("%s: %d server reads in %d rounds and %d commits, want %d in %d and %d",
 				s.name, reads, rounds, commits, s.reads, s.rounds, s.commits)
+		}
+	}
+	for _, s := range shapes {
+		check(s)
+	}
+
+	// A hint another session (other, which runs the writes below) has made
+	// wrong: the lookup returns what the index holds now, wastes no more
+	// than the reads the hint named (they travel in the index's round),
+	// fetches the rows the hint did not name in the second round it always
+	// made, and leaves the hint right, so the lookup after it is one round
+	// again.
+	other := sql.NewDB(db.Client(), dbt.Config{})
+	t.Cleanup(other.Close)
+	byU, bySrc := "SELECT id FROM t WHERE u = ?", "SELECT id FROM l WHERE src = ?"
+	for _, s := range []struct {
+		shape
+		want string
+	}{
+		{shape{"warm u=1000400", byU, []sql.Value{sql.Int(1000400)}, 2, 2, 0, 1}, "400\n"},
+		{shape{"warm u=1000410", byU, []sql.Value{sql.Int(1000410)}, 2, 2, 0, 1}, "410\n"},
+		{shape{"warm src=40", bySrc, []sql.Value{sql.Int(40)}, 6, 2, 0, 5}, "200\n201\n202\n203\n204\n"},
+		{shape{"warm src=41", bySrc, []sql.Value{sql.Int(41)}, 6, 2, 0, 5}, "205\n206\n207\n208\n209\n"},
+		{shape{"move id 400 to u=2000400", "UPDATE t SET u = 2000400 WHERE id = 400", nil, 0, 0, 0, -1}, ""},
+		{shape{"move id 202 to src=41", "UPDATE l SET src = 41 WHERE id = 202", nil, 0, 0, 0, -1}, ""},
+		{shape{"delete id 410", "DELETE FROM t WHERE id = 410", nil, 0, 0, 0, -1}, ""},
+		{shape{"insert u=1000410 as id 9410", "INSERT INTO t VALUES (9410, 1000410, 'again')", nil, 0, 0, 0, -1}, ""},
+		{shape{"unique value whose row moved away", byU, []sql.Value{sql.Int(1000400)}, 2, 1, 0, 0}, ""},
+		{shape{"unique value whose row moved away, repeated", byU, []sql.Value{sql.Int(1000400)}, 1, 1, 0, 0}, ""},
+		{shape{"unique value a row moved to", byU, []sql.Value{sql.Int(2000400)}, 2, 2, 0, 1}, "400\n"},
+		{shape{"unique value a row moved to, repeated", byU, []sql.Value{sql.Int(2000400)}, 2, 1, 0, 1}, "400\n"},
+		{shape{"value that lost a row", bySrc, []sql.Value{sql.Int(40)}, 6, 1, 0, 4}, "200\n201\n203\n204\n"},
+		{shape{"value that lost a row, repeated", bySrc, []sql.Value{sql.Int(40)}, 5, 1, 0, 4}, "200\n201\n203\n204\n"},
+		{shape{"value that gained a row", bySrc, []sql.Value{sql.Int(41)}, 7, 2, 0, 6}, "202\n205\n206\n207\n208\n209\n"},
+		{shape{"value that gained a row, repeated", bySrc, []sql.Value{sql.Int(41)}, 7, 1, 0, 6}, "202\n205\n206\n207\n208\n209\n"},
+		{shape{"unique value deleted and re-inserted under a new key", byU, []sql.Value{sql.Int(1000410)}, 3, 2, 0, 1}, "9410\n"},
+		{shape{"unique value deleted and re-inserted, repeated", byU, []sql.Value{sql.Int(1000410)}, 2, 1, 0, 1}, "9410\n"},
+	} {
+		if s.rows < 0 {
+			if _, err := other.Exec(ctx, s.q); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			continue
+		}
+		check(s.shape)
+		if got != s.want {
+			t.Errorf("%s: rows %q, want %q", s.name, got, s.want)
 		}
 	}
 

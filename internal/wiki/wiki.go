@@ -119,8 +119,9 @@ type Worker struct {
 
 // NewWorker returns a workload driver. editFrac is the fraction of
 // operations that edit (the paper's mix is read-heavy; 0.1 by default
-// if negative). seed differentiates concurrent workers; revBase makes
-// their revision ids disjoint.
+// if negative). seed differentiates concurrent workers and, shifted
+// into the high bits of the revision ids they mint, keeps those
+// disjoint.
 func NewWorker(ex Executor, numPages int64, editFrac float64, seed int64) *Worker {
 	if editFrac < 0 {
 		editFrac = 0.1
