@@ -32,45 +32,45 @@ func benchKey(i int) []byte { return []byte(fmt.Sprintf("key%06d", i*7919%benchK
 // loadBenchTree loads benchKeys keys through a handle that splits
 // synchronously (which leaves exist is the same on every run) and
 // returns a default-config handle with the inner nodes cached.
-func loadBenchTree(b *testing.B) (*cluster.Cluster, *kvclient.Client, *dbt.Tree) {
-	b.Helper()
+func loadBenchTree(tb testing.TB) (*cluster.Cluster, *kvclient.Client, *dbt.Tree) {
+	tb.Helper()
 	ctx := context.Background()
 	cl, err := cluster.Start(2, kvserver.Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(cl.Close)
+	tb.Cleanup(cl.Close)
 	c, err := cl.NewClient()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { c.Close() })
+	tb.Cleanup(func() { c.Close() })
 	loader, err := dbt.Create(ctx, c, 1, dbt.Config{SyncSplit: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(loader.Close)
+	tb.Cleanup(loader.Close)
 	for i := 0; i < benchKeys; i += 32 {
 		tx := c.Begin()
 		for j := i; j < i+32; j++ {
 			if err := loader.Put(ctx, tx, []byte(fmt.Sprintf("key%06d", j)), []byte(fmt.Sprintf("value-%06d", j))); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		if err := tx.Commit(ctx); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := loader.MaintainNow(ctx); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	tree, err := dbt.Open(ctx, c, 1, dbt.Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(tree.Close)
+	tb.Cleanup(tree.Close)
 	if _, err := tree.Get(ctx, c.Begin(), benchKey(0)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return cl, c, tree
 }

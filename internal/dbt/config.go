@@ -27,11 +27,13 @@
 // A writer that knows its keys beforehand — a SQL INSERT, UPDATE or
 // DELETE once its rows are evaluated — need not wait for one leaf read
 // per key, one after the other. It asks each tree for the leaf read
-// each Get, Put, Delete or First will make (PlanPoint, PlanFirst: a walk
-// of the inner-node cache to the leaf's parent), sends the reads of all
-// its trees as one round (kvclient.Tx.Prefetch) and then performs the
-// operations unchanged: their descents find the leaf reads answered in
-// the transaction's read set. The plan is routing only. A key the cache
+// each Get, Put or Delete will make (PlanPoint: a walk of the inner-node
+// cache to the leaf's parent) and for the first round of each existence
+// probe, a scan of one cell (PlanScan), sends the reads of all its trees
+// as one round (kvclient.Tx.Prefetch) and then performs the operations
+// unchanged: their descents find the leaf reads answered in the
+// transaction's read set, which keeps them until the statement ends,
+// whatever else the statement plans. The plan is routing only. A key the cache
 // cannot route plans nothing; a stale route names the wrong leaf, the
 // operation's descent sees the fence miss, backs down and reads what it
 // needs: a wasted read, never a misplaced row. GetBatch is the same
@@ -85,15 +87,15 @@
 // the first that fails drops the rest of the run, and the ordinary
 // validated descent backs down and reads what the scan needs. A stale or
 // cold cache costs a wasted round at worst, never a row.
-// A transaction with staged writes scans leaf by leaf through its
-// overlay (a leaf fetched ahead, or cut short by a cap, cannot show
-// writes staged since), and so does a handle with an ablation switch on
-// (Ablated), whose baselines must measure the serial path.
+// A transaction with staged writes scans leaf by leaf, uncapped, through
+// its overlay (a leaf fetched ahead, or cut short by a cap, cannot show
+// writes staged since); scanWindow is that rule, for the iterator and
+// its planner alike.
 // A caller that will read more once a scan has answered — sql's index
-// lookup, which has a guess at the rows — asks for the scan's first round
-// beforehand (PlanScan, the same leaf naming) and sends it with its own
-// reads as one Prefetch; the iterator, unchanged, finds the round in the
-// transaction's read set.
+// lookup, which has a guess at the rows, or a write statement's UNIQUE
+// probe — asks for the scan's first round beforehand (PlanScan, the same
+// leaf naming) and sends it with its own reads as one Prefetch; the
+// iterator, unchanged, finds the round in the transaction's read set.
 package dbt
 
 import "yesquel/internal/kv"
@@ -102,10 +104,8 @@ import "yesquel/internal/kv"
 const (
 	// AttrHeight is 0 for leaves and grows toward the root.
 	AttrHeight = 0
-	// AttrNext holds the OID of the leaf to the right (0 = none); kept
-	// for diagnostics, scans navigate by fence keys.
-	AttrNext = 1
-	// AttrTree holds the tree id, for integrity checking.
+	// AttrTree holds the tree id, for integrity checking. (Slot 1 is
+	// unused: scans navigate by fence keys.)
 	AttrTree = 2
 )
 
@@ -167,10 +167,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Ablated reports whether any of the paper's ablation switches is
-// active. Scans plan no read rounds then: the ablation experiments
-// measure the cost of each mechanism in isolation, and leaves fetched
-// together would mask exactly the serialization they are trying to
-// expose.
+// active; an ablated handle plans nothing (routeFromCache).
 func (c Config) Ablated() bool {
 	return c.NoCache || c.NoDelta || c.NoPartial || c.SyncSplit
 }

@@ -43,7 +43,7 @@ func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([]
 // a multi-key lookup, a write statement that has evaluated its rows (a
 // scan plans its own leaves the same way: Iterator.readRound) — asks
 // each tree for the leaf reads those operations will make
-// (PlanPoint, PlanFirst), across as many trees as it likes, and hands
+// (PlanPoint, PlanScan), across as many trees as it likes, and hands
 // the lot to kvclient.Tx.Prefetch: one read round. The operations
 // themselves then run unchanged, and their descents find the leaf reads
 // answered in the transaction's read set. A plan is routing only: it
@@ -54,39 +54,14 @@ func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([]
 // plan costs a wasted read at worst, never a wrong answer.
 
 // PlanPoint appends to plan the leaf read that Get, Put or Delete of key
-// will make. (A NoDelta handle's Put and Delete read the leaf whole:
-// only its Gets are planned right.)
+// will make.
 func (t *Tree) PlanPoint(plan []kv.ReadBatchItem, key []byte) []kv.ReadBatchItem {
-	return t.planLeafRead(plan, key, pointWindow(key))
-}
-
-// PlanFirst appends to plan the leaf read that First(lo, hi) will make.
-func (t *Tree) PlanFirst(plan []kv.ReadBatchItem, lo, hi []byte) []kv.ReadBatchItem {
-	return t.planLeafRead(plan, lo, firstWindow(lo, hi))
-}
-
-// planLeafRead appends the read descend(key, win) will make of key's
-// leaf, if the cache routes key to one.
-func (t *Tree) planLeafRead(plan []kv.ReadBatchItem, key []byte, win window) []kv.ReadBatchItem {
 	parent, idx := t.routeFromCache(key)
 	if parent == nil {
 		return plan
 	}
-	oid, err := childOID(parent.Cells[idx])
-	if err != nil {
-		return plan
-	}
-	return append(plan, t.leafItem(oid, win))
-}
-
-// leafItem is the read a descent through win makes of the leaf oid: the
-// window travels only when the handle reads leaves in part (see
-// descendOnce).
-func (t *Tree) leafItem(oid kv.OID, win window) kv.ReadBatchItem {
-	if t.cfg.NoPartial {
-		win = window{}
-	}
-	return kv.ReadBatchItem{OID: oid, Part: true, From: win.from, To: win.to, Max: win.max}
+	plan, _ = runItems(plan, parent.Cells[idx:idx+1], pointWindow(key))
+	return plan
 }
 
 // routeFromCache routes key through cached inner nodes to its height-1
@@ -95,8 +70,14 @@ func (t *Tree) leafItem(oid kv.OID, win window) kv.ReadBatchItem {
 // their separators, up to the parent's last child. The answer is routing
 // only — it may be stale: whoever reads the leaves it names validates
 // their fences and falls back to a descent, exactly as a descent backs
-// down. Returns nil when any level of the path is uncached or unusable.
+// down. Returns nil when any level of the path is uncached or unusable,
+// and always on an ablated handle, which therefore plans nothing: its
+// experiments measure each mechanism alone, and reads planned together
+// would hide the serial path they expose.
 func (t *Tree) routeFromCache(key []byte) (parent *kv.Value, idx int) {
+	if t.cfg.Ablated() {
+		return nil, 0
+	}
 	cur := t.root
 	const maxDepth = 64
 	for depth := 0; depth < maxDepth; depth++ {

@@ -37,7 +37,7 @@ type Range struct {
 // section): when the iterator needs a leaf and holds none, the inner-node
 // cache names that leaf and the ones the rest of the scan will probably
 // touch, and one read round fetches them all. Nothing runs beside the
-// consumer; Close only marks the iterator finished.
+// consumer, so an iterator abandoned part-way needs no closing.
 type Iterator struct {
 	t   *Tree
 	tx  *kvclient.Tx
@@ -103,9 +103,14 @@ func (it *Iterator) load(key []byte) {
 		switch {
 		case end < len(leaf.Cells):
 			it.next = nil // the leaf holds a cell at or past hi
-		case capped > 0 && end >= int(capped):
-			// The window came back full, so the cap may have cut it short:
-			// the leaf may continue after the last cell in hand.
+		case capped > 0 && end-max(it.pos-1, 0) == int(capped):
+			// The window, which starts at the floor of key, came back full,
+			// so the cap may have cut it short: the leaf may continue after
+			// the last cell in hand. (A leaf read whole — a root that is a
+			// leaf, an ablated handle's — also holds the cells below the
+			// floor: counted, they would make a leaf the scan has finished
+			// look cut short, and a scan whose Limit outlasts the leaf would
+			// read it again forever.)
 			it.next = upperBoundExclusive(it.cells[end-1].Key)
 			if it.pastHi(it.next) {
 				it.next = nil
@@ -132,19 +137,12 @@ func (it *Iterator) load(key []byte) {
 // planned round if that is the one, else what a new round or, failing
 // that, an ordinary descent brings.
 func (it *Iterator) fetch(key []byte) (*kv.Value, uint32, error) {
-	win := window{from: key, to: it.hi}
-	// Staged writes are overlaid on a window wherever they fall in the
-	// leaf, which neither a capped window can represent (cells between the
-	// cap and a staged cell would go missing) nor a leaf fetched before
-	// the write was staged: from the first staged write on, the scan goes
-	// leaf by leaf, uncapped, through the transaction. So does an ablated
-	// handle's, whose experiments measure exactly that serialisation.
-	if it.tx.NumWrites() > 0 {
+	win, runs := scanWindow(it.tx, key, it.hi, it.want)
+	if !runs {
 		it.run = nil
 	} else {
-		win.max = scanCap(it.want)
-		if len(it.run) == 0 && !it.t.cfg.Ablated() {
-			if err := it.readRound(key, win.max); err != nil {
+		if len(it.run) == 0 {
+			if err := it.readRound(win); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -165,16 +163,33 @@ func (it *Iterator) fetch(key []byte) (*kv.Value, uint32, error) {
 	return li.node, win.max, err
 }
 
-// readRound plans the scan's next read round from key on (scanRun) and,
-// when the plan names more than one leaf, reads them into it.run, each
-// windowed to [key or its first cell, Hi) and capped at capped; a single
-// leaf is left to the descent, which reads exactly that. A scan with
-// neither Limit nor Hi doubles its run from one round to the next. The
-// plan is routing only (routeFromCache): fetch validates every leaf it
-// takes from the run.
-func (it *Iterator) readRound(key []byte, capped uint32) error {
+// scanWindow is the window a scan reads key's leaf through while want
+// cells are outstanding, and whether it reads leaves in planned runs.
+// Staged writes are overlaid on a window wherever they fall in the leaf,
+// which neither a capped window can represent (cells between the cap and
+// a staged cell would go missing) nor a leaf fetched before the write was
+// staged: from the first staged write on, a scan goes leaf by leaf,
+// uncapped, through the transaction. The iterator and PlanScan both ask
+// here, so a plan names the reads the scan will make either way.
+func scanWindow(tx *kvclient.Tx, key, hi []byte, want int) (win window, runs bool) {
+	win = window{from: key, to: hi}
+	if tx.NumWrites() > 0 {
+		return win, false
+	}
+	win.max = scanCap(want)
+	return win, true
+}
+
+// readRound plans the scan's next read round from win's start on
+// (scanRun) and, when the plan names more than one leaf, reads them into
+// it.run, each through win (the later ones from their first cell); a
+// single leaf is left to the descent, which reads exactly that. A scan
+// with neither Limit nor Hi doubles its run from one round to the next.
+// The plan is routing only (routeFromCache): fetch validates every leaf
+// it takes from the run.
+func (it *Iterator) readRound(win window) error {
 	t := it.t
-	parent, idx, last := t.scanRun(key, it.hi, it.want, it.ahead)
+	parent, idx, last := t.scanRun(win.from, it.hi, it.want, it.ahead)
 	if parent == nil {
 		return nil
 	}
@@ -184,13 +199,13 @@ func (it *Iterator) readRound(key []byte, capped uint32) error {
 	if last-idx < 2 {
 		return nil
 	}
-	items, ok := runItems(make([]kv.ReadBatchItem, 0, last-idx), parent.Cells[idx:last], key, it.hi, capped)
+	items, ok := runItems(make([]kv.ReadBatchItem, 0, last-idx), parent.Cells[idx:last], win)
 	if !ok {
 		return nil // the descent meets the same pointer and reports it
 	}
 	t.stats.NodeReads.Add(uint64(len(items)))
 	run, err := it.tx.ReadBatch(it.ctx, items)
-	it.run, it.runMax = run, capped
+	it.run, it.runMax = run, win.max
 	return err
 }
 
@@ -223,48 +238,44 @@ func (t *Tree) scanRun(key, hi []byte, want, ahead int) (parent *kv.Value, idx, 
 }
 
 // runItems appends to plan the reads of a run of leaves (the cells of
-// their parent that point at them), each windowed to hi and capped at
-// capped, the first starting at key and the rest at their first cell.
-// ok is false, and plan as it was, if a cell is no child pointer.
-func runItems(plan []kv.ReadBatchItem, leaves []kv.Cell, key, hi []byte, capped uint32) (items []kv.ReadBatchItem, ok bool) {
+// their parent that point at them) through win, the first from win.from
+// and the rest from their first cell. ok is false, and plan as it was,
+// if a cell is no child pointer.
+func runItems(plan []kv.ReadBatchItem, leaves []kv.Cell, win window) (items []kv.ReadBatchItem, ok bool) {
 	items = plan
 	for _, c := range leaves {
 		oid, err := childOID(c)
 		if err != nil {
 			return plan, false
 		}
-		items = append(items, kv.ReadBatchItem{OID: oid, Part: true, To: hi, Max: capped})
+		items = append(items, kv.ReadBatchItem{OID: oid, Part: true, To: win.to, Max: win.max})
 	}
-	items[len(plan)].From = key
+	items[len(plan)].From = win.from
 	return items, true
 }
 
 // PlanScan appends to plan the leaf reads the first round of a scan of r
-// will make, whether the iterator leaves a single leaf to its descent or
-// reads a run: a caller that knows what it will read once the scan has
-// answered sends both as one kvclient.Tx.Prefetch, and the scan, run
-// unchanged, finds its round in the transaction's read set. It plans for a
-// transaction without staged writes (one with them scans through other
-// windows: Iterator.fetch), and nothing where the cache cannot route.
-func (t *Tree) PlanScan(plan []kv.ReadBatchItem, r Range) []kv.ReadBatchItem {
+// in tx will make, whether the iterator leaves a single leaf to its
+// descent or reads a run: a caller that knows what it will read once the
+// scan has answered sends both as one kvclient.Tx.Prefetch, and the scan,
+// run unchanged, finds its round in the transaction's read set. It plans
+// nothing where the cache cannot route.
+func (t *Tree) PlanScan(plan []kv.ReadBatchItem, tx *kvclient.Tx, r Range) []kv.ReadBatchItem {
 	lo, empty := r.start()
 	if empty {
 		return plan
 	}
 	want := max(r.Limit, 0)
+	win, runs := scanWindow(tx, lo, r.Hi, want)
 	parent, idx, last := t.scanRun(lo, r.Hi, want, 1)
 	if parent == nil {
 		return plan
 	}
-	if last-idx > 1 && !t.cfg.Ablated() {
-		plan, _ = runItems(plan, parent.Cells[idx:last], lo, r.Hi, scanCap(want))
-		return plan
+	if !runs {
+		last = idx + 1
 	}
-	oid, err := childOID(parent.Cells[idx])
-	if err != nil {
-		return plan
-	}
-	return append(plan, t.leafItem(oid, window{from: lo, to: r.Hi, max: scanCap(want)}))
+	plan, _ = runItems(plan, parent.Cells[idx:last], win)
+	return plan
 }
 
 // scanCap is the cap of a scan's leaf reads while want cells are
@@ -276,13 +287,6 @@ func scanCap(want int) uint32 {
 		return 0
 	}
 	return uint32(want) + 2
-}
-
-// Close marks the iterator finished. It is idempotent and safe on
-// exhausted iterators.
-func (it *Iterator) Close() {
-	it.run = nil
-	it.done = true
 }
 
 // Valid reports whether the iterator is positioned at a cell.
@@ -326,7 +330,6 @@ func (t *Tree) Scan(ctx context.Context, tx *kvclient.Tx, start []byte, limit in
 	}
 	var out []kv.Cell
 	it := t.NewIterator(ctx, tx, Range{Lo: start, Limit: limit})
-	defer it.Close()
 	for ; it.Valid(); it.Next() {
 		out = append(out, kv.Cell{Key: it.Key(), Value: it.Value()})
 		if len(out) == limit {

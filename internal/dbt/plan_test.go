@@ -8,6 +8,7 @@ import (
 
 	"yesquel/internal/cluster"
 	"yesquel/internal/dbt"
+	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
 )
 
@@ -180,25 +181,41 @@ func TestPlanOnColdCache(t *testing.T) {
 // are the ones the range's scan asks for first, so a caller that
 // prefetches them (with whatever else it will read) leaves that scan
 // nothing to wait for — whether the iterator would have left the one leaf
-// to its descent or read a run of them — and has read nothing the scan
-// alone would not have. A handle that reads leaves whole (an ablation)
-// scans leaf by leaf, and its plan is the first of them, whole. A cold
-// handle and an empty range plan nothing.
+// to its descent or read a run of them, and in a transaction with staged
+// writes, which scans leaf by leaf, uncapped — and has read nothing the
+// scan alone would not have. A cold handle and an empty range plan
+// nothing, and so does an ablated handle (one that reads leaves whole),
+// however warm its cache.
 func TestPlanScanIsTheScansFirstRound(t *testing.T) {
-	for _, cfg := range []dbt.Config{{MaxCells: 8}, {MaxCells: 8, NoPartial: true}} {
-		t.Run(fmt.Sprintf("NoPartial=%v", cfg.NoPartial), func(t *testing.T) { testPlanScan(t, cfg) })
-	}
+	t.Run("NoPartial=false", testPlanScan)
+	t.Run("NoPartial=true", func(t *testing.T) {
+		_, c, _ := planTree(t)
+		ablated, err := dbt.Open(context.Background(), c, 1, dbt.Config{MaxCells: 8, NoPartial: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ablated.Close)
+		tx := c.Begin()
+		defer tx.Abort()
+		scanAllAt(t, ablated, tx)
+		if plan := ablated.PlanScan(nil, tx, dbt.Range{Lo: []byte("k000002"), Hi: []byte("k000011")}); plan != nil {
+			t.Errorf("an ablated handle planned %d scan reads", len(plan))
+		}
+		if plan := ablated.PlanPoint(nil, []byte("k000031")); plan != nil {
+			t.Errorf("an ablated handle planned %d point reads", len(plan))
+		}
+	})
 }
 
-func testPlanScan(t *testing.T, cfg dbt.Config) {
+func testPlanScan(t *testing.T) {
 	cl, c, _ := planTree(t)
 	ctx := context.Background()
-	tree, err := dbt.Open(ctx, c, 1, cfg)
+	tree, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tree.Close)
-	if plan := tree.PlanScan(nil, dbt.Range{Lo: []byte("k000010"), Hi: []byte("k000030")}); plan != nil {
+	if plan := tree.PlanScan(nil, c.Begin(), dbt.Range{Lo: []byte("k000010"), Hi: []byte("k000030")}); plan != nil {
 		t.Errorf("a cold handle planned %d reads", len(plan))
 	}
 	warm := c.Begin()
@@ -207,7 +224,6 @@ func testPlanScan(t *testing.T, cfg dbt.Config) {
 
 	scan := func(tx *kvclient.Tx, r dbt.Range) (keys string) {
 		it := tree.NewIterator(ctx, tx, r)
-		defer it.Close()
 		for n := 0; it.Valid() && (r.Limit <= 0 || n < r.Limit); it.Next() {
 			keys += string(it.Key()) + " "
 			n++
@@ -230,36 +246,46 @@ func testPlanScan(t *testing.T, cfg dbt.Config) {
 		{"across parents to Hi", dbt.Range{Lo: []byte("k000010"), Hi: []byte("k000023")}, true},
 		{"to the end", dbt.Range{Lo: []byte("k000050")}, true},
 	} {
-		reads, rounds := cl.Stats().Reads, c.ReadRounds()
-		tx := c.Begin()
-		want := scan(tx, tc.r)
-		tx.Abort()
-		reads, rounds = cl.Stats().Reads-reads, c.ReadRounds()-rounds
-		if (rounds > 1) != tc.more && !cfg.Ablated() {
-			t.Errorf("%s: the scan alone made %d rounds", tc.name, rounds)
-		}
+		for _, staged := range []bool{false, true} {
+			name := fmt.Sprintf("%s, staged writes %v", tc.name, staged)
+			begin := func() *kvclient.Tx {
+				tx := c.Begin()
+				if staged { // a write elsewhere: the scan's cells stay as they are
+					tx.Put(c.NewOID(0), kv.NewPlain([]byte("staged")))
+				}
+				return tx
+			}
+			reads, rounds := cl.Stats().Reads, c.ReadRounds()
+			tx := begin()
+			want := scan(tx, tc.r)
+			tx.Abort()
+			reads, rounds = cl.Stats().Reads-reads, c.ReadRounds()-rounds
+			if (rounds > 1) != tc.more && !staged {
+				t.Errorf("%s: the scan alone made %d rounds", name, rounds)
+			}
 
-		pReads, pRounds := cl.Stats().Reads, c.ReadRounds()
-		tx = c.Begin()
-		plan := tree.PlanScan(nil, tc.r)
-		if err := tx.Prefetch(ctx, plan); err != nil {
-			t.Fatal(err)
-		}
-		if n := c.ReadRounds() - pRounds; len(plan) == 0 || n != 1 {
-			t.Errorf("%s: %d reads planned, fetched in %d rounds", tc.name, len(plan), n)
-		}
-		got := scan(tx, tc.r)
-		tx.Abort()
-		pReads, pRounds = cl.Stats().Reads-pReads, c.ReadRounds()-pRounds
-		t.Logf("%s: %d reads planned; %d reads in %d rounds", tc.name, len(plan), pReads, pRounds)
-		if got != want {
-			t.Errorf("%s: planned scan %q, unplanned %q", tc.name, got, want)
-		}
-		if pReads != reads || pRounds != rounds {
-			t.Errorf("%s: planned scan cost %d reads in %d rounds, unplanned %d in %d", tc.name, pReads, pRounds, reads, rounds)
+			pReads, pRounds := cl.Stats().Reads, c.ReadRounds()
+			tx = begin()
+			plan := tree.PlanScan(nil, tx, tc.r)
+			if err := tx.Prefetch(ctx, plan); err != nil {
+				t.Fatal(err)
+			}
+			if n := c.ReadRounds() - pRounds; len(plan) == 0 || n != 1 {
+				t.Errorf("%s: %d reads planned, fetched in %d rounds", name, len(plan), n)
+			}
+			got := scan(tx, tc.r)
+			tx.Abort()
+			pReads, pRounds = cl.Stats().Reads-pReads, c.ReadRounds()-pRounds
+			t.Logf("%s: %d reads planned; %d reads in %d rounds", name, len(plan), pReads, pRounds)
+			if got != want {
+				t.Errorf("%s: planned scan %q, unplanned %q", name, got, want)
+			}
+			if pReads != reads || pRounds != rounds {
+				t.Errorf("%s: planned scan cost %d reads in %d rounds, unplanned %d in %d", name, pReads, pRounds, reads, rounds)
+			}
 		}
 	}
-	if plan := tree.PlanScan(nil, dbt.Range{Lo: []byte("k000030"), Hi: []byte("k000010")}); plan != nil {
+	if plan := tree.PlanScan(nil, c.Begin(), dbt.Range{Lo: []byte("k000030"), Hi: []byte("k000010")}); plan != nil {
 		t.Errorf("an empty range planned %d reads", len(plan))
 	}
 }

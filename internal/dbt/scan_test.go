@@ -122,7 +122,6 @@ func TestPlannedScanDuringSplits(t *testing.T) {
 	tx := c.Begin()
 	defer tx.Abort()
 	it := warm.NewIterator(ctx, tx, dbt.Range{})
-	defer it.Close()
 	var got []kv.Cell
 	for i := 0; i < 6 && it.Valid(); i++ {
 		got = append(got, kv.Cell{Key: it.Key(), Value: it.Value()})
@@ -167,7 +166,6 @@ func TestPlannedScanSeesStagedWrites(t *testing.T) {
 	// Leaves hold four cells. The first round is the first leaf, the
 	// second the two after it: six cells in, the third leaf is in hand.
 	it := warm.NewIterator(ctx, tx, dbt.Range{})
-	defer it.Close()
 	var got []kv.Cell
 	for i := 0; i < 6 && it.Valid(); i++ {
 		got = append(got, kv.Cell{Key: it.Key(), Value: it.Value()})
@@ -337,19 +335,17 @@ func TestStaleScanPlanCostsReadsNeverRows(t *testing.T) {
 // (or grows an inner root) caches both halves with the router, so the
 // read plan for the next key — sequential keys land under the newest
 // sibling — still names a leaf. Without that the statement after an inner
-// split plans nothing and reads row by row.
+// split plans nothing and reads row by row. (The handle splits on its
+// splitter, as a planning handle does: a SyncSplit handle plans nothing.)
 func TestInnerSplitLeavesRoutableCache(t *testing.T) {
-	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 4, SyncSplit: true})
+	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 4})
 	ctx := context.Background()
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%06d", i)
 		if plan := tree.PlanPoint(nil, []byte(key)); i > 4 && len(plan) != 1 {
 			t.Fatalf("after %d keys the cache routes %q to %d leaves, want 1", i, key, len(plan))
 		}
-		putAuto(t, c, tree, key, "v")
-		if err := tree.MaintainNow(ctx); err != nil {
-			t.Fatal(err)
-		}
+		putAuto(t, c, tree, key, "v") // its commit waits for the leaf's split
 	}
 	tx := c.Begin()
 	defer tx.Abort()
@@ -361,7 +357,6 @@ func TestInnerSplitLeavesRoutableCache(t *testing.T) {
 // collect drains an iterator.
 func collect(t *testing.T, it *dbt.Iterator) []kv.Cell {
 	t.Helper()
-	defer it.Close()
 	var out []kv.Cell
 	for ; it.Valid(); it.Next() {
 		out = append(out, kv.Cell{Key: it.Key(), Value: it.Value()})
@@ -510,6 +505,31 @@ func TestEmptyRangeReadsNothing(t *testing.T) {
 	if n := cl.Stats().Reads - before; n != 0 {
 		t.Fatalf("empty ranges cost %d server reads", n)
 	}
+}
+
+// TestLimitOutlastsWholeLeaf: a scan whose Limit asks for more cells than
+// are left reaches the end, also where leaves are read whole — a tree
+// whose root is still a leaf, an ablated handle — and the window that
+// comes back holds more than the cap. (It used to re-read such a leaf
+// forever: a UNIQUE probe, a scan of one cell, of a small table hung.)
+func TestLimitOutlastsWholeLeaf(t *testing.T) {
+	ctx := context.Background()
+	_, c, tree := startTree(t, 1, dbt.Config{NoPartial: true, MaxCells: 8, SyncSplit: true})
+	scan := func(r dbt.Range, want int) {
+		t.Helper()
+		tx := c.Begin()
+		defer tx.Abort()
+		if got := collect(t, tree.NewIterator(ctx, tx, r)); len(got) != want {
+			t.Errorf("range [%q, %q) limit %d: %d cells, want %d", r.Lo, r.Hi, r.Limit, len(got), want)
+		}
+	}
+	fillSequential(t, c, tree, 8) // one leaf, the root
+	scan(dbt.Range{Lo: []byte("k000006"), Limit: 5}, 2)
+	scan(dbt.Range{Lo: []byte("k000009"), Limit: 1}, 0)
+	scan(dbt.Range{Lo: []byte("k000003a"), Hi: []byte("k000004"), Limit: 1}, 0)
+	fillSequential(t, c, tree, 40)
+	scan(dbt.Range{Lo: []byte("k000039a"), Limit: 1}, 0)
+	scan(dbt.Range{Lo: []byte("k000017a"), Hi: []byte("k000018"), Limit: 1}, 0)
 }
 
 // TestGetBatch covers the batched multi-key read path: warm-cache

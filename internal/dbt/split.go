@@ -250,7 +250,6 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
 	left, right := *node, *node
 	left.HighKey, right.LowKey = midKey, midKey
 	left.Cells, right.Cells = node.Cells[:mid:mid], node.Cells[mid:]
-	left.Attrs[AttrNext] = uint64(rightOID)
 
 	router := t.root // the inner node that routes to the new sibling
 	if oid == t.root {
@@ -313,7 +312,6 @@ func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, no
 	// are not rewritten.
 	tx.ListDelRange(oid, midKey, nil)
 	tx.SetBounds(oid, node.LowKey, midKey)
-	tx.AttrSet(oid, AttrNext, uint64(rightOID))
 
 	// Link the new sibling into the parent. The parent is found by a
 	// fully transactional descent to height+1 — splits are rare enough

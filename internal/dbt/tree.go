@@ -219,13 +219,6 @@ func pointWindow(key []byte) window {
 	return window{from: key, to: upperBoundExclusive(key), max: 2}
 }
 
-// firstWindow is the window of First(lo, hi): every cell of [lo, hi)
-// the leaf holds. Uncapped, because staged writes are overlaid on the
-// window wherever they fall: were it cut short at the first cell, a
-// staged delete of that cell would leave the window showing nothing of
-// a range that holds more.
-func firstWindow(lo, hi []byte) window { return window{from: lo, to: hi} }
-
 // leafInfo is the result of a descent: the leaf (possibly a windowed
 // view of it) and its total cell count for split heuristics.
 type leafInfo struct {
@@ -356,28 +349,6 @@ func (t *Tree) Get(ctx context.Context, tx *kvclient.Tx, key []byte) ([]byte, er
 		return nil, ErrKeyNotFound
 	}
 	return v, nil
-}
-
-// First returns the first cell with a key in [lo, hi) — a nil hi is no
-// bound — as seen by tx's snapshot (including tx's own buffered writes),
-// and whether there is one. It is the existence probe of a key prefix — a UNIQUE check — and
-// costs one leaf read unless the range straddles a leaf boundary.
-func (t *Tree) First(ctx context.Context, tx *kvclient.Tx, lo, hi []byte) (kv.Cell, bool, error) {
-	for key := lo; ; {
-		li, err := t.descend(ctx, tx, key, firstWindow(key, hi))
-		if err != nil {
-			return kv.Cell{}, false, err
-		}
-		if c, ok := li.node.ListCeil(key); ok {
-			return c, hi == nil || compare(c.Key, hi) < 0, nil
-		}
-		// Nothing at or after key in this leaf: the range goes on in the
-		// next one if this leaf ends inside it.
-		key = li.node.HighKey
-		if key == nil || (hi != nil && compare(key, hi) >= 0) {
-			return kv.Cell{}, false, nil
-		}
-	}
 }
 
 // Put inserts or replaces key's value within tx. The write is staged as

@@ -181,25 +181,6 @@ func TestListDelRange(t *testing.T) {
 	}
 }
 
-func TestListCeil(t *testing.T) {
-	v := NewSuper()
-	for _, k := range []string{"b", "d", "f"} {
-		v.ListAdd([]byte(k), nil)
-	}
-	if c, ok := v.ListCeil([]byte("a")); !ok || string(c.Key) != "b" {
-		t.Fatalf("Ceil(a) = %q %v", c.Key, ok)
-	}
-	if c, ok := v.ListCeil([]byte("d")); !ok || string(c.Key) != "d" {
-		t.Fatalf("Ceil(d) = %q %v", c.Key, ok)
-	}
-	if c, ok := v.ListCeil([]byte("e")); !ok || string(c.Key) != "f" {
-		t.Fatalf("Ceil(e) = %q %v", c.Key, ok)
-	}
-	if _, ok := v.ListCeil([]byte("g")); ok {
-		t.Fatal("Ceil(g) should be absent")
-	}
-}
-
 func TestInBounds(t *testing.T) {
 	v := NewSuper()
 	v.LowKey = []byte("b")

@@ -133,11 +133,12 @@ func TestTxReadBatchStagedOverlay(t *testing.T) {
 
 // TestPrefetchFillsTheReadSet: a Prefetch is one read round however many
 // items and servers it spans, every base it fetched then answers its
-// item locally — all of them, a plan of twenty as well as one of three —
-// under whatever the transaction stages afterwards; an item already
-// held, or overwritten by a staged Put, is not fetched, and when nothing
-// is left to fetch there is no round. ReadBatch's bases enter the set
-// the same way.
+// item locally — all of them, a plan of twenty as well as one of three,
+// after further plans as well as before — under whatever the transaction
+// stages afterwards, until the statement ends; an item already held, or
+// overwritten by a staged Put, is not fetched, and when nothing is left
+// to fetch there is no round. ReadBatch's bases enter the set the same
+// way.
 func TestPrefetchFillsTheReadSet(t *testing.T) {
 	cl, c := startCluster(t, 2)
 	ctx := context.Background()
@@ -173,6 +174,15 @@ func TestPrefetchFillsTheReadSet(t *testing.T) {
 	}); reads != 19 || rounds != 1 {
 		t.Fatalf("prefetch of 20 items, one of them held already: %d reads in %d rounds, want 19 in 1", reads, rounds)
 	}
+	// A second plan in the same statement adds to the set; the reads below
+	// find the first plan's items still there.
+	if reads, rounds := cost(func() {
+		if err := tx.Prefetch(ctx, []kv.ReadBatchItem{{OID: super[0]}, {OID: super[1]}}); err != nil {
+			t.Fatal(err)
+		}
+	}); reads != 2 || rounds != 1 {
+		t.Fatalf("a second prefetch of 2 other items: %d reads in %d rounds, want 2 in 1", reads, rounds)
+	}
 	tx.ListAdd(super[1], []byte("k03"), []byte("mine"))
 	if reads, rounds := cost(func() {
 		for i, it := range plan {
@@ -192,7 +202,16 @@ func TestPrefetchFillsTheReadSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); reads != 0 || rounds != 0 {
-		t.Fatalf("reads of prefetched items, and prefetching them again: %d reads in %d rounds, want none", reads, rounds)
+		t.Fatalf("reads of the first prefetch's items after a second one, and prefetching them again: %d reads in %d rounds, want none", reads, rounds)
+	}
+	// The statement ends: the next one reads from the servers again.
+	tx.EndStatement()
+	if reads, rounds := cost(func() {
+		if err := tx.Prefetch(ctx, plan); err != nil {
+			t.Fatal(err)
+		}
+	}); reads != 20 || rounds != 1 {
+		t.Fatalf("the plan again after EndStatement: %d reads in %d rounds, want 20 in 1", reads, rounds)
 	}
 
 	// A batch remembers what it fetched; a staged Put makes the servers'

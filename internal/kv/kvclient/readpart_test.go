@@ -108,8 +108,9 @@ func TestTxReadPartMissing(t *testing.T) {
 // TestTxReadPartMemo: a repeat of a read inside one transaction —
 // windowed or whole — is answered without a server round trip, the remembered
 // answer is the BASE — staged operations are overlaid on every call, so
-// Get → Put → Get reads its own write — and neither a reused key buffer
-// nor a different window is mistaken for the remembered request.
+// Get → Put → Get reads its own write — neither a reused key buffer nor a
+// different window is mistaken for the remembered request, and the
+// memo lasts exactly as long as the statement (Tx.EndStatement).
 func TestTxReadPartMemo(t *testing.T) {
 	cl, c := startCluster(t, 1)
 	ctx := context.Background()
@@ -201,12 +202,27 @@ func TestTxReadPartMemo(t *testing.T) {
 	if n := serverReads() - before; n != 1 {
 		t.Fatalf("two whole-object reads cost %d server reads, want 1", n)
 	}
-	// More distinct requests than the memo holds: the oldest is simply
+	// Within a statement nothing is read twice, however many distinct
+	// requests it makes; once the statement ends, a repeat is one server
 	// read again.
-	for i := 0; i < 6; i++ {
-		get(fmt.Sprintf("c%02d", i))
+	before = serverReads()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 10; i++ {
+			get(fmt.Sprintf("c%02d", i))
+		}
 	}
+	if n := serverReads() - before; n != 7 { // c01, c02 and c05 were read above
+		t.Fatalf("ten point reads, twice, cost %d server reads, want 7", n)
+	}
+	tx.EndStatement()
+	before = serverReads()
 	if val, ok := get("c00"); !ok || val != "old" {
-		t.Fatalf("read after eviction: %q %v", val, ok)
+		t.Fatalf("read in the next statement: %q %v", val, ok)
+	}
+	if val, ok := get("c05"); ok { // the staged delete outlives the statement
+		t.Fatalf("read in the next statement after own delete: %q", val)
+	}
+	if n := serverReads() - before; n != 2 {
+		t.Fatalf("two repeats after EndStatement cost %d server reads, want 2", n)
 	}
 }

@@ -2,11 +2,9 @@ package kvclient
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -18,6 +16,13 @@ import (
 // start timestamp plus the transaction's own buffered writes; writes
 // are staged locally and sent to the servers only at Commit. A Tx is
 // not safe for concurrent use.
+//
+// A transaction keeps every base it fetched from the servers (its read
+// set, see readBase) until the end of the current statement: the layer
+// above marks where a statement ends (EndStatement), and a transaction
+// that never does is one statement. The set is therefore bounded by what
+// one statement read, and nothing one plan fetched is dropped for
+// another's sake.
 type Tx struct {
 	c     *Client
 	txid  uint64
@@ -29,14 +34,7 @@ type Tx struct {
 	ops   []*kv.Op
 	byOID map[kv.OID][]*kv.Op
 
-	// The read set (see readBase): the last few single reads, a ring in
-	// reads (over readsBuf: a transaction allocates nothing for it) with
-	// the oldest at readsOldest once it is full, and the bases of the
-	// latest Prefetch in planned, sorted by item.
-	reads       []readEntry
-	readsOldest int
-	readsBuf    [3]readEntry
-	planned     []readEntry
+	reads readSet
 
 	// onCommit holds the OnCommit hooks by key.
 	onCommit map[any]func(context.Context)
@@ -62,15 +60,17 @@ func (c *Client) Begin() *Tx {
 // BeginAt starts a transaction reading at the given snapshot. Used for
 // time-travel reads and by layers that coordinate snapshots themselves.
 func (c *Client) BeginAt(snap clock.Timestamp) *Tx {
-	t := &Tx{
+	return &Tx{
 		c:     c,
 		txid:  c.nextTx.Add(1),
 		start: snap,
 		byOID: make(map[kv.OID][]*kv.Op),
 	}
-	t.reads = t.readsBuf[:0]
-	return t
 }
+
+// EndStatement marks the end of a statement: the read set is emptied,
+// and the reads of the next statement start from the servers.
+func (t *Tx) EndStatement() { t.reads = readSet{} }
 
 // Snapshot returns the transaction's start timestamp.
 func (t *Tx) Snapshot() clock.Timestamp { return t.start }
@@ -181,13 +181,14 @@ func (t *Tx) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.Read
 // Prefetch brings the bases of items into the read set with one
 // Client.readItems round — one RPC per owning group, the groups in
 // parallel — so that the reads that follow, however they are issued
-// (ReadPart, Read, ReadBatch), are answered locally. It is how a caller
-// that can tell beforehand what it will read turns N serial round trips
-// into one. Items the set already holds, and items a staged Put or
-// Delete has overwritten, are not fetched; if none is left there is no
-// round. Prefetching is never needed for correctness and never changes
-// what a read returns: an item that was not prefetched is simply read
-// when it is asked for.
+// (ReadPart, Read, ReadBatch), are answered locally until the statement
+// ends. It is how a caller that can tell beforehand what it will read
+// turns N serial round trips into one, and as many callers as like may
+// plan within one statement: their bases accumulate. Items the set
+// already holds, and items a staged Put or Delete has overwritten, are
+// not fetched; if none is left there is no round. Prefetching is never
+// needed for correctness and never changes what a read returns: an item
+// that was not prefetched is simply read when it is asked for.
 func (t *Tx) Prefetch(ctx context.Context, items []kv.ReadBatchItem) error {
 	if t.done {
 		return kv.ErrAborted
@@ -195,7 +196,7 @@ func (t *Tx) Prefetch(ctx context.Context, items []kv.ReadBatchItem) error {
 	var fetch []kv.ReadBatchItem
 	for i := range items {
 		it := items[i].Windowed()
-		if lastOverwrite(t.byOID[it.OID]) >= 0 || t.remembered(it) != nil {
+		if _, held := t.reads.get(it); held || lastOverwrite(t.byOID[it.OID]) >= 0 {
 			continue
 		}
 		if fetch == nil {
@@ -211,20 +212,9 @@ func (t *Tx) Prefetch(ctx context.Context, items []kv.ReadBatchItem) error {
 		return err
 	}
 	ownKeys(fetch)
-	// The plan replaces the one before it, whose statement is over: what
-	// this one asks for again is carried across, the rest is dropped, so
-	// the set is never larger than the largest plan.
-	planned := make([]readEntry, 0, len(items))
-	for i := range items {
-		if e := t.remembered(items[i].Windowed()); e != nil {
-			planned = append(planned, *e)
-		}
-	}
 	for i := range fetch {
-		planned = append(planned, readEntry{item: fetch[i], base: bases[i]})
+		t.reads.put(readEntry{item: fetch[i], base: bases[i]})
 	}
-	slices.SortFunc(planned, func(a, b readEntry) int { return compareItems(a.item, b.item) })
-	t.planned = planned
 	return nil
 }
 
@@ -308,14 +298,13 @@ type readEntry struct {
 // Get followed by a Put or Delete of the same key asks for the same
 // window of the same leaf twice, and pays for one read; so does a node
 // read whole twice; and a statement that planned its reads (Prefetch)
-// finds every one of them here. The set is bounded: the last few single
-// reads, the oldest making way for the newest, and the latest plan — a
-// transaction that reads a whole table remembers none of it for long.
-// Returned values are shared between callers and must not be modified
-// (kv.Overlay copies before it edits).
+// finds every one of them here. The set holds what the current statement
+// read (see Tx) and is emptied when it ends. Returned values are shared
+// between callers and must not be modified (kv.Overlay copies before it
+// edits).
 func (t *Tx) readBase(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchResult, error) {
-	if e := t.remembered(it); e != nil {
-		return e.base, nil
+	if base, ok := t.reads.get(it); ok {
+		return base, nil
 	}
 	var out [1]kv.ReadBatchResult
 	items := [1]kv.ReadBatchItem{it}
@@ -323,51 +312,73 @@ func (t *Tx) readBase(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchRes
 		return kv.ReadBatchResult{}, err
 	}
 	ownKeys(items[:])
-	e := readEntry{item: items[0], base: out[0]}
-	if len(t.reads) < cap(t.reads) {
-		t.reads = append(t.reads, e)
-	} else {
-		t.reads[t.readsOldest] = e
-		t.readsOldest = (t.readsOldest + 1) % len(t.reads)
-	}
+	t.reads.put(readEntry{item: items[0], base: out[0]})
 	return out[0], nil
 }
 
-// remembered returns the read set's entry for it, or nil: a scan of the
-// few single reads, a binary search of the plan.
-func (t *Tx) remembered(it kv.ReadBatchItem) *readEntry {
-	for i := range t.reads {
-		if compareItems(t.reads[i].item, it) == 0 {
-			return &t.reads[i]
-		}
-	}
-	i, ok := slices.BinarySearchFunc(t.planned, it, func(e readEntry, it kv.ReadBatchItem) int {
-		return compareItems(e.item, it)
-	})
-	if !ok {
-		return nil
-	}
-	return &t.planned[i]
+// readSet holds a statement's read entries: the first few inline (a
+// point statement allocates nothing for them), the rest by a hash of
+// the item. A hit is checked against the item itself, and an entry whose
+// hash collides with an older one's replaces it: a collision costs a
+// read again, never a wrong answer.
+type readSet struct {
+	first [4]readEntry
+	n     int
+	rest  map[uint64]readEntry
 }
 
-// compareItems orders windowed items: by object, then by window.
-func compareItems(a, b kv.ReadBatchItem) int {
-	if c := cmp.Compare(a.OID, b.OID); c != 0 {
-		return c
-	}
-	if c := bytes.Compare(a.From, b.From); c != 0 {
-		return c
-	}
-	if (a.To == nil) != (b.To == nil) { // no upper bound sorts last
-		if a.To == nil {
-			return 1
+func (s *readSet) get(it kv.ReadBatchItem) (kv.ReadBatchResult, bool) {
+	for i := range s.first[:s.n] {
+		if sameItem(s.first[i].item, it) {
+			return s.first[i].base, true
 		}
-		return -1
 	}
-	if c := bytes.Compare(a.To, b.To); c != 0 {
-		return c
+	if len(s.rest) > 0 {
+		if e, ok := s.rest[itemHash(it)]; ok && sameItem(e.item, it) {
+			return e.base, true
+		}
 	}
-	return cmp.Compare(a.Max, b.Max)
+	return kv.ReadBatchResult{}, false
+}
+
+func (s *readSet) put(e readEntry) {
+	if s.n < len(s.first) {
+		s.first[s.n] = e
+		s.n++
+		return
+	}
+	if s.rest == nil {
+		s.rest = make(map[uint64]readEntry)
+	}
+	s.rest[itemHash(e.item)] = e
+}
+
+// sameItem reports whether two windowed items ask for the same cells of
+// the same object.
+func sameItem(a, b kv.ReadBatchItem) bool {
+	return a.OID == b.OID && a.Max == b.Max && bytes.Equal(a.From, b.From) &&
+		(a.To == nil) == (b.To == nil) && bytes.Equal(a.To, b.To)
+}
+
+// itemHash is FNV-1a over a windowed item's object, cap and keys; an
+// unbounded To hashes apart from an empty one.
+func itemHash(it kv.ReadBatchItem) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, w := range [...]uint64{uint64(it.OID), uint64(it.Max), uint64(len(it.From))} {
+		h = (h ^ w) * prime
+	}
+	for _, c := range it.From {
+		h = (h ^ uint64(c)) * prime
+	}
+	if it.To == nil {
+		return h
+	}
+	h = (h ^ 1) * prime
+	for _, c := range it.To {
+		h = (h ^ uint64(c)) * prime
+	}
+	return h
 }
 
 // ownKeys repoints the items' keys at copies, all in one allocation:

@@ -146,15 +146,6 @@ func (v *Value) ListGet(key []byte) ([]byte, bool) {
 	return v.Cells[i].Value, true
 }
 
-// ListCeil returns the first cell with Key >= key, if any.
-func (v *Value) ListCeil(key []byte) (Cell, bool) {
-	i, _ := v.cellIndex(key)
-	if i >= len(v.Cells) {
-		return Cell{}, false
-	}
-	return v.Cells[i], true
-}
-
 // NumCells returns the number of cells.
 func (v *Value) NumCells() int { return len(v.Cells) }
 

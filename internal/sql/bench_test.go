@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"yesquel/internal/dbt"
 	"yesquel/internal/sql"
 )
 
@@ -94,20 +93,18 @@ func BenchmarkScan50(b *testing.B) {
 
 // BenchmarkInsertRows loads fresh ascending keys into the pk-only table,
 // rows per INSERT statement as named: what a row costs to write, and how
-// that falls as a statement carries more of them (its reads are one
-// round whatever its size — rounds/op — and a read under its staged
-// writes costs the window plus the writes, not their square). The
-// session splits synchronously and does so between the timed statements,
-// so the number is the statement's own: a split costs a writer the same
-// per row however the rows are grouped, and setup_s in the repo
-// benchmark is where it shows.
+// that falls as a statement carries more of them (its own reads are one
+// round whatever its size, and a read under its staged writes costs the
+// window plus the writes, not their square). The session has the default
+// configuration, as the repo benchmark's loaders do (a handle that splits
+// synchronously plans nothing), so a statement that grows a leaf past its
+// limit waits in its commit for the split: every number includes what
+// splits cost a writer, about one per 64 rows however the rows are
+// grouped, rounds/op the split's reads among them.
 func BenchmarkInsertRows(b *testing.B) {
 	for _, n := range []int{1, 8, 64} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			_, warm := loadBudgetDB(b)
-			db := sql.NewDB(warm.Client(), dbt.Config{SyncSplit: true})
-			b.Cleanup(db.Close)
-			trees := budgetTrees(b, db)
+			_, db := loadBudgetDB(b)
 			ctx := context.Background()
 			stmt, err := db.Prepare("INSERT INTO p VALUES (?, ?)" + strings.Repeat(", (?, ?)", n-1))
 			if err != nil {
@@ -122,13 +119,11 @@ func BenchmarkInsertRows(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			insert(-n) // fills the new handle's inner-node cache
 			var mallocs, rounds uint64
 			var before, after runtime.MemStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				quiesce(b, trees)
 				runtime.ReadMemStats(&before)
 				roundsBefore := db.Client().ReadRounds()
 				b.StartTimer()

@@ -236,8 +236,16 @@ func TestConcurrentSessionsSeparateTx(t *testing.T) {
 func TestLimitEarlyTerminationCorrect(t *testing.T) {
 	db := newDB(t, 2)
 	mustExec(t, db, "CREATE TABLE s (id INTEGER PRIMARY KEY)")
+	for i := 0; i < 8; i++ {
+		mustExec(t, db, "INSERT INTO s VALUES (?)", sql.Int(int64(i)))
+	}
+	// A LIMIT the rows run out before, in a table whose root is still a
+	// leaf (read whole): the scan ends (it used to re-read the leaf forever).
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM s WHERE id >= 6 LIMIT 5")); got != "6\n7\n" {
+		t.Fatalf("%q", got)
+	}
 	mustExec(t, db, "BEGIN")
-	for i := 0; i < 300; i++ {
+	for i := 8; i < 300; i++ {
 		mustExec(t, db, "INSERT INTO s VALUES (?)", sql.Int(int64(i)))
 	}
 	mustExec(t, db, "COMMIT")

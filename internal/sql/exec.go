@@ -205,7 +205,10 @@ func sleepJitter(attempt int) {
 	time.Sleep(base + time.Duration(rand.Int63n(int64(base)+1)))
 }
 
+// runStmt runs one statement in tx and marks its end there, so what it
+// read is not carried into the transaction's next statement.
 func (db *DB) runStmt(ctx context.Context, tx *kvclient.Tx, stmt Stmt, args []Value) (Result, *Rows, error) {
+	defer tx.EndStatement()
 	switch st := stmt.(type) {
 	case CreateTable:
 		return Result{}, nil, db.cat.CreateTable(ctx, tx, st)
@@ -285,6 +288,11 @@ const (
 	opUnique               // no key with prefix key may exist: a value entering a UNIQUE index
 )
 
+// probe is the scan an opUnique makes: the first cell with its prefix.
+func (op treeOp) probe() dbt.Range {
+	return dbt.Range{Lo: op.key, Hi: KeySuccessor(op.key), Limit: 1}
+}
+
 // treeKey names a key of one of the table's trees.
 type treeKey struct {
 	tree int
@@ -350,7 +358,7 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 	plan := make([]kv.ReadBatchItem, 0, len(ops))
 	for _, op := range ops {
 		if op.kind == opUnique {
-			plan = tree(op).PlanFirst(plan, op.key, KeySuccessor(op.key))
+			plan = tree(op).PlanScan(plan, tx, op.probe())
 		} else {
 			plan = tree(op).PlanPoint(plan, op.key)
 		}
@@ -370,12 +378,12 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 				return err
 			}
 		case opUnique:
-			c, found, err := tree(op).First(ctx, tx, op.key, KeySuccessor(op.key))
-			if err != nil {
+			it := tree(op).NewIterator(ctx, tx, op.probe())
+			if err := it.Err(); err != nil {
 				return err
 			}
-			if found {
-				holder = c.Key
+			if it.Valid() {
+				holder = it.Key()
 			}
 		default:
 			continue

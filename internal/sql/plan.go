@@ -388,15 +388,13 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 	// round. What follows is none the wiser — the scan and GetBatch find
 	// their reads in the transaction's read set, and rows are fetched by
 	// the keys the index holds at this snapshot, so a stale hint is reads
-	// wasted and the round GetBatch makes anyway. A transaction with staged
-	// writes scans through other windows (dbt.Tree.PlanScan) and is left
-	// alone.
+	// wasted and the round GetBatch makes anyway.
 	var hints *indexHints
-	if path.kind == pathIdxEq && tx.NumWrites() == 0 {
+	if path.kind == pathIdxEq {
 		hints = &table.hints[path.idx]
 		if rows := hints.get(lo); len(rows) > 0 {
 			rows = rows[:min(len(rows), rowBatch)]
-			plan := table.IndexTrees[path.idx].PlanScan(make([]kv.ReadBatchItem, 0, 1+len(rows)), idxRange)
+			plan := table.IndexTrees[path.idx].PlanScan(make([]kv.ReadBatchItem, 0, 1+len(rows)), tx, idxRange)
 			for _, rowKey := range rows {
 				plan = table.Tree.PlanPoint(plan, rowKey)
 			}
@@ -447,7 +445,6 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 // scanTreeRange iterates the tree cells of r.
 func (db *DB) scanTreeRange(ctx context.Context, tx *kvclient.Tx, tree *dbt.Tree, r dbt.Range, visit func(key, val []byte) (bool, error)) error {
 	it := tree.NewIterator(ctx, tx, r)
-	defer it.Close()
 	for ; it.Valid(); it.Next() {
 		cont, err := visit(it.Key(), it.Value())
 		if err != nil {

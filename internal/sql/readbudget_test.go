@@ -239,6 +239,21 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		check(s)
 	}
 
+	// Inside BEGIN, after a staged INSERT: the UNIQUE probe, a scan under
+	// staged writes, reads its index leaf through an uncapped window, and
+	// its plan names that same read — still three reads in one round.
+	if _, err := db.Exec(ctx, "BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(ctx, "INSERT INTO t VALUES (?, 20, 'x')", sql.Int(budgetRows+20)); err != nil {
+		t.Fatal(err)
+	}
+	check(shape{"insert with one UNIQUE index after a staged insert", "INSERT INTO t VALUES (?, ?, ?)",
+		[]sql.Value{sql.Int(budgetRows + 21), sql.Int(21), sql.Text("x")}, 3, 1, 0, -1})
+	if _, err := db.Exec(ctx, "ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+
 	// A hint another session (other, which runs the writes below) has made
 	// wrong: the lookup returns what the index holds now, wastes no more
 	// than the reads the hint named (they travel in the index's round),
