@@ -12,10 +12,8 @@
 // rules: no blocking under Store.repMu (repmublock), the
 // repMu → txMu → epochMu → snapMu → dirMu acquisition order
 // (lockorder), no
-// error classification by string matching (errsentinel),
-// Encode/Decode wire symmetry and the trailing-optional
-// backward-compat contract (wirecodec), and no per-iteration timer
-// allocation (timerloop).
+// error classification by string matching (errsentinel), and no
+// per-iteration timer allocation (timerloop).
 package main
 
 import (
@@ -28,7 +26,6 @@ import (
 	"yesquel/internal/lint/lockorder"
 	"yesquel/internal/lint/repmublock"
 	"yesquel/internal/lint/timerloop"
-	"yesquel/internal/lint/wirecodec"
 )
 
 // Suite is the full analyzer set, exported for the CLI test.
@@ -36,7 +33,6 @@ var suite = []*analysis.Analyzer{
 	repmublock.Analyzer,
 	lockorder.Analyzer,
 	errsentinel.Analyzer,
-	wirecodec.Analyzer,
 	timerloop.Analyzer,
 }
 

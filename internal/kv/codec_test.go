@@ -1,0 +1,288 @@
+package kv
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"yesquel/internal/wire"
+)
+
+// wireCase is one sample message of the registry every codec test reads:
+// the truncation table, the golden bytes, the hostile-count frames and
+// the fuzz seeds. A message added to the protocol gets a row here and is
+// covered by all of them at once.
+type wireCase struct {
+	name   string
+	full   []byte                    // the sample, encoded
+	decode func([]byte) (any, error) // the message's decoder
+	encode func(any) []byte          // its encoder, for what decode returned
+}
+
+func newCase[M any](name string, m *M, enc func(*M) []byte, dec func([]byte) (*M, error)) wireCase {
+	return wireCase{
+		name:   name,
+		full:   enc(m),
+		decode: func(p []byte) (any, error) { return dec(p) },
+		encode: func(v any) []byte { return enc(v.(*M)) },
+	}
+}
+
+// bufEncoder and readerDecoder adapt the codecs that append to a Buffer
+// and read from a Reader (values, ops, records, directories).
+func bufEncoder[M any](enc func(*wire.Buffer, *M)) func(*M) []byte {
+	return func(m *M) []byte {
+		b := wire.NewBuffer(0)
+		enc(b, m)
+		return b.Bytes()
+	}
+}
+
+func readerDecoder[M any](dec func(*wire.Reader) (M, error)) func([]byte) (*M, error) {
+	return func(p []byte) (*M, error) {
+		m, err := dec(wire.NewReader(p))
+		return &m, err
+	}
+}
+
+func wireCases() []wireCase {
+	sv := NewSuper()
+	sv.ListAdd([]byte("k1"), []byte("v1"))
+	bounded := NewSuper()
+	bounded.Attrs[0], bounded.Attrs[7] = 7, 1<<60
+	bounded.LowKey, bounded.HighKey = []byte{}, []byte("zzz")
+	bounded.ListAdd([]byte("a"), nil)
+	bounded.ListAdd([]byte("b"), []byte("2"))
+	recs := []SyncRec{
+		{Seq: 5, Rec: ReplRecord{Kind: RecPrepare, TxID: 2, TS: 20, Ops: sampleOps(), Epoch: 2}},
+		{Seq: 6, Rec: ReplRecord{Kind: RecEpoch, Epoch: 3, Members: []string{"a:1", "b:2"}}},
+	}
+	dir := &Directory{Version: 3, Routes: []uint32{0, 1}, Groups: [][]string{{"a:1"}, {"b:2", "c:3"}}}
+	encValue := bufEncoder(func(b *wire.Buffer, v **Value) { EncodeValue(b, *v) })
+	decValue := readerDecoder(DecodeValue)
+	encOp := bufEncoder(func(b *wire.Buffer, op **Op) { EncodeOp(b, *op) })
+	decOp := readerDecoder(DecodeOp)
+	cases := []wireCase{
+		newCase("Value tombstone", new(*Value), encValue, decValue),
+		newCase("Value plain", func() **Value { v := NewPlain([]byte("payload")); return &v }(), encValue, decValue),
+		newCase("Value super", &bounded, encValue, decValue),
+		newCase("ReplRecord", &recs[1].Rec, bufEncoder(EncodeReplRecord), readerDecoder(DecodeReplRecord)),
+		newCase("ReplRecord ops", &recs[0].Rec, bufEncoder(EncodeReplRecord), readerDecoder(DecodeReplRecord)),
+		newCase("Directory", &dir, bufEncoder(func(b *wire.Buffer, d **Directory) { EncodeDirectory(b, *d) }), readerDecoder(DecodeDirectory)),
+		newCase("LeaseReq", &LeaseReq{Epoch: 7, Watermark: 9}, (*LeaseReq).Encode, DecodeLeaseReq),
+		newCase("MirrorBatchReq", &MirrorBatchReq{Recs: recs, Watermark: 6}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
+		newCase("SyncReq", &SyncReq{From: 42, Max: 512, Epoch: 3}, (*SyncReq).Encode, DecodeSyncReq),
+		newCase("SyncResp", &SyncResp{Records: recs, Head: 7, Clock: 99, TooOld: true, LogBase: 4}, (*SyncResp).Encode, DecodeSyncResp),
+		newCase("SnapReq", &SnapReq{ID: 7, Chunk: 3}, (*SnapReq).Encode, DecodeSnapReq),
+		newCase("SnapResp", &SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("slice"), Clock: 55}, (*SnapResp).Encode, DecodeSnapResp),
+		newCase("ReadPartReq whole object", &ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2)}}, (*ReadPartReq).Encode, DecodeReadPartReq),
+		newCase("ReadPartReq", &ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2), Part: true, From: []byte("a"), To: []byte("m"), Max: 8}}, (*ReadPartReq).Encode, DecodeReadPartReq),
+		newCase("ReadPartResp plain value", &ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Clock: 11, Frontier: 9}, (*ReadPartResp).Encode, DecodeReadPartResp),
+		newCase("ReadPartResp", &ReadPartResp{Found: true, Version: 10, Value: sv, Total: 3, Clock: 11, Frontier: 9}, (*ReadPartResp).Encode, DecodeReadPartResp),
+		newCase("ReadBatchReq", &ReadBatchReq{Snap: 1, Epoch: 2, Items: []ReadBatchItem{
+			{OID: MakeOID(1, 1)},
+			{OID: MakeOID(1, 2), Part: true, From: []byte("f"), To: []byte("t"), Max: 3},
+		}}, (*ReadBatchReq).Encode, DecodeReadBatchReq),
+		newCase("ReadBatchResp", &ReadBatchResp{Results: []ReadBatchResult{
+			{Found: true, Version: 3, Value: NewPlain([]byte("x"))}, {}, {Found: true, Version: 4, Value: sv, Total: 31},
+		}, Clock: 9, Frontier: 4}, (*ReadBatchResp).Encode, DecodeReadBatchResp),
+		newCase("PrepareReq", &PrepareReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*PrepareReq).Encode, DecodePrepareReq),
+		newCase("PrepareResp", &PrepareResp{OK: true, Proposed: 5, Clock: 6}, (*PrepareResp).Encode, DecodePrepareResp),
+		newCase("CommitReq", &CommitReq{TxID: 1, CommitTS: 2, Epoch: 3}, (*CommitReq).Encode, DecodeCommitReq),
+		newCase("AbortReq", &AbortReq{TxID: 1, Epoch: 3}, (*AbortReq).Encode, DecodeAbortReq),
+		newCase("FastCommitReq", &FastCommitReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*FastCommitReq).Encode, DecodeFastCommitReq),
+		newCase("FastCommitResp", &FastCommitResp{OK: true, CommitTS: 50, Clock: 51, Frontier: 49}, (*FastCommitResp).Encode, DecodeFastCommitResp),
+		newCase("Ack", &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, Frontier: 88, DirVersion: 2}, (*Ack).Encode, DecodeAck),
+		newCase("DirectoryResp", &DirectoryResp{Dir: dir, Clock: 77}, (*DirectoryResp).Encode, DecodeDirectoryResp),
+	}
+	for i, op := range sampleOps() {
+		op := op
+		cases = append(cases, newCase("Op "+string(rune('a'+i)), &op, encOp, decOp))
+	}
+	return cases
+}
+
+// goldenHex is every sample's encoding as the hand-written encoders the
+// field lists replaced wrote it: the layout did not move, so neither the
+// write-ahead log's magic nor the snapshot format needed a bump.
+var goldenHex = map[string]string{
+	"Value tombstone":          "ff",
+	"Value plain":              "00077061796c6f6164",
+	"Value super":              "010700000000000080808080808080801000037a7a7a01010201610001620132",
+	"ReplRecord":               "03030000000000000000000000000000000000000203613a3103623a32",
+	"ReplRecord ops":           "010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010000",
+	"Directory":                "03020001020103613a310203623a3203633a33",
+	"LeaseReq":                 "0709",
+	"MirrorBatchReq":           "0205010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f000100000603030000000000000000000000000000000000000203613a3103623a3206",
+	"SyncReq":                  "2a0000020003",
+	"SyncResp":                 "0205010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f000100000603030000000000000000000000000000000000000203613a3103623a320700000000000000630104",
+	"SnapReq":                  "0700000003",
+	"SnapResp":                 "07d209000000030000000905736c6963650000000000000037",
+	"ReadPartReq whole object": "000000000000004d0400010000000000020000000000000000",
+	"ReadPartReq":              "000000000000004d040001000000000002010161016d0100000008",
+	"ReadPartResp plain value": "01000000000000000a00017600000000000000000000000b0000000000000009",
+	"ReadPartResp":             "01000000000000000a0100000000000000000000000001026b3102763100000003000000000000000b0000000000000009",
+	"ReadBatchReq":             "0000000000000001020200010000000000010000000000000000000100000000000201016601740100000003",
+	"ReadBatchResp":            "0301000000000000000300017800000000000000000000000000ff000000000100000000000000040100000000000000000000000001026b310276310000001f00000000000000090000000000000004",
+	"PrepareReq":               "000000000000000100000000000000020900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010003",
+	"PrepareResp":              "0100000000000000050000000000000006",
+	"CommitReq":                "0000000000000001000000000000000203",
+	"AbortReq":                 "000000000000000103",
+	"FastCommitReq":            "000000000000000100000000000000020900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010003",
+	"FastCommitResp":           "01000000000000003200000000000000330000000000000031",
+	"Ack":                      "0000000000000063030203613a3103623a32000000000000005802",
+	"DirectoryResp":            "03020001020103613a310203623a3203633a33000000000000004d",
+	"Op a":                     "00000100000000000700077061796c6f6164",
+	"Op b":                     "000001000000000008ff",
+	"Op c":                     "010002000000000009",
+	"Op d":                     "020000000000000001016b0176",
+	"Op e":                     "0200000000000000020000",
+	"Op f":                     "0300030000000000030161017a0101",
+	"Op g":                     "03000300000000000400000000",
+	"Op h":                     "04000400000000000507ffffffffffffffff7f",
+	"Op i":                     "050005000000000006026c6f000100",
+}
+
+func TestGoldenEncodings(t *testing.T) {
+	cases := wireCases()
+	if len(cases) != len(goldenHex) {
+		t.Errorf("%d samples, %d golden encodings", len(cases), len(goldenHex))
+	}
+	for _, c := range cases {
+		if got, want := hex.EncodeToString(c.full), goldenHex[c.name]; got != want {
+			t.Errorf("%s: encodes as\n%s\nwant\n%s", c.name, got, want)
+			continue
+		}
+		m, err := c.decode(c.full)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if again := c.encode(m); !bytes.Equal(again, c.full) {
+			t.Errorf("%s: decoded and re-encoded as %x, want %x", c.name, again, c.full)
+		}
+	}
+}
+
+// TestHostileCountsAllocateLittle splices a count of a million into every
+// sample at every offset: wherever it lands, decoding allocates no more
+// than a small multiple of the frame's own length. Where it lands on a
+// list's count, the count is refused before the list is allocated; the
+// frames below put it there on purpose.
+func TestHostileCountsAllocateLittle(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<20)
+	check := func(name string, frame []byte, decode func([]byte) (any, error)) error {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decode(frame)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(64*len(frame)+4096) {
+			t.Errorf("%s: a %d-byte frame allocated %d bytes", name, len(frame), alloc)
+		}
+		return err
+	}
+	for _, c := range wireCases() {
+		for i := 0; i <= len(c.full); i++ {
+			frame := append(append(append([]byte(nil), c.full[:i]...), huge...), c.full[i:]...)
+			check(c.name, frame, c.decode)
+		}
+	}
+	commit := make([]byte, 16) // TxID, Start
+	super := append([]byte{byte(KindSuper)}, make([]byte, NumAttrs+4)...)
+	for _, c := range []struct {
+		name   string
+		prefix []byte
+		decode func([]byte) (any, error)
+	}{
+		{"FastCommitReq ops", commit, func(p []byte) (any, error) { return DecodeFastCommitReq(p) }},
+		{"PrepareReq ops", commit, func(p []byte) (any, error) { return DecodePrepareReq(p) }},
+		{"Value cells", super, func(p []byte) (any, error) { return DecodeValue(wire.NewReader(p)) }},
+		{"MirrorBatchReq records", nil, func(p []byte) (any, error) { return DecodeMirrorBatchReq(p) }},
+		{"SyncResp records", nil, func(p []byte) (any, error) { return DecodeSyncResp(p) }},
+		{"ReadBatchResp results", nil, func(p []byte) (any, error) { return DecodeReadBatchResp(p) }},
+		{"Directory routes", []byte{1}, func(p []byte) (any, error) { return DecodeDirectory(wire.NewReader(p)) }},
+	} {
+		err := check(c.name, append(c.prefix, huge...), c.decode)
+		if !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", c.name, err)
+		}
+	}
+}
+
+// FuzzDecode feeds every message decoder arbitrary bytes: nothing
+// panics, and whatever decodes re-encodes to bytes that decode to an
+// equal message and re-encode to themselves.
+func FuzzDecode(f *testing.F) {
+	cases := wireCases()
+	for i, c := range cases {
+		f.Add(uint8(i), c.full)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, p []byte) {
+		c := cases[int(which)%len(cases)]
+		m, err := c.decode(p)
+		if err != nil {
+			return
+		}
+		again := c.encode(m)
+		m2, err := c.decode(again)
+		if err != nil {
+			t.Fatalf("%s: %x decodes, its re-encoding %x does not: %v", c.name, p, again, err)
+		}
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("%s: %x decodes to %+v, its re-encoding to %+v", c.name, p, m, m2)
+		}
+		if third := c.encode(m2); !bytes.Equal(third, again) {
+			t.Fatalf("%s: re-encodings differ: %x, %x", c.name, again, third)
+		}
+	})
+}
+
+// TestCodecAllocations pins that a field list costs no allocation of
+// its own: an encoding is its one buffer, and a decode allocates only
+// what it returns (the message, the op and its two byte strings; the
+// value, its cells and their two byte strings).
+func TestCodecAllocations(t *testing.T) {
+	fc := &FastCommitReq{TxID: 1, Start: 1, Epoch: 1,
+		Ops: []*Op{{Kind: OpListAdd, OID: 1, Cell: Cell{Key: []byte("k"), Value: []byte("v")}}}}
+	sv := NewSuper()
+	sv.ListAdd([]byte("k"), []byte("v"))
+	rp := &ReadPartResp{Found: true, Value: sv, Total: 1}
+	fcBytes, rpBytes := fc.Encode(), rp.Encode()
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"FastCommitReq.Encode", 1, func() { fc.Encode() }},
+		{"ReadPartResp.Encode", 1, func() { rp.Encode() }},
+		{"DecodeFastCommitReq", 5, func() { DecodeFastCommitReq(fcBytes) }},
+		{"DecodeReadPartResp", 5, func() { DecodeReadPartResp(rpBytes) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n > c.max {
+			t.Errorf("%s: %v allocations, want %v", c.name, n, c.max)
+		}
+	}
+}
+
+// TestEncodingOnlyReads encodes every sample from two goroutines at
+// once: messages hold values other goroutines read (see Immutability in
+// the package doc), so under -race a field list that writes a field
+// while encoding fails here.
+func TestEncodingOnlyReads(t *testing.T) {
+	for _, c := range wireCases() {
+		m, err := c.decode(c.full)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		done := make(chan []byte)
+		go func() { done <- c.encode(m) }()
+		mine := c.encode(m)
+		if theirs := <-done; !bytes.Equal(mine, theirs) {
+			t.Fatalf("%s: concurrent encodings differ", c.name)
+		}
+	}
+}

@@ -78,63 +78,40 @@ func (d *Directory) Clone() *Directory {
 	return out
 }
 
-// EncodeDirectory appends d's canonical serialization to b.
-func EncodeDirectory(b *wire.Buffer, d *Directory) {
-	b.PutUvarint(d.Version)
-	b.PutUvarint(uint64(len(d.Routes)))
-	for _, g := range d.Routes {
-		b.PutUvarint(uint64(g))
+func (d *Directory) wire(c *wire.Codec) {
+	c.Uvarint(&d.Version)
+	wire.Slice(c, &d.Routes, wire.MinLen)
+	if n := len(d.Routes); c.Decoding() && (n == 0 || n > maxRoutes) {
+		c.Fail(fmt.Errorf("%w: directory with %d routes", ErrBadRequest, n))
 	}
-	b.PutUvarint(uint64(len(d.Groups)))
-	for _, g := range d.Groups {
-		encodeMembers(b, g)
+	for i := range d.Routes {
+		g := uint64(d.Routes[i])
+		if c.Uvarint(&g); c.Decoding() {
+			d.Routes[i] = uint32(g)
+		}
+	}
+	wire.Slice(c, &d.Groups, wire.MinLen)
+	if c.Decoding() && len(d.Groups) > maxRoutes {
+		c.Fail(fmt.Errorf("%w: directory with %d groups", ErrBadRequest, len(d.Groups)))
+	}
+	for i := range d.Groups {
+		wireMembers(c, &d.Groups[i])
+	}
+	for _, g := range d.Routes {
+		if int(g) >= len(d.Groups) && c.Decoding() {
+			c.Fail(fmt.Errorf("%w: route names group %d of %d", ErrBadRequest, g, len(d.Groups)))
+		}
 	}
 }
+
+// EncodeDirectory appends d's canonical serialization to b.
+func EncodeDirectory(b *wire.Buffer, d *Directory) { wire.EncodeTo(b, d, (*Directory).wire) }
 
 // DecodeDirectory is the inverse of EncodeDirectory. Trailing bytes are
 // left unread: messages embed a directory and continue after it.
 func DecodeDirectory(r *wire.Reader) (*Directory, error) {
-	d := &Directory{}
-	var err error
-	if d.Version, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > maxRoutes {
-		return nil, fmt.Errorf("%w: directory with %d routes", ErrBadRequest, n)
-	}
-	d.Routes = make([]uint32, 0, n)
-	for i := uint64(0); i < n; i++ {
-		g, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		d.Routes = append(d.Routes, uint32(g))
-	}
-	ng, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ng > maxRoutes {
-		return nil, fmt.Errorf("%w: directory with %d groups", ErrBadRequest, ng)
-	}
-	d.Groups = make([][]string, 0, ng)
-	for i := uint64(0); i < ng; i++ {
-		g, err := decodeMembers(r)
-		if err != nil {
-			return nil, err
-		}
-		d.Groups = append(d.Groups, g)
-	}
-	for _, g := range d.Routes {
-		if uint64(g) >= ng {
-			return nil, fmt.Errorf("%w: route names group %d of %d", ErrBadRequest, g, ng)
-		}
-	}
-	return d, nil
+	d := new(Directory)
+	return d, wire.DecodeFrom(r, d, ErrBadRequest, (*Directory).wire)
 }
 
 // DirectoryResp is the MethodDirectory response: the server's current
@@ -144,22 +121,16 @@ type DirectoryResp struct {
 	Clock Timestamp
 }
 
-func (m *DirectoryResp) Encode() []byte {
-	b := wire.NewBuffer(64)
-	EncodeDirectory(b, m.Dir)
-	b.PutUint64(uint64(m.Clock))
-	return b.Bytes()
+func (m *DirectoryResp) wire(c *wire.Codec) {
+	if c.Decoding() {
+		m.Dir = new(Directory)
+	}
+	m.Dir.wire(c)
+	wire.U64(c, &m.Clock)
 }
 
+func (m *DirectoryResp) Encode() []byte { return wire.Encode(m, (*DirectoryResp).wire) }
+
 func DecodeDirectoryResp(p []byte) (*DirectoryResp, error) {
-	r := wire.NewReader(p)
-	d, err := DecodeDirectory(r)
-	if err != nil {
-		return nil, err
-	}
-	v, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	return &DirectoryResp{Dir: d, Clock: Timestamp(v)}, nil
+	return decode(p, (*DirectoryResp).wire)
 }

@@ -588,212 +588,120 @@ func attrTouchKey(i uint8) []byte { return []byte{0xff, 0xfe, 'A', i} }
 
 // --- wire encoding ---
 
-// EncodeValue appends v to b. A nil value encodes as a tombstone.
-func EncodeValue(b *wire.Buffer, v *Value) {
-	if v == nil {
-		b.PutByte(0xff)
-		return
+// tombstone is the kind byte of a nil value.
+const tombstone = 0xff
+
+// WireValue codes *v through c: its kind byte, then the kind's payload;
+// a nil value (a tombstone) is the lone byte 0xff. Byte slices decode
+// copied out of the frame.
+func WireValue(v **Value, c *wire.Codec) {
+	k := byte(tombstone)
+	if *v != nil {
+		k = byte((*v).Kind)
 	}
-	b.PutByte(byte(v.Kind))
-	switch v.Kind {
-	case KindPlain:
-		b.PutBytes(v.Data)
-	case KindSuper:
-		for _, a := range v.Attrs {
-			b.PutUvarint(a)
+	c.Byte(&k)
+	if c.Decoding() {
+		*v = nil
+		if k != tombstone && c.Err() == nil {
+			*v = &Value{Kind: Kind(k)}
 		}
-		b.PutBytes(v.LowKey)
-		b.PutBytes(v.HighKey)
-		b.PutBool(v.LowKey != nil)
-		b.PutBool(v.HighKey != nil)
-		b.PutUvarint(uint64(len(v.Cells)))
-		for _, c := range v.Cells {
-			b.PutBytes(c.Key)
-			b.PutBytes(c.Value)
-		}
+	}
+	if *v != nil {
+		(*v).wire(c)
 	}
 }
 
-// DecodeValue reads a value encoded by EncodeValue. Byte slices are
-// copied out of the frame.
-func DecodeValue(r *wire.Reader) (*Value, error) {
-	k, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	if k == 0xff {
-		return nil, nil
-	}
-	v := &Value{Kind: Kind(k)}
+func (v *Value) wire(c *wire.Codec) {
 	switch v.Kind {
 	case KindPlain:
-		v.Data, err = r.BytesCopy()
-		return v, err
+		c.Bytes(&v.Data)
 	case KindSuper:
 		for i := range v.Attrs {
-			v.Attrs[i], err = r.Uvarint()
-			if err != nil {
-				return nil, err
-			}
+			c.Uvarint(&v.Attrs[i])
 		}
-		low, err := r.BytesCopy()
-		if err != nil {
-			return nil, err
+		optionalPair(c, &v.LowKey, &v.HighKey)
+		wire.Slice(c, &v.Cells, minCellSize)
+		for i := range v.Cells {
+			v.Cells[i].wire(c)
 		}
-		high, err := r.BytesCopy()
-		if err != nil {
-			return nil, err
-		}
-		hasLow, err := r.Bool()
-		if err != nil {
-			return nil, err
-		}
-		hasHigh, err := r.Bool()
-		if err != nil {
-			return nil, err
-		}
-		if hasLow {
-			v.LowKey = low
-		}
-		if hasHigh {
-			v.HighKey = high
-		}
-		n, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(wire.MaxFrameSize) {
-			return nil, ErrBadRequest
-		}
-		v.Cells = make([]Cell, 0, n)
-		for i := uint64(0); i < n; i++ {
-			key, err := r.BytesCopy()
-			if err != nil {
-				return nil, err
-			}
-			val, err := r.BytesCopy()
-			if err != nil {
-				return nil, err
-			}
-			v.Cells = append(v.Cells, Cell{Key: key, Value: val})
-		}
-		return v, nil
 	default:
-		return nil, fmt.Errorf("%w: value kind %d", ErrBadRequest, k)
+		c.Fail(fmt.Errorf("%w: value kind %d", ErrBadRequest, v.Kind))
+	}
+}
+
+func (cell *Cell) wire(c *wire.Codec) {
+	c.Bytes(&cell.Key)
+	c.Bytes(&cell.Value)
+}
+
+// optionalPair codes two byte strings either of which may be absent
+// (nil, as opposed to empty): both strings, then a presence flag each.
+func optionalPair(c *wire.Codec, a, b *[]byte) {
+	c.Bytes(a)
+	c.Bytes(b)
+	hasA, hasB := *a != nil, *b != nil
+	c.Bool(&hasA)
+	c.Bool(&hasB)
+	if !hasA && c.Decoding() {
+		*a = nil
+	}
+	if !hasB && c.Decoding() {
+		*b = nil
+	}
+}
+
+// EncodeValue appends v to b. A nil value encodes as a tombstone.
+func EncodeValue(b *wire.Buffer, v *Value) { wire.EncodeTo(b, &v, WireValue) }
+
+// DecodeValue reads a value encoded by EncodeValue.
+func DecodeValue(r *wire.Reader) (v *Value, err error) {
+	err = wire.DecodeFrom(r, &v, ErrBadRequest, WireValue)
+	return v, err
+}
+
+func (op *Op) wire(c *wire.Codec) {
+	k := byte(op.Kind)
+	c.Byte(&k)
+	if c.Decoding() {
+		op.Kind = OpKind(k)
+	}
+	wire.U64(c, &op.OID)
+	switch op.Kind {
+	case OpPut:
+		WireValue(&op.Value, c)
+	case OpDelete:
+	case OpListAdd:
+		op.Cell.wire(c)
+	case OpListDelRange:
+		optionalPair(c, &op.From, &op.To)
+	case OpAttrSet:
+		c.Byte(&op.Attr)
+		c.Uvarint(&op.Num)
+	case OpSetBounds:
+		optionalPair(c, &op.Low, &op.High)
+	default:
+		c.Fail(fmt.Errorf("%w: op kind %d", ErrBadRequest, op.Kind))
+	}
+}
+
+// WireOps codes a list of ops through c.
+func WireOps(ops *[]*Op, c *wire.Codec) {
+	wire.Slice(c, ops, minOpSize)
+	for i := range *ops {
+		if c.Decoding() {
+			(*ops)[i] = new(Op)
+		}
+		(*ops)[i].wire(c)
 	}
 }
 
 // EncodeOp appends op to b.
-func EncodeOp(b *wire.Buffer, op *Op) {
-	b.PutByte(byte(op.Kind))
-	b.PutUint64(uint64(op.OID))
-	switch op.Kind {
-	case OpPut:
-		EncodeValue(b, op.Value)
-	case OpDelete:
-	case OpListAdd:
-		b.PutBytes(op.Cell.Key)
-		b.PutBytes(op.Cell.Value)
-	case OpListDelRange:
-		b.PutBytes(op.From)
-		b.PutBytes(op.To)
-		b.PutBool(op.From != nil)
-		b.PutBool(op.To != nil)
-	case OpAttrSet:
-		b.PutByte(op.Attr)
-		b.PutUvarint(op.Num)
-	case OpSetBounds:
-		b.PutBytes(op.Low)
-		b.PutBytes(op.High)
-		b.PutBool(op.Low != nil)
-		b.PutBool(op.High != nil)
-	}
-}
+func EncodeOp(b *wire.Buffer, op *Op) { wire.EncodeTo(b, op, (*Op).wire) }
 
 // DecodeOp reads an op encoded by EncodeOp.
 func DecodeOp(r *wire.Reader) (*Op, error) {
-	k, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	oid, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	op := &Op{Kind: OpKind(k), OID: OID(oid)}
-	switch op.Kind {
-	case OpPut:
-		op.Value, err = DecodeValue(r)
-		return op, err
-	case OpDelete:
-		return op, nil
-	case OpListAdd:
-		if op.Cell.Key, err = r.BytesCopy(); err != nil {
-			return nil, err
-		}
-		if op.Cell.Value, err = r.BytesCopy(); err != nil {
-			return nil, err
-		}
-		return op, nil
-	case OpListDelRange:
-		from, err := r.BytesCopy()
-		if err != nil {
-			return nil, err
-		}
-		to, err := r.BytesCopy()
-		if err != nil {
-			return nil, err
-		}
-		hasFrom, err := r.Bool()
-		if err != nil {
-			return nil, err
-		}
-		hasTo, err := r.Bool()
-		if err != nil {
-			return nil, err
-		}
-		if hasFrom {
-			op.From = from
-		}
-		if hasTo {
-			op.To = to
-		}
-		return op, nil
-	case OpAttrSet:
-		if op.Attr, err = r.Byte(); err != nil {
-			return nil, err
-		}
-		if op.Num, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		return op, nil
-	case OpSetBounds:
-		low, err := r.BytesCopy()
-		if err != nil {
-			return nil, err
-		}
-		high, err := r.BytesCopy()
-		if err != nil {
-			return nil, err
-		}
-		hasLow, err := r.Bool()
-		if err != nil {
-			return nil, err
-		}
-		hasHigh, err := r.Bool()
-		if err != nil {
-			return nil, err
-		}
-		if hasLow {
-			op.Low = low
-		}
-		if hasHigh {
-			op.High = high
-		}
-		return op, nil
-	default:
-		return nil, fmt.Errorf("%w: op kind %d", ErrBadRequest, k)
-	}
+	op := new(Op)
+	return op, wire.DecodeFrom(r, op, ErrBadRequest, (*Op).wire)
 }
 
 // Timestamp re-exports the clock timestamp for convenience of kv users.

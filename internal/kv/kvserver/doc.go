@@ -380,12 +380,14 @@
 //   - errsentinel: errors are classified by errors.Is/errors.As or by
 //     the typed RPC code (rpc.AppError.Code, kv.WireErrorCode), never
 //     by comparing message text.
-//   - wirecodec: hand-rolled Encode/Decode pairs must read fields in
-//     the exact order they were written, and every message has one
-//     layout: no Decode function may guard a read behind
-//     Reader.Remaining.
 //   - timerloop: no per-iteration time.After/NewTimer allocation in
 //     wait loops; hoist one reusable timer.
+//
+// Wire symmetry needs no analyzer: every message, record and snapshot
+// element lists its fields once, in a wire method that a wire.Codec
+// runs as encoder, decoder and sizer, so the two directions cannot
+// disagree, and every decoded count is checked against the bytes left
+// before anything is allocated for it.
 //
 // Annotations: //yesqlint:blocking marks a leaf that blocks;
 // //yesqlint:allow <analyzer> -- <reason> suppresses one finding (on

@@ -181,7 +181,8 @@ func (s *Store) SlotDigest(route, nroutes uint32) uint64 {
 
 // migFormat versions the route-capture encoding (CaptureRoute /
 // IngestMigratedObjects). Like snapshots, a capture is all-or-nothing.
-const migFormat byte = 1
+// Version 2 lays captured objects out as snapshots do.
+const migFormat byte = 2
 
 // MigPrepare is a replicated in-flight prepare touching a captured
 // route: the orchestrator seeds its pending-transaction map with these,
@@ -191,6 +192,42 @@ type MigPrepare struct {
 	TxID uint64
 	TS   clock.Timestamp
 	Ops  []*kv.Op // filtered to the captured route's OIDs
+}
+
+func (p *MigPrepare) wire(c *wire.Codec) {
+	c.Uint64(&p.TxID)
+	wire.U64(c, &p.TS)
+	kv.WireOps(&p.Ops, c)
+}
+
+var minMigPrepare = wire.Size(&MigPrepare{}, (*MigPrepare).wire)
+
+// routeCapture is what CaptureRoute encodes: the source stream head the
+// capture covers, the route (informational), the route's objects and its
+// in-flight prepares.
+type routeCapture struct {
+	head, route, nroutes uint64
+	objs                 []snapObject
+	preps                []MigPrepare
+}
+
+func (rc *routeCapture) wire(c *wire.Codec) {
+	format := migFormat
+	c.Byte(&format)
+	if format != migFormat {
+		c.Fail(fmt.Errorf("%w: route capture format %d (want %d)", kv.ErrBadRequest, format, migFormat))
+	}
+	c.Uvarint(&rc.head)
+	c.Uvarint(&rc.route)
+	c.Uvarint(&rc.nroutes)
+	wire.Slice(c, &rc.objs, minSnapObject)
+	for i := range rc.objs {
+		rc.objs[i].wire(c, nil)
+	}
+	wire.Slice(c, &rc.preps, minMigPrepare)
+	for i := range rc.preps {
+		rc.preps[i].wire(c)
+	}
 }
 
 // CaptureRoute captures one route's objects (and the route-touching
@@ -271,130 +308,8 @@ func (s *Store) CaptureRoute(route, nroutes uint32) (enc []byte, head uint64, er
 		}
 	}
 
-	b := wire.NewBuffer(1 << 12)
-	b.PutByte(migFormat)
-	b.PutUvarint(head)
-	b.PutUvarint(uint64(route))
-	b.PutUvarint(uint64(nroutes))
-	b.PutUvarint(uint64(len(objs)))
-	for i := range objs {
-		o := &objs[i]
-		b.PutUint64(uint64(o.OID))
-		b.PutUint64(uint64(o.GCFloor))
-		b.PutUvarint(uint64(len(o.Versions)))
-		for j := range o.Versions {
-			b.PutUint64(uint64(o.Versions[j].TS))
-			kv.EncodeValue(b, o.Versions[j].Val)
-		}
-	}
-	b.PutUvarint(uint64(len(preps)))
-	for i := range preps {
-		p := &preps[i]
-		b.PutUint64(p.TxID)
-		b.PutUint64(uint64(p.TS))
-		b.PutUvarint(uint64(len(p.Ops)))
-		for _, op := range p.Ops {
-			kv.EncodeOp(b, op)
-		}
-	}
-	return b.Bytes(), head, nil
-}
-
-// decodeRouteCapture is the inverse of CaptureRoute's encoding.
-func decodeRouteCapture(enc []byte) (objs []snapObject, preps []MigPrepare, head uint64, err error) {
-	r := wire.NewReader(enc)
-	format, err := r.Byte()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if format != migFormat {
-		return nil, nil, 0, fmt.Errorf("%w: route capture format %d (want %d)", kv.ErrBadRequest, format, migFormat)
-	}
-	if head, err = r.Uvarint(); err != nil {
-		return nil, nil, 0, err
-	}
-	if _, err = r.Uvarint(); err != nil { // route (informational)
-		return nil, nil, 0, err
-	}
-	if _, err = r.Uvarint(); err != nil { // nroutes (informational)
-		return nil, nil, 0, err
-	}
-	nobj, err := r.Uvarint()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if nobj > snapMaxCount {
-		return nil, nil, 0, kv.ErrBadRequest
-	}
-	objs = make([]snapObject, 0, nobj)
-	for i := uint64(0); i < nobj; i++ {
-		var o snapObject
-		oid, err := r.Uint64()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		o.OID = kv.OID(oid)
-		floor, err := r.Uint64()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		o.GCFloor = clock.Timestamp(floor)
-		nv, err := r.Uvarint()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if nv > snapMaxCount {
-			return nil, nil, 0, kv.ErrBadRequest
-		}
-		o.Versions = make([]snapVersion, 0, nv)
-		for j := uint64(0); j < nv; j++ {
-			ts, err := r.Uint64()
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			val, err := kv.DecodeValue(r)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			o.Versions = append(o.Versions, snapVersion{TS: clock.Timestamp(ts), Val: val})
-		}
-		objs = append(objs, o)
-	}
-	np, err := r.Uvarint()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if np > snapMaxCount {
-		return nil, nil, 0, kv.ErrBadRequest
-	}
-	preps = make([]MigPrepare, 0, np)
-	for i := uint64(0); i < np; i++ {
-		var p MigPrepare
-		if p.TxID, err = r.Uint64(); err != nil {
-			return nil, nil, 0, err
-		}
-		ts, err := r.Uint64()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		p.TS = clock.Timestamp(ts)
-		nops, err := r.Uvarint()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if nops > snapMaxCount {
-			return nil, nil, 0, kv.ErrBadRequest
-		}
-		for k := uint64(0); k < nops; k++ {
-			op, err := kv.DecodeOp(r)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			p.Ops = append(p.Ops, op)
-		}
-		preps = append(preps, p)
-	}
-	return objs, preps, head, nil
+	rc := &routeCapture{head: head, route: uint64(route), nroutes: uint64(nroutes), objs: objs, preps: preps}
+	return wire.Encode(rc, (*routeCapture).wire), head, nil
 }
 
 // IngestMigratedObjects installs a route capture on a migration
@@ -415,7 +330,7 @@ func decodeRouteCapture(enc []byte) (objs []snapObject, preps []MigPrepare, head
 // destination failover — marginally less so for pre-migration
 // snapshots; values, timestamps, and digests are exact.
 func (s *Store) IngestMigratedObjects(enc []byte) (srcHead uint64, preps []MigPrepare, err error) {
-	objs, preps, srcHead, err := decodeRouteCapture(enc)
+	rc, err := wire.Decode(enc, kv.ErrBadRequest, (*routeCapture).wire)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -427,8 +342,8 @@ func (s *Store) IngestMigratedObjects(enc []byte) (srcHead uint64, preps []MigPr
 	s.repMu.Lock()
 	var lastSeq uint64
 	emitted := false
-	for i := range objs {
-		o := &objs[i]
+	for i := range rc.objs {
+		o := &rc.objs[i]
 		for _, v := range o.Versions {
 			op := &kv.Op{Kind: kv.OpPut, OID: o.OID, Value: v.Val}
 			if v.Val == nil {
@@ -453,7 +368,7 @@ func (s *Store) IngestMigratedObjects(enc []byte) (srcHead uint64, preps []MigPr
 			return 0, nil, fmt.Errorf("kvserver: replicating migrated objects: %w", err)
 		}
 	}
-	return srcHead, preps, nil
+	return rc.head, rc.preps, nil
 }
 
 // MigCommit is one live-tail transaction's route-filtered ops, queued

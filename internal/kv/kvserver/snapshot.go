@@ -27,6 +27,7 @@ package kvserver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -150,22 +151,110 @@ func (s *Store) captureSnapshotLocked() *stateSnapshot {
 	return sn
 }
 
-// encodeSnapshot serializes sn in the canonical snapshot format shared
-// by MethodSnap transfers and write-ahead-log checkpoint frames, handing
-// it to emit in consecutive pieces of exactly chunk bytes (the last may
-// be shorter), each valid only during the call. Nothing is sized by the
-// state: one version at a time is encoded into a scratch buffer and
-// copied into the piece being filled, so producing the encoding takes
-// one chunk of memory plus the largest value.
+// The fewest bytes each list element of a snapshot takes.
+var (
+	minSnapObject   = wire.Size(&snapObject{}, func(o *snapObject, c *wire.Codec) { o.wire(c, nil) })
+	minSnapVersion  = wire.Size(&snapVersion{}, (*snapVersion).wire)
+	minSnapPrepare  = wire.Size(&snapPrepare{}, (*snapPrepare).wire)
+	minSnapDecision = wire.Size(&snapDecision{}, (*snapDecision).wire)
+)
+
+// wire is the canonical snapshot layout shared by MethodSnap transfers
+// and write-ahead-log checkpoint frames. flush, if not nil, runs after
+// each version, each prepare and at the end: encodeSnapshot drains the
+// codec there.
+func (sn *stateSnapshot) wire(c *wire.Codec, flush func()) {
+	format := snapFormat
+	c.Byte(&format)
+	if format != snapFormat {
+		c.Fail(fmt.Errorf("%w: snapshot format %d (want %d): written by an incompatible version", kv.ErrBadRequest, format, snapFormat))
+	}
+	c.Uvarint(&sn.Seq)
+	c.Uvarint(&sn.Epoch)
+	c.Strings(&sn.Members)
+	wire.U64(c, &sn.Clock)
+	wire.Slice(c, &sn.Objects, minSnapObject)
+	for i := range sn.Objects {
+		sn.Objects[i].wire(c, flush)
+	}
+	wire.Slice(c, &sn.Prepared, minSnapPrepare)
+	for i := range sn.Prepared {
+		sn.Prepared[i].wire(c)
+		if flush != nil {
+			flush()
+		}
+	}
+	wire.Slice(c, &sn.Decided, minSnapDecision)
+	for i := range sn.Decided {
+		sn.Decided[i].wire(c)
+	}
+	if flush != nil {
+		flush()
+	}
+}
+
+func (o *snapObject) wire(c *wire.Codec, flush func()) {
+	wire.U64(c, &o.OID)
+	wire.U64(c, &o.GCFloor)
+	wire.Slice(c, &o.Versions, minSnapVersion)
+	for i := range o.Versions {
+		o.Versions[i].wire(c)
+		if flush != nil {
+			flush()
+		}
+	}
+}
+
+func (v *snapVersion) wire(c *wire.Codec) {
+	wire.U64(c, &v.TS)
+	kv.WireValue(&v.Val, c)
+	c.Bool(&v.Structural)
+	var keys []string
+	if !c.Decoding() {
+		// Sorted so equal states encode equally; here, off the stream lock.
+		keys = make([]string, 0, len(v.Touched))
+		for k := range v.Touched {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+	}
+	c.Strings(&keys)
+	if len(keys) > 0 && c.Decoding() {
+		v.Touched = make(map[string]struct{}, len(keys))
+		for _, k := range keys {
+			v.Touched[k] = struct{}{}
+		}
+	}
+}
+
+func (p *snapPrepare) wire(c *wire.Codec) {
+	c.Uint64(&p.TxID)
+	c.Uvarint(&p.Epoch)
+	wire.U64(c, &p.TS)
+	kv.WireOps(&p.Ops, c)
+}
+
+func (d *snapDecision) wire(c *wire.Codec) {
+	c.Uint64(&d.TxID)
+	c.Bool(&d.Commit)
+	wire.U64(c, &d.TS)
+}
+
+// encodeSnapshot serializes sn, handing the encoding to emit in
+// consecutive pieces of exactly chunk bytes (the last may be shorter),
+// each valid only during the call. Nothing is sized by the state: one
+// version at a time is encoded and copied into the piece being filled,
+// so producing the encoding takes one chunk of memory plus the largest
+// value.
 func encodeSnapshot(sn *stateSnapshot, chunk int, emit func([]byte) error) error {
 	// Allocated whole (append would allocate several times its size on
 	// the way up), unless chunk is beyond what a state is likely to fill.
 	piece := make([]byte, 0, min(chunk, 1<<20))
 	var emitErr error
-	var keys []string
-	b := wire.NewBuffer(1 << 12)
-	// spill moves the scratch bytes into the piece, emitting it as it fills.
-	spill := func() {
+	c := wire.NewEncoder(1 << 12)
+	b := c.Buffer()
+	// spill moves the encoded bytes into the piece, emitting it as it fills.
+	sn.wire(&c, func() {
 		p := b.Bytes()
 		for len(p) > 0 && emitErr == nil {
 			n := min(chunk-len(piece), len(p))
@@ -177,222 +266,16 @@ func encodeSnapshot(sn *stateSnapshot, chunk int, emit func([]byte) error) error
 			}
 		}
 		b.Reset()
-	}
-	b.PutByte(snapFormat)
-	b.PutUvarint(sn.Seq)
-	b.PutUvarint(sn.Epoch)
-	encodeCount(b, len(sn.Members))
-	for _, m := range sn.Members {
-		b.PutString(m)
-	}
-	encodeTS(b, sn.Clock)
-	encodeCount(b, len(sn.Objects))
-	for i := range sn.Objects {
-		o := &sn.Objects[i]
-		b.PutUint64(uint64(o.OID))
-		encodeTS(b, o.GCFloor)
-		encodeCount(b, len(o.Versions))
-		for j := range o.Versions {
-			v := &o.Versions[j]
-			encodeTS(b, v.TS)
-			kv.EncodeValue(b, v.Val)
-			b.PutBool(v.Structural)
-			// Sorted so equal states encode equally; here, off the stream lock.
-			keys = keys[:0]
-			for k := range v.Touched {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			encodeCount(b, len(keys))
-			for _, k := range keys {
-				b.PutString(k)
-			}
-			spill()
-		}
-		if emitErr != nil {
-			return emitErr
-		}
-	}
-	encodeCount(b, len(sn.Prepared))
-	for i := range sn.Prepared {
-		p := &sn.Prepared[i]
-		b.PutUint64(p.TxID)
-		b.PutUvarint(p.Epoch)
-		encodeTS(b, p.TS)
-		encodeCount(b, len(p.Ops))
-		for _, op := range p.Ops {
-			kv.EncodeOp(b, op)
-		}
-		spill()
-	}
-	encodeCount(b, len(sn.Decided))
-	for i := range sn.Decided {
-		d := &sn.Decided[i]
-		b.PutUint64(d.TxID)
-		b.PutBool(d.Commit)
-		encodeTS(b, d.TS)
-	}
-	spill()
+	})
 	if emitErr == nil && len(piece) > 0 {
 		emitErr = emit(piece)
 	}
 	return emitErr
 }
 
-// snapMaxCount sanity-bounds decoded element counts (like the wire
-// decoders, this guards against garbage, not policy).
-const snapMaxCount = uint64(wire.MaxFrameSize)
-
-// encodeCount and decodeCount carry an element count, encodeTS and
-// decodeTS a timestamp (named so that yesqlint's wirecodec pairs them).
-func encodeCount(b *wire.Buffer, n int) { b.PutUvarint(uint64(n)) }
-
-func decodeCount(r *wire.Reader) (uint64, error) {
-	n, err := r.Uvarint()
-	if err == nil && n > snapMaxCount {
-		err = kv.ErrBadRequest
-	}
-	return n, err
-}
-
-func encodeTS(b *wire.Buffer, ts clock.Timestamp) { b.PutUint64(uint64(ts)) }
-
-func decodeTS(r *wire.Reader) (clock.Timestamp, error) {
-	ts, err := r.Uint64()
-	return clock.Timestamp(ts), err
-}
-
 // decodeSnapshot is the inverse of encodeSnapshot.
 func decodeSnapshot(p []byte) (*stateSnapshot, error) {
-	r := wire.NewReader(p)
-	format, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	if format != snapFormat {
-		return nil, fmt.Errorf("%w: snapshot format %d (want %d): written by an incompatible version", kv.ErrBadRequest, format, snapFormat)
-	}
-	sn := &stateSnapshot{}
-	if sn.Seq, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	if sn.Epoch, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	nm, err := decodeCount(r)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nm; i++ {
-		m, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		sn.Members = append(sn.Members, m)
-	}
-	if sn.Clock, err = decodeTS(r); err != nil {
-		return nil, err
-	}
-
-	nobj, err := decodeCount(r)
-	if err != nil {
-		return nil, err
-	}
-	sn.Objects = make([]snapObject, 0, nobj)
-	for i := uint64(0); i < nobj; i++ {
-		var o snapObject
-		oid, err := r.Uint64()
-		if err != nil {
-			return nil, err
-		}
-		o.OID = kv.OID(oid)
-		if o.GCFloor, err = decodeTS(r); err != nil {
-			return nil, err
-		}
-		nv, err := decodeCount(r)
-		if err != nil {
-			return nil, err
-		}
-		o.Versions = make([]snapVersion, 0, nv)
-		for j := uint64(0); j < nv; j++ {
-			var v snapVersion
-			if v.TS, err = decodeTS(r); err != nil {
-				return nil, err
-			}
-			if v.Val, err = kv.DecodeValue(r); err != nil {
-				return nil, err
-			}
-			if v.Structural, err = r.Bool(); err != nil {
-				return nil, err
-			}
-			nt, err := decodeCount(r)
-			if err != nil {
-				return nil, err
-			}
-			if nt > 0 {
-				v.Touched = make(map[string]struct{})
-			}
-			for k := uint64(0); k < nt; k++ {
-				key, err := r.String()
-				if err != nil {
-					return nil, err
-				}
-				v.Touched[key] = struct{}{}
-			}
-			o.Versions = append(o.Versions, v)
-		}
-		sn.Objects = append(sn.Objects, o)
-	}
-
-	np, err := decodeCount(r)
-	if err != nil {
-		return nil, err
-	}
-	sn.Prepared = make([]snapPrepare, 0, np)
-	for i := uint64(0); i < np; i++ {
-		var pr snapPrepare
-		if pr.TxID, err = r.Uint64(); err != nil {
-			return nil, err
-		}
-		if pr.Epoch, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if pr.TS, err = decodeTS(r); err != nil {
-			return nil, err
-		}
-		nops, err := decodeCount(r)
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < nops; j++ {
-			op, err := kv.DecodeOp(r)
-			if err != nil {
-				return nil, err
-			}
-			pr.Ops = append(pr.Ops, op)
-		}
-		sn.Prepared = append(sn.Prepared, pr)
-	}
-
-	nd, err := decodeCount(r)
-	if err != nil {
-		return nil, err
-	}
-	sn.Decided = make([]snapDecision, 0, nd)
-	for i := uint64(0); i < nd; i++ {
-		var d snapDecision
-		if d.TxID, err = r.Uint64(); err != nil {
-			return nil, err
-		}
-		if d.Commit, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if d.TS, err = decodeTS(r); err != nil {
-			return nil, err
-		}
-		sn.Decided = append(sn.Decided, d)
-	}
-	return sn, nil
+	return wire.Decode(p, kv.ErrBadRequest, func(sn *stateSnapshot, c *wire.Codec) { sn.wire(c, nil) })
 }
 
 // InstallSnapshot replaces this store's entire state with the encoded

@@ -47,6 +47,24 @@ const (
 	MethodDirectory = "kv.directory"
 )
 
+// Every message below describes its layout once, as a wire method that
+// hands each field in order to a wire.Codec; Encode and Decode* run that
+// method in one direction or the other. The fewest bytes a list element
+// can take — what a decoded count is checked against before anything is
+// allocated for it — is the encoding of the element's smallest value.
+var (
+	minOpSize         = wire.Size(&Op{Kind: OpDelete}, (*Op).wire)
+	minCellSize       = wire.Size(&Cell{}, (*Cell).wire)
+	minSyncRecSize    = wire.Size(&SyncRec{}, (*SyncRec).wire)
+	minReadItemSize   = wire.Size(&ReadBatchItem{}, (*ReadBatchItem).wire)
+	minReadResultSize = wire.Size(&ReadBatchResult{}, (*ReadBatchResult).wire)
+)
+
+// decode reads a message from the payload p by its field list.
+func decode[M any](p []byte, fields func(*M, *wire.Codec)) (*M, error) {
+	return wire.Decode(p, ErrBadRequest, fields)
+}
+
 // Replication record kinds. The replication stream (mirror RPCs, the
 // replication log served by MethodSync, and the write-ahead log) is a
 // totally ordered sequence of these records; replicas that apply the
@@ -86,79 +104,37 @@ type ReplRecord struct {
 	Members []string  // RecEpoch only: new membership, acting primary first
 }
 
+func (rec *ReplRecord) wire(c *wire.Codec) {
+	c.Byte(&rec.Kind)
+	if rec.Kind > RecEpoch {
+		c.Fail(fmt.Errorf("%w: replication record kind %d", ErrBadRequest, rec.Kind))
+	}
+	c.Uvarint(&rec.Epoch)
+	c.Uint64(&rec.TxID)
+	wire.U64(c, &rec.TS)
+	c.Bool(&rec.Commit)
+	WireOps(&rec.Ops, c)
+	wireMembers(c, &rec.Members)
+}
+
 // EncodeReplRecord appends rec's canonical serialization — shared by
 // mirror RPCs, sync batches, and the write-ahead log, so the three
 // stay byte-for-byte interchangeable.
-func EncodeReplRecord(b *wire.Buffer, rec *ReplRecord) {
-	b.PutByte(rec.Kind)
-	b.PutUvarint(rec.Epoch)
-	b.PutUint64(rec.TxID)
-	b.PutUint64(uint64(rec.TS))
-	b.PutBool(rec.Commit)
-	encodeOps(b, rec.Ops)
-	encodeMembers(b, rec.Members)
-}
+func EncodeReplRecord(b *wire.Buffer, rec *ReplRecord) { wire.EncodeTo(b, rec, (*ReplRecord).wire) }
 
 // DecodeReplRecord is the inverse of EncodeReplRecord.
 func DecodeReplRecord(r *wire.Reader) (ReplRecord, error) {
 	var rec ReplRecord
-	var err error
-	if rec.Kind, err = r.Byte(); err != nil {
-		return rec, err
-	}
-	if rec.Kind > RecEpoch {
-		return rec, fmt.Errorf("%w: replication record kind %d", ErrBadRequest, rec.Kind)
-	}
-	if rec.Epoch, err = r.Uvarint(); err != nil {
-		return rec, err
-	}
-	if rec.TxID, err = r.Uint64(); err != nil {
-		return rec, err
-	}
-	ts, err := r.Uint64()
-	if err != nil {
-		return rec, err
-	}
-	rec.TS = Timestamp(ts)
-	if rec.Commit, err = r.Bool(); err != nil {
-		return rec, err
-	}
-	if rec.Ops, err = decodeOps(r); err != nil {
-		return rec, err
-	}
-	if rec.Members, err = decodeMembers(r); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	err := wire.DecodeFrom(r, &rec, ErrBadRequest, (*ReplRecord).wire)
+	return rec, err
 }
 
-func encodeMembers(b *wire.Buffer, members []string) {
-	b.PutUvarint(uint64(len(members)))
-	for _, m := range members {
-		b.PutString(m)
+// wireMembers codes a membership list, acting primary first.
+func wireMembers(c *wire.Codec, members *[]string) {
+	c.Strings(members)
+	if c.Decoding() && len(*members) > maxMembers {
+		c.Fail(fmt.Errorf("%w: membership of %d replicas", ErrBadRequest, len(*members)))
 	}
-}
-
-func decodeMembers(r *wire.Reader) ([]string, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > maxMembers {
-		return nil, fmt.Errorf("%w: membership of %d replicas", ErrBadRequest, n)
-	}
-	members := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		members = append(members, m)
-	}
-	return members, nil
 }
 
 // LeaseReq renews the primary's lease on its backup. Epoch is the
@@ -173,25 +149,14 @@ type LeaseReq struct {
 	Watermark uint64
 }
 
-func (m *LeaseReq) Encode() []byte {
-	b := wire.NewBuffer(12)
-	b.PutUvarint(m.Epoch)
-	b.PutUvarint(m.Watermark)
-	return b.Bytes()
+func (m *LeaseReq) wire(c *wire.Codec) {
+	c.Uvarint(&m.Epoch)
+	c.Uvarint(&m.Watermark)
 }
 
-func DecodeLeaseReq(p []byte) (*LeaseReq, error) {
-	r := wire.NewReader(p)
-	epoch, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	m := &LeaseReq{Epoch: epoch}
-	if m.Watermark, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *LeaseReq) Encode() []byte { return wire.Encode(m, (*LeaseReq).wire) }
+
+func DecodeLeaseReq(p []byte) (*LeaseReq, error) { return decode(p, (*LeaseReq).wire) }
 
 // MirrorBatchReq replicates a contiguous run of stream records to a
 // backup in one RPC. Records are in strict sequence order — each Seq is
@@ -207,44 +172,18 @@ type MirrorBatchReq struct {
 	Watermark uint64
 }
 
-func (m *MirrorBatchReq) Encode() []byte {
-	b := wire.NewBuffer(64 * (1 + len(m.Recs)))
-	b.PutUvarint(uint64(len(m.Recs)))
+func (m *MirrorBatchReq) wire(c *wire.Codec) {
+	wire.Slice(c, &m.Recs, minSyncRecSize)
 	for i := range m.Recs {
-		b.PutUvarint(m.Recs[i].Seq)
-		EncodeReplRecord(b, &m.Recs[i].Rec)
+		m.Recs[i].wire(c)
 	}
-	b.PutUvarint(m.Watermark)
-	return b.Bytes()
+	c.Uvarint(&m.Watermark)
 }
 
+func (m *MirrorBatchReq) Encode() []byte { return wire.Encode(m, (*MirrorBatchReq).wire) }
+
 func DecodeMirrorBatchReq(p []byte) (*MirrorBatchReq, error) {
-	r := wire.NewReader(p)
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Each record costs at least two bytes on the wire, so a count the
-	// remaining payload cannot possibly hold is garbage — rejected
-	// BEFORE the allocation it would otherwise size.
-	if n > uint64(len(p))/2 {
-		return nil, fmt.Errorf("%w: mirror batch of %d records in %d bytes", ErrBadRequest, n, len(p))
-	}
-	m := &MirrorBatchReq{Recs: make([]SyncRec, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		var rec SyncRec
-		if rec.Seq, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if rec.Rec, err = DecodeReplRecord(r); err != nil {
-			return nil, err
-		}
-		m.Recs = append(m.Recs, rec)
-	}
-	if m.Watermark, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decode(p, (*MirrorBatchReq).wire)
 }
 
 // SyncReq asks a primary for its replication log starting at sequence
@@ -261,34 +200,25 @@ type SyncReq struct {
 	Epoch uint64
 }
 
-func (m *SyncReq) Encode() []byte {
-	b := wire.NewBuffer(24)
-	b.PutUvarint(m.From)
-	b.PutUint32(m.Max)
-	b.PutUvarint(m.Epoch)
-	return b.Bytes()
+func (m *SyncReq) wire(c *wire.Codec) {
+	c.Uvarint(&m.From)
+	c.Uint32(&m.Max)
+	c.Uvarint(&m.Epoch)
 }
 
-func DecodeSyncReq(p []byte) (*SyncReq, error) {
-	r := wire.NewReader(p)
-	m := &SyncReq{}
-	var err error
-	if m.From, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	if m.Max, err = r.Uint32(); err != nil {
-		return nil, err
-	}
-	if m.Epoch, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *SyncReq) Encode() []byte { return wire.Encode(m, (*SyncReq).wire) }
+
+func DecodeSyncReq(p []byte) (*SyncReq, error) { return decode(p, (*SyncReq).wire) }
 
 // SyncRec is one replicated stream record in a sync response.
 type SyncRec struct {
 	Seq uint64
 	Rec ReplRecord
+}
+
+func (r *SyncRec) wire(c *wire.Codec) {
+	c.Uvarint(&r.Seq)
+	r.Rec.wire(c)
 }
 
 // SyncResp carries a slice of the primary's replication log. Head is
@@ -306,59 +236,20 @@ type SyncResp struct {
 	LogBase uint64 // oldest sequence number still in the server's log
 }
 
-func (m *SyncResp) Encode() []byte {
-	b := wire.NewBuffer(64)
-	b.PutUvarint(uint64(len(m.Records)))
+func (m *SyncResp) wire(c *wire.Codec) {
+	wire.Slice(c, &m.Records, minSyncRecSize)
 	for i := range m.Records {
-		rec := &m.Records[i]
-		b.PutUvarint(rec.Seq)
-		EncodeReplRecord(b, &rec.Rec)
+		m.Records[i].wire(c)
 	}
-	b.PutUvarint(m.Head)
-	b.PutUint64(uint64(m.Clock))
-	b.PutBool(m.TooOld)
-	b.PutUvarint(m.LogBase)
-	return b.Bytes()
+	c.Uvarint(&m.Head)
+	wire.U64(c, &m.Clock)
+	c.Bool(&m.TooOld)
+	c.Uvarint(&m.LogBase)
 }
 
-func DecodeSyncResp(p []byte) (*SyncResp, error) {
-	r := wire.NewReader(p)
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Same allocation guard as DecodeMirrorBatchReq: a record count the
-	// payload cannot hold must not size an allocation.
-	if n > uint64(len(p))/2 {
-		return nil, ErrBadRequest
-	}
-	m := &SyncResp{Records: make([]SyncRec, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		var rec SyncRec
-		if rec.Seq, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if rec.Rec, err = DecodeReplRecord(r); err != nil {
-			return nil, err
-		}
-		m.Records = append(m.Records, rec)
-	}
-	if m.Head, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	ck, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Clock = Timestamp(ck)
-	if m.TooOld, err = r.Bool(); err != nil {
-		return nil, err
-	}
-	if m.LogBase, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *SyncResp) Encode() []byte { return wire.Encode(m, (*SyncResp).wire) }
+
+func DecodeSyncResp(p []byte) (*SyncResp, error) { return decode(p, (*SyncResp).wire) }
 
 // SnapReq asks for one chunk of a state snapshot. ID 0 begins a new
 // transfer: the server captures a fresh snapshot at its current stream
@@ -372,25 +263,14 @@ type SnapReq struct {
 	Chunk uint32
 }
 
-func (m *SnapReq) Encode() []byte {
-	b := wire.NewBuffer(16)
-	b.PutUvarint(m.ID)
-	b.PutUint32(m.Chunk)
-	return b.Bytes()
+func (m *SnapReq) wire(c *wire.Codec) {
+	c.Uvarint(&m.ID)
+	c.Uint32(&m.Chunk)
 }
 
-func DecodeSnapReq(p []byte) (*SnapReq, error) {
-	r := wire.NewReader(p)
-	m := &SnapReq{}
-	var err error
-	if m.ID, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	if m.Chunk, err = r.Uint32(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (m *SnapReq) Encode() []byte { return wire.Encode(m, (*SnapReq).wire) }
+
+func DecodeSnapReq(p []byte) (*SnapReq, error) { return decode(p, (*SnapReq).wire) }
 
 // SnapResp carries one chunk of a state snapshot. Seq is the stream
 // sequence number the snapshot covers (the installer's log-tail sync
@@ -406,43 +286,18 @@ type SnapResp struct {
 	Clock  Timestamp
 }
 
-func (m *SnapResp) Encode() []byte {
-	b := wire.NewBuffer(48 + len(m.Data))
-	b.PutUvarint(m.ID)
-	b.PutUvarint(m.Seq)
-	b.PutUint32(m.Chunk)
-	b.PutUint32(m.Chunks)
-	b.PutBytes(m.Data)
-	b.PutUint64(uint64(m.Clock))
-	return b.Bytes()
+func (m *SnapResp) wire(c *wire.Codec) {
+	c.Uvarint(&m.ID)
+	c.Uvarint(&m.Seq)
+	c.Uint32(&m.Chunk)
+	c.Uint32(&m.Chunks)
+	c.Bytes(&m.Data)
+	wire.U64(c, &m.Clock)
 }
 
-func DecodeSnapResp(p []byte) (*SnapResp, error) {
-	r := wire.NewReader(p)
-	m := &SnapResp{}
-	var err error
-	if m.ID, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	if m.Seq, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	if m.Chunk, err = r.Uint32(); err != nil {
-		return nil, err
-	}
-	if m.Chunks, err = r.Uint32(); err != nil {
-		return nil, err
-	}
-	if m.Data, err = r.BytesCopy(); err != nil {
-		return nil, err
-	}
-	ck, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Clock = Timestamp(ck)
-	return m, nil
-}
+func (m *SnapResp) Encode() []byte { return wire.Encode(m, (*SnapResp).wire) }
+
+func DecodeSnapResp(p []byte) (*SnapResp, error) { return decode(p, (*SnapResp).wire) }
 
 // ReadBatchItem is the one read there is: the cells of OID with keys in
 // [floor(From), To), at most Max of them (0 = unlimited), where
@@ -475,6 +330,22 @@ func (it ReadBatchItem) Windowed() ReadBatchItem {
 	return it
 }
 
+func (it *ReadBatchItem) wire(c *wire.Codec) {
+	wire.U64(c, &it.OID)
+	c.Bool(&it.Part)
+	c.Bytes(&it.From)
+	c.Bytes(&it.To)
+	hasTo := it.To != nil
+	c.Bool(&hasTo)
+	c.Uint32(&it.Max)
+	if c.Decoding() {
+		if !hasTo {
+			it.To = nil
+		}
+		*it = it.Windowed()
+	}
+}
+
 // ReadBatchResult is the answer to one item: the windowed supervalue
 // (or whole plain value) and the cell count of the full node, the
 // window's own length when the window is the whole object. Found is
@@ -487,86 +358,11 @@ type ReadBatchResult struct {
 	Total   uint32
 }
 
-// minReadItemSize and minReadResultSize are the fewest bytes an item
-// and a result occupy on the wire (empty keys, nil value). The batch
-// decoders bound a claimed count by them BEFORE the allocation it would
-// size, so a garbage frame cannot make its receiver allocate more than
-// a small multiple of the frame's own length. readHeaderMax bounds the
-// bytes ahead of a request's items: Snap, then Epoch and the item count
-// as uvarints.
-const (
-	minReadItemSize   = 8 + 1 + 1 + 1 + 1 + 4
-	minReadResultSize = 1 + 8 + 1 + 4
-	readHeaderMax     = 8 + 10 + 10
-)
-
-// readItemSize bounds it's encoded length from above (a key's length
-// prefix is at most five bytes, one of them in minReadItemSize).
-func readItemSize(it *ReadBatchItem) int {
-	return minReadItemSize + 2*4 + len(it.From) + len(it.To)
-}
-
-func encodeReadItem(b *wire.Buffer, it *ReadBatchItem) {
-	b.PutUint64(uint64(it.OID))
-	b.PutBool(it.Part)
-	b.PutBytes(it.From)
-	b.PutBytes(it.To)
-	b.PutBool(it.To != nil)
-	b.PutUint32(it.Max)
-}
-
-func decodeReadItem(r *wire.Reader, it *ReadBatchItem) error {
-	oid, err := r.Uint64()
-	if err != nil {
-		return err
-	}
-	it.OID = OID(oid)
-	if it.Part, err = r.Bool(); err != nil {
-		return err
-	}
-	if it.From, err = r.BytesCopy(); err != nil {
-		return err
-	}
-	to, err := r.BytesCopy()
-	if err != nil {
-		return err
-	}
-	hasTo, err := r.Bool()
-	if err != nil {
-		return err
-	}
-	if hasTo {
-		it.To = to
-	}
-	if it.Max, err = r.Uint32(); err != nil {
-		return err
-	}
-	*it = it.Windowed()
-	return nil
-}
-
-func encodeReadResult(b *wire.Buffer, res *ReadBatchResult) {
-	b.PutBool(res.Found)
-	b.PutUint64(uint64(res.Version))
-	EncodeValue(b, res.Value)
-	b.PutUint32(res.Total)
-}
-
-func decodeReadResult(r *wire.Reader, res *ReadBatchResult) error {
-	var err error
-	if res.Found, err = r.Bool(); err != nil {
-		return err
-	}
-	ver, err := r.Uint64()
-	if err != nil {
-		return err
-	}
-	res.Version = Timestamp(ver)
-	if res.Value, err = DecodeValue(r); err != nil {
-		return err
-	}
-	res.Total, err = r.Uint32()
-	return err
+func (res *ReadBatchResult) wire(c *wire.Codec) {
+	c.Bool(&res.Found)
+	wire.U64(c, &res.Version)
+	WireValue(&res.Value, c)
+	c.Uint32(&res.Total)
 }
 
 // ReadPartReq asks for one item at Snap; ReadBatchReq asks for N at one
@@ -589,6 +385,29 @@ type ReadBatchReq struct {
 	Items []ReadBatchItem
 }
 
+func (m *ReadPartReq) wire(c *wire.Codec) {
+	wire.U64(c, &m.Snap)
+	c.Uvarint(&m.Epoch)
+	m.Item.wire(c)
+}
+
+func (m *ReadPartReq) Encode() []byte { return wire.Encode(m, (*ReadPartReq).wire) }
+
+func DecodeReadPartReq(p []byte) (*ReadPartReq, error) { return decode(p, (*ReadPartReq).wire) }
+
+func (m *ReadBatchReq) wire(c *wire.Codec) {
+	wire.U64(c, &m.Snap)
+	c.Uvarint(&m.Epoch)
+	wire.Slice(c, &m.Items, minReadItemSize)
+	for i := range m.Items {
+		m.Items[i].wire(c)
+	}
+}
+
+func (m *ReadBatchReq) Encode() []byte { return wire.Encode(m, (*ReadBatchReq).wire) }
+
+func DecodeReadBatchReq(p []byte) (*ReadBatchReq, error) { return decode(p, (*ReadBatchReq).wire) }
+
 // ReadPartResp answers a ReadPartReq: the item's result, flattened,
 // then Clock — the server's HLC reading, merged into the client clock
 // (every message carries a timestamp; see internal/clock) — and
@@ -606,6 +425,20 @@ type ReadPartResp struct {
 	Frontier Timestamp
 }
 
+func (m *ReadPartResp) wire(c *wire.Codec) {
+	res := ReadBatchResult{Found: m.Found, Version: m.Version, Value: m.Value, Total: m.Total}
+	res.wire(c)
+	if c.Decoding() {
+		m.Found, m.Version, m.Value, m.Total = res.Found, res.Version, res.Value, res.Total
+	}
+	wire.U64(c, &m.Clock)
+	wire.U64(c, &m.Frontier)
+}
+
+func (m *ReadPartResp) Encode() []byte { return wire.Encode(m, (*ReadPartResp).wire) }
+
+func DecodeReadPartResp(p []byte) (*ReadPartResp, error) { return decode(p, (*ReadPartResp).wire) }
+
 // ReadBatchResp answers a ReadBatchReq: one result per item,
 // positionally, then the Clock and Frontier a ReadPartResp carries.
 type ReadBatchResp struct {
@@ -614,143 +447,19 @@ type ReadBatchResp struct {
 	Frontier Timestamp
 }
 
-func (m *ReadPartReq) Encode() []byte {
-	b := wire.NewBuffer(readHeaderMax + readItemSize(&m.Item))
-	b.PutUint64(uint64(m.Snap))
-	b.PutUvarint(m.Epoch)
-	encodeReadItem(b, &m.Item)
-	return b.Bytes()
-}
-
-func DecodeReadPartReq(p []byte) (*ReadPartReq, error) {
-	r := wire.NewReader(p)
-	m := &ReadPartReq{}
-	snap, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Snap = Timestamp(snap)
-	if m.Epoch, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	if err = decodeReadItem(r, &m.Item); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func (m *ReadPartResp) Encode() []byte {
-	b := wire.NewBuffer(32 + m.Value.EncodedSize())
-	encodeReadResult(b, &ReadBatchResult{Found: m.Found, Version: m.Version, Value: m.Value, Total: m.Total})
-	b.PutUint64(uint64(m.Clock))
-	b.PutUint64(uint64(m.Frontier))
-	return b.Bytes()
-}
-
-func DecodeReadPartResp(p []byte) (*ReadPartResp, error) {
-	r := wire.NewReader(p)
-	var res ReadBatchResult
-	if err := decodeReadResult(r, &res); err != nil {
-		return nil, err
-	}
-	m := &ReadPartResp{Found: res.Found, Version: res.Version, Value: res.Value, Total: res.Total}
-	ck, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Clock = Timestamp(ck)
-	f, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Frontier = Timestamp(f)
-	return m, nil
-}
-
-func (m *ReadBatchReq) Encode() []byte {
-	size := readHeaderMax
-	for i := range m.Items {
-		size += readItemSize(&m.Items[i])
-	}
-	b := wire.NewBuffer(size)
-	b.PutUint64(uint64(m.Snap))
-	b.PutUvarint(m.Epoch)
-	b.PutUvarint(uint64(len(m.Items)))
-	for i := range m.Items {
-		encodeReadItem(b, &m.Items[i])
-	}
-	return b.Bytes()
-}
-
-func DecodeReadBatchReq(p []byte) (*ReadBatchReq, error) {
-	r := wire.NewReader(p)
-	m := &ReadBatchReq{}
-	snap, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Snap = Timestamp(snap)
-	if m.Epoch, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Remaining())/minReadItemSize {
-		return nil, fmt.Errorf("%w: read batch of %d items in %d bytes", ErrBadRequest, n, len(p))
-	}
-	m.Items = make([]ReadBatchItem, n)
-	for i := range m.Items {
-		if err = decodeReadItem(r, &m.Items[i]); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-func (m *ReadBatchResp) Encode() []byte {
-	size := 10 + 16 // the count, then Clock and Frontier
+func (m *ReadBatchResp) wire(c *wire.Codec) {
+	wire.Slice(c, &m.Results, minReadResultSize)
 	for i := range m.Results {
-		size += minReadResultSize + m.Results[i].Value.EncodedSize()
+		m.Results[i].wire(c)
 	}
-	b := wire.NewBuffer(size)
-	b.PutUvarint(uint64(len(m.Results)))
-	for i := range m.Results {
-		encodeReadResult(b, &m.Results[i])
-	}
-	b.PutUint64(uint64(m.Clock))
-	b.PutUint64(uint64(m.Frontier))
-	return b.Bytes()
+	wire.U64(c, &m.Clock)
+	wire.U64(c, &m.Frontier)
 }
+
+func (m *ReadBatchResp) Encode() []byte { return wire.Encode(m, (*ReadBatchResp).wire) }
 
 func DecodeReadBatchResp(p []byte) (*ReadBatchResp, error) {
-	r := wire.NewReader(p)
-	m := &ReadBatchResp{}
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Remaining())/minReadResultSize {
-		return nil, fmt.Errorf("%w: read batch of %d results in %d bytes", ErrBadRequest, n, len(p))
-	}
-	m.Results = make([]ReadBatchResult, n)
-	for i := range m.Results {
-		if err = decodeReadResult(r, &m.Results[i]); err != nil {
-			return nil, err
-		}
-	}
-	ck, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Clock = Timestamp(ck)
-	f, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Frontier = Timestamp(f)
-	return m, nil
+	return decode(p, (*ReadBatchResp).wire)
 }
 
 // WindowCells returns the cells of v with keys in [floor(from), to),
@@ -792,6 +501,17 @@ type PrepareReq struct {
 	Epoch uint64 // group epoch the client believes current (0 = not yet learned)
 }
 
+func (m *PrepareReq) wire(c *wire.Codec) {
+	c.Uint64(&m.TxID)
+	wire.U64(c, &m.Start)
+	WireOps(&m.Ops, c)
+	c.Uvarint(&m.Epoch)
+}
+
+func (m *PrepareReq) Encode() []byte { return wire.Encode(m, (*PrepareReq).wire) }
+
+func DecodePrepareReq(p []byte) (*PrepareReq, error) { return decode(p, (*PrepareReq).wire) }
+
 // PrepareResp reports the vote. When OK, Proposed is this participant's
 // lower bound for the commit timestamp.
 type PrepareResp struct {
@@ -799,6 +519,16 @@ type PrepareResp struct {
 	Proposed Timestamp
 	Clock    Timestamp
 }
+
+func (m *PrepareResp) wire(c *wire.Codec) {
+	c.Bool(&m.OK)
+	wire.U64(c, &m.Proposed)
+	wire.U64(c, &m.Clock)
+}
+
+func (m *PrepareResp) Encode() []byte { return wire.Encode(m, (*PrepareResp).wire) }
+
+func DecodePrepareResp(p []byte) (*PrepareResp, error) { return decode(p, (*PrepareResp).wire) }
 
 // CommitReq is phase two: make the transaction's writes visible at
 // CommitTS and release its locks.
@@ -808,11 +538,30 @@ type CommitReq struct {
 	Epoch    uint64 // group epoch the client believes current (0 = not yet learned)
 }
 
+func (m *CommitReq) wire(c *wire.Codec) {
+	c.Uint64(&m.TxID)
+	wire.U64(c, &m.CommitTS)
+	c.Uvarint(&m.Epoch)
+}
+
+func (m *CommitReq) Encode() []byte { return wire.Encode(m, (*CommitReq).wire) }
+
+func DecodeCommitReq(p []byte) (*CommitReq, error) { return decode(p, (*CommitReq).wire) }
+
 // AbortReq discards the transaction's locks and staged writes.
 type AbortReq struct {
 	TxID  uint64
 	Epoch uint64 // group epoch the client believes current (0 = not yet learned)
 }
+
+func (m *AbortReq) wire(c *wire.Codec) {
+	c.Uint64(&m.TxID)
+	c.Uvarint(&m.Epoch)
+}
+
+func (m *AbortReq) Encode() []byte { return wire.Encode(m, (*AbortReq).wire) }
+
+func DecodeAbortReq(p []byte) (*AbortReq, error) { return decode(p, (*AbortReq).wire) }
 
 // FastCommitReq commits a single-participant transaction in one round
 // trip: validate, choose a commit timestamp, and apply atomically.
@@ -821,6 +570,19 @@ type FastCommitReq struct {
 	Start Timestamp
 	Ops   []*Op
 	Epoch uint64 // group epoch the client believes current (0 = not yet learned)
+}
+
+func (m *FastCommitReq) wire(c *wire.Codec) {
+	c.Uint64(&m.TxID)
+	wire.U64(c, &m.Start)
+	WireOps(&m.Ops, c)
+	c.Uvarint(&m.Epoch)
+}
+
+func (m *FastCommitReq) Encode() []byte { return wire.Encode(m, (*FastCommitReq).wire) }
+
+func DecodeFastCommitReq(p []byte) (*FastCommitReq, error) {
+	return decode(p, (*FastCommitReq).wire)
 }
 
 // FastCommitResp reports the outcome of a fast commit. Frontier
@@ -832,6 +594,19 @@ type FastCommitResp struct {
 	CommitTS Timestamp
 	Clock    Timestamp
 	Frontier Timestamp
+}
+
+func (m *FastCommitResp) wire(c *wire.Codec) {
+	c.Bool(&m.OK)
+	wire.U64(c, &m.CommitTS)
+	wire.U64(c, &m.Clock)
+	wire.U64(c, &m.Frontier)
+}
+
+func (m *FastCommitResp) Encode() []byte { return wire.Encode(m, (*FastCommitResp).wire) }
+
+func DecodeFastCommitResp(p []byte) (*FastCommitResp, error) {
+	return decode(p, (*FastCommitResp).wire)
 }
 
 // Ack is the generic response for commit/abort/ping/mirror/lease. It
@@ -853,228 +628,14 @@ type Ack struct {
 	DirVersion uint64
 }
 
-func encodeOps(b *wire.Buffer, ops []*Op) {
-	b.PutUvarint(uint64(len(ops)))
-	for _, op := range ops {
-		EncodeOp(b, op)
-	}
+func (m *Ack) wire(c *wire.Codec) {
+	wire.U64(c, &m.Clock)
+	c.Uvarint(&m.Epoch)
+	wireMembers(c, &m.Members)
+	wire.U64(c, &m.Frontier)
+	c.Uvarint(&m.DirVersion)
 }
 
-func decodeOps(r *wire.Reader) ([]*Op, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(wire.MaxFrameSize) {
-		return nil, ErrBadRequest
-	}
-	ops := make([]*Op, 0, n)
-	for i := uint64(0); i < n; i++ {
-		op, err := DecodeOp(r)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
-	}
-	return ops, nil
-}
+func (m *Ack) Encode() []byte { return wire.Encode(m, (*Ack).wire) }
 
-func (m *PrepareReq) Encode() []byte {
-	b := wire.NewBuffer(64)
-	b.PutUint64(m.TxID)
-	b.PutUint64(uint64(m.Start))
-	encodeOps(b, m.Ops)
-	b.PutUvarint(m.Epoch)
-	return b.Bytes()
-}
-
-func DecodePrepareReq(p []byte) (*PrepareReq, error) {
-	r := wire.NewReader(p)
-	m := &PrepareReq{}
-	v, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.TxID = v
-	if v, err = r.Uint64(); err != nil {
-		return nil, err
-	}
-	m.Start = Timestamp(v)
-	if m.Ops, err = decodeOps(r); err != nil {
-		return nil, err
-	}
-	if m.Epoch, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func (m *PrepareResp) Encode() []byte {
-	b := wire.NewBuffer(24)
-	b.PutBool(m.OK)
-	b.PutUint64(uint64(m.Proposed))
-	b.PutUint64(uint64(m.Clock))
-	return b.Bytes()
-}
-
-func DecodePrepareResp(p []byte) (*PrepareResp, error) {
-	r := wire.NewReader(p)
-	m := &PrepareResp{}
-	var err error
-	if m.OK, err = r.Bool(); err != nil {
-		return nil, err
-	}
-	v, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Proposed = Timestamp(v)
-	if v, err = r.Uint64(); err != nil {
-		return nil, err
-	}
-	m.Clock = Timestamp(v)
-	return m, nil
-}
-
-func (m *CommitReq) Encode() []byte {
-	b := wire.NewBuffer(28)
-	b.PutUint64(m.TxID)
-	b.PutUint64(uint64(m.CommitTS))
-	b.PutUvarint(m.Epoch)
-	return b.Bytes()
-}
-
-func DecodeCommitReq(p []byte) (*CommitReq, error) {
-	r := wire.NewReader(p)
-	tx, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	ts, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	epoch, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return &CommitReq{TxID: tx, CommitTS: Timestamp(ts), Epoch: epoch}, nil
-}
-
-func (m *AbortReq) Encode() []byte {
-	b := wire.NewBuffer(20)
-	b.PutUint64(m.TxID)
-	b.PutUvarint(m.Epoch)
-	return b.Bytes()
-}
-
-func DecodeAbortReq(p []byte) (*AbortReq, error) {
-	r := wire.NewReader(p)
-	tx, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	epoch, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return &AbortReq{TxID: tx, Epoch: epoch}, nil
-}
-
-func (m *FastCommitReq) Encode() []byte {
-	b := wire.NewBuffer(64)
-	b.PutUint64(m.TxID)
-	b.PutUint64(uint64(m.Start))
-	encodeOps(b, m.Ops)
-	b.PutUvarint(m.Epoch)
-	return b.Bytes()
-}
-
-func DecodeFastCommitReq(p []byte) (*FastCommitReq, error) {
-	r := wire.NewReader(p)
-	m := &FastCommitReq{}
-	v, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.TxID = v
-	if v, err = r.Uint64(); err != nil {
-		return nil, err
-	}
-	m.Start = Timestamp(v)
-	if m.Ops, err = decodeOps(r); err != nil {
-		return nil, err
-	}
-	if m.Epoch, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func (m *FastCommitResp) Encode() []byte {
-	b := wire.NewBuffer(32)
-	b.PutBool(m.OK)
-	b.PutUint64(uint64(m.CommitTS))
-	b.PutUint64(uint64(m.Clock))
-	b.PutUint64(uint64(m.Frontier))
-	return b.Bytes()
-}
-
-func DecodeFastCommitResp(p []byte) (*FastCommitResp, error) {
-	r := wire.NewReader(p)
-	m := &FastCommitResp{}
-	var err error
-	if m.OK, err = r.Bool(); err != nil {
-		return nil, err
-	}
-	v, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.CommitTS = Timestamp(v)
-	if v, err = r.Uint64(); err != nil {
-		return nil, err
-	}
-	m.Clock = Timestamp(v)
-	if v, err = r.Uint64(); err != nil {
-		return nil, err
-	}
-	m.Frontier = Timestamp(v)
-	return m, nil
-}
-
-func (m *Ack) Encode() []byte {
-	b := wire.NewBuffer(48)
-	b.PutUint64(uint64(m.Clock))
-	b.PutUvarint(m.Epoch)
-	encodeMembers(b, m.Members)
-	b.PutUint64(uint64(m.Frontier))
-	b.PutUvarint(m.DirVersion)
-	return b.Bytes()
-}
-
-func DecodeAck(p []byte) (*Ack, error) {
-	r := wire.NewReader(p)
-	v, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	epoch, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	members, err := decodeMembers(r)
-	if err != nil {
-		return nil, err
-	}
-	m := &Ack{Clock: Timestamp(v), Epoch: epoch, Members: members}
-	fr, err := r.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	m.Frontier = Timestamp(fr)
-	if m.DirVersion, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func DecodeAck(p []byte) (*Ack, error) { return decode(p, (*Ack).wire) }

@@ -282,72 +282,12 @@ func sameReadItem(g, w ReadBatchItem) bool {
 // optional — is a short buffer; an interior cut may instead trip a
 // count-versus-payload allocation guard.
 func TestTruncatedMessagesFailToDecode(t *testing.T) {
-	sv := NewSuper()
-	sv.ListAdd([]byte("k1"), []byte("v1"))
-	recs := []SyncRec{
-		{Seq: 5, Rec: ReplRecord{Kind: RecPrepare, TxID: 2, TS: 20, Ops: sampleOps(), Epoch: 2}},
-		{Seq: 6, Rec: ReplRecord{Kind: RecEpoch, Epoch: 3, Members: []string{"a:1", "b:2"}}},
-	}
-	dir := &Directory{Version: 3, Routes: []uint32{0, 1}, Groups: [][]string{{"a:1"}, {"b:2", "c:3"}}}
-	cases := []struct {
-		name   string
-		full   []byte
-		decode func([]byte) error
-	}{
-		{"ReplRecord", func() []byte { b := wire.NewBuffer(64); EncodeReplRecord(b, &recs[1].Rec); return b.Bytes() }(),
-			func(p []byte) error { _, err := DecodeReplRecord(wire.NewReader(p)); return err }},
-		{"LeaseReq", (&LeaseReq{Epoch: 7, Watermark: 9}).Encode(),
-			func(p []byte) error { _, err := DecodeLeaseReq(p); return err }},
-		{"MirrorBatchReq", (&MirrorBatchReq{Recs: recs, Watermark: 6}).Encode(),
-			func(p []byte) error { _, err := DecodeMirrorBatchReq(p); return err }},
-		{"SyncReq", (&SyncReq{From: 42, Max: 512, Epoch: 3}).Encode(),
-			func(p []byte) error { _, err := DecodeSyncReq(p); return err }},
-		{"SyncResp", (&SyncResp{Records: recs, Head: 7, Clock: 99, TooOld: true, LogBase: 4}).Encode(),
-			func(p []byte) error { _, err := DecodeSyncResp(p); return err }},
-		{"SnapReq", (&SnapReq{ID: 7, Chunk: 3}).Encode(),
-			func(p []byte) error { _, err := DecodeSnapReq(p); return err }},
-		{"SnapResp", (&SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("slice"), Clock: 55}).Encode(),
-			func(p []byte) error { _, err := DecodeSnapResp(p); return err }},
-		{"ReadPartReq whole object", (&ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2)}}).Encode(),
-			func(p []byte) error { _, err := DecodeReadPartReq(p); return err }},
-		{"ReadPartResp plain value", (&ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Clock: 11, Frontier: 9}).Encode(),
-			func(p []byte) error { _, err := DecodeReadPartResp(p); return err }},
-		{"ReadPartReq", (&ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2), Part: true, From: []byte("a"), To: []byte("m"), Max: 8}}).Encode(),
-			func(p []byte) error { _, err := DecodeReadPartReq(p); return err }},
-		{"ReadPartResp", (&ReadPartResp{Found: true, Version: 10, Value: sv, Total: 3, Clock: 11, Frontier: 9}).Encode(),
-			func(p []byte) error { _, err := DecodeReadPartResp(p); return err }},
-		{"ReadBatchReq", (&ReadBatchReq{Snap: 1, Epoch: 2, Items: []ReadBatchItem{
-			{OID: MakeOID(1, 1)},
-			{OID: MakeOID(1, 2), Part: true, From: []byte("f"), To: []byte("t"), Max: 3},
-		}}).Encode(),
-			func(p []byte) error { _, err := DecodeReadBatchReq(p); return err }},
-		{"ReadBatchResp", (&ReadBatchResp{Results: []ReadBatchResult{
-			{Found: true, Version: 3, Value: NewPlain([]byte("x"))}, {}, {Found: true, Version: 4, Value: sv, Total: 31},
-		}, Clock: 9, Frontier: 4}).Encode(),
-			func(p []byte) error { _, err := DecodeReadBatchResp(p); return err }},
-		{"PrepareReq", (&PrepareReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}).Encode(),
-			func(p []byte) error { _, err := DecodePrepareReq(p); return err }},
-		{"PrepareResp", (&PrepareResp{OK: true, Proposed: 5, Clock: 6}).Encode(),
-			func(p []byte) error { _, err := DecodePrepareResp(p); return err }},
-		{"CommitReq", (&CommitReq{TxID: 1, CommitTS: 2, Epoch: 3}).Encode(),
-			func(p []byte) error { _, err := DecodeCommitReq(p); return err }},
-		{"AbortReq", (&AbortReq{TxID: 1, Epoch: 3}).Encode(),
-			func(p []byte) error { _, err := DecodeAbortReq(p); return err }},
-		{"FastCommitReq", (&FastCommitReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}).Encode(),
-			func(p []byte) error { _, err := DecodeFastCommitReq(p); return err }},
-		{"FastCommitResp", (&FastCommitResp{OK: true, CommitTS: 50, Clock: 51, Frontier: 49}).Encode(),
-			func(p []byte) error { _, err := DecodeFastCommitResp(p); return err }},
-		{"Ack", (&Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, Frontier: 88, DirVersion: 2}).Encode(),
-			func(p []byte) error { _, err := DecodeAck(p); return err }},
-		{"DirectoryResp", (&DirectoryResp{Dir: dir, Clock: 77}).Encode(),
-			func(p []byte) error { _, err := DecodeDirectoryResp(p); return err }},
-	}
-	for _, c := range cases {
-		if err := c.decode(c.full); err != nil {
+	for _, c := range wireCases() {
+		if _, err := c.decode(c.full); err != nil {
 			t.Fatalf("%s: full message does not decode: %v", c.name, err)
 		}
 		for cut := 0; cut < len(c.full); cut++ {
-			err := c.decode(c.full[:cut])
+			_, err := c.decode(c.full[:cut])
 			if err == nil {
 				t.Fatalf("%s truncated to %d of %d bytes decoded successfully", c.name, cut, len(c.full))
 			}
@@ -434,9 +374,9 @@ func TestReadBatchDecodeErrors(t *testing.T) {
 			func(p []byte) error { _, err := DecodeReadBatchReq(p); return err }},
 		{"hostile result count", append(readBatchRespPrefix(uint64(len(garbage))/2), garbage...),
 			func(p []byte) error { _, err := DecodeReadBatchResp(p); return err }},
-		{"one item too many", append(readBatchReqPrefix(uint64(len(garbage))/minReadItemSize+1), garbage...),
+		{"one item too many", append(readBatchReqPrefix(uint64(len(garbage)/minReadItemSize+1)), garbage...),
 			func(p []byte) error { _, err := DecodeReadBatchReq(p); return err }},
-		{"one result too many", append(readBatchRespPrefix(uint64(len(garbage))/minReadResultSize+1), garbage...),
+		{"one result too many", append(readBatchRespPrefix(uint64(len(garbage)/minReadResultSize+1)), garbage...),
 			func(p []byte) error { _, err := DecodeReadBatchResp(p); return err }},
 	} {
 		if err := c.decode(c.frame); !errors.Is(err, ErrBadRequest) {

@@ -1,9 +1,8 @@
 // Package lint is the yesqlint driver: it loads packages, runs the
 // analyzer suite over them, and applies the //yesqlint:allow
 // suppression discipline. The analyzers themselves live in
-// subpackages (repmublock, lockorder, errsentinel, wirecodec,
-// timerloop); cmd/yesqlint and the analyzer tests both run them
-// through Run.
+// subpackages (repmublock, lockorder, errsentinel, timerloop);
+// cmd/yesqlint and the analyzer tests both run them through Run.
 //
 // Suppressions are deliberate, documented exceptions to an invariant:
 // a //yesqlint:allow <analyzer> [-- reason] line either in a

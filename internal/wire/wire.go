@@ -4,8 +4,11 @@
 //
 // The encoding is deliberately simple: unsigned varints for integers,
 // length-prefixed byte strings, and fixed-width 64-bit values where the
-// caller needs them. There is no reflection and no schema; each message
-// type hand-rolls MarshalWire/UnmarshalWire using Buffer and Reader.
+// caller needs them. There is no reflection and no generated code: a
+// message lists its fields once, in a method a Codec runs as encoder,
+// decoder or sizer. Buffer and Reader are the primitives beneath the
+// Codec; a few layouts are still laid out on them directly (RPC frames,
+// SQL rows and catalog entries).
 package wire
 
 import (

@@ -212,3 +212,32 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzReadFrame reads arbitrary bytes as a stream of frames: nothing
+// panics, a frame over MaxFrameSize is refused, and every frame read
+// writes back as exactly the bytes it was read from.
+func FuzzReadFrame(f *testing.F) {
+	var buf bytes.Buffer
+	WriteFrame(&buf, []byte("hello"))
+	WriteFrame(&buf, nil)
+	f.Add(buf.Bytes())
+	f.Add([]byte{0, 0, 0, 9, 'x'})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		r := bytes.NewReader(p)
+		for {
+			start := len(p) - r.Len()
+			payload, err := ReadFrame(r)
+			if err != nil {
+				return
+			}
+			var out bytes.Buffer
+			if err := WriteFrame(&out, payload); err != nil {
+				t.Fatalf("a frame read back does not write: %v", err)
+			}
+			if read := p[start : len(p)-r.Len()]; !bytes.Equal(out.Bytes(), read) {
+				t.Fatalf("frame read from %x writes as %x", read, out.Bytes())
+			}
+		}
+	})
+}
