@@ -20,7 +20,10 @@ import (
 // recency bookkeeping on the hit path.
 //
 // Values stored here are committed versions and are treated as
-// immutable by the whole client.
+// immutable by the whole client. Each is a compact copy of what was read
+// (kv.Value.Clone), made once, on insert: a node as read lies in the
+// reply frame it arrived in, beside whatever else the reply carried
+// (leaves, say), and a cache entry must not keep all of that alive.
 type nodeCache struct {
 	mu       sync.RWMutex
 	nodes    map[kv.OID]*kv.Value
@@ -47,6 +50,7 @@ func (c *nodeCache) get(oid kv.OID) (*kv.Value, bool) {
 }
 
 func (c *nodeCache) put(oid kv.OID, v *kv.Value) {
+	v = v.Clone()
 	c.mu.Lock()
 	if _, resident := c.nodes[oid]; !resident && c.maxNodes > 0 {
 		for len(c.nodes) >= c.maxNodes {

@@ -42,6 +42,21 @@ func bufEncoder[M any](enc func(*wire.Buffer, *M)) func(*M) []byte {
 	}
 }
 
+// reply is what m's AppendTo appends to a reply frame, its length
+// prefix checked and stripped: the reply's encoding.
+func reply[M any, P interface {
+	*M
+	AppendTo(*wire.Buffer)
+}](m *M) []byte {
+	var b wire.Buffer
+	P(m).AppendTo(&b)
+	r := wire.NewReader(b.Bytes())
+	if body, err := r.Bytes(); err == nil && r.Remaining() == 0 {
+		return body
+	}
+	return nil
+}
+
 func readerDecoder[M any](dec func(*wire.Reader) (M, error)) func([]byte) (*M, error) {
 	return func(p []byte) (*M, error) {
 		m, err := dec(wire.NewReader(p))
@@ -76,9 +91,9 @@ func wireCases() []wireCase {
 		newCase("LeaseReq", &LeaseReq{Epoch: 7, Watermark: 9}, (*LeaseReq).Encode, DecodeLeaseReq),
 		newCase("MirrorBatchReq", &MirrorBatchReq{Recs: recs, Watermark: 6}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
 		newCase("SyncReq", &SyncReq{From: 42, Max: 512, Epoch: 3}, (*SyncReq).Encode, DecodeSyncReq),
-		newCase("SyncResp", &SyncResp{Records: recs, Head: 7, Clock: 99, TooOld: true, LogBase: 4}, (*SyncResp).Encode, DecodeSyncResp),
+		newCase("SyncResp", &SyncResp{Records: recs, Head: 7, Clock: 99, TooOld: true, LogBase: 4}, reply[SyncResp], DecodeSyncResp),
 		newCase("SnapReq", &SnapReq{ID: 7, Chunk: 3}, (*SnapReq).Encode, DecodeSnapReq),
-		newCase("SnapResp", &SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("slice"), Clock: 55}, (*SnapResp).Encode, DecodeSnapResp),
+		newCase("SnapResp", &SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("slice"), Clock: 55}, reply[SnapResp], DecodeSnapResp),
 		newCase("ReadPartReq whole object", &ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2)}}, (*ReadPartReq).Encode, DecodeReadPartReq),
 		newCase("ReadPartReq", &ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2), Part: true, From: []byte("a"), To: []byte("m"), Max: 8}}, (*ReadPartReq).Encode, DecodeReadPartReq),
 		newCase("ReadPartResp plain value", &ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Clock: 11, Frontier: 9}, (*ReadPartResp).Encode, DecodeReadPartResp),
@@ -89,15 +104,15 @@ func wireCases() []wireCase {
 		}}, (*ReadBatchReq).Encode, DecodeReadBatchReq),
 		newCase("ReadBatchResp", &ReadBatchResp{Results: []ReadBatchResult{
 			{Found: true, Version: 3, Value: NewPlain([]byte("x"))}, {}, {Found: true, Version: 4, Value: sv, Total: 31},
-		}, Clock: 9, Frontier: 4}, (*ReadBatchResp).Encode, DecodeReadBatchResp),
+		}, Clock: 9, Frontier: 4}, reply[ReadBatchResp], DecodeReadBatchResp),
 		newCase("PrepareReq", &PrepareReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*PrepareReq).Encode, DecodePrepareReq),
-		newCase("PrepareResp", &PrepareResp{OK: true, Proposed: 5, Clock: 6}, (*PrepareResp).Encode, DecodePrepareResp),
+		newCase("PrepareResp", &PrepareResp{OK: true, Proposed: 5, Clock: 6}, reply[PrepareResp], DecodePrepareResp),
 		newCase("CommitReq", &CommitReq{TxID: 1, CommitTS: 2, Epoch: 3}, (*CommitReq).Encode, DecodeCommitReq),
 		newCase("AbortReq", &AbortReq{TxID: 1, Epoch: 3}, (*AbortReq).Encode, DecodeAbortReq),
 		newCase("FastCommitReq", &FastCommitReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*FastCommitReq).Encode, DecodeFastCommitReq),
-		newCase("FastCommitResp", &FastCommitResp{OK: true, CommitTS: 50, Clock: 51, Frontier: 49}, (*FastCommitResp).Encode, DecodeFastCommitResp),
-		newCase("Ack", &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, Frontier: 88, DirVersion: 2}, (*Ack).Encode, DecodeAck),
-		newCase("DirectoryResp", &DirectoryResp{Dir: dir, Clock: 77}, (*DirectoryResp).Encode, DecodeDirectoryResp),
+		newCase("FastCommitResp", &FastCommitResp{OK: true, CommitTS: 50, Clock: 51, Frontier: 49}, reply[FastCommitResp], DecodeFastCommitResp),
+		newCase("Ack", &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, Frontier: 88, DirVersion: 2}, reply[Ack], DecodeAck),
+		newCase("DirectoryResp", &DirectoryResp{Dir: dir, Clock: 77}, reply[DirectoryResp], DecodeDirectoryResp),
 	}
 	for i, op := range sampleOps() {
 		op := op
@@ -244,7 +259,8 @@ func FuzzDecode(f *testing.F) {
 // TestCodecAllocations pins that a field list costs no allocation of
 // its own: an encoding is its one buffer, and a decode allocates only
 // what it returns (the message, the op and its two byte strings; the
-// value, its cells and their two byte strings).
+// value and its cells, whose byte strings a read reply leaves in the
+// frame).
 func TestCodecAllocations(t *testing.T) {
 	fc := &FastCommitReq{TxID: 1, Start: 1, Epoch: 1,
 		Ops: []*Op{{Kind: OpListAdd, OID: 1, Cell: Cell{Key: []byte("k"), Value: []byte("v")}}}}
@@ -260,10 +276,56 @@ func TestCodecAllocations(t *testing.T) {
 		{"FastCommitReq.Encode", 1, func() { fc.Encode() }},
 		{"ReadPartResp.Encode", 1, func() { rp.Encode() }},
 		{"DecodeFastCommitReq", 5, func() { DecodeFastCommitReq(fcBytes) }},
-		{"DecodeReadPartResp", 5, func() { DecodeReadPartResp(rpBytes) }},
+		{"DecodeReadPartResp", 3, func() { DecodeReadPartResp(rpBytes) }},
 	} {
 		if n := testing.AllocsPerRun(100, c.f); n > c.max {
 			t.Errorf("%s: %v allocations, want %v", c.name, n, c.max)
+		}
+	}
+}
+
+// TestReadRepliesDecodeInPlace: a read reply's keys and values are the
+// frame's own bytes, clipped so that an append cannot reach past them,
+// and an empty one is still not nil; every other message copies what it
+// decodes, since a server keeps it.
+func TestReadRepliesDecodeInPlace(t *testing.T) {
+	sv := NewSuper()
+	sv.ListAdd([]byte("key"), []byte{})
+	sv.ListAdd([]byte("next"), []byte("v"))
+	for _, c := range []struct {
+		name    string
+		p       []byte
+		decode  func(p []byte) (*Value, error)
+		inPlace bool
+	}{
+		{"ReadPartResp", (&ReadPartResp{Found: true, Value: sv}).Encode(), func(p []byte) (*Value, error) {
+			m, err := DecodeReadPartResp(p)
+			return m.Value, err
+		}, true},
+		{"ReadBatchResp", reply(&ReadBatchResp{Results: []ReadBatchResult{{Found: true, Value: sv}}}), func(p []byte) (*Value, error) {
+			m, err := DecodeReadBatchResp(p)
+			return m.Results[0].Value, err
+		}, true},
+		{"FastCommitReq", (&FastCommitReq{Ops: []*Op{{Kind: OpPut, OID: 1, Value: sv}}}).Encode(), func(p []byte) (*Value, error) {
+			m, err := DecodeFastCommitReq(p)
+			return m.Ops[0].Value, err
+		}, false},
+	} {
+		name, p := c.name, c.p
+		v, err := c.decode(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if v.Cells[0].Value == nil {
+			t.Errorf("%s: an empty value decodes as nil", name)
+		}
+		key, frame := v.Cells[0].Key, bytes.Clone(p)
+		if _ = append(key, '!'); !bytes.Equal(p, frame) {
+			t.Errorf("%s: an append to a decoded key wrote into the frame", name)
+		}
+		p[bytes.Index(p, []byte("key"))] = 'K'
+		if got := string(key) == "Key"; got != c.inPlace {
+			t.Errorf("%s: key %q after the frame changed; decoded in place: %v, want %v", name, key, got, c.inPlace)
 		}
 	}
 }

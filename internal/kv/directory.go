@@ -129,7 +129,10 @@ func (m *DirectoryResp) wire(c *wire.Codec) {
 	wire.U64(c, &m.Clock)
 }
 
-func (m *DirectoryResp) Encode() []byte { return wire.Encode(m, (*DirectoryResp).wire) }
+func (m *DirectoryResp) AppendTo(b *wire.Buffer) {
+	b.PutUvarint(uint64(wire.Size(m, (*DirectoryResp).wire)))
+	wire.EncodeTo(b, m, (*DirectoryResp).wire)
+}
 
 func DecodeDirectoryResp(p []byte) (*DirectoryResp, error) {
 	return decode(p, (*DirectoryResp).wire)

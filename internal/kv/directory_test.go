@@ -101,7 +101,7 @@ func TestDirectoryClone(t *testing.T) {
 
 func TestDirectoryRespRoundTrip(t *testing.T) {
 	m := &DirectoryResp{Dir: sampleDirectory(), Clock: 42}
-	got, err := DecodeDirectoryResp(m.Encode())
+	got, err := DecodeDirectoryResp(reply(m))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

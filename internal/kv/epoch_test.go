@@ -104,7 +104,7 @@ func TestAckPiggybackRoundTrip(t *testing.T) {
 		{Clock: 77, Epoch: 12, Members: []string{"p:1", "b:2", "b:3", "b:4", "b:5"}},
 	}
 	for i, in := range cases {
-		out, err := DecodeAck(in.Encode())
+		out, err := DecodeAck(reply(&in))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -122,7 +122,7 @@ func TestAckPiggybackRoundTrip(t *testing.T) {
 	for i := 0; i < maxMembers+1; i++ {
 		big.Members = append(big.Members, "x")
 	}
-	if _, err := DecodeAck(big.Encode()); err == nil {
+	if _, err := DecodeAck(reply(&big)); err == nil {
 		t.Fatal("oversized membership decoded")
 	}
 }

@@ -23,10 +23,11 @@
 //
 // A Value that has been handed to anyone else is immutable: a version a
 // store holds, a value a read returned (Store.Read and ReadPart return
-// the stored version or a window onto its cell array, not a copy), an
-// entry of a transaction's read set, a base passed to Op.Apply or
-// Overlay. The same holds for an Op once it is staged. Everything below
-// leans on it:
+// the stored version or a window onto its cell array, not a copy; a
+// client's read returns cells whose bytes lie in the reply frame they
+// arrived in, see DecodeReadBatchResp), an entry of a transaction's read
+// set, a base passed to Op.Apply or Overlay. The same holds for an Op
+// once it is staged. Everything below leans on it:
 // Op.Apply builds the next version by copying the Cells header array
 // and sharing every untouched cell's key and value bytes, and the fence
 // keys, with its base, so consecutive versions of a DBT leaf alias one
@@ -118,30 +119,32 @@ func NewPlain(data []byte) *Value { return &Value{Kind: KindPlain, Data: data} }
 
 // Clone returns a deep copy of v, sharing nothing with it: the private
 // copy a caller needs before editing a value it received (see
-// "Immutability" in the package comment). Op.Apply does not use it for
-// delta operations; OpPut does, so the stored version never aliases the
-// caller's value.
+// "Immutability" in the package comment), or before keeping one that
+// may lie in a larger buffer it must not pin, such as a reply frame. The
+// copy is compact: its cell headers take one allocation and all its
+// bytes another. Op.Apply does not use it for delta operations; OpPut
+// does, so the stored version never aliases the caller's value.
 func (v *Value) Clone() *Value {
 	if v == nil {
 		return nil
 	}
-	out := &Value{Kind: v.Kind, Attrs: v.Attrs}
-	if v.Data != nil {
-		out.Data = append([]byte(nil), v.Data...)
+	n := len(v.Data) + len(v.LowKey) + len(v.HighKey)
+	for _, c := range v.Cells {
+		n += len(c.Key) + len(c.Value)
 	}
-	if v.LowKey != nil {
-		out.LowKey = append([]byte(nil), v.LowKey...)
+	buf := make([]byte, 0, n)
+	own := func(b []byte) []byte {
+		if b == nil {
+			return nil
+		}
+		buf = append(buf, b...)
+		return buf[len(buf)-len(b) : len(buf) : len(buf)]
 	}
-	if v.HighKey != nil {
-		out.HighKey = append([]byte(nil), v.HighKey...)
-	}
+	out := &Value{Kind: v.Kind, Attrs: v.Attrs, Data: own(v.Data), LowKey: own(v.LowKey), HighKey: own(v.HighKey)}
 	if v.Cells != nil {
 		out.Cells = make([]Cell, len(v.Cells))
 		for i, c := range v.Cells {
-			out.Cells[i] = Cell{
-				Key:   append([]byte(nil), c.Key...),
-				Value: append([]byte(nil), c.Value...),
-			}
+			out.Cells[i] = Cell{Key: own(c.Key), Value: own(c.Value)}
 		}
 	}
 	return out
@@ -593,7 +596,7 @@ const tombstone = 0xff
 
 // WireValue codes *v through c: its kind byte, then the kind's payload;
 // a nil value (a tombstone) is the lone byte 0xff. Byte slices decode
-// copied out of the frame.
+// copied out of the frame, or in place under wire.DecodeInPlace.
 func WireValue(v **Value, c *wire.Codec) {
 	k := byte(tombstone)
 	if *v != nil {

@@ -195,7 +195,7 @@ func stubServer(t *testing.T, dieOn string) string {
 					b.PutByte(1)
 					b.PutUvarint(id)
 					b.PutByte(0)
-					b.PutBytes((&kv.Ack{Clock: hlc.Now()}).Encode())
+					(&kv.Ack{Clock: hlc.Now()}).AppendTo(b)
 					if err := wire.WriteFrame(conn, b.Bytes()); err != nil {
 						return
 					}
@@ -386,12 +386,13 @@ func TestCallStopsAtCancellation(t *testing.T) {
 	srv.SetErrorCoder(kv.WireErrorCode)
 	var pings atomic.Int32
 	bounced := make(chan struct{}, 8) // one per bounced request; the call makes at most 5
-	srv.Register(kv.MethodPing, func(context.Context, []byte) ([]byte, error) {
+	srv.RegisterAppend(kv.MethodPing, func(_ context.Context, _ []byte, reply *wire.Buffer) error {
 		if pings.Add(1) == 1 { // Open's: teach the client the configuration
-			return (&kv.Ack{Epoch: 1, Members: []string{addr}}).Encode(), nil
+			(&kv.Ack{Epoch: 1, Members: []string{addr}}).AppendTo(reply)
+			return nil
 		}
 		bounced <- struct{}{}
-		return nil, &kv.WrongEpochError{Epoch: 1, Members: []string{addr}}
+		return &kv.WrongEpochError{Epoch: 1, Members: []string{addr}}
 	})
 	go srv.Serve(ln)
 	defer srv.Close()

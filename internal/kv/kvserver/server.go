@@ -11,6 +11,7 @@ import (
 
 	"yesquel/internal/kv"
 	"yesquel/internal/rpc"
+	"yesquel/internal/wire"
 )
 
 // Server exposes a Store over the RPC stack. One Server corresponds to
@@ -84,18 +85,18 @@ func NewServer(store *Store) *Server {
 			}
 		}
 	}()
-	s.rpc.Register(kv.MethodReadPart, s.handleReadPart)
-	s.rpc.Register(kv.MethodReadBatch, s.handleReadBatch)
-	s.rpc.Register(kv.MethodPrepare, s.handlePrepare)
-	s.rpc.Register(kv.MethodCommit, s.handleCommit)
-	s.rpc.Register(kv.MethodAbort, s.handleAbort)
-	s.rpc.Register(kv.MethodFastCommit, s.handleFastCommit)
-	s.rpc.Register(kv.MethodPing, s.handlePing)
-	s.rpc.Register(kv.MethodMirrorBatch, s.handleMirrorBatch)
-	s.rpc.Register(kv.MethodSync, s.handleSync)
-	s.rpc.Register(kv.MethodSnap, s.handleSnap)
-	s.rpc.Register(kv.MethodLease, s.handleLease)
-	s.rpc.Register(kv.MethodDirectory, s.handleDirectory)
+	s.rpc.RegisterAppend(kv.MethodReadPart, s.handleReadPart)
+	s.rpc.RegisterAppend(kv.MethodReadBatch, s.handleReadBatch)
+	s.rpc.RegisterAppend(kv.MethodPrepare, s.handlePrepare)
+	s.rpc.RegisterAppend(kv.MethodCommit, s.handleCommit)
+	s.rpc.RegisterAppend(kv.MethodAbort, s.handleAbort)
+	s.rpc.RegisterAppend(kv.MethodFastCommit, s.handleFastCommit)
+	s.rpc.RegisterAppend(kv.MethodPing, s.handlePing)
+	s.rpc.RegisterAppend(kv.MethodMirrorBatch, s.handleMirrorBatch)
+	s.rpc.RegisterAppend(kv.MethodSync, s.handleSync)
+	s.rpc.RegisterAppend(kv.MethodSnap, s.handleSnap)
+	s.rpc.RegisterAppend(kv.MethodLease, s.handleLease)
+	s.rpc.RegisterAppend(kv.MethodDirectory, s.handleDirectory)
 	return s
 }
 
@@ -104,21 +105,23 @@ func NewServer(store *Store) *Server {
 // their group view AND their follower-read routing bound fresh from
 // ordinary traffic (any ack, including the ping a fully idle client's
 // heartbeat sends).
-func (s *Server) ack() []byte {
-	return (&kv.Ack{
+func (s *Server) ack(reply *wire.Buffer) error {
+	(&kv.Ack{
 		Clock:      s.store.Clock().Now(),
 		Epoch:      s.store.Epoch(),
 		Members:    s.store.Members(),
 		Frontier:   s.store.DurableFrontier(),
 		DirVersion: s.store.DirVersion(),
-	}).Encode()
+	}).AppendTo(reply)
+	return nil
 }
 
 // handleDirectory serves the full slot directory (MethodDirectory). A
 // client that learns of a newer version — from an Ack piggyback or a
 // WrongSlotError redirect — fetches the map here.
-func (s *Server) handleDirectory(_ context.Context, _ []byte) ([]byte, error) {
-	return (&kv.DirectoryResp{Dir: s.store.Directory(), Clock: s.store.Clock().Now()}).Encode(), nil
+func (s *Server) handleDirectory(_ context.Context, _ []byte, reply *wire.Buffer) error {
+	(&kv.DirectoryResp{Dir: s.store.Directory(), Clock: s.store.Clock().Now()}).AppendTo(reply)
+	return nil
 }
 
 // AttachBackupMember adds the backup at addr to this primary's
@@ -303,20 +306,20 @@ func (s *Server) renewLease(addr string, conn *rpc.Client) bool {
 // member that still believes in the renewal's epoch — and is not
 // mid-promotion — grants; otherwise it answers with the current
 // configuration, deposing the caller.
-func (s *Server) handleLease(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handleLease(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeLeaseReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.store.RenewLeaseGrant(req.Epoch); err != nil {
-		return nil, err
+		return err
 	}
 	// The grant succeeded, so the sender is this epoch's primary: its
 	// piggybacked watermark is authoritative. This is what keeps a
 	// backup's follower-read frontier advancing through write-idle
 	// periods, when no mirror batches flow.
 	s.store.InstallRemoteWatermark(req.Watermark)
-	return s.ack(), nil
+	return s.ack(reply)
 }
 
 // Promote makes this member the primary of a new epoch whose sole
@@ -395,13 +398,13 @@ const mirrorTimeout = 5 * time.Second
 // handleMirrorBatch applies one group-commit batch; the single ack
 // covers (and, via callExtendingLease on the primary, renews the lease
 // for) every record in it.
-func (s *Server) handleMirrorBatch(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handleMirrorBatch(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeMirrorBatchReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.store.ApplyMirroredBatch(req.Recs); err != nil {
-		return nil, err
+		return err
 	}
 	// Batch applied under the stream's epoch checks, so the sender is
 	// the live primary: adopt its piggybacked durability watermark
@@ -409,17 +412,17 @@ func (s *Server) handleMirrorBatch(_ context.Context, p []byte) ([]byte, error) 
 	// head, so a watermark above what this replica holds never vouches
 	// for records it hasn't applied).
 	s.store.InstallRemoteWatermark(req.Watermark)
-	return s.ack(), nil
+	return s.ack(reply)
 }
 
-func (s *Server) handleSync(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handleSync(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeSyncReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	recs, head, base, err := s.store.SyncRecords(req.From, int(req.Max), req.Epoch)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp := &kv.SyncResp{
 		Records: recs,
@@ -428,20 +431,21 @@ func (s *Server) handleSync(_ context.Context, p []byte) ([]byte, error) {
 		TooOld:  req.From < base,
 		LogBase: base,
 	}
-	return resp.Encode(), nil
+	resp.AppendTo(reply)
+	return nil
 }
 
 // handleSnap serves one chunk of a state snapshot to a peer whose sync
 // position predates the truncated replication log (see SyncResp.TooOld
 // and Store.ServeSnapshotChunk).
-func (s *Server) handleSnap(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handleSnap(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeSnapReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	id, seq, chunks, data, err := s.store.ServeSnapshotChunk(req.ID, req.Chunk)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp := &kv.SnapResp{
 		ID:     id,
@@ -451,7 +455,8 @@ func (s *Server) handleSnap(_ context.Context, p []byte) ([]byte, error) {
 		Data:   data,
 		Clock:  s.store.Clock().Now(),
 	}
-	return resp.Encode(), nil
+	resp.AppendTo(reply)
+	return nil
 }
 
 // SyncFrom streams missed commits from the primary at addr into this
@@ -765,48 +770,50 @@ func (s *Server) serveReads(snap kv.Timestamp, epoch uint64, items []kv.ReadBatc
 	return nil
 }
 
-func (s *Server) handleReadPart(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handleReadPart(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeReadPartReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var out [1]kv.ReadBatchResult
 	if err := s.serveReads(req.Snap, req.Epoch, []kv.ReadBatchItem{req.Item}, out[:]); err != nil {
-		return nil, err
+		return err
 	}
 	res := &out[0]
 	resp := kv.ReadPartResp{Found: res.Found, Version: res.Version, Value: res.Value, Total: res.Total,
 		Clock: s.store.Clock().Now(), Frontier: s.store.DurableFrontier()}
-	return resp.Encode(), nil
+	resp.AppendTo(reply)
+	return nil
 }
 
-func (s *Server) handleReadBatch(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handleReadBatch(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeReadBatchReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp := kv.ReadBatchResp{Results: make([]kv.ReadBatchResult, len(req.Items))}
 	if err := s.serveReads(req.Snap, req.Epoch, req.Items, resp.Results); err != nil {
-		return nil, err
+		return err
 	}
 	resp.Clock = s.store.Clock().Now()
 	resp.Frontier = s.store.DurableFrontier()
-	return resp.Encode(), nil
+	resp.AppendTo(reply)
+	return nil
 }
 
-func (s *Server) handlePrepare(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handlePrepare(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodePrepareReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.store.CheckClientOp(req.Epoch); err != nil {
-		return nil, err
+		return err
 	}
 	// Early redirect before any lock work; the authoritative fence is
 	// the in-store ownership re-check under repMu (see store.prepare).
 	for _, op := range req.Ops {
 		if err := s.store.CheckClientSlot(op.OID); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	resp := &kv.PrepareResp{}
@@ -817,51 +824,52 @@ func (s *Server) handlePrepare(_ context.Context, p []byte) ([]byte, error) {
 	} else if !errors.Is(err, kv.ErrConflict) && !errors.Is(err, kv.ErrBadRequest) {
 		// The prepare may have locked and replicated state at this
 		// clock; the error response must carry it (see kv.MarkClock).
-		return nil, kv.MarkClock(err, s.store.Clock().Now())
+		return kv.MarkClock(err, s.store.Clock().Now())
 	}
 	resp.Clock = s.store.Clock().Now()
-	return resp.Encode(), nil
+	resp.AppendTo(reply)
+	return nil
 }
 
-func (s *Server) handleCommit(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handleCommit(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeCommitReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.store.CheckClientOp(req.Epoch); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.store.Commit(req.TxID, req.CommitTS); err != nil {
 		// An uncertain commit is applied locally: stamp the clock so the
 		// client's next snapshot lands above it (see kv.MarkClock).
-		return nil, kv.MarkClock(err, s.store.Clock().Now())
+		return kv.MarkClock(err, s.store.Clock().Now())
 	}
-	return s.ack(), nil
+	return s.ack(reply)
 }
 
-func (s *Server) handleAbort(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handleAbort(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeAbortReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.store.CheckClientOp(req.Epoch); err != nil {
-		return nil, err
+		return err
 	}
 	s.store.Abort(req.TxID)
-	return s.ack(), nil
+	return s.ack(reply)
 }
 
-func (s *Server) handleFastCommit(_ context.Context, p []byte) ([]byte, error) {
+func (s *Server) handleFastCommit(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeFastCommitReq(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.store.CheckClientOp(req.Epoch); err != nil {
-		return nil, err
+		return err
 	}
 	for _, op := range req.Ops {
 		if err := s.store.CheckClientSlot(op.OID); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	resp := &kv.FastCommitResp{}
@@ -874,16 +882,17 @@ func (s *Server) handleFastCommit(_ context.Context, p []byte) ([]byte, error) {
 		// The one-shot transaction is applied locally even when its
 		// durability wait fails (ErrUncertain): stamp the clock so the
 		// client's next snapshot lands above it (see kv.MarkClock).
-		return nil, kv.MarkClock(err, s.store.Clock().Now())
+		return kv.MarkClock(err, s.store.Clock().Now())
 	}
 	resp.Clock = s.store.Clock().Now()
-	return resp.Encode(), nil
+	resp.AppendTo(reply)
+	return nil
 }
 
 // handlePing answers from any member regardless of role: pings merge
 // clocks and report the current configuration (via the ack piggyback),
 // both of which a client must be able to get from whichever replica
 // still answers.
-func (s *Server) handlePing(_ context.Context, _ []byte) ([]byte, error) {
-	return s.ack(), nil
+func (s *Server) handlePing(_ context.Context, _ []byte, reply *wire.Buffer) error {
+	return s.ack(reply)
 }

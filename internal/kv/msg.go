@@ -49,9 +49,13 @@ const (
 
 // Every message below describes its layout once, as a wire method that
 // hands each field in order to a wire.Codec; Encode and Decode* run that
-// method in one direction or the other. The fewest bytes a list element
-// can take — what a decoded count is checked against before anything is
-// allocated for it — is the encoding of the element's smallest value.
+// method in one direction or the other. A reply's AppendTo encodes it
+// straight into the server's reply frame as the frame's length-prefixed
+// body (rpc.AppendHandler): a sizing pass, the length, then the fields,
+// where Encode would build it apart for the frame to copy. The fewest
+// bytes a list element can take — what a decoded count is checked
+// against before anything is allocated for it — is the encoding of the
+// element's smallest value.
 var (
 	minOpSize         = wire.Size(&Op{Kind: OpDelete}, (*Op).wire)
 	minCellSize       = wire.Size(&Cell{}, (*Cell).wire)
@@ -60,9 +64,18 @@ var (
 	minReadResultSize = wire.Size(&ReadBatchResult{}, (*ReadBatchResult).wire)
 )
 
-// decode reads a message from the payload p by its field list.
+// decode reads a message from the payload p by its field list, copying
+// its byte strings out of p: a server keeps what a request carries.
 func decode[M any](p []byte, fields func(*M, *wire.Codec)) (*M, error) {
 	return wire.Decode(p, ErrBadRequest, fields)
+}
+
+// decodeReply reads a read reply in place (wire.DecodeInPlace): its keys
+// and values alias p, the fresh frame the rpc client handed over, so a
+// scan's cells cost their bytes once, in the frame. Whoever keeps one
+// past the statement that read it copies it (see Value.Clone).
+func decodeReply[M any](p []byte, fields func(*M, *wire.Codec)) (*M, error) {
+	return wire.DecodeInPlace(p, ErrBadRequest, fields)
 }
 
 // Replication record kinds. The replication stream (mirror RPCs, the
@@ -247,7 +260,10 @@ func (m *SyncResp) wire(c *wire.Codec) {
 	c.Uvarint(&m.LogBase)
 }
 
-func (m *SyncResp) Encode() []byte { return wire.Encode(m, (*SyncResp).wire) }
+func (m *SyncResp) AppendTo(b *wire.Buffer) {
+	b.PutUvarint(uint64(wire.Size(m, (*SyncResp).wire)))
+	wire.EncodeTo(b, m, (*SyncResp).wire)
+}
 
 func DecodeSyncResp(p []byte) (*SyncResp, error) { return decode(p, (*SyncResp).wire) }
 
@@ -295,7 +311,10 @@ func (m *SnapResp) wire(c *wire.Codec) {
 	wire.U64(c, &m.Clock)
 }
 
-func (m *SnapResp) Encode() []byte { return wire.Encode(m, (*SnapResp).wire) }
+func (m *SnapResp) AppendTo(b *wire.Buffer) {
+	b.PutUvarint(uint64(wire.Size(m, (*SnapResp).wire)))
+	wire.EncodeTo(b, m, (*SnapResp).wire)
+}
 
 func DecodeSnapResp(p []byte) (*SnapResp, error) { return decode(p, (*SnapResp).wire) }
 
@@ -437,7 +456,12 @@ func (m *ReadPartResp) wire(c *wire.Codec) {
 
 func (m *ReadPartResp) Encode() []byte { return wire.Encode(m, (*ReadPartResp).wire) }
 
-func DecodeReadPartResp(p []byte) (*ReadPartResp, error) { return decode(p, (*ReadPartResp).wire) }
+func (m *ReadPartResp) AppendTo(b *wire.Buffer) {
+	b.PutUvarint(uint64(wire.Size(m, (*ReadPartResp).wire)))
+	wire.EncodeTo(b, m, (*ReadPartResp).wire)
+}
+
+func DecodeReadPartResp(p []byte) (*ReadPartResp, error) { return decodeReply(p, (*ReadPartResp).wire) }
 
 // ReadBatchResp answers a ReadBatchReq: one result per item,
 // positionally, then the Clock and Frontier a ReadPartResp carries.
@@ -456,10 +480,13 @@ func (m *ReadBatchResp) wire(c *wire.Codec) {
 	wire.U64(c, &m.Frontier)
 }
 
-func (m *ReadBatchResp) Encode() []byte { return wire.Encode(m, (*ReadBatchResp).wire) }
+func (m *ReadBatchResp) AppendTo(b *wire.Buffer) {
+	b.PutUvarint(uint64(wire.Size(m, (*ReadBatchResp).wire)))
+	wire.EncodeTo(b, m, (*ReadBatchResp).wire)
+}
 
 func DecodeReadBatchResp(p []byte) (*ReadBatchResp, error) {
-	return decode(p, (*ReadBatchResp).wire)
+	return decodeReply(p, (*ReadBatchResp).wire)
 }
 
 // WindowCells returns the cells of v with keys in [floor(from), to),
@@ -526,7 +553,10 @@ func (m *PrepareResp) wire(c *wire.Codec) {
 	wire.U64(c, &m.Clock)
 }
 
-func (m *PrepareResp) Encode() []byte { return wire.Encode(m, (*PrepareResp).wire) }
+func (m *PrepareResp) AppendTo(b *wire.Buffer) {
+	b.PutUvarint(uint64(wire.Size(m, (*PrepareResp).wire)))
+	wire.EncodeTo(b, m, (*PrepareResp).wire)
+}
 
 func DecodePrepareResp(p []byte) (*PrepareResp, error) { return decode(p, (*PrepareResp).wire) }
 
@@ -603,7 +633,10 @@ func (m *FastCommitResp) wire(c *wire.Codec) {
 	wire.U64(c, &m.Frontier)
 }
 
-func (m *FastCommitResp) Encode() []byte { return wire.Encode(m, (*FastCommitResp).wire) }
+func (m *FastCommitResp) AppendTo(b *wire.Buffer) {
+	b.PutUvarint(uint64(wire.Size(m, (*FastCommitResp).wire)))
+	wire.EncodeTo(b, m, (*FastCommitResp).wire)
+}
 
 func DecodeFastCommitResp(p []byte) (*FastCommitResp, error) {
 	return decode(p, (*FastCommitResp).wire)
@@ -636,6 +669,9 @@ func (m *Ack) wire(c *wire.Codec) {
 	c.Uvarint(&m.DirVersion)
 }
 
-func (m *Ack) Encode() []byte { return wire.Encode(m, (*Ack).wire) }
+func (m *Ack) AppendTo(b *wire.Buffer) {
+	b.PutUvarint(uint64(wire.Size(m, (*Ack).wire)))
+	wire.EncodeTo(b, m, (*Ack).wire)
+}
 
 func DecodeAck(p []byte) (*Ack, error) { return decode(p, (*Ack).wire) }

@@ -19,7 +19,7 @@ func TestSnapMessagesRoundTrip(t *testing.T) {
 		t.Fatalf("snap req: %+v != %+v", gotReq, req)
 	}
 	resp := &SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("opaque snapshot slice"), Clock: 55}
-	gotResp, err := DecodeSnapResp(resp.Encode())
+	gotResp, err := DecodeSnapResp(reply(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSyncRespRoundTrip(t *testing.T) {
 		},
 	}
 	for i, in := range cases {
-		out, err := DecodeSyncResp(in.Encode())
+		out, err := DecodeSyncResp(reply(&in))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -229,13 +229,13 @@ func TestPiggybackFieldsRoundTrip(t *testing.T) {
 	}
 
 	ack := &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, Frontier: 88}
-	gotAck, err := DecodeAck(ack.Encode())
+	gotAck, err := DecodeAck(reply(ack))
 	if err != nil || gotAck.Frontier != ack.Frontier || gotAck.Epoch != ack.Epoch {
 		t.Fatalf("ack: got %+v (%v), want %+v", gotAck, err, ack)
 	}
 
 	fc := &FastCommitResp{OK: true, CommitTS: 50, Clock: 51, Frontier: 49}
-	if got, err := DecodeFastCommitResp(fc.Encode()); err != nil || *got != *fc {
+	if got, err := DecodeFastCommitResp(reply(fc)); err != nil || *got != *fc {
 		t.Fatalf("fast commit: got %+v (%v), want %+v", got, err, fc)
 	}
 
@@ -335,7 +335,7 @@ func TestReadBatchMessagesRoundTrip(t *testing.T) {
 		Clock:    55,
 		Frontier: 44,
 	}
-	gotR, err := DecodeReadBatchResp(resp.Encode())
+	gotR, err := DecodeReadBatchResp(reply(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestReadBatchDecodeErrors(t *testing.T) {
 		t.Fatalf("batch of %d smallest items: %v", n, err)
 	}
 	resp := &ReadBatchResp{Results: make([]ReadBatchResult, n)}
-	if got, err := DecodeReadBatchResp(resp.Encode()); err != nil || len(got.Results) != n {
+	if got, err := DecodeReadBatchResp(reply(resp)); err != nil || len(got.Results) != n {
 		t.Fatalf("batch of %d smallest results: %v", n, err)
 	}
 }

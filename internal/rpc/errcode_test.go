@@ -106,8 +106,9 @@ func TestErrorCodeCoderless(t *testing.T) {
 // at every prefix length: none may decode.
 func TestTruncatedResponseFrames(t *testing.T) {
 	var errFrame, okFrame wire.Buffer
-	encodeResponse(&errFrame, 7, nil, errTestSentinel, testCode)
-	encodeResponse(&okFrame, 7, []byte("body"), nil, 0)
+	encodeError(&errFrame, 7, errTestSentinel, testCode)
+	beginResponse(&okFrame, 7, statusOK)
+	okFrame.PutBytes([]byte("body"))
 	for name, full := range map[string][]byte{
 		"error": errFrame.Bytes()[framePrefix:],
 		"ok":    okFrame.Bytes()[framePrefix:],

@@ -58,19 +58,22 @@ func decodeRequest(payload []byte) (id uint64, method, body []byte, err error) {
 	return id, method, body, err
 }
 
-func encodeResponse(b *wire.Buffer, id uint64, body []byte, appErr error, code uint64) {
+// beginResponse makes b the header of the response to call id with the
+// given status; a successful one's handler appends the length-prefixed
+// body.
+func beginResponse(b *wire.Buffer, id uint64, status byte) {
 	b.Reset()
 	b.PutUint32(0)
 	b.PutByte(kindResponse)
 	b.PutUvarint(id)
-	if appErr != nil {
-		b.PutByte(statusErr)
-		b.PutString(appErr.Error())
-		b.PutUvarint(code)
-	} else {
-		b.PutByte(statusOK)
-		b.PutBytes(body)
-	}
+	b.PutByte(status)
+}
+
+// encodeError makes b the response to call id that reports appErr.
+func encodeError(b *wire.Buffer, id uint64, appErr error, code uint64) {
+	beginResponse(b, id, statusErr)
+	b.PutString(appErr.Error())
+	b.PutUvarint(code)
 }
 
 // maxScratch bounds the write scratch a connection keeps between
@@ -99,10 +102,10 @@ type callResult struct {
 	err  error
 }
 
-// decodeResponse is the inverse of encodeResponse: the request id the
-// frame answers and the call's outcome, whose body aliases payload. A
-// frame that is not a complete response is an error (the caller drops
-// the connection).
+// decodeResponse reads a response frame (beginResponse and a body, or
+// encodeError): the request id the frame answers and the call's outcome,
+// whose body aliases payload. A frame that is not a complete response is
+// an error (the caller drops the connection).
 func decodeResponse(payload []byte) (id uint64, res callResult, err error) {
 	r := wire.NewReader(payload)
 	kind, err := r.Byte()

@@ -16,7 +16,12 @@
 //     most recently used connection first, and never shrinks before
 //     Close.
 //   - Payloads are opaque []byte; marshalling belongs to the caller
-//     (internal/kv hand-rolls encoders with internal/wire).
+//     (internal/kv describes each message once, as a field list that a
+//     wire.Codec runs). A handler appends its reply straight into the
+//     connection's reused reply frame (AppendHandler), so a reply is
+//     encoded once and never copied. A reply frame the client reads is a
+//     fresh allocation that nothing else writes: Call hands it to the
+//     caller, who may decode it in place (wire.DecodeInPlace).
 //   - Contexts: a call fails with ctx.Err() when its context is done.
 //     Cancellation interrupts the blocked read and costs that one
 //     connection (its reply may still arrive, so it is closed, never
@@ -56,6 +61,13 @@ const readBufSize = 4 << 10
 // connection stays healthy.
 type Handler func(ctx context.Context, req []byte) ([]byte, error)
 
+// AppendHandler processes one request and appends the response payload,
+// length-prefixed as by wire.Buffer.PutBytes, to reply, which already
+// holds the frame's header. It either appends its whole payload or
+// returns an error before appending anything; an error is sent as
+// Handler's is. The request bytes belong to the handler.
+type AppendHandler func(ctx context.Context, req []byte, reply *wire.Buffer) error
+
 // Errors surfaced by the package.
 var (
 	ErrClosed        = errors.New("rpc: connection closed")
@@ -89,7 +101,7 @@ func AppErrIs(err error, code uint64) bool {
 // before Serve is called; registration after Serve starts is not
 // supported (no locking on the read path).
 type Server struct {
-	handlers map[string]Handler
+	handlers map[string]AppendHandler
 	coder    func(error) uint64
 
 	mu       sync.Mutex
@@ -105,7 +117,7 @@ type Server struct {
 func NewServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]AppendHandler),
 		conns:    make(map[net.Conn]struct{}),
 		baseCtx:  ctx,
 		cancelFn: cancel,
@@ -113,8 +125,21 @@ func NewServer() *Server {
 }
 
 // Register installs h as the handler for method. It must be called
-// before Serve.
+// before Serve. h runs as an AppendHandler that appends the payload it
+// returns.
 func (s *Server) Register(method string, h Handler) {
+	s.RegisterAppend(method, func(ctx context.Context, req []byte, reply *wire.Buffer) error {
+		body, err := h(ctx, req)
+		if err == nil {
+			reply.PutBytes(body)
+		}
+		return err
+	})
+}
+
+// RegisterAppend installs h as the handler for method. It must be called
+// before Serve.
+func (s *Server) RegisterAppend(method string, h AppendHandler) {
 	s.handlers[method] = h
 }
 
@@ -214,8 +239,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	var reply wire.Buffer
 	for {
 		// Every request frame is its own allocation, never a reused
-		// buffer: kv.Decode* alias the request bytes and committed
-		// values keep them.
+		// buffer: a handler owns the request it is given. (kv decodes
+		// requests by copying; only read replies, on the client, are
+		// decoded in place.)
 		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			return
@@ -224,14 +250,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // protocol error: drop the connection
 		}
-		var resp []byte
+		beginResponse(&reply, id, statusOK)
 		var appErr error
 		if h, ok := s.handlers[string(method)]; ok {
-			resp, appErr = h(s.baseCtx, body)
+			appErr = h(s.baseCtx, body, &reply)
 		} else {
 			appErr = fmt.Errorf("%w: %s", ErrUnknownMethod, method)
 		}
-		encodeResponse(&reply, id, resp, appErr, s.errCode(appErr))
+		if appErr != nil {
+			encodeError(&reply, id, appErr, s.errCode(appErr))
+		}
 		if err := writeFrame(conn, &reply); err != nil {
 			return
 		}

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"yesquel/internal/wire"
 )
 
 // startServer launches s on an ephemeral port, closes it when the test
@@ -68,6 +70,41 @@ func TestCallEcho(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("echo mismatch: got %d bytes want %d", len(got), len(payload))
 		}
+	}
+}
+
+// TestAppendHandler: a handler appends its reply into the frame, and the
+// frame of one call is not the next one's. A handler that fails after
+// appending part of a reply still sends only the error, and the call
+// after it on the same connection gets its own reply whole.
+func TestAppendHandler(t *testing.T) {
+	s := NewServer()
+	s.RegisterAppend("greet", func(_ context.Context, req []byte, reply *wire.Buffer) error {
+		if string(req) == "fail" {
+			reply.PutUvarint(99) // half a reply
+			return errors.New("refused")
+		}
+		reply.PutBytes(append([]byte("hello "), req...))
+		return nil
+	})
+	addr := startServer(t, s)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	first, err := c.Call(ctx, "greet", []byte("ann"))
+	if err != nil || string(first) != "hello ann" {
+		t.Fatalf("Call = %q, %v", first, err)
+	}
+	var app *AppError
+	if _, err := c.Call(ctx, "greet", []byte("fail")); !errors.As(err, &app) || app.Msg != "refused" {
+		t.Fatalf("failing handler: err = %v, want the application error", err)
+	}
+	second, err := c.Call(ctx, "greet", []byte("bo"))
+	if err != nil || string(second) != "hello bo" || string(first) != "hello ann" {
+		t.Fatalf("after a failure: Call = %q, %v; first reply now %q", second, err, first)
 	}
 }
 

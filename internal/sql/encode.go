@@ -201,49 +201,85 @@ func EncodeRow(vals []Value) []byte {
 	return b.Bytes()
 }
 
-// DecodeRow decodes a row encoded by EncodeRow.
+// DecodeRow decodes a row encoded by EncodeRow, into an allocation of
+// its own. The row shares no memory with p: TEXT values are strings and
+// BLOB values copies.
 func DecodeRow(p []byte) ([]Value, error) {
+	s := rowSlab{rows: 1}
+	return s.decode(p)
+}
+
+// rowSlab decodes rows, as DecodeRow does, into shared backing arrays
+// instead of one allocation per row. The first array holds rows rows of
+// the width being decoded (a scan that knows its row limit makes that
+// the limit), each later one twice as many as the one before, up to
+// maxSlabRows. A row handed out is never written again: the rows a
+// statement keeps stay as they were decoded.
+type rowSlab struct {
+	free []Value // the current array's unused tail
+	rows int     // rows the next array holds; <= 0 means firstSlabRows
+}
+
+const (
+	firstSlabRows = 8
+	maxSlabRows   = 256
+)
+
+func (s *rowSlab) decode(p []byte) ([]Value, error) {
 	r := wire.NewReader(p)
 	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Value, 0, n)
-	for i := uint64(0); i < n; i++ {
+	if n > uint64(r.Remaining()) { // every value takes at least its tag byte
+		return nil, fmt.Errorf("sql: a row of %d values in %d bytes", n, r.Remaining())
+	}
+	if len(s.free) < int(n) {
+		rows := s.rows
+		if rows <= 0 {
+			rows = firstSlabRows
+		}
+		rows = min(rows, maxSlabRows)
+		s.free = make([]Value, rows*int(n))
+		s.rows = 2 * rows
+	}
+	row := s.free[:n:n]
+	for i := range row {
 		tag, err := r.Byte()
 		if err != nil {
 			return nil, err
 		}
 		switch Type(tag) {
 		case TypeNull:
-			out = append(out, Null)
+			row[i] = Null
 		case TypeInt:
 			v, err := r.Varint()
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, Int(v))
+			row[i] = Int(v)
 		case TypeFloat:
 			v, err := r.Float64()
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, Float(v))
+			row[i] = Float(v)
 		case TypeText:
 			v, err := r.String()
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, Text(v))
+			row[i] = Text(v)
 		case TypeBlob:
 			v, err := r.BytesCopy()
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, Blob(v))
+			row[i] = Blob(v)
 		default:
 			return nil, fmt.Errorf("sql: bad row tag %d", tag)
 		}
 	}
-	return out, nil
+	s.free = s.free[n:]
+	return row, nil
 }

@@ -3,10 +3,12 @@ package sql_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"yesquel/internal/dbt"
 	"yesquel/internal/sql"
 )
 
@@ -117,6 +119,52 @@ func TestBlobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRowsNeverAliasStorage: the rows a SELECT returns are the caller's.
+// A BLOB changed in place is changed nowhere else: not in what a repeat
+// read returns, nor in a row the transaction has staged, which COMMIT
+// writes as it was inserted.
+func TestRowsNeverAliasStorage(t *testing.T) {
+	db := newDB(t, 1)
+	mustExec(t, db, "CREATE TABLE b (id INTEGER PRIMARY KEY, data BLOB)")
+	mustExec(t, db, "INSERT INTO b VALUES (1, ?)", sql.Blob([]byte("stored")))
+	scribble := func(q string) {
+		t.Helper()
+		for _, row := range mustQuery(t, db, q).All() {
+			for i := range row[0].B {
+				row[0].B[i] = 'X'
+			}
+		}
+	}
+	blob := func(d *sql.DB, id int64) string {
+		t.Helper()
+		rows := mustQuery(t, d, "SELECT data FROM b WHERE id = ?", sql.Int(id)).All()
+		if len(rows) != 1 {
+			t.Fatalf("row %d: %d rows", id, len(rows))
+		}
+		return string(rows[0][0].B)
+	}
+
+	scribble("SELECT data FROM b WHERE id = 1")
+	scribble("SELECT data FROM b WHERE id >= 0")
+	if got := blob(db, 1); got != "stored" {
+		t.Fatalf("after a caller changed what it read: %q", got)
+	}
+
+	mustExec(t, db, "BEGIN")
+	mustExec(t, db, "INSERT INTO b VALUES (2, ?)", sql.Blob([]byte("inserted")))
+	scribble("SELECT data FROM b WHERE id = 2")
+	scribble("SELECT data FROM b WHERE id >= 2")
+	if got := blob(db, 2); got != "inserted" {
+		t.Fatalf("staged row after a caller changed what it read: %q", got)
+	}
+	mustExec(t, db, "COMMIT")
+	fresh := sql.NewDB(db.Client(), dbt.Config{MaxCells: 16})
+	defer fresh.Close()
+	if got := blob(fresh, 2); got != "inserted" {
+		t.Fatalf("committed row: %q", got)
+	}
+}
+
 func TestNegativeAndFloatKeys(t *testing.T) {
 	db := newDB(t, 1)
 	mustExec(t, db, "CREATE TABLE n (id INTEGER PRIMARY KEY, v TEXT)")
@@ -137,6 +185,26 @@ func TestNegativeAndFloatKeys(t *testing.T) {
 	}
 	if got := rowsToString(mustQuery(t, db, "SELECT x FROM f WHERE x >= -1 ORDER BY x")); got != "-0.5\n0\n0.25\n3.75\n" {
 		t.Fatalf("float pk range: %q", got)
+	}
+}
+
+// TestKeyRangeKeepsItsFilterWhereKeysMisorder: a key range implies its
+// predicates only where every stored value orders by its key as Compare
+// orders it. An INTEGER column also holds the REAL values that are not
+// whole numbers, whose keys sort above every integer's; a REAL column
+// holds -0, equal to 0 but encoded below it. The rows such keys put in a
+// range are still checked against the predicates.
+func TestKeyRangeKeepsItsFilterWhereKeysMisorder(t *testing.T) {
+	db := newDB(t, 1)
+	mustExec(t, db, "CREATE TABLE i (id INTEGER PRIMARY KEY)")
+	mustExec(t, db, "INSERT INTO i VALUES (1), (1.5), (2), (2.5), (3)")
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM i WHERE id >= 2")); got != "2\n3\n2.5\n" {
+		t.Fatalf("id >= 2 over integer and real keys: %q", got)
+	}
+	mustExec(t, db, "CREATE TABLE r (x REAL PRIMARY KEY)")
+	mustExec(t, db, "INSERT INTO r VALUES (?), (1.0)", sql.Float(math.Copysign(0, -1)))
+	if got := rowsToString(mustQuery(t, db, "SELECT x FROM r WHERE x < 0")); got != "" {
+		t.Fatalf("x < 0 over -0: %q", got)
 	}
 }
 

@@ -511,23 +511,12 @@ func checkNotNull(s *TableSchema, vals []Value) error {
 // half of a rowWrite each (for UPDATE and DELETE; mutation happens after
 // the scan so the scan's iterator does not chase its own writes).
 func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, table *Table, alias string, where Expr, args []Value) ([]rowWrite, error) {
-	conj := conjuncts(where, nil)
-	path := planAccess(table, alias, conj, nil)
+	path := planAccess(table, alias, conjuncts(where, nil), nil)
 	e := &env{params: args}
 	b := &binding{alias: alias, schema: table.Schema}
 	e.bindings = []*binding{b}
 	var out []rowWrite
-	err := db.scanTable(ctx, tx, table, path, e, 0, func(rowKey []byte, row []Value) (bool, error) {
-		b.row = row
-		if where != nil {
-			v, err := e.eval(where)
-			if err != nil {
-				return false, err
-			}
-			if v.IsNull() || !v.Truthy() {
-				return true, nil
-			}
-		}
+	err := db.scanTable(ctx, tx, table, path, e, b, 0, func(rowKey []byte, row []Value) (bool, error) {
 		out = append(out, rowWrite{oldKey: append([]byte(nil), rowKey...), old: row})
 		return true, nil
 	})

@@ -9,20 +9,21 @@ import (
 )
 
 // EXPLAIN: report the access paths the planner would use, one line per
-// table in join order, and what each will fetch, without executing the
-// statement.
+// table in join order, and what each will fetch and check, without
+// executing the statement.
 
-// describe names the path and, in a trailing parenthesis, what it asks
-// the storage layer for: a point read (one cell of one leaf), or a scan
-// that is bounded (it has an upper key, so no leaf read goes past it) or
+// describe names the path and, in trailing parentheses, what it asks the
+// storage layer for — a point read (one cell of one leaf), or a scan that
+// is bounded (it has an upper key, so no leaf read goes past it) or
 // open-ended, with the row limit handed down to size its leaf reads, if
-// any. limit is the statement's row limit for this table (0 = none).
-func (p accessPath) describe(table *Table, limit int) string {
+// any — and what each row it yields is checked against (rowFilter).
+// limit is the statement's row limit for this table (0 = none).
+func (p accessPath) describe(table *Table, limit int, e *env) string {
 	s := table.Schema
 	var what string
 	switch p.kind {
 	case pathPKEq:
-		return fmt.Sprintf("PRIMARY KEY lookup on %s (%s = ...) (point read)", s.Name, s.Cols[s.PKCol].Name)
+		return fmt.Sprintf("PRIMARY KEY lookup on %s (%s = ...) (point read) %s", s.Name, s.Cols[s.PKCol].Name, p.rowFilter(e, s))
 	case pathPKRange:
 		what = fmt.Sprintf("PRIMARY KEY range scan on %s (%s)", s.Name, describeBounds(s.Cols[s.PKCol].Name, p))
 	case pathIdxEq:
@@ -45,10 +46,27 @@ func (p accessPath) describe(table *Table, limit int) string {
 	if n := p.scanLimit(table, limit); n > 0 {
 		fetch = append(fetch, fmt.Sprintf("limit %d", n))
 	}
-	if len(fetch) == 0 {
-		return what
+	if len(fetch) > 0 {
+		what += " (" + strings.Join(fetch, ", ") + ")"
 	}
-	return what + " (" + strings.Join(fetch, ", ") + ")"
+	return what + " " + p.rowFilter(e, s)
+}
+
+// rowFilter says what each row the path yields is checked against, by
+// the rule scanTable follows: nothing where the key range implies the
+// path's conjuncts (keyRange.implied), else every one of them. A bound
+// EXPLAIN cannot evaluate — a parameter it was not given, a column of an
+// outer table — counts as not implying them.
+func (p accessPath) rowFilter(e *env, s *TableSchema) string {
+	if col := p.keyCol(s); col >= 0 {
+		if r, ok, err := evalKeyRange(e, p, s.Cols[col].Type); err == nil && ok && r.implied {
+			return "(row filter: none — implied by key range)"
+		}
+	}
+	if len(p.conj) == 1 {
+		return "(row filter: 1 conjunct)"
+	}
+	return fmt.Sprintf("(row filter: %d conjuncts)", len(p.conj))
 }
 
 func describeBounds(col string, p accessPath) string {
@@ -90,6 +108,7 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain, args
 		for _, j := range s.Joins {
 			conj = conjuncts(j.On, conj)
 		}
+		e := &env{params: args}
 		agg := len(s.GroupBy) > 0 || s.Having != nil
 		for _, it := range s.Items {
 			if hasAggregate(it.E) {
@@ -114,7 +133,7 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain, args
 				}
 				// A LIMIT that cannot be evaluated here (a parameter
 				// EXPLAIN was not given) is reported as not handed down.
-				if early, err := earlyLimit(&env{params: args}, s, agg, orderBy); err == nil {
+				if early, err := earlyLimit(e, s, agg, orderBy); err == nil {
 					limit = scanRowLimit(early, 1)
 				}
 			}
@@ -123,7 +142,7 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain, args
 			if depth > 0 {
 				prefix = "NESTED LOOP JOIN: "
 			}
-			addLine(depth, prefix+path.describe(table, limit))
+			addLine(depth, prefix+path.describe(table, limit, e))
 			outer[alias] = true
 		}
 		if agg {
@@ -144,7 +163,7 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain, args
 			return nil, err
 		}
 		path := planAccess(table, s.Table, conjuncts(s.Where, nil), nil)
-		addLine(0, "UPDATE via "+path.describe(table, 0))
+		addLine(0, "UPDATE via "+path.describe(table, 0, &env{params: args}))
 		if len(table.Schema.Indexes) > 0 {
 			addLine(1, fmt.Sprintf("maintains %d secondary index(es)", len(table.Schema.Indexes)))
 		}
@@ -154,7 +173,7 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain, args
 			return nil, err
 		}
 		path := planAccess(table, s.Table, conjuncts(s.Where, nil), nil)
-		addLine(0, "DELETE via "+path.describe(table, 0))
+		addLine(0, "DELETE via "+path.describe(table, 0, &env{params: args}))
 		if len(table.Schema.Indexes) > 0 {
 			addLine(1, fmt.Sprintf("maintains %d secondary index(es)", len(table.Schema.Indexes)))
 		}

@@ -3,6 +3,8 @@ package sql_test
 import (
 	"strings"
 	"testing"
+
+	"yesquel/internal/sql"
 )
 
 func TestExplainAccessPaths(t *testing.T) {
@@ -29,10 +31,10 @@ func TestExplainAccessPaths(t *testing.T) {
 			[]string{"(open-ended, limit 7)"}},
 		// A residual predicate may reject rows, so the limit stays up here.
 		{"EXPLAIN SELECT * FROM users WHERE id >= 1 AND age > 3 LIMIT 5",
-			[]string{"PRIMARY KEY range scan on users (id >= ...) (open-ended)\n"}},
+			[]string{"PRIMARY KEY range scan on users (id >= ...) (open-ended) (row filter: 2 conjuncts)\n"}},
 		// So does one that has to see every row first.
 		{"EXPLAIN SELECT * FROM users WHERE id >= 1 ORDER BY age LIMIT 5",
-			[]string{"(open-ended)\n", "SORT (1 keys)"}},
+			[]string{"(open-ended) (row filter: 1 conjunct)\n", "SORT (1 keys)"}},
 		// ORDER BY the primary key is the scan's own order: no sort.
 		{"EXPLAIN SELECT * FROM users ORDER BY id LIMIT 3",
 			[]string{"FULL SCAN of users (limit 3)"}},
@@ -43,7 +45,7 @@ func TestExplainAccessPaths(t *testing.T) {
 		{"EXPLAIN SELECT * FROM users WHERE city >= 'a'",
 			[]string{"INDEX range scan on users via idx_city (city >= ...) (open-ended)"}},
 		{"EXPLAIN SELECT * FROM users WHERE age = 3",
-			[]string{"FULL SCAN of users\n"}},
+			[]string{"FULL SCAN of users (row filter: 1 conjunct)\n"}},
 		// Left-deep join in FROM order: outer users (no usable
 		// predicate at depth 0), inner orders driven by its PK.
 		{"EXPLAIN SELECT u.name FROM users u JOIN orders o ON o.user_id = u.id WHERE o.oid = 5",
@@ -72,6 +74,46 @@ func TestExplainAccessPaths(t *testing.T) {
 			if !strings.Contains(plan.String(), want) {
 				t.Errorf("%s:\nplan %q\nmissing %q", tc.q, plan.String(), want)
 			}
+		}
+	}
+}
+
+// TestExplainRowFilter: each table line ends with what every row the
+// path yields is checked against, by the rule the executor follows. A
+// primary-key range that stands for all its conjuncts, with bounds of
+// the key's own type, implies them; an INTEGER key's range implies them
+// only when bounded above (the REAL values such a column may hold sort
+// above every integer); anything else keeps its conjuncts, and so does
+// every index path.
+func TestExplainRowFilter(t *testing.T) {
+	db := newDB(t, 1)
+	setupUsers(t, db)
+	mustExec(t, db, "CREATE INDEX idx_city ON users (city)")
+	mustExec(t, db, "CREATE TABLE kv (k TEXT PRIMARY KEY, v BLOB)")
+	const implied, one = "(row filter: none — implied by key range)", "(row filter: 1 conjunct)"
+	cases := []struct {
+		q    string
+		args []sql.Value
+		want string
+	}{
+		{"EXPLAIN SELECT * FROM users WHERE id = 1", nil, "(point read) " + implied},
+		{"EXPLAIN SELECT * FROM users WHERE id = ?", []sql.Value{sql.Int(1)}, implied},
+		{"EXPLAIN SELECT * FROM users WHERE id = ?", []sql.Value{sql.Text("1")}, one},
+		{"EXPLAIN SELECT * FROM users WHERE id = ?", nil, one}, // no argument to judge by
+		{"EXPLAIN SELECT * FROM users WHERE id > 1 AND id <= 10", nil, "(bounded) " + implied},
+		{"EXPLAIN SELECT * FROM users WHERE id BETWEEN 1 AND 3.0", nil, implied},
+		{"EXPLAIN SELECT * FROM users WHERE id >= 1 LIMIT 5", nil, "(open-ended, limit 5) " + one},
+		{"EXPLAIN SELECT * FROM users WHERE id >= 2.5", nil, one},
+		{"EXPLAIN SELECT * FROM users WHERE id > '7' AND id < 9", nil, "(row filter: 2 conjuncts)"},
+		{"EXPLAIN SELECT k FROM kv WHERE k >= ? LIMIT 50", []sql.Value{sql.Text("a")}, "(open-ended, limit 50) " + implied},
+		{"EXPLAIN SELECT k FROM kv WHERE k >= 5", nil, one},
+		{"EXPLAIN SELECT * FROM users WHERE city = 'paris'", nil, "(bounded) " + one},
+		{"EXPLAIN DELETE FROM users WHERE id = 2", nil, implied},
+	}
+	for _, tc := range cases {
+		rows := mustQuery(t, db, tc.q, tc.args...)
+		if line := rows.All()[0][0].S; !strings.HasSuffix(line, tc.want) {
+			t.Errorf("%s %v:\nplan %q\ndoes not end in %q", tc.q, tc.args, line, tc.want)
 		}
 	}
 }

@@ -24,11 +24,14 @@ import (
 //	          the index (indexHints)
 //	full:     everything else    -> full table scan
 //
-// The full WHERE clause is always re-evaluated on each row, so access
-// paths are pure optimizations and cannot change results. The range a
-// path needs — low key, high key, and, when the path accounts for every
-// conjunct, the statement's row limit — travels down to the leaf reads
-// as a dbt.Range, so no layer fetches more than the statement can use.
+// Each row a path yields is checked against the conjuncts the path was
+// planned from, its row filter, so access paths are pure optimizations
+// and cannot change results. The check is skipped only where it could
+// reject nothing: a primary-key range that holds exactly the rows its
+// conjuncts admit (keyRange.implied). The range a path needs — low key,
+// high key, and, when the path accounts for every conjunct, the
+// statement's row limit — travels down to the leaf reads as a dbt.Range,
+// so no layer fetches more than the statement can use.
 
 type pathKind uint8
 
@@ -55,6 +58,9 @@ type accessPath struct {
 	// was planned from: each row the scan yields is a row of the result,
 	// so a row limit may be handed to the scan.
 	exact bool
+	// conj is the conjuncts the path was planned from: the filter every
+	// row it yields must pass (see scanTable).
+	conj []Expr
 }
 
 // conjuncts flattens nested ANDs.
@@ -219,13 +225,13 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 		switch {
 		case cb == nil:
 		case cb.eq != nil:
-			return accessPath{kind: eqKind, idx: idx, eq: cb.eq, exact: len(conj) == 1}, true
+			return accessPath{kind: eqKind, idx: idx, eq: cb.eq, exact: len(conj) == 1, conj: conj}, true
 		case cb.lo != nil || cb.hi != nil:
 			used := 1
 			if cb.lo != nil && cb.hi != nil && cb.loC != cb.hiC {
 				used = 2
 			}
-			return accessPath{kind: rangeKind, idx: idx, lo: cb.lo, hi: cb.hi, exact: len(conj) == used}, true
+			return accessPath{kind: rangeKind, idx: idx, lo: cb.lo, hi: cb.hi, exact: len(conj) == used, conj: conj}, true
 		}
 		return accessPath{}, false
 	}
@@ -240,7 +246,7 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 			return p
 		}
 	}
-	return accessPath{kind: pathFull, exact: len(conj) == 0}
+	return accessPath{kind: pathFull, exact: len(conj) == 0, conj: conj}
 }
 
 // scanLimit is the row limit to hand to the path's scan, given the
@@ -256,102 +262,172 @@ func (p accessPath) scanLimit(table *Table, limit int) int {
 	return limit
 }
 
-// rowVisitor receives each fetched row; returning false stops the scan.
+// rowVisitor receives each row that passes the path's filter; returning
+// false stops the scan.
 type rowVisitor func(rowKey []byte, row []Value) (bool, error)
 
-// keyRange evaluates the path's bounds into encoded key bounds for a
-// key column of declared type ct. ok=false means the bound expression
-// could not be coerced; the caller falls back to a full scan.
-func evalKeyBounds(e *env, path accessPath, ct Type) (lo, hi []byte, ok bool, err error) {
-	if path.eq != nil {
-		v, err := e.eval(path.eq)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if v.IsNull() {
-			// col = NULL matches nothing; empty range.
-			return []byte{}, []byte{}, true, nil
-		}
-		cv, cerr := Coerce(v, ct)
-		if cerr != nil {
-			return nil, nil, false, nil
-		}
-		k := EncodeKey(cv)
-		return k, KeySuccessor(k), true, nil
+// keyCol is the position in schema of the column the path's keys
+// encode, or -1 for a full scan.
+func (p accessPath) keyCol(schema *TableSchema) int {
+	switch p.kind {
+	case pathPKEq, pathPKRange:
+		return schema.PKCol
+	case pathIdxEq, pathIdxRange:
+		return schema.Indexes[p.idx].ColIdx
 	}
-	if path.lo != nil {
-		v, err := e.eval(path.lo.e)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if v.IsNull() {
-			return []byte{}, []byte{}, true, nil
-		}
-		cv, cerr := Coerce(v, ct)
-		if cerr != nil {
-			return nil, nil, false, nil
-		}
-		k := EncodeKey(cv)
-		if path.lo.incl {
-			lo = k
-		} else {
-			lo = KeySuccessor(k)
-		}
-	}
-	if path.hi != nil {
-		v, err := e.eval(path.hi.e)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if v.IsNull() {
-			return []byte{}, []byte{}, true, nil
-		}
-		cv, cerr := Coerce(v, ct)
-		if cerr != nil {
-			return nil, nil, false, nil
-		}
-		k := EncodeKey(cv)
-		if path.hi.incl {
-			hi = KeySuccessor(k)
-		} else {
-			hi = k
-		}
-	}
-	return lo, hi, true, nil
+	return -1
 }
 
-// scanTable drives the chosen access path, invoking visit for each row.
-// limit is how many rows the statement can use if every row the path
-// yields counts (0 = no limit); it sizes the leaf reads and nothing
-// else, the visitor decides when the scan stops.
-func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path accessPath, e *env, limit int, visit rowVisitor) error {
+// keyRange is a path's bounds evaluated into the keys of its key column:
+// a scan reads [lo, hi), a nil hi reading to the end.
+type keyRange struct {
+	lo, hi []byte
+	// implied reports that the keys in [lo, hi) are exactly the rows the
+	// path's conjuncts admit, so a row the scan yields needs no check.
+	// That takes a primary-key path (an indexed column may hold NULLs,
+	// whose keys sort below every value's and which no comparison
+	// admits), an exact one (the bounds stand for every conjunct), bounds
+	// that keep the key's type
+	// (boundsKeepType), and a column type whose stored values all order
+	// by their keys as Compare orders them. TEXT and BLOB values do. REAL
+	// values do not (-0 and +0 are equal but encode apart; NaN equals
+	// everything). An INTEGER column also stores the REAL values that
+	// are not whole numbers (Coerce keeps them), whose keys sort above
+	// every integer's: a range bounded above excludes them, one open above
+	// holds them all.
+	implied bool
+}
+
+// evalKeyRange evaluates path's bounds for a key column of declared type
+// ct. A NULL bound admits no row: the range is empty. ok=false means a
+// bound does not keep the key's type (boundsKeepType), so the order of
+// the keys says nothing about the rows the predicates admit: the caller
+// falls back to a full scan and leaves the decision to the row filter.
+func evalKeyRange(e *env, path accessPath, ct Type) (r keyRange, ok bool, err error) {
+	var vals, keys [2]Value // the bounds as evaluated and as coerced to ct
+	exprs := [2]Expr{path.eq}
+	if path.eq == nil {
+		if path.lo != nil {
+			exprs[0] = path.lo.e
+		}
+		if path.hi != nil {
+			exprs[1] = path.hi.e
+		}
+	}
+	n := 0
+	for i, x := range exprs {
+		if x == nil {
+			continue
+		}
+		v, err := e.eval(x)
+		if err != nil {
+			return r, false, err
+		}
+		if v.IsNull() {
+			return keyRange{lo: []byte{}, hi: []byte{}}, true, nil
+		}
+		cv, err := Coerce(v, ct)
+		if err != nil {
+			return r, false, nil
+		}
+		if cv.T == ct && Compare(cv, v) == 0 {
+			v = cv
+		}
+		vals[n], keys[i] = v, cv
+		n++
+	}
+	if !boundsKeepType(vals[:n], ct) {
+		return r, false, nil
+	}
+	switch {
+	case path.eq != nil:
+		r.lo = EncodeKey(keys[0])
+		r.hi = KeySuccessor(r.lo)
+	default:
+		if path.lo != nil {
+			if r.lo = EncodeKey(keys[0]); !path.lo.incl {
+				r.lo = KeySuccessor(r.lo)
+			}
+		}
+		if path.hi != nil {
+			if r.hi = EncodeKey(keys[1]); path.hi.incl {
+				r.hi = KeySuccessor(r.hi)
+			}
+		}
+	}
+	r.implied = path.exact && (path.kind == pathPKEq || path.kind == pathPKRange) &&
+		(ct == TypeText || ct == TypeBlob || (ct == TypeInt && r.hi != nil))
+	return r, true, nil
+}
+
+// boundsKeepType reports whether every bound, as evaluated, is a value
+// of the key column's type ct (a number counts once it is given the
+// column's numeric type, where that keeps its value: 3.0 on an INTEGER
+// key), so that coercing it to a key changes nothing. Only then do the
+// keys order the rows as the predicates compare them with the bound.
+// Compare ranks types before values, so no number is >= the text '7',
+// where Coerce would make a key of the number 7; and 2.5 on an INTEGER
+// key stays REAL, its key above every integer's.
+func boundsKeepType(vals []Value, ct Type) bool {
+	for _, v := range vals {
+		if v.T != ct {
+			return false
+		}
+	}
+	return true
+}
+
+// scanTable drives the chosen access path: each row it reads is decoded,
+// bound to b, checked against the path's conjuncts unless its key range
+// implies them, and handed to visit. limit is how many rows the
+// statement can use if every row the path yields counts (0 = no limit);
+// it sizes the leaf reads and the rows' backing arrays, the visitor
+// decides when the scan stops.
+func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path accessPath, e *env, b *binding, limit int, visit rowVisitor) error {
 	schema := table.Schema
+	keyCol := path.keyCol(schema)
+	var r keyRange
+	ranged := false
+	if keyCol >= 0 {
+		var err error
+		if r, ranged, err = evalKeyRange(e, path, schema.Cols[keyCol].Type); err != nil {
+			return err
+		}
+	}
+	filter := path.conj
+	if r.implied {
+		filter = nil
+	}
+	slab := rowSlab{rows: path.scanLimit(table, limit)}
+	if path.kind == pathPKEq {
+		slab.rows = 1
+	}
 	visitCell := func(key, val []byte) (bool, error) {
-		row, err := DecodeRow(val)
+		row, err := slab.decode(val)
 		if err != nil {
 			return false, err
 		}
+		b.row = row
+		for _, c := range filter {
+			v, err := e.eval(c)
+			if err != nil {
+				return false, err
+			}
+			if v.IsNull() || !v.Truthy() {
+				return true, nil // next row
+			}
+		}
 		return visit(key, row)
 	}
-	keyCol := -1
-	switch path.kind {
-	case pathPKEq, pathPKRange:
-		keyCol = schema.PKCol
-	case pathIdxEq, pathIdxRange:
-		keyCol = schema.Indexes[path.idx].ColIdx
-	}
-	if keyCol < 0 {
+	switch {
+	case keyCol < 0:
 		return db.scanTreeRange(ctx, tx, table.Tree, dbt.Range{Limit: path.scanLimit(table, limit)}, visitCell)
-	}
-	lo, hi, ok, err := evalKeyBounds(e, path, schema.Cols[keyCol].Type)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		// The bound could not be coerced to the key's type: scan
-		// everything and leave the decision to the row predicates.
+	case !ranged:
+		// A bound that is not a key of the column's type: scan everything
+		// and leave the decision to the row filter.
 		return db.scanTreeRange(ctx, tx, table.Tree, dbt.Range{}, visitCell)
 	}
+	lo, hi := r.lo, r.hi
 	if hi != nil && bytesCompare(lo, hi) >= 0 {
 		return nil // col = NULL, or contradictory bounds: nothing to read
 	}
@@ -428,7 +504,7 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 		}
 		return true, nil
 	}
-	err = db.scanTreeRange(ctx, tx, table.IndexTrees[path.idx], idxRange, func(_, rowKey []byte) (bool, error) {
+	err := db.scanTreeRange(ctx, tx, table.IndexTrees[path.idx], idxRange, func(_, rowKey []byte) (bool, error) {
 		keys = append(keys, rowKey)
 		if len(keys) == rowBatch {
 			return flush()

@@ -31,6 +31,10 @@ type oracleCase struct {
 type oracleStmt struct {
 	q    string
 	args []sql.Value
+	// ref, when set, is q with its key column inside an expression: no
+	// access path serves it, so it reads every row and checks each against
+	// the predicates, and the rows it returns are the rows q must return.
+	ref string
 }
 
 func (s oracleStmt) String() string { return fmt.Sprintf("%s %v", s.q, s.args) }
@@ -50,10 +54,14 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 	src := func() sql.Value { return sql.Int(pick(oracleIDs / 5)) }
 	n := func(max int64) sql.Value { return sql.Int(1 + rng.Int63n(max)) }
 	read := func(q string, args ...sql.Value) oracleCase {
-		return oracleCase{stmts: []oracleStmt{{q, args}}}
+		return oracleCase{stmts: []oracleStmt{{q: q, args: args}}}
+	}
+	// checked is read with a reference statement (see oracleStmt.ref).
+	checked := func(q, ref string, args ...sql.Value) oracleCase {
+		return oracleCase{stmts: []oracleStmt{{q: q, args: args, ref: ref}}}
 	}
 	write := func(table, q string, args ...sql.Value) oracleCase {
-		return oracleCase{stmts: []oracleStmt{{q, args}}, writes: []string{table}}
+		return oracleCase{stmts: []oracleStmt{{q: q, args: args}}, writes: []string{table}}
 	}
 	insertP := func() oracleCase {
 		rows := 1 + rng.Intn(8)
@@ -68,9 +76,12 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 		func() oracleCase { return read("SELECT v FROM p WHERE id = ?", id()) },
 		func() oracleCase {
 			lo := pick(oracleIDs)
-			return read("SELECT id, v FROM p WHERE id BETWEEN ? AND ?", sql.Int(lo), sql.Int(lo+rng.Int63n(40)))
+			return checked("SELECT id, v FROM p WHERE id BETWEEN ? AND ?", "SELECT id, v FROM p WHERE id + 0 BETWEEN ? AND ?",
+				sql.Int(lo), sql.Int(lo+rng.Int63n(40)))
 		},
-		func() oracleCase { return read("SELECT id, v FROM p WHERE id >= ? LIMIT ?", id(), n(60)) },
+		func() oracleCase {
+			return checked("SELECT id, v FROM p WHERE id >= ? LIMIT ?", "SELECT id, v FROM p WHERE id + 0 >= ? LIMIT ?", id(), n(60))
+		},
 		func() oracleCase { return read("SELECT id FROM p ORDER BY id LIMIT ?", n(30)) },
 		func() oracleCase { return read("SELECT id, v FROM t WHERE u = ?", u()) },
 		func() oracleCase { return read("SELECT id, v FROM l WHERE src = ?", src()) },
@@ -80,6 +91,35 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 		func() oracleCase {
 			lo := pick(oracleIDs)
 			return read("SELECT l.id, t.u FROM l JOIN t ON t.id = l.src WHERE l.id BETWEEN ? AND ?", sql.Int(lo), sql.Int(lo+rng.Int63n(30)))
+		},
+		func() oracleCase {
+			lo := pick(oracleIDs)
+			return checked("SELECT id, v FROM p WHERE id BETWEEN ? AND ? AND v = 'p'", "SELECT id, v FROM p WHERE id + 0 BETWEEN ? AND ? AND v = 'p'",
+				sql.Int(lo), sql.Int(lo+rng.Int63n(40)))
+		},
+		// Bounds whose keys do not order the rows as the predicates compare
+		// them: the row filter, or a full scan, must settle it.
+		func() oracleCase {
+			return checked("SELECT id, v FROM p WHERE id >= ? LIMIT ?", "SELECT id, v FROM p WHERE id + 0 >= ? LIMIT ?",
+				sql.Float(float64(pick(oracleIDs))+0.5), n(60))
+		},
+		func() oracleCase {
+			return checked("SELECT id FROM p WHERE id > ?", "SELECT id FROM p WHERE id + 0 > ?", sql.Text(fmt.Sprint(pick(oracleIDs))))
+		},
+		func() oracleCase {
+			bounds := []sql.Value{id(), sql.Null}
+			if rng.Intn(2) == 0 {
+				bounds[0], bounds[1] = bounds[1], bounds[0]
+			}
+			return checked("SELECT id FROM p WHERE id BETWEEN ? AND ?", "SELECT id FROM p WHERE id + 0 BETWEEN ? AND ?", bounds...)
+		},
+		func() oracleCase {
+			k := pick(oracleIDs)
+			bound := sql.Int(k)
+			if rng.Intn(2) == 0 {
+				bound = sql.Text(fmt.Sprintf("%03d", k))
+			}
+			return checked("SELECT k, v FROM s WHERE k >= ? LIMIT ?", "SELECT k, v FROM s WHERE k || '' >= ? LIMIT ?", bound, n(30))
 		},
 		insertP,
 		func() oracleCase { return write("t", "INSERT INTO t VALUES (?, ?, 'new')", id(), u()) },
@@ -126,7 +166,10 @@ const oracleIDs = 240
 // fresh catalog, and on an ablated session, which plans nothing. The
 // three must return the same rows and errors and leave their transaction
 // in the same state (every cell of the trees written), and the warm one
-// must make no more read rounds than the fresh one. Between cases another
+// must make no more read rounds than the fresh one. A key range, and the
+// row filter it may make redundant, must not change rows either: a read
+// with a reference statement (oracleStmt.ref) returns what its full scan
+// does. Between cases another
 // client's session applies the case and a burst of inserts and deletes
 // of its own, splitting the leaves the warm caches route to. A failure
 // prints its seed; -oracle.seed replays it.
@@ -166,6 +209,7 @@ func TestPlanOracle(t *testing.T) {
 		"CREATE UNIQUE INDEX t_u ON t (u)",
 		"CREATE TABLE l (id INTEGER PRIMARY KEY, src INTEGER, v TEXT)",
 		"CREATE INDEX l_src ON l (src)",
+		"CREATE TABLE s (k TEXT PRIMARY KEY, v TEXT)",
 	} {
 		mustExec(t, writer, q)
 	}
@@ -173,6 +217,7 @@ func TestPlanOracle(t *testing.T) {
 		mustExec(t, writer, "INSERT INTO p VALUES (?, 'p')", sql.Int(i))
 		mustExec(t, writer, "INSERT INTO t VALUES (?, ?, 't')", sql.Int(i), sql.Int(1000+i))
 		mustExec(t, writer, "INSERT INTO l VALUES (?, ?, 'l')", sql.Int(i), sql.Int(i/5))
+		mustExec(t, writer, "INSERT INTO s VALUES (?, 's')", sql.Text(fmt.Sprintf("%03d", i)))
 	}
 
 	warmCat := sql.NewCatalog(c, cfg)
@@ -229,6 +274,12 @@ func TestPlanOracle(t *testing.T) {
 			t.Errorf("case %d %v: states differ\nwarm:\n%s\nfresh catalog:\n%s\nablated:\n%s", i, oc.stmts, wState, cState, aState)
 		case wRounds > cRounds:
 			t.Errorf("case %d %v: %d read rounds warm, %d with a fresh catalog", i, oc.stmts, wRounds, cRounds)
+		}
+		if st := oc.stmts[0]; len(oc.stmts) == 1 && st.ref != "" {
+			ref := oracleCase{stmts: []oracleStmt{{q: st.ref, args: st.args}}}
+			if rRes, _, _ := run(ablated, ref, snap); rRes != wRes {
+				t.Errorf("case %d %v: rows differ from the full scan's\nwarm:\n%s\nfull scan:\n%s", i, oc.stmts, wRes, rRes)
+			}
 		}
 
 		// The case for real, then a burst of the writer's own.

@@ -208,10 +208,30 @@ func (e *aggEnv) evalBin(t BinOp) (Value, error) {
 	return e.env.eval(BinOp{Op: t.Op, L: Lit{V: l}, R: Lit{V: r}})
 }
 
-// joinedRow is one output of the join pipeline: the bindings' rows at
-// the moment the row matched.
-type joinedRow struct {
-	rows [][]Value
+// joinedRows are the outputs of the join pipeline, each the bindings'
+// rows at the moment it matched, laid end to end in one slice: a joined
+// row costs no allocation of its own.
+type joinedRows struct {
+	rows  [][]Value // joined row k is rows[k*width : (k+1)*width]
+	width int       // the number of bindings
+	n     int
+}
+
+func (j *joinedRows) add(bindings []*binding) {
+	for _, b := range bindings {
+		j.rows = append(j.rows, b.row)
+	}
+	j.n++
+}
+
+// bind binds joined row k to the bindings, or none with k < 0.
+func (j *joinedRows) bind(bindings []*binding, k int) {
+	for i, b := range bindings {
+		b.row = nil
+		if k >= 0 {
+			b.row = j.rows[k*j.width+i]
+		}
+	}
 }
 
 func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args []Value) (*Rows, error) {
@@ -274,7 +294,7 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	}
 
 	// The scan pipeline produces joined rows.
-	var joined []joinedRow
+	joined := joinedRows{width: len(e.bindings)}
 	limitEarly, err := earlyLimit(e, st, isAgg, orderBy)
 	if err != nil {
 		return nil, err
@@ -295,12 +315,8 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	var recurse func(depth int) (bool, error)
 	recurse = func(depth int) (bool, error) {
 		if depth == len(srcs) {
-			rows := make([][]Value, len(e.bindings))
-			for i, b := range e.bindings {
-				rows[i] = b.row
-			}
-			joined = append(joined, joinedRow{rows: rows})
-			if limitEarly >= 0 && len(joined) >= limitEarly {
+			joined.add(e.bindings)
+			if limitEarly >= 0 && joined.n >= limitEarly {
 				return false, nil
 			}
 			return true, nil
@@ -310,20 +326,11 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 		for i := 0; i < depth; i++ {
 			outer[srcs[i].alias] = true
 		}
+		// The path filters the table's rows by the predicates that become
+		// decidable at this depth.
 		path := planAccess(s.table, s.alias, conjDepth[depth+1], outer)
 		cont := true
-		err := db.scanTable(ctx, tx, s.table, path, e, scanRowLimit(limitEarly, len(srcs)), func(rowKey []byte, row []Value) (bool, error) {
-			e.bindings[depth].row = row
-			// Apply predicates that become decidable at this depth.
-			for _, c := range conjDepth[depth+1] {
-				v, err := e.eval(c)
-				if err != nil {
-					return false, err
-				}
-				if v.IsNull() || !v.Truthy() {
-					return true, nil // next row of this table
-				}
-			}
+		err := db.scanTable(ctx, tx, s.table, path, e, e.bindings[depth], scanRowLimit(limitEarly, len(srcs)), func([]byte, []Value) (bool, error) {
 			c2, err := recurse(depth + 1)
 			if err != nil {
 				return false, err
@@ -346,7 +353,7 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 			keep = !v.IsNull() && v.Truthy()
 		}
 		if keep {
-			joined = append(joined, joinedRow{rows: nil})
+			joined.add(nil)
 		}
 	} else {
 		if _, err := recurse(0); err != nil {
@@ -358,16 +365,18 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	var outRows [][]Value
 	var orderKeys [][]Value
 	if isAgg {
-		outRows, orderKeys, err = db.aggregate(e, st, items, joined)
+		outRows, orderKeys, err = db.aggregate(e, st, items, &joined)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		for _, jr := range joined {
-			for i, b := range e.bindings {
-				b.row = jr.rows[i]
-			}
-			row := make([]Value, len(items))
+		// Every projected row is a slice of one array.
+		w := len(items)
+		flat := make([]Value, joined.n*w)
+		outRows = make([][]Value, joined.n)
+		for k := range outRows {
+			joined.bind(e.bindings, k)
+			row := flat[k*w : (k+1)*w : (k+1)*w]
 			for i, it := range items {
 				v, err := e.eval(it.E)
 				if err != nil {
@@ -375,7 +384,7 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 				}
 				row[i] = v
 			}
-			outRows = append(outRows, row)
+			outRows[k] = row
 			if len(orderBy) > 0 {
 				keys, err := evalOrderKeys(e, orderBy, items, row)
 				if err != nil {
@@ -657,7 +666,7 @@ func evalLimit(e *env, st Select) (lim, off int, err error) {
 
 // aggregate runs hash aggregation over the joined rows and returns the
 // projected group rows plus their ORDER BY keys.
-func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined []joinedRow) ([][]Value, [][]Value, error) {
+func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined *joinedRows) ([][]Value, [][]Value, error) {
 	// Rewrite aggregates out of the projection, HAVING, and ORDER BY.
 	var aggs []Call
 	rewritten := make([]Expr, len(items))
@@ -676,15 +685,13 @@ func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined []joinedRo
 	type group struct {
 		keyVals []Value
 		states  []*aggState
-		first   joinedRow
+		first   int // the group's first joined row; -1 for none
 	}
 	groups := make(map[string]*group)
 	var order []string
 
-	for _, jr := range joined {
-		for i, b := range e.bindings {
-			b.row = jr.rows[i]
-		}
+	for j := 0; j < joined.n; j++ {
+		joined.bind(e.bindings, j)
 		keyVals := make([]Value, len(st.GroupBy))
 		for i, g := range st.GroupBy {
 			v, err := e.eval(g)
@@ -696,7 +703,7 @@ func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined []joinedRo
 		k := string(EncodeKey(keyVals...))
 		g := groups[k]
 		if g == nil {
-			g = &group{keyVals: keyVals, states: make([]*aggState, len(aggs)), first: jr}
+			g = &group{keyVals: keyVals, states: make([]*aggState, len(aggs)), first: j}
 			for i := range g.states {
 				g.states[i] = &aggState{}
 			}
@@ -721,7 +728,7 @@ func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined []joinedRo
 
 	// No GROUP BY: aggregates over the empty input still yield one row.
 	if len(st.GroupBy) == 0 && len(groups) == 0 {
-		g := &group{states: make([]*aggState, len(aggs))}
+		g := &group{states: make([]*aggState, len(aggs)), first: -1}
 		for i := range g.states {
 			g.states[i] = &aggState{}
 		}
@@ -733,13 +740,7 @@ func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined []joinedRo
 	var orderKeys [][]Value
 	for _, k := range order {
 		g := groups[k]
-		for i, b := range e.bindings {
-			if g.first.rows != nil {
-				b.row = g.first.rows[i]
-			} else {
-				b.row = nil
-			}
-		}
+		joined.bind(e.bindings, g.first)
 		aggVals := make([]Value, len(aggs))
 		for i, call := range aggs {
 			aggVals[i] = g.states[i].result(call.Fn)

@@ -11,6 +11,8 @@ import (
 // only counts the bytes encoding would append. A message therefore
 // describes its layout once, as a method that hands every field to the
 // Codec, and that one description is its encoder, decoder and sizer.
+// Decoding comes in two kinds, which differ only in Bytes: Decode copies
+// byte strings out of the payload, DecodeInPlace leaves them there.
 //
 // Encoding and sizing only read the fields: the values a message holds
 // are shared between goroutines (see kv's "Immutability"), so a field
@@ -22,8 +24,8 @@ import (
 //
 // A Codec holds its buffer and payload by value, never a pointer to
 // the caller's, so a Codec on the stack keeps everything it touches
-// there too: run a field list through Encode, EncodeTo, Decode or
-// DecodeFrom, called directly with a method expression such as
+// there too: run a field list through Encode, EncodeTo, Size, Decode,
+// DecodeInPlace or DecodeFrom, called directly with a method expression such as
 // (*Msg).wire, and the list costs no allocation of its own.
 type Codec struct {
 	mode mode
@@ -40,6 +42,7 @@ const (
 	sizing mode = iota
 	encoding
 	decoding
+	decodingInPlace // decoding, with Bytes aliasing the payload
 )
 
 // NewEncoder returns a Codec encoding into a buffer of the given
@@ -85,6 +88,19 @@ func Decode[M any](p []byte, bad error, fields func(*M, *Codec)) (*M, error) {
 	return m, nil
 }
 
+// DecodeInPlace is Decode for a payload nobody will write to again, whose
+// byte strings it decodes in place, aliasing p. A reply frame the rpc
+// client hands its caller is such a payload. A request a server decodes
+// is not: what it decodes outlives the request, in versions and the
+// write-ahead log, and must not pin it.
+func DecodeInPlace[M any](p []byte, bad error, fields func(*M, *Codec)) (*M, error) {
+	m, c := new(M), Codec{mode: decodingInPlace, r: Reader{b: p}, bad: bad}
+	if fields(m, &c); c.err != nil {
+		return nil, c.err
+	}
+	return m, nil
+}
+
 // DecodeFrom decodes m from r by fields, leaving r after m's encoding.
 func DecodeFrom[M any](r *Reader, m *M, bad error, fields func(*M, *Codec)) error {
 	c := Codec{mode: decoding, r: *r, bad: bad}
@@ -97,7 +113,7 @@ func DecodeFrom[M any](r *Reader, m *M, bad error, fields func(*M, *Codec)) erro
 func (c *Codec) Buffer() *Buffer { return &c.b }
 
 // Decoding reports whether c reads fields rather than writes them.
-func (c *Codec) Decoding() bool { return c.mode == decoding }
+func (c *Codec) Decoding() bool { return c.mode >= decoding }
 
 // Err returns the first decoding error.
 func (c *Codec) Err() error { return c.err }
@@ -172,14 +188,20 @@ func (c *Codec) Bool(v *bool) {
 }
 
 // Bytes codes a length-prefixed byte string. Decoding copies it out of
-// the payload, so the result never aliases the frame and is never nil.
+// the payload, so the result never aliases the frame; under
+// DecodeInPlace it is the payload's own bytes, its capacity clipped to
+// its length so that an append cannot reach the bytes after it. Either
+// way a decoded string is never nil, an empty one included.
 func (c *Codec) Bytes(v *[]byte) {
 	switch {
 	case c.mode == encoding:
 		c.b.PutBytes(*v)
 	case c.mode == sizing:
 		c.n += uvarintLen(uint64(len(*v))) + len(*v)
-	case c.err == nil:
+	case c.err != nil:
+	case c.mode == decodingInPlace:
+		*v, c.err = c.r.Bytes()
+	default:
 		*v, c.err = c.r.BytesCopy()
 	}
 }
@@ -204,7 +226,7 @@ func (c *Codec) String(v *string) {
 func (c *Codec) Count(n, minSize int) int {
 	u := uint64(n)
 	c.Uvarint(&u)
-	if c.mode != decoding {
+	if !c.Decoding() {
 		return n
 	}
 	if c.err == nil && u > uint64(c.r.Remaining()/minSize) {

@@ -45,3 +45,34 @@ func TestCodecCountRefusesWhatThePayloadCannotHold(t *testing.T) {
 		t.Fatalf("truncated: err = %v, want ErrShortBuffer", err)
 	}
 }
+
+type blob struct{ Data []byte }
+
+func (b *blob) wire(c *Codec) { c.Bytes(&b.Data) }
+
+// TestDecodeInPlace: DecodeInPlace leaves a byte string in the payload,
+// its capacity clipped to its length, where Decode copies it; either way
+// an empty one is not nil.
+func TestDecodeInPlace(t *testing.T) {
+	for _, data := range []string{"bytes", ""} {
+		p := append(Encode(&blob{Data: []byte(data)}, (*blob).wire), 'x')
+		copied, err := Decode(p, errBad, (*blob).wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aliased, err := DecodeInPlace(p, errBad, (*blob).wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if copied.Data == nil || aliased.Data == nil || cap(aliased.Data) != len(data) {
+			t.Fatalf("%q: decoded %q and %q (cap %d)", data, copied.Data, aliased.Data, cap(aliased.Data))
+		}
+		if data == "" {
+			continue
+		}
+		p[1] = 'B'
+		if string(aliased.Data) != "Bytes" || string(copied.Data) != "bytes" {
+			t.Fatalf("after the payload changed: in place %q, copied %q", aliased.Data, copied.Data)
+		}
+	}
+}
