@@ -24,11 +24,14 @@ import (
 //	0x20 <escaped bytes> 0x00 0x01   TEXT
 //	0x30 <escaped bytes> 0x00 0x01   BLOB
 //
-// Numeric ordering across int/float inside one key column is handled by
-// encoding both through the float64 sortable form with an exactness
-// tie-break for integers; since declared column types are enforced at
-// insert, a given column is in practice homogeneous and the simple
-// per-type forms above sort correctly.
+// INTEGER and REAL keys do not interleave: every REAL key sorts above
+// every INTEGER key. A REAL column holds only REALs, but an INTEGER
+// column also holds the REALs Coerce keeps (2.5, infinities, NaN). So an
+// INTEGER PRIMARY KEY must hold integers (checkRow), and an index range
+// on an INTEGER column that is bounded above also reads the index's REAL
+// keys (scanTable). -0 and +0 are equal values and encode as one key.
+// NaN compares equal to every number (Compare) yet sorts at one end, so
+// no key range finds it; ROADMAP records the gap.
 
 const (
 	keyTagNull  = 0x00
@@ -83,8 +86,12 @@ func EncodeKeyValue(dst []byte, v Value) []byte {
 		dst = append(dst, keyTagInt)
 		return binary.BigEndian.AppendUint64(dst, sortableInt(v.I))
 	case TypeFloat:
+		f := v.F
+		if f == 0 {
+			f = 0 // -0 is +0's key
+		}
 		dst = append(dst, keyTagFloat)
-		return binary.BigEndian.AppendUint64(dst, sortableFloat(v.F))
+		return binary.BigEndian.AppendUint64(dst, sortableFloat(f))
 	case TypeText:
 		dst = append(dst, keyTagText)
 		return appendEscaped(dst, []byte(v.S))
@@ -213,8 +220,9 @@ func DecodeRow(p []byte) ([]Value, error) {
 // instead of one allocation per row. The first array holds rows rows of
 // the width being decoded (a scan that knows its row limit makes that
 // the limit), each later one twice as many as the one before, up to
-// maxSlabRows. A row handed out is never written again: the rows a
-// statement keeps stay as they were decoded.
+// maxSlabRows. A decoded row takes its place in the array only when
+// kept: the next decode overwrites a row that was not, so the rows a
+// scan's filter rejects take no room. A kept row is never written again.
 type rowSlab struct {
 	free []Value // the current array's unused tail
 	rows int     // rows the next array holds; <= 0 means firstSlabRows
@@ -280,6 +288,8 @@ func (s *rowSlab) decode(p []byte) ([]Value, error) {
 			return nil, fmt.Errorf("sql: bad row tag %d", tag)
 		}
 	}
-	s.free = s.free[n:]
 	return row, nil
 }
+
+// keep gives row, the last row decode returned, its place for good.
+func (s *rowSlab) keep(row []Value) { s.free = s.free[len(row):] }

@@ -149,6 +149,32 @@ func TestRowRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRowSlabKeepsOnlyKeptRows: a row a scan's filter rejects is not
+// kept, and the next row decodes into its place; a kept row stays.
+func TestRowSlabKeepsOnlyKeptRows(t *testing.T) {
+	enc := EncodeRow([]Value{Int(1), Text("a")})
+	var s rowSlab
+	decode := func() []Value {
+		row, err := s.decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
+	}
+	rejected := decode()
+	kept := decode()
+	if &rejected[0] != &kept[0] {
+		t.Fatal("a row not kept took room of its own")
+	}
+	s.keep(kept)
+	if next := decode(); &next[0] == &kept[0] {
+		t.Fatal("a kept row was decoded over")
+	}
+	if kept[0].I != 1 || kept[1].S != "a" {
+		t.Fatalf("kept row now %v", kept)
+	}
+}
+
 func TestQuickRowRoundTrip(t *testing.T) {
 	f := func(i int64, fl float64, s string, b []byte, hasNull bool) bool {
 		row := []Value{Int(i), Float(fl), Text(s), Blob(b)}

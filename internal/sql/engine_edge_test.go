@@ -188,23 +188,60 @@ func TestNegativeAndFloatKeys(t *testing.T) {
 	}
 }
 
-// TestKeyRangeKeepsItsFilterWhereKeysMisorder: a key range implies its
-// predicates only where every stored value orders by its key as Compare
-// orders it. An INTEGER column also holds the REAL values that are not
-// whole numbers, whose keys sort above every integer's; a REAL column
-// holds -0, equal to 0 but encoded below it. The rows such keys put in a
-// range are still checked against the predicates.
-func TestKeyRangeKeepsItsFilterWhereKeysMisorder(t *testing.T) {
+// TestKeyRangesOverMixedNumbers: a key range finds every row its
+// predicates admit where keys and values order apart. An INTEGER column
+// holds the REALs Coerce keeps (2.5), whose keys sort above every
+// integer's: an INTEGER primary key refuses them, as in SQLite, and an
+// index range bounded above goes on to read the index's REAL keys. -0
+// equals 0 and shares its key.
+func TestKeyRangesOverMixedNumbers(t *testing.T) {
+	ctx := context.Background()
 	db := newDB(t, 1)
-	mustExec(t, db, "CREATE TABLE i (id INTEGER PRIMARY KEY)")
-	mustExec(t, db, "INSERT INTO i VALUES (1), (1.5), (2), (2.5), (3)")
-	if got := rowsToString(mustQuery(t, db, "SELECT id FROM i WHERE id >= 2")); got != "2\n3\n2.5\n" {
-		t.Fatalf("id >= 2 over integer and real keys: %q", got)
+	mustExec(t, db, "CREATE TABLE p (id INTEGER PRIMARY KEY)")
+	mustExec(t, db, "INSERT INTO p VALUES (1), (2.0)") // 2.0 is the integer 2
+	for _, q := range []string{
+		"INSERT INTO p VALUES (1.5)",
+		"INSERT INTO p VALUES (1e300)",
+		"UPDATE p SET id = id + 0.5 WHERE id = 2",
+	} {
+		if _, err := db.Exec(ctx, q); err == nil || !strings.Contains(err.Error(), "datatype mismatch") {
+			t.Errorf("%s: err %v, want a datatype mismatch", q, err)
+		}
 	}
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM p WHERE id <= 3")); got != "1\n2\n" {
+		t.Errorf("integer primary key after refused REALs: %q", got)
+	}
+
+	mustExec(t, db, "CREATE TABLE i (k INTEGER PRIMARY KEY, id INTEGER)")
+	mustExec(t, db, "CREATE INDEX i_id ON i (id)")
+	mustExec(t, db, "INSERT INTO i VALUES (1, 1), (2, 1.5), (3, 2), (4, 2.5), (5, 3), (6, 7.5), (7, NULL)")
+	for _, c := range []struct{ q, want string }{
+		{"SELECT id FROM i WHERE id <= 3 ORDER BY id", "1\n1.5\n2\n2.5\n3\n"},
+		{"SELECT id FROM i WHERE id > 1 AND id < 3 ORDER BY id", "1.5\n2\n2.5\n"},
+		{"SELECT id FROM i WHERE id BETWEEN 2 AND 3 ORDER BY id", "2\n2.5\n3\n"},
+		{"SELECT id FROM i WHERE id >= 2 ORDER BY id", "2\n2.5\n3\n7.5\n"},
+		{"SELECT id FROM i WHERE id <= 3 LIMIT 5", "1\n2\n3\n1.5\n2.5\n"}, // index order: the REAL keys last
+		{"SELECT id FROM i WHERE id = 2.5", "2.5\n"},
+	} {
+		if got := rowsToString(mustQuery(t, db, c.q)); got != c.want {
+			t.Errorf("%s over integer and REAL index keys: %q, want %q", c.q, got, c.want)
+		}
+	}
+
 	mustExec(t, db, "CREATE TABLE r (x REAL PRIMARY KEY)")
 	mustExec(t, db, "INSERT INTO r VALUES (?), (1.0)", sql.Float(math.Copysign(0, -1)))
-	if got := rowsToString(mustQuery(t, db, "SELECT x FROM r WHERE x < 0")); got != "" {
-		t.Fatalf("x < 0 over -0: %q", got)
+	for _, c := range []struct{ q, want string }{
+		{"SELECT x FROM r WHERE x < 0", ""},
+		{"SELECT x FROM r WHERE x >= 0", "-0\n1\n"},
+		{"SELECT x FROM r WHERE x <= 0", "-0\n"},
+		{"SELECT x FROM r WHERE x = 0", "-0\n"},
+	} {
+		if got := rowsToString(mustQuery(t, db, c.q)); got != c.want {
+			t.Errorf("%s over -0: %q, want %q", c.q, got, c.want)
+		}
+	}
+	if _, err := db.Exec(ctx, "INSERT INTO r VALUES (0.0)"); err == nil || !strings.Contains(err.Error(), "UNIQUE constraint failed") {
+		t.Errorf("0 beside -0 in a REAL primary key: err %v", err)
 	}
 }
 

@@ -481,7 +481,7 @@ func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args [
 			}
 			vals[colPos[j]] = cv
 		}
-		if err := checkNotNull(s, vals); err != nil {
+		if err := checkRow(s, vals); err != nil {
 			return Result{}, err
 		}
 		rowKey, err := db.rowKeyFor(table, vals)
@@ -496,13 +496,20 @@ func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args [
 	return Result{RowsAffected: int64(len(writes))}, nil
 }
 
-// checkNotNull enforces the NOT NULL columns (the primary key among
-// them) on a row about to be stored.
-func checkNotNull(s *TableSchema, vals []Value) error {
+// checkRow enforces, on a row about to be stored, the NOT NULL columns
+// (the primary key among them) and, as SQLite does, that an INTEGER
+// primary key holds an integer. Coerce keeps a REAL such as 2.5 in an
+// INTEGER column, and its key would sort above every integer's, out of
+// the order the planner reads primary keys in (keyRange.implied,
+// scanOrdered).
+func checkRow(s *TableSchema, vals []Value) error {
 	for i, c := range s.Cols {
 		if (c.NotNull || i == s.PKCol) && vals[i].IsNull() {
 			return fmt.Errorf("sql: NOT NULL constraint failed: %s.%s", s.Name, c.Name)
 		}
+	}
+	if pk := s.PKCol; pk >= 0 && s.Cols[pk].Type == TypeInt && vals[pk].T != TypeInt {
+		return fmt.Errorf("sql: datatype mismatch: INTEGER PRIMARY KEY %s.%s cannot hold %v", s.Name, s.Cols[pk].Name, vals[pk])
 	}
 	return nil
 }
@@ -559,7 +566,7 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 			}
 			w.new[setPos[i]] = cv
 		}
-		if err := checkNotNull(s, w.new); err != nil {
+		if err := checkRow(s, w.new); err != nil {
 			return Result{}, err
 		}
 		w.newKey = w.oldKey

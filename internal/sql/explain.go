@@ -16,7 +16,9 @@ import (
 // storage layer for — a point read (one cell of one leaf), or a scan that
 // is bounded (it has an upper key, so no leaf read goes past it) or
 // open-ended, with the row limit handed down to size its leaf reads, if
-// any — and what each row it yields is checked against (rowFilter).
+// any, and the REAL keys an INTEGER index scan also reads
+// (readsRealKeys) — and what each row it yields is checked against
+// (rowFilter).
 // limit is the statement's row limit for this table (0 = none).
 func (p accessPath) describe(table *Table, limit int, e *env) string {
 	s := table.Schema
@@ -45,6 +47,9 @@ func (p accessPath) describe(table *Table, limit int, e *env) string {
 	}
 	if n := p.scanLimit(table, limit); n > 0 {
 		fetch = append(fetch, fmt.Sprintf("limit %d", n))
+	}
+	if p.readsRealKeys(s) {
+		fetch = append(fetch, "then every REAL key")
 	}
 	if len(fetch) > 0 {
 		what += " (" + strings.Join(fetch, ", ") + ")"

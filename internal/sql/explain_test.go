@@ -13,6 +13,7 @@ func TestExplainAccessPaths(t *testing.T) {
 	mustExec(t, db, "CREATE INDEX idx_city ON users (city)")
 	mustExec(t, db, "CREATE UNIQUE INDEX idx_name ON users (name)")
 	mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, user_id INTEGER)")
+	mustExec(t, db, "CREATE INDEX idx_user ON orders (user_id)")
 
 	cases := []struct {
 		q    string
@@ -34,7 +35,7 @@ func TestExplainAccessPaths(t *testing.T) {
 			[]string{"PRIMARY KEY range scan on users (id >= ...) (open-ended) (row filter: 2 conjuncts)\n"}},
 		// So does one that has to see every row first.
 		{"EXPLAIN SELECT * FROM users WHERE id >= 1 ORDER BY age LIMIT 5",
-			[]string{"(open-ended) (row filter: 1 conjunct)\n", "SORT (1 keys)"}},
+			[]string{"(open-ended) (row filter: none — implied by key range)\n", "SORT (1 keys)"}},
 		// ORDER BY the primary key is the scan's own order: no sort.
 		{"EXPLAIN SELECT * FROM users ORDER BY id LIMIT 3",
 			[]string{"FULL SCAN of users (limit 3)"}},
@@ -44,6 +45,11 @@ func TestExplainAccessPaths(t *testing.T) {
 			[]string{"INDEX lookup on users via idx_name (name = ...) (bounded, limit 1)"}},
 		{"EXPLAIN SELECT * FROM users WHERE city >= 'a'",
 			[]string{"INDEX range scan on users via idx_city (city >= ...) (open-ended)"}},
+		// An INTEGER column's REAL values key above every integer's.
+		{"EXPLAIN SELECT * FROM orders WHERE user_id < 30 LIMIT 2",
+			[]string{"INDEX range scan on orders via idx_user (user_id < ...) (bounded, limit 2, then every REAL key) (row filter: 1 conjunct)"}},
+		{"EXPLAIN SELECT * FROM orders WHERE user_id > 30",
+			[]string{"via idx_user (user_id > ...) (open-ended) (row filter: 1 conjunct)"}},
 		{"EXPLAIN SELECT * FROM users WHERE age = 3",
 			[]string{"FULL SCAN of users (row filter: 1 conjunct)\n"}},
 		// Left-deep join in FROM order: outer users (no usable
@@ -81,10 +87,9 @@ func TestExplainAccessPaths(t *testing.T) {
 // TestExplainRowFilter: each table line ends with what every row the
 // path yields is checked against, by the rule the executor follows. A
 // primary-key range that stands for all its conjuncts, with bounds of
-// the key's own type, implies them; an INTEGER key's range implies them
-// only when bounded above (the REAL values such a column may hold sort
-// above every integer); anything else keeps its conjuncts, and so does
-// every index path.
+// the key's own type, implies them; anything else keeps its conjuncts —
+// a BETWEEN one of whose bounds a comparison overrode among them — and
+// so does every index path.
 func TestExplainRowFilter(t *testing.T) {
 	db := newDB(t, 1)
 	setupUsers(t, db)
@@ -102,9 +107,12 @@ func TestExplainRowFilter(t *testing.T) {
 		{"EXPLAIN SELECT * FROM users WHERE id = ?", nil, one}, // no argument to judge by
 		{"EXPLAIN SELECT * FROM users WHERE id > 1 AND id <= 10", nil, "(bounded) " + implied},
 		{"EXPLAIN SELECT * FROM users WHERE id BETWEEN 1 AND 3.0", nil, implied},
-		{"EXPLAIN SELECT * FROM users WHERE id >= 1 LIMIT 5", nil, "(open-ended, limit 5) " + one},
+		{"EXPLAIN SELECT * FROM users WHERE id >= 1 LIMIT 5", nil, "(open-ended, limit 5) " + implied},
 		{"EXPLAIN SELECT * FROM users WHERE id >= 2.5", nil, one},
 		{"EXPLAIN SELECT * FROM users WHERE id > '7' AND id < 9", nil, "(row filter: 2 conjuncts)"},
+		{"EXPLAIN SELECT * FROM users WHERE id >= 3 AND id BETWEEN 5 AND 10", nil, "(bounded) (row filter: 2 conjuncts)"},
+		{"EXPLAIN SELECT * FROM users WHERE id BETWEEN 5 AND 10 AND id <= 7 LIMIT 2", nil, "(bounded) (row filter: 2 conjuncts)"},
+		{"EXPLAIN SELECT * FROM users WHERE id = '1'", nil, one},
 		{"EXPLAIN SELECT k FROM kv WHERE k >= ? LIMIT 50", []sql.Value{sql.Text("a")}, "(open-ended, limit 50) " + implied},
 		{"EXPLAIN SELECT k FROM kv WHERE k >= 5", nil, one},
 		{"EXPLAIN SELECT * FROM users WHERE city = 'paris'", nil, "(bounded) " + one},

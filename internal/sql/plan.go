@@ -163,11 +163,14 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 		pkName = schema.Cols[schema.PKCol].Name
 	}
 	// loC and hiC are the positions in conj of the conjuncts the range
-	// bounds came from (one BETWEEN can supply both).
+	// bounds came from (one BETWEEN can supply both). partial reports a
+	// BETWEEN that supplied only one of its bounds, a comparison having
+	// supplied the other: the bounds no longer stand for it.
 	type colBounds struct {
 		eq       Expr
 		lo, hi   *bound
 		loC, hiC int
+		partial  bool
 	}
 	byCol := make(map[string]*colBounds)
 	for i, c := range conj {
@@ -217,10 +220,14 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 		if cb.hi == nil {
 			cb.hi, cb.hiC = &bound{e: bt.Hi, incl: true}, i
 		}
+		if (cb.loC == i) != (cb.hiC == i) {
+			cb.partial = true
+		}
 	}
 
 	// pathFor builds the path over one column's bounds; it is exact when
-	// the conjuncts behind the bounds it uses are all there are.
+	// the conjuncts behind the bounds it uses are all there are, and the
+	// bounds stand for the whole of each.
 	pathFor := func(cb *colBounds, eqKind, rangeKind pathKind, idx int) (accessPath, bool) {
 		switch {
 		case cb == nil:
@@ -231,7 +238,7 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 			if cb.lo != nil && cb.hi != nil && cb.loC != cb.hiC {
 				used = 2
 			}
-			return accessPath{kind: rangeKind, idx: idx, lo: cb.lo, hi: cb.hi, exact: len(conj) == used, conj: conj}, true
+			return accessPath{kind: rangeKind, idx: idx, lo: cb.lo, hi: cb.hi, exact: len(conj) == used && !cb.partial, conj: conj}, true
 		}
 		return accessPath{}, false
 	}
@@ -278,6 +285,15 @@ func (p accessPath) keyCol(schema *TableSchema) int {
 	return -1
 }
 
+// readsRealKeys reports that the path, after its key range, also reads
+// every REAL key of its index: the REALs an INTEGER column holds key
+// above every integer, past the range of an index scan bounded above,
+// and the row filter judges them. An INTEGER primary key holds none
+// (checkRow).
+func (p accessPath) readsRealKeys(schema *TableSchema) bool {
+	return p.kind == pathIdxRange && p.hi != nil && schema.Cols[p.keyCol(schema)].Type == TypeInt
+}
+
 // keyRange is a path's bounds evaluated into the keys of its key column:
 // a scan reads [lo, hi), a nil hi reading to the end.
 type keyRange struct {
@@ -287,22 +303,22 @@ type keyRange struct {
 	// That takes a primary-key path (an indexed column may hold NULLs,
 	// whose keys sort below every value's and which no comparison
 	// admits), an exact one (the bounds stand for every conjunct), bounds
-	// that keep the key's type
-	// (boundsKeepType), and a column type whose stored values all order
-	// by their keys as Compare orders them. TEXT and BLOB values do. REAL
-	// values do not (-0 and +0 are equal but encode apart; NaN equals
-	// everything). An INTEGER column also stores the REAL values that
-	// are not whole numbers (Coerce keeps them), whose keys sort above
-	// every integer's: a range bounded above excludes them, one open above
-	// holds them all.
+	// that keep the key's type (boundsKeepType), and a key type whose
+	// values all order by their keys as Compare orders them. INTEGER
+	// primary keys (checkRow), TEXT and BLOB keys do. REAL keys do not:
+	// NaN equals every number.
 	implied bool
 }
 
 // evalKeyRange evaluates path's bounds for a key column of declared type
-// ct. A NULL bound admits no row: the range is empty. ok=false means a
-// bound does not keep the key's type (boundsKeepType), so the order of
-// the keys says nothing about the rows the predicates admit: the caller
+// ct. A NULL bound admits no row: the range is empty. ok=false means the
+// scan cannot be keyed: a bound does not coerce to ct, or a range bound
+// does not keep the key's type (boundsKeepType), so the order of the
+// keys says nothing about the rows the comparison admits. The caller
 // falls back to a full scan and leaves the decision to the row filter.
+// An equality is keyed whatever its value's type: every row equal to the
+// value has the key the value coerces to, and the row filter rejects
+// those that are not equal ('7' on an INTEGER key reads row 7).
 func evalKeyRange(e *env, path accessPath, ct Type) (r keyRange, ok bool, err error) {
 	var vals, keys [2]Value // the bounds as evaluated and as coerced to ct
 	exprs := [2]Expr{path.eq}
@@ -336,7 +352,8 @@ func evalKeyRange(e *env, path accessPath, ct Type) (r keyRange, ok bool, err er
 		vals[n], keys[i] = v, cv
 		n++
 	}
-	if !boundsKeepType(vals[:n], ct) {
+	kept := boundsKeepType(vals[:n], ct)
+	if !kept && path.eq == nil {
 		return r, false, nil
 	}
 	switch {
@@ -355,8 +372,8 @@ func evalKeyRange(e *env, path accessPath, ct Type) (r keyRange, ok bool, err er
 			}
 		}
 	}
-	r.implied = path.exact && (path.kind == pathPKEq || path.kind == pathPKRange) &&
-		(ct == TypeText || ct == TypeBlob || (ct == TypeInt && r.hi != nil))
+	r.implied = kept && path.exact && (path.kind == pathPKEq || path.kind == pathPKRange) &&
+		(ct == TypeInt || ct == TypeText || ct == TypeBlob)
 	return r, true, nil
 }
 
@@ -414,9 +431,10 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 				return false, err
 			}
 			if v.IsNull() || !v.Truthy() {
-				return true, nil // next row
+				return true, nil // next row, decoded where this one was
 			}
 		}
+		slab.keep(row)
 		return visit(key, row)
 	}
 	switch {
@@ -504,18 +522,30 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 		}
 		return true, nil
 	}
-	err := db.scanTreeRange(ctx, tx, table.IndexTrees[path.idx], idxRange, func(_, rowKey []byte) (bool, error) {
+	stopped := false
+	collect := func(_, rowKey []byte) (bool, error) {
 		keys = append(keys, rowKey)
-		if len(keys) == rowBatch {
-			return flush()
+		if len(keys) < rowBatch {
+			return true, nil
 		}
-		return true, nil
-	})
-	if err != nil {
-		return err
+		cont, err := flush()
+		stopped = !cont
+		return cont, err
 	}
-	_, err = flush()
-	return err
+	ranges := []dbt.Range{idxRange}
+	if path.readsRealKeys(schema) {
+		// Not every REAL key is a result row, so no row limit sizes the read.
+		ranges = append(ranges, dbt.Range{Lo: []byte{keyTagFloat}, Hi: []byte{keyTagFloat + 1}})
+	}
+	for _, ir := range ranges {
+		if err := db.scanTreeRange(ctx, tx, table.IndexTrees[path.idx], ir, collect); err != nil || stopped {
+			return err
+		}
+		if cont, err := flush(); err != nil || !cont {
+			return err
+		}
+	}
+	return nil
 }
 
 // scanTreeRange iterates the tree cells of r.

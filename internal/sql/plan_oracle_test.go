@@ -121,6 +121,30 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 			}
 			return checked("SELECT k, v FROM s WHERE k >= ? LIMIT ?", "SELECT k, v FROM s WHERE k || '' >= ? LIMIT ?", bound, n(30))
 		},
+		// A comparison that overrides one of a BETWEEN's bounds: the other
+		// still has to be checked.
+		func() oracleCase {
+			lo := pick(oracleIDs)
+			return checked("SELECT id, v FROM p WHERE id >= ? AND id BETWEEN ? AND ? LIMIT ?",
+				"SELECT id, v FROM p WHERE id + 0 >= ? AND id + 0 BETWEEN ? AND ? LIMIT ?",
+				sql.Int(lo-rng.Int63n(20)), sql.Int(lo), sql.Int(lo+rng.Int63n(40)), n(60))
+		},
+		func() oracleCase {
+			hi := pick(oracleIDs)
+			return checked("SELECT id, v FROM p WHERE id <= ? AND id BETWEEN ? AND ?",
+				"SELECT id, v FROM p WHERE id + 0 <= ? AND id + 0 BETWEEN ? AND ?",
+				sql.Int(hi+rng.Int63n(20)), sql.Int(hi-rng.Int63n(40)), sql.Int(hi))
+		},
+		// An indexed INTEGER column holding REALs, whose keys sort above
+		// every integer's.
+		func() oracleCase {
+			return write("l", "UPDATE l SET src = ? WHERE id = ?", sql.Float(float64(pick(oracleIDs/5))+0.5), id())
+		},
+		func() oracleCase {
+			lo := pick(oracleIDs / 5)
+			return checked("SELECT id, src FROM l WHERE src BETWEEN ? AND ? ORDER BY id",
+				"SELECT id, src FROM l WHERE src + 0 BETWEEN ? AND ? ORDER BY id", sql.Int(lo), sql.Int(lo+rng.Int63n(10)))
+		},
 		insertP,
 		func() oracleCase { return write("t", "INSERT INTO t VALUES (?, ?, 'new')", id(), u()) },
 		func() oracleCase { return write("t", "UPDATE t SET u = ? WHERE id = ?", u(), id()) },
