@@ -7,12 +7,14 @@ import (
 	"testing"
 )
 
-// TestPointGetAllocBudget holds the point path to what BenchmarkGetCached
-// measured when the read set became one per statement: a Get through a
-// warm inner-node cache — its transaction, the descent and one windowed
-// leaf read, client and server together — allocates at most 24 times.
-// (The race detector allocates on its own account: this file is not
-// built under -race.)
+// pointGetAllocs holds the point path to what BenchmarkGetCached measured
+// when a read-only transaction came to allocate no write index: a Get
+// through a warm inner-node cache — its transaction, the descent and one
+// windowed leaf read, client and server together — allocates at most this
+// many times. (The race detector allocates on its own account: this file
+// is not built under -race.)
+const pointGetAllocs = 18
+
 func TestPointGetAllocBudget(t *testing.T) {
 	_, c, tree := loadBenchTree(t)
 	ctx := context.Background()
@@ -25,7 +27,8 @@ func TestPointGetAllocBudget(t *testing.T) {
 		benchValue = v
 		i++
 	})
-	if allocs > 24 {
-		t.Errorf("a warm Get allocates %v times, budget 24", allocs)
+	t.Logf("a warm Get: %v allocations", allocs)
+	if allocs > pointGetAllocs {
+		t.Errorf("a warm Get allocates %v times, budget %v", allocs, pointGetAllocs)
 	}
 }

@@ -30,7 +30,8 @@ type Tx struct {
 	done  bool
 
 	// Staged operations in program order, plus a per-OID index used for
-	// read-your-own-writes.
+	// read-your-own-writes, made by the first write: a read-only
+	// transaction allocates none.
 	ops   []*kv.Op
 	byOID map[kv.OID][]*kv.Op
 
@@ -60,12 +61,7 @@ func (c *Client) Begin() *Tx {
 // BeginAt starts a transaction reading at the given snapshot. Used for
 // time-travel reads and by layers that coordinate snapshots themselves.
 func (c *Client) BeginAt(snap clock.Timestamp) *Tx {
-	return &Tx{
-		c:     c,
-		txid:  c.nextTx.Add(1),
-		start: snap,
-		byOID: make(map[kv.OID][]*kv.Op),
-	}
+	return &Tx{c: c, txid: c.nextTx.Add(1), start: snap}
 }
 
 // EndStatement marks the end of a statement: the read set is emptied,
@@ -80,6 +76,9 @@ func (t *Tx) NumWrites() int { return len(t.ops) }
 
 // stage appends a write operation.
 func (t *Tx) stage(op *kv.Op) {
+	if t.byOID == nil {
+		t.byOID = make(map[kv.OID][]*kv.Op)
+	}
 	t.ops = append(t.ops, op)
 	t.byOID[op.OID] = append(t.byOID[op.OID], op)
 }

@@ -73,7 +73,8 @@ func decode[M any](p []byte, fields func(*M, *wire.Codec)) (*M, error) {
 // decodeReply reads a read reply in place (wire.DecodeInPlace): its keys
 // and values alias p, the fresh frame the rpc client handed over, so a
 // scan's cells cost their bytes once, in the frame. Whoever keeps one
-// past the statement that read it copies it (see Value.Clone).
+// past the statement that read it either copies it (the inner-node cache:
+// Value.Clone) or pins the frame (a scan's SQL rows: sql.rowSlab).
 func decodeReply[M any](p []byte, fields func(*M, *wire.Codec)) (*M, error) {
 	return wire.DecodeInPlace(p, ErrBadRequest, fields)
 }

@@ -21,7 +21,10 @@
 //     connection's reused reply frame (AppendHandler), so a reply is
 //     encoded once and never copied. A reply frame the client reads is a
 //     fresh allocation that nothing else writes: Call hands it to the
-//     caller, who may decode it in place (wire.DecodeInPlace).
+//     caller, who may decode it in place (wire.DecodeInPlace). This is a
+//     contract: SQL rows keep references into the reply frames their
+//     scans read, TEXT values among them as strings over its bytes, so a
+//     reply frame must never be pooled or reused.
 //   - Contexts: a call fails with ctx.Err() when its context is done.
 //     Cancellation interrupts the blocked read and costs that one
 //     connection (its reply may still arrive, so it is closed, never

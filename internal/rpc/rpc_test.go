@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,6 +106,45 @@ func TestAppendHandler(t *testing.T) {
 	second, err := c.Call(ctx, "greet", []byte("bo"))
 	if err != nil || string(second) != "hello bo" || string(first) != "hello ann" {
 		t.Fatalf("after a failure: Call = %q, %v; first reply now %q", second, err, first)
+	}
+}
+
+// TestReplyFramesAreNeverReused: two calls on one pooled connection get
+// replies in memory of their own. SQL rows keep references into the reply
+// frames their scans read, so a frame must never be pooled or reused.
+func TestReplyFramesAreNeverReused(t *testing.T) {
+	s := NewServer()
+	s.Register("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
+	addr, ln := startCountingServer(t, s)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	first, err := c.Call(ctx, "echo", bytes.Repeat([]byte{1}, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Call(ctx, "echo", bytes.Repeat([]byte{2}, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ln.accepted.Load(); n != 1 {
+		t.Fatalf("two sequential calls used %d connections, want 1", n)
+	}
+	// The memory each reply may reach: [start, start+cap).
+	span := func(b []byte) (lo, hi uintptr) {
+		lo = reflect.ValueOf(b).Pointer()
+		return lo, lo + uintptr(cap(b))
+	}
+	lo1, hi1 := span(first)
+	lo2, hi2 := span(second)
+	if lo1 < hi2 && lo2 < hi1 {
+		t.Fatalf("the replies share memory: [%#x, %#x) and [%#x, %#x)", lo1, hi1, lo2, hi2)
+	}
+	if !bytes.Equal(first, bytes.Repeat([]byte{1}, 64)) {
+		t.Fatalf("the first reply changed under the second call: %v", first)
 	}
 }
 

@@ -10,31 +10,33 @@ import (
 )
 
 // The budgets hold the read paths to what BenchmarkPointSelect and
-// BenchmarkScan50 measured when read replies came to be built in their
-// frame and decoded in place, and a scan's rows to decode without an
-// allocation each: a prepared statement on a warm handle — statement,
+// BenchmarkScan50 measured when a scan's rows came to live in their reply
+// frames (TEXT and BLOB values uncopied, a column projection a slice of
+// the decoded row): a prepared statement on a warm handle — statement,
 // transaction, leaf reads, client and server together — allocates at
-// most this many times. A change that removes an allocation lowers its
-// budget. (The race detector allocates on its own account: this file is
-// not built under -race.)
+// most this many times and this many bytes. A change that removes an
+// allocation lowers its budget. (The race detector allocates on its own
+// account: this file is not built under -race.)
 const (
-	pointSelectAllocs = 36
-	scan50Allocs      = 112
+	pointSelectAllocs = 32
+	pointSelectBytes  = 2048 // 2,035 measured
+	scan50Allocs      = 55
+	scan50Bytes       = 17100 // 17,034 measured
 )
 
 // TestPointSelectAllocBudget: a primary-key SELECT of one row.
 func TestPointSelectAllocBudget(t *testing.T) {
-	checkAllocBudget(t, "SELECT v FROM p WHERE id = ?", pointSelectAllocs)
+	checkAllocBudget(t, "SELECT v FROM p WHERE id = ?", pointSelectAllocs, pointSelectBytes)
 }
 
 // TestScanAllocBudget: a 50-row primary-key scan, whose rows share their
-// backing arrays and whose cells are read from the reply frames in place;
-// the one allocation left per row is its TEXT value's string.
+// backing arrays, whose values are read from the reply frames in place,
+// and which are returned as the decoded rows themselves.
 func TestScanAllocBudget(t *testing.T) {
-	checkAllocBudget(t, "SELECT id, v FROM p WHERE id >= ? LIMIT 50", scan50Allocs)
+	checkAllocBudget(t, "SELECT id, v FROM p WHERE id >= ? LIMIT 50", scan50Allocs, scan50Bytes)
 }
 
-func checkAllocBudget(t *testing.T, query string, budget float64) {
+func checkAllocBudget(t *testing.T, query string, allocs, bytes int64) {
 	_, db := loadBudgetDB(t)
 	ctx := context.Background()
 	stmt, err := db.Prepare(query)
@@ -42,16 +44,25 @@ func checkAllocBudget(t *testing.T, query string, budget float64) {
 		t.Fatal(err)
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		rows, err := stmt.Query(ctx, sql.Int(benchKey(i)))
-		if err != nil {
-			t.Fatal(err)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			rows, err := stmt.Query(ctx, sql.Int(benchKey(i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchRows = rows
+			i++
 		}
-		benchRows = rows
-		i++
 	})
-	t.Logf("%s: %v allocations", query, allocs)
-	if allocs > budget {
-		t.Errorf("%s allocates %v times, budget %v", query, allocs, budget)
+	if res.N == 0 {
+		t.Fatalf("%s: the measurement failed", query)
+	}
+	t.Logf("%s: %d allocations, %d bytes over %d runs", query, res.AllocsPerOp(), res.AllocedBytesPerOp(), res.N)
+	if res.AllocsPerOp() > allocs {
+		t.Errorf("%s allocates %d times, budget %d", query, res.AllocsPerOp(), allocs)
+	}
+	if res.AllocedBytesPerOp() > bytes {
+		t.Errorf("%s allocates %d bytes, budget %d", query, res.AllocedBytesPerOp(), bytes)
 	}
 }

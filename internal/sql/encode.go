@@ -1,9 +1,11 @@
 package sql
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"yesquel/internal/wire"
 )
@@ -26,12 +28,11 @@ import (
 //
 // INTEGER and REAL keys do not interleave: every REAL key sorts above
 // every INTEGER key. A REAL column holds only REALs, but an INTEGER
-// column also holds the REALs Coerce keeps (2.5, infinities, NaN). So an
+// column also holds the REALs Coerce keeps (2.5, infinities). So an
 // INTEGER PRIMARY KEY must hold integers (checkRow), and an index range
 // on an INTEGER column that is bounded above also reads the index's REAL
 // keys (scanTable). -0 and +0 are equal values and encode as one key.
-// NaN compares equal to every number (Compare) yet sorts at one end, so
-// no key range finds it; ROADMAP records the gap.
+// NaN is no value at all: Float makes it NULL, as SQLite does.
 
 const (
 	keyTagNull  = 0x00
@@ -209,23 +210,34 @@ func EncodeRow(vals []Value) []byte {
 }
 
 // DecodeRow decodes a row encoded by EncodeRow, into an allocation of
-// its own. The row shares no memory with p: TEXT values are strings and
-// BLOB values copies.
+// its own. The row shares no memory with p: its TEXT and BLOB values are
+// copies.
 func DecodeRow(p []byte) ([]Value, error) {
 	s := rowSlab{rows: 1}
 	return s.decode(p)
 }
 
-// rowSlab decodes rows, as DecodeRow does, into shared backing arrays
-// instead of one allocation per row. The first array holds rows rows of
-// the width being decoded (a scan that knows its row limit makes that
-// the limit), each later one twice as many as the one before, up to
-// maxSlabRows. A decoded row takes its place in the array only when
-// kept: the next decode overwrites a row that was not, so the rows a
-// scan's filter rejects take no room. A kept row is never written again.
+// rowSlab decodes rows into shared backing arrays instead of one
+// allocation per row. The first array holds rows rows of the width being
+// decoded (a scan that knows its row limit makes that the limit), each
+// later one twice as many as the one before, up to maxSlabRows. A decoded
+// row takes its place in the array only when kept: the next decode
+// overwrites a row that was not, so the rows a scan's filter rejects take
+// no room. A kept row is never written again.
+//
+// Values are copied out of the encoding, as DecodeRow's are, unless
+// inFrame is set: then each TEXT value is a string over the encoding's
+// bytes (frameString) and each BLOB a slice of them, capacity-clipped, so
+// a row costs no bytes of its own. Only an encoding that lies in a read
+// reply frame may be decoded so: rpc.Client.Call hands every frame to its
+// caller fresh, and nothing writes it again (a BLOB's owner may write its
+// own bytes, which no other value shares). A scan sets it while its
+// transaction has no staged writes, whose cells may come from the staged
+// ops themselves.
 type rowSlab struct {
-	free []Value // the current array's unused tail
-	rows int     // rows the next array holds; <= 0 means firstSlabRows
+	free    []Value // the current array's unused tail
+	rows    int     // rows the next array holds; <= 0 means firstSlabRows
+	inFrame bool    // TEXT and BLOB values alias the encoding
 }
 
 const (
@@ -273,15 +285,22 @@ func (s *rowSlab) decode(p []byte) ([]Value, error) {
 			}
 			row[i] = Float(v)
 		case TypeText:
-			v, err := r.String()
+			v, err := r.Bytes()
 			if err != nil {
 				return nil, err
 			}
-			row[i] = Text(v)
+			if s.inFrame {
+				row[i] = Text(frameString(v))
+			} else {
+				row[i] = Text(string(v))
+			}
 		case TypeBlob:
-			v, err := r.BytesCopy()
+			v, err := r.Bytes()
 			if err != nil {
 				return nil, err
+			}
+			if !s.inFrame {
+				v = bytes.Clone(v)
 			}
 			row[i] = Blob(v)
 		default:
@@ -293,3 +312,12 @@ func (s *rowSlab) decode(p []byte) ([]Value, error) {
 
 // keep gives row, the last row decode returned, its place for good.
 func (s *rowSlab) keep(row []Value) { s.free = s.free[len(row):] }
+
+// frameString returns b's bytes as a string without copying them. A Go
+// string must never change, so b must lie in memory that nothing writes
+// for as long as the string is reachable: a read reply frame, which the
+// rpc client hands over fresh and never reuses, and of which the only
+// bytes anyone may write are a BLOB value's own (see rowSlab). What a
+// string made here pins is the frame it points into: at most the frames
+// its statement read.
+func frameString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }

@@ -120,9 +120,11 @@ func TestBlobRoundTrip(t *testing.T) {
 }
 
 // TestRowsNeverAliasStorage: the rows a SELECT returns are the caller's.
-// A BLOB changed in place is changed nowhere else: not in what a repeat
-// read returns, nor in a row the transaction has staged, which COMMIT
-// writes as it was inserted.
+// A BLOB changed in place is changed nowhere outside the Rows it came
+// from: not in what a repeat read returns, nor in a row the transaction
+// has staged, which COMMIT writes as it was inserted. Inside one Rows,
+// values may share bytes: SELECT data, data, or a self-join that reads
+// one cell twice, returns one BLOB twice.
 func TestRowsNeverAliasStorage(t *testing.T) {
 	db := newDB(t, 1)
 	mustExec(t, db, "CREATE TABLE b (id INTEGER PRIMARY KEY, data BLOB)")
@@ -162,6 +164,103 @@ func TestRowsNeverAliasStorage(t *testing.T) {
 	defer fresh.Close()
 	if got := blob(fresh, 2); got != "inserted" {
 		t.Fatalf("committed row: %q", got)
+	}
+}
+
+// TestScannedRowsKeepTheirBytes: a scanned row's TEXT and BLOB values lie
+// in the reply frame its cell came in, and the contract of
+// TestRowsNeverAliasStorage holds all the same. Every BLOB a statement
+// returns is overwritten in place and grown by append; every TEXT value
+// in the same Rows is unchanged after, and a repeat read returns the
+// stored bytes. The statements cover a point read, a range, SELECT *, a
+// projection out of schema order and a self-join.
+func TestScannedRowsKeepTheirBytes(t *testing.T) {
+	db := newDB(t, 1)
+	mustExec(t, db, "CREATE TABLE tb (id INTEGER PRIMARY KEY, name TEXT, data BLOB)")
+	const n = 40 // several leaves at MaxCells 16
+	name := func(id int64) string { return fmt.Sprintf("name-%d", id) }
+	data := func(id int64) string { return fmt.Sprintf("data-%d", id) }
+	for id := int64(0); id < n; id++ {
+		mustExec(t, db, "INSERT INTO tb VALUES (?, ?, ?)", sql.Int(id), sql.Text(name(id)), sql.Blob([]byte(data(id))))
+	}
+	for _, q := range []string{
+		"SELECT id, name, data FROM tb WHERE id = 7",
+		"SELECT id, name, data FROM tb WHERE id >= 3 LIMIT 20",
+		"SELECT * FROM tb",
+		"SELECT data, name, id FROM tb WHERE id < 30",
+		"SELECT a.id, a.name, b.data FROM tb a JOIN tb b ON b.id = a.id",
+	} {
+		read := func() [][]sql.Value {
+			t.Helper()
+			rows := mustQuery(t, db, q).All()
+			if len(rows) == 0 {
+				t.Fatalf("%s: no rows", q)
+			}
+			return rows
+		}
+		// check compares every value of rows with what is stored, but for
+		// the BLOBs when blobs is false.
+		check := func(rows [][]sql.Value, blobs bool) {
+			t.Helper()
+			for _, row := range rows {
+				id := int64(-1)
+				for _, v := range row {
+					if v.T == sql.TypeInt {
+						id = v.I
+					}
+				}
+				for _, v := range row {
+					switch {
+					case v.T == sql.TypeText && v.S != name(id):
+						t.Fatalf("%s: row %d holds the TEXT %q", q, id, v.S)
+					case v.T == sql.TypeBlob && blobs && string(v.B) != data(id):
+						t.Fatalf("%s: row %d holds the BLOB %q", q, id, v.B)
+					}
+				}
+			}
+		}
+		rows := read()
+		check(rows, true)
+		for _, row := range rows {
+			for i := range row {
+				if row[i].T != sql.TypeBlob {
+					continue
+				}
+				for j := range row[i].B {
+					row[i].B[j] = 'X'
+				}
+				row[i].B = append(row[i].B, "grown past its end"...)
+			}
+		}
+		check(rows, false)
+		check(read(), true)
+	}
+}
+
+// TestNaNIsNull: a NaN made by arithmetic, by parsing text into a REAL
+// column, or by sql.Float is stored as NULL, as in SQLite. NaN would
+// compare equal to every number while its key sorts at one end of the
+// REALs, so an index lookup and a full scan would disagree about it; as
+// NULL they agree.
+func TestNaNIsNull(t *testing.T) {
+	db := newDB(t, 1)
+	mustExec(t, db, "CREATE TABLE r (id INTEGER PRIMARY KEY, x REAL)")
+	mustExec(t, db, "CREATE INDEX r_x ON r (x)")
+	mustExec(t, db, "INSERT INTO r VALUES (1, 1e308 * 10 - 1e308 * 10)")
+	mustExec(t, db, "INSERT INTO r VALUES (2, 'NaN')")
+	mustExec(t, db, "INSERT INTO r VALUES (3, ?)", sql.Float(math.NaN()))
+	mustExec(t, db, "INSERT INTO r VALUES (4, 5), (5, -1.5), (6, 0)")
+	if got := rowsToString(mustQuery(t, db, "SELECT id, x FROM r WHERE x IS NULL ORDER BY id")); got != "1|NULL\n2|NULL\n3|NULL\n" {
+		t.Fatalf("the NaNs as stored:\n%s", got)
+	}
+	for _, op := range []string{"=", "<", "<=", ">", ">="} {
+		for _, v := range []float64{-1.5, 0, 5} {
+			keyed := rowsToString(mustQuery(t, db, "SELECT id FROM r WHERE x "+op+" ? ORDER BY id", sql.Float(v)))
+			scanned := rowsToString(mustQuery(t, db, "SELECT id FROM r WHERE x + 0 "+op+" ? ORDER BY id", sql.Float(v)))
+			if keyed != scanned {
+				t.Errorf("x %s %v: the index finds\n%s\na full scan\n%s", op, v, keyed, scanned)
+			}
+		}
 	}
 }
 

@@ -305,8 +305,9 @@ type keyRange struct {
 	// admits), an exact one (the bounds stand for every conjunct), bounds
 	// that keep the key's type (boundsKeepType), and a key type whose
 	// values all order by their keys as Compare orders them. INTEGER
-	// primary keys (checkRow), TEXT and BLOB keys do. REAL keys do not:
-	// NaN equals every number.
+	// primary keys (checkRow), TEXT and BLOB keys do. REAL keys would too,
+	// NaN being stored as NULL (Float), but stay out until the plan oracle
+	// covers them.
 	implied bool
 }
 
@@ -396,7 +397,9 @@ func boundsKeepType(vals []Value, ct Type) bool {
 
 // scanTable drives the chosen access path: each row it reads is decoded,
 // bound to b, checked against the path's conjuncts unless its key range
-// implies them, and handed to visit. limit is how many rows the
+// implies them, and handed to visit. A row's TEXT and BLOB values lie in
+// the reply frame its cell came in, unless tx has staged writes (see
+// rowSlab). limit is how many rows the
 // statement can use if every row the path yields counts (0 = no limit);
 // it sizes the leaf reads and the rows' backing arrays, the visitor
 // decides when the scan stops.
@@ -415,7 +418,7 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 	if r.implied {
 		filter = nil
 	}
-	slab := rowSlab{rows: path.scanLimit(table, limit)}
+	slab := rowSlab{rows: path.scanLimit(table, limit), inFrame: tx.NumWrites() == 0}
 	if path.kind == pathPKEq {
 		slab.rows = 1
 	}

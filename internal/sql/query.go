@@ -294,10 +294,15 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	}
 
 	// The scan pipeline produces joined rows.
-	joined := joinedRows{width: len(e.bindings)}
 	limitEarly, err := earlyLimit(e, st, isAgg, orderBy)
 	if err != nil {
 		return nil, err
+	}
+	// A row limit sizes the joined rows' slice, up to a scan's largest
+	// row array: a LIMIT beyond what a table holds reserves no more.
+	joined := joinedRows{width: len(e.bindings)}
+	if limitEarly > 0 {
+		joined.rows = make([][]Value, 0, min(limitEarly, maxSlabRows)*joined.width)
 	}
 
 	// Conjunct readiness: a conjunct applies at depth d if it
@@ -361,15 +366,27 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 		}
 	}
 
-	// Project (plain or aggregate).
+	// Project: aggregate, slice, or evaluate.
 	var outRows [][]Value
 	var orderKeys [][]Value
-	if isAgg {
+	lo, hi, sliced := 0, 0, false
+	if len(srcs) == 1 && !isAgg && len(orderBy) == 0 {
+		lo, hi, sliced = columnRun(items, e.bindings[0])
+	}
+	switch {
+	case isAgg:
 		outRows, orderKeys, err = db.aggregate(e, st, items, &joined)
 		if err != nil {
 			return nil, err
 		}
-	} else {
+	case sliced:
+		// A projected row is a slice of its decoded row, and the joined rows'
+		// slice holds them: one binding makes one entry per row.
+		outRows = joined.rows[:joined.n]
+		for k, row := range outRows {
+			outRows[k] = row[lo:hi:hi]
+		}
+	default:
 		// Every projected row is a slice of one array.
 		w := len(items)
 		flat := make([]Value, joined.n*w)
@@ -482,6 +499,26 @@ func scanOrdered(st Select, table *Table, alias string, conj []Expr) bool {
 		return false
 	}
 	return planAccess(table, alias, conj, nil).kind != pathIdxRange
+}
+
+// columnRun reports whether items are plain columns of b's table forming
+// the run [lo, hi) of its schema, in schema order (SELECT *, SELECT k, v):
+// then a projected row is the subslice row[lo:hi] of a row of b.
+func columnRun(items []SelectItem, b *binding) (lo, hi int, ok bool) {
+	for i, it := range items {
+		cr, isCol := it.E.(ColRef)
+		if !isCol || (cr.Table != "" && cr.Table != b.alias) {
+			return 0, 0, false
+		}
+		c := b.schema.ColIndex(cr.Col)
+		if i == 0 {
+			lo = c
+		}
+		if c < 0 || c != lo+i {
+			return 0, 0, false
+		}
+	}
+	return lo, lo + len(items), len(items) > 0
 }
 
 // earlyLimit returns how many joined rows the scans need to produce for

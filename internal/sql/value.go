@@ -65,8 +65,15 @@ var Null = Value{}
 // Int returns an integer value.
 func Int(i int64) Value { return Value{T: TypeInt, I: i} }
 
-// Float returns a real value.
-func Float(f float64) Value { return Value{T: TypeFloat, F: f} }
+// Float returns a real value, or NULL for NaN, as in SQLite: NaN would
+// compare equal to every number (Compare), yet its key sorts at one end of
+// the REALs, out of reach of every key range.
+func Float(f float64) Value {
+	if math.IsNaN(f) {
+		return Null
+	}
+	return Value{T: TypeFloat, F: f}
+}
 
 // Text returns a text value.
 func Text(s string) Value { return Value{T: TypeText, S: s} }
@@ -201,8 +208,12 @@ func (v Value) Truthy() bool {
 
 // Coerce converts v to the declared column type ct, following SQLite-
 // style affinity: numbers convert between int and float, text parses to
-// numbers when well-formed, NULL stays NULL.
+// numbers when well-formed, NULL stays NULL. A NaN, however it was made,
+// becomes NULL (see Float).
 func Coerce(v Value, ct Type) (Value, error) {
+	if v.T == TypeFloat && math.IsNaN(v.F) {
+		return Null, nil
+	}
 	if v.T == TypeNull || v.T == ct {
 		return v, nil
 	}
