@@ -55,10 +55,11 @@ func benchStatement(b *testing.B, query string, warm int, args func(i int) []sql
 // once in any budgetRows of them.
 func benchKey(i int) int64 { return int64(i*7919) % budgetRows }
 
+// keyArg is benchKey(i) as a statement's one argument.
+func keyArg(i int) []sql.Value { return []sql.Value{sql.Int(benchKey(i))} }
+
 func BenchmarkPointSelect(b *testing.B) {
-	benchStatement(b, "SELECT v FROM p WHERE id = ?", 0, func(i int) []sql.Value {
-		return []sql.Value{sql.Int(benchKey(i))}
-	})
+	benchStatement(b, "SELECT v FROM p WHERE id = ?", 0, keyArg)
 }
 
 func BenchmarkPKUpdate(b *testing.B) {
@@ -86,9 +87,22 @@ func BenchmarkIndexEqLookup5(b *testing.B) {
 }
 
 func BenchmarkScan50(b *testing.B) {
-	benchStatement(b, "SELECT id, v FROM p WHERE id >= ? LIMIT 50", 0, func(i int) []sql.Value {
-		return []sql.Value{sql.Int(benchKey(i))}
-	})
+	benchStatement(b, "SELECT id, v FROM p WHERE id >= ? LIMIT 50", 0, keyArg)
+}
+
+// BenchmarkJoin20 joins 20 rows of l, a primary-key range, to the row of
+// t each names: one plan for the statement, then a point lookup of t per
+// row of l.
+func BenchmarkJoin20(b *testing.B) {
+	benchStatement(b, join20, 0, join20Args)
+}
+
+const join20 = "SELECT l.id, t.v FROM l JOIN t ON t.id = l.src WHERE l.id >= ? AND l.id < ?"
+
+// join20Args bounds the 20 rows of l that join20 reads from benchKey(i).
+func join20Args(i int) []sql.Value {
+	lo := benchKey(i) % (budgetRows - 20)
+	return []sql.Value{sql.Int(lo), sql.Int(lo + 20)}
 }
 
 // BenchmarkInsertRows loads fresh ascending keys into the pk-only table,

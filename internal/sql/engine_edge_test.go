@@ -41,6 +41,29 @@ func TestJoinNoMatches(t *testing.T) {
 	}
 }
 
+// TestColumnsResolveBeforeAnyRead: an ambiguous or unknown column in
+// WHERE or ON fails the statement before it reads, as in SQLite, whether
+// or not a row is ever checked against it — a key range that implies the
+// conjunct, or an empty table, does not hide it.
+func TestColumnsResolveBeforeAnyRead(t *testing.T) {
+	db := newDB(t, 1)
+	mustExec(t, db, "CREATE TABLE a (id INTEGER PRIMARY KEY, x INTEGER)")
+	mustExec(t, db, "CREATE TABLE b (id INTEGER PRIMARY KEY, y INTEGER)")
+	mustExec(t, db, "CREATE TABLE empty (id INTEGER PRIMARY KEY)")
+	mustExec(t, db, "INSERT INTO a VALUES (5, 1)")
+	mustExec(t, db, "INSERT INTO b VALUES (7, 1)")
+	for _, tc := range []struct{ q, want string }{
+		{"SELECT * FROM a JOIN b ON a.x = b.y WHERE id = 5", "ambiguous column id"},
+		{"SELECT * FROM a JOIN b ON a.x = b.y WHERE id + 0 = 5", "ambiguous column id"},
+		{"SELECT * FROM empty WHERE nosuch = 1", "no such column nosuch"},
+		{"DELETE FROM empty WHERE empty.nosuch = 1", "no such column empty.nosuch"},
+	} {
+		if _, err := db.Query(context.Background(), tc.q); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.q, err, tc.want)
+		}
+	}
+}
+
 func TestAggregateOverEmptyGroups(t *testing.T) {
 	db := newDB(t, 1)
 	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)")

@@ -20,32 +20,92 @@ type env struct {
 	params   []Value
 }
 
-// resolve finds the column and returns its current value.
-func (e *env) resolve(c ColRef) (Value, error) {
-	var found *binding
-	var idx int
-	for _, b := range e.bindings {
-		if c.Table != "" && c.Table != b.alias {
+// lookup finds the column c names: the position of its binding in
+// e.bindings and its position in that binding's schema.
+func (e *env) lookup(c ColRef) (b, col int, err error) {
+	b = -1
+	for i, bi := range e.bindings {
+		if c.Table != "" && c.Table != bi.alias {
 			continue
 		}
-		if i := b.schema.ColIndex(c.Col); i >= 0 {
-			if found != nil {
-				return Null, fmt.Errorf("sql: ambiguous column %s", c.Col)
+		if j := bi.schema.ColIndex(c.Col); j >= 0 {
+			if b >= 0 {
+				return 0, 0, fmt.Errorf("sql: ambiguous column %s", c.Col)
 			}
-			found = b
-			idx = i
+			b, col = i, j
 		}
 	}
-	if found == nil {
-		if c.Table != "" {
-			return Null, fmt.Errorf("sql: no such column %s.%s", c.Table, c.Col)
+	switch {
+	case b >= 0:
+		return b, col, nil
+	case c.Table != "":
+		return 0, 0, fmt.Errorf("sql: no such column %s.%s", c.Table, c.Col)
+	}
+	return 0, 0, fmt.Errorf("sql: no such column %s", c.Col)
+}
+
+// resolve finds the column and returns its current value.
+func (e *env) resolve(c ColRef) (Value, error) {
+	b, col, err := e.lookup(c)
+	if err != nil {
+		return Null, err
+	}
+	if row := e.bindings[b].row; row != nil {
+		return row[col], nil
+	}
+	return Null, nil
+}
+
+// depth is the join depth at which conjunct c becomes decidable: 1 + the
+// position of the last binding it references, or the number of bindings
+// for a constant. Every column c names is resolved on the way, so an
+// ambiguous or unknown one fails here, whatever rows there are.
+func (e *env) depth(c Expr) (int, error) {
+	d, err := e.refDepth(c)
+	if d == 0 {
+		d = len(e.bindings)
+	}
+	return d, err
+}
+
+// refDepth is 1 + the position of the last binding x references, 0 for
+// none.
+func (e *env) refDepth(x Expr) (int, error) {
+	switch t := x.(type) {
+	case ColRef:
+		b, _, err := e.lookup(t)
+		return b + 1, err
+	case BinOp:
+		return e.refDepths(t.L, t.R)
+	case UnOp:
+		return e.refDepth(t.E)
+	case IsNull:
+		return e.refDepth(t.E)
+	case Between:
+		return e.refDepths(t.E, t.Lo, t.Hi)
+	case InList:
+		d, err := e.refDepths(t.List...)
+		if err != nil {
+			return 0, err
 		}
-		return Null, fmt.Errorf("sql: no such column %s", c.Col)
+		de, err := e.refDepth(t.E)
+		return max(d, de), err
+	case Call:
+		return e.refDepths(t.Args...)
 	}
-	if found.row == nil {
-		return Null, nil
+	return 0, nil
+}
+
+func (e *env) refDepths(xs ...Expr) (int, error) {
+	d := 0
+	for _, x := range xs {
+		dx, err := e.refDepth(x)
+		if err != nil {
+			return 0, err
+		}
+		d = max(d, dx)
 	}
-	return found.row[idx], nil
+	return d, nil
 }
 
 // eval evaluates expr in env with SQL NULL propagation.

@@ -514,16 +514,12 @@ func checkRow(s *TableSchema, vals []Value) error {
 	return nil
 }
 
-// collectMatches gathers the rows of table matching where, as the old
-// half of a rowWrite each (for UPDATE and DELETE; mutation happens after
-// the scan so the scan's iterator does not chase its own writes).
-func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, table *Table, alias string, where Expr, args []Value) ([]rowWrite, error) {
-	path := planAccess(table, alias, conjuncts(where, nil), nil)
-	e := &env{params: args}
-	b := &binding{alias: alias, schema: table.Schema}
-	e.bindings = []*binding{b}
+// collectMatches gathers the rows p's one table yields, as the old half
+// of a rowWrite each (for UPDATE and DELETE; mutation happens after the
+// scan so the scan's iterator does not chase its own writes).
+func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, p *stmtPlan) ([]rowWrite, error) {
 	var out []rowWrite
-	err := db.scanTable(ctx, tx, table, path, e, b, 0, func(rowKey []byte, row []Value) (bool, error) {
+	err := db.scanTable(ctx, tx, &p.tables[0], &p.e, func(rowKey []byte, row []Value) (bool, error) {
 		out = append(out, rowWrite{oldKey: append([]byte(nil), rowKey...), old: row})
 		return true, nil
 	})
@@ -531,11 +527,12 @@ func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, table *Table,
 }
 
 func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args []Value) (Result, error) {
-	table, err := db.cat.GetTable(ctx, tx, st.Table)
+	p, err := db.planTables(ctx, tx, &TableRef{Name: st.Table}, nil, st.Where, args)
 	if err != nil {
 		return Result{}, err
 	}
-	s := table.Schema
+	t := &p.tables[0]
+	s := t.schema
 	setPos := make([]int, len(st.Set))
 	for i, set := range st.Set {
 		p := s.ColIndex(set.Col)
@@ -544,19 +541,16 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 		}
 		setPos[i] = p
 	}
-	writes, err := db.collectMatches(ctx, tx, table, st.Table, st.Where, args)
+	writes, err := db.collectMatches(ctx, tx, &p)
 	if err != nil {
 		return Result{}, err
 	}
-	e := &env{params: args}
-	b := &binding{alias: st.Table, schema: s}
-	e.bindings = []*binding{b}
 	for i := range writes {
 		w := &writes[i]
-		b.row = w.old
+		t.row = w.old
 		w.new = append([]Value(nil), w.old...)
 		for i, set := range st.Set {
-			v, err := e.eval(set.E)
+			v, err := p.e.eval(set.E)
 			if err != nil {
 				return Result{}, err
 			}
@@ -574,22 +568,22 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 			w.newKey = EncodeKey(w.new[s.PKCol])
 		}
 	}
-	if err := db.writeRows(ctx, tx, table, writes); err != nil {
+	if err := db.writeRows(ctx, tx, t.table, writes); err != nil {
 		return Result{}, err
 	}
 	return Result{RowsAffected: int64(len(writes))}, nil
 }
 
 func (db *DB) execDelete(ctx context.Context, tx *kvclient.Tx, st Delete, args []Value) (Result, error) {
-	table, err := db.cat.GetTable(ctx, tx, st.Table)
+	p, err := db.planTables(ctx, tx, &TableRef{Name: st.Table}, nil, st.Where, args)
 	if err != nil {
 		return Result{}, err
 	}
-	writes, err := db.collectMatches(ctx, tx, table, st.Table, st.Where, args)
+	writes, err := db.collectMatches(ctx, tx, &p)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := db.writeRows(ctx, tx, table, writes); err != nil {
+	if err := db.writeRows(ctx, tx, p.tables[0].table, writes); err != nil {
 		return Result{}, err
 	}
 	return Result{RowsAffected: int64(len(writes))}, nil

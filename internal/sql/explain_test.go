@@ -95,6 +95,8 @@ func TestExplainRowFilter(t *testing.T) {
 	setupUsers(t, db)
 	mustExec(t, db, "CREATE INDEX idx_city ON users (city)")
 	mustExec(t, db, "CREATE TABLE kv (k TEXT PRIMARY KEY, v BLOB)")
+	mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, user_id INTEGER)")
+	mustExec(t, db, "CREATE INDEX idx_user ON orders (user_id)")
 	const implied, one = "(row filter: none — implied by key range)", "(row filter: 1 conjunct)"
 	cases := []struct {
 		q    string
@@ -122,6 +124,23 @@ func TestExplainRowFilter(t *testing.T) {
 		rows := mustQuery(t, db, tc.q, tc.args...)
 		if line := rows.All()[0][0].S; !strings.HasSuffix(line, tc.want) {
 			t.Errorf("%s %v:\nplan %q\ndoes not end in %q", tc.q, tc.args, line, tc.want)
+		}
+	}
+	// A join's tables, one line each: a table is planned from, and its rows
+	// checked against, the conjuncts decidable once it is bound.
+	for _, tc := range []struct {
+		q    string
+		want []string
+	}{
+		{"EXPLAIN SELECT u.name FROM users u JOIN orders o ON o.user_id = u.id WHERE u.id = 5", []string{"(point read) " + implied, one}},
+		{"EXPLAIN SELECT * FROM orders o JOIN users u ON u.id = o.user_id WHERE o.oid > 3 AND u.age > 20",
+			[]string{"(open-ended) " + implied, "PRIMARY KEY lookup on users (id = ...) (point read) (row filter: 2 conjuncts)"}},
+	} {
+		rows := mustQuery(t, db, tc.q)
+		for i, want := range tc.want {
+			if line := rows.All()[i][0].S; !strings.HasSuffix(line, want) {
+				t.Errorf("%s:\nline %d %q\ndoes not end in %q", tc.q, i, line, want)
+			}
 		}
 	}
 }

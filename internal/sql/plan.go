@@ -32,6 +32,130 @@ import (
 // high key, and, when the path accounts for every conjunct, the
 // statement's row limit — travels down to the leaf reads as a dbt.Range,
 // so no layer fetches more than the statement can use.
+//
+// A SELECT, UPDATE or DELETE is planned once, before its first read, into
+// a stmtPlan: the executor runs it (execSelect, collectMatches) and
+// EXPLAIN prints it (execExplain). Nothing else plans.
+
+// A stmtPlan is how a statement reads: its tables in join order, and,
+// for a SELECT, what becomes of the joined rows.
+type stmtPlan struct {
+	e      env // the tables' bindings and the statement's parameters
+	tables []tablePlan
+
+	// The rest is a SELECT's: its items (* expanded) and output column
+	// names; whether it aggregates; the sort left once the scan's own order
+	// is accounted for (scanOrdered); how many joined rows the scans need
+	// produce (earlyLimit; -1 for all) or why its LIMIT could not say; and
+	// whether a projected row is row[lo:hi] of its one table's (columnRun).
+	items    []SelectItem
+	columns  []string
+	agg      bool
+	orderBy  []OrderItem
+	early    int
+	limitErr error
+	lo, hi   int
+	sliced   bool
+}
+
+// A tablePlan is one table of a statement's plan.
+type tablePlan struct {
+	binding // the table's alias and schema, and the row its scan has bound
+	table   *Table
+	path    accessPath
+	// conj is the conjuncts decidable once this table is bound, those of
+	// the tables before it having been: what path was planned from, and the
+	// filter every row it yields must pass (see scanTable).
+	conj []Expr
+	// limit is how many rows the statement can use from the table's scan
+	// if every row it yields counts (0 = no limit). Only the scan of a
+	// single-table query yields one row per joined row; whether each also
+	// passes the predicates is the path's business (accessPath.scanLimit).
+	limit int
+}
+
+// planTables plans the tables from and joins name, in join order, under
+// the conjuncts of where and of every ON. Each conjunct goes to the table
+// at whose depth it becomes decidable (env.depth), which resolves every
+// column it names, and each table's path is planned from its own
+// conjuncts, the tables before it being outer. With from nil the plan has
+// no tables, and its WHERE's columns still must resolve.
+func (db *DB) planTables(ctx context.Context, tx *kvclient.Tx, from *TableRef, joins []Join, where Expr, args []Value) (stmtPlan, error) {
+	p := stmtPlan{e: env{params: args}, early: -1}
+	conj := conjuncts(where, nil)
+	for _, j := range joins {
+		conj = conjuncts(j.On, conj)
+	}
+	if from != nil {
+		p.tables = make([]tablePlan, 1+len(joins))
+		p.e.bindings = make([]*binding, len(p.tables))
+		for i := range p.tables {
+			r := *from
+			if i > 0 {
+				r = joins[i-1].Right
+			}
+			table, err := db.cat.GetTable(ctx, tx, r.Name)
+			if err != nil {
+				return stmtPlan{}, err
+			}
+			alias := r.Alias
+			if alias == "" {
+				alias = r.Name
+			}
+			p.tables[i] = tablePlan{binding: binding{alias: alias, schema: table.Schema}, table: table}
+			p.e.bindings[i] = &p.tables[i].binding
+		}
+	}
+	for _, c := range conj {
+		d, err := p.e.depth(c)
+		if err != nil {
+			return stmtPlan{}, err
+		}
+		if len(p.tables) > 1 {
+			p.tables[d-1].conj = append(p.tables[d-1].conj, c)
+		}
+	}
+	if len(p.tables) == 1 {
+		p.tables[0].conj = conj // every one, in its own array
+	}
+	outer := make(map[string]bool) // the aliases bound before the table planned
+	for i := range p.tables {
+		t := &p.tables[i]
+		t.path = planAccess(t.table, t.alias, t.conj, outer)
+		outer[t.alias] = true
+	}
+	return p, nil
+}
+
+// planSelect plans st: its tables, and what becomes of the joined rows.
+func (db *DB) planSelect(ctx context.Context, tx *kvclient.Tx, st Select, args []Value) (stmtPlan, error) {
+	p, err := db.planTables(ctx, tx, st.From, st.Joins, st.Where, args)
+	if err != nil {
+		return stmtPlan{}, err
+	}
+	if p.items, p.columns, err = expandItems(st.Items, &p.e); err != nil {
+		return stmtPlan{}, err
+	}
+	p.agg = len(st.GroupBy) > 0 || st.Having != nil
+	for _, it := range p.items {
+		if hasAggregate(it.E) {
+			p.agg = true
+		}
+	}
+	p.orderBy = st.OrderBy
+	single := len(p.tables) == 1 && !p.agg
+	if single && !st.Distinct && scanOrdered(st, &p.tables[0]) {
+		p.orderBy = nil // scan order == requested order
+	}
+	p.early, p.limitErr = earlyLimit(&p.e, st, p.agg, p.orderBy)
+	if len(p.tables) == 1 && p.early >= 0 {
+		p.tables[0].limit = max(p.early, 1)
+	}
+	if single && len(p.orderBy) == 0 {
+		p.lo, p.hi, p.sliced = columnRun(p.items, &p.tables[0].binding)
+	}
+	return p, nil
+}
 
 type pathKind uint8
 
@@ -58,9 +182,6 @@ type accessPath struct {
 	// was planned from: each row the scan yields is a row of the result,
 	// so a row limit may be handed to the scan.
 	exact bool
-	// conj is the conjuncts the path was planned from: the filter every
-	// row it yields must pass (see scanTable).
-	conj []Expr
 }
 
 // conjuncts flattens nested ANDs.
@@ -232,13 +353,13 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 		switch {
 		case cb == nil:
 		case cb.eq != nil:
-			return accessPath{kind: eqKind, idx: idx, eq: cb.eq, exact: len(conj) == 1, conj: conj}, true
+			return accessPath{kind: eqKind, idx: idx, eq: cb.eq, exact: len(conj) == 1}, true
 		case cb.lo != nil || cb.hi != nil:
 			used := 1
 			if cb.lo != nil && cb.hi != nil && cb.loC != cb.hiC {
 				used = 2
 			}
-			return accessPath{kind: rangeKind, idx: idx, lo: cb.lo, hi: cb.hi, exact: len(conj) == used && !cb.partial, conj: conj}, true
+			return accessPath{kind: rangeKind, idx: idx, lo: cb.lo, hi: cb.hi, exact: len(conj) == used && !cb.partial}, true
 		}
 		return accessPath{}, false
 	}
@@ -253,7 +374,7 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 			return p
 		}
 	}
-	return accessPath{kind: pathFull, exact: len(conj) == 0, conj: conj}
+	return accessPath{kind: pathFull, exact: len(conj) == 0}
 }
 
 // scanLimit is the row limit to hand to the path's scan, given the
@@ -395,15 +516,14 @@ func boundsKeepType(vals []Value, ct Type) bool {
 	return true
 }
 
-// scanTable drives the chosen access path: each row it reads is decoded,
-// bound to b, checked against the path's conjuncts unless its key range
-// implies them, and handed to visit. A row's TEXT and BLOB values lie in
-// the reply frame its cell came in, unless tx has staged writes (see
-// rowSlab). limit is how many rows the
-// statement can use if every row the path yields counts (0 = no limit);
-// it sizes the leaf reads and the rows' backing arrays, the visitor
+// scanTable drives t's access path: each row it reads is decoded, bound
+// to t, checked against t's conjuncts unless its key range implies them,
+// and handed to visit. A row's TEXT and BLOB values lie in the reply
+// frame its cell came in, unless tx has staged writes (see rowSlab).
+// t.limit sizes the leaf reads and the rows' backing arrays, the visitor
 // decides when the scan stops.
-func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path accessPath, e *env, b *binding, limit int, visit rowVisitor) error {
+func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, t *tablePlan, e *env, visit rowVisitor) error {
+	table, path := t.table, t.path
 	schema := table.Schema
 	keyCol := path.keyCol(schema)
 	var r keyRange
@@ -414,11 +534,12 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 			return err
 		}
 	}
-	filter := path.conj
+	filter := t.conj
 	if r.implied {
 		filter = nil
 	}
-	slab := rowSlab{rows: path.scanLimit(table, limit), inFrame: tx.NumWrites() == 0}
+	limit := path.scanLimit(table, t.limit)
+	slab := rowSlab{rows: limit, inFrame: tx.NumWrites() == 0}
 	if path.kind == pathPKEq {
 		slab.rows = 1
 	}
@@ -427,7 +548,7 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 		if err != nil {
 			return false, err
 		}
-		b.row = row
+		t.row = row
 		for _, c := range filter {
 			v, err := e.eval(c)
 			if err != nil {
@@ -442,7 +563,7 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 	}
 	switch {
 	case keyCol < 0:
-		return db.scanTreeRange(ctx, tx, table.Tree, dbt.Range{Limit: path.scanLimit(table, limit)}, visitCell)
+		return db.scanTreeRange(ctx, tx, table.Tree, dbt.Range{Limit: limit}, visitCell)
 	case !ranged:
 		// A bound that is not a key of the column's type: scan everything
 		// and leave the decision to the row filter.
@@ -452,7 +573,6 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, table *Table, path
 	if hi != nil && bytesCompare(lo, hi) >= 0 {
 		return nil // col = NULL, or contradictory bounds: nothing to read
 	}
-	limit = path.scanLimit(table, limit)
 	switch path.kind {
 	case pathPKEq:
 		val, err := table.Tree.Get(ctx, tx, lo)

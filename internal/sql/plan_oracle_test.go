@@ -193,7 +193,7 @@ const oracleIDs = 240
 // must make no more read rounds than the fresh one. A key range, and the
 // row filter it may make redundant, must not change rows either: a read
 // with a reference statement (oracleStmt.ref) returns what its full scan
-// does. Between cases another
+// does, and EXPLAIN must print each statement's plan. Between cases another
 // client's session applies the case and a burst of inserts and deletes
 // of its own, splitting the leaves the warm caches route to. A failure
 // prints its seed; -oracle.seed replays it.
@@ -303,6 +303,28 @@ func TestPlanOracle(t *testing.T) {
 			ref := oracleCase{stmts: []oracleStmt{{q: st.ref, args: st.args}}}
 			if rRes, _, _ := run(ablated, ref, snap); rRes != wRes {
 				t.Errorf("case %d %v: rows differ from the full scan's\nwarm:\n%s\nfull scan:\n%s", i, oc.stmts, wRes, rRes)
+			}
+		}
+		// EXPLAIN prints the plan of every statement it covers (SELECT,
+		// UPDATE, DELETE): one table line, ending in its row filter, per
+		// FROM table.
+		for _, st := range oc.stmts {
+			if strings.HasPrefix(st.q, "INSERT") {
+				continue
+			}
+			rows, err := ablated.Query(ctx, "EXPLAIN "+st.q, st.args...)
+			if err != nil {
+				t.Errorf("case %d: EXPLAIN %v: %v", i, st, err)
+				continue
+			}
+			tables := 0
+			for _, r := range rows.All() {
+				if strings.Contains(r[0].S, "(row filter: ") {
+					tables++
+				}
+			}
+			if want := 1 + strings.Count(st.q, " JOIN "); tables != want {
+				t.Errorf("case %d: EXPLAIN %v: %d table lines, want %d\n%s", i, st, tables, want, rowsToString(rows))
 			}
 		}
 

@@ -235,107 +235,35 @@ func (j *joinedRows) bind(bindings []*binding, k int) {
 }
 
 func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args []Value) (*Rows, error) {
-	// Resolve FROM tables.
-	type src struct {
-		ref   TableRef
-		alias string
-		table *Table
-	}
-	var srcs []src
-	if st.From != nil {
-		refs := []TableRef{*st.From}
-		for _, j := range st.Joins {
-			refs = append(refs, j.Right)
-		}
-		for _, r := range refs {
-			alias := r.Alias
-			if alias == "" {
-				alias = r.Name
-			}
-			table, err := db.cat.GetTable(ctx, tx, r.Name)
-			if err != nil {
-				return nil, err
-			}
-			srcs = append(srcs, src{ref: r, alias: alias, table: table})
-		}
-	}
-
-	// Build the evaluation environment.
-	e := &env{params: args}
-	for _, s := range srcs {
-		e.bindings = append(e.bindings, &binding{alias: s.alias, schema: s.table.Schema})
-	}
-
-	// Gather all predicate conjuncts (WHERE plus every ON): each is
-	// applied as soon as all its tables are bound.
-	var allConj []Expr
-	allConj = conjuncts(st.Where, allConj)
-	for _, j := range st.Joins {
-		allConj = conjuncts(j.On, allConj)
-	}
-
-	// Projection expansion (*, t.*) and output naming.
-	items, colNames, err := expandItems(st.Items, e)
+	p, err := db.planSelect(ctx, tx, st, args)
 	if err != nil {
 		return nil, err
 	}
+	if p.limitErr != nil {
+		return nil, p.limitErr
+	}
+	e := &p.e
 
-	// Aggregate detection.
-	isAgg := len(st.GroupBy) > 0 || st.Having != nil
-	for _, it := range items {
-		if hasAggregate(it.E) {
-			isAgg = true
-		}
-	}
-
-	orderBy := st.OrderBy
-	if len(srcs) == 1 && !isAgg && !st.Distinct && scanOrdered(st, srcs[0].table, srcs[0].alias, allConj) {
-		orderBy = nil // scan order == requested order
-	}
-
-	// The scan pipeline produces joined rows.
-	limitEarly, err := earlyLimit(e, st, isAgg, orderBy)
-	if err != nil {
-		return nil, err
-	}
-	// A row limit sizes the joined rows' slice, up to a scan's largest
-	// row array: a LIMIT beyond what a table holds reserves no more.
-	joined := joinedRows{width: len(e.bindings)}
-	if limitEarly > 0 {
-		joined.rows = make([][]Value, 0, min(limitEarly, maxSlabRows)*joined.width)
-	}
-
-	// Conjunct readiness: a conjunct applies at depth d if it
-	// references only aliases bound at depths <= d.
-	aliasDepth := make(map[string]int)
-	for i, s := range srcs {
-		aliasDepth[s.alias] = i
-	}
-	conjDepth := make([][]Expr, len(srcs)+1)
-	for _, c := range allConj {
-		d := predicateDepth(c, aliasDepth, e)
-		conjDepth[d] = append(conjDepth[d], c)
+	// The scan pipeline produces joined rows. A row limit sizes their
+	// slice, up to a scan's largest row array: a LIMIT beyond what a table
+	// holds reserves no more.
+	joined := joinedRows{width: len(p.tables)}
+	if p.early > 0 {
+		joined.rows = make([][]Value, 0, min(p.early, maxSlabRows)*joined.width)
 	}
 
 	var recurse func(depth int) (bool, error)
 	recurse = func(depth int) (bool, error) {
-		if depth == len(srcs) {
+		if depth == len(p.tables) {
 			joined.add(e.bindings)
-			if limitEarly >= 0 && joined.n >= limitEarly {
+			if p.early >= 0 && joined.n >= p.early {
 				return false, nil
 			}
 			return true, nil
 		}
-		s := srcs[depth]
-		outer := make(map[string]bool)
-		for i := 0; i < depth; i++ {
-			outer[srcs[i].alias] = true
-		}
-		// The path filters the table's rows by the predicates that become
-		// decidable at this depth.
-		path := planAccess(s.table, s.alias, conjDepth[depth+1], outer)
+		t := &p.tables[depth]
 		cont := true
-		err := db.scanTable(ctx, tx, s.table, path, e, e.bindings[depth], scanRowLimit(limitEarly, len(srcs)), func([]byte, []Value) (bool, error) {
+		err := db.scanTable(ctx, tx, t, e, func([]byte, []Value) (bool, error) {
 			c2, err := recurse(depth + 1)
 			if err != nil {
 				return false, err
@@ -343,7 +271,7 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 			cont = c2
 			return c2, nil
 		})
-		e.bindings[depth].row = nil
+		t.row = nil
 		return cont, err
 	}
 
@@ -369,32 +297,28 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	// Project: aggregate, slice, or evaluate.
 	var outRows [][]Value
 	var orderKeys [][]Value
-	lo, hi, sliced := 0, 0, false
-	if len(srcs) == 1 && !isAgg && len(orderBy) == 0 {
-		lo, hi, sliced = columnRun(items, e.bindings[0])
-	}
 	switch {
-	case isAgg:
-		outRows, orderKeys, err = db.aggregate(e, st, items, &joined)
+	case p.agg:
+		outRows, orderKeys, err = db.aggregate(e, st, p.items, &joined)
 		if err != nil {
 			return nil, err
 		}
-	case sliced:
+	case p.sliced:
 		// A projected row is a slice of its decoded row, and the joined rows'
 		// slice holds them: one binding makes one entry per row.
 		outRows = joined.rows[:joined.n]
 		for k, row := range outRows {
-			outRows[k] = row[lo:hi:hi]
+			outRows[k] = row[p.lo:p.hi:p.hi]
 		}
 	default:
 		// Every projected row is a slice of one array.
-		w := len(items)
+		w := len(p.items)
 		flat := make([]Value, joined.n*w)
 		outRows = make([][]Value, joined.n)
 		for k := range outRows {
 			joined.bind(e.bindings, k)
 			row := flat[k*w : (k+1)*w : (k+1)*w]
-			for i, it := range items {
+			for i, it := range p.items {
 				v, err := e.eval(it.E)
 				if err != nil {
 					return nil, err
@@ -402,8 +326,8 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 				row[i] = v
 			}
 			outRows[k] = row
-			if len(orderBy) > 0 {
-				keys, err := evalOrderKeys(e, orderBy, items, row)
+			if len(p.orderBy) > 0 {
+				keys, err := evalOrderKeys(e, p.orderBy, p.items, row)
 				if err != nil {
 					return nil, err
 				}
@@ -435,18 +359,17 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	}
 
 	// ORDER BY.
-	if len(orderBy) > 0 {
+	if len(p.orderBy) > 0 {
 		idx := make([]int, len(outRows))
 		for i := range idx {
 			idx[i] = i
 		}
-		var sortErr error
 		sort.SliceStable(idx, func(a, b int) bool {
 			ka, kb := orderKeys[idx[a]], orderKeys[idx[b]]
-			for i := range orderBy {
+			for i := range p.orderBy {
 				c := Compare(ka[i], kb[i])
 				if c != 0 {
-					if orderBy[i].Desc {
+					if p.orderBy[i].Desc {
 						return c > 0
 					}
 					return c < 0
@@ -454,9 +377,6 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 			}
 			return false
 		})
-		if sortErr != nil {
-			return nil, sortErr
-		}
 		sorted := make([][]Value, len(outRows))
 		for i, j := range idx {
 			sorted[i] = outRows[j]
@@ -480,25 +400,25 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 		outRows = outRows[:lim]
 	}
 
-	return &Rows{Columns: colNames, rows: outRows}, nil
+	return &Rows{Columns: p.columns, rows: outRows}, nil
 }
 
-// scanOrdered reports whether the scan of a single-table query already
-// delivers rows in the order st asks for, so that no sort is needed: an
-// ORDER BY on the primary key ascending, since the DBT scan delivers
-// rows in primary-key order (and an index-equality scan delivers them
-// in row-key order within the fixed value). This also re-enables early
-// LIMIT termination for the Web-typical `ORDER BY pk LIMIT n`.
-func scanOrdered(st Select, table *Table, alias string, conj []Expr) bool {
-	pk := table.Schema.PKCol
+// scanOrdered reports whether the scan of a single-table query, planned
+// as t, already delivers rows in the order st asks for, so that no sort
+// is needed: an ORDER BY on the primary key ascending, since the DBT scan
+// delivers rows in primary-key order (and an index-equality scan delivers
+// them in row-key order within the fixed value). This also re-enables
+// early LIMIT termination for the Web-typical `ORDER BY pk LIMIT n`.
+func scanOrdered(st Select, t *tablePlan) bool {
+	pk := t.schema.PKCol
 	if len(st.OrderBy) != 1 || st.OrderBy[0].Desc || pk < 0 {
 		return false
 	}
 	cr, ok := st.OrderBy[0].E.(ColRef)
-	if !ok || cr.Col != table.Schema.Cols[pk].Name || (cr.Table != "" && cr.Table != alias) {
+	if !ok || cr.Col != t.schema.Cols[pk].Name || (cr.Table != "" && cr.Table != t.alias) {
 		return false
 	}
-	return planAccess(table, alias, conj, nil).kind != pathIdxRange
+	return t.path.kind != pathIdxRange
 }
 
 // columnRun reports whether items are plain columns of b's table forming
@@ -534,71 +454,6 @@ func earlyLimit(e *env, st Select, isAgg bool, orderBy []OrderItem) (int, error)
 		return -1, err
 	}
 	return lim + off, nil
-}
-
-// scanRowLimit turns an early limit into the row limit handed to the
-// table scan (0 = none). Only a single-table query's scan yields one
-// row per joined row; whether each of those rows also passes the
-// predicates is the access path's business (accessPath.scanLimit).
-func scanRowLimit(limitEarly, tables int) int {
-	if limitEarly < 0 || tables != 1 {
-		return 0
-	}
-	return max(limitEarly, 1)
-}
-
-// predicateDepth returns 1 + the highest binding index referenced, i.e.
-// the join depth at which the conjunct becomes decidable. Unqualified
-// column refs resolve to whichever binding has the column.
-func predicateDepth(c Expr, aliasDepth map[string]int, e *env) int {
-	max := 0
-	var walk func(x Expr)
-	walk = func(x Expr) {
-		switch t := x.(type) {
-		case ColRef:
-			d := 0
-			if t.Table != "" {
-				if ad, ok := aliasDepth[t.Table]; ok {
-					d = ad + 1
-				}
-			} else {
-				for i, b := range e.bindings {
-					if b.schema.ColIndex(t.Col) >= 0 {
-						d = i + 1
-						break
-					}
-				}
-			}
-			if d > max {
-				max = d
-			}
-		case BinOp:
-			walk(t.L)
-			walk(t.R)
-		case UnOp:
-			walk(t.E)
-		case IsNull:
-			walk(t.E)
-		case Between:
-			walk(t.E)
-			walk(t.Lo)
-			walk(t.Hi)
-		case InList:
-			walk(t.E)
-			for _, le := range t.List {
-				walk(le)
-			}
-		case Call:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(c)
-	if max == 0 {
-		max = len(e.bindings) // constant predicates: apply at the first row
-	}
-	return max
 }
 
 // expandItems expands * and t.* and derives output column names.
