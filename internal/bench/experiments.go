@@ -45,16 +45,12 @@ func putRetry(ctx context.Context, c *kvclient.Client, tree *dbt.Tree, key, val 
 	}
 }
 
-// bulkLoadTree inserts records 0..n-1 into tree in batches. Loading
-// goes through a synchronous-split handle so structural maintenance
-// serializes with the batches instead of aborting them.
+// bulkLoadTree inserts records 0..n-1 into tree in batches, through a
+// default handle whatever tree's configuration: each batch's commit
+// splits the leaves it grew, so the splits serialize with the batches
+// instead of aborting them.
 func bulkLoadTree(ctx context.Context, c *kvclient.Client, mainTree *dbt.Tree, n int) error {
-	loadCfg := dbt.Config{SyncSplit: true}
-	tree, err := dbt.OpenUnchecked(c, mainTree.ID(), loadCfg)
-	if err != nil {
-		return err
-	}
-	defer tree.Close()
+	tree := dbt.OpenUnchecked(c, mainTree.ID(), dbt.Config{})
 	const batch = 64
 	for base := 0; base < n; base += batch {
 		end := base + batch
@@ -86,9 +82,6 @@ func bulkLoadTree(ctx context.Context, c *kvclient.Client, mainTree *dbt.Tree, n
 		if !ok {
 			return fmt.Errorf("bench: bulk load batch at %d kept conflicting", base)
 		}
-		if err := tree.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-			return err
-		}
 	}
 	return nil
 }
@@ -115,7 +108,6 @@ func RunE1(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer tree.Close()
 	if err := bulkLoadTree(ctx, c, tree, p.Records); err != nil {
 		return nil, err
 	}
@@ -302,10 +294,8 @@ func RunE2(ctx context.Context, p Params) (*Table, error) {
 		cells = append(cells, balance)
 		table.Rows = append(table.Rows, Row{Cells: cells})
 		for w := range wcs {
-			wts[w].Close()
 			wcs[w].Close()
 		}
-		tree.Close()
 		loader.Close()
 		cl.Close()
 	}
@@ -361,7 +351,6 @@ func RunE3(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer rawTree.Close()
 	if err := bulkLoadTree(ctx, kvc, rawTree, p.Records); err != nil {
 		return nil, err
 	}
@@ -581,12 +570,11 @@ func RunE5(ctx context.Context, p Params) (*Table, error) {
 		{"no inner-node cache", dbt.Config{NoCache: true}},
 		{"no delta ops", dbt.Config{NoDelta: true}},
 		{"no partial reads", dbt.Config{NoPartial: true}},
-		{"sync (writer) splits", dbt.Config{SyncSplit: true}},
 		{"naive (all disabled)", dbt.NaiveConfig()},
 	}
 	table := &Table{
 		Title:   fmt.Sprintf("E5: YDBT optimization ablation (%d servers, %d workers, 50/50 read/update)", servers, 8),
-		Comment: "paper claim: caching removes inner-node reads from every descent; delta ops\nremove leaf rewrite bytes; delegated splits take splits off the writer path",
+		Comment: "paper claim: caching removes inner-node reads from every descent; delta ops\nremove leaf rewrite bytes; splits run in their own transactions, which the writer\nthat grew the node waits for",
 		Header:  []string{"configuration", "ops/s", "node reads/op", "vs full"},
 	}
 	var fullRate float64
@@ -608,12 +596,6 @@ func RunE5(ctx context.Context, p Params) (*Table, error) {
 		if err := bulkLoadTree(ctx, loader, tree, p.Records); err != nil {
 			cl.Close()
 			return nil, err
-		}
-		if cfg.cfg.SyncSplit {
-			if err := tree.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-				cl.Close()
-				return nil, err
-			}
 		}
 
 		const workers = 8
@@ -651,11 +633,6 @@ func RunE5(ctx context.Context, p Params) (*Table, error) {
 			if err := putRetry(ctx, wcs[w], wts[w], key, ycsb.Value(int64(w))); err != nil {
 				return 0, err
 			}
-			if cfg.cfg.SyncSplit {
-				if err := wts[w].MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-					return 0, err
-				}
-			}
 			return 1, nil
 		})
 		readsAfter := uint64(0)
@@ -676,10 +653,8 @@ func RunE5(ctx context.Context, p Params) (*Table, error) {
 		}
 		table.Rows = append(table.Rows, Row{Cells: []string{cfg.name, fmtF(rate), perOp, rel}})
 		for w := 0; w < workers; w++ {
-			wts[w].Close()
 			wcs[w].Close()
 		}
-		tree.Close()
 		loader.Close()
 		cl.Close()
 	}
@@ -756,7 +731,6 @@ func RunE7(ctx context.Context, p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer tree.Close()
 	if err := bulkLoadTree(ctx, loader, tree, p.Records); err != nil {
 		return nil, err
 	}
@@ -801,7 +775,6 @@ func RunE7(ctx context.Context, p Params) (*Table, error) {
 				fmtF(opsPerSec(ops, elapsed)),
 				fmtF(float64(cellCount.load()) / elapsed.Seconds()),
 			}})
-			wt.Close()
 			wc.Close()
 		}
 	}

@@ -29,9 +29,10 @@ const benchKeys = 4096
 
 func benchKey(i int) []byte { return []byte(fmt.Sprintf("key%06d", i*7919%benchKeys)) }
 
-// loadBenchTree loads benchKeys keys through a handle that splits
-// synchronously (which leaves exist is the same on every run) and
-// returns a default-config handle with the inner nodes cached.
+// loadBenchTree loads benchKeys keys in 32-key transactions, each of
+// which splits what it grew before its commit returns (so which leaves
+// exist is the same on every run), and returns a fresh default-config
+// handle with the inner nodes cached.
 func loadBenchTree(tb testing.TB) (*cluster.Cluster, *kvclient.Client, *dbt.Tree) {
 	tb.Helper()
 	ctx := context.Background()
@@ -45,7 +46,7 @@ func loadBenchTree(tb testing.TB) (*cluster.Cluster, *kvclient.Client, *dbt.Tree
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { c.Close() })
-	loader, err := dbt.Create(ctx, c, 1, dbt.Config{SyncSplit: true})
+	loader, err := dbt.Create(ctx, c, 1, dbt.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -58,9 +59,6 @@ func loadBenchTree(tb testing.TB) (*cluster.Cluster, *kvclient.Client, *dbt.Tree
 			}
 		}
 		if err := tx.Commit(ctx); err != nil {
-			tb.Fatal(err)
-		}
-		if err := loader.MaintainNow(ctx); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -28,12 +28,13 @@ import (
 //
 // It returns tree-wide statistics.
 type CheckResult struct {
-	Height    uint64
-	Nodes     int
-	Leaves    int
-	Cells     int // cells in leaves (rows)
-	MinFanout int
-	MaxFanout int
+	Height       uint64
+	Nodes        int
+	Leaves       int
+	Cells        int // cells in leaves (rows)
+	MaxLeafCells int // cells in the fullest leaf
+	MinFanout    int // of inner nodes
+	MaxFanout    int
 }
 
 // Check verifies the tree's invariants at tx's snapshot.
@@ -70,6 +71,7 @@ func (t *Tree) Check(ctx context.Context, tx *kvclient.Tx) (*CheckResult, error)
 		if h == 0 {
 			res.Leaves++
 			res.Cells += node.NumCells()
+			res.MaxLeafCells = max(res.MaxLeafCells, node.NumCells())
 			// Leaf tiling.
 			if first {
 				if len(node.LowKey) != 0 {

@@ -26,7 +26,7 @@ func TestCheckEmptyTree(t *testing.T) {
 }
 
 func TestCheckAfterHeavySplits(t *testing.T) {
-	_, c, tree := startTree(t, 4, dbt.Config{MaxCells: 4, SyncSplit: true})
+	_, c, tree := startTree(t, 4, dbt.Config{MaxCells: 4})
 	fillSequential(t, c, tree, 300)
 	tx := c.Begin()
 	defer tx.Abort()
@@ -99,10 +99,10 @@ func TestCheckUnderConcurrentMutation(t *testing.T) {
 }
 
 func TestCheckRandomizedWorkloads(t *testing.T) {
-	// Property: after any sequence of puts/deletes/maintenance, every
+	// Property: after any sequence of puts and deletes, every
 	// structural invariant holds and the cell count matches the model.
 	for seed := int64(1); seed <= 4; seed++ {
-		_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 5, SyncSplit: true})
+		_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 5})
 		ctx := context.Background()
 		rng := rand.New(rand.NewSource(seed))
 		live := make(map[string]bool)
@@ -123,14 +123,6 @@ func TestCheckRandomizedWorkloads(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if step%40 == 0 {
-				if err := tree.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := tree.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-			t.Fatal(err)
 		}
 		tx := c.Begin()
 		res, err := tree.Check(ctx, tx)

@@ -5,8 +5,8 @@
 // distributed transaction and is atomic by construction: "the Yesquel
 // DBT uses transactions to atomically move data across DBT nodes".
 //
-// Performance mechanisms, each individually switchable for the ablation
-// experiment (E5 in DESIGN.md):
+// Performance mechanisms (caching, deltas and partial leaf reads are
+// each switchable for the ablation experiment, E5 in DESIGN.md):
 //
 //   - Client-side caching of inner nodes. Descents consult the cache
 //     without any server communication; only the leaf is read
@@ -16,11 +16,11 @@
 //     and descends again with transactional reads.
 //   - Delta operations. Inserts and deletes stage one-cell supervalue
 //     deltas (ListAdd / ListDelRange) instead of rewriting the node.
-//   - Delegated (asynchronous) splits. Writers enqueue oversized
-//     leaves; a splitter goroutine splits them in separate
-//     transactions, so no transaction carries structural work. The
-//     writer that grew a leaf past MaxCells waits, after its commit, for
-//     that attempt (see "Write statements").
+//   - Splits in their own transactions. The writer whose commit grew a
+//     node past MaxCells splits it, and whatever that split leaves over
+//     the limit, in separate transactions before its Commit returns, so
+//     no user transaction carries structural work (see "Write
+//     statements").
 //
 // # Write statements
 //
@@ -42,20 +42,18 @@
 // Such a writer's transaction is one read round and a commit, which is
 // shorter than a split (read the leaf, find the parent, commit across
 // two servers), and a split conflicts with every commit on its node
-// since it began. Left to race, the splitter of a leaf under steady
-// insertion never wins, the leaf grows without bound and every commit on
-// it costs more than the last (measured: a 10,000-row load made 8 of
-// its 150 splits and ran slower than with one read per row). So the
-// writer whose Put grew a leaf past MaxCells hands the leaf to the
-// splitter when it has committed (kvclient.Tx.OnCommit), and its Commit
-// returns once the splitter has made its attempt. The wait fails
-// nothing and dooms nothing: Put never refuses a write, a transaction
-// that aborts asks for no split, and the writer's next transaction
-// starts at a snapshot that has the split in it — from a cache that has
-// it too, the splitter having cached the router as the split left it.
-// Writers that grow no leaf past its limit, readers, and other clients
-// never wait. A SyncSplit handle never waits either: its caller runs
-// MaintainNow.
+// since it began. A split racing a leaf's writers from elsewhere never
+// wins under steady insertion, the leaf grows without bound and every
+// commit on it costs more than the last (measured: a 10,000-row load made
+// 8 of its 150 splits and ran slower than with one read per row). So the
+// writer whose Put grew a leaf past MaxCells splits it itself once it
+// has committed (kvclient.Tx.OnCommit), before its Commit returns. That
+// fails nothing and dooms nothing: Put never refuses a write, a
+// transaction that aborts asks for no split, and the writer's next
+// transaction starts at a snapshot that has the split in it — from a
+// cache that has it too, the split having cached the router as it left
+// it. Writers that grow no leaf past its limit, readers, and other
+// clients never split.
 //
 // # Scan plans
 //
@@ -129,12 +127,6 @@ type Config struct {
 	// operation needs (ablation d).
 	NoPartial bool
 
-	// SyncSplit makes the writer split oversized leaves synchronously
-	// after its transaction commits, instead of delegating to the
-	// background splitter (ablation c). Tests also use it for
-	// determinism.
-	SyncSplit bool
-
 	// Placement picks the server slot for a newly created node, given
 	// the number of servers. Nil defaults to round-robin, which spreads
 	// the tree across the cluster — the paper's reason for
@@ -169,15 +161,14 @@ func (c Config) withDefaults() Config {
 // Ablated reports whether any of the paper's ablation switches is
 // active; an ablated handle plans nothing (routeFromCache).
 func (c Config) Ablated() bool {
-	return c.NoCache || c.NoDelta || c.NoPartial || c.SyncSplit
+	return c.NoCache || c.NoDelta || c.NoPartial
 }
 
 // NaiveConfig returns the configuration of the naive-DBT baseline used
-// in the ablation benchmarks: no caching, no deltas, no partial reads,
-// writer-side splits. Every descent reads every level, whole, over the
-// network.
+// in the ablation benchmarks: no caching, no deltas, no partial reads.
+// Every descent reads every level, whole, over the network.
 func NaiveConfig() Config {
-	return Config{NoCache: true, NoDelta: true, NoPartial: true, SyncSplit: true}
+	return Config{NoCache: true, NoDelta: true, NoPartial: true}
 }
 
 // RootOID returns the well-known OID of the root node of tree id for a

@@ -12,12 +12,12 @@ import (
 	"yesquel/internal/kv/kvclient"
 )
 
-// planTree loads 64 keys through a handle that splits synchronously
-// (small leaves, so the tree has two inner levels) and returns it with
-// the cluster and client.
+// planTree loads 64 keys, one per commit, into a tree of small leaves
+// (so it has two inner levels) and returns the loading handle with the
+// cluster and client.
 func planTree(t *testing.T) (*cluster.Cluster, *kvclient.Client, *dbt.Tree) {
 	t.Helper()
-	cl, c, loader := startTree(t, 2, dbt.Config{MaxCells: 8, SyncSplit: true})
+	cl, c, loader := startTree(t, 2, dbt.Config{MaxCells: 8})
 	fillSequential(t, c, loader, 64)
 	tx := c.Begin()
 	defer tx.Abort()
@@ -86,9 +86,6 @@ func TestStalePlanCostsReadsNeverRows(t *testing.T) {
 	splits := loader.Stats().SplitsDone
 	for i := 0; i < 8; i++ {
 		putAuto(t, c, loader, fmt.Sprintf("k000031%c", 'a'+i), "filler")
-		if err := loader.MaintainNow(ctx); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if loader.Stats().SplitsDone == splits {
 		t.Fatal("the fillers split nothing")
@@ -127,9 +124,6 @@ func TestStalePlanCostsReadsNeverRows(t *testing.T) {
 	old.Abort()
 	for i := 0; i < 8; i++ {
 		putAuto(t, c, loader, fmt.Sprintf("k000047%c", 'a'+i), "filler")
-		if err := loader.MaintainNow(ctx); err != nil {
-			t.Fatal(err)
-		}
 	}
 	now := c.Begin()
 	defer now.Abort()

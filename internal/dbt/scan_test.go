@@ -44,9 +44,9 @@ func requireSameCells(t *testing.T, got, want []kv.Cell) {
 // cache with a scan, so the scans that follow are planned. A handle fresh
 // from dbt.Open is cold: it routes nothing, plans nothing and reads leaf
 // by leaf until its descents have cached the inner nodes, as does, for
-// good, a handle with an ablation switch on (the loaders here, which
-// split synchronously): those are the reference a planned scan is held
-// to.
+// good, a handle with an ablation switch on (the loaders here, with
+// NoPartial: they read whole leaves one by one): those are the reference
+// a planned scan is held to.
 func openWarm(t *testing.T, c *kvclient.Client, cfg dbt.Config) *dbt.Tree {
 	t.Helper()
 	tree, err := dbt.Open(context.Background(), c, 1, cfg)
@@ -65,7 +65,7 @@ func openWarm(t *testing.T, c *kvclient.Client, cfg dbt.Config) *dbt.Tree {
 // leaf must produce byte-identical cells — and the planned scan must
 // have made fewer rounds than there are leaves, or nothing was planned.
 func TestPlannedScanMatchesLeafByLeaf(t *testing.T) {
-	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8, SyncSplit: true})
+	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8, NoPartial: true})
 	fillSequential(t, c, loader, 120)
 	ctx := context.Background()
 	warm := openWarm(t, c, dbt.Config{MaxCells: 8})
@@ -114,7 +114,7 @@ func TestPlannedScanMatchesLeafByLeaf(t *testing.T) {
 // its snapshot: what a leaf-by-leaf scan at the same snapshot returns
 // after the splits.
 func TestPlannedScanDuringSplits(t *testing.T) {
-	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8, SyncSplit: true})
+	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8, NoPartial: true})
 	fillSequential(t, c, loader, 100)
 	ctx := context.Background()
 	warm := openWarm(t, c, dbt.Config{MaxCells: 8})
@@ -131,9 +131,6 @@ func TestPlannedScanDuringSplits(t *testing.T) {
 	for i := 100; i < 160; i++ {
 		putAuto(t, c, loader, fmt.Sprintf("k%06d", i), fmt.Sprintf("v%d", i))
 		putAuto(t, c, loader, fmt.Sprintf("k%06da", i-95), "late")
-		if err := loader.MaintainNow(ctx); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for ; it.Valid(); it.Next() {
 		got = append(got, kv.Cell{Key: it.Key(), Value: it.Value()})
@@ -156,7 +153,7 @@ func TestPlannedScanDuringSplits(t *testing.T) {
 // so the iterator must drop them and keep serving the transaction's own
 // writes.
 func TestPlannedScanSeesStagedWrites(t *testing.T) {
-	_, c, loader := startTree(t, 2, dbt.Config{MaxCells: 8, SyncSplit: true})
+	_, c, loader := startTree(t, 2, dbt.Config{MaxCells: 8, NoPartial: true})
 	fillSequential(t, c, loader, 100)
 	ctx := context.Background()
 	warm := openWarm(t, c, dbt.Config{MaxCells: 8})
@@ -209,7 +206,7 @@ func TestPlannedScanFollowerReads(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 	ctx := context.Background()
-	loader, err := dbt.Create(ctx, c, 1, dbt.Config{MaxCells: 8, SyncSplit: true})
+	loader, err := dbt.Create(ctx, c, 1, dbt.Config{MaxCells: 8, NoPartial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +277,6 @@ func TestStaleScanPlanCostsReadsNeverRows(t *testing.T) {
 	for _, at := range []int{31, 33} {
 		for i := 0; i < 8; i++ {
 			putAuto(t, c, loader, fmt.Sprintf("k%06d%c", at, 'a'+i), "filler")
-			if err := loader.MaintainNow(ctx); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	if loader.Stats().SplitsDone < splits+2 {
@@ -335,8 +329,7 @@ func TestStaleScanPlanCostsReadsNeverRows(t *testing.T) {
 // (or grows an inner root) caches both halves with the router, so the
 // read plan for the next key — sequential keys land under the newest
 // sibling — still names a leaf. Without that the statement after an inner
-// split plans nothing and reads row by row. (The handle splits on its
-// splitter, as a planning handle does: a SyncSplit handle plans nothing.)
+// split plans nothing and reads row by row.
 func TestInnerSplitLeavesRoutableCache(t *testing.T) {
 	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 4})
 	ctx := context.Background()
@@ -382,20 +375,17 @@ func TestBoundedIteratorMatchesUnbounded(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 5; trial++ {
 				maxCells := 4 + rng.Intn(13)
-				_, c, loader := startTree(t, 1+rng.Intn(3), dbt.Config{MaxCells: maxCells, SyncSplit: true})
+				_, c, loader := startTree(t, 1+rng.Intn(3), dbt.Config{MaxCells: maxCells})
 				n := 60 + rng.Intn(140)
 				for i := 0; i < n; i += 2 { // even keys; odd ones are left for staged inserts
 					putAuto(t, c, loader, string(key(i)), fmt.Sprintf("v%d", i))
-					if err := loader.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-						t.Fatalf("MaintainNow: %v", err)
-					}
 				}
-				// A handle that splits synchronously is ablated: it plans nothing.
-				bounded, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, SyncSplit: !planned})
+				// A handle that reads whole leaves is ablated: it plans nothing.
+				bounded, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, NoPartial: !planned})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, SyncSplit: true})
+				ref, err := dbt.Open(ctx, c, 1, dbt.Config{MaxCells: maxCells, NoPartial: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -425,9 +415,6 @@ func TestBoundedIteratorMatchesUnbounded(t *testing.T) {
 							err = tx.Commit(ctx)
 						} else {
 							tx.Abort()
-						}
-						if err == nil {
-							err = loader.MaintainNow(ctx)
 						}
 						if err != nil && !errors.Is(err, kv.ErrConflict) {
 							t.Errorf("background writer: %v", err)
@@ -487,7 +474,7 @@ func TestBoundedIteratorMatchesUnbounded(t *testing.T) {
 // TestEmptyRangeReadsNothing: a range that cannot hold a key costs no
 // node read at all.
 func TestEmptyRangeReadsNothing(t *testing.T) {
-	cl, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8, SyncSplit: true})
+	cl, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8})
 	fillSequential(t, c, tree, 40)
 	ctx := context.Background()
 	tx := c.Begin()
@@ -514,7 +501,7 @@ func TestEmptyRangeReadsNothing(t *testing.T) {
 // forever: a UNIQUE probe, a scan of one cell, of a small table hung.)
 func TestLimitOutlastsWholeLeaf(t *testing.T) {
 	ctx := context.Background()
-	_, c, tree := startTree(t, 1, dbt.Config{NoPartial: true, MaxCells: 8, SyncSplit: true})
+	_, c, tree := startTree(t, 1, dbt.Config{NoPartial: true, MaxCells: 8})
 	scan := func(r dbt.Range, want int) {
 		t.Helper()
 		tx := c.Begin()
@@ -536,7 +523,7 @@ func TestLimitOutlastsWholeLeaf(t *testing.T) {
 // batched lookups, cold-cache fallback, staleness repair after
 // another handle splits leaves, and staged-write overlay.
 func TestGetBatch(t *testing.T) {
-	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8, SyncSplit: true})
+	_, c, loader := startTree(t, 3, dbt.Config{MaxCells: 8})
 	fillSequential(t, c, loader, 120)
 	ctx := context.Background()
 
@@ -610,7 +597,7 @@ func TestGetBatch(t *testing.T) {
 // TestCacheEviction bounds the inner-node cache and checks eviction
 // keeps it at the cap while lookups stay correct.
 func TestCacheEviction(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 4, CacheMaxNodes: 2, SyncSplit: true})
+	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 4, CacheMaxNodes: 2})
 	fillSequential(t, c, tree, 80)
 	for i := 0; i < 80; i += 7 {
 		key := fmt.Sprintf("k%06d", i)

@@ -4,22 +4,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
 )
 
-// Splits. An oversized node is split in its own transaction, separate
-// from the transaction that grew it, on the handle's splitter goroutine
-// — the paper's "delegated splits": no transaction carries structural
-// work, and because the split runs under the same snapshot-isolation
-// transactions as everything else, readers either see the tree entirely
-// before or entirely after the split. The writer that grew the leaf past
-// its limit does wait, once it has committed, for the splitter's attempt
-// (awaitSplit): delegation decides who does the work, not whether an
-// oversized leaf may keep growing.
+// Splits. The writer whose commit grew a node past MaxCells splits it
+// before its Commit returns, in a transaction of its own — as in the
+// paper, no user transaction carries structural work, and because the
+// split runs under the same snapshot-isolation transactions as everything
+// else, readers either see the tree entirely before or entirely after it.
+// The writer then splits whatever that split left over the limit (a half
+// still over it, the parent it overflowed), so a lone writer's Commit
+// returns with no node over MaxCells. A split conflicts with every commit
+// on its node since it began; a writer that went straight on — a
+// statement is one planned read round and a commit — would land one in
+// every attempt and the node would grow without bound. Splitting after
+// the commit costs no transaction anything: the writer's next one starts
+// at a snapshot that has the split in it.
 //
 // A split of node X with fences [l, h) at a mid key m:
 //   - creates a fresh right sibling R on a server chosen by the
@@ -33,183 +36,75 @@ import (
 // two fresh children and the root is rewritten in place as an inner
 // node of height+1, so the root OID never changes.
 
-type splitter struct {
-	t  *Tree
-	mu sync.Mutex
-	// queued holds the nodes waiting for their split attempt, each with
-	// the channel that is closed once the attempt has been made.
-	queued map[kv.OID]chan struct{}
-	ch     chan kv.OID
-	stopCh chan struct{}
-	wg     sync.WaitGroup
-}
-
-func (t *Tree) startSplitter() {
-	s := &splitter{
-		t:      t,
-		queued: make(map[kv.OID]chan struct{}),
-		ch:     make(chan kv.OID, 1024),
-		stopCh: make(chan struct{}),
-	}
-	t.splitter = s
-	if !t.cfg.SyncSplit {
-		s.wg.Add(1)
-		go s.run()
-	}
-}
-
-// noteOversized reports that a node looked oversized; the splitter will
-// verify against committed state and split if warranted. With SyncSplit
-// the caller must invoke MaintainNow after committing. The channel is
-// closed when the attempt has been made; it is nil on a handle that has
-// no splitter.
-func (t *Tree) noteOversized(oid kv.OID) <-chan struct{} {
-	s := t.splitter
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	done, queued := s.queued[oid]
-	if !queued {
-		done = make(chan struct{})
-		s.queued[oid] = done
-	}
-	s.mu.Unlock()
-	if queued || t.cfg.SyncSplit {
-		return done // SyncSplit: drained by MaintainNow
-	}
-	select {
-	case s.ch <- oid:
-	default:
-		// Queue full: drop; the next write to the node re-triggers.
-		close(s.dequeue(oid))
-	}
-	return done
-}
-
-// dequeue takes oid off the queue and returns its channel, for the
-// caller to close after the attempt (one nobody waits on if MaintainNow
-// took oid first).
-func (s *splitter) dequeue(oid kv.OID) chan struct{} {
-	s.mu.Lock()
-	done := s.queued[oid]
-	delete(s.queued, oid)
-	s.mu.Unlock()
-	if done == nil {
-		done = make(chan struct{})
-	}
-	return done
-}
-
-// awaitSplit is what a writer does once it has committed a write that
-// grew leaf oid past its limit: hand the leaf to this handle's splitter
-// and wait until the splitter has made its attempt. A split conflicts
-// with every commit on its node since it began; a writer that went
-// straight on — a statement is one planned read round and a commit —
-// would land one in every attempt, the splitter would never win, and the
-// leaf would grow without bound, each commit on it costlier than the
-// last. Waiting after the commit costs no transaction anything: the
-// next one starts at a snapshot that has the split in it. Only writers
-// that grow a leaf past its limit wait, and only for their own handle.
-func (t *Tree) awaitSplit(ctx context.Context, oid kv.OID) {
-	done := t.noteOversized(oid)
-	if done == nil || t.cfg.SyncSplit {
+// split splits node oid, which a committed write grew past MaxCells, and
+// then whatever that split left over the limit. Writers on one handle
+// share one attempt per node: one that finds oid being split waits for
+// that split and for what it leads to.
+func (t *Tree) split(ctx context.Context, oid kv.OID) {
+	t.splitMu.Lock()
+	if done, ok := t.splitting[oid]; ok {
+		t.splitMu.Unlock()
+		select {
+		case <-done:
+		case <-ctx.Done():
+		}
 		return
 	}
-	select {
-	case <-done:
-	case <-t.splitter.stopCh:
-	case <-ctx.Done():
+	done := make(chan struct{})
+	t.splitting[oid] = done
+	t.splitMu.Unlock()
+	defer close(done)
+
+	over := t.trySplit(ctx, oid)
+	// The entry goes before the follow-ups: a writer waits only on an
+	// attempt in progress, never on one that is itself waiting, so no two
+	// writers can wait on each other.
+	t.splitMu.Lock()
+	delete(t.splitting, oid)
+	t.splitMu.Unlock()
+	for _, next := range over {
+		t.split(ctx, next)
 	}
 }
 
-// MaintainNow synchronously splits every queued node (and any parents
-// that overflow as a result). Used with SyncSplit and by tests.
-func (t *Tree) MaintainNow(ctx context.Context) error {
-	s := t.splitter
-	if s == nil {
-		return nil
-	}
-	for {
-		s.mu.Lock()
-		var oid kv.OID
-		var done chan struct{}
-		for o, d := range s.queued {
-			oid, done = o, d
-			break
-		}
-		delete(s.queued, oid)
-		s.mu.Unlock()
-		if done == nil {
-			return nil
-		}
-		err := t.splitNode(ctx, oid)
-		close(done)
-		if err != nil {
-			return err
-		}
-	}
-}
-
-func (s *splitter) run() {
-	defer s.wg.Done()
-	ctx := context.Background()
-	// One reusable backoff timer across all retries the goroutine ever
-	// makes; allocated on first use, Reset per retry.
-	var backoff *time.Timer
+// trySplit makes up to five tries at splitting oid, pausing 1, 2, 3 and
+// then 4 ms after each that conflicted with a concurrent writer, and
+// returns the nodes the split left over MaxCells. Giving up leaves the
+// node to the next write that grows it.
+func (t *Tree) trySplit(ctx context.Context, oid kv.OID) []kv.OID {
+	var backoff *time.Timer // one timer for every pause, Reset per retry
 	defer func() {
 		if backoff != nil {
 			backoff.Stop()
 		}
 	}()
-	for {
+	for try := 1; ; try++ {
+		over, err := t.splitNode(ctx, oid)
+		if !errors.Is(err, kv.ErrConflict) {
+			return over
+		}
+		t.stats.SplitConflict.Add(1)
+		if try == 5 {
+			return nil
+		}
+		d := time.Duration(try) * time.Millisecond
+		if backoff == nil {
+			backoff = time.NewTimer(d)
+		} else {
+			backoff.Reset(d)
+		}
 		select {
-		case <-s.stopCh:
-			return
-		case oid := <-s.ch:
-			done := s.dequeue(oid)
-			// Conflicts with concurrent writers are expected; retry a
-			// few times with a small pause, then give up — the next
-			// write re-triggers the split.
-			for i := 0; i < 5; i++ {
-				err := s.t.splitNode(ctx, oid)
-				if err == nil || !errors.Is(err, kv.ErrConflict) {
-					break
-				}
-				s.t.stats.SplitConflict.Add(1)
-				d := time.Duration(i+1) * time.Millisecond
-				if backoff == nil {
-					backoff = time.NewTimer(d)
-				} else {
-					backoff.Reset(d)
-				}
-				select {
-				case <-s.stopCh:
-					return
-				case <-backoff.C:
-				}
-			}
-			close(done)
+		case <-backoff.C:
+		case <-ctx.Done():
+			return nil
 		}
 	}
 }
 
-func (s *splitter) stop() {
-	s.mu.Lock()
-	select {
-	case <-s.stopCh:
-		s.mu.Unlock()
-		return
-	default:
-	}
-	close(s.stopCh)
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-// splitNode splits oid if its committed state is oversized. A split
-// that would overflow the parent queues the parent too.
-func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
+// splitNode splits oid if its committed state is over MaxCells, and
+// returns the nodes the split left over the limit: either half, and the
+// parent it added a routing cell to.
+func (t *Tree) splitNode(ctx context.Context, oid kv.OID) ([]kv.OID, error) {
 	tx := t.c.Begin()
 	defer func() {
 		// Commit is explicit below; Abort on a committed tx is a no-op
@@ -219,23 +114,26 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
 	node, err := tx.Read(ctx, oid)
 	if err != nil {
 		if errors.Is(err, kv.ErrNotFound) {
-			return nil // already split away or deleted
+			return nil, nil // already split away or deleted
 		}
-		return err
+		return nil, err
 	}
 	if node.Kind != kv.KindSuper || node.Attrs[AttrTree] != t.id {
-		return nil
+		return nil, nil
 	}
 	if node.NumCells() <= t.cfg.MaxCells {
-		return nil // shrank since it was queued
+		return nil, nil // another writer split it first
 	}
 
 	mid := node.NumCells() / 2
 	midKey := node.Cells[mid].Key
 	// Degenerate: all cells share a prefix region such that midKey
-	// equals the low fence; cannot split there.
+	// equals the low fence; cannot split there. Cells are strictly
+	// sorted, so with two or more this never happens, and each half is
+	// smaller than the node: splitting halves that are still over the
+	// limit ends.
 	if compare(midKey, node.LowKey) == 0 {
-		return nil
+		return nil, nil
 	}
 
 	// The two halves as the split leaves them: the left keeps the node's
@@ -255,16 +153,16 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
 	if oid == t.root {
 		t.growRoot(tx, node, leftOID, &left, rightOID, &right)
 	} else if router, err = t.splitNonRoot(ctx, tx, oid, node, rightOID, &right); err != nil {
-		return err
+		return nil, err
 	}
 	// The router as the split leaves it: tx's own writes over what it has
 	// read, no round trip.
 	routing, err := tx.Read(ctx, router)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := tx.Commit(ctx); err != nil {
-		return err
+		return nil, err
 	}
 	t.stats.SplitsDone.Add(1)
 	// Routing changed: cache the router as it is now and, when what split
@@ -278,7 +176,16 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) error {
 			t.cache.put(rightOID, &right)
 		}
 	}
-	return nil
+	var over []kv.OID
+	for _, n := range [...]struct {
+		oid kv.OID
+		v   *kv.Value
+	}{{leftOID, &left}, {rightOID, &right}, {router, routing}} {
+		if n.v.NumCells() > t.cfg.MaxCells {
+			over = append(over, n.oid)
+		}
+	}
+	return over, nil
 }
 
 // growRoot turns the (oversized) root into an inner node over its two
@@ -316,20 +223,17 @@ func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, no
 	// Link the new sibling into the parent. The parent is found by a
 	// fully transactional descent to height+1 — splits are rare enough
 	// that the uncached walk does not matter.
-	parentOID, parent, err := t.findParent(ctx, tx, node, oid)
+	parentOID, err := t.findParent(ctx, tx, node, oid)
 	if err != nil {
 		return 0, err
 	}
 	tx.ListAdd(parentOID, midKey, encodeChild(rightOID))
-	if parent.NumCells()+1 > t.cfg.MaxCells {
-		t.noteOversized(parentOID)
-	}
 	return parentOID, nil
 }
 
 // findParent locates the node at child's height+1 whose range covers
 // child's low fence, reading transactionally within tx.
-func (t *Tree) findParent(ctx context.Context, tx *kvclient.Tx, child *kv.Value, childOIDv kv.OID) (kv.OID, *kv.Value, error) {
+func (t *Tree) findParent(ctx context.Context, tx *kvclient.Tx, child *kv.Value, childOIDv kv.OID) (kv.OID, error) {
 	wantHeight := child.Attrs[AttrHeight] + 1
 	key := child.LowKey
 	if key == nil {
@@ -340,25 +244,25 @@ func (t *Tree) findParent(ctx context.Context, tx *kvclient.Tx, child *kv.Value,
 	for depth := 0; depth < maxDepth; depth++ {
 		node, err := tx.Read(ctx, cur)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		h := node.Attrs[AttrHeight]
 		if h == wantHeight {
 			// Verify it actually routes to the child.
 			c, err := childFor(node, key)
 			if err != nil || c != childOIDv {
-				return 0, nil, fmt.Errorf("%w: parent does not route to child", kv.ErrConflict)
+				return 0, fmt.Errorf("%w: parent does not route to child", kv.ErrConflict)
 			}
-			return cur, node, nil
+			return cur, nil
 		}
 		if h < wantHeight {
-			return 0, nil, fmt.Errorf("%w: child deeper than tree", kv.ErrConflict)
+			return 0, fmt.Errorf("%w: child deeper than tree", kv.ErrConflict)
 		}
 		next, err := childFor(node, key)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		cur = next
 	}
-	return 0, nil, fmt.Errorf("dbt: findParent exceeded max depth")
+	return 0, fmt.Errorf("dbt: findParent exceeded max depth")
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"yesquel/internal/kv"
@@ -49,10 +50,14 @@ type Tree struct {
 	root kv.OID
 	cfg  Config
 
-	cache    *nodeCache
-	stats    Stats
-	place    atomic.Uint64 // round-robin placement counter
-	splitter *splitter
+	cache *nodeCache
+	stats Stats
+	place atomic.Uint64 // round-robin placement counter
+
+	// splitting holds the nodes this handle's writers are splitting, each
+	// with the channel closed once that split and what it led to are done.
+	splitMu   sync.Mutex
+	splitting map[kv.OID]chan struct{}
 }
 
 // Create writes an empty tree with the given id and returns a handle to
@@ -69,7 +74,6 @@ func Create(ctx context.Context, c *kvclient.Client, id uint64, cfg Config) (*Tr
 	if err := tx.Commit(ctx); err != nil {
 		return nil, fmt.Errorf("dbt: creating tree %d: %w", id, err)
 	}
-	t.startSplitter()
 	return t, nil
 }
 
@@ -83,7 +87,6 @@ func Open(ctx context.Context, c *kvclient.Client, id uint64, cfg Config) (*Tree
 		}
 		return nil, err
 	}
-	t.startSplitter()
 	return t, nil
 }
 
@@ -92,19 +95,18 @@ func Open(ctx context.Context, c *kvclient.Client, id uint64, cfg Config) (*Tree
 // transaction (e.g. CREATE INDEX backfill): operations through that
 // transaction see the staged root, while a fresh verification
 // transaction would not.
-func OpenUnchecked(c *kvclient.Client, id uint64, cfg Config) (*Tree, error) {
-	t := newTree(c, id, cfg)
-	t.startSplitter()
-	return t, nil
+func OpenUnchecked(c *kvclient.Client, id uint64, cfg Config) *Tree {
+	return newTree(c, id, cfg)
 }
 
 func newTree(c *kvclient.Client, id uint64, cfg Config) *Tree {
 	return &Tree{
-		c:     c,
-		id:    id,
-		root:  RootOID(id, c.NumServers()),
-		cfg:   cfg.withDefaults(),
-		cache: newNodeCache(cfg.withDefaults().CacheMaxNodes),
+		c:         c,
+		id:        id,
+		root:      RootOID(id, c.NumServers()),
+		cfg:       cfg.withDefaults(),
+		cache:     newNodeCache(cfg.withDefaults().CacheMaxNodes),
+		splitting: make(map[kv.OID]chan struct{}),
 	}
 }
 
@@ -114,12 +116,10 @@ func (t *Tree) ID() uint64 { return t.id }
 // Client returns the underlying kv client.
 func (t *Tree) Client() *kvclient.Client { return t.c }
 
-// Close stops the background splitter. The tree data is unaffected.
-func (t *Tree) Close() {
-	if t.splitter != nil {
-		t.splitter.stop()
-	}
-}
+// Close releases the handle. A handle owns no goroutine — its writers
+// split what they grow — so there is nothing to stop; the tree data is
+// unaffected.
+func (t *Tree) Close() {}
 
 // Stats returns a snapshot of the handle's counters.
 func (t *Tree) Stats() StatsSnapshot {
@@ -377,7 +377,7 @@ func (t *Tree) Put(ctx context.Context, tx *kvclient.Tx, key, value []byte) erro
 	}
 	if cells > t.cfg.MaxCells {
 		oid := li.oid
-		tx.OnCommit(splitOf{t, oid}, func(ctx context.Context) { t.awaitSplit(ctx, oid) })
+		tx.OnCommit(splitOf{t, oid}, func(ctx context.Context) { t.split(ctx, oid) })
 	}
 	return nil
 }

@@ -74,7 +74,7 @@ func getAuto(t *testing.T, c *kvclient.Client, tree *dbt.Tree, key string) (stri
 }
 
 func TestPutGetSmall(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{SyncSplit: true})
+	_, c, tree := startTree(t, 1, dbt.Config{})
 	putAuto(t, c, tree, "hello", "world")
 	putAuto(t, c, tree, "foo", "bar")
 	if v, ok := getAuto(t, c, tree, "hello"); !ok || v != "world" {
@@ -94,7 +94,7 @@ func TestPutGetSmall(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{SyncSplit: true})
+	_, c, tree := startTree(t, 1, dbt.Config{})
 	ctx := context.Background()
 	putAuto(t, c, tree, "a", "1")
 	putAuto(t, c, tree, "b", "2")
@@ -120,21 +120,18 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-// fillSequential inserts n keys k000000..k(n-1), committing each, and
-// running synchronous maintenance so the tree actually splits.
+// fillSequential inserts n keys k000000..k(n-1), committing each; each
+// commit splits what it grew, so which leaves exist is the same on every
+// run.
 func fillSequential(t *testing.T, c *kvclient.Client, tree *dbt.Tree, n int) {
 	t.Helper()
-	ctx := context.Background()
 	for i := 0; i < n; i++ {
 		putAuto(t, c, tree, fmt.Sprintf("k%06d", i), fmt.Sprintf("v%d", i))
-		if err := tree.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-			t.Fatalf("MaintainNow: %v", err)
-		}
 	}
 }
 
 func TestSplitsSequentialInsert(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8, SyncSplit: true})
+	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8})
 	const n = 200
 	fillSequential(t, c, tree, n)
 	if tree.Stats().SplitsDone == 0 {
@@ -148,12 +145,12 @@ func TestSplitsSequentialInsert(t *testing.T) {
 	}
 }
 
-// TestWriterWaitsForItsSplit: through a handle whose splitter runs in the
-// background, the writer that grows a leaf past its limit has seen the
-// splitter's attempt by the time Commit returns. Single-row writers with
-// nothing between them therefore leave no leaf over the limit, lose no
-// split to their own next commit, and never fail; a transaction that
-// stages on a leaf due a split commits whole.
+// TestWriterWaitsForItsSplit: the writer that grows a leaf past its limit
+// has split it by the time Commit returns. Single-row writers with nothing
+// between them therefore leave no leaf over the limit, lose no split to
+// their own next commit, and never fail; a transaction that stages on a
+// leaf due a split commits whole, and its split halves the leaf until no
+// piece is over the limit.
 func TestWriterWaitsForItsSplit(t *testing.T) {
 	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 8})
 	ctx := context.Background()
@@ -176,12 +173,13 @@ func TestWriterWaitsForItsSplit(t *testing.T) {
 	// Sequential keys only ever grow the last leaf: all the others are
 	// halves of a split.
 	if st := tree.Stats(); res.Cells != n || res.Leaves < n/5 || st.SplitConflict != 0 {
-		t.Fatalf("%d cells in %d leaves after %d splits, %d of them lost: the writer ran ahead of its splitter",
+		t.Fatalf("%d cells in %d leaves after %d splits, %d of them lost: the writer ran ahead of its split",
 			res.Cells, res.Leaves, st.SplitsDone, st.SplitConflict)
 	}
 
-	// Many rows onto one leaf in one transaction: every Put succeeds,
-	// the commit is whole, and the one split it asks for happens.
+	// Many rows onto one leaf in one transaction: every Put succeeds, the
+	// commit is whole, and the split it asks for leaves no leaf over the
+	// limit.
 	splits := tree.Stats().SplitsDone
 	tx = c.Begin()
 	for i := 0; i < 40; i++ {
@@ -197,14 +195,40 @@ func TestWriterWaitsForItsSplit(t *testing.T) {
 	}
 	tx = c.Begin()
 	defer tx.Abort()
-	if res, err := tree.Check(ctx, tx); err != nil || res.Cells != n+40 {
-		t.Fatalf("Check after the batch: %+v, %v", res, err)
+	if res, err := tree.Check(ctx, tx); err != nil || res.Cells != n+40 || res.MaxLeafCells > 8 {
+		t.Fatalf("Check after the batch: %+v, %v; want %d cells, no leaf over 8", res, err, n+40)
+	}
+}
+
+// TestNoNodeOverLimitWhenCommitReturns: a lone writer's Commit returns
+// with no node over MaxCells — not the leaf it grew, and not the inner
+// nodes that leaf's split, and their splits, overflowed.
+func TestNoNodeOverLimitWhenCommitReturns(t *testing.T) {
+	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 4})
+	ctx := context.Background()
+	for i := 0; i < 300; i++ {
+		tx := c.Begin()
+		if err := tree.Put(ctx, tx, []byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		tx = c.Begin()
+		res, err := tree.Check(ctx, tx)
+		tx.Abort()
+		if err != nil {
+			t.Fatalf("Check after commit %d: %v", i, err)
+		}
+		if res.MaxLeafCells > 4 || res.MaxFanout > 4 {
+			t.Fatalf("after commit %d: a leaf of %d cells, an inner node of %d children; MaxCells is 4",
+				i, res.MaxLeafCells, res.MaxFanout)
+		}
 	}
 }
 
 func TestSplitsRandomInsertMultiServer(t *testing.T) {
-	_, c, tree := startTree(t, 4, dbt.Config{MaxCells: 8, SyncSplit: true})
-	ctx := context.Background()
+	_, c, tree := startTree(t, 4, dbt.Config{MaxCells: 8})
 	rng := rand.New(rand.NewSource(42))
 	keys := make(map[string]string)
 	for i := 0; i < 300; i++ {
@@ -212,14 +236,6 @@ func TestSplitsRandomInsertMultiServer(t *testing.T) {
 		v := fmt.Sprintf("val-%d", i)
 		keys[k] = v
 		putAuto(t, c, tree, k, v)
-		if i%10 == 0 {
-			if err := tree.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := tree.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-		t.Fatal(err)
 	}
 	for k, v := range keys {
 		if got, ok := getAuto(t, c, tree, k); !ok || got != v {
@@ -229,7 +245,7 @@ func TestSplitsRandomInsertMultiServer(t *testing.T) {
 }
 
 func TestScanOrderedAfterSplits(t *testing.T) {
-	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 6, SyncSplit: true})
+	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 6})
 	ctx := context.Background()
 	const n = 150
 	fillSequential(t, c, tree, n)
@@ -254,7 +270,7 @@ func TestScanOrderedAfterSplits(t *testing.T) {
 }
 
 func TestScanFromMiddleAndLimit(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 6, SyncSplit: true})
+	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 6})
 	ctx := context.Background()
 	fillSequential(t, c, tree, 100)
 
@@ -289,7 +305,7 @@ func TestScanFromMiddleAndLimit(t *testing.T) {
 }
 
 func TestScanSeesOwnWrites(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{SyncSplit: true})
+	_, c, tree := startTree(t, 1, dbt.Config{})
 	ctx := context.Background()
 	putAuto(t, c, tree, "b", "committed")
 
@@ -310,7 +326,7 @@ func TestScanSeesOwnWrites(t *testing.T) {
 func TestSnapshotScanDuringSplit(t *testing.T) {
 	// A scan at an old snapshot must see the pre-split tree even after
 	// splits rearrange the nodes (MVCC protects structural changes).
-	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 8, SyncSplit: true})
+	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 8})
 	ctx := context.Background()
 	fillSequential(t, c, tree, 20)
 
@@ -328,7 +344,7 @@ func TestSnapshotScanDuringSplit(t *testing.T) {
 }
 
 func TestCacheEffectiveness(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8, SyncSplit: true})
+	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8})
 	fillSequential(t, c, tree, 200)
 
 	// Warm: one lookup per key. Descents should mostly hit the cache
@@ -354,7 +370,7 @@ func TestCacheEffectiveness(t *testing.T) {
 }
 
 func TestNoCacheAblation(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8, SyncSplit: true, NoCache: true})
+	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8, NoCache: true})
 	fillSequential(t, c, tree, 100)
 	before := tree.Stats()
 	for i := 0; i < 50; i++ {
@@ -373,7 +389,7 @@ func TestNoCacheAblation(t *testing.T) {
 }
 
 func TestNoDeltaAblation(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{SyncSplit: true, NoDelta: true})
+	_, c, tree := startTree(t, 1, dbt.Config{NoDelta: true})
 	putAuto(t, c, tree, "k", "v")
 	if v, ok := getAuto(t, c, tree, "k"); !ok || v != "v" {
 		t.Fatalf("NoDelta put/get: %q %v", v, ok)
@@ -398,7 +414,7 @@ func TestNoDeltaAblation(t *testing.T) {
 func TestStaleCacheAcrossClients(t *testing.T) {
 	// Client A caches the tree, client B splits it; A's next operations
 	// must back down and still find every key.
-	cl, cA, tree := startTree(t, 2, dbt.Config{MaxCells: 8, SyncSplit: true})
+	cl, cA, tree := startTree(t, 2, dbt.Config{MaxCells: 8})
 	fillSequential(t, cA, tree, 30)
 
 	// Warm A's cache.
@@ -412,7 +428,7 @@ func TestStaleCacheAcrossClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cB.Close()
-	treeB, err := dbt.Open(context.Background(), cB, 1, dbt.Config{MaxCells: 8, SyncSplit: true})
+	treeB, err := dbt.Open(context.Background(), cB, 1, dbt.Config{MaxCells: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +447,10 @@ func TestStaleCacheAcrossClients(t *testing.T) {
 	}
 }
 
-func TestConcurrentWritersBackgroundSplitter(t *testing.T) {
-	_, c, tree := startTree(t, 4, dbt.Config{MaxCells: 16}) // async splitter
+// TestConcurrentWritersOnOneHandle: writers sharing a handle split what
+// they grow, and share the attempt when two grow the same node.
+func TestConcurrentWritersOnOneHandle(t *testing.T) {
+	_, c, tree := startTree(t, 4, dbt.Config{MaxCells: 16})
 	ctx := context.Background()
 	const workers = 4
 	const perWorker = 100
@@ -489,10 +507,10 @@ func TestConcurrentWritersBackgroundSplitter(t *testing.T) {
 func TestMultiTreeTransaction(t *testing.T) {
 	// One transaction spanning two trees (as a SQL statement updating a
 	// table and its index does) must be atomic.
-	cl, c, tree1 := startTree(t, 2, dbt.Config{SyncSplit: true})
+	cl, c, tree1 := startTree(t, 2, dbt.Config{})
 	_ = cl
 	ctx := context.Background()
-	tree2, err := dbt.Create(ctx, c, 2, dbt.Config{SyncSplit: true})
+	tree2, err := dbt.Create(ctx, c, 2, dbt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +551,7 @@ func TestOpenMissingTree(t *testing.T) {
 }
 
 func TestNodesDistributedAcrossServers(t *testing.T) {
-	cl, c, tree := startTree(t, 4, dbt.Config{MaxCells: 8, SyncSplit: true})
+	cl, c, tree := startTree(t, 4, dbt.Config{MaxCells: 8})
 	fillSequential(t, c, tree, 400)
 	// After many splits, every server should hold some objects.
 	for i, srv := range cl.Servers {
@@ -562,7 +580,7 @@ func TestEmptyTreeScanAndGet(t *testing.T) {
 }
 
 func TestBinaryKeysAndValues(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{SyncSplit: true})
+	_, c, tree := startTree(t, 1, dbt.Config{})
 	ctx := context.Background()
 	keys := [][]byte{
 		{},
@@ -598,7 +616,7 @@ func TestBinaryKeysAndValues(t *testing.T) {
 func TestQuickRandomOpsMatchModel(t *testing.T) {
 	// Property test: random Put/Delete/Get/Scan against a map+sort
 	// model, with small nodes to exercise splits heavily.
-	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 4, SyncSplit: true})
+	_, c, tree := startTree(t, 2, dbt.Config{MaxCells: 4})
 	ctx := context.Background()
 	model := make(map[string]string)
 	rng := rand.New(rand.NewSource(7))
@@ -637,14 +655,6 @@ func TestQuickRandomOpsMatchModel(t *testing.T) {
 				t.Fatalf("step %d: get %s = %q,%v want %q,%v", step, k, got, ok, want, wantOK)
 			}
 		}
-		if step%50 == 0 {
-			if err := tree.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := tree.MaintainNow(ctx); err != nil && !errors.Is(err, kv.ErrConflict) {
-		t.Fatal(err)
 	}
 
 	// Final scan must equal the sorted model.

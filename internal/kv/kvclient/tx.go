@@ -119,7 +119,7 @@ func (t *Tx) SetBounds(oid kv.OID, low, high []byte) {
 // Commit returns — never if it aborts or its commit fails. A key
 // registers once however often it is offered: the layer above stages many
 // writes and wants one follow-up (a tree whose leaf the transaction grew
-// past its limit waits there for the split).
+// past its limit splits it there).
 func (t *Tx) OnCommit(key any, f func(context.Context)) {
 	if t.onCommit == nil {
 		t.onCommit = make(map[any]func(context.Context))

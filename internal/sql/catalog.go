@@ -254,19 +254,11 @@ func NewCatalog(c *kvclient.Client, treeCfg dbt.Config) *Catalog {
 	return &Catalog{c: c, treeCfg: treeCfg, tables: make(map[string]*Table)}
 }
 
-// Close releases all tree handles (stopping their splitters).
+// Close drops the table handles, which the next statement reopens. A
+// tree handle owns no goroutine, so there is nothing to stop.
 func (cat *Catalog) Close() {
 	cat.mu.Lock()
 	defer cat.mu.Unlock()
-	if cat.cat != nil {
-		cat.cat.Close()
-	}
-	for _, t := range cat.tables {
-		t.Tree.Close()
-		for _, it := range t.IndexTrees {
-			it.Close()
-		}
-	}
 	cat.tables = make(map[string]*Table)
 }
 
@@ -379,30 +371,18 @@ func (cat *Catalog) GetTable(ctx context.Context, tx *kvclient.Tx, name string) 
 
 	// Trees open unchecked: their roots were committed with the schema
 	// (or staged in the caller's own transaction for in-tx DDL).
-	table := &Table{Schema: ts, hints: make([]indexHints, len(ts.Indexes))}
-	if table.Tree, err = dbt.OpenUnchecked(cat.c, ts.TreeID, cat.treeCfg); err != nil {
-		return nil, fmt.Errorf("sql: opening tree of table %s: %w", name, err)
-	}
+	table := &Table{Schema: ts, hints: make([]indexHints, len(ts.Indexes)),
+		Tree: dbt.OpenUnchecked(cat.c, ts.TreeID, cat.treeCfg)}
 	for _, is := range ts.Indexes {
-		it, err := dbt.OpenUnchecked(cat.c, is.TreeID, cat.treeCfg)
-		if err != nil {
-			table.Tree.Close()
-			return nil, fmt.Errorf("sql: opening tree of index %s: %w", is.Name, err)
-		}
-		table.IndexTrees = append(table.IndexTrees, it)
+		table.IndexTrees = append(table.IndexTrees, dbt.OpenUnchecked(cat.c, is.TreeID, cat.treeCfg))
 	}
 
 	cat.mu.Lock()
+	defer cat.mu.Unlock()
 	if existing, ok := cat.tables[name]; ok {
-		cat.mu.Unlock()
-		table.Tree.Close()
-		for _, it := range table.IndexTrees {
-			it.Close()
-		}
 		return existing, nil
 	}
 	cat.tables[name] = table
-	cat.mu.Unlock()
 	return table, nil
 }
 
@@ -457,13 +437,7 @@ func (cat *Catalog) ListIndexes(ctx context.Context, tx *kvclient.Tx) ([]*IndexS
 // Invalidate drops the cached handle for name (after DDL).
 func (cat *Catalog) Invalidate(name string) {
 	cat.mu.Lock()
-	if t, ok := cat.tables[name]; ok {
-		t.Tree.Close()
-		for _, it := range t.IndexTrees {
-			it.Close()
-		}
-		delete(cat.tables, name)
-	}
+	delete(cat.tables, name)
 	cat.mu.Unlock()
 }
 

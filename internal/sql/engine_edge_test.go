@@ -598,7 +598,7 @@ func TestFailedStatementStagesNothing(t *testing.T) {
 // once, and an explicit transaction whose rows land on a full leaf and
 // on another commits both or neither.
 func TestWritesOnLeavesDueASplit(t *testing.T) {
-	db := newDB(t, 2) // MaxCells 16, background splitter
+	db := newDB(t, 2) // MaxCells 16
 	ctx := context.Background()
 	mustExec(t, db, "CREATE TABLE b (id INTEGER PRIMARY KEY, v TEXT)")
 	mustExec(t, db, "CREATE INDEX b_v ON b (v)")

@@ -70,8 +70,8 @@ func NewDB(c *kvclient.Client, treeCfg dbt.Config) *DB {
 const defaultMaxRetries = 30
 
 // NewDBWithCatalog returns a session sharing an existing catalog (and
-// hence its tree handles and caches); used to run many sessions per
-// process without one splitter goroutine per session.
+// hence its tree handles, their caches and their splits in progress);
+// used to run many sessions per process.
 func NewDBWithCatalog(c *kvclient.Client, cat *Catalog) *DB {
 	return &DB{c: c, cat: cat, maxRetries: defaultMaxRetries}
 }
@@ -604,11 +604,7 @@ func (db *DB) execCreateIndex(ctx context.Context, tx *kvclient.Tx, st CreateInd
 	// Backfill: scan the table at this snapshot and stage entries into
 	// the new tree. The tree root was staged in tx, so the backfill
 	// writes see it and the whole DDL commits atomically.
-	idxTree, err := dbt.OpenUnchecked(db.c, is.TreeID, db.cat.treeCfg)
-	if err != nil {
-		return err
-	}
-	defer idxTree.Close()
+	idxTree := dbt.OpenUnchecked(db.c, is.TreeID, db.cat.treeCfg)
 	cells, err := table.Tree.Scan(ctx, tx, nil, -1)
 	if err != nil {
 		return err

@@ -26,12 +26,11 @@ const budgetRows = 600
 //	t (id INTEGER PRIMARY KEY, u INTEGER, v TEXT), UNIQUE(u) -- u = id+1000000
 //	l (id INTEGER PRIMARY KEY, src INTEGER, v TEXT), INDEX(src) -- src = id/5
 //
-// The load goes through a handle that splits synchronously, so every
-// leaf ends within MaxCells and which leaves exist is the same on every
-// run. The handle it returns has the default dbt.Config (planned scans,
-// background splitter), nothing queued for that splitter, and every
-// tree's inner nodes in its cache, so the statements that follow cost
-// leaf reads only.
+// The load is one row per statement, each of which splits what it grew
+// before it returns, so every leaf ends within MaxCells and which leaves
+// exist is the same on every run. The handle it returns is another one,
+// with the default dbt.Config and every tree's inner nodes in its cache,
+// so the statements that follow cost leaf reads only.
 func loadBudgetDB(tb testing.TB) (*cluster.Cluster, *sql.DB) {
 	tb.Helper()
 	ctx := context.Background()
@@ -45,7 +44,7 @@ func loadBudgetDB(tb testing.TB) (*cluster.Cluster, *sql.DB) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { c.Close() })
-	loader := sql.NewDB(c, dbt.Config{SyncSplit: true})
+	loader := sql.NewDB(c, dbt.Config{})
 	tb.Cleanup(loader.Close)
 	exec := func(q string, args ...sql.Value) {
 		tb.Helper()
@@ -58,12 +57,10 @@ func loadBudgetDB(tb testing.TB) (*cluster.Cluster, *sql.DB) {
 	exec("CREATE UNIQUE INDEX t_u ON t (u)")
 	exec("CREATE TABLE l (id INTEGER PRIMARY KEY, src INTEGER, v TEXT)")
 	exec("CREATE INDEX l_src ON l (src)")
-	loaderTrees := budgetTrees(tb, loader)
 	for i := 0; i < budgetRows; i++ {
 		exec("INSERT INTO p VALUES (?, ?)", sql.Int(int64(i)), sql.Text(fmt.Sprintf("p%d", i)))
 		exec("INSERT INTO t VALUES (?, ?, ?)", sql.Int(int64(i)), sql.Int(int64(i+1000000)), sql.Text(fmt.Sprintf("t%d", i)))
 		exec("INSERT INTO l VALUES (?, ?, ?)", sql.Int(int64(i)), sql.Int(int64(i/5)), sql.Text(fmt.Sprintf("l%d", i)))
-		quiesce(tb, loaderTrees)
 	}
 
 	db := sql.NewDB(c, dbt.Config{})
@@ -102,17 +99,6 @@ func budgetTrees(tb testing.TB, db *sql.DB) []*dbt.Tree {
 	return trees
 }
 
-// quiesce runs every split the trees have queued, so none is left to
-// read nodes inside a later statement.
-func quiesce(tb testing.TB, trees []*dbt.Tree) {
-	tb.Helper()
-	for _, tree := range trees {
-		if err := tree.MaintainNow(context.Background()); err != nil {
-			tb.Fatalf("MaintainNow: %v", err)
-		}
-	}
-}
-
 // treeReads sums NodeReads over trees.
 func treeReads(trees []*dbt.Tree) uint64 {
 	var n uint64
@@ -145,7 +131,7 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		rows    int // expected result rows; -1 = an Exec
 	}
 	// Eight fresh rows in one statement; the 21-row ranges lie inside one
-	// leaf each (the load is sequential and splits synchronously, so the
+	// leaf each (the load is sequential and splits as it goes, so the
 	// leaves are the same on every run — 64 rows each, a new one at every
 	// multiple of 64; the SELECT before each, one read for 21 rows, says
 	// so). A scan plans its leaves from its Limit, or from where its range
@@ -194,7 +180,6 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 	var got string // the rows of the last query run
 	run := func(s shape) (reads, rounds, commits uint64) {
 		t.Helper()
-		quiesce(t, trees)
 		goroutines := runtime.NumGoroutine()
 		before, treeBefore, roundsBefore := cl.Stats(), treeReads(trees), db.Client().ReadRounds()
 		if s.rows < 0 {
