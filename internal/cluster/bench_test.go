@@ -1,10 +1,4 @@
-// Package yesquel_test wires the paper-reproduction experiments E1–E8
-// (internal/bench, DESIGN.md experiment index) into `go test -bench`.
-// Each benchmark runs the corresponding experiment once per b.N with
-// scaled-down parameters and reports ops/sec for its headline metric;
-// the full parameter sweeps with paper-style tables come from
-// `go run ./cmd/ybench`.
-package yesquel_test
+package cluster_test
 
 import (
 	"context"
@@ -16,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"yesquel/internal/bench"
 	"yesquel/internal/cluster"
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
@@ -24,72 +17,10 @@ import (
 	"yesquel/internal/ycsb"
 )
 
-// benchParams keeps -bench wall time reasonable while preserving each
-// experiment's shape. ybench uses bigger defaults.
-func benchParams() bench.Params {
-	return bench.Params{
-		Duration: 500 * time.Millisecond,
-		Records:  2000,
-		Workers:  8,
-		Servers:  []int{1, 2, 4},
-	}
-}
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	var exp bench.Experiment
-	for _, e := range bench.All() {
-		if e.ID == id {
-			exp = e
-		}
-	}
-	if exp.Run == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		table, err := exp.Run(ctx, benchParams())
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if i == 0 && testing.Verbose() {
-			fmt.Println(table.Render())
-		}
-	}
-}
-
-// BenchmarkE1_DBTMicro regenerates E1 (YDBT operation microbenchmark:
-// per-op latency on one server).
-func BenchmarkE1_DBTMicro(b *testing.B) { runExperiment(b, "e1") }
-
-// BenchmarkE2_DBTScalability regenerates E2 (aggregate DBT throughput
-// as servers are added).
-func BenchmarkE2_DBTScalability(b *testing.B) { runExperiment(b, "e2") }
-
-// BenchmarkE3_YCSB regenerates E3 (YCSB A–F, Yesquel vs the NOSQL
-// comparator).
-func BenchmarkE3_YCSB(b *testing.B) { runExperiment(b, "e3") }
-
-// BenchmarkE4_Wikipedia regenerates E4 (Wikipedia application, Yesquel
-// vs the centralized SQL comparator).
-func BenchmarkE4_Wikipedia(b *testing.B) { runExperiment(b, "e4") }
-
-// BenchmarkE5_Ablation regenerates E5 (YDBT optimizations disabled one
-// at a time).
-func BenchmarkE5_Ablation(b *testing.B) { runExperiment(b, "e5") }
-
-// BenchmarkE6_CommitLatency regenerates E6 (commit latency vs number of
-// 2PC participants).
-func BenchmarkE6_CommitLatency(b *testing.B) { runExperiment(b, "e6") }
-
-// BenchmarkE7_Scans regenerates E7 (scan throughput vs the naive DBT).
-func BenchmarkE7_Scans(b *testing.B) { runExperiment(b, "e7") }
-
-// BenchmarkE8_SQLMicro regenerates E8 (per-statement SQL latency).
-func BenchmarkE8_SQLMicro(b *testing.B) { runExperiment(b, "e8") }
-
-// BenchmarkE9_Replication regenerates E9 (replicated vs plain writes).
-func BenchmarkE9_Replication(b *testing.B) { runExperiment(b, "e9") }
+// Benches of the replicated write path, failover and backup resync,
+// each against an in-process cluster it starts and closes itself.
+//
+//	go test ./internal/cluster -run '^$' -bench . -benchtime 1x
 
 // replWorkload drives `writers` concurrent clients against a 1-slot
 // cluster with the given replication factor for the given duration and
@@ -136,133 +67,11 @@ func replWorkload(tb testing.TB, writers, rf int, scfg kvserver.Config, d time.D
 	return int(total.Load()), cl.Stats()
 }
 
-// scaleOutResult summarizes the elastic scale-out run: ops counted in
-// fixed windows before and after a mid-run server join, ops during the
-// join itself, and commit latency percentiles during the join — what
-// the live migration costs the workload while it runs.
-type scaleOutResult struct {
-	before, during, after int
-	windowSecs            float64
-	joinSecs              float64
-	durP50, durP99        time.Duration
-}
-
-// scaleOutWorkload is the bench-artifact version of the elastic
-// scale-out demo (internal/cluster TestScaleOutLive): a 2-group
-// cluster formed with 6 routes runs a sustained put workload, a third
-// group joins mid-run, and Rebalance migrates its fair share (two
-// routes) onto it live. MirrorSendDelay makes each group's replication
-// pipeline a bounded-capacity resource so the windows measure CAPACITY
-// — which the join grows — rather than host CPU, which it cannot.
-func scaleOutWorkload(tb testing.TB, window time.Duration) scaleOutResult {
-	const nroutes = 6
-	const workers = 32
-	cl, err := cluster.StartElastic(2, 3, 2, kvserver.Config{
-		MaxVersions:           4,
-		MirrorBatchMaxRecords: 8,
-		MirrorSendDelay:       2 * time.Millisecond,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer cl.Close()
-	ctx := context.Background()
-	stop := make(chan struct{})
-	var opsN atomic.Int64
-	var recording atomic.Bool
-	var latMu sync.Mutex
-	var lats []time.Duration
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, err := cl.NewClient()
-			if err != nil {
-				tb.Errorf("worker %d: %v", w, err)
-				return
-			}
-			defer c.Close()
-			// Bounded working set: reused OIDs keep the store's size flat
-			// so the windows compare steady states.
-			oids := make([]kv.OID, nroutes*8)
-			for k := range oids {
-				oids[k] = c.NewOID(uint16(k % nroutes))
-			}
-			var myLats []time.Duration
-			defer func() {
-				latMu.Lock()
-				lats = append(lats, myLats...)
-				latMu.Unlock()
-			}()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tx := c.Begin()
-				tx.Put(oids[(w+i)%len(oids)], kv.NewPlain([]byte(fmt.Sprintf("w%d-%d", w, i))))
-				t0 := time.Now()
-				if err := tx.Commit(ctx); err != nil {
-					tb.Errorf("worker %d: %v", w, err)
-					return
-				}
-				if recording.Load() {
-					myLats = append(myLats, time.Since(t0))
-				}
-				opsN.Add(1)
-			}
-		}(w)
-	}
-	time.Sleep(300 * time.Millisecond) // warmup
-	res := scaleOutResult{windowSecs: window.Seconds()}
-	b0 := opsN.Load()
-	time.Sleep(window)
-	res.before = int(opsN.Load() - b0)
-	recording.Store(true)
-	joinStart := time.Now()
-	gi, err := cl.AddServer()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m0 := opsN.Load()
-	if _, err := cl.Rebalance(gi); err != nil {
-		tb.Fatal(err)
-	}
-	res.during = int(opsN.Load() - m0)
-	res.joinSecs = time.Since(joinStart).Seconds()
-	recording.Store(false)
-	a0 := opsN.Load()
-	time.Sleep(window)
-	res.after = int(opsN.Load() - a0)
-	close(stop)
-	wg.Wait()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	res.durP50 = latPercentile(lats, 50)
-	res.durP99 = latPercentile(lats, 99)
-	return res
-}
-
 // replReadResult summarizes one read-mostly replication workload run.
 type replReadResult struct {
-	reads, writes int
 	readsPerSec   float64
 	p50, p95, p99 time.Duration
 	st            kvserver.StatsSnapshot
-}
-
-// latPercentile picks the p-th percentile (0..100) from a sorted
-// latency sample, nearest-rank on the sample index.
-func latPercentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p/100*float64(len(sorted)-1) + 0.5)
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // replReadWorkload drives `workers` concurrent clients running a YCSB
@@ -273,9 +82,9 @@ func latPercentile(sorted []time.Duration, p float64) time.Duration {
 // capacity is every replica; without it, every read goes to the
 // primary. Workers ping once before the run so even the read-only
 // WorkloadC clients learn a frontier from the heartbeat ack piggyback
-// before their first read. Reports read/write counts, read ops/sec
-// over the measured window, read latency percentiles, and the slot's
-// aggregated server counters (FollowerReads shows where reads landed).
+// before their first read. Reports read ops/sec over the measured
+// window, read latency percentiles, and the slot's aggregated server
+// counters (FollowerReads shows where reads landed).
 func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, followerReads bool, d time.Duration) replReadResult {
 	// Follower reads run at the durability frontier, which trails the
 	// newest commits; a hot zipfian key takes enough updates per
@@ -340,7 +149,7 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, follower
 		}
 	}
 
-	var reads, writes atomic.Int64
+	var reads atomic.Int64
 	var wg sync.WaitGroup
 	latCh := make(chan []time.Duration, workers)
 	start := time.Now()
@@ -373,7 +182,6 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, follower
 				return
 			}
 			var lats []time.Duration
-			nr, nw := int64(0), int64(0)
 			for time.Now().Before(deadline) {
 				op := gen.Next()
 				oid := oids[int(op.Key%records)]
@@ -390,25 +198,18 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, follower
 						return
 					}
 					lats = append(lats, time.Since(t0))
-					nr++
-				} else {
-					tx := c.Begin()
-					tx.Put(oid, kv.NewPlain(ycsb.Value(op.Key)))
-					switch err := tx.Commit(ctx); {
-					case err == nil:
-						nw++
-					case errors.Is(err, kv.ErrConflict) || errors.Is(err, kv.ErrUncertain):
-						// Zipfian hot keys under first-committer-wins:
-						// losing a race is part of the workload, not a
-						// harness failure.
-					default:
-						tb.Errorf("worker %d: commit: %v", w, err)
-						return
-					}
+					continue
+				}
+				tx := c.Begin()
+				tx.Put(oid, kv.NewPlain(ycsb.Value(op.Key)))
+				// Zipfian hot keys under first-committer-wins: losing a
+				// race is part of the workload, not a harness failure.
+				if err := tx.Commit(ctx); err != nil && !errors.Is(err, kv.ErrConflict) && !errors.Is(err, kv.ErrUncertain) {
+					tb.Errorf("worker %d: commit: %v", w, err)
+					return
 				}
 			}
-			reads.Add(nr)
-			writes.Add(nw)
+			reads.Add(int64(len(lats)))
 			latCh <- lats
 		}(w)
 	}
@@ -419,25 +220,26 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, follower
 	for l := range latCh {
 		all = append(all, l...)
 	}
+	if len(all) == 0 {
+		tb.Fatal("no read completed")
+	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	at := func(p int) time.Duration { return all[(len(all)-1)*p/100] }
 	return replReadResult{
-		reads:       int(reads.Load()),
-		writes:      int(writes.Load()),
 		readsPerSec: float64(reads.Load()) / elapsed.Seconds(),
-		p50:         latPercentile(all, 50),
-		p95:         latPercentile(all, 95),
-		p99:         latPercentile(all, 99),
+		p50:         at(50),
+		p95:         at(95),
+		p99:         at(99),
 		st:          cl.Stats(),
 	}
 }
 
 // BenchmarkReplicationConcurrent measures the replicated write path
-// under concurrency — the workload BenchmarkE9_Replication's
-// per-commit latency view cannot show. Sub-benchmarks cover 1 and 8
-// writers, plain and with a per-commit-durable WAL (-log-sync
-// equivalent); reported metrics are ops/sec, achieved mirror batch
-// depth, and fsyncs per commit (group commit drives the latter below
-// 1 under load).
+// under concurrency, which a single writer's per-commit latency cannot
+// show. Sub-benchmarks cover 1 and 8 writers, plain and with a
+// per-commit-durable WAL (-log-sync equivalent); reported metrics are
+// ops/sec, achieved mirror batch depth, and fsyncs per commit (group
+// commit drives the latter below 1 under load).
 func BenchmarkReplicationConcurrent(b *testing.B) {
 	run := func(b *testing.B, writers, rf int, logSync bool) {
 		// One fixed-duration workload per iteration; each iteration
@@ -463,11 +265,15 @@ func BenchmarkReplicationConcurrent(b *testing.B) {
 		}
 	}
 	for _, rf := range []int{2, 3} {
-		for _, w := range []int{1, 8} {
-			b.Run(fmt.Sprintf("rf=%d/writers=%d", rf, w), func(b *testing.B) { run(b, w, rf, false) })
-		}
-		for _, w := range []int{1, 8} {
-			b.Run(fmt.Sprintf("rf=%d/logsync/writers=%d", rf, w), func(b *testing.B) { run(b, w, rf, true) })
+		for _, logSync := range []bool{false, true} {
+			for _, w := range []int{1, 8} {
+				rf, logSync, w := rf, logSync, w
+				name := fmt.Sprintf("rf=%d/writers=%d", rf, w)
+				if logSync {
+					name = fmt.Sprintf("rf=%d/logsync/writers=%d", rf, w)
+				}
+				b.Run(name, func(b *testing.B) { run(b, w, rf, logSync) })
+			}
 		}
 	}
 	// Read-mostly (YCSB-B, 95/5) at rf=3: primary-only vs
@@ -494,8 +300,7 @@ func BenchmarkReplicationConcurrent(b *testing.B) {
 // BenchmarkFailover measures availability through a failover: the wall
 // time from killing a replicated slot's primary until the first write
 // acknowledged under the new epoch (kill → forced promotion → client
-// redirect → acked commit). Reported as ms/failover; this is the first
-// trajectory point for the availability metric. Each iteration
+// redirect → acked commit). Reported as ms/failover. Each iteration
 // re-forms the pair (Restart) outside the timed section.
 func BenchmarkFailover(b *testing.B) {
 	cl, err := cluster.StartReplicated(1, 2, kvserver.Config{})
@@ -553,9 +358,7 @@ func BenchmarkFailover(b *testing.B) {
 		b.StartTimer()
 	}
 	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "ms/failover")
-	}
+	b.ReportMetric(total.Seconds()*1e3/float64(b.N), "ms/failover")
 }
 
 // BenchmarkResync measures backup catch-up: the wall time from

@@ -5,6 +5,8 @@ package dbt_test
 import (
 	"context"
 	"testing"
+
+	"yesquel/internal/dbt"
 )
 
 // pointGetAllocs holds the point path to what BenchmarkGetCached measured
@@ -16,7 +18,7 @@ import (
 const pointGetAllocs = 18
 
 func TestPointGetAllocBudget(t *testing.T) {
-	_, c, tree := loadBenchTree(t)
+	_, c, tree := loadBenchTree(t, dbt.Config{})
 	ctx := context.Background()
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {

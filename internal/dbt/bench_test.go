@@ -31,9 +31,9 @@ func benchKey(i int) []byte { return []byte(fmt.Sprintf("key%06d", i*7919%benchK
 
 // loadBenchTree loads benchKeys keys in 32-key transactions, each of
 // which splits what it grew before its commit returns (so which leaves
-// exist is the same on every run), and returns a fresh default-config
-// handle with the inner nodes cached.
-func loadBenchTree(tb testing.TB) (*cluster.Cluster, *kvclient.Client, *dbt.Tree) {
+// exist is the same on every run), and returns a fresh handle with
+// configuration cfg, its inner nodes cached if cfg caches any.
+func loadBenchTree(tb testing.TB, cfg dbt.Config) (*cluster.Cluster, *kvclient.Client, *dbt.Tree) {
 	tb.Helper()
 	ctx := context.Background()
 	cl, err := cluster.Start(2, kvserver.Config{})
@@ -62,7 +62,7 @@ func loadBenchTree(tb testing.TB) (*cluster.Cluster, *kvclient.Client, *dbt.Tree
 			tb.Fatal(err)
 		}
 	}
-	tree, err := dbt.Open(ctx, c, 1, dbt.Config{})
+	tree, err := dbt.Open(ctx, c, 1, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -79,7 +79,7 @@ var (
 )
 
 func BenchmarkGetCached(b *testing.B) {
-	cl, c, tree := loadBenchTree(b)
+	cl, c, tree := loadBenchTree(b, dbt.Config{})
 	ctx := context.Background()
 	b.ReportAllocs()
 	before := cl.Stats().Reads
@@ -96,7 +96,7 @@ func BenchmarkGetCached(b *testing.B) {
 }
 
 func BenchmarkScan50(b *testing.B) {
-	cl, c, tree := loadBenchTree(b)
+	cl, c, tree := loadBenchTree(b, dbt.Config{})
 	ctx := context.Background()
 	b.ReportAllocs()
 	before, rounds := cl.Stats().Reads, c.ReadRounds()
@@ -111,4 +111,54 @@ func BenchmarkScan50(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(cl.Stats().Reads-before)/float64(b.N), "reads/op")
 	b.ReportMetric(float64(c.ReadRounds()-rounds)/float64(b.N), "rounds/op")
+}
+
+// BenchmarkAblation is the paper's ablation of the tree's optimizations:
+// the full tree, each switch on alone, and all of them (the naive tree).
+// Iterations alternate a Get and a Put of an existing key, each in its
+// own transaction. node-reads/op counts the nodes the handle read
+// transactionally; reads/op and rounds/op are as above.
+func BenchmarkAblation(b *testing.B) {
+	for _, a := range []struct {
+		name string
+		cfg  dbt.Config
+	}{
+		{"full", dbt.Config{}},
+		{"NoCache", dbt.Config{NoCache: true}},
+		{"NoDelta", dbt.Config{NoDelta: true}},
+		{"NoPartial", dbt.Config{NoPartial: true}},
+		{"naive", dbt.NaiveConfig()},
+	} {
+		a := a
+		b.Run(a.name, func(b *testing.B) {
+			cl, c, tree := loadBenchTree(b, a.cfg)
+			ctx := context.Background()
+			value := []byte("value-update")
+			b.ReportAllocs()
+			nodeReads, reads, rounds := tree.Stats().NodeReads, cl.Stats().Reads, c.ReadRounds()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx := c.Begin()
+				if i%2 == 0 {
+					v, err := tree.Get(ctx, tx, benchKey(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchValue = v
+					continue
+				}
+				if err := tree.Put(ctx, tx, benchKey(i), value); err != nil {
+					b.Fatal(err)
+				}
+				if err := tx.Commit(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			n := float64(b.N)
+			b.ReportMetric(float64(tree.Stats().NodeReads-nodeReads)/n, "node-reads/op")
+			b.ReportMetric(float64(cl.Stats().Reads-reads)/n, "reads/op")
+			b.ReportMetric(float64(c.ReadRounds()-rounds)/n, "rounds/op")
+		})
+	}
 }

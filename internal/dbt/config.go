@@ -6,7 +6,7 @@
 // DBT uses transactions to atomically move data across DBT nodes".
 //
 // Performance mechanisms (caching, deltas and partial leaf reads are
-// each switchable for the ablation experiment, E5 in DESIGN.md):
+// each switchable for the ablation benchmark, BenchmarkAblation):
 //
 //   - Client-side caching of inner nodes. Descents consult the cache
 //     without any server communication; only the leaf is read

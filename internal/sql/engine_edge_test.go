@@ -287,6 +287,25 @@ func TestNaNIsNull(t *testing.T) {
 	}
 }
 
+// TestLargeIntegersAgainstReals: an INTEGER beyond 2^53 compares with a
+// REAL exactly, and a REAL of 2^63 put in an INTEGER column stays that
+// REAL, as in SQLite; an INTEGER PRIMARY KEY refuses it.
+func TestLargeIntegersAgainstReals(t *testing.T) {
+	ctx := context.Background()
+	db := newDB(t, 1)
+	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, i INTEGER)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 9007199254740993), (2, 9223372036854775808.0)")
+	if got := rowsToString(mustQuery(t, db, "SELECT id FROM t WHERE i > 9007199254740992.0 ORDER BY id")); got != "1\n2\n" {
+		t.Errorf("i > 2^53: %q", got)
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT i FROM t WHERE id = 2")); got != "9.223372036854776e+18\n" {
+		t.Errorf("the REAL 2^63 in an INTEGER column reads back as %q", got)
+	}
+	if _, err := db.Exec(ctx, "INSERT INTO t VALUES (9223372036854775808.0, 0)"); err == nil || !strings.Contains(err.Error(), "datatype mismatch") {
+		t.Errorf("2^63 as an INTEGER PRIMARY KEY: err %v, want a datatype mismatch", err)
+	}
+}
+
 func TestNegativeAndFloatKeys(t *testing.T) {
 	db := newDB(t, 1)
 	mustExec(t, db, "CREATE TABLE n (id INTEGER PRIMARY KEY, v TEXT)")

@@ -12,6 +12,7 @@
 package sql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -65,9 +66,9 @@ var Null = Value{}
 // Int returns an integer value.
 func Int(i int64) Value { return Value{T: TypeInt, I: i} }
 
-// Float returns a real value, or NULL for NaN, as in SQLite: NaN would
-// compare equal to every number (Compare), yet its key sorts at one end of
-// the REALs, out of reach of every key range.
+// Float returns a real value, or NULL for NaN, as in SQLite: NaN is
+// unordered against every number, so Compare has no place for it, yet
+// its key sorts at one end of the REALs, out of reach of every key range.
 func Float(f float64) Value {
 	if math.IsNaN(f) {
 		return Null
@@ -114,8 +115,8 @@ func (v Value) String() string {
 
 // Compare orders two non-NULL values. Across types the order is
 // numbers < text < blob (as in SQLite); ints and floats compare
-// numerically. Comparing with NULL is the caller's concern (3-valued
-// logic); here NULL sorts first, which is what ORDER BY needs.
+// numerically and exactly. Comparing with NULL is the caller's concern
+// (3-valued logic); here NULL sorts first, which is what ORDER BY needs.
 func Compare(a, b Value) int {
 	ra, rb := typeRank(a.T), typeRank(b.T)
 	if ra != rb {
@@ -128,7 +129,6 @@ func Compare(a, b Value) int {
 	case 0: // both null
 		return 0
 	case 1: // numeric
-		af, bf := a.Num(), b.Num()
 		// Exact comparison for int-int avoids float rounding.
 		if a.T == TypeInt && b.T == TypeInt {
 			switch {
@@ -140,16 +140,33 @@ func Compare(a, b Value) int {
 			return 0
 		}
 		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
+		case a.T == TypeInt:
+			return compareIntFloat(a.I, b.F)
+		case b.T == TypeInt:
+			return -compareIntFloat(b.I, a.F)
 		}
-		return 0
+		return cmp.Compare(a.F, b.F)
 	case 2:
 		return strings.Compare(a.S, b.S)
 	default:
 		return bytesCompare(a.B, b.B)
+	}
+}
+
+// compareIntFloat orders the INTEGER i against the REAL f exactly, as
+// SQLite does (float64(i) rounds beyond 2^53): by f's integer part, then
+// its fraction. A REAL below −2^63 is lower than every INTEGER, one at
+// or above 2^63 higher.
+func compareIntFloat(i int64, f float64) int {
+	switch t := math.Trunc(f); {
+	case f < math.MinInt64:
+		return 1
+	case f >= 1<<63:
+		return -1
+	case i != int64(t):
+		return cmp.Compare(i, int64(t))
+	default:
+		return cmp.Compare(t, f)
 	}
 }
 
@@ -221,7 +238,8 @@ func Coerce(v Value, ct Type) (Value, error) {
 	case TypeInt:
 		switch v.T {
 		case TypeFloat:
-			if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
+			// Below 1<<63: math.MaxInt64 rounds up to it as a float64.
+			if v.F == math.Trunc(v.F) && v.F >= math.MinInt64 && v.F < 1<<63 {
 				return Int(int64(v.F)), nil
 			}
 			return v, nil // keep as float: lossless storage wins
