@@ -24,24 +24,42 @@
 //
 // # Write statements
 //
-// A writer that knows its keys beforehand — a SQL INSERT, UPDATE or
-// DELETE once its rows are evaluated — need not wait for one leaf read
-// per key, one after the other. It asks each tree for the leaf read
-// each Get, Put or Delete will make (PlanPoint: a walk of the inner-node
-// cache to the leaf's parent) and for the first round of each existence
-// probe, a scan of one cell (PlanScan), sends the reads of all its trees
-// as one round (kvclient.Tx.Prefetch) and then performs the operations
-// unchanged: their descents find the leaf reads answered in the
-// transaction's read set, which keeps them until the statement ends,
-// whatever else the statement plans. The plan is routing only. A key the cache
-// cannot route plans nothing; a stale route names the wrong leaf, the
-// operation's descent sees the fence miss, backs down and reads what it
-// needs: a wasted read, never a misplaced row. GetBatch is the same
-// thing for reads of one tree.
+// A write statement that knows its keys beforehand — a SQL INSERT, UPDATE
+// or DELETE once its rows are evaluated — reads nothing at all when it
+// needs no stored row and the inner-node cache routes every key: an
+// INSERT, or an UPDATE or DELETE of one whole row by key. Each write is
+// staged on the leaf the cache names (RoutePut, RouteDelete) with kv
+// compare ops that the commit checks at the newest version under the
+// leaf's lock: the route compares (the leaf's fences still cover the key,
+// it is still a leaf of this tree, a new key leaves it within MaxCells)
+// and what the statement requires of the key (free, or stored); a
+// UNIQUE probe becomes a compare that a key range is empty, on every leaf
+// the range spans (RouteAbsent). The commit is then the statement's one
+// round trip, as the delta ops made it the paper's one round trip for a
+// blind insert. A stale route or a full leaf fails a route compare and
+// changes nothing: the statement runs again on the read path below, where
+// the descent backs down and Put splits what it grows. Ablated handles
+// never route.
 //
-// Such a writer's transaction is one read round and a commit, which is
-// shorter than a split (read the leaf, find the parent, commit across
-// two servers), and a split conflicts with every commit on its node
+// The read path is for everything else, and for a key the cache cannot
+// route: one read round, then the operations. The writer asks each tree
+// for the leaf read each Get, Put or Delete will make (PlanPoint: a walk
+// of the inner-node cache to the leaf's parent) and for the first round of
+// each existence probe, a scan of one cell (PlanScan), sends the reads of
+// all its trees as one round (kvclient.Tx.Prefetch) and then performs the
+// operations unchanged: their descents find the leaf reads answered in the
+// transaction's read set, which keeps them until the statement ends,
+// whatever else the statement plans. The plan is routing only. A key the
+// cache cannot route plans nothing; a stale route names the wrong leaf,
+// the operation's descent sees the fence miss, backs down and reads what
+// it needs: a wasted read, never a misplaced row. GetBatch is the same
+// thing for reads of one tree. The existence probes (Probe) still end in
+// compares on the leaves they read, since a key free at the snapshot may
+// be taken by the time the transaction commits.
+//
+// Such a writer's transaction is at most one read round and a commit,
+// which is shorter than a split (read the leaf, find the parent, commit
+// across two servers), and a split conflicts with every commit on its node
 // since it began. A split racing a leaf's writers from elsewhere never
 // wins under steady insertion, the leaf grows without bound and every
 // commit on it costs more than the last (measured: a 10,000-row load made
@@ -53,7 +71,8 @@
 // transaction starts at a snapshot that has the split in it — from a
 // cache that has it too, the split having cached the router as it left
 // it. Writers that grow no leaf past its limit, readers, and other
-// clients never split.
+// clients never split; a write staged by routing never grows a leaf past
+// its limit.
 //
 // # Scan plans
 //

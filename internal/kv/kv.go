@@ -37,6 +37,34 @@
 // methods (Value.ListAdd, ListDelRange, direct field writes) are for
 // building a value nobody else has seen yet; whoever needs to edit a
 // value it received takes a private copy first with Value.Clone.
+//
+// # Compare ops
+//
+// A transaction may stage, beside its writes, ops that write nothing and
+// check something: a cell is present, no cell lies in a key range (the
+// constraint compares, which a write statement's existence and
+// uniqueness checks become), the fences cover a key range, an attribute
+// has a value, the cell count is at most N (the route compares, which
+// say that a write went to the leaf it was meant for). They are the
+// compare items of Sinfonia's minitransactions (Aguilera et al., SOSP
+// 2007): each participant evaluates its compares in the first phase of
+// the commit — the prepare, or the one-shot fast commit — against the
+// newest version under the object's lock, in op order, so a compare
+// sees what the transaction's earlier ops on the object leave, and a
+// failed compare makes the participant vote no, which aborts the whole
+// transaction. A caller that would read only to check a condition can
+// send the condition in its commit instead, and save the read's round
+// trip; a check made at the newest version under the lock also holds for
+// a value no snapshot read could have seen yet (two transactions that
+// both read "absent" at their snapshots cannot both commit against it).
+//
+// Op.Apply of a compare returns its base unchanged, or a *CompareError;
+// Overlay skips compares (a read sees the writes, not the checks); a
+// compare touches nothing for first-committer-wins and never makes a
+// transaction structural; and no compare enters a stream record, so
+// the write-ahead log, the mirror stream and snapshots carry exactly the
+// writes. A CompareError crosses the RPC boundary with its own wire
+// code, one per class (CodeConstraintFailed, CodeRouteFailed).
 package kv
 
 import (
@@ -222,6 +250,10 @@ var (
 	// updating the group view from the carried epoch and membership — is
 	// always safe, for idempotent and non-idempotent requests alike.
 	ErrWrongEpoch = errors.New("kv: wrong epoch")
+	// ErrCompare reports that a compare op of the transaction failed at
+	// commit (see "Compare ops"), so the transaction had no effect. Its
+	// typed form, CompareError, names the op's kind and the object.
+	ErrCompare = errors.New("kv: compare failed")
 	// ErrWrongSlot reports that a request reached a group that does not
 	// own the OID's slot under the current directory — the client routed
 	// with a stale (or absent) slot directory, or the slot migrated away.
@@ -249,6 +281,8 @@ const (
 	CodeDiverged           uint64 = 6
 	CodeWrongEpoch         uint64 = 7
 	CodeWrongSlot          uint64 = 8
+	CodeConstraintFailed   uint64 = 9  // a CompareError of a constraint compare
+	CodeRouteFailed        uint64 = 10 // a CompareError of a route compare
 	CodeSnapSessionExpired uint64 = 50
 )
 
@@ -261,11 +295,17 @@ const (
 // service-local sentinels layer their own cases before delegating
 // here (see kvserver's error coder).
 func WireErrorCode(err error) uint64 {
+	var ce *CompareError
 	switch {
 	case err == nil:
 		return 0
 	case errors.Is(err, ErrUncertain):
 		return CodeUncertain
+	case errors.As(err, &ce):
+		if ce.Op.IsRoute() {
+			return CodeRouteFailed
+		}
+		return CodeConstraintFailed
 	case errors.Is(err, ErrConflict):
 		return CodeConflict
 	case errors.Is(err, ErrAborted):
@@ -390,6 +430,45 @@ func ParseWrongSlot(msg string) (*WrongSlotError, bool) {
 	return ws, true
 }
 
+// CompareError is the typed form of ErrCompare: the kind of the compare
+// op that failed and the object it checked. It crosses the RPC boundary
+// as an application-error string in the canonical format produced by
+// Error; ParseCompare recovers it on the other side.
+type CompareError struct {
+	Op  OpKind
+	OID OID
+}
+
+func (e *CompareError) Error() string {
+	return fmt.Sprintf("%s: op=%d oid=%d", ErrCompare.Error(), e.Op, uint64(e.OID))
+}
+
+func (e *CompareError) Unwrap() error { return ErrCompare }
+
+// ParseCompare recovers a CompareError from an error string that crossed
+// the RPC boundary. It tolerates wrapping prefixes; the op=/oid= pair
+// must be the message tail, which the canonical Error format guarantees.
+func ParseCompare(msg string) (*CompareError, bool) {
+	i := strings.Index(msg, ErrCompare.Error()+": op=")
+	if i < 0 {
+		return nil, false
+	}
+	rest := msg[i+len(ErrCompare.Error())+len(": op="):]
+	j := strings.Index(rest, " oid=")
+	if j < 0 {
+		return nil, false
+	}
+	kind, err := strconv.ParseUint(rest[:j], 10, 8)
+	if err != nil || !OpKind(kind).IsCompare() {
+		return nil, false
+	}
+	oid, err := strconv.ParseUint(rest[j+len(" oid="):], 10, 64)
+	if err != nil {
+		return nil, false
+	}
+	return &CompareError{Op: OpKind(kind), OID: OID(oid)}, true
+}
+
 // MarkClock stamps the server's clock onto an error that crosses the
 // RPC boundary without a response payload (rpc.AppError flattens
 // handler errors to text). The commit handlers use it on their failure
@@ -441,7 +520,33 @@ const (
 	OpAttrSet
 	// OpSetBounds replaces the supervalue's fence keys.
 	OpSetBounds
+
+	// The compare ops (see "Compare ops" in the package comment) check
+	// the object as the transaction's earlier ops on it leave it. First
+	// the constraint compares.
+
+	// OpCmpPresent requires a cell with key From.
+	OpCmpPresent
+	// OpCmpAbsent requires no cell with a key in [From, To).
+	OpCmpAbsent
+
+	// Then the route compares.
+
+	// OpCmpFences requires the fence interval to cover [From, To): the low
+	// fence at or below From, and the high fence unbounded or at or above
+	// To (a nil To is unbounded, and only an unbounded fence covers it).
+	OpCmpFences
+	// OpCmpAttr requires attribute Attr to equal Num.
+	OpCmpAttr
+	// OpCmpMaxCells requires at most Num cells.
+	OpCmpMaxCells
 )
+
+// IsCompare reports whether k is a compare op.
+func (k OpKind) IsCompare() bool { return k >= OpCmpPresent && k <= OpCmpMaxCells }
+
+// IsRoute reports whether k is a route compare.
+func (k OpKind) IsRoute() bool { return k >= OpCmpFences && k <= OpCmpMaxCells }
 
 // Op is one staged write operation on an object.
 type Op struct {
@@ -450,10 +555,10 @@ type Op struct {
 
 	Value *Value // OpPut
 	Cell  Cell   // OpListAdd
-	From  []byte // OpListDelRange (inclusive)
-	To    []byte // OpListDelRange (exclusive)
-	Attr  uint8  // OpAttrSet
-	Num   uint64 // OpAttrSet value
+	From  []byte // OpListDelRange and the key compares (inclusive)
+	To    []byte // OpListDelRange, OpCmpAbsent, OpCmpFences (exclusive)
+	Attr  uint8  // OpAttrSet, OpCmpAttr
+	Num   uint64 // OpAttrSet and OpCmpAttr value, OpCmpMaxCells bound
 	Low   []byte // OpSetBounds
 	High  []byte // OpSetBounds
 }
@@ -469,13 +574,17 @@ type Op struct {
 // array plus the op's own bytes, and one leaf-sized copy every
 // gatherEvery steps (see Value.gather). Both base and the
 // result are immutable from here on. The op's own key, value and bounds
-// are copied in, so the caller's buffers stay its own.
+// are copied in, so the caller's buffers stay its own. A compare op
+// returns base itself, or a *CompareError when base fails it.
 func (op *Op) Apply(base *Value) (*Value, error) {
 	switch op.Kind {
 	case OpPut:
 		return op.Value.Clone(), nil
 	case OpDelete:
 		return nil, nil
+	}
+	if op.Kind.IsCompare() {
+		return base, op.compare(base)
 	}
 	// Delta operations need a supervalue to operate on.
 	v := &Value{Kind: KindSuper}
@@ -509,6 +618,39 @@ func (op *Op) Apply(base *Value) (*Value, error) {
 	return v, nil
 }
 
+// compare evaluates compare op op on base, the object as the ops before
+// it leave it (nil = absent, which has no cells, no fences and no
+// attributes). A plain value fails every compare.
+func (op *Op) compare(base *Value) error {
+	if op.Kind == OpCmpAttr && op.Attr >= NumAttrs {
+		return fmt.Errorf("%w: attr index %d", ErrBadRequest, op.Attr)
+	}
+	super := base != nil && base.Kind == KindSuper
+	var cells []Cell
+	if super {
+		cells = base.Cells
+	}
+	var ok bool
+	switch op.Kind {
+	case OpCmpPresent:
+		_, ok = cellIndex(cells, op.From)
+	case OpCmpAbsent:
+		lo, hi := cellRange(cells, op.From, op.To)
+		ok = (base == nil || super) && lo >= hi
+	case OpCmpFences:
+		ok = super && (base.LowKey == nil || bytes.Compare(base.LowKey, op.From) <= 0) &&
+			(base.HighKey == nil || op.To != nil && bytes.Compare(op.To, base.HighKey) <= 0)
+	case OpCmpAttr:
+		ok = super && base.Attrs[op.Attr] == op.Num
+	case OpCmpMaxCells:
+		ok = (base == nil || super) && uint64(len(cells)) <= op.Num
+	}
+	if !ok {
+		return &CompareError{Op: op.Kind, OID: op.OID}
+	}
+	return nil
+}
+
 // Overlay returns base as it looks under ops applied in order: what a
 // transaction reads of an object it has staged writes on. The result
 // equals folding Op.Apply over ops, at a different price. Apply makes a
@@ -518,12 +660,14 @@ func (op *Op) Apply(base *Value) (*Value, error) {
 // a read under N staged ops costs the window plus N, not N copies of a
 // growing array. The cells' bytes and the fence keys are shared with
 // base and with the ops, all immutable, and so is the result once it is
-// returned. base may be nil (object absent) and is not modified.
+// returned. base may be nil (object absent) and is not modified. Compare
+// ops are skipped: they are checks for the commit, not writes.
 func Overlay(base *Value, ops []*Op) (*Value, error) {
 	v := base
 	private := false // v's header array is this call's own copy, free to edit
 	for _, op := range ops {
 		switch op.Kind {
+		case OpCmpPresent, OpCmpAbsent, OpCmpFences, OpCmpAttr, OpCmpMaxCells:
 		case OpPut:
 			v, private = op.Value, false
 		case OpDelete:
@@ -565,7 +709,9 @@ func Overlay(base *Value, ops []*Op) (*Value, error) {
 // clients insert into the same DBT leaf without aborting each other.
 // Structural operations (full Put, Delete, SetBounds, multi-key
 // ListDelRange — the ops a node split performs) return ok=false and
-// conflict with every concurrent write to the object.
+// conflict with every concurrent write to the object. Compare ops are
+// neither: they touch nothing, and the server leaves them out of the
+// classification.
 func (op *Op) CommutativeTouch() ([]byte, bool) {
 	switch op.Kind {
 	case OpListAdd:
@@ -682,6 +828,15 @@ func (op *Op) wire(c *wire.Codec) {
 		c.Uvarint(&op.Num)
 	case OpSetBounds:
 		optionalPair(c, &op.Low, &op.High)
+	case OpCmpPresent:
+		c.Bytes(&op.From)
+	case OpCmpAbsent, OpCmpFences:
+		optionalPair(c, &op.From, &op.To)
+	case OpCmpAttr:
+		c.Byte(&op.Attr)
+		c.Uvarint(&op.Num)
+	case OpCmpMaxCells:
+		c.Uvarint(&op.Num)
 	default:
 		c.Fail(fmt.Errorf("%w: op kind %d", ErrBadRequest, op.Kind))
 	}

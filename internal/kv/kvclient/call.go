@@ -192,6 +192,13 @@ func translateRPCErr(err error) error {
 			return fmt.Errorf("%w: %s", kv.ErrWrongSlot, app.Msg)
 		case kv.CodeBadRequest:
 			return fmt.Errorf("%w: %s", kv.ErrBadRequest, app.Msg)
+		case kv.CodeConstraintFailed, kv.CodeRouteFailed:
+			// A compare op failed: the typed error names the op's kind
+			// and the object, which the layer that staged it maps back.
+			if ce, ok := kv.ParseCompare(app.Msg); ok {
+				return ce
+			}
+			return fmt.Errorf("%w: %s", kv.ErrCompare, app.Msg)
 		}
 	}
 	return err

@@ -74,8 +74,11 @@ func (t *Tx) Snapshot() clock.Timestamp { return t.start }
 // NumWrites reports how many operations are staged.
 func (t *Tx) NumWrites() int { return len(t.ops) }
 
-// stage appends a write operation.
-func (t *Tx) stage(op *kv.Op) {
+// Stage appends op to the transaction's staged operations as it is: what
+// the typed methods below do, and how a layer above stages the compare
+// ops (kv "Compare ops") that its commit is to check. op must not change
+// afterwards.
+func (t *Tx) Stage(op *kv.Op) {
 	if t.byOID == nil {
 		t.byOID = make(map[kv.OID][]*kv.Op)
 	}
@@ -85,34 +88,34 @@ func (t *Tx) stage(op *kv.Op) {
 
 // Put stages a full overwrite of oid with v.
 func (t *Tx) Put(oid kv.OID, v *kv.Value) {
-	t.stage(&kv.Op{Kind: kv.OpPut, OID: oid, Value: v})
+	t.Stage(&kv.Op{Kind: kv.OpPut, OID: oid, Value: v})
 }
 
 // Delete stages removal of oid.
 func (t *Tx) Delete(oid kv.OID) {
-	t.stage(&kv.Op{Kind: kv.OpDelete, OID: oid})
+	t.Stage(&kv.Op{Kind: kv.OpDelete, OID: oid})
 }
 
 // ListAdd stages insertion of one cell into the supervalue at oid. The
 // operation is "blind": it requires no prior read, so a DBT leaf insert
 // costs zero read round trips.
 func (t *Tx) ListAdd(oid kv.OID, key, value []byte) {
-	t.stage(&kv.Op{Kind: kv.OpListAdd, OID: oid, Cell: kv.Cell{Key: key, Value: value}})
+	t.Stage(&kv.Op{Kind: kv.OpListAdd, OID: oid, Cell: kv.Cell{Key: key, Value: value}})
 }
 
 // ListDelRange stages deletion of cells with keys in [from, to).
 func (t *Tx) ListDelRange(oid kv.OID, from, to []byte) {
-	t.stage(&kv.Op{Kind: kv.OpListDelRange, OID: oid, From: from, To: to})
+	t.Stage(&kv.Op{Kind: kv.OpListDelRange, OID: oid, From: from, To: to})
 }
 
 // AttrSet stages setting attribute attr of the supervalue at oid.
 func (t *Tx) AttrSet(oid kv.OID, attr uint8, num uint64) {
-	t.stage(&kv.Op{Kind: kv.OpAttrSet, OID: oid, Attr: attr, Num: num})
+	t.Stage(&kv.Op{Kind: kv.OpAttrSet, OID: oid, Attr: attr, Num: num})
 }
 
 // SetBounds stages replacement of the supervalue's fence keys.
 func (t *Tx) SetBounds(oid kv.OID, low, high []byte) {
-	t.stage(&kv.Op{Kind: kv.OpSetBounds, OID: oid, Low: low, High: high})
+	t.Stage(&kv.Op{Kind: kv.OpSetBounds, OID: oid, Low: low, High: high})
 }
 
 // OnCommit registers f to run when the transaction has committed, before
@@ -406,7 +409,8 @@ func ownKeys(items []kv.ReadBatchItem) {
 // commit locally with no communication. Transactions touching one
 // server use the one-round-trip fast path; otherwise two-phase commit
 // runs across the participants. On conflict, Commit returns
-// kv.ErrConflict and the transaction has no effect.
+// kv.ErrConflict, and when a staged compare op fails, the participant's
+// *kv.CompareError; either way the transaction has no effect.
 func (t *Tx) Commit(ctx context.Context) error {
 	if t.done {
 		return kv.ErrAborted

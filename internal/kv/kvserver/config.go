@@ -149,10 +149,11 @@ const defaultLogMaxBytes = 64 << 20
 // below the pipeline's durability-wait timeout.
 const maxGroupCommitInterval = time.Second
 
-// Stats counts store activity; read with Snapshot. Commits counts
-// two-phase (prepare/commit) transactions and FastCommits one-shot
-// transactions; the two are disjoint, so Commits+FastCommits is the
-// total number of logical commits.
+// Stats counts store activity; read with Snapshot. Prepares and Commits
+// count the two phases of two-phase transactions, FastCommits one-shot
+// transactions; a fast commit counts as neither a prepare nor a commit,
+// so Commits+FastCommits is the total number of logical commits and
+// Prepares+Commits+FastCommits the commit-path requests served.
 type Stats struct {
 	Reads        atomic.Uint64
 	ReadWaits    atomic.Uint64

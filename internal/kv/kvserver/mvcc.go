@@ -30,10 +30,13 @@ type version struct {
 }
 
 // classifyOps computes the conflict metadata for a set of ops on one
-// object.
+// object. Compare ops touch nothing.
 func classifyOps(ops []*kv.Op) (structural bool, touched map[string]struct{}) {
 	touched = make(map[string]struct{}, len(ops))
 	for _, op := range ops {
+		if op.Kind.IsCompare() {
+			continue
+		}
 		key, ok := op.CommutativeTouch()
 		if !ok {
 			return true, nil
@@ -229,7 +232,9 @@ func newestValue(obj *object) *kv.Value {
 // on this store carries the value its dry run produced, which is
 // installed as it is while the object's newest value is still the one
 // it was computed on; a lock rebuilt from a stream record or a snapshot
-// carries none, and the ops are applied here.
+// carries none, and the ops are applied here. A lock with no ops held an
+// object the transaction only compared: it is released, and no version
+// is made.
 func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp) {
 	for _, oid := range oids {
 		sh := s.shardFor(oid)
@@ -240,6 +245,15 @@ func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp
 			continue // defensive; cannot happen with a correct client
 		}
 		lock := obj.lock
+		if len(lock.ops) == 0 {
+			close(lock.done)
+			obj.lock = nil
+			if len(obj.versions) == 0 {
+				delete(sh.objs, oid)
+			}
+			sh.mu.Unlock()
+			continue
+		}
 		val, base := lock.staged, newestValue(obj)
 		if !lock.hasStaged || base != lock.stagedOn {
 			// Validated when the prepare was first accepted, so an error

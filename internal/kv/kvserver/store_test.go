@@ -451,7 +451,9 @@ func TestStatsCounters(t *testing.T) {
 
 // TestCommitFastCommitCountersDisjoint pins the counter fix: one
 // logical commit increments exactly one of Commits / FastCommits, so
-// their sum is the total number of committed transactions.
+// their sum is the total number of committed transactions; and a fast
+// commit is no prepare either, so Prepares+Commits+FastCommits counts
+// the commit-path requests a store served.
 func TestCommitFastCommitCountersDisjoint(t *testing.T) {
 	s := NewStore(nil, Config{})
 	if _, err := s.FastCommit(newTxID(), s.Clock().Now(), []*kv.Op{
@@ -460,13 +462,13 @@ func TestCommitFastCommitCountersDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.FastCommits != 1 || st.Commits != 0 {
-		t.Fatalf("after fast commit: Commits=%d FastCommits=%d, want 0/1", st.Commits, st.FastCommits)
+	if st.FastCommits != 1 || st.Commits != 0 || st.Prepares != 0 {
+		t.Fatalf("after fast commit: Prepares=%d Commits=%d FastCommits=%d, want 0/0/1", st.Prepares, st.Commits, st.FastCommits)
 	}
 	commitPut(t, s, kv.MakeOID(0, 2), "two-phase")
 	st = s.Stats()
-	if st.FastCommits != 1 || st.Commits != 1 {
-		t.Fatalf("after both paths: Commits=%d FastCommits=%d, want 1/1", st.Commits, st.FastCommits)
+	if st.FastCommits != 1 || st.Commits != 1 || st.Prepares != 1 {
+		t.Fatalf("after both paths: Prepares=%d Commits=%d FastCommits=%d, want 1/1/1", st.Prepares, st.Commits, st.FastCommits)
 	}
 }
 

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -91,7 +92,14 @@ func groupOps(ops []*kv.Op) ([]kv.OID, map[kv.OID][]*kv.Op) {
 // quorum of the members (if any), so a promoted backup holds the
 // prepared transaction and can still apply the coordinator's decision.
 // On conflict it returns kv.ErrConflict and leaves no state behind.
+//
+// The transaction's compare ops (kv "Compare ops") are checked here, in
+// op order, against each object's newest value under its lock; one that
+// fails fails the prepare with its *kv.CompareError and leaves no state
+// behind either. An object the transaction only compares is locked until
+// the decision like the others, and gets no version when it commits.
 func (s *Store) Prepare(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, error) {
+	s.stats.Prepares.Add(1)
 	return s.prepare(txid, start, ops, true)
 }
 
@@ -100,7 +108,6 @@ func (s *Store) Prepare(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock
 // RecCommit record carries the ops, so a separate prepare record would
 // only double the stream traffic.
 func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replicate bool) (clock.Timestamp, error) {
-	s.stats.Prepares.Add(1)
 	oids, byOID := groupOps(ops)
 
 	s.txMu.Lock()
@@ -118,7 +125,9 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		s.txMu.Lock()
 		delete(s.txs, txid)
 		s.txMu.Unlock()
-		s.stats.Conflicts.Add(1)
+		if !errors.Is(reason, kv.ErrCompare) {
+			s.stats.Conflicts.Add(1)
+		}
 		return 0, reason
 	}
 
@@ -138,22 +147,30 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		// First-committer-wins at cell granularity: a version committed
 		// after our snapshot conflicts if either side is structural or
 		// their touch sets intersect. Purely commutative deltas on
-		// disjoint cells (concurrent inserts into one DBT leaf) pass.
-		if err := conflictLocked(obj, start, byOID[oid]); err != nil {
-			sh.mu.Unlock()
-			return fail(err)
+		// disjoint cells (concurrent inserts into one DBT leaf) pass, and
+		// an object the transaction only compares has nothing to conflict.
+		writes := withoutCompares(byOID[oid])
+		if len(writes) > 0 {
+			if err := conflictLocked(obj, start, writes); err != nil {
+				sh.mu.Unlock()
+				return fail(err)
+			}
 		}
-		// Apply the ops now, so commit cannot fail later and has nothing
-		// left to compute: the base cannot change while we hold the lock.
+		// Apply the ops now, compares included, so commit cannot fail later
+		// and has nothing left to compute: the base cannot change while we
+		// hold the lock.
 		base := newestValue(obj)
 		staged, applyErr := applyOps(base, byOID[oid])
 		if applyErr != nil {
 			sh.mu.Unlock()
-			return fail(fmt.Errorf("%w: %v", kv.ErrBadRequest, applyErr))
+			if !errors.Is(applyErr, kv.ErrCompare) {
+				applyErr = fmt.Errorf("%w: %v", kv.ErrBadRequest, applyErr)
+			}
+			return fail(applyErr)
 		}
 		// proposed stays 0 (sentinel) until every lock is held; readers
 		// that hit the lock in this window wait conservatively.
-		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{}), staged: staged, stagedOn: base, hasStaged: true}
+		obj.lock = &lockState{txid: txid, ops: writes, done: make(chan struct{}), staged: staged, stagedOn: base, hasStaged: true}
 		sh.mu.Unlock()
 		locked = append(locked, oid)
 	}
@@ -183,8 +200,10 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 	// installer replays. The durability wait happens after the lock: if
 	// the record never clears the watermark (the backup is dead or
 	// diverged), the vote is no — but the record DID enter the stream,
-	// so the abort owes it a decision record (s.abort emits one).
-	if replicate {
+	// so the abort owes it a decision record (s.abort emits one). A
+	// participant that only compares has nothing to replicate: its
+	// prepare, like its commit, stays out of the stream.
+	if written := withoutCompares(ops); replicate && len(written) > 0 {
 		s.repMu.Lock()
 		// Migration fence: re-check route ownership under repMu, so the
 		// check and the emission are one atomic point in the stream
@@ -198,7 +217,7 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 			s.txMu.Unlock()
 			return 0, wse
 		}
-		seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecPrepare, TxID: txid, TS: proposed, Ops: ops})
+		seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecPrepare, TxID: txid, TS: proposed, Ops: written})
 		s.txMu.Lock()
 		if s.txs[txid] != rec {
 			// The orphan sweep (or an early coordinator abort) resolved
@@ -291,7 +310,16 @@ func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err
 	// the backup. A replicated prepare only needs the decision on the
 	// wire (RecDecide); otherwise the whole transaction rides in one
 	// RecCommit record.
-	seq := s.emitLocked(s.commitRecord(txid, rec, commitTS))
+	out := s.commitRecord(txid, rec, commitTS)
+	if out.Kind == kv.RecCommit && len(out.Ops) == 0 {
+		// The transaction only compared objects here: it releases their
+		// locks and has nothing to stream or to wait for.
+		s.applyStaged(txid, rec.oids, commitTS)
+		s.recordDecision(txid, decision{commit: true, commitTS: commitTS})
+		s.repMu.Unlock()
+		return true, nil
+	}
+	seq := s.emitLocked(out)
 	s.applyStaged(txid, rec.oids, commitTS)
 	s.recordDecision(txid, decision{commit: true, commitTS: commitTS, replSeq: seq + 1})
 	s.maybeCheckpointLocked()
@@ -325,6 +353,23 @@ func (s *Store) commitRecord(txid uint64, rec *txRecord, commitTS clock.Timestam
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// withoutCompares returns ops minus their compare ops — what a lock keeps
+// and a stream record carries — or ops itself when they hold none.
+func withoutCompares(ops []*kv.Op) []*kv.Op {
+	for i, op := range ops {
+		if op.Kind.IsCompare() {
+			out := append(make([]*kv.Op, 0, len(ops)-1), ops[:i]...)
+			for _, op := range ops[i+1:] {
+				if !op.Kind.IsCompare() {
+					out = append(out, op)
+				}
+			}
+			return out
+		}
+	}
+	return ops
 }
 
 // takePrepared removes txid's record from the prepared-transaction
@@ -491,8 +536,9 @@ func (s *Store) releaseLocks(txid uint64, oids []kv.OID) {
 // FastCommit executes a single-participant transaction in one step:
 // prepare and commit without a second round trip. It returns the commit
 // timestamp. The prepare is not replicated separately — the whole
-// transaction rides in one RecCommit stream record — and the commit
-// counts toward FastCommits, not Commits (the counters are disjoint).
+// transaction rides in one RecCommit stream record — and it counts
+// toward FastCommits alone, neither Prepares nor Commits (the counters
+// are disjoint). Its compare ops are checked as Prepare checks them.
 func (s *Store) FastCommit(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, error) {
 	proposed, err := s.prepare(txid, start, ops, false)
 	if err != nil {

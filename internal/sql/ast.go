@@ -163,11 +163,14 @@ type Select struct {
 // Update is UPDATE ... SET.
 type Update struct {
 	Table string
-	Set   []struct {
-		Col string
-		E   Expr
-	}
+	Set   []setClause
 	Where Expr
+}
+
+// setClause is one col = expr of an UPDATE's SET list.
+type setClause struct {
+	Col string
+	E   Expr
 }
 
 // Delete is DELETE FROM.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"yesquel/internal/dbt"
@@ -25,6 +26,22 @@ type DB struct {
 	tx         *kvclient.Tx // non-nil inside BEGIN..COMMIT
 	maxRetries int
 	parseCache map[string]parsedEntry
+
+	// blind is set while an auto-commit statement runs on its first path:
+	// its writes may be staged by routing, without reading (see writeRows
+	// and writeByKey).
+	blind bool
+	// guarded names, for the explicit transaction's constraint compares,
+	// the tree each compared leaf belongs to (see commitError).
+	guarded []guardedLeaf
+}
+
+// guardedLeaf is a leaf a constraint compare of the open transaction
+// checks, and the tree of the table it guards (see treeOp).
+type guardedLeaf struct {
+	leaf  kv.OID
+	table *TableSchema
+	tree  int
 }
 
 // Result reports the effect of a statement.
@@ -149,6 +166,7 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 			return Result{}, nil, errors.New("sql: transaction already open")
 		}
 		db.tx = db.c.Begin()
+		db.guarded = db.guarded[:0]
 		return Result{}, nil, nil
 	case Commit:
 		if db.tx == nil {
@@ -157,7 +175,7 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 		tx := db.tx
 		db.tx = nil
 		if err := tx.Commit(ctx); err != nil {
-			return Result{}, nil, err
+			return Result{}, nil, db.commitError(err)
 		}
 		return Result{}, nil, nil
 	case Rollback:
@@ -177,11 +195,19 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 
 	// Auto-commit: one kv transaction per statement, retried on
 	// conflict with jittered backoff (splits and write races are
-	// expected and transient).
+	// expected and transient). The first attempt may stage its writes
+	// without reading (blind); a compare of its commit that fails there
+	// hands the statement to the read path at once, which reads what it
+	// needs, names any constraint the statement breaks, and splits a leaf
+	// the statement fills. The one exception is an UPDATE or DELETE by key
+	// whose row was not there: that affected nothing.
 	var lastErr error
+	blind := true
 	for attempt := 0; attempt <= db.maxRetries; attempt++ {
 		tx := db.c.Begin()
+		db.blind = blind
 		res, rows, err := db.runStmt(ctx, tx, stmt, args)
+		db.blind = false
 		if err == nil {
 			if cerr := tx.Commit(ctx); cerr == nil {
 				return res, rows, nil
@@ -191,13 +217,45 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 		} else {
 			tx.Abort()
 		}
-		if !errors.Is(err, kv.ErrConflict) {
+		var ce *kv.CompareError
+		if errors.As(err, &ce) {
+			if ce.Op == kv.OpCmpPresent {
+				return Result{}, nil, nil
+			}
+			if blind {
+				blind = false
+				continue
+			}
+			// On the read path a compare fails when a transaction that
+			// committed after this one's snapshot changed what it checked:
+			// a conflict, which the next attempt reads afresh.
+		} else if !errors.Is(err, kv.ErrConflict) {
 			return Result{}, nil, err
 		}
 		lastErr = err
 		sleepJitter(attempt)
 	}
 	return Result{}, nil, fmt.Errorf("sql: giving up after %d conflicts: %w", db.maxRetries, lastErr)
+}
+
+// commitError is what an explicit transaction's failed COMMIT reports: a
+// failed constraint compare as the UNIQUE constraint it checked, a failed
+// route compare (a split moved a leaf a statement checked) as a conflict
+// the application may retry, anything else as it is.
+func (db *DB) commitError(err error) error {
+	var ce *kv.CompareError
+	if !errors.As(err, &ce) {
+		return err
+	}
+	if ce.Op.IsRoute() {
+		return fmt.Errorf("%w: %v", kv.ErrConflict, err)
+	}
+	for _, g := range db.guarded {
+		if g.leaf == ce.OID {
+			return uniqueViolation(g.table, g.tree)
+		}
+	}
+	return err
 }
 
 func sleepJitter(attempt int) {
@@ -288,9 +346,14 @@ const (
 	opUnique               // no key with prefix key may exist: a value entering a UNIQUE index
 )
 
-// probe is the scan an opUnique makes: the first cell with its prefix.
-func (op treeOp) probe() dbt.Range {
-	return dbt.Range{Lo: op.key, Hi: KeySuccessor(op.key), Limit: 1}
+// probeEnd is where the key range an opClaim or opUnique must find
+// empty ends: past the one key a claim takes, past every key with the
+// prefix an opUnique names.
+func (op treeOp) probeEnd() []byte {
+	if op.kind == opClaim {
+		return append(op.key[:len(op.key):len(op.key)], 0)
+	}
+	return KeySuccessor(op.key)
 }
 
 // treeKey names a key of one of the table's trees.
@@ -311,7 +374,21 @@ type treeKey struct {
 // statement's own plan: a key the statement removes is free, and a key
 // two of its rows claim is taken. Staging removes before it adds, so a
 // key one row gives up and another takes ends up taken.
-func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writes []rowWrite) error {
+//
+// Every check is also a constraint compare of the commit (kv "Compare
+// ops"): the new primary key, or the UNIQUE value, must still be free at
+// the newest version when the transaction commits, which a read at the
+// transaction's snapshot cannot promise. The compares are staged after
+// the removals and before the additions.
+//
+// A statement that needs no stored row — an INSERT, whose checks are all
+// compares — may skip the read round and the descents altogether (blind):
+// when the inner-node cache routes every operation, each is staged on
+// the leaf it names with the compares that say the route still holds
+// (dbt.Tree.RoutePut, RouteAbsent), and the commit is the statement's one
+// round trip. A compare that fails sends the statement down the read
+// path (DB.runParsed).
+func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writes []rowWrite, blind bool) error {
 	s := table.Schema
 	tree := func(op treeOp) *dbt.Tree {
 		if op.tree == 0 {
@@ -354,11 +431,21 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 			}
 		}
 	}
+	if err := claimedTwice(s, ops, len(writes)); err != nil {
+		return err
+	}
+
+	if blind {
+		if routed, ok := routeOps(ops, tree); ok {
+			routed.Stage(tx)
+			return nil
+		}
+	}
 
 	plan := make([]kv.ReadBatchItem, 0, len(ops))
 	for _, op := range ops {
 		if op.kind == opUnique {
-			plan = tree(op).PlanScan(plan, tx, op.probe())
+			plan = tree(op).PlanScan(plan, tx, dbt.Range{Lo: op.key, Hi: op.probeEnd(), Limit: 1})
 		} else {
 			plan = tree(op).PlanPoint(plan, op.key)
 		}
@@ -367,26 +454,15 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 		return err
 	}
 
-	var freed, claimed map[treeKey]struct{}
+	var freed map[treeKey]struct{}
+	var guard dbt.Routed
 	for _, op := range ops {
-		var holder []byte // the stored key that stands in the way, if any
-		switch op.kind {
-		case opClaim:
-			if _, err := table.Tree.Get(ctx, tx, op.key); err == nil {
-				holder = op.key
-			} else if !errors.Is(err, dbt.ErrKeyNotFound) {
-				return err
-			}
-		case opUnique:
-			it := tree(op).NewIterator(ctx, tx, op.probe())
-			if err := it.Err(); err != nil {
-				return err
-			}
-			if it.Valid() {
-				holder = it.Key()
-			}
-		default:
+		if op.kind != opClaim && op.kind != opUnique {
 			continue
+		}
+		holder, checks, err := tree(op).Probe(ctx, tx, op.key, op.probeEnd())
+		if err != nil {
+			return err
 		}
 		if holder != nil {
 			if freed == nil {
@@ -401,16 +477,14 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 				return uniqueViolation(s, op.tree)
 			}
 		}
-		if len(writes) > 1 {
-			if claimed == nil {
-				claimed = make(map[treeKey]struct{})
+		if db.tx != nil {
+			for _, c := range checks {
+				if c.Kind == kv.OpCmpAbsent {
+					db.guarded = append(db.guarded, guardedLeaf{leaf: c.OID, table: s, tree: op.tree})
+				}
 			}
-			k := treeKey{op.tree, string(op.key)}
-			if _, ok := claimed[k]; ok {
-				return uniqueViolation(s, op.tree)
-			}
-			claimed[k] = struct{}{}
 		}
+		guard = append(guard, checks...)
 	}
 
 	for _, op := range ops {
@@ -420,6 +494,7 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 			}
 		}
 	}
+	guard.Stage(tx)
 	for _, op := range ops {
 		if op.kind == opPut || op.kind == opClaim {
 			if err := tree(op).Put(ctx, tx, op.key, op.val); err != nil {
@@ -428,6 +503,131 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 		}
 	}
 	return nil
+}
+
+// claimedTwice fails a statement two of whose rows claim one primary key
+// or one UNIQUE value.
+func claimedTwice(s *TableSchema, ops []treeOp, rows int) error {
+	if rows < 2 {
+		return nil
+	}
+	claimed := make(map[treeKey]struct{})
+	for _, op := range ops {
+		if op.kind != opClaim && op.kind != opUnique {
+			continue
+		}
+		k := treeKey{op.tree, string(op.key)}
+		if _, ok := claimed[k]; ok {
+			return uniqueViolation(s, op.tree)
+		}
+		claimed[k] = struct{}{}
+	}
+	return nil
+}
+
+// routeOps stages nothing and returns, in op order, what stages ops by
+// routing alone, or false when some op cannot be: a removal (whose
+// statement read its rows) or a key the cache cannot route.
+func routeOps(ops []treeOp, tree func(treeOp) *dbt.Tree) (dbt.Routed, bool) {
+	var out dbt.Routed
+	for _, op := range ops {
+		var r dbt.Routed
+		ok := false
+		switch op.kind {
+		case opClaim:
+			r, ok = tree(op).RoutePut(op.key, op.val, dbt.Absent)
+		case opPut:
+			r, ok = tree(op).RoutePut(op.key, op.val, dbt.Any)
+		case opUnique:
+			r, ok = tree(op).RouteAbsent(op.key, op.probeEnd())
+		}
+		if !ok {
+			return nil, false
+		}
+		out = append(out, r...)
+	}
+	return out, true
+}
+
+// writeByKey stages, without reading, the UPDATE (set non-nil) or DELETE
+// of the one row a primary-key equality names, when the statement needs
+// no stored row: the table has no index, and an UPDATE sets every other
+// column to a literal or parameter that needs no coercion the read path
+// might refuse. The row is the one the read path would write, byte for
+// byte. Its key-present compare says at commit whether the row was there
+// (DB.runParsed turns a failed one into no row affected). It returns
+// false, having staged nothing, for a statement it cannot take that way
+// or a key the cache cannot route.
+func (db *DB) writeByKey(ctx context.Context, tx *kvclient.Tx, name string, set []setClause, where Expr, args []Value) bool {
+	table, err := db.cat.GetTable(ctx, tx, name)
+	if err != nil {
+		return false
+	}
+	s := table.Schema
+	pk := s.PKCol
+	if pk < 0 || len(s.Indexes) > 0 {
+		return false
+	}
+	if t := s.Cols[pk].Type; t != TypeInt && t != TypeText && t != TypeBlob {
+		return false // a REAL key may equal a value it does not encode as
+	}
+	eq, ok := where.(BinOp)
+	if !ok || eq.Op != "=" {
+		return false
+	}
+	x := eq.R
+	if c, ok := eq.R.(ColRef); ok {
+		eq.L, x = c, eq.L
+	}
+	if c, ok := eq.L.(ColRef); !ok || (c.Table != "" && !strings.EqualFold(c.Table, name)) || s.ColIndex(c.Col) != pk {
+		return false
+	}
+	e := &env{params: args}
+	constant := func(x Expr) (Value, bool) {
+		switch x.(type) {
+		case Lit, Param:
+			v, err := e.eval(x)
+			return v, err == nil
+		}
+		return Value{}, false
+	}
+	key, ok := constant(x)
+	if !ok || key.T != s.Cols[pk].Type {
+		return false
+	}
+	var r dbt.Routed
+	if set == nil {
+		r, ok = table.Tree.RouteDelete(EncodeKey(key))
+	} else {
+		if len(set) != len(s.Cols)-1 {
+			return false
+		}
+		row := make([]Value, len(s.Cols))
+		seen := make([]bool, len(s.Cols))
+		row[pk], seen[pk] = key, true
+		for _, sc := range set {
+			i := s.ColIndex(sc.Col)
+			if i < 0 || seen[i] {
+				return false
+			}
+			seen[i] = true
+			v, ok := constant(sc.E)
+			if !ok {
+				return false
+			}
+			if row[i], err = Coerce(v, s.Cols[i].Type); err != nil {
+				return false
+			}
+		}
+		if checkRow(s, row) != nil {
+			return false
+		}
+		r, ok = table.Tree.RoutePut(EncodeKey(key), EncodeRow(row), dbt.Present)
+	}
+	if ok {
+		r.Stage(tx)
+	}
+	return ok
 }
 
 // uniqueViolation is the error for a taken key of one of the table's
@@ -490,7 +690,7 @@ func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args [
 		}
 		writes = append(writes, rowWrite{newKey: rowKey, new: vals})
 	}
-	if err := db.writeRows(ctx, tx, table, writes); err != nil {
+	if err := db.writeRows(ctx, tx, table, writes, db.blind); err != nil {
 		return Result{}, err
 	}
 	return Result{RowsAffected: int64(len(writes))}, nil
@@ -527,6 +727,9 @@ func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, p *stmtPlan) 
 }
 
 func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args []Value) (Result, error) {
+	if db.blind && db.writeByKey(ctx, tx, st.Table, st.Set, st.Where, args) {
+		return Result{RowsAffected: 1}, nil
+	}
 	p, err := db.planTables(ctx, tx, &TableRef{Name: st.Table}, nil, st.Where, args)
 	if err != nil {
 		return Result{}, err
@@ -568,13 +771,16 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 			w.newKey = EncodeKey(w.new[s.PKCol])
 		}
 	}
-	if err := db.writeRows(ctx, tx, t.table, writes); err != nil {
+	if err := db.writeRows(ctx, tx, t.table, writes, false); err != nil {
 		return Result{}, err
 	}
 	return Result{RowsAffected: int64(len(writes))}, nil
 }
 
 func (db *DB) execDelete(ctx context.Context, tx *kvclient.Tx, st Delete, args []Value) (Result, error) {
+	if db.blind && db.writeByKey(ctx, tx, st.Table, nil, st.Where, args) {
+		return Result{RowsAffected: 1}, nil
+	}
 	p, err := db.planTables(ctx, tx, &TableRef{Name: st.Table}, nil, st.Where, args)
 	if err != nil {
 		return Result{}, err
@@ -583,7 +789,7 @@ func (db *DB) execDelete(ctx context.Context, tx *kvclient.Tx, st Delete, args [
 	if err != nil {
 		return Result{}, err
 	}
-	if err := db.writeRows(ctx, tx, p.tables[0].table, writes); err != nil {
+	if err := db.writeRows(ctx, tx, p.tables[0].table, writes, false); err != nil {
 		return Result{}, err
 	}
 	return Result{RowsAffected: int64(len(writes))}, nil

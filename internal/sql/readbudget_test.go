@@ -153,8 +153,8 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		{"select pk", "SELECT v FROM p WHERE id = ?", []sql.Value{sql.Int(321)}, 1, 1, 0, 1},
 		{"select pk miss", "SELECT v FROM p WHERE id = ?", []sql.Value{sql.Int(-5)}, 1, 1, 0, 0},
 		{"update pk, no indexed column changed", "UPDATE t SET v = ? WHERE id = ?", []sql.Value{sql.Text("new"), sql.Int(123)}, 1, 1, 1, -1},
-		{"insert into pk-only table", "INSERT INTO p VALUES (?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Text("x")}, 1, 1, 1, -1},
-		{"delete pk from pk-only table", "DELETE FROM p WHERE id = ?", []sql.Value{sql.Int(17)}, 1, 1, 1, -1},
+		{"insert into pk-only table", "INSERT INTO p VALUES (?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Text("x")}, 0, 0, 1, -1},
+		{"delete pk from pk-only table", "DELETE FROM p WHERE id = ?", []sql.Value{sql.Int(17)}, 0, 0, 1, -1},
 		{"select unique column", "SELECT v FROM t WHERE u = ?", []sql.Value{sql.Int(1000222)}, 2, 2, 0, 1},
 		{"select unique column, repeated", "SELECT v FROM t WHERE u = ?", []sql.Value{sql.Int(1000222)}, 2, 1, 0, 1},
 		{"select 5 rows through an index", "SELECT id FROM l WHERE src = ?", []sql.Value{sql.Int(20)}, 6, 2, 0, 5},
@@ -168,8 +168,8 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		{"select pk range across a leaf boundary", "SELECT v FROM p WHERE id BETWEEN 120 AND 135", nil, 2, 1, 0, 16},
 		{"select 50 rows from ten before a leaf boundary", "SELECT id FROM p WHERE id >= ? LIMIT 50", []sql.Value{sql.Int(118)}, 2, 1, 0, 50},
 		{"select 200 rows across four leaves", "SELECT id FROM p WHERE id >= ? LIMIT 200", []sql.Value{sql.Int(350)}, 4, 1, 0, 200},
-		{"insert 8 rows into pk-only table", insert8, insert8Args, 8, 1, 1, -1},
-		{"insert with one UNIQUE index", "INSERT INTO t VALUES (?, ?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Int(5), sql.Text("x")}, 3, 1, 1, -1},
+		{"insert 8 rows into pk-only table", insert8, insert8Args, 0, 0, 1, -1},
+		{"insert with one UNIQUE index", "INSERT INTO t VALUES (?, ?, ?)", []sql.Value{sql.Int(budgetRows + 7), sql.Int(5), sql.Text("x")}, 0, 0, 1, -1},
 		{"update UNIQUE column by pk", "UPDATE t SET u = ? WHERE id = ?", []sql.Value{sql.Int(6), sql.Int(300)}, 4, 2, 1, -1},
 		{"delete pk from indexed table", "DELETE FROM t WHERE id = ?", []sql.Value{sql.Int(301)}, 2, 2, 1, -1},
 		{"select 21-row pk range", "SELECT v FROM p WHERE id BETWEEN 200 AND 220", nil, 1, 1, 0, 21},
@@ -177,15 +177,18 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		{"select 21-row pk range", "SELECT v FROM p WHERE id BETWEEN 264 AND 284", nil, 1, 1, 0, 21},
 		{"delete 21-row pk range", "DELETE FROM p WHERE id BETWEEN 264 AND 284", nil, 22, 2, 1, -1},
 	}
-	var got string // the rows of the last query run
+	var got string     // the rows of the last query run
+	var affected int64 // the RowsAffected of the last Exec
 	run := func(s shape) (reads, rounds, commits uint64) {
 		t.Helper()
 		goroutines := runtime.NumGoroutine()
 		before, treeBefore, roundsBefore := cl.Stats(), treeReads(trees), db.Client().ReadRounds()
 		if s.rows < 0 {
-			if _, err := db.Exec(ctx, s.q, s.args...); err != nil {
+			res, err := db.Exec(ctx, s.q, s.args...)
+			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
+			affected = res.RowsAffected
 		} else {
 			rows, err := db.Query(ctx, s.q, s.args...)
 			if err != nil {
@@ -222,6 +225,26 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 	}
 	for _, s := range shapes {
 		check(s)
+	}
+
+	// An UPDATE by key that sets every column of a table with no index
+	// needs no stored row: no read, and the commit's key-present compare
+	// says whether there was a row. A missing row fails the compare, which
+	// is no commit and no error.
+	for _, s := range []struct {
+		shape
+		affected int64
+	}{
+		{shape{"update every column by pk", "UPDATE p SET v = ? WHERE id = ?", []sql.Value{sql.Text("w"), sql.Int(42)}, 0, 0, 1, -1}, 1},
+		{shape{"update every column by pk, missing row", "UPDATE p SET v = ? WHERE id = ?", []sql.Value{sql.Text("w"), sql.Int(-42)}, 0, 0, 0, -1}, 0},
+	} {
+		check(s.shape)
+		if affected != s.affected {
+			t.Errorf("%s: RowsAffected %d, want %d", s.name, affected, s.affected)
+		}
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT v FROM p WHERE id IN (42, -42)")); got != "w\n" {
+		t.Errorf("after the updates by pk: %q", got)
 	}
 
 	// Inside BEGIN, after a staged INSERT: the UNIQUE probe, a scan under
