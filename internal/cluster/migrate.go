@@ -226,11 +226,13 @@ type pendingTx struct {
 	ops []*kv.Op
 }
 
-// routeOps filters ops to those addressing the migrating route.
+// routeOps filters ops to the writes addressing the migrating route. A
+// prepare's compare ops were checked on the source; the destination
+// gets what they guarded, not the checks.
 func routeOps(ops []*kv.Op, route, nroutes uint32) []*kv.Op {
 	var out []*kv.Op
 	for _, op := range ops {
-		if uint32(op.OID.Slot())%nroutes == route {
+		if !op.Kind.IsCompare() && uint32(op.OID.Slot())%nroutes == route {
 			out = append(out, op)
 		}
 	}

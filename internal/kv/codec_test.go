@@ -140,8 +140,8 @@ func sampleCompares() []*Op {
 // goldenHex is every sample's encoding as the hand-written encoders the
 // field lists replaced wrote it: the layout did not move, so neither the
 // write-ahead log's magic nor the snapshot format needed a bump. The
-// compare ops came later, with their own kind bytes; no stream record
-// carries one.
+// compare ops came later, with their own kind bytes; of the stream
+// records, only a two-phase prepare carries them.
 var goldenHex = map[string]string{
 	"Value tombstone":          "ff",
 	"Value plain":              "00077061796c6f6164",

@@ -61,10 +61,13 @@
 // Op.Apply of a compare returns its base unchanged, or a *CompareError;
 // Overlay skips compares (a read sees the writes, not the checks); a
 // compare touches nothing for first-committer-wins and never makes a
-// transaction structural; and no compare enters a stream record, so
-// the write-ahead log, the mirror stream and snapshots carry exactly the
-// writes. A CompareError crosses the RPC boundary with its own wire
-// code, one per class (CodeConstraintFailed, CodeRouteFailed).
+// transaction structural. A commit record carries the writes alone, so a
+// one-shot commit streams and logs what it did before compares existed;
+// a two-phase participant's prepare record carries its compares too,
+// because its yes vote promises the compared objects stay locked until
+// the decision, on whichever member is primary when it arrives. A
+// CompareError crosses the RPC boundary with its own wire code, one per
+// class (CodeConstraintFailed, CodeRouteFailed).
 package kv
 
 import (

@@ -88,8 +88,9 @@ func TestCompareSeesCommitsAfterTheSnapshot(t *testing.T) {
 
 // TestCompareOnlyParticipant: an object a two-phase transaction only
 // compares is locked from prepare to decision, so no write can slip
-// between the check and the commit, and the commit makes no version of
-// it and puts nothing in the stream.
+// between the check and the commit. The vote is replicated like any
+// other (a RecPrepare carrying the compare, then a RecDecide), and the
+// commit makes no version of the object.
 func TestCompareOnlyParticipant(t *testing.T) {
 	s := NewStore(nil, Config{})
 	oid := kv.MakeOID(0, 1)
@@ -113,18 +114,21 @@ func TestCompareOnlyParticipant(t *testing.T) {
 	if s.IsLocked(oid) || s.VersionCount(oid) != 1 {
 		t.Fatalf("after commit: locked %v, %d versions", s.IsLocked(oid), s.VersionCount(oid))
 	}
-	if _, h, _, _ := s.SyncRecords(0, 0, 0); h != head {
-		t.Fatalf("a compare-only commit moved the stream head from %d to %d", head, h)
+	recs, _, _, err := s.SyncRecords(head, 0, s.Epoch())
+	if err != nil || len(recs) != 2 || recs[0].Rec.Kind != kv.RecPrepare || len(recs[0].Rec.Ops) != 1 || recs[1].Rec.Kind != kv.RecDecide {
+		t.Fatalf("a compare-only vote and its decision streamed as %+v (%v)", recs, err)
 	}
 	if err := s.Commit(txid, proposed); err != nil {
 		t.Fatalf("duplicate decision: %v", err)
 	}
 }
 
-// TestComparesStayOutOfTheStream: the stream record of a commit carries
-// its writes and none of its compares, so the log, the mirrors and the
-// snapshots hold what they held before compares existed.
-func TestComparesStayOutOfTheStream(t *testing.T) {
+// TestComparesStayOutOfCommitRecords: a commit record carries the
+// transaction's writes and none of its compares, so the log and the
+// mirrors hold for a one-shot commit what they held before compares
+// existed; a prepare record carries its compares, which a backup needs
+// to hold the same locks.
+func TestComparesStayOutOfCommitRecords(t *testing.T) {
 	s := NewStore(nil, Config{})
 	oid := kv.MakeOID(0, 1)
 	leafWith(t, s, oid)
@@ -143,18 +147,23 @@ func TestComparesStayOutOfTheStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writes := 0
+	writes, compares := 0, 0
 	for _, r := range recs {
 		for _, op := range r.Rec.Ops {
-			if op.Kind.IsCompare() {
+			switch {
+			case op.Kind.IsCompare() && r.Rec.Kind != kv.RecPrepare:
 				t.Fatalf("record %d (%v) carries compare %+v", r.Seq, r.Rec.Kind, op)
-			}
-			if op.Kind == kv.OpListAdd {
+			case op.Kind.IsCompare():
+				compares++
+			case op.Kind == kv.OpListAdd && r.Rec.Kind == kv.RecCommit:
 				writes++
 			}
 		}
 	}
-	if writes != 2 {
-		t.Fatalf("%d ListAdds in the stream, want 2", writes)
+	if writes != 1 || compares != 2 {
+		t.Fatalf("%d ListAdds in commit records and %d compares in prepare records, want 1 and 2", writes, compares)
+	}
+	if v, _, err := s.Read(oid, s.Clock().Now()); err != nil || v.NumCells() != 2 {
+		t.Fatalf("after both commits: %+v, %v", v, err)
 	}
 }

@@ -110,8 +110,9 @@
 // a primary failure:
 //
 //   - RecCommit: a whole committed transaction (one-shot fast commits).
-//   - RecPrepare: a participant's phase-one vote — the staged ops and
-//     write locks, replicated before the yes vote is returned. A
+//   - RecPrepare: a participant's phase-one vote — the staged ops,
+//     compare ops included, and the locks they take, replicated before
+//     the yes vote is returned, even when every op is a compare. A
 //     promoted backup therefore reconstructs the prepared-transaction
 //     table instead of starting empty, and a MethodSync resync carries
 //     prepared state to a re-formed backup.

@@ -203,3 +203,45 @@ func TestMirrorStrictFailure(t *testing.T) {
 		t.Fatalf("%v %v", v, err)
 	}
 }
+
+// TestCompareOnlyVoteSurvivesFailover: a participant whose ops on this
+// group are all compares votes yes only once its prepare is replicated,
+// so when its primary dies between the vote and the decision, the
+// promoted backup still holds the compared object's lock and commits the
+// transaction instead of calling it unknown.
+func TestCompareOnlyVoteSurvivesFailover(t *testing.T) {
+	primary := startServer(t)
+	backup := startServer(t)
+	formGroup(t, primary, backup)
+	ctx := context.Background()
+
+	c, err := kvclient.Open([]string{primary.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	oid := c.NewOID(0)
+	tx := c.Begin()
+	tx.ListAdd(oid, []byte("b"), []byte("v"))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	const txid = 1 << 62
+	ps := primary.Store()
+	proposed, err := ps.Prepare(txid, ps.Clock().Now(), []*kv.Op{{Kind: kv.OpCmpAbsent, OID: oid, From: []byte("c"), To: []byte("d")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failOver(t, primary, backup)
+	bs := backup.Store()
+	if !bs.IsLocked(oid) {
+		t.Fatal("the promoted backup lost the compare-only prepare's lock")
+	}
+	if err := bs.Commit(txid, proposed); err != nil {
+		t.Fatalf("decision on the promoted backup: %v", err)
+	}
+	if bs.IsLocked(oid) || bs.VersionCount(oid) != 1 {
+		t.Fatalf("after the decision: locked %v, %d versions", bs.IsLocked(oid), bs.VersionCount(oid))
+	}
+}

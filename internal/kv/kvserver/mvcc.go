@@ -232,9 +232,9 @@ func newestValue(obj *object) *kv.Value {
 // on this store carries the value its dry run produced, which is
 // installed as it is while the object's newest value is still the one
 // it was computed on; a lock rebuilt from a stream record or a snapshot
-// carries none, and the ops are applied here. A lock with no ops held an
-// object the transaction only compared: it is released, and no version
-// is made.
+// carries none, and the ops are applied here. A lock whose ops are all
+// compares held an object the transaction only compared: it is
+// released, and no version is made.
 func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp) {
 	for _, oid := range oids {
 		sh := s.shardFor(oid)
@@ -245,7 +245,8 @@ func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp
 			continue // defensive; cannot happen with a correct client
 		}
 		lock := obj.lock
-		if len(lock.ops) == 0 {
+		writes := withoutCompares(lock.ops)
+		if len(writes) == 0 {
 			close(lock.done)
 			obj.lock = nil
 			if len(obj.versions) == 0 {
@@ -258,9 +259,9 @@ func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp
 		if !lock.hasStaged || base != lock.stagedOn {
 			// Validated when the prepare was first accepted, so an error
 			// is unreachable; the value reached is kept.
-			val, _ = applyOps(base, lock.ops)
+			val, _ = applyOps(base, writes)
 		}
-		s.installVersionLocked(obj, commitTS, val, lock.ops)
+		s.installVersionLocked(obj, commitTS, val, writes)
 		close(lock.done)
 		obj.lock = nil
 		// Tombstones are kept until the retention horizon passes (the

@@ -13,8 +13,11 @@ import (
 type lockState struct {
 	txid     uint64
 	proposed clock.Timestamp
-	ops      []*kv.Op
-	done     chan struct{} // closed when the transaction resolves
+	// ops are the transaction's ops on the object, compares included, as
+	// its RecPrepare carries them; the commit applies and streams only
+	// the writes among them.
+	ops  []*kv.Op
+	done chan struct{} // closed when the transaction resolves
 	// staged is the value ops produce on stagedOn, the object's newest
 	// value when prepare ran them — its dry run, kept so that commit
 	// installs it instead of applying the ops a second time. Under the
@@ -170,7 +173,7 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		}
 		// proposed stays 0 (sentinel) until every lock is held; readers
 		// that hit the lock in this window wait conservatively.
-		obj.lock = &lockState{txid: txid, ops: writes, done: make(chan struct{}), staged: staged, stagedOn: base, hasStaged: true}
+		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{}), staged: staged, stagedOn: base, hasStaged: true}
 		sh.mu.Unlock()
 		locked = append(locked, oid)
 	}
@@ -200,10 +203,12 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 	// installer replays. The durability wait happens after the lock: if
 	// the record never clears the watermark (the backup is dead or
 	// diverged), the vote is no — but the record DID enter the stream,
-	// so the abort owes it a decision record (s.abort emits one). A
-	// participant that only compares has nothing to replicate: its
-	// prepare, like its commit, stays out of the stream.
-	if written := withoutCompares(ops); replicate && len(written) > 0 {
+	// so the abort owes it a decision record (s.abort emits one). The
+	// record carries the compare ops too, so a promoted backup, a
+	// snapshot's installer or a migration's drain holds the same locks,
+	// a participant that only compares included: its vote is a promise
+	// like any other.
+	if replicate {
 		s.repMu.Lock()
 		// Migration fence: re-check route ownership under repMu, so the
 		// check and the emission are one atomic point in the stream
@@ -217,7 +222,7 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 			s.txMu.Unlock()
 			return 0, wse
 		}
-		seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecPrepare, TxID: txid, TS: proposed, Ops: written})
+		seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecPrepare, TxID: txid, TS: proposed, Ops: ops})
 		s.txMu.Lock()
 		if s.txs[txid] != rec {
 			// The orphan sweep (or an early coordinator abort) resolved
@@ -312,8 +317,8 @@ func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err
 	// RecCommit record.
 	out := s.commitRecord(txid, rec, commitTS)
 	if out.Kind == kv.RecCommit && len(out.Ops) == 0 {
-		// The transaction only compared objects here: it releases their
-		// locks and has nothing to stream or to wait for.
+		// A fast commit that only compared objects here: it releases
+		// their locks and has nothing to stream or to wait for.
 		s.applyStaged(txid, rec.oids, commitTS)
 		s.recordDecision(txid, decision{commit: true, commitTS: commitTS})
 		s.repMu.Unlock()
@@ -337,7 +342,7 @@ func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err
 
 // commitRecord builds a committing transaction's stream record: a bare
 // RecDecide when the prepare was already replicated, otherwise a
-// RecCommit carrying the staged ops gathered from the objects' locks
+// RecCommit carrying the staged writes gathered from the objects' locks
 // (stable — the caller owns the transaction's resolution).
 func (s *Store) commitRecord(txid uint64, rec *txRecord, commitTS clock.Timestamp) kv.ReplRecord {
 	if rec.replicated {
@@ -348,15 +353,15 @@ func (s *Store) commitRecord(txid uint64, rec *txRecord, commitTS clock.Timestam
 		sh := s.shardFor(oid)
 		sh.mu.Lock()
 		if obj := sh.objs[oid]; obj != nil && obj.lock != nil && obj.lock.txid == txid {
-			out.Ops = append(out.Ops, obj.lock.ops...)
+			out.Ops = append(out.Ops, withoutCompares(obj.lock.ops)...)
 		}
 		sh.mu.Unlock()
 	}
 	return out
 }
 
-// withoutCompares returns ops minus their compare ops — what a lock keeps
-// and a stream record carries — or ops itself when they hold none.
+// withoutCompares returns ops minus their compare ops — what a commit
+// installs and its RecCommit carries — or ops itself when they hold none.
 func withoutCompares(ops []*kv.Op) []*kv.Op {
 	for i, op := range ops {
 		if op.Kind.IsCompare() {

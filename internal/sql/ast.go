@@ -163,14 +163,11 @@ type Select struct {
 // Update is UPDATE ... SET.
 type Update struct {
 	Table string
-	Set   []setClause
+	Set   []struct {
+		Col string
+		E   Expr
+	}
 	Where Expr
-}
-
-// setClause is one col = expr of an UPDATE's SET list.
-type setClause struct {
-	Col string
-	E   Expr
 }
 
 // Delete is DELETE FROM.

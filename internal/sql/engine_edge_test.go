@@ -590,6 +590,22 @@ func TestFailedStatementStagesNothing(t *testing.T) {
 		}
 	}
 
+	// The rows are checked in the order the statement gives them: the
+	// first row's stored primary key is the violation reported, not the
+	// UNIQUE value the later two share, in a transaction and in auto-commit.
+	for _, explicit := range []bool{true, false} {
+		if explicit {
+			mustExec(t, db, "BEGIN")
+		}
+		q := "INSERT INTO a VALUES (2, 'x'), (6, 'y'), (7, 'y')"
+		if _, err := db.Exec(ctx, q); err == nil || !strings.Contains(err.Error(), "UNIQUE constraint failed: a.id") {
+			t.Errorf("%s (explicit %v): %v, want the primary key's violation", q, explicit, err)
+		}
+		if explicit {
+			mustExec(t, db, "COMMIT")
+		}
+	}
+
 	// What a statement removes is free for what it adds, whatever the
 	// order of its rows: every key moves up by one, every value to the
 	// next row's.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"yesquel/internal/dbt"
@@ -27,10 +26,6 @@ type DB struct {
 	maxRetries int
 	parseCache map[string]parsedEntry
 
-	// blind is set while an auto-commit statement runs on its first path:
-	// its writes may be staged by routing, without reading (see writeRows
-	// and writeByKey).
-	blind bool
 	// guarded names, for the explicit transaction's constraint compares,
 	// the tree each compared leaf belongs to (see commitError).
 	guarded []guardedLeaf
@@ -190,24 +185,22 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 	if db.tx != nil {
 		// Inside an explicit transaction: no auto-retry (the snapshot is
 		// pinned; the application owns conflict handling at COMMIT).
-		return db.runStmt(ctx, db.tx, stmt, args)
+		return db.runStmt(ctx, db.tx, stmt, args, false)
 	}
 
 	// Auto-commit: one kv transaction per statement, retried on
 	// conflict with jittered backoff (splits and write races are
 	// expected and transient). The first attempt may stage its writes
-	// without reading (blind); a compare of its commit that fails there
-	// hands the statement to the read path at once, which reads what it
-	// needs, names any constraint the statement breaks, and splits a leaf
-	// the statement fills. The one exception is an UPDATE or DELETE by key
-	// whose row was not there: that affected nothing.
+	// without reading (blind). When it cannot route them, or a compare of
+	// its commit fails, the statement goes to the read path at once, which
+	// reads what it needs, names any constraint the statement breaks, and
+	// splits a leaf the statement fills. The one exception is an UPDATE or
+	// DELETE by key whose row was not there: that affected nothing.
 	var lastErr error
 	blind := true
 	for attempt := 0; attempt <= db.maxRetries; attempt++ {
 		tx := db.c.Begin()
-		db.blind = blind
-		res, rows, err := db.runStmt(ctx, tx, stmt, args)
-		db.blind = false
+		res, rows, err := db.runStmt(ctx, tx, stmt, args, blind)
 		if err == nil {
 			if cerr := tx.Commit(ctx); cerr == nil {
 				return res, rows, nil
@@ -218,7 +211,10 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 			tx.Abort()
 		}
 		var ce *kv.CompareError
-		if errors.As(err, &ce) {
+		if errors.Is(err, errUnrouted) {
+			blind = false
+			continue
+		} else if errors.As(err, &ce) {
 			if ce.Op == kv.OpCmpPresent {
 				return Result{}, nil, nil
 			}
@@ -264,8 +260,10 @@ func sleepJitter(attempt int) {
 }
 
 // runStmt runs one statement in tx and marks its end there, so what it
-// read is not carried into the transaction's next statement.
-func (db *DB) runStmt(ctx context.Context, tx *kvclient.Tx, stmt Stmt, args []Value) (Result, *Rows, error) {
+// read is not carried into the transaction's next statement. blind lets
+// a write statement stage its writes by routing, without reading (see
+// writeRows).
+func (db *DB) runStmt(ctx context.Context, tx *kvclient.Tx, stmt Stmt, args []Value, blind bool) (Result, *Rows, error) {
 	defer tx.EndStatement()
 	switch st := stmt.(type) {
 	case CreateTable:
@@ -277,13 +275,13 @@ func (db *DB) runStmt(ctx context.Context, tx *kvclient.Tx, stmt Stmt, args []Va
 	case DropIndex:
 		return Result{}, nil, db.cat.DropIndex(ctx, tx, st)
 	case Insert:
-		res, err := db.execInsert(ctx, tx, st, args)
+		res, err := db.execInsert(ctx, tx, st, args, blind)
 		return res, nil, err
 	case Update:
-		res, err := db.execUpdate(ctx, tx, st, args)
+		res, err := db.execUpdate(ctx, tx, st, args, blind)
 		return res, nil, err
 	case Delete:
-		res, err := db.execDelete(ctx, tx, st, args)
+		res, err := db.execDelete(ctx, tx, st, args, blind)
 		return res, nil, err
 	case Select:
 		rows, err := db.execSelect(ctx, tx, st, args)
@@ -322,10 +320,13 @@ func indexEntryKey(colVal Value, rowKey []byte) []byte {
 
 // rowWrite is one row's part in a write statement: the row as stored
 // (old, under oldKey; nil in an INSERT) and as it will be (new, under
-// newKey; nil in a DELETE).
+// newKey; nil in a DELETE). An unread old row was not read: the statement
+// names it by primary key and needs none of its other columns (see
+// unreadRow), so the commit is what checks that it is stored.
 type rowWrite struct {
 	oldKey, newKey []byte
 	old, new       []Value
+	unread         bool
 }
 
 // A treeOp is one thing a write statement does to one tree of its
@@ -340,10 +341,12 @@ type treeOp struct {
 type opKind uint8
 
 const (
-	opDelete opKind = iota // remove key
-	opPut                  // store val under key
-	opClaim                // opPut of a key that must be free: a new primary key
-	opUnique               // no key with prefix key may exist: a value entering a UNIQUE index
+	opDelete  opKind = iota // remove key
+	opPut                   // store val under key
+	opClaim                 // opPut of a key that must be free: a new primary key
+	opUnique                // no key with prefix key may exist: a value entering a UNIQUE index
+	opReplace               // opPut of a key that must be stored: an unread row rewritten
+	opRemove                // opDelete of a key that must be stored: an unread row removed
 )
 
 // probeEnd is where the key range an opClaim or opUnique must find
@@ -382,12 +385,14 @@ type treeKey struct {
 // the removals and before the additions.
 //
 // A statement that needs no stored row — an INSERT, whose checks are all
-// compares — may skip the read round and the descents altogether (blind):
-// when the inner-node cache routes every operation, each is staged on
-// the leaf it names with the compares that say the route still holds
-// (dbt.Tree.RoutePut, RouteAbsent), and the commit is the statement's one
-// round trip. A compare that fails sends the statement down the read
-// path (DB.runParsed).
+// compares, or an UPDATE or DELETE of an unread row — skips the read
+// round and the descents altogether (blind): each operation is staged on
+// the leaf the inner-node cache routes it to, with the compares that say
+// the route still holds (dbt.Tree.RoutePut, RouteDelete, RouteAbsent),
+// and the commit is the statement's one round trip. When the cache
+// cannot route every operation, writeRows stages nothing and returns
+// errUnrouted; that, or a compare that fails, sends the statement down
+// the read path (DB.runParsed).
 func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writes []rowWrite, blind bool) error {
 	s := table.Schema
 	tree := func(op treeOp) *dbt.Tree {
@@ -401,12 +406,19 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 		w := &writes[i]
 		moved := w.old == nil || w.new == nil || !bytes.Equal(w.oldKey, w.newKey)
 		if w.old != nil && moved {
-			ops = append(ops, treeOp{kind: opDelete, key: w.oldKey})
+			kind := opDelete
+			if w.unread {
+				kind = opRemove
+			}
+			ops = append(ops, treeOp{kind: kind, key: w.oldKey})
 		}
 		if w.new != nil {
 			kind := opPut
-			if moved && s.PKCol >= 0 {
+			switch {
+			case moved && s.PKCol >= 0:
 				kind = opClaim
+			case w.unread:
+				kind = opReplace
 			}
 			ops = append(ops, treeOp{kind: kind, key: w.newKey, val: EncodeRow(w.new)})
 		}
@@ -431,15 +443,14 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 			}
 		}
 	}
-	if err := claimedTwice(s, ops, len(writes)); err != nil {
-		return err
-	}
 
 	if blind {
-		if routed, ok := routeOps(ops, tree); ok {
-			routed.Stage(tx)
-			return nil
+		routed, ok := routeOps(ops, tree)
+		if !ok {
+			return errUnrouted
 		}
+		routed.Stage(tx)
+		return nil
 	}
 
 	plan := make([]kv.ReadBatchItem, 0, len(ops))
@@ -454,7 +465,7 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 		return err
 	}
 
-	var freed map[treeKey]struct{}
+	var freed, claimed map[treeKey]struct{}
 	var guard dbt.Routed
 	for _, op := range ops {
 		if op.kind != opClaim && op.kind != opUnique {
@@ -476,6 +487,16 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 			if _, ok := freed[treeKey{op.tree, string(holder)}]; !ok {
 				return uniqueViolation(s, op.tree)
 			}
+		}
+		if len(writes) > 1 {
+			if claimed == nil {
+				claimed = make(map[treeKey]struct{})
+			}
+			k := treeKey{op.tree, string(op.key)}
+			if _, ok := claimed[k]; ok {
+				return uniqueViolation(s, op.tree)
+			}
+			claimed[k] = struct{}{}
 		}
 		if db.tx != nil {
 			for _, c := range checks {
@@ -505,29 +526,15 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 	return nil
 }
 
-// claimedTwice fails a statement two of whose rows claim one primary key
-// or one UNIQUE value.
-func claimedTwice(s *TableSchema, ops []treeOp, rows int) error {
-	if rows < 2 {
-		return nil
-	}
-	claimed := make(map[treeKey]struct{})
-	for _, op := range ops {
-		if op.kind != opClaim && op.kind != opUnique {
-			continue
-		}
-		k := treeKey{op.tree, string(op.key)}
-		if _, ok := claimed[k]; ok {
-			return uniqueViolation(s, op.tree)
-		}
-		claimed[k] = struct{}{}
-	}
-	return nil
-}
+// errUnrouted is writeRows' answer on the blind path when the inner-node
+// cache cannot route some operation: nothing was staged, and the
+// statement reruns on the read path.
+var errUnrouted = errors.New("sql: write not routed by the cache")
 
 // routeOps stages nothing and returns, in op order, what stages ops by
-// routing alone, or false when some op cannot be: a removal (whose
-// statement read its rows) or a key the cache cannot route.
+// routing alone, or false when the cache cannot route some key. A
+// statement's own rows check each other there too: a key two of them
+// claim fails the second claim's compare, which sees the first's write.
 func routeOps(ops []treeOp, tree func(treeOp) *dbt.Tree) (dbt.Routed, bool) {
 	var out dbt.Routed
 	for _, op := range ops {
@@ -538,6 +545,10 @@ func routeOps(ops []treeOp, tree func(treeOp) *dbt.Tree) (dbt.Routed, bool) {
 			r, ok = tree(op).RoutePut(op.key, op.val, dbt.Absent)
 		case opPut:
 			r, ok = tree(op).RoutePut(op.key, op.val, dbt.Any)
+		case opReplace:
+			r, ok = tree(op).RoutePut(op.key, op.val, dbt.Present)
+		case opRemove:
+			r, ok = tree(op).RouteDelete(op.key)
 		case opUnique:
 			r, ok = tree(op).RouteAbsent(op.key, op.probeEnd())
 		}
@@ -547,87 +558,6 @@ func routeOps(ops []treeOp, tree func(treeOp) *dbt.Tree) (dbt.Routed, bool) {
 		out = append(out, r...)
 	}
 	return out, true
-}
-
-// writeByKey stages, without reading, the UPDATE (set non-nil) or DELETE
-// of the one row a primary-key equality names, when the statement needs
-// no stored row: the table has no index, and an UPDATE sets every other
-// column to a literal or parameter that needs no coercion the read path
-// might refuse. The row is the one the read path would write, byte for
-// byte. Its key-present compare says at commit whether the row was there
-// (DB.runParsed turns a failed one into no row affected). It returns
-// false, having staged nothing, for a statement it cannot take that way
-// or a key the cache cannot route.
-func (db *DB) writeByKey(ctx context.Context, tx *kvclient.Tx, name string, set []setClause, where Expr, args []Value) bool {
-	table, err := db.cat.GetTable(ctx, tx, name)
-	if err != nil {
-		return false
-	}
-	s := table.Schema
-	pk := s.PKCol
-	if pk < 0 || len(s.Indexes) > 0 {
-		return false
-	}
-	if t := s.Cols[pk].Type; t != TypeInt && t != TypeText && t != TypeBlob {
-		return false // a REAL key may equal a value it does not encode as
-	}
-	eq, ok := where.(BinOp)
-	if !ok || eq.Op != "=" {
-		return false
-	}
-	x := eq.R
-	if c, ok := eq.R.(ColRef); ok {
-		eq.L, x = c, eq.L
-	}
-	if c, ok := eq.L.(ColRef); !ok || (c.Table != "" && !strings.EqualFold(c.Table, name)) || s.ColIndex(c.Col) != pk {
-		return false
-	}
-	e := &env{params: args}
-	constant := func(x Expr) (Value, bool) {
-		switch x.(type) {
-		case Lit, Param:
-			v, err := e.eval(x)
-			return v, err == nil
-		}
-		return Value{}, false
-	}
-	key, ok := constant(x)
-	if !ok || key.T != s.Cols[pk].Type {
-		return false
-	}
-	var r dbt.Routed
-	if set == nil {
-		r, ok = table.Tree.RouteDelete(EncodeKey(key))
-	} else {
-		if len(set) != len(s.Cols)-1 {
-			return false
-		}
-		row := make([]Value, len(s.Cols))
-		seen := make([]bool, len(s.Cols))
-		row[pk], seen[pk] = key, true
-		for _, sc := range set {
-			i := s.ColIndex(sc.Col)
-			if i < 0 || seen[i] {
-				return false
-			}
-			seen[i] = true
-			v, ok := constant(sc.E)
-			if !ok {
-				return false
-			}
-			if row[i], err = Coerce(v, s.Cols[i].Type); err != nil {
-				return false
-			}
-		}
-		if checkRow(s, row) != nil {
-			return false
-		}
-		r, ok = table.Tree.RoutePut(EncodeKey(key), EncodeRow(row), dbt.Present)
-	}
-	if ok {
-		r.Stage(tx)
-	}
-	return ok
 }
 
 // uniqueViolation is the error for a taken key of one of the table's
@@ -640,7 +570,7 @@ func uniqueViolation(s *TableSchema, tree int) error {
 	return fmt.Errorf("sql: UNIQUE constraint failed: %s.%s", is.Table, is.Col)
 }
 
-func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args []Value) (Result, error) {
+func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args []Value, blind bool) (Result, error) {
 	table, err := db.cat.GetTable(ctx, tx, st.Table)
 	if err != nil {
 		return Result{}, err
@@ -690,7 +620,7 @@ func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args [
 		}
 		writes = append(writes, rowWrite{newKey: rowKey, new: vals})
 	}
-	if err := db.writeRows(ctx, tx, table, writes, db.blind); err != nil {
+	if err := db.writeRows(ctx, tx, table, writes, blind); err != nil {
 		return Result{}, err
 	}
 	return Result{RowsAffected: int64(len(writes))}, nil
@@ -726,10 +656,36 @@ func (db *DB) collectMatches(ctx context.Context, tx *kvclient.Tx, p *stmtPlan) 
 	return out, err
 }
 
-func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args []Value) (Result, error) {
-	if db.blind && db.writeByKey(ctx, tx, st.Table, st.Set, st.Where, args) {
-		return Result{RowsAffected: 1}, nil
+// unreadRow returns, as an unread rowWrite, the one row p names when
+// its WHERE is a primary-key equality and nothing else (the key range is
+// implied) and its table has no index, whose entries would need the old
+// values. The old row holds only the key, all an UPDATE that gives every
+// other column without reading any needs of it: the new row is the one
+// the read path would write, byte for byte. ok=false means the statement
+// must read its rows.
+func unreadRow(p *stmtPlan) (w rowWrite, ok bool, err error) {
+	t := &p.tables[0]
+	s := t.schema
+	if t.path.kind != pathPKEq || len(s.Indexes) > 0 {
+		return w, false, nil
 	}
+	ct := s.Cols[s.PKCol].Type
+	r, keyed, err := evalKeyRange(&p.e, t.path, ct)
+	if err != nil || !keyed || !r.implied {
+		return w, false, err
+	}
+	key, err := p.e.eval(t.path.eq)
+	if err != nil {
+		return w, false, err
+	}
+	old := make([]Value, len(s.Cols))
+	// An implied range's equality keeps the key's type: the coerced value
+	// equals it, and is the value the stored row holds (3.0 names row 3).
+	old[s.PKCol], err = Coerce(key, ct)
+	return rowWrite{oldKey: r.lo, old: old, unread: true}, true, err
+}
+
+func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args []Value, blind bool) (Result, error) {
 	p, err := db.planTables(ctx, tx, &TableRef{Name: st.Table}, nil, st.Where, args)
 	if err != nil {
 		return Result{}, err
@@ -737,14 +693,22 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 	t := &p.tables[0]
 	s := t.schema
 	setPos := make([]int, len(st.Set))
+	// whole: the SET list gives every column but the key, and reads none,
+	// so no stored column of the row is needed.
+	given := make([]bool, len(s.Cols))
+	whole := true
 	for i, set := range st.Set {
 		p := s.ColIndex(set.Col)
 		if p < 0 {
 			return Result{}, fmt.Errorf("sql: no such column %s.%s", s.Name, set.Col)
 		}
-		setPos[i] = p
+		setPos[i], given[p] = p, true
+		whole = whole && refsOnly(set.E, nil)
 	}
-	writes, err := db.collectMatches(ctx, tx, &p)
+	for i := range given {
+		whole = whole && (given[i] || i == s.PKCol)
+	}
+	writes, blind, err := db.matches(ctx, tx, &p, blind && whole)
 	if err != nil {
 		return Result{}, err
 	}
@@ -755,44 +719,68 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 		for i, set := range st.Set {
 			v, err := p.e.eval(set.E)
 			if err != nil {
-				return Result{}, err
+				return Result{}, unreadErr(w, err)
 			}
 			cv, err := Coerce(v, s.Cols[setPos[i]].Type)
 			if err != nil {
-				return Result{}, err
+				return Result{}, unreadErr(w, err)
 			}
 			w.new[setPos[i]] = cv
 		}
 		if err := checkRow(s, w.new); err != nil {
-			return Result{}, err
+			return Result{}, unreadErr(w, err)
 		}
 		w.newKey = w.oldKey
 		if s.PKCol >= 0 && Compare(w.old[s.PKCol], w.new[s.PKCol]) != 0 {
 			w.newKey = EncodeKey(w.new[s.PKCol])
 		}
 	}
-	if err := db.writeRows(ctx, tx, t.table, writes, false); err != nil {
+	if err := db.writeRows(ctx, tx, t.table, writes, blind); err != nil {
 		return Result{}, err
 	}
 	return Result{RowsAffected: int64(len(writes))}, nil
 }
 
-func (db *DB) execDelete(ctx context.Context, tx *kvclient.Tx, st Delete, args []Value) (Result, error) {
-	if db.blind && db.writeByKey(ctx, tx, st.Table, nil, st.Where, args) {
-		return Result{RowsAffected: 1}, nil
+// unreadErr is what an UPDATE reports when computing a row's new values
+// fails: for an unread row, which may not be stored at all (and then
+// nothing is computed and nothing fails), the read path must decide.
+func unreadErr(w *rowWrite, err error) error {
+	if w.unread {
+		return errUnrouted
 	}
+	return err
+}
+
+func (db *DB) execDelete(ctx context.Context, tx *kvclient.Tx, st Delete, args []Value, blind bool) (Result, error) {
 	p, err := db.planTables(ctx, tx, &TableRef{Name: st.Table}, nil, st.Where, args)
 	if err != nil {
 		return Result{}, err
 	}
-	writes, err := db.collectMatches(ctx, tx, &p)
+	writes, blind, err := db.matches(ctx, tx, &p, blind)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := db.writeRows(ctx, tx, p.tables[0].table, writes, false); err != nil {
+	if err := db.writeRows(ctx, tx, p.tables[0].table, writes, blind); err != nil {
 		return Result{}, err
 	}
 	return Result{RowsAffected: int64(len(writes))}, nil
+}
+
+// matches returns the rows an UPDATE or DELETE planned as p writes. When
+// blind — the statement may write without reading, and needs no stored
+// column of its rows — that is the one unread row p names by key, if it
+// names one (unreadRow); otherwise the rows its scan yields. stillBlind
+// reports that writeRows may stage them without reading: only an unread
+// row may be.
+func (db *DB) matches(ctx context.Context, tx *kvclient.Tx, p *stmtPlan, blind bool) (writes []rowWrite, stillBlind bool, err error) {
+	if blind {
+		w, ok, err := unreadRow(p)
+		if ok || err != nil {
+			return []rowWrite{w}, true, err
+		}
+	}
+	writes, err = db.collectMatches(ctx, tx, p)
+	return writes, false, err
 }
 
 // execCreateIndex creates the index and backfills it from the table, all

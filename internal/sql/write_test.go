@@ -214,9 +214,13 @@ func TestWriteOracle(t *testing.T) {
 			mustExec(t, db, "CREATE TABLE u (id INTEGER PRIMARY KEY, email TEXT, n INTEGER)")
 			mustExec(t, db, "CREATE UNIQUE INDEX u_email ON u (email)")
 			mustExec(t, db, "CREATE INDEX u_n ON u (n)")
+			mustExec(t, db, "CREATE TABLE q (id INTEGER PRIMARY KEY, a TEXT, b INTEGER)")
 		}
 		r := rand.New(rand.NewSource(seed))
 		id := func() sql.Value { return sql.Int(int64(r.Intn(60))) }
+		// realID names the same rows as a REAL, which the key equality
+		// takes as the INTEGER it equals.
+		realID := func() sql.Value { return sql.Float(float64(r.Intn(60))) }
 		text := func() sql.Value {
 			if r.Intn(10) == 0 {
 				return sql.Null
@@ -228,7 +232,7 @@ func TestWriteOracle(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			var q string
 			var args []sql.Value
-			switch r.Intn(9) {
+			switch r.Intn(14) {
 			case 0, 1:
 				q, args = "INSERT INTO p VALUES (?, ?)", []sql.Value{id(), text()}
 			case 2:
@@ -243,6 +247,17 @@ func TestWriteOracle(t *testing.T) {
 				q, args = "INSERT INTO u VALUES (?, ?, ?)", []sql.Value{id(), text(), sql.Int(int64(r.Intn(5)))}
 			case 7:
 				q, args = "UPDATE u SET email = ? WHERE id = ?", []sql.Value{text(), id()}
+			case 8:
+				q, args = "UPDATE p SET v = ? WHERE id = ?", []sql.Value{text(), realID()}
+			case 9:
+				q, args = "INSERT INTO q VALUES (?, ?, ?)", []sql.Value{id(), text(), id()}
+			case 10:
+				q, args = "UPDATE q SET b = ?, a = ? WHERE id = ?", []sql.Value{id(), text(), id()}
+			case 11:
+				// Sets one column twice and leaves b: b must be read.
+				q, args = "UPDATE q SET a = ?, a = ? WHERE id = ?", []sql.Value{text(), text(), id()}
+			case 12:
+				q, args = "UPDATE q SET id = ?, a = ?, b = ? WHERE id = ?", []sql.Value{id(), text(), id(), id()}
 			default:
 				q, args = "DELETE FROM u WHERE id = ?", []sql.Value{id()}
 			}
@@ -256,12 +271,12 @@ func TestWriteOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: %s %v: routed %+v, %v; read path %+v, %v", seed, step, q, args, got, gotErr, want, wantErr)
 			}
 		}
-		for _, q := range []string{"SELECT * FROM p ORDER BY id", "SELECT * FROM u ORDER BY id"} {
+		for _, q := range []string{"SELECT * FROM p ORDER BY id", "SELECT * FROM u ORDER BY id", "SELECT * FROM q ORDER BY id"} {
 			if got, want := rowsToString(mustQuery(t, routed, q)), rowsToString(mustQuery(t, oracle, q)); got != want {
 				t.Fatalf("seed %d: %s:\nrouted\n%s\nread path\n%s", seed, q, got, want)
 			}
 		}
-		if got, want := checkTrees(t, routed, "p", "u"), checkTrees(t, oracle, "p", "u"); got != want {
+		if got, want := checkTrees(t, routed, "p", "u", "q"), checkTrees(t, oracle, "p", "u", "q"); got != want {
 			t.Fatalf("seed %d: trees differ:\nrouted\n%s\nread path\n%s", seed, got, want)
 		}
 		t.Logf("seed %d: %d of %d statements read nothing", seed, unread, steps)
