@@ -203,32 +203,44 @@ func TestApplySharesUntouchedCells(t *testing.T) {
 	if string(base.Cells[7].Value) == "new" {
 		t.Fatal("base was modified")
 	}
+}
 
-	// Every gatherEvery steps the cells' bytes are laid out together
-	// again: no cell of the result is shared with the chain behind it,
-	// each value follows its key in memory, and the chain is untouched.
-	chain := []*Value{next}
-	for i := 1; i < gatherEvery; i++ {
-		v, err := (&Op{Kind: OpListAdd, Cell: Cell{Key: base.Cells[i].Key, Value: []byte{byte(i)}}}).Apply(chain[len(chain)-1])
+// TestSettleGathersTheLeaf: a Layered value shares its base until
+// gatherEvery ops have piled up on it; then Settle rebases it, and the
+// new base shares no cell with the old one, each value follows its key
+// in memory, it stands for the same value, and the versions before it
+// still share the old base.
+func TestSettleGathersTheLeaf(t *testing.T) {
+	base := leaf64()
+	chain := []Layered{NewLayered(base)}
+	for i := 0; i < gatherEvery; i++ {
+		next, err := chain[len(chain)-1].With(&Op{Kind: OpListAdd, Cell: Cell{Key: base.Cells[i].Key, Value: []byte{byte(i)}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain = append(chain, v)
+		chain = append(chain, next.Settle())
 	}
 	last, prev := chain[len(chain)-1], chain[len(chain)-2]
-	for i, c := range last.Cells {
-		if &c.Key[0] == &prev.Cells[i].Key[0] {
-			t.Fatalf("cell %d still shares its key with the previous version after %d steps", i, gatherEvery)
+	if prev.Pending() != gatherEvery-1 || prev.base != base {
+		t.Fatalf("version %d holds %d ops on its own base, want %d on the first", gatherEvery-1, prev.Pending(), gatherEvery-1)
+	}
+	if last.Pending() != 0 {
+		t.Fatalf("%d ops pending after %d steps", last.Pending(), gatherEvery)
+	}
+	for i, c := range last.base.Cells {
+		if &c.Key[0] == &base.Cells[i].Key[0] {
+			t.Fatalf("cell %d still shares its key with the old base after %d steps", i, gatherEvery)
 		}
 		if unsafe.Add(unsafe.Pointer(&c.Key[0]), len(c.Key)) != unsafe.Pointer(&c.Value[0]) {
 			t.Fatalf("cell %d: value does not follow its key in memory", i)
 		}
 	}
-	if want, _ := applyDeepClone(&Op{Kind: OpListAdd, Cell: Cell{Key: base.Cells[gatherEvery-1].Key, Value: []byte{gatherEvery - 1}}}, prev); !last.Equal(want) {
-		t.Fatal("gathering changed the value")
+	want, _ := (&Op{Kind: OpListAdd, Cell: Cell{Key: base.Cells[gatherEvery-1].Key, Value: []byte{gatherEvery - 1}}}).Apply(prev.Value())
+	if !last.Value().Equal(want) {
+		t.Fatal("rebasing changed the value")
 	}
-	if &prev.Cells[40].Key[0] != &base.Cells[40].Key[0] {
-		t.Fatal("the version before the gather no longer shares an untouched cell with the base")
+	if got, _ := prev.window(base.Cells[40].Key, nil, 1); &got[0].Key[0] != &base.Cells[40].Key[0] {
+		t.Fatal("the version before the rebase no longer shares an untouched cell with the base")
 	}
 }
 

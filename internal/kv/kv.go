@@ -22,18 +22,19 @@
 // # Immutability
 //
 // A Value that has been handed to anyone else is immutable: a version a
-// store holds, a value a read returned (Store.Read and ReadPart return
-// the stored version or a window onto its cell array, not a copy; a
-// client's read returns cells whose bytes lie in the reply frame they
+// store holds, a value a read returned (Store.ReadPart returns a window
+// onto the stored cells, not a copy, whenever no pending op touches it;
+// a client's read returns cells whose bytes lie in the reply frame they
 // arrived in, see DecodeReadBatchResp), an entry of a transaction's read
 // set, a base passed to Op.Apply or Overlay. The same holds for an Op
-// once it is staged. Everything below leans on it:
-// Op.Apply builds the next version by copying the Cells header array
-// and sharing every untouched cell's key and value bytes, and the fence
-// keys, with its base, so consecutive versions of a DBT leaf alias one
-// another and a commit costs its delta, not the leaf (every sixteenth
-// step also copies the cells' bytes back into one allocation, so that
-// reading a leaf stays a walk through adjacent memory). The mutating
+// once it is staged. Everything below leans on it. A store keeps each
+// version as a Layered value: an immutable base plus the list ops
+// committed since that base, so a commit costs each replica its ops, not
+// a copy of the leaf, and successive versions share the base, the fence
+// keys and the ops before their own. Every gatherEvery ops the next
+// commit rebases: one private header copy with the ops applied in place,
+// then one copy of the cells' bytes into a single allocation, so that
+// reading a leaf stays a walk through adjacent memory. The mutating
 // methods (Value.ListAdd, ListDelRange, direct field writes) are for
 // building a value nobody else has seen yet; whoever needs to edit a
 // value it received takes a private copy first with Value.Clone.
@@ -74,6 +75,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -135,11 +137,6 @@ type Value struct {
 	LowKey  []byte // inclusive lower bound (DBT fence); nil = unbounded
 	HighKey []byte // exclusive upper bound (DBT fence); nil = unbounded
 	Cells   []Cell // sorted by Key
-
-	// scattered counts the copy-on-write steps since the cells' bytes
-	// were last laid out together (see Op.Apply). It describes the
-	// memory, not the value: it is never encoded or compared.
-	scattered uint8
 }
 
 // NewSuper returns an empty supervalue.
@@ -570,15 +567,15 @@ type Op struct {
 // nil (object absent); delta ops on an absent object create an empty
 // supervalue first, so a blind ListAdd works without a prior read.
 //
-// Apply never mutates base, and the result of a delta op is
-// copy-on-write: it shares base's fence keys and every cell the op did
-// not touch (ListAdd and ListDelRange copy the Cells header array,
-// AttrSet and SetBounds share it whole), so its cost is the header
-// array plus the op's own bytes, and one leaf-sized copy every
-// gatherEvery steps (see Value.gather). Both base and the
-// result are immutable from here on. The op's own key, value and bounds
-// are copied in, so the caller's buffers stay its own. A compare op
-// returns base itself, or a *CompareError when base fails it.
+// Apply is the reference semantics of the ops: what a store's Layered
+// versions, Overlay and the client's read-your-writes must each agree
+// with. It never mutates base, and the result of a delta op shares
+// base's fence keys and every cell the op did not touch: ListAdd and
+// ListDelRange copy the Cells header array and edit the copy, AttrSet
+// and SetBounds share the array whole. Both base and the result are
+// immutable from here on. The op's own key, value and bounds are copied
+// in, so the caller's buffers stay its own. A compare op returns base
+// itself, or a *CompareError when base fails it.
 func (op *Op) Apply(base *Value) (*Value, error) {
 	switch op.Kind {
 	case OpPut:
@@ -600,13 +597,11 @@ func (op *Op) Apply(base *Value) (*Value, error) {
 	}
 	switch op.Kind {
 	case OpListAdd:
-		v.Cells = cellsWith(v.Cells, op.Cell.Key, op.Cell.Value)
-		v.gather()
+		v.Cells = append(make([]Cell, 0, len(v.Cells)+1), v.Cells...)
+		v.ListAdd(op.Cell.Key, op.Cell.Value)
 	case OpListDelRange:
-		if cells := cellsWithout(v.Cells, op.From, op.To); len(cells) != len(v.Cells) {
-			v.Cells = cells
-			v.gather()
-		}
+		v.Cells = slices.Clone(v.Cells)
+		v.ListDelRange(op.From, op.To)
 	case OpAttrSet:
 		if op.Attr >= NumAttrs {
 			return nil, fmt.Errorf("%w: attr index %d", ErrBadRequest, op.Attr)
@@ -656,14 +651,13 @@ func (op *Op) compare(base *Value) error {
 
 // Overlay returns base as it looks under ops applied in order: what a
 // transaction reads of an object it has staged writes on. The result
-// equals folding Op.Apply over ops, at a different price. Apply makes a
-// version someone will keep, so every step copies the cells' header
-// array; a read keeps nothing, so Overlay copies the array once, with
-// room for every op, and applies the ops to that private copy in place —
-// a read under N staged ops costs the window plus N, not N copies of a
-// growing array. The cells' bytes and the fence keys are shared with
-// base and with the ops, all immutable, and so is the result once it is
-// returned. base may be nil (object absent) and is not modified. Compare
+// equals folding Op.Apply over ops, at a different price: every Apply
+// step copies the cells' header array, while Overlay copies it once,
+// with room for every op, and applies the ops to that private copy in
+// place — a read under N staged ops costs the window plus N, not N
+// copies of a growing array. The cells' bytes and the fence keys are
+// shared with base and with the ops, all immutable, and so is the result
+// once it is returned. base may be nil (object absent) and is not modified. Compare
 // ops are skipped: they are checks for the commit, not writes.
 func Overlay(base *Value, ops []*Op) (*Value, error) {
 	v := base

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -157,16 +159,19 @@ func TestCommitInstallsPreparedValue(t *testing.T) {
 	}
 	sh := primary.shardFor(oid)
 	sh.mu.Lock()
-	staged := sh.objs[oid].lock.staged
+	lock := sh.objs[oid].lock
 	sh.mu.Unlock()
-	if staged == nil {
+	if !lock.hasStaged || lock.staged.Pending() != 1 {
 		t.Fatal("prepare kept no staged value")
 	}
 	if err := primary.Commit(txid, ts); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err := primary.Read(oid, primary.Clock().Now()); err != nil || got != staged {
-		t.Fatalf("commit installed %p (err %v), want the prepared value %p", got, err, staged)
+	sh.mu.Lock()
+	installed, _ := newest(sh.objs[oid])
+	sh.mu.Unlock()
+	if installed != lock.staged {
+		t.Fatalf("commit installed %+v, want the prepared value %+v", installed, lock.staged)
 	}
 
 	// A migration ingest asks no lock. A version it lands between a
@@ -461,20 +466,28 @@ func TestSnapshotStreamsInExactChunks(t *testing.T) {
 }
 
 // TestFastCommitAllocBudget: one ListAdd on a 64-cell leaf allocates a
-// handful of objects — the new version's header array and cell, the
-// lock, the conflict metadata, the stream record: 21 without a log and
-// 31 with one when this was written — and nothing per cell of the leaf.
-// A deep copy of the leaf is 130 allocations on its own (the parent of
-// this test made 283 per commit), so it cannot come back under these
+// handful of objects — the lock, the stream record, the decided entry
+// and the op array of the version chain every sixteenth commit: 15
+// without a log and 25 with one when this was written — and nothing per
+// cell of the leaf but its rebase every sixteenth commit. A deep copy of
+// the leaf is 130 allocations on its own (a store that deep-copied the
+// leaf per commit made 283), so it cannot come back under these
 // budgets, which leave room for the log flusher's batching to vary.
+//
+// Without a log the bytes are held to a budget too, averaged over two
+// rebases' worth of commits: 5,958 per commit when each version copied
+// the leaf's cell header array, about 2,500 since a version keeps the
+// commit's ops on a shared base.
 func TestFastCommitAllocBudget(t *testing.T) {
+	const rebaseEvery = 16 // kv's rebase interval
 	for _, tc := range []struct {
 		name   string
 		wal    bool
 		budget float64
+		bytes  float64
 	}{
-		{"memory", false, 30},
-		{"wal", true, 45},
+		{"memory", false, 30, 3200},
+		{"wal", true, 45, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{}
@@ -488,15 +501,36 @@ func TestFastCommitAllocBudget(t *testing.T) {
 			defer s.CloseLog()
 			oid := putLeaves(t, s, 1)[0]
 			i := 0
-			allocs := testing.AllocsPerRun(200, func() {
+			commit := func() {
 				i++
 				if _, err := s.FastCommit(newTxID(), s.Clock().Now(), updateCell(oid, i, i)); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
+			allocs := testing.AllocsPerRun(200, commit)
 			t.Logf("%.1f allocations per FastCommit", allocs)
 			if allocs > tc.budget {
 				t.Fatalf("%.1f allocations per one-cell FastCommit on a 64-cell leaf, budget %.0f", allocs, tc.budget)
+			}
+			if tc.bytes == 0 {
+				return
+			}
+			// The median of five windows, so that one window in which the
+			// decided table or the version array grew does not decide.
+			windows := make([]float64, 5)
+			for w := range windows {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for k := 0; k < 2*rebaseEvery; k++ {
+					commit()
+				}
+				runtime.ReadMemStats(&after)
+				windows[w] = float64(after.TotalAlloc-before.TotalAlloc) / (2 * rebaseEvery)
+			}
+			slices.Sort(windows)
+			t.Logf("%.0f bytes per FastCommit (windows %.0f)", windows[2], windows)
+			if windows[2] > tc.bytes {
+				t.Fatalf("%.0f bytes per one-cell FastCommit on a 64-cell leaf, budget %.0f", windows[2], tc.bytes)
 			}
 		})
 	}

@@ -278,11 +278,26 @@
 // A store is a function of a prefix of its stream, so the log already
 // is the delta: neither a commit nor a checkpoint should cost the size
 // of the state to record one cell. Three costs are kept proportional to
-// what changed. A new version shares every untouched cell with the one
-// before it (kv.Op.Apply copies the cell header array, not the leaf).
-// The ops are applied once per commit per member: prepare keeps its dry
-// run on the lock and commit installs it. And the two things a
-// checkpoint does are bounded separately, each by what it costs:
+// what changed. A version is a base plus the list ops committed since
+// it (kv.Layered): a commit appends its ops to an array the versions
+// before it share by prefix, and copies nothing of the leaf, on every
+// member. Once gatherEvery (16) ops have piled up on a base, the next
+// commit rebases: one private copy of the cell header array with the
+// ops applied in place, then one copy of the cells' bytes into a single
+// allocation, so a leaf stays laid out together and a read overlays at
+// most 15 ops. A read copies only the cells of its window, and only
+// when a pending op touches it; a read that copies many cells, or once
+// the reads of the newest version have looked past as many pending ops
+// as it has cells, rebases that version on the spot (Store.ReadPart),
+// so a table that is loaded and then read stops overlaying. Rebase points are memory, not
+// state: members that rebase at different commits (a backup that
+// installed a snapshot mid-chain holds every version as a base) encode
+// and digest alike. A version's conflict metadata is its own commit's
+// ops, and capture copies pointers under repMu and materializes each
+// version off the lock, as it encodes. The ops are applied once per
+// commit per member: prepare keeps its dry run on the lock and commit
+// installs it. And the two things a checkpoint does are bounded
+// separately, each by what it costs:
 //
 //   - The stream tail every store retains IN MEMORY — what MethodSync
 //     resyncs and migration tails are served from — is bounded

@@ -170,7 +170,7 @@ func (s *Store) SlotDigest(route, nroutes uint32) uint64 {
 			binary.BigEndian.PutUint64(tsb[:], uint64(newest.ts))
 			h.Write(tsb[:])
 			b := wire.NewBuffer(newest.val.EncodedSize())
-			kv.EncodeValue(b, newest.val)
+			kv.EncodeValue(b, newest.val.Value())
 			h.Write(b.Bytes())
 			total ^= h.Sum64()
 		}
@@ -235,13 +235,13 @@ func (rc *routeCapture) wire(c *wire.Codec) {
 // canonical encoding and the head sequence number: records below head
 // are fully reflected in the capture, records at or above it are the
 // live tail the orchestrator streams afterwards. The capture itself is
-// pure in-memory copying under repMu (values are immutable and
-// aliased, not copied); callers must wait for head's durability
-// (WaitSeqDurable) before ingesting, so a failover on the source can
-// never retract captured state the destination already holds.
+// pure in-memory copying under repMu (versions are immutable and
+// aliased, not copied), and the encoding, which materializes them, runs
+// after it; callers must wait for head's durability (WaitSeqDurable)
+// before ingesting, so a failover on the source can never retract
+// captured state the destination already holds.
 func (s *Store) CaptureRoute(route, nroutes uint32) (enc []byte, head uint64, err error) {
 	s.repMu.Lock()
-	defer s.repMu.Unlock()
 	head = s.repSeq
 
 	onRoute := func(oid kv.OID) bool { return uint32(oid.Slot())%nroutes == route }
@@ -257,11 +257,7 @@ func (s *Store) CaptureRoute(route, nroutes uint32) (enc []byte, head uint64, er
 				// must not materialize (same rule as captureSnapshotLocked).
 				continue
 			}
-			o := snapObject{OID: oid, GCFloor: obj.gcFloor, Versions: make([]snapVersion, 0, len(obj.versions))}
-			for _, v := range obj.versions {
-				o.Versions = append(o.Versions, snapVersion{TS: v.ts, Val: v.val})
-			}
-			objs = append(objs, o)
+			objs = append(objs, capturedObject(oid, obj, false))
 		}
 		sh.mu.Unlock()
 	}
@@ -307,6 +303,8 @@ func (s *Store) CaptureRoute(route, nroutes uint32) (enc []byte, head uint64, er
 			preps = append(preps, p)
 		}
 	}
+
+	s.repMu.Unlock()
 
 	rc := &routeCapture{head: head, route: uint64(route), nroutes: uint64(nroutes), objs: objs, preps: preps}
 	return wire.Encode(rc, (*routeCapture).wire), head, nil

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -16,34 +17,53 @@ import (
 const numShards = 64
 
 type version struct {
-	ts  clock.Timestamp
-	val *kv.Value // nil = tombstone; shares untouched cells with its predecessor (kv.Op.Apply)
-	// size is what this version adds to Store.stateBytes, remembered so
-	// trimming it needs no second pass over the value.
-	size int
-	// Conflict metadata: structural commits (full writes, fence
-	// changes, range deletes) conflict with every concurrent write;
-	// commutative commits record the cell/attr keys they touched and
-	// conflict only with overlapping touches.
+	ts clock.Timestamp
+	// val is the value: a base plus the list ops committed since it
+	// (kv.Layered), sharing the base and the earlier ops with the
+	// versions before it. An absent val is a tombstone.
+	val kv.Layered
+	// Conflict metadata: a structural commit (full writes, fence
+	// changes, range deletes) conflicts with every concurrent write; a
+	// commutative one keeps its own writes in commit and conflicts only
+	// with a write that touches the same cell or attribute
+	// (kv.Op.CommutativeTouch).
 	structural bool
-	touched    map[string]struct{}
+	commit     []*kv.Op
+	// looked counts the pending ops that reads of this version, as the
+	// newest one, had to look past (object.countRead).
+	looked int
 }
 
-// classifyOps computes the conflict metadata for a set of ops on one
-// object. Compare ops touch nothing.
-func classifyOps(ops []*kv.Op) (structural bool, touched map[string]struct{}) {
-	touched = make(map[string]struct{}, len(ops))
+// size is what v adds to Store.stateBytes.
+func (v *version) size() int { return versionOverhead + v.val.EncodedSize() }
+
+// isStructural reports whether ops hold a write that does not commute
+// with a concurrent one (kv.Op.CommutativeTouch). Compare ops touch
+// nothing.
+func isStructural(ops []*kv.Op) bool {
 	for _, op := range ops {
-		if op.Kind.IsCompare() {
-			continue
+		if _, ok := op.CommutativeTouch(); !ok && !op.Kind.IsCompare() {
+			return true
 		}
+	}
+	return false
+}
+
+// touchesShared reports whether a write of ops touches a cell or
+// attribute that a write of commit touches.
+func touchesShared(ops, commit []*kv.Op) bool {
+	for _, op := range ops {
 		key, ok := op.CommutativeTouch()
 		if !ok {
-			return true, nil
+			continue
 		}
-		touched[string(key)] = struct{}{}
+		for _, c := range commit {
+			if k, ok := c.CommutativeTouch(); ok && bytes.Equal(k, key) {
+				return true
+			}
+		}
 	}
-	return false, touched
+	return false
 }
 
 type object struct {
@@ -69,9 +89,17 @@ func (s *Store) shardFor(oid kv.OID) *shard {
 	return &s.shard[h%numShards]
 }
 
-// Read returns the newest version of oid visible at snap. The returned
-// value must not be mutated by the caller (versions are immutable).
+// Read returns the newest version of oid visible at snap, materialized
+// (kv.Layered.Value). The returned value must not be mutated by the
+// caller (versions are immutable).
 func (s *Store) Read(oid kv.OID, snap clock.Timestamp) (*kv.Value, clock.Timestamp, error) {
+	l, ts, _, err := s.read(oid, snap)
+	return l.Value(), ts, err
+}
+
+// read returns the newest version of oid visible at snap, as stored,
+// and whether the caller should rebase it (object.countRead).
+func (s *Store) read(oid kv.OID, snap clock.Timestamp) (kv.Layered, clock.Timestamp, bool, error) {
 	s.stats.Reads.Add(1)
 	// Advance the local clock past the snapshot before touching the
 	// store: together with assigning proposed timestamps only after all
@@ -94,7 +122,7 @@ func (s *Store) Read(oid kv.OID, snap clock.Timestamp) (*kv.Value, clock.Timesta
 		obj := sh.objs[oid]
 		if obj == nil {
 			sh.mu.Unlock()
-			return nil, 0, kv.ErrNotFound
+			return kv.Layered{}, 0, false, kv.ErrNotFound
 		}
 		// Clock-SI read rule: a prepared-but-unresolved transaction with
 		// proposed <= snap might commit below our snapshot; wait for it.
@@ -121,57 +149,93 @@ func (s *Store) Read(oid kv.OID, snap clock.Timestamp) (*kv.Value, clock.Timesta
 				continue
 			case <-timer.C:
 				timer = nil
-				return nil, 0, fmt.Errorf("%w: read blocked on prepared transaction", kv.ErrConflict)
+				return kv.Layered{}, 0, false, fmt.Errorf("%w: read blocked on prepared transaction", kv.ErrConflict)
 			}
 		}
 		v, ts, ok := visibleVersion(obj, snap)
 		trimmed := obj.gcFloor != 0
+		rebase := ok && obj.countRead(ts)
 		sh.mu.Unlock()
 		if !ok && trimmed {
 			// Every retained version is newer than snap, and older ones
 			// were garbage-collected: what snap should see is gone, and
 			// "not found" would be a wrong answer (a hot tree root would
 			// read as dangling). The reader must take a fresh snapshot.
-			return nil, 0, fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
+			return kv.Layered{}, 0, false, fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
 		}
-		if !ok || v == nil {
-			return nil, 0, kv.ErrNotFound
+		if !ok || v.Absent() {
+			return kv.Layered{}, 0, false, kv.ErrNotFound
 		}
-		return v, ts, nil
+		return v, ts, rebase, nil
 	}
 }
 
 // ReadPart returns a windowed view of oid at snap: attributes and
 // bounds always, cells limited to [floor(from), to) capped at max, and
-// the node's total cell count. Plain values come back whole.
+// the node's total cell count. Plain values come back whole. The cells
+// are the stored ones where no pending op touches the window, and a
+// copy of the window's cells alone where one does (kv.Layered.Part).
+// A read that copied many cells, or one that brings the pending ops the
+// version's reads have looked past to its cell count (object.countRead),
+// rebases the version, if it is still the newest, so that the reads
+// after it overlay nothing — a table loaded and then only read would
+// otherwise overlay its leaves' last ops forever.
 func (s *Store) ReadPart(oid kv.OID, snap clock.Timestamp, from, to []byte, max uint32) (*kv.Value, int, clock.Timestamp, error) {
-	v, ts, err := s.Read(oid, snap)
+	l, ts, rebase, err := s.read(oid, snap)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if v.Kind != kv.KindSuper {
-		return v, 0, ts, nil
+	v, total, copied := l.Part(from, to, max)
+	if rebase || copied {
+		s.rebaseNewest(oid, l, ts)
 	}
-	// Versions are immutable; build a shallow partial view.
-	part := &kv.Value{
-		Kind:    kv.KindSuper,
-		Attrs:   v.Attrs,
-		LowKey:  v.LowKey,
-		HighKey: v.HighKey,
-		Cells:   v.WindowCells(from, to, max),
-	}
-	return part, len(v.Cells), ts, nil
+	return v, total, ts, nil
 }
 
-func visibleVersion(obj *object, snap clock.Timestamp) (*kv.Value, clock.Timestamp, bool) {
+// countRead counts a read of obj's version at ts, and reports whether
+// the reader should rebase it: the version is the newest, and with this
+// read the pending ops its reads have looked past reach its cell count.
+// Each read pays to look past the ops to the base (more when one
+// touched its window), and a rebase copies the leaf, so by then the
+// reads have paid about what the rebase costs: a leaf written more often
+// than it is read keeps its ops until the commit that rebases it, and
+// one that is loaded and then only read sheds them. Caller holds the
+// shard mutex.
+func (obj *object) countRead(ts clock.Timestamp) bool {
+	n := len(obj.versions)
+	if n == 0 || obj.versions[n-1].ts != ts {
+		return false
+	}
+	v := &obj.versions[n-1]
+	before := v.looked
+	v.looked += v.val.Pending()
+	return before < v.val.NumCells() && v.looked >= v.val.NumCells()
+}
+
+// rebaseNewest replaces oid's newest version, if it is still l at ts,
+// by l rebased (kv.Layered.Rebase): the same value, with no ops
+// pending. The rebase runs off the shard lock.
+func (s *Store) rebaseNewest(oid kv.OID, l kv.Layered, ts clock.Timestamp) {
+	r := l.Rebase()
+	sh := s.shardFor(oid)
+	sh.mu.Lock()
+	if obj := sh.objs[oid]; obj != nil {
+		if n := len(obj.versions); n > 0 && obj.versions[n-1].ts == ts && obj.versions[n-1].val == l {
+			obj.versions[n-1].val = r
+		}
+	}
+	sh.mu.Unlock()
+}
+
+func visibleVersion(obj *object, snap clock.Timestamp) (kv.Layered, clock.Timestamp, bool) {
 	// versions ascend by ts; find the newest with ts <= snap.
 	i := sort.Search(len(obj.versions), func(i int) bool {
 		return obj.versions[i].ts > snap
 	})
 	if i == 0 {
-		return nil, 0, false
+		return kv.Layered{}, 0, false
 	}
-	ver := obj.versions[i-1]
+	ver := &obj.versions[i-1]
 	return ver.val, ver.ts, true
 }
 
@@ -188,28 +252,25 @@ func conflictLocked(obj *object, start clock.Timestamp, ops []*kv.Op) error {
 		// touched sets are disjoint.
 		return fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
 	}
-	txStructural, txTouched := classifyOps(ops)
+	txStructural := isStructural(ops)
 	for i := n - 1; i >= 0 && obj.versions[i].ts > start; i-- {
 		v := &obj.versions[i]
 		if txStructural || v.structural {
 			return fmt.Errorf("%w: concurrent structural write", kv.ErrConflict)
 		}
-		for k := range txTouched {
-			if _, hit := v.touched[k]; hit {
-				return fmt.Errorf("%w: concurrent write to same cell", kv.ErrConflict)
-			}
+		if touchesShared(ops, v.commit) {
+			return fmt.Errorf("%w: concurrent write to same cell", kv.ErrConflict)
 		}
 	}
 	return nil
 }
 
-// applyOps folds ops over base (nil = absent) and returns the value they
-// produce. It stops at the first op that fails, returning the value
-// reached so far with the error. base is not modified: every step is
-// copy-on-write (kv.Op.Apply).
-func applyOps(base *kv.Value, ops []*kv.Op) (*kv.Value, error) {
+// applyOps folds ops over base (kv.Layered.With) and returns the value
+// they produce. It stops at the first op that fails, returning the
+// value reached so far with the error. base is not changed.
+func applyOps(base kv.Layered, ops []*kv.Op) (kv.Layered, error) {
 	for _, op := range ops {
-		next, err := op.Apply(base)
+		next, err := base.With(op)
 		if err != nil {
 			return base, err
 		}
@@ -218,19 +279,19 @@ func applyOps(base *kv.Value, ops []*kv.Op) (*kv.Value, error) {
 	return base, nil
 }
 
-// newestValue returns obj's newest value (nil for none or a tombstone):
-// the base a commit's ops apply to.
-func newestValue(obj *object) *kv.Value {
+// newest returns obj's newest value (absent for none or a tombstone) —
+// the base a commit's ops apply to — and its timestamp (0 for none).
+func newest(obj *object) (kv.Layered, clock.Timestamp) {
 	if n := len(obj.versions); n > 0 {
-		return obj.versions[n-1].val
+		return obj.versions[n-1].val, obj.versions[n-1].ts
 	}
-	return nil
+	return kv.Layered{}, 0
 }
 
 // applyStaged turns a prepared transaction's staged ops into visible
 // versions at commitTS and releases its locks. A lock staged by prepare
 // on this store carries the value its dry run produced, which is
-// installed as it is while the object's newest value is still the one
+// installed as it is while the object's newest version is still the one
 // it was computed on; a lock rebuilt from a stream record or a snapshot
 // carries none, and the ops are applied here. A lock whose ops are all
 // compares held an object the transaction only compared: it is
@@ -255,8 +316,8 @@ func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp
 			sh.mu.Unlock()
 			continue
 		}
-		val, base := lock.staged, newestValue(obj)
-		if !lock.hasStaged || base != lock.stagedOn {
+		val := lock.staged
+		if base, ts := newest(obj); !lock.hasStaged || ts != lock.stagedOn {
 			// Validated when the prepare was first accepted, so an error
 			// is unreachable; the value reached is kept.
 			val, _ = applyOps(base, writes)
@@ -272,15 +333,19 @@ func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp
 	}
 }
 
-// installVersionLocked appends val as obj's version at ts — the one
-// place a commit's effects become visible, natively or replicated —
-// then advances the stream's commit-timestamp mark and trims the chain
-// against it. Caller holds repMu and the shard mutex.
-func (s *Store) installVersionLocked(obj *object, ts clock.Timestamp, val *kv.Value, ops []*kv.Op) {
-	structural, touched := classifyOps(ops)
-	size := versionOverhead + val.EncodedSize()
-	obj.versions = append(obj.versions, version{ts: ts, val: val, size: size, structural: structural, touched: touched})
-	s.stateBytes.Add(int64(size))
+// installVersionLocked appends val, the value writes produced, as obj's
+// version at ts — the one place a commit's effects become visible,
+// natively or replicated — rebased once enough ops have piled up on its
+// base (kv.Layered.Settle), then advances the stream's commit-timestamp
+// mark and trims the chain against it. Caller holds repMu and the shard
+// mutex.
+func (s *Store) installVersionLocked(obj *object, ts clock.Timestamp, val kv.Layered, writes []*kv.Op) {
+	v := version{ts: ts, val: val.Settle(), structural: isStructural(writes)}
+	if !v.structural {
+		v.commit = writes
+	}
+	obj.versions = append(obj.versions, v)
+	s.stateBytes.Add(int64(v.size()))
 	if uint64(ts) > s.streamTS.Load() {
 		s.streamTS.Store(uint64(ts))
 	}
@@ -338,7 +403,7 @@ func (s *Store) trimLocked(obj *object) {
 	}
 	freed := 0
 	for i := range obj.versions[:cut] {
-		freed += obj.versions[i].size
+		freed += obj.versions[i].size()
 	}
 	s.stateBytes.Add(-int64(freed))
 	// Shift down in place: a hot object sits at MaxVersions and trims on
@@ -363,7 +428,7 @@ func (s *Store) SweepTombstones() int {
 		for oid, obj := range sh.objs {
 			n := len(obj.versions)
 			if obj.lock == nil && n > 0 &&
-				obj.versions[n-1].val == nil && obj.versions[n-1].ts <= horizon {
+				obj.versions[n-1].val.Absent() && obj.versions[n-1].ts <= horizon {
 				// Newest version is a tombstone past the horizon: no
 				// snapshot inside retention can see older data.
 				delete(sh.objs, oid)
@@ -413,11 +478,12 @@ func (s *Store) StateDigest() uint64 {
 			h := fnv.New64a()
 			binary.BigEndian.PutUint64(tsb[:], uint64(oid))
 			h.Write(tsb[:])
-			for _, v := range obj.versions {
+			for i := range obj.versions {
+				v := &obj.versions[i]
 				binary.BigEndian.PutUint64(tsb[:], uint64(v.ts))
 				h.Write(tsb[:])
 				b := wire.NewBuffer(v.val.EncodedSize())
-				kv.EncodeValue(b, v.val)
+				kv.EncodeValue(b, v.val.Value())
 				h.Write(b.Bytes())
 			}
 			total ^= h.Sum64()

@@ -25,10 +25,12 @@ package kvserver
 // snapshot frame plus the tail instead of the full history).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"yesquel/internal/clock"
@@ -62,7 +64,11 @@ type snapVersion struct {
 	TS         clock.Timestamp
 	Val        *kv.Value // nil = tombstone
 	Structural bool
-	Touched    map[string]struct{} // aliases the stored version's set, which is never modified
+	Touched    map[string]struct{}
+	// stored is the version a capture took under repMu, set in place of
+	// Val and Touched: encoding materializes the value and lists the
+	// commit's touches from it, off the lock.
+	stored *version
 }
 
 type snapPrepare struct {
@@ -80,8 +86,10 @@ type snapDecision struct {
 
 // captureSnapshotLocked copies the store's full state. Caller holds
 // repMu at a point where visible state is consistent with repSeq (the
-// end of any emit-and-apply critical section). Values and op slices
-// are aliased, not copied — both are immutable once stored.
+// end of any emit-and-apply critical section). Versions and op slices
+// are aliased, not copied — both are immutable once stored — and a
+// version is materialized only when the snapshot is encoded, off the
+// lock.
 func (s *Store) captureSnapshotLocked() *stateSnapshot {
 	sn := &stateSnapshot{Seq: s.repSeq, Clock: s.clock.Now()}
 	s.epochMu.Lock()
@@ -139,11 +147,7 @@ func (s *Store) captureSnapshotLocked() *stateSnapshot {
 				// would diverge StateDigest forever.
 				continue
 			}
-			o := snapObject{OID: oid, GCFloor: obj.gcFloor, Versions: make([]snapVersion, 0, len(obj.versions))}
-			for _, v := range obj.versions {
-				o.Versions = append(o.Versions, snapVersion{TS: v.ts, Val: v.val, Structural: v.structural, Touched: v.touched})
-			}
-			sn.Objects = append(sn.Objects, o)
+			sn.Objects = append(sn.Objects, capturedObject(oid, obj, true))
 		}
 		sh.mu.Unlock()
 	}
@@ -205,26 +209,85 @@ func (o *snapObject) wire(c *wire.Codec, flush func()) {
 	}
 }
 
+// capturedObject copies obj's versions for a capture: the stored
+// versions themselves, which are immutable, with (conflict) or without
+// their conflict metadata. Caller holds the shard mutex.
+func capturedObject(oid kv.OID, obj *object, conflict bool) snapObject {
+	vs := slices.Clone(obj.versions)
+	o := snapObject{OID: oid, GCFloor: obj.gcFloor, Versions: make([]snapVersion, len(vs))}
+	for i := range vs {
+		v := &vs[i]
+		if !conflict {
+			v.structural, v.commit = false, nil
+		}
+		o.Versions[i] = snapVersion{TS: v.ts, Structural: v.structural, stored: v}
+	}
+	return o
+}
+
 func (v *snapVersion) wire(c *wire.Codec) {
 	wire.U64(c, &v.TS)
-	kv.WireValue(&v.Val, c)
+	val := v.Val
+	if v.stored != nil {
+		scratch := scratchValues.Get().(*kv.Value)
+		defer scratchValues.Put(scratch)
+		val = v.stored.val.ValueInto(scratch)
+	}
+	kv.WireValue(&val, c)
+	if c.Decoding() {
+		v.Val = val
+	}
 	c.Bool(&v.Structural)
-	var keys []string
+	var keys [][]byte
 	if !c.Decoding() {
 		// Sorted so equal states encode equally; here, off the stream lock.
-		keys = make([]string, 0, len(v.Touched))
-		for k := range v.Touched {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
+		keys = v.touchedKeys()
 	}
-	c.Strings(&keys)
+	wire.Slice(c, &keys, wire.MinLen)
+	for i := range keys {
+		c.Bytes(&keys[i])
+	}
 	if len(keys) > 0 && c.Decoding() {
 		v.Touched = make(map[string]struct{}, len(keys))
 		for _, k := range keys {
-			v.Touched[k] = struct{}{}
+			v.Touched[string(k)] = struct{}{}
 		}
 	}
+}
+
+// scratchValues lends snapshot encoders the value a captured version is
+// materialized into (kv.Layered.ValueInto), so that encoding a state
+// allocates no copy of each version's cells.
+var scratchValues = sync.Pool{New: func() any { return new(kv.Value) }}
+
+// touchedKeys lists, sorted and once each, the cells and attributes the
+// version's commit touched (kv.Op.CommutativeTouch).
+func (v *snapVersion) touchedKeys() [][]byte {
+	var keys [][]byte
+	if v.stored != nil {
+		for _, op := range v.stored.commit {
+			if k, ok := op.CommutativeTouch(); ok {
+				keys = append(keys, k)
+			}
+		}
+	} else {
+		for k := range v.Touched {
+			keys = append(keys, []byte(k))
+		}
+	}
+	slices.SortFunc(keys, bytes.Compare)
+	return slices.CompactFunc(keys, bytes.Equal)
+}
+
+// touchOps rebuilds a version's conflict metadata from a snapshot's
+// touched set: one op per key whose CommutativeTouch is that key, which
+// conflicts exactly as the commit it stands for did.
+func touchOps(touched map[string]struct{}) []*kv.Op {
+	var ops []*kv.Op
+	for k := range touched {
+		ops = append(ops, &kv.Op{Kind: kv.OpListAdd, Cell: kv.Cell{Key: []byte(k)}})
+	}
+	return ops
 }
 
 func (p *snapPrepare) wire(c *wire.Codec) {
@@ -370,9 +433,12 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 		obj := &object{gcFloor: o.GCFloor, versions: make([]version, 0, len(o.Versions))}
 		for j := range o.Versions {
 			v := &o.Versions[j]
-			size := versionOverhead + v.Val.EncodedSize()
-			s.stateBytes.Add(int64(size))
-			obj.versions = append(obj.versions, version{ts: v.TS, val: v.Val, size: size, structural: v.Structural, touched: v.Touched})
+			ver := version{ts: v.TS, val: kv.NewLayered(v.Val), structural: v.Structural}
+			if !v.Structural {
+				ver.commit = touchOps(v.Touched)
+			}
+			s.stateBytes.Add(int64(ver.size()))
+			obj.versions = append(obj.versions, ver)
 			if v.TS > maxTS {
 				maxTS = v.TS
 			}

@@ -18,16 +18,18 @@ type lockState struct {
 	// the writes among them.
 	ops  []*kv.Op
 	done chan struct{} // closed when the transaction resolves
-	// staged is the value ops produce on stagedOn, the object's newest
-	// value when prepare ran them — its dry run, kept so that commit
-	// installs it instead of applying the ops a second time. Under the
-	// lock nothing but a migration ingest (which asks no lock) can put a
-	// newer version on the object; commit checks stagedOn against the
-	// newest value and applies the ops afresh if it did. hasStaged is
-	// false on a lock rebuilt from a stream record or a snapshot
-	// (stageReplicatedPrepare), whose commit applies the ops itself.
-	staged, stagedOn *kv.Value
-	hasStaged        bool
+	// staged is the value ops produce on the object's newest version,
+	// whose timestamp is stagedOn (0: none), when prepare ran them — its
+	// dry run, kept so that commit installs it instead of applying the
+	// ops a second time. Under the lock nothing but a migration ingest
+	// (which asks no lock) can put a newer version on the object; commit
+	// checks stagedOn against the newest version's timestamp and applies
+	// the ops afresh if it did. hasStaged is false on a lock rebuilt from
+	// a stream record or a snapshot (stageReplicatedPrepare), whose
+	// commit applies the ops itself.
+	staged    kv.Layered
+	stagedOn  clock.Timestamp
+	hasStaged bool
 }
 
 type txRecord struct {
@@ -162,7 +164,7 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		// Apply the ops now, compares included, so commit cannot fail later
 		// and has nothing left to compute: the base cannot change while we
 		// hold the lock.
-		base := newestValue(obj)
+		base, baseTS := newest(obj)
 		staged, applyErr := applyOps(base, byOID[oid])
 		if applyErr != nil {
 			sh.mu.Unlock()
@@ -173,7 +175,7 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		}
 		// proposed stays 0 (sentinel) until every lock is held; readers
 		// that hit the lock in this window wait conservatively.
-		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{}), staged: staged, stagedOn: base, hasStaged: true}
+		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{}), staged: staged, stagedOn: baseTS, hasStaged: true}
 		sh.mu.Unlock()
 		locked = append(locked, oid)
 	}

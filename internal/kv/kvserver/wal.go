@@ -776,7 +776,8 @@ func (s *Store) applyCommittedOpsLocked(commitTS clock.Timestamp, ops []*kv.Op) 
 			sh.objs[oid] = obj
 		}
 		// A bad record op ends the fold; keep what we have.
-		val, _ := applyOps(newestValue(obj), byOID[oid])
+		base, _ := newest(obj)
+		val, _ := applyOps(base, byOID[oid])
 		s.installVersionLocked(obj, commitTS, val, byOID[oid])
 		sh.mu.Unlock()
 	}

@@ -495,18 +495,7 @@ func DecodeReadBatchResp(p []byte) (*ReadBatchResp, error) {
 // callers treat it as immutable (its capacity is clipped, so an append
 // cannot reach them).
 func (v *Value) WindowCells(from, to []byte, max uint32) []Cell {
-	start := 0
-	if from != nil {
-		i, found := v.cellIndex(from)
-		switch {
-		case found:
-			start = i
-		case i > 0:
-			start = i - 1 // floor: include the predecessor cell
-		default:
-			start = 0
-		}
-	}
+	start := floorIndex(v.Cells, from)
 	end := len(v.Cells)
 	if to != nil {
 		end, _ = v.cellIndex(to)
@@ -518,6 +507,20 @@ func (v *Value) WindowCells(from, to []byte, max uint32) []Cell {
 		end = start + int(max)
 	}
 	return v.Cells[start:end:end]
+}
+
+// floorIndex returns where a window from from starts in the sorted
+// cells: the cell with key from, else its predecessor, else the first
+// cell. A nil from starts at the first cell.
+func floorIndex(cells []Cell, from []byte) int {
+	if from == nil {
+		return 0
+	}
+	i, found := cellIndex(cells, from)
+	if !found && i > 0 {
+		i-- // floor: include the predecessor cell
+	}
+	return i
 }
 
 // PrepareReq is phase one of two-phase commit: validate write-write

@@ -9,8 +9,7 @@ import (
 // bytes.Compare with unique keys; everything here maintains that
 // invariant. ListAdd and ListDelRange mutate the receiver, so they are
 // only for a value nobody else has seen (one being built, a Clone, or
-// Overlay's private copy); Op.Apply goes through cellsWith and
-// cellsWithout, which leave their input alone.
+// the private header copy Op.Apply, Overlay and a Layered rebase make).
 
 // cellIndex returns the position of key in the sorted cells and whether
 // an exact match exists. Without a match, the position is the insertion
@@ -27,41 +26,6 @@ func cellIndex(cells []Cell, key []byte) (int, bool) {
 
 func (v *Value) cellIndex(key []byte) (int, bool) { return cellIndex(v.Cells, key) }
 
-// cellsWith returns cells with (key, value) inserted, or replacing the
-// value of an equal key, in a fresh header array: the other cells' key
-// and value bytes are shared with cells, which is not modified. key and
-// value are copied.
-func cellsWith(cells []Cell, key, value []byte) []Cell {
-	value = append([]byte(nil), value...)
-	i, found := cellIndex(cells, key)
-	if found {
-		out := make([]Cell, len(cells))
-		copy(out, cells)
-		out[i].Value = value
-		return out
-	}
-	out := make([]Cell, len(cells)+1)
-	copy(out, cells[:i])
-	out[i] = Cell{Key: append([]byte(nil), key...), Value: value}
-	copy(out[i+1:], cells[i:])
-	return out
-}
-
-// cellsWithout returns cells minus those with keys in [from, to), in a
-// fresh header array sharing the survivors' bytes; when the range holds
-// no cell it returns cells itself. A nil from means unbounded below; a
-// nil to means unbounded above.
-func cellsWithout(cells []Cell, from, to []byte) []Cell {
-	lo, hi := cellRange(cells, from, to)
-	if lo >= hi {
-		return cells
-	}
-	out := make([]Cell, len(cells)-(hi-lo))
-	copy(out, cells[:lo])
-	copy(out[lo:], cells[hi:])
-	return out
-}
-
 // cellRange returns the positions [lo, hi) of the cells with keys in
 // [from, to).
 func cellRange(cells []Cell, from, to []byte) (lo, hi int) {
@@ -75,25 +39,22 @@ func cellRange(cells []Cell, from, to []byte) (lo, hi int) {
 	return lo, hi
 }
 
-// gatherEvery is how many copy-on-write steps a cell list takes before
-// its bytes are laid out together again.
+// gatherEvery is how many list ops a stored version piles up on its
+// base before the next commit rebases it (Layered.Settle): one private
+// copy of the header array with the ops applied in place, then one copy
+// of all the cells' bytes into a single allocation (gather). Between
+// rebases a commit costs its op and nothing of the leaf, and the ops a
+// read must overlay stay few; the rebase keeps a leaf's cells laid out
+// together, since a leaf whose cells lie wherever each was allocated —
+// for a table loaded in random order, all over the heap — costs a cache
+// miss per cell to read (a 50-cell read measured 5.0 µs against 3.0 µs
+// laid out together).
 const gatherEvery = 16
 
-// gather counts one copy-on-write step on v, whose Cells header array
-// must be fresh (nobody else holds it), and every gatherEvery steps
-// copies all the cells' bytes into one allocation. Sharing makes a
-// version cheap to produce but leaves a leaf's cells wherever each was
-// allocated — for a table loaded in random order, all over the heap —
-// and reading a window of them then costs a cache miss per cell (a
-// 50-cell read measured 5.0 µs against 3.0 µs laid out together). One
-// leaf-sized copy every gatherEvery commits bounds the stragglers at a
-// quarter of a half-full leaf for a sixteenth of what copying per
-// commit cost.
+// gather copies all of v's cells' key and value bytes into one
+// allocation, each value right after its key. v's Cells header array
+// must be its own (nobody else holds it); the fence keys stay shared.
 func (v *Value) gather() {
-	if v.scattered++; v.scattered < gatherEvery {
-		return
-	}
-	v.scattered = 0
 	n := 0
 	for _, c := range v.Cells {
 		n += len(c.Key) + len(c.Value)
@@ -116,25 +77,34 @@ func (v *Value) ListAdd(key, value []byte) {
 
 // setCell inserts c, replacing the value if the key exists, in place;
 // the value holds c's own bytes from here on.
-func (v *Value) setCell(c Cell) {
-	i, found := v.cellIndex(c.Key)
+func (v *Value) setCell(c Cell) { v.Cells = setCell(v.Cells, c) }
+
+// setCell inserts c into the sorted cells, replacing the value of an
+// equal key, in place, and returns the result.
+func setCell(cells []Cell, c Cell) []Cell {
+	i, found := cellIndex(cells, c.Key)
 	if found {
-		v.Cells[i].Value = c.Value
-		return
+		cells[i].Value = c.Value
+		return cells
 	}
-	v.Cells = append(v.Cells, Cell{})
-	copy(v.Cells[i+1:], v.Cells[i:])
-	v.Cells[i] = c
+	cells = append(cells, Cell{})
+	copy(cells[i+1:], cells[i:])
+	cells[i] = c
+	return cells
 }
 
 // ListDelRange removes all cells with keys in [from, to). A nil from
 // means unbounded below; a nil to means unbounded above.
-func (v *Value) ListDelRange(from, to []byte) {
-	lo, hi := cellRange(v.Cells, from, to)
+func (v *Value) ListDelRange(from, to []byte) { v.Cells = delRange(v.Cells, from, to) }
+
+// delRange removes the cells with keys in [from, to) from cells, in
+// place, and returns the result.
+func delRange(cells []Cell, from, to []byte) []Cell {
+	lo, hi := cellRange(cells, from, to)
 	if lo >= hi {
-		return
+		return cells
 	}
-	v.Cells = append(v.Cells[:lo], v.Cells[hi:]...)
+	return append(cells[:lo], cells[hi:]...)
 }
 
 // ListGet returns the value of the cell with the given key.
