@@ -38,7 +38,6 @@ func main() {
 	lease := flag.Duration("lease", 2*time.Second, "primary lease duration in a group of more than one member: how long the primary may serve after its last backup ack, and how long a promotion must wait")
 	mirrorBatch := flag.Int("mirror-batch", 256, "max stream records per group-commit mirror batch RPC (batches are also byte-capped under the frame limit)")
 	groupCommitInterval := flag.Duration("group-commit-interval", 0, "how long the replication pipeline waits after waking before flushing, letting a batch build (0 = flush as soon as free)")
-	followerReads := flag.Bool("follower-reads", true, "serve snapshot reads from this server while it is a backup, up to its durability watermark's frontier (false = redirect every read to the primary)")
 	statsEvery := flag.Duration("stats", 0, "periodically log epoch, role, lease state, and activity counters (0 = off)")
 	flag.Parse()
 
@@ -57,7 +56,6 @@ func main() {
 		LeaseDuration:            *lease,
 		MirrorBatchMaxRecords:    *mirrorBatch,
 		GroupCommitInterval:      *groupCommitInterval,
-		NoFollowerReads:          !*followerReads,
 	})
 	if err != nil {
 		log.Fatalf("yesqueld: %v", err)
@@ -110,9 +108,9 @@ func main() {
 					}
 					replicas += fmt.Sprintf(" replica=%s acked=%d lag=%d state=%s", r.Member, r.AckedSeq, lag, state)
 				}
-				log.Printf("yesqueld: epoch=%d role=%s members=%v lease_valid=%v repl_head=%d quorum_mark=%d watermark_lag=%d frontier=%d quorum_need=%d%s bumps=%d wrong_epoch_rejects=%d reads=%d follower_reads=%d commits=%d fastcommits=%d conflicts=%d orphan_aborts=%d checkpoints=%d ckpt_failures=%d log_truncated=%d snaps_served=%d snaps_installed=%d mirror_batches=%d mirror_batch_records=%d wal_syncs=%d wal_failures=%d conns=%d",
-					st.Epoch, st.Role, st.Members, st.LeaseValid, st.ReplHead, st.QuorumMark, st.WatermarkLag, st.Frontier, st.QuorumNeed, replicas, st.EpochBumps, st.WrongEpochRejects,
-					st.Reads, st.FollowerReads, st.Commits, st.FastCommits, st.Conflicts, st.OrphanAborts,
+				log.Printf("yesqueld: epoch=%d role=%s members=%v lease_valid=%v repl_head=%d quorum_mark=%d watermark_lag=%d quorum_need=%d%s bumps=%d wrong_epoch_rejects=%d reads=%d commits=%d fastcommits=%d conflicts=%d orphan_aborts=%d checkpoints=%d ckpt_failures=%d log_truncated=%d snaps_served=%d snaps_installed=%d mirror_batches=%d mirror_batch_records=%d wal_syncs=%d wal_failures=%d conns=%d",
+					st.Epoch, st.Role, st.Members, st.LeaseValid, st.ReplHead, st.QuorumMark, st.WatermarkLag, st.QuorumNeed, replicas, st.EpochBumps, st.WrongEpochRejects,
+					st.Reads, st.Commits, st.FastCommits, st.Conflicts, st.OrphanAborts,
 					st.Checkpoints, st.CheckpointFailures, st.LogRecordsTruncated, st.SnapshotsServed, st.SnapshotsInstalled,
 					st.MirrorBatches, st.MirrorBatchRecords, st.WALSyncs, st.WALFailures, st.Conns)
 			}

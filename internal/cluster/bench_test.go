@@ -71,35 +71,22 @@ func replWorkload(tb testing.TB, writers, rf int, scfg kvserver.Config, d time.D
 type replReadResult struct {
 	readsPerSec   float64
 	p50, p95, p99 time.Duration
-	st            kvserver.StatsSnapshot
 }
 
 // replReadWorkload drives `workers` concurrent clients running a YCSB
 // read-mostly mix (B = 95/5 read/update, C = read-only) against a
-// 1-slot cluster at the given replication factor. With followerReads
-// set, read transactions begin at the client's learned durability
-// frontier (BeginFollower) and route to backups, so the group's read
-// capacity is every replica; without it, every read goes to the
-// primary. Workers ping once before the run so even the read-only
-// WorkloadC clients learn a frontier from the heartbeat ack piggyback
-// before their first read. Reports read ops/sec over the measured
-// window, read latency percentiles, and the slot's aggregated server
-// counters (FollowerReads shows where reads landed).
-func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, followerReads bool, d time.Duration) replReadResult {
-	// Follower reads run at the durability frontier, which trails the
-	// newest commits; a hot zipfian key takes enough updates per
-	// second that the default 64-version chain cap would prune the
-	// version a frontier read needs. Deepen the cap so the retention
-	// window, not the chain length, bounds readable staleness.
-	cl, err := cluster.StartReplicated(1, rf, kvserver.Config{MaxVersions: 4096})
+// 1-slot cluster at the given replication factor; every read goes to
+// the primary. Reports read ops/sec over the measured window and read
+// latency percentiles.
+func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, d time.Duration) replReadResult {
+	cl, err := cluster.StartReplicated(1, rf, kvserver.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	defer cl.Close()
 	ctx := context.Background()
 
-	// Seed the keyspace; replicate it fully before the run starts so
-	// every backup can serve any key at the frontier.
+	// Seed the keyspace before the run starts.
 	const records = 256
 	seed, err := cl.NewClient()
 	if err != nil {
@@ -119,36 +106,6 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, follower
 			tb.Fatal(err)
 		}
 	}
-	if followerReads {
-		// Wait until a backup actually SERVES a follower read of the
-		// last seeded object: a successful read alone isn't enough
-		// (the client falls back to the primary transparently while
-		// the backups' remote watermark — carried by mirror batches
-		// and lease renewals — still trails the seeding). Once the
-		// FollowerReads counter moves, the backups' own frontiers
-		// cover the full seed, so the workers start against a group
-		// whose every replica can serve every key.
-		seed.SetFollowerReads(true)
-		for wait := time.Now().Add(10 * time.Second); ; {
-			if err := seed.Ping(ctx, 0); err != nil {
-				tb.Fatal(err)
-			}
-			if seed.FollowerSnapshot() > 0 {
-				tx := seed.BeginFollower()
-				if _, err := tx.Read(ctx, oids[records-1]); err != nil && !errors.Is(err, kv.ErrNotFound) {
-					tb.Fatal(err)
-				}
-				if cl.Stats().FollowerReads > 0 {
-					break
-				}
-			}
-			if time.Now().After(wait) {
-				tb.Fatal("backups never served a follower read of the seed writes")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
 	var reads atomic.Int64
 	var wg sync.WaitGroup
 	latCh := make(chan []time.Duration, workers)
@@ -164,18 +121,6 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, follower
 				return
 			}
 			defer c.Close()
-			c.SetFollowerReads(followerReads)
-			// Learn the slot's durability frontier before the first
-			// read (the ping ack piggybacks it), then keep it fresh
-			// with the heartbeat: the follower snapshot must advance
-			// through the run or reads pin to an ever-staler
-			// timestamp and eventually fall out of the hot keys'
-			// retained version history.
-			if err := c.Ping(ctx, 0); err != nil {
-				tb.Errorf("worker %d: ping: %v", w, err)
-				return
-			}
-			c.StartHeartbeat(50 * time.Millisecond)
 			gen, err := ycsb.NewGenerator(wl, records, int64(w)+1)
 			if err != nil {
 				tb.Errorf("worker %d: %v", w, err)
@@ -187,13 +132,7 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, follower
 				oid := oids[int(op.Key%records)]
 				if op.Kind == ycsb.OpRead || op.Kind == ycsb.OpScan {
 					t0 := time.Now()
-					var tx *kvclient.Tx
-					if followerReads {
-						tx = c.BeginFollower()
-					} else {
-						tx = c.Begin()
-					}
-					if _, err := tx.Read(ctx, oid); err != nil {
+					if _, err := c.Begin().Read(ctx, oid); err != nil {
 						tb.Errorf("worker %d: read: %v", w, err)
 						return
 					}
@@ -230,7 +169,6 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, follower
 		p50:         at(50),
 		p95:         at(95),
 		p99:         at(99),
-		st:          cl.Stats(),
 	}
 }
 
@@ -276,25 +214,17 @@ func BenchmarkReplicationConcurrent(b *testing.B) {
 			}
 		}
 	}
-	// Read-mostly (YCSB-B, 95/5) at rf=3: primary-only vs
-	// watermark-gated follower reads. The follower variant's reads
-	// fan out across all three replicas at the durability frontier;
-	// reported latencies are per-read (begin→value).
-	for _, fr := range []bool{false, true} {
-		fr := fr
-		b.Run(fmt.Sprintf("rf=3/readmostly/follower=%v", fr), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := replReadWorkload(b, 8, 3, ycsb.WorkloadB, fr, 500*time.Millisecond)
-				b.ReportMetric(res.readsPerSec, "read-ops/s")
-				b.ReportMetric(float64(res.p50.Microseconds()), "p50-µs")
-				b.ReportMetric(float64(res.p95.Microseconds()), "p95-µs")
-				b.ReportMetric(float64(res.p99.Microseconds()), "p99-µs")
-				if fr && res.st.FollowerReads == 0 {
-					b.Fatalf("follower reads enabled but none served (frontier never learned?)")
-				}
-			}
-		})
-	}
+	// Read-mostly (YCSB-B, 95/5) at rf=3; reported latencies are
+	// per-read (begin→value).
+	b.Run("rf=3/readmostly", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res := replReadWorkload(b, 8, 3, ycsb.WorkloadB, 500*time.Millisecond)
+			b.ReportMetric(res.readsPerSec, "read-ops/s")
+			b.ReportMetric(float64(res.p50.Microseconds()), "p50-µs")
+			b.ReportMetric(float64(res.p95.Microseconds()), "p95-µs")
+			b.ReportMetric(float64(res.p99.Microseconds()), "p99-µs")
+		}
+	})
 }
 
 // BenchmarkFailover measures availability through a failover: the wall

@@ -229,8 +229,9 @@ func (cl *Cluster) attachBackup(i int) error {
 	g.Backups = append(g.Backups, backup)
 	g.Addrs = append(g.Addrs, backup.Addr())
 	// A member started after the directory was published needs its own
-	// copy — without it the fresh backup would accept follower reads
-	// for routes its group no longer owns.
+	// copy: the directory does not travel in the replication stream, and
+	// without it the backup, once promoted, would serve routes its group
+	// no longer owns.
 	backup.Store().InstallDirectory(cl.dir, uint32(i))
 	return nil
 }
@@ -484,27 +485,15 @@ func (cl *Cluster) Close() {
 	cl.orphans = nil
 }
 
-// Stats aggregates the acting primaries' counters across slots. The
-// follower-read counters additionally sum over each slot's BACKUPS —
-// that is where follower reads are served — so Reads counts every
-// read the cluster answered and FollowerReads says how many of them
-// the backups absorbed.
+// Stats aggregates the acting primaries' counters across slots. Only
+// primaries serve clients, so Reads counts every read the cluster
+// answered.
 func (cl *Cluster) Stats() kvserver.StatsSnapshot {
 	var out kvserver.StatsSnapshot
-	for _, g := range cl.Groups {
-		for _, b := range g.Backups {
-			st := b.Store().Stats()
-			out.Reads += st.Reads
-			out.FollowerReads += st.FollowerReads
-			out.FollowerReadWaits += st.FollowerReadWaits
-		}
-	}
 	for _, s := range cl.Servers {
 		st := s.Store().Stats()
 		out.Reads += st.Reads
 		out.ReadWaits += st.ReadWaits
-		out.FollowerReads += st.FollowerReads
-		out.FollowerReadWaits += st.FollowerReadWaits
 		out.Prepares += st.Prepares
 		out.Commits += st.Commits
 		out.FastCommits += st.FastCommits

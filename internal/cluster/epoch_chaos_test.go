@@ -324,20 +324,53 @@ func TestOpenReplicatedToleratesDownReplica(t *testing.T) {
 	}
 }
 
-// TestBackupRejectsDirectClientWrites: a
-// client that reaches the backup directly (the failure mode that would
-// produce divergence for the mirror guard to detect) is turned away
-// with a redirect to the primary — the write never lands, so there is
-// nothing to detect.
-func TestBackupRejectsDirectClientWrites(t *testing.T) {
-	cl, err := cluster.StartReplicated(1, 2, kvserver.Config{})
+// rawRead sends one raw client read of oid at snap straight to addr,
+// as a kv.readpart or, with batch set, a one-item kv.readbatch.
+func rawRead(addr string, batch bool, epoch uint64, snap kv.Timestamp, oid kv.OID) error {
+	conn, err := rpc.Dial(addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	item := kv.ReadBatchItem{OID: oid}
+	method, payload := kv.MethodReadPart, (&kv.ReadPartReq{Snap: snap, Epoch: epoch, Item: item}).Encode()
+	if batch {
+		method, payload = kv.MethodReadBatch, (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Items: []kv.ReadBatchItem{item}}).Encode()
+	}
+	_, err = conn.Call(context.Background(), method, payload)
+	return err
+}
+
+// TestBackupRejectsDirectClientOps: a client that reaches the backup
+// directly is turned away with a redirect to the primary, for reads as
+// well as writes. A stray write never lands, so there is no divergence
+// for the mirror guard to detect; a stray read is refused even at a
+// snapshot below everything the group has made durable, since a backup
+// serves no client read at all.
+func TestBackupRejectsDirectClientOps(t *testing.T) {
+	const lease = 600 * time.Millisecond
+	cl, err := cluster.StartReplicated(1, 2, kvserver.Config{LeaseDuration: lease})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	g := cl.Groups[0]
-	backupAddr := g.Backups[0].Addr()
+	backup := g.Backups[0]
+	backupAddr := backup.Addr()
 	start := g.Primary.Store().Clock().Now()
+	requireRedirect := func(what string, epoch uint64, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("backup served a direct client %s (epoch=%d)", what, epoch)
+		}
+		we, parsed := kv.ParseWrongEpoch(err.Error())
+		if !parsed {
+			t.Fatalf("backup rejection of a %s not a wrong-epoch redirect: %v", what, err)
+		}
+		if len(we.Members) == 0 || we.Members[0] != g.Primary.Addr() {
+			t.Fatalf("%s redirect does not name the primary: %+v", what, we)
+		}
+	}
 
 	for _, epoch := range []uint64{0, g.Epoch()} {
 		ok, err := rawFastCommit(backupAddr, 8_000_000+epoch, epoch, start, &kv.Op{
@@ -345,13 +378,7 @@ func TestBackupRejectsDirectClientWrites(t *testing.T) {
 		if ok {
 			t.Fatalf("backup acknowledged a direct client write (epoch=%d)", epoch)
 		}
-		we, parsed := kv.ParseWrongEpoch(err.Error())
-		if !parsed {
-			t.Fatalf("backup rejection not a wrong-epoch redirect: %v", err)
-		}
-		if len(we.Members) == 0 || we.Members[0] != g.Primary.Addr() {
-			t.Fatalf("redirect does not name the primary: %+v", we)
-		}
+		requireRedirect("write", epoch, err)
 	}
 
 	// The pair stayed converged: nothing was applied on the backup.
@@ -360,13 +387,33 @@ func TestBackupRejectsDirectClientWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	oid := c.NewOID(0)
 	tx := c.Begin()
-	tx.Put(c.NewOID(0), kv.NewPlain([]byte("through-primary")))
+	tx.Put(oid, kv.NewPlain([]byte("through-primary")))
 	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatalf("write through the primary after stray attempts: %v", err)
 	}
-	if got, want := g.Backups[0].Store().StateDigest(), g.Primary.Store().StateDigest(); got != want {
+	if got, want := backup.Store().StateDigest(), g.Primary.Store().StateDigest(); got != want {
 		t.Fatalf("pair diverged: backup %x primary %x", got, want)
+	}
+
+	// Let lease renewals pass: the backup's grant moves on each one, and
+	// the third move past this point comes from a renewal sent after the
+	// second was answered, which was sent after the write was durable.
+	granted := backup.Store().GrantExpiry()
+	for moves, deadline := 0, time.Now().Add(20*lease); moves < 3; {
+		if now := backup.Store().GrantExpiry(); now.After(granted) {
+			granted = now
+			moves++
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("primary never renewed its lease on the backup")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, epoch := range []uint64{0, g.Epoch()} {
+		requireRedirect("kv.readpart", epoch, rawRead(backupAddr, false, epoch, 1, oid))
+		requireRedirect("kv.readbatch", epoch, rawRead(backupAddr, true, epoch, 1, oid))
 	}
 }
 

@@ -8,14 +8,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
-	"yesquel/internal/clock"
-	"yesquel/internal/cluster"
 	"yesquel/internal/dbt"
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
-	"yesquel/internal/kv/kvserver"
 )
 
 func scanAllAt(t *testing.T, tree *dbt.Tree, tx *kvclient.Tx) []kv.Cell {
@@ -188,74 +184,6 @@ func TestPlannedScanSeesStagedWrites(t *testing.T) {
 		t.Fatalf("leaf-by-leaf scan saw %d cells, want 101", len(want))
 	}
 	requireSameCells(t, got, want)
-}
-
-// TestPlannedScanFollowerReads checks planned and leaf-by-leaf scans
-// stay byte-identical when reads route to followers: a planned round
-// obeys the same watermark-gated routing as any read of the transaction
-// it serves.
-func TestPlannedScanFollowerReads(t *testing.T) {
-	cl, err := cluster.StartReplicated(1, 3, kvserver.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	c, err := cl.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	ctx := context.Background()
-	loader, err := dbt.Create(ctx, c, 1, dbt.Config{MaxCells: 8, NoPartial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(loader.Close)
-	fillSequential(t, c, loader, 80)
-	warm := openWarm(t, c, dbt.Config{MaxCells: 8})
-
-	c.SetFollowerReads(true)
-	last := []byte(fmt.Sprintf("k%06d", 79))
-	// Wait for the durability frontier to cover the fill, and for the
-	// client's pinned backup to have caught up with it: primary reads
-	// teach the client the frontier, and once a read at the frontier
-	// snapshot sees the last key and a backup has served it, every read
-	// of either scan at that snapshot can go to the backup.
-	var snap clock.Timestamp
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, ok := getAuto(t, c, loader, string(last)); !ok {
-			t.Fatal("seed key missing")
-		}
-		if snap = c.FollowerSnapshot(); snap > 0 {
-			served := cl.Stats().FollowerReads
-			tx := c.BeginAt(snap)
-			_, err := loader.Get(ctx, tx, last)
-			tx.Abort()
-			if err == nil && cl.Stats().FollowerReads > served {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no backup ever served a read at a frontier that covers the fill")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	tx1 := c.BeginAt(snap)
-	defer tx1.Abort()
-	tx2 := c.BeginAt(snap)
-	defer tx2.Abort()
-	followerReads := cl.Stats().FollowerReads
-	got := scanAllAt(t, warm, tx1)
-	want := scanAllAt(t, loader, tx2)
-	if len(want) != 80 {
-		t.Fatalf("follower scan saw %d cells, want 80", len(want))
-	}
-	requireSameCells(t, got, want)
-	if cl.Stats().FollowerReads == followerReads {
-		t.Error("no read of either scan was served by a follower")
-	}
 }
 
 // TestStaleScanPlanCostsReadsNeverRows: another handle splits a scan's

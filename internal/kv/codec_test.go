@@ -88,30 +88,30 @@ func wireCases() []wireCase {
 		newCase("ReplRecord", &recs[1].Rec, bufEncoder(EncodeReplRecord), readerDecoder(DecodeReplRecord)),
 		newCase("ReplRecord ops", &recs[0].Rec, bufEncoder(EncodeReplRecord), readerDecoder(DecodeReplRecord)),
 		newCase("Directory", &dir, bufEncoder(func(b *wire.Buffer, d **Directory) { EncodeDirectory(b, *d) }), readerDecoder(DecodeDirectory)),
-		newCase("LeaseReq", &LeaseReq{Epoch: 7, Watermark: 9}, (*LeaseReq).Encode, DecodeLeaseReq),
-		newCase("MirrorBatchReq", &MirrorBatchReq{Recs: recs, Watermark: 6}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
+		newCase("LeaseReq", &LeaseReq{Epoch: 7}, (*LeaseReq).Encode, DecodeLeaseReq),
+		newCase("MirrorBatchReq", &MirrorBatchReq{Recs: recs}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
 		newCase("SyncReq", &SyncReq{From: 42, Max: 512, Epoch: 3}, (*SyncReq).Encode, DecodeSyncReq),
 		newCase("SyncResp", &SyncResp{Records: recs, Head: 7, Clock: 99, TooOld: true, LogBase: 4}, reply[SyncResp], DecodeSyncResp),
 		newCase("SnapReq", &SnapReq{ID: 7, Chunk: 3}, (*SnapReq).Encode, DecodeSnapReq),
 		newCase("SnapResp", &SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("slice"), Clock: 55}, reply[SnapResp], DecodeSnapResp),
 		newCase("ReadPartReq whole object", &ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2)}}, (*ReadPartReq).Encode, DecodeReadPartReq),
 		newCase("ReadPartReq", &ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2), Part: true, From: []byte("a"), To: []byte("m"), Max: 8}}, (*ReadPartReq).Encode, DecodeReadPartReq),
-		newCase("ReadPartResp plain value", &ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Clock: 11, Frontier: 9}, (*ReadPartResp).Encode, DecodeReadPartResp),
-		newCase("ReadPartResp", &ReadPartResp{Found: true, Version: 10, Value: sv, Total: 3, Clock: 11, Frontier: 9}, (*ReadPartResp).Encode, DecodeReadPartResp),
+		newCase("ReadPartResp plain value", &ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Clock: 11}, (*ReadPartResp).Encode, DecodeReadPartResp),
+		newCase("ReadPartResp", &ReadPartResp{Found: true, Version: 10, Value: sv, Total: 3, Clock: 11}, (*ReadPartResp).Encode, DecodeReadPartResp),
 		newCase("ReadBatchReq", &ReadBatchReq{Snap: 1, Epoch: 2, Items: []ReadBatchItem{
 			{OID: MakeOID(1, 1)},
 			{OID: MakeOID(1, 2), Part: true, From: []byte("f"), To: []byte("t"), Max: 3},
 		}}, (*ReadBatchReq).Encode, DecodeReadBatchReq),
 		newCase("ReadBatchResp", &ReadBatchResp{Results: []ReadBatchResult{
 			{Found: true, Version: 3, Value: NewPlain([]byte("x"))}, {}, {Found: true, Version: 4, Value: sv, Total: 31},
-		}, Clock: 9, Frontier: 4}, reply[ReadBatchResp], DecodeReadBatchResp),
+		}, Clock: 9}, reply[ReadBatchResp], DecodeReadBatchResp),
 		newCase("PrepareReq", &PrepareReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*PrepareReq).Encode, DecodePrepareReq),
 		newCase("PrepareResp", &PrepareResp{OK: true, Proposed: 5, Clock: 6}, reply[PrepareResp], DecodePrepareResp),
 		newCase("CommitReq", &CommitReq{TxID: 1, CommitTS: 2, Epoch: 3}, (*CommitReq).Encode, DecodeCommitReq),
 		newCase("AbortReq", &AbortReq{TxID: 1, Epoch: 3}, (*AbortReq).Encode, DecodeAbortReq),
 		newCase("FastCommitReq", &FastCommitReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*FastCommitReq).Encode, DecodeFastCommitReq),
-		newCase("FastCommitResp", &FastCommitResp{OK: true, CommitTS: 50, Clock: 51, Frontier: 49}, reply[FastCommitResp], DecodeFastCommitResp),
-		newCase("Ack", &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, Frontier: 88, DirVersion: 2}, reply[Ack], DecodeAck),
+		newCase("FastCommitResp", &FastCommitResp{OK: true, CommitTS: 50, Clock: 51}, reply[FastCommitResp], DecodeFastCommitResp),
+		newCase("Ack", &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, DirVersion: 2}, reply[Ack], DecodeAck),
 		newCase("DirectoryResp", &DirectoryResp{Dir: dir, Clock: 77}, reply[DirectoryResp], DecodeDirectoryResp),
 	}
 	for i, op := range sampleOps() {
@@ -138,10 +138,13 @@ func sampleCompares() []*Op {
 }
 
 // goldenHex is every sample's encoding as the hand-written encoders the
-// field lists replaced wrote it: the layout did not move, so neither the
-// write-ahead log's magic nor the snapshot format needed a bump. The
-// compare ops came later, with their own kind bytes; of the stream
-// records, only a two-phase prepare carries them.
+// field lists replaced wrote it, less the trailing durability piggyback
+// since dropped from seven messages (the lease and mirror requests, the
+// two read responses, FastCommitResp and Ack): the record and snapshot
+// layouts did not move, so neither the write-ahead log's magic nor the
+// snapshot format needed a bump. The compare ops came later, with their
+// own kind bytes; of the stream records, only a two-phase prepare
+// carries them.
 var goldenHex = map[string]string{
 	"Value tombstone":          "ff",
 	"Value plain":              "00077061796c6f6164",
@@ -149,25 +152,25 @@ var goldenHex = map[string]string{
 	"ReplRecord":               "03030000000000000000000000000000000000000203613a3103623a32",
 	"ReplRecord ops":           "010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010000",
 	"Directory":                "03020001020103613a310203623a3203633a33",
-	"LeaseReq":                 "0709",
-	"MirrorBatchReq":           "0205010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f000100000603030000000000000000000000000000000000000203613a3103623a3206",
+	"LeaseReq":                 "07",
+	"MirrorBatchReq":           "0205010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f000100000603030000000000000000000000000000000000000203613a3103623a32",
 	"SyncReq":                  "2a0000020003",
 	"SyncResp":                 "0205010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f000100000603030000000000000000000000000000000000000203613a3103623a320700000000000000630104",
 	"SnapReq":                  "0700000003",
 	"SnapResp":                 "07d209000000030000000905736c6963650000000000000037",
 	"ReadPartReq whole object": "000000000000004d0400010000000000020000000000000000",
 	"ReadPartReq":              "000000000000004d040001000000000002010161016d0100000008",
-	"ReadPartResp plain value": "01000000000000000a00017600000000000000000000000b0000000000000009",
-	"ReadPartResp":             "01000000000000000a0100000000000000000000000001026b3102763100000003000000000000000b0000000000000009",
+	"ReadPartResp plain value": "01000000000000000a00017600000000000000000000000b",
+	"ReadPartResp":             "01000000000000000a0100000000000000000000000001026b3102763100000003000000000000000b",
 	"ReadBatchReq":             "0000000000000001020200010000000000010000000000000000000100000000000201016601740100000003",
-	"ReadBatchResp":            "0301000000000000000300017800000000000000000000000000ff000000000100000000000000040100000000000000000000000001026b310276310000001f00000000000000090000000000000004",
+	"ReadBatchResp":            "0301000000000000000300017800000000000000000000000000ff000000000100000000000000040100000000000000000000000001026b310276310000001f0000000000000009",
 	"PrepareReq":               "000000000000000100000000000000020900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010003",
 	"PrepareResp":              "0100000000000000050000000000000006",
 	"CommitReq":                "0000000000000001000000000000000203",
 	"AbortReq":                 "000000000000000103",
 	"FastCommitReq":            "000000000000000100000000000000020900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010003",
-	"FastCommitResp":           "01000000000000003200000000000000330000000000000031",
-	"Ack":                      "0000000000000063030203613a3103623a32000000000000005802",
+	"FastCommitResp":           "0100000000000000320000000000000033",
+	"Ack":                      "0000000000000063030203613a3103623a3202",
 	"DirectoryResp":            "03020001020103613a310203623a3203633a33000000000000004d",
 	"Op a":                     "00000100000000000700077061796c6f6164",
 	"Op b":                     "000001000000000008ff",

@@ -18,10 +18,8 @@ const (
 	// retryAlways: the operation is idempotent; retry on the next
 	// replica regardless of whether the first attempt was delivered.
 	// (A read retried on a backup while the primary is still alive is
-	// refused, not served stale: an unpromoted backup answers
-	// ErrWrongEpoch unless the snapshot is at or below its durability
-	// frontier, and below the frontier it holds the same prepare locks
-	// and enforces the same Clock-SI wait as the primary.)
+	// refused, not served stale: an unpromoted backup answers every
+	// client operation with ErrWrongEpoch.)
 	retryAlways callPolicy = iota
 	// retryUnsent: retry only when the request provably never left this
 	// process (rpc.ErrNotSent); a sent-but-unacknowledged attempt fails
@@ -134,16 +132,13 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 	return nil, lastErr
 }
 
-// observeAck merges an ack's clock, configuration, durability-frontier,
-// and directory-version piggybacks. A newer directory version triggers
-// a background fetch of the full map — so every client touching a
-// group, even only through its heartbeat ping, converges on the new
-// routing without a redirect.
+// observeAck merges an ack's clock, configuration and directory-version
+// piggybacks. A newer directory version triggers a background fetch of
+// the full map — so every client touching a group, even only through
+// its heartbeat ping, converges on the new routing without a redirect.
 func (c *Client) observeAck(server int, ack *kv.Ack) {
 	c.hlc.Observe(ack.Clock)
-	g := c.group(server)
-	g.noteEpoch(ack.Epoch, ack.Members)
-	g.noteFrontier(ack.Frontier)
+	c.group(server).noteEpoch(ack.Epoch, ack.Members)
 	if ack.DirVersion > c.DirectoryVersion() {
 		c.fetchDirectoryAsync(server)
 	}

@@ -51,23 +51,11 @@ type Client struct {
 
 	readRounds atomic.Uint64 // see ReadRounds
 
-	// followerReads routes snapshot reads whose timestamp lies at or
-	// below a group's learned durability frontier to that group's
-	// backups, round-robin — read throughput scales with the
-	// replication factor instead of pinning every read on the primary.
-	// See SetFollowerReads.
-	followerReads atomic.Bool
-
 	// hbStop terminates the membership heartbeat goroutine (see
 	// StartHeartbeat); hbMu guards restarts.
 	hbMu   sync.Mutex
 	hbStop chan struct{}
 }
-
-// SetFollowerReads toggles routing of frontier-covered snapshot reads
-// to backup replicas. Safe to flip at any time; in-flight reads finish
-// on the path they started.
-func (c *Client) SetFollowerReads(on bool) { c.followerReads.Store(on) }
 
 // Open dials every storage server. The order of addrs defines server
 // slots: until a published directory says otherwise, an OID with slot s
@@ -111,7 +99,7 @@ func OpenReplicated(groups [][]string) (*Client, error) {
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("kvclient: server slot %d has no replicas", s)
 		}
-		c.groups = append(c.groups, &replicaGroup{addrs: addrs, readCur: int(readSeed.Add(1))})
+		c.groups = append(c.groups, &replicaGroup{addrs: addrs})
 	}
 	ctx := context.Background()
 	for s := range c.groups {

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"yesquel/internal/clock"
 	"yesquel/internal/rpc"
 )
 
@@ -29,132 +27,6 @@ type replicaGroup struct {
 	// a heartbeat ping racing Close could re-dial after the teardown
 	// and leak the fresh connection.
 	closed bool
-
-	// Follower-read state: the highest durability frontier any ack from
-	// this group has piggybacked (monotone — the frontier only ever
-	// covers quorum-durable prefixes, which every successor epoch
-	// preserves), the backup this client's reads are pinned to, and
-	// one rpc.Client per backup (the primary's, above, stays reserved
-	// for writes and fallback). Reads stick to one backup and rotate
-	// only on failure: clients spread across backups via the
-	// process-wide seed, while each individual client keeps one
-	// backup's connection pool warm — as many connections as it has
-	// reads in flight at once, not one.
-	frontier  uint64
-	readCur   int
-	readConns map[string]*rpc.Client
-
-	// readFrontier is the highest durability frontier a BACKUP of this
-	// group has reported on a read response. The primary-fresh frontier
-	// above always runs slightly ahead of the backups' watermark copies
-	// (the copy rides the NEXT mirror batch), so a transaction
-	// snapshotted at it arrives early and parks in the backup's
-	// patience wait. Snapshotting at what a backup has actually
-	// reported keeps steady-state follower reads wait-free; it is just
-	// as monotone-safe, being the same quorum-durable bound one hop
-	// later.
-	readFrontier uint64
-}
-
-// readSeed staggers which backup each successive client pins its
-// reads to, so a process full of follower-reading clients spreads
-// load across the group instead of piling onto backup #1.
-var readSeed atomic.Uint64
-
-// noteFrontier adopts a durability frontier learned from an ack.
-func (g *replicaGroup) noteFrontier(f clock.Timestamp) {
-	g.mu.Lock()
-	if uint64(f) > g.frontier {
-		g.frontier = uint64(f)
-	}
-	g.mu.Unlock()
-}
-
-// frontierNow returns the highest durability frontier learned so far.
-func (g *replicaGroup) frontierNow() clock.Timestamp {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return clock.Timestamp(g.frontier)
-}
-
-// noteReadFrontier adopts a durability frontier a backup reported on a
-// read response.
-func (g *replicaGroup) noteReadFrontier(f clock.Timestamp) {
-	g.mu.Lock()
-	if uint64(f) > g.readFrontier {
-		g.readFrontier = uint64(f)
-	}
-	g.mu.Unlock()
-}
-
-// followerSnapNow returns the snapshot BeginFollower should use for
-// this group: the backup-reported frontier once one is known (reads at
-// it are served without waiting), otherwise the primary-fresh one.
-func (g *replicaGroup) followerSnapNow() clock.Timestamp {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.readFrontier > 0 {
-		return clock.Timestamp(g.readFrontier)
-	}
-	return clock.Timestamp(g.frontier)
-}
-
-// routeFrontierNow returns the highest snapshot worth routing to a
-// backup: the freshest durability frontier learned from either side.
-func (g *replicaGroup) routeFrontierNow() clock.Timestamp {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.readFrontier > g.frontier {
-		return clock.Timestamp(g.readFrontier)
-	}
-	return clock.Timestamp(g.frontier)
-}
-
-// followerConn returns a connection to this client's pinned backup
-// (addrs[0] is the believed primary and is skipped), dialing on
-// demand; an undialable backup rotates the pin to the next one. ok is
-// false when the group has no reachable backup.
-func (g *replicaGroup) followerConn() (conn *rpc.Client, addr string, ok bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed || len(g.addrs) < 2 {
-		return nil, "", false
-	}
-	n := len(g.addrs) - 1
-	for i := 0; i < n; i++ {
-		idx := 1 + (g.readCur+i)%n
-		a := g.addrs[idx]
-		c := g.readConns[a]
-		if c == nil {
-			dialed, err := rpc.DialTimeout(a, dialTimeout)
-			if err != nil {
-				continue
-			}
-			if g.readConns == nil {
-				g.readConns = make(map[string]*rpc.Client)
-			}
-			g.readConns[a] = dialed
-			c = dialed
-		}
-		g.readCur = (g.readCur + i) % n
-		return c, a, true
-	}
-	return nil, "", false
-}
-
-// invalidateFollower drops a failed backup connection and rotates the
-// read pin off it; the identity check keeps concurrent callers from
-// closing a fresh redial.
-func (g *replicaGroup) invalidateFollower(addr string, bad *rpc.Client) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.readConns[addr] == bad {
-		bad.Close()
-		delete(g.readConns, addr)
-	}
-	if n := len(g.addrs) - 1; n > 0 && g.addrs[1+g.readCur%n] == addr {
-		g.readCur = (g.readCur + 1) % n
-	}
 }
 
 // dialTimeout bounds each replica dial during failover: a blackholed
@@ -220,16 +92,6 @@ func (g *replicaGroup) noteEpoch(epoch uint64, members []string) bool {
 		g.conn.Close()
 		g.conn = nil
 	}
-	// Drop backup read connections: the membership changed, and a
-	// connection to a retired member would keep bouncing reads off it.
-	// (Reconfiguration is rare; redialing survivors is cheap.) The
-	// learned frontier is KEPT — it covers only quorum-durable prefixes,
-	// which the new epoch preserves.
-	for a, rc := range g.readConns {
-		rc.Close()
-		delete(g.readConns, a)
-	}
-	g.readCur = int(readSeed.Add(1))
 	return true
 }
 
@@ -253,9 +115,5 @@ func (g *replicaGroup) close() {
 	if g.conn != nil {
 		g.conn.Close()
 		g.conn = nil
-	}
-	for a, rc := range g.readConns {
-		rc.Close()
-		delete(g.readConns, a)
 	}
 }

@@ -7,76 +7,7 @@ import (
 
 	"yesquel/internal/clock"
 	"yesquel/internal/kv"
-	"yesquel/internal/rpc"
 )
-
-// FollowerSnapshot returns the newest snapshot timestamp every
-// replicated server slot can currently serve as a follower read: the
-// minimum durability frontier learned across multi-replica groups
-// (single-replica slots always serve at any snapshot and don't cap
-// it). Once a group's backups have reported their own frontier on
-// read responses, that bound is used — reads at it never park in a
-// backup's patience wait. Zero until any frontier has been learned —
-// callers fall back to a current-time snapshot then.
-func (c *Client) FollowerSnapshot() clock.Timestamp {
-	snap, any := clock.Timestamp(0), false
-	for _, g := range c.groupList() {
-		if g.size() < 2 {
-			continue
-		}
-		f := g.followerSnapNow()
-		if !any || f < snap {
-			snap, any = f, true
-		}
-	}
-	return snap
-}
-
-// BeginFollower starts a transaction at the FollowerSnapshot, so with
-// follower reads enabled every read it performs can be served by a
-// backup. The snapshot trails the newest commits by the watermark lag
-// (bounded staleness: everything visible is quorum-durable, but this
-// transaction may not see this client's own most recent writes). Use
-// it for read-only work that values throughput over freshness; it
-// falls back to an ordinary Begin until a frontier is known.
-func (c *Client) BeginFollower() *Tx {
-	if snap := c.FollowerSnapshot(); snap > 0 {
-		return c.BeginAt(snap)
-	}
-	return c.Begin()
-}
-
-// readCall routes one snapshot read. With follower reads on and the
-// snapshot at or below the group's learned durability frontier, it
-// first tries this client's pinned backup — the backup's own
-// CheckClientRead re-verifies the bound against ITS frontier, so a
-// stale client view costs a redirect, never a stale answer. Any
-// follower failure (unreachable, wrong epoch, behind) falls back to
-// the ordinary primary path; epoch redirects learned on the way are
-// adopted first, so the fallback already walks the fresh membership.
-// viaFollower reports which side answered, so the caller can file the
-// response's frontier under the right bound.
-func (c *Client) readCall(ctx context.Context, server int, snap clock.Timestamp, method string, enc func(epoch uint64) []byte) (respB []byte, viaFollower bool, err error) {
-	g := c.group(server)
-	if c.followerReads.Load() && snap <= g.routeFrontierNow() {
-		if conn, addr, ok := g.followerConn(); ok {
-			resp, err := conn.Call(ctx, method, enc(g.epochNow()))
-			if err == nil {
-				return resp, true, nil
-			}
-			var app *rpc.AppError
-			if errors.As(err, &app) {
-				if we, ok := kv.ParseWrongEpoch(app.Msg); ok {
-					g.noteEpoch(we.Epoch, we.Members)
-				}
-			} else if ctx.Err() == nil {
-				g.invalidateFollower(addr, conn)
-			}
-		}
-	}
-	respB, err = c.call(ctx, server, method, enc, retryAlways)
-	return respB, false, err
-}
 
 // readItems is the one read path: it answers items at snap into out,
 // positionally (an absent object leaves Found=false, never an error),
@@ -165,53 +96,41 @@ func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv
 }
 
 // readGroup fetches items — all owned by group server — at snap with
-// one RPC, routed like every snapshot read (follower pin, primary
-// fallback), and files the clock and frontier the response carries. The
-// encoding follows the input's size: one item travels as a
-// MethodReadPart call, several as a MethodReadBatch.
+// one RPC to the group's primary, and files the clock the response
+// carries. The encoding follows the input's size: one item travels as
+// a MethodReadPart call, several as a MethodReadBatch.
 func (c *Client) readGroup(ctx context.Context, server int, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) error {
 	one := len(items) == 1
 	method := kv.MethodReadBatch
 	if one {
 		method = kv.MethodReadPart
 	}
-	respB, viaFollower, err := c.readCall(ctx, server, snap, method, func(epoch uint64) []byte {
+	respB, err := c.call(ctx, server, method, func(epoch uint64) []byte {
 		if one {
 			return (&kv.ReadPartReq{Snap: snap, Epoch: epoch, Item: items[0]}).Encode()
 		}
 		return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Items: items}).Encode()
-	})
+	}, retryAlways)
 	if err != nil {
 		return translateRPCErr(err)
 	}
-	var clk, frontier clock.Timestamp
 	if one {
 		resp, err := kv.DecodeReadPartResp(respB)
 		if err != nil {
 			return err
 		}
 		out[0] = kv.ReadBatchResult{Found: resp.Found, Version: resp.Version, Value: resp.Value, Total: resp.Total}
-		clk, frontier = resp.Clock, resp.Frontier
-	} else {
-		resp, err := kv.DecodeReadBatchResp(respB)
-		if err != nil {
-			return err
-		}
-		if len(resp.Results) != len(items) {
-			return fmt.Errorf("kvclient: read batch answered %d of %d items", len(resp.Results), len(items))
-		}
-		copy(out, resp.Results)
-		clk, frontier = resp.Clock, resp.Frontier
+		c.hlc.Observe(resp.Clock)
+		return nil
 	}
-	c.hlc.Observe(clk)
-	if frontier != 0 {
-		// A backup's answer vouches for the backup-reported bound, a
-		// primary's for the fresh one.
-		if g := c.group(server); viaFollower {
-			g.noteReadFrontier(frontier)
-		} else {
-			g.noteFrontier(frontier)
-		}
+	resp, err := kv.DecodeReadBatchResp(respB)
+	if err != nil {
+		return err
 	}
+	if len(resp.Results) != len(items) {
+		return fmt.Errorf("kvclient: read batch answered %d of %d items", len(resp.Results), len(items))
+	}
+	copy(out, resp.Results)
+	c.hlc.Observe(resp.Clock)
 	return nil
 }

@@ -73,10 +73,7 @@ func (c *Client) adoptDirectory(d *kv.Directory) bool {
 // Caller holds c.mu.
 func (c *Client) ensureGroupsLocked(d *kv.Directory) {
 	for gi := len(c.groups); gi < len(d.Groups); gi++ {
-		c.groups = append(c.groups, &replicaGroup{
-			addrs:   append([]string(nil), d.Groups[gi]...),
-			readCur: int(readSeed.Add(1)),
-		})
+		c.groups = append(c.groups, &replicaGroup{addrs: append([]string(nil), d.Groups[gi]...)})
 	}
 }
 

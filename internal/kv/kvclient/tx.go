@@ -479,7 +479,6 @@ func (t *Tx) fastCommit(ctx context.Context, server int, ops []*kv.Op) error {
 		return err
 	}
 	t.c.hlc.Observe(resp.Clock)
-	t.c.group(server).noteFrontier(resp.Frontier)
 	if !resp.OK {
 		return kv.ErrConflict
 	}

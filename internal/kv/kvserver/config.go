@@ -90,12 +90,6 @@ type Config struct {
 	// one-core CI box a purely in-memory pipeline measures CPU, and
 	// added groups cannot add CPU. 0 (the default) disables it.
 	MirrorSendDelay time.Duration
-	// NoFollowerReads disables serving snapshot reads from this store
-	// while it is a BACKUP (CheckClientRead then redirects every read
-	// to the primary, watermark or not). Off by default: a backup
-	// serves reads at or below its durability frontier. The yesqueld
-	// -follower-reads=false flag sets it.
-	NoFollowerReads bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -200,14 +194,6 @@ type Stats struct {
 	MirrorBatchRecords atomic.Uint64
 	WALSyncs           atomic.Uint64
 	WALFailures        atomic.Uint64
-	// FollowerReads counts snapshot reads this member served as a
-	// backup under the durability-frontier gate (zero on a primary).
-	// FollowerReadWaits counts the subset that arrived ahead of this
-	// member's watermark copy and parked for the piggyback race to
-	// close — a climbing share of FollowerReads means clients outrun
-	// the mirror stream.
-	FollowerReads     atomic.Uint64
-	FollowerReadWaits atomic.Uint64
 	// WrongSlotRejects counts requests turned away by the slot-directory
 	// fence — a stale client routing to a group that no longer owns the
 	// OID's route. A burst during a migration cutover is the fence
@@ -225,7 +211,6 @@ type StatsSnapshot struct {
 	EpochBumps, WrongEpochRejects                                                                 uint64
 	Checkpoints, CheckpointFailures, LogRecordsTruncated, SnapshotsServed, SnapshotsInstalled     uint64
 	MirrorBatches, MirrorBatchRecords, WALSyncs, WALFailures                                      uint64
-	FollowerReads, FollowerReadWaits                                                              uint64
 	WrongSlotRejects, MigratedVersions                                                            uint64
 }
 
@@ -255,9 +240,6 @@ func (s *Store) Stats() StatsSnapshot {
 		MirrorBatchRecords: s.stats.MirrorBatchRecords.Load(),
 		WALSyncs:           s.stats.WALSyncs.Load(),
 		WALFailures:        s.stats.WALFailures.Load(),
-
-		FollowerReads:     s.stats.FollowerReads.Load(),
-		FollowerReadWaits: s.stats.FollowerReadWaits.Load(),
 
 		WrongSlotRejects: s.stats.WrongSlotRejects.Load(),
 		MigratedVersions: s.stats.MigratedVersions.Load(),

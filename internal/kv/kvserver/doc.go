@@ -94,14 +94,11 @@
 // group-commit visibility window; it exists only while the primary is
 // alive but failing its mirror). DURABLE-AT-WATERMARK: everything at
 // or below the durability watermark is held by a majority and fsynced
-// when LogSync demands it, so no failover can erase it. A client that
-// must read only majority-held state snapshots AT the watermark instead
-// of waiting for it: kvclient's BeginFollower starts the transaction at
-// the durability frontier the group last reported, and nothing at or
-// below that timestamp is still awaiting an ack — on the primary or on a
-// backup, which only ever serves at or below its frontier (see the
-// follower-reads section). Default primary reads, at a fresh snapshot,
-// keep the window.
+// when LogSync demands it, so no failover can erase it, and every
+// write acknowledged to its client is there. Only the primary serves
+// reads — a backup answers every client read and write with the usual
+// ErrWrongEpoch redirect — and it serves them at a fresh snapshot, so
+// reads keep the window.
 //
 // # Two-phase commit outcome recovery
 //
@@ -224,54 +221,16 @@
 //     and content, not timing, is what tells a benign duplicate from
 //     a split brain.
 //
-// # Follower reads and the durability watermark
+// # Batched reads
 //
-// Backups serve snapshot reads, so read capacity scales with the
-// replication factor instead of idling at 1/rf of it. The machinery
-// is the durability FRONTIER: the highest commit timestamp t such
-// that every committed version at or below t is applied locally AND
-// quorum-durable. The pipeline tracks the prefix-max commit timestamp
-// per stream position (pipeline.go's tsMark) and publishes the
-// frontier as the durable prefix advances — on a primary from its own
-// quorum and WAL watermarks, on a backup from the watermark the
-// primary piggybacks on every mirror batch and lease renewal. A
-// backup never treats its OWN stream position as durable: records it
-// holds may have been acked by no one else, and a replica restarted
-// from its WAL cannot know how far the group's quorum reached — its
-// frontier is frozen until the current primary vouches afresh.
-//
-// A backup serves Read/ReadPart when the request's snapshot is at or
-// below its frontier (Store.CheckClientRead); above it — or for any
-// write — it answers with the usual ErrWrongEpoch redirect, so the
-// client falls back to the primary instead of reading maybe-durable
-// state (no silently stale data). Safety is two rules composed:
-// (1) every commit with ts <= frontier is durable, by construction of
-// the marks; (2) no commit with ts <= frontier can arrive later,
-// because proposed timestamps are drawn from a clock that has
-// observed every earlier record's timestamp, and a two-phase decision
-// whose prepare sits below the watermark has that prepare's locks
-// applied on the backup, where the Clock-SI read rule makes readers
-// at or above the proposed timestamp wait the decision out. A
-// follower read is therefore exactly a primary snapshot read at the
-// same timestamp — minus the visibility window. kvclient pins each
-// client's eligible read-only snapshot ops to one backup (staggered
-// across clients, rotating on failure) and learns each group's
-// frontier for free from the Ack piggyback (including the idle
-// heartbeat ping) and from fast-commit and read responses; read-only
-// transactions snapshot at the frontier a backup last REPORTED, so in
-// steady state a follower read never arrives ahead of the backup's
-// own watermark copy.
-//
-// Batched reads (MethodReadBatch) ride these rules unchanged — a single
-// read (MethodReadPart) is the batch of one, and Server.serveReads
-// serves both: the request carries ONE snapshot for its N items, so the
-// epoch, frontier and slot admission checks run once for the whole
-// request, and a replica that may serve one of the reads may serve them
-// all. The per-item reads then take their per-shard locks one by one —
-// including the Clock-SI wait on prepared transactions — so a batch
-// answers precisely what N single reads at the same snapshot would
-// have answered, in one round trip; the response piggybacks the
-// serving replica's frontier.
+// A single read (MethodReadPart) is the batch of one, and
+// Server.serveReads serves both: the request carries ONE snapshot for
+// its N items, so the epoch, lease and slot admission checks run once
+// for the whole request, and a primary that may serve one of the reads
+// may serve them all. The per-item reads then take their per-shard
+// locks one by one — including the Clock-SI wait on prepared
+// transactions — so a batch answers precisely what N single reads at
+// the same snapshot would have answered, in one round trip.
 //
 // # Checkpoints
 //

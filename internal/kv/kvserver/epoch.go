@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"yesquel/internal/clock"
 	"yesquel/internal/kv"
 )
 
@@ -179,11 +178,6 @@ func (s *Store) wrongEpochLocked() *kv.WrongEpochError {
 func (s *Store) CheckClientOp(reqEpoch uint64) error {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	return s.checkClientOpLocked(reqEpoch)
-}
-
-// checkClientOpLocked implements CheckClientOp. Caller holds epochMu.
-func (s *Store) checkClientOpLocked(reqEpoch uint64) error {
 	// A lost quorum lease rejects like a wrong role: a majority of the
 	// group may already have promoted a successor and be acknowledging
 	// writes under a new epoch, and serving anything — even a read —
@@ -192,77 +186,6 @@ func (s *Store) checkClientOpLocked(reqEpoch uint64) error {
 		return s.wrongEpochLocked()
 	}
 	return nil
-}
-
-// CheckClientRead gates a snapshot READ behind the epoch discipline,
-// relaxed for backups: the primary serves any read under the usual
-// CheckClientOp rules, and a BACKUP serves a read whose snapshot is at
-// or below its durability frontier — everything such a read can
-// observe is applied here and quorum-durable, so the answer is exactly
-// what the primary would give, and no failover can erase it. A backup
-// needs no lease for this (durable snapshot data is valid forever),
-// but the request's epoch must still match: a stale-epoch client is
-// redirected so it learns the membership before trusting any replica.
-// A read above the frontier is refused with the same typed redirect —
-// the client falls back to the primary rather than reading
-// maybe-durable state. Writes always go through CheckClientOp.
-func (s *Store) CheckClientRead(reqEpoch uint64, snap clock.Timestamp) error {
-	s.epochMu.Lock()
-	if s.roleLocked() != RoleBackup || s.cfg.NoFollowerReads {
-		// Role, epoch and lease are judged under this one acquisition:
-		// every read on a primary takes this path.
-		defer s.epochMu.Unlock()
-		return s.checkClientOpLocked(reqEpoch)
-	}
-	if reqEpoch != 0 && reqEpoch != s.epoch {
-		defer s.epochMu.Unlock()
-		return s.wrongEpochLocked()
-	}
-	s.epochMu.Unlock()
-	if snap > s.DurableFrontier() {
-		s.stats.FollowerReadWaits.Add(1)
-		if !s.waitFrontierBounded(snap, followerReadPatience) {
-			s.epochMu.Lock()
-			defer s.epochMu.Unlock()
-			return s.wrongEpochLocked()
-		}
-	}
-	s.stats.FollowerReads.Add(1)
-	return nil
-}
-
-// followerReadPatience bounds how long a backup holds a read whose
-// snapshot is slightly above its durability frontier before redirecting
-// it to the primary. The gap is a propagation race: the client learned
-// the frontier from the primary's latest ack, while this backup's copy
-// of the watermark rides the NEXT mirror batch or lease renewal. Under
-// write load that batch arrives within a round trip — far cheaper to
-// absorb here than to burn a redirect plus a primary round trip — and
-// when the group is idle the client's frontier equals ours and no wait
-// happens at all.
-const followerReadPatience = 5 * time.Millisecond
-
-// waitFrontierBounded parks until the durability frontier reaches snap
-// or the patience budget runs out, reporting whether it got there. The
-// wait is event-driven — woken by the frontier advance itself — so a
-// read held on the piggyback race resumes the moment the mirror batch
-// lands rather than a sleep quantum later.
-func (s *Store) waitFrontierBounded(snap clock.Timestamp, d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	for {
-		// Channel before check: an advance between the two is then a
-		// closed channel, never a lost wakeup.
-		ch := s.pipe.frontierChanged()
-		if snap <= s.DurableFrontier() {
-			return true
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return snap <= s.DurableFrontier()
-		}
-	}
 }
 
 // InstallEpoch moves the group to a new configuration: the epoch must
@@ -335,13 +258,7 @@ func (s *Store) installEpochState(newEpoch uint64, members []string) bool {
 	s.epoch = newEpoch
 	s.epochMembers = members
 	s.promoting = false
-	role := s.roleLocked()
 	s.epochMu.Unlock()
 	s.stats.EpochBumps.Add(1)
-	// Keep the durability pipeline's follower flag in lockstep with the
-	// epoch role: a backup's frontier may only advance on the primary's
-	// word (its own WAL isn't evidence of quorum durability), while a
-	// primary computes the watermark from its members' acks directly.
-	s.setFollower(role != RolePrimary)
 	return true
 }

@@ -46,7 +46,6 @@ package kvserver
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"yesquel/internal/kv"
@@ -169,51 +168,7 @@ type replPipe struct {
 	// stopCh is non-nil while the WAL flusher goroutine runs.
 	stopCh chan struct{}
 	wake   chan struct{}
-
-	// Follower-read frontier bookkeeping. head is the sequence number
-	// after the last record handed to the pipeline — the pipe's view of
-	// the stream head, on primaries and backups alike. marks are the
-	// pending frontier advances: once the durable prefix of the stream
-	// reaches mark.head, the frontier may rise to mark.ts (marks are
-	// strictly increasing in both fields; maxTS is the prefix-max commit
-	// timestamp that decides when a record pushes one). remoteW is the
-	// highest durability watermark the primary has piggybacked on mirror
-	// batches and lease renewals; follower marks that this store's OWN
-	// mirrored/synced positions do not prove quorum durability (a backup
-	// or a restarted replica holds records a majority may never have
-	// acked) — only remoteW does. All under pipe.mu.
-	head     uint64
-	maxTS    kv.Timestamp
-	marks    []tsMark
-	remoteW  uint64
-	follower bool
-
-	// frontier is the published durability frontier: the highest commit
-	// timestamp t such that every committed version at or below t is
-	// applied here AND quorum-durable, so a snapshot read at ts <= t can
-	// be served by this replica and can never observe a write a failover
-	// erases. Written only under pipe.mu (monotone); read lock-free by
-	// the read path.
-	frontier atomic.Uint64
-
-	// frontierCh, when non-nil, is closed at the next frontier advance
-	// and replaced by nil; frontierChanged lazily recreates it. Lets a
-	// read that arrived moments ahead of the watermark piggyback park
-	// until the frontier catches up instead of sleep-polling.
-	frontierCh chan struct{}
 }
-
-// tsMark is one pending frontier advance: once the durable prefix of
-// the stream reaches head, the frontier may rise to ts.
-type tsMark struct {
-	head uint64
-	ts   kv.Timestamp
-}
-
-// marksMax bounds the pending-marks slice. Past it, adjacent marks
-// merge pairwise keeping the later of each pair: the frontier then
-// advances in coarser steps — later than it could, never earlier.
-const marksMax = 1024
 
 func (s *Store) initPipe() {
 	s.pipe.walDone = sync.NewCond(&s.pipe.mu)
@@ -268,7 +223,6 @@ func (p *replPipe) durableLocked(seq uint64) bool {
 // PAST acks still count — the records are on them. Caller holds
 // pipe.mu.
 func (p *replPipe) recomputeQuorumLocked() {
-	defer p.advanceFrontierLocked()
 	if !p.hasMembersLocked() {
 		p.need = 0
 		p.quorumErr = nil
@@ -309,171 +263,11 @@ func (p *replPipe) recomputeQuorumLocked() {
 	}
 }
 
-// noteRecordLocked tracks one stream record for the frontier: it moves
-// the pipe's head past seq and, when the record carries a commit whose
-// timestamp raises the prefix-max, pushes a frontier mark for it.
-// Caller holds pipe.mu.
-func (p *replPipe) noteRecordLocked(seq uint64, rec *kv.ReplRecord) {
-	if seq+1 > p.head {
-		p.head = seq + 1
-	}
-	committing := rec.Kind == kv.RecCommit || (rec.Kind == kv.RecDecide && rec.Commit)
-	if committing && rec.TS > p.maxTS {
-		p.maxTS = rec.TS
-		p.marks = append(p.marks, tsMark{head: seq + 1, ts: rec.TS})
-		if len(p.marks) > marksMax {
-			kept := p.marks[:0]
-			for i := 1; i < len(p.marks); i += 2 {
-				kept = append(kept, p.marks[i])
-			}
-			if len(p.marks)%2 == 1 {
-				kept = append(kept, p.marks[len(p.marks)-1])
-			}
-			p.marks = kept
-		}
-	}
-	p.advanceFrontierLocked()
-}
-
-// durableSeqLocked is the durable prefix of the stream as this replica
-// may claim it: on a follower, what the primary has vouched for (capped
-// at what has actually been applied here); otherwise the local quorum
-// and WAL watermarks, capped at the head. Caller holds pipe.mu.
-func (p *replPipe) durableSeqLocked() uint64 {
-	if p.follower {
-		d := p.remoteW
-		if p.head < d {
-			d = p.head
-		}
-		return d
-	}
-	d := p.head
-	if p.hasMembersLocked() && p.mirrored < d {
-		d = p.mirrored
-	}
-	if p.needWAL && p.synced < d {
-		d = p.synced
-	}
-	return d
-}
-
-// advanceFrontierLocked pops every mark the durable prefix has reached
-// and publishes the last one's timestamp as the new frontier (monotone:
-// a rewind of the inputs never lowers what was already published).
-// Caller holds pipe.mu.
-func (p *replPipe) advanceFrontierLocked() {
-	d := p.durableSeqLocked()
-	n := 0
-	for n < len(p.marks) && p.marks[n].head <= d {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	ts := p.marks[n-1].ts
-	p.marks = append(p.marks[:0], p.marks[n:]...)
-	if uint64(ts) > p.frontier.Load() {
-		p.frontier.Store(uint64(ts))
-		if p.frontierCh != nil {
-			close(p.frontierCh)
-			p.frontierCh = nil
-		}
-	}
-}
-
-// frontierChanged returns a channel that is closed at the next frontier
-// advance. Callers must obtain the channel BEFORE re-checking
-// DurableFrontier, or an advance between check and park is lost.
-func (p *replPipe) frontierChanged() <-chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.frontierCh == nil {
-		p.frontierCh = make(chan struct{})
-	}
-	return p.frontierCh
-}
-
-// InstallRemoteWatermark records the primary's durability watermark (as
-// piggybacked on mirror batches and lease renewals) and marks this
-// store a FOLLOWER: from here on its own mirrored/synced positions no
-// longer prove quorum durability — only the primary's word does — and
-// the follower-read frontier advances exactly as far as the primary
-// vouches.
-func (s *Store) InstallRemoteWatermark(w uint64) {
-	p := &s.pipe
-	p.mu.Lock()
-	p.follower = true
-	if w > p.remoteW {
-		p.remoteW = w
-	}
-	p.advanceFrontierLocked()
-	p.mu.Unlock()
-}
-
-// DurableWatermark returns the durability watermark this store can
-// vouch for: every record with seq below it is held by a majority of
-// the group (and fsynced, when the WAL demands it). A primary
-// piggybacks it on every mirror batch and lease renewal.
-func (s *Store) DurableWatermark() uint64 {
-	p := &s.pipe
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.durableSeqLocked()
-}
-
-// DurableFrontier returns the durability frontier: the highest commit
-// timestamp at which a snapshot read served here is both complete and
-// quorum-durable. Lock-free.
-func (s *Store) DurableFrontier() kv.Timestamp {
-	return kv.Timestamp(s.pipe.frontier.Load())
-}
-
-// setFollower flips the pipe's follower flag as the store's role
-// changes. Becoming a follower resets the remote watermark: whatever a
-// previous primary vouched for may not survive the regime change, so
-// the frontier freezes until the current primary vouches afresh.
-// Promotion clears the flag — the new primary's own quorum machinery
-// governs durability from here on.
-func (s *Store) setFollower(f bool) {
-	p := &s.pipe
-	p.mu.Lock()
-	if p.follower != f {
-		p.follower = f
-		if f {
-			p.remoteW = 0
-		}
-	}
-	p.advanceFrontierLocked()
-	p.mu.Unlock()
-}
-
-// resetFrontierLocked reinstalls the frontier bookkeeping after a
-// snapshot install replaced (or rewound) the stream: the snapshot
-// covers every record below seq, with commit timestamps at or below
-// maxTS. The remote watermark is dropped — it described the previous
-// stream — so on a follower the frontier waits for the current
-// primary's next piggyback before advancing over the installed state.
-// Caller holds repMu.
-func (s *Store) resetFrontierLocked(seq uint64, maxTS kv.Timestamp) {
-	p := &s.pipe
-	p.mu.Lock()
-	p.head = seq
-	p.maxTS = maxTS
-	p.marks = p.marks[:0]
-	if maxTS > 0 {
-		p.marks = append(p.marks, tsMark{head: seq, ts: maxTS})
-	}
-	p.remoteW = 0
-	p.advanceFrontierLocked()
-	p.mu.Unlock()
-}
-
 // enqueueLocked hands one emitted record to the pipeline. Caller holds
 // repMu (emission order is queue order is stream order).
 func (s *Store) enqueueLocked(seq uint64, rec kv.ReplRecord) {
 	p := &s.pipe
 	p.mu.Lock()
-	p.noteRecordLocked(seq, &rec)
 	sr := kv.SyncRec{Seq: seq, Rec: rec}
 	for _, m := range p.members {
 		if m.broken {
@@ -941,7 +735,6 @@ func (s *Store) flushOnce() bool {
 	if walErr == nil {
 		if walTo > p.synced {
 			p.synced = walTo
-			p.advanceFrontierLocked()
 		}
 		if walSynced {
 			s.stats.WALSyncs.Add(1)
@@ -1040,7 +833,6 @@ func (s *Store) drainWALLocked() bool {
 	}
 	if to > p.synced {
 		p.synced = to
-		p.advanceFrontierLocked()
 	}
 	if synced {
 		s.stats.WALSyncs.Add(1)

@@ -101,8 +101,7 @@ func NewServer(store *Store) *Server {
 }
 
 // ack builds the generic acknowledgment, piggybacking the current
-// epoch and membership — and the durability frontier, so clients keep
-// their group view AND their follower-read routing bound fresh from
+// epoch and membership, so clients keep their group view fresh from
 // ordinary traffic (any ack, including the ping a fully idle client's
 // heartbeat sends).
 func (s *Server) ack(reply *wire.Buffer) error {
@@ -110,7 +109,6 @@ func (s *Server) ack(reply *wire.Buffer) error {
 		Clock:      s.store.Clock().Now(),
 		Epoch:      s.store.Epoch(),
 		Members:    s.store.Members(),
-		Frontier:   s.store.DurableFrontier(),
 		DirVersion: s.store.DirVersion(),
 	}).AppendTo(reply)
 	return nil
@@ -153,11 +151,7 @@ func (s *Server) AttachBackupMember(addr string) (uint64, error) {
 	s.mirrorConns[addr] = conn
 	s.mirrorMu.Unlock()
 	watermark := s.store.AttachMirrorMember(addr, func(recs []kv.SyncRec) error {
-		// Piggyback the durability watermark the primary can vouch for
-		// RIGHT NOW (it trails this batch, which is not yet acked): the
-		// backup uses it to advance its follower-read frontier.
-		req := kv.MirrorBatchReq{Recs: recs, Watermark: s.store.DurableWatermark()}
-		return s.callExtendingLease(conn, addr, kv.MethodMirrorBatch, req.Encode())
+		return s.callExtendingLease(conn, addr, kv.MethodMirrorBatch, (&kv.MirrorBatchReq{Recs: recs}).Encode())
 	})
 	s.startLeaseLoop(addr, conn)
 	return watermark, nil
@@ -290,7 +284,7 @@ func (s *Server) renewLease(addr string, conn *rpc.Client) bool {
 	if s.store.Role() != RolePrimary {
 		return false // deposed or reconfigured away: nothing to renew
 	}
-	req := &kv.LeaseReq{Epoch: s.store.Epoch(), Watermark: s.store.DurableWatermark()}
+	req := &kv.LeaseReq{Epoch: s.store.Epoch()}
 	err := s.callExtendingLease(conn, addr, kv.MethodLease, req.Encode())
 	var app *rpc.AppError
 	if errors.As(err, &app) {
@@ -314,11 +308,6 @@ func (s *Server) handleLease(_ context.Context, p []byte, reply *wire.Buffer) er
 	if err := s.store.RenewLeaseGrant(req.Epoch); err != nil {
 		return err
 	}
-	// The grant succeeded, so the sender is this epoch's primary: its
-	// piggybacked watermark is authoritative. This is what keeps a
-	// backup's follower-read frontier advancing through write-idle
-	// periods, when no mirror batches flow.
-	s.store.InstallRemoteWatermark(req.Watermark)
 	return s.ack(reply)
 }
 
@@ -406,12 +395,6 @@ func (s *Server) handleMirrorBatch(_ context.Context, p []byte, reply *wire.Buff
 	if err := s.store.ApplyMirroredBatch(req.Recs); err != nil {
 		return err
 	}
-	// Batch applied under the stream's epoch checks, so the sender is
-	// the live primary: adopt its piggybacked durability watermark
-	// (InstallRemoteWatermark caps the effective value at the local
-	// head, so a watermark above what this replica holds never vouches
-	// for records it hasn't applied).
-	s.store.InstallRemoteWatermark(req.Watermark)
 	return s.ack(reply)
 }
 
@@ -648,12 +631,10 @@ type ServerStats struct {
 	QuorumMark uint64
 	QuorumNeed int
 	Replicas   []ReplicaStatus
-	// Follower-read health: the durability frontier this member serves
-	// snapshot reads up to, and how far the stream head runs ahead of
-	// the quorum watermark (WatermarkLag = ReplHead - QuorumMark; a
-	// growing lag means follower reads are falling behind the primary's
-	// emissions).
-	Frontier     uint64
+	// WatermarkLag is, on a primary, how far the stream head runs ahead
+	// of the quorum watermark (ReplHead - QuorumMark): the records
+	// emitted but not yet held by a majority. A lag that keeps growing
+	// means the backups cannot keep up with the primary's emissions.
 	WatermarkLag uint64
 	// Conns is the number of open inbound connections. The rpc layer
 	// puts one call on a connection, so this is the peak concurrency of
@@ -680,7 +661,6 @@ func (s *Server) Stats() ServerStats {
 		QuorumMark:    mark,
 		QuorumNeed:    need,
 		Replicas:      replicas,
-		Frontier:      uint64(s.store.DurableFrontier()),
 		WatermarkLag:  lag,
 		Conns:         s.rpc.Conns(),
 	}
@@ -739,16 +719,15 @@ func (s *Server) Close() error {
 
 // serveReads is the one admission rule and the one read loop: it
 // answers items at snap into out, positionally. Admission is decided
-// once for the request — the watermark-aware authority check (the
-// primary under the usual epoch/lease rules, a backup whenever snap is
-// at or below its durability frontier), then slot ownership, where one
+// once for the request — the epoch/lease check every client operation
+// passes (only the primary serves), then slot ownership, where one
 // stale item rejects the lot: the client regroups every item under the
 // directory version the redirect carries, so a partial answer would
 // only be fetched again. The reads then take their per-shard locks one
 // by one. An absent object leaves its result Found=false: absence is a
 // normal outcome and must not fail the items beside it.
 func (s *Server) serveReads(snap kv.Timestamp, epoch uint64, items []kv.ReadBatchItem, out []kv.ReadBatchResult) error {
-	if err := s.store.CheckClientRead(epoch, snap); err != nil {
+	if err := s.store.CheckClientOp(epoch); err != nil {
 		return err
 	}
 	for i := range items {
@@ -781,7 +760,7 @@ func (s *Server) handleReadPart(_ context.Context, p []byte, reply *wire.Buffer)
 	}
 	res := &out[0]
 	resp := kv.ReadPartResp{Found: res.Found, Version: res.Version, Value: res.Value, Total: res.Total,
-		Clock: s.store.Clock().Now(), Frontier: s.store.DurableFrontier()}
+		Clock: s.store.Clock().Now()}
 	resp.AppendTo(reply)
 	return nil
 }
@@ -796,7 +775,6 @@ func (s *Server) handleReadBatch(_ context.Context, p []byte, reply *wire.Buffer
 		return err
 	}
 	resp.Clock = s.store.Clock().Now()
-	resp.Frontier = s.store.DurableFrontier()
 	resp.AppendTo(reply)
 	return nil
 }
@@ -874,7 +852,6 @@ func (s *Server) handleFastCommit(_ context.Context, p []byte, reply *wire.Buffe
 	}
 	resp := &kv.FastCommitResp{}
 	commitTS, err := s.store.FastCommit(req.TxID, req.Start, req.Ops)
-	resp.Frontier = s.store.DurableFrontier()
 	if err == nil {
 		resp.OK = true
 		resp.CommitTS = commitTS

@@ -456,16 +456,6 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 
 	s.clock.Observe(sn.Clock)
 	s.repSeq = sn.Seq
-	// Reinstall the durability-frontier bookkeeping over the new state.
-	// The frontier bound comes from the DATA (maxTS), never from
-	// sn.Clock: the source's clock runs ahead of its commits (reads
-	// observe their snapshots into it), and a frontier above the real
-	// data would vouch for timestamps at which this replica's answer is
-	// not yet fixed. Whether the mark ever PUBLISHES still depends on
-	// durableSeqLocked: on a follower the reset also drops the remote
-	// watermark, so the frontier stays frozen until the current primary
-	// vouches for the installed coverage afresh.
-	s.resetFrontierLocked(sn.Seq, maxTS)
 	// Version GC resumes from the mark the source had at sn.Seq: the
 	// record with the highest commit timestamp left the newest version of
 	// whatever it wrote, which no trim or sweep has removed yet.

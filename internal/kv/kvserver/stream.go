@@ -385,9 +385,8 @@ func (s *Store) emitLocked(rec kv.ReplRecord) uint64 {
 // appendLocked puts rec — emitted here, or applied from a primary's
 // stream or the write-ahead log — at the head of this store's stream:
 // the next sequence number, the retained tail, and the pipeline, which
-// must see every record (it feeds the sinks and tracks the commit-
-// timestamp marks behind the follower-read frontier). Caller holds
-// repMu.
+// must see every record (it feeds the sinks: the write-ahead log and
+// any attached members). Caller holds repMu.
 func (s *Store) appendLocked(rec kv.ReplRecord) uint64 {
 	seq := s.repSeq
 	s.repSeq++

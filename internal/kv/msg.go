@@ -154,18 +154,13 @@ func wireMembers(c *wire.Codec, members *[]string) {
 // LeaseReq renews the primary's lease on its backup. Epoch is the
 // primary's current group epoch; a backup that has moved to a later
 // epoch rejects the renewal with ErrWrongEpoch, which is how a deposed
-// primary learns it was superseded. Watermark piggybacks the primary's
-// durability watermark (every record below it is quorum-acked and
-// fsynced), so a backup's follower-read frontier keeps advancing even
-// through write-idle periods when no mirror batches flow.
+// primary learns it was superseded.
 type LeaseReq struct {
-	Epoch     uint64
-	Watermark uint64
+	Epoch uint64
 }
 
 func (m *LeaseReq) wire(c *wire.Codec) {
 	c.Uvarint(&m.Epoch)
-	c.Uvarint(&m.Watermark)
 }
 
 func (m *LeaseReq) Encode() []byte { return wire.Encode(m, (*LeaseReq).wire) }
@@ -177,13 +172,9 @@ func DecodeLeaseReq(p []byte) (*LeaseReq, error) { return decode(p, (*LeaseReq).
 // the record's position in the primary's replication stream — and the
 // backup applies them one by one under a single stream-lock
 // acquisition, so a gap means the backup missed records and must resync
-// before mirroring can resume. Watermark piggybacks the primary's durability
-// watermark as of the batch's departure (every record below it is
-// quorum-acked and fsynced): the backup advances its follower-read
-// frontier with it, at zero extra round trips.
+// before mirroring can resume.
 type MirrorBatchReq struct {
-	Recs      []SyncRec
-	Watermark uint64
+	Recs []SyncRec
 }
 
 func (m *MirrorBatchReq) wire(c *wire.Codec) {
@@ -191,7 +182,6 @@ func (m *MirrorBatchReq) wire(c *wire.Codec) {
 	for i := range m.Recs {
 		m.Recs[i].wire(c)
 	}
-	c.Uvarint(&m.Watermark)
 }
 
 func (m *MirrorBatchReq) Encode() []byte { return wire.Encode(m, (*MirrorBatchReq).wire) }
@@ -389,10 +379,10 @@ func (res *ReadBatchResult) wire(c *wire.Codec) {
 // snapshot in a single RPC. Epoch is the replication-group epoch the
 // client believes current (0 = not yet learned): the server rejects a
 // stale one with ErrWrongEpoch so the client adopts the new membership
-// before retrying. Admission — epoch, follower-read frontier, slot
-// ownership — is decided ONCE per request: either every item may be
-// served or the request is rejected, so a batch never mixes replicas or
-// admission decisions mid-flight.
+// before retrying. Admission — epoch, lease, slot ownership — is
+// decided ONCE per request: either every item may be served or the
+// request is rejected, so a batch never mixes admission decisions
+// mid-flight.
 type ReadPartReq struct {
 	Snap  Timestamp
 	Epoch uint64
@@ -430,19 +420,13 @@ func DecodeReadBatchReq(p []byte) (*ReadBatchReq, error) { return decode(p, (*Re
 
 // ReadPartResp answers a ReadPartReq: the item's result, flattened,
 // then Clock — the server's HLC reading, merged into the client clock
-// (every message carries a timestamp; see internal/clock) — and
-// Frontier, the serving replica's own durability frontier, the same
-// value Ack.Frontier piggybacks. A follower-reading client snapshots
-// its next transactions at the highest frontier a backup has REPORTED
-// rather than the primary-fresh one, so steady-state reads never arrive
-// ahead of the backup's watermark copy.
+// (every message carries a timestamp; see internal/clock).
 type ReadPartResp struct {
-	Found    bool
-	Version  Timestamp
-	Value    *Value
-	Total    uint32
-	Clock    Timestamp
-	Frontier Timestamp
+	Found   bool
+	Version Timestamp
+	Value   *Value
+	Total   uint32
+	Clock   Timestamp
 }
 
 func (m *ReadPartResp) wire(c *wire.Codec) {
@@ -452,7 +436,6 @@ func (m *ReadPartResp) wire(c *wire.Codec) {
 		m.Found, m.Version, m.Value, m.Total = res.Found, res.Version, res.Value, res.Total
 	}
 	wire.U64(c, &m.Clock)
-	wire.U64(c, &m.Frontier)
 }
 
 func (m *ReadPartResp) Encode() []byte { return wire.Encode(m, (*ReadPartResp).wire) }
@@ -465,11 +448,10 @@ func (m *ReadPartResp) AppendTo(b *wire.Buffer) {
 func DecodeReadPartResp(p []byte) (*ReadPartResp, error) { return decodeReply(p, (*ReadPartResp).wire) }
 
 // ReadBatchResp answers a ReadBatchReq: one result per item,
-// positionally, then the Clock and Frontier a ReadPartResp carries.
+// positionally, then the Clock a ReadPartResp carries.
 type ReadBatchResp struct {
-	Results  []ReadBatchResult
-	Clock    Timestamp
-	Frontier Timestamp
+	Results []ReadBatchResult
+	Clock   Timestamp
 }
 
 func (m *ReadBatchResp) wire(c *wire.Codec) {
@@ -478,7 +460,6 @@ func (m *ReadBatchResp) wire(c *wire.Codec) {
 		m.Results[i].wire(c)
 	}
 	wire.U64(c, &m.Clock)
-	wire.U64(c, &m.Frontier)
 }
 
 func (m *ReadBatchResp) AppendTo(b *wire.Buffer) {
@@ -619,22 +600,17 @@ func DecodeFastCommitReq(p []byte) (*FastCommitReq, error) {
 	return decode(p, (*FastCommitReq).wire)
 }
 
-// FastCommitResp reports the outcome of a fast commit. Frontier
-// piggybacks the primary's durability frontier like Ack.Frontier does:
-// a client that only ever writes through fast commits still keeps its
-// follower-read bound fresh at per-commit granularity.
+// FastCommitResp reports the outcome of a fast commit.
 type FastCommitResp struct {
 	OK       bool
 	CommitTS Timestamp
 	Clock    Timestamp
-	Frontier Timestamp
 }
 
 func (m *FastCommitResp) wire(c *wire.Codec) {
 	c.Bool(&m.OK)
 	wire.U64(c, &m.CommitTS)
 	wire.U64(c, &m.Clock)
-	wire.U64(c, &m.Frontier)
 }
 
 func (m *FastCommitResp) AppendTo(b *wire.Buffer) {
@@ -651,17 +627,13 @@ func DecodeFastCommitResp(p []byte) (*FastCommitResp, error) {
 // membership (acting primary first), so
 // a fresh client learns the live configuration from its opening pings
 // and every later ack keeps it current without extra round trips.
-// Frontier piggybacks the responder's durability frontier — the highest
-// commit timestamp at which a snapshot read is quorum-durable — so
-// clients learn where follower reads are safe from ordinary traffic
-// (including the idle-client heartbeat ping). DirVersion piggybacks the
+// DirVersion piggybacks the
 // responder's slot-directory version: a client holding an older
 // version fetches the full map with MethodDirectory.
 type Ack struct {
 	Clock      Timestamp
 	Epoch      uint64
 	Members    []string
-	Frontier   Timestamp
 	DirVersion uint64
 }
 
@@ -669,7 +641,6 @@ func (m *Ack) wire(c *wire.Codec) {
 	wire.U64(c, &m.Clock)
 	c.Uvarint(&m.Epoch)
 	wireMembers(c, &m.Members)
-	wire.U64(c, &m.Frontier)
 	c.Uvarint(&m.DirVersion)
 }
 

@@ -210,43 +210,6 @@ func TestSyncRespDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestPiggybackFieldsRoundTrip covers the watermark/frontier fields
-// that ride existing messages: the primary's durability watermark on
-// lease renewals and mirror batches, the durability frontier on acks,
-// fast-commit and read responses.
-func TestPiggybackFieldsRoundTrip(t *testing.T) {
-	lease := &LeaseReq{Epoch: 7, Watermark: 1 << 40}
-	if got, err := DecodeLeaseReq(lease.Encode()); err != nil || *got != *lease {
-		t.Fatalf("lease: got %+v (%v), want %+v", got, err, lease)
-	}
-
-	batch := &MirrorBatchReq{
-		Recs:      []SyncRec{{Seq: 5, Rec: ReplRecord{Kind: RecCommit, TxID: 1, TS: 10}}},
-		Watermark: 6,
-	}
-	if got, err := DecodeMirrorBatchReq(batch.Encode()); err != nil || got.Watermark != batch.Watermark {
-		t.Fatalf("mirror batch watermark: got %+v (%v), want %d", got, err, batch.Watermark)
-	}
-
-	ack := &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, Frontier: 88}
-	gotAck, err := DecodeAck(reply(ack))
-	if err != nil || gotAck.Frontier != ack.Frontier || gotAck.Epoch != ack.Epoch {
-		t.Fatalf("ack: got %+v (%v), want %+v", gotAck, err, ack)
-	}
-
-	fc := &FastCommitResp{OK: true, CommitTS: 50, Clock: 51, Frontier: 49}
-	if got, err := DecodeFastCommitResp(reply(fc)); err != nil || *got != *fc {
-		t.Fatalf("fast commit: got %+v (%v), want %+v", got, err, fc)
-	}
-
-	rp := &ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Total: 3, Clock: 11, Frontier: 9}
-	gotRP, err := DecodeReadPartResp(rp.Encode())
-	if err != nil || gotRP.Frontier != rp.Frontier || gotRP.Total != rp.Total || gotRP.Clock != rp.Clock ||
-		gotRP.Found != rp.Found || gotRP.Version != rp.Version || !gotRP.Value.Equal(rp.Value) {
-		t.Fatalf("read part resp: got %+v (%v), want %+v", gotRP, err, rp)
-	}
-}
-
 // TestReadPartReqRoundTrip covers the one-item request: a whole-object
 // read, a window, and the rule that an item without Part loses whatever
 // window it carried on the way in (ReadBatchItem.Windowed).
@@ -332,14 +295,13 @@ func TestReadBatchMessagesRoundTrip(t *testing.T) {
 			{}, // absent object: Found=false, nil value
 			{Found: true, Version: 11, Value: sv, Total: 31},
 		},
-		Clock:    55,
-		Frontier: 44,
+		Clock: 55,
 	}
 	gotR, err := DecodeReadBatchResp(reply(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotR.Clock != resp.Clock || gotR.Frontier != resp.Frontier || len(gotR.Results) != len(resp.Results) {
+	if gotR.Clock != resp.Clock || len(gotR.Results) != len(resp.Results) {
 		t.Fatalf("resp header: %+v != %+v", gotR, resp)
 	}
 	for i := range resp.Results {
