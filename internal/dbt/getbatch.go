@@ -17,26 +17,39 @@ import (
 // round (PlanPoint, kvclient.Tx.Prefetch), turning the N serial leaf
 // round trips of N Gets into a handful of parallel RPCs, and then every
 // key is an ordinary Get, whose leaf read the round has already
-// answered.
+// answered. A stale route costs the batch what it costs one Get: the
+// first key whose descent backs down plans the leaf reads of every key
+// from it on again, through the path it has just read afresh, into the
+// round that reads its own leaf (descend's replan).
 func (t *Tree) GetBatch(ctx context.Context, tx *kvclient.Tx, keys [][]byte) ([][]byte, error) {
-	if len(keys) > 1 { // one key is one Get: there is nothing to gather into a round
-		plan := make([]kv.ReadBatchItem, 0, len(keys))
-		for _, key := range keys {
-			plan = t.PlanPoint(plan, key)
-		}
-		if err := tx.Prefetch(ctx, plan); err != nil {
-			return nil, err
-		}
+	if err := t.prefetchPoints(ctx, tx, keys); err != nil {
+		return nil, err
 	}
 	out := make([][]byte, len(keys))
+	var rest [][]byte
+	replan := func() error { return t.prefetchPoints(ctx, tx, rest) }
 	for i, key := range keys {
-		v, err := t.Get(ctx, tx, key)
+		rest = keys[i:]
+		v, err := t.get(ctx, tx, key, replan)
 		if err != nil && !errors.Is(err, ErrKeyNotFound) {
 			return nil, err
 		}
 		out[i] = v
 	}
 	return out, nil
+}
+
+// prefetchPoints reads in one round the leaves that Gets of keys will
+// read. One key is one Get: there is nothing to gather into a round.
+func (t *Tree) prefetchPoints(ctx context.Context, tx *kvclient.Tx, keys [][]byte) error {
+	if len(keys) < 2 {
+		return nil
+	}
+	plan := make([]kv.ReadBatchItem, 0, len(keys))
+	for _, key := range keys {
+		plan = t.PlanPoint(plan, key)
+	}
+	return tx.Prefetch(ctx, plan)
 }
 
 // Read plans. A caller that knows beforehand which keys it will touch —

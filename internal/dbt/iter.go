@@ -159,7 +159,7 @@ func (it *Iterator) fetch(key []byte) (*kv.Value, uint32, error) {
 			it.run = nil
 		}
 	}
-	li, err := it.t.descend(it.ctx, it.tx, key, win)
+	li, err := it.t.descend(it.ctx, it.tx, key, win, nil)
 	return li.node, win.max, err
 }
 

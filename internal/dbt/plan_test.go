@@ -136,6 +136,57 @@ func TestStalePlanCostsReadsNeverRows(t *testing.T) {
 	}
 }
 
+// TestStaleBatchCostsOneStaleGet: a GetBatch whose keys all route
+// through a stale cache to a leaf that has since split costs what one
+// Get of the first of them does: its planned round finds the route
+// stale, the first key's descent backs down and reads the path afresh,
+// and the round that reads that key's leaf reads every other key's too —
+// not one round each, as their planned reads of the old leaf would leave
+// them.
+func TestStaleBatchCostsOneStaleGet(t *testing.T) {
+	_, c, loader := planTree(t)
+	ctx := context.Background()
+	one, batch := openReader(t, c), openReader(t, c)
+	for _, tree := range []*dbt.Tree{one, batch} {
+		tx := c.Begin()
+		scanAllAt(t, tree, tx)
+		tx.Abort()
+	}
+	for i := 0; i < 8; i++ {
+		putAuto(t, c, loader, fmt.Sprintf("k000047%c", 'a'+i), "filler")
+	}
+	cost := func(tree *dbt.Tree, keys ...string) (rounds, backDowns uint64) {
+		t.Helper()
+		rounds, backDowns = c.ReadRounds(), tree.Stats().BackDowns
+		tx := c.Begin()
+		defer tx.Abort()
+		var bs [][]byte
+		for _, k := range keys {
+			bs = append(bs, []byte(k))
+		}
+		got, err := tree.GetBatch(ctx, tx, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if string(v) != "filler" {
+				t.Errorf("GetBatch %q: %q", keys[i], v)
+			}
+		}
+		return c.ReadRounds() - rounds, tree.Stats().BackDowns - backDowns
+	}
+	oneRounds, oneBack := cost(one, "k000047d")
+	batchRounds, batchBack := cost(batch, "k000047d", "k000047e", "k000047f", "k000047g")
+	if oneBack != 1 || batchBack != 1 {
+		t.Fatalf("back-downs: %d for one key, %d for four, want 1 each (the route was not stale?)", oneBack, batchBack)
+	}
+	// The batch's planned round is the lone Get's stale read, and the
+	// descent's leaf round reads every key's leaf.
+	if batchRounds != oneRounds {
+		t.Errorf("four keys through a stale route: %d read rounds, one key %d", batchRounds, oneRounds)
+	}
+}
+
 // TestPlanOnColdCache: a handle that has cached nothing can route no
 // key, plans nothing, and pays what it paid before there were plans: a
 // planned insert costs a cold handle the reads an unplanned one does,

@@ -138,7 +138,7 @@ func (t *Tree) Probe(ctx context.Context, tx *kvclient.Tx, lo, hi []byte) ([]byt
 		if !point {
 			win, _ = scanWindow(tx, key, hi, 1)
 		}
-		li, err := t.descend(ctx, tx, key, win)
+		li, err := t.descend(ctx, tx, key, win, nil)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -234,14 +234,21 @@ type leafInfo struct {
 // search. The final cache-free attempt is guaranteed to terminate
 // because transactional reads see a consistent snapshot of the tree.
 // Leaf reads fetch only the requested window unless the configuration
-// disables partial reads; every other node is read whole.
-func (t *Tree) descend(ctx context.Context, tx *kvclient.Tx, key []byte, win window) (leafInfo, error) {
+// disables partial reads; every other node is read whole. replan, if
+// set, runs on a retry that uses the cache, just before its leaf read:
+// a caller with more keys to read plans their leaves, and this one's,
+// through the path the retry has refreshed, so one round reads them all.
+func (t *Tree) descend(ctx context.Context, tx *kvclient.Tx, key []byte, win window, replan func() error) (leafInfo, error) {
 	t.stats.Descents.Add(1)
 	maxAttempts := t.cfg.MaxDescentRetries
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		// The last two attempts bypass the cache entirely.
 		useCache := !t.cfg.NoCache && attempt < maxAttempts-2
-		li, err := t.descendOnce(ctx, tx, key, win, useCache)
+		beforeLeaf := replan
+		if attempt == 0 || !useCache {
+			beforeLeaf = nil
+		}
+		li, err := t.descendOnce(ctx, tx, key, win, useCache, beforeLeaf)
 		if err == nil {
 			return li, nil
 		}
@@ -253,7 +260,7 @@ func (t *Tree) descend(ctx context.Context, tx *kvclient.Tx, key []byte, win win
 	return leafInfo{}, fmt.Errorf("dbt: descent for key %q did not converge", key)
 }
 
-func (t *Tree) descendOnce(ctx context.Context, tx *kvclient.Tx, key []byte, win window, useCache bool) (leafInfo, error) {
+func (t *Tree) descendOnce(ctx context.Context, tx *kvclient.Tx, key []byte, win window, useCache bool, beforeLeaf func() error) (leafInfo, error) {
 	cur := t.root
 	var path []kv.OID
 	expectLeaf := false // unknown height at the root: read it whole
@@ -268,6 +275,11 @@ func (t *Tree) descendOnce(ctx context.Context, tx *kvclient.Tx, key []byte, win
 		nodeWin := window{}
 		if expectLeaf && !t.cfg.NoPartial {
 			nodeWin = win
+		}
+		if expectLeaf && beforeLeaf != nil {
+			if err := beforeLeaf(); err != nil {
+				return leafInfo{}, err
+			}
 		}
 		if useCache {
 			if v, ok := t.cache.get(cur); ok {
@@ -340,7 +352,12 @@ func (t *Tree) descendOnce(ctx context.Context, tx *kvclient.Tx, key []byte, win
 // Get returns the value stored under key, as seen by tx's snapshot
 // (including tx's own buffered writes).
 func (t *Tree) Get(ctx context.Context, tx *kvclient.Tx, key []byte) ([]byte, error) {
-	li, err := t.descend(ctx, tx, key, pointWindow(key))
+	return t.get(ctx, tx, key, nil)
+}
+
+// get is Get, with descend's replan.
+func (t *Tree) get(ctx context.Context, tx *kvclient.Tx, key []byte, replan func() error) ([]byte, error) {
+	li, err := t.descend(ctx, tx, key, pointWindow(key), replan)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +376,7 @@ func (t *Tree) Put(ctx context.Context, tx *kvclient.Tx, key, value []byte) erro
 	if t.cfg.NoDelta {
 		win = window{} // rewriting the node needs all of it
 	}
-	li, err := t.descend(ctx, tx, key, win)
+	li, err := t.descend(ctx, tx, key, win, nil)
 	if err != nil {
 		return err
 	}
@@ -396,7 +413,7 @@ func (t *Tree) Delete(ctx context.Context, tx *kvclient.Tx, key []byte) error {
 	if t.cfg.NoDelta {
 		win = window{}
 	}
-	li, err := t.descend(ctx, tx, key, win)
+	li, err := t.descend(ctx, tx, key, win, nil)
 	if err != nil {
 		return err
 	}

@@ -14,38 +14,40 @@ import (
 //
 // Rows are stored as compact (non-ordered) tuples in table-tree leaf
 // cells. Keys — primary keys and secondary-index entries — use an
-// order-preserving encoding so that bytes.Compare on encoded keys
-// equals SQL ordering, which is what lets the DBT serve ORDER BY and
-// range predicates with a plain scan.
+// order-preserving encoding: for any two values a column can hold, the
+// sign of bytes.Compare on their keys is the sign of Compare on the
+// values (FuzzKeyOrder checks it). That is what lets the DBT serve ORDER
+// BY and range predicates with a plain scan.
 
 // Order-preserving key encoding, per value:
 //
-//	0x00                         NULL
-//	0x10 <8B sortable int>       INTEGER
-//	0x11 <8B sortable float>     REAL  (same class as INTEGER: see below)
-//	0x20 <escaped bytes> 0x00 0x01   TEXT
-//	0x30 <escaped bytes> 0x00 0x01   BLOB
+//	0x00                                              NULL
+//	0x10 <8B sortable float> [0xFF <8B sortable int>] INTEGER and REAL
+//	0x20 <escaped bytes> 0x00 0x01                    TEXT
+//	0x30 <escaped bytes> 0x00 0x01                    BLOB
 //
-// INTEGER and REAL keys do not interleave: every REAL key sorts above
-// every INTEGER key. A REAL column holds only REALs, but an INTEGER
-// column also holds the REALs Coerce keeps (2.5, infinities). So an
-// INTEGER PRIMARY KEY must hold integers (checkRow), and an index range
-// on an INTEGER column that is bounded above also reads the index's REAL
-// keys (scanTable). -0 and +0 are equal values and encode as one key.
+// Numbers are one key class, ordered by value as Compare orders them. A
+// number's key holds the largest float64 at or below its value, so 3 and
+// 3.0 share one key, and so do -0 and +0. An INTEGER that no float64
+// holds exactly (beyond ±2^53) goes on with 0xFF and its own sortable
+// bits: it sorts above the REAL its float part is, and among the
+// INTEGERs that share that part by value. The marker is above every tag,
+// so a number's key followed by another value's (an index entry's row
+// key) sorts below every INTEGER key that extends it, and
+// [k, KeySuccessor(k)) holds exactly the keys of values equal to k's.
 // NaN is no value at all: Float makes it NULL, as SQLite does.
 
 const (
-	keyTagNull  = 0x00
-	keyTagInt   = 0x10
-	keyTagFloat = 0x11
-	keyTagText  = 0x20
-	keyTagBlob  = 0x30
+	keyTagNull = 0x00
+	keyTagNum  = 0x10
+	keyTagText = 0x20
+	keyTagBlob = 0x30
+
+	keyIntTail = 0xff // before the sortable bits of an INTEGER no float64 holds
 )
 
 // sortableInt maps int64 to uint64 preserving order.
 func sortableInt(i int64) uint64 { return uint64(i) ^ (1 << 63) }
-
-func unsortableInt(u uint64) int64 { return int64(u ^ (1 << 63)) }
 
 // sortableFloat maps float64 bits to uint64 preserving order.
 func sortableFloat(f float64) uint64 {
@@ -54,13 +56,6 @@ func sortableFloat(f float64) uint64 {
 		return ^u // negative: flip everything
 	}
 	return u | (1 << 63) // positive: flip sign
-}
-
-func unsortableFloat(u uint64) float64 {
-	if u&(1<<63) != 0 {
-		return math.Float64frombits(u &^ (1 << 63))
-	}
-	return math.Float64frombits(^u)
 }
 
 // appendEscaped writes b with 0x00 escaped as 0x00 0xFF, then the
@@ -84,14 +79,24 @@ func EncodeKeyValue(dst []byte, v Value) []byte {
 	case TypeNull:
 		return append(dst, keyTagNull)
 	case TypeInt:
-		dst = append(dst, keyTagInt)
-		return binary.BigEndian.AppendUint64(dst, sortableInt(v.I))
+		f := float64(v.I)
+		c := compareIntFloat(v.I, f)
+		if c < 0 {
+			f = math.Nextafter(f, math.Inf(-1)) // float64(v.I) rounded up
+		}
+		dst = append(dst, keyTagNum)
+		dst = binary.BigEndian.AppendUint64(dst, sortableFloat(f))
+		if c != 0 {
+			dst = append(dst, keyIntTail)
+			dst = binary.BigEndian.AppendUint64(dst, sortableInt(v.I))
+		}
+		return dst
 	case TypeFloat:
 		f := v.F
 		if f == 0 {
 			f = 0 // -0 is +0's key
 		}
-		dst = append(dst, keyTagFloat)
+		dst = append(dst, keyTagNum)
 		return binary.BigEndian.AppendUint64(dst, sortableFloat(f))
 	case TypeText:
 		dst = append(dst, keyTagText)
@@ -112,74 +117,12 @@ func EncodeKey(vals ...Value) []byte {
 	return out
 }
 
-// DecodeKeyValue decodes one value from a key encoding, returning the
-// rest of the buffer.
-func DecodeKeyValue(b []byte) (Value, []byte, error) {
-	if len(b) == 0 {
-		return Value{}, nil, fmt.Errorf("sql: empty key")
-	}
-	tag := b[0]
-	b = b[1:]
-	switch tag {
-	case keyTagNull:
-		return Null, b, nil
-	case keyTagInt:
-		if len(b) < 8 {
-			return Value{}, nil, fmt.Errorf("sql: short int key")
-		}
-		return Int(unsortableInt(binary.BigEndian.Uint64(b))), b[8:], nil
-	case keyTagFloat:
-		if len(b) < 8 {
-			return Value{}, nil, fmt.Errorf("sql: short float key")
-		}
-		return Float(unsortableFloat(binary.BigEndian.Uint64(b))), b[8:], nil
-	case keyTagText, keyTagBlob:
-		var out []byte
-		for i := 0; i < len(b); i++ {
-			if b[i] != 0x00 {
-				out = append(out, b[i])
-				continue
-			}
-			if i+1 >= len(b) {
-				return Value{}, nil, fmt.Errorf("sql: unterminated string key")
-			}
-			switch b[i+1] {
-			case 0xff:
-				out = append(out, 0x00)
-				i++
-			case 0x01:
-				rest := b[i+2:]
-				if tag == keyTagText {
-					return Text(string(out)), rest, nil
-				}
-				return Blob(out), rest, nil
-			default:
-				return Value{}, nil, fmt.Errorf("sql: bad string key escape")
-			}
-		}
-		return Value{}, nil, fmt.Errorf("sql: unterminated string key")
-	default:
-		return Value{}, nil, fmt.Errorf("sql: bad key tag %#x", tag)
-	}
-}
-
-// DecodeKey decodes all values of a key.
-func DecodeKey(b []byte) ([]Value, error) {
-	var out []Value
-	for len(b) > 0 {
-		v, rest, err := DecodeKeyValue(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-		b = rest
-	}
-	return out, nil
-}
-
-// KeySuccessor returns the smallest key strictly greater than every key
-// with prefix k — used to turn an equality predicate into a range scan
-// bound: [k, KeySuccessor(k)).
+// KeySuccessor returns the end of the keys equal to k, the key of one
+// value or of several: [k, KeySuccessor(k)) holds k and every key that is
+// k followed by the keys of more values (an index value's entries, each
+// ending in its row key), which is what an equality on k's values reads.
+// Not every extension of k is in it: an INTEGER's key that goes on past
+// its float part (keyIntTail) is a greater value's.
 func KeySuccessor(k []byte) []byte {
 	out := make([]byte, len(k)+1)
 	copy(out, k)

@@ -263,7 +263,7 @@ func TestScannedRowsKeepTheirBytes(t *testing.T) {
 // TestNaNIsNull: a NaN made by arithmetic, by parsing text into a REAL
 // column, or by sql.Float is stored as NULL, as in SQLite. NaN would
 // compare equal to every number while its key sorts at one end of the
-// REALs, so an index lookup and a full scan would disagree about it; as
+// numbers, so an index lookup and a full scan would disagree about it; as
 // NULL they agree.
 func TestNaNIsNull(t *testing.T) {
 	db := newDB(t, 1)
@@ -304,6 +304,27 @@ func TestLargeIntegersAgainstReals(t *testing.T) {
 	if _, err := db.Exec(ctx, "INSERT INTO t VALUES (9223372036854775808.0, 0)"); err == nil || !strings.Contains(err.Error(), "datatype mismatch") {
 		t.Errorf("2^63 as an INTEGER PRIMARY KEY: err %v, want a datatype mismatch", err)
 	}
+
+	// 2^53 + 1 lies between two REAL keys, and bounds a key range as itself,
+	// not as the REAL it rounds to.
+	mustExec(t, db, "CREATE TABLE r (x REAL PRIMARY KEY, v TEXT)")
+	mustExec(t, db, "INSERT INTO r VALUES (9007199254740992, 'a'), (9007199254740994, 'b')")
+	for _, c := range []struct{ q, want string }{
+		{"SELECT v FROM r WHERE x >= 9007199254740993", "b\n"},
+		{"SELECT v FROM r WHERE x < 9007199254740993", "a\n"},
+		{"SELECT v FROM r WHERE x = 9007199254740993", ""},
+		{"SELECT v FROM r WHERE x = 9007199254740992", "a\n"},
+	} {
+		if got := rowsToString(mustQuery(t, db, c.q)); got != c.want {
+			t.Errorf("%s: %q, want %q", c.q, got, c.want)
+		}
+	}
+	if res, err := db.Exec(ctx, "UPDATE r SET v = 'c' WHERE x = 9007199254740993"); err != nil || res.RowsAffected != 0 {
+		t.Errorf("UPDATE of the REAL key 2^53 + 1 names: %+v, %v; want no row", res, err)
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT v FROM r")); got != "a\nb\n" {
+		t.Errorf("after the UPDATE: %q", got)
+	}
 }
 
 func TestNegativeAndFloatKeys(t *testing.T) {
@@ -330,11 +351,10 @@ func TestNegativeAndFloatKeys(t *testing.T) {
 }
 
 // TestKeyRangesOverMixedNumbers: a key range finds every row its
-// predicates admit where keys and values order apart. An INTEGER column
-// holds the REALs Coerce keeps (2.5), whose keys sort above every
-// integer's: an INTEGER primary key refuses them, as in SQLite, and an
-// index range bounded above goes on to read the index's REAL keys. -0
-// equals 0 and shares its key.
+// predicates admit where an INTEGER column holds the REALs Coerce keeps
+// (2.5), whose keys sort among the integers' by value: an INTEGER
+// primary key refuses them, as in SQLite, and an index range reads them
+// in value order. -0 equals 0 and shares its key.
 func TestKeyRangesOverMixedNumbers(t *testing.T) {
 	ctx := context.Background()
 	db := newDB(t, 1)
@@ -361,7 +381,7 @@ func TestKeyRangesOverMixedNumbers(t *testing.T) {
 		{"SELECT id FROM i WHERE id > 1 AND id < 3 ORDER BY id", "1.5\n2\n2.5\n"},
 		{"SELECT id FROM i WHERE id BETWEEN 2 AND 3 ORDER BY id", "2\n2.5\n3\n"},
 		{"SELECT id FROM i WHERE id >= 2 ORDER BY id", "2\n2.5\n3\n7.5\n"},
-		{"SELECT id FROM i WHERE id <= 3 LIMIT 5", "1\n2\n3\n1.5\n2.5\n"}, // index order: the REAL keys last
+		{"SELECT id FROM i WHERE id <= 3 LIMIT 5", "1\n1.5\n2\n2.5\n3\n"}, // index order is value order
 		{"SELECT id FROM i WHERE id = 2.5", "2.5\n"},
 	} {
 		if got := rowsToString(mustQuery(t, db, c.q)); got != c.want {
@@ -383,6 +403,23 @@ func TestKeyRangesOverMixedNumbers(t *testing.T) {
 	}
 	if _, err := db.Exec(ctx, "INSERT INTO r VALUES (0.0)"); err == nil || !strings.Contains(err.Error(), "UNIQUE constraint failed") {
 		t.Errorf("0 beside -0 in a REAL primary key: err %v", err)
+	}
+}
+
+// TestEqualNumbersFormOneGroup: an INTEGER and a REAL of one value are
+// one value to DISTINCT, COUNT(DISTINCT) and GROUP BY, as in SQLite.
+func TestEqualNumbersFormOneGroup(t *testing.T) {
+	db := newDB(t, 1)
+	mustExec(t, db, "CREATE TABLE m (k INTEGER PRIMARY KEY, a INTEGER, c INTEGER)")
+	mustExec(t, db, "INSERT INTO m VALUES (1, 2, 1), (2, 2.5, 0.5)") // a + c is 3, then 3.0
+	for _, c := range []struct{ q, want string }{
+		{"SELECT DISTINCT a + c FROM m", "3\n"},
+		{"SELECT COUNT(DISTINCT a + c) FROM m", "1\n"},
+		{"SELECT COUNT(*) FROM m GROUP BY a + c", "2\n"},
+	} {
+		if got := rowsToString(mustQuery(t, db, c.q)); got != c.want {
+			t.Errorf("%s: %q, want %q", c.q, got, c.want)
+		}
 	}
 }
 

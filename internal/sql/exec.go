@@ -628,10 +628,9 @@ func (db *DB) execInsert(ctx context.Context, tx *kvclient.Tx, st Insert, args [
 
 // checkRow enforces, on a row about to be stored, the NOT NULL columns
 // (the primary key among them) and, as SQLite does, that an INTEGER
-// primary key holds an integer. Coerce keeps a REAL such as 2.5 in an
-// INTEGER column, and its key would sort above every integer's, out of
-// the order the planner reads primary keys in (keyRange.implied,
-// scanOrdered).
+// primary key holds an integer: Coerce keeps a REAL such as 2.5 in an
+// INTEGER column, and SQLite's INTEGER PRIMARY KEY is the rowid, which
+// holds nothing else.
 func checkRow(s *TableSchema, vals []Value) error {
 	for i, c := range s.Cols {
 		if (c.NotNull || i == s.PKCol) && vals[i].IsNull() {
@@ -679,8 +678,10 @@ func unreadRow(p *stmtPlan) (w rowWrite, ok bool, err error) {
 		return w, false, err
 	}
 	old := make([]Value, len(s.Cols))
-	// An implied range's equality keeps the key's type: the coerced value
-	// equals it, and is the value the stored row holds (3.0 names row 3).
+	// An implied range's equality is of the key's class, and the row it
+	// names holds the value Coerce makes of it (3.0 names row 3). Where
+	// that rounds, an INTEGER beyond 2^53 on a REAL key, the key is no
+	// REAL's: the commit finds no row under it.
 	old[s.PKCol], err = Coerce(key, ct)
 	return rowWrite{oldKey: r.lo, old: old, unread: true}, true, err
 }

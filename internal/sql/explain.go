@@ -16,15 +16,33 @@ import (
 // asks the storage layer for — a point read (one cell of one leaf), or a
 // scan that is bounded (it has an upper key, so no leaf read goes past
 // it) or open-ended, with the row limit handed down to size its leaf
-// reads, if any, and the REAL keys an INTEGER index scan also reads
-// (readsRealKeys) — and what each row it yields is checked against
-// (rowFilter).
+// reads, if any — and what each row it yields is checked against. Both
+// follow scanTable's rule: a path whose bounds key no range
+// (evalKeyRange's ok) scans the whole table, and no row is checked where
+// the key range implies the table's conjuncts (keyRange.implied), every
+// one of them otherwise. A bound EXPLAIN cannot evaluate — a parameter it
+// was not given, a column of an outer table — counts as keying a range
+// that implies nothing.
 func (t *tablePlan) describe(e *env) string {
 	p, s := t.path, t.schema
+	filter := fmt.Sprintf("(row filter: %d conjuncts)", len(t.conj))
+	if len(t.conj) == 1 {
+		filter = "(row filter: 1 conjunct)"
+	}
+	if col := p.keyCol(s); col >= 0 {
+		r, ok, err := evalKeyRange(e, p, s.Cols[col].Type)
+		switch {
+		case err != nil: // the path as planned, implying nothing
+		case !ok:
+			p = accessPath{kind: pathFull}
+		case r.implied:
+			filter = "(row filter: none — implied by key range)"
+		}
+	}
 	var what string
 	switch p.kind {
 	case pathPKEq:
-		return fmt.Sprintf("PRIMARY KEY lookup on %s (%s = ...) (point read) %s", s.Name, s.Cols[s.PKCol].Name, t.rowFilter(e))
+		return fmt.Sprintf("PRIMARY KEY lookup on %s (%s = ...) (point read) %s", s.Name, s.Cols[s.PKCol].Name, filter)
 	case pathPKRange:
 		what = fmt.Sprintf("PRIMARY KEY range scan on %s (%s)", s.Name, describeBounds(s.Cols[s.PKCol].Name, p))
 	case pathIdxEq:
@@ -47,30 +65,10 @@ func (t *tablePlan) describe(e *env) string {
 	if n := p.scanLimit(t.table, t.limit); n > 0 {
 		fetch = append(fetch, fmt.Sprintf("limit %d", n))
 	}
-	if p.readsRealKeys(s) {
-		fetch = append(fetch, "then every REAL key")
-	}
 	if len(fetch) > 0 {
 		what += " (" + strings.Join(fetch, ", ") + ")"
 	}
-	return what + " " + t.rowFilter(e)
-}
-
-// rowFilter says what each row the table's path yields is checked
-// against, by the rule scanTable follows: nothing where the key range
-// implies the table's conjuncts (keyRange.implied), else every one of
-// them. A bound EXPLAIN cannot evaluate — a parameter it was not given, a
-// column of an outer table — counts as not implying them.
-func (t *tablePlan) rowFilter(e *env) string {
-	if col := t.path.keyCol(t.schema); col >= 0 {
-		if r, ok, err := evalKeyRange(e, t.path, t.schema.Cols[col].Type); err == nil && ok && r.implied {
-			return "(row filter: none — implied by key range)"
-		}
-	}
-	if len(t.conj) == 1 {
-		return "(row filter: 1 conjunct)"
-	}
-	return fmt.Sprintf("(row filter: %d conjuncts)", len(t.conj))
+	return what + " " + filter
 }
 
 func describeBounds(col string, p accessPath) string {

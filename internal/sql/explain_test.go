@@ -45,9 +45,12 @@ func TestExplainAccessPaths(t *testing.T) {
 			[]string{"INDEX lookup on users via idx_name (name = ...) (bounded, limit 1)"}},
 		{"EXPLAIN SELECT * FROM users WHERE city >= 'a'",
 			[]string{"INDEX range scan on users via idx_city (city >= ...) (open-ended)"}},
-		// An INTEGER column's REAL values key above every integer's.
 		{"EXPLAIN SELECT * FROM orders WHERE user_id < 30 LIMIT 2",
-			[]string{"INDEX range scan on orders via idx_user (user_id < ...) (bounded, limit 2, then every REAL key) (row filter: 1 conjunct)"}},
+			[]string{"INDEX range scan on orders via idx_user (user_id < ...) (bounded, limit 2) (row filter: 1 conjunct)"}},
+		// A range bound of another class than the key's keys no range: the
+		// executor scans the whole table.
+		{"EXPLAIN SELECT * FROM users WHERE id > '5' LIMIT 2",
+			[]string{"FULL SCAN of users (row filter: 1 conjunct)"}},
 		{"EXPLAIN SELECT * FROM orders WHERE user_id > 30",
 			[]string{"via idx_user (user_id > ...) (open-ended) (row filter: 1 conjunct)"}},
 		{"EXPLAIN SELECT * FROM users WHERE age = 3",
@@ -87,9 +90,11 @@ func TestExplainAccessPaths(t *testing.T) {
 // TestExplainRowFilter: each table line ends with what every row the
 // path yields is checked against, by the rule the executor follows. A
 // primary-key range that stands for all its conjuncts, with bounds of
-// the key's own type, implies them; anything else keeps its conjuncts —
-// a BETWEEN one of whose bounds a comparison overrode among them — and
-// so does every index path.
+// the key's own class (a number of either type on a numeric key),
+// implies them; anything else keeps its conjuncts — a BETWEEN one of
+// whose bounds a comparison overrode among them — and so does every
+// index path. A range bound of another class keys no range at all, and
+// the line says the table is scanned whole.
 func TestExplainRowFilter(t *testing.T) {
 	db := newDB(t, 1)
 	setupUsers(t, db)
@@ -110,13 +115,14 @@ func TestExplainRowFilter(t *testing.T) {
 		{"EXPLAIN SELECT * FROM users WHERE id > 1 AND id <= 10", nil, "(bounded) " + implied},
 		{"EXPLAIN SELECT * FROM users WHERE id BETWEEN 1 AND 3.0", nil, implied},
 		{"EXPLAIN SELECT * FROM users WHERE id >= 1 LIMIT 5", nil, "(open-ended, limit 5) " + implied},
-		{"EXPLAIN SELECT * FROM users WHERE id >= 2.5", nil, one},
-		{"EXPLAIN SELECT * FROM users WHERE id > '7' AND id < 9", nil, "(row filter: 2 conjuncts)"},
+		{"EXPLAIN SELECT * FROM users WHERE id >= 2.5", nil, "(open-ended) " + implied},
+		{"EXPLAIN SELECT * FROM users WHERE id > '5'", nil, "FULL SCAN of users " + one},
+		{"EXPLAIN SELECT * FROM users WHERE id > '7' AND id < 9", nil, "FULL SCAN of users (row filter: 2 conjuncts)"},
 		{"EXPLAIN SELECT * FROM users WHERE id >= 3 AND id BETWEEN 5 AND 10", nil, "(bounded) (row filter: 2 conjuncts)"},
 		{"EXPLAIN SELECT * FROM users WHERE id BETWEEN 5 AND 10 AND id <= 7 LIMIT 2", nil, "(bounded) (row filter: 2 conjuncts)"},
 		{"EXPLAIN SELECT * FROM users WHERE id = '1'", nil, one},
 		{"EXPLAIN SELECT k FROM kv WHERE k >= ? LIMIT 50", []sql.Value{sql.Text("a")}, "(open-ended, limit 50) " + implied},
-		{"EXPLAIN SELECT k FROM kv WHERE k >= 5", nil, one},
+		{"EXPLAIN SELECT k FROM kv WHERE k >= 5", nil, "FULL SCAN of kv " + one},
 		{"EXPLAIN SELECT * FROM users WHERE city = 'paris'", nil, "(bounded) " + one},
 		{"EXPLAIN DELETE FROM users WHERE id = 2", nil, implied},
 	}

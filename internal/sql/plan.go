@@ -406,15 +406,6 @@ func (p accessPath) keyCol(schema *TableSchema) int {
 	return -1
 }
 
-// readsRealKeys reports that the path, after its key range, also reads
-// every REAL key of its index: the REALs an INTEGER column holds key
-// above every integer, past the range of an index scan bounded above,
-// and the row filter judges them. An INTEGER primary key holds none
-// (checkRow).
-func (p accessPath) readsRealKeys(schema *TableSchema) bool {
-	return p.kind == pathIdxRange && p.hi != nil && schema.Cols[p.keyCol(schema)].Type == TypeInt
-}
-
 // keyRange is a path's bounds evaluated into the keys of its key column:
 // a scan reads [lo, hi), a nil hi reading to the end.
 type keyRange struct {
@@ -423,26 +414,26 @@ type keyRange struct {
 	// path's conjuncts admit, so a row the scan yields needs no check.
 	// That takes a primary-key path (an indexed column may hold NULLs,
 	// whose keys sort below every value's and which no comparison
-	// admits), an exact one (the bounds stand for every conjunct), bounds
-	// that keep the key's type (boundsKeepType), and a key type whose
-	// values all order by their keys as Compare orders them. INTEGER
-	// primary keys (checkRow), TEXT and BLOB keys do. REAL keys would too,
-	// NaN being stored as NULL (Float), but stay out until the plan oracle
-	// covers them.
+	// admits), an exact one (the bounds stand for every conjunct), and
+	// bounds of the key's own class, whose keys order the rows as the
+	// conjuncts compare them.
 	implied bool
 }
 
 // evalKeyRange evaluates path's bounds for a key column of declared type
-// ct. A NULL bound admits no row: the range is empty. ok=false means the
-// scan cannot be keyed: a bound does not coerce to ct, or a range bound
-// does not keep the key's type (boundsKeepType), so the order of the
-// keys says nothing about the rows the comparison admits. The caller
-// falls back to a full scan and leaves the decision to the row filter.
-// An equality is keyed whatever its value's type: every row equal to the
-// value has the key the value coerces to, and the row filter rejects
-// those that are not equal ('7' on an INTEGER key reads row 7).
+// ct. A NULL bound admits no row: the range is empty. A bound of the key's
+// class — number, text or blob (typeRank) — is keyed as it is, a number
+// of either type by its value (2.5 on an INTEGER key). ok=false means the
+// scan cannot be keyed: a range bound of another class, whose keys say
+// nothing about the rows the comparison admits (Compare ranks every number
+// below every text, so no number is >= '7'), or a bound that does not
+// coerce to ct. The caller falls back to a full scan and leaves the
+// decision to the row filter. An equality of another class is keyed by
+// the value it coerces to: every row equal to the value has that key, and
+// the row filter rejects those that are not equal ('7' on an INTEGER key
+// reads row 7).
 func evalKeyRange(e *env, path accessPath, ct Type) (r keyRange, ok bool, err error) {
-	var vals, keys [2]Value // the bounds as evaluated and as coerced to ct
+	var keys [2]Value
 	exprs := [2]Expr{path.eq}
 	if path.eq == nil {
 		if path.lo != nil {
@@ -452,7 +443,7 @@ func evalKeyRange(e *env, path accessPath, ct Type) (r keyRange, ok bool, err er
 			exprs[1] = path.hi.e
 		}
 	}
-	n := 0
+	sameClass := true // every bound is of the key's class
 	for i, x := range exprs {
 		if x == nil {
 			continue
@@ -461,22 +452,20 @@ func evalKeyRange(e *env, path accessPath, ct Type) (r keyRange, ok bool, err er
 		if err != nil {
 			return r, false, err
 		}
-		if v.IsNull() {
-			return keyRange{lo: []byte{}, hi: []byte{}}, true, nil
-		}
 		cv, err := Coerce(v, ct)
-		if err != nil {
+		switch {
+		case err != nil:
 			return r, false, nil
+		case cv.IsNull():
+			return keyRange{lo: []byte{}, hi: []byte{}}, true, nil
+		case typeRank(v.T) == typeRank(ct):
+			cv = v // by its value: Coerce would round 2^53 + 1 into a REAL column
+		case path.eq == nil:
+			return r, false, nil
+		default:
+			sameClass = false
 		}
-		if cv.T == ct && Compare(cv, v) == 0 {
-			v = cv
-		}
-		vals[n], keys[i] = v, cv
-		n++
-	}
-	kept := boundsKeepType(vals[:n], ct)
-	if !kept && path.eq == nil {
-		return r, false, nil
+		keys[i] = cv
 	}
 	switch {
 	case path.eq != nil:
@@ -494,26 +483,8 @@ func evalKeyRange(e *env, path accessPath, ct Type) (r keyRange, ok bool, err er
 			}
 		}
 	}
-	r.implied = kept && path.exact && (path.kind == pathPKEq || path.kind == pathPKRange) &&
-		(ct == TypeInt || ct == TypeText || ct == TypeBlob)
+	r.implied = sameClass && path.exact && (path.kind == pathPKEq || path.kind == pathPKRange)
 	return r, true, nil
-}
-
-// boundsKeepType reports whether every bound, as evaluated, is a value
-// of the key column's type ct (a number counts once it is given the
-// column's numeric type, where that keeps its value: 3.0 on an INTEGER
-// key), so that coercing it to a key changes nothing. Only then do the
-// keys order the rows as the predicates compare them with the bound.
-// Compare ranks types before values, so no number is >= the text '7',
-// where Coerce would make a key of the number 7; and 2.5 on an INTEGER
-// key stays REAL, its key above every integer's.
-func boundsKeepType(vals []Value, ct Type) bool {
-	for _, v := range vals {
-		if v.T != ct {
-			return false
-		}
-	}
-	return true
 }
 
 // scanTable drives t's access path: each row it reads is decoded, bound
@@ -655,20 +626,11 @@ func (db *DB) scanTable(ctx context.Context, tx *kvclient.Tx, t *tablePlan, e *e
 		stopped = !cont
 		return cont, err
 	}
-	ranges := []dbt.Range{idxRange}
-	if path.readsRealKeys(schema) {
-		// Not every REAL key is a result row, so no row limit sizes the read.
-		ranges = append(ranges, dbt.Range{Lo: []byte{keyTagFloat}, Hi: []byte{keyTagFloat + 1}})
+	if err := db.scanTreeRange(ctx, tx, table.IndexTrees[path.idx], idxRange, collect); err != nil || stopped {
+		return err
 	}
-	for _, ir := range ranges {
-		if err := db.scanTreeRange(ctx, tx, table.IndexTrees[path.idx], ir, collect); err != nil || stopped {
-			return err
-		}
-		if cont, err := flush(); err != nil || !cont {
-			return err
-		}
-	}
-	return nil
+	_, err := flush()
+	return err
 }
 
 // scanTreeRange iterates the tree cells of r.

@@ -40,8 +40,9 @@ type oracleStmt struct {
 func (s oracleStmt) String() string { return fmt.Sprintf("%s %v", s.q, s.args) }
 
 // genOracleCase draws a case from the read budget tables' statement
-// shapes (see loadBudgetDB). Values come half of the time from a few hot
-// ones, so lookups repeat and find hints, some made stale since.
+// shapes (see loadBudgetDB) and from r's, a REAL primary key. Values come
+// half of the time from a few hot ones, so lookups repeat and find hints,
+// some made stale since.
 func genOracleCase(rng *rand.Rand) oracleCase {
 	pick := func(n int64) int64 {
 		if rng.Intn(2) == 0 {
@@ -53,6 +54,17 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 	u := func() sql.Value { return sql.Int(1000 + pick(oracleIDs)) }
 	src := func() sql.Value { return sql.Int(pick(oracleIDs / 5)) }
 	n := func(max int64) sql.Value { return sql.Int(1 + rng.Int63n(max)) }
+	// x is a bound on r's REAL keys (x = id/4 - 10 for the even ids): an
+	// INTEGER, which equals a key, or a REAL, half of which lie between two.
+	x := func() sql.Value {
+		k := pick(oracleIDs)
+		if rng.Intn(2) == 0 {
+			return sql.Int(k/4 - 10)
+		}
+		return sql.Float(float64(k)/4 - 10)
+	}
+	// srcReal is a REAL bound on l.src, between two of its integers.
+	srcReal := func() sql.Value { return sql.Float(float64(pick(oracleIDs/5)) + 0.5) }
 	read := func(q string, args ...sql.Value) oracleCase {
 		return oracleCase{stmts: []oracleStmt{{q: q, args: args}}}
 	}
@@ -97,14 +109,18 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 			return checked("SELECT id, v FROM p WHERE id BETWEEN ? AND ? AND v = 'p'", "SELECT id, v FROM p WHERE id + 0 BETWEEN ? AND ? AND v = 'p'",
 				sql.Int(lo), sql.Int(lo+rng.Int63n(40)))
 		},
-		// Bounds whose keys do not order the rows as the predicates compare
-		// them: the row filter, or a full scan, must settle it.
+		// Bounds of another type than the key's: a REAL bound on an INTEGER
+		// key keys a range by its value, a TEXT one keys none, and a full
+		// scan under the row filter settles it.
 		func() oracleCase {
 			return checked("SELECT id, v FROM p WHERE id >= ? LIMIT ?", "SELECT id, v FROM p WHERE id + 0 >= ? LIMIT ?",
 				sql.Float(float64(pick(oracleIDs))+0.5), n(60))
 		},
 		func() oracleCase {
 			return checked("SELECT id FROM p WHERE id > ?", "SELECT id FROM p WHERE id + 0 > ?", sql.Text(fmt.Sprint(pick(oracleIDs))))
+		},
+		func() oracleCase {
+			return checked("SELECT id FROM p WHERE id = ?", "SELECT id FROM p WHERE id + 0 = ?", sql.Text(fmt.Sprint(pick(oracleIDs))))
 		},
 		func() oracleCase {
 			bounds := []sql.Value{id(), sql.Null}
@@ -135,8 +151,8 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 				"SELECT id, v FROM p WHERE id + 0 <= ? AND id + 0 BETWEEN ? AND ?",
 				sql.Int(hi+rng.Int63n(20)), sql.Int(hi-rng.Int63n(40)), sql.Int(hi))
 		},
-		// An indexed INTEGER column holding REALs, whose keys sort above
-		// every integer's.
+		// An indexed INTEGER column holding REALs, whose keys sort among the
+		// integers' by value.
 		func() oracleCase {
 			return write("l", "UPDATE l SET src = ? WHERE id = ?", sql.Float(float64(pick(oracleIDs/5))+0.5), id())
 		},
@@ -145,6 +161,30 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 			return checked("SELECT id, src FROM l WHERE src BETWEEN ? AND ? ORDER BY id",
 				"SELECT id, src FROM l WHERE src + 0 BETWEEN ? AND ? ORDER BY id", sql.Int(lo), sql.Int(lo+rng.Int63n(10)))
 		},
+		func() oracleCase {
+			return checked("SELECT id, src FROM l WHERE src < ? ORDER BY id", "SELECT id, src FROM l WHERE src + 0 < ? ORDER BY id", srcReal())
+		},
+		func() oracleCase {
+			return checked("SELECT id, src FROM l WHERE src BETWEEN ? AND ? ORDER BY id",
+				"SELECT id, src FROM l WHERE src + 0 BETWEEN ? AND ? ORDER BY id", src(), srcReal())
+		},
+		// A REAL primary key under INTEGER and REAL bounds.
+		func() oracleCase {
+			return checked("SELECT x, v FROM r WHERE x >= ? AND x < ?", "SELECT x, v FROM r WHERE x + 0 >= ? AND x + 0 < ?", x(), x())
+		},
+		func() oracleCase {
+			return checked("SELECT x, v FROM r WHERE x > ? LIMIT ?", "SELECT x, v FROM r WHERE x + 0 > ? LIMIT ?", x(), n(30))
+		},
+		func() oracleCase {
+			return checked("SELECT x FROM r WHERE x BETWEEN ? AND ?", "SELECT x FROM r WHERE x + 0 BETWEEN ? AND ?", x(), x())
+		},
+		func() oracleCase {
+			return checked("SELECT x FROM r WHERE x <= ? ORDER BY x DESC", "SELECT x FROM r WHERE x + 0 <= ? ORDER BY x + 0 DESC", x())
+		},
+		func() oracleCase { return read("SELECT x, v FROM r WHERE x = ?", x()) },
+		func() oracleCase { return write("r", "INSERT INTO r VALUES (?, 'new')", x()) },
+		func() oracleCase { return write("r", "UPDATE r SET v = 'upd' WHERE x = ?", x()) },
+		func() oracleCase { return write("r", "DELETE FROM r WHERE x > ? AND x <= ?", x(), x()) },
 		insertP,
 		func() oracleCase { return write("t", "INSERT INTO t VALUES (?, ?, 'new')", id(), u()) },
 		func() oracleCase { return write("t", "UPDATE t SET u = ? WHERE id = ?", u(), id()) },
@@ -234,6 +274,7 @@ func TestPlanOracle(t *testing.T) {
 		"CREATE TABLE l (id INTEGER PRIMARY KEY, src INTEGER, v TEXT)",
 		"CREATE INDEX l_src ON l (src)",
 		"CREATE TABLE s (k TEXT PRIMARY KEY, v TEXT)",
+		"CREATE TABLE r (x REAL PRIMARY KEY, v TEXT)",
 	} {
 		mustExec(t, writer, q)
 	}
@@ -242,6 +283,7 @@ func TestPlanOracle(t *testing.T) {
 		mustExec(t, writer, "INSERT INTO t VALUES (?, ?, 't')", sql.Int(i), sql.Int(1000+i))
 		mustExec(t, writer, "INSERT INTO l VALUES (?, ?, 'l')", sql.Int(i), sql.Int(i/5))
 		mustExec(t, writer, "INSERT INTO s VALUES (?, 's')", sql.Text(fmt.Sprintf("%03d", i)))
+		mustExec(t, writer, "INSERT INTO r VALUES (?, 'r')", sql.Float(float64(i)/4-10))
 	}
 
 	warmCat := sql.NewCatalog(c, cfg)

@@ -173,9 +173,11 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		{"update UNIQUE column by pk", "UPDATE t SET u = ? WHERE id = ?", []sql.Value{sql.Int(6), sql.Int(300)}, 4, 2, 1, -1},
 		{"delete pk from indexed table", "DELETE FROM t WHERE id = ?", []sql.Value{sql.Int(301)}, 2, 2, 1, -1},
 		{"select 21-row pk range", "SELECT v FROM p WHERE id BETWEEN 200 AND 220", nil, 1, 1, 0, 21},
+		{"select 21-row pk range, REAL bounds", "SELECT v FROM p WHERE id > 199.5 AND id < 220.5", nil, 1, 1, 0, 21},
 		{"update 21-row pk range", "UPDATE p SET v = 'y' WHERE id BETWEEN 200 AND 220", nil, 22, 2, 1, -1},
 		{"select 21-row pk range", "SELECT v FROM p WHERE id BETWEEN 264 AND 284", nil, 1, 1, 0, 21},
 		{"delete 21-row pk range", "DELETE FROM p WHERE id BETWEEN 264 AND 284", nil, 22, 2, 1, -1},
+		{"select 20 rows through an index range", "SELECT id FROM l WHERE src BETWEEN 40 AND 43", nil, 21, 2, 0, 20},
 	}
 	var got string     // the rows of the last query run
 	var affected int64 // the RowsAffected of the last Exec

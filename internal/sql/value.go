@@ -68,7 +68,8 @@ func Int(i int64) Value { return Value{T: TypeInt, I: i} }
 
 // Float returns a real value, or NULL for NaN, as in SQLite: NaN is
 // unordered against every number, so Compare has no place for it, yet
-// its key sorts at one end of the REALs, out of reach of every key range.
+// its key would sort at one end of the numbers, out of reach of every key
+// range.
 func Float(f float64) Value {
 	if math.IsNaN(f) {
 		return Null
