@@ -5,9 +5,36 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+func TestKeyEncodingOrderInts(t *testing.T) {
+	vals := []int64{math.MinInt64, -1000000, -1, 0, 1, 42, 1000000, math.MaxInt64}
+	var keys [][]byte
+	for _, v := range vals {
+		keys = append(keys, EncodeKey(Int(v)))
+	}
+	for i := 1; i < len(keys); i++ {
+		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+			t.Fatalf("int key order broken between %d and %d", vals[i-1], vals[i])
+		}
+	}
+}
+
+func TestKeyEncodingOrderFloats(t *testing.T) {
+	vals := []float64{math.Inf(-1), -1e300, -1.5, -0.0, 0.0, 1e-300, 2.5, 1e300, math.Inf(1)}
+	var keys [][]byte
+	for _, v := range vals {
+		keys = append(keys, EncodeKey(Float(v)))
+	}
+	for i := 1; i < len(keys); i++ {
+		if bytes.Compare(keys[i-1], keys[i]) > 0 {
+			t.Fatalf("float key order broken between %g and %g", vals[i-1], vals[i])
+		}
+	}
+}
 
 func TestKeyEncodingOrderStrings(t *testing.T) {
 	vals := []string{"", "a", "a\x00", "a\x00b", "aa", "ab", "b"}
@@ -27,6 +54,43 @@ func TestKeyEncodingNullSortsFirst(t *testing.T) {
 	for _, v := range []Value{Int(math.MinInt64), Float(math.Inf(-1)), Text(""), Blob(nil)} {
 		if bytes.Compare(n, EncodeKey(v)) >= 0 {
 			t.Fatalf("NULL does not sort before %v", v)
+		}
+	}
+}
+
+func TestQuickKeyOrderMatchesValueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	randVal := func() Value {
+		switch rng.Intn(4) {
+		case 0:
+			return Int(rng.Int63() - rng.Int63())
+		case 1:
+			return Float((rng.Float64() - 0.5) * 1e10)
+		case 2:
+			n := rng.Intn(8)
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = byte(rng.Intn(4)) // lots of zero bytes
+			}
+			return Text(string(b))
+		default:
+			n := rng.Intn(8)
+			b := make([]byte, n)
+			rng.Read(b)
+			return Blob(b)
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, b := randVal(), randVal()
+		// Only compare within one type class: INTEGER and REAL share
+		// the numeric class, so mixed numeric pairs are compared too.
+		if typeRank(a.T) != typeRank(b.T) {
+			continue
+		}
+		cmpVal := Compare(a, b)
+		cmpKey := bytes.Compare(EncodeKey(a), EncodeKey(b))
+		if (cmpVal < 0) != (cmpKey < 0) || (cmpVal == 0) != (cmpKey == 0) {
+			t.Fatalf("order mismatch: %v vs %v: val %d key %d", a, b, cmpVal, cmpKey)
 		}
 	}
 }
@@ -121,6 +185,24 @@ func TestQuickRowRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSortedKeysSortValues(t *testing.T) {
+	// Encoding then byte-sorting a shuffled set of ints must match the
+	// numeric sort.
+	rng := rand.New(rand.NewSource(11))
+	vals := make([]int64, 200)
+	for i := range vals {
+		vals[i] = rng.Int63() - rng.Int63()
+	}
+	byKey := slices.Clone(vals)
+	slices.SortFunc(byKey, func(a, b int64) int { return bytes.Compare(EncodeKey(Int(a)), EncodeKey(Int(b))) })
+	slices.Sort(vals)
+	for i := range vals {
+		if byKey[i] != vals[i] {
+			t.Fatalf("position %d: key-sorted %d, value-sorted %d", i, byKey[i], vals[i])
+		}
 	}
 }
 
