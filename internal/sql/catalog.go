@@ -63,97 +63,70 @@ func (ts *TableSchema) ColIndex(col string) int {
 	return -1
 }
 
-func encodeTableSchema(ts *TableSchema) []byte {
-	b := wire.NewBuffer(64)
-	b.PutString(ts.Name)
-	b.PutUvarint(ts.TreeID)
-	b.PutVarint(int64(ts.PKCol))
-	b.PutUvarint(uint64(len(ts.Cols)))
-	for _, c := range ts.Cols {
-		b.PutString(c.Name)
-		b.PutByte(byte(c.Type))
-		b.PutBool(c.PrimaryKey)
-		b.PutBool(c.NotNull)
+// Each catalog row describes its layout once, as a wire method that
+// hands each field in order to a wire.Codec, which runs it to encode the
+// row and to decode it (wire.Encode, wire.Decode): a decoded column count
+// is bounded by the bytes left to hold the columns.
+
+// errCorruptCatalog is what a catalog row that does not decode reports.
+var errCorruptCatalog = errors.New("sql: corrupt catalog row")
+
+func (ts *TableSchema) wire(c *wire.Codec) {
+	c.String(&ts.Name)
+	c.Uvarint(&ts.TreeID)
+	pk := uint64(ts.PKCol + 1) // 0: keyed by a hidden rowid
+	c.Uvarint(&pk)
+	wire.Slice(c, &ts.Cols, minColSize)
+	for i := range ts.Cols {
+		ts.Cols[i].wire(c)
 	}
-	return b.Bytes()
+	if c.Decoding() {
+		if ts.PKCol = int(pk) - 1; pk > uint64(len(ts.Cols)) {
+			c.Fail(fmt.Errorf("%w: primary key %d of %d columns", errCorruptCatalog, pk, len(ts.Cols)))
+		}
+	}
 }
 
-func decodeTableSchema(p []byte) (*TableSchema, error) {
-	r := wire.NewReader(p)
-	ts := &TableSchema{}
-	var err error
-	if ts.Name, err = r.String(); err != nil {
-		return nil, err
+func (cd *ColDef) wire(c *wire.Codec) {
+	c.String(&cd.Name)
+	t := byte(cd.Type)
+	c.Byte(&t)
+	c.Bool(&cd.PrimaryKey)
+	c.Bool(&cd.NotNull)
+	if c.Decoding() {
+		cd.Type = Type(t)
 	}
-	if ts.TreeID, err = r.Uvarint(); err != nil {
-		return nil, err
+}
+
+// minColSize is the fewest bytes a column takes.
+var minColSize = wire.Size(&ColDef{}, (*ColDef).wire)
+
+func (is *IndexSchema) wire(c *wire.Codec) {
+	c.String(&is.Name)
+	c.String(&is.Table)
+	c.Uvarint(&is.TreeID)
+	c.String(&is.Col)
+	col := uint64(is.ColIdx)
+	c.Uvarint(&col)
+	c.Bool(&is.Unique)
+	if c.Decoding() {
+		is.ColIdx = int(col)
 	}
-	pk, err := r.Varint()
-	if err != nil {
-		return nil, err
-	}
-	ts.PKCol = int(pk)
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var c ColDef
-		if c.Name, err = r.String(); err != nil {
-			return nil, err
-		}
-		t, err := r.Byte()
+}
+
+// scanCatalog returns the rows of one catalog namespace (catKeyTable or
+// catKeyIndex) in name order, decoded by fields, as tx sees them.
+func scanCatalog[M any](ctx context.Context, tx *kvclient.Tx, ct *dbt.Tree, prefix string, fields func(*M, *wire.Codec)) ([]*M, error) {
+	var out []*M
+	it := ct.NewIterator(ctx, tx, dbt.Range{Lo: []byte(prefix), Hi: []byte{prefix[0] + 1}})
+	for ; it.Valid(); it.Next() {
+		m, err := wire.Decode(it.Value(), errCorruptCatalog, fields)
 		if err != nil {
 			return nil, err
 		}
-		c.Type = Type(t)
-		if c.PrimaryKey, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if c.NotNull, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		ts.Cols = append(ts.Cols, c)
+		out = append(out, m)
 	}
-	return ts, nil
-}
-
-func encodeIndexSchema(is *IndexSchema) []byte {
-	b := wire.NewBuffer(64)
-	b.PutString(is.Name)
-	b.PutString(is.Table)
-	b.PutUvarint(is.TreeID)
-	b.PutString(is.Col)
-	b.PutVarint(int64(is.ColIdx))
-	b.PutBool(is.Unique)
-	return b.Bytes()
-}
-
-func decodeIndexSchema(p []byte) (*IndexSchema, error) {
-	r := wire.NewReader(p)
-	is := &IndexSchema{}
-	var err error
-	if is.Name, err = r.String(); err != nil {
-		return nil, err
-	}
-	if is.Table, err = r.String(); err != nil {
-		return nil, err
-	}
-	if is.TreeID, err = r.Uvarint(); err != nil {
-		return nil, err
-	}
-	if is.Col, err = r.String(); err != nil {
-		return nil, err
-	}
-	ci, err := r.Varint()
-	if err != nil {
-		return nil, err
-	}
-	is.ColIdx = int(ci)
-	if is.Unique, err = r.Bool(); err != nil {
-		return nil, err
-	}
-	return is, nil
+	return out, it.Err()
 }
 
 // Table is a runtime handle: schema plus open tree handles.
@@ -346,24 +319,17 @@ func (cat *Catalog) GetTable(ctx context.Context, tx *kvclient.Tx, name string) 
 	if err != nil {
 		return nil, err
 	}
-	ts, err := decodeTableSchema(raw)
+	ts, err := wire.Decode(raw, errCorruptCatalog, (*TableSchema).wire)
 	if err != nil {
 		return nil, err
 	}
 	// Load the table's indexes: scan the index namespace and keep those
 	// pointing at this table. The catalog is small; the scan is cheap.
-	cells, err := ct.Scan(ctx, tx, []byte(catKeyIndex), -1)
+	indexes, err := scanCatalog(ctx, tx, ct, catKeyIndex, (*IndexSchema).wire)
 	if err != nil {
 		return nil, err
 	}
-	for _, cell := range cells {
-		if len(cell.Key) == 0 || cell.Key[0] != catKeyIndex[0] {
-			break
-		}
-		is, err := decodeIndexSchema(cell.Value)
-		if err != nil {
-			return nil, err
-		}
+	for _, is := range indexes {
 		if is.Table == name {
 			ts.Indexes = append(ts.Indexes, is)
 		}
@@ -392,22 +358,7 @@ func (cat *Catalog) ListTables(ctx context.Context, tx *kvclient.Tx) ([]*TableSc
 	if err != nil {
 		return nil, err
 	}
-	cells, err := ct.Scan(ctx, tx, []byte(catKeyTable), -1)
-	if err != nil {
-		return nil, err
-	}
-	var out []*TableSchema
-	for _, cell := range cells {
-		if len(cell.Key) == 0 || cell.Key[0] != catKeyTable[0] {
-			break
-		}
-		ts, err := decodeTableSchema(cell.Value)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ts)
-	}
-	return out, nil
+	return scanCatalog(ctx, tx, ct, catKeyTable, (*TableSchema).wire)
 }
 
 // ListIndexes returns the schemas of all indexes, read at tx's snapshot.
@@ -416,22 +367,7 @@ func (cat *Catalog) ListIndexes(ctx context.Context, tx *kvclient.Tx) ([]*IndexS
 	if err != nil {
 		return nil, err
 	}
-	cells, err := ct.Scan(ctx, tx, []byte(catKeyIndex), -1)
-	if err != nil {
-		return nil, err
-	}
-	var out []*IndexSchema
-	for _, cell := range cells {
-		if len(cell.Key) == 0 || cell.Key[0] != catKeyIndex[0] {
-			break
-		}
-		is, err := decodeIndexSchema(cell.Value)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, is)
-	}
-	return out, nil
+	return scanCatalog(ctx, tx, ct, catKeyIndex, (*IndexSchema).wire)
 }
 
 // Invalidate drops the cached handle for name (after DDL).
@@ -476,7 +412,7 @@ func (cat *Catalog) CreateTable(ctx context.Context, tx *kvclient.Tx, st CreateT
 		return err
 	}
 	ts.TreeID = id
-	if err := ct.Put(ctx, tx, key, encodeTableSchema(ts)); err != nil {
+	if err := ct.Put(ctx, tx, key, wire.Encode(ts, (*TableSchema).wire)); err != nil {
 		return err
 	}
 	// Create the table tree inside the same transaction: tree roots are
@@ -513,7 +449,7 @@ func (cat *Catalog) DropTable(ctx context.Context, tx *kvclient.Tx, st DropTable
 	if err != nil {
 		return err
 	}
-	ts, err := decodeTableSchema(raw)
+	ts, err := wire.Decode(raw, errCorruptCatalog, (*TableSchema).wire)
 	if err != nil {
 		return err
 	}
@@ -522,20 +458,13 @@ func (cat *Catalog) DropTable(ctx context.Context, tx *kvclient.Tx, st DropTable
 	}
 	tx.Delete(dbt.RootOID(ts.TreeID, cat.c.NumServers()))
 	// Drop dependent indexes.
-	cells, err := ct.Scan(ctx, tx, []byte(catKeyIndex), -1)
+	indexes, err := scanCatalog(ctx, tx, ct, catKeyIndex, (*IndexSchema).wire)
 	if err != nil {
 		return err
 	}
-	for _, cell := range cells {
-		if len(cell.Key) == 0 || cell.Key[0] != catKeyIndex[0] {
-			break
-		}
-		is, derr := decodeIndexSchema(cell.Value)
-		if derr != nil {
-			return derr
-		}
+	for _, is := range indexes {
 		if is.Table == st.Name {
-			if err := ct.Delete(ctx, tx, cell.Key); err != nil {
+			if err := ct.Delete(ctx, tx, []byte(catKeyIndex+is.Name)); err != nil {
 				return err
 			}
 			tx.Delete(dbt.RootOID(is.TreeID, cat.c.NumServers()))
@@ -577,7 +506,7 @@ func (cat *Catalog) CreateIndex(ctx context.Context, tx *kvclient.Tx, st CreateI
 		return nil, err
 	}
 	is := &IndexSchema{Name: st.Name, Table: st.Table, TreeID: id, Col: st.Cols[0], ColIdx: colIdx, Unique: st.Unique}
-	if err := ct.Put(ctx, tx, key, encodeIndexSchema(is)); err != nil {
+	if err := ct.Put(ctx, tx, key, wire.Encode(is, (*IndexSchema).wire)); err != nil {
 		return nil, err
 	}
 	if err := createTreeRootInTx(tx, cat.c, id); err != nil {
@@ -604,7 +533,7 @@ func (cat *Catalog) DropIndex(ctx context.Context, tx *kvclient.Tx, st DropIndex
 	if err != nil {
 		return err
 	}
-	is, err := decodeIndexSchema(raw)
+	is, err := wire.Decode(raw, errCorruptCatalog, (*IndexSchema).wire)
 	if err != nil {
 		return err
 	}

@@ -3,11 +3,15 @@ package sql
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"yesquel/internal/wire"
 )
 
 func TestKeyEncodingOrderInts(t *testing.T) {
@@ -132,6 +136,38 @@ func TestRowRoundTrip(t *testing.T) {
 
 // TestRowSlabKeepsOnlyKeptRows: a row a scan's filter rejects is not
 // kept, and the next row decodes into its place; a kept row stays.
+// TestCatalogRowRoundTrip: a table's and an index's catalog rows decode
+// to what was encoded, a rowid table's missing primary key included, and
+// a row that claims more columns than its bytes hold, or a primary key
+// past its columns, fails before anything is allocated for it.
+func TestCatalogRowRoundTrip(t *testing.T) {
+	for _, ts := range []*TableSchema{
+		{Name: "t", TreeID: 17, PKCol: 1, Cols: []ColDef{{Name: "v", Type: TypeText}, {Name: "id", Type: TypeInt, PrimaryKey: true, NotNull: true}}},
+		{Name: "log", TreeID: 1 << 40, PKCol: -1, Cols: []ColDef{{Name: "msg", Type: TypeText}}},
+	} {
+		got, err := wire.Decode(wire.Encode(ts, (*TableSchema).wire), errCorruptCatalog, (*TableSchema).wire)
+		if err != nil || !reflect.DeepEqual(got, ts) {
+			t.Errorf("table %+v decoded as %+v, %v", ts, got, err)
+		}
+	}
+	is := &IndexSchema{Name: "t_v", Table: "t", TreeID: 18, Col: "v", ColIdx: 0, Unique: true}
+	if got, err := wire.Decode(wire.Encode(is, (*IndexSchema).wire), errCorruptCatalog, (*IndexSchema).wire); err != nil || *got != *is {
+		t.Errorf("index %+v decoded as %+v, %v", is, got, err)
+	}
+	hostile := wire.NewBuffer(16)
+	hostile.PutString("t")
+	hostile.PutUvarint(17)
+	hostile.PutUvarint(0)
+	hostile.PutUvarint(1 << 40) // columns
+	if _, err := wire.Decode(hostile.Bytes(), errCorruptCatalog, (*TableSchema).wire); !errors.Is(err, errCorruptCatalog) {
+		t.Errorf("2^40 columns in %d bytes: %v", len(hostile.Bytes()), err)
+	}
+	pastCols := wire.Encode(&TableSchema{Name: "t", PKCol: 1, Cols: []ColDef{{Name: "id"}}}, (*TableSchema).wire)
+	if _, err := wire.Decode(pastCols, errCorruptCatalog, (*TableSchema).wire); !errors.Is(err, errCorruptCatalog) {
+		t.Errorf("primary key 1 of one column: %v", err)
+	}
+}
+
 func TestRowSlabKeepsOnlyKeptRows(t *testing.T) {
 	enc := EncodeRow([]Value{Int(1), Text("a")})
 	var s rowSlab

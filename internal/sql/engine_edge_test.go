@@ -86,6 +86,14 @@ func TestHavingWithoutGroupBy(t *testing.T) {
 	if got := rowsToString(mustQuery(t, db, "SELECT count(*) FROM users HAVING count(*) > 10")); got != "" {
 		t.Fatalf("%q", got)
 	}
+	// OR over an aggregate short-circuits as it does in a WHERE: the
+	// right side, which would fail, is never evaluated.
+	if got := rowsToString(mustQuery(t, db, "SELECT count(*) FROM users HAVING count(*) > 3 OR abs('x') > 0")); got != "5\n" {
+		t.Fatalf("%q", got)
+	}
+	if got := rowsToString(mustQuery(t, db, "SELECT count(*) > 3 OR abs('x') > 0 FROM users")); got != "1\n" {
+		t.Fatalf("%q", got)
+	}
 }
 
 func TestOrderByExpression(t *testing.T) {

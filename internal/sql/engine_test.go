@@ -141,6 +141,10 @@ func TestOrderByLimitOffset(t *testing.T) {
 		{"SELECT name FROM users ORDER BY name LIMIT 0", ""},
 		{"SELECT name FROM users ORDER BY 1 DESC LIMIT 1", "erin\n"},
 		{"SELECT name AS n FROM users ORDER BY n LIMIT 1", "alice\n"},
+		// An output alias shadows a column of the same name, the primary
+		// key included: the rows come in the alias's order, not the scan's.
+		{"SELECT age AS id FROM users ORDER BY id", "25\n25\n30\n35\n40\n"},
+		{"SELECT DISTINCT age AS id FROM users ORDER BY id", "25\n30\n35\n40\n"},
 	}
 	for _, tc := range cases {
 		if got := rowsToString(mustQuery(t, db, tc.q)); got != tc.want {
@@ -166,9 +170,17 @@ func TestAggregates(t *testing.T) {
 		{"SELECT city, sum(age) FROM users GROUP BY city HAVING sum(age) > 60 ORDER BY city", "london|65\nparis|65\n"},
 		{"SELECT count(distinct city) FROM users", "3\n"},
 		{"SELECT city, count(*) AS c FROM users GROUP BY city ORDER BY c DESC, city LIMIT 2", "london|2\nparis|2\n"},
+		// GROUP BY k groups by output item k, which may not be an aggregate.
+		{"SELECT city, count(*) FROM users GROUP BY 1 ORDER BY 1", "berlin|1\nlondon|2\nparis|2\n"},
+		{"SELECT city, count(*) FROM users GROUP BY 2", "error: sql: aggregate functions are not allowed in the GROUP BY clause"},
 	}
 	for _, tc := range cases {
-		if got := rowsToString(mustQuery(t, db, tc.q)); got != tc.want {
+		rows, err := db.Query(context.Background(), tc.q)
+		got := "error: " + fmt.Sprint(err)
+		if err == nil {
+			got = rowsToString(rows)
+		}
+		if got != tc.want {
 			t.Errorf("%s:\ngot  %q\nwant %q", tc.q, got, tc.want)
 		}
 	}

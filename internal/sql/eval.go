@@ -13,11 +13,13 @@ type binding struct {
 	row    []Value
 }
 
-// env is the evaluation environment: the bound rows and the statement
-// parameters.
+// env is the evaluation environment: the bound rows, the statement
+// parameters and, while a group's row is projected, the group's
+// aggregate values (an aggRef's).
 type env struct {
 	bindings []*binding
 	params   []Value
+	aggs     []Value
 }
 
 // lookup finds the column c names: the position of its binding in
@@ -106,6 +108,24 @@ func (e *env) refDepths(xs ...Expr) (int, error) {
 		d = max(d, dx)
 	}
 	return d, nil
+}
+
+// column is the position in binding i's schema of the column x names, if
+// x is a column of binding i.
+func (e *env) column(x Expr, i int) (int, bool) {
+	c, ok := x.(ColRef)
+	if !ok {
+		return -1, false
+	}
+	b, col, err := e.lookup(c)
+	return col, err == nil && b == i
+}
+
+// before reports whether x names no binding from position i on, so that
+// it can be evaluated before binding i's scan.
+func (e *env) before(x Expr, i int) bool {
+	d, err := e.refDepth(x)
+	return err == nil && d <= i
 }
 
 // eval evaluates expr in env with SQL NULL propagation.
@@ -219,6 +239,8 @@ func (e *env) eval(x Expr) (Value, error) {
 		return Int(0), nil
 	case Call:
 		return e.evalScalarCall(t)
+	case aggRef:
+		return e.aggs[t.N], nil
 	case Star:
 		return Null, fmt.Errorf("sql: * is only valid as a projection")
 	}
@@ -405,11 +427,10 @@ func likeRec(p, s string) bool {
 	return len(s) == 0
 }
 
-// evalScalarCall evaluates non-aggregate functions. Aggregates are
-// handled by the executor; reaching one here is an error.
+// evalScalarCall evaluates non-aggregate functions. The plan rewrites
+// aggregates into aggRefs (rewriteAggs); reaching one here is an error.
 func (e *env) evalScalarCall(t Call) (Value, error) {
-	switch t.Fn {
-	case "count", "sum", "avg", "min", "max":
+	if isAggregate(t.Fn) {
 		return Null, fmt.Errorf("sql: aggregate %s() in non-aggregate context", t.Fn)
 	}
 	args := make([]Value, len(t.Args))
@@ -469,38 +490,4 @@ func (e *env) evalScalarCall(t Call) (Value, error) {
 		return Null, nil
 	}
 	return Null, fmt.Errorf("sql: unknown function %s", t.Fn)
-}
-
-// hasAggregate reports whether expr contains an aggregate call.
-func hasAggregate(x Expr) bool {
-	switch t := x.(type) {
-	case Call:
-		switch t.Fn {
-		case "count", "sum", "avg", "min", "max":
-			return true
-		}
-		for _, a := range t.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case BinOp:
-		return hasAggregate(t.L) || hasAggregate(t.R)
-	case UnOp:
-		return hasAggregate(t.E)
-	case IsNull:
-		return hasAggregate(t.E)
-	case InList:
-		if hasAggregate(t.E) {
-			return true
-		}
-		for _, a := range t.List {
-			if hasAggregate(a) {
-				return true
-			}
-		}
-	case Between:
-		return hasAggregate(t.E) || hasAggregate(t.Lo) || hasAggregate(t.Hi)
-	}
-	return false
 }

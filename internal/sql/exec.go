@@ -699,12 +699,16 @@ func (db *DB) execUpdate(ctx context.Context, tx *kvclient.Tx, st Update, args [
 	given := make([]bool, len(s.Cols))
 	whole := true
 	for i, set := range st.Set {
-		p := s.ColIndex(set.Col)
-		if p < 0 {
+		col := s.ColIndex(set.Col)
+		if col < 0 {
 			return Result{}, fmt.Errorf("sql: no such column %s.%s", s.Name, set.Col)
 		}
-		setPos[i], given[p] = p, true
-		whole = whole && refsOnly(set.E, nil)
+		d, err := p.e.refDepth(set.E)
+		if err != nil {
+			return Result{}, err
+		}
+		setPos[i], given[col] = col, true
+		whole = whole && d == 0
 	}
 	for i := range given {
 		whole = whole && (given[i] || i == s.PKCol)

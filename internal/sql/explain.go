@@ -133,7 +133,7 @@ func (db *DB) execExplain(ctx context.Context, tx *kvclient.Tx, st Explain, args
 	// p.limitErr) has been reported as not handed down.
 	sel := st.Stmt.(Select)
 	if p.agg {
-		addLine(0, fmt.Sprintf("HASH AGGREGATE (%d group-by keys)", len(sel.GroupBy)))
+		addLine(0, fmt.Sprintf("HASH AGGREGATE (%d group-by keys)", len(p.groupBy)))
 	}
 	if sel.Distinct {
 		addLine(0, "DISTINCT")

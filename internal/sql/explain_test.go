@@ -63,6 +63,13 @@ func TestExplainAccessPaths(t *testing.T) {
 		// join key through the outer binding.
 		{"EXPLAIN SELECT u.name FROM orders o JOIN users u ON u.id = o.user_id",
 			[]string{"FULL SCAN of orders", "NESTED LOOP JOIN: PRIMARY KEY lookup on users"}},
+		// A join key named without its table is the one table's that has it.
+		{"EXPLAIN SELECT u.name FROM orders o JOIN users u ON u.id = user_id",
+			[]string{"FULL SCAN of orders", "NESTED LOOP JOIN: PRIMARY KEY lookup on users"}},
+		// ORDER BY output column 1, the primary key: no sort, and the scan
+		// stops at the limit (the LIMIT line follows the scan's).
+		{"EXPLAIN SELECT id FROM users ORDER BY 1 LIMIT 1",
+			[]string{"FULL SCAN of users (limit 1) (row filter: 0 conjuncts)\nLIMIT\n"}},
 		{"EXPLAIN SELECT city, count(*) FROM users GROUP BY city ORDER BY city LIMIT 3",
 			[]string{"FULL SCAN of users", "HASH AGGREGATE", "SORT", "LIMIT"}},
 		{"EXPLAIN UPDATE users SET age = 1 WHERE id = 2",

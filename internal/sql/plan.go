@@ -34,8 +34,15 @@ import (
 // so no layer fetches more than the statement can use.
 //
 // A SELECT, UPDATE or DELETE is planned once, before its first read, into
-// a stmtPlan: the executor runs it (execSelect, collectMatches) and
-// EXPLAIN prints it (execExplain). Nothing else plans.
+// a stmtPlan, and every name in it is resolved there, once. Which table a
+// column belongs to is env.refDepth's rule, which places each conjunct on
+// a table and says whether a bound can be evaluated before a table's
+// scan. How an expression is evaluated is rewriteAggs': the plan lists
+// the aggregates, and its items, HAVING and ORDER BY read each as an
+// aggRef. What a GROUP BY or ORDER BY term names is stmtPlan.resolve's
+// rule. The executor (execSelect, collectMatches), the sort, the
+// aggregator and EXPLAIN (execExplain) read that one resolution. Nothing
+// else plans.
 
 // A stmtPlan is how a statement reads: its tables in join order, and,
 // for a SELECT, what becomes of the joined rows.
@@ -43,19 +50,31 @@ type stmtPlan struct {
 	e      env // the tables' bindings and the statement's parameters
 	tables []tablePlan
 
-	// The rest is a SELECT's: its items (* expanded) and output column
-	// names; whether it aggregates; the sort left once the scan's own order
-	// is accounted for (scanOrdered); how many joined rows the scans need
+	// The rest is a SELECT's: its items (* expanded, aggregates rewritten)
+	// and output column names; its GROUP BY terms, aggregates and HAVING,
+	// and whether it aggregates; the sort left once the scan's own order is
+	// accounted for (scanOrdered); how many joined rows the scans need
 	// produce (earlyLimit; -1 for all) or why its LIMIT could not say; and
 	// whether a projected row is row[lo:hi] of its one table's (columnRun).
 	items    []SelectItem
 	columns  []string
+	groupBy  []Expr
+	aggs     []Call
+	having   Expr
 	agg      bool
-	orderBy  []OrderItem
+	orderBy  []orderKey
 	early    int
 	limitErr error
 	lo, hi   int
 	sliced   bool
+}
+
+// An orderKey is one ORDER BY term as the plan resolved it: output column
+// col, or, with col < 0, e over the joined row.
+type orderKey struct {
+	col  int
+	e    Expr
+	desc bool
 }
 
 // A tablePlan is one table of a statement's plan.
@@ -118,11 +137,8 @@ func (db *DB) planTables(ctx context.Context, tx *kvclient.Tx, from *TableRef, j
 	if len(p.tables) == 1 {
 		p.tables[0].conj = conj // every one, in its own array
 	}
-	outer := make(map[string]bool) // the aliases bound before the table planned
 	for i := range p.tables {
-		t := &p.tables[i]
-		t.path = planAccess(t.table, t.alias, t.conj, outer)
-		outer[t.alias] = true
+		p.tables[i].path = planAccess(&p.e, i, p.tables[i].conj)
 	}
 	return p, nil
 }
@@ -136,18 +152,14 @@ func (db *DB) planSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	if p.items, p.columns, err = expandItems(st.Items, &p.e); err != nil {
 		return stmtPlan{}, err
 	}
-	p.agg = len(st.GroupBy) > 0 || st.Having != nil
-	for _, it := range p.items {
-		if hasAggregate(it.E) {
-			p.agg = true
-		}
+	if err := p.resolve(st); err != nil {
+		return stmtPlan{}, err
 	}
-	p.orderBy = st.OrderBy
 	single := len(p.tables) == 1 && !p.agg
-	if single && !st.Distinct && scanOrdered(st, &p.tables[0]) {
+	if single && !st.Distinct && p.scanOrdered() {
 		p.orderBy = nil // scan order == requested order
 	}
-	p.early, p.limitErr = earlyLimit(&p.e, st, p.agg, p.orderBy)
+	p.early, p.limitErr = earlyLimit(&p.e, st, p.agg || len(p.orderBy) > 0)
 	if len(p.tables) == 1 && p.early >= 0 {
 		p.tables[0].limit = max(p.early, 1)
 	}
@@ -196,93 +208,34 @@ func conjuncts(e Expr, out []Expr) []Expr {
 	return out
 }
 
-// refsOnly reports whether e references columns only through the given
-// aliases (i.e. it can be evaluated before scanning the planned table).
-func refsOnly(e Expr, allowed map[string]bool) bool {
-	switch t := e.(type) {
-	case Lit, Param:
-		return true
-	case ColRef:
-		// An unqualified column could belong to the planned table;
-		// only qualified refs to outer tables are safely evaluable.
-		return t.Table != "" && allowed[t.Table]
-	case BinOp:
-		return refsOnly(t.L, allowed) && refsOnly(t.R, allowed)
-	case UnOp:
-		return refsOnly(t.E, allowed)
-	case IsNull:
-		return refsOnly(t.E, allowed)
-	case Between:
-		return refsOnly(t.E, allowed) && refsOnly(t.Lo, allowed) && refsOnly(t.Hi, allowed)
-	case InList:
-		if !refsOnly(t.E, allowed) {
-			return false
-		}
-		for _, le := range t.List {
-			if !refsOnly(le, allowed) {
-				return false
-			}
-		}
-		return true
-	case Call:
-		for _, a := range t.Args {
-			if !refsOnly(a, allowed) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// colPredicate matches a conjunct of the form <col> <op> <expr> or
-// <expr> <op> <col> where col belongs to the table being planned
-// (alias) and expr is evaluable from outer bindings.
-func colPredicate(e Expr, alias string, schema *TableSchema, outer map[string]bool) (col string, op string, rhs Expr, ok bool) {
-	b, isBin := e.(BinOp)
+// keyPredicate matches a conjunct <col> <op> <expr> or <expr> <op> <col>
+// where col is a column of binding i and expr names no table from i on,
+// so that it can be evaluated before i's scan.
+func keyPredicate(e *env, i int, c Expr) (col int, op string, rhs Expr, ok bool) {
+	b, isBin := c.(BinOp)
 	if !isBin {
-		return "", "", nil, false
+		return -1, "", nil, false
 	}
-	switch b.Op {
-	case "=", "<", "<=", ">", ">=":
-	default:
-		return "", "", nil, false
+	if _, cmp := mirrored[b.Op]; !cmp {
+		return -1, "", nil, false
 	}
-	try := func(l, r Expr, op string) (string, string, Expr, bool) {
-		c, isCol := l.(ColRef)
-		if !isCol {
-			return "", "", nil, false
-		}
-		if c.Table != "" && c.Table != alias {
-			return "", "", nil, false
-		}
-		if schema.ColIndex(c.Col) < 0 {
-			return "", "", nil, false
-		}
-		if !refsOnly(r, outer) {
-			return "", "", nil, false
-		}
-		return c.Col, op, r, true
+	if col, ok := e.column(b.L, i); ok && e.before(b.R, i) {
+		return col, b.Op, b.R, true
 	}
-	if c, op2, r, ok2 := try(b.L, b.R, b.Op); ok2 {
-		return c, op2, r, true
+	if col, ok := e.column(b.R, i); ok && e.before(b.L, i) {
+		return col, mirrored[b.Op], b.L, true
 	}
-	// Mirror: expr <op> col.
-	mirror := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-	if c, op2, r, ok2 := try(b.R, b.L, mirror[b.Op]); ok2 {
-		return c, op2, r, true
-	}
-	return "", "", nil, false
+	return -1, "", nil, false
 }
 
-// planAccess chooses the access path for a table given the WHERE/ON
-// conjuncts and the set of already-bound (outer) aliases.
-func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) accessPath {
-	schema := table.Schema
-	pkName := ""
-	if schema.PKCol >= 0 {
-		pkName = schema.Cols[schema.PKCol].Name
-	}
+// mirrored maps each comparison x op y to the op' of y op' x.
+var mirrored = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+// planAccess chooses the access path for binding i given the WHERE/ON
+// conjuncts decidable once it is bound, the bindings before it being
+// bound already.
+func planAccess(e *env, i int, conj []Expr) accessPath {
+	schema := e.bindings[i].schema
 	// loC and hiC are the positions in conj of the conjuncts the range
 	// bounds came from (one BETWEEN can supply both). partial reports a
 	// BETWEEN that supplied only one of its bounds, a comparison having
@@ -293,9 +246,9 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 		loC, hiC int
 		partial  bool
 	}
-	byCol := make(map[string]*colBounds)
-	for i, c := range conj {
-		col, op, rhs, ok := colPredicate(c, alias, schema, outer)
+	byCol := make(map[int]*colBounds)
+	for j, c := range conj {
+		col, op, rhs, ok := keyPredicate(e, i, c)
 		if !ok {
 			continue
 		}
@@ -308,40 +261,37 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 		case "=":
 			cb.eq = rhs
 		case ">":
-			cb.lo, cb.loC = &bound{e: rhs}, i
+			cb.lo, cb.loC = &bound{e: rhs}, j
 		case ">=":
-			cb.lo, cb.loC = &bound{e: rhs, incl: true}, i
+			cb.lo, cb.loC = &bound{e: rhs, incl: true}, j
 		case "<":
-			cb.hi, cb.hiC = &bound{e: rhs}, i
+			cb.hi, cb.hiC = &bound{e: rhs}, j
 		case "<=":
-			cb.hi, cb.hiC = &bound{e: rhs, incl: true}, i
+			cb.hi, cb.hiC = &bound{e: rhs, incl: true}, j
 		}
 	}
 	// Also treat BETWEEN as a range.
-	for i, c := range conj {
+	for j, c := range conj {
 		bt, ok := c.(Between)
-		if !ok || bt.Not {
+		if !ok || bt.Not || !e.before(bt.Lo, i) || !e.before(bt.Hi, i) {
 			continue
 		}
-		cr, ok := bt.E.(ColRef)
-		if !ok || (cr.Table != "" && cr.Table != alias) || schema.ColIndex(cr.Col) < 0 {
+		col, ok := e.column(bt.E, i)
+		if !ok {
 			continue
 		}
-		if !refsOnly(bt.Lo, outer) || !refsOnly(bt.Hi, outer) {
-			continue
-		}
-		cb := byCol[cr.Col]
+		cb := byCol[col]
 		if cb == nil {
 			cb = &colBounds{}
-			byCol[cr.Col] = cb
+			byCol[col] = cb
 		}
 		if cb.lo == nil {
-			cb.lo, cb.loC = &bound{e: bt.Lo, incl: true}, i
+			cb.lo, cb.loC = &bound{e: bt.Lo, incl: true}, j
 		}
 		if cb.hi == nil {
-			cb.hi, cb.hiC = &bound{e: bt.Hi, incl: true}, i
+			cb.hi, cb.hiC = &bound{e: bt.Hi, incl: true}, j
 		}
-		if (cb.loC == i) != (cb.hiC == i) {
+		if (cb.loC == j) != (cb.hiC == j) {
 			cb.partial = true
 		}
 	}
@@ -364,13 +314,13 @@ func planAccess(table *Table, alias string, conj []Expr, outer map[string]bool) 
 		return accessPath{}, false
 	}
 	// Primary key first: it avoids the extra index hop.
-	if pkName != "" {
-		if p, ok := pathFor(byCol[pkName], pathPKEq, pathPKRange, 0); ok {
+	if schema.PKCol >= 0 {
+		if p, ok := pathFor(byCol[schema.PKCol], pathPKEq, pathPKRange, 0); ok {
 			return p
 		}
 	}
-	for i, is := range schema.Indexes {
-		if p, ok := pathFor(byCol[is.Col], pathIdxEq, pathIdxRange, i); ok {
+	for j, is := range schema.Indexes {
+		if p, ok := pathFor(byCol[is.ColIdx], pathIdxEq, pathIdxRange, j); ok {
 			return p
 		}
 	}

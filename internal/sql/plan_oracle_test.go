@@ -182,6 +182,30 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 			return checked("SELECT x FROM r WHERE x <= ? ORDER BY x DESC", "SELECT x FROM r WHERE x + 0 <= ? ORDER BY x + 0 DESC", x())
 		},
 		func() oracleCase { return read("SELECT x, v FROM r WHERE x = ?", x()) },
+		// ORDER BY terms that name output columns: an alias that shadows the
+		// primary key, a position, and GROUP BY's position.
+		func() oracleCase {
+			return checked("SELECT id AS k, 0 - id AS id FROM p ORDER BY id LIMIT ?",
+				"SELECT id AS k, 0 - id AS id FROM p ORDER BY 0 - id LIMIT ?", n(30))
+		},
+		func() oracleCase {
+			return checked("SELECT id, v FROM p ORDER BY 1 LIMIT ?", "SELECT id, v FROM p ORDER BY id + 0 LIMIT ?", n(30))
+		},
+		func() oracleCase {
+			return checked("SELECT src, count(*) FROM l WHERE id >= ? GROUP BY 1 ORDER BY 1",
+				"SELECT src, count(*) FROM l WHERE id >= ? GROUP BY src ORDER BY src", id())
+		},
+		// An OR in a HAVING short-circuits: abs(v) fails on every row's TEXT.
+		func() oracleCase {
+			return checked("SELECT src, count(*) FROM l GROUP BY src HAVING count(*) > 0 OR abs(v) > 0",
+				"SELECT src, count(*) FROM l GROUP BY src HAVING count(*) > 0")
+		},
+		// A join key named without its table.
+		func() oracleCase {
+			lo := pick(oracleIDs)
+			return checked("SELECT l.id, t.u FROM l JOIN t ON t.id = src WHERE l.id BETWEEN ? AND ?",
+				"SELECT l.id, t.u FROM l JOIN t ON t.id + 0 = l.src WHERE l.id BETWEEN ? AND ?", sql.Int(lo), sql.Int(lo+rng.Int63n(30)))
+		},
 		func() oracleCase { return write("r", "INSERT INTO r VALUES (?, 'new')", x()) },
 		func() oracleCase { return write("r", "UPDATE r SET v = 'upd' WHERE x = ?", x()) },
 		func() oracleCase { return write("r", "DELETE FROM r WHERE x > ? AND x <= ?", x(), x()) },

@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"yesquel/internal/kv/kvclient"
@@ -13,6 +14,10 @@ import (
 // DISTINCT, ORDER BY, and LIMIT/OFFSET. Everything after the scans is
 // in-memory — the paper's workload is small fast queries, and the DBT
 // delivers rows already ordered by key for the common ORDER-BY-PK case.
+// Each step reads what the plan resolved (stmtPlan.resolve): the
+// aggregates and the expressions that read them, the GROUP BY terms, and
+// each ORDER BY term as an output column or an expression. None resolves
+// a name again.
 
 // aggRef is an internal expression node: a reference to the i-th
 // aggregate computed for the current group.
@@ -20,13 +25,21 @@ type aggRef struct{ N int }
 
 func (aggRef) expr() {}
 
+// isAggregate reports whether fn names an aggregate function.
+func isAggregate(fn string) bool {
+	switch fn {
+	case "count", "sum", "avg", "min", "max":
+		return true
+	}
+	return false
+}
+
 // rewriteAggs replaces aggregate calls in x with aggRef nodes,
 // appending the original calls to *aggs.
 func rewriteAggs(x Expr, aggs *[]Call) Expr {
 	switch t := x.(type) {
 	case Call:
-		switch t.Fn {
-		case "count", "sum", "avg", "min", "max":
+		if isAggregate(t.Fn) {
 			*aggs = append(*aggs, t)
 			return aggRef{N: len(*aggs) - 1}
 		}
@@ -124,90 +137,6 @@ func (a *aggState) result(fn string) Value {
 	return Null
 }
 
-// aggEnv evaluates expressions containing aggRef nodes.
-type aggEnv struct {
-	*env
-	aggVals []Value
-}
-
-func (e *aggEnv) eval(x Expr) (Value, error) {
-	if r, ok := x.(aggRef); ok {
-		return e.aggVals[r.N], nil
-	}
-	// Recurse through composite nodes so nested aggRefs resolve; leaves
-	// fall through to the plain evaluator.
-	switch t := x.(type) {
-	case BinOp:
-		return e.evalBin(t)
-	case UnOp:
-		v, err := e.eval(t.E)
-		if err != nil {
-			return Null, err
-		}
-		return e.env.eval(UnOp{Op: t.Op, E: Lit{V: v}})
-	case IsNull:
-		v, err := e.eval(t.E)
-		if err != nil {
-			return Null, err
-		}
-		return e.env.eval(IsNull{E: Lit{V: v}, Not: t.Not})
-	case Between:
-		v, err := e.eval(t.E)
-		if err != nil {
-			return Null, err
-		}
-		lo, err := e.eval(t.Lo)
-		if err != nil {
-			return Null, err
-		}
-		hi, err := e.eval(t.Hi)
-		if err != nil {
-			return Null, err
-		}
-		return e.env.eval(Between{E: Lit{V: v}, Lo: Lit{V: lo}, Hi: Lit{V: hi}, Not: t.Not})
-	case InList:
-		v, err := e.eval(t.E)
-		if err != nil {
-			return Null, err
-		}
-		list := make([]Expr, len(t.List))
-		for i, le := range t.List {
-			lv, err := e.eval(le)
-			if err != nil {
-				return Null, err
-			}
-			list[i] = Lit{V: lv}
-		}
-		return e.env.eval(InList{E: Lit{V: v}, List: list, Not: t.Not})
-	case Call:
-		args := make([]Expr, len(t.Args))
-		for i, a := range t.Args {
-			v, err := e.eval(a)
-			if err != nil {
-				return Null, err
-			}
-			args[i] = Lit{V: v}
-		}
-		return e.env.eval(Call{Fn: t.Fn, Args: args, Star: t.Star})
-	}
-	return e.env.eval(x)
-}
-
-func (e *aggEnv) evalBin(t BinOp) (Value, error) {
-	// Short-circuit semantics preserved by delegating to env after
-	// resolving the sides (aggregates cannot appear under AND/OR with
-	// side effects anyway).
-	l, err := e.eval(t.L)
-	if err != nil {
-		return Null, err
-	}
-	r, err := e.eval(t.R)
-	if err != nil {
-		return Null, err
-	}
-	return e.env.eval(BinOp{Op: t.Op, L: Lit{V: l}, R: Lit{V: r}})
-}
-
 // joinedRows are the outputs of the join pipeline, each the bindings'
 // rows at the moment it matched, laid end to end in one slice: a joined
 // row costs no allocation of its own.
@@ -299,7 +228,7 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	var orderKeys [][]Value
 	switch {
 	case p.agg:
-		outRows, orderKeys, err = db.aggregate(e, st, p.items, &joined)
+		outRows, orderKeys, err = p.aggregate(&joined)
 		if err != nil {
 			return nil, err
 		}
@@ -317,21 +246,9 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 		outRows = make([][]Value, joined.n)
 		for k := range outRows {
 			joined.bind(e.bindings, k)
-			row := flat[k*w : (k+1)*w : (k+1)*w]
-			for i, it := range p.items {
-				v, err := e.eval(it.E)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			outRows[k] = row
-			if len(p.orderBy) > 0 {
-				keys, err := evalOrderKeys(e, p.orderBy, p.items, row)
-				if err != nil {
-					return nil, err
-				}
-				orderKeys = append(orderKeys, keys)
+			outRows[k] = flat[k*w : (k+1)*w : (k+1)*w]
+			if orderKeys, err = p.project(outRows[k], orderKeys); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -369,7 +286,7 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 			for i := range p.orderBy {
 				c := Compare(ka[i], kb[i])
 				if c != 0 {
-					if p.orderBy[i].Desc {
+					if p.orderBy[i].desc {
 						return c > 0
 					}
 					return c < 0
@@ -403,22 +320,24 @@ func (db *DB) execSelect(ctx context.Context, tx *kvclient.Tx, st Select, args [
 	return &Rows{Columns: p.columns, rows: outRows}, nil
 }
 
-// scanOrdered reports whether the scan of a single-table query, planned
-// as t, already delivers rows in the order st asks for, so that no sort
-// is needed: an ORDER BY on the primary key ascending, since the DBT scan
-// delivers rows in primary-key order (and an index-equality scan delivers
-// them in row-key order within the fixed value). This also re-enables
-// early LIMIT termination for the Web-typical `ORDER BY pk LIMIT n`.
-func scanOrdered(st Select, t *tablePlan) bool {
-	pk := t.schema.PKCol
-	if len(st.OrderBy) != 1 || st.OrderBy[0].Desc || pk < 0 {
+// scanOrdered reports whether the scan of a single-table query already
+// delivers rows in the order p asks for, so that no sort is needed: an
+// ORDER BY on the primary key ascending, be the term the column or an
+// output column that is it, since the DBT scan delivers rows in
+// primary-key order (and an index-equality scan delivers them in row-key
+// order within the fixed value). This also re-enables early LIMIT
+// termination for the Web-typical `ORDER BY pk LIMIT n`.
+func (p *stmtPlan) scanOrdered() bool {
+	t := &p.tables[0]
+	if len(p.orderBy) != 1 || p.orderBy[0].desc || t.schema.PKCol < 0 || t.path.kind == pathIdxRange {
 		return false
 	}
-	cr, ok := st.OrderBy[0].E.(ColRef)
-	if !ok || cr.Col != t.schema.Cols[pk].Name || (cr.Table != "" && cr.Table != t.alias) {
-		return false
+	x := p.orderBy[0].e
+	if k := p.orderBy[0].col; k >= 0 {
+		x = p.items[k].E
 	}
-	return t.path.kind != pathIdxRange
+	col, ok := p.e.column(x, 0)
+	return ok && col == t.schema.PKCol
 }
 
 // columnRun reports whether items are plain columns of b's table forming
@@ -442,11 +361,10 @@ func columnRun(items []SelectItem, b *binding) (lo, hi int, ok bool) {
 }
 
 // earlyLimit returns how many joined rows the scans need to produce for
-// st — LIMIT plus OFFSET — when nothing downstream (aggregation,
-// DISTINCT, a sort left in orderBy) has to see every row, and -1
-// otherwise.
-func earlyLimit(e *env, st Select, isAgg bool, orderBy []OrderItem) (int, error) {
-	if isAgg || len(orderBy) > 0 || st.Distinct || st.Limit == nil {
+// st — LIMIT plus OFFSET — when nothing downstream (aggregation, a sort:
+// whole; DISTINCT) has to see every row, and -1 otherwise.
+func earlyLimit(e *env, st Select, whole bool) (int, error) {
+	if whole || st.Distinct || st.Limit == nil {
 		return -1, nil
 	}
 	lim, off, err := evalLimit(e, st)
@@ -493,42 +411,106 @@ func expandItems(items []SelectItem, e *env) ([]SelectItem, []string, error) {
 	return out, names, nil
 }
 
-// evalOrderKeys computes the sort key values for one output row.
-// ORDER BY can reference output aliases, column positions (1-based
-// integers), or arbitrary expressions over the source row.
-func evalOrderKeys(e *env, order []OrderItem, items []SelectItem, outRow []Value) ([]Value, error) {
-	keys := make([]Value, len(order))
-	for i, oi := range order {
-		// Positional: ORDER BY 2.
-		if lit, ok := oi.E.(Lit); ok && lit.V.T == TypeInt {
-			n := int(lit.V.I)
-			if n < 1 || n > len(outRow) {
-				return nil, fmt.Errorf("sql: ORDER BY position %d out of range", n)
-			}
-			keys[i] = outRow[n-1]
-			continue
-		}
-		// Alias reference.
-		if cr, ok := oi.E.(ColRef); ok && cr.Table == "" {
-			matched := false
-			for j, it := range items {
-				if it.Alias == cr.Col {
-					keys[i] = outRow[j]
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-		}
-		v, err := e.eval(oi.E)
+// resolve resolves, once, what st names besides its tables and WHERE.
+// A GROUP BY term that is an integer literal k names output item k's
+// expression, which may hold no aggregate. The items and HAVING have
+// their aggregates rewritten into p.aggs (rewriteAggs), and p aggregates
+// if they hold any, or there is a GROUP BY or a HAVING; then an ORDER BY
+// term may hold aggregates too, as in SQLite. Each ORDER BY term
+// resolves with SQLite's precedence: an integer literal k names output
+// column k, a bare name equal to an output alias names that column, and
+// anything else is an expression over the joined row. Every column any of
+// them names resolves here too, so an ambiguous or unknown one fails
+// before any read.
+func (p *stmtPlan) resolve(st Select) error {
+	for _, g := range st.GroupBy {
+		k, err := position(g, len(p.items), "GROUP BY")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		keys[i] = v
+		if k >= 0 {
+			g = p.items[k].E
+		}
+		var aggs []Call
+		if rewriteAggs(g, &aggs); len(aggs) > 0 {
+			return fmt.Errorf("sql: aggregate functions are not allowed in the GROUP BY clause")
+		}
+		if _, err := p.e.refDepth(g); err != nil {
+			return err
+		}
+		p.groupBy = append(p.groupBy, g)
 	}
-	return keys, nil
+	for i := range p.items {
+		p.items[i].E = rewriteAggs(p.items[i].E, &p.aggs)
+		if _, err := p.e.refDepth(p.items[i].E); err != nil {
+			return err
+		}
+	}
+	if st.Having != nil {
+		p.having = rewriteAggs(st.Having, &p.aggs)
+		if _, err := p.e.refDepth(p.having); err != nil {
+			return err
+		}
+	}
+	p.agg = len(p.aggs) > 0 || len(p.groupBy) > 0 || p.having != nil
+	for _, o := range st.OrderBy {
+		k, err := position(o.E, len(p.items), "ORDER BY")
+		if err != nil {
+			return err
+		}
+		if cr, ok := o.E.(ColRef); k < 0 && ok && cr.Table == "" {
+			k = slices.IndexFunc(p.items, func(it SelectItem) bool { return it.Alias == cr.Col })
+		}
+		key := orderKey{col: k, desc: o.Desc}
+		if k < 0 {
+			n := len(p.aggs)
+			key.e = rewriteAggs(o.E, &p.aggs)
+			if !p.agg && len(p.aggs) > n {
+				return fmt.Errorf("sql: misuse of aggregate: %s()", p.aggs[n].Fn)
+			}
+			if _, err := p.e.refDepth(key.e); err != nil {
+				return err
+			}
+		}
+		p.orderBy = append(p.orderBy, key)
+	}
+	return nil
+}
+
+// position is the output column an integer literal k names as a GROUP BY
+// or ORDER BY term, k-1, or -1 when x is no integer literal.
+func position(x Expr, columns int, clause string) (int, error) {
+	lit, ok := x.(Lit)
+	if !ok || lit.V.T != TypeInt {
+		return -1, nil
+	}
+	if lit.V.I < 1 || lit.V.I > int64(columns) {
+		return -1, fmt.Errorf("sql: %s position %d out of range", clause, lit.V.I)
+	}
+	return int(lit.V.I) - 1, nil
+}
+
+// project evaluates p's items into row, the joined row it projects being
+// bound, and appends the row's ORDER BY keys to keys if p sorts.
+func (p *stmtPlan) project(row []Value, keys [][]Value) ([][]Value, error) {
+	var err error
+	for i, it := range p.items {
+		if row[i], err = p.e.eval(it.E); err != nil {
+			return keys, err
+		}
+	}
+	if len(p.orderBy) == 0 {
+		return keys, nil
+	}
+	k := make([]Value, len(p.orderBy))
+	for i, o := range p.orderBy {
+		if o.col >= 0 {
+			k[i] = row[o.col]
+		} else if k[i], err = p.e.eval(o.e); err != nil {
+			return keys, err
+		}
+	}
+	return append(keys, k), nil
 }
 
 func evalLimit(e *env, st Select) (lim, off int, err error) {
@@ -558,22 +540,8 @@ func evalLimit(e *env, st Select) (lim, off int, err error) {
 
 // aggregate runs hash aggregation over the joined rows and returns the
 // projected group rows plus their ORDER BY keys.
-func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined *joinedRows) ([][]Value, [][]Value, error) {
-	// Rewrite aggregates out of the projection, HAVING, and ORDER BY.
-	var aggs []Call
-	rewritten := make([]Expr, len(items))
-	for i, it := range items {
-		rewritten[i] = rewriteAggs(it.E, &aggs)
-	}
-	var havingR Expr
-	if st.Having != nil {
-		havingR = rewriteAggs(st.Having, &aggs)
-	}
-	orderR := make([]Expr, len(st.OrderBy))
-	for i, oi := range st.OrderBy {
-		orderR[i] = rewriteAggs(oi.E, &aggs)
-	}
-
+func (p *stmtPlan) aggregate(joined *joinedRows) ([][]Value, [][]Value, error) {
+	e := &p.e
 	type group struct {
 		keyVals []Value
 		states  []*aggState
@@ -584,8 +552,8 @@ func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined *joinedRow
 
 	for j := 0; j < joined.n; j++ {
 		joined.bind(e.bindings, j)
-		keyVals := make([]Value, len(st.GroupBy))
-		for i, g := range st.GroupBy {
+		keyVals := make([]Value, len(p.groupBy))
+		for i, g := range p.groupBy {
 			v, err := e.eval(g)
 			if err != nil {
 				return nil, nil, err
@@ -595,14 +563,14 @@ func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined *joinedRow
 		k := string(EncodeKey(keyVals...))
 		g := groups[k]
 		if g == nil {
-			g = &group{keyVals: keyVals, states: make([]*aggState, len(aggs)), first: j}
+			g = &group{keyVals: keyVals, states: make([]*aggState, len(p.aggs)), first: j}
 			for i := range g.states {
 				g.states[i] = &aggState{}
 			}
 			groups[k] = g
 			order = append(order, k)
 		}
-		for i, call := range aggs {
+		for i, call := range p.aggs {
 			if call.Star {
 				g.states[i].count++
 				continue
@@ -619,8 +587,8 @@ func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined *joinedRow
 	}
 
 	// No GROUP BY: aggregates over the empty input still yield one row.
-	if len(st.GroupBy) == 0 && len(groups) == 0 {
-		g := &group{states: make([]*aggState, len(aggs)), first: -1}
+	if len(p.groupBy) == 0 && len(groups) == 0 {
+		g := &group{states: make([]*aggState, len(p.aggs)), first: -1}
 		for i := range g.states {
 			g.states[i] = &aggState{}
 		}
@@ -633,13 +601,12 @@ func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined *joinedRow
 	for _, k := range order {
 		g := groups[k]
 		joined.bind(e.bindings, g.first)
-		aggVals := make([]Value, len(aggs))
-		for i, call := range aggs {
-			aggVals[i] = g.states[i].result(call.Fn)
+		e.aggs = make([]Value, len(p.aggs))
+		for i, call := range p.aggs {
+			e.aggs[i] = g.states[i].result(call.Fn)
 		}
-		ae := &aggEnv{env: e, aggVals: aggVals}
-		if havingR != nil {
-			v, err := ae.eval(havingR)
+		if p.having != nil {
+			v, err := e.eval(p.having)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -647,48 +614,12 @@ func (db *DB) aggregate(e *env, st Select, items []SelectItem, joined *joinedRow
 				continue
 			}
 		}
-		row := make([]Value, len(rewritten))
-		for i, rx := range rewritten {
-			v, err := ae.eval(rx)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
+		row := make([]Value, len(p.items))
+		var err error
+		if orderKeys, err = p.project(row, orderKeys); err != nil {
+			return nil, nil, err
 		}
 		outRows = append(outRows, row)
-		if len(st.OrderBy) > 0 {
-			keys := make([]Value, len(orderR))
-			for i, ox := range orderR {
-				// Positional and alias forms first.
-				if lit, ok := st.OrderBy[i].E.(Lit); ok && lit.V.T == TypeInt {
-					n := int(lit.V.I)
-					if n < 1 || n > len(row) {
-						return nil, nil, fmt.Errorf("sql: ORDER BY position %d out of range", n)
-					}
-					keys[i] = row[n-1]
-					continue
-				}
-				if cr, ok := st.OrderBy[i].E.(ColRef); ok && cr.Table == "" {
-					matched := false
-					for j, it := range items {
-						if it.Alias == cr.Col {
-							keys[i] = row[j]
-							matched = true
-							break
-						}
-					}
-					if matched {
-						continue
-					}
-				}
-				v, err := ae.eval(ox)
-				if err != nil {
-					return nil, nil, err
-				}
-				keys[i] = v
-			}
-			orderKeys = append(orderKeys, keys)
-		}
 	}
 	return outRows, orderKeys, nil
 }

@@ -164,6 +164,13 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		{"select pk = NULL", "SELECT v FROM p WHERE id = NULL", nil, 0, 0, 0, 0},
 		{"select contradictory range", "SELECT v FROM p WHERE id > 9 AND id < 3", nil, 0, 0, 0, 0},
 		{"select first row by pk order", "SELECT id FROM p ORDER BY id LIMIT 1", nil, 1, 1, 0, 1},
+		{"select first row by pk order, positional", "SELECT id FROM p ORDER BY 1 LIMIT 1", nil, 1, 1, 0, 1},
+		{"select first row by pk order, aliased", "SELECT id AS k FROM p ORDER BY k LIMIT 1", nil, 1, 1, 0, 1},
+		// A join key named without its table is the outer table's all the
+		// same: one leaf of l, then one point read of t for the five rows'
+		// one src (20), which the read set answers four times over.
+		{"join on an unqualified outer column", "SELECT l.id, t.u FROM l JOIN t ON t.id = src WHERE l.id BETWEEN 100 AND 104", nil, 2, 2, 0, 5},
+		{"join on a qualified outer column", "SELECT l.id, t.u FROM l JOIN t ON t.id = l.src WHERE l.id BETWEEN 100 AND 104", nil, 2, 2, 0, 5},
 		{"select 5 rows from mid-leaf", "SELECT id FROM p WHERE id >= ? LIMIT 5", []sql.Value{sql.Int(100)}, 1, 1, 0, 5},
 		{"select pk range across a leaf boundary", "SELECT v FROM p WHERE id BETWEEN 120 AND 135", nil, 2, 1, 0, 16},
 		{"select 50 rows from ten before a leaf boundary", "SELECT id FROM p WHERE id >= ? LIMIT 50", []sql.Value{sql.Int(118)}, 2, 1, 0, 50},
