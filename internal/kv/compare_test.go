@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"yesquel/internal/rpc"
 	"yesquel/internal/wire"
 )
 
@@ -205,30 +206,26 @@ func TestCompareOpsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompareErrorCrossesTheWire: the error's class is its wire code, and
-// its kind and object survive the trip as text, behind a clock mark too.
+// TestCompareErrorCrossesTheWire: every compare class is one wire code,
+// and the failed op's kind and object come back typed; a detail naming a
+// write kind is refused, leaving only the sentinel.
 func TestCompareErrorCrossesTheWire(t *testing.T) {
-	for _, c := range []struct {
-		op   OpKind
-		code uint64
-	}{
-		{OpCmpPresent, CodeConstraintFailed},
-		{OpCmpAbsent, CodeConstraintFailed},
-		{OpCmpFences, CodeRouteFailed},
-		{OpCmpAttr, CodeRouteFailed},
-		{OpCmpMaxCells, CodeRouteFailed},
-	} {
-		ce := &CompareError{Op: c.op, OID: MakeOID(3, 77)}
-		err := MarkClock(ce, 12345)
-		if got := WireErrorCode(err); got != c.code {
-			t.Errorf("%v: code %d, want %d", ce, got, c.code)
+	for _, op := range []OpKind{OpCmpPresent, OpCmpAbsent, OpCmpFences, OpCmpAttr, OpCmpMaxCells} {
+		ce := &CompareError{Op: op, OID: MakeOID(3, 77)}
+		if got := wireCode(ce); got != CodeCompare {
+			t.Errorf("%v: code %d, want %d", ce, got, CodeCompare)
 		}
-		back, ok := ParseCompare(err.Error())
-		if !ok || *back != *ce {
-			t.Errorf("%q parsed as %+v, %v", err.Error(), back, ok)
+		back, ts := crossWire(fmt.Errorf("prepare: %w", ce), 12345)
+		var got *CompareError
+		if !errors.As(back, &got) || *got != *ce || ts != 12345 {
+			t.Errorf("%v decoded as %#v at %d", ce, back, ts)
 		}
 	}
-	if _, ok := ParseCompare(ErrCompare.Error() + ": op=1 oid=5"); ok {
-		t.Error("a write kind parsed as a compare")
+	var detail wire.Buffer
+	code := WireErrorCode(&CompareError{Op: OpListAdd, OID: 5}, 1, &detail)
+	back, _ := DecodeError(&rpc.AppError{Code: code, Detail: detail.Bytes()})
+	var got *CompareError
+	if !errors.Is(back, ErrCompare) || errors.As(back, &got) {
+		t.Errorf("a write kind decoded as %#v", back)
 	}
 }

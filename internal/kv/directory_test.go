@@ -115,31 +115,21 @@ func TestWrongSlotErrorRoundTrip(t *testing.T) {
 	if !errors.Is(ws, ErrWrongSlot) {
 		t.Fatal("WrongSlotError does not unwrap to ErrWrongSlot")
 	}
-	if code := WireErrorCode(ws); code != CodeWrongSlot {
+	if code := wireCode(ws); code != CodeWrongSlot {
 		t.Fatalf("WireErrorCode = %d, want %d", code, CodeWrongSlot)
 	}
 
-	got, ok := ParseWrongSlot(ws.Error())
-	if !ok || !reflect.DeepEqual(got, ws) {
-		t.Fatalf("ParseWrongSlot(%q) = %+v, %v", ws.Error(), got, ok)
+	// The typed redirect survives the handler's wrapping and the trip;
+	// an empty member list comes back empty, not [""].
+	for _, in := range []*WrongSlotError{ws, {Version: 1}} {
+		back, _ := crossWire(fmt.Errorf("handler: %w", in), 77)
+		var got *WrongSlotError
+		if !errors.As(back, &got) || !reflect.DeepEqual(got, in) {
+			t.Fatalf("%v decoded as %#v", in, back)
+		}
 	}
-
-	// Wrapping prefixes — including a clock mark, which always leads the
-	// message — must not disturb the tail-anchored parse.
-	marked := MarkClock(fmt.Errorf("handler: %w", ws), 77)
-	got, ok = ParseWrongSlot(marked.Error())
-	if !ok || !reflect.DeepEqual(got, ws) {
-		t.Fatalf("ParseWrongSlot(marked) = %+v, %v", got, ok)
-	}
-
-	// Empty member list round-trips as empty, not [""].
-	bare := &WrongSlotError{Version: 1, Route: 0, Group: 0}
-	got, ok = ParseWrongSlot(bare.Error())
-	if !ok || len(got.Members) != 0 {
-		t.Fatalf("ParseWrongSlot(bare) = %+v, %v", got, ok)
-	}
-
-	if _, ok := ParseWrongSlot("kv: wrong epoch: epoch=3 members=a"); ok {
-		t.Fatal("ParseWrongSlot accepted a wrong-epoch message")
+	back, _ := crossWire(&WrongEpochError{Epoch: 3, Members: []string{"a"}}, 77)
+	if errors.Is(back, ErrWrongSlot) {
+		t.Fatal("a wrong-epoch reply decoded as a wrong slot")
 	}
 }

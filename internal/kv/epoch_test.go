@@ -3,13 +3,18 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"yesquel/internal/rpc"
+	"yesquel/internal/wire"
 )
 
 // TestWrongEpochErrorRoundTrip pins the contract ErrWrongEpoch relies
-// on to cross the RPC boundary: the canonical Error string must parse
-// back into the same epoch and membership, including when wrapped by
-// intermediate layers (rpc.AppError flattens everything to text).
+// on to cross the RPC boundary: the typed error, wrapped by whatever
+// layers the handler adds, comes back from the error reply with the same
+// epoch and membership. A reply that only quotes one in its text, or
+// whose detail is cut short, carries no typed form.
 func TestWrongEpochErrorRoundTrip(t *testing.T) {
 	cases := []*WrongEpochError{
 		{Epoch: 1, Members: []string{"127.0.0.1:7000", "127.0.0.1:7001"}},
@@ -20,36 +25,29 @@ func TestWrongEpochErrorRoundTrip(t *testing.T) {
 		{Epoch: 7, Members: []string{"a:1", "b:2", "c:3", "d:4", "e:5"}},
 	}
 	for i, in := range cases {
-		for _, msg := range []string{
-			in.Error(),
-			fmt.Sprintf("kvserver: rejecting stale request: %v", in),
-			fmt.Sprintf("kv: replicating commit: record from deposed primary: %v", in),
+		for _, err := range []error{
+			in,
+			fmt.Errorf("kvserver: rejecting stale request: %w", in),
 		} {
-			out, ok := ParseWrongEpoch(msg)
-			if !ok {
-				t.Fatalf("case %d: %q did not parse", i, msg)
-			}
-			if out.Epoch != in.Epoch {
-				t.Fatalf("case %d: epoch got %d want %d", i, out.Epoch, in.Epoch)
-			}
-			if len(out.Members) != len(in.Members) {
-				t.Fatalf("case %d: members got %v want %v", i, out.Members, in.Members)
-			}
-			for j := range in.Members {
-				if out.Members[j] != in.Members[j] {
-					t.Fatalf("case %d: members got %v want %v", i, out.Members, in.Members)
-				}
+			back, _ := crossWire(err, 9)
+			var out *WrongEpochError
+			if !errors.As(back, &out) || !reflect.DeepEqual(out, in) {
+				t.Fatalf("case %d: %v decoded as %#v", i, err, back)
 			}
 		}
+		quoted, _ := crossWire(fmt.Errorf("kv: replicating commit: record from deposed primary: %v", in), 9)
+		var out *WrongEpochError
+		if errors.As(quoted, &out) || errors.Is(quoted, ErrWrongEpoch) {
+			t.Fatalf("case %d: a quoted rejection decoded as %#v", i, quoted)
+		}
 	}
-	if !errors.Is(&WrongEpochError{Epoch: 3}, ErrWrongEpoch) {
-		t.Fatal("WrongEpochError does not unwrap to ErrWrongEpoch")
-	}
-	if _, ok := ParseWrongEpoch("kv: transaction conflict"); ok {
-		t.Fatal("unrelated error parsed as wrong-epoch")
-	}
-	if _, ok := ParseWrongEpoch("kv: wrong epoch: epoch=xyz members=a"); ok {
-		t.Fatal("malformed epoch parsed")
+	var detail wire.Buffer
+	code := WireErrorCode(cases[0], 9, &detail)
+	cut := detail.Bytes()[:detail.Len()-1]
+	back, _ := DecodeError(&rpc.AppError{Msg: cases[0].Error(), Code: code, Detail: cut})
+	var out *WrongEpochError
+	if !errors.Is(back, ErrWrongEpoch) || errors.As(back, &out) {
+		t.Fatalf("a cut detail decoded as %#v", back)
 	}
 }
 
@@ -124,43 +122,5 @@ func TestAckPiggybackRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeAck(reply(&big)); err == nil {
 		t.Fatal("oversized membership decoded")
-	}
-}
-
-// TestClockMarkRoundTrip pins the clock-stamp protocol commit handlers
-// use on failure paths: the stamp must lead the message, survive the
-// flatten-to-text RPC boundary, parse back to the same timestamp, and
-// never disturb the tail-anchored wrong-epoch parser when both ride
-// the same error.
-func TestClockMarkRoundTrip(t *testing.T) {
-	base := fmt.Errorf("kvserver: replication quorum lost")
-	for _, ts := range []Timestamp{0, 1, 1<<64 - 1} {
-		marked := MarkClock(base, ts)
-		got, ok := ParseClockMark(marked.Error())
-		if !ok || got != ts {
-			t.Fatalf("ts %d: parsed (%d, %v) from %q", ts, got, ok, marked)
-		}
-		if !errors.Is(marked, base) {
-			t.Fatalf("ts %d: mark broke the error chain", ts)
-		}
-	}
-	if MarkClock(nil, 5) != nil {
-		t.Fatal("marking a nil error produced an error")
-	}
-	// The stamp must not swallow a wrong-epoch payload further down the
-	// message, and must not itself parse from unmarked text.
-	we := &WrongEpochError{Epoch: 4, Members: []string{"a:1", "b:2", "c:3"}}
-	both := MarkClock(fmt.Errorf("commit rejected: %w", we), 42).Error()
-	if ts, ok := ParseClockMark(both); !ok || ts != 42 {
-		t.Fatalf("clock mark lost alongside wrong-epoch: %q", both)
-	}
-	if out, ok := ParseWrongEpoch(both); !ok || out.Epoch != 4 || len(out.Members) != 3 {
-		t.Fatalf("wrong-epoch payload lost under clock mark: %q", both)
-	}
-	if _, ok := ParseClockMark("kv: transaction conflict"); ok {
-		t.Fatal("unmarked error parsed as clock mark")
-	}
-	if _, ok := ParseClockMark("clock=xyz kv: oops"); ok {
-		t.Fatal("malformed clock mark parsed")
 	}
 }

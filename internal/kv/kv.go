@@ -67,8 +67,8 @@
 // a two-phase participant's prepare record carries its compares too,
 // because its yes vote promises the compared objects stay locked until
 // the decision, on whichever member is primary when it arrives. A
-// CompareError crosses the RPC boundary with its own wire code, one per
-// class (CodeConstraintFailed, CodeRouteFailed).
+// CompareError crosses the RPC boundary whole, in the detail of an error
+// reply of code CodeCompare.
 package kv
 
 import (
@@ -76,10 +76,10 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 
 	"yesquel/internal/clock"
+	"yesquel/internal/rpc"
 	"yesquel/internal/wire"
 )
 
@@ -219,7 +219,9 @@ func (v *Value) EncodedSize() int {
 	return n
 }
 
-// Errors shared by the kv client and server.
+// Errors shared by the kv client and server. A handler's error reaches
+// the client as one error reply, classified by the sentinel it wraps
+// (see wireErrors).
 var (
 	// ErrConflict reports a write-write conflict or lock conflict under
 	// snapshot isolation; the transaction was aborted and may be
@@ -229,7 +231,8 @@ var (
 	ErrAborted = errors.New("kv: transaction aborted")
 	// ErrNotFound reports a read of an object with no visible version.
 	ErrNotFound = errors.New("kv: object not found")
-	// ErrBadRequest reports a malformed request.
+	// ErrBadRequest reports a malformed request, or one whose ops cannot
+	// apply (a ListAdd on a plain value); retrying it cannot help.
 	ErrBadRequest = errors.New("kv: bad request")
 	// ErrUncertain reports that a commit was sent but its acknowledgment
 	// was lost (the connection died mid-call). The transaction may or
@@ -262,16 +265,15 @@ var (
 	// member's directory version and the slot's owning group, so a stale
 	// client re-routes in one round trip.
 	ErrWrongSlot = errors.New("kv: wrong slot")
+	// ErrSnapSessionExpired rejects a snapshot chunk request whose
+	// session is unknown, expired or evicted: the transfer must restart
+	// from scratch.
+	ErrSnapSessionExpired = errors.New("kv: unknown or expired snapshot session")
 )
 
-// Wire error codes: compact classifications stamped onto application
-// errors that cross the RPC boundary (rpc.AppError.Code), so clients
-// match errors structurally instead of grepping message text. The
-// registry spans every service in the tree — codes 1–49 are the kv
-// sentinels above, 50+ belong to server-side sentinels that still
-// need client-visible classification (snapshot sessions). Code 0 means
-// unclassified; never assign it. Values are wire protocol: append,
-// never renumber.
+// Wire error codes: the class of an error reply (rpc.AppError.Code).
+// Code 0 means unclassified; never assign it. Values are wire protocol:
+// append, never renumber; 10 is retired.
 const (
 	CodeConflict           uint64 = 1
 	CodeAborted            uint64 = 2
@@ -281,55 +283,156 @@ const (
 	CodeDiverged           uint64 = 6
 	CodeWrongEpoch         uint64 = 7
 	CodeWrongSlot          uint64 = 8
-	CodeConstraintFailed   uint64 = 9  // a CompareError of a constraint compare
-	CodeRouteFailed        uint64 = 10 // a CompareError of a route compare
+	CodeCompare            uint64 = 9
 	CodeSnapSessionExpired uint64 = 50
 )
 
-// WireErrorCode maps a handler error to its wire code, or 0 if the
-// error matches no kv sentinel. ErrUncertain is matched FIRST and
-// exclusively: an uncertain commit wraps the underlying batch error,
-// which may itself carry wrong-epoch/conflict/bad-request — sentinels
-// whose contracts promise the operation was NOT executed, the
-// opposite of what an uncertain outcome means. Servers with
-// service-local sentinels layer their own cases before delegating
-// here (see kvserver's error coder).
-func WireErrorCode(err error) uint64 {
-	var ce *CompareError
-	switch {
-	case err == nil:
-		return 0
-	case errors.Is(err, ErrUncertain):
-		return CodeUncertain
-	case errors.As(err, &ce):
-		if ce.Op.IsRoute() {
-			return CodeRouteFailed
-		}
-		return CodeConstraintFailed
-	case errors.Is(err, ErrConflict):
-		return CodeConflict
-	case errors.Is(err, ErrAborted):
-		return CodeAborted
-	case errors.Is(err, ErrNotFound):
-		return CodeNotFound
-	case errors.Is(err, ErrWrongEpoch):
-		return CodeWrongEpoch
-	case errors.Is(err, ErrWrongSlot):
-		return CodeWrongSlot
-	case errors.Is(err, ErrDiverged):
-		return CodeDiverged
-	case errors.Is(err, ErrBadRequest):
-		return CodeBadRequest
-	}
-	return 0
+// wireErrors pairs each wire code with its sentinel, and the three
+// rejections whose payload a client acts on with their typed form. A
+// server's error coder (WireErrorCode) takes the first row whose sentinel
+// the error wraps, and the client's DecodeError the row of the code
+// that came back. ErrUncertain leads: an uncertain commit wraps the
+// batch error that made it so, whose own sentinel may promise the
+// operation was NOT executed, the opposite of what an uncertain outcome
+// means; its reply carries no typed form, so a rejection its text quotes
+// redirects nobody.
+var wireErrors = [...]wireError{
+	{CodeUncertain, ErrUncertain, nil},
+	{CodeCompare, ErrCompare, typed[CompareError]},
+	{CodeConflict, ErrConflict, nil},
+	{CodeAborted, ErrAborted, nil},
+	{CodeNotFound, ErrNotFound, nil},
+	{CodeWrongEpoch, ErrWrongEpoch, typed[WrongEpochError]},
+	{CodeWrongSlot, ErrWrongSlot, typed[WrongSlotError]},
+	{CodeDiverged, ErrDiverged, nil},
+	{CodeBadRequest, ErrBadRequest, nil},
+	{CodeSnapSessionExpired, ErrSnapSessionExpired, nil},
 }
+
+type wireError struct {
+	code  uint64
+	err   error
+	typed func(error) typedError // the typed form err wraps, else a zero one
+}
+
+// typedError is a typed rejection: an error that lists its fields once,
+// so an error reply can carry it whole.
+type typedError interface {
+	error
+	wire(*wire.Codec)
+}
+
+// typed is a row's typed form: the *E that err wraps, or a new one for a
+// reply to decode into.
+func typed[E any, P interface {
+	*E
+	typedError
+}](err error) typedError {
+	var e P
+	if !errors.As(err, &e) {
+		e = new(E)
+	}
+	return e
+}
+
+// errorRow returns the row of wireErrors whose sentinel err wraps, or nil.
+func errorRow(err error) *wireError {
+	for i := range wireErrors {
+		if errors.Is(err, wireErrors[i].err) {
+			return &wireErrors[i]
+		}
+	}
+	return nil
+}
+
+// codeRow returns the row of wireErrors of the given code, or nil.
+func codeRow(code uint64) *wireError {
+	for i := range wireErrors {
+		if wireErrors[i].code == code {
+			return &wireErrors[i]
+		}
+	}
+	return nil
+}
+
+// errorDetail is what an error reply carries after its code
+// (rpc.AppError.Detail): the server's clock — a failed commit may still
+// have installed state at it, and a client whose next snapshot lands
+// below that state would miss it — then, if the code has one, the typed
+// rejection.
+type errorDetail struct {
+	Clock Timestamp
+	Err   typedError
+}
+
+func (d *errorDetail) wire(c *wire.Codec) {
+	wire.U64(c, &d.Clock)
+	if d.Err != nil {
+		d.Err.wire(c)
+	}
+}
+
+// decodeDetail reads the detail of an error reply whose code's row is
+// row (nil for a code of no row).
+func decodeDetail(row *wireError, p []byte) (*errorDetail, error) {
+	d := &errorDetail{}
+	if row != nil && row.typed != nil {
+		d.Err = row.typed(nil)
+	}
+	return d, wire.DecodeFrom(wire.NewReader(p), d, ErrBadRequest, (*errorDetail).wire)
+}
+
+// WireErrorCode is a kv server's error coder (rpc.Server.SetErrorCoder):
+// it returns err's wire code, 0 if err wraps no kv sentinel, and appends
+// the reply's detail, the clock now and err's typed form.
+func WireErrorCode(err error, now Timestamp, detail *wire.Buffer) uint64 {
+	d, code := errorDetail{Clock: now}, uint64(0)
+	if row := errorRow(err); row != nil {
+		code = row.code
+		if row.typed != nil {
+			d.Err = row.typed(err)
+		}
+	}
+	wire.EncodeTo(detail, &d, (*errorDetail).wire)
+	return code
+}
+
+// DecodeError turns an error reply back into the error it reports, and
+// returns the server clock the reply carried. The error keeps the
+// server's text and wraps the code's typed form, or else (the detail
+// did not decode) its sentinel, so callers match it with errors.Is and
+// errors.As; a reply of no kv code comes back as it is. So does a
+// transport error, which is no reply: with clock 0.
+func DecodeError(err error) (error, Timestamp) {
+	var app *rpc.AppError
+	if !errors.As(err, &app) {
+		return err, 0
+	}
+	row := codeRow(app.Code)
+	d, derr := decodeDetail(row, app.Detail)
+	switch {
+	case row == nil:
+		return err, d.Clock
+	case derr != nil || d.Err == nil:
+		return &replyError{msg: app.Msg, class: row.err}, d.Clock
+	}
+	return &replyError{msg: app.Msg, class: d.Err}, d.Clock
+}
+
+// replyError is a decoded error reply: the server's text, wrapping the
+// class its code names.
+type replyError struct {
+	msg   string
+	class error
+}
+
+func (e *replyError) Error() string { return e.msg }
+func (e *replyError) Unwrap() error { return e.class }
 
 // WrongEpochError is the typed form of ErrWrongEpoch: the rejecting
 // member's current epoch and membership (primary first), so a stale
 // client can adopt the new configuration and redirect, and a deposed
-// primary can learn it was superseded. It crosses the RPC boundary as
-// an application-error string in the canonical format produced by
-// Error; ParseWrongEpoch recovers it on the other side.
+// primary can learn it was superseded.
 type WrongEpochError struct {
 	Epoch   uint64
 	Members []string // replica addresses, acting primary first
@@ -341,38 +444,16 @@ func (e *WrongEpochError) Error() string {
 
 func (e *WrongEpochError) Unwrap() error { return ErrWrongEpoch }
 
-// ParseWrongEpoch recovers a WrongEpochError from an error string that
-// crossed the RPC boundary (rpc.AppError flattens handler errors to
-// text). It tolerates wrapping prefixes; the epoch=/members= pair must
-// be the message tail, which the canonical Error format guarantees.
-func ParseWrongEpoch(msg string) (*WrongEpochError, bool) {
-	i := strings.Index(msg, ErrWrongEpoch.Error()+": epoch=")
-	if i < 0 {
-		return nil, false
-	}
-	rest := msg[i+len(ErrWrongEpoch.Error())+len(": epoch="):]
-	j := strings.Index(rest, " members=")
-	if j < 0 {
-		return nil, false
-	}
-	epoch, err := strconv.ParseUint(rest[:j], 10, 64)
-	if err != nil {
-		return nil, false
-	}
-	we := &WrongEpochError{Epoch: epoch}
-	if list := rest[j+len(" members="):]; list != "" {
-		we.Members = strings.Split(list, ",")
-	}
-	return we, true
+func (e *WrongEpochError) wire(c *wire.Codec) {
+	c.Uvarint(&e.Epoch)
+	wireMembers(c, &e.Members)
 }
 
 // WrongSlotError is the typed form of ErrWrongSlot: the rejecting
 // member's directory version, the route (directory index) the request's
 // OID maps to, the group that owns it under that version, and that
 // group's replica addresses (primary first) — enough for a stale client
-// to patch its directory and redirect in one round trip. It crosses the
-// RPC boundary as an application-error string in the canonical format
-// produced by Error; ParseWrongSlot recovers it on the other side.
+// to patch its directory and redirect in one round trip.
 type WrongSlotError struct {
 	Version uint64   // rejecting member's directory version
 	Route   uint32   // directory route index of the OID's slot
@@ -387,53 +468,15 @@ func (e *WrongSlotError) Error() string {
 
 func (e *WrongSlotError) Unwrap() error { return ErrWrongSlot }
 
-// ParseWrongSlot recovers a WrongSlotError from an error string that
-// crossed the RPC boundary. It tolerates wrapping prefixes; the
-// dir=/route=/group=/members= tuple must be the message tail, which
-// the canonical Error format guarantees.
-func ParseWrongSlot(msg string) (*WrongSlotError, bool) {
-	i := strings.Index(msg, ErrWrongSlot.Error()+": dir=")
-	if i < 0 {
-		return nil, false
-	}
-	rest := msg[i+len(ErrWrongSlot.Error())+len(": dir="):]
-	j := strings.Index(rest, " route=")
-	if j < 0 {
-		return nil, false
-	}
-	version, err := strconv.ParseUint(rest[:j], 10, 64)
-	if err != nil {
-		return nil, false
-	}
-	rest = rest[j+len(" route="):]
-	j = strings.Index(rest, " group=")
-	if j < 0 {
-		return nil, false
-	}
-	route, err := strconv.ParseUint(rest[:j], 10, 32)
-	if err != nil {
-		return nil, false
-	}
-	rest = rest[j+len(" group="):]
-	j = strings.Index(rest, " members=")
-	if j < 0 {
-		return nil, false
-	}
-	group, err := strconv.ParseUint(rest[:j], 10, 32)
-	if err != nil {
-		return nil, false
-	}
-	ws := &WrongSlotError{Version: version, Route: uint32(route), Group: uint32(group)}
-	if list := rest[j+len(" members="):]; list != "" {
-		ws.Members = strings.Split(list, ",")
-	}
-	return ws, true
+func (e *WrongSlotError) wire(c *wire.Codec) {
+	c.Uvarint(&e.Version)
+	c.Uint32(&e.Route)
+	c.Uint32(&e.Group)
+	wireMembers(c, &e.Members)
 }
 
 // CompareError is the typed form of ErrCompare: the kind of the compare
-// op that failed and the object it checked. It crosses the RPC boundary
-// as an application-error string in the canonical format produced by
-// Error; ParseCompare recovers it on the other side.
+// op that failed and the object it checked.
 type CompareError struct {
 	Op  OpKind
 	OID OID
@@ -445,63 +488,15 @@ func (e *CompareError) Error() string {
 
 func (e *CompareError) Unwrap() error { return ErrCompare }
 
-// ParseCompare recovers a CompareError from an error string that crossed
-// the RPC boundary. It tolerates wrapping prefixes; the op=/oid= pair
-// must be the message tail, which the canonical Error format guarantees.
-func ParseCompare(msg string) (*CompareError, bool) {
-	i := strings.Index(msg, ErrCompare.Error()+": op=")
-	if i < 0 {
-		return nil, false
+func (e *CompareError) wire(c *wire.Codec) {
+	k := byte(e.Op)
+	c.Byte(&k)
+	wire.U64(c, &e.OID)
+	if c.Decoding() {
+		if e.Op = OpKind(k); !e.Op.IsCompare() {
+			c.Fail(fmt.Errorf("%w: compare of op kind %d", ErrBadRequest, k))
+		}
 	}
-	rest := msg[i+len(ErrCompare.Error())+len(": op="):]
-	j := strings.Index(rest, " oid=")
-	if j < 0 {
-		return nil, false
-	}
-	kind, err := strconv.ParseUint(rest[:j], 10, 8)
-	if err != nil || !OpKind(kind).IsCompare() {
-		return nil, false
-	}
-	oid, err := strconv.ParseUint(rest[j+len(" oid="):], 10, 64)
-	if err != nil {
-		return nil, false
-	}
-	return &CompareError{Op: OpKind(kind), OID: OID(oid)}, true
-}
-
-// MarkClock stamps the server's clock onto an error that crosses the
-// RPC boundary without a response payload (rpc.AppError flattens
-// handler errors to text). The commit handlers use it on their failure
-// paths: a commit that failed its replication/durability wait has
-// still installed versions at this clock, and a client that does not
-// observe it may take its next snapshot below state that exists —
-// surfacing as a spurious first-committer-wins conflict, or a read
-// that misses an acknowledged write. The stamp leads the message so it
-// cannot disturb tail-anchored parsers (ParseWrongEpoch);
-// ParseClockMark recovers it on the other side.
-func MarkClock(err error, ts clock.Timestamp) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("clock=%d %w", uint64(ts), err)
-}
-
-// ParseClockMark recovers a MarkClock stamp from an error string that
-// crossed the RPC boundary.
-func ParseClockMark(msg string) (clock.Timestamp, bool) {
-	const key = "clock="
-	if !strings.HasPrefix(msg, key) {
-		return 0, false
-	}
-	v := msg[len(key):]
-	if j := strings.IndexByte(v, ' '); j >= 0 {
-		v = v[:j]
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return clock.Timestamp(n), true
 }
 
 // OpKind enumerates write operations staged by a transaction.

@@ -51,10 +51,12 @@ const wrongEpochPause = 2 * time.Millisecond
 // replica; enc re-encodes the request on every attempt so retries
 // always carry the freshest known group epoch. Transport failures
 // rotate the group to the next replica and retry according to policy.
-// An ErrWrongEpoch rejection guarantees the operation was not
+// An error reply is decoded once (kv.DecodeError) and its clock merged.
+// A reply of code CodeWrongEpoch guarantees the operation was not
 // executed, so — for every policy — the client adopts the carried
 // configuration (or rotates, if it learned nothing new) and retries.
-// Other application errors and context cancellation never fail over.
+// Other error replies and context cancellation never fail over; they
+// return the decoded error.
 func (c *Client) call(ctx context.Context, server int, method string, enc func(epoch uint64) []byte, policy callPolicy) ([]byte, error) {
 	g := c.group(server)
 	var lastErr error
@@ -80,14 +82,13 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 		}
 		var app *rpc.AppError
 		if errors.As(err, &app) {
-			if ts, ok := kv.ParseClockMark(app.Msg); ok {
-				// A commit-path failure that still installed state at the
-				// server: merge its clock so this client's next snapshot
-				// covers whatever the failed call left behind.
-				c.hlc.Observe(ts)
-			}
-			we, ok := kv.ParseWrongEpoch(app.Msg)
-			if !ok || epochHops >= maxEpochHops {
+			// A failed commit may still have installed state at the
+			// server's clock: merging it makes this client's next snapshot
+			// cover whatever the failed call left behind.
+			err, ts := kv.DecodeError(err)
+			c.hlc.Observe(ts)
+			var we *kv.WrongEpochError
+			if !errors.As(err, &we) || epochHops >= maxEpochHops {
 				return nil, err
 			}
 			epochHops++
@@ -157,44 +158,4 @@ func (c *Client) Ping(ctx context.Context, server int) error {
 	}
 	c.observeAck(server, ack)
 	return nil
-}
-
-// translateRPCErr maps application errors from the server back to the
-// package's sentinel errors so callers can match with errors.Is. The
-// match is by wire code (rpc.AppError.Code, assigned by the server's
-// error coder, which ranks an uncertain commit above the not-executed
-// sentinels its message may embed — see kv.WireErrorCode).
-func translateRPCErr(err error) error {
-	var app *rpc.AppError
-	if errors.As(err, &app) {
-		switch app.Code {
-		case kv.CodeUncertain:
-			// A commit that failed its replication/durability wait: the
-			// record is in the primary's local stream but the backup's
-			// acknowledgment never came, so whether it survives a
-			// failover is unknown — the same contract as a lost ack.
-			return fmt.Errorf("%w: %s", kv.ErrUncertain, app.Msg)
-		case kv.CodeConflict:
-			return fmt.Errorf("%w: %s", kv.ErrConflict, app.Msg)
-		case kv.CodeWrongEpoch:
-			return fmt.Errorf("%w: %s", kv.ErrWrongEpoch, app.Msg)
-		case kv.CodeWrongSlot:
-			// Keep the typed redirect: the data paths re-route on it
-			// (retryWrongSlot) instead of surfacing it.
-			if ws, ok := kv.ParseWrongSlot(app.Msg); ok {
-				return ws
-			}
-			return fmt.Errorf("%w: %s", kv.ErrWrongSlot, app.Msg)
-		case kv.CodeBadRequest:
-			return fmt.Errorf("%w: %s", kv.ErrBadRequest, app.Msg)
-		case kv.CodeConstraintFailed, kv.CodeRouteFailed:
-			// A compare op failed: the typed error names the op's kind
-			// and the object, which the layer that staged it maps back.
-			if ce, ok := kv.ParseCompare(app.Msg); ok {
-				return ce
-			}
-			return fmt.Errorf("%w: %s", kv.ErrCompare, app.Msg)
-		}
-	}
-	return err
 }

@@ -192,6 +192,31 @@ func TestWriteWriteConflict(t *testing.T) {
 	}
 }
 
+// TestUnappliableOpIsABadRequest: a commit whose op cannot apply — a
+// ListAdd on a plain value — fails with kv.ErrBadRequest, which no caller
+// retries, not kv.ErrConflict, which callers do: as a one-shot commit on
+// one participant and as a two-phase prepare's no vote on two.
+func TestUnappliableOpIsABadRequest(t *testing.T) {
+	_, c := startCluster(t, 2)
+	ctx := context.Background()
+	plain := c.NewOID(0)
+	tx := c.Begin()
+	tx.Put(plain, kv.NewPlain([]byte("plain")))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, participants := range []int{1, 2} {
+		tx := c.Begin()
+		tx.ListAdd(plain, []byte("k"), []byte("v"))
+		if participants == 2 {
+			tx.Put(c.NewOID(1), kv.NewPlain([]byte("other")))
+		}
+		if err := tx.Commit(ctx); !errors.Is(err, kv.ErrBadRequest) || errors.Is(err, kv.ErrConflict) {
+			t.Fatalf("%d participants: commit of a ListAdd on a plain value: %v, want kv.ErrBadRequest", participants, err)
+		}
+	}
+}
+
 // TestOnCommitRunsAfterACommitOnly: a hook runs once per key, after the
 // commit and before Commit returns; a transaction that loses its commit,
 // or is aborted, runs none.

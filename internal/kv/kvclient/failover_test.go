@@ -3,6 +3,7 @@ package kvclient_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -372,37 +373,56 @@ func (c *cancelledAfterFirstWait) Err() error {
 	return context.Canceled
 }
 
-// TestCallStopsAtCancellation: a call bounced by a wrong-epoch answer
-// that taught it nothing pauses before walking on. A context cancelled
-// by then ends the call there, with the context's error — not after the
-// pause, by way of another request to the next replica.
-func TestCallStopsAtCancellation(t *testing.T) {
+// fakeGroup serves a one-member group at a fresh address behind kv's
+// error coder: MethodPing teaches the client that configuration, and
+// method is answered by the handler h returns for the address (for
+// MethodPing, h replaces the ping handler after the client's first).
+// It returns a client of the group.
+func fakeGroup(t *testing.T, method string, h func(addr string) rpc.AppendHandler) *kvclient.Client {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
 	srv := rpc.NewServer()
-	srv.SetErrorCoder(kv.WireErrorCode)
-	var pings atomic.Int32
-	bounced := make(chan struct{}, 8) // one per bounced request; the call makes at most 5
-	srv.RegisterAppend(kv.MethodPing, func(_ context.Context, _ []byte, reply *wire.Buffer) error {
-		if pings.Add(1) == 1 { // Open's: teach the client the configuration
-			(&kv.Ack{Epoch: 1, Members: []string{addr}}).AppendTo(reply)
-			return nil
+	srv.SetErrorCoder(func(err error, detail *wire.Buffer) uint64 { return kv.WireErrorCode(err, 0, detail) })
+	var opened atomic.Bool
+	handler := h(addr)
+	srv.RegisterAppend(kv.MethodPing, func(ctx context.Context, p []byte, reply *wire.Buffer) error {
+		if method == kv.MethodPing && opened.Load() {
+			return handler(ctx, p, reply)
 		}
-		bounced <- struct{}{}
-		return &kv.WrongEpochError{Epoch: 1, Members: []string{addr}}
+		(&kv.Ack{Epoch: 1, Members: []string{addr}}).AppendTo(reply)
+		return nil
 	})
+	if method != kv.MethodPing {
+		srv.RegisterAppend(method, handler)
+	}
 	go srv.Serve(ln)
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
 	c, err := kvclient.Open([]string{addr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	opened.Store(true)
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
-	err = c.Ping(&cancelledAfterFirstWait{Context: context.Background()}, 0)
+// TestCallStopsAtCancellation: a call bounced by a wrong-epoch answer
+// that taught it nothing pauses before walking on. A context cancelled
+// by then ends the call there, with the context's error — not after the
+// pause, by way of another request to the next replica.
+func TestCallStopsAtCancellation(t *testing.T) {
+	bounced := make(chan struct{}, 8) // one per bounced request; the call makes at most 5
+	c := fakeGroup(t, kv.MethodPing, func(addr string) rpc.AppendHandler {
+		return func(context.Context, []byte, *wire.Buffer) error {
+			bounced <- struct{}{}
+			return &kv.WrongEpochError{Epoch: 1, Members: []string{addr}}
+		}
+	})
+	err := c.Ping(&cancelledAfterFirstWait{Context: context.Background()}, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled call: got %v, want context.Canceled", err)
 	}
@@ -411,5 +431,30 @@ func TestCallStopsAtCancellation(t *testing.T) {
 	case <-bounced:
 		t.Fatal("cancelled call went on to send another request")
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestUncertainCommitIsNotRedirected: a fast commit whose replication a
+// moved-on member refused is uncertain, and the member's rejection that
+// its text quotes is no redirect: the commit may have run, so the client
+// returns kv.ErrUncertain after its one send.
+func TestUncertainCommitIsNotRedirected(t *testing.T) {
+	var sends atomic.Int32
+	c := fakeGroup(t, kv.MethodFastCommit, func(addr string) rpc.AppendHandler {
+		return func(context.Context, []byte, *wire.Buffer) error {
+			sends.Add(1)
+			member := &kv.WrongEpochError{Epoch: 2, Members: []string{"127.0.0.1:1", addr}}
+			return fmt.Errorf("%w: replicating commit: %v", kv.ErrUncertain, member)
+		}
+	})
+	tx := c.Begin()
+	tx.Put(c.NewOID(0), kv.NewPlain([]byte("once")))
+	err := tx.Commit(context.Background())
+	var we *kv.WrongEpochError
+	if !errors.Is(err, kv.ErrUncertain) || errors.As(err, &we) {
+		t.Fatalf("uncertain commit: got %v, want kv.ErrUncertain and no redirect", err)
+	}
+	if n := sends.Load(); n != 1 {
+		t.Fatalf("uncertain commit sent %d times, want 1", n)
 	}
 }

@@ -112,7 +112,7 @@ func (c *Client) readGroup(ctx context.Context, server int, snap clock.Timestamp
 		return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Items: items}).Encode()
 	}, retryAlways)
 	if err != nil {
-		return translateRPCErr(err)
+		return err
 	}
 	if one {
 		resp, err := kv.DecodeReadPartResp(respB)

@@ -472,23 +472,19 @@ func (t *Tx) fastCommit(ctx context.Context, server int, ops []*kv.Op) error {
 		return (&kv.FastCommitReq{TxID: t.txid, Start: t.start, Ops: ops, Epoch: epoch}).Encode()
 	}, retryUnsentUncertain)
 	if err != nil {
-		return translateRPCErr(err)
+		return err
 	}
 	resp, err := kv.DecodeFastCommitResp(respB)
 	if err != nil {
 		return err
 	}
 	t.c.hlc.Observe(resp.Clock)
-	if !resp.OK {
-		return kv.ErrConflict
-	}
 	t.c.hlc.Observe(resp.CommitTS)
 	return nil
 }
 
 func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int][]*kv.Op) error {
 	type vote struct {
-		ok       bool
 		proposed clock.Timestamp
 		err      error
 	}
@@ -506,7 +502,7 @@ func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int
 			return (&kv.PrepareReq{TxID: t.txid, Start: t.start, Ops: byServer[s], Epoch: epoch}).Encode()
 		}, retryUnsent)
 		if err != nil {
-			votes[i].err = translateRPCErr(err)
+			votes[i].err = err
 			return
 		}
 		resp, err := kv.DecodePrepareResp(respB)
@@ -515,7 +511,7 @@ func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int
 			return
 		}
 		t.c.hlc.Observe(resp.Clock)
-		votes[i] = vote{ok: resp.OK, proposed: resp.Proposed}
+		votes[i].proposed = resp.Proposed
 	})
 
 	commitTS := clock.Timestamp(0)
@@ -525,10 +521,6 @@ func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int
 		case v.err != nil:
 			if firstErr == nil {
 				firstErr = v.err
-			}
-		case !v.ok:
-			if firstErr == nil {
-				firstErr = kv.ErrConflict
 			}
 		case v.proposed > commitTS:
 			commitTS = v.proposed

@@ -352,9 +352,9 @@
 //     repMu, then txMu, then epochMu, then snapMu, then dirMu.
 //     Acquiring them in any other order (directly or via a
 //     same-package call) is flagged.
-//   - errsentinel: errors are classified by errors.Is/errors.As or by
-//     the typed RPC code (rpc.AppError.Code, kv.WireErrorCode), never
-//     by comparing message text.
+//   - errsentinel: errors are classified by errors.Is/errors.As, an
+//     error reply after kv.DecodeError has turned its code and detail
+//     back into the typed error, never by comparing message text.
 //   - timerloop: no per-iteration time.After/NewTimer allocation in
 //     wait loops; hoist one reusable timer.
 //
@@ -362,7 +362,12 @@
 // element lists its fields once, in a wire method that a wire.Codec
 // runs as encoder, decoder and sizer, so the two directions cannot
 // disagree, and every decoded count is checked against the bytes left
-// before anything is allocated for it.
+// before anything is allocated for it. Errors are messages too: a
+// failed call is one error reply, whose code (kv.wireErrors pairs each
+// with its sentinel) and detail — the server clock, then a
+// WrongEpochError, WrongSlotError or CompareError by its own wire
+// method — kv.WireErrorCode writes and kv.DecodeError reads. No success
+// reply carries a failure, and no client parses an error's text.
 //
 // Annotations: //yesqlint:blocking marks a leaf that blocks;
 // //yesqlint:allow <analyzer> -- <reason> suppresses one finding (on

@@ -104,9 +104,9 @@ func TestCheckClientOpRoles(t *testing.T) {
 		t.Fatalf("stale-epoch op on leased primary: %v, want ErrWrongEpoch", err)
 	}
 	// The rejection carries the configuration the client needs.
-	we, ok := kv.ParseWrongEpoch(s.CheckClientOp(1).Error())
-	if !ok || we.Epoch != 2 || len(we.Members) != 2 || we.Members[0] != "a" {
-		t.Fatalf("rejection payload: %+v ok=%v", we, ok)
+	var we *kv.WrongEpochError
+	if !errors.As(s.CheckClientOp(1), &we) || we.Epoch != 2 || len(we.Members) != 2 || we.Members[0] != "a" {
+		t.Fatalf("rejection payload: %+v", we)
 	}
 
 	// Backup: redirects even current-epoch requests.

@@ -44,20 +44,13 @@ type Server struct {
 	TestHookSnapChunk func(chunk uint32)
 }
 
-// errorCode classifies handler errors for the wire (rpc.AppError.Code):
-// the kvserver-local sentinel first, then the shared kv registry.
-func errorCode(err error) uint64 {
-	if errors.Is(err, ErrSnapshotSessionExpired) {
-		return kv.CodeSnapSessionExpired
-	}
-	return kv.WireErrorCode(err)
-}
-
 // NewServer wraps store in an RPC service. Call Listen, then Serve, to
 // start it.
 func NewServer(store *Store) *Server {
 	s := &Server{store: store, rpc: rpc.NewServer(), stopCh: make(chan struct{})}
-	s.rpc.SetErrorCoder(errorCode)
+	s.rpc.SetErrorCoder(func(err error, detail *wire.Buffer) uint64 {
+		return kv.WireErrorCode(err, s.store.Clock().Now(), detail)
+	})
 	// Background hygiene: tombstone sweeping at half the retention
 	// period, plus orphaned-prepare and decided-table eviction (their
 	// TTLs are far coarser than the tick, so sharing the ticker only
@@ -285,13 +278,11 @@ func (s *Server) renewLease(addr string, conn *rpc.Client) bool {
 		return false // deposed or reconfigured away: nothing to renew
 	}
 	req := &kv.LeaseReq{Epoch: s.store.Epoch()}
-	err := s.callExtendingLease(conn, addr, kv.MethodLease, req.Encode())
-	var app *rpc.AppError
-	if errors.As(err, &app) {
-		if we, ok := kv.ParseWrongEpoch(app.Msg); ok {
-			s.store.AdoptEpoch(we.Epoch, we.Members)
-			return s.store.Role() == RolePrimary
-		}
+	err, _ := kv.DecodeError(s.callExtendingLease(conn, addr, kv.MethodLease, req.Encode()))
+	var we *kv.WrongEpochError
+	if errors.As(err, &we) {
+		s.store.AdoptEpoch(we.Epoch, we.Members)
+		return s.store.Role() == RolePrimary
 	}
 	return true
 }
@@ -472,8 +463,8 @@ func (s *Server) SyncFrom(addr string, until uint64) error {
 		from := s.store.ReplSeq()
 		req := kv.SyncReq{From: from, Max: 512, Epoch: s.store.StreamEpoch()}
 		respB, err := conn.Call(ctx, kv.MethodSync, req.Encode())
-		if err != nil {
-			if rpc.AppErrIs(err, kv.CodeDiverged) {
+		if err, _ := kv.DecodeError(err); err != nil {
+			if errors.Is(err, kv.ErrDiverged) {
 				return fmt.Errorf("%w: sync source %s rejected seq %d: %v", kv.ErrDiverged, addr, from, err)
 			}
 			return fmt.Errorf("kvserver: sync from %s: %w", addr, err)
@@ -555,8 +546,8 @@ func (s *Server) transferSnapshotFrom(ctx context.Context, conn *rpc.Client, add
 		for chunk := uint32(0); ; chunk++ {
 			req := kv.SnapReq{ID: id, Chunk: chunk}
 			respB, err := conn.Call(ctx, kv.MethodSnap, req.Encode())
-			if err != nil {
-				if rpc.AppErrIs(err, kv.CodeSnapSessionExpired) {
+			if err, _ := kv.DecodeError(err); err != nil {
+				if errors.Is(err, kv.ErrSnapSessionExpired) {
 					lastErr = err
 					expired = true
 					break
@@ -794,18 +785,11 @@ func (s *Server) handlePrepare(_ context.Context, p []byte, reply *wire.Buffer) 
 			return err
 		}
 	}
-	resp := &kv.PrepareResp{}
 	proposed, err := s.store.Prepare(req.TxID, req.Start, req.Ops)
-	if err == nil {
-		resp.OK = true
-		resp.Proposed = proposed
-	} else if !errors.Is(err, kv.ErrConflict) && !errors.Is(err, kv.ErrBadRequest) {
-		// The prepare may have locked and replicated state at this
-		// clock; the error response must carry it (see kv.MarkClock).
-		return kv.MarkClock(err, s.store.Clock().Now())
+	if err != nil {
+		return err
 	}
-	resp.Clock = s.store.Clock().Now()
-	resp.AppendTo(reply)
+	(&kv.PrepareResp{Proposed: proposed, Clock: s.store.Clock().Now()}).AppendTo(reply)
 	return nil
 }
 
@@ -818,9 +802,7 @@ func (s *Server) handleCommit(_ context.Context, p []byte, reply *wire.Buffer) e
 		return err
 	}
 	if err := s.store.Commit(req.TxID, req.CommitTS); err != nil {
-		// An uncertain commit is applied locally: stamp the clock so the
-		// client's next snapshot lands above it (see kv.MarkClock).
-		return kv.MarkClock(err, s.store.Clock().Now())
+		return err
 	}
 	return s.ack(reply)
 }
@@ -850,19 +832,11 @@ func (s *Server) handleFastCommit(_ context.Context, p []byte, reply *wire.Buffe
 			return err
 		}
 	}
-	resp := &kv.FastCommitResp{}
 	commitTS, err := s.store.FastCommit(req.TxID, req.Start, req.Ops)
-	if err == nil {
-		resp.OK = true
-		resp.CommitTS = commitTS
-	} else if !errors.Is(err, kv.ErrConflict) && !errors.Is(err, kv.ErrBadRequest) {
-		// The one-shot transaction is applied locally even when its
-		// durability wait fails (ErrUncertain): stamp the clock so the
-		// client's next snapshot lands above it (see kv.MarkClock).
-		return kv.MarkClock(err, s.store.Clock().Now())
+	if err != nil {
+		return err
 	}
-	resp.Clock = s.store.Clock().Now()
-	resp.AppendTo(reply)
+	(&kv.FastCommitResp{CommitTS: commitTS, Clock: s.store.Clock().Now()}).AppendTo(reply)
 	return nil
 }
 

@@ -26,7 +26,6 @@ package kvserver
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -550,12 +549,6 @@ const (
 	snapSessionMax = 4
 )
 
-// ErrSnapshotSessionExpired rejects a chunk request whose session is
-// unknown, expired, or was evicted; the transfer must restart from
-// scratch (Server.installSnapshotFrom does, bounded). It crosses the
-// RPC boundary as kv.CodeSnapSessionExpired.
-var ErrSnapshotSessionExpired = errors.New("kvserver: unknown or expired snapshot session")
-
 // SweepSnapshotSessions drops expired state-transfer sessions — an
 // abandoned transfer (its installer crashed) must not pin an O(state)
 // snapshot copy until the next transfer begins. The server's
@@ -667,7 +660,7 @@ func (s *Store) ServeSnapshotChunk(id uint64, chunk uint32) (outID, seq uint64, 
 	}
 	s.snapMu.Unlock()
 	if sess == nil {
-		return 0, 0, 0, nil, fmt.Errorf("%w %d: restart the transfer", ErrSnapshotSessionExpired, id)
+		return 0, 0, 0, nil, fmt.Errorf("%w %d: restart the transfer", kv.ErrSnapSessionExpired, id)
 	}
 	total := uint32(len(sess.chunks))
 	if chunk >= total {

@@ -524,16 +524,14 @@ func (m *PrepareReq) Encode() []byte { return wire.Encode(m, (*PrepareReq).wire)
 
 func DecodePrepareReq(p []byte) (*PrepareReq, error) { return decode(p, (*PrepareReq).wire) }
 
-// PrepareResp reports the vote. When OK, Proposed is this participant's
-// lower bound for the commit timestamp.
+// PrepareResp is a yes vote: Proposed is this participant's lower bound
+// for the commit timestamp. A no vote is an error reply.
 type PrepareResp struct {
-	OK       bool
 	Proposed Timestamp
 	Clock    Timestamp
 }
 
 func (m *PrepareResp) wire(c *wire.Codec) {
-	c.Bool(&m.OK)
 	wire.U64(c, &m.Proposed)
 	wire.U64(c, &m.Clock)
 }
@@ -600,15 +598,14 @@ func DecodeFastCommitReq(p []byte) (*FastCommitReq, error) {
 	return decode(p, (*FastCommitReq).wire)
 }
 
-// FastCommitResp reports the outcome of a fast commit.
+// FastCommitResp reports a fast commit that committed; one that did not
+// is an error reply.
 type FastCommitResp struct {
-	OK       bool
 	CommitTS Timestamp
 	Clock    Timestamp
 }
 
 func (m *FastCommitResp) wire(c *wire.Codec) {
-	c.Bool(&m.OK)
 	wire.U64(c, &m.CommitTS)
 	wire.U64(c, &m.Clock)
 }

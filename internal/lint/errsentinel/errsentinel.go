@@ -3,9 +3,10 @@
 // reworded (PR 4's failover bug was exactly that) and cannot survive
 // wrapping; the replication stack exports typed sentinels
 // (kv.ErrDiverged, kv.ErrWrongEpoch, kv.ErrUncertain, kv.ErrConflict,
-// kvserver.ErrSnapshotSessionExpired, ...) and a typed code on
-// rpc.AppError, so every cross-process error can be classified with
-// errors.Is/errors.As or the code — never the text.
+// kv.ErrSnapSessionExpired, ...), and an error reply carries a typed
+// code and detail (rpc.AppError) that kv.DecodeError turns back into
+// them, so every cross-process error can be classified with
+// errors.Is/errors.As — never the text.
 //
 // Flagged shapes:
 //
@@ -13,12 +14,8 @@
 //	strings.Contains(app.Msg, ...)     // AppError's laundered text
 //	err.Error() == "..."               // equality on rendered text
 //
-// Nothing in the repository is exempt. The decoders that extract a
-// structured payload from a message (kv.ParseWrongEpoch,
-// kv.ParseWrongSlot, kv.ParseClockMark) take it as a plain string and
-// decode fields, which is not classification; a site that ever does
-// need an exemption carries //yesqlint:allow errsentinel with its
-// justification.
+// Nothing in the repository is exempt; a site that ever does need an
+// exemption carries //yesqlint:allow errsentinel with its justification.
 package errsentinel
 
 import (

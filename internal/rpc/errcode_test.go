@@ -10,11 +10,11 @@ import (
 	"yesquel/internal/wire"
 )
 
-// Typed error codes: the server's coder stamps AppError.Code onto the
-// wire, and AppErrIs matches it without looking at message text. These
-// tests pin the round trip, the unknown-method stamping, the coder-less
-// zero, and that the error frame has one layout: a frame cut short of
-// its code is a bad frame, never a code-less error.
+// Typed error codes: the server's coder stamps AppError.Code and Detail
+// onto the wire, so a client classifies an error without looking at its
+// text. These tests pin the round trip, the unknown-method stamping, the
+// coder-less zero, and that the error frame has one layout: a frame cut
+// short of its code or detail is a bad frame, never a code-less error.
 
 var errTestSentinel = errors.New("errcode_test: sentinel")
 
@@ -25,8 +25,9 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 	s.Register("fail", func(_ context.Context, _ []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: wrapped detail", errTestSentinel)
 	})
-	s.SetErrorCoder(func(err error) uint64 {
+	s.SetErrorCoder(func(err error, detail *wire.Buffer) uint64 {
 		if errors.Is(err, errTestSentinel) {
+			detail.PutString("detail")
 			return testCode
 		}
 		return 0
@@ -46,17 +47,14 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 	if app.Code != testCode {
 		t.Fatalf("Code = %d, want %d", app.Code, testCode)
 	}
-	if !AppErrIs(err, testCode) {
-		t.Fatal("AppErrIs(code) = false for matching code")
-	}
-	if AppErrIs(err, testCode+1) {
-		t.Fatal("AppErrIs matched a different code")
+	if d, err := wire.NewReader(app.Detail).String(); err != nil || d != "detail" {
+		t.Fatalf("Detail = %x, want the coder's string", app.Detail)
 	}
 }
 
 func TestErrorCodeUnknownMethod(t *testing.T) {
 	s := NewServer()
-	s.SetErrorCoder(func(err error) uint64 {
+	s.SetErrorCoder(func(err error, _ *wire.Buffer) uint64 {
 		if errors.Is(err, ErrUnknownMethod) {
 			return testCode
 		}
@@ -70,7 +68,8 @@ func TestErrorCodeUnknownMethod(t *testing.T) {
 	defer c.Close()
 
 	_, err = c.Call(context.Background(), "no-such-method", nil)
-	if !AppErrIs(err, testCode) {
+	var app *AppError
+	if !errors.As(err, &app) || app.Code != testCode {
 		t.Fatalf("unknown-method rejection not stamped with coder's code: %v", err)
 	}
 }
@@ -94,11 +93,8 @@ func TestErrorCodeCoderless(t *testing.T) {
 	if !errors.As(err, &app) {
 		t.Fatalf("want *AppError, got %v", err)
 	}
-	if app.Code != 0 {
-		t.Fatalf("Code = %d, want 0 from a coder-less server", app.Code)
-	}
-	if AppErrIs(err, testCode) {
-		t.Fatal("a code-0 response matched a code by its message text")
+	if app.Code != 0 || len(app.Detail) != 0 {
+		t.Fatalf("Code = %d, Detail = %x, want 0 and none from a coder-less server", app.Code, app.Detail)
 	}
 }
 
@@ -106,7 +102,7 @@ func TestErrorCodeCoderless(t *testing.T) {
 // at every prefix length: none may decode.
 func TestTruncatedResponseFrames(t *testing.T) {
 	var errFrame, okFrame wire.Buffer
-	encodeError(&errFrame, 7, errTestSentinel, testCode)
+	encodeError(&errFrame, 7, errTestSentinel, testCode, []byte("detail"))
 	beginResponse(&okFrame, 7, statusOK)
 	okFrame.PutBytes([]byte("body"))
 	for name, full := range map[string][]byte{

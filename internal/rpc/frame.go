@@ -9,8 +9,8 @@ import (
 )
 
 // The frame layout: a four-byte length, then kind, call id, and either
-// (request) method and body or (response) status and body or error text
-// and code.
+// (request) method and body or (response) status and body or error text,
+// code and detail.
 
 // frame kinds
 const (
@@ -70,10 +70,11 @@ func beginResponse(b *wire.Buffer, id uint64, status byte) {
 }
 
 // encodeError makes b the response to call id that reports appErr.
-func encodeError(b *wire.Buffer, id uint64, appErr error, code uint64) {
+func encodeError(b *wire.Buffer, id uint64, appErr error, code uint64, detail []byte) {
 	beginResponse(b, id, statusErr)
 	b.PutString(appErr.Error())
 	b.PutUvarint(code)
+	b.PutBytes(detail)
 }
 
 // maxScratch bounds the write scratch a connection keeps between
@@ -128,6 +129,9 @@ func decodeResponse(payload []byte) (id uint64, res callResult, err error) {
 			return 0, res, err
 		}
 		if app.Code, err = r.Uvarint(); err != nil {
+			return 0, res, err
+		}
+		if app.Detail, err = r.Bytes(); err != nil {
 			return 0, res, err
 		}
 		res.err = app

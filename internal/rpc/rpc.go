@@ -84,28 +84,23 @@ var (
 
 // AppError is an error returned by the remote handler (as opposed to a
 // transport failure). The text crosses the wire; the type does not.
-// Code, when nonzero, is a service-defined classification assigned by
-// the server's error coder (SetErrorCoder); a coder-less server sends 0.
+// Code and Detail are what the server's error coder (SetErrorCoder)
+// made of the error: a service-defined class, nonzero when assigned, and
+// a payload the service decodes. A coder-less server sends 0 and none.
 type AppError struct {
-	Msg  string
-	Code uint64
+	Msg    string
+	Code   uint64
+	Detail []byte // aliases the reply frame
 }
 
 func (e *AppError) Error() string { return e.Msg }
-
-// AppErrIs reports whether err is an application error whose wire code
-// is code.
-func AppErrIs(err error, code uint64) bool {
-	var app *AppError
-	return errors.As(err, &app) && app.Code == code
-}
 
 // Server serves RPC requests on a listener. Methods are registered
 // before Serve is called; registration after Serve starts is not
 // supported (no locking on the read path).
 type Server struct {
 	handlers map[string]AppendHandler
-	coder    func(error) uint64
+	coder    func(err error, detail *wire.Buffer) uint64
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -121,6 +116,7 @@ func NewServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		handlers: make(map[string]AppendHandler),
+		coder:    func(error, *wire.Buffer) uint64 { return 0 },
 		conns:    make(map[net.Conn]struct{}),
 		baseCtx:  ctx,
 		cancelFn: cancel,
@@ -146,20 +142,13 @@ func (s *Server) RegisterAppend(method string, h AppendHandler) {
 	s.handlers[method] = h
 }
 
-// SetErrorCoder installs f to assign wire codes to handler errors
-// (AppError.Code on the client side). Like Register, it must be called
-// before Serve. The coder also classifies the server's own
-// unknown-method rejection, which wraps ErrUnknownMethod. A nil or
-// absent coder sends code 0.
-func (s *Server) SetErrorCoder(f func(error) uint64) {
+// SetErrorCoder installs f to classify handler errors: f returns the
+// error's wire code and appends its detail (AppError.Code and Detail on
+// the client side). Like Register, it must be called before Serve. The
+// coder also classifies the server's own unknown-method rejection, which
+// wraps ErrUnknownMethod. An absent coder sends code 0 and no detail.
+func (s *Server) SetErrorCoder(f func(err error, detail *wire.Buffer) uint64) {
 	s.coder = f
-}
-
-func (s *Server) errCode(err error) uint64 {
-	if err == nil || s.coder == nil {
-		return 0
-	}
-	return s.coder(err)
 }
 
 // Conns returns the number of open inbound connections: one per call
@@ -239,7 +228,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReaderSize(conn, readBufSize)
-	var reply wire.Buffer
+	var reply, detail wire.Buffer
 	for {
 		// Every request frame is its own allocation, never a reused
 		// buffer: a handler owns the request it is given. (kv decodes
@@ -261,7 +250,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			appErr = fmt.Errorf("%w: %s", ErrUnknownMethod, method)
 		}
 		if appErr != nil {
-			encodeError(&reply, id, appErr, s.errCode(appErr))
+			detail.Reset()
+			encodeError(&reply, id, appErr, s.coder(appErr, &detail), detail.Bytes())
 		}
 		if err := writeFrame(conn, &reply); err != nil {
 			return

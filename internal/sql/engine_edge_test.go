@@ -94,6 +94,10 @@ func TestHavingWithoutGroupBy(t *testing.T) {
 	if got := rowsToString(mustQuery(t, db, "SELECT count(*) > 3 OR abs('x') > 0 FROM users")); got != "1\n" {
 		t.Fatalf("%q", got)
 	}
+	// HAVING may name an aggregate by its output alias.
+	if got := rowsToString(mustQuery(t, db, "SELECT count(*) AS n FROM users HAVING n > 3")); got != "5\n" {
+		t.Fatalf("%q", got)
+	}
 }
 
 func TestOrderByExpression(t *testing.T) {

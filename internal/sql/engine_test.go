@@ -173,6 +173,15 @@ func TestAggregates(t *testing.T) {
 		// GROUP BY k groups by output item k, which may not be an aggregate.
 		{"SELECT city, count(*) FROM users GROUP BY 1 ORDER BY 1", "berlin|1\nlondon|2\nparis|2\n"},
 		{"SELECT city, count(*) FROM users GROUP BY 2", "error: sql: aggregate functions are not allowed in the GROUP BY clause"},
+		// A name in GROUP BY or HAVING is a column first, an output alias
+		// only when no column has it, as in SQLite.
+		{"SELECT city AS k, count(*) FROM users GROUP BY k ORDER BY k", "berlin|1\nlondon|2\nparis|2\n"},
+		{"SELECT city, count(*) AS n FROM users GROUP BY city HAVING n > 1 ORDER BY city", "london|2\nparis|2\n"},
+		{"SELECT count(*) AS city FROM users GROUP BY city ORDER BY 1", "1\n2\n2\n"},
+		{"SELECT count(*) AS n FROM users GROUP BY n", "error: sql: aggregate functions are not allowed in the GROUP BY clause"},
+		// An aggregate in WHERE fails at plan time, before any row reaches it.
+		{"SELECT * FROM users WHERE count(*) > 1", "error: sql: misuse of aggregate: count()"},
+		{"SELECT * FROM users WHERE id < 0 AND max(age) > 1", "error: sql: misuse of aggregate: max()"},
 	}
 	for _, tc := range cases {
 		rows, err := db.Query(context.Background(), tc.q)

@@ -71,7 +71,8 @@ func (e *env) depth(c Expr) (int, error) {
 }
 
 // refDepth is 1 + the position of the last binding x references, 0 for
-// none.
+// none. An aggregate call is an error: where one may stand, the plan has
+// rewritten it (rewriteAggs) before asking.
 func (e *env) refDepth(x Expr) (int, error) {
 	switch t := x.(type) {
 	case ColRef:
@@ -93,6 +94,9 @@ func (e *env) refDepth(x Expr) (int, error) {
 		de, err := e.refDepth(t.E)
 		return max(d, de), err
 	case Call:
+		if isAggregate(t.Fn) {
+			return 0, fmt.Errorf("sql: misuse of aggregate: %s()", t.Fn)
+		}
 		return e.refDepths(t.Args...)
 	}
 	return 0, nil

@@ -200,6 +200,12 @@ func genOracleCase(rng *rand.Rand) oracleCase {
 			return checked("SELECT src, count(*) FROM l GROUP BY src HAVING count(*) > 0 OR abs(v) > 0",
 				"SELECT src, count(*) FROM l GROUP BY src HAVING count(*) > 0")
 		},
+		// Output aliases in GROUP BY and HAVING, checked against the
+		// expressions they name.
+		func() oracleCase {
+			return checked("SELECT src AS s, count(*) AS n FROM l WHERE id >= ? GROUP BY s HAVING n > 1 ORDER BY 1",
+				"SELECT src, count(*) FROM l WHERE id >= ? GROUP BY src HAVING count(*) > 1 ORDER BY src", id())
+		},
 		// A join key named without its table.
 		func() oracleCase {
 			lo := pick(oracleIDs)

@@ -37,33 +37,63 @@ func isAggregate(fn string) bool {
 // rewriteAggs replaces aggregate calls in x with aggRef nodes,
 // appending the original calls to *aggs.
 func rewriteAggs(x Expr, aggs *[]Call) Expr {
+	return rewrite(x, func(x Expr) (Expr, bool) {
+		if c, ok := x.(Call); ok && isAggregate(c.Fn) {
+			*aggs = append(*aggs, c)
+			return aggRef{N: len(*aggs) - 1}, true
+		}
+		return nil, false
+	})
+}
+
+// rewrite returns x with the nodes f replaces replaced: f sees each node
+// before its children, and the children of a node it replaces are not
+// visited.
+func rewrite(x Expr, f func(Expr) (Expr, bool)) Expr {
+	if y, ok := f(x); ok {
+		return y
+	}
 	switch t := x.(type) {
 	case Call:
-		if isAggregate(t.Fn) {
-			*aggs = append(*aggs, t)
-			return aggRef{N: len(*aggs) - 1}
-		}
 		args := make([]Expr, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = rewriteAggs(a, aggs)
+			args[i] = rewrite(a, f)
 		}
 		return Call{Fn: t.Fn, Args: args, Star: t.Star, Distinct: t.Distinct}
 	case BinOp:
-		return BinOp{Op: t.Op, L: rewriteAggs(t.L, aggs), R: rewriteAggs(t.R, aggs)}
+		return BinOp{Op: t.Op, L: rewrite(t.L, f), R: rewrite(t.R, f)}
 	case UnOp:
-		return UnOp{Op: t.Op, E: rewriteAggs(t.E, aggs)}
+		return UnOp{Op: t.Op, E: rewrite(t.E, f)}
 	case IsNull:
-		return IsNull{E: rewriteAggs(t.E, aggs), Not: t.Not}
+		return IsNull{E: rewrite(t.E, f), Not: t.Not}
 	case Between:
-		return Between{E: rewriteAggs(t.E, aggs), Lo: rewriteAggs(t.Lo, aggs), Hi: rewriteAggs(t.Hi, aggs), Not: t.Not}
+		return Between{E: rewrite(t.E, f), Lo: rewrite(t.Lo, f), Hi: rewrite(t.Hi, f), Not: t.Not}
 	case InList:
 		list := make([]Expr, len(t.List))
 		for i, le := range t.List {
-			list[i] = rewriteAggs(le, aggs)
+			list[i] = rewrite(le, f)
 		}
-		return InList{E: rewriteAggs(t.E, aggs), List: list, Not: t.Not}
+		return InList{E: rewrite(t.E, f), List: list, Not: t.Not}
 	}
 	return x
+}
+
+// aliases returns x with each bare name that names no column but names
+// an output item replaced by that item's expression: in GROUP BY and
+// HAVING, as in SQLite, a name is a column first and an alias only when
+// no column has it.
+func (p *stmtPlan) aliases(x Expr) Expr {
+	return rewrite(x, func(x Expr) (Expr, bool) {
+		c, ok := x.(ColRef)
+		if !ok || c.Table != "" || slices.ContainsFunc(p.e.bindings, func(b *binding) bool { return b.schema.ColIndex(c.Col) >= 0 }) {
+			return nil, false
+		}
+		k := slices.IndexFunc(p.items, func(it SelectItem) bool { return it.Alias == c.Col })
+		if k < 0 {
+			return nil, false
+		}
+		return p.items[k].E, true
+	})
 }
 
 // aggState accumulates one aggregate over one group.
@@ -413,7 +443,9 @@ func expandItems(items []SelectItem, e *env) ([]SelectItem, []string, error) {
 
 // resolve resolves, once, what st names besides its tables and WHERE.
 // A GROUP BY term that is an integer literal k names output item k's
-// expression, which may hold no aggregate. The items and HAVING have
+// expression, which may hold no aggregate; a name in GROUP BY or HAVING
+// that is no column may name an output item by its alias (aliases). The
+// items and HAVING have
 // their aggregates rewritten into p.aggs (rewriteAggs), and p aggregates
 // if they hold any, or there is a GROUP BY or a HAVING; then an ORDER BY
 // term may hold aggregates too, as in SQLite. Each ORDER BY term
@@ -431,6 +463,7 @@ func (p *stmtPlan) resolve(st Select) error {
 		if k >= 0 {
 			g = p.items[k].E
 		}
+		g = p.aliases(g)
 		var aggs []Call
 		if rewriteAggs(g, &aggs); len(aggs) > 0 {
 			return fmt.Errorf("sql: aggregate functions are not allowed in the GROUP BY clause")
@@ -440,14 +473,17 @@ func (p *stmtPlan) resolve(st Select) error {
 		}
 		p.groupBy = append(p.groupBy, g)
 	}
+	if st.Having != nil {
+		p.having = p.aliases(st.Having) // before the items' aggregates are rewritten
+	}
 	for i := range p.items {
 		p.items[i].E = rewriteAggs(p.items[i].E, &p.aggs)
 		if _, err := p.e.refDepth(p.items[i].E); err != nil {
 			return err
 		}
 	}
-	if st.Having != nil {
-		p.having = rewriteAggs(st.Having, &p.aggs)
+	if p.having != nil {
+		p.having = rewriteAggs(p.having, &p.aggs)
 		if _, err := p.e.refDepth(p.having); err != nil {
 			return err
 		}
@@ -463,10 +499,8 @@ func (p *stmtPlan) resolve(st Select) error {
 		}
 		key := orderKey{col: k, desc: o.Desc}
 		if k < 0 {
-			n := len(p.aggs)
-			key.e = rewriteAggs(o.E, &p.aggs)
-			if !p.agg && len(p.aggs) > n {
-				return fmt.Errorf("sql: misuse of aggregate: %s()", p.aggs[n].Fn)
+			if key.e = o.E; p.agg {
+				key.e = rewriteAggs(o.E, &p.aggs)
 			}
 			if _, err := p.e.refDepth(key.e); err != nil {
 				return err
