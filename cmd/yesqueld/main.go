@@ -29,17 +29,18 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7000", "listen address as ip:port with a specific IP: it is this server's member identity, the address clients and peers reach it at")
 	retention := flag.Duration("retention", 10*time.Second, "how long superseded MVCC versions remain readable")
-	maxVersions := flag.Int("max-versions", 64, "hard cap on a hot object's version chain")
 	logPath := flag.String("log", "", "write-ahead log path (empty = in-memory only)")
 	logSync := flag.Bool("log-sync", false, "fsync the log on every commit")
 	mirror := flag.String("mirror", "", "backup server address(es), comma-separated, already running: this server attaches them and installs the group [this server, backups...] as a new epoch, so it serves under their lease grants and commits are acknowledged once a majority of the group holds them")
 	replLogMax := flag.Int("replication-log-max", 0, "bound the retained stream tail (what backups resync from) to this many records: beyond it the server checkpoints (state snapshot + WAL rotation) and truncates, and backups too far behind catch up by snapshot transfer (0 = the built-in byte bound)")
 	syncFrom := flag.String("sync-from", "", "primary address to stream missed commits from before serving (join or rejoin a replication group as its backup)")
 	lease := flag.Duration("lease", 2*time.Second, "primary lease duration in a group of more than one member: how long the primary may serve after its last backup ack, and how long a promotion must wait")
-	mirrorBatch := flag.Int("mirror-batch", 256, "max stream records per group-commit mirror batch RPC (batches are also byte-capped under the frame limit)")
 	groupCommitInterval := flag.Duration("group-commit-interval", 0, "how long the replication pipeline waits after waking before flushing, letting a batch build (0 = flush as soon as free)")
 	statsEvery := flag.Duration("stats", 0, "periodically log epoch, role, lease state, and activity counters (0 = off)")
 	flag.Parse()
+	if *retention < 0 {
+		log.Fatalf("yesqueld: -retention %v is negative", *retention)
+	}
 
 	// The bound address is the member identity: it must be the literal
 	// that clients are redirected to and that a primary's -mirror names.
@@ -49,12 +50,10 @@ func main() {
 	}
 	store, err := kvserver.OpenStore(nil, kvserver.Config{
 		RetentionMillis:          uint64(retention.Milliseconds()),
-		MaxVersions:              *maxVersions,
 		LogPath:                  *logPath,
 		LogSync:                  *logSync,
 		ReplicationLogMaxRecords: *replLogMax,
 		LeaseDuration:            *lease,
-		MirrorBatchMaxRecords:    *mirrorBatch,
 		GroupCommitInterval:      *groupCommitInterval,
 	})
 	if err != nil {
@@ -91,7 +90,7 @@ func main() {
 		}
 		log.Printf("yesqueld: primary of %v at epoch %d", store.Members(), epoch)
 	}
-	log.Printf("yesqueld: serving on %s (retention %v, max versions %d, lease %v)", srv.Addr(), *retention, *maxVersions, *lease)
+	log.Printf("yesqueld: serving on %s (retention %v, lease %v)", srv.Addr(), *retention, *lease)
 
 	if *statsEvery > 0 {
 		go func() {

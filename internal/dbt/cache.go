@@ -12,7 +12,7 @@ import (
 // fences — so the cache needs no coherence protocol, which is what
 // makes it cheap: a hit costs zero communication.
 //
-// The cache is bounded: admitting a node past maxNodes evicts a
+// The cache is bounded: admitting a node past cacheMaxNodes evicts a
 // random resident entry first (Go's map iteration order serves as the
 // random pick). Random replacement is deliberate — evicting the
 // "wrong" node costs one extra transactional read on a later descent,
@@ -25,35 +25,27 @@ import (
 // reply frame it arrived in, beside whatever else the reply carried
 // (leaves, say), and a cache entry must not keep all of that alive.
 type nodeCache struct {
-	mu       sync.RWMutex
-	nodes    map[kv.OID]*kv.Value
-	maxNodes int // <= 0 = unlimited
-	hits     atomic.Uint64
-	miss     atomic.Uint64
-	evicted  atomic.Uint64
+	mu      sync.RWMutex
+	nodes   map[kv.OID]*kv.Value
+	evicted atomic.Uint64
 }
 
-func newNodeCache(maxNodes int) *nodeCache {
-	return &nodeCache{nodes: make(map[kv.OID]*kv.Value), maxNodes: maxNodes}
+func newNodeCache() *nodeCache {
+	return &nodeCache{nodes: make(map[kv.OID]*kv.Value)}
 }
 
 func (c *nodeCache) get(oid kv.OID) (*kv.Value, bool) {
 	c.mu.RLock()
 	v, ok := c.nodes[oid]
 	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.miss.Add(1)
-	}
 	return v, ok
 }
 
 func (c *nodeCache) put(oid kv.OID, v *kv.Value) {
 	v = v.Clone()
 	c.mu.Lock()
-	if _, resident := c.nodes[oid]; !resident && c.maxNodes > 0 {
-		for len(c.nodes) >= c.maxNodes {
+	if _, resident := c.nodes[oid]; !resident {
+		for len(c.nodes) >= cacheMaxNodes {
 			for victim := range c.nodes {
 				delete(c.nodes, victim)
 				c.evicted.Add(1)

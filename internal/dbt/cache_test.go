@@ -41,7 +41,7 @@ func TestCachedNodeSharesNothingWithItsReply(t *testing.T) {
 		t.Fatal("the node as decoded does not lie in the frame: nothing to test")
 	}
 
-	c := newNodeCache(0)
+	c := newNodeCache()
 	c.put(1, read)
 	got, _ := c.get(1)
 	if !got.Equal(inner) {

@@ -10,7 +10,8 @@
 //
 //   - Client-side caching of inner nodes. Descents consult the cache
 //     without any server communication; only the leaf is read
-//     transactionally.
+//     transactionally. A handle caches at most 4,096 nodes and admits
+//     one past that by evicting a random entry.
 //   - Back-down searches. Cached nodes may be stale; the leaf's fence
 //     keys expose staleness, and the search invalidates the cached path
 //     and descends again with transactional reads.
@@ -126,8 +127,8 @@ const (
 	AttrTree = 2
 )
 
-// Config tunes one tree handle. The zero value gives the full Yesquel
-// behaviour with default sizes.
+// Config tunes one tree handle: its split threshold and the paper's
+// ablation switches. The zero value gives the full Yesquel behaviour.
 type Config struct {
 	// MaxCells is the split threshold: a node holding more cells gets
 	// split. Default 128.
@@ -145,37 +146,26 @@ type Config struct {
 	// the whole node over the network instead of just the cells the
 	// operation needs (ablation d).
 	NoPartial bool
-
-	// Placement picks the server slot for a newly created node, given
-	// the number of servers. Nil defaults to round-robin, which spreads
-	// the tree across the cluster — the paper's reason for
-	// distribution: "to scale the performance of the DBT".
-	Placement func(numServers int) uint16
-
-	// MaxDescentRetries bounds back-down retries before the search
-	// gives up caching entirely. Default 6.
-	MaxDescentRetries int
-
-	// CacheMaxNodes caps the inner-node cache in entries. When full,
-	// admitting a fresh node evicts a random resident one — eviction
-	// order does not matter for correctness (stale entries are caught
-	// by fence checks either way), so cheap beats clever. Default
-	// 4096; negative = unlimited.
-	CacheMaxNodes int
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxCells == 0 {
 		c.MaxCells = 128
 	}
-	if c.MaxDescentRetries == 0 {
-		c.MaxDescentRetries = 6
-	}
-	if c.CacheMaxNodes == 0 {
-		c.CacheMaxNodes = 4096
-	}
 	return c
 }
+
+// maxDescentAttempts bounds the tries of one descent: the first ones
+// route through the inner-node cache, backing down on a stale route, and
+// the last two read every level transactionally.
+const maxDescentAttempts = 6
+
+// cacheMaxNodes caps a handle's inner-node cache in entries. When full,
+// admitting a fresh node evicts a random resident one — eviction order
+// does not matter for correctness (stale entries are caught by fence
+// checks either way), so cheap beats clever. A variable so tests can
+// force eviction on a small tree.
+var cacheMaxNodes = 4096
 
 // Ablated reports whether any of the paper's ablation switches is
 // active; an ablated handle plans nothing (routeFromCache).
@@ -199,7 +189,8 @@ func NaiveConfig() Config {
 // that stability: once a slot directory is adopted it reports the
 // directory's route count, which is frozen at cluster formation —
 // scale-out repoints routes to new groups without changing the count,
-// so root OIDs (and Placement results) stay valid across migrations.
+// so root OIDs (and the slots of round-robin placed nodes) stay valid
+// across migrations.
 func RootOID(id uint64, numServers int) kv.OID {
 	slot := uint16(id % uint64(numServers))
 	return kv.MakeOID(slot, 1<<46|id&((1<<46)-1))

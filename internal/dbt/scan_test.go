@@ -525,7 +525,8 @@ func TestGetBatch(t *testing.T) {
 // TestCacheEviction bounds the inner-node cache and checks eviction
 // keeps it at the cap while lookups stay correct.
 func TestCacheEviction(t *testing.T) {
-	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 4, CacheMaxNodes: 2})
+	dbt.SetCacheMaxNodes(t, 2)
+	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 4})
 	fillSequential(t, c, tree, 80)
 	for i := 0; i < 80; i += 7 {
 		key := fmt.Sprintf("k%06d", i)

@@ -25,8 +25,8 @@ import (
 // at a snapshot that has the split in it.
 //
 // A split of node X with fences [l, h) at a mid key m:
-//   - creates a fresh right sibling R on a server chosen by the
-//     placement policy, holding X's cells >= m with fences [m, h);
+//   - creates a fresh right sibling R on the next server round-robin,
+//     holding X's cells >= m with fences [m, h);
 //   - shrinks X in place to [l, m) by deleting the moved cells and
 //     updating its fence (delta operations, so the left half is not
 //     rewritten);
@@ -138,8 +138,8 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) ([]kv.OID, error) {
 
 	// The two halves as the split leaves them: the left keeps the node's
 	// OID — unless the node is the root, whose OID stays the root's and
-	// whose halves both move to fresh nodes — the right is new, on a server
-	// chosen by the placement policy.
+	// whose halves both move to fresh nodes — the right is new, on the
+	// next server round-robin.
 	leftOID := oid
 	if oid == t.root {
 		leftOID = t.newNodeOID()

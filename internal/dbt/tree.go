@@ -35,7 +35,8 @@ type Stats struct {
 }
 
 // StatsSnapshot is a plain copy of the counters. Evictions counts
-// inner-node cache entries displaced by the CacheMaxNodes bound.
+// inner-node cache entries displaced by the cache's bound
+// (cacheMaxNodes).
 type StatsSnapshot struct {
 	Descents, BackDowns, CacheHits, NodeReads, SplitsDone, SplitConflict uint64
 	Evictions                                                            uint64
@@ -105,7 +106,7 @@ func newTree(c *kvclient.Client, id uint64, cfg Config) *Tree {
 		id:        id,
 		root:      RootOID(id, c.NumServers()),
 		cfg:       cfg.withDefaults(),
-		cache:     newNodeCache(cfg.withDefaults().CacheMaxNodes),
+		cache:     newNodeCache(),
 		splitting: make(map[kv.OID]chan struct{}),
 	}
 }
@@ -140,17 +141,11 @@ func (t *Tree) CacheSize() int { return t.cache.len() }
 // ClearCache drops the inner-node cache (tests and ablations).
 func (t *Tree) ClearCache() { t.cache.clear() }
 
-// newNodeOID mints an OID for a fresh node, choosing its server with
-// the placement policy.
+// newNodeOID mints an OID for a fresh node, placing nodes round-robin
+// across the servers: spreading the tree is the paper's reason for
+// distribution, "to scale the performance of the DBT".
 func (t *Tree) newNodeOID() kv.OID {
-	n := t.c.NumServers()
-	var slot uint16
-	if t.cfg.Placement != nil {
-		slot = t.cfg.Placement(n)
-	} else {
-		slot = uint16(t.place.Add(1) % uint64(n))
-	}
-	return t.c.NewOID(slot)
+	return t.c.NewOID(uint16(t.place.Add(1) % uint64(t.c.NumServers())))
 }
 
 // childOID decodes the child pointer stored in an inner-node cell.
@@ -240,10 +235,9 @@ type leafInfo struct {
 // through the path the retry has refreshed, so one round reads them all.
 func (t *Tree) descend(ctx context.Context, tx *kvclient.Tx, key []byte, win window, replan func() error) (leafInfo, error) {
 	t.stats.Descents.Add(1)
-	maxAttempts := t.cfg.MaxDescentRetries
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := 0; attempt < maxDescentAttempts; attempt++ {
 		// The last two attempts bypass the cache entirely.
-		useCache := !t.cfg.NoCache && attempt < maxAttempts-2
+		useCache := !t.cfg.NoCache && attempt < maxDescentAttempts-2
 		beforeLeaf := replan
 		if attempt == 0 || !useCache {
 			beforeLeaf = nil

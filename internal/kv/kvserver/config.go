@@ -1,11 +1,13 @@
 package kvserver
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 )
 
-// Config tunes a Store. Zero values select defaults.
+// Config tunes a Store. Zero values select defaults; OpenStore rejects
+// negative ones.
 type Config struct {
 	// MaxVersions caps the length of a version chain (default 64).
 	MaxVersions int
@@ -18,19 +20,6 @@ type Config struct {
 	// LockWaitTimeout bounds how long a read waits for a prepared
 	// transaction to resolve (default 2s).
 	LockWaitTimeout time.Duration
-	// PrepareTTL bounds how long an undecided prepare may hold its
-	// write locks once the epoch it was accepted under is superseded
-	// (default 60s). SweepOrphans aborts such prepares after the TTL,
-	// restarted at the epoch bump (and replicates the abort decision),
-	// never one that already received a decision. The TTL must
-	// comfortably exceed a coordinator's worst-case time to redirect its
-	// phase-two drive to the new configuration.
-	PrepareTTL time.Duration
-	// DecidedTTL is how long phase-two outcomes stay in the decided-
-	// transaction table (default 60s), which makes Commit/Abort
-	// idempotent: a retried decision for an already-decided transaction
-	// is acknowledged with the recorded outcome instead of rejected.
-	DecidedTTL time.Duration
 	// LogPath enables the write-ahead log: committed operations are
 	// appended there and replayed by OpenStore after a restart. Empty
 	// disables durability (pure in-memory server).
@@ -50,17 +39,9 @@ type Config struct {
 	// since the last one amount to the state's own size (see
 	// "Checkpoints" in the package comment), which bounds the file and a
 	// restart's replay at about twice the state whatever this is set to.
-	// 0 = no record bound.
+	// 0 (the default) bounds the tail by logMaxBytes of estimated
+	// record bytes instead, so no store's tail is unbounded.
 	ReplicationLogMaxRecords int
-	// ReplicationLogMaxBytes is the same bound measured in estimated
-	// record bytes. Either limit cuts the tail. 0 = no byte bound —
-	// unless ReplicationLogMaxRecords is zero too: then the built-in
-	// defaultLogMaxBytes applies, so no store's tail is unbounded.
-	ReplicationLogMaxBytes int
-	// SnapshotChunkBytes sizes MethodSnap transfer chunks (default 1 MiB,
-	// comfortably under the wire frame limit). Tests shrink it to force
-	// multi-chunk transfers.
-	SnapshotChunkBytes int
 	// LeaseDuration is how long a primary's authority to serve lasts
 	// after its last acknowledgment from the backup (default 2s). Every
 	// mirror ack and lease-renewal ack extends the primary's lease; the
@@ -103,23 +84,11 @@ func (c *Config) withDefaults() Config {
 	if out.LockWaitTimeout == 0 {
 		out.LockWaitTimeout = 2 * time.Second
 	}
-	if out.PrepareTTL == 0 {
-		out.PrepareTTL = 60 * time.Second
-	}
-	if out.DecidedTTL == 0 {
-		out.DecidedTTL = 60 * time.Second
-	}
 	if out.LeaseDuration == 0 {
 		out.LeaseDuration = 2 * time.Second
 	}
-	if out.SnapshotChunkBytes == 0 {
-		out.SnapshotChunkBytes = 1 << 20
-	}
 	if out.MirrorBatchMaxRecords == 0 {
 		out.MirrorBatchMaxRecords = 256
-	}
-	if out.ReplicationLogMaxRecords == 0 && out.ReplicationLogMaxBytes == 0 {
-		out.ReplicationLogMaxBytes = defaultLogMaxBytes
 	}
 	// The durability wait times out at replWaitTimeout; an interval at
 	// or above it would fail every commit while the batch lands fine
@@ -131,13 +100,45 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// defaultLogMaxBytes bounds the retained stream tail of a store whose
-// Config names no bound. It is a memory budget, not a tuning: 64 MiB of
-// estimated record bytes is a few percent of the memory a storage server
-// is provisioned with, and is minutes of write history at the rates one
-// server sustains — ample for a briefly absent backup to rejoin by
-// record replay rather than state transfer.
-const defaultLogMaxBytes = 64 << 20
+// check names the first field holding a negative value, which no field
+// gives a meaning.
+func (c *Config) check() error {
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"MaxVersions", c.MaxVersions < 0},
+		{"ReplicationLogMaxRecords", c.ReplicationLogMaxRecords < 0},
+		{"MirrorBatchMaxRecords", c.MirrorBatchMaxRecords < 0},
+		{"LockWaitTimeout", c.LockWaitTimeout < 0},
+		{"LeaseDuration", c.LeaseDuration < 0},
+		{"GroupCommitInterval", c.GroupCommitInterval < 0},
+		{"MirrorSendDelay", c.MirrorSendDelay < 0},
+	} {
+		if f.negative {
+			return fmt.Errorf("kvserver: Config.%s is negative", f.name)
+		}
+	}
+	return nil
+}
+
+// logMaxBytes bounds, in estimated record bytes, the retained tail of a
+// store with no ReplicationLogMaxRecords. A memory budget, not a tuning:
+// a few percent of a storage server's memory, and minutes of writes —
+// ample for a briefly absent backup to rejoin by record replay. A
+// variable so tests can bound a tail of a few records.
+var logMaxBytes = 64 << 20
+
+// prepareTTL is how long an undecided prepare keeps its write locks once
+// its epoch is superseded (see SweepOrphans); it must comfortably exceed
+// a coordinator's time to redirect its phase-two drive. decidedTTL is
+// how long an outcome stays in the decided table, which makes a retried
+// Commit/Abort idempotent. Variables so tests can expire them in
+// milliseconds.
+var (
+	prepareTTL = 60 * time.Second
+	decidedTTL = 60 * time.Second
+)
 
 // maxGroupCommitInterval caps the configured coalescing delay far
 // below the pipeline's durability-wait timeout.

@@ -348,9 +348,9 @@ func TestLogRotationAmortisedAgainstState(t *testing.T) {
 // process, leaving half the frames behind — costs nothing: the log
 // replays as before and keeps taking appends.
 func TestCrashMidRotationLeavesLogIntact(t *testing.T) {
-	old := walSnapChunkBytes
-	walSnapChunkBytes = 4096 // many frames
-	defer func() { walSnapChunkBytes = old }()
+	old := snapChunkBytes
+	snapChunkBytes = 4096 // many frames
+	defer func() { snapChunkBytes = old }()
 
 	path := filepath.Join(t.TempDir(), "store.log")
 	cfg := Config{LogPath: path}
@@ -369,7 +369,7 @@ func TestCrashMidRotationLeavesLogIntact(t *testing.T) {
 	crash := errors.New("crash")
 	s.wal.beginRotate()
 	swapped, err := s.wal.finishRotate(func(emit func([]byte) error) error {
-		return encodeSnapshot(sn, walSnapChunkBytes, func(piece []byte) error {
+		return encodeSnapshot(sn, snapChunkBytes, func(piece []byte) error {
 			if frames++; frames > 3 {
 				return crash
 			}

@@ -260,8 +260,8 @@
 //
 //   - The stream tail every store retains IN MEMORY — what MethodSync
 //     resyncs and migration tails are served from — is bounded
-//     strictly, by Config.ReplicationLogMaxRecords and/or MaxBytes, or,
-//     when neither is set, by the built-in defaultLogMaxBytes. Past the
+//     strictly, by Config.ReplicationLogMaxRecords or, when that is 0,
+//     by 64 MiB of estimated record bytes (logMaxBytes). Past the
 //     bound the tail is cut to its newest half-cap
 //     (truncateLogLocked), which costs a copy of what is kept. A
 //     primary enforces the bound inline in its emit-and-apply paths, so

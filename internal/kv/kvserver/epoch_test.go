@@ -17,7 +17,10 @@ import (
 // provably superseded AND a fresh TTL (restarted at the bump, giving
 // the coordinator a redirect window) has passed.
 func TestSweepOrphansEpochGuard(t *testing.T) {
-	s := NewStore(nil, Config{PrepareTTL: 20 * time.Millisecond})
+	old := prepareTTL
+	prepareTTL = 20 * time.Millisecond
+	defer func() { prepareTTL = old }()
+	s := NewStore(nil, Config{})
 	s.SetSelf("a")
 	if err := s.InstallEpoch(2, []string{"a", "b"}); err != nil {
 		t.Fatal(err)

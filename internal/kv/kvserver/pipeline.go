@@ -452,18 +452,6 @@ func (s *Store) detachMembers(detach func(*mirrorMember) bool) {
 	p.completeWaitersLocked()
 }
 
-// MirrorMembers returns the attached members' ids (diagnostics).
-func (s *Store) MirrorMembers() []string {
-	p := &s.pipe
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, len(p.members))
-	for i, m := range p.members {
-		out[i] = m.id
-	}
-	return out
-}
-
 // ReplicaStatus is one attached replication member's progress, for
 // stats: how far its acks reach, and whether it is broken (a batch
 // failed; it needs a re-attach and resync). Lag is Head - AckedSeq at

@@ -625,7 +625,7 @@ func (s *Store) ServeSnapshotChunk(id uint64, chunk uint32) (outID, seq uint64, 
 		// is a second O(state) pass the write paths need not wait
 		// for.
 		var chunks [][]byte
-		_ = encodeSnapshot(sn, s.cfg.SnapshotChunkBytes, func(piece []byte) error {
+		_ = encodeSnapshot(sn, snapChunkBytes, func(piece []byte) error {
 			chunks = append(chunks, append([]byte(nil), piece...))
 			return nil
 		})

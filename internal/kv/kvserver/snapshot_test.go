@@ -21,9 +21,9 @@ import (
 // exercise the multi-chunk path.
 func startBoundedReplServer(t *testing.T, maxRecords int) *kvserver.Server {
 	t.Helper()
+	kvserver.SetSnapChunkBytes(t, 512)
 	srv := kvserver.NewServer(kvserver.NewStore(nil, kvserver.Config{
 		ReplicationLogMaxRecords: maxRecords,
-		SnapshotChunkBytes:       512,
 	}))
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,8 @@ func TestCheckpointBoundsReplicationLog(t *testing.T) {
 // policy: a log of large records truncates long before any record
 // count would trip.
 func TestCheckpointBoundsReplicationLogBytes(t *testing.T) {
-	st := kvserver.NewStore(nil, kvserver.Config{ReplicationLogMaxBytes: 4096})
+	kvserver.SetLogMaxBytes(t, 4096)
+	st := kvserver.NewStore(nil, kvserver.Config{})
 	big := make([]byte, 1024)
 	for i := 0; i < 64; i++ {
 		if _, err := st.FastCommit(uint64(i+1), st.Clock().Now(), []*kv.Op{
@@ -345,11 +346,11 @@ func TestWALCheckpointRestartReplaysSnapshotPlusTail(t *testing.T) {
 // write must still be readable once the primary restarts from its
 // checkpoint-rotated WAL.
 func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
+	kvserver.SetSnapChunkBytes(t, 256)
 	dir := t.TempDir()
 	pcfg := kvserver.Config{
 		LogPath:                  dir + "/primary.log",
 		ReplicationLogMaxRecords: 8,
-		SnapshotChunkBytes:       256,
 	}
 	pstore, err := kvserver.OpenStore(nil, pcfg)
 	if err != nil {
@@ -406,7 +407,7 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 		t.Fatal("resync against a primary killed mid-snapshot reported success")
 	}
 	if !killed {
-		t.Fatal("snapshot fit one chunk; shrink SnapshotChunkBytes so the kill lands mid-transfer")
+		t.Fatal("snapshot fit one chunk; shrink the snapshot chunk so the kill lands mid-transfer")
 	}
 	// The half-fed backup installed nothing: its stream is untouched.
 	if got := backup.Store().ReplSeq(); got != 0 {

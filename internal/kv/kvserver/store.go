@@ -56,7 +56,7 @@ type Store struct {
 	// were truncated at the last checkpoint).
 	logBase uint64
 	// commitLogBytes is the estimated wire size of the retained log,
-	// maintained incrementally for the ReplicationLogMaxBytes policy.
+	// maintained incrementally for the logMaxBytes bound.
 	commitLogBytes int
 	// pending buffers replicated records that arrived ahead of repSeq
 	// while a resync is filling in the history below them.

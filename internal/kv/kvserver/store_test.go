@@ -569,7 +569,10 @@ func TestBareStoreIsSolePrimary(t *testing.T) {
 // its locks come free, and the abort is a recorded decision — while a
 // decided transaction is never swept.
 func TestOrphanPrepareSoleMember(t *testing.T) {
-	s := NewStore(nil, Config{PrepareTTL: 10 * time.Millisecond})
+	old := prepareTTL
+	prepareTTL = 10 * time.Millisecond
+	defer func() { prepareTTL = old }()
+	s := NewStore(nil, Config{})
 	oid := kv.MakeOID(0, 1)
 	txid := newTxID()
 	if _, err := s.Prepare(txid, s.Clock().Now(), []*kv.Op{
@@ -666,10 +669,13 @@ func TestWALRecoversPreparedState(t *testing.T) {
 }
 
 // TestDecidedTableEviction: outcomes age out of the decided table
-// after DecidedTTL, and a decision retried after that is back to
+// after decidedTTL, and a decision retried after that is back to
 // "unknown tx" (the table is a bounded cache, not a permanent log).
 func TestDecidedTableEviction(t *testing.T) {
-	s := NewStore(nil, Config{DecidedTTL: 10 * time.Millisecond})
+	old := decidedTTL
+	decidedTTL = 10 * time.Millisecond
+	defer func() { decidedTTL = old }()
+	s := NewStore(nil, Config{})
 	oid := kv.MakeOID(0, 1)
 	txid := newTxID()
 	proposed, err := s.Prepare(txid, s.Clock().Now(), []*kv.Op{

@@ -276,15 +276,13 @@ func (s *Store) finishCheckpoint(w *wal, sn *stateSnapshot, covered int64) error
 }
 
 // retainableTailLocked reports how many of the newest log records fit
-// within half of each configured bound, and their estimated byte size
-// (so the caller need not rescan them). Caller holds repMu.
+// within half of the tail's bound, and their estimated byte size (so
+// the caller need not rescan them). Caller holds repMu.
 func (s *Store) retainableTailLocked() (n, bytes int) {
+	maxRecords := s.cfg.ReplicationLogMaxRecords
 	for i := len(s.commitLog) - 1; i >= 0; i-- {
 		sz := recordSize(&s.commitLog[i])
-		if s.cfg.ReplicationLogMaxRecords > 0 && n+1 > s.cfg.ReplicationLogMaxRecords/2 {
-			break
-		}
-		if s.cfg.ReplicationLogMaxBytes > 0 && bytes+sz > s.cfg.ReplicationLogMaxBytes/2 {
+		if maxRecords > 0 && n+1 > maxRecords/2 || maxRecords == 0 && bytes+sz > logMaxBytes/2 {
 			break
 		}
 		n++
@@ -318,9 +316,9 @@ func (s *Store) maybeCheckpointLocked() (bool, error) {
 
 // maybeCheckpointSlackLocked is the policy: two bounds, two costs.
 //
-// The in-memory tail is bounded STRICTLY by ReplicationLogMax{Records,
-// Bytes}: past either, the tail is cut to its newest half-cap, at the
-// cost of copying what is kept.
+// The in-memory tail is bounded STRICTLY by ReplicationLogMaxRecords,
+// or by logMaxBytes when that is 0: past the bound, the tail is cut to
+// its newest half-cap, at the cost of copying what is kept.
 //
 // The write-ahead log is bounded by the state it describes. Rotating
 // it rewrites the whole multi-version state, so it is worth doing only
@@ -334,9 +332,11 @@ func (s *Store) maybeCheckpointLocked() (bool, error) {
 // more often than the tail is cut — and deciding reads two counters,
 // never the state.
 func (s *Store) maybeCheckpointSlackLocked(slack int) (bool, error) {
-	overRecords := s.cfg.ReplicationLogMaxRecords > 0 && len(s.commitLog) > slack*s.cfg.ReplicationLogMaxRecords
-	overBytes := s.cfg.ReplicationLogMaxBytes > 0 && s.commitLogBytes > slack*s.cfg.ReplicationLogMaxBytes
-	if !overRecords && !overBytes {
+	within := s.commitLogBytes <= slack*logMaxBytes
+	if maxRecords := s.cfg.ReplicationLogMaxRecords; maxRecords > 0 {
+		within = len(s.commitLog) <= slack*maxRecords
+	}
+	if within {
 		return false, nil
 	}
 	if s.wal != nil && s.walTailBytes.Load() < s.stateBytes.Load() {

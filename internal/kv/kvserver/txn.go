@@ -50,7 +50,7 @@ type txRecord struct {
 }
 
 // decision is a resolved transaction outcome, kept in the decided-
-// transaction table for DecidedTTL so retried phase-two requests are
+// transaction table for decidedTTL so retried phase-two requests are
 // answered with the recorded outcome instead of "unknown tx".
 type decision struct {
 	commit   bool
@@ -404,7 +404,7 @@ func (s *Store) takePrepared(txid uint64) (*txRecord, decision, error) {
 	return rec, decision{}, nil
 }
 
-// recordDecision remembers a transaction's outcome for DecidedTTL (and
+// recordDecision remembers a transaction's outcome for decidedTTL (and
 // at most decidedMax entries), so retried phase-two requests are
 // answered instead of rejected.
 func (s *Store) recordDecision(txid uint64, d decision) {
@@ -419,7 +419,7 @@ func (s *Store) recordDecision(txid uint64, d decision) {
 // evictDecidedLocked drops decided entries past their TTL, and the
 // oldest entries beyond the size cap. Caller holds txMu.
 func (s *Store) evictDecidedLocked(now time.Time) {
-	ttl := s.cfg.DecidedTTL
+	ttl := decidedTTL
 	for len(s.decidedQ) > 0 {
 		head := s.decidedQ[0]
 		if now.Sub(head.at) < ttl && len(s.decided) <= decidedMax {
@@ -513,7 +513,7 @@ func (s *Store) SweepOrphans() int {
 	s.txMu.Lock()
 	for txid, rec := range s.txs {
 		// A prepare whose epoch is still current blocks, never aborts.
-		if rec.epoch < curEpoch && now.Sub(rec.preparedAt) >= s.cfg.PrepareTTL {
+		if rec.epoch < curEpoch && now.Sub(rec.preparedAt) >= prepareTTL {
 			victims = append(victims, txid)
 		}
 	}

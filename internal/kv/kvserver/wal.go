@@ -54,7 +54,7 @@ import (
 //	         walFrameSnapshot: a piece of the canonical state-snapshot
 //	                           encoding (snapshot.go), split across
 //	                           consecutive frames when larger than
-//	                           walSnapChunkBytes — only ever the
+//	                           snapChunkBytes — only ever the
 //	                           leading frames (rotation rewrites the
 //	                           file); replay concatenates them
 
@@ -226,18 +226,19 @@ func (w *wal) appendBatch(recs []kv.ReplRecord) (synced bool, err error) {
 	return w.sync, nil
 }
 
-// walSnapChunkBytes splits a rotated snapshot across consecutive
-// leading frames: a state larger than one wire frame (64 MiB) must
-// still checkpoint, or its log could never be bounded — and the chunk
-// is all the memory a rotation holds of the encoding, so it is kept
-// small. A variable so tests can exercise the multi-frame path without
+// snapChunkBytes cuts a snapshot's encoding into pieces: the chunks of
+// a MethodSnap transfer and the leading frames of a rotated log. A
+// state larger than one wire frame (64 MiB) must still transfer and
+// checkpoint, or its log could never be bounded — and the chunk is all
+// the memory a rotation holds of the encoding, so it is kept small. A
+// variable so tests can exercise the multi-chunk paths without
 // gigabytes of state.
-var walSnapChunkBytes = 1 << 20
+var snapChunkBytes = 1 << 20
 
 // snapshotFrames is a captured snapshot in the form rotate and
 // finishRotate take: its encoding, one frame's worth at a time.
 func snapshotFrames(sn *stateSnapshot) func(emit func([]byte) error) error {
-	return func(emit func([]byte) error) error { return encodeSnapshot(sn, walSnapChunkBytes, emit) }
+	return func(emit func([]byte) error) error { return encodeSnapshot(sn, snapChunkBytes, emit) }
 }
 
 // rotate atomically replaces the log with one that begins at a
@@ -471,8 +472,12 @@ func replayWAL(path string) (snapshot []byte, recs []kv.ReplRecord, err error) {
 // Subsequent stream records append to the same log. Prepares in the
 // log whose decision never made it are left staged in the prepared-
 // transaction table — a retried coordinator decision still lands, and
-// SweepOrphans reaps them if none comes.
+// SweepOrphans reaps them if none comes. A Config with a negative value
+// is refused.
 func OpenStore(hlc *clock.HLC, cfg Config) (*Store, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	s := NewStore(hlc, cfg)
 	if cfg.LogPath == "" {
 		return s, nil

@@ -168,9 +168,9 @@ func TestWALAbortedTxNotLogged(t *testing.T) {
 // reassembled on replay — the path that keeps stores bigger than the
 // wire frame limit checkpointable.
 func TestWALCheckpointMultiFrameSnapshot(t *testing.T) {
-	old := walSnapChunkBytes
-	walSnapChunkBytes = 128 // force many frames without gigabytes of state
-	defer func() { walSnapChunkBytes = old }()
+	old := snapChunkBytes
+	snapChunkBytes = 128 // force many frames without gigabytes of state
+	defer func() { snapChunkBytes = old }()
 
 	path := filepath.Join(t.TempDir(), "store.log")
 	cfg := Config{LogPath: path}

@@ -23,7 +23,6 @@ type DB struct {
 	cat *Catalog
 
 	tx         *kvclient.Tx // non-nil inside BEGIN..COMMIT
-	maxRetries int
 	parseCache map[string]parsedEntry
 
 	// guarded names, for the explicit transaction's constraint compares,
@@ -72,20 +71,20 @@ func (r *Rows) All() [][]Value { return r.rows }
 // NewDB returns a session over the client. treeCfg configures the DBT
 // handles this session opens.
 func NewDB(c *kvclient.Client, treeCfg dbt.Config) *DB {
-	return &DB{c: c, cat: NewCatalog(c, treeCfg), maxRetries: defaultMaxRetries}
+	return &DB{c: c, cat: NewCatalog(c, treeCfg)}
 }
 
-// defaultMaxRetries bounds auto-commit conflict retries. Conflicts come
+// maxRetries bounds auto-commit conflict retries. Conflicts come
 // in bursts when a hot leaf is being split (structural writes abort
 // concurrent deltas by design), so the budget is generous; the backoff
 // grows to ~25ms, long enough to ride out a split chain.
-const defaultMaxRetries = 30
+const maxRetries = 30
 
 // NewDBWithCatalog returns a session sharing an existing catalog (and
 // hence its tree handles, their caches and their splits in progress);
 // used to run many sessions per process.
 func NewDBWithCatalog(c *kvclient.Client, cat *Catalog) *DB {
-	return &DB{c: c, cat: cat, maxRetries: defaultMaxRetries}
+	return &DB{c: c, cat: cat}
 }
 
 // Catalog exposes the session's catalog.
@@ -198,7 +197,7 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 	// DELETE by key whose row was not there: that affected nothing.
 	var lastErr error
 	blind := true
-	for attempt := 0; attempt <= db.maxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		tx := db.c.Begin()
 		res, rows, err := db.runStmt(ctx, tx, stmt, args, blind)
 		if err == nil {
@@ -231,7 +230,7 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 		lastErr = err
 		sleepJitter(attempt)
 	}
-	return Result{}, nil, fmt.Errorf("sql: giving up after %d conflicts: %w", db.maxRetries, lastErr)
+	return Result{}, nil, fmt.Errorf("sql: giving up after %d conflicts: %w", maxRetries, lastErr)
 }
 
 // commitError is what an explicit transaction's failed COMMIT reports: a
