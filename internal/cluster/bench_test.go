@@ -336,15 +336,12 @@ func BenchmarkResync(b *testing.B) {
 				b.Fatal(err)
 			}
 			go backup.Serve()
-			backup.Store().StartResync()
-			watermark, err := primary.AttachBackupMember(backup.Addr())
-			if err != nil {
+			// When the log no longer reaches the empty backup, Join
+			// state-transfers, then the mirror sends the tail.
+			if err := kvserver.Join(primary, backup); err != nil {
 				b.Fatal(err)
 			}
-			if err := backup.SyncFrom(primary.Addr(), watermark); err != nil {
-				b.Fatal(err)
-			}
-			// The epoch bump that admits the synced member completes
+			// The epoch bump that admits the caught-up member completes
 			// the join.
 			if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
 				b.Fatal(err)

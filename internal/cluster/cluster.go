@@ -197,12 +197,12 @@ func (cl *Cluster) startMember(i int, suffix string) (*kvserver.Server, error) {
 	return srv, nil
 }
 
-// attachBackup starts a fresh backup for slot i, attaches it to the
-// acting primary as an additional replication member, and streams any
-// history it is missing. It works both at cluster startup (empty
-// stores, the sync is a no-op) and after a restart on existing
-// write-ahead logs (the backup catches up from the primary's
-// replication log).
+// attachBackup starts a fresh backup for slot i and attaches it to the
+// acting primary as an additional replication member (see kvserver.Join). It
+// works both at cluster startup (empty stores: the attach is one probe)
+// and on a primary with history, which the backup catches up on from
+// the primary's retained log, or by state transfer when the log was
+// truncated.
 func (cl *Cluster) attachBackup(i int) error {
 	g := cl.Groups[i]
 	g.gen++
@@ -210,18 +210,7 @@ func (cl *Cluster) attachBackup(i int) error {
 	if err != nil {
 		return err
 	}
-	// Resync mode first, then attach, then stream: live commits
-	// mirrored while history is still streaming are buffered by the
-	// backup and applied in sequence order.
-	backup.Store().StartResync()
-	watermark, err := g.Primary.AttachBackupMember(backup.Addr())
-	if err != nil {
-		backup.Close()
-		backup.Store().CloseLog()
-		return err
-	}
-	if err := backup.SyncFrom(g.Primary.Addr(), watermark); err != nil {
-		g.Primary.DetachBackupMember(backup.Addr())
+	if err := kvserver.Join(g.Primary, backup); err != nil {
 		backup.Close()
 		backup.Store().CloseLog()
 		return err
@@ -325,8 +314,8 @@ func (cl *Cluster) IsolatePrimary(slot int) (*kvserver.Server, error) {
 // their frozen promotion state: a loser left at the old epoch would
 // keep granting the deposed primary's lease renewals and hold its
 // quorum lease alive — split-brain by politeness) and rejoin the
-// winner's stream as its backups, resyncing the gap between their
-// heads and the winner's.
+// winner's stream as its backups, the winner's sender filling the gap
+// between their heads and its own.
 func (cl *Cluster) promote(slot int, force bool) error {
 	g := cl.Groups[slot]
 	live := g.Backups
@@ -379,16 +368,10 @@ func (cl *Cluster) promote(slot int, force bool) error {
 	kept := losers[:0]
 	for _, b := range losers {
 		b.Store().AdoptEpoch(newEpoch, members)
-		b.Store().StartResync()
-		watermark, err := winner.AttachBackupMember(b.Addr())
-		if err == nil {
-			err = b.SyncFrom(winner.Addr(), watermark)
-		}
-		if err != nil {
+		if err := kvserver.Join(winner, b); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: rejoining %s to promoted slot %d: %w", b.Addr(), slot, err)
 			}
-			winner.DetachBackupMember(b.Addr())
 			b.Close()
 			b.Store().CloseLog()
 			continue
@@ -421,12 +404,12 @@ func (cl *Cluster) promote(slot int, force bool) error {
 
 // Restart re-forms slot's replication group back to full strength
 // after failovers: fresh members start as new backups of the acting
-// primary, stream the missed history via MethodSync, and resume
-// synchronous mirroring — instead of the pre-replication dead end
-// where a broken pair diverged forever. (Each restarted member starts
-// from an empty store; its catch-up is a full replay of the primary's
-// replication log, including every past epoch change in stream order,
-// or a state transfer when the log was truncated.) Re-forming is
+// primary, whose mirror catches them up on the missed history —
+// instead of the pre-replication dead end where a broken pair diverged
+// forever. (Each restarted member starts from an empty store; its
+// catch-up is a replay of the primary's retained log, including every
+// past epoch change in stream order, or a state transfer when the log
+// was truncated.) Re-forming is
 // itself a configuration change: the primary bumps the epoch with the
 // full membership, and the mirrored RecEpoch record both informs the
 // new backups and seeds the primary's lease.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,11 +197,12 @@ func TestGroupCommitIsolatedPrimaryLosesNoAckedWrite(t *testing.T) {
 		}
 	}
 
-	// Any attempt to resync the diverged old primary from the new one
+	// Any attempt to attach the diverged old primary to the new one
 	// must be refused loudly — its stranded records were never in the
-	// new epoch's stream, and syncing past them would splice histories.
-	err = old.SyncFrom(newPrimary.Addr(), 0)
-	if err == nil || !errors.Is(err, kv.ErrDiverged) && !strings.Contains(err.Error(), kv.ErrDiverged.Error()) {
-		t.Fatalf("resync of diverged old primary: %v, want kv.ErrDiverged", err)
+	// new epoch's stream, and mirroring past them would splice
+	// histories.
+	err = newPrimary.AttachBackupMember(old.Addr())
+	if !errors.Is(err, kv.ErrDiverged) {
+		t.Fatalf("attach of diverged old primary: %v, want kv.ErrDiverged", err)
 	}
 }

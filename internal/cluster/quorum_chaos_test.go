@@ -20,13 +20,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"yesquel/internal/cluster"
 	"yesquel/internal/kv"
+	"yesquel/internal/kv/kvclient"
 	"yesquel/internal/kv/kvserver"
 )
 
@@ -34,14 +34,15 @@ import (
 // splice: an isolated old primary strands a FEW records (locally
 // committed, never acknowledged), the new epoch then writes MORE than
 // it stranded, so the old primary's stream head ends up BEHIND the new
-// primary's. Every sequence-number check now passes — before the
-// per-record epoch check, SyncFrom would silently splice the new
-// epoch's records on top of the stranded ones and the "caught-up
-// backup" would differ from its primary at the same stream position.
-// The pinned behavior: the resync fails loudly with kv.ErrDiverged
-// (the requester's stream epoch does not match the epoch the group's
-// stream had in force at its position), and the only road back is
-// state transfer, after which the stores are byte-identical.
+// primary's. Every sequence-number check passes — without the check of
+// the record below the backup's head, the new primary's mirror would
+// silently splice the new epoch's records on top of the stranded ones
+// and the "caught-up backup" would differ from its primary at the same
+// stream position. The pinned behavior: attaching the old primary as a
+// backup fails loudly with kv.ErrDiverged (its stream epoch does not
+// match the epoch the group's stream had in force at its head), and the
+// only road back is state transfer, after which the stores are
+// byte-identical.
 func TestDivergedButBehindResyncRejected(t *testing.T) {
 	cl, err := cluster.StartReplicated(1, 2, kvserver.Config{LeaseDuration: 150 * time.Millisecond})
 	if err != nil {
@@ -110,20 +111,19 @@ func TestDivergedButBehindResyncRejected(t *testing.T) {
 	}
 
 	// The splice attempt: every seq check passes (the old primary is
-	// strictly behind and above the log base), so only the per-record
-	// epoch check can catch the divergence. It must.
-	oldStore.StartResync()
-	err = old.SyncFrom(newPrimary.Addr(), 0)
+	// strictly behind and above the log base), so only the check of the
+	// record below its head can catch the divergence. It must.
+	err = newPrimary.AttachBackupMember(old.Addr())
 	if err == nil {
-		t.Fatal("diverged-but-behind old primary resynced cleanly: histories were spliced")
+		t.Fatal("diverged-but-behind old primary was attached cleanly: histories were spliced")
 	}
-	if !errors.Is(err, kv.ErrDiverged) && !strings.Contains(err.Error(), kv.ErrDiverged.Error()) {
-		t.Fatalf("resync of diverged old primary: %v, want kv.ErrDiverged", err)
+	if !errors.Is(err, kv.ErrDiverged) {
+		t.Fatalf("attach of diverged old primary: %v, want kv.ErrDiverged", err)
 	}
 
 	// The sanctioned road back: full state transfer, stranded tail
-	// discarded, then the log-tail sync — ending byte-identical.
-	if err := old.StateTransferFrom(newPrimary.Addr(), 0); err != nil {
+	// discarded — ending byte-identical.
+	if err := old.StateTransferFrom(newPrimary.Addr()); err != nil {
 		t.Fatalf("state transfer of diverged old primary: %v", err)
 	}
 	if got, want := oldStore.StateDigest(), newPrimary.Store().StateDigest(); got != want {
@@ -153,16 +153,22 @@ func quorumLoad(t *testing.T, cl *cluster.Cluster, disrupt func()) (acked []acke
 	var mu sync.Mutex
 	var once sync.Once
 	var wg sync.WaitGroup
+	// Every client is opened before any worker runs: disrupt changes the
+	// cluster's membership, which NewClient reads.
+	clients := make([]*kvclient.Client, workers)
+	for w := range clients {
+		c, err := cl.NewClient()
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+		defer c.Close()
+		clients[w] = c
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := cl.NewClient()
-			if err != nil {
-				t.Errorf("worker %d: %v", w, err)
-				return
-			}
-			defer c.Close()
+			c := clients[w]
 			for i := 0; i < writesPerWorker; i++ {
 				if w == 0 && i == disruptAfter {
 					once.Do(disrupt)

@@ -96,9 +96,8 @@ func wireCases() []wireCase {
 		newCase("ReplRecord ops", &recs[0].Rec, bufEncoder(EncodeReplRecord), readerDecoder(DecodeReplRecord)),
 		newCase("Directory", &dir, bufEncoder(func(b *wire.Buffer, d **Directory) { EncodeDirectory(b, *d) }), readerDecoder(DecodeDirectory)),
 		newCase("LeaseReq", &LeaseReq{Epoch: 7}, (*LeaseReq).Encode, DecodeLeaseReq),
-		newCase("MirrorBatchReq", &MirrorBatchReq{Recs: recs}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
-		newCase("SyncReq", &SyncReq{From: 42, Max: 512, Epoch: 3}, (*SyncReq).Encode, DecodeSyncReq),
-		newCase("SyncResp", &SyncResp{Records: recs, Head: 7, Clock: 99, TooOld: true, LogBase: 4}, reply[SyncResp], DecodeSyncResp),
+		newCase("MirrorBatchReq", &MirrorBatchReq{From: 5, Epoch: 3, Recs: []ReplRecord{recs[0].Rec, recs[1].Rec}}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
+		newCase("MirrorBatchReq probe", &MirrorBatchReq{From: 42, Epoch: 3}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
 		newCase("SnapReq", &SnapReq{ID: 7, Chunk: 3}, (*SnapReq).Encode, DecodeSnapReq),
 		newCase("SnapResp", &SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("slice"), Clock: 55}, reply[SnapResp], DecodeSnapResp),
 		newCase("ReadPartReq whole object", &ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2)}}, (*ReadPartReq).Encode, DecodeReadPartReq),
@@ -123,6 +122,7 @@ func wireCases() []wireCase {
 		detailCase("error detail", CodeConflict, &errorDetail{Clock: 77}),
 		detailCase("WrongEpochError", CodeWrongEpoch, &errorDetail{Clock: 77, Err: &WrongEpochError{Epoch: 3, Members: []string{"a:1", "b:2"}}}),
 		detailCase("WrongSlotError", CodeWrongSlot, &errorDetail{Clock: 77, Err: &WrongSlotError{Version: 3, Route: 1, Group: 2, Members: []string{"c:3"}}}),
+		detailCase("StreamGapError", CodeStreamGap, &errorDetail{Clock: 77, Err: &StreamGapError{Head: 12, StreamEpoch: 2, Last: 0xdeadbeef}}),
 		detailCase("CompareError", CodeCompare, &errorDetail{Clock: 77, Err: &CompareError{Op: OpCmpAbsent, OID: MakeOID(1, 2)}}),
 	}
 	for i, op := range sampleOps() {
@@ -164,9 +164,8 @@ var goldenHex = map[string]string{
 	"ReplRecord ops":           "010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010000",
 	"Directory":                "03020001020103613a310203623a3203633a33",
 	"LeaseReq":                 "07",
-	"MirrorBatchReq":           "0205010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f000100000603030000000000000000000000000000000000000203613a3103623a32",
-	"SyncReq":                  "2a0000020003",
-	"SyncResp":                 "0205010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f000100000603030000000000000000000000000000000000000203613a3103623a320700000000000000630104",
+	"MirrorBatchReq":           "050302010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f0001000003030000000000000000000000000000000000000203613a3103623a32",
+	"MirrorBatchReq probe":     "2a0300",
 	"SnapReq":                  "0700000003",
 	"SnapResp":                 "07d209000000030000000905736c6963650000000000000037",
 	"ReadPartReq whole object": "000000000000004d0400010000000000020000000000000000",
@@ -186,6 +185,7 @@ var goldenHex = map[string]string{
 	"error detail":             "000000000000004d",
 	"WrongEpochError":          "000000000000004d030203613a3103623a32",
 	"WrongSlotError":           "000000000000004d0300000001000000020103633a33",
+	"StreamGapError":           "000000000000004d0c02deadbeef",
 	"CompareError":             "000000000000004d070001000000000002",
 	"Op a":                     "00000100000000000700077061796c6f6164",
 	"Op b":                     "000001000000000008ff",
@@ -264,8 +264,7 @@ func TestHostileCountsAllocateLittle(t *testing.T) {
 		{"FastCommitReq ops", commit, func(p []byte) (any, error) { return DecodeFastCommitReq(p) }},
 		{"PrepareReq ops", commit, func(p []byte) (any, error) { return DecodePrepareReq(p) }},
 		{"Value cells", super, func(p []byte) (any, error) { return DecodeValue(wire.NewReader(p)) }},
-		{"MirrorBatchReq records", nil, func(p []byte) (any, error) { return DecodeMirrorBatchReq(p) }},
-		{"SyncResp records", nil, func(p []byte) (any, error) { return DecodeSyncResp(p) }},
+		{"MirrorBatchReq records", []byte{0, 0}, func(p []byte) (any, error) { return DecodeMirrorBatchReq(p) }},
 		{"ReadBatchResp results", nil, func(p []byte) (any, error) { return DecodeReadBatchResp(p) }},
 		{"Directory routes", []byte{1}, func(p []byte) (any, error) { return DecodeDirectory(wire.NewReader(p)) }},
 	} {

@@ -41,6 +41,7 @@ func TestWireErrorCodeMapping(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", ErrConflict), CodeConflict},
 		{&WrongEpochError{Epoch: 3, Members: []string{"a"}}, CodeWrongEpoch},
 		{&CompareError{Op: OpCmpAbsent, OID: 1}, CodeCompare},
+		{&StreamGapError{Head: 12, StreamEpoch: 2}, CodeStreamGap},
 		{fmt.Errorf("unclassified"), 0},
 	}
 	for _, c := range cases {

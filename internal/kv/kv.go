@@ -240,11 +240,11 @@ var (
 	// retrying non-idempotent work.
 	ErrUncertain = errors.New("kv: commit outcome uncertain")
 	// ErrDiverged reports that two replicas of one group hold
-	// irreconcilable streams — a resync requester ahead of its source's
-	// head, a mirror record below the replica's (the replica applied
-	// records the primary never streamed), a decision for a prepare the
-	// replica never staged. Resync cannot repair divergence — the group
-	// must be re-formed from the authoritative member.
+	// irreconcilable streams — a backup whose head is past its primary's
+	// (it applied records the primary never streamed), or whose record
+	// below its head is not the primary's, a decision for a prepare the
+	// replica never staged. Record replay cannot repair divergence: the
+	// replica rejoins by state transfer.
 	ErrDiverged = errors.New("kv: replicas diverged")
 	// ErrWrongEpoch reports that a request carried a stale (or unknown)
 	// replication-group epoch, or reached a member that may not serve it
@@ -265,6 +265,11 @@ var (
 	// member's directory version and the slot's owning group, so a stale
 	// client re-routes in one round trip.
 	ErrWrongSlot = errors.New("kv: wrong slot")
+	// ErrStreamGap rejects a mirror batch that does not start at the
+	// backup's stream head; nothing was applied. Its typed form,
+	// StreamGapError, carries the head, so the primary resends from
+	// there.
+	ErrStreamGap = errors.New("kv: mirror batch not at the stream head")
 	// ErrSnapSessionExpired rejects a snapshot chunk request whose
 	// session is unknown, expired or evicted: the transfer must restart
 	// from scratch.
@@ -284,11 +289,13 @@ const (
 	CodeWrongEpoch         uint64 = 7
 	CodeWrongSlot          uint64 = 8
 	CodeCompare            uint64 = 9
+	CodeStreamGap          uint64 = 11
 	CodeSnapSessionExpired uint64 = 50
 )
 
-// wireErrors pairs each wire code with its sentinel, and the three
-// rejections whose payload a client acts on with their typed form. A
+// wireErrors pairs each wire code with its sentinel, and the four
+// rejections whose payload a client or a primary acts on with their
+// typed form. A
 // server's error coder (WireErrorCode) takes the first row whose sentinel
 // the error wraps, and the client's DecodeError the row of the code
 // that came back. ErrUncertain leads: an uncertain commit wraps the
@@ -304,6 +311,7 @@ var wireErrors = [...]wireError{
 	{CodeNotFound, ErrNotFound, nil},
 	{CodeWrongEpoch, ErrWrongEpoch, typed[WrongEpochError]},
 	{CodeWrongSlot, ErrWrongSlot, typed[WrongSlotError]},
+	{CodeStreamGap, ErrStreamGap, typed[StreamGapError]},
 	{CodeDiverged, ErrDiverged, nil},
 	{CodeBadRequest, ErrBadRequest, nil},
 	{CodeSnapSessionExpired, ErrSnapSessionExpired, nil},
@@ -473,6 +481,28 @@ func (e *WrongSlotError) wire(c *wire.Codec) {
 	c.Uint32(&e.Route)
 	c.Uint32(&e.Group)
 	wireMembers(c, &e.Members)
+}
+
+// StreamGapError is the typed form of ErrStreamGap: the backup's stream
+// head, the epoch its stream had installed there, and a checksum of its
+// record below the head (0 when that record is not retained), which the
+// primary checks against the record it holds there before resending.
+type StreamGapError struct {
+	Head        uint64
+	StreamEpoch uint64
+	Last        uint32
+}
+
+func (e *StreamGapError) Error() string {
+	return fmt.Sprintf("%s: head=%d stream_epoch=%d", ErrStreamGap.Error(), e.Head, e.StreamEpoch)
+}
+
+func (e *StreamGapError) Unwrap() error { return ErrStreamGap }
+
+func (e *StreamGapError) wire(c *wire.Codec) {
+	c.Uvarint(&e.Head)
+	c.Uvarint(&e.StreamEpoch)
+	c.Uint32(&e.Last)
 }
 
 // CompareError is the typed form of ErrCompare: the kind of the compare

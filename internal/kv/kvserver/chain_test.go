@@ -328,22 +328,6 @@ func TestHotObjectReadersNeverSeeChange(t *testing.T) {
 	wg.Wait()
 }
 
-// syncFrom applies to dst every record src holds past dst's head.
-func syncFrom(t *testing.T, dst, src *Store) {
-	t.Helper()
-	for dst.ReplSeq() < src.ReplSeq() {
-		recs, _, _, err := src.SyncRecords(dst.ReplSeq(), 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			if err := dst.ApplyReplicatedSeq(r.Seq, r.Rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 // TestReplicasAgreeAcrossRebasePoints: a backup that installs a
 // snapshot in the middle of a leaf's chain holds that version as a base
 // with no ops, where the primary holds it as ops on an older base, so
@@ -405,14 +389,14 @@ func TestReplicasAgreeAcrossRebasePoints(t *testing.T) {
 		if _, err := primary.FastCommit(newTxID(), primary.Clock().Now(), ops(i)); err != nil {
 			t.Fatal(err)
 		}
-		syncFrom(t, backup, primary)
+		catchUp(t, backup, primary)
 		agree("backup following", i)
 	}
 	for i := 100; i < 200; i++ {
 		if _, err := backup.FastCommit(newTxID(), backup.Clock().Now(), ops(i)); err != nil {
 			t.Fatal(err)
 		}
-		syncFrom(t, primary, backup)
+		catchUp(t, primary, backup)
 		agree("after failover", i)
 	}
 }

@@ -95,7 +95,7 @@ func TestCompareOnlyParticipant(t *testing.T) {
 	s := NewStore(nil, Config{})
 	oid := kv.MakeOID(0, 1)
 	leafWith(t, s, oid, "b")
-	_, head, _, _ := s.SyncRecords(0, 0, 0)
+	head := s.ReplSeq()
 
 	txid := newTxID()
 	proposed, err := s.Prepare(txid, s.Clock().Now(), []*kv.Op{absent(oid, "c", "d")})
@@ -114,7 +114,7 @@ func TestCompareOnlyParticipant(t *testing.T) {
 	if s.IsLocked(oid) || s.VersionCount(oid) != 1 {
 		t.Fatalf("after commit: locked %v, %d versions", s.IsLocked(oid), s.VersionCount(oid))
 	}
-	recs, _, _, err := s.SyncRecords(head, 0, s.Epoch())
+	recs, _, _, err := s.MigrationRecords(head, 0)
 	if err != nil || len(recs) != 2 || recs[0].Rec.Kind != kv.RecPrepare || len(recs[0].Rec.Ops) != 1 || recs[1].Rec.Kind != kv.RecDecide {
 		t.Fatalf("a compare-only vote and its decision streamed as %+v (%v)", recs, err)
 	}
@@ -143,7 +143,7 @@ func TestComparesStayOutOfCommitRecords(t *testing.T) {
 	if _, err := s.FastCommit(newTxID(), s.Clock().Now(), []*kv.Op{{Kind: kv.OpCmpPresent, OID: oid, From: []byte("c")}, listAdd(oid, "d")}); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, _, err := s.SyncRecords(0, 0, 0)
+	recs, _, _, err := s.MigrationRecords(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

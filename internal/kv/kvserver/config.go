@@ -28,8 +28,8 @@ type Config struct {
 	// written in commit order but a host crash can lose the tail.
 	LogSync bool
 	// ReplicationLogMaxRecords bounds the stream tail every store retains
-	// in memory (what MethodSync resyncs and migration tails are served
-	// from). The promise is about memory and it is strict: when the tail
+	// in memory (what a mirror resends to a backup that is behind, and
+	// what migration tails are served from). The promise is about memory and it is strict: when the tail
 	// exceeds this many records it is cut to its newest half, so a backup
 	// that falls behind the retained tail catches up by snapshot install
 	// (MethodSnap) + tail instead of a full-history replay. It is also
@@ -174,7 +174,7 @@ type Stats struct {
 	// counts WAL rotations that failed — the in-memory log bound still
 	// holds (truncation proceeds regardless), but restart-replay cost is
 	// no longer bounded and the disk needs attention. SnapshotsServed counts state-transfer
-	// snapshots captured for a resyncing peer, SnapshotsInstalled
+	// snapshots captured for a peer's state transfer, SnapshotsInstalled
 	// snapshots this member installed in place of a full-history
 	// replay.
 	Checkpoints         atomic.Uint64

@@ -198,15 +198,7 @@ func TestCommitInstallsPreparedValue(t *testing.T) {
 	}
 
 	// The backup sees the same transactions as records only.
-	recs, _, _, err := primary.SyncRecords(0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := backup.ApplyReplicatedSeq(r.Seq, r.Rec); err != nil {
-			t.Fatal(err)
-		}
-	}
+	catchUp(t, backup, primary)
 	if got, want := backup.StateDigest(), primary.StateDigest(); got != want {
 		t.Fatalf("backup digest %x != primary digest %x", got, want)
 	}

@@ -31,13 +31,18 @@
 // attaches backups and installs the larger membership. Every stream
 // record is mirrored to the attached members, and the client's
 // acknowledgment is withheld until a majority of the group holds the
-// record, so a failover never loses an acknowledged write. Backups
-// apply the stream in strict sequence order; a gap (the backup missed
-// records, e.g. it restarted) makes mirroring fail loudly instead of
-// silently diverging, and the backup re-joins by streaming the missed
-// records from the primary's retained tail (Server.SyncFrom /
-// MethodSync, the same records the write-ahead log holds) or, when the
-// tail no longer reaches back that far, by state transfer.
+// record, so a failover never loses an acknowledged write. A mirror
+// batch says where it starts and a backup applies it only at its own
+// stream head; a backup that is behind (it missed records, or is new)
+// answers with its head, and the primary's sender resends from there
+// out of its retained tail, the same records the write-ahead log holds.
+// That sender is the only way records reach a backup, and a member's
+// acks count only records its backup holds. Until it has caught up to
+// the head it was attached at, a new member is a learner: the quorum
+// neither waits for it nor fails with it. A backup ahead of the
+// primary's stream or diverged from it is refused loudly, and so is one
+// whose gap the tail no longer reaches back over; those rejoin by state
+// transfer (Server.StateTransferFrom).
 //
 // # Group commit and pipelined mirroring
 //
@@ -52,7 +57,7 @@
 //   - the application of the record's effects (commit versions,
 //     staged prepares, epoch installs) — so visible state always
 //     equals the stream position when repMu is free, which is what
-//     lets snapshot captures, resyncs and route captures claim exact
+//     lets snapshot captures, state transfers and route captures claim exact
 //     coverage.
 //
 // What never happens under repMu: the mirror RPC and the
@@ -111,8 +116,8 @@
 //     compare ops included, and the locks they take, replicated before
 //     the yes vote is returned, even when every op is a compare. A
 //     promoted backup therefore reconstructs the prepared-transaction
-//     table instead of starting empty, and a MethodSync resync carries
-//     prepared state to a re-formed backup.
+//     table instead of starting empty, and the catch-up of a re-formed
+//     backup carries prepared state to it.
 //   - RecDecide: the phase-two outcome (commit at a timestamp, or
 //     abort) for a previously replicated prepare.
 //
@@ -131,8 +136,8 @@
 // membership change — promoting the backup after a failure, re-forming
 // the pair with a fresh member — is an explicit epoch bump, recorded
 // as a RecEpoch record in the same totally ordered replication stream
-// as data (so it is mirrored, resynced, and WAL-persisted like any
-// commit, and a replayed or resynced member finishes at the epoch the
+// as data (so it is mirrored, resent, and WAL-persisted like any
+// commit, and a replayed or caught-up member finishes at the epoch the
 // stream left it at). Every other stream record is stamped with the
 // epoch in effect when it was emitted, and every client request is
 // stamped with the epoch the client believes current.
@@ -200,26 +205,28 @@
 // majority, and the member chosen by promotion is the MOST CAUGHT-UP
 // live member — the orchestrator freezes every live member
 // (BeginPromotion), compares stream heads, promotes the maximum, and
-// re-joins the rest as backups of the winner (cluster.promote). A
-// member whose head is behind the winner's syncs the missing tail; a
-// member whose history DIVERGED — it holds records at positions the
+// re-joins the rest as backups of the winner (cluster.promote). Each
+// loser adopts the new epoch and membership first, and the winner's
+// sender then resends what lies between the loser's head and its own.
+// A member whose history DIVERGED — it holds records at positions the
 // winner's stream stamped with a different epoch, the classic
 // isolated-old-primary-with-stranded-writes case — is rejected with
 // kv.ErrDiverged at every splice point and re-joins by state transfer
 // only:
 //
-//   - the sync source compares the requester's stream epoch against
-//     the epoch its own log held at the requested position;
+//   - a mirror batch applies only at the replica's own head; otherwise
+//     the replica answers with its head, the epoch its stream installed
+//     there and a checksum of its record below it, and the sender
+//     resends only if its own retained record there matches both;
 //   - every applied record's epoch stamp must equal the epoch the
 //     replica's stream installed at that position (the per-record
 //     splice guard), so stranded old-epoch records can never be
-//     overlaid by a successor's re-stamped history, nor vice versa;
-//   - a record arriving BELOW the replica's head is acknowledged as a
-//     duplicate only if the retained log proves identity (same kind,
-//     epoch, transaction, timestamp at that position) — the
-//     attach-before-sync overlap ships some records twice by design,
-//     and content, not timing, is what tells a benign duplicate from
-//     a split brain.
+//     overlaid by a successor's re-stamped history, nor vice versa.
+//
+// A configuration change at the epoch a replica adopted out of band
+// must carry the membership it adopted, so a deposed primary that
+// re-forms its own group under the same epoch number collects no ack
+// from a loser that is waiting for its winner's record (WrongEpoch).
 //
 // # Batched reads
 //
@@ -258,8 +265,9 @@
 // installs it. And the two things a checkpoint does are bounded
 // separately, each by what it costs:
 //
-//   - The stream tail every store retains IN MEMORY — what MethodSync
-//     resyncs and migration tails are served from — is bounded
+//   - The stream tail every store retains IN MEMORY — what a mirror
+//     resends to a backup that is behind and migration tails are
+//     served from — is bounded
 //     strictly, by Config.ReplicationLogMaxRecords or, when that is 0,
 //     by 64 MiB of estimated record bytes (logMaxBytes). Past the
 //     bound the tail is cut to its newest half-cap
@@ -301,21 +309,21 @@
 // path, on every store, holds repMu across a record's emission AND the
 // application of its effects, so a snapshot taken under repMu always
 // equals "every record below repSeq applied, none above" — the
-// contract a resyncing replica needs. Prepares whose record has not
+// contract a replica rebuilt by state transfer needs. Prepares whose record has not
 // entered the stream yet are skipped (their records arrive in the
 // tail).
 //
-// A backup that asks to sync from a position below the truncated log's
-// base gets SyncResp.TooOld and falls back to STATE TRANSFER
-// (Server.SyncFrom does this automatically): it streams a chunked
-// snapshot (MethodSnap), installs it — replacing its own stale state,
-// which is a prefix of the source's — and resumes the normal log-tail
-// sync from the snapshot's sequence number. This is what makes a
-// late-joining or long-dead replica cost the current state's size
-// rather than the primary's full write history, and it removes blocker
-// (c) for replication factors above 2 (see ROADMAP). A backup that is
-// AHEAD of its sync source is rejected with kv.ErrDiverged — an
-// irreconcilable history must be re-formed, never papered over.
+// A backup whose head is below the truncated log's base is refused by
+// the primary's sender (ErrBehindLog), and one ahead of the primary's
+// stream or diverged from it with kv.ErrDiverged. Either rejoins by
+// STATE TRANSFER (Server.StateTransferFrom), which the orchestrator
+// runs before attaching it again: it streams a chunked snapshot
+// (MethodSnap) and installs it, replacing its own state wholesale, and
+// the primary's sender then sends the records since the snapshot's
+// sequence number. This is what makes a late-joining or long-dead
+// replica cost the current state's size rather than the primary's full
+// write history, and it removes blocker (c) for replication factors
+// above 2 (see ROADMAP).
 //
 // # Version GC
 //

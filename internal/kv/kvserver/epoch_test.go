@@ -200,33 +200,84 @@ func TestWALRefusesUnrecognizedFormat(t *testing.T) {
 
 // TestMirrorRejectsStalePrimaryEpoch is the stream-level split-brain
 // guard in isolation: once a replica has moved to a newer epoch, a
-// live mirror record stamped with the old epoch is rejected with
-// ErrWrongEpoch (the deposed primary must not get its record
-// acknowledged), while sync replays of history remain exempt.
+// mirror batch from the old epoch is rejected with ErrWrongEpoch (the
+// deposed primary must not get its record acknowledged), and so is a
+// configuration change at the replica's epoch with another membership,
+// even in a batch stamped with that epoch. A batch from the current
+// epoch's primary resending history stamped with older epochs, older
+// configuration changes included, is applied.
 func TestMirrorRejectsStalePrimaryEpoch(t *testing.T) {
 	b := NewStore(nil, Config{})
 	b.SetSelf("b")
-	mirror := func(seq uint64, rec kv.ReplRecord) error {
-		return b.ApplyMirroredBatch([]kv.SyncRec{{Seq: seq, Rec: rec}})
+	mirror := func(from, epoch uint64, rec kv.ReplRecord) error {
+		return b.ApplyMirroredBatch(&kv.MirrorBatchReq{From: from, Epoch: epoch, Recs: []kv.ReplRecord{rec}})
 	}
 	// The replica applies an epoch-2 record, then is promoted to epoch 3.
-	if err := mirror(0, kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 2, Members: []string{"a", "b"}}); err != nil {
+	if err := mirror(0, 2, kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 2, Members: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.InstallEpoch(3, []string{"b"}); err != nil {
 		t.Fatal(err)
 	}
-	// A stale primary's live record at epoch 2 must be turned away.
+	// A stale primary's batch at epoch 2 must be turned away.
 	stale := kv.ReplRecord{Kind: kv.RecCommit, Epoch: 2, TS: b.Clock().Now(),
 		Ops: []*kv.Op{{Kind: kv.OpPut, OID: kv.MakeOID(0, 9), Value: kv.NewPlain([]byte("split"))}}}
-	err := mirror(2, stale)
-	if !errors.Is(err, kv.ErrWrongEpoch) {
-		t.Fatalf("stale-epoch mirror record: %v, want ErrWrongEpoch", err)
+	if err := mirror(2, 2, stale); !errors.Is(err, kv.ErrWrongEpoch) {
+		t.Fatalf("stale-epoch mirror batch: %v, want ErrWrongEpoch", err)
 	}
-	// A stale RecEpoch (e.g. the deposed primary trying to re-form its
-	// own group) is rejected too.
-	err = mirror(2, kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 3, Members: []string{"a"}})
-	if !errors.Is(err, kv.ErrWrongEpoch) {
-		t.Fatalf("stale RecEpoch: %v, want ErrWrongEpoch", err)
+	// A RecEpoch at this replica's epoch with another membership (the
+	// deposed primary re-forming its own group) is refused, stamped with
+	// its old epoch or with the one it installs.
+	for _, epoch := range []uint64{2, 3} {
+		if err := mirror(2, epoch, kv.ReplRecord{Kind: kv.RecEpoch, Epoch: 3, Members: []string{"a"}}); !errors.Is(err, kv.ErrWrongEpoch) {
+			t.Fatalf("stale RecEpoch in a batch stamped %d: %v, want ErrWrongEpoch", epoch, err)
+		}
+	}
+	if b.ReplSeq() != 2 {
+		t.Fatalf("refused batches moved the stream to seq %d", b.ReplSeq())
+	}
+
+	// A loser of a failover adopted epoch 3 from its winner b before b's
+	// RecEpoch reached it. The deposed primary a installs epoch 3 for its
+	// own group, and its sender stamps the batch 3: refused, nothing
+	// applied.
+	r := NewStore(nil, Config{})
+	if err := r.ApplyMirroredBatch(&kv.MirrorBatchReq{From: 0, Epoch: 2, Recs: []kv.ReplRecord{{Kind: kv.RecEpoch, Epoch: 2, Members: []string{"a", "r"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	r.AdoptEpoch(3, []string{"b", "r"})
+	if err := r.ApplyMirroredBatch(&kv.MirrorBatchReq{From: 1, Epoch: 3, Recs: []kv.ReplRecord{{Kind: kv.RecEpoch, Epoch: 3, Members: []string{"a", "r"}}}}); !errors.Is(err, kv.ErrWrongEpoch) {
+		t.Fatalf("deposed primary's RecEpoch at the adopted epoch: %v, want ErrWrongEpoch", err)
+	}
+	if r.ReplSeq() != 1 {
+		t.Fatalf("refused RecEpoch moved the stream to seq %d", r.ReplSeq())
+	}
+	// The winner resends the history below its epoch change, stamped 2,
+	// then the RecEpoch that installs the adopted epoch 3.
+	history := stale
+	history.TS = r.Clock().Now()
+	if err := r.ApplyMirroredBatch(&kv.MirrorBatchReq{From: 1, Epoch: 3, Recs: []kv.ReplRecord{history, {Kind: kv.RecEpoch, Epoch: 3, Members: []string{"b", "r"}}}}); err != nil {
+		t.Fatalf("resent history on a member that adopted the new epoch: %v", err)
+	}
+
+	// A loser that missed a configuration change its winner applied: its
+	// stream is at epoch 2, it adopted 4, and the winner's history holds
+	// the RecEpoch for 3 before the one for 4.
+	l := NewStore(nil, Config{})
+	if err := l.ApplyMirroredBatch(&kv.MirrorBatchReq{From: 0, Epoch: 2, Recs: []kv.ReplRecord{{Kind: kv.RecEpoch, Epoch: 2, Members: []string{"a", "w", "l"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	l.AdoptEpoch(4, []string{"w", "l"})
+	missed := stale
+	missed.Epoch, missed.TS = 3, l.Clock().Now()
+	if err := l.ApplyMirroredBatch(&kv.MirrorBatchReq{From: 1, Epoch: 4, Recs: []kv.ReplRecord{
+		{Kind: kv.RecEpoch, Epoch: 3, Members: []string{"a", "w", "l"}},
+		missed,
+		{Kind: kv.RecEpoch, Epoch: 4, Members: []string{"w", "l"}},
+	}}); err != nil {
+		t.Fatalf("missed configuration change in the winner's history: %v", err)
+	}
+	if l.Epoch() != 4 || l.ReplSeq() != 4 {
+		t.Fatalf("after catching up: epoch %d, seq %d; want 4, 4", l.Epoch(), l.ReplSeq())
 	}
 }

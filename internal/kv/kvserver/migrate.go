@@ -446,10 +446,9 @@ func (s *Store) ingestCommitLocked(ts clock.Timestamp, ops []*kv.Op) (seq uint64
 }
 
 // MigrationRecords returns up to max retained-log records starting at
-// from, exactly like SyncRecords but WITHOUT the requester-epoch
-// divergence check: the migration orchestrator reads the source group's
-// own stream in-process (its cursor came from this group's
-// CaptureRoute), so cross-history splices are impossible by
+// from, with no divergence check: the migration orchestrator reads the
+// source group's own stream in-process (its cursor came from this
+// group's CaptureRoute), so cross-history splices are impossible by
 // construction. A from below logBase returns an empty batch with
 // base > from — the history was truncated and the orchestrator must
 // restart from a fresh capture (ingest idempotence makes that safe).

@@ -24,24 +24,13 @@ func startServer(t *testing.T) *kvserver.Server {
 }
 
 // formGroup makes primary the primary of [primary, backups...], the way
-// cluster.startGroup does: each backup enters resync mode, is attached,
-// and catches up to the attach watermark (nothing, on an empty stream);
-// then one epoch bump installs the membership.
+// cluster.startGroup does: each backup joins (see kvserver.Join), then one epoch
+// bump installs the membership.
 func formGroup(t *testing.T, primary *kvserver.Server, backups ...*kvserver.Server) {
 	t.Helper()
 	members := []string{primary.Addr()}
 	for _, b := range backups {
-		b.Store().StartResync()
-		watermark, err := primary.AttachBackupMember(b.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if watermark == 0 {
-			err = b.Store().FinishResync()
-		} else {
-			err = b.SyncFrom(primary.Addr(), watermark)
-		}
-		if err != nil {
+		if err := kvserver.Join(primary, b); err != nil {
 			t.Fatal(err)
 		}
 		members = append(members, b.Addr())

@@ -21,9 +21,8 @@ package kvserver
 //
 // Failure semantics are watermark semantics. A batch that fails marks
 // its member BROKEN: the member's queue is dropped and no further
-// batches go to it (whether it applied the batch or not, its next
-// contiguity check on rejoin is loud — it re-enters via resync, never
-// silently). Waiters are then judged by the surviving quorum: with
+// batches go to it (it rejoins only by a re-attach). Waiters are then
+// judged by the surviving quorum: with
 // enough live members they simply stop counting on the broken one;
 // when live members fall below need the quorum is LOST and every
 // waiter at or above the watermark fails with the member's error
@@ -35,15 +34,22 @@ package kvserver
 // explicit operator detach, which removes the replication requirement
 // itself and fails — not acks — the waiters already in flight).
 //
-// One deliberate optimism: a member attached mid-life starts its ack
-// accounting at the attach watermark, and the orchestrator owes the
-// stream a resync of the history below it. The quorum count treats
-// that member as holding the history once its resync was MANDATED, not
-// once it completed — the contract AttachMirrorMember's returned
-// watermark expresses. Orchestrators must complete the resync before
-// treating the member as promotable.
+// The sender is also the only way records reach a backup, the way
+// Raft's AppendEntries consistency check works: a batch says where it
+// starts, and the backup applies it only at its own stream head.
+// Otherwise the backup answers with its head (kv.StreamGapError) and the
+// sender resends from there out of the retained log. A new member's
+// first batch — the probe — starts at the primary's head at attach time
+// and goes even empty, so a member attached mid-life catches up through
+// its own queue, and its acks — which start at the head its backup
+// reported — count only records it holds. Until it has acknowledged that
+// head the member is a LEARNER (the Raft dissertation's non-voting
+// member, §4.2.1): it is left out of need, the watermark and quorum
+// loss, so a slow or refused catch-up neither stalls nor fails the
+// commits running beside it. It votes from its join on.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -52,7 +58,7 @@ import (
 )
 
 // mirrorBatchBytes caps one mirror batch's estimated payload,
-// comfortably under the wire frame limit (mirroring syncBatchBytes).
+// comfortably under the wire frame limit regardless of record count.
 const mirrorBatchBytes = 4 << 20
 
 // replWaitTimeout bounds a durability wait. The worst legitimate case
@@ -79,17 +85,28 @@ type pipeWaiter struct {
 // send runs outside the lock.
 type mirrorMember struct {
 	id   string
-	send func([]kv.SyncRec) error
-	// queue holds emitted records awaiting this member's next batch.
-	queue []kv.SyncRec
-	// acked: this member has acknowledged every record with seq <
-	// acked. Starts at the attach watermark (the history below it is
-	// the mandated resync's responsibility).
+	send func(*kv.MirrorBatchReq) error
+	// queue holds the records awaiting this member's next batch; next is
+	// the stream position of queue[0] (of the next record emitted, when
+	// the queue is empty).
+	queue []kv.ReplRecord
+	next  uint64
+	// acked: the member's backup holds every record with seq < acked.
+	// It is set only from the backup's replies: a batch's ack, or the
+	// head a gap reply reported.
 	acked uint64
+	// joined receives the outcome of the attach — nil once acked reaches
+	// joinAt, the stream head at attach time, or the error that broke
+	// the member — and is nil once answered. While it is pending, the
+	// member's next batch goes even empty: the probe.
+	joined chan error
+	joinAt uint64
+	// learner: the join has not succeeded yet, and the member does not
+	// count toward the quorum (see recomputeQuorumLocked).
+	learner bool
 	// broken: a batch to this member failed; its queue was dropped and
-	// its sender goroutine exited. It rejoins only by re-attach (which
-	// mandates a resync); its past acks still count — the records ARE
-	// on it.
+	// its sender goroutine exited. It rejoins only by re-attach; its past
+	// acks still count — the records ARE on it.
 	broken bool
 	err    error
 
@@ -109,7 +126,7 @@ type replPipe struct {
 	// members are the attached replication members, in attach order.
 	members []*mirrorMember
 	// need is how many member acks complete a majority of the group
-	// (members plus the primary itself): (len(members)+1)/2.
+	// (voting members plus the primary itself): (voters+1)/2.
 	need int
 
 	// walQ holds records awaiting the batched write-ahead-log append.
@@ -156,6 +173,13 @@ type replPipe struct {
 	// holds, so it reads this copy under pipe.mu instead.
 	wal *wal
 
+	// streamEpoch mirrors s.streamEpoch for the member senders, which
+	// stamp it on every batch (kv.MirrorBatchReq.Epoch). It is the
+	// STREAM epoch, not the adopted one: a deposed primary that adopted
+	// its successor's epoch from a rejection still sends its old one, so
+	// a member rejoining the successor refuses its straggler batches.
+	streamEpoch uint64
+
 	// walFlushing marks an in-flight batched WAL write (the flusher
 	// holds it across appendBatch only).
 	walFlushing bool
@@ -199,9 +223,16 @@ func (p *replPipe) failureFor(seq uint64) error {
 }
 
 // hasMembersLocked is the one statement of "this store has a backup":
-// with at least one member attached, waiters require the quorum
+// with at least one voting member attached, waiters require the quorum
 // watermark. Caller holds pipe.mu.
-func (p *replPipe) hasMembersLocked() bool { return len(p.members) > 0 }
+func (p *replPipe) hasMembersLocked() bool {
+	for _, m := range p.members {
+		if !m.learner {
+			return true
+		}
+	}
+	return false
+}
 
 // durableLocked reports whether the record at seq satisfies every
 // durability requirement currently in force. Caller holds pipe.mu.
@@ -216,33 +247,42 @@ func (p *replPipe) durableLocked(seq uint64) bool {
 }
 
 // recomputeQuorumLocked refreshes need, advances the quorum watermark
-// to the need-th largest member ack (never backwards), and maintains
-// the quorum-lost state: with fewer live (non-broken) members than
-// need, no new record can ever gather a quorum, so waiters at or above
-// the watermark must fail now rather than time out. Broken members'
-// PAST acks still count — the records are on them. Caller holds
-// pipe.mu.
+// to the need-th largest voting member's ack (never backwards), and
+// maintains the quorum-lost state: with fewer live (non-broken) voters
+// than need, no new record can ever gather a quorum, so waiters at or
+// above the watermark must fail now rather than time out. Broken
+// members' PAST acks still count — the records are on them. Learners
+// count for nothing. Caller holds pipe.mu.
 func (p *replPipe) recomputeQuorumLocked() {
-	if !p.hasMembersLocked() {
+	voters := 0
+	for _, m := range p.members {
+		if !m.learner {
+			voters++
+		}
+	}
+	if voters == 0 {
 		p.need = 0
 		p.quorumErr = nil
 		return
 	}
-	p.need = (len(p.members) + 1) / 2
+	p.need = (voters + 1) / 2
 	live := 0
 	var memberErr error
 	for _, m := range p.members {
+		if m.learner {
+			continue
+		}
 		if m.broken {
 			memberErr = m.err
 		} else {
 			live++
 		}
-		// The need-th largest ack is the largest one that need members
+		// The need-th largest ack is the largest one that need voters
 		// have reached. This runs on every member ack and a group has a
 		// handful of members, so count in place rather than sort a copy.
 		reached := 0
 		for _, o := range p.members {
-			if o.acked >= m.acked {
+			if !o.learner && o.acked >= m.acked {
 				reached++
 			}
 		}
@@ -255,7 +295,7 @@ func (p *replPipe) recomputeQuorumLocked() {
 			if memberErr == nil {
 				memberErr = fmt.Errorf("kvserver: replication member unavailable")
 			}
-			p.quorumErr = fmt.Errorf("kvserver: replication quorum lost (%d of %d members live, need %d): %w", live, len(p.members), p.need, memberErr)
+			p.quorumErr = fmt.Errorf("kvserver: replication quorum lost (%d of %d members live, need %d): %w", live, voters, p.need, memberErr)
 			p.quorumFrom = p.mirrored
 		}
 	} else {
@@ -268,12 +308,12 @@ func (p *replPipe) recomputeQuorumLocked() {
 func (s *Store) enqueueLocked(seq uint64, rec kv.ReplRecord) {
 	p := &s.pipe
 	p.mu.Lock()
-	sr := kv.SyncRec{Seq: seq, Rec: rec}
+	p.streamEpoch = s.streamEpoch
 	for _, m := range p.members {
 		if m.broken {
 			continue
 		}
-		m.queue = append(m.queue, sr)
+		m.queue = append(m.queue, rec)
 		select {
 		case m.wake <- struct{}{}:
 		default:
@@ -367,13 +407,14 @@ func (p *replPipe) completeWaitersLocked() {
 }
 
 // AttachMirrorMember adds (or replaces) the replication member id and
-// returns the sequence number the next stream record will carry — the
-// watermark the member must resync up to before it can be considered
-// a complete replica (nothing below it needs this member's ack; the
-// mandated resync is responsible for the history). The member's acks
-// count toward the quorum watermark from here on; the required quorum
-// (need) is recomputed from the new member count.
-func (s *Store) AttachMirrorMember(id string, send func([]kv.SyncRec) error) uint64 {
+// returns a channel that receives nil once the member has acknowledged
+// every record emitted before the attach, or the error that broke it.
+// The member's first batch is the probe at the stream head. It joins as
+// a learner and votes — its acks count toward the quorum watermark, and
+// need is recomputed with it — once that channel receives nil.
+func (s *Store) AttachMirrorMember(id string, send func(*kv.MirrorBatchReq) error) <-chan error {
+	joined, wake := make(chan error, 1), make(chan struct{}, 1)
+	wake <- struct{}{} // the probe goes at once
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
 	p := &s.pipe
@@ -382,40 +423,43 @@ func (s *Store) AttachMirrorMember(id string, send func([]kv.SyncRec) error) uin
 		if m.id != id {
 			continue
 		}
-		if !m.broken {
-			// Replacing a live member: records still awaiting the OLD
+		if !m.broken && !m.learner {
+			// Replacing a live voter: records still awaiting the OLD
 			// incarnation's ack must fail (uncertain), not be silently
-			// re-homed — the new incarnation only receives them later,
-			// via the resync the returned watermark demands, and an ack
-			// must never race that.
+			// re-homed onto the new one.
 			p.failMirrorWindowLocked(s.repSeq, fmt.Errorf("kvserver: mirror member %s replaced while awaiting replication", id))
 		}
-		close(m.stopCh)
+		m.stopLocked()
 		p.members = append(p.members[:i], p.members[i+1:]...)
 		break
 	}
 	m := &mirrorMember{
-		id:     id,
-		send:   send,
-		acked:  s.repSeq,
-		stopCh: make(chan struct{}),
-		wake:   make(chan struct{}, 1),
+		id:      id,
+		send:    send,
+		next:    s.repSeq,
+		joined:  joined,
+		joinAt:  s.repSeq,
+		learner: true,
+		stopCh:  make(chan struct{}),
+		wake:    wake,
 	}
+	p.streamEpoch = s.streamEpoch
 	p.members = append(p.members, m)
 	p.recomputeQuorumLocked()
 	p.completeWaitersLocked()
 	p.mu.Unlock()
 	go s.memberLoop(m)
-	return s.repSeq
+	return joined
 }
 
 // DetachMirrorMember removes the replication member id: its sender
-// stops and its queued records are dropped. Detaching the LAST member
-// removes the replication requirement itself — waiters still awaiting
-// a quorum FAIL (a detach must never ack a record too few members
-// applied), and records emitted from here on simply no longer require
-// acks. Detaching one of several members re-judges waiters against the
-// smaller group's quorum.
+// stops and its queued records are dropped. Detaching the LAST voting
+// member removes the replication requirement itself — waiters still
+// awaiting a quorum FAIL (a detach must never ack a record too few
+// members applied), and records emitted from here on simply no longer
+// require acks. Detaching one of several voters re-judges waiters
+// against the smaller group's quorum; detaching a learner changes no
+// waiter's fate.
 func (s *Store) DetachMirrorMember(id string) {
 	s.detachMembers(func(m *mirrorMember) bool { return m.id == id })
 }
@@ -428,7 +472,7 @@ func (s *Store) DetachAllMirrorMembers() {
 
 // detachMembers stops and removes the members detach selects, then
 // re-judges the waiters: against the smaller group's quorum, or — when
-// the last member just left — by failing the unacknowledged window.
+// the last voter just left — by failing the unacknowledged window.
 func (s *Store) detachMembers(detach func(*mirrorMember) bool) {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
@@ -439,7 +483,7 @@ func (s *Store) detachMembers(detach func(*mirrorMember) bool) {
 	var keep []*mirrorMember
 	for _, m := range p.members {
 		if detach(m) {
-			close(m.stopCh)
+			m.stopLocked()
 		} else {
 			keep = append(keep, m)
 		}
@@ -454,7 +498,7 @@ func (s *Store) detachMembers(detach func(*mirrorMember) bool) {
 
 // ReplicaStatus is one attached replication member's progress, for
 // stats: how far its acks reach, and whether it is broken (a batch
-// failed; it needs a re-attach and resync). Lag is Head - AckedSeq at
+// failed; it needs a re-attach). Lag is Head - AckedSeq at
 // snapshot time.
 type ReplicaStatus struct {
 	Member   string
@@ -517,10 +561,9 @@ func (p *replPipe) failMirrorWindowLocked(head uint64, err error) {
 // wake to let a batch build; at the default (0) it flushes as soon as
 // it is free — a lone writer pays no added latency, while concurrent
 // writers naturally coalesce into whatever accumulated during the
-// previous batch's round trip. A failed batch breaks the member and
-// ends the loop: batches to one member must stay in sequence order,
-// and after a failure only a resync (via re-attach) can restore the
-// contiguity contract.
+// previous batch's round trip. A gap reply turns the queue into the
+// retained records from the backup's head (resendFrom); any other
+// failure breaks the member and ends the loop.
 func (s *Store) memberLoop(m *mirrorMember) {
 	p := &s.pipe
 	// One reusable batching timer for the loop's lifetime; allocated on
@@ -570,27 +613,36 @@ func (s *Store) memberLoop(m *mirrorMember) {
 				}
 			}
 			p.mu.Lock()
-			batch, _, to := m.takeBatchLocked(s.cfg.MirrorBatchMaxRecords)
+			req := m.takeBatchLocked(s.cfg.MirrorBatchMaxRecords, p.streamEpoch)
 			p.mu.Unlock()
-			if len(batch) == 0 {
+			if req == nil {
 				break
 			}
-			err := m.send(batch)
+			err := m.send(req)
+			var gap *kv.StreamGapError
+			if err != nil && errors.As(err, &gap) {
+				err = s.resendFrom(m, gap)
+			}
 			p.mu.Lock()
 			if err != nil {
 				m.broken = true
 				m.err = err
 				m.queue = nil
+				m.answerJoinLocked(err)
 				p.recomputeQuorumLocked()
 				p.completeWaitersLocked()
 				p.mu.Unlock()
 				return
 			}
-			if to > m.acked {
-				m.acked = to
+			if gap == nil {
+				m.acked = req.From + uint64(len(req.Recs))
+				s.stats.MirrorBatches.Add(1)
+				s.stats.MirrorBatchRecords.Add(uint64(len(req.Recs)))
 			}
-			s.stats.MirrorBatches.Add(1)
-			s.stats.MirrorBatchRecords.Add(uint64(len(batch)))
+			if m.learner && m.acked >= m.joinAt {
+				m.learner = false
+				m.answerJoinLocked(nil)
+			}
 			p.recomputeQuorumLocked()
 			p.completeWaitersLocked()
 			p.mu.Unlock()
@@ -603,32 +655,95 @@ func (s *Store) memberLoop(m *mirrorMember) {
 	}
 }
 
-// takeBatchLocked slices the next batch off the member's queue,
+// answerJoinLocked delivers the attach's outcome, once. Caller holds
+// pipe.mu.
+//
+//yesqlint:allow repmublock -- joined is buffered (cap 1) and receives exactly one answer; the send cannot block
+func (m *mirrorMember) answerJoinLocked(err error) {
+	if m.joined != nil {
+		m.joined <- err
+		m.joined = nil
+	}
+}
+
+// stopLocked ends the member's sender and fails an attach still
+// waiting on it. Caller holds pipe.mu.
+func (m *mirrorMember) stopLocked() {
+	close(m.stopCh)
+	m.answerJoinLocked(errors.New("kvserver: mirror member detached"))
+}
+
+// resendFrom answers a backup's gap reply. Under repMu, so the stream
+// cannot move, the member's queue becomes the retained records from the
+// backup's head on, and its ack mark that head. A backup past this
+// stream's head, or whose record below its head is not the one this
+// stream holds there, holds records this stream never had
+// (kv.ErrDiverged); one below the retained log lacks records that are
+// gone (ErrBehindLog). Either rejoins by state transfer, and the error
+// breaks the member.
+func (s *Store) resendFrom(m *mirrorMember, gap *kv.StreamGapError) error {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	head := gap.Head
+	switch {
+	case head > s.repSeq:
+		return fmt.Errorf("%w: backup %s is at seq %d, past this stream's head %d: it applied records never in this stream, rejoin by state transfer", kv.ErrDiverged, m.id, head, s.repSeq)
+	case head < s.logBase:
+		return fmt.Errorf("%w: backup %s is at seq %d, the log is retained from %d", ErrBehindLog, m.id, head, s.logBase)
+	case head > s.logBase:
+		// The record below the head is retained. Its stamp is the epoch
+		// this stream had in force there (a RecEpoch's stamp is the epoch
+		// it installed, equally the epoch in force after it), and the
+		// backup's checksum of its own record there, when it still holds
+		// it, tells two records of one epoch apart.
+		have := &s.commitLog[head-1-s.logBase]
+		if have.Epoch != gap.StreamEpoch || gap.Last != 0 && recordChecksum(have) != gap.Last {
+			return fmt.Errorf("%w: backup %s's record at seq %d (stream epoch %d) is not the one this stream holds there (epoch %d): the histories diverged, rejoin by state transfer", kv.ErrDiverged, m.id, head-1, gap.StreamEpoch, have.Epoch)
+		}
+	}
+	p := &s.pipe
+	p.mu.Lock()
+	m.queue = append([]kv.ReplRecord(nil), s.commitLog[head-s.logBase:]...)
+	m.next = head
+	m.acked = head
+	p.mu.Unlock()
+	return nil
+}
+
+// ErrBehindLog reports a backup whose stream head is below the
+// primary's retained log: the records it lacks were truncated, so it
+// rejoins by state transfer (Server.StateTransferFrom).
+var ErrBehindLog = errors.New("kvserver: backup is behind the retained log")
+
+// takeBatchLocked slices the member's next batch off its queue,
 // bounded by maxRecs and mirrorBatchBytes (at least one record always
-// goes — it crossed the wire once already, so it fits a frame).
+// goes — it crossed the wire once already, so it fits a frame). It
+// returns nil when there is nothing to send, except while the attach
+// awaits its answer: then the batch goes even empty (the probe).
 // Caller holds pipe.mu.
-func (m *mirrorMember) takeBatchLocked(maxRecs int) (batch []kv.SyncRec, from, to uint64) {
-	if len(m.queue) == 0 {
-		return nil, 0, 0
+func (m *mirrorMember) takeBatchLocked(maxRecs int, epoch uint64) *kv.MirrorBatchReq {
+	if len(m.queue) == 0 && m.joined == nil {
+		return nil
 	}
 	if maxRecs <= 0 || maxRecs > len(m.queue) {
 		maxRecs = len(m.queue)
 	}
 	n, bytes := 0, 0
 	for n < maxRecs {
-		sz := recordSize(&m.queue[n].Rec)
+		sz := recordSize(&m.queue[n])
 		if n > 0 && bytes+sz > mirrorBatchBytes {
 			break
 		}
 		bytes += sz
 		n++
 	}
-	batch = m.queue[:n:n]
+	req := &kv.MirrorBatchReq{From: m.next, Epoch: epoch, Recs: m.queue[:n:n]}
+	m.next += uint64(n)
 	m.queue = m.queue[n:]
 	if len(m.queue) == 0 {
 		m.queue = nil
 	}
-	return batch, batch[0].Seq, batch[n-1].Seq + 1
+	return req
 }
 
 // startFlusherLocked starts the WAL flusher goroutine if it is not

@@ -38,9 +38,9 @@ type Server struct {
 	// Isolate.
 	isolated atomic.Bool
 	// TestHookSnapChunk, when non-nil, runs after each snapshot chunk
-	// fetched during a state-transfer resync (SyncFrom's install path).
-	// Chaos tests kill the snapshot source mid-install with it. Set
-	// before starting the sync; never in production.
+	// fetched during a state transfer (StateTransferFrom). Chaos tests
+	// kill the snapshot source mid-install with it. Set before starting
+	// the transfer; never in production.
 	TestHookSnapChunk func(chunk uint32)
 }
 
@@ -59,7 +59,7 @@ func NewServer(store *Store) *Server {
 	// The replication-log bound gets its own short ticker, independent
 	// of the retention-sized sweep: a primary enforces it inline in the
 	// emit paths, but a live-mirror backup defers routine truncation
-	// off the ack path (see applyReplicated), so this ticker is what
+	// off the ack path (see ApplyMirroredBatch), so this ticker is what
 	// keeps a backup's overshoot to about one second of writes rather
 	// than half a retention period.
 	s.ckpt = time.NewTicker(time.Second)
@@ -86,7 +86,6 @@ func NewServer(store *Store) *Server {
 	s.rpc.RegisterAppend(kv.MethodFastCommit, s.handleFastCommit)
 	s.rpc.RegisterAppend(kv.MethodPing, s.handlePing)
 	s.rpc.RegisterAppend(kv.MethodMirrorBatch, s.handleMirrorBatch)
-	s.rpc.RegisterAppend(kv.MethodSync, s.handleSync)
 	s.rpc.RegisterAppend(kv.MethodSnap, s.handleSnap)
 	s.rpc.RegisterAppend(kv.MethodLease, s.handleLease)
 	s.rpc.RegisterAppend(kv.MethodDirectory, s.handleDirectory)
@@ -124,15 +123,18 @@ func (s *Server) handleDirectory(_ context.Context, _ []byte, reply *wire.Buffer
 // others), and its own lease-renewal loop; replication is pipelined
 // group commit (see pipeline.go), and committers are acknowledged once
 // a MAJORITY of the group (the primary plus a quorum of backups) holds
-// their record. It returns the replication-stream watermark: the member
-// holds every acknowledged record once it has synced up to that
-// sequence number (a member attached to an empty stream needs no sync;
-// one attached mid-life calls SyncFrom with it). The member joins the
-// membership — roles, leases, client redirects — at the next BumpEpoch.
-func (s *Server) AttachBackupMember(addr string) (uint64, error) {
+// their record. A backup that is behind is caught up by the sender from
+// the retained log, and AttachBackupMember returns once it holds every
+// record emitted before the call; until then it is a learner, which
+// commits neither wait for nor fail on. A backup behind the retained log
+// (ErrBehindLog) or diverged from this stream (kv.ErrDiverged) is
+// refused and detached; it rejoins by state transfer
+// (StateTransferFrom) and a new attach. The member joins the membership
+// — roles, leases, client redirects — at the next BumpEpoch.
+func (s *Server) AttachBackupMember(addr string) error {
 	conn, err := rpc.Dial(addr)
 	if err != nil {
-		return 0, fmt.Errorf("kvserver: dialing backup: %w", err)
+		return fmt.Errorf("kvserver: dialing backup: %w", err)
 	}
 	s.mirrorMu.Lock()
 	if old := s.mirrorConns[addr]; old != nil {
@@ -143,11 +145,60 @@ func (s *Server) AttachBackupMember(addr string) (uint64, error) {
 	}
 	s.mirrorConns[addr] = conn
 	s.mirrorMu.Unlock()
-	watermark := s.store.AttachMirrorMember(addr, func(recs []kv.SyncRec) error {
-		return s.callExtendingLease(conn, addr, kv.MethodMirrorBatch, (&kv.MirrorBatchReq{Recs: recs}).Encode())
+	joined := s.store.AttachMirrorMember(addr, func(req *kv.MirrorBatchReq) error {
+		err, _ := kv.DecodeError(s.callExtendingLease(conn, addr, kv.MethodMirrorBatch, req.Encode()))
+		return err
 	})
 	s.startLeaseLoop(addr, conn)
-	return watermark, nil
+	if err := s.awaitJoin(addr, joined); err != nil {
+		s.DetachBackupMember(addr)
+		return fmt.Errorf("kvserver: attaching backup %s: %w", addr, err)
+	}
+	return nil
+}
+
+// Join attaches backup to primary as a replication member, and returns
+// once the backup holds primary's stream. A backup behind primary's
+// retained log, or diverged from its stream, is first rebuilt by state
+// transfer — the one decision of which refusals a state transfer
+// answers.
+func Join(primary, backup *Server) error {
+	err := primary.AttachBackupMember(backup.Addr())
+	if errors.Is(err, ErrBehindLog) || errors.Is(err, kv.ErrDiverged) {
+		if err = backup.StateTransferFrom(primary.Addr()); err == nil {
+			err = primary.AttachBackupMember(backup.Addr())
+		}
+	}
+	return err
+}
+
+// awaitJoin waits for the member at addr to answer its attach. The
+// bound is on progress, not on the whole catch-up: a long replay of the
+// retained log goes on while the member's acks keep advancing, and only
+// a member whose acks stand still for replWaitTimeout is given up.
+func (s *Server) awaitJoin(addr string, joined <-chan error) error {
+	t := time.NewTimer(replWaitTimeout)
+	defer t.Stop()
+	var progress uint64
+	for {
+		select {
+		case err := <-joined:
+			return err
+		case <-t.C:
+		}
+		_, _, _, members := s.store.ReplicationStatus()
+		acked := progress
+		for _, m := range members {
+			if m.Member == addr {
+				acked = m.AckedSeq
+			}
+		}
+		if acked <= progress {
+			return fmt.Errorf("kvserver: catch-up made no progress within %v", replWaitTimeout)
+		}
+		progress = acked
+		t.Reset(replWaitTimeout)
+	}
 }
 
 // DetachBackupMember removes the backup at addr from the replication
@@ -350,13 +401,12 @@ func (s *Server) BumpEpoch(members []string) (uint64, error) {
 // record reaches every backup through the stream it was just attached
 // to, and its acks are the primary's first lease grants. The server
 // must be listening — its address is its member identity — and each
-// backup must already hold this server's stream (fresh stores at an
-// empty stream do; a member joining mid-life is attached, synced with
-// SyncFrom, and then admitted by BumpEpoch, as cluster.attachBackup
-// does).
+// backup must hold a prefix of this server's stream within its retained
+// log (a fresh store does, at an empty stream); the attach fills its
+// gap.
 func (s *Server) FormGroup(addrs []string) (uint64, error) {
 	for _, a := range addrs {
-		if _, err := s.AttachBackupMember(a); err != nil {
+		if err := s.AttachBackupMember(a); err != nil {
 			return 0, err
 		}
 	}
@@ -383,35 +433,15 @@ func (s *Server) handleMirrorBatch(_ context.Context, p []byte, reply *wire.Buff
 	if err != nil {
 		return err
 	}
-	if err := s.store.ApplyMirroredBatch(req.Recs); err != nil {
+	if err := s.store.ApplyMirroredBatch(req); err != nil {
 		return err
 	}
 	return s.ack(reply)
 }
 
-func (s *Server) handleSync(_ context.Context, p []byte, reply *wire.Buffer) error {
-	req, err := kv.DecodeSyncReq(p)
-	if err != nil {
-		return err
-	}
-	recs, head, base, err := s.store.SyncRecords(req.From, int(req.Max), req.Epoch)
-	if err != nil {
-		return err
-	}
-	resp := &kv.SyncResp{
-		Records: recs,
-		Head:    head,
-		Clock:   s.store.Clock().Now(),
-		TooOld:  req.From < base,
-		LogBase: base,
-	}
-	resp.AppendTo(reply)
-	return nil
-}
-
-// handleSnap serves one chunk of a state snapshot to a peer whose sync
-// position predates the truncated replication log (see SyncResp.TooOld
-// and Store.ServeSnapshotChunk).
+// handleSnap serves one chunk of a state snapshot to a peer rebuilding
+// itself by state transfer (see StateTransferFrom and
+// Store.ServeSnapshotChunk).
 func (s *Server) handleSnap(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeSnapReq(p)
 	if err != nil {
@@ -433,111 +463,29 @@ func (s *Server) handleSnap(_ context.Context, p []byte, reply *wire.Buffer) err
 	return nil
 }
 
-// SyncFrom streams missed commits from the primary at addr into this
-// server's store until the local stream head reaches the given
-// watermark (0 = the primary's head at call time), then leaves resync
-// mode. Call StartResync on the store *before* the primary attaches
-// this server as its mirror, so live mirrored commits arriving during
-// the catch-up are buffered and applied in sequence once the history
-// below them lands.
-//
-// When the requested position predates the source's replication log
-// (truncated at a snapshot checkpoint), SyncFrom falls back to state
-// transfer: it installs a chunked snapshot of the source's full state
-// (MethodSnap) and resumes the log-tail sync from the sequence number
-// the snapshot covers — a late-joining or long-dead replica costs the
-// current state's size, not the stream's full history.
-//
-// A source that reports this replica AHEAD of its own stream
-// (kv.ErrDiverged) fails the sync loudly: the histories are
-// irreconcilable and the group must be re-formed, never papered over.
-func (s *Server) SyncFrom(addr string, until uint64) error {
+// snapTransferAttempts bounds how many times one state transfer
+// restarts after its server-side session expired or was evicted (a slow
+// link, or concurrent transfers past the session cap). Each restart
+// begins a fresh consistent snapshot, so partial progress is discarded
+// but never spliced.
+const snapTransferAttempts = 3
+
+// StateTransferFrom rebuilds this replica from the server at addr by
+// full state transfer, abandoning its own history: a complete snapshot
+// of the source, fetched chunk by chunk (MethodSnap), replaces the local
+// state wholesale and moves the stream head to the snapshot's coverage
+// — even when the local head is AHEAD of it (a diverged old primary: its
+// stranded tail is discarded, never merged). It is how a backup behind
+// the source's retained log, or diverged from its stream, rejoins; the
+// source's mirror then fills in the records since the snapshot. Nothing
+// is installed unless every chunk arrived.
+func (s *Server) StateTransferFrom(addr string) error {
 	conn, err := rpc.Dial(addr)
 	if err != nil {
-		return fmt.Errorf("kvserver: dialing sync source: %w", err)
+		return fmt.Errorf("kvserver: dialing state-transfer source: %w", err)
 	}
 	defer conn.Close()
 	ctx := context.Background()
-	installs := 0
-	for {
-		from := s.store.ReplSeq()
-		req := kv.SyncReq{From: from, Max: 512, Epoch: s.store.StreamEpoch()}
-		respB, err := conn.Call(ctx, kv.MethodSync, req.Encode())
-		if err, _ := kv.DecodeError(err); err != nil {
-			if errors.Is(err, kv.ErrDiverged) {
-				return fmt.Errorf("%w: sync source %s rejected seq %d: %v", kv.ErrDiverged, addr, from, err)
-			}
-			return fmt.Errorf("kvserver: sync from %s: %w", addr, err)
-		}
-		resp, err := kv.DecodeSyncResp(respB)
-		if err != nil {
-			return err
-		}
-		s.store.Clock().Observe(resp.Clock)
-		if resp.TooOld {
-			// Each install strictly advances the local head (a snapshot
-			// covers the source's head at capture time), but a source
-			// that truncates faster than one transfer completes could
-			// demand a fresh full-state transfer every iteration. Bound
-			// the spiral loudly instead of re-shipping state forever.
-			if installs++; installs > maxSnapshotInstalls {
-				return fmt.Errorf("kvserver: sync from %s installed %d snapshots without catching up: the source truncates faster than state transfers complete (raise its replication-log bound or quiesce writes)", addr, maxSnapshotInstalls)
-			}
-			if err := s.installSnapshotFrom(ctx, conn, addr); err != nil {
-				return err
-			}
-			continue
-		}
-		for i := range resp.Records {
-			rec := &resp.Records[i]
-			if err := s.store.ApplyReplicatedSeq(rec.Seq, rec.Rec); err != nil {
-				return err
-			}
-		}
-		if until == 0 {
-			until = resp.Head
-		}
-		now := s.store.ReplSeq()
-		if now >= until {
-			break
-		}
-		if len(resp.Records) == 0 {
-			return fmt.Errorf("kvserver: sync stalled at seq %d (source head %d, want %d)", now, resp.Head, until)
-		}
-	}
-	return s.store.FinishResync()
-}
-
-// snapTransferAttempts bounds how many times one install restarts a
-// transfer whose server-side session expired or was evicted (a slow
-// link, or concurrent transfers past the session cap). Each restart
-// begins a fresh consistent snapshot, so partial progress is discarded
-// but never spliced. maxSnapshotInstalls bounds how many SUCCESSFUL
-// installs one SyncFrom performs before concluding the source
-// truncates faster than transfers complete.
-const (
-	snapTransferAttempts = 3
-	maxSnapshotInstalls  = 5
-)
-
-// installSnapshotFrom transfers a complete state snapshot over conn,
-// chunk by chunk, and installs it: this store's state is replaced and
-// its stream position jumps to the snapshot's coverage. The caller
-// (SyncFrom) then continues the log-tail sync from there. An expired
-// or evicted server-side session restarts the transfer from scratch
-// (bounded by snapTransferAttempts) rather than failing the resync.
-func (s *Server) installSnapshotFrom(ctx context.Context, conn *rpc.Client, addr string) error {
-	return s.transferSnapshotFrom(ctx, conn, addr, s.store.InstallSnapshot)
-}
-
-// installSnapshotDiscardingTailFrom is installSnapshotFrom for the
-// diverged-replica path: the transferred snapshot replaces the local
-// state even when it lies behind the local stream head.
-func (s *Server) installSnapshotDiscardingTailFrom(ctx context.Context, conn *rpc.Client, addr string) error {
-	return s.transferSnapshotFrom(ctx, conn, addr, s.store.InstallSnapshotDiscardingTail)
-}
-
-func (s *Server) transferSnapshotFrom(ctx context.Context, conn *rpc.Client, addr string, install func([]byte) error) error {
 	var lastErr error
 	for attempt := 0; attempt < snapTransferAttempts; attempt++ {
 		var data []byte
@@ -571,33 +519,12 @@ func (s *Server) transferSnapshotFrom(ctx context.Context, conn *rpc.Client, add
 		if expired {
 			continue
 		}
-		if err := install(data); err != nil {
+		if err := s.store.InstallSnapshot(data); err != nil {
 			return fmt.Errorf("kvserver: installing snapshot from %s: %w", addr, err)
 		}
 		return nil
 	}
 	return fmt.Errorf("kvserver: snapshot transfer from %s restarted %d times without completing: %w", addr, snapTransferAttempts, lastErr)
-}
-
-// StateTransferFrom rejoins this replica to the group at addr by full
-// state transfer, abandoning its own history: a complete snapshot of
-// the source replaces the local state wholesale — even when the local
-// stream head is AHEAD of the snapshot (the diverged-but-behind old
-// primary: its stranded tail is discarded, never merged) — and the
-// log-tail sync then follows the source to the given watermark (0 =
-// the source's head). This is the only road back for a replica whose
-// SyncFrom failed with kv.ErrDiverged.
-func (s *Server) StateTransferFrom(addr string, until uint64) error {
-	conn, err := rpc.Dial(addr)
-	if err != nil {
-		return fmt.Errorf("kvserver: dialing state-transfer source: %w", err)
-	}
-	err = s.installSnapshotDiscardingTailFrom(context.Background(), conn, addr)
-	conn.Close()
-	if err != nil {
-		return err
-	}
-	return s.SyncFrom(addr, until)
 }
 
 // Store returns the underlying storage engine.

@@ -12,9 +12,9 @@ package kvserver
 // Snapshots are captured under repMu. The native write paths hold repMu
 // across a record's emission AND the application of its effects, so a
 // capture always observes a state that equals "every record below
-// repSeq applied, none above" — the exact contract a resyncing replica
-// needs to install the snapshot and then replay the log tail from
-// snapshot.Seq. Prepares whose RecPrepare has not entered the stream
+// repSeq applied, none above" — the exact contract a replica rebuilt by
+// state transfer needs to install the snapshot and then take the
+// records from snapshot.Seq on through the mirror. Prepares whose RecPrepare has not entered the stream
 // yet (rec.replicated false) are deliberately skipped: their records
 // land at sequence numbers >= snapshot.Seq and reach the installer
 // through the tail.
@@ -343,13 +343,15 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 // InstallSnapshot replaces this store's entire state with the encoded
 // snapshot: objects and version histories, the prepared- and decided-
 // transaction tables, the epoch and membership, and the stream position
-// (repSeq becomes the sequence the snapshot covers). Existing state is
-// discarded — the caller is a replica whose history is a stale prefix
-// of the snapshot source's stream — and any blocked readers are woken.
-// The write-ahead log, if any, is rotated onto the snapshot so a later
-// restart replays snapshot + tail. Buffered resync records below the
-// snapshot's coverage are dropped; those continuing the stream are
-// applied.
+// (repSeq becomes the sequence the snapshot covers) — the state-transfer
+// path (Server.StateTransferFrom). Existing state is discarded and any
+// blocked readers are woken, even when the snapshot lies behind this
+// replica's stream head: a replica whose history DIVERGED from the
+// group's (kv.ErrDiverged), such as an old primary that kept appending
+// records its group never saw, abandons its stranded suffix wholesale,
+// along with its epoch stamps; a diverged history is replaced, never
+// merged record-wise. The write-ahead log, if any, is rotated onto the
+// snapshot so a later restart replays snapshot + tail.
 func (s *Store) InstallSnapshot(enc []byte) error {
 	sn, err := decodeSnapshot(enc)
 	if err != nil {
@@ -360,30 +362,6 @@ func (s *Store) InstallSnapshot(enc []byte) error {
 	return s.installSnapshotLocked(sn)
 }
 
-// InstallSnapshotDiscardingTail installs a snapshot even when it lies
-// behind this replica's stream head — the state-transfer path for a
-// replica whose history DIVERGED from the group's (kv.ErrDiverged):
-// an old primary that kept appending records its group never saw. Its
-// stranded suffix — every record above the snapshot's coverage — is
-// abandoned wholesale, along with its epoch stamps and any buffered
-// out-of-order records; a diverged history is replaced, never merged
-// record-wise. The ordinary InstallSnapshot refuses to move the
-// stream backwards precisely so that only this explicit path can.
-func (s *Store) InstallSnapshotDiscardingTail(enc []byte) error {
-	sn, err := decodeSnapshot(enc)
-	if err != nil {
-		return err
-	}
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	if sn.Seq < s.repSeq {
-		s.repSeq = sn.Seq
-		s.streamEpoch = 0
-		clear(s.pending)
-	}
-	return s.installSnapshotLocked(sn)
-}
-
 // installSnapshotLocked implements InstallSnapshot; OpenStore also uses
 // it to replay a write-ahead log's checkpoint frame into a fresh store
 // (which has no log open yet, so nothing is rotated). Caller holds
@@ -391,9 +369,6 @@ func (s *Store) InstallSnapshotDiscardingTail(enc []byte) error {
 //
 //yesqlint:allow repmublock -- deliberate: replacing the whole visible state must exclude concurrent stream applies, and the inline WAL rotation/close is bounded local file work, never a network call
 func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
-	if sn.Seq < s.repSeq {
-		return fmt.Errorf("%w: snapshot covers seq %d but this replica is already at %d: refusing to move the stream backwards", kv.ErrBadRequest, sn.Seq, s.repSeq)
-	}
 	// Wipe: release every lock (waking blocked readers into a retry
 	// against the installed state) and drop all object and transaction
 	// state. The snapshot is the new truth.
@@ -462,21 +437,20 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	s.commitLog = nil
 	s.commitLogBytes = 0
 	s.logBase = sn.Seq
-	if sn.Epoch > s.streamEpoch {
-		// The snapshot's coverage includes every RecEpoch below its seq;
-		// its epoch is what the stream had installed there.
-		s.streamEpoch = sn.Epoch
-	}
+	// The snapshot's coverage includes every RecEpoch below its seq; its
+	// epoch is what the stream had installed there, whatever this
+	// replica's own stream had.
+	s.streamEpoch = sn.Epoch
 	s.installEpochState(sn.Epoch, append([]string(nil), sn.Members...))
-	// Rotate the WAL onto the snapshot before draining buffered records,
-	// so their (best-effort) appends land in the new file's tail. A
+	// Rotate the WAL onto the snapshot, so the (best-effort) appends of
+	// the records mirrored next land in the new file's tail. A
 	// rotation that never swapped files fails the install AND disables
 	// the log: the old file holds this replica's pre-install history,
-	// and if the orchestrator left this store attached as a mirror
-	// despite the error, best-effort appends of post-install records
-	// after that stale prefix would replay as a silent semantic splice
-	// on restart — no log at all (the old file replays as a plain stale
-	// prefix, which a later resync repairs) is strictly safer. A swap
+	// and if the orchestrator attached this store as a mirror despite
+	// the error, best-effort appends of post-install records after that
+	// stale prefix would replay as a silent semantic splice on restart —
+	// no log at all (the old file replays as a plain stale prefix, which
+	// a later state transfer repairs) is strictly safer. A swap
 	// whose only failure was the directory fsync proceeds — the WAL at
 	// the path IS the snapshot file, and the in-memory install is
 	// already complete; the durability doubt is counted, not fatal.
@@ -509,21 +483,6 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	// The log (rotated just now, or being replayed by OpenStore) begins at
 	// this snapshot, and any rotation that was in flight has finished.
 	s.walTailBytes.Store(0)
-	for seq := range s.pending {
-		if seq < s.repSeq {
-			delete(s.pending, seq)
-		}
-	}
-	for {
-		rec, ok := s.pending[s.repSeq]
-		if !ok {
-			break
-		}
-		delete(s.pending, s.repSeq)
-		if err := s.applyRecordLocked(rec); err != nil {
-			return err
-		}
-	}
 	s.stats.SnapshotsInstalled.Add(1)
 	return nil
 }
@@ -570,8 +529,8 @@ func (s *Store) expireSnapSessionsLocked(now time.Time) {
 	}
 }
 
-// ServeSnapshotChunk serves one chunk of a state snapshot to a
-// resyncing peer. id 0 begins a transfer: a fresh snapshot is captured
+// ServeSnapshotChunk serves one chunk of a state snapshot to a peer's
+// state transfer. id 0 begins a transfer: a fresh snapshot is captured
 // at the current stream head and cached under a new session id; the
 // caller fetches the remaining chunks with that id. Chunks of one
 // session slice a single consistent snapshot; an unknown or expired

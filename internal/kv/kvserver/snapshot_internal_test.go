@@ -55,13 +55,14 @@ func TestSnapshotSkipsUnreplicatedLockOnlyObjects(t *testing.T) {
 	}
 }
 
-// TestCommitRacingAttachIsCoveredByCapture pins the seam a mirror-less
-// store and a mirrored one used to meet at. A member attached at stream
-// position W is owed every record from W on through its queue, and the
-// history below W through a capture taken at or after W. That only adds
-// up if every record below a capture's position has its effects in the
+// TestCommitRacingAttachIsCoveredByCapture pins the seam a state
+// transfer and the mirror meet at. A member rebuilt from a capture at
+// stream position C is owed the history below C through the capture,
+// and every record from C on through its sender, which resends from C
+// when the member's first reply names that head. That only adds up if
+// every record below a capture's position has its effects in the
 // capture — emit and apply are one repMu section on every store, so no
-// commit can be counted below W yet applied after the capture.
+// commit can be counted below C yet applied after the capture.
 func TestCommitRacingAttachIsCoveredByCapture(t *testing.T) {
 	put := func(oid kv.OID, i int) []*kv.Op {
 		return []*kv.Op{{Kind: kv.OpPut, OID: oid, Value: kv.NewPlain([]byte(fmt.Sprintf("v%d", i)))}}
@@ -123,26 +124,26 @@ func TestCommitRacingAttachIsCoveredByCapture(t *testing.T) {
 			}
 			waitCommits(50)
 
-			dst.StartResync()
-			watermark := src.AttachMirrorMember("dst", dst.ApplyMirroredBatch)
 			_, seq, chunks, data, err := src.ServeSnapshotChunk(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if chunks != 1 || seq < watermark {
-				t.Fatalf("capture at seq %d in %d chunks, attach head %d", seq, chunks, watermark)
+			if chunks != 1 {
+				t.Fatalf("capture at seq %d in %d chunks", seq, chunks)
 			}
 			if err := dst.InstallSnapshot(data); err != nil {
+				t.Fatal(err)
+			}
+			waitCommits(50)
+			if err := <-src.AttachMirrorMember("dst", dst.ApplyMirroredBatch); err != nil {
 				t.Fatal(err)
 			}
 			waitCommits(50)
 			close(stop)
 			wg.Wait()
 
-			// Every writer has returned, so every record is acknowledged.
-			if err := dst.FinishResync(); err != nil {
-				t.Fatal(err)
-			}
+			// Every writer has returned, so every record is acknowledged:
+			// dst holds it.
 			if got, want := dst.ReplSeq(), src.ReplSeq(); got != want {
 				t.Fatalf("member at seq %d, source at %d", got, want)
 			}

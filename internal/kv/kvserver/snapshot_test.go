@@ -132,8 +132,9 @@ func TestSnapshotResyncByteForByte(t *testing.T) {
 		t.Fatal("history did not trigger truncation; the test needs the snapshot path")
 	}
 
-	// Fresh backup at seq 0: its position predates logBase, so SyncFrom
-	// must fall back to install-snapshot-then-tail.
+	// Fresh backup at seq 0: its position predates logBase, so the
+	// attach refuses it and the join falls back to state transfer, after
+	// which the mirror sends the tail.
 	backup := startServer(t)
 	formGroup(t, primary, backup)
 	if got, want := backup.Store().StateDigest(), primary.Store().StateDigest(); got != want {
@@ -241,11 +242,10 @@ func TestSnapshotCarriesPreparedAndDecidedState(t *testing.T) {
 	}
 }
 
-// TestSyncFromRejectsDivergedAheadBackup pins the loud-failure
-// satellite: a backup that is AHEAD of its sync source (it applied
-// records the source never emitted) must fail resync with a typed
-// divergence error — the old behavior returned an empty batch and the
-// backup reported resync complete over irreconcilable histories.
+// TestSyncFromRejectsDivergedAheadBackup pins the loud failure: a
+// backup that is AHEAD of the primary attaching it (it applied records
+// the primary never emitted) is refused with a typed divergence error,
+// never reported caught up over irreconcilable histories.
 func TestSyncFromRejectsDivergedAheadBackup(t *testing.T) {
 	primary := startServer(t)
 	c, err := kvclient.Open([]string{primary.Addr()})
@@ -263,10 +263,9 @@ func TestSyncFromRejectsDivergedAheadBackup(t *testing.T) {
 	defer c2.Close()
 	writeBatch(t, c2, "longer", 10)
 
-	diverged.Store().StartResync()
-	err = diverged.SyncFrom(primary.Addr(), 0)
+	err = primary.AttachBackupMember(diverged.Addr())
 	if err == nil {
-		t.Fatal("resync of an ahead-of-source backup reported success")
+		t.Fatal("attach of an ahead-of-primary backup reported success")
 	}
 	if !errors.Is(err, kv.ErrDiverged) {
 		t.Fatalf("want kv.ErrDiverged, got: %v", err)
@@ -342,7 +341,7 @@ func TestWALCheckpointRestartReplaysSnapshotPlusTail(t *testing.T) {
 // TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss is the chaos
 // drill: the primary dies while a joining backup is mid-way through
 // installing its state snapshot. The half-fed backup must fail its
-// resync loudly (it is NOT a usable replica), and every acknowledged
+// join loudly (it is NOT a usable replica), and every acknowledged
 // write must still be readable once the primary restarts from its
 // checkpoint-rotated WAL.
 func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
@@ -397,14 +396,10 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 			killed = true
 		}
 	}
-	backup.Store().StartResync()
-	watermark, err := primary.AttachBackupMember(backup.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = backup.SyncFrom(primary.Addr(), watermark)
-	if err == nil {
-		t.Fatal("resync against a primary killed mid-snapshot reported success")
+	// The attach refuses the backup (it is behind the truncated log), and
+	// the join's state transfer loses its source mid-install.
+	if err := kvserver.Join(primary, backup); err == nil {
+		t.Fatal("join against a primary killed mid-snapshot reported success")
 	}
 	if !killed {
 		t.Fatal("snapshot fit one chunk; shrink the snapshot chunk so the kill lands mid-transfer")
@@ -444,10 +439,10 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 		}
 	}
 
-	// And a fresh resync from the recovered primary completes.
+	// And a fresh join to the recovered primary completes.
 	backup2 := startServer(t)
 	formGroup(t, rsrv, backup2)
 	if got, want := backup2.Store().StateDigest(), rstore.StateDigest(); got != want {
-		t.Fatalf("post-recovery resync digest %x != primary %x", got, want)
+		t.Fatalf("post-recovery join digest %x != primary %x", got, want)
 	}
 }

@@ -49,8 +49,8 @@ type Store struct {
 	repSeq uint64
 	// commitLog holds the stream's retained tail: commitLog[i] is the
 	// record at sequence logBase+i. A checkpoint truncates the log and
-	// advances logBase; resyncs below logBase are served by state
-	// transfer (snapshot + tail) instead of record replay.
+	// advances logBase; a backup behind logBase rejoins by state
+	// transfer (snapshot, then the mirror) instead of record replay.
 	commitLog []kv.ReplRecord
 	// logBase is the sequence number of commitLog[0] (records below it
 	// were truncated at the last checkpoint).
@@ -58,10 +58,6 @@ type Store struct {
 	// commitLogBytes is the estimated wire size of the retained log,
 	// maintained incrementally for the logMaxBytes bound.
 	commitLogBytes int
-	// pending buffers replicated records that arrived ahead of repSeq
-	// while a resync is filling in the history below them.
-	pending   map[uint64]kv.ReplRecord
-	resyncing bool
 	// streamEpoch is the epoch installed BY THE STREAM at or below the
 	// current head: it advances only when a RecEpoch record is emitted
 	// or applied at its position (or a snapshot install seeds it), never
@@ -127,7 +123,7 @@ type Store struct {
 	promoting bool
 
 	// snapMu guards the state-transfer sessions: encoded snapshots being
-	// served chunk-by-chunk to resyncing peers (see ServeSnapshotChunk),
+	// served chunk-by-chunk to peers (see ServeSnapshotChunk),
 	// plus the single-flight registry of captures in progress (keyed by
 	// stream head; the channel closes when that capture's session is
 	// registered). It nests inside nothing — holders take no other

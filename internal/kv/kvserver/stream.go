@@ -2,8 +2,10 @@ package kvserver
 
 import (
 	"fmt"
+	"hash/crc32"
 
 	"yesquel/internal/kv"
+	"yesquel/internal/wire"
 )
 
 // ReplSeq returns the next sequence number in the replication stream
@@ -14,95 +16,9 @@ func (s *Store) ReplSeq() uint64 {
 	return s.repSeq
 }
 
-// StreamEpoch returns the epoch this store's replication stream had
-// installed at its head — unlike Epoch it never reflects an
-// out-of-band AdoptEpoch, only RecEpoch records and snapshot installs.
-// A resync request carries it so the source can detect a diverged-but-
-// behind history (see SyncRecords).
-func (s *Store) StreamEpoch() uint64 {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	return s.streamEpoch
-}
-
-// StartResync puts the store in resync mode: replicated records that
-// arrive ahead of the contiguous stream are buffered instead of
-// rejected. Call before the primary attaches this store as its mirror,
-// so live commits and the history stream can interleave safely.
-func (s *Store) StartResync() {
-	s.repMu.Lock()
-	s.resyncing = true
-	s.repMu.Unlock()
-}
-
-// FinishResync leaves resync mode. It fails if buffered records remain
-// unapplied — that means the history stream stopped short of them.
-func (s *Store) FinishResync() error {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	s.resyncing = false
-	if len(s.pending) > 0 {
-		return fmt.Errorf("kvserver: resync incomplete: %d records still pending above seq %d", len(s.pending), s.repSeq)
-	}
-	return nil
-}
-
-// syncBatchBytes caps the estimated payload of one sync response,
-// comfortably below the wire frame limit regardless of record count.
-const syncBatchBytes = 4 << 20
-
-// SyncRecords returns up to max replication-log records starting at
-// sequence number from — fewer when the batch would grow past
-// syncBatchBytes — plus the current head of the stream and the oldest
-// sequence number still in the log (logBase). At least one record is
-// always returned when any exists at from, so a single large commit
-// (necessarily under the frame limit, it crossed the wire once
-// already) cannot stall a resync.
-//
-// A from below logBase returns an empty batch with base > from — the
-// history was truncated at a snapshot checkpoint, and the caller must
-// install a snapshot instead (the server surfaces this as
-// SyncResp.TooOld). A from beyond the stream head means the requester
-// applied records this store never emitted: the replicas hold
-// irreconcilable histories, reported loudly as kv.ErrDiverged
-// (mirroring ApplyMirrored's strict check) rather than answered with a
-// silently empty batch the requester would mistake for "caught up".
-//
-// reqEpoch is the requester's STREAM epoch (see streamEpoch) and closes
-// the diverged-but-BEHIND hole the seq-only checks left open: an
-// isolated old primary whose stranded old-epoch records sit at
-// sequence numbers this stream later re-stamped passes every position
-// check once the head grows past it. When the retained log still holds
-// the record just below from, the epoch in force there is compared
-// against reqEpoch; a mismatch means the requester's history below
-// from is NOT a prefix of this stream, rejected with kv.ErrDiverged —
-// the requester can only rejoin by state transfer. When that record
-// was truncated the check is skipped here; the requester's own
-// per-record apply check (applyRecordLocked) still catches the splice
-// on the first delivered record.
-func (s *Store) SyncRecords(from uint64, max int, reqEpoch uint64) (recs []kv.SyncRec, head, base uint64, err error) {
-	if max <= 0 {
-		max = 512
-	}
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	if from > s.repSeq {
-		return nil, s.repSeq, s.logBase, fmt.Errorf("%w: requested seq %d is beyond this replica's head %d: the requester applied records never in this stream, re-form the group", kv.ErrDiverged, from, s.repSeq)
-	}
-	if from > s.logBase && from <= s.logBase+uint64(len(s.commitLog)) {
-		// The record below from is retained; its stamp is the epoch this
-		// stream had in force there (a RecEpoch's stamp is the epoch it
-		// installed, equally the epoch in force after it).
-		if srcEpoch := s.commitLog[from-1-s.logBase].Epoch; srcEpoch != reqEpoch {
-			return nil, s.repSeq, s.logBase, fmt.Errorf("%w: requester's stream is at epoch %d below seq %d but this stream had epoch %d in force there: the histories diverged, rejoin by state transfer", kv.ErrDiverged, reqEpoch, from, srcEpoch)
-		}
-	}
-	return s.retainedLocked(from, max), s.repSeq, s.logBase, nil
-}
-
 // retainedLocked slices up to max records of the retained tail starting
 // at sequence number from, stopping early once the batch would pass
-// syncBatchBytes (at least one record always goes). A from outside the
+// mirrorBatchBytes (at least one record always goes). A from outside the
 // retained window — truncated below logBase, or at the head — yields
 // nothing. Caller holds repMu.
 func (s *Store) retainedLocked(from uint64, max int) []kv.SyncRec {
@@ -118,7 +34,7 @@ func (s *Store) retainedLocked(from uint64, max int) []kv.SyncRec {
 	for seq := from; seq < end; seq++ {
 		rec := s.commitLog[seq-s.logBase]
 		sz := recordSize(&rec)
-		if len(recs) > 0 && bytes+sz > syncBatchBytes {
+		if len(recs) > 0 && bytes+sz > mirrorBatchBytes {
 			break
 		}
 		bytes += sz
@@ -130,7 +46,7 @@ func (s *Store) retainedLocked(from uint64, max int) []kv.SyncRec {
 // recordSize estimates the wire size of one replication record,
 // including the epoch stamp and — for RecEpoch records — the
 // membership list, so an epoch-heavy log tail cannot overshoot
-// syncBatchBytes.
+// mirrorBatchBytes.
 func recordSize(rec *kv.ReplRecord) int {
 	n := 32 // kind, epoch, txid, ts, commit flag, op/member counts
 	for _, m := range rec.Members {
@@ -142,6 +58,15 @@ func recordSize(rec *kv.ReplRecord) int {
 			len(op.From) + len(op.To) + len(op.Low) + len(op.High)
 	}
 	return n
+}
+
+// recordChecksum identifies rec by a checksum of its encoding: two
+// streams that hold one record at a position agree on it, and two that
+// hold different records there almost never do.
+func recordChecksum(rec *kv.ReplRecord) uint32 {
+	var b wire.Buffer
+	kv.EncodeReplRecord(&b, rec)
+	return crc32.Checksum(b.Bytes(), crcTable)
 }
 
 // LogBounds reports the retained replication log's window: base is the
@@ -158,8 +83,8 @@ func (s *Store) LogBounds() (logBase, head uint64) {
 // replays snapshot + tail instead of the full history), and truncates
 // the ENTIRE in-memory replication log (logBase advances to the head
 // — an explicit checkpoint is an operator's full truncation). A
-// backup that later asks to sync from below the new logBase is served
-// by state transfer. It returns the sequence number the checkpoint
+// backup that later turns out to be behind the new logBase rejoins by
+// state transfer. It returns the sequence number the checkpoint
 // covers. Unlike the policy (maybeCheckpointSlackLocked), which keeps a
 // half-cap tail and rotates the file only once the log has earned it,
 // the explicit checkpoint always rotates. A store without a
@@ -229,7 +154,7 @@ func (s *Store) checkpointLocked(async bool) (uint64, error) {
 // force O(state) transfer on any replica even one record behind, while
 // retaining half leaves headroom so the next append does not
 // immediately re-trip the bound. It is independent of any WAL rotation:
-// serving a resync below logBase only needs an on-demand snapshot
+// a backup behind logBase only needs an on-demand snapshot
 // (ServeSnapshotChunk), not a rotated file, and a restart replays the
 // un-rotated log correctly — longer, but complete. Its cost is a copy
 // of the records it keeps, nothing that grows with the state. Caller

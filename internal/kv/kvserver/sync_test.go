@@ -2,12 +2,15 @@ package kvserver_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
+	"yesquel/internal/kv/kvserver"
 )
 
 // writeBatch commits n transactions with a mix of op shapes through c.
@@ -40,9 +43,9 @@ func writeBatch(t *testing.T, c *kvclient.Client, tag string, n int) {
 	}
 }
 
-// TestSyncRebuildsBackupByteForByte covers the resync path: a backup
+// TestSyncRebuildsBackupByteForByte covers the catch-up path: a backup
 // dies, the primary keeps committing alone, and a fresh backup catches
-// up via MethodSync until its multi-version state digests equal the
+// up through its mirror until its multi-version state digests equal the
 // primary's — then live mirroring keeps them equal.
 func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 	primary := startServer(t)
@@ -61,9 +64,9 @@ func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 	dropBackups(t, primary)
 	writeBatch(t, c, "alone", 20)
 
-	// A fresh backup re-forms the pair: resync mode first, then attach
-	// (so live commits buffer), then stream the missed history, then the
-	// epoch bump that admits it.
+	// A fresh backup re-forms the pair: the attach returns once the
+	// mirror has sent it the missed history, then the epoch bump admits
+	// it.
 	backup2 := startServer(t)
 	formGroup(t, primary, backup2)
 	if got, want := backup2.Store().StateDigest(), primary.Store().StateDigest(); got != want {
@@ -100,9 +103,9 @@ func TestSyncRebuildsBackupByteForByte(t *testing.T) {
 }
 
 // TestSyncCarriesPreparedState: a backup re-formed mid-2PC receives
-// the in-flight prepared transaction through the resync stream — not
-// just committed history — so a subsequent failover can still apply
-// the coordinator's decision.
+// the in-flight prepared transaction through the catch-up — not just
+// committed history — so a subsequent failover can still apply the
+// coordinator's decision.
 func TestSyncCarriesPreparedState(t *testing.T) {
 	primary := startServer(t)
 	c, err := kvclient.Open([]string{primary.Addr()})
@@ -127,7 +130,7 @@ func TestSyncCarriesPreparedState(t *testing.T) {
 	backup := startServer(t)
 	formGroup(t, primary, backup)
 	if !backup.Store().IsLocked(oid) {
-		t.Fatal("resync did not carry the prepared transaction's lock")
+		t.Fatal("catch-up did not carry the prepared transaction's lock")
 	}
 
 	// The decision mirrors to the re-formed backup like any record.
@@ -138,17 +141,18 @@ func TestSyncCarriesPreparedState(t *testing.T) {
 		t.Fatal("mirrored decision did not release the backup's lock")
 	}
 	if got, want := backup.Store().StateDigest(), primary.Store().StateDigest(); got != want {
-		t.Fatalf("after mid-2PC resync: backup digest %x != primary digest %x", got, want)
+		t.Fatalf("after mid-2PC catch-up: backup digest %x != primary digest %x", got, want)
 	}
 	if known, committed := backup.Store().Decided(txid); !known || !committed {
 		t.Fatalf("backup decision table: known=%v committed=%v", known, committed)
 	}
 }
 
-// TestMirrorGapFailsLoudly pins the divergence guard: attaching a
-// stale, empty backup to a primary with history (without a resync)
-// must fail the primary's next commit instead of silently mirroring a
-// stream with a gap.
+// TestMirrorGapFailsLoudly: attaching an empty backup to a primary
+// with history fills the gap through the mirror, and the backup ends
+// byte-identical. A backup ahead of the primary's stream, or whose
+// record below its head is not the primary's, is refused loudly with
+// kv.ErrDiverged and keeps its own stream.
 func TestMirrorGapFailsLoudly(t *testing.T) {
 	primary := startServer(t)
 	c, err := kvclient.Open([]string{primary.Addr()})
@@ -159,21 +163,79 @@ func TestMirrorGapFailsLoudly(t *testing.T) {
 	writeBatch(t, c, "history", 8)
 
 	stale := startServer(t)
-	if _, err := primary.AttachBackupMember(stale.Addr()); err != nil {
+	if err := primary.AttachBackupMember(stale.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	tx := c.Begin()
 	tx.Put(c.NewOID(0), kv.NewPlain([]byte("x")))
-	err = tx.Commit(context.Background())
-	if err == nil {
-		t.Fatal("commit mirrored into a gapped backup succeeded")
+	if err := tx.Commit(context.Background()); err != nil {
+		t.Fatalf("commit mirrored to a caught-up backup: %v", err)
 	}
-	if !strings.Contains(err.Error(), "resync") {
-		t.Fatalf("gap error should demand a resync, got: %v", err)
+	if got, want := stale.Store().StateDigest(), primary.Store().StateDigest(); got != want {
+		t.Fatalf("after the gap was filled: backup digest %x != primary digest %x", got, want)
 	}
-	// The stale backup stayed empty rather than diverging.
-	if stale.Store().ReplSeq() != 0 {
-		t.Fatalf("stale backup applied %d records", stale.Store().ReplSeq())
+	primary.DetachBackupMember(stale.Addr())
+
+	for _, tc := range []struct {
+		name    string
+		records int
+	}{
+		{"ahead", 40},
+		{"diverged", 2},
+	} {
+		other := startServer(t)
+		oc, err := kvclient.Open([]string{other.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeBatch(t, oc, tc.name, tc.records)
+		oc.Close()
+		head := other.Store().ReplSeq()
+		err = primary.AttachBackupMember(other.Addr())
+		if !errors.Is(err, kv.ErrDiverged) || !strings.Contains(err.Error(), "diverged") {
+			t.Fatalf("%s backup: attach returned %v, want kv.ErrDiverged", tc.name, err)
+		}
+		if got := other.Store().ReplSeq(); got != head {
+			t.Fatalf("%s backup moved from seq %d to %d", tc.name, head, got)
+		}
+	}
+}
+
+// TestAttachedBackupHoldsAckedWrite: a backup attached to a primary
+// with history counts toward the quorum only for records it holds, so a
+// commit right after the attach is acknowledged only once the backup
+// holds it. When the primary then dies, the promoted backup serves the
+// write.
+func TestAttachedBackupHoldsAckedWrite(t *testing.T) {
+	primary := startServer(t)
+	c, err := kvclient.Open([]string{primary.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	writeBatch(t, c, "history", 8)
+
+	backup := startServer(t)
+	if err := primary.AttachBackupMember(backup.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	oid := c.NewOID(0)
+	tx := c.Begin()
+	tx.Put(oid, kv.NewPlain([]byte("acked")))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	failOver(t, primary, backup)
+	c2, err := kvclient.Open([]string{backup.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	check := c2.Begin()
+	defer check.Abort()
+	if v, err := check.Read(ctx, oid); err != nil || string(v.Data) != "acked" {
+		t.Fatalf("acknowledged write after promotion: %v %v", v, err)
 	}
 }
 
@@ -223,15 +285,23 @@ func TestMirrorDetectsDivergedBackup(t *testing.T) {
 // TestDefaultStoreAcceptsMidLifeBackup: a store opened with the zero
 // Config, with history nobody asked it to keep for anyone, takes a
 // backup mid-life — by record replay while its retained tail still
-// reaches back to the joiner's position, and through the state-transfer
-// fallback once the tail has been truncated past it.
+// reaches back to the joiner's position, and through state transfer
+// once the tail has been truncated past it. A backup that copied the
+// primary's state (yesqueld -sync-from) and fell behind by four commits
+// before the primary formed the group is caught up by the mirror. A
+// joining backup is a learner: commits running on the primary while it
+// is refused, rebuilt and caught up all succeed.
 func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		truncate bool
+		transfer bool
+		beside   bool // commits run while the backup joins
 	}{
-		{"tail replay", false},
-		{"tail too short: state transfer", true},
+		{"tail replay", false, false, false},
+		{"tail too short: state transfer", true, false, false},
+		{"state transfer, then four commits before FormGroup", false, true, false},
+		{"commits beside a behind-the-log backup's join", true, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			primary := startServer(t) // NewStore(nil, Config{})
@@ -250,11 +320,36 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 			}
 
 			backup := startServer(t)
-			formGroup(t, primary, backup) // attach → SyncFrom → BumpEpoch
+			if tc.transfer {
+				if err := backup.StateTransferFrom(primary.Addr()); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 4; i++ {
+					tx := c.Begin()
+					tx.Put(c.NewOID(0), kv.NewPlain([]byte("behind")))
+					if err := tx.Commit(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := primary.FormGroup([]string{backup.Addr()}); err != nil {
+					t.Fatal(err)
+				}
+			} else if tc.beside {
+				joinBesideCommits(t, c, func() {
+					if err := kvserver.Join(primary, backup); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				formGroup(t, primary, backup)
+			}
 			if got, want := backup.Store().StateDigest(), store.StateDigest(); got != want {
 				t.Fatalf("after join: backup digest %x != primary digest %x", got, want)
 			}
-			if got := backup.Store().Stats().SnapshotsInstalled; (got > 0) != tc.truncate {
+			if got := backup.Store().Stats().SnapshotsInstalled; (got > 0) != (tc.truncate || tc.transfer) {
 				t.Fatalf("backup installed %d snapshots, truncated tail = %v", got, tc.truncate)
 			}
 			writeBatch(t, c, "mirrored", 8)
@@ -263,4 +358,49 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 			}
 		})
 	}
+}
+
+// joinBesideCommits runs join while four writers commit through c, and
+// fails the test if any commit fails. Each writer has committed once
+// before join starts, and all have stopped when it returns.
+func joinBesideCommits(t *testing.T, c *kvclient.Client, join func()) {
+	t.Helper()
+	const writers = 4
+	stop := make(chan struct{})
+	errs := make(chan error, writers)
+	var started, done sync.WaitGroup
+	started.Add(writers)
+	done.Add(writers)
+	for w := 0; w < writers; w++ {
+		go func() {
+			defer done.Done()
+			for n := 0; ; n++ {
+				tx := c.Begin()
+				tx.Put(c.NewOID(0), kv.NewPlain([]byte("beside")))
+				err := tx.Commit(context.Background())
+				if n == 0 {
+					started.Done()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+	defer func() {
+		close(stop)
+		done.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("commit beside the join: %v", err)
+		}
+	}()
+	join()
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -503,7 +504,7 @@ func OpenStore(hlc *clock.HLC, cfg Config) (*Store, error) {
 		}
 	}
 	for _, rec := range recs {
-		if err := s.ApplyReplicated(rec); err != nil {
+		if err := s.applyReplicated(rec); err != nil {
 			// A semantically inconsistent record (e.g. a decision whose
 			// prepare was lost to a failed best-effort append on a
 			// backup) ends the usable log, like a torn tail: recover
@@ -529,12 +530,10 @@ func OpenStore(hlc *clock.HLC, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// ApplyReplicated installs an externally produced stream record at the
-// next position in the replication stream: a write-ahead-log record
-// during recovery, where sequence order is the file order. Records
-// mirrored over the network carry explicit sequence numbers; use
-// ApplyReplicatedSeq for those.
-func (s *Store) ApplyReplicated(rec kv.ReplRecord) error {
+// applyReplicated installs a write-ahead-log record at the next
+// position in the stream during recovery, where sequence order is the
+// file order.
+func (s *Store) applyReplicated(rec kv.ReplRecord) error {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
 	if err := s.applyRecordLocked(rec); err != nil {
@@ -544,47 +543,47 @@ func (s *Store) ApplyReplicated(rec kv.ReplRecord) error {
 	return nil
 }
 
-// ApplyReplicatedSeq installs a replicated record carrying its position
-// in the primary's stream, from a sync catch-up. Records below the
-// local stream head are duplicates and ignored (sync batches re-deliver
-// records that a concurrent mirror already buffered); records above it
-// are buffered while a resync is filling in the gap, and rejected
-// otherwise — a silent gap would diverge the replica forever, so the
-// primary's mirror call must fail loudly instead. The replication-log
-// bound is enforced exactly: nobody is blocked on a catch-up apply.
-func (s *Store) ApplyReplicatedSeq(seq uint64, rec kv.ReplRecord) error {
+// ApplyMirroredBatch applies one group-commit batch from the primary
+// under ONE stream-lock acquisition — the backup half of the pipeline.
+// It refuses the batch while a promotion waits out the grant, or when
+// the sender's epoch is older than this replica's: the sender was
+// deposed, and acknowledging it would let a stale primary keep serving.
+// The guard reads the batch's epoch, not the records', because records
+// resent from the retained log legitimately carry older stamps. It also
+// refuses a batch carrying a configuration change that conflicts with
+// the epoch this replica adopted (see acceptConfigLocked).
+// Accepting extends the grant HERE, atomically with the decision to
+// accept (under repMu+epochMu, before any ack can go out): the primary
+// counts the ack as a lease renewal measured from before it sent, so
+// the grant must always cover at least what the ack confers — even if
+// the apply later fails, an over-extended grant only delays a
+// promotion, never endangers it.
+//
+// A batch that does not start at this replica's stream head changes
+// nothing: the *kv.StreamGapError reply names the head, the epoch its
+// stream had installed there and a checksum of the record below it, and
+// the primary resends from that head. Otherwise the records are applied in order; an error on record
+// k leaves records 0..k-1 applied (a consistent prefix of the primary's
+// stream) and fails the batch. The replication-log bound runs once per
+// batch, with the live-mirror slack (see mirrorCheckpointSlack): the
+// primary is waiting for the ack, so routine truncation is left to the
+// server's checkpoint ticker, with a hard ceiling so the memory bound
+// never rests on a ticker alone.
+func (s *Store) ApplyMirroredBatch(req *kv.MirrorBatchReq) error {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	if err := s.applyReplicatedLocked(seq, rec, false); err != nil {
+	if err := s.acceptBatchLocked(req); err != nil {
 		return err
 	}
-	s.maybeCheckpointLocked()
-	return nil
-}
-
-// ApplyMirroredBatch applies a contiguous group-commit batch from the
-// primary under ONE stream-lock acquisition, the live-mirror (strict)
-// variant of ApplyReplicatedSeq: the primary sends each sequence number
-// exactly once and in order, so a record below the local stream head
-// that the retained log cannot prove identical means this replica
-// applied records the primary never streamed (split brain), and the
-// batch fails loudly rather than letting the primary believe a dropped
-// record is replicated. Each record passes the per-record epoch, grant,
-// and sequence checks, but the whole batch costs one lock round and one
-// acknowledgment — the backup half of the group-commit pipeline. An
-// error on record k leaves records 0..k-1 applied (a contiguous,
-// consistent prefix of the primary's stream; the backup is merely
-// behind) and fails the RPC, which fails every primary-side waiter in
-// the batch. The replication-log bound runs once per batch, with the
-// live-mirror slack (see mirrorCheckpointSlack): the primary is waiting
-// for the ack, so routine truncation is left to the server's checkpoint
-// ticker, with a hard ceiling so the memory bound never rests on a
-// ticker alone.
-func (s *Store) ApplyMirroredBatch(recs []kv.SyncRec) error {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	for i := range recs {
-		if err := s.applyReplicatedLocked(recs[i].Seq, recs[i].Rec, true); err != nil {
+	if req.From != s.repSeq {
+		gap := &kv.StreamGapError{Head: s.repSeq, StreamEpoch: s.streamEpoch}
+		if s.repSeq > s.logBase {
+			gap.Last = recordChecksum(&s.commitLog[s.repSeq-1-s.logBase])
+		}
+		return gap
+	}
+	for i := range req.Recs {
+		if err := s.applyRecordLocked(req.Recs[i]); err != nil {
 			return err
 		}
 	}
@@ -592,40 +591,21 @@ func (s *Store) ApplyMirroredBatch(recs []kv.SyncRec) error {
 	return nil
 }
 
-// acceptStreamRecordLocked is the split-brain guard on the live
-// mirror stream, plus the grant bookkeeping that makes acks safe. A
-// record stamped with an epoch older than this replica's is from a
-// deposed primary (the group moved on while it was partitioned);
-// acknowledging it would let the stale primary keep serving. RecEpoch
-// records must strictly advance the epoch. Nothing is accepted while a
-// promotion is waiting out the grant (the ack would re-arm the lease
-// mid-wait). The checks hold even while this replica is RESYNCING:
-// sync catch-ups replay history through the non-strict path
-// (ApplyReplicatedSeq) and never reach this guard, so the only live
-// records a resync exemption would admit here are stale ones — e.g. a
-// straggler batch from the primary a failover just deposed, landing in
-// the window after the loser adopts the new epoch and before it
-// resyncs from the winner, silently growing its stream past the head
-// the promotion measured.
-//
-// Accepting a record extends the grant HERE, atomically with the
-// decision to accept (under repMu+epochMu, before any ack can go
-// out): the primary counts the ack as a lease renewal measured from
-// before it sent, so the grant must always cover at least what the
-// ack confers — even if the apply later fails, an over-extended grant
-// only delays a promotion, never endangers it. Caller holds repMu.
-func (s *Store) acceptStreamRecordLocked(rec *kv.ReplRecord) error {
+// acceptBatchLocked is the split-brain guard on the mirror stream plus
+// the grant extension (see ApplyMirroredBatch). Caller holds repMu.
+func (s *Store) acceptBatchLocked(req *kv.MirrorBatchReq) error {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
 	if s.promoting {
 		return fmt.Errorf("promotion in progress: %w", s.wrongEpochLocked())
 	}
-	if rec.Kind == kv.RecEpoch {
-		if rec.Epoch <= s.epoch {
-			return fmt.Errorf("stale configuration change: %w", s.wrongEpochLocked())
+	if req.Epoch < s.epoch {
+		return fmt.Errorf("batch from deposed primary: %w", s.wrongEpochLocked())
+	}
+	for i := range req.Recs {
+		if rec := &req.Recs[i]; rec.Kind == kv.RecEpoch && !s.acceptConfigLocked(rec) {
+			return fmt.Errorf("stale configuration change to epoch %d: %w", rec.Epoch, s.wrongEpochLocked())
 		}
-	} else if rec.Epoch < s.epoch {
-		return fmt.Errorf("record from deposed primary: %w", s.wrongEpochLocked())
 	}
 	if until := time.Now().Add(s.cfg.LeaseDuration); until.After(s.grantUntil) {
 		s.grantUntil = until
@@ -633,69 +613,25 @@ func (s *Store) acceptStreamRecordLocked(rec *kv.ReplRecord) error {
 	return nil
 }
 
-// applyReplicatedLocked installs one replicated record (see
-// ApplyReplicatedSeq / ApplyMirroredBatch for the strictness contract) and
-// drains any resync-buffered records that become contiguous. Caller
-// holds repMu and runs the log-bound policy afterwards.
-func (s *Store) applyReplicatedLocked(seq uint64, rec kv.ReplRecord, strict bool) error {
-	if strict {
-		if err := s.acceptStreamRecordLocked(&rec); err != nil {
-			return err
-		}
-	}
-	for {
-		switch {
-		case seq < s.repSeq:
-			// A record below the head is either a duplicate delivery or
-			// evidence of divergence, and the two must be told apart by
-			// CONTENT, not by timing: a member attaches before its catch-up
-			// sync, so a record emitted in between rides BOTH the member's
-			// queue and the sync replay, and the second copy can land
-			// after the resync window has already closed. The retained
-			// replication log settles it — if the epoch stamped on our
-			// record at that position matches the incoming record's, the
-			// single-writer-per-epoch stream guarantees they are the same
-			// record and the duplicate is safe to acknowledge. Identity
-			// is pinned on the full record header — kind, epoch,
-			// transaction and timestamp — not the epoch alone: two stores
-			// that never formed a group both stamp their birth epoch. A
-			// mismatch means this
-			// replica's history holds something else there: genuinely
-			// diverged, rejoin by state transfer.
-			if strict {
-				if seq >= s.logBase && seq-s.logBase < uint64(len(s.commitLog)) {
-					have := s.commitLog[seq-s.logBase]
-					if have.Epoch != rec.Epoch || have.Kind != rec.Kind || have.TxID != rec.TxID || have.TS != rec.TS {
-						return fmt.Errorf("%w: record at seq %d (epoch %d, tx %d) does not match the record this replica's stream holds there (epoch %d, tx %d): the histories diverged, rejoin by state transfer", kv.ErrDiverged, seq, rec.Epoch, rec.TxID, have.Epoch, have.TxID)
-					}
-				} else if !s.resyncing {
-					// Below the retained log and not mid-resync: identity
-					// can't be verified, and no legitimate duplicate is
-					// that stale (the in-flight window spans the attach,
-					// not a checkpoint truncation). Treat as divergence.
-					return fmt.Errorf("%w: replica is ahead of the primary's stream (got seq %d, local head %d, log retained from %d): re-form the group", kv.ErrDiverged, seq, s.repSeq, s.logBase)
-				}
-			}
-			return nil
-		case seq > s.repSeq:
-			if !s.resyncing {
-				return fmt.Errorf("%w: replication gap: got seq %d, want %d; backup needs resync", kv.ErrBadRequest, seq, s.repSeq)
-			}
-			if s.pending == nil {
-				s.pending = make(map[uint64]kv.ReplRecord)
-			}
-			s.pending[seq] = rec
-			return nil
-		}
-		if err := s.applyRecordLocked(rec); err != nil {
-			return err
-		}
-		next, ok := s.pending[s.repSeq]
-		if !ok {
-			return nil
-		}
-		delete(s.pending, s.repSeq)
-		seq, rec = s.repSeq, next
+// acceptConfigLocked reports whether a mirrored RecEpoch may install
+// its configuration here. One above the adopted epoch advances it. One
+// AT the adopted epoch must carry the membership this replica adopted:
+// a loser of a failover adopts its winner's epoch out of band before
+// the winner's RecEpoch reaches it, and a deposed primary installing
+// the same epoch number for its own group must not collect this
+// replica's ack — that would make two primaries at one epoch. One below
+// it is history a member still catching up to its adopted epoch lacks
+// (a configuration change its winner applied and it missed); once its
+// stream has installed the adopted epoch, nothing older is legitimate.
+// Caller holds repMu and epochMu.
+func (s *Store) acceptConfigLocked(rec *kv.ReplRecord) bool {
+	switch {
+	case rec.Epoch > s.epoch:
+		return true
+	case rec.Epoch == s.epoch:
+		return slices.Equal(rec.Members, s.epochMembers)
+	default:
+		return s.streamEpoch < s.epoch
 	}
 }
 
@@ -703,22 +639,24 @@ func (s *Store) applyReplicatedLocked(seq uint64, rec kv.ReplRecord, strict bool
 // the stream head. Caller holds repMu; per-object version order
 // follows from stream order. The record is appended to the replication
 // log and this replica's own write-ahead log, so a backup is durable
-// and can itself serve resyncs after a failover promotes it.
+// and can itself feed backups after a failover promotes it.
 func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 	// The per-record epoch check — the splice guard. Every record except
 	// RecEpoch must be stamped with exactly the epoch this stream
-	// installed at or below the current head (streamEpoch; RecEpoch
-	// records are the transitions and are vetted by their own strictly-
-	// advancing check on the live path). A mismatch means the record
-	// belongs to a history this replica never installed: the classic
-	// case is a diverged-but-BEHIND replica resyncing from a successor —
-	// its stranded old-epoch records sit at sequence numbers the new
-	// stream re-stamped, so the seq checks all pass, and the first
-	// delivered record (stamped with the successor epoch the replica's
-	// stream never installed) is the only tell. Rejected with
-	// kv.ErrDiverged: such a replica rejoins by state transfer, never by
-	// record replay.
-	if rec.Kind != kv.RecEpoch && rec.Epoch != s.streamEpoch {
+	// installed at or below the current head (streamEpoch), and a
+	// RecEpoch must advance it. A mismatch means the record belongs to a
+	// history this replica never installed: the classic case is a
+	// diverged-but-BEHIND replica fed by a successor whose retained log
+	// no longer reaches the record below its head — its stranded
+	// old-epoch records sit at sequence numbers the new stream
+	// re-stamped, so the positions all agree, and the first delivered
+	// record (stamped with the successor epoch the replica's stream never
+	// installed) is the only tell. The check is against the STREAM epoch,
+	// not the adopted one: a rejoining member that adopted the new epoch
+	// out of band must still apply the RecEpoch that installed it.
+	// Rejected with kv.ErrDiverged: such a replica rejoins by state
+	// transfer, never by record replay.
+	if rec.Kind == kv.RecEpoch && rec.Epoch <= s.streamEpoch || rec.Kind != kv.RecEpoch && rec.Epoch != s.streamEpoch {
 		return fmt.Errorf("%w: record at seq %d stamped epoch %d but this replica's stream installed epoch %d there: the histories diverged, rejoin by state transfer", kv.ErrDiverged, s.repSeq, rec.Epoch, s.streamEpoch)
 	}
 	s.clock.Observe(rec.TS)
@@ -752,9 +690,7 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 		// lease requirements follow from the membership; no object state
 		// changes. streamEpoch advances HERE — this is an epoch the
 		// stream itself installed, unlike an out-of-band AdoptEpoch.
-		if rec.Epoch > s.streamEpoch {
-			s.streamEpoch = rec.Epoch
-		}
+		s.streamEpoch = rec.Epoch
 		s.installEpochState(rec.Epoch, append([]string(nil), rec.Members...))
 	default:
 		return fmt.Errorf("%w: replication record kind %d", kv.ErrBadRequest, rec.Kind)

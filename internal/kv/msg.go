@@ -21,19 +21,17 @@ const (
 	MethodPing       = "kv.ping"
 	// MethodMirrorBatch carries a contiguous run of stream records from
 	// a primary to one of its backups in one round trip (see
-	// kvserver.Server.AttachBackupMember). The backup applies the records in order (the
-	// per-record sequence check still catches gaps and divergence
-	// inside a batch) and one acknowledgment covers, and extends the
+	// kvserver.Server.AttachBackupMember). The backup applies the batch
+	// only at its own stream head; otherwise it answers with a
+	// StreamGapError naming that head, and the primary resends from there
+	// out of its retained log. One acknowledgment covers, and extends the
 	// lease for, the whole batch.
 	MethodMirrorBatch = "kv.mirrorbatch"
-	// MethodSync streams missed commits from a primary's replication
-	// log to a restarted or fresh backup (see kvserver.Server.SyncFrom).
-	MethodSync = "kv.sync"
-	// MethodSnap transfers a state snapshot, in chunks, to a backup
-	// whose requested sync position predates the server's truncated
-	// replication log (SyncResp.TooOld). The backup installs the
-	// snapshot and resumes a normal log-tail sync from the sequence
-	// number the snapshot covers.
+	// MethodSnap transfers a state snapshot, in chunks, to a backup that
+	// is behind the server's retained log or has diverged from its
+	// stream (see kvserver.Server.StateTransferFrom). The backup installs
+	// the snapshot, and the primary's mirror then fills in the records
+	// since.
 	MethodSnap = "kv.snap"
 	// MethodLease renews the primary's lease on its backup: the backup
 	// promises not to accept a promotion (epoch bump) until the granted
@@ -59,7 +57,7 @@ const (
 var (
 	minOpSize         = wire.Size(&Op{Kind: OpDelete}, (*Op).wire)
 	minCellSize       = wire.Size(&Cell{}, (*Cell).wire)
-	minSyncRecSize    = wire.Size(&SyncRec{}, (*SyncRec).wire)
+	minReplRecordSize = wire.Size(&ReplRecord{}, (*ReplRecord).wire)
 	minReadItemSize   = wire.Size(&ReadBatchItem{}, (*ReadBatchItem).wire)
 	minReadResultSize = wire.Size(&ReadBatchResult{}, (*ReadBatchResult).wire)
 )
@@ -79,8 +77,8 @@ func decodeReply[M any](p []byte, fields func(*M, *wire.Codec)) (*M, error) {
 	return wire.DecodeInPlace(p, ErrBadRequest, fields)
 }
 
-// Replication record kinds. The replication stream (mirror RPCs, the
-// replication log served by MethodSync, and the write-ahead log) is a
+// Replication record kinds. The replication stream (mirror batches, the
+// retained log they are resent from, and the write-ahead log) is a
 // totally ordered sequence of these records; replicas that apply the
 // same prefix hold the same multi-version state *and* the same
 // prepared-transaction table, so a promoted backup can finish or roll
@@ -132,8 +130,8 @@ func (rec *ReplRecord) wire(c *wire.Codec) {
 }
 
 // EncodeReplRecord appends rec's canonical serialization — shared by
-// mirror RPCs, sync batches, and the write-ahead log, so the three
-// stay byte-for-byte interchangeable.
+// mirror batches and the write-ahead log, so the two stay
+// byte-for-byte interchangeable.
 func EncodeReplRecord(b *wire.Buffer, rec *ReplRecord) { wire.EncodeTo(b, rec, (*ReplRecord).wire) }
 
 // DecodeReplRecord is the inverse of EncodeReplRecord.
@@ -168,17 +166,23 @@ func (m *LeaseReq) Encode() []byte { return wire.Encode(m, (*LeaseReq).wire) }
 func DecodeLeaseReq(p []byte) (*LeaseReq, error) { return decode(p, (*LeaseReq).wire) }
 
 // MirrorBatchReq replicates a contiguous run of stream records to a
-// backup in one RPC. Records are in strict sequence order — each Seq is
-// the record's position in the primary's replication stream — and the
-// backup applies them one by one under a single stream-lock
-// acquisition, so a gap means the backup missed records and must resync
-// before mirroring can resume.
+// backup in one RPC. From is the first record's position in the
+// primary's replication stream (the records follow in order), and the
+// batch may be empty: a new member's first batch is an empty one at the
+// primary's head, the probe that learns the backup's head. Epoch is the
+// epoch the sender's stream had installed when it sent: a backup in a
+// later epoch refuses the batch, since the sender was deposed. The
+// records themselves keep the epochs they were emitted in.
 type MirrorBatchReq struct {
-	Recs []SyncRec
+	From  uint64
+	Epoch uint64
+	Recs  []ReplRecord
 }
 
 func (m *MirrorBatchReq) wire(c *wire.Codec) {
-	wire.Slice(c, &m.Recs, minSyncRecSize)
+	c.Uvarint(&m.From)
+	c.Uvarint(&m.Epoch)
+	wire.Slice(c, &m.Recs, minReplRecordSize)
 	for i := range m.Recs {
 		m.Recs[i].wire(c)
 	}
@@ -190,73 +194,12 @@ func DecodeMirrorBatchReq(p []byte) (*MirrorBatchReq, error) {
 	return decode(p, (*MirrorBatchReq).wire)
 }
 
-// SyncReq asks a primary for its replication log starting at sequence
-// number From, at most Max records per response (0 = server default).
-// Epoch is the epoch the requester's own stream had installed at its
-// head (its stream epoch, not an out-of-band adopted one): a source
-// whose stream carried a different epoch at position From rejects the
-// sync with ErrDiverged — the requester holds records the source's
-// stream re-stamped, and replaying the tail onto them would splice two
-// histories.
-type SyncReq struct {
-	From  uint64
-	Max   uint32
-	Epoch uint64
-}
-
-func (m *SyncReq) wire(c *wire.Codec) {
-	c.Uvarint(&m.From)
-	c.Uint32(&m.Max)
-	c.Uvarint(&m.Epoch)
-}
-
-func (m *SyncReq) Encode() []byte { return wire.Encode(m, (*SyncReq).wire) }
-
-func DecodeSyncReq(p []byte) (*SyncReq, error) { return decode(p, (*SyncReq).wire) }
-
-// SyncRec is one replicated stream record in a sync response.
+// SyncRec is one stream record with its position in the stream (see
+// kvserver.Store.MigrationRecords).
 type SyncRec struct {
 	Seq uint64
 	Rec ReplRecord
 }
-
-func (r *SyncRec) wire(c *wire.Codec) {
-	c.Uvarint(&r.Seq)
-	r.Rec.wire(c)
-}
-
-// SyncResp carries a slice of the primary's replication log. Head is
-// the primary's next sequence number at response time, so the caller
-// knows how far behind it still is. TooOld reports that the requested
-// position predates LogBase — the server truncated its log below it at
-// a snapshot checkpoint — so no records can answer the request: the
-// caller must install a state snapshot (MethodSnap) and resume the
-// log-tail sync from the sequence number the snapshot covers.
-type SyncResp struct {
-	Records []SyncRec
-	Head    uint64
-	Clock   Timestamp
-	TooOld  bool
-	LogBase uint64 // oldest sequence number still in the server's log
-}
-
-func (m *SyncResp) wire(c *wire.Codec) {
-	wire.Slice(c, &m.Records, minSyncRecSize)
-	for i := range m.Records {
-		m.Records[i].wire(c)
-	}
-	c.Uvarint(&m.Head)
-	wire.U64(c, &m.Clock)
-	c.Bool(&m.TooOld)
-	c.Uvarint(&m.LogBase)
-}
-
-func (m *SyncResp) AppendTo(b *wire.Buffer) {
-	b.PutUvarint(uint64(wire.Size(m, (*SyncResp).wire)))
-	wire.EncodeTo(b, m, (*SyncResp).wire)
-}
-
-func DecodeSyncResp(p []byte) (*SyncResp, error) { return decode(p, (*SyncResp).wire) }
 
 // SnapReq asks for one chunk of a state snapshot. ID 0 begins a new
 // transfer: the server captures a fresh snapshot at its current stream

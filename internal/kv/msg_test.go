@@ -96,15 +96,16 @@ func recEqual(t *testing.T, got, want ReplRecord) {
 
 func TestMirrorBatchReqRoundTrip(t *testing.T) {
 	cases := []MirrorBatchReq{
-		{Recs: nil},
-		{Recs: []SyncRec{{Seq: 0, Rec: ReplRecord{Kind: RecCommit, TxID: 7, TS: 1}}}},
-		{Recs: []SyncRec{
-			{Seq: 5, Rec: ReplRecord{Kind: RecCommit, TxID: 1, TS: 10, Ops: sampleOps()[:3], Epoch: 2}},
-			{Seq: 6, Rec: ReplRecord{Kind: RecPrepare, TxID: 2, TS: 20, Ops: sampleOps()[3:], Epoch: 2}},
-			{Seq: 7, Rec: ReplRecord{Kind: RecDecide, TxID: 2, TS: 30, Commit: true, Epoch: 1 << 32}},
-			{Seq: 8, Rec: ReplRecord{Kind: RecDecide, TxID: 1 << 63, TS: 0, Commit: false}},
-			{Seq: 9, Rec: ReplRecord{Kind: RecEpoch, Epoch: 3, Members: []string{"127.0.0.1:7000", "127.0.0.1:7001"}}},
-			{Seq: 1 << 40, Rec: ReplRecord{Kind: RecCommit, TS: Timestamp(1) << 60, Ops: sampleOps()}},
+		{From: 0, Epoch: 1},
+		{From: 1<<64 - 1, Epoch: 1<<64 - 1},
+		{From: 0, Epoch: 1, Recs: []ReplRecord{{Kind: RecCommit, TxID: 7, TS: 1}}},
+		{From: 5, Epoch: 3, Recs: []ReplRecord{
+			{Kind: RecCommit, TxID: 1, TS: 10, Ops: sampleOps()[:3], Epoch: 2},
+			{Kind: RecPrepare, TxID: 2, TS: 20, Ops: sampleOps()[3:], Epoch: 2},
+			{Kind: RecDecide, TxID: 2, TS: 30, Commit: true, Epoch: 1 << 32},
+			{Kind: RecDecide, TxID: 1 << 63, TS: 0, Commit: false},
+			{Kind: RecEpoch, Epoch: 3, Members: []string{"127.0.0.1:7000", "127.0.0.1:7001"}},
+			{Kind: RecCommit, TS: Timestamp(1) << 60, Ops: sampleOps()},
 		}},
 	}
 	for i, in := range cases {
@@ -112,101 +113,34 @@ func TestMirrorBatchReqRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if len(out.Recs) != len(in.Recs) {
-			t.Fatalf("case %d: got %d records, want %d", i, len(out.Recs), len(in.Recs))
+		if out.From != in.From || out.Epoch != in.Epoch || len(out.Recs) != len(in.Recs) {
+			t.Fatalf("case %d: got from=%d epoch=%d and %d records, want from=%d epoch=%d and %d",
+				i, out.From, out.Epoch, len(out.Recs), in.From, in.Epoch, len(in.Recs))
 		}
 		for j := range in.Recs {
-			if out.Recs[j].Seq != in.Recs[j].Seq {
-				t.Fatalf("case %d record %d: got seq=%d, want seq=%d", i, j, out.Recs[j].Seq, in.Recs[j].Seq)
-			}
-			recEqual(t, out.Recs[j].Rec, in.Recs[j].Rec)
+			recEqual(t, out.Recs[j], in.Recs[j])
 		}
 	}
 }
 
 func TestMirrorBatchReqDecodeErrors(t *testing.T) {
-	for _, p := range [][]byte{nil, {0x02}, {0x02, 0x01}, {0x01, 0x01, 0xee}} {
+	for _, p := range [][]byte{nil, {0x00}, {0x00, 0x01, 0x02}, {0x00, 0x01, 0x01, 0xee}} {
 		if _, err := DecodeMirrorBatchReq(p); err == nil {
 			t.Fatalf("decode of truncated/garbage payload %v succeeded", p)
 		}
 	}
 	// A record-count sanity bound: an absurd count must be rejected
 	// before any allocation, not trusted.
-	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	huge := []byte{0x00, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
 	if _, err := DecodeMirrorBatchReq(huge); err == nil {
 		t.Fatal("decode of absurd record count succeeded")
 	}
 	// An unknown record kind inside a batch is rejected, not decoded as
 	// garbage.
-	bad := (&MirrorBatchReq{Recs: []SyncRec{{Seq: 1, Rec: ReplRecord{Kind: RecCommit, TxID: 1, TS: 1}}}}).Encode()
-	bad[2] = 0xee // count uvarint, seq uvarint, then the record's kind byte
+	bad := (&MirrorBatchReq{From: 1, Epoch: 1, Recs: []ReplRecord{{Kind: RecCommit, TxID: 1, TS: 1}}}).Encode()
+	bad[3] = 0xee // from, epoch and count uvarints, then the record's kind byte
 	if _, err := DecodeMirrorBatchReq(bad); err == nil {
 		t.Fatal("decode of unknown record kind inside a batch succeeded")
-	}
-}
-
-func TestSyncReqRoundTrip(t *testing.T) {
-	cases := []SyncReq{
-		{From: 0, Max: 0},
-		{From: 42, Max: 512},
-		{From: 42, Max: 512, Epoch: 3},
-		{From: 1<<64 - 1, Max: 1<<32 - 1, Epoch: 1<<64 - 1},
-	}
-	for i, in := range cases {
-		out, err := DecodeSyncReq(in.Encode())
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if *out != in {
-			t.Fatalf("case %d: got %+v, want %+v", i, *out, in)
-		}
-	}
-}
-
-func TestSyncRespRoundTrip(t *testing.T) {
-	cases := []SyncResp{
-		{Records: nil, Head: 0, Clock: 5},
-		// The truncation signal a snapshot-era server sends a too-old
-		// backup: no records, install a snapshot and resume at LogBase+.
-		{Records: nil, Head: 70, Clock: 6, TooOld: true, LogBase: 64},
-		{
-			Records: []SyncRec{
-				{Seq: 0, Rec: ReplRecord{Kind: RecCommit, TxID: 1, TS: 10, Ops: sampleOps()[:3]}},
-				{Seq: 1, Rec: ReplRecord{Kind: RecPrepare, TxID: 2, TS: 20, Ops: sampleOps()[3:5]}},
-				{Seq: 2, Rec: ReplRecord{Kind: RecDecide, TxID: 2, TS: 30, Commit: true}},
-				{Seq: 3, Rec: ReplRecord{Kind: RecCommit, TS: 40, Ops: sampleOps()}},
-			},
-			Head:  4,
-			Clock: 99,
-		},
-	}
-	for i, in := range cases {
-		out, err := DecodeSyncResp(reply(&in))
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if out.Head != in.Head || out.Clock != in.Clock || len(out.Records) != len(in.Records) {
-			t.Fatalf("case %d: got head=%d clock=%d n=%d, want head=%d clock=%d n=%d",
-				i, out.Head, out.Clock, len(out.Records), in.Head, in.Clock, len(in.Records))
-		}
-		if out.TooOld != in.TooOld || out.LogBase != in.LogBase {
-			t.Fatalf("case %d: got tooOld=%v base=%d, want tooOld=%v base=%d",
-				i, out.TooOld, out.LogBase, in.TooOld, in.LogBase)
-		}
-		for j := range in.Records {
-			if out.Records[j].Seq != in.Records[j].Seq {
-				t.Fatalf("case %d record %d: got %+v, want %+v", i, j, out.Records[j], in.Records[j])
-			}
-			recEqual(t, out.Records[j].Rec, in.Records[j].Rec)
-		}
-	}
-}
-
-func TestSyncRespDecodeErrors(t *testing.T) {
-	for _, p := range [][]byte{nil, {0x05}, {0x01, 0x00}} {
-		if _, err := DecodeSyncResp(p); err == nil {
-			t.Fatalf("decode of truncated payload %v succeeded", p)
-		}
 	}
 }
 
