@@ -270,7 +270,7 @@ func (cl *Cluster) KillBackup(slot, i int) error {
 }
 
 // IsolatePrimary simulates a network partition around slot's primary:
-// its outbound replication (mirror records and lease renewals) is
+// its outbound replication (mirror batches, heartbeats included) is
 // suppressed, but the process stays up and keeps answering clients on
 // its side of the "partition". A backup is then promoted WITHOUT force
 // — the promotion first freezes every surviving member's grant clock
@@ -312,7 +312,7 @@ func (cl *Cluster) IsolatePrimary(slot int) (*kvserver.Server, error) {
 //
 // The losers then ADOPT the new epoch out-of-band (not merely abandon
 // their frozen promotion state: a loser left at the old epoch would
-// keep granting the deposed primary's lease renewals and hold its
+// keep accepting the deposed primary's heartbeats and hold its
 // quorum lease alive — split-brain by politeness) and rejoin the
 // winner's stream as its backups, the winner's sender filling the gap
 // between their heads and its own.

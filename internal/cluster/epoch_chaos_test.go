@@ -149,7 +149,7 @@ func TestIsolatedStalePrimaryNeverAcksAfterNewEpoch(t *testing.T) {
 		t.Fatalf("stale-primary rejection not a wrong-epoch redirect: %v", err)
 	} else if we.Epoch != formed {
 		// The isolated primary cannot have learned the new epoch (its
-		// lease renewals are partitioned too); it rejects on lease
+		// heartbeats are partitioned too); it rejects on lease
 		// expiry, still reporting its own epoch.
 		t.Fatalf("stale primary reports epoch %d", we.Epoch)
 	}

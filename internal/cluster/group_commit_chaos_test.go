@@ -10,6 +10,7 @@ import (
 
 	"yesquel/internal/cluster"
 	"yesquel/internal/kv"
+	"yesquel/internal/kv/kvclient"
 	"yesquel/internal/kv/kvserver"
 )
 
@@ -119,16 +120,22 @@ func TestGroupCommitIsolatedPrimaryLosesNoAckedWrite(t *testing.T) {
 	var old *kvserver.Server
 	var isolateOnce sync.Once
 	var wg sync.WaitGroup
+	// Every client is opened before any worker runs: the isolation
+	// changes the cluster's membership, which NewClient reads.
+	clients := make([]*kvclient.Client, workers)
+	for w := range clients {
+		c, err := cl.NewClient()
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+		defer c.Close()
+		clients[w] = c
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := cl.NewClient()
-			if err != nil {
-				t.Errorf("worker %d: %v", w, err)
-				return
-			}
-			defer c.Close()
+			c := clients[w]
 			for i := 0; i < writesPerWorker; i++ {
 				if w == 0 && i == isolateAfter {
 					isolateOnce.Do(func() {

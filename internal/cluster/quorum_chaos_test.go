@@ -199,7 +199,7 @@ func quorumLoad(t *testing.T, cl *cluster.Cluster, disrupt func()) (acked []acke
 // FRESH client — which also exercises OpenReplicated against a group
 // with dead members in its address list. A just-promoted primary
 // serves only under a quorum lease, and its first grants arrive
-// asynchronously from the rejoined members' renewal loops, so give it
+// asynchronously from the rejoined members' heartbeats, so give it
 // a moment to become serviceable first.
 func verifyAcked(t *testing.T, cl *cluster.Cluster, acked []ackedWrite) {
 	t.Helper()

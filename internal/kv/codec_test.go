@@ -95,7 +95,6 @@ func wireCases() []wireCase {
 		newCase("ReplRecord", &recs[1].Rec, bufEncoder(EncodeReplRecord), readerDecoder(DecodeReplRecord)),
 		newCase("ReplRecord ops", &recs[0].Rec, bufEncoder(EncodeReplRecord), readerDecoder(DecodeReplRecord)),
 		newCase("Directory", &dir, bufEncoder(func(b *wire.Buffer, d **Directory) { EncodeDirectory(b, *d) }), readerDecoder(DecodeDirectory)),
-		newCase("LeaseReq", &LeaseReq{Epoch: 7}, (*LeaseReq).Encode, DecodeLeaseReq),
 		newCase("MirrorBatchReq", &MirrorBatchReq{From: 5, Epoch: 3, Recs: []ReplRecord{recs[0].Rec, recs[1].Rec}}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
 		newCase("MirrorBatchReq probe", &MirrorBatchReq{From: 42, Epoch: 3}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
 		newCase("SnapReq", &SnapReq{ID: 7, Chunk: 3}, (*SnapReq).Encode, DecodeSnapReq),
@@ -163,7 +162,6 @@ var goldenHex = map[string]string{
 	"ReplRecord":               "03030000000000000000000000000000000000000203613a3103623a32",
 	"ReplRecord ops":           "010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010000",
 	"Directory":                "03020001020103613a310203623a3203633a33",
-	"LeaseReq":                 "07",
 	"MirrorBatchReq":           "050302010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f0001000003030000000000000000000000000000000000000203613a3103623a32",
 	"MirrorBatchReq probe":     "2a0300",
 	"SnapReq":                  "0700000003",

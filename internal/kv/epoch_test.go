@@ -84,10 +84,6 @@ func TestEpochStampedRequestsRoundTrip(t *testing.T) {
 		if err != nil || f.Epoch != epoch || len(f.Ops) != 2 {
 			t.Fatalf("FastCommitReq epoch %d: %+v %v", epoch, f, err)
 		}
-		l, err := DecodeLeaseReq((&LeaseReq{Epoch: epoch}).Encode())
-		if err != nil || l.Epoch != epoch {
-			t.Fatalf("LeaseReq epoch %d: %+v %v", epoch, l, err)
-		}
 	}
 }
 

@@ -38,9 +38,10 @@ const (
 	retryUnsentUncertain
 )
 
-// maxEpochHops bounds how many ErrWrongEpoch redirects one call will
-// follow. Each productive hop strictly increases the group's known
-// epoch; the bound only guards against a pathological ping-pong.
+// maxEpochHops bounds how many ErrWrongEpoch redirects that taught a
+// call nothing it will follow. A redirect past the epoch the request was
+// stamped with is not counted: the next attempt is stamped with a
+// strictly higher epoch, so those are bounded by the group's epochs.
 const maxEpochHops = 4
 
 // wrongEpochPause spaces the retries of a redirect that taught nothing
@@ -53,8 +54,11 @@ const wrongEpochPause = 2 * time.Millisecond
 // rotate the group to the next replica and retry according to policy.
 // An error reply is decoded once (kv.DecodeError) and its clock merged.
 // A reply of code CodeWrongEpoch guarantees the operation was not
-// executed, so — for every policy — the client adopts the carried
-// configuration (or rotates, if it learned nothing new) and retries.
+// executed, so — for every policy — the call retries. A request stamped
+// below the epoch the group now knows (this reply taught it, or a
+// concurrent call's did) was only stale: it retries at once on the
+// group's connection, which other calls may be using. A reply that
+// taught nothing rotates to the next replica.
 // Other error replies and context cancellation never fail over; they
 // return the decoded error.
 func (c *Client) call(ctx context.Context, server int, method string, enc func(epoch uint64) []byte, policy callPolicy) ([]byte, error) {
@@ -76,7 +80,8 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 			}
 			return nil, err
 		}
-		resp, err := conn.Call(ctx, method, enc(g.epochNow()))
+		stamp := g.epochNow()
+		resp, err := conn.Call(ctx, method, enc(stamp))
 		if err == nil {
 			return resp, nil
 		}
@@ -88,17 +93,22 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 			err, ts := kv.DecodeError(err)
 			c.hlc.Observe(ts)
 			var we *kv.WrongEpochError
-			if !errors.As(err, &we) || epochHops >= maxEpochHops {
+			if !errors.As(err, &we) {
 				return nil, err
 			}
-			epochHops++
 			lastErr = err
-			if g.noteEpoch(we.Epoch, we.Members) {
-				// New configuration adopted: start the replica walk over
-				// (the preferred member changed under us).
+			g.noteEpoch(we.Epoch, we.Members)
+			if g.epochNow() > stamp {
+				// This request was stale: start the replica walk over with
+				// the configuration now known (the preferred member may
+				// have changed under us).
 				attempt = -1
 				continue
 			}
+			if epochHops >= maxEpochHops {
+				return nil, err
+			}
+			epochHops++
 			// Nothing new learned (a backup bounced us, or a primary
 			// without a lease): try the next replica — after a pause,
 			// because both are what a group looks like for the moment a

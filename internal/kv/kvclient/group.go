@@ -73,17 +73,17 @@ func (g *replicaGroup) epochNow() uint64 {
 }
 
 // noteEpoch adopts a newer configuration learned from an ack piggyback
-// or a wrong-epoch redirect. It reports whether anything changed. The
-// current connection is kept only if it points at the new primary;
-// otherwise the group redials preferring the new members[0].
-func (g *replicaGroup) noteEpoch(epoch uint64, members []string) bool {
+// or a wrong-epoch redirect. The current connection is kept only if it
+// points at the new primary; otherwise the group redials preferring the
+// new members[0].
+func (g *replicaGroup) noteEpoch(epoch uint64, members []string) {
 	if len(members) == 0 {
-		return false
+		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if epoch <= g.epoch {
-		return false
+		return
 	}
 	g.epoch = epoch
 	g.addrs = append([]string(nil), members...)
@@ -92,7 +92,6 @@ func (g *replicaGroup) noteEpoch(epoch uint64, members []string) bool {
 		g.conn.Close()
 		g.conn = nil
 	}
-	return true
 }
 
 // invalidate drops a failed connection and points the group at the

@@ -44,11 +44,12 @@ type Config struct {
 	ReplicationLogMaxRecords int
 	// LeaseDuration is how long a primary's authority to serve lasts
 	// after its last acknowledgment from the backup (default 2s). Every
-	// mirror ack and lease-renewal ack extends the primary's lease; the
+	// mirror batch a backup accepts extends the primary's lease; the
 	// backup symmetrically promises not to accept a promotion until the
-	// grant expires. Shorter leases mean faster failover but less
-	// tolerance for mirror-path hiccups. Only meaningful in a group of
-	// more than one member.
+	// grant expires. A member sent nothing for LeaseDuration/3 gets an
+	// empty batch, the heartbeat. Shorter leases mean faster failover
+	// but less tolerance for mirror-path hiccups. Only meaningful in a
+	// group of more than one member.
 	LeaseDuration time.Duration
 	// MirrorBatchMaxRecords caps how many stream records one mirror
 	// batch RPC carries (default 256; batches are also byte-capped
@@ -182,7 +183,8 @@ type Stats struct {
 	LogRecordsTruncated atomic.Uint64
 	SnapshotsServed     atomic.Uint64
 	SnapshotsInstalled  atomic.Uint64
-	// MirrorBatches counts group-commit batch RPCs sent to the backup;
+	// MirrorBatches counts group-commit batch RPCs that carried records
+	// to a backup (probes and heartbeats that carried none are left out);
 	// MirrorBatchRecords the stream records they carried, so
 	// MirrorBatchRecords/MirrorBatches is the achieved batch depth.
 	// WALSyncs counts write-ahead-log fsyncs on the record path (group

@@ -65,7 +65,7 @@
 // sinks: each attached member's sender goroutine coalesces whatever
 // accumulated — at any concurrency, everything emitted during the
 // previous batch's round trip — into ONE MirrorBatchReq RPC (one round
-// trip, one lease extension, one backup-side contiguous apply under one
+// trip, one lease grant, one backup-side contiguous apply under one
 // stream-lock acquisition), and the WAL flusher into ONE batched append
 // (one buffer, one lock, one write, one fsync).
 // Config.MirrorBatchMaxRecords caps a batch; Config.GroupCommitInterval
@@ -152,10 +152,12 @@
 //     the primary lives — is therefore prevented, not detected: the
 //     stray write never lands.
 //   - A multi-member primary serves only while it holds a **lease**:
-//     every mirror ack and MethodLease renewal from the backup extends
-//     its authority to send-time + Config.LeaseDuration, and the
-//     backup symmetrically promises (its grant, recorded atomically
-//     with accepting the record or renewal and measured from receipt,
+//     every mirror batch the backup accepts extends its authority to
+//     send-time + Config.LeaseDuration. The member's sender is the one
+//     channel: a member sent nothing for LeaseDuration/3 gets an empty
+//     batch (the heartbeat), and a broken member grants nothing more.
+//     The backup symmetrically promises (its grant, recorded atomically
+//     with accepting the batch and measured from receipt,
 //     so the grant always outlasts the authority) not to accept a
 //     promotion before the grant expires. A promotion therefore waits
 //     out the grant (Server.Promote without force), which guarantees a
@@ -164,9 +166,10 @@
 //     that killed the primary themselves may force-promote — fencing
 //     by certainty instead of clocks. A sole-member primary needs no
 //     lease (no one else could be promoted).
-//   - A live mirror record stamped with an older epoch than the
-//     replica's is rejected (the sender is a deposed primary); the
-//     rejection carries the new configuration, deposing it gracefully.
+//   - A mirror batch stamped with an older epoch than the replica's is
+//     rejected (the sender is a deposed primary); the rejection carries
+//     the new configuration, deposing it gracefully — an idle one
+//     through its next heartbeat.
 //   - An ErrWrongEpoch rejection guarantees the request was NOT
 //     executed, so clients retry it safely after adopting the carried
 //     membership — including non-idempotent prepares and commits.
@@ -198,7 +201,7 @@
 //
 // The lease generalizes the same way: a multi-member primary serves
 // while it holds unexpired grants from a MAJORITY of its backups
-// (every member's batch ack and lease renewal is a grant), and a
+// (every batch a member accepts, heartbeats included, is a grant), and a
 // promotion without force waits out the grants it observed. The two
 // majorities intersect, which is the whole safety argument: any
 // acknowledged write lives on at least one member of any electing

@@ -101,11 +101,11 @@ func (s *Store) leaseValidLocked() bool {
 	return granted >= need
 }
 
-// ExtendLease advances the serving authority granted by one backup
-// member to until (never backwards). The caller measures until from
-// *before* the renewal request was sent, so that member's matching
-// grant always outlasts it.
-func (s *Store) ExtendLease(member string, until time.Time) {
+// extendLease advances the serving authority granted by one backup
+// member to until (never backwards). The member's sender calls it for
+// each batch the member accepted, measuring until from *before* the
+// batch was sent, so that member's matching grant always outlasts it.
+func (s *Store) extendLease(member string, until time.Time) {
 	s.epochMu.Lock()
 	if s.memberLease == nil {
 		s.memberLease = make(map[string]time.Time)
@@ -126,9 +126,9 @@ func (s *Store) GrantExpiry() time.Time {
 }
 
 // BeginPromotion freezes this member's grant clock: from here until
-// the next epoch installs (or AbandonPromotion), every mirror record
-// and lease renewal is refused, so no in-flight ack can extend the old
-// primary's authority past the grant expiry the promotion waits out.
+// the next epoch installs (or AbandonPromotion), every mirror batch is
+// refused, so no in-flight ack can extend the old primary's authority
+// past the grant expiry the promotion waits out.
 func (s *Store) BeginPromotion() {
 	s.epochMu.Lock()
 	s.promoting = true
@@ -141,24 +141,6 @@ func (s *Store) AbandonPromotion() {
 	s.epochMu.Lock()
 	s.promoting = false
 	s.epochMu.Unlock()
-}
-
-// RenewLeaseGrant is the backup half of MethodLease: it extends the
-// grant for a renewal carrying the current epoch, and refuses — with
-// the typed redirect — a renewal from another epoch or one arriving
-// after a promotion began (granting then would re-arm the lease the
-// promotion is waiting out).
-func (s *Store) RenewLeaseGrant(reqEpoch uint64) error {
-	until := time.Now().Add(s.cfg.LeaseDuration)
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	if s.promoting || reqEpoch != s.epoch {
-		return s.wrongEpochLocked()
-	}
-	if until.After(s.grantUntil) {
-		s.grantUntil = until
-	}
-	return nil
 }
 
 // wrongEpochLocked builds the typed rejection carrying the current

@@ -99,7 +99,7 @@ func TestCheckClientOpRoles(t *testing.T) {
 	if err := s.CheckClientOp(2); !errors.Is(err, kv.ErrWrongEpoch) {
 		t.Fatalf("primary without a lease served: %v, want ErrWrongEpoch", err)
 	}
-	s.ExtendLease("b", time.Now().Add(time.Minute))
+	s.extendLease("b", time.Now().Add(time.Minute))
 	if err := s.CheckClientOp(2); err != nil {
 		t.Fatalf("leased primary rejected a current-epoch op: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
@@ -14,7 +15,13 @@ import (
 // startServer launches a kvserver on an ephemeral port.
 func startServer(t *testing.T) *kvserver.Server {
 	t.Helper()
-	srv := kvserver.NewServer(kvserver.NewStore(nil, kvserver.Config{}))
+	return startServerWith(t, kvserver.Config{})
+}
+
+// startServerWith launches a kvserver with cfg on an ephemeral port.
+func startServerWith(t *testing.T, cfg kvserver.Config) *kvserver.Server {
+	t.Helper()
+	srv := kvserver.NewServer(kvserver.NewStore(nil, cfg))
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -233,4 +240,133 @@ func TestCompareOnlyVoteSurvivesFailover(t *testing.T) {
 	if bs.IsLocked(oid) || bs.VersionCount(oid) != 1 {
 		t.Fatalf("after the decision: locked %v, %d versions", bs.IsLocked(oid), bs.VersionCount(oid))
 	}
+}
+
+// TestLeaseRidesTheMirrorStream: a primary's lease grants are the
+// batches its members accept, heartbeats included, so an idle primary
+// keeps serving only while a majority of its group accepts its stream.
+// No client traffic runs: every change below is seen through heartbeats
+// alone.
+func TestLeaseRidesTheMirrorStream(t *testing.T) {
+	const lease = 300 * time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		backups int
+		// disrupt acts on the formed group.
+		disrupt func(t *testing.T, primary *kvserver.Server, backups []*kvserver.Server)
+		// role is the primary's role afterwards ("" when either outcome
+		// is right), serves whether it still admits client operations.
+		role   string
+		serves bool
+	}{
+		{
+			// A loser of a failover adopted its winner's epoch, and the
+			// deposed primary then installs that epoch number for its own
+			// group. The loser refuses the RecEpoch, and so grants nothing
+			// more. The refusal may reach the primary before its own
+			// install does, and then it adopts the winner's configuration
+			// instead: it serves in neither case.
+			name: "deposed primary installs its successor's epoch", backups: 1,
+			disrupt: func(t *testing.T, primary *kvserver.Server, backups []*kvserver.Server) {
+				loser := backups[0]
+				next := primary.Store().Epoch() + 1
+				loser.Store().AdoptEpoch(next, []string{"127.0.0.1:1", loser.Addr()})
+				if _, err := primary.BumpEpoch([]string{primary.Addr(), loser.Addr()}); !errors.Is(err, kv.ErrWrongEpoch) {
+					t.Fatalf("the loser acked the deposed primary's configuration change: %v", err)
+				}
+			},
+			serves: false,
+		},
+		{
+			name: "idle primary's group moved on without it", backups: 1,
+			disrupt: func(t *testing.T, primary *kvserver.Server, backups []*kvserver.Server) {
+				b := backups[0]
+				if err := b.BumpEpochTo(primary.Store().Epoch()+1, []string{b.Addr()}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			role: kvserver.RoleRemoved, serves: false,
+		},
+		{
+			name: "pair: the only member broke", backups: 1,
+			disrupt: func(t *testing.T, _ *kvserver.Server, backups []*kvserver.Server) {
+				backups[0].Close()
+			},
+			role: kvserver.RolePrimary, serves: false,
+		},
+		{
+			name: "rf=3: one member broke", backups: 2,
+			disrupt: func(t *testing.T, _ *kvserver.Server, backups []*kvserver.Server) {
+				backups[1].Close()
+			},
+			role: kvserver.RolePrimary, serves: true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := kvserver.Config{LeaseDuration: lease}
+			primary := startServerWith(t, cfg)
+			var backups []*kvserver.Server
+			for i := 0; i < tc.backups; i++ {
+				backups = append(backups, startServerWith(t, cfg))
+			}
+			formGroup(t, primary, backups...)
+			st := primary.Store()
+			if err := st.CheckClientOp(0); err != nil {
+				t.Fatalf("formed group's primary does not serve: %v", err)
+			}
+			tc.disrupt(t, primary, backups)
+			reached := func() error {
+				_, _, _, members := st.ReplicationStatus()
+				broken := 0
+				for _, m := range members {
+					if m.Broken {
+						broken++
+					}
+				}
+				switch serves := st.CheckClientOp(0) == nil; {
+				case broken != 1:
+					return fmt.Errorf("%d broken members, want 1", broken)
+				case tc.role != "" && st.Role() != tc.role:
+					return fmt.Errorf("role %s, want %s", st.Role(), tc.role)
+				case serves != tc.serves:
+					return fmt.Errorf("serves = %v, want %v", serves, tc.serves)
+				}
+				return nil
+			}
+			// Reached within two lease periods, and held for two more.
+			deadline := time.Now().Add(2 * lease)
+			for err := reached(); err != nil; err = reached() {
+				if time.Now().After(deadline) {
+					t.Fatalf("after %v: %v", 2*lease, err)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			time.Sleep(2 * lease)
+			if err := reached(); err != nil {
+				t.Fatalf("%v later: %v", 2*lease, err)
+			}
+		})
+	}
+}
+
+// TestCommitsBesideEpochBumps: commits from four writers sharing one
+// client's connection run while the primary bumps its epoch twenty
+// times with the same members. A request stamped with an epoch a bump
+// superseded is refused, and retried on the same connection: not one
+// commit fails or comes back uncertain.
+func TestCommitsBesideEpochBumps(t *testing.T) {
+	primary, backup := startServer(t), startServer(t)
+	formGroup(t, primary, backup)
+	c, err := kvclient.Open([]string{primary.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	besideCommits(t, c, func() {
+		for i := 0; i < 20; i++ {
+			if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

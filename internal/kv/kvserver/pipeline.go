@@ -47,6 +47,15 @@ package kvserver
 // member, §4.2.1): it is left out of need, the watermark and quorum
 // loss, so a slow or refused catch-up neither stalls nor fails the
 // commits running beside it. It votes from its join on.
+//
+// The sender is the primary's only channel to a backup for the lease
+// too: a batch the backup accepted is that member's lease grant,
+// measured from before it was sent. A member sent nothing for a third of
+// Config.LeaseDuration is sent an empty batch — the heartbeat, Raft's
+// AppendEntries with no entries — so an idle primary keeps its grants
+// and a loaded one sends no heartbeats. A broken member grants nothing
+// more: the primary serves only while a majority of its group accepts
+// its stream, and a refusal carrying a newer configuration deposes it.
 
 import (
 	"errors"
@@ -97,8 +106,7 @@ type mirrorMember struct {
 	acked uint64
 	// joined receives the outcome of the attach — nil once acked reaches
 	// joinAt, the stream head at attach time, or the error that broke
-	// the member — and is nil once answered. While it is pending, the
-	// member's next batch goes even empty: the probe.
+	// the member — and is nil once answered.
 	joined chan error
 	joinAt uint64
 	// learner: the join has not succeeded yet, and the member does not
@@ -414,7 +422,6 @@ func (p *replPipe) completeWaitersLocked() {
 // need is recomputed with it — once that channel receives nil.
 func (s *Store) AttachMirrorMember(id string, send func(*kv.MirrorBatchReq) error) <-chan error {
 	joined, wake := make(chan error, 1), make(chan struct{}, 1)
-	wake <- struct{}{} // the probe goes at once
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
 	p := &s.pipe
@@ -561,11 +568,17 @@ func (p *replPipe) failMirrorWindowLocked(head uint64, err error) {
 // wake to let a batch build; at the default (0) it flushes as soon as
 // it is free — a lone writer pays no added latency, while concurrent
 // writers naturally coalesce into whatever accumulated during the
-// previous batch's round trip. A gap reply turns the queue into the
-// retained records from the backup's head (resendFrom); any other
-// failure breaks the member and ends the loop.
+// previous batch's round trip. A member idle for a heartbeat period is
+// sent an empty batch; the first one, the probe, goes at once. An
+// accepted batch extends the member's lease grant. A gap reply turns
+// the queue into the retained records from the backup's head
+// (resendFrom); any other failure breaks the member and ends the loop,
+// and a wrong-epoch refusal first adopts the configuration it carries.
 func (s *Store) memberLoop(m *mirrorMember) {
 	p := &s.pipe
+	heartbeat := max(s.cfg.LeaseDuration/3, time.Millisecond)
+	idle := time.NewTimer(0)
+	defer idle.Stop()
 	// One reusable batching timer for the loop's lifetime; allocated on
 	// the first wake that needs it, Reset on every later one.
 	var batchTimer *time.Timer
@@ -575,10 +588,13 @@ func (s *Store) memberLoop(m *mirrorMember) {
 		}
 	}()
 	for {
+		beat := false
 		select {
 		case <-m.stopCh:
 			return
 		case <-m.wake:
+		case <-idle.C:
+			beat = true
 		}
 		if d := s.cfg.GroupCommitInterval; d > 0 {
 			if batchTimer == nil {
@@ -613,15 +629,23 @@ func (s *Store) memberLoop(m *mirrorMember) {
 				}
 			}
 			p.mu.Lock()
-			req := m.takeBatchLocked(s.cfg.MirrorBatchMaxRecords, p.streamEpoch)
+			req := m.takeBatchLocked(s.cfg.MirrorBatchMaxRecords, p.streamEpoch, beat)
 			p.mu.Unlock()
 			if req == nil {
 				break
 			}
+			beat = false
+			sentAt := time.Now()
 			err := m.send(req)
 			var gap *kv.StreamGapError
-			if err != nil && errors.As(err, &gap) {
+			var we *kv.WrongEpochError
+			switch {
+			case err == nil:
+				s.extendLease(m.id, sentAt.Add(s.cfg.LeaseDuration))
+			case errors.As(err, &gap):
 				err = s.resendFrom(m, gap)
+			case errors.As(err, &we):
+				s.AdoptEpoch(we.Epoch, we.Members)
 			}
 			p.mu.Lock()
 			if err != nil {
@@ -636,8 +660,10 @@ func (s *Store) memberLoop(m *mirrorMember) {
 			}
 			if gap == nil {
 				m.acked = req.From + uint64(len(req.Recs))
-				s.stats.MirrorBatches.Add(1)
-				s.stats.MirrorBatchRecords.Add(uint64(len(req.Recs)))
+				if len(req.Recs) > 0 {
+					s.stats.MirrorBatches.Add(1)
+					s.stats.MirrorBatchRecords.Add(uint64(len(req.Recs)))
+				}
 			}
 			if m.learner && m.acked >= m.joinAt {
 				m.learner = false
@@ -652,6 +678,13 @@ func (s *Store) memberLoop(m *mirrorMember) {
 			default:
 			}
 		}
+		if !idle.Stop() {
+			select {
+			case <-idle.C:
+			default:
+			}
+		}
+		idle.Reset(heartbeat)
 	}
 }
 
@@ -718,11 +751,10 @@ var ErrBehindLog = errors.New("kvserver: backup is behind the retained log")
 // takeBatchLocked slices the member's next batch off its queue,
 // bounded by maxRecs and mirrorBatchBytes (at least one record always
 // goes — it crossed the wire once already, so it fits a frame). It
-// returns nil when there is nothing to send, except while the attach
-// awaits its answer: then the batch goes even empty (the probe).
-// Caller holds pipe.mu.
-func (m *mirrorMember) takeBatchLocked(maxRecs int, epoch uint64) *kv.MirrorBatchReq {
-	if len(m.queue) == 0 && m.joined == nil {
+// returns nil when there is nothing to send, unless beat asks for the
+// batch even empty (the probe or a heartbeat). Caller holds pipe.mu.
+func (m *mirrorMember) takeBatchLocked(maxRecs int, epoch uint64, beat bool) *kv.MirrorBatchReq {
+	if len(m.queue) == 0 && !beat {
 		return nil
 	}
 	if maxRecs <= 0 || maxRecs > len(m.queue) {

@@ -23,16 +23,13 @@ type Server struct {
 	sweeper *time.Ticker
 	ckpt    *time.Ticker
 	stopCh  chan struct{}
-	// mirrorMu guards the backup-connection and lease-loop maps, both
-	// keyed by backup address (the member identity everywhere: the
-	// pipeline's member id, the epoch membership entry, and the lease
-	// grant all use it).
+	// mirrorMu guards the backup connections, keyed by backup address
+	// (the member identity everywhere: the pipeline's member id, the
+	// epoch membership entry, and the lease grant all use it).
 	mirrorMu    sync.Mutex
 	mirrorConns map[string]*rpc.Client
-	// leaseStops terminates each member's lease-renewal loop.
-	leaseStops map[string]chan struct{}
-	// isolated simulates an outbound network partition: while set, the
-	// mirror hook and lease renewals fail without sending, so the
+	// isolated simulates an outbound network partition: while set, every
+	// mirror batch, heartbeats included, fails without sending, so the
 	// server's lease expires and its strict-mirror writes fail exactly
 	// as they would behind a real partition. Chaos tests use it; see
 	// Isolate.
@@ -87,7 +84,6 @@ func NewServer(store *Store) *Server {
 	s.rpc.RegisterAppend(kv.MethodPing, s.handlePing)
 	s.rpc.RegisterAppend(kv.MethodMirrorBatch, s.handleMirrorBatch)
 	s.rpc.RegisterAppend(kv.MethodSnap, s.handleSnap)
-	s.rpc.RegisterAppend(kv.MethodLease, s.handleLease)
 	s.rpc.RegisterAppend(kv.MethodDirectory, s.handleDirectory)
 	return s
 }
@@ -118,9 +114,10 @@ func (s *Server) handleDirectory(_ context.Context, _ []byte, reply *wire.Buffer
 // replication group: every stream record — commits, two-phase prepares,
 // and phase-two decisions — is replicated to it, so after a primary
 // failure a promoted backup holds every acknowledged write and every
-// prepared in-flight transaction. Each member gets its own connection,
-// its own batch sender (a dead member's timeout never stalls the
-// others), and its own lease-renewal loop; replication is pipelined
+// prepared in-flight transaction. Each member gets its own connection
+// and its own batch sender (a dead member's timeout never stalls the
+// others), whose accepted batches, heartbeats included, are the
+// member's lease grants; replication is pipelined
 // group commit (see pipeline.go), and committers are acknowledged once
 // a MAJORITY of the group (the primary plus a quorum of backups) holds
 // their record. A backup that is behind is caught up by the sender from
@@ -145,11 +142,25 @@ func (s *Server) AttachBackupMember(addr string) error {
 	}
 	s.mirrorConns[addr] = conn
 	s.mirrorMu.Unlock()
+	// Every batch to the member, heartbeats included, is one
+	// timeout-bounded call: a frozen backup must fail its batch after a
+	// bounded wait, not wedge the sender its lease grants ride. While
+	// Isolate is in effect, the batch fails without being sent.
 	joined := s.store.AttachMirrorMember(addr, func(req *kv.MirrorBatchReq) error {
-		err, _ := kv.DecodeError(s.callExtendingLease(conn, addr, kv.MethodMirrorBatch, req.Encode()))
-		return err
+		if s.isolated.Load() {
+			return errIsolated
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), mirrorTimeout)
+		defer cancel()
+		respB, err := conn.Call(ctx, kv.MethodMirrorBatch, req.Encode())
+		if err, _ := kv.DecodeError(err); err != nil {
+			return err
+		}
+		if ack, err := kv.DecodeAck(respB); err == nil {
+			s.store.Clock().Observe(ack.Clock)
+		}
+		return nil
 	})
-	s.startLeaseLoop(addr, conn)
 	if err := s.awaitJoin(addr, joined); err != nil {
 		s.DetachBackupMember(addr)
 		return fmt.Errorf("kvserver: attaching backup %s: %w", addr, err)
@@ -202,16 +213,12 @@ func (s *Server) awaitJoin(addr string, joined <-chan error) error {
 }
 
 // DetachBackupMember removes the backup at addr from the replication
-// group: its sender and lease loop stop and its connection closes.
+// group: its sender stops and its connection closes.
 // Waiters are re-judged against the remaining members' quorum (see
 // Store.DetachMirrorMember).
 func (s *Server) DetachBackupMember(addr string) {
 	s.store.DetachMirrorMember(addr)
 	s.mirrorMu.Lock()
-	if stop, ok := s.leaseStops[addr]; ok {
-		close(stop)
-		delete(s.leaseStops, addr)
-	}
 	if conn, ok := s.mirrorConns[addr]; ok {
 		conn.Close()
 		delete(s.mirrorConns, addr)
@@ -224,10 +231,6 @@ func (s *Server) DetachBackupMember(addr string) {
 func (s *Server) DetachAllBackups() {
 	s.store.DetachAllMirrorMembers()
 	s.mirrorMu.Lock()
-	for addr, stop := range s.leaseStops {
-		close(stop)
-		delete(s.leaseStops, addr)
-	}
 	for addr, conn := range s.mirrorConns {
 		conn.Close()
 		delete(s.mirrorConns, addr)
@@ -235,38 +238,11 @@ func (s *Server) DetachAllBackups() {
 	s.mirrorMu.Unlock()
 }
 
-// callExtendingLease performs one RPC to the backup at member whose
-// acknowledgment doubles as that member's lease grant (mirror records
-// and MethodLease renewals alike): the call is timeout-bounded — it
-// runs while the caller may hold the replication stream, and a frozen
-// backup must fail the operation after a bounded wait, not wedge the
-// primary's write path — the member's grant is extended from before
-// the request was sent (the backup's grant, measured from receipt,
-// necessarily outlasts it), and the ack's clock is merged. While
-// Isolate is in effect, the call fails without sending.
-func (s *Server) callExtendingLease(conn *rpc.Client, member, method string, payload []byte) error {
-	if s.isolated.Load() {
-		return errIsolated
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), mirrorTimeout)
-	defer cancel()
-	t0 := time.Now()
-	respB, err := conn.Call(ctx, method, payload)
-	if err != nil {
-		return err
-	}
-	s.store.ExtendLease(member, t0.Add(s.store.cfg.LeaseDuration))
-	if ack, err := kv.DecodeAck(respB); err == nil {
-		s.store.Clock().Observe(ack.Clock)
-	}
-	return nil
-}
-
 // errIsolated marks replication traffic suppressed by Isolate.
 var errIsolated = errors.New("kvserver: outbound replication isolated (simulated partition)")
 
 // Isolate simulates an outbound network partition for chaos tests:
-// mirror records and lease renewals fail without being sent, so this
+// mirror batches, heartbeats included, fail without being sent, so this
 // server's lease expires and, once the group establishes a new epoch,
 // it can never acknowledge another write. Inbound RPCs still work —
 // clients on the "wrong side" of the partition can still reach the
@@ -274,89 +250,10 @@ var errIsolated = errors.New("kvserver: outbound replication isolated (simulated
 // precisely what the tests assert.
 func (s *Server) Isolate() { s.isolated.Store(true) }
 
-// startLeaseLoop begins periodic lease renewals to the backup member
-// at addr over conn, replacing any previous loop for that member.
-// Renewals keep the member's grant fresh through write-idle periods
-// (mirror acks cover the busy ones); each member renews on its own
-// loop, so one unreachable member blocking on its timeout never
-// starves the others' renewals — exactly what lets a quorum lease
-// survive any minority of down members.
-func (s *Server) startLeaseLoop(addr string, conn *rpc.Client) {
-	stop := make(chan struct{})
-	s.mirrorMu.Lock()
-	if old, ok := s.leaseStops[addr]; ok {
-		close(old)
-	}
-	if s.leaseStops == nil {
-		s.leaseStops = make(map[string]chan struct{})
-	}
-	s.leaseStops[addr] = stop
-	s.mirrorMu.Unlock()
-	go func() {
-		interval := s.store.cfg.LeaseDuration / 3
-		if interval <= 0 {
-			interval = time.Second
-		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-s.stopCh:
-				return
-			case <-t.C:
-				if !s.renewLease(addr, conn) {
-					return
-				}
-			}
-		}
-	}()
-}
-
-// renewLease sends one lease renewal to the backup member at addr and
-// reports whether that member's renewal loop should keep running. A
-// wrong-epoch rejection means the group moved on while we were away:
-// adopt the new configuration (dropping to RoleRemoved if deposed) so
-// clients are redirected instead of served stale data — and stop
-// renewing; a deposed member hammering the new primary with doomed
-// renewals forever would only pollute its WrongEpochRejects signal.
-// Any other failure simply leaves that member's grant to expire on its
-// own — with rf >= 3 the lease survives on the remaining members'
-// grants as long as they form a majority.
-func (s *Server) renewLease(addr string, conn *rpc.Client) bool {
-	if s.store.Role() != RolePrimary {
-		return false // deposed or reconfigured away: nothing to renew
-	}
-	req := &kv.LeaseReq{Epoch: s.store.Epoch()}
-	err, _ := kv.DecodeError(s.callExtendingLease(conn, addr, kv.MethodLease, req.Encode()))
-	var we *kv.WrongEpochError
-	if errors.As(err, &we) {
-		s.store.AdoptEpoch(we.Epoch, we.Members)
-		return s.store.Role() == RolePrimary
-	}
-	return true
-}
-
-// handleLease grants (or refuses) a primary's lease renewal. Only a
-// member that still believes in the renewal's epoch — and is not
-// mid-promotion — grants; otherwise it answers with the current
-// configuration, deposing the caller.
-func (s *Server) handleLease(_ context.Context, p []byte, reply *wire.Buffer) error {
-	req, err := kv.DecodeLeaseReq(p)
-	if err != nil {
-		return err
-	}
-	if err := s.store.RenewLeaseGrant(req.Epoch); err != nil {
-		return err
-	}
-	return s.ack(reply)
-}
-
 // Promote makes this member the primary of a new epoch whose sole
 // member is itself: the epoch bump that completes a failover. Unless
 // force is set, it first freezes its grant clock (BeginPromotion — so
-// no in-flight mirror ack or renewal can re-arm the lease mid-wait)
+// no in-flight mirror batch can re-arm the lease mid-wait)
 // and waits out any lease it granted, so a live-but-partitioned old
 // primary has provably stopped serving before the new epoch
 // acknowledges its first write. force is for orchestrators that know
@@ -425,9 +322,9 @@ func (s *Server) BumpEpochTo(epoch uint64, members []string) error {
 // mirrorTimeout bounds one synchronous mirror round trip.
 const mirrorTimeout = 5 * time.Second
 
-// handleMirrorBatch applies one group-commit batch; the single ack
-// covers (and, via callExtendingLease on the primary, renews the lease
-// for) every record in it.
+// handleMirrorBatch applies one group-commit batch, or none: an empty
+// batch is a heartbeat. The single ack covers every record in it, and
+// is the member's lease grant to the primary.
 func (s *Server) handleMirrorBatch(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeMirrorBatchReq(p)
 	if err != nil {
@@ -556,8 +453,8 @@ type ServerStats struct {
 	WatermarkLag uint64
 	// Conns is the number of open inbound connections. The rpc layer
 	// puts one call on a connection, so this is the peak concurrency of
-	// every client — SQL clients, the primary's mirror senders and lease
-	// loops — that has not yet closed.
+	// every client — SQL clients, the primary's mirror senders — that
+	// has not yet closed.
 	Conns int
 }
 
@@ -628,7 +525,7 @@ func (s *Server) Close() error {
 	// an acknowledged write existing only on a dying primary, exactly
 	// the loss the quorum is there to prevent.
 	err := s.rpc.Close()
-	// Handlers drained: now stop the member senders and lease loops.
+	// Handlers drained: now stop the member senders.
 	// Remaining durability waiters (none can ack a client anymore) fail
 	// as uncertain.
 	s.DetachAllBackups()

@@ -104,20 +104,20 @@ type Store struct {
 	self string
 	// memberLease is, on a primary, the end of its authority as granted
 	// by each backup member (keyed by the member's address): each mirror
-	// or lease-renewal ack from that member extends its entry to
-	// send-time + LeaseDuration. The primary serves only while a
+	// batch that member accepted, heartbeats included, extends its entry
+	// to send-time + LeaseDuration. The primary serves only while a
 	// MAJORITY of the group believes in it — its own vote plus
 	// unexpired grants from at least len(epochMembers)/2 backups (the
 	// quorum lease; a pair reduces to the old rule, one backup grant).
 	// grantUntil is, on a backup, the matching promise: no promotion is
 	// accepted before it. Each entry is measured from before the
-	// renewal was sent and grantUntil from after it was received, so
+	// batch was sent and grantUntil from after it was received, so
 	// grantUntil >= the granted entry always — the primary stops
 	// serving before enough backups may vote it out.
 	memberLease map[string]time.Time
 	grantUntil  time.Time
 	// promoting freezes the grant clock: once a promotion has begun,
-	// no mirror record or lease renewal is accepted (and therefore no
+	// no mirror batch is accepted (and therefore no
 	// ack can extend the old primary's authority), so the grant-expiry
 	// wait cannot be re-armed between the wait and the epoch install.
 	promoting bool

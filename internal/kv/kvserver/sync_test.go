@@ -296,7 +296,7 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 		name     string
 		truncate bool
 		transfer bool
-		beside   bool // commits run while the backup joins
+		beside   bool // commits run while the backup joins and the epoch bump installs it
 	}{
 		{"tail replay", false, false, false},
 		{"tail too short: state transfer", true, false, false},
@@ -335,14 +335,14 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else if tc.beside {
-				joinBesideCommits(t, c, func() {
+				besideCommits(t, c, func() {
 					if err := kvserver.Join(primary, backup); err != nil {
 						t.Fatal(err)
 					}
+					if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
+						t.Fatal(err)
+					}
 				})
-				if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
-					t.Fatal(err)
-				}
 			} else {
 				formGroup(t, primary, backup)
 			}
@@ -360,10 +360,10 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 	}
 }
 
-// joinBesideCommits runs join while four writers commit through c, and
-// fails the test if any commit fails. Each writer has committed once
-// before join starts, and all have stopped when it returns.
-func joinBesideCommits(t *testing.T, c *kvclient.Client, join func()) {
+// besideCommits runs f while four writers commit through c, and fails
+// the test if any commit fails. Each writer has committed once before f
+// starts, and all have stopped when it returns.
+func besideCommits(t *testing.T, c *kvclient.Client, f func()) {
 	t.Helper()
 	const writers = 4
 	stop := make(chan struct{})
@@ -399,8 +399,8 @@ func joinBesideCommits(t *testing.T, c *kvclient.Client, join func()) {
 		done.Wait()
 		close(errs)
 		for err := range errs {
-			t.Errorf("commit beside the join: %v", err)
+			t.Errorf("commit beside the change: %v", err)
 		}
 	}()
-	join()
+	f()
 }

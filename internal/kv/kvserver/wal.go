@@ -554,7 +554,7 @@ func (s *Store) applyReplicated(rec kv.ReplRecord) error {
 // the epoch this replica adopted (see acceptConfigLocked).
 // Accepting extends the grant HERE, atomically with the decision to
 // accept (under repMu+epochMu, before any ack can go out): the primary
-// counts the ack as a lease renewal measured from before it sent, so
+// counts the ack as a lease grant measured from before it sent, so
 // the grant must always cover at least what the ack confers — even if
 // the apply later fails, an over-extended grant only delays a
 // promotion, never endangers it.

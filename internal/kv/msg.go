@@ -24,8 +24,9 @@ const (
 	// kvserver.Server.AttachBackupMember). The backup applies the batch
 	// only at its own stream head; otherwise it answers with a
 	// StreamGapError naming that head, and the primary resends from there
-	// out of its retained log. One acknowledgment covers, and extends the
-	// lease for, the whole batch.
+	// out of its retained log. One acknowledgment covers the whole batch
+	// and is the backup's lease grant to the primary; an empty batch is
+	// the primary's heartbeat.
 	MethodMirrorBatch = "kv.mirrorbatch"
 	// MethodSnap transfers a state snapshot, in chunks, to a backup that
 	// is behind the server's retained log or has diverged from its
@@ -33,11 +34,6 @@ const (
 	// the snapshot, and the primary's mirror then fills in the records
 	// since.
 	MethodSnap = "kv.snap"
-	// MethodLease renews the primary's lease on its backup: the backup
-	// promises not to accept a promotion (epoch bump) until the granted
-	// lease expires, so a partitioned stale primary provably stops
-	// serving before a new epoch starts acknowledging writes.
-	MethodLease = "kv.lease"
 	// MethodDirectory returns the server's current slot directory (the
 	// versioned slot→group map; see Directory). Clients call it when an
 	// ack's DirVersion piggyback or an ErrWrongSlot redirect reveals a
@@ -149,27 +145,13 @@ func wireMembers(c *wire.Codec, members *[]string) {
 	}
 }
 
-// LeaseReq renews the primary's lease on its backup. Epoch is the
-// primary's current group epoch; a backup that has moved to a later
-// epoch rejects the renewal with ErrWrongEpoch, which is how a deposed
-// primary learns it was superseded.
-type LeaseReq struct {
-	Epoch uint64
-}
-
-func (m *LeaseReq) wire(c *wire.Codec) {
-	c.Uvarint(&m.Epoch)
-}
-
-func (m *LeaseReq) Encode() []byte { return wire.Encode(m, (*LeaseReq).wire) }
-
-func DecodeLeaseReq(p []byte) (*LeaseReq, error) { return decode(p, (*LeaseReq).wire) }
-
 // MirrorBatchReq replicates a contiguous run of stream records to a
 // backup in one RPC. From is the first record's position in the
 // primary's replication stream (the records follow in order), and the
 // batch may be empty: a new member's first batch is an empty one at the
-// primary's head, the probe that learns the backup's head. Epoch is the
+// primary's head, the probe that learns the backup's head, and a member
+// the primary has sent nothing for a while gets an empty one as a
+// heartbeat that renews the lease its ack grants. Epoch is the
 // epoch the sender's stream had installed when it sent: a backup in a
 // later epoch refuses the batch, since the sender was deposed. The
 // records themselves keep the epochs they were emitted in.
@@ -562,7 +544,7 @@ func DecodeFastCommitResp(p []byte) (*FastCommitResp, error) {
 	return decode(p, (*FastCommitResp).wire)
 }
 
-// Ack is the generic response for commit/abort/ping/mirror/lease. It
+// Ack is the generic response for commit/abort/ping/mirror. It
 // piggybacks the responding member's replication-group epoch and
 // membership (acting primary first), so
 // a fresh client learns the live configuration from its opening pings
