@@ -76,3 +76,23 @@ func (c *nodeCache) len() int {
 	defer c.mu.RUnlock()
 	return len(c.nodes)
 }
+
+// putRouter caches router as a split under it left it (committed), with
+// whatever other routing cells the cached version holds inside
+// committed's fences. Writers sharing a handle split siblings under one
+// parent at once: each commits its own routing cell in a transaction that
+// saw the parent without the other's, so caching either as it saw it
+// drops the other's cell, and the next write routed through the gap fails
+// its fence compare. The union is routing only, as every entry is.
+func (c *nodeCache) putRouter(router kv.OID, committed *kv.Value) {
+	if cached, ok := c.get(router); ok && cached.Attrs == committed.Attrs {
+		merged := committed.Clone()
+		for _, cell := range cached.Cells {
+			if _, has := merged.ListGet(cell.Key); !has && committed.InBounds(cell.Key) {
+				merged.ListAdd(cell.Key, cell.Value)
+			}
+		}
+		committed = merged
+	}
+	c.put(router, committed)
+}

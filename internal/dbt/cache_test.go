@@ -70,3 +70,40 @@ func overlaps(b, frame []byte) bool {
 	lo, flo := reflect.ValueOf(b).Pointer(), reflect.ValueOf(frame).Pointer()
 	return lo < flo+uintptr(cap(frame)) && flo < lo+uintptr(cap(b))
 }
+
+// TestPutRouterKeepsSiblingSplitsCells: two writers sharing a handle split
+// two leaves under one parent at once, each in a transaction that saw the
+// parent without the other's routing cell. Whichever caches the parent
+// second keeps the first's cell, so the next write under either new leaf
+// still routes to it; a cell outside the parent's fences (a parent split
+// since) is not taken over.
+func TestPutRouterKeepsSiblingSplitsCells(t *testing.T) {
+	parent := func(keys ...string) *kv.Value {
+		v := kv.NewSuper()
+		v.Attrs[AttrHeight] = 1
+		v.LowKey, v.HighKey = []byte("a"), []byte("m")
+		for i, k := range keys {
+			v.ListAdd([]byte(k), encodeChild(kv.MakeOID(0, uint64(i+1))))
+		}
+		return v
+	}
+	c := newNodeCache()
+	first := parent("a", "c", "f")
+	first.ListAdd([]byte("x"), encodeChild(kv.MakeOID(0, 9))) // outside [a, m)
+	c.putRouter(1, first)
+	c.putRouter(1, parent("a", "f", "j"))
+	got, _ := c.get(1)
+	var keys []string
+	for _, cell := range got.Cells {
+		keys = append(keys, string(cell.Key))
+	}
+	if fmt.Sprint(keys) != "[a c f j]" {
+		t.Errorf("cached parent routes by %v, want [a c f j]", keys)
+	}
+	grown := parent("a", "f")
+	grown.Attrs[AttrHeight] = 2
+	c.putRouter(1, grown)
+	if got, _ := c.get(1); len(got.Cells) != 2 {
+		t.Errorf("a node of another height took over %d cells", len(got.Cells)-2)
+	}
+}

@@ -21,7 +21,7 @@
 //     node past MaxCells splits it, and whatever that split leaves over
 //     the limit, in separate transactions before its Commit returns, so
 //     no user transaction carries structural work (see "Write
-//     statements").
+//     statements"). Each split is one read round and its commit.
 //
 // # Write statements
 //
@@ -29,18 +29,22 @@
 // or DELETE once its rows are evaluated — reads nothing at all when it
 // needs no stored row and the inner-node cache routes every key: an
 // INSERT, or an UPDATE or DELETE of one whole row by key. Each write is
-// staged on the leaf the cache names (RoutePut, RouteDelete) with kv
-// compare ops that the commit checks at the newest version under the
-// leaf's lock: the route compares (the leaf's fences still cover the key,
-// it is still a leaf of this tree, a new key leaves it within MaxCells)
-// and what the statement requires of the key (free, or stored); a
-// UNIQUE probe becomes a compare that a key range is empty, on every leaf
-// the range spans (RouteAbsent). The commit is then the statement's one
-// round trip, as the delta ops made it the paper's one round trip for a
-// blind insert. A stale route or a full leaf fails a route compare and
-// changes nothing: the statement runs again on the read path below, where
-// the descent backs down and Put splits what it grows. Ablated handles
-// never route.
+// staged on the leaf the cache names (RoutePut, RouteDelete; the root
+// itself while the handle last found it a leaf) with kv compare ops that
+// the commit checks at the newest version under the leaf's lock: the
+// route compares, once per leaf for the whole statement (the leaf's
+// fences still cover every key the statement routed there, it is still a
+// leaf of this tree, and, once its last new key is staged, it holds at
+// most a hard cap of twice MaxCells), and what the statement requires of
+// each key (free, or stored), just before that key's write; a UNIQUE
+// probe becomes a compare that a key range is empty, on every leaf the
+// range spans (RouteAbsent). The commit is then the statement's one round
+// trip, as the delta ops made it the paper's one round trip for a blind
+// insert, and its reply says how many cells each leaf the statement added
+// to ended with. A stale route, or a leaf at the hard cap, fails a route
+// compare and changes nothing: the statement runs again on the read path
+// below, where the descent backs down and Put splits what it grows.
+// Ablated handles never route.
 //
 // The read path is for everything else, and for a key the cache cannot
 // route: one read round, then the operations. The writer asks each tree
@@ -59,8 +63,8 @@
 // be taken by the time the transaction commits.
 //
 // Such a writer's transaction is at most one read round and a commit,
-// which is shorter than a split (read the leaf, find the parent, commit
-// across two servers), and a split conflicts with every commit on its node
+// which is no longer than a split (read the leaf and the path to its
+// parent, commit across two servers), and a split conflicts with every commit on its node
 // since it began. A split racing a leaf's writers from elsewhere never
 // wins under steady insertion, the leaf grows without bound and every
 // commit on it costs more than the last (measured: a 10,000-row load made
@@ -71,9 +75,14 @@
 // transaction that aborts asks for no split, and the writer's next
 // transaction starts at a snapshot that has the split in it — from a
 // cache that has it too, the split having cached the router as it left
-// it. Writers that grow no leaf past its limit, readers, and other
-// clients never split; a write staged by routing never grows a leaf past
-// its limit.
+// it. A write staged by routing splits the same way: the leaf it added to
+// may end its commit past MaxCells (never past the hard cap), the commit
+// reply says so, and the writer splits it before its Commit returns. So
+// a leaf that fills costs its writer the split and nothing else — no
+// failed commit, no second run of the statement. A split is one read
+// round (the leaf and the cached path to its parent, prefetched together)
+// and its commit. Writers that grow no leaf past its limit, readers, and
+// other clients never split.
 //
 // # Scan plans
 //
@@ -131,7 +140,10 @@ const (
 // ablation switches. The zero value gives the full Yesquel behaviour.
 type Config struct {
 	// MaxCells is the split threshold: a node holding more cells gets
-	// split. Default 128.
+	// split, by the writer whose commit grew it, before that writer's
+	// Commit returns. A write staged by routing may grow a leaf to twice
+	// MaxCells, a hard cap its commit checks, before the split. Default
+	// 128.
 	MaxCells int
 
 	// NoCache disables the client-side inner-node cache: every descent

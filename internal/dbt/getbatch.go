@@ -71,10 +71,26 @@ func (t *Tree) prefetchPoints(ctx context.Context, tx *kvclient.Tx, keys [][]byt
 func (t *Tree) PlanPoint(plan []kv.ReadBatchItem, key []byte) []kv.ReadBatchItem {
 	parent, idx := t.routeFromCache(key)
 	if parent == nil {
-		return plan
+		return t.planRoot(plan)
 	}
 	plan, _ = runItems(plan, parent.Cells[idx:idx+1], pointWindow(key))
 	return plan
+}
+
+// planRoot appends to plan, while the root is a leaf, the read a descent
+// makes of it: the whole node, since a descent does not know the root's
+// height before it reads it. The root is named once however many keys a
+// plan routes there.
+func (t *Tree) planRoot(plan []kv.ReadBatchItem) []kv.ReadBatchItem {
+	if !t.rootIsLeaf() {
+		return plan
+	}
+	for _, it := range plan {
+		if it.OID == t.root && it.From == nil && it.To == nil && it.Max == 0 {
+			return plan
+		}
+	}
+	return append(plan, kv.ReadBatchItem{OID: t.root, Part: true})
 }
 
 // routeFromCache routes key through cached inner nodes to its height-1

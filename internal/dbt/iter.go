@@ -269,7 +269,7 @@ func (t *Tree) PlanScan(plan []kv.ReadBatchItem, tx *kvclient.Tx, r Range) []kv.
 	win, runs := scanWindow(tx, lo, r.Hi, want)
 	parent, idx, last := t.scanRun(lo, r.Hi, want, 1)
 	if parent == nil {
-		return plan
+		return t.planRoot(plan)
 	}
 	if !runs {
 		last = idx + 1

@@ -36,11 +36,19 @@ import (
 // two fresh children and the root is rewritten in place as an inner
 // node of height+1, so the root OID never changes.
 
+// A split is one read round and its commit. The writer names a key of
+// the node (one it wrote there), so the split prefetches the node with
+// the path the inner-node cache routes that key along, root first, in
+// one kvclient.Tx.Prefetch: findParent's walk, transactional as ever,
+// then finds every read it makes in the transaction's read set. A stale
+// path costs the walk a read where the cache went wrong, never a wrong
+// parent.
+
 // split splits node oid, which a committed write grew past MaxCells, and
-// then whatever that split left over the limit. Writers on one handle
-// share one attempt per node: one that finds oid being split waits for
-// that split and for what it leads to.
-func (t *Tree) split(ctx context.Context, oid kv.OID) {
+// then whatever that split left over the limit; key is a key the node
+// holds. Writers on one handle share one attempt per node: one that finds
+// oid being split waits for that split and for what it leads to.
+func (t *Tree) split(ctx context.Context, oid kv.OID, key []byte) {
 	t.splitMu.Lock()
 	if done, ok := t.splitting[oid]; ok {
 		t.splitMu.Unlock()
@@ -55,7 +63,7 @@ func (t *Tree) split(ctx context.Context, oid kv.OID) {
 	t.splitMu.Unlock()
 	defer close(done)
 
-	over := t.trySplit(ctx, oid)
+	over := t.trySplit(ctx, oid, key)
 	// The entry goes before the follow-ups: a writer waits only on an
 	// attempt in progress, never on one that is itself waiting, so no two
 	// writers can wait on each other.
@@ -63,15 +71,21 @@ func (t *Tree) split(ctx context.Context, oid kv.OID) {
 	delete(t.splitting, oid)
 	t.splitMu.Unlock()
 	for _, next := range over {
-		t.split(ctx, next)
+		t.split(ctx, next.oid, next.key)
 	}
+}
+
+// overNode is a node a split left over MaxCells, with a key it holds.
+type overNode struct {
+	oid kv.OID
+	key []byte
 }
 
 // trySplit makes up to five tries at splitting oid, pausing 1, 2, 3 and
 // then 4 ms after each that conflicted with a concurrent writer, and
 // returns the nodes the split left over MaxCells. Giving up leaves the
 // node to the next write that grows it.
-func (t *Tree) trySplit(ctx context.Context, oid kv.OID) []kv.OID {
+func (t *Tree) trySplit(ctx context.Context, oid kv.OID, key []byte) []overNode {
 	var backoff *time.Timer // one timer for every pause, Reset per retry
 	defer func() {
 		if backoff != nil {
@@ -79,7 +93,7 @@ func (t *Tree) trySplit(ctx context.Context, oid kv.OID) []kv.OID {
 		}
 	}()
 	for try := 1; ; try++ {
-		over, err := t.splitNode(ctx, oid)
+		over, err := t.splitNode(ctx, oid, key)
 		if !errors.Is(err, kv.ErrConflict) {
 			return over
 		}
@@ -101,16 +115,19 @@ func (t *Tree) trySplit(ctx context.Context, oid kv.OID) []kv.OID {
 	}
 }
 
-// splitNode splits oid if its committed state is over MaxCells, and
-// returns the nodes the split left over the limit: either half, and the
-// parent it added a routing cell to.
-func (t *Tree) splitNode(ctx context.Context, oid kv.OID) ([]kv.OID, error) {
+// splitNode splits oid, a node that holds key, if its committed state is
+// over MaxCells, and returns the nodes the split left over the limit:
+// either half, and the parent it added a routing cell to.
+func (t *Tree) splitNode(ctx context.Context, oid kv.OID, key []byte) ([]overNode, error) {
 	tx := t.c.Begin()
 	defer func() {
 		// Commit is explicit below; Abort on a committed tx is a no-op
 		// guard for early returns.
 		tx.Abort()
 	}()
+	if err := tx.Prefetch(ctx, t.splitReads(oid, key)); err != nil {
+		return nil, err
+	}
 	node, err := tx.Read(ctx, oid)
 	if err != nil {
 		if errors.Is(err, kv.ErrNotFound) {
@@ -170,22 +187,49 @@ func (t *Tree) splitNode(ctx context.Context, oid kv.OID) ([]kv.OID, error) {
 	// handle's next read plan under them routes nothing (or names the old
 	// leaf) and every planned read behind it is wasted.
 	if !t.cfg.NoCache {
-		t.cache.put(router, routing)
+		t.cache.putRouter(router, routing)
 		if node.Attrs[AttrHeight] > 0 {
 			t.cache.put(leftOID, &left)
 			t.cache.put(rightOID, &right)
 		}
 	}
-	var over []kv.OID
+	if oid == t.root {
+		t.rootLeaf.Store(false)
+	}
+	var over []overNode
 	for _, n := range [...]struct {
 		oid kv.OID
 		v   *kv.Value
-	}{{leftOID, &left}, {rightOID, &right}, {router, routing}} {
+		key []byte
+	}{{leftOID, &left, node.Cells[0].Key}, {rightOID, &right, midKey}, {router, routing, midKey}} {
 		if n.v.NumCells() > t.cfg.MaxCells {
-			over = append(over, n.oid)
+			over = append(over, overNode{n.oid, n.key})
 		}
 	}
 	return over, nil
+}
+
+// splitReads is what a split of oid, a node that holds key, reads, as
+// far as the handle can tell beforehand: the node, whole, and the nodes
+// the inner-node cache routes key through from the root, which is where
+// findParent walks. The walk stops at the first node not cached (the
+// root, say, while it is the node itself) or at oid.
+func (t *Tree) splitReads(oid kv.OID, key []byte) []kv.ReadBatchItem {
+	reads := []kv.ReadBatchItem{{OID: oid, Part: true}}
+	const maxDepth = 64 // findParent's
+	for cur := t.root; cur != oid && len(reads) <= maxDepth; {
+		reads = append(reads, kv.ReadBatchItem{OID: cur, Part: true})
+		v, ok := t.cache.get(cur)
+		if !ok || t.cfg.NoCache {
+			break
+		}
+		next, err := childFor(v, key)
+		if err != nil {
+			break
+		}
+		cur = next
+	}
+	return reads
 }
 
 // growRoot turns the (oversized) root into an inner node over its two
@@ -220,9 +264,9 @@ func (t *Tree) splitNonRoot(ctx context.Context, tx *kvclient.Tx, oid kv.OID, no
 	tx.ListDelRange(oid, midKey, nil)
 	tx.SetBounds(oid, node.LowKey, midKey)
 
-	// Link the new sibling into the parent. The parent is found by a
-	// fully transactional descent to height+1 — splits are rare enough
-	// that the uncached walk does not matter.
+	// Link the new sibling into the parent, found by a transactional walk
+	// from the root to height+1, whose reads the split prefetched
+	// (splitReads).
 	parentOID, err := t.findParent(ctx, tx, node, oid)
 	if err != nil {
 		return 0, err

@@ -55,6 +55,12 @@ type Tree struct {
 	stats Stats
 	place atomic.Uint64 // round-robin placement counter
 
+	// rootLeaf says the last read of the root found it a leaf. The cache
+	// holds inner nodes only, so while it is set the root is where the
+	// cache routes every key (rootIsLeaf); a root grown since fails the
+	// route's height compare, and the descent that reads it clears it.
+	rootLeaf atomic.Bool
+
 	// splitting holds the nodes this handle's writers are splitting, each
 	// with the channel closed once that split and what it led to are done.
 	splitMu   sync.Mutex
@@ -75,6 +81,7 @@ func Create(ctx context.Context, c *kvclient.Client, id uint64, cfg Config) (*Tr
 	if err := tx.Commit(ctx); err != nil {
 		return nil, fmt.Errorf("dbt: creating tree %d: %w", id, err)
 	}
+	t.rootLeaf.Store(true)
 	return t, nil
 }
 
@@ -82,12 +89,14 @@ func Create(ctx context.Context, c *kvclient.Client, id uint64, cfg Config) (*Tr
 func Open(ctx context.Context, c *kvclient.Client, id uint64, cfg Config) (*Tree, error) {
 	t := newTree(c, id, cfg)
 	tx := c.Begin()
-	if _, err := tx.Read(ctx, t.root); err != nil {
+	root, err := tx.Read(ctx, t.root)
+	if err != nil {
 		if errors.Is(err, kv.ErrNotFound) {
 			return nil, ErrTreeNotFound
 		}
 		return nil, err
 	}
+	t.noteRoot(root)
 	return t, nil
 }
 
@@ -138,8 +147,26 @@ func (t *Tree) Stats() StatsSnapshot {
 // CacheSize reports the number of cached inner nodes (tests).
 func (t *Tree) CacheSize() int { return t.cache.len() }
 
-// ClearCache drops the inner-node cache (tests and ablations).
-func (t *Tree) ClearCache() { t.cache.clear() }
+// ClearCache drops the inner-node cache, and what the handle knows of
+// the root's height (tests and ablations).
+func (t *Tree) ClearCache() {
+	t.cache.clear()
+	t.rootLeaf.Store(false)
+}
+
+// noteRoot records whether root, the root as just read, is a leaf.
+func (t *Tree) noteRoot(root *kv.Value) {
+	leaf := root.Kind == kv.KindSuper && root.Attrs[AttrTree] == t.id && root.Attrs[AttrHeight] == 0
+	if t.rootLeaf.Load() != leaf {
+		t.rootLeaf.Store(leaf)
+	}
+}
+
+// rootIsLeaf reports whether the cache routes every key to the root: the
+// root was a leaf when last read, and the handle is not ablated.
+func (t *Tree) rootIsLeaf() bool {
+	return !t.cfg.Ablated() && t.rootLeaf.Load()
+}
 
 // newNodeOID mints an OID for a fresh node, placing nodes round-robin
 // across the servers: spreading the tree is the paper's reason for
@@ -296,6 +323,9 @@ func (t *Tree) descendOnce(ctx context.Context, tx *kvclient.Tx, key []byte, win
 				return leafInfo{}, err
 			}
 			node, total = v, n
+			if cur == t.root {
+				t.noteRoot(node)
+			}
 		}
 		if node.Kind != kv.KindSuper || node.Attrs[AttrTree] != t.id {
 			t.cache.invalidate(append(path, cur)...)
@@ -388,7 +418,7 @@ func (t *Tree) Put(ctx context.Context, tx *kvclient.Tx, key, value []byte) erro
 	}
 	if cells > t.cfg.MaxCells {
 		oid := li.oid
-		tx.OnCommit(splitOf{t, oid}, func(ctx context.Context) { t.split(ctx, oid) })
+		tx.OnCommit(splitOf{t, oid}, func(ctx context.Context) { t.split(ctx, oid, key) })
 	}
 	return nil
 }

@@ -111,11 +111,11 @@ func wireCases() []wireCase {
 			{Found: true, Version: 3, Value: NewPlain([]byte("x"))}, {}, {Found: true, Version: 4, Value: sv, Total: 31},
 		}, Clock: 9}, reply[ReadBatchResp], DecodeReadBatchResp),
 		newCase("PrepareReq", &PrepareReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*PrepareReq).Encode, DecodePrepareReq),
-		newCase("PrepareResp", &PrepareResp{Proposed: 5, Clock: 6}, reply[PrepareResp], DecodePrepareResp),
+		newCase("PrepareResp", &PrepareResp{Proposed: 5, Clock: 6, Cells: []uint64{3, 300}}, reply[PrepareResp], DecodePrepareResp),
 		newCase("CommitReq", &CommitReq{TxID: 1, CommitTS: 2, Epoch: 3}, (*CommitReq).Encode, DecodeCommitReq),
 		newCase("AbortReq", &AbortReq{TxID: 1, Epoch: 3}, (*AbortReq).Encode, DecodeAbortReq),
 		newCase("FastCommitReq", &FastCommitReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*FastCommitReq).Encode, DecodeFastCommitReq),
-		newCase("FastCommitResp", &FastCommitResp{CommitTS: 50, Clock: 51}, reply[FastCommitResp], DecodeFastCommitResp),
+		newCase("FastCommitResp", &FastCommitResp{CommitTS: 50, Clock: 51, Cells: []uint64{129}}, reply[FastCommitResp], DecodeFastCommitResp),
 		newCase("Ack", &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}, DirVersion: 2}, reply[Ack], DecodeAck),
 		newCase("DirectoryResp", &DirectoryResp{Dir: dir, Clock: 77}, reply[DirectoryResp], DecodeDirectoryResp),
 		detailCase("error detail", CodeConflict, &errorDetail{Clock: 77}),
@@ -154,7 +154,9 @@ func sampleCompares() []*Op {
 // layouts did not move, so neither the write-ahead log's magic nor the
 // snapshot format needed a bump. The compare ops came later, with their
 // own kind bytes; of the stream records, only a two-phase prepare
-// carries them.
+// carries them. Later still, the two commit replies (FastCommitResp,
+// PrepareResp) gained their trailing cell counts, one per OpCmpMaxCells
+// of the request; no request, record or snapshot layout moved with them.
 var goldenHex = map[string]string{
 	"Value tombstone":          "ff",
 	"Value plain":              "00077061796c6f6164",
@@ -173,11 +175,11 @@ var goldenHex = map[string]string{
 	"ReadBatchReq":             "0000000000000001020200010000000000010000000000000000000100000000000201016601740100000003",
 	"ReadBatchResp":            "0301000000000000000300017800000000000000000000000000ff000000000100000000000000040100000000000000000000000001026b310276310000001f0000000000000009",
 	"PrepareReq":               "000000000000000100000000000000020900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010003",
-	"PrepareResp":              "00000000000000050000000000000006",
+	"PrepareResp":              "000000000000000500000000000000060203ac02",
 	"CommitReq":                "0000000000000001000000000000000203",
 	"AbortReq":                 "000000000000000103",
 	"FastCommitReq":            "000000000000000100000000000000020900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010003",
-	"FastCommitResp":           "00000000000000320000000000000033",
+	"FastCommitResp":           "00000000000000320000000000000033018101",
 	"Ack":                      "0000000000000063030203613a3103623a3202",
 	"DirectoryResp":            "03020001020103613a310203623a3203633a33000000000000004d",
 	"error detail":             "000000000000004d",
@@ -261,6 +263,8 @@ func TestHostileCountsAllocateLittle(t *testing.T) {
 	}{
 		{"FastCommitReq ops", commit, func(p []byte) (any, error) { return DecodeFastCommitReq(p) }},
 		{"PrepareReq ops", commit, func(p []byte) (any, error) { return DecodePrepareReq(p) }},
+		{"FastCommitResp cells", commit, func(p []byte) (any, error) { return DecodeFastCommitResp(p) }},
+		{"PrepareResp cells", commit, func(p []byte) (any, error) { return DecodePrepareResp(p) }},
 		{"Value cells", super, func(p []byte) (any, error) { return DecodeValue(wire.NewReader(p)) }},
 		{"MirrorBatchReq records", []byte{0, 0}, func(p []byte) (any, error) { return DecodeMirrorBatchReq(p) }},
 		{"ReadBatchResp results", nil, func(p []byte) (any, error) { return DecodeReadBatchResp(p) }},

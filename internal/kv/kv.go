@@ -563,7 +563,12 @@ const (
 	OpCmpFences
 	// OpCmpAttr requires attribute Attr to equal Num.
 	OpCmpAttr
-	// OpCmpMaxCells requires at most Num cells.
+	// OpCmpMaxCells requires at most Num cells. It also asks the commit
+	// reply (FastCommitResp, PrepareResp) for the object's cell count
+	// with the transaction's ops applied, so a writer that adds cells
+	// without reading the object bounds it by a hard cap and learns from
+	// the reply whether it grew the object past a softer limit of its
+	// own (a tree's split threshold).
 	OpCmpMaxCells
 )
 

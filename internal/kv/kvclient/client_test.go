@@ -255,6 +255,45 @@ func TestOnCommitRunsAfterACommitOnly(t *testing.T) {
 	}
 }
 
+// TestCommitReportsBoundedCells: a commit reply carries, for each object
+// the transaction bounded with OpCmpMaxCells, the cells the commit left it
+// with — on the one-round fast commit and on each two-phase participant —
+// and an OnCommit hook reads them with Tx.Cells; an object bounded by
+// nothing reports none.
+func TestCommitReportsBoundedCells(t *testing.T) {
+	_, c := startCluster(t, 2)
+	ctx := context.Background()
+	a, b, other := c.NewOID(0), c.NewOID(1), c.NewOID(0)
+	commit := func(oids ...kv.OID) map[kv.OID]int {
+		t.Helper()
+		tx := c.Begin()
+		for _, oid := range oids {
+			tx.ListAdd(oid, []byte("k1"), nil)
+			tx.ListAdd(oid, []byte("k2"), nil)
+			tx.Stage(&kv.Op{Kind: kv.OpCmpMaxCells, OID: oid, Num: 100})
+		}
+		tx.ListAdd(other, []byte("k"), nil)
+		got := map[kv.OID]int{}
+		tx.OnCommit("cells", func(context.Context) {
+			for _, oid := range append(oids, other) {
+				if n, ok := tx.Cells(oid); ok {
+					got[oid] = n
+				}
+			}
+		})
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := commit(a); fmt.Sprint(got) != fmt.Sprint(map[kv.OID]int{a: 2}) {
+		t.Errorf("fast commit reported %v, want %v", got, map[kv.OID]int{a: 2})
+	}
+	if got, want := commit(a, b), map[kv.OID]int{a: 2, b: 2}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("two-phase commit reported %v, want %v", got, want)
+	}
+}
+
 func TestMultiServer2PC(t *testing.T) {
 	_, c := startCluster(t, 4)
 	ctx := context.Background()

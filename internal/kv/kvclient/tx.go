@@ -37,8 +37,10 @@ type Tx struct {
 
 	reads readSet
 
-	// onCommit holds the OnCommit hooks by key.
-	onCommit map[any]func(context.Context)
+	// after holds the OnCommit hooks and what they may ask; nil until
+	// the first is registered, so that a transaction without hooks (every
+	// read) pays nothing for them.
+	after *afterCommit
 
 	// TestHookAfterVote, when non-nil, runs once after every
 	// participant voted yes and before any phase-two request is sent.
@@ -124,12 +126,84 @@ func (t *Tx) SetBounds(oid kv.OID, low, high []byte) {
 // writes and wants one follow-up (a tree whose leaf the transaction grew
 // past its limit splits it there).
 func (t *Tx) OnCommit(key any, f func(context.Context)) {
-	if t.onCommit == nil {
-		t.onCommit = make(map[any]func(context.Context))
+	if t.after == nil {
+		t.after = &afterCommit{}
+		t.after.hooks = t.after.oneHook[:0]
 	}
-	if _, ok := t.onCommit[key]; !ok {
-		t.onCommit[key] = f
+	for _, h := range t.after.hooks {
+		if h.key == key {
+			return
+		}
 	}
+	t.after.hooks = append(t.after.hooks, commitHook{key, f})
+}
+
+// afterCommit is what a transaction keeps for its OnCommit hooks: the
+// hooks, one per key in the order they were registered, and what the
+// last commit attempt's replies reported for the objects the transaction
+// bounded with kv.OpCmpMaxCells (Cells). The first of each lies inline.
+type afterCommit struct {
+	hooks    []commitHook
+	oneHook  [1]commitHook
+	cells    []cellsReply
+	oneCells [1]cellsReply
+}
+
+type commitHook struct {
+	key any
+	f   func(context.Context)
+}
+
+// Cells returns, to an OnCommit hook, the cell count the commit left oid
+// with, for an object the transaction bounded with a kv.OpCmpMaxCells op,
+// and whether the commit reported one: what a hook asks of an object its
+// transaction added cells to without reading it (a tree leaf it may have
+// to split). A transaction with no hooks keeps no counts.
+func (t *Tx) Cells(oid kv.OID) (int, bool) {
+	if t.after == nil {
+		return 0, false
+	}
+	for _, r := range t.after.cells {
+		j := 0
+		for _, op := range r.ops {
+			if op.Kind != kv.OpCmpMaxCells {
+				continue
+			}
+			if op.OID == oid {
+				return int(r.cells[j]), true
+			}
+			j++
+		}
+	}
+	return 0, false
+}
+
+// cellsReply is one participant's reply to a commit: cells answers, in op
+// order, the kv.OpCmpMaxCells ops among ops, the ops it was sent.
+type cellsReply struct {
+	ops   []*kv.Op
+	cells []uint64
+}
+
+// noteCells records a participant's cell counts. A reply that does not
+// answer each of its bounds reports nothing.
+func (t *Tx) noteCells(ops []*kv.Op, cells []uint64) {
+	if len(cells) == 0 || t.after == nil {
+		return
+	}
+	n := 0
+	for _, op := range ops {
+		if op.Kind == kv.OpCmpMaxCells {
+			n++
+		}
+	}
+	if n != len(cells) {
+		return
+	}
+	if t.after.cells == nil {
+		t.after.cells = t.after.oneCells[:0]
+	}
+	t.after.cells = append(t.after.cells, cellsReply{ops, cells})
 }
 
 // Read returns oid's value as this transaction sees it: the snapshot
@@ -433,9 +507,9 @@ func (t *Tx) Commit(ctx context.Context) error {
 			t.txid = t.c.nextTx.Add(1)
 			continue
 		}
-		if err == nil {
-			for _, f := range t.onCommit {
-				f(ctx)
+		if err == nil && t.after != nil {
+			for _, h := range t.after.hooks {
+				h.f(ctx)
 			}
 		}
 		return err
@@ -446,6 +520,9 @@ func (t *Tx) Commit(ctx context.Context) error {
 // participant group, then fast-commit (one participant) or two-phase
 // commit (several).
 func (t *Tx) commitOnce(ctx context.Context) error {
+	if t.after != nil {
+		t.after.cells = t.after.cells[:0]
+	}
 	byServer := make(map[int][]*kv.Op)
 	var servers []int
 	for _, op := range t.ops {
@@ -480,12 +557,14 @@ func (t *Tx) fastCommit(ctx context.Context, server int, ops []*kv.Op) error {
 	}
 	t.c.hlc.Observe(resp.Clock)
 	t.c.hlc.Observe(resp.CommitTS)
+	t.noteCells(ops, resp.Cells)
 	return nil
 }
 
 func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int][]*kv.Op) error {
 	type vote struct {
 		proposed clock.Timestamp
+		cells    []uint64
 		err      error
 	}
 	votes := make([]vote, len(servers))
@@ -511,7 +590,7 @@ func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int
 			return
 		}
 		t.c.hlc.Observe(resp.Clock)
-		votes[i].proposed = resp.Proposed
+		votes[i].proposed, votes[i].cells = resp.Proposed, resp.Cells
 	})
 
 	commitTS := clock.Timestamp(0)
@@ -529,6 +608,9 @@ func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int
 	if firstErr != nil {
 		t.abortAll(ctx, servers)
 		return firstErr
+	}
+	for i, s := range servers {
+		t.noteCells(byServer[s], votes[i].cells)
 	}
 
 	// Decision point: all participants voted yes. The transaction is

@@ -100,7 +100,7 @@ func TestCommitFencedAfterMidFlightInstall(t *testing.T) {
 	s := NewStore(nil, Config{})
 	oid := kv.MakeOID(1, 7)
 	txid := newTxID()
-	proposed, err := s.prepare(txid, s.Clock().Now(), []*kv.Op{
+	proposed, _, err := s.prepare(txid, s.Clock().Now(), []*kv.Op{
 		{Kind: kv.OpPut, OID: oid, Value: kv.NewPlain([]byte("late"))},
 	}, false)
 	if err != nil {

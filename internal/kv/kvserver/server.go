@@ -609,11 +609,11 @@ func (s *Server) handlePrepare(_ context.Context, p []byte, reply *wire.Buffer) 
 			return err
 		}
 	}
-	proposed, err := s.store.Prepare(req.TxID, req.Start, req.Ops)
+	proposed, cells, err := s.store.prepareVote(req.TxID, req.Start, req.Ops)
 	if err != nil {
 		return err
 	}
-	(&kv.PrepareResp{Proposed: proposed, Clock: s.store.Clock().Now()}).AppendTo(reply)
+	(&kv.PrepareResp{Proposed: proposed, Clock: s.store.Clock().Now(), Cells: cells}).AppendTo(reply)
 	return nil
 }
 
@@ -656,11 +656,11 @@ func (s *Server) handleFastCommit(_ context.Context, p []byte, reply *wire.Buffe
 			return err
 		}
 	}
-	commitTS, err := s.store.FastCommit(req.TxID, req.Start, req.Ops)
+	commitTS, cells, err := s.store.fastCommit(req.TxID, req.Start, req.Ops)
 	if err != nil {
 		return err
 	}
-	(&kv.FastCommitResp{CommitTS: commitTS, Clock: s.store.Clock().Now()}).AppendTo(reply)
+	(&kv.FastCommitResp{CommitTS: commitTS, Clock: s.store.Clock().Now(), Cells: cells}).AppendTo(reply)
 	return nil
 }
 

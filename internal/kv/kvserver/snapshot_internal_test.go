@@ -26,7 +26,7 @@ func TestSnapshotSkipsUnreplicatedLockOnlyObjects(t *testing.T) {
 	// with replicate=false, commit not yet run.
 	txid := newTxID()
 	inflight := kv.MakeOID(0, 2)
-	if _, err := s.prepare(txid, s.Clock().Now(), []*kv.Op{
+	if _, _, err := s.prepare(txid, s.Clock().Now(), []*kv.Op{
 		{Kind: kv.OpPut, OID: inflight, Value: kv.NewPlain([]byte("inflight"))},
 	}, false); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package kvserver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -104,6 +105,13 @@ func groupOps(ops []*kv.Op) ([]kv.OID, map[kv.OID][]*kv.Op) {
 // behind either. An object the transaction only compares is locked until
 // the decision like the others, and gets no version when it commits.
 func (s *Store) Prepare(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, error) {
+	proposed, _, err := s.prepareVote(txid, start, ops)
+	return proposed, err
+}
+
+// prepareVote is Prepare, with the cell counts its yes vote reports
+// (kv.PrepareResp.Cells).
+func (s *Store) prepareVote(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, []uint64, error) {
 	s.stats.Prepares.Add(1)
 	return s.prepare(txid, start, ops, true)
 }
@@ -111,21 +119,33 @@ func (s *Store) Prepare(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock
 // prepare implements Prepare. replicate=false is the one-shot fast-
 // commit path: its commit immediately follows, and the single
 // RecCommit record carries the ops, so a separate prepare record would
-// only double the stream traffic.
-func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replicate bool) (clock.Timestamp, error) {
+// only double the stream traffic. It also returns, for each
+// OpCmpMaxCells op of ops in op order, the cell count of its object with
+// the transaction's ops applied (nil when ops bound nothing).
+func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replicate bool) (clock.Timestamp, []uint64, error) {
 	oids, byOID := groupOps(ops)
+	bounds := 0
+	for _, op := range ops {
+		if op.Kind == kv.OpCmpMaxCells {
+			bounds++
+		}
+	}
+	var counts []uint64 // oids[i]'s cells with the ops applied, when ops bound any
+	if bounds > 0 {
+		counts = make([]uint64, len(oids))
+	}
 
 	s.txMu.Lock()
 	if _, dup := s.txs[txid]; dup {
 		s.txMu.Unlock()
-		return 0, fmt.Errorf("%w: duplicate prepare for tx %d", kv.ErrBadRequest, txid)
+		return 0, nil, fmt.Errorf("%w: duplicate prepare for tx %d", kv.ErrBadRequest, txid)
 	}
 	rec := &txRecord{oids: oids, epoch: s.Epoch(), preparedAt: time.Now()}
 	s.txs[txid] = rec
 	s.txMu.Unlock()
 
 	locked := make([]kv.OID, 0, len(oids))
-	fail := func(reason error) (clock.Timestamp, error) {
+	fail := func(reason error) (clock.Timestamp, []uint64, error) {
 		s.releaseLocks(txid, locked)
 		s.txMu.Lock()
 		delete(s.txs, txid)
@@ -133,10 +153,10 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		if !errors.Is(reason, kv.ErrCompare) {
 			s.stats.Conflicts.Add(1)
 		}
-		return 0, reason
+		return 0, nil, reason
 	}
 
-	for _, oid := range oids {
+	for i, oid := range oids {
 		sh := s.shardFor(oid)
 		sh.mu.Lock()
 		obj := sh.objs[oid]
@@ -178,6 +198,9 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{}), staged: staged, stagedOn: baseTS, hasStaged: true}
 		sh.mu.Unlock()
 		locked = append(locked, oid)
+		if counts != nil {
+			counts[i] = uint64(staged.NumCells())
+		}
 	}
 
 	// All locks held: choose the proposed commit timestamp. Issuing it
@@ -222,7 +245,7 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 			s.txMu.Lock()
 			delete(s.txs, txid)
 			s.txMu.Unlock()
-			return 0, wse
+			return 0, nil, wse
 		}
 		seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecPrepare, TxID: txid, TS: proposed, Ops: ops})
 		s.txMu.Lock()
@@ -234,7 +257,7 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 			s.txMu.Unlock()
 			s.emitLocked(kv.ReplRecord{Kind: kv.RecDecide, TxID: txid, Commit: false})
 			s.repMu.Unlock()
-			return 0, fmt.Errorf("%w: tx %d aborted during prepare", kv.ErrConflict, txid)
+			return 0, nil, fmt.Errorf("%w: tx %d aborted during prepare", kv.ErrConflict, txid)
 		}
 		rec.replicated = true
 		s.txMu.Unlock()
@@ -245,10 +268,20 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 			// staged (releasing the locks and emitting the owed abort
 			// decision) and is a no-op if something else already did.
 			s.abort(txid, false)
-			return 0, fmt.Errorf("kv: replicating prepare: %w", err)
+			return 0, nil, fmt.Errorf("kv: replicating prepare: %w", err)
 		}
 	}
-	return proposed, nil
+	if bounds == 0 {
+		return proposed, nil, nil
+	}
+	cells := make([]uint64, 0, bounds)
+	for _, op := range ops {
+		if op.Kind == kv.OpCmpMaxCells {
+			i, _ := slices.BinarySearch(oids, op.OID)
+			cells = append(cells, counts[i])
+		}
+	}
+	return proposed, cells, nil
 }
 
 // Commit applies a prepared transaction's staged operations at commitTS
@@ -547,15 +580,22 @@ func (s *Store) releaseLocks(txid uint64, oids []kv.OID) {
 // toward FastCommits alone, neither Prepares nor Commits (the counters
 // are disjoint). Its compare ops are checked as Prepare checks them.
 func (s *Store) FastCommit(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, error) {
-	proposed, err := s.prepare(txid, start, ops, false)
+	commitTS, _, err := s.fastCommit(txid, start, ops)
+	return commitTS, err
+}
+
+// fastCommit is FastCommit, with the cell counts its reply reports
+// (kv.FastCommitResp.Cells).
+func (s *Store) fastCommit(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, []uint64, error) {
+	proposed, cells, err := s.prepare(txid, start, ops, false)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if _, err := s.commit(txid, proposed); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	s.stats.FastCommits.Add(1)
-	return proposed, nil
+	return proposed, cells, nil
 }
 
 // IsLocked reports whether oid currently carries a prepare lock (tests).

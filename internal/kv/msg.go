@@ -450,15 +450,20 @@ func (m *PrepareReq) Encode() []byte { return wire.Encode(m, (*PrepareReq).wire)
 func DecodePrepareReq(p []byte) (*PrepareReq, error) { return decode(p, (*PrepareReq).wire) }
 
 // PrepareResp is a yes vote: Proposed is this participant's lower bound
-// for the commit timestamp. A no vote is an error reply.
+// for the commit timestamp. A no vote is an error reply. Cells holds,
+// for each OpCmpMaxCells op of the request in op order, the cell count
+// of its object with the transaction's ops applied: what the commit, if
+// it is decided, leaves there.
 type PrepareResp struct {
 	Proposed Timestamp
 	Clock    Timestamp
+	Cells    []uint64
 }
 
 func (m *PrepareResp) wire(c *wire.Codec) {
 	wire.U64(c, &m.Proposed)
 	wire.U64(c, &m.Clock)
+	wireCells(c, &m.Cells)
 }
 
 func (m *PrepareResp) AppendTo(b *wire.Buffer) {
@@ -524,15 +529,20 @@ func DecodeFastCommitReq(p []byte) (*FastCommitReq, error) {
 }
 
 // FastCommitResp reports a fast commit that committed; one that did not
-// is an error reply.
+// is an error reply. Cells holds, for each OpCmpMaxCells op of the
+// request in op order, the cell count the commit left its object with:
+// how a writer that added cells without reading the object learns that
+// it grew the object past a limit of its own (a tree's split threshold).
 type FastCommitResp struct {
 	CommitTS Timestamp
 	Clock    Timestamp
+	Cells    []uint64
 }
 
 func (m *FastCommitResp) wire(c *wire.Codec) {
 	wire.U64(c, &m.CommitTS)
 	wire.U64(c, &m.Clock)
+	wireCells(c, &m.Cells)
 }
 
 func (m *FastCommitResp) AppendTo(b *wire.Buffer) {
@@ -542,6 +552,16 @@ func (m *FastCommitResp) AppendTo(b *wire.Buffer) {
 
 func DecodeFastCommitResp(p []byte) (*FastCommitResp, error) {
 	return decode(p, (*FastCommitResp).wire)
+}
+
+// wireCells codes a commit reply's cell counts: a count, then one
+// uvarint each, so a hostile count is refused against the frame's length
+// before anything is allocated.
+func wireCells(c *wire.Codec, cells *[]uint64) {
+	wire.Slice(c, cells, 1)
+	for i := range *cells {
+		c.Uvarint(&(*cells)[i])
+	}
 }
 
 // Ack is the generic response for commit/abort/ping/mirror. It

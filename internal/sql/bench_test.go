@@ -107,37 +107,50 @@ func join20Args(i int) []sql.Value {
 
 // BenchmarkInsertRows loads fresh ascending keys into the pk-only table,
 // rows per INSERT statement as named: what a row costs to write, and how
-// that falls as a statement carries more of them (its own reads are one
-// round whatever its size, and a read under its staged writes costs the
-// window plus the writes, not their square). The session has the default
-// configuration, as the repo benchmark's loaders do (a handle that splits
-// synchronously plans nothing), so a statement that grows a leaf past its
-// limit waits in its commit for the split: every number includes what
-// splits cost a writer, about one per 64 rows however the rows are
-// grouped, rounds/op the split's reads among them.
+// that falls as a statement carries more of them. The session has the
+// default configuration and a warm inner-node cache, as the repo
+// benchmark's loaders do, so each statement is blind: its writes are
+// routed by the cache and its commit is its one round trip. A statement
+// that grows a leaf past its limit splits it in its commit, after the
+// commit itself, in one read round and the split's own commit: every
+// number includes what splits cost a writer, about one per 64 rows
+// however the rows are grouped (splits/op), and rounds/op is the splits'
+// reads. ops/stmt is what one statement's commit carries, compares
+// included: its rows' writes and key checks, and each leaf's route
+// checks once.
 func BenchmarkInsertRows(b *testing.B) {
 	for _, n := range []int{1, 8, 64} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			_, db := loadBudgetDB(b)
 			ctx := context.Background()
-			stmt, err := db.Prepare("INSERT INTO p VALUES (?, ?)" + strings.Repeat(", (?, ?)", n-1))
+			query := "INSERT INTO p VALUES (?, ?)" + strings.Repeat(", (?, ?)", n-1)
+			stmt, err := db.Prepare(query)
 			if err != nil {
 				b.Fatal(err)
 			}
-			insert := func(first int) {
+			args := func(first int) []sql.Value {
 				args := make([]sql.Value, 0, 2*n)
 				for j := 0; j < n; j++ {
 					args = append(args, sql.Int(int64(first+j)), sql.Text("loaded"))
 				}
-				if _, err := stmt.Exec(ctx, args...); err != nil {
+				return args
+			}
+			insert := func(first int) {
+				if _, err := stmt.Exec(ctx, args(first)...); err != nil {
 					b.Fatal(err)
 				}
 			}
-			var mallocs, rounds uint64
+			table := budgetTrees(b, db)[0]
+			var mallocs, rounds, ops, routed uint64
 			var before, after runtime.MemStats
+			splitsBefore := table.Stats().SplitsDone
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				if staged, err := db.StagedOps(ctx, query, args(budgetRows+i*n)...); err == nil {
+					ops += uint64(staged)
+					routed++
+				}
 				runtime.ReadMemStats(&before)
 				roundsBefore := db.Client().ReadRounds()
 				b.StartTimer()
@@ -153,6 +166,10 @@ func BenchmarkInsertRows(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
 			b.ReportMetric(float64(mallocs)/rows, "allocs/row")
 			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(table.Stats().SplitsDone-splitsBefore)/float64(b.N), "splits/op")
+			if routed > 0 {
+				b.ReportMetric(float64(ops)/float64(routed), "ops/stmt")
+			}
 		})
 	}
 }

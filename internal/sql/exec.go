@@ -190,11 +190,13 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 	// Auto-commit: one kv transaction per statement, retried on
 	// conflict with jittered backoff (splits and write races are
 	// expected and transient). The first attempt may stage its writes
-	// without reading (blind). When it cannot route them, or a compare of
-	// its commit fails, the statement goes to the read path at once, which
-	// reads what it needs, names any constraint the statement breaks, and
-	// splits a leaf the statement fills. The one exception is an UPDATE or
-	// DELETE by key whose row was not there: that affected nothing.
+	// without reading (blind), and splits, before its commit returns, a
+	// leaf the commit filled. When it cannot route them, or a compare of its
+	// commit fails (a stale route, a leaf at its hard cap, a taken key),
+	// the statement goes to the read path at once, which reads what it
+	// needs and names any constraint the statement breaks. The one
+	// exception is an UPDATE or DELETE by key whose row was not there: that
+	// affected nothing.
 	var lastErr error
 	blind := true
 	for attempt := 0; attempt <= maxRetries; attempt++ {
@@ -387,8 +389,8 @@ type treeKey struct {
 // compares, or an UPDATE or DELETE of an unread row — skips the read
 // round and the descents altogether (blind): each operation is staged on
 // the leaf the inner-node cache routes it to, with the compares that say
-// the route still holds (dbt.Tree.RoutePut, RouteDelete, RouteAbsent),
-// and the commit is the statement's one round trip. When the cache
+// the route still holds, once per leaf (dbt.Tree.RoutePut, RouteDelete,
+// RouteAbsent), and the commit is the statement's one round trip. When the cache
 // cannot route every operation, writeRows stages nothing and returns
 // errUnrouted; that, or a compare that fails, sends the statement down
 // the read path (DB.runParsed).
@@ -444,8 +446,9 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 	}
 
 	if blind {
-		routed, ok := routeOps(ops, tree)
-		if !ok {
+		var routed dbt.Routed
+		routed.Grow(2*len(ops) + 4)
+		if !routeOps(&routed, ops, tree) {
 			return errUnrouted
 		}
 		routed.Stage(tx)
@@ -470,7 +473,8 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 		if op.kind != opClaim && op.kind != opUnique {
 			continue
 		}
-		holder, checks, err := tree(op).Probe(ctx, tx, op.key, op.probeEnd())
+		checked := len(guard.Ops())
+		holder, err := tree(op).Probe(ctx, tx, op.key, op.probeEnd(), &guard)
 		if err != nil {
 			return err
 		}
@@ -498,13 +502,12 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 			claimed[k] = struct{}{}
 		}
 		if db.tx != nil {
-			for _, c := range checks {
+			for _, c := range guard.Ops()[checked:] {
 				if c.Kind == kv.OpCmpAbsent {
 					db.guarded = append(db.guarded, guardedLeaf{leaf: c.OID, table: s, tree: op.tree})
 				}
 			}
 		}
-		guard = append(guard, checks...)
 	}
 
 	for _, op := range ops {
@@ -530,33 +533,33 @@ func (db *DB) writeRows(ctx context.Context, tx *kvclient.Tx, table *Table, writ
 // statement reruns on the read path.
 var errUnrouted = errors.New("sql: write not routed by the cache")
 
-// routeOps stages nothing and returns, in op order, what stages ops by
-// routing alone, or false when the cache cannot route some key. A
-// statement's own rows check each other there too: a key two of them
-// claim fails the second claim's compare, which sees the first's write.
-func routeOps(ops []treeOp, tree func(treeOp) *dbt.Tree) (dbt.Routed, bool) {
-	var out dbt.Routed
+// routeOps stages nothing and adds to r, in op order, what stages ops by
+// routing alone, or returns false when the cache cannot route some key.
+// Each leaf's route compares are made once for the statement (dbt
+// "Writes staged by routing"); each op's constraint compare stays just
+// before its write, so the statement's own rows check each other too: a
+// key two of them claim fails the second claim's compare, which sees the
+// first's write.
+func routeOps(r *dbt.Routed, ops []treeOp, tree func(treeOp) *dbt.Tree) bool {
 	for _, op := range ops {
-		var r dbt.Routed
 		ok := false
 		switch op.kind {
 		case opClaim:
-			r, ok = tree(op).RoutePut(op.key, op.val, dbt.Absent)
+			ok = tree(op).RoutePut(r, op.key, op.val, dbt.Absent)
 		case opPut:
-			r, ok = tree(op).RoutePut(op.key, op.val, dbt.Any)
+			ok = tree(op).RoutePut(r, op.key, op.val, dbt.Any)
 		case opReplace:
-			r, ok = tree(op).RoutePut(op.key, op.val, dbt.Present)
+			ok = tree(op).RoutePut(r, op.key, op.val, dbt.Present)
 		case opRemove:
-			r, ok = tree(op).RouteDelete(op.key)
+			ok = tree(op).RouteDelete(r, op.key)
 		case opUnique:
-			r, ok = tree(op).RouteAbsent(op.key, op.probeEnd())
+			ok = tree(op).RouteAbsent(r, op.key, op.probeEnd())
 		}
 		if !ok {
-			return nil, false
+			return false
 		}
-		out = append(out, r...)
 	}
-	return out, true
+	return true
 }
 
 // uniqueViolation is the error for a taken key of one of the table's

@@ -236,6 +236,17 @@ func TestReadBudgetPerStatementShape(t *testing.T) {
 		check(s)
 	}
 
+	// A table whose root is still a leaf: the cache holds inner nodes only,
+	// and routes to the root once a descent has found it a leaf there — the
+	// session's first statement on the table, which reads it.
+	if _, err := db.Exec(ctx, "CREATE TABLE fresh (id INTEGER PRIMARY KEY, v TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(ctx, "INSERT INTO fresh VALUES (1, 'x')"); err != nil {
+		t.Fatal(err)
+	}
+	check(shape{"insert into a fresh table", "INSERT INTO fresh VALUES (?, ?)", []sql.Value{sql.Int(2), sql.Text("x")}, 0, 0, 1, -1})
+
 	// An UPDATE by key that sets every column of a table with no index
 	// needs no stored row: no read, and the commit's key-present compare
 	// says whether there was a row. A missing row fails the compare, which

@@ -285,3 +285,95 @@ func TestWriteOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestNoNodeOverLimitWhenBlindCommitReturns is dbt's
+// TestNoNodeOverLimitWhenCommitReturns for writes staged by routing:
+// 8-row INSERTs whose keys are spread over the tree, so that most
+// statements are routed by the cache, commit without a read and grow
+// several leaves at once. When each statement returns, no node is over
+// MaxCells: its writer split every leaf its commit reply said it grew past
+// the limit, and what those splits overflowed. (Where a blind commit
+// fails instead, its statement reruns on the read path, whose Put splits
+// what it grows: the contract holds there too.)
+func TestNoNodeOverLimitWhenBlindCommitReturns(t *testing.T) {
+	db := newDBWith(t, 2, dbt.Config{MaxCells: 4})
+	ctx := context.Background()
+	mustExec(t, db, "CREATE TABLE r (id INTEGER PRIMARY KEY, v TEXT)")
+	tree := tableTrees(t, db, "r")[0]
+	insert := "INSERT INTO r VALUES (?, ?)" + strings.Repeat(", (?, ?)", 7)
+	rng := rand.New(rand.NewSource(1))
+	taken := make(map[int64]bool)
+	blind := 0
+	const stmts = 40
+	for i := 0; i < stmts; i++ {
+		args := make([]sql.Value, 0, 16)
+		for len(args) < 16 {
+			if k := rng.Int63n(1 << 20); !taken[k] {
+				taken[k] = true
+				args = append(args, sql.Int(k), sql.Text("v"))
+			}
+		}
+		descents := tree.Stats().Descents
+		mustExec(t, db, insert, args...)
+		if tree.Stats().Descents == descents {
+			blind++
+		}
+		tx := db.Client().Begin()
+		res, err := tree.Check(ctx, tx)
+		tx.Abort()
+		if err != nil {
+			t.Fatalf("Check after statement %d: %v", i, err)
+		}
+		if res.Cells != 8*(i+1) || res.MaxLeafCells > 4 || res.MaxFanout > 4 {
+			t.Fatalf("after statement %d: %d cells, a leaf of %d cells, an inner node of %d children; want %d cells, MaxCells 4",
+				i, res.Cells, res.MaxLeafCells, res.MaxFanout, 8*(i+1))
+		}
+	}
+	t.Logf("%d of %d statements blind, %d splits", blind, stmts, tree.Stats().SplitsDone)
+}
+
+// TestBlindLoadSplitsInOneRound: a sequential load in 8-row INSERTs from
+// one session is routed by the cache throughout — the root while it is a
+// leaf, then the leaves its inner nodes name — and a leaf that fills
+// costs its split and nothing else. No statement falls back to the read
+// path, where a blind commit that failed (on the leaf's cell cap, or a
+// route compare) would send it, and which is the only way such a
+// statement descends; and each split reads what it needs in one round.
+func TestBlindLoadSplitsInOneRound(t *testing.T) {
+	db := newDBWith(t, 2, dbt.Config{MaxCells: 16})
+	ctx := context.Background()
+	mustExec(t, db, "CREATE TABLE s (id INTEGER PRIMARY KEY, v TEXT)")
+	insert := "INSERT INTO s VALUES (?, ?)" + strings.Repeat(", (?, ?)", 7)
+	load := func(first int) {
+		args := make([]sql.Value, 0, 16)
+		for k := first; k < first+8; k++ {
+			args = append(args, sql.Int(int64(k)), sql.Text("loaded"))
+		}
+		mustExec(t, db, insert, args...)
+	}
+	load(0) // the session's first statement reads the root: it has not seen it yet
+	tree := tableTrees(t, db, "s")[0]
+	before, rounds := tree.Stats(), db.Client().ReadRounds()
+	const stmts = 100
+	for i := 1; i < stmts; i++ {
+		load(8 * i)
+	}
+	after := tree.Stats()
+	rounds = db.Client().ReadRounds() - rounds
+	splits := after.SplitsDone - before.SplitsDone
+	t.Logf("%d statements: %d splits, %d read rounds, %d descents", stmts-1, splits, rounds, after.Descents-before.Descents)
+	if d := after.Descents - before.Descents; d != 0 {
+		t.Errorf("%d descents: statements fell back to the read path", d)
+	}
+	if splits == 0 {
+		t.Fatal("a load of 800 rows under MaxCells 16 made no split")
+	}
+	if rounds > splits {
+		t.Errorf("%d read rounds for %d splits: a split reads in one round, and a blind statement reads nothing", rounds, splits)
+	}
+	tx := db.Client().Begin()
+	defer tx.Abort()
+	if res, err := tree.Check(ctx, tx); err != nil || res.Cells != 8*stmts || res.MaxLeafCells > 16 || res.MaxFanout > 16 {
+		t.Fatalf("Check after the load: %+v, %v; want %d cells, no node over 16", res, err, 8*stmts)
+	}
+}
