@@ -38,9 +38,8 @@ type RawKV struct {
 func NewRawKV(c *kvclient.Client) *RawKV { return &RawKV{c: c} }
 
 // oidFor maps a key to a deterministic OID spread across servers. The
-// slot here is only a name: which server actually owns it is decided
-// at RPC time by the client's slot directory, so keys keep their OIDs
-// across scale-out and simply follow their slot's route.
+// slot here is only a name: which server owns it is decided at RPC
+// time by the client's slot directory.
 func (r *RawKV) oidFor(key string) kv.OID {
 	h := fnv.New64a()
 	h.Write([]byte(key))

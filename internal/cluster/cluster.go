@@ -48,15 +48,11 @@ type Cluster struct {
 	// list they would outlive the test (its leak check would fail).
 	orphans []*kvserver.Server
 
-	// dir is the cluster's slot directory — the versioned route→group
-	// map the cluster authority publishes to every member (see
-	// migrate.go, "Slot migration and the directory").
+	// dir is the cluster's slot directory: the route→group map
+	// StartReplicated installs on every member once the groups are up,
+	// and attachBackup on every backup started later. It does not change
+	// after formation.
 	dir *kv.Directory
-
-	// TestHookMigration, when non-nil, runs at each migration phase
-	// boundary ("bulk-done", "fenced", "drained", "cutover"); chaos
-	// tests use it to kill servers at the protocol's tender points.
-	TestHookMigration func(phase string)
 
 	cfg kvserver.Config
 	rf  int
@@ -98,60 +94,33 @@ func StartReplicated(n, rf int, cfg kvserver.Config) (*Cluster, error) {
 	// members starting below install it as a no-op.
 	cl := &Cluster{cfg: cfg, rf: rf, dir: kv.IdentityDirectory(n)}
 	for i := 0; i < n; i++ {
-		g, err := cl.startGroup(i)
-		if err != nil {
+		if err := cl.startGroup(i); err != nil {
 			cl.Close()
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}
-		cl.Groups = append(cl.Groups, g)
-		cl.Servers = append(cl.Servers, g.Primary)
-		cl.Addrs = append(cl.Addrs, g.Primary.Addr())
 	}
-	// Publish it as version 1 — now carrying the groups' addresses — so
-	// every member and client routes by the same explicit, versioned,
-	// movable map (see migrate.go).
+	// Install it as version 1, now carrying the groups' addresses, so
+	// every member and client routes by the same explicit map.
 	d := cl.dir.Clone()
 	d.Version = 1
-	cl.installDirectory(d, -1)
+	cl.installDirectory(d)
 	return cl, nil
 }
 
-// startGroup launches one full replica group for slot/group index i: a
-// primary, rf-1 synced backups, and (when replicated) an epoch bump
-// installing the fresh membership. Used by StartReplicated for the initial
-// slots and by AddServer for scale-out groups.
-//
-// NOTE: the group is NOT yet appended to cl.Groups; attachBackup needs
-// it there, so the group is appended temporarily during construction
-// when called for a new index.
-func (cl *Cluster) startGroup(i int) (*Group, error) {
-	g := &Group{}
+// startGroup launches slot i's replica group and appends it to the
+// cluster: a primary, rf-1 synced backups, and (when replicated) an
+// epoch bump installing the fresh membership. A group that fails to
+// start stays in cl.Groups, so Close stops the members it did start.
+func (cl *Cluster) startGroup(i int) error {
 	primary, err := cl.startMember(i, "")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	g.Primary = primary
-	g.Addrs = []string{primary.Addr()}
-	appended := false
-	if i == len(cl.Groups) {
-		// attachBackup addresses groups by index; give the nascent group
-		// its slot for the duration of construction.
-		cl.Groups = append(cl.Groups, g)
-		appended = true
-	}
-	fail := func(err error) (*Group, error) {
-		if appended {
-			cl.Groups = cl.Groups[:len(cl.Groups)-1]
-		}
-		for _, s := range append([]*kvserver.Server{g.Primary}, g.Backups...) {
-			s.Close()
-			s.Store().CloseLog()
-		}
-		return nil, err
-	}
+	g := &Group{Primary: primary, Addrs: []string{primary.Addr()}}
+	cl.Groups = append(cl.Groups, g)
 	for len(g.Backups) < cl.rf-1 {
 		if err := cl.attachBackup(i); err != nil {
-			return fail(err)
+			return err
 		}
 	}
 	if cl.rf > 1 {
@@ -159,13 +128,28 @@ func (cl *Cluster) startGroup(i int) (*Group, error) {
 		// record mirrors to every backup like any stream record, and its
 		// acks double as the primary's first lease grants.
 		if _, err := g.Primary.BumpEpoch(append([]string(nil), g.Addrs...)); err != nil {
-			return fail(err)
+			return err
 		}
 	}
-	if appended {
-		cl.Groups = cl.Groups[:len(cl.Groups)-1]
+	cl.Servers = append(cl.Servers, g.Primary)
+	cl.Addrs = append(cl.Addrs, g.Primary.Addr())
+	return nil
+}
+
+// installDirectory fills d's group address lists from the live
+// topology, installs d on every member store of every group, and adopts
+// it as the cluster's directory.
+func (cl *Cluster) installDirectory(d *kv.Directory) {
+	d.Groups = make([][]string, len(cl.Groups))
+	for i, g := range cl.Groups {
+		d.Groups[i] = append([]string(nil), g.Addrs...)
 	}
-	return g, nil
+	for gi, g := range cl.Groups {
+		for _, s := range append([]*kvserver.Server{g.Primary}, g.Backups...) {
+			s.Store().InstallDirectory(d, uint32(gi))
+		}
+	}
+	cl.dir = d
 }
 
 // startMember launches one storage server for slot i. suffix
@@ -217,10 +201,9 @@ func (cl *Cluster) attachBackup(i int) error {
 	}
 	g.Backups = append(g.Backups, backup)
 	g.Addrs = append(g.Addrs, backup.Addr())
-	// A member started after the directory was published needs its own
-	// copy: the directory does not travel in the replication stream, and
-	// without it the backup, once promoted, would serve routes its group
-	// no longer owns.
+	// A member started after formation needs its own copy: the
+	// directory does not travel in the replication stream, and without
+	// it the backup, once promoted, would serve every route.
 	backup.Store().InstallDirectory(cl.dir, uint32(i))
 	return nil
 }
@@ -430,10 +413,9 @@ func (cl *Cluster) Restart(slot int) error {
 }
 
 // NewClient opens a kv client connected to every server slot, with
-// failover across each slot's replicas. The client eagerly adopts the
-// cluster's slot directory (best-effort), so its placement spreads over
-// every directory route — not just the groups — from the first OID it
-// allocates.
+// failover across each slot's replicas, and has it fetch the cluster's
+// slot directory (best-effort: the client is born with the identity
+// map over the same groups, which routes alike).
 func (cl *Cluster) NewClient() (*kvclient.Client, error) {
 	groups := make([][]string, len(cl.Groups))
 	for i, g := range cl.Groups {
@@ -487,7 +469,6 @@ func (cl *Cluster) Stats() kvserver.StatsSnapshot {
 		out.EpochBumps += st.EpochBumps
 		out.WrongEpochRejects += st.WrongEpochRejects
 		out.WrongSlotRejects += st.WrongSlotRejects
-		out.MigratedVersions += st.MigratedVersions
 		out.Checkpoints += st.Checkpoints
 		out.CheckpointFailures += st.CheckpointFailures
 		out.LogRecordsTruncated += st.LogRecordsTruncated

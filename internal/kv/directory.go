@@ -6,15 +6,11 @@ import (
 	"yesquel/internal/wire"
 )
 
-// Directory is the versioned slot→group map every server and client
-// routes by. Routes has a FIXED length chosen when the
-// cluster first forms (the initial server count): an OID's route index
-// is `slot % len(Routes)`, and Routes[route] names the group that owns
-// every OID on that route. Scale-out never changes len(Routes) — a new
-// machine joins as a new GROUP and the rebalancer repoints route
-// entries at it — so an OID's route, and therefore the placement the
-// DBT computed when it allocated the OID, is stable forever; only the
-// route's owner moves.
+// Directory is the slot→group map every server and client routes by,
+// fixed when the cluster forms: an OID's route index is
+// `slot % len(Routes)`, and Routes[route] names the group that owns
+// every OID on that route, so the placement the DBT computed when it
+// allocated an OID holds for the cluster's lifetime.
 //
 // Groups[g] lists group g's replica addresses, acting primary first —
 // the same shape as an epoch membership list, and like it advisory: the
@@ -22,14 +18,13 @@ import (
 // through ErrWrongEpoch redirects and ack piggybacks. The directory
 // only says which group to talk to, not who currently leads it.
 //
-// Version is monotonic, like an epoch. Version 0 is the identity
-// directory every store and client is born with (a store: one route,
-// its own group; a client: one route per group it was opened with),
-// which any published directory supersedes. Servers piggyback their
-// version on every Ack (Ack.DirVersion), reject requests for routes
-// they no longer own with the typed WrongSlotError, and serve the full
-// map via MethodDirectory. A client holding version v adopts any
-// directory with a larger version and never moves backwards.
+// Version 0 is the identity directory every store and client is born
+// with (a store: one route, its own group; a client: one route per
+// group it was opened with); the cluster installs version 1 on every
+// member at formation. A holder adopts only a larger version, so a
+// directory never moves backwards. Servers reject requests for routes
+// another group owns with the typed WrongSlotError and serve the map
+// via MethodDirectory.
 type Directory struct {
 	Version uint64
 	Routes  []uint32   // route index (slot % len(Routes)) → group index

@@ -258,12 +258,11 @@ var (
 	// typed form, CompareError, names the op's kind and the object.
 	ErrCompare = errors.New("kv: compare failed")
 	// ErrWrongSlot reports that a request reached a group that does not
-	// own the OID's slot under the current directory — the client routed
-	// with a stale (or absent) slot directory, or the slot migrated away.
-	// Like ErrWrongEpoch, the rejection guarantees the operation was NOT
-	// executed; the typed form (WrongSlotError) carries the rejecting
-	// member's directory version and the slot's owning group, so a stale
-	// client re-routes in one round trip.
+	// own the OID's slot under its directory: the client was configured
+	// with another cluster's layout. Like ErrWrongEpoch, the rejection
+	// guarantees the operation was NOT executed; the typed form
+	// (WrongSlotError) carries the rejecting member's directory version
+	// and the slot's owning group.
 	ErrWrongSlot = errors.New("kv: wrong slot")
 	// ErrStreamGap rejects a mirror batch that does not start at the
 	// backup's stream head; nothing was applied. Its typed form,
@@ -460,8 +459,8 @@ func (e *WrongEpochError) wire(c *wire.Codec) {
 // WrongSlotError is the typed form of ErrWrongSlot: the rejecting
 // member's directory version, the route (directory index) the request's
 // OID maps to, the group that owns it under that version, and that
-// group's replica addresses (primary first) — enough for a stale client
-// to patch its directory and redirect in one round trip.
+// group's replica addresses (primary first), so the error names where
+// the request belonged.
 type WrongSlotError struct {
 	Version uint64   // rejecting member's directory version
 	Route   uint32   // directory route index of the OID's slot

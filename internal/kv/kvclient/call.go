@@ -143,16 +143,10 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 	return nil, lastErr
 }
 
-// observeAck merges an ack's clock, configuration and directory-version
-// piggybacks. A newer directory version triggers a background fetch of
-// the full map — so every client touching a group, even only through
-// its heartbeat ping, converges on the new routing without a redirect.
+// observeAck merges an ack's clock and configuration piggybacks.
 func (c *Client) observeAck(server int, ack *kv.Ack) {
 	c.hlc.Observe(ack.Clock)
 	c.group(server).noteEpoch(ack.Epoch, ack.Members)
-	if ack.DirVersion > c.DirectoryVersion() {
-		c.fetchDirectoryAsync(server)
-	}
 }
 
 // Ping round-trips to server slot i, merging clocks and learning the

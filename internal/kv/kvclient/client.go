@@ -26,23 +26,17 @@ import (
 // belongs to one goroutine, as in the paper's per-client query
 // processor).
 type Client struct {
-	// mu guards groups growth, the adopted slot directory, and the
-	// teardown/fetch bookkeeping below. groups is append-only — a
-	// *replicaGroup, once created, is stable for the client's lifetime —
-	// so holding mu only for the slice access (never across an RPC) is
-	// enough. Lock order: mu before any replicaGroup.mu.
+	// mu guards groups growth and the adopted slot directory. groups is
+	// append-only — a *replicaGroup, once created, is stable for the
+	// client's lifetime — so holding mu only for the slice access (never
+	// across an RPC) is enough. Lock order: mu before any
+	// replicaGroup.mu.
 	mu     sync.Mutex
 	groups []*replicaGroup
 	// dir is the adopted slot directory, born as the version-0 identity
-	// map over the groups the client was opened with. Replaced
-	// wholesale on adoption, never mutated in place; version-gated so
-	// the view only moves forward. Learned from Ack.DirVersion
-	// piggybacks (async fetch) and WrongSlotError redirects (in-place
-	// route patch plus a refresh).
-	dir         *kv.Directory
-	dirFetching bool
-	dirWG       sync.WaitGroup
-	closed      bool
+	// map over the groups the client was opened with and replaced, never
+	// mutated, by the one FetchDirectory adopts.
+	dir *kv.Directory
 
 	hlc *clock.HLC
 
@@ -58,9 +52,8 @@ type Client struct {
 }
 
 // Open dials every storage server. The order of addrs defines server
-// slots: until a published directory says otherwise, an OID with slot s
-// lives on addrs[s % len(addrs)]. Each slot has a single replica; use
-// OpenReplicated for failover.
+// slots: an OID with slot s lives on addrs[s % len(addrs)]. Each slot
+// has a single replica; use OpenReplicated for failover.
 func Open(addrs []string) (*Client, error) {
 	groups := make([][]string, len(addrs))
 	for i, a := range addrs {
@@ -202,14 +195,9 @@ func (c *Client) StartHeartbeat(interval time.Duration) {
 // StopHeartbeat stops the background membership heartbeat.
 func (c *Client) StopHeartbeat() { c.StartHeartbeat(0) }
 
-// Close tears down all server connections, after waiting out any
-// in-flight background directory fetch.
+// Close tears down all server connections.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
 	c.StopHeartbeat()
-	c.dirWG.Wait()
 	for _, g := range c.groupList() {
 		g.close()
 	}

@@ -2,7 +2,6 @@ package kvclient
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"yesquel/internal/clock"
@@ -12,43 +11,24 @@ import (
 // readItems is the one read path: it answers items at snap into out,
 // positionally (an absent object leaves Found=false, never an error),
 // in as few RPCs as the data's placement allows — one per owning group,
-// in parallel when there are several. A wrong-slot redirect from any
-// group means the partition itself was stale, so the whole round is
-// partitioned again under the directory the redirect taught and
-// retried.
+// in parallel when there are several — and in one round. Items that
+// share one group — a single item always does — go out on the calling
+// goroutine with nothing built around them; of a round over k groups
+// the caller makes the first group's call itself and k-1 goroutines the
+// others'. When several groups fail, the first group's error is
+// returned.
 func (c *Client) readItems(ctx context.Context, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) error {
 	if len(items) == 0 {
 		return nil
 	}
-	for tries := 0; ; tries++ {
-		server, err := c.readRound(ctx, snap, items, out)
-		if err == nil || !c.retryWrongSlot(ctx, server, err, tries) {
-			return err
-		}
-	}
-}
-
-// ReadRounds counts the read rounds this client has made: one per
-// readItems call, plus one per wrong-slot retry. A round is one message
-// delay however many items and groups it spans, so rounds — not the
-// servers' count of items read — are what a caller waits for.
-func (c *Client) ReadRounds() uint64 { return c.readRounds.Load() }
-
-// readRound runs one partition-and-fetch round of readItems; server is
-// the group whose call produced err (for the redirect machinery). Items
-// that share one group — a single item always does — go out on the
-// calling goroutine with nothing built around them; of a round over k
-// groups the caller makes the first group's call itself and k-1
-// goroutines the others'.
-func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) (server int, err error) {
 	c.readRounds.Add(1)
-	server = c.ServerFor(items[0].OID)
+	server := c.ServerFor(items[0].OID)
 	spread := false
 	for i := 1; i < len(items) && !spread; i++ {
 		spread = c.ServerFor(items[i].OID) != server
 	}
 	if !spread {
-		return server, c.readGroup(ctx, server, snap, items, out)
+		return c.readGroup(ctx, server, snap, items, out)
 	}
 	// One part per group, in order of first appearance (few groups: a
 	// linear search), each with its items and where their answers go.
@@ -77,14 +57,12 @@ func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv
 		p.res = make([]kv.ReadBatchResult, len(p.items))
 		p.err = c.readGroup(ctx, p.server, snap, p.items, p.res)
 	})
+	var err error
 	for i := range parts {
 		p := &parts[i]
 		if p.err != nil {
-			// Prefer reporting a wrong-slot failure: it is the one the
-			// caller can fix by partitioning again.
-			var ws *kv.WrongSlotError
-			if err == nil || (errors.As(p.err, &ws) && !errors.Is(err, kv.ErrWrongSlot)) {
-				server, err = p.server, p.err
+			if err == nil {
+				err = p.err
 			}
 			continue
 		}
@@ -92,8 +70,14 @@ func (c *Client) readRound(ctx context.Context, snap clock.Timestamp, items []kv
 			out[i] = p.res[j]
 		}
 	}
-	return server, err
+	return err
 }
+
+// ReadRounds counts the read rounds this client has made, one per
+// readItems call. A round is one message delay however many items and
+// groups it spans, so rounds — not the servers' count of items read —
+// are what a caller waits for.
+func (c *Client) ReadRounds() uint64 { return c.readRounds.Load() }
 
 // readGroup fetches items — all owned by group server — at snap with
 // one RPC to the group's primary, and files the clock the response

@@ -3,7 +3,6 @@ package kvclient
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -494,35 +493,18 @@ func (t *Tx) Commit(ctx context.Context) error {
 		return nil // read-only: snapshot isolation needs nothing more
 	}
 
-	// A wrong-slot redirect restarts the whole commit: the rejection
-	// guarantees the rejecting participant executed nothing, a failed
-	// prepare round aborts the rest, and the writes are still buffered
-	// here — so the retry re-partitions under the directory the redirect
-	// taught and runs as a fresh transaction (new txid: an aborted
-	// round may have left the old id in participants' decided tables).
-	for tries := 0; ; tries++ {
-		err := t.commitOnce(ctx)
-		if errors.Is(err, kv.ErrWrongSlot) &&
-			t.c.retryWrongSlot(ctx, t.c.ServerFor(t.ops[0].OID), err, tries) {
-			t.txid = t.c.nextTx.Add(1)
-			continue
+	err := t.commitOps(ctx)
+	if err == nil && t.after != nil {
+		for _, h := range t.after.hooks {
+			h.f(ctx)
 		}
-		if err == nil && t.after != nil {
-			for _, h := range t.after.hooks {
-				h.f(ctx)
-			}
-		}
-		return err
 	}
+	return err
 }
 
-// commitOnce runs one commit attempt: partition staged ops by
-// participant group, then fast-commit (one participant) or two-phase
-// commit (several).
-func (t *Tx) commitOnce(ctx context.Context) error {
-	if t.after != nil {
-		t.after.cells = t.after.cells[:0]
-	}
+// commitOps partitions the staged ops by participant group, then
+// fast-commits (one participant) or runs two-phase commit (several).
+func (t *Tx) commitOps(ctx context.Context) error {
 	byServer := make(map[int][]*kv.Op)
 	var servers []int
 	for _, op := range t.ops {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"yesquel/internal/kv"
-	"yesquel/internal/wire"
 )
 
 func sampleSnapshot() *stateSnapshot {
@@ -58,48 +57,33 @@ func TestSnapshotEncodingRoundTrips(t *testing.T) {
 	}
 }
 
-// TestSnapshotHostileCountsAllocateLittle: a snapshot and a route capture
-// arrive from a peer, so a count of a million spliced in anywhere must
-// not make the receiver allocate more than a small multiple of the bytes
-// it was sent, and one spliced where the object count goes is refused.
+// TestSnapshotHostileCountsAllocateLittle: a snapshot arrives from a
+// peer, so a count of a million spliced in anywhere must not make the
+// receiver allocate more than a small multiple of the bytes it was
+// sent, and one spliced where the object count goes is refused.
 func TestSnapshotHostileCountsAllocateLittle(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<20)
-	rc := &routeCapture{head: 4, route: 1, nroutes: 2, objs: sampleSnapshot().Objects,
-		preps: []MigPrepare{{TxID: 1, TS: 2, Ops: []*kv.Op{{Kind: kv.OpDelete, OID: kv.MakeOID(1, 2)}}}}}
-	decodeCapture := func(p []byte) error {
-		_, err := wire.Decode(p, kv.ErrBadRequest, (*routeCapture).wire)
-		return err
-	}
-	decodeSnap := func(p []byte) error { _, err := decodeSnapshot(p); return err }
-	check := func(name string, frame []byte, decode func([]byte) error) error {
+	check := func(name string, frame []byte) error {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := decode(frame)
+		_, err := decodeSnapshot(frame)
 		runtime.ReadMemStats(&after)
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(64*len(frame)+4096) {
 			t.Errorf("%s: a %d-byte frame allocated %d bytes", name, len(frame), alloc)
 		}
 		return err
 	}
-	for _, c := range []struct {
-		name   string
-		full   []byte
-		decode func([]byte) error
-	}{
-		{"snapshot", encodeSnapshotWhole(t, sampleSnapshot()), decodeSnap},
-		{"route capture", wire.Encode(rc, (*routeCapture).wire), decodeCapture},
-	} {
-		if err := c.decode(c.full); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		for i := 0; i <= len(c.full); i++ {
-			check(c.name, append(append(append([]byte(nil), c.full[:i]...), huge...), c.full[i:]...), c.decode)
-		}
+	full := encodeSnapshotWhole(t, sampleSnapshot())
+	if _, err := decodeSnapshot(full); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= len(full); i++ {
+		check("snapshot", append(append(append([]byte(nil), full[:i]...), huge...), full[i:]...))
 	}
 	// Format, Seq, Epoch, no members, Clock: then the object count.
 	objects := append([]byte{snapFormat, 1, 1, 0}, make([]byte, 8)...)
-	if err := check("snapshot objects", append(objects, huge...), decodeSnap); !errors.Is(err, kv.ErrBadRequest) {
+	if err := check("snapshot objects", append(objects, huge...)); !errors.Is(err, kv.ErrBadRequest) {
 		t.Errorf("snapshot objects: err = %v, want ErrBadRequest", err)
 	}
 }

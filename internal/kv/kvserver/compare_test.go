@@ -114,8 +114,8 @@ func TestCompareOnlyParticipant(t *testing.T) {
 	if s.IsLocked(oid) || s.VersionCount(oid) != 1 {
 		t.Fatalf("after commit: locked %v, %d versions", s.IsLocked(oid), s.VersionCount(oid))
 	}
-	recs, _, _, err := s.MigrationRecords(head, 0)
-	if err != nil || len(recs) != 2 || recs[0].Rec.Kind != kv.RecPrepare || len(recs[0].Rec.Ops) != 1 || recs[1].Rec.Kind != kv.RecDecide {
+	recs, err := retainedRecords(s, head)
+	if err != nil || len(recs) != 2 || recs[0].Kind != kv.RecPrepare || len(recs[0].Ops) != 1 || recs[1].Kind != kv.RecDecide {
 		t.Fatalf("a compare-only vote and its decision streamed as %+v (%v)", recs, err)
 	}
 	if err := s.Commit(txid, proposed); err != nil {
@@ -143,19 +143,19 @@ func TestComparesStayOutOfCommitRecords(t *testing.T) {
 	if _, err := s.FastCommit(newTxID(), s.Clock().Now(), []*kv.Op{{Kind: kv.OpCmpPresent, OID: oid, From: []byte("c")}, listAdd(oid, "d")}); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, _, err := s.MigrationRecords(0, 0)
+	recs, err := retainedRecords(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writes, compares := 0, 0
-	for _, r := range recs {
-		for _, op := range r.Rec.Ops {
+	for seq, r := range recs {
+		for _, op := range r.Ops {
 			switch {
-			case op.Kind.IsCompare() && r.Rec.Kind != kv.RecPrepare:
-				t.Fatalf("record %d (%v) carries compare %+v", r.Seq, r.Rec.Kind, op)
+			case op.Kind.IsCompare() && r.Kind != kv.RecPrepare:
+				t.Fatalf("record %d (%v) carries compare %+v", seq, r.Kind, op)
 			case op.Kind.IsCompare():
 				compares++
-			case op.Kind == kv.OpListAdd && r.Rec.Kind == kv.RecCommit:
+			case op.Kind == kv.OpListAdd && r.Kind == kv.RecCommit:
 				writes++
 			}
 		}

@@ -28,8 +28,8 @@ type Config struct {
 	// written in commit order but a host crash can lose the tail.
 	LogSync bool
 	// ReplicationLogMaxRecords bounds the stream tail every store retains
-	// in memory (what a mirror resends to a backup that is behind, and
-	// what migration tails are served from). The promise is about memory and it is strict: when the tail
+	// in memory (what a mirror resends to a backup that is behind). The
+	// promise is about memory and it is strict: when the tail
 	// exceeds this many records it is cut to its newest half, so a backup
 	// that falls behind the retained tail catches up by snapshot install
 	// (MethodSnap) + tail instead of a full-history replay. It is also
@@ -51,27 +51,12 @@ type Config struct {
 	// but less tolerance for mirror-path hiccups. Only meaningful in a
 	// group of more than one member.
 	LeaseDuration time.Duration
-	// MirrorBatchMaxRecords caps how many stream records one mirror
-	// batch RPC carries (default 256; batches are also byte-capped
-	// below the wire frame limit). Larger batches amortize the round
-	// trip further at the cost of per-batch latency under bursts.
-	MirrorBatchMaxRecords int
 	// GroupCommitInterval is how long the replication pipeline waits
 	// after waking before it flushes, letting a batch build (default 0:
 	// flush as soon as the flusher is free — a lone writer pays no
 	// added latency, and concurrent writers still coalesce into
 	// whatever accumulated during the previous batch's round trip).
 	GroupCommitInterval time.Duration
-	// MirrorSendDelay inserts a fixed wall-clock delay before every
-	// mirror batch send, emulating a slow replication link or storage
-	// device. Combined with MirrorBatchMaxRecords it turns a group's
-	// replication pipeline into a bounded-capacity resource
-	// (MaxRecords/Delay records per second per member), which the
-	// elastic-sharding drills and benchmarks use to demonstrate
-	// capacity scaling on hosts whose core count cannot — on a
-	// one-core CI box a purely in-memory pipeline measures CPU, and
-	// added groups cannot add CPU. 0 (the default) disables it.
-	MirrorSendDelay time.Duration
 }
 
 func (c *Config) withDefaults() Config {
@@ -87,9 +72,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.LeaseDuration == 0 {
 		out.LeaseDuration = 2 * time.Second
-	}
-	if out.MirrorBatchMaxRecords == 0 {
-		out.MirrorBatchMaxRecords = 256
 	}
 	// The durability wait times out at replWaitTimeout; an interval at
 	// or above it would fail every commit while the batch lands fine
@@ -110,11 +92,9 @@ func (c *Config) check() error {
 	}{
 		{"MaxVersions", c.MaxVersions < 0},
 		{"ReplicationLogMaxRecords", c.ReplicationLogMaxRecords < 0},
-		{"MirrorBatchMaxRecords", c.MirrorBatchMaxRecords < 0},
 		{"LockWaitTimeout", c.LockWaitTimeout < 0},
 		{"LeaseDuration", c.LeaseDuration < 0},
 		{"GroupCommitInterval", c.GroupCommitInterval < 0},
-		{"MirrorSendDelay", c.MirrorSendDelay < 0},
 	} {
 		if f.negative {
 			return fmt.Errorf("kvserver: Config.%s is negative", f.name)
@@ -197,15 +177,10 @@ type Stats struct {
 	MirrorBatchRecords atomic.Uint64
 	WALSyncs           atomic.Uint64
 	WALFailures        atomic.Uint64
-	// WrongSlotRejects counts requests turned away by the slot-directory
-	// fence — a stale client routing to a group that no longer owns the
-	// OID's route. A burst during a migration cutover is the fence
-	// working; a steadily climbing value means some client never adopts
-	// the new directory. MigratedVersions counts object versions this
-	// store ingested as a migration DESTINATION (bulk capture plus live
-	// tail).
+	// WrongSlotRejects counts client requests refused because their
+	// OID's route belongs to another group: a client configured with
+	// another cluster's layout.
 	WrongSlotRejects atomic.Uint64
-	MigratedVersions atomic.Uint64
 }
 
 // StatsSnapshot is a plain copy of the counters.
@@ -214,7 +189,7 @@ type StatsSnapshot struct {
 	EpochBumps, WrongEpochRejects                                                                 uint64
 	Checkpoints, CheckpointFailures, LogRecordsTruncated, SnapshotsServed, SnapshotsInstalled     uint64
 	MirrorBatches, MirrorBatchRecords, WALSyncs, WALFailures                                      uint64
-	WrongSlotRejects, MigratedVersions                                                            uint64
+	WrongSlotRejects                                                                              uint64
 }
 
 // Stats returns a snapshot of activity counters.
@@ -245,6 +220,5 @@ func (s *Store) Stats() StatsSnapshot {
 		WALFailures:        s.stats.WALFailures.Load(),
 
 		WrongSlotRejects: s.stats.WrongSlotRejects.Load(),
-		MigratedVersions: s.stats.MigratedVersions.Load(),
 	}
 }

@@ -19,11 +19,9 @@ func TestOpenStoreRejectsNegativeConfig(t *testing.T) {
 	}{
 		{"MaxVersions", kvserver.Config{MaxVersions: -1}},
 		{"ReplicationLogMaxRecords", kvserver.Config{ReplicationLogMaxRecords: -1}},
-		{"MirrorBatchMaxRecords", kvserver.Config{MirrorBatchMaxRecords: -1}},
 		{"LockWaitTimeout", kvserver.Config{LockWaitTimeout: -time.Second}},
 		{"LeaseDuration", kvserver.Config{LeaseDuration: -time.Second}},
 		{"GroupCommitInterval", kvserver.Config{GroupCommitInterval: -time.Millisecond}},
-		{"MirrorSendDelay", kvserver.Config{MirrorSendDelay: -time.Millisecond}},
 	} {
 		_, err := kvserver.OpenStore(nil, c.cfg)
 		if err == nil || !strings.Contains(err.Error(), c.field) {

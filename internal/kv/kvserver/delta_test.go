@@ -174,29 +174,6 @@ func TestCommitInstallsPreparedValue(t *testing.T) {
 		t.Fatalf("commit installed %+v, want the prepared value %+v", installed, lock.staged)
 	}
 
-	// A migration ingest asks no lock. A version it lands between a
-	// prepare and its commit must not be lost to the value the prepare
-	// computed before it.
-	txid = newTxID()
-	if _, err := primary.Prepare(txid, primary.Clock().Now(), updateCell(oid, 5, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := primary.IngestMigratedCommit(primary.Clock().Now(), updateCell(oid, 9, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := primary.Commit(txid, primary.Clock().Now()); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := primary.Read(oid, primary.Clock().Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cell, gen := range map[int]byte{3: 1, 5: 2, 9: 3} {
-		if v, _ := got.ListGet(leafCellKey(cell)); len(v) == 0 || v[0] != gen {
-			t.Fatalf("cell %d holds %v, want generation %d: a commit overwrote a version that landed under its lock", cell, v, gen)
-		}
-	}
-
 	// The backup sees the same transactions as records only.
 	catchUp(t, backup, primary)
 	if got, want := backup.StateDigest(), primary.StateDigest(); got != want {

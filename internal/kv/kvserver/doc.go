@@ -22,9 +22,9 @@
 // stream in memory. What differs between deployments is only where the
 // records also go — the SINKS: a write-ahead log (Config.LogPath) and
 // attached members (backups). A store with neither pays a slice append
-// per record and acknowledges at once; it can still be snapshotted,
-// take a backup mid-life, or be the source of a slot migration, because
-// its visible state always equals a stream position.
+// per record and acknowledges at once; it can still be snapshotted or
+// take a backup mid-life, because its visible state always equals a
+// stream position.
 //
 // Every server is a member of a replication group — a fresh store is
 // the sole primary of its own one-member group, and Server.FormGroup
@@ -68,7 +68,7 @@
 // trip, one lease grant, one backup-side contiguous apply under one
 // stream-lock acquisition), and the WAL flusher into ONE batched append
 // (one buffer, one lock, one write, one fsync).
-// Config.MirrorBatchMaxRecords caps a batch; Config.GroupCommitInterval
+// mirrorBatchMaxRecords caps a batch; Config.GroupCommitInterval
 // optionally lets one build.
 //
 // The WATERMARK ACK RULE: a commit, prepare, or epoch change is
@@ -269,17 +269,15 @@
 // separately, each by what it costs:
 //
 //   - The stream tail every store retains IN MEMORY — what a mirror
-//     resends to a backup that is behind and migration tails are
-//     served from — is bounded
-//     strictly, by Config.ReplicationLogMaxRecords or, when that is 0,
-//     by 64 MiB of estimated record bytes (logMaxBytes). Past the
-//     bound the tail is cut to its newest half-cap
-//     (truncateLogLocked), which costs a copy of what is kept. A
-//     primary enforces the bound inline in its emit-and-apply paths, so
-//     its tail never exceeds the cap; a live-mirror backup leaves
-//     routine truncation to a one-second server ticker, with a hard
-//     inline ceiling at four times the cap so memory never rests on the
-//     ticker alone.
+//     resends to a backup that is behind — is bounded strictly, by
+//     Config.ReplicationLogMaxRecords or, when that is 0, by 64 MiB of
+//     estimated record bytes (logMaxBytes). Past the bound the tail is
+//     cut to its newest half-cap (truncateLogLocked), which costs a
+//     copy of what is kept. A primary enforces the bound inline in its
+//     emit-and-apply paths, so its tail never exceeds the cap; a
+//     live-mirror backup leaves routine truncation to a one-second
+//     server ticker, with a hard inline ceiling at four times the cap so
+//     memory never rests on the ticker alone.
 //   - The write-ahead log ON DISK is bounded by the state it describes:
 //     at most a snapshot prefix plus as many bytes of records again,
 //     about twice the state. Rotating the file (checkpointLocked:
@@ -360,7 +358,7 @@
 //     snapshot-install rotation) each carry a //yesqlint:allow with
 //     the justification inline.
 //   - lockorder: the store's mutexes nest in one global order —
-//     repMu, then txMu, then epochMu, then snapMu, then dirMu.
+//     repMu, then txMu, then epochMu, then snapMu.
 //     Acquiring them in any other order (directly or via a
 //     same-package call) is flagged.
 //   - errsentinel: errors are classified by errors.Is/errors.As, an

@@ -23,24 +23,29 @@ func SetLogMaxBytes(t testing.TB, n int) {
 	t.Cleanup(func() { logMaxBytes = old })
 }
 
+// retainedRecords returns the records s retains from sequence from up
+// to its head, or an error when from is outside the retained tail.
+func retainedRecords(s *Store, from uint64) ([]kv.ReplRecord, error) {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	if from < s.logBase || from > s.logBase+uint64(len(s.commitLog)) {
+		return nil, fmt.Errorf("seq %d is outside the retained log [%d, %d)", from, s.logBase, s.logBase+uint64(len(s.commitLog)))
+	}
+	return append([]kv.ReplRecord(nil), s.commitLog[from-s.logBase:]...), nil
+}
+
 // catchUp feeds dst, through ApplyMirroredBatch, every record src
-// retains past dst's head, as src's mirror sender would.
+// retains past dst's head, in batches as src's mirror sender would.
 func catchUp(t testing.TB, dst, src *Store) {
 	t.Helper()
 	for dst.ReplSeq() < src.ReplSeq() {
 		from := dst.ReplSeq()
-		recs, _, _, err := src.MigrationRecords(from, 0)
-		if err == nil && len(recs) == 0 {
-			err = fmt.Errorf("seq %d is below the retained log", from)
-		}
+		recs, err := retainedRecords(src, from)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := &kv.MirrorBatchReq{From: from, Epoch: src.Epoch()}
-		for _, r := range recs {
-			req.Recs = append(req.Recs, r.Rec)
-		}
-		if err := dst.ApplyMirroredBatch(req); err != nil {
+		recs = recs[:min(len(recs), mirrorBatchMaxRecords)]
+		if err := dst.ApplyMirroredBatch(&kv.MirrorBatchReq{From: from, Epoch: src.Epoch(), Recs: recs}); err != nil {
 			t.Fatal(err)
 		}
 	}

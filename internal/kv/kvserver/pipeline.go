@@ -70,6 +70,11 @@ import (
 // comfortably under the wire frame limit regardless of record count.
 const mirrorBatchBytes = 4 << 20
 
+// mirrorBatchMaxRecords caps how many stream records one mirror batch
+// carries. Larger batches amortize the round trip further at the cost
+// of per-batch latency under bursts.
+const mirrorBatchMaxRecords = 256
+
 // replWaitTimeout bounds a durability wait. The worst legitimate case
 // is a record emitted just after a batch departed toward a slow (but
 // within-timeout) member: it waits out that in-flight round trip, a
@@ -609,27 +614,8 @@ func (s *Store) memberLoop(m *mirrorMember) {
 			}
 		}
 		for {
-			if d := s.cfg.MirrorSendDelay; d > 0 {
-				// Emulated link/storage latency: each batch occupies the
-				// member's one send slot for the whole delay, bounding
-				// the pipeline at MirrorBatchMaxRecords per
-				// MirrorSendDelay. The delay elapses BEFORE the batch is
-				// sliced so records emitted while it runs still ride
-				// this batch — like a real link, whose transmission time
-				// is exactly when the next frame accumulates.
-				if batchTimer == nil {
-					batchTimer = time.NewTimer(d)
-				} else {
-					batchTimer.Reset(d)
-				}
-				select {
-				case <-m.stopCh:
-					return
-				case <-batchTimer.C:
-				}
-			}
 			p.mu.Lock()
-			req := m.takeBatchLocked(s.cfg.MirrorBatchMaxRecords, p.streamEpoch, beat)
+			req := m.takeBatchLocked(p.streamEpoch, beat)
 			p.mu.Unlock()
 			if req == nil {
 				break
@@ -749,17 +735,15 @@ func (s *Store) resendFrom(m *mirrorMember, gap *kv.StreamGapError) error {
 var ErrBehindLog = errors.New("kvserver: backup is behind the retained log")
 
 // takeBatchLocked slices the member's next batch off its queue,
-// bounded by maxRecs and mirrorBatchBytes (at least one record always
-// goes — it crossed the wire once already, so it fits a frame). It
-// returns nil when there is nothing to send, unless beat asks for the
+// bounded by mirrorBatchMaxRecords and mirrorBatchBytes (at least one
+// record always goes — it crossed the wire once already, so it fits a
+// frame). It returns nil when there is nothing to send, unless beat asks for the
 // batch even empty (the probe or a heartbeat). Caller holds pipe.mu.
-func (m *mirrorMember) takeBatchLocked(maxRecs int, epoch uint64, beat bool) *kv.MirrorBatchReq {
+func (m *mirrorMember) takeBatchLocked(epoch uint64, beat bool) *kv.MirrorBatchReq {
 	if len(m.queue) == 0 && !beat {
 		return nil
 	}
-	if maxRecs <= 0 || maxRecs > len(m.queue) {
-		maxRecs = len(m.queue)
-	}
+	maxRecs := min(len(m.queue), mirrorBatchMaxRecords)
 	n, bytes := 0, 0
 	for n < maxRecs {
 		sz := recordSize(&m.queue[n])

@@ -94,17 +94,15 @@ func NewServer(store *Store) *Server {
 // heartbeat sends).
 func (s *Server) ack(reply *wire.Buffer) error {
 	(&kv.Ack{
-		Clock:      s.store.Clock().Now(),
-		Epoch:      s.store.Epoch(),
-		Members:    s.store.Members(),
-		DirVersion: s.store.DirVersion(),
+		Clock:   s.store.Clock().Now(),
+		Epoch:   s.store.Epoch(),
+		Members: s.store.Members(),
 	}).AppendTo(reply)
 	return nil
 }
 
-// handleDirectory serves the full slot directory (MethodDirectory). A
-// client that learns of a newer version — from an Ack piggyback or a
-// WrongSlotError redirect — fetches the map here.
+// handleDirectory serves the full slot directory (MethodDirectory): a
+// client learns it once, after it opens.
 func (s *Server) handleDirectory(_ context.Context, _ []byte, reply *wire.Buffer) error {
 	(&kv.DirectoryResp{Dir: s.store.Directory(), Clock: s.store.Clock().Now()}).AppendTo(reply)
 	return nil
@@ -536,10 +534,8 @@ func (s *Server) Close() error {
 // answers items at snap into out, positionally. Admission is decided
 // once for the request — the epoch/lease check every client operation
 // passes (only the primary serves), then slot ownership, where one
-// stale item rejects the lot: the client regroups every item under the
-// directory version the redirect carries, so a partial answer would
-// only be fetched again. The reads then take their per-shard locks one
-// by one. An absent object leaves its result Found=false: absence is a
+// misrouted item rejects the lot. The reads then take their per-shard
+// locks one by one. An absent object leaves its result Found=false: absence is a
 // normal outcome and must not fail the items beside it.
 func (s *Server) serveReads(snap kv.Timestamp, epoch uint64, items []kv.ReadBatchItem, out []kv.ReadBatchResult) error {
 	if err := s.store.CheckClientOp(epoch); err != nil {
@@ -602,8 +598,6 @@ func (s *Server) handlePrepare(_ context.Context, p []byte, reply *wire.Buffer) 
 	if err := s.store.CheckClientOp(req.Epoch); err != nil {
 		return err
 	}
-	// Early redirect before any lock work; the authoritative fence is
-	// the in-store ownership re-check under repMu (see store.prepare).
 	for _, op := range req.Ops {
 		if err := s.store.CheckClientSlot(op.OID); err != nil {
 			return err

@@ -133,25 +133,12 @@ type Store struct {
 	snapLastID    uint64
 	snapCapturing map[uint64]chan struct{}
 
-	// dirMu guards the slot directory: the versioned slot→group map
-	// this store checks client requests against (see "Slot migration
-	// and the directory" in the package comment), plus this store's own
-	// group index within it. dirMu is the INNERMOST store mutex — the
-	// write-path fence check takes it while holding repMu (so a
-	// directory install and a record emission are totally ordered), and
-	// dirMu holders take no other mutex.
-	dirMu sync.Mutex
-	// dir is the installed directory. A store is born holding the
-	// version-0 identity directory — one route, owned by its own group —
-	// which any directory the cluster publishes supersedes.
-	dir *kv.Directory
-	// dirGroup is the index in dir.Groups of the group this store
-	// belongs to; dir.Routes entries equal to it are the routes this
-	// store serves.
-	dirGroup uint32
-	// routeLoad counts client operations per directory route — the
-	// rebalancer's donor-selection signal, sized len(dir.Routes).
-	routeLoad []atomic.Uint64
+	// place is the installed slot directory and this store's group
+	// within it. A store is born holding the version-0 identity
+	// directory (one route, owned by its own group), which the
+	// directory the cluster installs at formation supersedes. Readers
+	// load it without a lock; InstallDirectory swaps it.
+	place atomic.Pointer[placement]
 
 	stats Stats
 }
@@ -168,17 +155,16 @@ func NewStore(hlc *clock.HLC, cfg Config) *Store {
 		txs:     make(map[uint64]*txRecord),
 		decided: make(map[uint64]decision),
 		// Born the sole primary of its own one-member group (named by
-		// SetSelf once it has an address), its stream starting in epoch 1
-		// and its directory the one-route identity map.
+		// SetSelf once it has an address), its stream starting in epoch 1.
 		epoch:        1,
 		streamEpoch:  1,
 		epochMembers: []string{""},
-		dir:          kv.IdentityDirectory(1),
-		routeLoad:    make([]atomic.Uint64, 1),
 
 		snapSessions:  make(map[uint64]*snapSession),
 		snapCapturing: make(map[uint64]chan struct{}),
 	}
+	// Born serving every OID: its directory is the one-route identity map.
+	s.place.Store(&placement{dir: kv.IdentityDirectory(1)})
 	for i := range s.shard {
 		s.shard[i].objs = make(map[kv.OID]*object)
 	}

@@ -16,33 +16,6 @@ func (s *Store) ReplSeq() uint64 {
 	return s.repSeq
 }
 
-// retainedLocked slices up to max records of the retained tail starting
-// at sequence number from, stopping early once the batch would pass
-// mirrorBatchBytes (at least one record always goes). A from outside the
-// retained window — truncated below logBase, or at the head — yields
-// nothing. Caller holds repMu.
-func (s *Store) retainedLocked(from uint64, max int) []kv.SyncRec {
-	if from < s.logBase || from >= s.logBase+uint64(len(s.commitLog)) {
-		return nil
-	}
-	end := from + uint64(max)
-	if top := s.logBase + uint64(len(s.commitLog)); end > top {
-		end = top
-	}
-	recs := make([]kv.SyncRec, 0, end-from)
-	bytes := 0
-	for seq := from; seq < end; seq++ {
-		rec := s.commitLog[seq-s.logBase]
-		sz := recordSize(&rec)
-		if len(recs) > 0 && bytes+sz > mirrorBatchBytes {
-			break
-		}
-		bytes += sz
-		recs = append(recs, kv.SyncRec{Seq: seq, Rec: rec})
-	}
-	return recs
-}
-
 // recordSize estimates the wire size of one replication record,
 // including the epoch stamp and — for RecEpoch records — the
 // membership list, so an epoch-heavy log tail cannot overshoot

@@ -22,12 +22,13 @@ type lockState struct {
 	// staged is the value ops produce on the object's newest version,
 	// whose timestamp is stagedOn (0: none), when prepare ran them — its
 	// dry run, kept so that commit installs it instead of applying the
-	// ops a second time. Under the lock nothing but a migration ingest
-	// (which asks no lock) can put a newer version on the object; commit
+	// ops a second time. Every write path takes the lock, so nothing
+	// should put a newer version on the object under it; commit still
 	// checks stagedOn against the newest version's timestamp and applies
-	// the ops afresh if it did. hasStaged is false on a lock rebuilt from
-	// a stream record or a snapshot (stageReplicatedPrepare), whose
-	// commit applies the ops itself.
+	// the ops afresh on a mismatch rather than lose that version.
+	// hasStaged is false on a lock rebuilt from a stream record or a
+	// snapshot (stageReplicatedPrepare), whose commit applies the ops
+	// itself.
 	staged    kv.Layered
 	stagedOn  clock.Timestamp
 	hasStaged bool
@@ -229,24 +230,11 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 	// the record never clears the watermark (the backup is dead or
 	// diverged), the vote is no — but the record DID enter the stream,
 	// so the abort owes it a decision record (s.abort emits one). The
-	// record carries the compare ops too, so a promoted backup, a
-	// snapshot's installer or a migration's drain holds the same locks,
-	// a participant that only compares included: its vote is a promise
-	// like any other.
+	// record carries the compare ops too, so a promoted backup or a
+	// snapshot's installer holds the same locks, a participant that only
+	// compares included: its vote is a promise like any other.
 	if replicate {
 		s.repMu.Lock()
-		// Migration fence: re-check route ownership under repMu, so the
-		// check and the emission are one atomic point in the stream
-		// relative to InstallDirectory. A write that loses the race gets
-		// the typed redirect and was provably never prepared here.
-		if wse := s.fencedOIDsLocked(oids); wse != nil {
-			s.repMu.Unlock()
-			s.releaseLocks(txid, locked)
-			s.txMu.Lock()
-			delete(s.txs, txid)
-			s.txMu.Unlock()
-			return 0, nil, wse
-		}
 		seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecPrepare, TxID: txid, TS: proposed, Ops: ops})
 		s.txMu.Lock()
 		if s.txs[txid] != rec {
@@ -330,20 +318,6 @@ func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err
 		return false, err
 	}
 	s.clock.Observe(commitTS)
-	// Migration fence, fast-commit half: an UNREPLICATED prepare's ops
-	// enter the stream only now, so the ownership re-check happens here,
-	// atomically with the emission. A REPLICATED prepare is exempt by
-	// design: its RecPrepare sits below the fence in the stream, the
-	// migration tail carries it to the destination, and this decision
-	// rides the same tail — fencing it would strand a promised vote.
-	if !rec.replicated {
-		if wse := s.fencedOIDsLocked(rec.oids); wse != nil {
-			s.abortLocked(txid, rec, false)
-			s.maybeCheckpointLocked()
-			s.repMu.Unlock()
-			return false, wse
-		}
-	}
 	// The per-object locks are still held here, so the replication
 	// stream order, the log order, and per-object version order all
 	// agree — on this store and, because batches apply in sequence, on

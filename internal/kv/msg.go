@@ -34,10 +34,9 @@ const (
 	// the snapshot, and the primary's mirror then fills in the records
 	// since.
 	MethodSnap = "kv.snap"
-	// MethodDirectory returns the server's current slot directory (the
-	// versioned slot→group map; see Directory). Clients call it when an
-	// ack's DirVersion piggyback or an ErrWrongSlot redirect reveals a
-	// newer version than the one they hold.
+	// MethodDirectory returns the server's slot directory (the
+	// slot→group map fixed at cluster formation; see Directory). A
+	// client calls it once, after it opens.
 	MethodDirectory = "kv.directory"
 )
 
@@ -174,13 +173,6 @@ func (m *MirrorBatchReq) Encode() []byte { return wire.Encode(m, (*MirrorBatchRe
 
 func DecodeMirrorBatchReq(p []byte) (*MirrorBatchReq, error) {
 	return decode(p, (*MirrorBatchReq).wire)
-}
-
-// SyncRec is one stream record with its position in the stream (see
-// kvserver.Store.MigrationRecords).
-type SyncRec struct {
-	Seq uint64
-	Rec ReplRecord
 }
 
 // SnapReq asks for one chunk of a state snapshot. ID 0 begins a new
@@ -569,21 +561,16 @@ func wireCells(c *wire.Codec, cells *[]uint64) {
 // membership (acting primary first), so
 // a fresh client learns the live configuration from its opening pings
 // and every later ack keeps it current without extra round trips.
-// DirVersion piggybacks the
-// responder's slot-directory version: a client holding an older
-// version fetches the full map with MethodDirectory.
 type Ack struct {
-	Clock      Timestamp
-	Epoch      uint64
-	Members    []string
-	DirVersion uint64
+	Clock   Timestamp
+	Epoch   uint64
+	Members []string
 }
 
 func (m *Ack) wire(c *wire.Codec) {
 	wire.U64(c, &m.Clock)
 	c.Uvarint(&m.Epoch)
 	wireMembers(c, &m.Members)
-	c.Uvarint(&m.DirVersion)
 }
 
 func (m *Ack) AppendTo(b *wire.Buffer) {

@@ -3,13 +3,11 @@
 // order, as documented on the Store struct and verified across the
 // replication stack, is:
 //
-//	repMu → txMu → epochMu → snapMu → dirMu
+//	repMu → txMu → epochMu → snapMu
 //
 // (prepare holds txMu while reading the epoch; emitLocked takes
-// epochMu under repMu; the slot-directory fence takes dirMu under
-// repMu on the write path; epochMu, snapMu, and dirMu holders never
-// take another store mutex). A function may acquire a mutex only when
-// every mutex
+// epochMu under repMu; epochMu and snapMu holders never take another
+// store mutex). A function may acquire a mutex only when every mutex
 // it already holds ranks strictly earlier; calling a function that
 // may (transitively, within the package) acquire an earlier-or-equal
 // rank while holding a later one is flagged the same way.
@@ -25,7 +23,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the repMu → txMu → epochMu → snapMu → dirMu acquisition order",
+	Doc:  "enforce the repMu → txMu → epochMu → snapMu acquisition order",
 	Run:  run,
 }
 
@@ -36,10 +34,9 @@ var rank = map[string]int{
 	"txMu":    1,
 	"epochMu": 2,
 	"snapMu":  3,
-	"dirMu":   4,
 }
 
-const orderDoc = "repMu → txMu → epochMu → snapMu → dirMu"
+const orderDoc = "repMu → txMu → epochMu → snapMu"
 
 func run(pass *analysis.Pass) error {
 	names := make(map[string]bool, len(rank))
