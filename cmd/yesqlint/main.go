@@ -10,7 +10,7 @@
 //
 // The suite enforces, mechanically, the replication stack's safety
 // rules: no blocking under Store.repMu (repmublock), the
-// repMu → txMu → epochMu → snapMu acquisition order (lockorder), no
+// repMu → txMu → epochMu acquisition order (lockorder), no
 // error classification by string matching (errsentinel), and no
 // per-iteration timer allocation (timerloop).
 package main

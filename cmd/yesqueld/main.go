@@ -11,11 +11,12 @@
 //	yesqueld -addr 10.0.0.3:7000
 //	yesqueld -addr 10.0.0.1:7000 -mirror 10.0.0.2:7000,10.0.0.3:7000
 //
-// The primary's mirror catches a backup up on whatever it lacks, as long
-// as the primary still retains those records. A backup behind that
-// retained log, or one whose history diverged from the primary's, is
-// refused; restart it with -sync-from naming the primary, which copies
-// the primary's full state before serving, then attach it again.
+// The primary's mirror catches a backup up on whatever it lacks: from
+// the records it still retains, or, for a backup behind that retained
+// log or one whose history diverged from the primary's, by pushing it
+// a snapshot of the primary's state. A backup that stops answering is
+// retried until it answers again, so one restarted at the same -addr,
+// even empty, rejoins with no operator step.
 package main
 
 import (
@@ -38,8 +39,7 @@ func main() {
 	logPath := flag.String("log", "", "write-ahead log path (empty = in-memory only)")
 	logSync := flag.Bool("log-sync", false, "fsync the log on every commit")
 	mirror := flag.String("mirror", "", "backup server address(es), comma-separated, already running: this server attaches them and installs the group [this server, backups...] as a new epoch, so it serves under their lease grants and commits are acknowledged once a majority of the group holds them")
-	replLogMax := flag.Int("replication-log-max", 0, "bound the retained stream tail (what the mirror resends to a backup that is behind) to this many records: beyond it the server checkpoints (state snapshot + WAL rotation) and truncates, and a backup too far behind rejoins by state transfer (-sync-from) (0 = the built-in byte bound)")
-	syncFrom := flag.String("sync-from", "", "primary address to copy the full state from before serving, for a backup behind the primary's retained log or diverged from its stream (a backup within the log needs no flag: the primary's -mirror fills its gap)")
+	replLogMax := flag.Int("replication-log-max", 0, "bound the retained stream tail (what the mirror resends to a backup that is behind) to this many records: beyond it the server checkpoints (state snapshot + WAL rotation) and truncates, and a backup too far behind is pushed a snapshot of the primary's state (0 = the built-in byte bound)")
 	lease := flag.Duration("lease", 2*time.Second, "primary lease duration in a group of more than one member: how long the primary may serve after a backup last accepted one of its mirror batches, and how long a promotion must wait; a backup sent nothing for a third of it gets an empty batch, the heartbeat")
 	groupCommitInterval := flag.Duration("group-commit-interval", 0, "how long the replication pipeline waits after waking before flushing, letting a batch build (0 = flush as soon as free)")
 	statsEvery := flag.Duration("stats", 0, "periodically log epoch, role, lease state, and activity counters (0 = off)")
@@ -66,16 +66,6 @@ func main() {
 		log.Fatalf("yesqueld: %v", err)
 	}
 	srv := kvserver.NewServer(store)
-	if *syncFrom != "" {
-		// State transfer before serving. The primary's mirror, once it
-		// attaches this server (its -mirror flag), fills in the records
-		// it commits after the snapshot.
-		log.Printf("yesqueld: copying state from %s", *syncFrom)
-		if err := srv.StateTransferFrom(*syncFrom); err != nil {
-			log.Fatalf("yesqueld: %v", err)
-		}
-		log.Printf("yesqueld: installed state at seq %d", store.ReplSeq())
-	}
 	// Listen before forming the group: the bound address is the member
 	// identity the new epoch's membership names.
 	if err := srv.Listen(*addr); err != nil {

@@ -296,8 +296,7 @@ func BenchmarkFailover(b *testing.B) {
 // state, under two log policies. "full-replay" keeps the unbounded
 // replication log, so the backup replays every record since the
 // beginning of time; "snapshot" truncates the log at checkpoints, so
-// the backup installs a state-transfer snapshot plus the retained
-// tail. With MVCC history (most records superseding earlier versions)
+// the backup installs a pushed snapshot plus the retained tail. With MVCC history (most records superseding earlier versions)
 // the snapshot path ships the current state, not the write history —
 // the gap widens with the primary's age.
 func BenchmarkResync(b *testing.B) {
@@ -336,9 +335,9 @@ func BenchmarkResync(b *testing.B) {
 				b.Fatal(err)
 			}
 			go backup.Serve()
-			// When the log no longer reaches the empty backup, Join
-			// state-transfers, then the mirror sends the tail.
-			if err := kvserver.Join(primary, backup); err != nil {
+			// When the log no longer reaches the empty backup, its
+			// sender pushes a snapshot, then sends the tail.
+			if err := primary.AttachBackupMember(backup.Addr()); err != nil {
 				b.Fatal(err)
 			}
 			// The epoch bump that admits the caught-up member completes

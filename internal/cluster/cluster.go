@@ -182,11 +182,11 @@ func (cl *Cluster) startMember(i int, suffix string) (*kvserver.Server, error) {
 }
 
 // attachBackup starts a fresh backup for slot i and attaches it to the
-// acting primary as an additional replication member (see kvserver.Join). It
-// works both at cluster startup (empty stores: the attach is one probe)
-// and on a primary with history, which the backup catches up on from
-// the primary's retained log, or by state transfer when the log was
-// truncated.
+// acting primary as an additional replication member. It works both at
+// cluster startup (empty stores: the attach is one probe) and on a
+// primary with history, which the backup catches up on from the
+// primary's retained log, or from a snapshot the primary pushes when
+// the log was truncated.
 func (cl *Cluster) attachBackup(i int) error {
 	g := cl.Groups[i]
 	g.gen++
@@ -194,7 +194,7 @@ func (cl *Cluster) attachBackup(i int) error {
 	if err != nil {
 		return err
 	}
-	if err := kvserver.Join(g.Primary, backup); err != nil {
+	if err := g.Primary.AttachBackupMember(backup.Addr()); err != nil {
 		backup.Close()
 		backup.Store().CloseLog()
 		return err
@@ -351,7 +351,7 @@ func (cl *Cluster) promote(slot int, force bool) error {
 	kept := losers[:0]
 	for _, b := range losers {
 		b.Store().AdoptEpoch(newEpoch, members)
-		if err := kvserver.Join(winner, b); err != nil {
+		if err := winner.AttachBackupMember(b.Addr()); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: rejoining %s to promoted slot %d: %w", b.Addr(), slot, err)
 			}
@@ -391,7 +391,7 @@ func (cl *Cluster) promote(slot int, force bool) error {
 // instead of the pre-replication dead end where a broken pair diverged
 // forever. (Each restarted member starts from an empty store; its
 // catch-up is a replay of the primary's retained log, including every
-// past epoch change in stream order, or a state transfer when the log
+// past epoch change in stream order, or a pushed snapshot when the log
 // was truncated.) Re-forming is
 // itself a configuration change: the primary bumps the epoch with the
 // full membership, and the mirrored RecEpoch record both informs the

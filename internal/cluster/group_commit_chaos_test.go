@@ -97,8 +97,8 @@ func TestGroupCommitAmortizesMirrorAndFsync(t *testing.T) {
 //     never an acknowledged one.
 //   - The isolated primary's stranded records (locally committed,
 //     never acknowledged) make its stream HEAD run ahead of the new
-//     epoch's: any attempt to resync it as a backup must fail loudly
-//     with kv.ErrDiverged, never splice.
+//     epoch's: resyncing it as a backup never splices — the new
+//     primary's sender pushes it a snapshot that discards them.
 func TestGroupCommitIsolatedPrimaryLosesNoAckedWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long chaos drill (-short)")
@@ -204,12 +204,16 @@ func TestGroupCommitIsolatedPrimaryLosesNoAckedWrite(t *testing.T) {
 		}
 	}
 
-	// Any attempt to attach the diverged old primary to the new one
-	// must be refused loudly — its stranded records were never in the
-	// new epoch's stream, and mirroring past them would splice
-	// histories.
-	err = newPrimary.AttachBackupMember(old.Addr())
-	if !errors.Is(err, kv.ErrDiverged) {
-		t.Fatalf("attach of diverged old primary: %v, want kv.ErrDiverged", err)
+	// Attaching the diverged old primary to the new one never mirrors
+	// past its stranded records, which were never in the new epoch's
+	// stream: its sender pushes it the new epoch's state instead.
+	if err := newPrimary.AttachBackupMember(old.Addr()); err != nil {
+		t.Fatalf("attach of diverged old primary: %v", err)
+	}
+	if got := oldStore.Stats().SnapshotsInstalled; got != 1 {
+		t.Fatalf("diverged old primary installed %d snapshots, want 1: its history was spliced", got)
+	}
+	if got, want := oldStore.StateDigest(), newPrimary.Store().StateDigest(); got != want {
+		t.Fatalf("after the push: old digest %x != new primary digest %x", got, want)
 	}
 }

@@ -6,8 +6,11 @@ package cluster_test
 //
 //   - A replica whose history DIVERGED from the group's — even one
 //     whose stream head is BEHIND the group's, so sequence-number
-//     checks alone would pass — is rejected with kv.ErrDiverged on
-//     resync and converges only by explicit state transfer.
+//     checks alone would pass — is never resynced by record replay: the
+//     primary's sender finds the divergence and pushes it a snapshot.
+//   - A group whose backups died and came back, empty, at the same
+//     addresses heals itself: their senders retry, and push each one
+//     a snapshot.
 //   - An rf=3 group survives any single member's death or isolation
 //     with zero acked-write loss; a dead BACKUP doesn't even surface
 //     errors to clients (the quorum watermark advances on the
@@ -38,11 +41,11 @@ import (
 // the record below the backup's head, the new primary's mirror would
 // silently splice the new epoch's records on top of the stranded ones
 // and the "caught-up backup" would differ from its primary at the same
-// stream position. The pinned behavior: attaching the old primary as a
-// backup fails loudly with kv.ErrDiverged (its stream epoch does not
-// match the epoch the group's stream had in force at its head), and the
-// only road back is state transfer, after which the stores are
-// byte-identical.
+// stream position. The pinned behavior: the record resync is refused
+// (the old primary's stream epoch does not match the epoch the group's
+// stream had in force at its head), so attaching the old primary as a
+// backup succeeds only by a pushed snapshot that discards its stranded
+// records, after which the stores are byte-identical.
 func TestDivergedButBehindResyncRejected(t *testing.T) {
 	cl, err := cluster.StartReplicated(1, 2, kvserver.Config{LeaseDuration: 150 * time.Millisecond})
 	if err != nil {
@@ -112,22 +115,17 @@ func TestDivergedButBehindResyncRejected(t *testing.T) {
 
 	// The splice attempt: every seq check passes (the old primary is
 	// strictly behind and above the log base), so only the check of the
-	// record below its head can catch the divergence. It must.
-	err = newPrimary.AttachBackupMember(old.Addr())
-	if err == nil {
-		t.Fatal("diverged-but-behind old primary was attached cleanly: histories were spliced")
+	// record below its head can catch the divergence. It must, and the
+	// sender then pushes the old primary the new one's state, its
+	// stranded tail discarded — ending byte-identical.
+	if err := newPrimary.AttachBackupMember(old.Addr()); err != nil {
+		t.Fatalf("attach of diverged old primary: %v", err)
 	}
-	if !errors.Is(err, kv.ErrDiverged) {
-		t.Fatalf("attach of diverged old primary: %v, want kv.ErrDiverged", err)
-	}
-
-	// The sanctioned road back: full state transfer, stranded tail
-	// discarded — ending byte-identical.
-	if err := old.StateTransferFrom(newPrimary.Addr()); err != nil {
-		t.Fatalf("state transfer of diverged old primary: %v", err)
+	if got := oldStore.Stats().SnapshotsInstalled; got != 1 {
+		t.Fatalf("diverged old primary installed %d snapshots, want 1: its history was spliced", got)
 	}
 	if got, want := oldStore.StateDigest(), newPrimary.Store().StateDigest(); got != want {
-		t.Fatalf("after state transfer: old digest %x != new primary digest %x", got, want)
+		t.Fatalf("after the push: old digest %x != new primary digest %x", got, want)
 	}
 
 	// Zero acked-write loss throughout.

@@ -97,8 +97,8 @@ func wireCases() []wireCase {
 		newCase("Directory", &dir, bufEncoder(func(b *wire.Buffer, d **Directory) { EncodeDirectory(b, *d) }), readerDecoder(DecodeDirectory)),
 		newCase("MirrorBatchReq", &MirrorBatchReq{From: 5, Epoch: 3, Recs: recs}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
 		newCase("MirrorBatchReq probe", &MirrorBatchReq{From: 42, Epoch: 3}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
-		newCase("SnapReq", &SnapReq{ID: 7, Chunk: 3}, (*SnapReq).Encode, DecodeSnapReq),
-		newCase("SnapResp", &SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("slice"), Clock: 55}, reply[SnapResp], DecodeSnapResp),
+		newCase("MirrorBatchReq chunk", &MirrorBatchReq{From: 42, Epoch: 3, Off: 7, Snap: []byte("piece")}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
+		newCase("MirrorBatchReq last", &MirrorBatchReq{From: 42, Epoch: 3, Off: 12, Last: true}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
 		newCase("ReadPartReq whole object", &ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2)}}, (*ReadPartReq).Encode, DecodeReadPartReq),
 		newCase("ReadPartReq", &ReadPartReq{Snap: 77, Epoch: 4, Item: ReadBatchItem{OID: MakeOID(1, 2), Part: true, From: []byte("a"), To: []byte("m"), Max: 8}}, (*ReadPartReq).Encode, DecodeReadPartReq),
 		newCase("ReadPartResp plain value", &ReadPartResp{Found: true, Version: 10, Value: NewPlain([]byte("v")), Clock: 11}, (*ReadPartResp).Encode, DecodeReadPartResp),
@@ -166,10 +166,10 @@ var goldenHex = map[string]string{
 	"ReplRecord":               "03030000000000000000000000000000000000000203613a3103623a32",
 	"ReplRecord ops":           "010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010000",
 	"Directory":                "03020001020103613a310203623a3203633a33",
-	"MirrorBatchReq":           "050302010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f0001000003030000000000000000000000000000000000000203613a3103623a32",
-	"MirrorBatchReq probe":     "2a0300",
-	"SnapReq":                  "0700000003",
-	"SnapResp":                 "07d209000000030000000905736c6963650000000000000037",
+	"MirrorBatchReq":           "050302010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f0001000003030000000000000000000000000000000000000203613a3103623a32000000",
+	"MirrorBatchReq probe":     "2a0300000000",
+	"MirrorBatchReq chunk":     "2a03000705706965636500",
+	"MirrorBatchReq last":      "2a03000c0001",
 	"ReadPartReq whole object": "000000000000004d0400010000000000020000000000000000",
 	"ReadPartReq":              "000000000000004d040001000000000002010161016d0100000008",
 	"ReadPartResp plain value": "01000000000000000a00017600000000000000000000000b",

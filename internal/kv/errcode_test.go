@@ -37,7 +37,6 @@ func TestWireErrorCodeMapping(t *testing.T) {
 		{ErrUncertain, CodeUncertain},
 		{ErrDiverged, CodeDiverged},
 		{ErrWrongEpoch, CodeWrongEpoch},
-		{ErrSnapSessionExpired, CodeSnapSessionExpired},
 		{fmt.Errorf("wrapped: %w", ErrConflict), CodeConflict},
 		{&WrongEpochError{Epoch: 3, Members: []string{"a"}}, CodeWrongEpoch},
 		{&CompareError{Op: OpCmpAbsent, OID: 1}, CodeCompare},

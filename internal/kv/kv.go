@@ -244,7 +244,7 @@ var (
 	// (it applied records the primary never streamed), or whose record
 	// below its head is not the primary's, a decision for a prepare the
 	// replica never staged. Record replay cannot repair divergence: the
-	// replica rejoins by state transfer.
+	// primary pushes the replica a snapshot that replaces its history.
 	ErrDiverged = errors.New("kv: replicas diverged")
 	// ErrWrongEpoch reports that a request carried a stale (or unknown)
 	// replication-group epoch, or reached a member that may not serve it
@@ -269,27 +269,22 @@ var (
 	// StreamGapError, carries the head, so the primary resends from
 	// there.
 	ErrStreamGap = errors.New("kv: mirror batch not at the stream head")
-	// ErrSnapSessionExpired rejects a snapshot chunk request whose
-	// session is unknown, expired or evicted: the transfer must restart
-	// from scratch.
-	ErrSnapSessionExpired = errors.New("kv: unknown or expired snapshot session")
 )
 
 // Wire error codes: the class of an error reply (rpc.AppError.Code).
 // Code 0 means unclassified; never assign it. Values are wire protocol:
-// append, never renumber; 10 is retired.
+// append, never renumber; 10 and 50 are retired.
 const (
-	CodeConflict           uint64 = 1
-	CodeAborted            uint64 = 2
-	CodeNotFound           uint64 = 3
-	CodeBadRequest         uint64 = 4
-	CodeUncertain          uint64 = 5
-	CodeDiverged           uint64 = 6
-	CodeWrongEpoch         uint64 = 7
-	CodeWrongSlot          uint64 = 8
-	CodeCompare            uint64 = 9
-	CodeStreamGap          uint64 = 11
-	CodeSnapSessionExpired uint64 = 50
+	CodeConflict   uint64 = 1
+	CodeAborted    uint64 = 2
+	CodeNotFound   uint64 = 3
+	CodeBadRequest uint64 = 4
+	CodeUncertain  uint64 = 5
+	CodeDiverged   uint64 = 6
+	CodeWrongEpoch uint64 = 7
+	CodeWrongSlot  uint64 = 8
+	CodeCompare    uint64 = 9
+	CodeStreamGap  uint64 = 11
 )
 
 // wireErrors pairs each wire code with its sentinel, and the four
@@ -313,7 +308,6 @@ var wireErrors = [...]wireError{
 	{CodeStreamGap, ErrStreamGap, typed[StreamGapError]},
 	{CodeDiverged, ErrDiverged, nil},
 	{CodeBadRequest, ErrBadRequest, nil},
-	{CodeSnapSessionExpired, ErrSnapSessionExpired, nil},
 }
 
 type wireError struct {

@@ -1,6 +1,7 @@
 package kvclient
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -48,7 +49,7 @@ func (g *replicaGroup) get() (*rpc.Client, error) {
 	var lastErr error
 	for i := 0; i < len(g.addrs); i++ {
 		idx := (g.cur + i) % len(g.addrs)
-		conn, err := rpc.DialTimeout(g.addrs[idx], dialTimeout)
+		conn, err := rpc.DialContext(context.Background(), g.addrs[idx], dialTimeout)
 		if err == nil {
 			g.cur, g.conn, g.connAddr = idx, conn, g.addrs[idx]
 			return conn, nil

@@ -350,7 +350,7 @@ func TestReplicasAgreeAcrossRebasePoints(t *testing.T) {
 	if err := encodeSnapshot(sn, 1<<16, func(p []byte) error { enc = append(enc, p...); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := backup.InstallSnapshot(enc); err != nil {
+	if err := backup.ApplyMirroredBatch(&kv.MirrorBatchReq{From: sn.Seq, Epoch: sn.Epoch, Snap: enc, Last: true}); err != nil {
 		t.Fatal(err)
 	}
 	pending := func(s *Store) int {

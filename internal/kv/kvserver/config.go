@@ -31,8 +31,8 @@ type Config struct {
 	// in memory (what a mirror resends to a backup that is behind). The
 	// promise is about memory and it is strict: when the tail
 	// exceeds this many records it is cut to its newest half, so a backup
-	// that falls behind the retained tail catches up by snapshot install
-	// (MethodSnap) + tail instead of a full-history replay. It is also
+	// that falls behind the retained tail catches up by a pushed snapshot
+	// + tail instead of a full-history replay. It is also
 	// the floor of the write-ahead log's rotation cadence — the file is
 	// considered only when the tail is cut — but no longer its trigger:
 	// the log is rotated onto a state snapshot once the records appended
@@ -154,8 +154,8 @@ type Stats struct {
 	// retained tail, with or without a rotation. CheckpointFailures
 	// counts WAL rotations that failed — the in-memory log bound still
 	// holds (truncation proceeds regardless), but restart-replay cost is
-	// no longer bounded and the disk needs attention. SnapshotsServed counts state-transfer
-	// snapshots captured for a peer's state transfer, SnapshotsInstalled
+	// no longer bounded and the disk needs attention. SnapshotsServed counts
+	// snapshots this store's member senders pushed to backups, SnapshotsInstalled
 	// snapshots this member installed in place of a full-history
 	// replay.
 	Checkpoints         atomic.Uint64

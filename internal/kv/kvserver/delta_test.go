@@ -423,7 +423,7 @@ func TestSnapshotStreamsInExactChunks(t *testing.T) {
 		}
 	}
 	r := NewStore(nil, Config{})
-	if err := r.InstallSnapshot(whole); err != nil {
+	if err := r.ApplyMirroredBatch(&kv.MirrorBatchReq{From: s.ReplSeq(), Epoch: s.Epoch(), Snap: whole, Last: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := r.StateDigest(), s.StateDigest(); got != want {

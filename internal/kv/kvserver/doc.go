@@ -40,9 +40,13 @@
 // acks count only records its backup holds. Until it has caught up to
 // the head it was attached at, a new member is a learner: the quorum
 // neither waits for it nor fails with it. A backup ahead of the
-// primary's stream or diverged from it is refused loudly, and so is one
-// whose gap the tail no longer reaches back over; those rejoin by state
-// transfer (Server.StateTransferFrom).
+// primary's stream or diverged from it, or one whose gap the tail no
+// longer reaches back over, is rebuilt by the same sender: it pushes
+// the backup a snapshot of the primary's state down the mirror. A send
+// that fails does not end the sender: it backs off and probes the
+// member again, redialing, until the member answers — a backup that
+// died and came back at its address, even empty, rejoins with no
+// operator call.
 //
 // # Group commit and pipelined mirroring
 //
@@ -57,8 +61,7 @@
 //   - the application of the record's effects (commit versions,
 //     staged prepares, epoch installs) — so visible state always
 //     equals the stream position when repMu is free, which is what
-//     lets snapshot captures, state transfers and route captures claim exact
-//     coverage.
+//     lets snapshot captures and pushes claim exact coverage.
 //
 // What never happens under repMu: the mirror RPC and the
 // write-ahead-log write/fsync. Emitted records are queued to the
@@ -214,8 +217,8 @@
 // A member whose history DIVERGED — it holds records at positions the
 // winner's stream stamped with a different epoch, the classic
 // isolated-old-primary-with-stranded-writes case — is rejected with
-// kv.ErrDiverged at every splice point and re-joins by state transfer
-// only:
+// kv.ErrDiverged at every splice point and is rebuilt by a pushed
+// snapshot only:
 //
 //   - a mirror batch applies only at the replica's own head; otherwise
 //     the replica answers with its head, the epoch its stream installed
@@ -229,7 +232,8 @@
 // A configuration change at the epoch a replica adopted out of band
 // must carry the membership it adopted, so a deposed primary that
 // re-forms its own group under the same epoch number collects no ack
-// from a loser that is waiting for its winner's record (WrongEpoch).
+// from a loser waiting for its winner's record (WrongEpoch), nor
+// rebuilds it with a pushed snapshot, held to the same rule.
 //
 // # Batched reads
 //
@@ -300,7 +304,7 @@
 //
 // A rotation never holds the encoding in memory: encodeSnapshot hands
 // it over a chunk at a time, each chunk becoming one snapshot frame of
-// the new file (or one chunk of a MethodSnap transfer session). The
+// the new file (or one chunk of a push down the mirror). The
 // encode and the file write run off repMu, on a goroutine, while
 // appends that race them are teed into the new file; a rotation that
 // fails or dies part-way leaves the old log as it was. A store without
@@ -310,21 +314,22 @@
 // path, on every store, holds repMu across a record's emission AND the
 // application of its effects, so a snapshot taken under repMu always
 // equals "every record below repSeq applied, none above" — the
-// contract a replica rebuilt by state transfer needs. Prepares whose record has not
-// entered the stream yet are skipped (their records arrive in the
-// tail).
+// contract a replica rebuilt from a pushed snapshot needs. Prepares
+// whose record has not entered the stream yet are skipped (their
+// records arrive in the tail).
 //
-// A backup whose head is below the truncated log's base is refused by
-// the primary's sender (ErrBehindLog), and one ahead of the primary's
-// stream or diverged from it with kv.ErrDiverged. Either rejoins by
-// STATE TRANSFER (Server.StateTransferFrom), which the orchestrator
-// runs before attaching it again: it streams a chunked snapshot
-// (MethodSnap) and installs it, replacing its own state wholesale, and
-// the primary's sender then sends the records since the snapshot's
-// sequence number. This is what makes a late-joining or long-dead
-// replica cost the current state's size rather than the primary's full
-// write history, and it removes blocker (c) for replication factors
-// above 2 (see ROADMAP).
+// A backup whose head is below the truncated log's base, or whose
+// history is not a prefix of the primary's stream (kv.ErrDiverged), is
+// rebuilt by STATE TRANSFER its sender pushes, as Raft's leader sends
+// InstallSnapshot (pushSnapshot): a capture under repMu, streamed in
+// chunks as it is encoded, each an otherwise empty mirror batch under
+// the batch's epoch and lease rule. On the last chunk the backup
+// installs it, replacing its state wholesale and, with a log, rotating
+// it; the records since the capture follow from the member's queue. A
+// push cut short installs nothing. A diverged backup's discarded records
+// were never held by a majority, so no acknowledged write is lost. A
+// late-joining or long-dead replica costs the current state's size
+// rather than the primary's full write history.
 //
 // # Version GC
 //
@@ -358,7 +363,7 @@
 //     snapshot-install rotation) each carry a //yesqlint:allow with
 //     the justification inline.
 //   - lockorder: the store's mutexes nest in one global order —
-//     repMu, then txMu, then epochMu, then snapMu.
+//     repMu, then txMu, then epochMu.
 //     Acquiring them in any other order (directly or via a
 //     same-package call) is flagged.
 //   - errsentinel: errors are classified by errors.Is/errors.As, an

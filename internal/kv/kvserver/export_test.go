@@ -23,6 +23,15 @@ func SetLogMaxBytes(t testing.TB, n int) {
 	t.Cleanup(func() { logMaxBytes = old })
 }
 
+// LogBounds reports the retained replication log's window: base is the
+// oldest sequence number still held, head the next to be assigned, so
+// head-base records are in memory.
+func (s *Store) LogBounds() (logBase, head uint64) {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	return s.logBase, s.repSeq
+}
+
 // retainedRecords returns the records s retains from sequence from up
 // to its head, or an error when from is outside the retained tail.
 func retainedRecords(s *Store, from uint64) ([]kv.ReplRecord, error) {

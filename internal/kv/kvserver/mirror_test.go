@@ -31,13 +31,13 @@ func startServerWith(t *testing.T, cfg kvserver.Config) *kvserver.Server {
 }
 
 // formGroup makes primary the primary of [primary, backups...], the way
-// cluster.startGroup does: each backup joins (see kvserver.Join), then one epoch
-// bump installs the membership.
+// cluster.startGroup does: each backup is attached, then one epoch bump
+// installs the membership.
 func formGroup(t *testing.T, primary *kvserver.Server, backups ...*kvserver.Server) {
 	t.Helper()
 	members := []string{primary.Addr()}
 	for _, b := range backups {
-		if err := kvserver.Join(primary, b); err != nil {
+		if err := primary.AttachBackupMember(b.Addr()); err != nil {
 			t.Fatal(err)
 		}
 		members = append(members, b.Addr())

@@ -20,9 +20,8 @@ package kvserver
 // acknowledged record. For a pair (one member) need is 1.
 //
 // Failure semantics are watermark semantics. A batch that fails marks
-// its member BROKEN: the member's queue is dropped and no further
-// batches go to it (it rejoins only by a re-attach). Waiters are then
-// judged by the surviving quorum: with
+// its member BROKEN: the member's queue is dropped, nothing more is
+// queued for it, and waiters are judged by the surviving quorum: with
 // enough live members they simply stop counting on the broken one;
 // when live members fall below need the quorum is LOST and every
 // waiter at or above the watermark fails with the member's error
@@ -32,7 +31,11 @@ package kvserver
 // applied: the only ack path is a quorum of per-member batch
 // acknowledgments covering the record's sequence number (or an
 // explicit operator detach, which removes the replication requirement
-// itself and fails — not acks — the waiters already in flight).
+// itself and fails — not acks — the waiters already in flight). A
+// broken member stays a voter (dropping it from need would let fewer
+// than a majority acknowledge), and its sender retries it without end,
+// as Raft's leader retries AppendEntries: it backs off and probes again
+// at the stream head, redialing, until a batch is accepted.
 //
 // The sender is also the only way records reach a backup, the way
 // Raft's AppendEntries consistency check works: a batch says where it
@@ -42,11 +45,16 @@ package kvserver
 // first batch — the probe — starts at the primary's head at attach time
 // and goes even empty, so a member attached mid-life catches up through
 // its own queue, and its acks — which start at the head its backup
-// reported — count only records it holds. Until it has acknowledged that
-// head the member is a LEARNER (the Raft dissertation's non-voting
-// member, §4.2.1): it is left out of need, the watermark and quorum
-// loss, so a slow or refused catch-up neither stalls nor fails the
-// commits running beside it. It votes from its join on.
+// reported — count only records it holds. A backup the retained log no
+// longer reaches, or whose history diverged, is pushed a snapshot by the
+// same sender (Raft's InstallSnapshot), which replaces whatever it held:
+// a record this stream does not hold at its position was never held by
+// a majority, so discarding it loses no acknowledged write. Until a new
+// member has acknowledged the head at its attach it is a LEARNER (the
+// Raft dissertation's non-voting member, §4.2.1): it is left out of
+// need, the watermark and quorum loss, so a slow catch-up neither
+// stalls nor fails the commits running beside it. It votes from its
+// join on.
 //
 // The sender is the primary's only channel to a backup for the lease
 // too: a batch the backup accepted is that member's lease grant,
@@ -54,8 +62,9 @@ package kvserver
 // Config.LeaseDuration is sent an empty batch — the heartbeat, Raft's
 // AppendEntries with no entries — so an idle primary keeps its grants
 // and a loaded one sends no heartbeats. A broken member grants nothing
-// more: the primary serves only while a majority of its group accepts
-// its stream, and a refusal carrying a newer configuration deposes it.
+// until it accepts a batch again: the primary serves only while a
+// majority of its group accepts its stream, and a refusal carrying a
+// newer configuration deposes it.
 
 import (
 	"errors"
@@ -117,11 +126,14 @@ type mirrorMember struct {
 	// learner: the join has not succeeded yet, and the member does not
 	// count toward the quorum (see recomputeQuorumLocked).
 	learner bool
-	// broken: a batch to this member failed; its queue was dropped and
-	// its sender goroutine exited. It rejoins only by re-attach; its past
-	// acks still count — the records ARE on it.
+	// broken: the member's last send failed, and its sender is retrying
+	// it. Its past acks still count — the records ARE on it.
 	broken bool
 	err    error
+	// parked: since that failure nothing is queued for the member; the
+	// sender's next probe, taken at the stream head, resumes its queue.
+	parked bool
+	chunks uint64 // snapshot chunks accepted: a push's progress, which acked does not show
 
 	stopCh chan struct{}
 	wake   chan struct{}
@@ -205,6 +217,10 @@ type replPipe struct {
 	// stopCh is non-nil while the WAL flusher goroutine runs.
 	stopCh chan struct{}
 	wake   chan struct{}
+
+	// senders counts the member senders still running: Server.Close
+	// waits for the ones it detached.
+	senders sync.WaitGroup
 }
 
 func (s *Store) initPipe() {
@@ -323,7 +339,7 @@ func (s *Store) enqueueLocked(seq uint64, rec kv.ReplRecord) {
 	p.mu.Lock()
 	p.streamEpoch = s.streamEpoch
 	for _, m := range p.members {
-		if m.broken {
+		if m.parked {
 			continue
 		}
 		m.queue = append(m.queue, rec)
@@ -460,6 +476,7 @@ func (s *Store) AttachMirrorMember(id string, send func(*kv.MirrorBatchReq) erro
 	p.recomputeQuorumLocked()
 	p.completeWaitersLocked()
 	p.mu.Unlock()
+	p.senders.Add(1)
 	go s.memberLoop(m)
 	return joined
 }
@@ -509,9 +526,9 @@ func (s *Store) detachMembers(detach func(*mirrorMember) bool) {
 }
 
 // ReplicaStatus is one attached replication member's progress, for
-// stats: how far its acks reach, and whether it is broken (a batch
-// failed; it needs a re-attach). Lag is Head - AckedSeq at
-// snapshot time.
+// stats: how far its acks reach, and whether it is broken (its last
+// send failed and the sender is retrying it). Lag is Head - AckedSeq
+// at snapshot time.
 type ReplicaStatus struct {
 	Member   string
 	AckedSeq uint64
@@ -536,6 +553,20 @@ func (s *Store) ReplicationStatus() (head, watermark uint64, need int, members [
 	p.mu.Unlock()
 	s.repMu.Unlock()
 	return head, watermark, need, members
+}
+
+// memberProgress is how far the member id has come: its ack mark plus
+// the snapshot chunks it has accepted (0 once it is detached).
+func (s *Store) memberProgress(id string) uint64 {
+	p := &s.pipe
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, m := range p.members {
+		if m.id == id {
+			return m.acked + m.chunks
+		}
+	}
+	return 0
 }
 
 // failMirrorWindowLocked permanently fails the unacknowledged window
@@ -574,24 +605,34 @@ func (p *replPipe) failMirrorWindowLocked(head uint64, err error) {
 // it is free — a lone writer pays no added latency, while concurrent
 // writers naturally coalesce into whatever accumulated during the
 // previous batch's round trip. A member idle for a heartbeat period is
-// sent an empty batch; the first one, the probe, goes at once. An
-// accepted batch extends the member's lease grant. A gap reply turns
-// the queue into the retained records from the backup's head
-// (resendFrom); any other failure breaks the member and ends the loop,
-// and a wrong-epoch refusal first adopts the configuration it carries.
+// sent an empty batch; the first one, the probe, goes at once. After a
+// failed send the loop waits — a heartbeat period, doubling up to
+// LeaseDuration — and probes again at the stream head (reprobe). It
+// ends only on a detach, on a refusal carrying a newer configuration
+// (adopted first: a deposed sender can have nothing accepted again), or
+// when the failure answered a join still waiting on it.
 func (s *Store) memberLoop(m *mirrorMember) {
+	defer s.pipe.senders.Done()
 	p := &s.pipe
 	heartbeat := max(s.cfg.LeaseDuration/3, time.Millisecond)
+	backoff := heartbeat
 	idle := time.NewTimer(0)
 	defer idle.Stop()
-	// One reusable batching timer for the loop's lifetime; allocated on
-	// the first wake that needs it, Reset on every later one.
-	var batchTimer *time.Timer
-	defer func() {
-		if batchTimer != nil {
-			batchTimer.Stop()
+	// One reusable timer for the batching wait and the backoff, stopped
+	// until first used; every wait drains it or ends the loop.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	// wait sleeps d, and reports false if the member is detached first.
+	wait := func(d time.Duration) bool {
+		timer.Reset(d)
+		select {
+		case <-m.stopCh:
+			return false
+		case <-timer.C:
+			return true
 		}
-	}()
+	}
 	for {
 		beat := false
 		select {
@@ -601,17 +642,8 @@ func (s *Store) memberLoop(m *mirrorMember) {
 		case <-idle.C:
 			beat = true
 		}
-		if d := s.cfg.GroupCommitInterval; d > 0 {
-			if batchTimer == nil {
-				batchTimer = time.NewTimer(d)
-			} else {
-				batchTimer.Reset(d)
-			}
-			select {
-			case <-m.stopCh:
-				return
-			case <-batchTimer.C:
-			}
+		if d := s.cfg.GroupCommitInterval; d > 0 && !wait(d) {
+			return
 		}
 		for {
 			p.mu.Lock()
@@ -621,43 +653,16 @@ func (s *Store) memberLoop(m *mirrorMember) {
 				break
 			}
 			beat = false
-			sentAt := time.Now()
-			err := m.send(req)
-			var gap *kv.StreamGapError
-			var we *kv.WrongEpochError
-			switch {
-			case err == nil:
-				s.extendLease(m.id, sentAt.Add(s.cfg.LeaseDuration))
-			case errors.As(err, &gap):
-				err = s.resendFrom(m, gap)
-			case errors.As(err, &we):
-				s.AdoptEpoch(we.Epoch, we.Members)
-			}
-			p.mu.Lock()
-			if err != nil {
-				m.broken = true
-				m.err = err
-				m.queue = nil
-				m.answerJoinLocked(err)
-				p.recomputeQuorumLocked()
-				p.completeWaitersLocked()
-				p.mu.Unlock()
-				return
-			}
-			if gap == nil {
-				m.acked = req.From + uint64(len(req.Recs))
-				if len(req.Recs) > 0 {
-					s.stats.MirrorBatches.Add(1)
-					s.stats.MirrorBatchRecords.Add(uint64(len(req.Recs)))
+			if err := s.sendBatch(m, req); err != nil {
+				if !s.memberFailed(m, err) || !wait(backoff) {
+					return
 				}
+				backoff = min(2*backoff, s.cfg.LeaseDuration)
+				s.reprobe(m)
+				beat = true
+				continue
 			}
-			if m.learner && m.acked >= m.joinAt {
-				m.learner = false
-				m.answerJoinLocked(nil)
-			}
-			p.recomputeQuorumLocked()
-			p.completeWaitersLocked()
-			p.mu.Unlock()
+			backoff = heartbeat
 			select {
 			case <-m.stopCh:
 				return
@@ -674,6 +679,141 @@ func (s *Store) memberLoop(m *mirrorMember) {
 	}
 }
 
+// sendBatch sends one batch to the member and folds the reply into its
+// state. An accepted batch extends the member's lease grant and its ack
+// mark. A gap reply turns the queue into the retained records from the
+// backup's head (resendFrom); a backup the retained log does not reach,
+// or one whose history diverged, is rebuilt by a pushed snapshot
+// first. It returns the error that failed the member, or nil.
+func (s *Store) sendBatch(m *mirrorMember, req *kv.MirrorBatchReq) error {
+	sentAt := time.Now()
+	err := m.send(req)
+	var gap *kv.StreamGapError
+	switch {
+	case err == nil:
+		s.extendLease(m.id, sentAt.Add(s.cfg.LeaseDuration))
+	case errors.As(err, &gap):
+		err = s.resendFrom(m, gap)
+	}
+	applied, pushed := err == nil && gap == nil, false
+	if errors.Is(err, errBehindLog) || errors.Is(err, kv.ErrDiverged) {
+		err = s.pushSnapshot(m)
+		pushed = err == nil
+	}
+	if err != nil {
+		return err
+	}
+	p := &s.pipe
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if applied {
+		m.acked = req.From + uint64(len(req.Recs))
+		if len(req.Recs) > 0 {
+			s.stats.MirrorBatches.Add(1)
+			s.stats.MirrorBatchRecords.Add(uint64(len(req.Recs)))
+		}
+	}
+	if applied || pushed {
+		m.broken, m.err = false, nil
+	}
+	if m.learner && m.acked >= m.joinAt {
+		m.learner = false
+		m.answerJoinLocked(nil)
+	}
+	p.recomputeQuorumLocked()
+	p.completeWaitersLocked()
+	return nil
+}
+
+// memberFailed records a failed send: the member is broken, its queue
+// dropped and nothing queued for it until the sender probes again, and
+// waiters are re-judged without it. It reports whether the sender goes
+// on retrying: not after a refusal carrying a newer configuration (it
+// adopts that), nor when the failure answered the member's join.
+func (s *Store) memberFailed(m *mirrorMember, err error) bool {
+	var we *kv.WrongEpochError
+	deposed := errors.As(err, &we)
+	if deposed {
+		s.AdoptEpoch(we.Epoch, we.Members)
+	}
+	p := &s.pipe
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	joining := m.joined != nil
+	m.broken, m.err, m.parked, m.queue = true, err, true, nil
+	m.answerJoinLocked(err)
+	p.recomputeQuorumLocked()
+	p.completeWaitersLocked()
+	return !joining && !deposed
+}
+
+// reprobe points a broken member's queue at the stream head, under
+// repMu as an attach does, so the next batch — sent even empty — probes
+// the backup there and every record emitted from here on is queued for
+// it; the records emitted while the member was parked never were.
+func (s *Store) reprobe(m *mirrorMember) {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	p := &s.pipe
+	p.mu.Lock()
+	m.next, m.queue, m.parked = s.repSeq, nil, false
+	p.streamEpoch = s.streamEpoch
+	p.mu.Unlock()
+}
+
+// pushSnapshot rebuilds the member's backup from this store's state: a
+// capture under repMu, streamed through the member's send as it is
+// encoded, one chunk per batch (kv.MirrorBatchReq.Snap, at its byte
+// offset Off) and an empty last one on which the backup installs it.
+// The source keeps no copy. The capture also restarts the member's
+// queue at its position, so the records emitted during the push follow
+// it from the queue, however far the retained log has moved on. A
+// store whose adopted epoch is past the one its stream installed has
+// been deposed, and pushes nothing.
+func (s *Store) pushSnapshot(m *mirrorMember) error {
+	p := &s.pipe
+	s.repMu.Lock()
+	sn, epoch := s.captureSnapshotLocked(), s.streamEpoch
+	if sn.Epoch != epoch {
+		s.repMu.Unlock()
+		return &kv.WrongEpochError{Epoch: sn.Epoch, Members: sn.Members}
+	}
+	p.mu.Lock()
+	m.queue, m.next, m.parked = nil, sn.Seq, false
+	p.mu.Unlock()
+	s.repMu.Unlock()
+	s.stats.SnapshotsServed.Add(1)
+	var off uint64
+	send := func(piece []byte, last bool) error {
+		select {
+		case <-m.stopCh:
+			return errDetached
+		default:
+		}
+		sentAt := time.Now()
+		if err := m.send(&kv.MirrorBatchReq{From: sn.Seq, Epoch: epoch, Off: off, Snap: piece, Last: last}); err != nil {
+			return err
+		}
+		off += uint64(len(piece))
+		s.extendLease(m.id, sentAt.Add(s.cfg.LeaseDuration))
+		p.mu.Lock()
+		m.chunks++
+		if last {
+			m.acked = sn.Seq
+		}
+		p.mu.Unlock()
+		return nil
+	}
+	err := encodeSnapshot(sn, snapChunkBytes, func(piece []byte) error { return send(piece, false) })
+	if err == nil {
+		err = send(nil, true)
+	}
+	return err
+}
+
+// errDetached ends a push whose member was detached mid-way.
+var errDetached = errors.New("kvserver: mirror member detached")
+
 // answerJoinLocked delivers the attach's outcome, once. Caller holds
 // pipe.mu.
 //
@@ -689,7 +829,7 @@ func (m *mirrorMember) answerJoinLocked(err error) {
 // waiting on it. Caller holds pipe.mu.
 func (m *mirrorMember) stopLocked() {
 	close(m.stopCh)
-	m.answerJoinLocked(errors.New("kvserver: mirror member detached"))
+	m.answerJoinLocked(errDetached)
 }
 
 // resendFrom answers a backup's gap reply. Under repMu, so the stream
@@ -698,17 +838,17 @@ func (m *mirrorMember) stopLocked() {
 // stream's head, or whose record below its head is not the one this
 // stream holds there, holds records this stream never had
 // (kv.ErrDiverged); one below the retained log lacks records that are
-// gone (ErrBehindLog). Either rejoins by state transfer, and the error
-// breaks the member.
+// gone (errBehindLog). The sender answers either with a pushed
+// snapshot.
 func (s *Store) resendFrom(m *mirrorMember, gap *kv.StreamGapError) error {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
 	head := gap.Head
 	switch {
 	case head > s.repSeq:
-		return fmt.Errorf("%w: backup %s is at seq %d, past this stream's head %d: it applied records never in this stream, rejoin by state transfer", kv.ErrDiverged, m.id, head, s.repSeq)
+		return fmt.Errorf("%w: backup %s is at seq %d, past this stream's head %d: it applied records never in this stream", kv.ErrDiverged, m.id, head, s.repSeq)
 	case head < s.logBase:
-		return fmt.Errorf("%w: backup %s is at seq %d, the log is retained from %d", ErrBehindLog, m.id, head, s.logBase)
+		return fmt.Errorf("%w: backup %s is at seq %d, the log is retained from %d", errBehindLog, m.id, head, s.logBase)
 	case head > s.logBase:
 		// The record below the head is retained. Its stamp is the epoch
 		// this stream had in force there (a RecEpoch's stamp is the epoch
@@ -717,7 +857,7 @@ func (s *Store) resendFrom(m *mirrorMember, gap *kv.StreamGapError) error {
 		// it, tells two records of one epoch apart.
 		have := &s.commitLog[head-1-s.logBase]
 		if have.Epoch != gap.StreamEpoch || gap.Last != 0 && recordChecksum(have) != gap.Last {
-			return fmt.Errorf("%w: backup %s's record at seq %d (stream epoch %d) is not the one this stream holds there (epoch %d): the histories diverged, rejoin by state transfer", kv.ErrDiverged, m.id, head-1, gap.StreamEpoch, have.Epoch)
+			return fmt.Errorf("%w: backup %s's record at seq %d (stream epoch %d) is not the one this stream holds there (epoch %d): the histories diverged", kv.ErrDiverged, m.id, head-1, gap.StreamEpoch, have.Epoch)
 		}
 	}
 	p := &s.pipe
@@ -729,10 +869,10 @@ func (s *Store) resendFrom(m *mirrorMember, gap *kv.StreamGapError) error {
 	return nil
 }
 
-// ErrBehindLog reports a backup whose stream head is below the
-// primary's retained log: the records it lacks were truncated, so it
-// rejoins by state transfer (Server.StateTransferFrom).
-var ErrBehindLog = errors.New("kvserver: backup is behind the retained log")
+// errBehindLog reports a backup whose stream head is below the
+// primary's retained log: the records it lacks were truncated, so its
+// sender pushes it a snapshot.
+var errBehindLog = errors.New("kvserver: backup is behind the retained log")
 
 // takeBatchLocked slices the member's next batch off its queue,
 // bounded by mirrorBatchMaxRecords and mirrorBatchBytes (at least one

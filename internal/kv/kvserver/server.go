@@ -27,18 +27,13 @@ type Server struct {
 	// (the member identity everywhere: the pipeline's member id, the
 	// epoch membership entry, and the lease grant all use it).
 	mirrorMu    sync.Mutex
-	mirrorConns map[string]*rpc.Client
+	mirrorConns map[string]*mirrorConn
 	// isolated simulates an outbound network partition: while set, every
 	// mirror batch, heartbeats included, fails without sending, so the
 	// server's lease expires and its strict-mirror writes fail exactly
 	// as they would behind a real partition. Chaos tests use it; see
 	// Isolate.
 	isolated atomic.Bool
-	// TestHookSnapChunk, when non-nil, runs after each snapshot chunk
-	// fetched during a state transfer (StateTransferFrom). Chaos tests
-	// kill the snapshot source mid-install with it. Set before starting
-	// the transfer; never in production.
-	TestHookSnapChunk func(chunk uint32)
 }
 
 // NewServer wraps store in an RPC service. Call Listen, then Serve, to
@@ -71,7 +66,6 @@ func NewServer(store *Store) *Server {
 				s.store.SweepDecided()
 			case <-s.ckpt.C:
 				s.store.MaybeCheckpoint()
-				s.store.SweepSnapshotSessions()
 			}
 		}
 	}()
@@ -83,7 +77,6 @@ func NewServer(store *Store) *Server {
 	s.rpc.RegisterAppend(kv.MethodFastCommit, s.handleFastCommit)
 	s.rpc.RegisterAppend(kv.MethodPing, s.handlePing)
 	s.rpc.RegisterAppend(kv.MethodMirrorBatch, s.handleMirrorBatch)
-	s.rpc.RegisterAppend(kv.MethodSnap, s.handleSnap)
 	s.rpc.RegisterAppend(kv.MethodDirectory, s.handleDirectory)
 	return s
 }
@@ -113,51 +106,30 @@ func (s *Server) handleDirectory(_ context.Context, _ []byte, reply *wire.Buffer
 // and phase-two decisions — is replicated to it, so after a primary
 // failure a promoted backup holds every acknowledged write and every
 // prepared in-flight transaction. Each member gets its own connection
-// and its own batch sender (a dead member's timeout never stalls the
-// others), whose accepted batches, heartbeats included, are the
-// member's lease grants; replication is pipelined
-// group commit (see pipeline.go), and committers are acknowledged once
-// a MAJORITY of the group (the primary plus a quorum of backups) holds
-// their record. A backup that is behind is caught up by the sender from
-// the retained log, and AttachBackupMember returns once it holds every
-// record emitted before the call; until then it is a learner, which
-// commits neither wait for nor fail on. A backup behind the retained log
-// (ErrBehindLog) or diverged from this stream (kv.ErrDiverged) is
-// refused and detached; it rejoins by state transfer
-// (StateTransferFrom) and a new attach. The member joins the membership
-// — roles, leases, client redirects — at the next BumpEpoch.
+// and its own batch sender (see pipeline.go), whose accepted batches,
+// heartbeats included, are the member's lease grants, and committers
+// are acknowledged once a MAJORITY of the group holds their record. The
+// sender catches the backup up from the retained log, or by pushing it
+// a snapshot, and AttachBackupMember returns once it holds every record
+// emitted before the call; until then it is a learner, which commits
+// neither wait for nor fail on. A backup the first send cannot reach is
+// detached and the error returned; once joined, a failing member is
+// retried until it is detached. The member joins the membership —
+// roles, leases, client redirects — at the next BumpEpoch.
 func (s *Server) AttachBackupMember(addr string) error {
-	conn, err := rpc.Dial(addr)
-	if err != nil {
-		return fmt.Errorf("kvserver: dialing backup: %w", err)
-	}
+	mc := &mirrorConn{addr: addr}
+	mc.ctx, mc.cancel = context.WithCancel(context.Background())
 	s.mirrorMu.Lock()
 	if old := s.mirrorConns[addr]; old != nil {
-		old.Close()
+		old.closeLocked()
 	}
 	if s.mirrorConns == nil {
-		s.mirrorConns = make(map[string]*rpc.Client)
+		s.mirrorConns = make(map[string]*mirrorConn)
 	}
-	s.mirrorConns[addr] = conn
+	s.mirrorConns[addr] = mc
 	s.mirrorMu.Unlock()
-	// Every batch to the member, heartbeats included, is one
-	// timeout-bounded call: a frozen backup must fail its batch after a
-	// bounded wait, not wedge the sender its lease grants ride. While
-	// Isolate is in effect, the batch fails without being sent.
 	joined := s.store.AttachMirrorMember(addr, func(req *kv.MirrorBatchReq) error {
-		if s.isolated.Load() {
-			return errIsolated
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), mirrorTimeout)
-		defer cancel()
-		respB, err := conn.Call(ctx, kv.MethodMirrorBatch, req.Encode())
-		if err, _ := kv.DecodeError(err); err != nil {
-			return err
-		}
-		if ack, err := kv.DecodeAck(respB); err == nil {
-			s.store.Clock().Observe(ack.Clock)
-		}
-		return nil
+		return s.mirrorCall(mc, req)
 	})
 	if err := s.awaitJoin(addr, joined); err != nil {
 		s.DetachBackupMember(addr)
@@ -166,25 +138,80 @@ func (s *Server) AttachBackupMember(addr string) error {
 	return nil
 }
 
-// Join attaches backup to primary as a replication member, and returns
-// once the backup holds primary's stream. A backup behind primary's
-// retained log, or diverged from its stream, is first rebuilt by state
-// transfer — the one decision of which refusals a state transfer
-// answers.
-func Join(primary, backup *Server) error {
-	err := primary.AttachBackupMember(backup.Addr())
-	if errors.Is(err, ErrBehindLog) || errors.Is(err, kv.ErrDiverged) {
-		if err = backup.StateTransferFrom(primary.Addr()); err == nil {
-			err = primary.AttachBackupMember(backup.Addr())
-		}
+// mirrorConn is the connection one member's sender calls its backup on:
+// dialed on the first send, and again on the send after a transport
+// error, since an rpc.Client fails for good at its first one.
+type mirrorConn struct {
+	addr   string
+	c      *rpc.Client // nil until dialed, and after a transport error
+	ctx    context.Context
+	cancel context.CancelFunc // the member was detached: end a dial, dial no more
+}
+
+// closeLocked closes the connection for good, cancelling a dial in
+// progress. Caller holds mirrorMu.
+func (mc *mirrorConn) closeLocked() {
+	mc.cancel()
+	if mc.c != nil {
+		mc.c.Close()
+		mc.c = nil
 	}
-	return err
+}
+
+// mirrorCall sends one batch to the member's backup. Every batch,
+// heartbeats included, is one timeout-bounded call: a frozen backup
+// must fail its batch after a bounded wait, not wedge the sender its
+// lease grants ride. While Isolate is in effect, the batch fails without
+// being sent.
+func (s *Server) mirrorCall(mc *mirrorConn, req *kv.MirrorBatchReq) error {
+	if s.isolated.Load() {
+		return errIsolated
+	}
+	s.mirrorMu.Lock()
+	conn := mc.c
+	s.mirrorMu.Unlock()
+	if conn == nil {
+		// Dialed off the lock, which every member's sender takes; a
+		// detach cancels the dial.
+		c, err := rpc.DialContext(mc.ctx, mc.addr, mirrorTimeout)
+		if err != nil {
+			return fmt.Errorf("kvserver: dialing backup: %w", err)
+		}
+		s.mirrorMu.Lock()
+		if mc.ctx.Err() != nil {
+			s.mirrorMu.Unlock()
+			c.Close()
+			return errDetached
+		}
+		mc.c, conn = c, c
+		s.mirrorMu.Unlock()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), mirrorTimeout)
+	defer cancel()
+	respB, err := conn.Call(ctx, kv.MethodMirrorBatch, req.Encode())
+	var app *rpc.AppError
+	if err != nil && !errors.As(err, &app) {
+		s.mirrorMu.Lock()
+		if mc.c == conn {
+			conn.Close()
+			mc.c = nil
+		}
+		s.mirrorMu.Unlock()
+	}
+	if err, _ := kv.DecodeError(err); err != nil {
+		return err
+	}
+	if ack, err := kv.DecodeAck(respB); err == nil {
+		s.store.Clock().Observe(ack.Clock)
+	}
+	return nil
 }
 
 // awaitJoin waits for the member at addr to answer its attach. The
 // bound is on progress, not on the whole catch-up: a long replay of the
-// retained log goes on while the member's acks keep advancing, and only
-// a member whose acks stand still for replWaitTimeout is given up.
+// retained log or a long snapshot push goes on while the member's acks
+// or accepted chunks keep advancing, and only a member whose progress
+// stands still for replWaitTimeout is given up.
 func (s *Server) awaitJoin(addr string, joined <-chan error) error {
 	t := time.NewTimer(replWaitTimeout)
 	defer t.Stop()
@@ -195,17 +222,11 @@ func (s *Server) awaitJoin(addr string, joined <-chan error) error {
 			return err
 		case <-t.C:
 		}
-		_, _, _, members := s.store.ReplicationStatus()
-		acked := progress
-		for _, m := range members {
-			if m.Member == addr {
-				acked = m.AckedSeq
-			}
-		}
-		if acked <= progress {
+		now := s.store.memberProgress(addr)
+		if now <= progress {
 			return fmt.Errorf("kvserver: catch-up made no progress within %v", replWaitTimeout)
 		}
-		progress = acked
+		progress = now
 		t.Reset(replWaitTimeout)
 	}
 }
@@ -217,8 +238,8 @@ func (s *Server) awaitJoin(addr string, joined <-chan error) error {
 func (s *Server) DetachBackupMember(addr string) {
 	s.store.DetachMirrorMember(addr)
 	s.mirrorMu.Lock()
-	if conn, ok := s.mirrorConns[addr]; ok {
-		conn.Close()
+	if mc, ok := s.mirrorConns[addr]; ok {
+		mc.closeLocked()
 		delete(s.mirrorConns, addr)
 	}
 	s.mirrorMu.Unlock()
@@ -229,8 +250,8 @@ func (s *Server) DetachBackupMember(addr string) {
 func (s *Server) DetachAllBackups() {
 	s.store.DetachAllMirrorMembers()
 	s.mirrorMu.Lock()
-	for addr, conn := range s.mirrorConns {
-		conn.Close()
+	for addr, mc := range s.mirrorConns {
+		mc.closeLocked()
 		delete(s.mirrorConns, addr)
 	}
 	s.mirrorMu.Unlock()
@@ -321,7 +342,8 @@ func (s *Server) BumpEpochTo(epoch uint64, members []string) error {
 const mirrorTimeout = 5 * time.Second
 
 // handleMirrorBatch applies one group-commit batch, or none: an empty
-// batch is a heartbeat. The single ack covers every record in it, and
+// batch is a heartbeat, and a batch carrying a snapshot piece is a chunk
+// of a pushed snapshot. The single ack covers every record in it, and
 // is the member's lease grant to the primary.
 func (s *Server) handleMirrorBatch(_ context.Context, p []byte, reply *wire.Buffer) error {
 	req, err := kv.DecodeMirrorBatchReq(p)
@@ -332,94 +354,6 @@ func (s *Server) handleMirrorBatch(_ context.Context, p []byte, reply *wire.Buff
 		return err
 	}
 	return s.ack(reply)
-}
-
-// handleSnap serves one chunk of a state snapshot to a peer rebuilding
-// itself by state transfer (see StateTransferFrom and
-// Store.ServeSnapshotChunk).
-func (s *Server) handleSnap(_ context.Context, p []byte, reply *wire.Buffer) error {
-	req, err := kv.DecodeSnapReq(p)
-	if err != nil {
-		return err
-	}
-	id, seq, chunks, data, err := s.store.ServeSnapshotChunk(req.ID, req.Chunk)
-	if err != nil {
-		return err
-	}
-	resp := &kv.SnapResp{
-		ID:     id,
-		Seq:    seq,
-		Chunk:  req.Chunk,
-		Chunks: chunks,
-		Data:   data,
-		Clock:  s.store.Clock().Now(),
-	}
-	resp.AppendTo(reply)
-	return nil
-}
-
-// snapTransferAttempts bounds how many times one state transfer
-// restarts after its server-side session expired or was evicted (a slow
-// link, or concurrent transfers past the session cap). Each restart
-// begins a fresh consistent snapshot, so partial progress is discarded
-// but never spliced.
-const snapTransferAttempts = 3
-
-// StateTransferFrom rebuilds this replica from the server at addr by
-// full state transfer, abandoning its own history: a complete snapshot
-// of the source, fetched chunk by chunk (MethodSnap), replaces the local
-// state wholesale and moves the stream head to the snapshot's coverage
-// — even when the local head is AHEAD of it (a diverged old primary: its
-// stranded tail is discarded, never merged). It is how a backup behind
-// the source's retained log, or diverged from its stream, rejoins; the
-// source's mirror then fills in the records since the snapshot. Nothing
-// is installed unless every chunk arrived.
-func (s *Server) StateTransferFrom(addr string) error {
-	conn, err := rpc.Dial(addr)
-	if err != nil {
-		return fmt.Errorf("kvserver: dialing state-transfer source: %w", err)
-	}
-	defer conn.Close()
-	ctx := context.Background()
-	var lastErr error
-	for attempt := 0; attempt < snapTransferAttempts; attempt++ {
-		var data []byte
-		var id uint64
-		expired := false
-		for chunk := uint32(0); ; chunk++ {
-			req := kv.SnapReq{ID: id, Chunk: chunk}
-			respB, err := conn.Call(ctx, kv.MethodSnap, req.Encode())
-			if err, _ := kv.DecodeError(err); err != nil {
-				if errors.Is(err, kv.ErrSnapSessionExpired) {
-					lastErr = err
-					expired = true
-					break
-				}
-				return fmt.Errorf("kvserver: snapshot chunk %d from %s: %w", chunk, addr, err)
-			}
-			resp, err := kv.DecodeSnapResp(respB)
-			if err != nil {
-				return err
-			}
-			s.store.Clock().Observe(resp.Clock)
-			id = resp.ID
-			data = append(data, resp.Data...)
-			if s.TestHookSnapChunk != nil {
-				s.TestHookSnapChunk(chunk)
-			}
-			if chunk+1 >= resp.Chunks {
-				break
-			}
-		}
-		if expired {
-			continue
-		}
-		if err := s.store.InstallSnapshot(data); err != nil {
-			return fmt.Errorf("kvserver: installing snapshot from %s: %w", addr, err)
-		}
-		return nil
-	}
-	return fmt.Errorf("kvserver: snapshot transfer from %s restarted %d times without completing: %w", addr, snapTransferAttempts, lastErr)
 }
 
 // Store returns the underlying storage engine.
@@ -523,10 +457,13 @@ func (s *Server) Close() error {
 	// an acknowledged write existing only on a dying primary, exactly
 	// the loss the quorum is there to prevent.
 	err := s.rpc.Close()
-	// Handlers drained: now stop the member senders.
+	// Handlers drained: now stop the member senders, and wait for them
+	// to return — the detach closes their connections and cancels their
+	// dials, so none waits out a timeout on an unreachable backup.
 	// Remaining durability waiters (none can ack a client anymore) fail
 	// as uncertain.
 	s.DetachAllBackups()
+	s.store.pipe.senders.Wait()
 	return err
 }
 

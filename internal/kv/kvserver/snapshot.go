@@ -19,10 +19,12 @@ package kvserver
 // land at sequence numbers >= snapshot.Seq and reach the installer
 // through the tail.
 //
-// Two consumers share the format: MethodSnap chunked state transfer to
-// a too-far-behind backup (ServeSnapshotChunk / InstallSnapshot), and
-// the write-ahead log's checkpoint rotation (a restart replays the
-// snapshot frame plus the tail instead of the full history).
+// Two consumers share the format: the snapshot a primary's member
+// sender pushes, in chunks down the mirror, to a backup its retained log
+// no longer reaches or whose history diverged (pushSnapshot; the backup
+// installs it in acceptChunkLocked), and the write-ahead log's
+// checkpoint rotation (a restart replays the snapshot frame plus the
+// tail instead of the full history).
 
 import (
 	"bytes"
@@ -162,8 +164,8 @@ var (
 	minSnapDecision = wire.Size(&snapDecision{}, (*snapDecision).wire)
 )
 
-// wire is the canonical snapshot layout shared by MethodSnap transfers
-// and write-ahead-log checkpoint frames. flush, if not nil, runs after
+// wire is the canonical snapshot layout shared by pushed snapshots and
+// write-ahead-log checkpoint frames. flush, if not nil, runs after
 // each version, each prepare and at the end: encodeSnapshot drains the
 // codec there.
 func (sn *stateSnapshot) wire(c *wire.Codec, flush func()) {
@@ -340,32 +342,21 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 	return wire.Decode(p, kv.ErrBadRequest, func(sn *stateSnapshot, c *wire.Codec) { sn.wire(c, nil) })
 }
 
-// InstallSnapshot replaces this store's entire state with the encoded
-// snapshot: objects and version histories, the prepared- and decided-
-// transaction tables, the epoch and membership, and the stream position
-// (repSeq becomes the sequence the snapshot covers) — the state-transfer
-// path (Server.StateTransferFrom). Existing state is discarded and any
-// blocked readers are woken, even when the snapshot lies behind this
-// replica's stream head: a replica whose history DIVERGED from the
-// group's (kv.ErrDiverged), such as an old primary that kept appending
-// records its group never saw, abandons its stranded suffix wholesale,
-// along with its epoch stamps; a diverged history is replaced, never
-// merged record-wise. The write-ahead log, if any, is rotated onto the
-// snapshot so a later restart replays snapshot + tail.
-func (s *Store) InstallSnapshot(enc []byte) error {
-	sn, err := decodeSnapshot(enc)
-	if err != nil {
-		return err
-	}
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	return s.installSnapshotLocked(sn)
-}
-
-// installSnapshotLocked implements InstallSnapshot; OpenStore also uses
-// it to replay a write-ahead log's checkpoint frame into a fresh store
-// (which has no log open yet, so nothing is rotated). Caller holds
-// repMu.
+// installSnapshotLocked replaces this store's entire state with sn:
+// objects and version histories, the prepared- and decided-transaction
+// tables, the epoch and membership, and the stream position (repSeq
+// becomes the sequence the snapshot covers) — what a backup does with
+// the snapshot its primary pushed (acceptChunkLocked). Existing state
+// is discarded and any blocked readers are woken, even when the
+// snapshot lies behind this replica's stream head: a replica whose
+// history DIVERGED from the group's (kv.ErrDiverged), such as an old
+// primary that kept appending records its group never saw, abandons
+// its stranded suffix wholesale, along with its epoch stamps; a
+// diverged history is replaced, never merged record-wise. The
+// write-ahead log, if any, is rotated onto the snapshot so a later
+// restart replays snapshot + tail. OpenStore also uses it to replay a
+// log's checkpoint frame into a fresh store (which has no log open yet,
+// so nothing is rotated). Caller holds repMu.
 //
 //yesqlint:allow repmublock -- deliberate: replacing the whole visible state must exclude concurrent stream applies, and the inline WAL rotation/close is bounded local file work, never a network call
 func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
@@ -446,11 +437,10 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	// the records mirrored next land in the new file's tail. A
 	// rotation that never swapped files fails the install AND disables
 	// the log: the old file holds this replica's pre-install history,
-	// and if the orchestrator attached this store as a mirror despite
-	// the error, best-effort appends of post-install records after that
-	// stale prefix would replay as a silent semantic splice on restart —
-	// no log at all (the old file replays as a plain stale prefix, which
-	// a later state transfer repairs) is strictly safer. A swap
+	// and the records the primary mirrors after the install, appended
+	// after that stale prefix, would replay as a silent semantic splice
+	// on restart — no log at all (the old file replays as a plain stale
+	// prefix, which a later pushed snapshot repairs) is strictly safer. A swap
 	// whose only failure was the directory fsync proceeds — the WAL at
 	// the path IS the snapshot file, and the in-memory install is
 	// already complete; the durability doubt is counted, not fatal.
@@ -485,145 +475,4 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	s.walTailBytes.Store(0)
 	s.stats.SnapshotsInstalled.Add(1)
 	return nil
-}
-
-// snapSession is one in-progress state transfer: a consistent encoded
-// snapshot, held as the chunks it is served in (never one contiguous
-// buffer). lastUsed advances on every served chunk, so the idle TTL
-// never expires a transfer that is actively (if slowly) making progress.
-type snapSession struct {
-	seq      uint64
-	chunks   [][]byte
-	lastUsed time.Time
-}
-
-const (
-	// snapSessionTTL bounds how long an IDLE transfer may hold its
-	// snapshot copy in memory (measured since the last served chunk, so
-	// a slow but progressing transfer is never cut off mid-install);
-	// snapSessionMax caps concurrent transfers (the least recently
-	// active is evicted beyond it — its installer gets a loud "expired
-	// session" and restarts).
-	snapSessionTTL = 2 * time.Minute
-	snapSessionMax = 4
-)
-
-// SweepSnapshotSessions drops expired state-transfer sessions — an
-// abandoned transfer (its installer crashed) must not pin an O(state)
-// snapshot copy until the next transfer begins. The server's
-// checkpoint ticker runs it.
-func (s *Store) SweepSnapshotSessions() {
-	s.snapMu.Lock()
-	s.expireSnapSessionsLocked(time.Now())
-	s.snapMu.Unlock()
-}
-
-// expireSnapSessionsLocked is the single TTL-eviction policy, shared
-// by the sweeper, the serving path, and session creation. Caller holds
-// snapMu.
-func (s *Store) expireSnapSessionsLocked(now time.Time) {
-	for id, sess := range s.snapSessions {
-		if now.Sub(sess.lastUsed) > snapSessionTTL {
-			delete(s.snapSessions, id)
-		}
-	}
-}
-
-// ServeSnapshotChunk serves one chunk of a state snapshot to a peer's
-// state transfer. id 0 begins a transfer: a fresh snapshot is captured
-// at the current stream head and cached under a new session id; the
-// caller fetches the remaining chunks with that id. Chunks of one
-// session slice a single consistent snapshot; an unknown or expired
-// session is a loud error (the caller restarts the transfer) rather
-// than a risk of splicing two states.
-func (s *Store) ServeSnapshotChunk(id uint64, chunk uint32) (outID, seq uint64, chunks uint32, data []byte, err error) {
-	// Share a session already covering the current head: concurrent
-	// cold-joiners (an idle source, or several peers starting at once) then
-	// read one immutable encoded snapshot instead of capturing per peer and
-	// evicting each other past the session cap. Sessions are immutable, so
-	// sharing is read-only safe. Captures are single-flighted per head —
-	// simultaneous first requests wait for one capture instead of each
-	// paying the O(state) pass and thrashing the session table.
-	for id == 0 {
-		// Re-read the window each iteration: under ongoing writes a
-		// capture lands above the head its waiters recorded, and a stale
-		// comparison would send every waiter into its own capture. Any
-		// session at or above logBase is shareable — the log tail
-		// continues from its seq — so concurrent joiners converge on the
-		// newest one.
-		base, head := s.LogBounds()
-		now := time.Now()
-		s.snapMu.Lock()
-		s.expireSnapSessionsLocked(now)
-		for sid, sess := range s.snapSessions {
-			if sess.seq >= base && (id == 0 || sess.seq > s.snapSessions[id].seq) {
-				id = sid
-			}
-		}
-		if id != 0 {
-			s.snapSessions[id].lastUsed = now
-			s.snapMu.Unlock()
-			break
-		}
-		if ch, busy := s.snapCapturing[head]; busy {
-			// Another request is capturing this head: wait for its
-			// session, then re-check.
-			s.snapMu.Unlock()
-			<-ch
-			continue
-		}
-		done := make(chan struct{})
-		s.snapCapturing[head] = done
-		s.snapMu.Unlock()
-
-		s.repMu.Lock()
-		sn := s.captureSnapshotLocked()
-		s.repMu.Unlock()
-		// Serialize outside the stream lock: the capture is a
-		// private copy (values aliased but immutable), and encoding
-		// is a second O(state) pass the write paths need not wait
-		// for.
-		var chunks [][]byte
-		_ = encodeSnapshot(sn, snapChunkBytes, func(piece []byte) error {
-			chunks = append(chunks, append([]byte(nil), piece...))
-			return nil
-		})
-		now = time.Now()
-		s.snapMu.Lock()
-		delete(s.snapCapturing, head)
-		close(done)
-		s.expireSnapSessionsLocked(now)
-		for len(s.snapSessions) >= snapSessionMax {
-			oldest, oldestAt := uint64(0), now
-			for sid, sess := range s.snapSessions {
-				if oldest == 0 || sess.lastUsed.Before(oldestAt) {
-					oldest, oldestAt = sid, sess.lastUsed
-				}
-			}
-			delete(s.snapSessions, oldest)
-		}
-		s.snapLastID++
-		id = s.snapLastID
-		s.snapSessions[id] = &snapSession{seq: sn.Seq, chunks: chunks, lastUsed: now}
-		s.snapMu.Unlock()
-		s.stats.SnapshotsServed.Add(1)
-	}
-	s.snapMu.Lock()
-	// Enforce the TTL on the serving path too, not only when a new
-	// transfer's eviction sweep happens to run — and mark this session
-	// live, so an active transfer never expires mid-install.
-	s.expireSnapSessionsLocked(time.Now())
-	sess := s.snapSessions[id]
-	if sess != nil {
-		sess.lastUsed = time.Now()
-	}
-	s.snapMu.Unlock()
-	if sess == nil {
-		return 0, 0, 0, nil, fmt.Errorf("%w %d: restart the transfer", kv.ErrSnapSessionExpired, id)
-	}
-	total := uint32(len(sess.chunks))
-	if chunk >= total {
-		return 0, 0, 0, nil, fmt.Errorf("%w: snapshot chunk %d of %d", kv.ErrBadRequest, chunk, total)
-	}
-	return id, sess.seq, total, sess.chunks[chunk], nil
 }

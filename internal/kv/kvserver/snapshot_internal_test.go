@@ -32,16 +32,19 @@ func TestSnapshotSkipsUnreplicatedLockOnlyObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, chunks, data, err := s.ServeSnapshotChunk(0, 0)
-	if err != nil {
+	// The push captures the state in that window: the retained log no
+	// longer reaches an empty member's head, so its sender pushes a
+	// snapshot.
+	if _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
-	}
-	if chunks != 1 {
-		t.Fatalf("test snapshot unexpectedly split into %d chunks", chunks)
 	}
 	r := NewStore(nil, Config{})
-	if err := r.InstallSnapshot(data); err != nil {
+	if err := <-s.AttachMirrorMember("r", r.ApplyMirroredBatch); err != nil {
 		t.Fatal(err)
+	}
+	defer s.DetachAllMirrorMembers()
+	if got := r.Stats().SnapshotsInstalled; got != 1 {
+		t.Fatalf("member installed %d snapshots, want 1 (the pushed one)", got)
 	}
 	if r.NumObjects() != 1 {
 		t.Fatalf("installer holds %d objects, want 1 (the phantom lock-only object leaked)", r.NumObjects())
@@ -55,11 +58,11 @@ func TestSnapshotSkipsUnreplicatedLockOnlyObjects(t *testing.T) {
 	}
 }
 
-// TestCommitRacingAttachIsCoveredByCapture pins the seam a state
-// transfer and the mirror meet at. A member rebuilt from a capture at
+// TestCommitRacingAttachIsCoveredByCapture pins the seam a pushed
+// snapshot and the mirror meet at. A member rebuilt from a capture at
 // stream position C is owed the history below C through the capture,
-// and every record from C on through its sender, which resends from C
-// when the member's first reply names that head. That only adds up if
+// and every record from C on through its sender, whose queue restarts at
+// C in the same repMu section as the capture. That only adds up if
 // every record below a capture's position has its effects in the
 // capture — emit and apply are one repMu section on every store, so no
 // commit can be counted below C yet applied after the capture.
@@ -94,7 +97,9 @@ func TestCommitRacingAttachIsCoveredByCapture(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src, dst := NewStore(nil, Config{}), NewStore(nil, Config{})
+			// A short retained log: the attach, among commits, is answered
+			// by a pushed snapshot.
+			src, dst := NewStore(nil, Config{ReplicationLogMaxRecords: 8}), NewStore(nil, Config{})
 			const writers = 4
 			var committed atomic.Uint64
 			stop := make(chan struct{})
@@ -124,19 +129,11 @@ func TestCommitRacingAttachIsCoveredByCapture(t *testing.T) {
 			}
 			waitCommits(50)
 
-			_, seq, chunks, data, err := src.ServeSnapshotChunk(0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if chunks != 1 {
-				t.Fatalf("capture at seq %d in %d chunks", seq, chunks)
-			}
-			if err := dst.InstallSnapshot(data); err != nil {
-				t.Fatal(err)
-			}
-			waitCommits(50)
 			if err := <-src.AttachMirrorMember("dst", dst.ApplyMirroredBatch); err != nil {
 				t.Fatal(err)
+			}
+			if got := dst.Stats().SnapshotsInstalled; got == 0 {
+				t.Fatal("the member joined without a pushed snapshot; the test needs the push")
 			}
 			waitCommits(50)
 			close(stop)

@@ -1,14 +1,13 @@
 package kvserver_test
 
 // Tests for the bounded replication log: snapshot checkpoints, log
-// truncation, state-transfer resync, WAL checkpoint rotation, and the
+// truncation, pushed-snapshot resync, WAL checkpoint rotation, and the
 // diverged-ahead guard.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"yesquel/internal/kv"
@@ -115,10 +114,10 @@ func TestMirroredBackupLogStaysBounded(t *testing.T) {
 }
 
 // TestSnapshotResyncByteForByte is the state-transfer half of the
-// acceptance criteria: a backup whose requested seq predates the
-// truncated log catches up via snapshot + tail to an identical
-// StateDigest, and live mirroring continues on top of the installed
-// snapshot.
+// acceptance criteria: a backup whose head predates the truncated log is
+// pushed a snapshot by its sender, in many chunks, and catches up via
+// snapshot + tail to an identical StateDigest, and live mirroring
+// continues on top of the installed snapshot.
 func TestSnapshotResyncByteForByte(t *testing.T) {
 	primary := startBoundedReplServer(t, 16)
 	c, err := kvclient.Open([]string{primary.Addr()})
@@ -132,9 +131,8 @@ func TestSnapshotResyncByteForByte(t *testing.T) {
 		t.Fatal("history did not trigger truncation; the test needs the snapshot path")
 	}
 
-	// Fresh backup at seq 0: its position predates logBase, so the
-	// attach refuses it and the join falls back to state transfer, after
-	// which the mirror sends the tail.
+	// Fresh backup at seq 0: its position predates logBase, so its
+	// sender pushes it a snapshot, then sends the tail.
 	backup := startServer(t)
 	formGroup(t, primary, backup)
 	if got, want := backup.Store().StateDigest(), primary.Store().StateDigest(); got != want {
@@ -147,7 +145,7 @@ func TestSnapshotResyncByteForByte(t *testing.T) {
 		t.Fatalf("backup installed %d snapshots, want 1", st.SnapshotsInstalled)
 	}
 	if st := primary.Store().Stats(); st.SnapshotsServed == 0 {
-		t.Fatal("primary served no snapshot")
+		t.Fatal("primary pushed no snapshot")
 	}
 
 	// Live mirroring stacks on the installed state.
@@ -242,11 +240,13 @@ func TestSnapshotCarriesPreparedAndDecidedState(t *testing.T) {
 	}
 }
 
-// TestSyncFromRejectsDivergedAheadBackup pins the loud failure: a
-// backup that is AHEAD of the primary attaching it (it applied records
-// the primary never emitted) is refused with a typed divergence error,
-// never reported caught up over irreconcilable histories.
-func TestSyncFromRejectsDivergedAheadBackup(t *testing.T) {
+// TestDivergedAheadBackupRebuiltNotSpliced pins the safety of the
+// push: a backup that is AHEAD of the primary attaching it (it applied
+// records the primary never emitted) is never reported caught up over
+// irreconcilable histories. Its sender pushes it the primary's state,
+// which discards the records it applied on its own, and the two end
+// byte-identical.
+func TestDivergedAheadBackupRebuiltNotSpliced(t *testing.T) {
 	primary := startServer(t)
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
@@ -262,16 +262,21 @@ func TestSyncFromRejectsDivergedAheadBackup(t *testing.T) {
 	}
 	defer c2.Close()
 	writeBatch(t, c2, "longer", 10)
+	if diverged.Store().ReplSeq() <= primary.Store().ReplSeq() {
+		t.Fatal("test premise: the diverged backup is not ahead")
+	}
 
-	err = primary.AttachBackupMember(diverged.Addr())
-	if err == nil {
-		t.Fatal("attach of an ahead-of-primary backup reported success")
+	if err := primary.AttachBackupMember(diverged.Addr()); err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, kv.ErrDiverged) {
-		t.Fatalf("want kv.ErrDiverged, got: %v", err)
+	if got := diverged.Store().Stats().SnapshotsInstalled; got != 1 {
+		t.Fatalf("diverged backup installed %d snapshots, want 1", got)
 	}
-	if !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("divergence should be named: %v", err)
+	if got, want := diverged.Store().StateDigest(), primary.Store().StateDigest(); got != want {
+		t.Fatalf("backup digest %x != primary digest %x: its own records were spliced in", got, want)
+	}
+	if got, want := diverged.Store().ReplSeq(), primary.Store().ReplSeq(); got != want {
+		t.Fatalf("backup head %d != primary head %d", got, want)
 	}
 }
 
@@ -339,11 +344,11 @@ func TestWALCheckpointRestartReplaysSnapshotPlusTail(t *testing.T) {
 }
 
 // TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss is the chaos
-// drill: the primary dies while a joining backup is mid-way through
-// installing its state snapshot. The half-fed backup must fail its
-// join loudly (it is NOT a usable replica), and every acknowledged
-// write must still be readable once the primary restarts from its
-// checkpoint-rotated WAL.
+// drill: the primary dies while it is pushing a joining backup its
+// state snapshot, both stores with a log. The half-fed backup installs
+// nothing (it is NOT a usable replica, and its stream is untouched),
+// and every acknowledged write is still readable once the primary
+// restarts from its checkpoint-rotated WAL.
 func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 	kvserver.SetSnapChunkBytes(t, 256)
 	dir := t.TempDir()
@@ -383,30 +388,49 @@ func TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss(t *testing.T) {
 		t.Fatal("no truncation happened; the test needs the snapshot path")
 	}
 
-	backup := kvserver.NewServer(kvserver.NewStore(nil, kvserver.Config{}))
-	if err := backup.Listen("127.0.0.1:0"); err != nil {
+	bcfg := kvserver.Config{LogPath: dir + "/backup.log"}
+	bstore, err := kvserver.OpenStore(nil, bcfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	go backup.Serve()
-	t.Cleanup(func() { backup.Close() })
-	killed := false
-	backup.TestHookSnapChunk = func(chunk uint32) {
-		if chunk == 1 {
-			primary.Close() // the source dies mid-transfer
-			killed = true
+	backupDigest := bstore.StateDigest()
+	// The member's one send function carries the push: after the second
+	// chunk the primary dies, and nothing more it sends arrives.
+	chunks := 0
+	killed := make(chan struct{})
+	joined := pstore.AttachMirrorMember("backup", func(req *kv.MirrorBatchReq) error {
+		if len(req.Snap) > 0 || req.Last {
+			if chunks++; chunks > 2 {
+				return errors.New("primary killed")
+			}
+			if chunks == 2 {
+				defer func() { go func() { primary.Close(); close(killed) }() }()
+			}
 		}
-	}
-	// The attach refuses the backup (it is behind the truncated log), and
-	// the join's state transfer loses its source mid-install.
-	if err := kvserver.Join(primary, backup); err == nil {
+		return bstore.ApplyMirroredBatch(req)
+	})
+	if err := <-joined; err == nil {
 		t.Fatal("join against a primary killed mid-snapshot reported success")
 	}
-	if !killed {
-		t.Fatal("snapshot fit one chunk; shrink the snapshot chunk so the kill lands mid-transfer")
+	<-killed
+	if chunks < 2 {
+		t.Fatal("snapshot fit one chunk; shrink the snapshot chunk so the kill lands mid-push")
 	}
 	// The half-fed backup installed nothing: its stream is untouched.
-	if got := backup.Store().ReplSeq(); got != 0 {
+	if got := bstore.ReplSeq(); got != 0 {
 		t.Fatalf("aborted install advanced the backup to seq %d", got)
+	}
+	if got := bstore.Stats().SnapshotsInstalled; got != 0 || bstore.StateDigest() != backupDigest {
+		t.Fatalf("aborted push installed %d snapshots", got)
+	}
+	// Nor did its log take anything: it replays to the same empty store.
+	bstore.CloseLog()
+	if reopened, err := kvserver.OpenStore(nil, bcfg); err != nil {
+		t.Fatal(err)
+	} else if reopened.ReplSeq() != 0 || reopened.StateDigest() != backupDigest {
+		t.Fatalf("backup log replays to seq %d after an aborted push", reopened.ReplSeq())
+	} else {
+		reopened.CloseLog()
 	}
 
 	// Recovery: the primary restarts from its checkpoint-rotated WAL

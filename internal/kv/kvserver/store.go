@@ -49,8 +49,8 @@ type Store struct {
 	repSeq uint64
 	// commitLog holds the stream's retained tail: commitLog[i] is the
 	// record at sequence logBase+i. A checkpoint truncates the log and
-	// advances logBase; a backup behind logBase rejoins by state
-	// transfer (snapshot, then the mirror) instead of record replay.
+	// advances logBase; a backup behind logBase is pushed a snapshot,
+	// then the records from its position, instead of record replay.
 	commitLog []kv.ReplRecord
 	// logBase is the sequence number of commitLog[0] (records below it
 	// were truncated at the last checkpoint).
@@ -58,6 +58,11 @@ type Store struct {
 	// commitLogBytes is the estimated wire size of the retained log,
 	// maintained incrementally for the logMaxBytes bound.
 	commitLogBytes int
+	// pushed is the snapshot a primary is pushing to this backup, as far
+	// as its chunks have arrived, and pushFrom the seq it covers (see
+	// acceptChunkLocked). Guarded by repMu.
+	pushed   []byte
+	pushFrom uint64
 	// streamEpoch is the epoch installed BY THE STREAM at or below the
 	// current head: it advances only when a RecEpoch record is emitted
 	// or applied at its position (or a snapshot install seeds it), never
@@ -122,17 +127,6 @@ type Store struct {
 	// wait cannot be re-armed between the wait and the epoch install.
 	promoting bool
 
-	// snapMu guards the state-transfer sessions: encoded snapshots being
-	// served chunk-by-chunk to peers (see ServeSnapshotChunk),
-	// plus the single-flight registry of captures in progress (keyed by
-	// stream head; the channel closes when that capture's session is
-	// registered). It nests inside nothing — holders take no other
-	// store mutex.
-	snapMu        sync.Mutex
-	snapSessions  map[uint64]*snapSession
-	snapLastID    uint64
-	snapCapturing map[uint64]chan struct{}
-
 	// place is the installed slot directory and this store's group
 	// within it. A store is born holding the version-0 identity
 	// directory (one route, owned by its own group), which the
@@ -159,9 +153,6 @@ func NewStore(hlc *clock.HLC, cfg Config) *Store {
 		epoch:        1,
 		streamEpoch:  1,
 		epochMembers: []string{""},
-
-		snapSessions:  make(map[uint64]*snapSession),
-		snapCapturing: make(map[uint64]chan struct{}),
 	}
 	// Born serving every OID: its directory is the one-route identity map.
 	s.place.Store(&placement{dir: kv.IdentityDirectory(1)})

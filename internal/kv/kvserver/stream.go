@@ -42,22 +42,13 @@ func recordChecksum(rec *kv.ReplRecord) uint32 {
 	return crc32.Checksum(b.Bytes(), crcTable)
 }
 
-// LogBounds reports the retained replication log's window: base is the
-// oldest sequence number still held, head the next to be assigned, so
-// head-base records are in memory (tests and diagnostics).
-func (s *Store) LogBounds() (logBase, head uint64) {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	return s.logBase, s.repSeq
-}
-
 // Checkpoint captures a snapshot of the store's full state at the
 // current stream head, rotates the write-ahead log onto it (restart
 // replays snapshot + tail instead of the full history), and truncates
 // the ENTIRE in-memory replication log (logBase advances to the head
 // — an explicit checkpoint is an operator's full truncation). A
-// backup that later turns out to be behind the new logBase rejoins by
-// state transfer. It returns the sequence number the checkpoint
+// backup that later turns out to be behind the new logBase is pushed a
+// snapshot. It returns the sequence number the checkpoint
 // covers. Unlike the policy (maybeCheckpointSlackLocked), which keeps a
 // half-cap tail and rotates the file only once the log has earned it,
 // the explicit checkpoint always rotates. A store without a
@@ -127,8 +118,8 @@ func (s *Store) checkpointLocked(async bool) (uint64, error) {
 // force O(state) transfer on any replica even one record behind, while
 // retaining half leaves headroom so the next append does not
 // immediately re-trip the bound. It is independent of any WAL rotation:
-// a backup behind logBase only needs an on-demand snapshot
-// (ServeSnapshotChunk), not a rotated file, and a restart replays the
+// a backup behind logBase only needs an on-demand snapshot (the one
+// its sender pushes), not a rotated file, and a restart replays the
 // un-rotated log correctly — longer, but complete. Its cost is a copy
 // of the records it keeps, nothing that grows with the state. Caller
 // holds repMu.

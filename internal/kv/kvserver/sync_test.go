@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
 	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
-	"yesquel/internal/kv/kvserver"
 )
 
 // writeBatch commits n transactions with a mix of op shapes through c.
@@ -148,12 +146,13 @@ func TestSyncCarriesPreparedState(t *testing.T) {
 	}
 }
 
-// TestMirrorGapFailsLoudly: attaching an empty backup to a primary
-// with history fills the gap through the mirror, and the backup ends
-// byte-identical. A backup ahead of the primary's stream, or whose
-// record below its head is not the primary's, is refused loudly with
-// kv.ErrDiverged and keeps its own stream.
-func TestMirrorGapFailsLoudly(t *testing.T) {
+// TestMirrorGapFilledOrBackupRebuilt: attaching an empty backup to a
+// primary with history fills the gap through the mirror, and the backup
+// ends byte-identical. A backup ahead of the primary's stream, or whose
+// record below its head is not the primary's, is never spliced onto: its
+// sender pushes it a snapshot, which replaces its own history, and it
+// ends byte-identical too.
+func TestMirrorGapFilledOrBackupRebuilt(t *testing.T) {
 	primary := startServer(t)
 	c, err := kvclient.Open([]string{primary.Addr()})
 	if err != nil {
@@ -174,6 +173,9 @@ func TestMirrorGapFailsLoudly(t *testing.T) {
 	if got, want := stale.Store().StateDigest(), primary.Store().StateDigest(); got != want {
 		t.Fatalf("after the gap was filled: backup digest %x != primary digest %x", got, want)
 	}
+	if got := stale.Store().Stats().SnapshotsInstalled; got != 0 {
+		t.Fatalf("a backup within the retained log installed %d snapshots", got)
+	}
 	primary.DetachBackupMember(stale.Addr())
 
 	for _, tc := range []struct {
@@ -190,14 +192,16 @@ func TestMirrorGapFailsLoudly(t *testing.T) {
 		}
 		writeBatch(t, oc, tc.name, tc.records)
 		oc.Close()
-		head := other.Store().ReplSeq()
-		err = primary.AttachBackupMember(other.Addr())
-		if !errors.Is(err, kv.ErrDiverged) || !strings.Contains(err.Error(), "diverged") {
-			t.Fatalf("%s backup: attach returned %v, want kv.ErrDiverged", tc.name, err)
+		if err := primary.AttachBackupMember(other.Addr()); err != nil {
+			t.Fatalf("%s backup: attach returned %v", tc.name, err)
 		}
-		if got := other.Store().ReplSeq(); got != head {
-			t.Fatalf("%s backup moved from seq %d to %d", tc.name, head, got)
+		if got := other.Store().Stats().SnapshotsInstalled; got != 1 {
+			t.Fatalf("%s backup installed %d snapshots, want 1", tc.name, got)
 		}
+		if got, want := other.Store().StateDigest(), primary.Store().StateDigest(); got != want {
+			t.Fatalf("%s backup: digest %x != primary digest %x: its own history survived", tc.name, got, want)
+		}
+		primary.DetachBackupMember(other.Addr())
 	}
 }
 
@@ -242,7 +246,9 @@ func TestAttachedBackupHoldsAckedWrite(t *testing.T) {
 // TestMirrorDetectsDivergedBackup pins the split-brain guard on the
 // other side: a backup whose stream holds a record the primary never
 // sent is ahead of the primary's stream. The next mirrored commit must
-// fail loudly instead of being acknowledged and silently dropped.
+// not be acknowledged on a splice: the gap reply's record check finds
+// the divergence, the sender pushes the backup a snapshot that discards
+// the stranded record, and only then does the commit's record reach it.
 func TestMirrorDetectsDivergedBackup(t *testing.T) {
 	primary := startServer(t)
 	backup := startServer(t)
@@ -263,34 +269,40 @@ func TestMirrorDetectsDivergedBackup(t *testing.T) {
 	// turns clients away; only a bug or an operator error gets here):
 	// its stream head advances past the primary's.
 	bs := backup.Store()
+	stranded := kv.MakeOID(0, 424242)
 	if _, err := bs.FastCommit(1<<40, bs.Clock().Now(), []*kv.Op{
-		{Kind: kv.OpPut, OID: kv.MakeOID(0, 424242), Value: kv.NewPlain([]byte("split-brain"))},
+		{Kind: kv.OpPut, OID: stranded, Value: kv.NewPlain([]byte("split-brain"))},
 	}); err != nil {
 		t.Fatal(err)
 	}
 
 	// The primary's next commit mirrors a sequence number the backup
-	// already consumed — it must be rejected, failing the commit.
+	// already consumed with another record.
 	tx = c.Begin()
-	tx.Put(c.NewOID(0), kv.NewPlain([]byte("rejected")))
-	err = tx.Commit(ctx)
-	if err == nil {
-		t.Fatal("commit mirrored into a diverged backup succeeded")
+	tx.Put(c.NewOID(0), kv.NewPlain([]byte("mirrored")))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatalf("commit beside a diverged backup: %v", err)
 	}
-	if !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("divergence should be named, got: %v", err)
+	if got := bs.Stats().SnapshotsInstalled; got != 1 {
+		t.Fatalf("diverged backup installed %d snapshots, want 1", got)
+	}
+	if got, want := bs.StateDigest(), primary.Store().StateDigest(); got != want {
+		t.Fatalf("backup digest %x != primary digest %x: the stranded record survived", got, want)
+	}
+	if _, _, err := bs.Read(stranded, bs.Clock().Now()); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("stranded write still readable on the backup: %v", err)
 	}
 }
 
 // TestDefaultStoreAcceptsMidLifeBackup: a store opened with the zero
 // Config, with history nobody asked it to keep for anyone, takes a
 // backup mid-life — by record replay while its retained tail still
-// reaches back to the joiner's position, and through state transfer
-// once the tail has been truncated past it. A backup that copied the
-// primary's state (yesqueld -sync-from) and fell behind by four commits
-// before the primary formed the group is caught up by the mirror. A
-// joining backup is a learner: commits running on the primary while it
-// is refused, rebuilt and caught up all succeed.
+// reaches back to the joiner's position, and by a pushed snapshot once
+// the tail has been truncated past it. A backup rebuilt by a push,
+// detached, and four commits behind when the primary forms the group is
+// caught up by the mirror from the retained log. A joining backup is a
+// learner: commits running on the primary while it is rebuilt and
+// caught up all succeed.
 func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -300,7 +312,7 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 	}{
 		{"tail replay", false, false, false},
 		{"tail too short: state transfer", true, false, false},
-		{"state transfer, then four commits before FormGroup", false, true, false},
+		{"state transfer, then four commits before FormGroup", true, true, false},
 		{"commits beside a behind-the-log backup's join", true, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -321,9 +333,10 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 
 			backup := startServer(t)
 			if tc.transfer {
-				if err := backup.StateTransferFrom(primary.Addr()); err != nil {
+				if err := primary.AttachBackupMember(backup.Addr()); err != nil {
 					t.Fatal(err)
 				}
+				primary.DetachBackupMember(backup.Addr())
 				for i := 0; i < 4; i++ {
 					tx := c.Begin()
 					tx.Put(c.NewOID(0), kv.NewPlain([]byte("behind")))
@@ -336,7 +349,7 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 				}
 			} else if tc.beside {
 				besideCommits(t, c, func() {
-					if err := kvserver.Join(primary, backup); err != nil {
+					if err := primary.AttachBackupMember(backup.Addr()); err != nil {
 						t.Fatal(err)
 					}
 					if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
@@ -349,7 +362,7 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 			if got, want := backup.Store().StateDigest(), store.StateDigest(); got != want {
 				t.Fatalf("after join: backup digest %x != primary digest %x", got, want)
 			}
-			if got := backup.Store().Stats().SnapshotsInstalled; (got > 0) != (tc.truncate || tc.transfer) {
+			if got := backup.Store().Stats().SnapshotsInstalled; (got == 1) != tc.truncate || got > 1 {
 				t.Fatalf("backup installed %d snapshots, truncated tail = %v", got, tc.truncate)
 			}
 			writeBatch(t, c, "mirrored", 8)

@@ -228,7 +228,7 @@ func (w *wal) appendBatch(recs []kv.ReplRecord) (synced bool, err error) {
 }
 
 // snapChunkBytes cuts a snapshot's encoding into pieces: the chunks of
-// a MethodSnap transfer and the leading frames of a rotated log. A
+// a pushed snapshot and the leading frames of a rotated log. A
 // state larger than one wire frame (64 MiB) must still transfer and
 // checkpoint, or its log could never be bounded — and the chunk is all
 // the memory a rotation holds of the encoding, so it is kept small. A
@@ -562,19 +562,26 @@ func (s *Store) applyReplicated(rec kv.ReplRecord) error {
 // A batch that does not start at this replica's stream head changes
 // nothing: the *kv.StreamGapError reply names the head, the epoch its
 // stream had installed there and a checksum of the record below it, and
-// the primary resends from that head. Otherwise the records are applied in order; an error on record
-// k leaves records 0..k-1 applied (a consistent prefix of the primary's
-// stream) and fails the batch. The replication-log bound runs once per
-// batch, with the live-mirror slack (see mirrorCheckpointSlack): the
-// primary is waiting for the ack, so routine truncation is left to the
-// server's checkpoint ticker, with a hard ceiling so the memory bound
-// never rests on a ticker alone.
+// the primary resends from that head. A batch with no records and a
+// snapshot piece is a chunk of a pushed snapshot (acceptChunkLocked);
+// any other batch drops a push left unfinished. Otherwise the records
+// are applied in order; an error on record k leaves records 0..k-1
+// applied (a consistent prefix of the primary's stream) and fails the
+// batch. The replication-log bound runs once per batch, with the
+// live-mirror slack (see mirrorCheckpointSlack): the primary is waiting
+// for the ack, so routine truncation is left to the server's checkpoint
+// ticker, with a hard ceiling so the memory bound never rests on a
+// ticker alone.
 func (s *Store) ApplyMirroredBatch(req *kv.MirrorBatchReq) error {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
 	if err := s.acceptBatchLocked(req); err != nil {
 		return err
 	}
+	if len(req.Snap) > 0 || req.Last {
+		return s.acceptChunkLocked(req)
+	}
+	s.pushed = nil
 	if req.From != s.repSeq {
 		gap := &kv.StreamGapError{Head: s.repSeq, StreamEpoch: s.streamEpoch}
 		if s.repSeq > s.logBase {
@@ -591,6 +598,47 @@ func (s *Store) ApplyMirroredBatch(req *kv.MirrorBatchReq) error {
 	return nil
 }
 
+// acceptChunkLocked takes one chunk of a snapshot the primary is
+// pushing (see Store.pushSnapshot), accepted by the same rule as a
+// batch. A chunk at offset 0 starts a push; any other that does not
+// extend the one in progress exactly — a piece of an abandoned push,
+// arriving late — is refused. The last installs the snapshot, which
+// replaces this replica's state and stream, if its configuration passes
+// acceptConfigLocked, as a mirrored RecEpoch's must: a deposed primary
+// at the adopted epoch must not rebuild a member of the winner's group.
+// Caller holds repMu.
+func (s *Store) acceptChunkLocked(req *kv.MirrorBatchReq) error {
+	if req.Off == 0 {
+		s.pushed, s.pushFrom = nil, req.From
+	}
+	if req.Off != uint64(len(s.pushed)) || req.From != s.pushFrom {
+		return fmt.Errorf("%w: snapshot chunk at offset %d of the push of seq %d, which is at offset %d of seq %d", kv.ErrBadRequest, req.Off, req.From, len(s.pushed), s.pushFrom)
+	}
+	s.pushed = append(s.pushed, req.Snap...)
+	if !req.Last {
+		return nil
+	}
+	sn, err := decodeSnapshot(s.pushed)
+	s.pushed = nil
+	if err != nil {
+		return err
+	}
+	if sn.Seq != req.From {
+		return fmt.Errorf("%w: pushed snapshot covers seq %d, announced %d", kv.ErrBadRequest, sn.Seq, req.From)
+	}
+	// Epoch 1 is every store's birth epoch, a group of its own: no
+	// adopted membership to guard.
+	s.epochMu.Lock()
+	if sn.Epoch > 1 && !s.acceptConfigLocked(sn.Epoch, sn.Members) {
+		err = fmt.Errorf("pushed snapshot of a stale configuration at epoch %d: %w", sn.Epoch, s.wrongEpochLocked())
+	}
+	s.epochMu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.installSnapshotLocked(sn)
+}
+
 // acceptBatchLocked is the split-brain guard on the mirror stream plus
 // the grant extension (see ApplyMirroredBatch). Caller holds repMu.
 func (s *Store) acceptBatchLocked(req *kv.MirrorBatchReq) error {
@@ -603,7 +651,7 @@ func (s *Store) acceptBatchLocked(req *kv.MirrorBatchReq) error {
 		return fmt.Errorf("batch from deposed primary: %w", s.wrongEpochLocked())
 	}
 	for i := range req.Recs {
-		if rec := &req.Recs[i]; rec.Kind == kv.RecEpoch && !s.acceptConfigLocked(rec) {
+		if rec := &req.Recs[i]; rec.Kind == kv.RecEpoch && !s.acceptConfigLocked(rec.Epoch, rec.Members) {
 			return fmt.Errorf("stale configuration change to epoch %d: %w", rec.Epoch, s.wrongEpochLocked())
 		}
 	}
@@ -613,23 +661,23 @@ func (s *Store) acceptBatchLocked(req *kv.MirrorBatchReq) error {
 	return nil
 }
 
-// acceptConfigLocked reports whether a mirrored RecEpoch may install
-// its configuration here. One above the adopted epoch advances it. One
-// AT the adopted epoch must carry the membership this replica adopted:
-// a loser of a failover adopts its winner's epoch out of band before
-// the winner's RecEpoch reaches it, and a deposed primary installing
-// the same epoch number for its own group must not collect this
-// replica's ack — that would make two primaries at one epoch. One below
-// it is history a member still catching up to its adopted epoch lacks
-// (a configuration change its winner applied and it missed); once its
-// stream has installed the adopted epoch, nothing older is legitimate.
-// Caller holds repMu and epochMu.
-func (s *Store) acceptConfigLocked(rec *kv.ReplRecord) bool {
+// acceptConfigLocked reports whether a mirrored RecEpoch, or a pushed
+// snapshot, may install its configuration here. One above the adopted
+// epoch advances it. One AT the adopted epoch must carry the membership
+// this replica adopted: a loser of a failover adopts its winner's epoch
+// out of band before the winner's RecEpoch reaches it, and a deposed
+// primary installing the same epoch number for its own group must not
+// collect this replica's ack — that would make two primaries at one
+// epoch. One below it is history a member still catching up to its
+// adopted epoch lacks (a configuration change its winner applied and it
+// missed); once its stream has installed the adopted epoch, nothing
+// older is legitimate. Caller holds repMu and epochMu.
+func (s *Store) acceptConfigLocked(epoch uint64, members []string) bool {
 	switch {
-	case rec.Epoch > s.epoch:
+	case epoch > s.epoch:
 		return true
-	case rec.Epoch == s.epoch:
-		return slices.Equal(rec.Members, s.epochMembers)
+	case epoch == s.epoch:
+		return slices.Equal(members, s.epochMembers)
 	default:
 		return s.streamEpoch < s.epoch
 	}
@@ -654,10 +702,10 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 	// installed) is the only tell. The check is against the STREAM epoch,
 	// not the adopted one: a rejoining member that adopted the new epoch
 	// out of band must still apply the RecEpoch that installed it.
-	// Rejected with kv.ErrDiverged: such a replica rejoins by state
-	// transfer, never by record replay.
+	// Rejected with kv.ErrDiverged: such a replica is rebuilt by a
+	// pushed snapshot, never by record replay.
 	if rec.Kind == kv.RecEpoch && rec.Epoch <= s.streamEpoch || rec.Kind != kv.RecEpoch && rec.Epoch != s.streamEpoch {
-		return fmt.Errorf("%w: record at seq %d stamped epoch %d but this replica's stream installed epoch %d there: the histories diverged, rejoin by state transfer", kv.ErrDiverged, s.repSeq, rec.Epoch, s.streamEpoch)
+		return fmt.Errorf("%w: record at seq %d stamped epoch %d but this replica's stream installed epoch %d there: the histories diverged", kv.ErrDiverged, s.repSeq, rec.Epoch, s.streamEpoch)
 	}
 	s.clock.Observe(rec.TS)
 	switch rec.Kind {

@@ -26,14 +26,9 @@ const (
 	// StreamGapError naming that head, and the primary resends from there
 	// out of its retained log. One acknowledgment covers the whole batch
 	// and is the backup's lease grant to the primary; an empty batch is
-	// the primary's heartbeat.
+	// the primary's heartbeat. A backup the retained log cannot catch up
+	// is sent a state snapshot the same way, in chunks.
 	MethodMirrorBatch = "kv.mirrorbatch"
-	// MethodSnap transfers a state snapshot, in chunks, to a backup that
-	// is behind the server's retained log or has diverged from its
-	// stream (see kvserver.Server.StateTransferFrom). The backup installs
-	// the snapshot, and the primary's mirror then fills in the records
-	// since.
-	MethodSnap = "kv.snap"
 	// MethodDirectory returns the server's slot directory (the
 	// slot→group map fixed at cluster formation; see Directory). A
 	// client calls it once, after it opens.
@@ -154,10 +149,18 @@ func wireMembers(c *wire.Codec, members *[]string) {
 // epoch the sender's stream had installed when it sent: a backup in a
 // later epoch refuses the batch, since the sender was deposed. The
 // records themselves keep the epochs they were emitted in.
+//
+// A batch with no records and a Snap piece is one chunk of a state
+// snapshot pushed to a backup the retained log cannot catch up: From is
+// the stream position the snapshot covers, Off the piece's byte offset
+// in it, and Last marks the chunk after which the backup installs it.
 type MirrorBatchReq struct {
 	From  uint64
 	Epoch uint64
 	Recs  []ReplRecord
+	Off   uint64
+	Snap  []byte
+	Last  bool
 }
 
 func (m *MirrorBatchReq) wire(c *wire.Codec) {
@@ -167,6 +170,9 @@ func (m *MirrorBatchReq) wire(c *wire.Codec) {
 	for i := range m.Recs {
 		m.Recs[i].wire(c)
 	}
+	c.Uvarint(&m.Off)
+	c.Bytes(&m.Snap)
+	c.Bool(&m.Last)
 }
 
 func (m *MirrorBatchReq) Encode() []byte { return wire.Encode(m, (*MirrorBatchReq).wire) }
@@ -174,57 +180,6 @@ func (m *MirrorBatchReq) Encode() []byte { return wire.Encode(m, (*MirrorBatchRe
 func DecodeMirrorBatchReq(p []byte) (*MirrorBatchReq, error) {
 	return decode(p, (*MirrorBatchReq).wire)
 }
-
-// SnapReq asks for one chunk of a state snapshot. ID 0 begins a new
-// transfer: the server captures a fresh snapshot at its current stream
-// head, assigns a session id, and answers with chunk 0; the caller then
-// requests the remaining chunks carrying the assigned ID. Chunks of one
-// session are slices of a single consistent snapshot — mixing IDs would
-// splice two different states, so the server rejects unknown sessions
-// instead of guessing.
-type SnapReq struct {
-	ID    uint64
-	Chunk uint32
-}
-
-func (m *SnapReq) wire(c *wire.Codec) {
-	c.Uvarint(&m.ID)
-	c.Uint32(&m.Chunk)
-}
-
-func (m *SnapReq) Encode() []byte { return wire.Encode(m, (*SnapReq).wire) }
-
-func DecodeSnapReq(p []byte) (*SnapReq, error) { return decode(p, (*SnapReq).wire) }
-
-// SnapResp carries one chunk of a state snapshot. Seq is the stream
-// sequence number the snapshot covers (the installer's log-tail sync
-// resumes there); Chunks is the total count, so the caller knows when
-// the transfer is complete. Data is an opaque slice of the snapshot's
-// canonical encoding — the storage layer owns the format.
-type SnapResp struct {
-	ID     uint64
-	Seq    uint64
-	Chunk  uint32
-	Chunks uint32
-	Data   []byte
-	Clock  Timestamp
-}
-
-func (m *SnapResp) wire(c *wire.Codec) {
-	c.Uvarint(&m.ID)
-	c.Uvarint(&m.Seq)
-	c.Uint32(&m.Chunk)
-	c.Uint32(&m.Chunks)
-	c.Bytes(&m.Data)
-	wire.U64(c, &m.Clock)
-}
-
-func (m *SnapResp) AppendTo(b *wire.Buffer) {
-	b.PutUvarint(uint64(wire.Size(m, (*SnapResp).wire)))
-	wire.EncodeTo(b, m, (*SnapResp).wire)
-}
-
-func DecodeSnapResp(p []byte) (*SnapResp, error) { return decode(p, (*SnapResp).wire) }
 
 // ReadBatchItem is the one read there is: the cells of OID with keys in
 // [floor(From), To), at most Max of them (0 = unlimited), where

@@ -8,27 +8,6 @@ import (
 	"yesquel/internal/wire"
 )
 
-// TestSnapMessagesRoundTrip covers the chunked state-transfer pair.
-func TestSnapMessagesRoundTrip(t *testing.T) {
-	req := &SnapReq{ID: 7, Chunk: 3}
-	gotReq, err := DecodeSnapReq(req.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *gotReq != *req {
-		t.Fatalf("snap req: %+v != %+v", gotReq, req)
-	}
-	resp := &SnapResp{ID: 7, Seq: 1234, Chunk: 3, Chunks: 9, Data: []byte("opaque snapshot slice"), Clock: 55}
-	gotResp, err := DecodeSnapResp(reply(resp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotResp.ID != resp.ID || gotResp.Seq != resp.Seq || gotResp.Chunk != resp.Chunk ||
-		gotResp.Chunks != resp.Chunks || gotResp.Clock != resp.Clock || !bytes.Equal(gotResp.Data, resp.Data) {
-		t.Fatalf("snap resp: %+v != %+v", gotResp, resp)
-	}
-}
-
 // sampleOps covers every op kind, including nil/empty byte-slice edge
 // cases the wire format distinguishes.
 func sampleOps() []*Op {

@@ -3,7 +3,7 @@
 // reworded (PR 4's failover bug was exactly that) and cannot survive
 // wrapping; the replication stack exports typed sentinels
 // (kv.ErrDiverged, kv.ErrWrongEpoch, kv.ErrUncertain, kv.ErrConflict,
-// kv.ErrSnapSessionExpired, ...), and an error reply carries a typed
+// kv.ErrStreamGap, ...), and an error reply carries a typed
 // code and detail (rpc.AppError) that kv.DecodeError turns back into
 // them, so every cross-process error can be classified with
 // errors.Is/errors.As — never the text.

@@ -3,11 +3,11 @@
 // order, as documented on the Store struct and verified across the
 // replication stack, is:
 //
-//	repMu → txMu → epochMu → snapMu
+//	repMu → txMu → epochMu
 //
 // (prepare holds txMu while reading the epoch; emitLocked takes
-// epochMu under repMu; epochMu and snapMu holders never take another
-// store mutex). A function may acquire a mutex only when every mutex
+// epochMu under repMu; epochMu holders never take another store
+// mutex). A function may acquire a mutex only when every mutex
 // it already holds ranks strictly earlier; calling a function that
 // may (transitively, within the package) acquire an earlier-or-equal
 // rank while holding a later one is flagged the same way.
@@ -23,7 +23,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the repMu → txMu → epochMu → snapMu acquisition order",
+	Doc:  "enforce the repMu → txMu → epochMu acquisition order",
 	Run:  run,
 }
 
@@ -33,10 +33,9 @@ var rank = map[string]int{
 	"repMu":   0,
 	"txMu":    1,
 	"epochMu": 2,
-	"snapMu":  3,
 }
 
-const orderDoc = "repMu → txMu → epochMu → snapMu"
+const orderDoc = "repMu → txMu → epochMu"
 
 func run(pass *analysis.Pass) error {
 	names := make(map[string]bool, len(rank))

@@ -1,5 +1,5 @@
 // Package a exercises the lockorder analyzer against the kvserver
-// mutex ranking: repMu → txMu → epochMu → snapMu.
+// mutex ranking: repMu → txMu → epochMu.
 package a
 
 import "sync"
@@ -8,7 +8,6 @@ type Store struct {
 	repMu   sync.Mutex
 	txMu    sync.Mutex
 	epochMu sync.Mutex
-	snapMu  sync.Mutex
 	epoch   uint64
 }
 
@@ -95,13 +94,13 @@ func (s *Store) transitiveOK() uint64 {
 	return s.readEpoch()
 }
 
-// snapLeaf: snapMu is the last rank; taking anything under it is
+// epochLeaf: epochMu is the last rank; taking anything under it is
 // flagged.
-func (s *Store) snapLeaf() {
-	s.snapMu.Lock()
-	s.epochMu.Lock() // want `acquiring epochMu while holding snapMu`
+func (s *Store) epochLeaf() {
+	s.epochMu.Lock()
+	s.txMu.Lock() // want `acquiring txMu while holding epochMu`
+	s.txMu.Unlock()
 	s.epochMu.Unlock()
-	s.snapMu.Unlock()
 }
 
 // goroutineNotOnPath: a goroutine spawned under epochMu acquires

@@ -296,20 +296,20 @@ const defaultDialTimeout = 10 * time.Second
 //
 //yesqlint:blocking
 func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, defaultDialTimeout)
+	return DialContext(context.Background(), addr, defaultDialTimeout)
 }
 
-// DialTimeout connects to a server at addr, failing after the given
+// DialContext connects to a server at addr, failing after the given
 // connect timeout (0 = the package default), which also bounds each
-// dial by which the pool later grows.
+// dial by which the pool later grows, or when ctx is done.
 //
 //yesqlint:blocking
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
+func DialContext(ctx context.Context, addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = defaultDialTimeout
 	}
 	c := &Client{addr: addr, timeout: timeout, conns: make(map[*clientConn]struct{})}
-	cn, err := c.dial()
+	cn, err := c.dial(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -317,8 +317,8 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return c, nil
 }
 
-func (c *Client) dial() (*clientConn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.timeout)
+func (c *Client) dial(ctx context.Context) (*clientConn, error) {
+	nc, err := (&net.Dialer{Timeout: c.timeout}).DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +387,7 @@ func (c *Client) checkOut() (*clientConn, error) {
 	case err != nil:
 		return nil, err
 	case cn == nil:
-		if cn, err = c.dial(); err != nil {
+		if cn, err = c.dial(context.Background()); err != nil {
 			return nil, c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 		}
 	case cn.raw.Read(cn.probe) != nil || !cn.idle || cn.br.Buffered() > 0:

@@ -477,3 +477,20 @@ func TestDialFailure(t *testing.T) {
 		t.Fatal("Dial to closed port should fail")
 	}
 }
+
+// TestDialContextCancelled: a dial whose context is done fails with the
+// context's error instead of connecting — what lets the owner of a dial
+// to an unreachable host end it without waiting out the timeout.
+func TestDialContextCancelled(t *testing.T) {
+	addr := startServer(t, NewServer())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := DialContext(ctx, addr, time.Minute); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dial with a cancelled context: %v, want context.Canceled", err)
+	}
+	c, err := DialContext(context.Background(), addr, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+}
