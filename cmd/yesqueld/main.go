@@ -5,7 +5,11 @@
 // its member identity — the address clients are redirected to and a
 // primary's -mirror names — so it must be ip:port with a specific IP.
 // A lone server is the sole member of its own group; -mirror forms a
-// larger one (start the backups first):
+// larger one (start the backups first). A group has one membership, the
+// installed epoch's, and it is also the quorum's: -mirror is the one
+// reconfiguration (kvserver.Server.Reconfigure) that catches the
+// backups up and installs [this server, backups...] as the next epoch,
+// and commits are then acknowledged by a majority of exactly that group:
 //
 //	yesqueld -addr 10.0.0.2:7000
 //	yesqueld -addr 10.0.0.3:7000
@@ -72,17 +76,16 @@ func main() {
 		log.Fatalf("yesqueld: %v", err)
 	}
 	if *mirror != "" {
-		var backups []string
+		members := []string{srv.Addr()}
 		for _, b := range strings.Split(*mirror, ",") {
 			if b = strings.TrimSpace(b); b != "" {
-				backups = append(backups, b)
+				members = append(members, b)
 			}
 		}
-		epoch, err := srv.FormGroup(backups)
-		if err != nil {
-			log.Fatalf("yesqueld: forming group with %v: %v", backups, err)
+		if err := srv.Reconfigure(store.Epoch()+1, members); err != nil {
+			log.Fatalf("yesqueld: forming group %v: %v", members, err)
 		}
-		log.Printf("yesqueld: primary of %v at epoch %d", store.Members(), epoch)
+		log.Printf("yesqueld: primary of %v at epoch %d", store.Members(), store.Epoch())
 	}
 	log.Printf("yesqueld: serving on %s (retention %v, lease %v)", srv.Addr(), *retention, *lease)
 

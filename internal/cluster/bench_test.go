@@ -337,20 +337,14 @@ func BenchmarkResync(b *testing.B) {
 			go backup.Serve()
 			// When the log no longer reaches the empty backup, its
 			// sender pushes a snapshot, then sends the tail.
-			if err := primary.AttachBackupMember(backup.Addr()); err != nil {
-				b.Fatal(err)
-			}
-			// The epoch bump that admits the caught-up member completes
-			// the join.
-			if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
+			if err := primary.Reconfigure(primary.Store().Epoch()+1, []string{primary.Addr(), backup.Addr()}); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
 			if got := backup.Store().StateDigest(); got != want {
 				b.Fatalf("resynced digest %x != primary %x", got, want)
 			}
-			primary.DetachAllBackups()
-			if _, err := primary.BumpEpoch([]string{primary.Addr()}); err != nil {
+			if err := primary.Reconfigure(primary.Store().Epoch()+1, []string{primary.Addr()}); err != nil {
 				b.Fatal(err)
 			}
 			backup.Close()

@@ -17,12 +17,15 @@ import (
 )
 
 // Group is one server slot's replication group: an acting primary and
-// its live backups. Every group carries an epoch: every membership
-// change (formation, promotion after a failure, re-formation with a
-// fresh backup) is an explicit epoch bump recorded in the replication
-// stream, and the epoch's primary only serves while it holds a lease
-// granted by a majority of its backups. An rf=1 slot is the sole-member
-// group its store was born as.
+// its live backups. Every group carries an epoch, and its membership is
+// the group's one membership: every change (formation, promotion after
+// a failure, re-formation with a fresh backup) is one Reconfigure of the
+// acting primary, an epoch bump recorded in the replication stream whose
+// install also leaves the primary a member sender for exactly the
+// backups it lists. The epoch's primary acknowledges a commit once a
+// majority of that group holds it, and serves only while a majority of
+// it grants its lease. An rf=1 slot is the sole-member group its store
+// was born as.
 type Group struct {
 	Primary *kvserver.Server
 	Backups []*kvserver.Server // live backups (empty when unreplicated or after failovers)
@@ -50,7 +53,7 @@ type Cluster struct {
 
 	// dir is the cluster's slot directory: the route→group map
 	// StartReplicated installs on every member once the groups are up,
-	// and attachBackup on every backup started later. It does not change
+	// and startBackup on every backup started later. It does not change
 	// after formation.
 	dir *kv.Directory
 
@@ -108,9 +111,9 @@ func StartReplicated(n, rf int, cfg kvserver.Config) (*Cluster, error) {
 }
 
 // startGroup launches slot i's replica group and appends it to the
-// cluster: a primary, rf-1 synced backups, and (when replicated) an
-// epoch bump installing the fresh membership. A group that fails to
-// start stays in cl.Groups, so Close stops the members it did start.
+// cluster: a primary and, when replicated, rf-1 fresh backups made its
+// members by grow. A group that fails to start stays in cl.Groups, so
+// Close stops the members it did start.
 func (cl *Cluster) startGroup(i int) error {
 	primary, err := cl.startMember(i, "")
 	if err != nil {
@@ -118,16 +121,8 @@ func (cl *Cluster) startGroup(i int) error {
 	}
 	g := &Group{Primary: primary, Addrs: []string{primary.Addr()}}
 	cl.Groups = append(cl.Groups, g)
-	for len(g.Backups) < cl.rf-1 {
-		if err := cl.attachBackup(i); err != nil {
-			return err
-		}
-	}
 	if cl.rf > 1 {
-		// Install the fresh group as the membership. The RecEpoch
-		// record mirrors to every backup like any stream record, and its
-		// acks double as the primary's first lease grants.
-		if _, err := g.Primary.BumpEpoch(append([]string(nil), g.Addrs...)); err != nil {
+		if err := cl.grow(i); err != nil {
 			return err
 		}
 	}
@@ -181,31 +176,56 @@ func (cl *Cluster) startMember(i int, suffix string) (*kvserver.Server, error) {
 	return srv, nil
 }
 
-// attachBackup starts a fresh backup for slot i and attaches it to the
-// acting primary as an additional replication member. It works both at
-// cluster startup (empty stores: the attach is one probe) and on a
-// primary with history, which the backup catches up on from the
-// primary's retained log, or from a snapshot the primary pushes when
-// the log was truncated.
-func (cl *Cluster) attachBackup(i int) error {
+// grow starts fresh, empty backups until slot i has rf-1, and makes
+// them members with one Reconfigure of the acting primary: it catches
+// them up — a replay of its retained log, including every past epoch
+// change in stream order, or a pushed snapshot when the log no longer
+// reaches them — and installs the group's live members as the next
+// epoch. The mirrored RecEpoch both informs the new backups and seeds
+// the primary's lease, and the install detaches the sender of every
+// member it no longer lists, a killed backup's included, so the quorum
+// is counted over the live group. Backups that do not become members
+// are stopped.
+func (cl *Cluster) grow(i int) error {
+	g := cl.Groups[i]
+	members := append([]string(nil), g.Addrs...)
+	var fresh []*kvserver.Server
+	stop := func(err error) error {
+		for _, b := range fresh {
+			b.Close()
+			b.Store().CloseLog()
+		}
+		return err
+	}
+	for len(g.Backups)+len(fresh) < cl.rf-1 {
+		b, err := cl.startBackup(i)
+		if err != nil {
+			return stop(err)
+		}
+		fresh = append(fresh, b)
+		members = append(members, b.Addr())
+	}
+	if err := g.Primary.Reconfigure(g.Epoch()+1, members); err != nil {
+		return stop(err)
+	}
+	g.Backups = append(g.Backups, fresh...)
+	g.Addrs = members
+	return nil
+}
+
+// startBackup starts a fresh, empty backup for slot i.
+func (cl *Cluster) startBackup(i int) (*kvserver.Server, error) {
 	g := cl.Groups[i]
 	g.gen++
 	backup, err := cl.startMember(i, fmt.Sprintf("b%d", g.gen))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := g.Primary.AttachBackupMember(backup.Addr()); err != nil {
-		backup.Close()
-		backup.Store().CloseLog()
-		return err
-	}
-	g.Backups = append(g.Backups, backup)
-	g.Addrs = append(g.Addrs, backup.Addr())
 	// A member started after formation needs its own copy: the
 	// directory does not travel in the replication stream, and without
 	// it the backup, once promoted, would serve every route.
 	backup.Store().InstallDirectory(cl.dir, uint32(i))
-	return nil
+	return backup, nil
 }
 
 // KillPrimary fails slot's primary: the server is shut down hard and
@@ -232,8 +252,9 @@ func (cl *Cluster) KillPrimary(slot int) error {
 // primary: the next mirror batch to it fails, marking the member
 // broken in the primary's pipeline, and with rf >= 3 the primary keeps
 // acknowledging writes on the surviving quorum (the dead member stays
-// in the epoch membership as a silent minority). Restart re-forms the
-// group to full strength.
+// in the epoch membership, a broken voter its sender keeps retrying).
+// Restart re-forms the group to full strength with an epoch that no
+// longer lists it, which stops its sender.
 func (cl *Cluster) KillBackup(slot, i int) error {
 	g := cl.Groups[slot]
 	if i < 0 || i >= len(g.Backups) {
@@ -290,15 +311,16 @@ func (cl *Cluster) IsolatePrimary(slot int) (*kvserver.Server, error) {
 // records reached a majority of the group and every backup holds a
 // prefix of the old primary's stream, the longest surviving prefix
 // contains every acknowledged write; promoting anything less would
-// silently drop acknowledged data, which is exactly what the old
-// blind "promote the backup" did for pairs and what this replaces.
+// silently drop acknowledged data.
 //
-// The losers then ADOPT the new epoch out-of-band (not merely abandon
-// their frozen promotion state: a loser left at the old epoch would
-// keep accepting the deposed primary's heartbeats and hold its
-// quorum lease alive — split-brain by politeness) and rejoin the
-// winner's stream as its backups, the winner's sender filling the gap
-// between their heads and its own.
+// The losers ADOPT the new epoch out of band before the winner installs
+// it (not merely abandon their frozen promotion state: a loser left at
+// the old epoch would keep accepting the deposed primary's heartbeats
+// and hold its quorum lease alive — split-brain by politeness). The
+// winner's Reconfigure then finds them listed with no sender and
+// attaches them as voters after the install, its senders filling the
+// gap between their heads and its own; one that cannot be reached stays
+// a listed voter that its sender retries.
 func (cl *Cluster) promote(slot int, force bool) error {
 	g := cl.Groups[slot]
 	live := g.Backups
@@ -341,73 +363,27 @@ func (cl *Cluster) promote(slot int, force bool) error {
 			losers = append(losers, b)
 		}
 	}
-	if err := winner.BumpEpochTo(newEpoch, members); err != nil {
-		for _, b := range live {
-			b.Store().AbandonPromotion()
-		}
-		return fmt.Errorf("cluster: promoting slot %d: %w", slot, err)
-	}
-	var firstErr error
-	kept := losers[:0]
 	for _, b := range losers {
 		b.Store().AdoptEpoch(newEpoch, members)
-		if err := winner.AttachBackupMember(b.Addr()); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: rejoining %s to promoted slot %d: %w", b.Addr(), slot, err)
-			}
-			b.Close()
-			b.Store().CloseLog()
-			continue
-		}
-		kept = append(kept, b)
 	}
-	if len(kept) < len(losers) {
-		// Some losers could not rejoin and were dropped; the epoch just
-		// installed still lists them, and the winner would wait forever
-		// for lease grants from members that no longer exist. Re-form
-		// with the membership that actually survived.
-		members = []string{winner.Addr()}
-		for _, b := range kept {
-			members = append(members, b.Addr())
-		}
-		if _, err := winner.BumpEpoch(members); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: re-forming promoted slot %d without failed members: %w", slot, err)
-		}
+	if err := winner.Reconfigure(newEpoch, members); err != nil {
+		return fmt.Errorf("cluster: promoting slot %d: %w", slot, err)
 	}
-	g.Primary = winner
-	g.Backups = append([]*kvserver.Server(nil), kept...)
-	g.Addrs = []string{winner.Addr()}
-	for _, b := range g.Backups {
-		g.Addrs = append(g.Addrs, b.Addr())
-	}
+	g.Primary, g.Backups, g.Addrs = winner, losers, members
 	cl.Servers[slot] = winner
 	cl.Addrs[slot] = winner.Addr()
-	return firstErr
+	return nil
 }
 
 // Restart re-forms slot's replication group back to full strength
-// after failovers: fresh members start as new backups of the acting
-// primary, whose mirror catches them up on the missed history —
-// instead of the pre-replication dead end where a broken pair diverged
-// forever. (Each restarted member starts from an empty store; its
-// catch-up is a replay of the primary's retained log, including every
-// past epoch change in stream order, or a pushed snapshot when the log
-// was truncated.) Re-forming is
-// itself a configuration change: the primary bumps the epoch with the
-// full membership, and the mirrored RecEpoch record both informs the
-// new backups and seeds the primary's lease.
+// after failures (see grow).
 func (cl *Cluster) Restart(slot int) error {
 	g := cl.Groups[slot]
 	if len(g.Backups) >= cl.rf-1 {
 		return fmt.Errorf("cluster: slot %d already has %d backups", slot, len(g.Backups))
 	}
-	for len(g.Backups) < cl.rf-1 {
-		if err := cl.attachBackup(slot); err != nil {
-			return err
-		}
-	}
-	if _, err := g.Primary.BumpEpoch(append([]string(nil), g.Addrs...)); err != nil {
-		return fmt.Errorf("cluster: slot %d epoch bump: %w", slot, err)
+	if err := cl.grow(slot); err != nil {
+		return fmt.Errorf("cluster: re-forming slot %d: %w", slot, err)
 	}
 	return nil
 }

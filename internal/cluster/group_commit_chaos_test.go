@@ -207,7 +207,7 @@ func TestGroupCommitIsolatedPrimaryLosesNoAckedWrite(t *testing.T) {
 	// Attaching the diverged old primary to the new one never mirrors
 	// past its stranded records, which were never in the new epoch's
 	// stream: its sender pushes it the new epoch's state instead.
-	if err := newPrimary.AttachBackupMember(old.Addr()); err != nil {
+	if err := newPrimary.Reconfigure(newPrimary.Store().Epoch()+1, append(newPrimary.Store().Members(), old.Addr())); err != nil {
 		t.Fatalf("attach of diverged old primary: %v", err)
 	}
 	if got := oldStore.Stats().SnapshotsInstalled; got != 1 {

@@ -141,3 +141,61 @@ func TestGroupHealsWithNoOperatorCall(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartCountsTheQuorumOverTheLiveGroup: the installed epoch is the
+// quorum's membership. An rf=3 group loses a backup and is restarted to
+// full strength: the epoch Restart installs no longer lists the dead
+// member, so its sender is gone, and the quorum is one of the two live
+// backups — the lease's count too. When a second backup then dies, the
+// survivor alone completes a majority, and every commit is acknowledged
+// and readable.
+func TestRestartCountsTheQuorumOverTheLiveGroup(t *testing.T) {
+	cl, err := cluster.StartReplicated(1, 3, kvserver.Config{LeaseDuration: 150 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	g := cl.Groups[0]
+	if err := cl.KillBackup(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	st := g.Primary.Stats()
+	if st.QuorumNeed != 1 {
+		t.Fatalf("quorum need %d after the restart, want 1: members %v", st.QuorumNeed, st.Members)
+	}
+	var replicas []string
+	for _, r := range st.Replicas {
+		if r.Broken {
+			t.Fatalf("replica %s broken after the restart", r.Member)
+		}
+		replicas = append(replicas, r.Member)
+	}
+	if got, want := fmt.Sprint(replicas), fmt.Sprint(g.Addrs[1:]); got != want {
+		t.Fatalf("replicas %s after the restart, want the live backups %s", got, want)
+	}
+
+	if err := cl.KillBackup(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cl.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var acked []ackedWrite
+	for i := 0; i < 5; i++ {
+		oid := c.NewOID(0)
+		val := fmt.Sprintf("survivor-%d", i)
+		tx := c.Begin()
+		tx.Put(oid, kv.NewPlain([]byte(val)))
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatalf("commit %d with one of two backups down: %v", i, err)
+		}
+		acked = append(acked, ackedWrite{oid, val})
+	}
+	verifyAcked(t, cl, acked)
+}

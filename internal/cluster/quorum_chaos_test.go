@@ -118,7 +118,7 @@ func TestDivergedButBehindResyncRejected(t *testing.T) {
 	// record below its head can catch the divergence. It must, and the
 	// sender then pushes the old primary the new one's state, its
 	// stranded tail discarded — ending byte-identical.
-	if err := newPrimary.AttachBackupMember(old.Addr()); err != nil {
+	if err := newPrimary.Reconfigure(newPrimary.Store().Epoch()+1, append(newPrimary.Store().Members(), old.Addr())); err != nil {
 		t.Fatalf("attach of diverged old primary: %v", err)
 	}
 	if got := oldStore.Stats().SnapshotsInstalled; got != 1 {
@@ -346,10 +346,11 @@ func TestQuorumGroupMinorityFailureMatrix(t *testing.T) {
 // TestPromotePicksMostCaughtUpBackup pins the promotion rule that
 // makes bare-quorum acks safe: with rf=3 a write is acknowledged once
 // the primary plus ONE backup hold it, so if the primary then dies,
-// promoting the OTHER backup would lose the write. The drill detaches
-// one backup from the replication pipeline (it stops receiving
-// records and falls behind), keeps writing — every write now lives on
-// exactly primary + the attached backup — then kills the primary.
+// promoting the OTHER backup would lose the write. The drill freezes
+// one backup (it refuses every batch, as a member mid-promotion does,
+// and falls behind while it stays a listed member), keeps writing —
+// every write now lives on exactly primary + the other backup — then
+// kills the primary.
 // Promotion must compare stream heads and pick the caught-up member;
 // the laggard rejoins as its backup and converges.
 func TestPromotePicksMostCaughtUpBackup(t *testing.T) {
@@ -381,9 +382,9 @@ func TestPromotePicksMostCaughtUpBackup(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		write(i, "shared")
 	}
-	// The laggard stops receiving records; commits keep succeeding on
+	// The laggard stops accepting records; commits keep succeeding on
 	// the bare quorum (primary + caughtUp).
-	g.Primary.DetachBackupMember(laggard.Addr())
+	laggard.Store().BeginPromotion()
 	for i := 0; i < 25; i++ {
 		write(i, "quorum")
 	}

@@ -388,6 +388,40 @@ func TestNoCacheAblation(t *testing.T) {
 	}
 }
 
+// TestClearCacheReadsFromTheRoot: ClearCache empties the handle's
+// inner-node cache, so the next Get descends from the root again and
+// reads as many nodes as a cold handle's first Get, where a warm one
+// reads only the leaf.
+func TestClearCacheReadsFromTheRoot(t *testing.T) {
+	_, c, tree := startTree(t, 1, dbt.Config{MaxCells: 8})
+	fillSequential(t, c, tree, 200)
+	reads := func() uint64 {
+		before := tree.Stats().NodeReads
+		if _, ok := getAuto(t, c, tree, "k000100"); !ok {
+			t.Fatal("k000100 not found")
+		}
+		return tree.Stats().NodeReads - before
+	}
+	tree.ClearCache()
+	if n := tree.CacheSize(); n != 0 {
+		t.Fatalf("%d inner nodes cached after ClearCache", n)
+	}
+	cold := reads()
+	if warm := reads(); warm != 1 || cold <= warm {
+		t.Fatalf("a cold Get read %d nodes and a warm one %d: want the leaf alone warm, more cold", cold, warm)
+	}
+	if tree.CacheSize() == 0 {
+		t.Fatal("the cold Get cached no inner node")
+	}
+	tree.ClearCache()
+	if n := tree.CacheSize(); n != 0 {
+		t.Fatalf("%d inner nodes cached after the second ClearCache", n)
+	}
+	if again := reads(); again != cold {
+		t.Fatalf("the Get after ClearCache read %d nodes, a cold handle's %d", again, cold)
+	}
+}
+
 func TestNoDeltaAblation(t *testing.T) {
 	_, c, tree := startTree(t, 1, dbt.Config{NoDelta: true})
 	putAuto(t, c, tree, "k", "v")

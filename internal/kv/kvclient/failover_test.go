@@ -31,7 +31,7 @@ func startPair(t *testing.T) (*kvserver.Server, *kvserver.Server, *kvclient.Clie
 		return srv
 	}
 	primary, backup := newSrv(), newSrv()
-	if _, err := primary.FormGroup([]string{backup.Addr()}); err != nil {
+	if err := primary.Reconfigure(primary.Store().Epoch()+1, []string{primary.Addr(), backup.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := kvclient.OpenReplicated([][]string{{primary.Addr(), backup.Addr()}})
@@ -61,7 +61,7 @@ func TestFailoverToBackup(t *testing.T) {
 	}
 
 	primary.Close()
-	if _, err := backup.Promote(true); err != nil {
+	if err := backup.Reconfigure(backup.Store().Epoch()+1, []string{backup.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,7 +142,7 @@ func TestFirstCommitAfterIdlePrimaryDeath(t *testing.T) {
 	}
 
 	primary.Close()
-	if _, err := backup.Promote(true); err != nil {
+	if err := backup.Reconfigure(backup.Store().Epoch()+1, []string{backup.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 

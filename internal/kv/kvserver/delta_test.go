@@ -142,8 +142,8 @@ func TestReadValuesNeverChangeUnderCommits(t *testing.T) {
 
 // TestCommitInstallsPreparedValue: a commit installs the value its
 // prepare computed rather than applying the ops again, and a prepare
-// that arrived as a stream record (which carries no value) still
-// commits to the same state.
+// that arrived as a stream record (which carries no value: the replica
+// stages its own) commits to the same state.
 func TestCommitInstallsPreparedValue(t *testing.T) {
 	primary, backup := NewStore(nil, Config{}), NewStore(nil, Config{})
 	oid := kv.MakeOID(0, 1)
@@ -161,7 +161,7 @@ func TestCommitInstallsPreparedValue(t *testing.T) {
 	sh.mu.Lock()
 	lock := sh.objs[oid].lock
 	sh.mu.Unlock()
-	if !lock.hasStaged || lock.staged.Pending() != 1 {
+	if lock.staged.Pending() != 1 {
 		t.Fatal("prepare kept no staged value")
 	}
 	if err := primary.Commit(txid, ts); err != nil {

@@ -27,19 +27,25 @@
 // stream position.
 //
 // Every server is a member of a replication group — a fresh store is
-// the sole primary of its own one-member group, and Server.FormGroup
-// attaches backups and installs the larger membership. Every stream
-// record is mirrored to the attached members, and the client's
-// acknowledgment is withheld until a majority of the group holds the
-// record, so a failover never loses an acknowledged write. A mirror
-// batch says where it starts and a backup applies it only at its own
-// stream head; a backup that is behind (it missed records, or is new)
-// answers with its head, and the primary's sender resends from there
-// out of its retained tail, the same records the write-ahead log holds.
+// the sole primary of its own one-member group — and a group has one
+// membership: the installed epoch's. It decides roles, the lease and
+// client redirects, and it is also the quorum's: installing an epoch
+// sets the primary's member senders to the other members it lists, so
+// need is a majority of exactly that group. One call changes it,
+// Server.Reconfigure, which forms a group, grows or shrinks it, and
+// completes a promotion. Every stream record is mirrored to the
+// members, and the client's acknowledgment is withheld until a majority
+// of the group holds the record, so a failover never loses an
+// acknowledged write. A mirror batch says where it starts and a backup
+// applies it only at its own stream head; a backup that is behind (it
+// missed records, or is new) answers with its head, and the primary's
+// sender resends from there out of its retained tail, the same records
+// the write-ahead log holds.
 // That sender is the only way records reach a backup, and a member's
-// acks count only records its backup holds. Until it has caught up to
-// the head it was attached at, a new member is a learner: the quorum
-// neither waits for it nor fails with it. A backup ahead of the
+// acks count only records its backup holds. A member the membership does
+// not list yet is attached before the epoch that adds it, and until it
+// has caught up to the head it was attached at it is a learner: the
+// quorum neither waits for it nor fails with it. A backup ahead of the
 // primary's stream or diverged from it, or one whose gap the tail no
 // longer reaches back over, is rebuilt by the same sender: it pushes
 // the backup a snapshot of the primary's state down the mirror. A send
@@ -136,14 +142,17 @@
 //
 // A replication group carries a monotonically increasing configuration
 // **epoch** with a membership list (acting primary first). Every
-// membership change — promoting the backup after a failure, re-forming
-// the pair with a fresh member — is an explicit epoch bump, recorded
-// as a RecEpoch record in the same totally ordered replication stream
-// as data (so it is mirrored, resent, and WAL-persisted like any
-// commit, and a replayed or caught-up member finishes at the epoch the
-// stream left it at). Every other stream record is stamped with the
-// epoch in effect when it was emitted, and every client request is
-// stamped with the epoch the client believes current.
+// membership change — promoting a backup after a failure, re-forming
+// the group with a fresh member — is an explicit epoch bump made by
+// Server.Reconfigure, recorded as a RecEpoch record in the same totally
+// ordered replication stream as data (so it is mirrored, resent, and
+// WAL-persisted like any commit, and a replayed or caught-up member
+// finishes at the epoch the stream left it at). The install detaches,
+// in the same critical section, the sender of every member the new list
+// does not name, so the primary never counts a quorum over a group its
+// lease and clients no longer see. Every other stream record is
+// stamped with the epoch in effect when it was emitted, and every
+// client request is stamped with the epoch the client believes current.
 //
 // The serving rules (Store.CheckClientOp, enforced at the RPC
 // boundary):
@@ -163,7 +172,7 @@
 //     with accepting the batch and measured from receipt,
 //     so the grant always outlasts the authority) not to accept a
 //     promotion before the grant expires. A promotion therefore waits
-//     out the grant (Server.Promote without force), which guarantees a
+//     out the grant (cluster.promote without force), which guarantees a
 //     partitioned stale primary stopped acknowledging reads AND writes
 //     before the new epoch acknowledges its first one. Orchestrators
 //     that killed the primary themselves may force-promote — fencing
@@ -212,8 +221,10 @@
 // live member — the orchestrator freezes every live member
 // (BeginPromotion), compares stream heads, promotes the maximum, and
 // re-joins the rest as backups of the winner (cluster.promote). Each
-// loser adopts the new epoch and membership first, and the winner's
-// sender then resends what lies between the loser's head and its own.
+// loser adopts the new epoch and membership first; the winner's
+// Reconfigure installs it and attaches the losers, listed and without a
+// sender, as voters, and their senders resend what lies between each
+// loser's head and the winner's.
 // A member whose history DIVERGED — it holds records at positions the
 // winner's stream stamped with a different epoch, the classic
 // isolated-old-primary-with-stranded-writes case — is rejected with
@@ -269,8 +280,9 @@
 // ops, and capture copies pointers under repMu and materializes each
 // version off the lock, as it encodes. The ops are applied once per
 // commit per member: prepare keeps its dry run on the lock and commit
-// installs it. And the two things a checkpoint does are bounded
-// separately, each by what it costs:
+// installs it, and a replica stages a replicated prepare's value the
+// same way when it takes the locks. And the two things a checkpoint
+// does are bounded separately, each by what it costs:
 //
 //   - The stream tail every store retains IN MEMORY — what a mirror
 //     resends to a backup that is behind — is bounded strictly, by

@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"yesquel/internal/kv"
@@ -126,20 +127,12 @@ func (s *Store) GrantExpiry() time.Time {
 }
 
 // BeginPromotion freezes this member's grant clock: from here until
-// the next epoch installs (or AbandonPromotion), every mirror batch is
-// refused, so no in-flight ack can extend the old primary's authority
-// past the grant expiry the promotion waits out.
+// the next epoch installs, every mirror batch is refused, so no
+// in-flight ack can extend the old primary's authority past the grant
+// expiry the promotion waits out.
 func (s *Store) BeginPromotion() {
 	s.epochMu.Lock()
 	s.promoting = true
-	s.epochMu.Unlock()
-}
-
-// AbandonPromotion lifts the BeginPromotion freeze without an epoch
-// change (the promotion failed); the pair resumes as before.
-func (s *Store) AbandonPromotion() {
-	s.epochMu.Lock()
-	s.promoting = false
 	s.epochMu.Unlock()
 }
 
@@ -172,17 +165,23 @@ func (s *Store) CheckClientOp(reqEpoch uint64) error {
 
 // InstallEpoch moves the group to a new configuration: the epoch must
 // exceed the current one, and the change is a RecEpoch record in the
-// replication stream — mirrored to the backup (if attached), appended
-// to the replication and write-ahead logs — so the whole group agrees
-// on the configuration history in stream order. The emission and
-// installation happen under the stream lock, so no record is ever
-// stamped with a configuration that was already superseded when it
-// entered the stream; InstallEpoch returns only once the record has
-// cleared the durability watermark (the backup's ack of the RecEpoch
-// batch seeds the new primary's first lease). A replication failure
-// leaves the epoch installed locally — the configuration change is
-// real — and reports it, so the caller knows the backup has not
-// acknowledged the new configuration.
+// replication stream — mirrored to the members, appended to the
+// replication and write-ahead logs — so the whole group agrees on the
+// configuration history in stream order. The installed membership is
+// also the quorum's: in the same stream-lock section, before the record
+// is emitted, every member sender the new list does not name is
+// detached (dropping the last voter fails the unacknowledged window, as
+// any detach does), so from the RecEpoch on the primary's voters are
+// the other members the epoch lists and need is the lease's
+// len(members)/2. The emission and installation happen
+// under the stream lock, so no record is ever stamped with a
+// configuration that was already superseded when it entered the stream;
+// InstallEpoch returns only once the record has cleared the durability
+// watermark (the members' acks of the RecEpoch batch seed the new
+// primary's first lease). A replication failure leaves the epoch
+// installed locally — the configuration change is real — and reports
+// it, so the caller knows the group has not acknowledged the new
+// configuration.
 func (s *Store) InstallEpoch(newEpoch uint64, members []string) error {
 	s.repMu.Lock()
 	s.epochMu.Lock()
@@ -192,6 +191,7 @@ func (s *Store) InstallEpoch(newEpoch uint64, members []string) error {
 		s.repMu.Unlock()
 		return fmt.Errorf("kvserver: epoch %d does not supersede current epoch %d", newEpoch, cur)
 	}
+	s.detachMembersLocked(func(m *mirrorMember) bool { return !slices.Contains(members, m.id) })
 	rec := kv.ReplRecord{Kind: kv.RecEpoch, Epoch: newEpoch, Members: append([]string(nil), members...)}
 	seq := s.emitLocked(rec)
 	s.installEpochState(newEpoch, rec.Members)

@@ -30,41 +30,34 @@ func startServerWith(t *testing.T, cfg kvserver.Config) *kvserver.Server {
 	return srv
 }
 
-// formGroup makes primary the primary of [primary, backups...], the way
-// cluster.startGroup does: each backup is attached, then one epoch bump
-// installs the membership.
+// formGroup makes primary the primary of [primary, backups...] at its
+// next epoch, the way cluster.startGroup does: one Reconfigure catches
+// up the backups it does not list yet and installs the membership.
 func formGroup(t *testing.T, primary *kvserver.Server, backups ...*kvserver.Server) {
 	t.Helper()
 	members := []string{primary.Addr()}
 	for _, b := range backups {
-		if err := primary.AttachBackupMember(b.Addr()); err != nil {
-			t.Fatal(err)
-		}
 		members = append(members, b.Addr())
 	}
-	if _, err := primary.BumpEpoch(members); err != nil {
+	if err := primary.Reconfigure(primary.Store().Epoch()+1, members); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// dropBackups is the operator's answer to dead backups: detach them and
-// re-form the group around the primary alone.
+// dropBackups is the operator's answer to dead backups: re-form the
+// group around the primary alone, which detaches their senders.
 func dropBackups(t *testing.T, primary *kvserver.Server) {
 	t.Helper()
-	primary.DetachAllBackups()
-	if _, err := primary.BumpEpoch([]string{primary.Addr()}); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary)
 }
 
-// failOver kills primary and force-promotes backup (the orchestrator
-// killed the primary itself, so there is no lease to wait out).
+// failOver kills primary and promotes backup to the sole member of the
+// next epoch (the orchestrator killed the primary itself, so there is no
+// lease to wait out).
 func failOver(t *testing.T, primary, backup *kvserver.Server) {
 	t.Helper()
 	primary.Close()
-	if _, err := backup.Promote(true); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, backup)
 }
 
 func TestMirrorReplicatesAndFailsOver(t *testing.T) {
@@ -271,7 +264,7 @@ func TestLeaseRidesTheMirrorStream(t *testing.T) {
 				loser := backups[0]
 				next := primary.Store().Epoch() + 1
 				loser.Store().AdoptEpoch(next, []string{"127.0.0.1:1", loser.Addr()})
-				if _, err := primary.BumpEpoch([]string{primary.Addr(), loser.Addr()}); !errors.Is(err, kv.ErrWrongEpoch) {
+				if err := primary.Reconfigure(next, []string{primary.Addr(), loser.Addr()}); !errors.Is(err, kv.ErrWrongEpoch) {
 					t.Fatalf("the loser acked the deposed primary's configuration change: %v", err)
 				}
 			},
@@ -281,7 +274,7 @@ func TestLeaseRidesTheMirrorStream(t *testing.T) {
 			name: "idle primary's group moved on without it", backups: 1,
 			disrupt: func(t *testing.T, primary *kvserver.Server, backups []*kvserver.Server) {
 				b := backups[0]
-				if err := b.BumpEpochTo(primary.Store().Epoch()+1, []string{b.Addr()}); err != nil {
+				if err := b.Reconfigure(primary.Store().Epoch()+1, []string{b.Addr()}); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -364,7 +357,7 @@ func TestCommitsBesideEpochBumps(t *testing.T) {
 	defer c.Close()
 	besideCommits(t, c, func() {
 		for i := 0; i < 20; i++ {
-			if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
+			if err := primary.Reconfigure(primary.Store().Epoch()+1, []string{primary.Addr(), backup.Addr()}); err != nil {
 				t.Fatal(err)
 			}
 		}

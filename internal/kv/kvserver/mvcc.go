@@ -289,13 +289,10 @@ func newest(obj *object) (kv.Layered, clock.Timestamp) {
 }
 
 // applyStaged turns a prepared transaction's staged ops into visible
-// versions at commitTS and releases its locks. A lock staged by prepare
-// on this store carries the value its dry run produced, which is
-// installed as it is while the object's newest version is still the one
-// it was computed on; a lock rebuilt from a stream record or a snapshot
-// carries none, and the ops are applied here. A lock whose ops are all
-// compares held an object the transaction only compared: it is
-// released, and no version is made.
+// versions at commitTS and releases its locks: each lock carries the
+// value its ops produce (lockState.staged), which is installed as it
+// is. A lock whose ops are all compares held an object the transaction
+// only compared: it is released, and no version is made.
 func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp) {
 	for _, oid := range oids {
 		sh := s.shardFor(oid)
@@ -316,13 +313,7 @@ func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp
 			sh.mu.Unlock()
 			continue
 		}
-		val := lock.staged
-		if base, ts := newest(obj); !lock.hasStaged || ts != lock.stagedOn {
-			// Validated when the prepare was first accepted, so an error
-			// is unreachable; the value reached is kept.
-			val, _ = applyOps(base, writes)
-		}
-		s.installVersionLocked(obj, commitTS, val, writes)
+		s.installVersionLocked(obj, commitTS, lock.staged, writes)
 		close(lock.done)
 		obj.lock = nil
 		// Tombstones are kept until the retention horizon passes (the

@@ -17,7 +17,11 @@ package kvserver
 // acknowledged it — together with the primary's own copy, a majority
 // of the group of members+1, so any majority that survives a failure
 // intersects the ack set and the most-caught-up survivor holds every
-// acknowledged record. For a pair (one member) need is 1.
+// acknowledged record. For a pair (one member) need is 1. The members
+// are the installed epoch's: Store.InstallEpoch detaches the sender of
+// every member its list does not name, and a member it lists is a voter
+// from its attach, so outside a join the voters are exactly the other
+// members the epoch lists and need is the lease's len(members)/2.
 //
 // Failure semantics are watermark semantics. A batch that fails marks
 // its member BROKEN: the member's queue is dropped, nothing more is
@@ -30,12 +34,13 @@ package kvserver
 // them after all). Waiters never succeed on a record too few members
 // applied: the only ack path is a quorum of per-member batch
 // acknowledgments covering the record's sequence number (or an
-// explicit operator detach, which removes the replication requirement
-// itself and fails — not acks — the waiters already in flight). A
-// broken member stays a voter (dropping it from need would let fewer
-// than a majority acknowledge), and its sender retries it without end,
-// as Raft's leader retries AppendEntries: it backs off and probes again
-// at the stream head, redialing, until a batch is accepted.
+// install that drops the last voter, which removes the replication
+// requirement itself and fails — not acks — the waiters already in
+// flight). A broken member stays a voter (dropping it from need would
+// let fewer than a majority acknowledge), and its sender retries it
+// without end, as Raft's leader retries AppendEntries: it backs off and
+// probes again at the stream head, redialing, until a batch is
+// accepted.
 //
 // The sender is also the only way records reach a backup, the way
 // Raft's AppendEntries consistency check works: a batch says where it
@@ -49,12 +54,12 @@ package kvserver
 // longer reaches, or whose history diverged, is pushed a snapshot by the
 // same sender (Raft's InstallSnapshot), which replaces whatever it held:
 // a record this stream does not hold at its position was never held by
-// a majority, so discarding it loses no acknowledged write. Until a new
-// member has acknowledged the head at its attach it is a LEARNER (the
-// Raft dissertation's non-voting member, §4.2.1): it is left out of
-// need, the watermark and quorum loss, so a slow catch-up neither
-// stalls nor fails the commits running beside it. It votes from its
-// join on.
+// a majority, so discarding it loses no acknowledged write. A member
+// attached before the epoch that lists it is a LEARNER until it has
+// acknowledged the head at its attach (the Raft dissertation's
+// non-voting member, §4.2.1): it is left out of need, the watermark and
+// quorum loss, so a slow catch-up neither stalls nor fails the commits
+// running beside it. It votes from its join on.
 //
 // The sender is the primary's only channel to a backup for the lease
 // too: a batch the backup accepted is that member's lease grant,
@@ -69,6 +74,7 @@ package kvserver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -123,8 +129,9 @@ type mirrorMember struct {
 	// the member — and is nil once answered.
 	joined chan error
 	joinAt uint64
-	// learner: the join has not succeeded yet, and the member does not
-	// count toward the quorum (see recomputeQuorumLocked).
+	// learner: the membership did not list the member when it was
+	// attached, and its join has not succeeded yet; it does not count
+	// toward the quorum (see recomputeQuorumLocked).
 	learner bool
 	// broken: the member's last send failed, and its sender is retrying
 	// it. Its past acks still count — the records ARE on it.
@@ -435,76 +442,74 @@ func (p *replPipe) completeWaitersLocked() {
 	p.waiters = keep
 }
 
-// AttachMirrorMember adds (or replaces) the replication member id and
-// returns a channel that receives nil once the member has acknowledged
-// every record emitted before the attach, or the error that broke it.
-// The member's first batch is the probe at the stream head. It joins as
-// a learner and votes — its acks count toward the quorum watermark, and
-// need is recomputed with it — once that channel receives nil.
+// AttachMirrorMember adds the replication member id, which has no
+// sender yet, and returns a channel that receives nil once the member
+// has acknowledged every record emitted before the attach, or the error
+// of its first failed send. The member's first batch is the probe at the
+// stream head. The membership in force decides its vote: a member it
+// lists is a voter from the start — the epoch already counts it — and
+// its sender retries it after a failure, as it retries any voter; one it
+// does not list joins as a learner, and votes — its acks count toward
+// the quorum watermark, and need is recomputed with it — once that
+// channel receives nil, while its first failed send ends its sender.
 func (s *Store) AttachMirrorMember(id string, send func(*kv.MirrorBatchReq) error) <-chan error {
-	joined, wake := make(chan error, 1), make(chan struct{}, 1)
+	joined := make(chan error, 1)
 	s.repMu.Lock()
-	defer s.repMu.Unlock()
+	s.epochMu.Lock()
+	listed := slices.Contains(s.epochMembers, id)
+	s.epochMu.Unlock()
 	p := &s.pipe
 	p.mu.Lock()
-	for i, m := range p.members {
-		if m.id != id {
-			continue
+	dup := slices.ContainsFunc(p.members, func(m *mirrorMember) bool { return m.id == id })
+	if !dup {
+		m := &mirrorMember{
+			id:      id,
+			send:    send,
+			next:    s.repSeq,
+			joined:  joined,
+			joinAt:  s.repSeq,
+			learner: !listed,
+			stopCh:  make(chan struct{}),
+			wake:    make(chan struct{}, 1),
 		}
-		if !m.broken && !m.learner {
-			// Replacing a live voter: records still awaiting the OLD
-			// incarnation's ack must fail (uncertain), not be silently
-			// re-homed onto the new one.
-			p.failMirrorWindowLocked(s.repSeq, fmt.Errorf("kvserver: mirror member %s replaced while awaiting replication", id))
-		}
-		m.stopLocked()
-		p.members = append(p.members[:i], p.members[i+1:]...)
-		break
+		p.streamEpoch = s.streamEpoch
+		p.members = append(p.members, m)
+		p.recomputeQuorumLocked()
+		p.completeWaitersLocked()
+		p.senders.Add(1)
+		go s.memberLoop(m)
 	}
-	m := &mirrorMember{
-		id:      id,
-		send:    send,
-		next:    s.repSeq,
-		joined:  joined,
-		joinAt:  s.repSeq,
-		learner: true,
-		stopCh:  make(chan struct{}),
-		wake:    wake,
-	}
-	p.streamEpoch = s.streamEpoch
-	p.members = append(p.members, m)
-	p.recomputeQuorumLocked()
-	p.completeWaitersLocked()
 	p.mu.Unlock()
-	p.senders.Add(1)
-	go s.memberLoop(m)
+	s.repMu.Unlock()
+	if dup {
+		joined <- fmt.Errorf("kvserver: member %s already has a sender", id)
+	}
 	return joined
 }
 
-// DetachMirrorMember removes the replication member id: its sender
-// stops and its queued records are dropped. Detaching the LAST voting
-// member removes the replication requirement itself — waiters still
-// awaiting a quorum FAIL (a detach must never ack a record too few
-// members applied), and records emitted from here on simply no longer
-// require acks. Detaching one of several voters re-judges waiters
-// against the smaller group's quorum; detaching a learner changes no
-// waiter's fate.
-func (s *Store) DetachMirrorMember(id string) {
-	s.detachMembers(func(m *mirrorMember) bool { return m.id == id })
-}
-
 // DetachAllMirrorMembers stops and removes every member, failing —
-// not acking — the waiters still awaiting a quorum.
+// not acking — the waiters still awaiting a quorum. It is the shutdown
+// path; a running group changes its members through InstallEpoch.
 func (s *Store) DetachAllMirrorMembers() {
 	s.detachMembers(func(*mirrorMember) bool { return true })
 }
 
-// detachMembers stops and removes the members detach selects, then
-// re-judges the waiters: against the smaller group's quorum, or — when
-// the last voter just left — by failing the unacknowledged window.
+// detachMembers stops and removes the members detach selects (see
+// detachMembersLocked).
 func (s *Store) detachMembers(detach func(*mirrorMember) bool) {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
+	s.detachMembersLocked(detach)
+}
+
+// detachMembersLocked stops and removes the members detach selects —
+// their senders stop and their queued records are dropped — then
+// re-judges the waiters: against the smaller group's quorum, or — when
+// the last voter just left — by failing the unacknowledged window, since
+// a detach must never ack a record too few members applied; records
+// emitted from there on simply no longer require acks. Detaching a
+// learner changes no waiter's fate. Caller holds repMu.
+func (s *Store) detachMembersLocked(detach func(*mirrorMember) bool) {
 	p := &s.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -716,7 +721,7 @@ func (s *Store) sendBatch(m *mirrorMember, req *kv.MirrorBatchReq) error {
 	if applied || pushed {
 		m.broken, m.err = false, nil
 	}
-	if m.learner && m.acked >= m.joinAt {
+	if m.acked >= m.joinAt {
 		m.learner = false
 		m.answerJoinLocked(nil)
 	}
@@ -729,7 +734,7 @@ func (s *Store) sendBatch(m *mirrorMember, req *kv.MirrorBatchReq) error {
 // dropped and nothing queued for it until the sender probes again, and
 // waiters are re-judged without it. It reports whether the sender goes
 // on retrying: not after a refusal carrying a newer configuration (it
-// adopts that), nor when the failure answered the member's join.
+// adopts that), nor for a learner, whose join the failure answered.
 func (s *Store) memberFailed(m *mirrorMember, err error) bool {
 	var we *kv.WrongEpochError
 	deposed := errors.As(err, &we)
@@ -739,12 +744,11 @@ func (s *Store) memberFailed(m *mirrorMember, err error) bool {
 	p := &s.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	joining := m.joined != nil
 	m.broken, m.err, m.parked, m.queue = true, err, true, nil
 	m.answerJoinLocked(err)
 	p.recomputeQuorumLocked()
 	p.completeWaitersLocked()
-	return !joining && !deposed
+	return !m.learner && !deposed
 }
 
 // reprobe points a broken member's queue at the stream head, under

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,41 +102,102 @@ func (s *Server) handleDirectory(_ context.Context, _ []byte, reply *wire.Buffer
 	return nil
 }
 
-// AttachBackupMember adds the backup at addr to this primary's
-// replication group: every stream record — commits, two-phase prepares,
-// and phase-two decisions — is replicated to it, so after a primary
-// failure a promoted backup holds every acknowledged write and every
-// prepared in-flight transaction. Each member gets its own connection
-// and its own batch sender (see pipeline.go), whose accepted batches,
-// heartbeats included, are the member's lease grants, and committers
-// are acknowledged once a MAJORITY of the group holds their record. The
-// sender catches the backup up from the retained log, or by pushing it
-// a snapshot, and AttachBackupMember returns once it holds every record
-// emitted before the call; until then it is a learner, which commits
-// neither wait for nor fail on. A backup the first send cannot reach is
-// detached and the error returned; once joined, a failing member is
-// retried until it is detached. The member joins the membership —
-// roles, leases, client redirects — at the next BumpEpoch.
-func (s *Server) AttachBackupMember(addr string) error {
+// Reconfigure makes members — this server first — the group's
+// membership at epoch, which must exceed the current one. It is the one
+// call that changes a group: it forms one, grows or shrinks it, and
+// completes a promotion. The installed epoch is the quorum's membership
+// too (Store.InstallEpoch): afterwards this primary's member senders are
+// exactly the other members it lists, and commits are acknowledged once
+// a majority of that group holds them. The membership in force picks
+// the order:
+//   - A member it does not list is attached first, as a learner the
+//     commits running beside it neither wait for nor fail on, and caught
+//     up — from the retained log, or by a pushed snapshot — so the
+//     RecEpoch reaches it through the stream it joined. If one cannot be
+//     caught up, the call fails with nothing installed, and the learners
+//     are detached.
+//   - A listed member with no sender — a promoted backup's peers, which
+//     adopted the epoch out of band — is attached after the install, as
+//     a voter (see followMembership).
+//
+// The server must be listening: its address is its member identity.
+func (s *Server) Reconfigure(epoch uint64, members []string) error {
+	if len(members) == 0 || members[0] != s.Addr() {
+		return fmt.Errorf("kvserver: membership %v does not start with this server, %s", members, s.Addr())
+	}
+	listed := s.store.Members()
+	var learners []string
+	var joins []<-chan error
+	for _, a := range members[1:] {
+		if !slices.Contains(listed, a) {
+			learners = append(learners, a)
+			joins = append(joins, s.attach(a))
+		}
+	}
+	var err error
+	for i, a := range learners {
+		if err = s.awaitJoin(a, joins[i]); err != nil {
+			err = fmt.Errorf("kvserver: attaching backup %s: %w", a, err)
+			break
+		}
+	}
+	if err == nil {
+		err = s.store.InstallEpoch(epoch, members)
+	}
+	s.followMembership()
+	return err
+}
+
+// followMembership makes this server's member senders follow the
+// membership in force. It detaches the sender of every member that
+// membership does not list (an install already stopped them; this
+// closes their connections). While this server leads it, it attaches
+// each listed member that has no sender, as a voter, and waits until
+// each holds the stream head or has failed a send: one that failed
+// stays a voter, whose sender retries it until it answers.
+func (s *Server) followMembership() {
+	members := s.store.Members()
+	var drop, add []string
+	s.mirrorMu.Lock()
+	for a := range s.mirrorConns {
+		if !slices.Contains(members, a) {
+			drop = append(drop, a)
+		}
+	}
+	for _, a := range members[1:] {
+		if members[0] == s.Addr() && s.mirrorConns[a] == nil {
+			add = append(add, a)
+		}
+	}
+	s.mirrorMu.Unlock()
+	for _, a := range drop {
+		s.detach(a)
+	}
+	joins := make([]<-chan error, len(add))
+	for i, a := range add {
+		joins[i] = s.attach(a)
+	}
+	for i, a := range add {
+		_ = s.awaitJoin(a, joins[i]) // a failed member stays a voter, retried by its sender
+	}
+}
+
+// attach starts a member sender for the backup at addr (see
+// Store.AttachMirrorMember) on its own connection, and returns the
+// channel that answers its join. Each member's accepted batches,
+// heartbeats included, are its lease grants.
+func (s *Server) attach(addr string) <-chan error {
 	mc := &mirrorConn{addr: addr}
 	mc.ctx, mc.cancel = context.WithCancel(context.Background())
 	s.mirrorMu.Lock()
-	if old := s.mirrorConns[addr]; old != nil {
-		old.closeLocked()
-	}
 	if s.mirrorConns == nil {
 		s.mirrorConns = make(map[string]*mirrorConn)
 	}
 	s.mirrorConns[addr] = mc
 	s.mirrorMu.Unlock()
-	joined := s.store.AttachMirrorMember(addr, func(req *kv.MirrorBatchReq) error {
+	return s.store.AttachMirrorMember(addr, func(req *kv.MirrorBatchReq) error {
 		return s.mirrorCall(mc, req)
 	})
-	if err := s.awaitJoin(addr, joined); err != nil {
-		s.DetachBackupMember(addr)
-		return fmt.Errorf("kvserver: attaching backup %s: %w", addr, err)
-	}
-	return nil
 }
 
 // mirrorConn is the connection one member's sender calls its backup on:
@@ -231,12 +293,10 @@ func (s *Server) awaitJoin(addr string, joined <-chan error) error {
 	}
 }
 
-// DetachBackupMember removes the backup at addr from the replication
-// group: its sender stops and its connection closes.
-// Waiters are re-judged against the remaining members' quorum (see
-// Store.DetachMirrorMember).
-func (s *Server) DetachBackupMember(addr string) {
-	s.store.DetachMirrorMember(addr)
+// detach stops the member sender for addr and closes its connection.
+// Waiters are re-judged against the remaining members' quorum.
+func (s *Server) detach(addr string) {
+	s.store.detachMembers(func(m *mirrorMember) bool { return m.id == addr })
 	s.mirrorMu.Lock()
 	if mc, ok := s.mirrorConns[addr]; ok {
 		mc.closeLocked()
@@ -245,9 +305,9 @@ func (s *Server) DetachBackupMember(addr string) {
 	s.mirrorMu.Unlock()
 }
 
-// DetachAllBackups removes every attached backup; in-flight durability
-// waiters fail (they are uncertain, not acked).
-func (s *Server) DetachAllBackups() {
+// detachAll removes every member sender; in-flight durability waiters
+// fail (they are uncertain, not acked).
+func (s *Server) detachAll() {
 	s.store.DetachAllMirrorMembers()
 	s.mirrorMu.Lock()
 	for addr, mc := range s.mirrorConns {
@@ -268,75 +328,6 @@ var errIsolated = errors.New("kvserver: outbound replication isolated (simulated
 // server and must be turned away by the lease/epoch checks, which is
 // precisely what the tests assert.
 func (s *Server) Isolate() { s.isolated.Store(true) }
-
-// Promote makes this member the primary of a new epoch whose sole
-// member is itself: the epoch bump that completes a failover. Unless
-// force is set, it first freezes its grant clock (BeginPromotion — so
-// no in-flight mirror batch can re-arm the lease mid-wait)
-// and waits out any lease it granted, so a live-but-partitioned old
-// primary has provably stopped serving before the new epoch
-// acknowledges its first write. force is for orchestrators that know
-// the old primary is dead (they killed it) — fencing by certainty
-// instead of by clock. It returns the new epoch.
-func (s *Server) Promote(force bool) (uint64, error) {
-	st := s.store
-	st.BeginPromotion()
-	if !force {
-		for {
-			wait := time.Until(st.GrantExpiry())
-			if wait <= 0 {
-				break
-			}
-			time.Sleep(wait)
-		}
-	}
-	newEpoch := st.Epoch() + 1
-	if err := st.InstallEpoch(newEpoch, []string{s.Addr()}); err != nil {
-		st.AbandonPromotion()
-		return 0, err
-	}
-	return newEpoch, nil
-}
-
-// BumpEpoch moves this primary's group to a fresh configuration with
-// the given membership (this server first). cluster.Restart uses it
-// after re-attaching a backup: the RecEpoch record flows through the
-// mirror like any other, so the new member installs the configuration
-// at the right point in its stream.
-func (s *Server) BumpEpoch(members []string) (uint64, error) {
-	newEpoch := s.store.Epoch() + 1
-	if err := s.store.InstallEpoch(newEpoch, members); err != nil {
-		return 0, err
-	}
-	return newEpoch, nil
-}
-
-// FormGroup makes this server the primary of a group with the backups
-// at addrs: each is attached as a replication member, then one epoch
-// bump installs [this server, addrs...] as the membership. The RecEpoch
-// record reaches every backup through the stream it was just attached
-// to, and its acks are the primary's first lease grants. The server
-// must be listening — its address is its member identity — and each
-// backup must hold a prefix of this server's stream within its retained
-// log (a fresh store does, at an empty stream); the attach fills its
-// gap.
-func (s *Server) FormGroup(addrs []string) (uint64, error) {
-	for _, a := range addrs {
-		if err := s.AttachBackupMember(a); err != nil {
-			return 0, err
-		}
-	}
-	return s.BumpEpoch(append([]string{s.Addr()}, addrs...))
-}
-
-// BumpEpochTo installs the given epoch with the given membership (this
-// server first) — the failover promotion path, where the new epoch
-// must exceed whatever ANY live member has seen, not merely this
-// member's own epoch plus one. The store still refuses an epoch at or
-// below its current one.
-func (s *Server) BumpEpochTo(epoch uint64, members []string) error {
-	return s.store.InstallEpoch(epoch, members)
-}
 
 // mirrorTimeout bounds one synchronous mirror round trip.
 const mirrorTimeout = 5 * time.Second
@@ -462,7 +453,7 @@ func (s *Server) Close() error {
 	// dials, so none waits out a timeout on an unreachable backup.
 	// Remaining durability waiters (none can ack a client anymore) fail
 	// as uncertain.
-	s.DetachAllBackups()
+	s.detachAll()
 	s.store.pipe.senders.Wait()
 	return err
 }

@@ -383,7 +383,8 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	s.decided = make(map[uint64]decision)
 	s.decidedQ = nil
 	for _, d := range sn.Decided {
-		s.decided[d.TxID] = decision{commit: d.Commit, commitTS: d.TS}
+		// The record that carried the outcome is below sn.Seq.
+		s.decided[d.TxID] = decision{commit: d.Commit, commitTS: d.TS, replSeq: sn.Seq}
 		s.decidedQ = append(s.decidedQ, decidedEntry{txid: d.TxID, at: now})
 		if d.Commit && d.TS > maxTS {
 			maxTS = d.TS

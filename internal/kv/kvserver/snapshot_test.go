@@ -266,9 +266,7 @@ func TestDivergedAheadBackupRebuiltNotSpliced(t *testing.T) {
 		t.Fatal("test premise: the diverged backup is not ahead")
 	}
 
-	if err := primary.AttachBackupMember(diverged.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, diverged)
 	if got := diverged.Store().Stats().SnapshotsInstalled; got != 1 {
 		t.Fatalf("diverged backup installed %d snapshots, want 1", got)
 	}

@@ -162,9 +162,7 @@ func TestMirrorGapFilledOrBackupRebuilt(t *testing.T) {
 	writeBatch(t, c, "history", 8)
 
 	stale := startServer(t)
-	if err := primary.AttachBackupMember(stale.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, stale)
 	tx := c.Begin()
 	tx.Put(c.NewOID(0), kv.NewPlain([]byte("x")))
 	if err := tx.Commit(context.Background()); err != nil {
@@ -176,7 +174,7 @@ func TestMirrorGapFilledOrBackupRebuilt(t *testing.T) {
 	if got := stale.Store().Stats().SnapshotsInstalled; got != 0 {
 		t.Fatalf("a backup within the retained log installed %d snapshots", got)
 	}
-	primary.DetachBackupMember(stale.Addr())
+	dropBackups(t, primary)
 
 	for _, tc := range []struct {
 		name    string
@@ -192,7 +190,7 @@ func TestMirrorGapFilledOrBackupRebuilt(t *testing.T) {
 		}
 		writeBatch(t, oc, tc.name, tc.records)
 		oc.Close()
-		if err := primary.AttachBackupMember(other.Addr()); err != nil {
+		if err := primary.Reconfigure(primary.Store().Epoch()+1, []string{primary.Addr(), other.Addr()}); err != nil {
 			t.Fatalf("%s backup: attach returned %v", tc.name, err)
 		}
 		if got := other.Store().Stats().SnapshotsInstalled; got != 1 {
@@ -201,7 +199,7 @@ func TestMirrorGapFilledOrBackupRebuilt(t *testing.T) {
 		if got, want := other.Store().StateDigest(), primary.Store().StateDigest(); got != want {
 			t.Fatalf("%s backup: digest %x != primary digest %x: its own history survived", tc.name, got, want)
 		}
-		primary.DetachBackupMember(other.Addr())
+		dropBackups(t, primary)
 	}
 }
 
@@ -221,9 +219,7 @@ func TestAttachedBackupHoldsAckedWrite(t *testing.T) {
 	writeBatch(t, c, "history", 8)
 
 	backup := startServer(t)
-	if err := primary.AttachBackupMember(backup.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	formGroup(t, primary, backup)
 	oid := c.NewOID(0)
 	tx := c.Begin()
 	tx.Put(oid, kv.NewPlain([]byte("acked")))
@@ -333,10 +329,8 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 
 			backup := startServer(t)
 			if tc.transfer {
-				if err := primary.AttachBackupMember(backup.Addr()); err != nil {
-					t.Fatal(err)
-				}
-				primary.DetachBackupMember(backup.Addr())
+				formGroup(t, primary, backup)
+				dropBackups(t, primary)
 				for i := 0; i < 4; i++ {
 					tx := c.Begin()
 					tx.Put(c.NewOID(0), kv.NewPlain([]byte("behind")))
@@ -344,18 +338,9 @@ func TestDefaultStoreAcceptsMidLifeBackup(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if _, err := primary.FormGroup([]string{backup.Addr()}); err != nil {
-					t.Fatal(err)
-				}
+				formGroup(t, primary, backup)
 			} else if tc.beside {
-				besideCommits(t, c, func() {
-					if err := primary.AttachBackupMember(backup.Addr()); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := primary.BumpEpoch([]string{primary.Addr(), backup.Addr()}); err != nil {
-						t.Fatal(err)
-					}
-				})
+				besideCommits(t, c, func() { formGroup(t, primary, backup) })
 			} else {
 				formGroup(t, primary, backup)
 			}

@@ -20,18 +20,13 @@ type lockState struct {
 	ops  []*kv.Op
 	done chan struct{} // closed when the transaction resolves
 	// staged is the value ops produce on the object's newest version,
-	// whose timestamp is stagedOn (0: none), when prepare ran them — its
-	// dry run, kept so that commit installs it instead of applying the
-	// ops a second time. Every write path takes the lock, so nothing
-	// should put a newer version on the object under it; commit still
-	// checks stagedOn against the newest version's timestamp and applies
-	// the ops afresh on a mismatch rather than lose that version.
-	// hasStaged is false on a lock rebuilt from a stream record or a
-	// snapshot (stageReplicatedPrepare), whose commit applies the ops
-	// itself.
-	staged    kv.Layered
-	stagedOn  clock.Timestamp
-	hasStaged bool
+	// computed when the lock was taken — by prepare's dry run, or by
+	// stageReplicatedPrepare on a replica — so that commit installs it
+	// instead of applying the ops a second time. No version can land on
+	// the object under the lock: on a primary every write path takes
+	// it, and a replica applies its primary's stream in order, in which
+	// nothing wrote the object between the prepare and its decision.
+	staged kv.Layered
 }
 
 type txRecord struct {
@@ -58,11 +53,14 @@ type decision struct {
 	commit   bool
 	commitTS clock.Timestamp
 	// replSeq is 1 + the stream sequence number of the record that
-	// carried this outcome (0 = none). A retried commit is acknowledged
-	// only after that record clears the durability watermark: acking a
-	// duplicate for a record the backup never applied would break the
-	// acked-writes-survive-failover guarantee the first ack refused to
-	// break.
+	// carried this outcome (0 = none): the record this store emitted, or
+	// applied from its primary's stream or its log, or, for an outcome
+	// installed from a snapshot, the snapshot's Seq, which covers it. A
+	// retried commit is acknowledged only after that record clears the
+	// durability watermark — on a promoted replica too, whose new group
+	// may not hold it yet: acking a duplicate for a record too few
+	// members hold would break the acked-writes-survive-failover
+	// guarantee the first ack refused to break.
 	replSeq uint64
 }
 
@@ -185,7 +183,7 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		// Apply the ops now, compares included, so commit cannot fail later
 		// and has nothing left to compute: the base cannot change while we
 		// hold the lock.
-		base, baseTS := newest(obj)
+		base, _ := newest(obj)
 		staged, applyErr := applyOps(base, byOID[oid])
 		if applyErr != nil {
 			sh.mu.Unlock()
@@ -196,7 +194,7 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 		}
 		// proposed stays 0 (sentinel) until every lock is held; readers
 		// that hit the lock in this window wait conservatively.
-		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{}), staged: staged, stagedOn: baseTS, hasStaged: true}
+		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{}), staged: staged}
 		sh.mu.Unlock()
 		locked = append(locked, oid)
 		if counts != nil {

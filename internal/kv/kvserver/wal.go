@@ -712,7 +712,7 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 	case kv.RecCommit:
 		s.applyCommittedOpsLocked(rec.TS, rec.Ops)
 		if rec.TxID != 0 {
-			s.recordDecision(rec.TxID, decision{commit: true, commitTS: rec.TS})
+			s.recordDecision(rec.TxID, decision{commit: true, commitTS: rec.TS, replSeq: s.repSeq + 1})
 		}
 	case kv.RecPrepare:
 		if err := s.stageReplicatedPrepare(rec); err != nil {
@@ -731,7 +731,7 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 		} else {
 			s.releaseLocks(rec.TxID, txRec.oids)
 		}
-		s.recordDecision(rec.TxID, decision{commit: rec.Commit, commitTS: rec.TS})
+		s.recordDecision(rec.TxID, decision{commit: rec.Commit, commitTS: rec.TS, replSeq: s.repSeq + 1})
 	case kv.RecEpoch:
 		// A configuration change flowing through the stream (or replayed
 		// from the log): adopt the new epoch and membership. Roles and
@@ -773,12 +773,14 @@ func (s *Store) applyCommittedOpsLocked(commitTS clock.Timestamp, ops []*kv.Op) 
 }
 
 // stageReplicatedPrepare reconstructs a primary's prepare from a
-// stream record: the transaction enters the prepared table and its
-// write locks are taken, with the replicated proposed timestamp, so a
-// later promotion finds the in-flight transaction intact. The primary
-// validated conflicts before emitting the record and the stream is
-// applied in order, so the locks must be free here; a holder means the
-// replicas diverged.
+// stream record or a snapshot: the transaction enters the prepared
+// table and its write locks are taken, with the replicated proposed
+// timestamp and the value its ops produce staged as the primary's
+// prepare staged it, so a later promotion finds the in-flight
+// transaction intact. The primary validated conflicts and compares
+// before emitting the record and the stream is applied in order, so the
+// locks are free here and the ops apply to the base the primary's did;
+// a holder means the replicas diverged.
 func (s *Store) stageReplicatedPrepare(rec kv.ReplRecord) error {
 	oids, byOID := groupOps(rec.Ops)
 	s.txMu.Lock()
@@ -805,7 +807,11 @@ func (s *Store) stageReplicatedPrepare(rec kv.ReplRecord) error {
 			s.txMu.Unlock()
 			return fmt.Errorf("%w: replicated prepare for tx %d found %v locked by tx %d: re-form the pair", kv.ErrDiverged, rec.TxID, oid, holder)
 		}
-		obj.lock = &lockState{txid: rec.TxID, proposed: rec.TS, ops: byOID[oid], done: make(chan struct{})}
+		// Validated by the primary's prepare on this same base, so an
+		// error is unreachable; the value reached is kept.
+		base, _ := newest(obj)
+		staged, _ := applyOps(base, byOID[oid])
+		obj.lock = &lockState{txid: rec.TxID, proposed: rec.TS, ops: byOID[oid], done: make(chan struct{}), staged: staged}
 		sh.mu.Unlock()
 	}
 	return nil

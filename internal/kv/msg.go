@@ -21,7 +21,7 @@ const (
 	MethodPing       = "kv.ping"
 	// MethodMirrorBatch carries a contiguous run of stream records from
 	// a primary to one of its backups in one round trip (see
-	// kvserver.Server.AttachBackupMember). The backup applies the batch
+	// kvserver.Store.AttachMirrorMember). The backup applies the batch
 	// only at its own stream head; otherwise it answers with a
 	// StreamGapError naming that head, and the primary resends from there
 	// out of its retained log. One acknowledgment covers the whole batch
