@@ -69,6 +69,54 @@ func TestMisroutedRequestFailsInOneRound(t *testing.T) {
 	}
 }
 
+// TestMisroutingFailsOnEveryClientPath runs the refusal through the
+// client paths that fan out: a read batch whose items span two groups
+// and a two-phase commit. The client swaps groups 0 and 1 and keeps
+// group 2 where it belongs, so each path reaches one group that refuses
+// and one that serves. The batch fails in its one round even though its
+// other group answered. The commit fails too, and the participant that
+// voted yes is aborted, leaving no lock behind.
+func TestMisroutingFailsOnEveryClientPath(t *testing.T) {
+	cl, err := cluster.StartReplicated(3, 1, kvserver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	c, err := kvclient.OpenReplicated([][]string{cl.Groups[1].Addrs, cl.Groups[0].Addrs, cl.Groups[2].Addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rejects := cl.Stats().WrongSlotRejects
+	misrouted, routed := kv.MakeOID(0, 7), kv.MakeOID(2, 7)
+
+	tx := c.Begin()
+	rounds := c.ReadRounds()
+	items := []kv.ReadBatchItem{{OID: misrouted}, {OID: kv.MakeOID(0, 8)}, {OID: routed}}
+	if _, err := tx.ReadBatch(ctx, items); !errors.Is(err, kv.ErrWrongSlot) {
+		t.Fatalf("read batch over slots 0 and 2: err = %v, want ErrWrongSlot", err)
+	}
+	if got := c.ReadRounds() - rounds; got != 1 {
+		t.Errorf("read batch took %d rounds, want 1", got)
+	}
+	tx.Abort()
+
+	tx = c.Begin()
+	tx.Put(misrouted, kv.NewPlain([]byte("x")))
+	tx.Put(routed, kv.NewPlain([]byte("y")))
+	if err := tx.Commit(ctx); !errors.Is(err, kv.ErrWrongSlot) {
+		t.Fatalf("two-phase commit over slots 0 and 2: err = %v, want ErrWrongSlot", err)
+	}
+	if cl.Groups[2].Primary.Store().IsLocked(routed) {
+		t.Error("group 2 still holds the lock of a refused two-phase commit")
+	}
+	if got := cl.Stats().WrongSlotRejects - rejects; got != 2 {
+		t.Errorf("servers refused %d misrouted requests, want 2 (one read batch, one prepare)", got)
+	}
+}
+
 // TestClusterRestartWithWAL exercises whole-cluster durability: a SQL
 // database written before a full restart is intact afterwards.
 func TestClusterRestartWithWAL(t *testing.T) {

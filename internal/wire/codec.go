@@ -32,7 +32,6 @@ type Codec struct {
 	b    Buffer // encoding: the bytes so far
 	r    Reader // decoding: the payload, and how much of it is read
 	n    int    // sizing: bytes counted so far
-	bad  error  // decoding: what a count the payload cannot hold is reported as
 	err  error  // decoding: the first error
 }
 
@@ -77,11 +76,12 @@ func Size[M any](m *M, fields func(*M, *Codec)) int {
 	return c.n
 }
 
-// Decode decodes a new M from p by fields. A count larger than the rest
-// of the payload could hold is an error wrapping bad; so is whatever
-// fields reports through Fail.
+// Decode decodes a new M from p by fields. A payload cut short is an
+// error wrapping bad and ErrShortBuffer, and a count larger than the
+// rest of the payload could hold one wrapping bad; whatever else fields
+// refuses, it reports through Fail.
 func Decode[M any](p []byte, bad error, fields func(*M, *Codec)) (*M, error) {
-	m, c := new(M), Codec{mode: decoding, r: Reader{b: p}, bad: bad}
+	m, c := new(M), Codec{mode: decoding, r: Reader{b: p, bad: bad}}
 	if fields(m, &c); c.err != nil {
 		return nil, c.err
 	}
@@ -94,7 +94,7 @@ func Decode[M any](p []byte, bad error, fields func(*M, *Codec)) (*M, error) {
 // is not: what it decodes outlives the request, in versions and the
 // write-ahead log, and must not pin it.
 func DecodeInPlace[M any](p []byte, bad error, fields func(*M, *Codec)) (*M, error) {
-	m, c := new(M), Codec{mode: decodingInPlace, r: Reader{b: p}, bad: bad}
+	m, c := new(M), Codec{mode: decodingInPlace, r: Reader{b: p, bad: bad}}
 	if fields(m, &c); c.err != nil {
 		return nil, c.err
 	}
@@ -103,9 +103,9 @@ func DecodeInPlace[M any](p []byte, bad error, fields func(*M, *Codec)) (*M, err
 
 // DecodeFrom decodes m from r by fields, leaving r after m's encoding.
 func DecodeFrom[M any](r *Reader, m *M, bad error, fields func(*M, *Codec)) error {
-	c := Codec{mode: decoding, r: *r, bad: bad}
+	c := Codec{mode: decoding, r: Reader{b: r.b, off: r.off, bad: bad}}
 	fields(m, &c)
-	*r = c.r
+	r.off = c.r.off
 	return c.err
 }
 
@@ -230,7 +230,7 @@ func (c *Codec) Count(n, minSize int) int {
 		return n
 	}
 	if c.err == nil && u > uint64(c.r.Remaining()/minSize) {
-		c.err = fmt.Errorf("%w: %d elements of at least %d bytes in the %d left", c.bad, u, minSize, c.r.Remaining())
+		c.err = fmt.Errorf("%w: %d elements of at least %d bytes in the %d left", c.r.bad, u, minSize, c.r.Remaining())
 	}
 	if c.err != nil {
 		return 0

@@ -31,7 +31,9 @@ func TestCodecRoundTripAndSize(t *testing.T) {
 
 // TestCodecCountRefusesWhatThePayloadCannotHold: a count larger than the
 // rest of the payload holds at the element's minimum size is refused as
-// the decoder's bad-input error, and the error is sticky.
+// the decoder's bad-input error, and the error is sticky. A payload cut
+// short is a bad input too, so a receiver classing errors by it refuses
+// both alike.
 func TestCodecCountRefusesWhatThePayloadCannotHold(t *testing.T) {
 	var b Buffer
 	b.PutUvarint(7)
@@ -41,8 +43,8 @@ func TestCodecCountRefusesWhatThePayloadCannotHold(t *testing.T) {
 	if _, err := Decode(b.Bytes(), errBad, (*pair).wire); !errors.Is(err, errBad) {
 		t.Fatalf("err = %v, want errBad", err)
 	}
-	if _, err := Decode(b.Bytes()[:1], errBad, (*pair).wire); !errors.Is(err, ErrShortBuffer) {
-		t.Fatalf("truncated: err = %v, want ErrShortBuffer", err)
+	if _, err := Decode(b.Bytes()[:1], errBad, (*pair).wire); !errors.Is(err, ErrShortBuffer) || !errors.Is(err, errBad) {
+		t.Fatalf("truncated: err = %v, want ErrShortBuffer wrapped in errBad", err)
 	}
 }
 

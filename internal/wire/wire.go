@@ -137,10 +137,22 @@ func (b *Buffer) PutString(v string) {
 type Reader struct {
 	b   []byte
 	off int
+	bad error // what a decoder classes malformed input as (see Decode); nil for NewReader's
 }
 
 // NewReader returns a Reader over b. The Reader does not copy b.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// short reports a read past the end of the payload: ErrShortBuffer,
+// wrapped in the Reader's bad-input error when it has one, so a payload
+// cut short is refused like one that miscounts.
+func (r *Reader) short(format string, args ...any) error {
+	err := fmt.Errorf("%w: "+format, append([]any{ErrShortBuffer}, args...)...)
+	if r.bad != nil {
+		err = fmt.Errorf("%w: %w", r.bad, err)
+	}
+	return err
+}
 
 // Remaining reports the number of undecoded bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
@@ -149,7 +161,7 @@ func (r *Reader) Remaining() int { return len(r.b) - r.off }
 func (r *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: uvarint", ErrShortBuffer)
+		return 0, r.short("uvarint")
 	}
 	r.off += n
 	return v, nil
@@ -159,7 +171,7 @@ func (r *Reader) Uvarint() (uint64, error) {
 func (r *Reader) Varint() (int64, error) {
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: varint", ErrShortBuffer)
+		return 0, r.short("varint")
 	}
 	r.off += n
 	return v, nil
@@ -168,7 +180,7 @@ func (r *Reader) Varint() (int64, error) {
 // Uint64 decodes a fixed-width big-endian 64-bit value.
 func (r *Reader) Uint64() (uint64, error) {
 	if r.Remaining() < 8 {
-		return 0, fmt.Errorf("%w: uint64", ErrShortBuffer)
+		return 0, r.short("uint64")
 	}
 	v := binary.BigEndian.Uint64(r.b[r.off:])
 	r.off += 8
@@ -178,7 +190,7 @@ func (r *Reader) Uint64() (uint64, error) {
 // Uint32 decodes a fixed-width big-endian 32-bit value.
 func (r *Reader) Uint32() (uint32, error) {
 	if r.Remaining() < 4 {
-		return 0, fmt.Errorf("%w: uint32", ErrShortBuffer)
+		return 0, r.short("uint32")
 	}
 	v := binary.BigEndian.Uint32(r.b[r.off:])
 	r.off += 4
@@ -188,7 +200,7 @@ func (r *Reader) Uint32() (uint32, error) {
 // Byte decodes a single byte.
 func (r *Reader) Byte() (byte, error) {
 	if r.Remaining() < 1 {
-		return 0, fmt.Errorf("%w: byte", ErrShortBuffer)
+		return 0, r.short("byte")
 	}
 	v := r.b[r.off]
 	r.off++
@@ -216,7 +228,7 @@ func (r *Reader) Bytes() ([]byte, error) {
 		return nil, err
 	}
 	if uint64(r.Remaining()) < n {
-		return nil, fmt.Errorf("%w: bytes of length %d", ErrShortBuffer, n)
+		return nil, r.short("bytes of length %d", n)
 	}
 	v := r.b[r.off : r.off+int(n) : r.off+int(n)]
 	r.off += int(n)
