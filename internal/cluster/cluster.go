@@ -3,15 +3,16 @@
 // rf members (a primary plus rf-1 synchronously mirrored backups),
 // listening on loopback TCP ports. Tests, examples, and benchmarks use
 // it to stand up the system the way the paper's testbed stood up N
-// storage machines (see DESIGN.md, substitution 1).
+// storage machines (see DESIGN.md, substitution 1). Slot i's members
+// serve group i of the N: an OID lives in the group its slot names
+// modulo N (kv.OID.Group), and each member is told its group before it
+// serves, so it refuses an OID another group owns.
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"yesquel/internal/kv"
 	"yesquel/internal/kv/kvclient"
 	"yesquel/internal/kv/kvserver"
 )
@@ -51,13 +52,8 @@ type Cluster struct {
 	// list they would outlive the test (its leak check would fail).
 	orphans []*kvserver.Server
 
-	// dir is the cluster's slot directory: the route→group map
-	// StartReplicated installs on every member once the groups are up,
-	// and startBackup on every backup started later. It does not change
-	// after formation.
-	dir *kv.Directory
-
 	cfg kvserver.Config
+	n   int // group count: slot i's OIDs live in group i % n
 	rf  int
 }
 
@@ -92,21 +88,13 @@ func StartReplicated(n, rf int, cfg kvserver.Config) (*Cluster, error) {
 	if rf < 1 || rf > maxReplicationFactor {
 		return nil, fmt.Errorf("cluster: replication factor must be between 1 and %d, got %d", maxReplicationFactor, rf)
 	}
-	// Like every store and client, the cluster is born holding the
-	// version-0 identity directory (one route per slot, Routes[i] = i);
-	// members starting below install it as a no-op.
-	cl := &Cluster{cfg: cfg, rf: rf, dir: kv.IdentityDirectory(n)}
+	cl := &Cluster{cfg: cfg, n: n, rf: rf}
 	for i := 0; i < n; i++ {
 		if err := cl.startGroup(i); err != nil {
 			cl.Close()
 			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
 		}
 	}
-	// Install it as version 1, now carrying the groups' addresses, so
-	// every member and client routes by the same explicit map.
-	d := cl.dir.Clone()
-	d.Version = 1
-	cl.installDirectory(d)
 	return cl, nil
 }
 
@@ -131,25 +119,10 @@ func (cl *Cluster) startGroup(i int) error {
 	return nil
 }
 
-// installDirectory fills d's group address lists from the live
-// topology, installs d on every member store of every group, and adopts
-// it as the cluster's directory.
-func (cl *Cluster) installDirectory(d *kv.Directory) {
-	d.Groups = make([][]string, len(cl.Groups))
-	for i, g := range cl.Groups {
-		d.Groups[i] = append([]string(nil), g.Addrs...)
-	}
-	for gi, g := range cl.Groups {
-		for _, s := range append([]*kvserver.Server{g.Primary}, g.Backups...) {
-			s.Store().InstallDirectory(d, uint32(gi))
-		}
-	}
-	cl.dir = d
-}
-
-// startMember launches one storage server for slot i. suffix
-// distinguishes the member's log file within the slot ("" for the
-// original primary, e.g. "b1" for the first backup generation).
+// startMember launches one storage server for slot i, set to serve
+// group i of the cluster's n before it serves. suffix distinguishes the
+// member's log file within the slot ("" for the original primary, e.g.
+// "b1" for the first backup generation).
 func (cl *Cluster) startMember(i int, suffix string) (*kvserver.Server, error) {
 	scfg := cl.cfg
 	if scfg.LogPath != "" {
@@ -164,6 +137,7 @@ func (cl *Cluster) startMember(i int, suffix string) (*kvserver.Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	store.SetGroup(i, cl.n)
 	srv := kvserver.NewServer(store)
 	if err := srv.Listen(listenAddr); err != nil {
 		// The store's log file and flusher, and the server's sweeper,
@@ -217,15 +191,7 @@ func (cl *Cluster) grow(i int) error {
 func (cl *Cluster) startBackup(i int) (*kvserver.Server, error) {
 	g := cl.Groups[i]
 	g.gen++
-	backup, err := cl.startMember(i, fmt.Sprintf("b%d", g.gen))
-	if err != nil {
-		return nil, err
-	}
-	// A member started after formation needs its own copy: the
-	// directory does not travel in the replication stream, and without
-	// it the backup, once promoted, would serve every route.
-	backup.Store().InstallDirectory(cl.dir, uint32(i))
-	return backup, nil
+	return cl.startMember(i, fmt.Sprintf("b%d", g.gen))
 }
 
 // KillPrimary fails slot's primary: the server is shut down hard and
@@ -388,23 +354,15 @@ func (cl *Cluster) Restart(slot int) error {
 	return nil
 }
 
-// NewClient opens a kv client connected to every server slot, with
-// failover across each slot's replicas, and has it fetch the cluster's
-// slot directory (best-effort: the client is born with the identity
-// map over the same groups, which routes alike).
+// NewClient opens a kv client connected to every server slot, in slot
+// order, so it places OIDs as the servers do, with failover across each
+// slot's replicas.
 func (cl *Cluster) NewClient() (*kvclient.Client, error) {
 	groups := make([][]string, len(cl.Groups))
 	for i, g := range cl.Groups {
 		groups[i] = append([]string(nil), g.Addrs...)
 	}
-	c, err := kvclient.OpenReplicated(groups)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	_ = c.FetchDirectory(ctx, 0)
-	cancel()
-	return c, nil
+	return kvclient.OpenReplicated(groups)
 }
 
 // Close shuts all servers down (flushing their logs, if any),

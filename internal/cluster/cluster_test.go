@@ -13,11 +13,12 @@ import (
 	"yesquel/internal/kv/kvserver"
 )
 
-// TestMisroutedRequestFailsInOneRound: the slot directory is fixed at
-// formation, so each primary serves its own route and refuses the
-// other's with kv.ErrWrongSlot, and a client configured with the groups
-// in the wrong order gets that refusal on its first round, for a read
-// and a commit alike: there is no newer directory to retry under.
+// TestMisroutedRequestFailsInOneRound: an OID's group is its slot
+// modulo the group count, fixed at formation, so each primary serves its
+// own slots and refuses the other's with kv.ErrWrongSlot, and a client
+// configured with the groups in the wrong order gets that refusal on its
+// first round, for a read and a commit alike: there is nothing to retry
+// under.
 func TestMisroutedRequestFailsInOneRound(t *testing.T) {
 	cl, err := cluster.StartReplicated(2, 1, kvserver.Config{})
 	if err != nil {

@@ -198,9 +198,9 @@ func NaiveConfig() Config {
 //
 // numServers must be stable for a given cluster or different clients
 // would disagree on where tree roots live. Client.NumServers provides
-// that stability: it reports the slot directory's route count, which
-// is fixed at cluster formation, so root OIDs (and the slots of
-// round-robin placed nodes) stay valid for the cluster's lifetime.
+// that stability: it reports the cluster's group count, which is fixed
+// at cluster formation, so root OIDs (and the slots of round-robin
+// placed nodes) stay valid for the cluster's lifetime.
 func RootOID(id uint64, numServers int) kv.OID {
 	slot := uint16(id % uint64(numServers))
 	return kv.MakeOID(slot, 1<<46|id&((1<<46)-1))

@@ -83,7 +83,6 @@ func wireCases() []wireCase {
 		{Kind: RecPrepare, TxID: 2, TS: 20, Ops: sampleOps(), Epoch: 2},
 		{Kind: RecEpoch, Epoch: 3, Members: []string{"a:1", "b:2"}},
 	}
-	dir := &Directory{Version: 3, Routes: []uint32{0, 1}, Groups: [][]string{{"a:1"}, {"b:2", "c:3"}}}
 	encValue := bufEncoder(func(b *wire.Buffer, v **Value) { EncodeValue(b, *v) })
 	decValue := readerDecoder(DecodeValue)
 	encOp := bufEncoder(func(b *wire.Buffer, op **Op) { EncodeOp(b, *op) })
@@ -94,7 +93,6 @@ func wireCases() []wireCase {
 		newCase("Value super", &bounded, encValue, decValue),
 		newCase("ReplRecord", &recs[1], bufEncoder(EncodeReplRecord), readerDecoder(DecodeReplRecord)),
 		newCase("ReplRecord ops", &recs[0], bufEncoder(EncodeReplRecord), readerDecoder(DecodeReplRecord)),
-		newCase("Directory", &dir, bufEncoder(func(b *wire.Buffer, d **Directory) { EncodeDirectory(b, *d) }), readerDecoder(DecodeDirectory)),
 		newCase("MirrorBatchReq", &MirrorBatchReq{From: 5, Epoch: 3, Recs: recs}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
 		newCase("MirrorBatchReq probe", &MirrorBatchReq{From: 42, Epoch: 3}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
 		newCase("MirrorBatchReq chunk", &MirrorBatchReq{From: 42, Epoch: 3, Off: 7, Snap: []byte("piece")}, (*MirrorBatchReq).Encode, DecodeMirrorBatchReq),
@@ -117,10 +115,9 @@ func wireCases() []wireCase {
 		newCase("FastCommitReq", &FastCommitReq{TxID: 1, Start: 2, Ops: sampleOps(), Epoch: 3}, (*FastCommitReq).Encode, DecodeFastCommitReq),
 		newCase("FastCommitResp", &FastCommitResp{CommitTS: 50, Clock: 51, Cells: []uint64{129}}, reply[FastCommitResp], DecodeFastCommitResp),
 		newCase("Ack", &Ack{Clock: 99, Epoch: 3, Members: []string{"a:1", "b:2"}}, reply[Ack], DecodeAck),
-		newCase("DirectoryResp", &DirectoryResp{Dir: dir, Clock: 77}, reply[DirectoryResp], DecodeDirectoryResp),
 		detailCase("error detail", CodeConflict, &errorDetail{Clock: 77}),
 		detailCase("WrongEpochError", CodeWrongEpoch, &errorDetail{Clock: 77, Err: &WrongEpochError{Epoch: 3, Members: []string{"a:1", "b:2"}}}),
-		detailCase("WrongSlotError", CodeWrongSlot, &errorDetail{Clock: 77, Err: &WrongSlotError{Version: 3, Route: 1, Group: 2, Members: []string{"c:3"}}}),
+		detailCase("WrongSlotError", CodeWrongSlot, &errorDetail{Clock: 77, Err: &WrongSlotError{Group: 2, Groups: 3}}),
 		detailCase("StreamGapError", CodeStreamGap, &errorDetail{Clock: 77, Err: &StreamGapError{Head: 12, StreamEpoch: 2, Last: 0xdeadbeef}}),
 		detailCase("CompareError", CodeCompare, &errorDetail{Clock: 77, Err: &CompareError{Op: OpCmpAbsent, OID: MakeOID(1, 2)}}),
 	}
@@ -159,13 +156,15 @@ func sampleCompares() []*Op {
 // of the request; no request, record or snapshot layout moved with them.
 // Then Ack lost its trailing slot-directory version: the directory is
 // fixed at cluster formation, so no reply needs to announce a new one.
+// Last, the slot directory went, its message and reply with it: an OID's
+// group is its slot modulo the group count, so WrongSlotError carries
+// the owning group and that count, and no version or member list.
 var goldenHex = map[string]string{
 	"Value tombstone":          "ff",
 	"Value plain":              "00077061796c6f6164",
 	"Value super":              "010700000000000080808080808080801000037a7a7a01010201610001620132",
 	"ReplRecord":               "03030000000000000000000000000000000000000203613a3103623a32",
 	"ReplRecord ops":           "010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010000",
-	"Directory":                "03020001020103613a310203623a3203633a33",
 	"MirrorBatchReq":           "050302010200000000000000020000000000000014000900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f0001000003030000000000000000000000000000000000000203613a3103623a32000000",
 	"MirrorBatchReq probe":     "2a0300000000",
 	"MirrorBatchReq chunk":     "2a03000705706965636500",
@@ -183,10 +182,9 @@ var goldenHex = map[string]string{
 	"FastCommitReq":            "000000000000000100000000000000020900000100000000000700077061796c6f6164000001000000000008ff010002000000000009020000000000000001016b017602000000000000000200000300030000000000030161017a01010300030000000000040000000004000400000000000507ffffffffffffffff7f050005000000000006026c6f00010003",
 	"FastCommitResp":           "00000000000000320000000000000033018101",
 	"Ack":                      "0000000000000063030203613a3103623a32",
-	"DirectoryResp":            "03020001020103613a310203623a3203633a33000000000000004d",
 	"error detail":             "000000000000004d",
 	"WrongEpochError":          "000000000000004d030203613a3103623a32",
-	"WrongSlotError":           "000000000000004d0300000001000000020103633a33",
+	"WrongSlotError":           "000000000000004d0000000200000003",
 	"StreamGapError":           "000000000000004d0c02deadbeef",
 	"CompareError":             "000000000000004d070001000000000002",
 	"Op a":                     "00000100000000000700077061796c6f6164",
@@ -270,7 +268,6 @@ func TestHostileCountsAllocateLittle(t *testing.T) {
 		{"Value cells", super, func(p []byte) (any, error) { return DecodeValue(wire.NewReader(p)) }},
 		{"MirrorBatchReq records", []byte{0, 0}, func(p []byte) (any, error) { return DecodeMirrorBatchReq(p) }},
 		{"ReadBatchResp results", nil, func(p []byte) (any, error) { return DecodeReadBatchResp(p) }},
-		{"Directory routes", []byte{1}, func(p []byte) (any, error) { return DecodeDirectory(wire.NewReader(p)) }},
 	} {
 		err := check(c.name, append(c.prefix, huge...), c.decode)
 		if !errors.Is(err, ErrBadRequest) {

@@ -110,3 +110,26 @@ func TestErrorReplyCarriesClock(t *testing.T) {
 		t.Fatalf("transport error decoded as %v at %d", back, ts)
 	}
 }
+
+func TestWrongSlotErrorRoundTrip(t *testing.T) {
+	ws := &WrongSlotError{Group: 2, Groups: 3}
+	if !errors.Is(ws, ErrWrongSlot) {
+		t.Fatal("WrongSlotError does not unwrap to ErrWrongSlot")
+	}
+	if code := wireCode(ws); code != CodeWrongSlot {
+		t.Fatalf("WireErrorCode = %d, want %d", code, CodeWrongSlot)
+	}
+
+	// The typed refusal survives the handler's wrapping and the trip.
+	for _, in := range []*WrongSlotError{ws, {}} {
+		back, _ := crossWire(fmt.Errorf("handler: %w", in), 77)
+		var got *WrongSlotError
+		if !errors.As(back, &got) || *got != *in {
+			t.Fatalf("%v decoded as %#v", in, back)
+		}
+	}
+	back, _ := crossWire(&WrongEpochError{Epoch: 3, Members: []string{"a"}}, 77)
+	if errors.Is(back, ErrWrongSlot) {
+		t.Fatal("a wrong-epoch reply decoded as a wrong slot")
+	}
+}

@@ -97,6 +97,13 @@ func MakeOID(slot uint16, local uint64) OID {
 // Slot returns the server slot embedded in the OID.
 func (o OID) Slot() uint16 { return uint16(uint64(o) >> (64 - serverBits)) }
 
+// Group returns the index of the group that owns the OID in a cluster of
+// the given number of groups: its slot modulo the group count. The count
+// is fixed when the cluster forms, so the placement the DBT chose when it
+// allocated the OID holds for the cluster's lifetime; clients route by it
+// and servers refuse what it gives to another group (ErrWrongSlot).
+func (o OID) Group(groups int) int { return int(o.Slot()) % groups }
+
 // Local returns the server-local part of the OID.
 func (o OID) Local() uint64 { return uint64(o) &^ (uint64(0xffff) << (64 - serverBits)) }
 
@@ -258,11 +265,11 @@ var (
 	// typed form, CompareError, names the op's kind and the object.
 	ErrCompare = errors.New("kv: compare failed")
 	// ErrWrongSlot reports that a request reached a group that does not
-	// own the OID's slot under its directory: the client was configured
-	// with another cluster's layout. Like ErrWrongEpoch, the rejection
-	// guarantees the operation was NOT executed; the typed form
-	// (WrongSlotError) carries the rejecting member's directory version
-	// and the slot's owning group.
+	// own the OID (OID.Group): the client was opened with another
+	// cluster's group list, or with its groups in another order. Like
+	// ErrWrongEpoch, the rejection guarantees the operation was NOT
+	// executed; the typed form (WrongSlotError) names the owning group
+	// and the group count the rejecting member placed the OID by.
 	ErrWrongSlot = errors.New("kv: wrong slot")
 	// ErrStreamGap rejects a mirror batch that does not start at the
 	// backup's stream head; nothing was applied. Its typed form,
@@ -450,30 +457,24 @@ func (e *WrongEpochError) wire(c *wire.Codec) {
 	wireMembers(c, &e.Members)
 }
 
-// WrongSlotError is the typed form of ErrWrongSlot: the rejecting
-// member's directory version, the route (directory index) the request's
-// OID maps to, the group that owns it under that version, and that
-// group's replica addresses (primary first), so the error names where
-// the request belonged.
+// WrongSlotError is the typed form of ErrWrongSlot: the group that owns
+// the request's OID and the group count the rejecting member placed it
+// by, so the error names where the request belonged, and a client opened
+// with another number of groups shows as such.
 type WrongSlotError struct {
-	Version uint64   // rejecting member's directory version
-	Route   uint32   // directory route index of the OID's slot
-	Group   uint32   // owning group index under Version
-	Members []string // owning group's replica addresses, primary first
+	Group  uint32 // owning group index: the OID's slot % Groups
+	Groups uint32 // the rejecting member's group count
 }
 
 func (e *WrongSlotError) Error() string {
-	return fmt.Sprintf("%s: dir=%d route=%d group=%d members=%s",
-		ErrWrongSlot.Error(), e.Version, e.Route, e.Group, strings.Join(e.Members, ","))
+	return fmt.Sprintf("%s: group=%d of %d", ErrWrongSlot.Error(), e.Group, e.Groups)
 }
 
 func (e *WrongSlotError) Unwrap() error { return ErrWrongSlot }
 
 func (e *WrongSlotError) wire(c *wire.Codec) {
-	c.Uvarint(&e.Version)
-	c.Uint32(&e.Route)
 	c.Uint32(&e.Group)
-	wireMembers(c, &e.Members)
+	c.Uint32(&e.Groups)
 }
 
 // StreamGapError is the typed form of ErrStreamGap: the backup's stream

@@ -25,6 +25,19 @@ func TestOIDFields(t *testing.T) {
 	}
 }
 
+// TestOIDGroup: an OID's group is its slot modulo the group count.
+func TestOIDGroup(t *testing.T) {
+	for _, c := range []struct {
+		slot   uint16
+		groups int
+		want   int
+	}{{6, 4, 2}, {3, 4, 3}, {4, 4, 0}, {0xffff, 3, 0}, {7, 1, 0}} {
+		if got := MakeOID(c.slot, 99).Group(c.groups); got != c.want {
+			t.Errorf("slot %d over %d groups: group %d, want %d", c.slot, c.groups, got, c.want)
+		}
+	}
+}
+
 func TestQuickOIDRoundTrip(t *testing.T) {
 	f := func(slot uint16, local uint64) bool {
 		local &= (1 << 48) - 1

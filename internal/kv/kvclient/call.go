@@ -62,7 +62,7 @@ const wrongEpochPause = 2 * time.Millisecond
 // Other error replies and context cancellation never fail over; they
 // return the decoded error.
 func (c *Client) call(ctx context.Context, server int, method string, enc func(epoch uint64) []byte, policy callPolicy) ([]byte, error) {
-	g := c.group(server)
+	g := c.groups[server]
 	var lastErr error
 	epochHops := 0
 	// One reusable timer for every wrong-epoch pause of this call.
@@ -146,7 +146,7 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 // observeAck merges an ack's clock and configuration piggybacks.
 func (c *Client) observeAck(server int, ack *kv.Ack) {
 	c.hlc.Observe(ack.Clock)
-	c.group(server).noteEpoch(ack.Epoch, ack.Members)
+	c.groups[server].noteEpoch(ack.Epoch, ack.Members)
 }
 
 // Ping round-trips to server slot i, merging clocks and learning the

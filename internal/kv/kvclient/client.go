@@ -26,17 +26,11 @@ import (
 // belongs to one goroutine, as in the paper's per-client query
 // processor).
 type Client struct {
-	// mu guards groups growth and the adopted slot directory. groups is
-	// append-only — a *replicaGroup, once created, is stable for the
-	// client's lifetime — so holding mu only for the slice access (never
-	// across an RPC) is enough. Lock order: mu before any
-	// replicaGroup.mu.
-	mu     sync.Mutex
+	// groups is the group list the client was opened with, group i
+	// owning every OID whose slot is i modulo its length. It never
+	// changes, so routing takes no lock; each group follows its own
+	// membership (replicaGroup).
 	groups []*replicaGroup
-	// dir is the adopted slot directory, born as the version-0 identity
-	// map over the groups the client was opened with and replaced, never
-	// mutated, by the one FetchDirectory adopts.
-	dir *kv.Directory
 
 	hlc *clock.HLC
 
@@ -63,7 +57,11 @@ func Open(addrs []string) (*Client, error) {
 }
 
 // OpenReplicated dials a cluster of replicated server slots: groups[s]
-// lists the replica addresses for slot s, preferred (primary) first.
+// lists the replica addresses for slot s, preferred (primary) first. An
+// OID lives in group slot % len(groups) (kv.OID.Group), so the list must
+// be the cluster's groups in the cluster's order; a group refuses an OID
+// it does not own with kv.ErrWrongSlot. The list never changes after
+// Open: each group follows its own membership, learned from the servers.
 // Reads and other idempotent operations transparently fail over to a
 // backup when the current replica dies; commits whose acknowledgment
 // is lost surface kv.ErrUncertain instead of retrying.
@@ -77,9 +75,7 @@ func OpenReplicated(groups [][]string) (*Client, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("kvclient: no servers")
 	}
-	// Born holding the identity directory: route i is group i.
-	c := &Client{hlc: clock.New(), dir: kv.IdentityDirectory(len(groups))}
-	c.dir.Groups = groups
+	c := &Client{hlc: clock.New()}
 	// Random bases make transaction ids and OIDs unique across client
 	// processes without coordination.
 	var seed [16]byte
@@ -175,7 +171,7 @@ func (c *Client) StartHeartbeat(interval time.Duration) {
 			// others' freshness. The wait between ticks keeps at most
 			// one sweep in flight.
 			var wg sync.WaitGroup
-			for s, g := range c.groupList() {
+			for s, g := range c.groups {
 				if g.size() <= 1 {
 					continue
 				}
@@ -198,7 +194,7 @@ func (c *Client) StopHeartbeat() { c.StartHeartbeat(0) }
 // Close tears down all server connections.
 func (c *Client) Close() error {
 	c.StopHeartbeat()
-	for _, g := range c.groupList() {
+	for _, g := range c.groups {
 		g.close()
 	}
 	return nil

@@ -54,6 +54,13 @@
 // died and came back at its address, even empty, rejoins with no
 // operator call.
 //
+// Placement is arithmetic: an OID's group is its slot modulo the group
+// count (kv.OID.Group), fixed when the cluster forms. A store told its
+// group and the count (Store.SetGroup, before it serves) refuses a client
+// operation on an OID another group owns with a WrongSlotError before it
+// executes; a store never told, such as a yesqueld daemon's, serves every
+// slot.
+//
 // # Group commit and pipelined mirroring
 //
 // Emission and the durability wait are decoupled (pipeline.go). Every

@@ -78,7 +78,6 @@ func NewServer(store *Store) *Server {
 	s.rpc.RegisterAppend(kv.MethodFastCommit, s.handleFastCommit)
 	s.rpc.RegisterAppend(kv.MethodPing, s.handlePing)
 	s.rpc.RegisterAppend(kv.MethodMirrorBatch, s.handleMirrorBatch)
-	s.rpc.RegisterAppend(kv.MethodDirectory, s.handleDirectory)
 	return s
 }
 
@@ -92,13 +91,6 @@ func (s *Server) ack(reply *wire.Buffer) error {
 		Epoch:   s.store.Epoch(),
 		Members: s.store.Members(),
 	}).AppendTo(reply)
-	return nil
-}
-
-// handleDirectory serves the full slot directory (MethodDirectory): a
-// client learns it once, after it opens.
-func (s *Server) handleDirectory(_ context.Context, _ []byte, reply *wire.Buffer) error {
-	(&kv.DirectoryResp{Dir: s.store.Directory(), Clock: s.store.Clock().Now()}).AppendTo(reply)
 	return nil
 }
 

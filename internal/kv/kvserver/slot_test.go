@@ -8,49 +8,17 @@ import (
 	"yesquel/internal/kv"
 )
 
-// testDirectory builds a two-route directory: route 0 owned by group 0,
-// route 1 owned by group 1.
-func testDirectory(version uint64) *kv.Directory {
-	return &kv.Directory{
-		Version: version,
-		Routes:  []uint32{0, 1},
-		Groups:  [][]string{{"g0:1"}, {"g1:1"}},
-	}
-}
-
-func TestInstallDirectoryVersionGate(t *testing.T) {
-	s := NewStore(nil, Config{})
-	if d := s.Directory(); d.Version != 0 || len(d.Routes) != 1 {
-		t.Fatalf("fresh store's directory is %+v, want the version-0 one-route identity", d)
-	}
-	if !s.InstallDirectory(testDirectory(2), 0) {
-		t.Fatal("first install refused")
-	}
-	if s.InstallDirectory(testDirectory(1), 0) {
-		t.Fatal("older install accepted")
-	}
-	if s.InstallDirectory(testDirectory(2), 0) {
-		t.Fatal("equal-version install accepted")
-	}
-	if v := s.Directory().Version; v != 2 {
-		t.Fatalf("directory version = %d, want 2", v)
-	}
-	if !s.InstallDirectory(testDirectory(3), 0) {
-		t.Fatal("newer install refused")
-	}
-}
-
 func TestCheckClientSlot(t *testing.T) {
 	s := NewStore(nil, Config{})
-	owned := kv.MakeOID(0, 1)   // route 0 — ours
-	foreign := kv.MakeOID(1, 2) // route 1 — group 1's
+	owned := kv.MakeOID(4, 1)   // slot 4: group 1 of 3
+	foreign := kv.MakeOID(5, 2) // slot 5: group 2 of 3
 
-	// The birth directory: one route, ours, so everything is accepted.
+	// A store never told its group serves every slot.
 	if err := s.CheckClientSlot(foreign); err != nil {
-		t.Fatalf("birth-directory check: %v", err)
+		t.Fatalf("a store with no group refused a slot: %v", err)
 	}
 
-	s.InstallDirectory(testDirectory(1), 0)
+	s.SetGroup(1, 3)
 	if err := s.CheckClientSlot(owned); err != nil {
 		t.Fatalf("owned slot rejected: %v", err)
 	}
@@ -59,7 +27,7 @@ func TestCheckClientSlot(t *testing.T) {
 	if !errors.As(err, &ws) {
 		t.Fatalf("foreign slot: got %v, want WrongSlotError", err)
 	}
-	if ws.Version != 1 || ws.Route != 1 || ws.Group != 1 || len(ws.Members) != 1 || ws.Members[0] != "g1:1" {
+	if *ws != (kv.WrongSlotError{Group: 2, Groups: 3}) {
 		t.Fatalf("rejection payload %+v", ws)
 	}
 	if got := s.Stats().WrongSlotRejects; got != 1 {

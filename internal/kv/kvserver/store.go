@@ -127,12 +127,11 @@ type Store struct {
 	// wait cannot be re-armed between the wait and the epoch install.
 	promoting bool
 
-	// place is the installed slot directory and this store's group
-	// within it. A store is born holding the version-0 identity
-	// directory (one route, owned by its own group), which the
-	// directory the cluster installs at formation supersedes. Readers
-	// load it without a lock; InstallDirectory swaps it.
-	place atomic.Pointer[placement]
+	// group is the index of the group this store serves, of groups
+	// groups (SetGroup). Both are set before the store serves and never
+	// change; a store born serves every slot, as the one group of its
+	// cluster.
+	group, groups int
 
 	stats Stats
 }
@@ -154,8 +153,6 @@ func NewStore(hlc *clock.HLC, cfg Config) *Store {
 		streamEpoch:  1,
 		epochMembers: []string{""},
 	}
-	// Born serving every OID: its directory is the one-route identity map.
-	s.place.Store(&placement{dir: kv.IdentityDirectory(1)})
 	for i := range s.shard {
 		s.shard[i].objs = make(map[kv.OID]*object)
 	}

@@ -536,7 +536,7 @@ func TestBareStoreIsSolePrimary(t *testing.T) {
 		t.Fatalf("bare store refuses a current-epoch client op: %v", err)
 	}
 	if err := s.CheckClientSlot(kv.MakeOID(7, 1)); err != nil {
-		t.Fatalf("bare store refuses a slot under its birth directory: %v", err)
+		t.Fatalf("bare store, never told its group, refuses a slot: %v", err)
 	}
 	fast, twoPC := kv.MakeOID(0, 1), kv.MakeOID(7, 2)
 	if _, err := s.FastCommit(newTxID(), s.Clock().Now(), []*kv.Op{

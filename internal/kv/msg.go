@@ -29,10 +29,6 @@ const (
 	// the primary's heartbeat. A backup the retained log cannot catch up
 	// is sent a state snapshot the same way, in chunks.
 	MethodMirrorBatch = "kv.mirrorbatch"
-	// MethodDirectory returns the server's slot directory (the
-	// slot→group map fixed at cluster formation; see Directory). A
-	// client calls it once, after it opens.
-	MethodDirectory = "kv.directory"
 )
 
 // Every message below describes its layout once, as a wire method that
