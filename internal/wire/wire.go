@@ -146,12 +146,11 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 // short reports a read past the end of the payload: ErrShortBuffer,
 // wrapped in the Reader's bad-input error when it has one, so a payload
 // cut short is refused like one that miscounts.
-func (r *Reader) short(format string, args ...any) error {
-	err := fmt.Errorf("%w: "+format, append([]any{ErrShortBuffer}, args...)...)
+func (r *Reader) short(what string) error {
 	if r.bad != nil {
-		err = fmt.Errorf("%w: %w", r.bad, err)
+		return fmt.Errorf("%w: %w: %s", r.bad, ErrShortBuffer, what)
 	}
-	return err
+	return fmt.Errorf("%w: %s", ErrShortBuffer, what)
 }
 
 // Remaining reports the number of undecoded bytes.
@@ -228,7 +227,7 @@ func (r *Reader) Bytes() ([]byte, error) {
 		return nil, err
 	}
 	if uint64(r.Remaining()) < n {
-		return nil, r.short("bytes of length %d", n)
+		return nil, r.short(fmt.Sprintf("bytes of length %d", n))
 	}
 	v := r.b[r.off : r.off+int(n) : r.off+int(n)]
 	r.off += int(n)
