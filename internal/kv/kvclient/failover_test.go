@@ -458,3 +458,60 @@ func TestUncertainCommitIsNotRedirected(t *testing.T) {
 		t.Fatalf("uncertain commit sent %d times, want 1", n)
 	}
 }
+
+// TestCallPausesBeforeEveryUnteachingBounce: every wrong-epoch answer
+// that teaches a call nothing is followed by a pause before the next
+// attempt — the second one too, on the same timer — and a call bounced
+// on every replica fails with the last answer.
+func TestCallPausesBeforeEveryUnteachingBounce(t *testing.T) {
+	var bounced atomic.Int32
+	c := fakeGroup(t, kv.MethodPing, func(addr string) rpc.AppendHandler {
+		return func(context.Context, []byte, *wire.Buffer) error {
+			bounced.Add(1)
+			return &kv.WrongEpochError{Epoch: 1, Members: []string{addr}}
+		}
+	})
+	if err := c.Ping(context.Background(), 0); !errors.Is(err, kv.ErrWrongEpoch) {
+		t.Fatalf("call bounced on every attempt: %v, want kv.ErrWrongEpoch", err)
+	}
+	if n := bounced.Load(); n != 2 {
+		t.Fatalf("%d requests, want one per attempt of the one-member group's walk: 2", n)
+	}
+}
+
+// TestRedirectLeavesTheOldPrimary: a wrong-epoch answer naming a new
+// primary closes the connection the call was bounced on, and the call
+// and the ones after it go to the new primary.
+func TestRedirectLeavesTheOldPrimary(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := ln.Addr().String()
+	var oldAddr atomic.Value
+	var answered atomic.Int32
+	srv := rpc.NewServer()
+	srv.RegisterAppend(kv.MethodPing, func(ctx context.Context, p []byte, reply *wire.Buffer) error {
+		answered.Add(1)
+		(&kv.Ack{Epoch: 2, Members: []string{next, oldAddr.Load().(string)}}).AppendTo(reply)
+		return nil
+	})
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	var bounced atomic.Int32
+	c := fakeGroup(t, kv.MethodPing, func(addr string) rpc.AppendHandler {
+		oldAddr.Store(addr)
+		return func(context.Context, []byte, *wire.Buffer) error {
+			bounced.Add(1)
+			return &kv.WrongEpochError{Epoch: 2, Members: []string{next, addr}}
+		}
+	})
+	for i := 0; i < 2; i++ {
+		if err := c.Ping(context.Background(), 0); err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
+	}
+	if b, a := bounced.Load(), answered.Load(); b != 1 || a != 2 {
+		t.Fatalf("old primary bounced %d requests, new one answered %d: want 1 and 2", b, a)
+	}
+}

@@ -43,9 +43,9 @@
 // the write-ahead log holds.
 // That sender is the only way records reach a backup, and a member's
 // acks count only records its backup holds. A member the membership does
-// not list yet is attached before the epoch that adds it, and until it
-// has caught up to the head it was attached at it is a learner: the
-// quorum neither waits for it nor fails with it. A backup ahead of the
+// not list yet is attached before the epoch that adds it, and until
+// that epoch is installed it is a learner: caught up to the head it was
+// attached at, but the quorum neither waits for it nor fails with it. A backup ahead of the
 // primary's stream or diverged from it, or one whose gap the tail no
 // longer reaches back over, is rebuilt by the same sender: it pushes
 // the backup a snapshot of the primary's state down the mirror. A send
@@ -63,7 +63,10 @@
 //
 // # Group commit and pipelined mirroring
 //
-// Emission and the durability wait are decoupled (pipeline.go). Every
+// Emission and the durability wait are decoupled (pipeline.go), and
+// every decision of the primary's replication side — retry, resend,
+// push, learner to voter, quorum and lease — is one pure value, the
+// core (replcore.go), whose senders only carry out its actions. Every
 // commit, prepare and abort has one shape: emit the record, apply its
 // effects, record the decision — one repMu critical section — then wait
 // on the durability watermark outside it. What happens under repMu, on
@@ -207,7 +210,8 @@
 //
 // The mirror pair generalizes to replication factors above 2: a
 // primary fans each batch out to N backup members in parallel (one
-// member loop, queue, and connection per member — pipeline.go), and
+// member loop, queue, and connection per member — pipeline.go — each
+// carrying out its member's actions from replcore.go), and
 // the durability watermark becomes "a MAJORITY of members have
 // acknowledged the sequence number, and it is fsynced locally when
 // LogSync demands it". With rf = 3 that means one backup ack
@@ -220,7 +224,9 @@
 //
 // The lease generalizes the same way: a multi-member primary serves
 // while it holds unexpired grants from a MAJORITY of its backups
-// (every batch a member accepts, heartbeats included, is a grant), and a
+// (every batch a member accepts, heartbeats included, is a grant) —
+// the same majority of the same installed membership the quorum counts,
+// kept in one table and published as one deadline — and a
 // promotion without force waits out the grants it observed. The two
 // majorities intersect, which is the whole safety argument: any
 // acknowledged write lives on at least one member of any electing
@@ -382,7 +388,9 @@
 //     snapshot-install rotation) each carry a //yesqlint:allow with
 //     the justification inline.
 //   - lockorder: the store's mutexes nest in one global order —
-//     repMu, then txMu, then epochMu.
+//     repMu, then txMu, then epochMu (the pipeline's mutex, which the
+//     analyzer does not track, sits after repMu and txMu and before
+//     epochMu: the core's lease is published under both).
 //     Acquiring them in any other order (directly or via a
 //     same-package call) is flagged.
 //   - errsentinel: errors are classified by errors.Is/errors.As, an

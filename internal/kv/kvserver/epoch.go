@@ -2,7 +2,6 @@ package kvserver
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"yesquel/internal/kv"
@@ -86,35 +85,10 @@ func (s *Store) LeaseValid() bool {
 	return s.leaseValidLocked()
 }
 
-// leaseValidLocked implements LeaseValid. Caller holds epochMu.
+// leaseValidLocked implements LeaseValid against the one deadline the
+// replication core publishes (leaseUntil). Caller holds epochMu.
 func (s *Store) leaseValidLocked() bool {
-	if len(s.epochMembers) <= 1 || s.roleLocked() != RolePrimary {
-		return true
-	}
-	now := time.Now()
-	need := len(s.epochMembers) / 2 // backup grants completing a majority with the primary's own vote
-	granted := 0
-	for _, m := range s.epochMembers[1:] {
-		if now.Before(s.memberLease[m]) {
-			granted++
-		}
-	}
-	return granted >= need
-}
-
-// extendLease advances the serving authority granted by one backup
-// member to until (never backwards). The member's sender calls it for
-// each batch the member accepted, measuring until from *before* the
-// batch was sent, so that member's matching grant always outlasts it.
-func (s *Store) extendLease(member string, until time.Time) {
-	s.epochMu.Lock()
-	if s.memberLease == nil {
-		s.memberLease = make(map[string]time.Time)
-	}
-	if until.After(s.memberLease[member]) {
-		s.memberLease[member] = until
-	}
-	s.epochMu.Unlock()
+	return len(s.epochMembers) <= 1 || s.roleLocked() != RolePrimary || time.Now().Before(s.leaseUntil)
 }
 
 // GrantExpiry returns when the lease this member last granted runs
@@ -165,23 +139,16 @@ func (s *Store) CheckClientOp(reqEpoch uint64) error {
 
 // InstallEpoch moves the group to a new configuration: the epoch must
 // exceed the current one, and the change is a RecEpoch record in the
-// replication stream — mirrored to the members, appended to the
-// replication and write-ahead logs — so the whole group agrees on the
-// configuration history in stream order. The installed membership is
-// also the quorum's: in the same stream-lock section, before the record
-// is emitted, every member sender the new list does not name is
-// detached (dropping the last voter fails the unacknowledged window, as
-// any detach does), so from the RecEpoch on the primary's voters are
-// the other members the epoch lists and need is the lease's
-// len(members)/2. The emission and installation happen
-// under the stream lock, so no record is ever stamped with a
-// configuration that was already superseded when it entered the stream;
-// InstallEpoch returns only once the record has cleared the durability
-// watermark (the members' acks of the RecEpoch batch seed the new
-// primary's first lease). A replication failure leaves the epoch
-// installed locally — the configuration change is real — and reports
-// it, so the caller knows the group has not acknowledged the new
-// configuration.
+// replication stream, so the whole group agrees on the configuration
+// history in stream order. The installed membership is the quorum's and
+// the lease's (replCore.install): before the record is emitted, every
+// member sender the list does not name is detached, and the members it
+// names vote. Emission and installation happen under the stream lock,
+// so no record is stamped with a configuration already superseded;
+// InstallEpoch returns once the record has cleared the durability
+// watermark. A replication failure leaves the epoch installed locally —
+// the change is real — and reports that the group has not acknowledged
+// it.
 func (s *Store) InstallEpoch(newEpoch uint64, members []string) error {
 	s.repMu.Lock()
 	s.epochMu.Lock()
@@ -191,7 +158,9 @@ func (s *Store) InstallEpoch(newEpoch uint64, members []string) error {
 		s.repMu.Unlock()
 		return fmt.Errorf("kvserver: epoch %d does not supersede current epoch %d", newEpoch, cur)
 	}
-	s.detachMembersLocked(func(m *mirrorMember) bool { return !slices.Contains(members, m.id) })
+	s.pipe.mu.Lock()
+	s.stopSendersLocked(s.pipe.core.install(newEpoch, members))
+	s.pipe.mu.Unlock()
 	rec := kv.ReplRecord{Kind: kv.RecEpoch, Epoch: newEpoch, Members: append([]string(nil), members...)}
 	seq := s.emitLocked(rec)
 	s.installEpochState(newEpoch, rec.Members)
@@ -219,11 +188,10 @@ func (s *Store) AdoptEpoch(newEpoch uint64, members []string) {
 // its decision before the sweep may reap them). The TTL reset runs
 // BEFORE the new epoch is published: a concurrent SweepOrphans that
 // already read the new epoch could otherwise win the race for txMu and
-// reap a just-superseded prepare with zero post-bump grace. The
-// install itself re-checks monotonicity under epochMu — callers'
-// own checks run under different locks (or none: AdoptEpoch races the
-// stream), and the epoch must never move backwards.
-func (s *Store) installEpochState(newEpoch uint64, members []string) bool {
+// reap a just-superseded prepare with zero post-bump grace. The install
+// re-checks monotonicity under epochMu, since callers' checks run under
+// other locks or none. It publishes the lease with it (replCore.leaseFor).
+func (s *Store) installEpochState(newEpoch uint64, members []string) {
 	now := time.Now()
 	s.txMu.Lock()
 	for _, rec := range s.txs {
@@ -232,15 +200,16 @@ func (s *Store) installEpochState(newEpoch uint64, members []string) bool {
 		}
 	}
 	s.txMu.Unlock()
+	s.pipe.mu.Lock()
+	defer s.pipe.mu.Unlock()
 	s.epochMu.Lock()
+	defer s.epochMu.Unlock()
 	if newEpoch <= s.epoch {
-		s.epochMu.Unlock()
-		return false
+		return
 	}
 	s.epoch = newEpoch
 	s.epochMembers = members
 	s.promoting = false
-	s.epochMu.Unlock()
+	s.leaseUntil, _ = s.pipe.core.leaseFor(newEpoch)
 	s.stats.EpochBumps.Add(1)
-	return true
 }

@@ -46,8 +46,8 @@ func asyncCommit(s *Store, oid kv.OID) <-chan error {
 // membership. An install that drops a member stops its sender, and
 // ReplicationStatus lists only the named members. The waiters are judged
 // as any detach judges them: a record the dropped member was to hold
-// waits for the remaining members — whatever the dropped member does
-// after — and when the last voter goes, the unacknowledged window fails.
+// waits for the remaining members, and when the last voter goes, the
+// unacknowledged window fails.
 // An acknowledgment never rests on a record too few members hold.
 func TestInstallDetachesUnnamedMembers(t *testing.T) {
 	t.Run("one of two voters", func(t *testing.T) {
@@ -84,20 +84,9 @@ func TestInstallDetachesUnnamedMembers(t *testing.T) {
 		}
 
 		// b's held batch now goes through; its sender was detached, so
-		// what b holds counts for nothing, and it is sent nothing more.
+		// what b holds counts for nothing, and it is sent nothing more
+		// (TestReplCoreDetach's rows pin both).
 		close(bGate)
-		time.Sleep(10 * p.cfg.LeaseDuration / 3)
-		calls := bCalls.Load()
-		select {
-		case err := <-committed:
-			t.Fatalf("commit answered (%v) with no remaining member holding it", err)
-		default:
-		}
-		time.Sleep(5 * p.cfg.LeaseDuration / 3)
-		if got := bCalls.Load(); got != calls {
-			t.Fatalf("the dropped member's sender sent %d more batches", got-calls)
-		}
-
 		close(aGate)
 		if err := <-committed; err != nil {
 			t.Fatalf("commit once the remaining member holds it: %v", err)

@@ -1,75 +1,20 @@
 package kvserver
 
-// Group-commit replication pipeline, generalized to quorum groups.
-// Record EMISSION (under repMu: sequence assignment, epoch stamp,
-// replication-log append, applying the record's effects) is decoupled
-// from the DURABILITY WAIT: emission enqueues the record here, and the
-// pipeline coalesces whatever accumulated into batched MirrorBatchReq
-// RPCs (one round trip, one lease extension, one backup-side
-// contiguous apply per batch) and one batched WAL append (one buffer,
-// one file write, one fsync). Committers block on the DURABILITY
-// WATERMARK before acknowledging the client.
+// Group-commit replication pipeline. Record EMISSION (under repMu) is
+// decoupled from the DURABILITY WAIT: emission hands the record to the
+// sinks — the write-ahead log's flusher and each member's sender — which
+// coalesce what accumulated into batched MirrorBatchReq RPCs (one round
+// trip, one lease grant, one contiguous apply per batch) and one batched
+// WAL append (one write, one fsync). Committers wait on the quorum and
+// synced watermarks before acknowledging the client.
 //
-// Each backup member has its own send queue and its own sender
-// goroutine (a slow or dead member must not stall the others'
-// batches), and the watermark follows the QUORUM rule: a record is
-// replication-durable once at least need = (members+1)/2 members have
-// acknowledged it — together with the primary's own copy, a majority
-// of the group of members+1, so any majority that survives a failure
-// intersects the ack set and the most-caught-up survivor holds every
-// acknowledged record. For a pair (one member) need is 1. The members
-// are the installed epoch's: Store.InstallEpoch detaches the sender of
-// every member its list does not name, and a member it lists is a voter
-// from its attach, so outside a join the voters are exactly the other
-// members the epoch lists and need is the lease's len(members)/2.
-//
-// Failure semantics are watermark semantics. A batch that fails marks
-// its member BROKEN: the member's queue is dropped, nothing more is
-// queued for it, and waiters are judged by the surviving quorum: with
-// enough live members they simply stop counting on the broken one;
-// when live members fall below need the quorum is LOST and every
-// waiter at or above the watermark fails with the member's error
-// (uncertain — their records are in the primary's local stream, their
-// effects visible, surviving a failover only if enough members applied
-// them after all). Waiters never succeed on a record too few members
-// applied: the only ack path is a quorum of per-member batch
-// acknowledgments covering the record's sequence number (or an
-// install that drops the last voter, which removes the replication
-// requirement itself and fails — not acks — the waiters already in
-// flight). A broken member stays a voter (dropping it from need would
-// let fewer than a majority acknowledge), and its sender retries it
-// without end, as Raft's leader retries AppendEntries: it backs off and
-// probes again at the stream head, redialing, until a batch is
-// accepted.
-//
-// The sender is also the only way records reach a backup, the way
-// Raft's AppendEntries consistency check works: a batch says where it
-// starts, and the backup applies it only at its own stream head.
-// Otherwise the backup answers with its head (kv.StreamGapError) and the
-// sender resends from there out of the retained log. A new member's
-// first batch — the probe — starts at the primary's head at attach time
-// and goes even empty, so a member attached mid-life catches up through
-// its own queue, and its acks — which start at the head its backup
-// reported — count only records it holds. A backup the retained log no
-// longer reaches, or whose history diverged, is pushed a snapshot by the
-// same sender (Raft's InstallSnapshot), which replaces whatever it held:
-// a record this stream does not hold at its position was never held by
-// a majority, so discarding it loses no acknowledged write. A member
-// attached before the epoch that lists it is a LEARNER until it has
-// acknowledged the head at its attach (the Raft dissertation's
-// non-voting member, §4.2.1): it is left out of need, the watermark and
-// quorum loss, so a slow catch-up neither stalls nor fails the commits
-// running beside it. It votes from its join on.
-//
-// The sender is the primary's only channel to a backup for the lease
-// too: a batch the backup accepted is that member's lease grant,
-// measured from before it was sent. A member sent nothing for a third of
-// Config.LeaseDuration is sent an empty batch — the heartbeat, Raft's
-// AppendEntries with no entries — so an idle primary keeps its grants
-// and a loaded one sends no heartbeats. A broken member grants nothing
-// until it accepts a batch again: the primary serves only while a
-// majority of its group accepts its stream, and a refusal carrying a
-// newer configuration deposes it.
+// Every replication decision is the core's (replcore.go). Each member has
+// its own sender goroutine, so a dead member never stalls the others: it
+// asks the core for its next action, carries it out — a send, a snapshot
+// push, or a wait on one timer set to the core's next deadline — and
+// feeds the outcome back. What stays here is I/O and ordering: captures
+// under repMu, the divergence checks against commitLog, the sends, the
+// waiters, and the lease's publication under epochMu.
 
 import (
 	"errors"
@@ -107,110 +52,44 @@ type pipeWaiter struct {
 	ch  chan error
 }
 
-// mirrorMember is one attached replication member: its own send queue
-// (drained by its own goroutine, so a dead member's timeout never
-// stalls a healthy one's batches), its ack watermark, and its failure
-// state. All fields except id/send/stopCh/wake are guarded by pipe.mu;
-// send runs outside the lock.
+// mirrorMember is one member's sender: its core state, the send it
+// carries batches out with, and its channels.
 type mirrorMember struct {
-	id   string
-	send func(*kv.MirrorBatchReq) error
-	// queue holds the records awaiting this member's next batch; next is
-	// the stream position of queue[0] (of the next record emitted, when
-	// the queue is empty).
-	queue []kv.ReplRecord
-	next  uint64
-	// acked: the member's backup holds every record with seq < acked.
-	// It is set only from the backup's replies: a batch's ack, or the
-	// head a gap reply reported.
-	acked uint64
-	// joined receives the outcome of the attach — nil once acked reaches
-	// joinAt, the stream head at attach time, or the error that broke
-	// the member — and is nil once answered.
-	joined chan error
-	joinAt uint64
-	// learner: the membership did not list the member when it was
-	// attached, and its join has not succeeded yet; it does not count
-	// toward the quorum (see recomputeQuorumLocked).
-	learner bool
-	// broken: the member's last send failed, and its sender is retrying
-	// it. Its past acks still count — the records ARE on it.
-	broken bool
-	err    error
-	// parked: since that failure nothing is queued for the member; the
-	// sender's next probe, taken at the stream head, resumes its queue.
-	parked bool
-	chunks uint64 // snapshot chunks accepted: a push's progress, which acked does not show
-
+	c      *coreMember
+	send   func(*kv.MirrorBatchReq) error
+	joined chan error // answers the attach
 	stopCh chan struct{}
 	wake   chan struct{}
 }
 
 // replPipe is the per-store pipeline state. Lock order: repMu before
-// pipe.mu before wal.mu; pipe.mu is never held across network or disk
-// I/O except by the checkpoint drain, which holds repMu anyway.
+// pipe.mu before epochMu and wal.mu; pipe.mu is never held across
+// network or disk I/O except by the checkpoint drain, which holds repMu
+// anyway.
 type replPipe struct {
 	mu sync.Mutex
 	// walDone signals walFlushing transitions (checkpoint drains wait
 	// for the in-flight WAL write so rotation cannot strand records).
 	walDone *sync.Cond
 
-	// members are the attached replication members, in attach order.
-	members []*mirrorMember
-	// need is how many member acks complete a majority of the group
-	// (voting members plus the primary itself): (voters+1)/2.
-	need int
+	core    replCore
+	members []*mirrorMember // the core's members' senders
 
 	// walQ holds records awaiting the batched write-ahead-log append.
 	walQ []kv.ReplRecord
 	// walQEnd is the sequence number after walQ's last record.
 	walQEnd uint64
-
-	// Watermarks: a quorum of member acks covers seq < mirrored
-	// (monotone — membership changes never move it backwards), the WAL
-	// covers seq < synced (fsynced when LogSync). durableLocked
-	// combines them.
-	mirrored uint64
-	synced   uint64
-
-	// needWAL: the store has a write-ahead log, waiters require the
-	// synced watermark — which advances only once a batch is WRITTEN to
-	// the file (and fsynced, when LogSync is set). The other sink is the
-	// member set: see hasMembersLocked.
+	// synced: the WAL covers seq < synced (fsynced when LogSync);
+	// needWAL: the store has a write-ahead log, so waiters require it.
+	synced  uint64
 	needWAL bool
 
-	// quorumErr is set while fewer than need members are live: no
-	// record at or above quorumFrom can ever gather a quorum, so its
-	// waiters (present and future) fail immediately with this error
-	// instead of timing out. Cleared when an attach or detach restores
-	// live >= need.
-	quorumErr  error
-	quorumFrom uint64
-
 	waiters []pipeWaiter
-
-	// failRanges records sequence windows whose replication can never
-	// complete — records emitted under a mirror that was detached or
-	// replaced before a quorum acknowledged them. A waiter for such a
-	// record must FAIL (uncertain) even if it registers after the
-	// detach already ran: the detach empties the member set, so without
-	// this record the late waiter would see "no mirror required" and ack a
-	// record too few members applied. Bounded: one entry per
-	// detach/replace event, oldest dropped past failRangesMax (by then
-	// every possible waiter has long timed out).
-	failRanges []failRange
 
 	// wal mirrors s.wal for the flusher: s.wal is written under repMu
 	// (OpenStore, snapshot-install failure), which the flusher never
 	// holds, so it reads this copy under pipe.mu instead.
 	wal *wal
-
-	// streamEpoch mirrors s.streamEpoch for the member senders, which
-	// stamp it on every batch (kv.MirrorBatchReq.Epoch). It is the
-	// STREAM epoch, not the adopted one: a deposed primary that adopted
-	// its successor's epoch from a rejection still sends its old one, so
-	// a member rejoining the successor refuses its straggler batches.
-	streamEpoch uint64
 
 	// walFlushing marks an in-flight batched WAL write (the flusher
 	// holds it across appendBatch only).
@@ -233,110 +112,15 @@ type replPipe struct {
 func (s *Store) initPipe() {
 	s.pipe.walDone = sync.NewCond(&s.pipe.mu)
 	s.pipe.wake = make(chan struct{}, 1)
-}
-
-// failRange is one permanently unackable window of the stream (see
-// replPipe.failRanges).
-type failRange struct {
-	from, to uint64
-	err      error
-}
-
-const failRangesMax = 32
-
-// failureFor returns the permanent failure covering seq, if any.
-// Caller holds pipe.mu.
-func (p *replPipe) failureFor(seq uint64) error {
-	for i := range p.failRanges {
-		if seq >= p.failRanges[i].from && seq < p.failRanges[i].to {
-			return p.failRanges[i].err
-		}
-	}
-	if p.quorumErr != nil && seq >= p.quorumFrom {
-		return p.quorumErr
-	}
-	return nil
-}
-
-// hasMembersLocked is the one statement of "this store has a backup":
-// with at least one voting member attached, waiters require the quorum
-// watermark. Caller holds pipe.mu.
-func (p *replPipe) hasMembersLocked() bool {
-	for _, m := range p.members {
-		if !m.learner {
-			return true
-		}
-	}
-	return false
+	s.pipe.core = newReplCore(s.cfg.LeaseDuration)
 }
 
 // durableLocked reports whether the record at seq satisfies every
-// durability requirement currently in force. Caller holds pipe.mu.
+// durability requirement currently in force: a quorum of voters holds
+// it (while any voter is attached), and the WAL does (while there is
+// one). Caller holds pipe.mu.
 func (p *replPipe) durableLocked(seq uint64) bool {
-	if p.hasMembersLocked() && seq >= p.mirrored {
-		return false
-	}
-	if p.needWAL && seq >= p.synced {
-		return false
-	}
-	return true
-}
-
-// recomputeQuorumLocked refreshes need, advances the quorum watermark
-// to the need-th largest voting member's ack (never backwards), and
-// maintains the quorum-lost state: with fewer live (non-broken) voters
-// than need, no new record can ever gather a quorum, so waiters at or
-// above the watermark must fail now rather than time out. Broken
-// members' PAST acks still count — the records are on them. Learners
-// count for nothing. Caller holds pipe.mu.
-func (p *replPipe) recomputeQuorumLocked() {
-	voters := 0
-	for _, m := range p.members {
-		if !m.learner {
-			voters++
-		}
-	}
-	if voters == 0 {
-		p.need = 0
-		p.quorumErr = nil
-		return
-	}
-	p.need = (voters + 1) / 2
-	live := 0
-	var memberErr error
-	for _, m := range p.members {
-		if m.learner {
-			continue
-		}
-		if m.broken {
-			memberErr = m.err
-		} else {
-			live++
-		}
-		// The need-th largest ack is the largest one that need voters
-		// have reached. This runs on every member ack and a group has a
-		// handful of members, so count in place rather than sort a copy.
-		reached := 0
-		for _, o := range p.members {
-			if !o.learner && o.acked >= m.acked {
-				reached++
-			}
-		}
-		if reached >= p.need && m.acked > p.mirrored {
-			p.mirrored = m.acked
-		}
-	}
-	if live < p.need {
-		if p.quorumErr == nil {
-			if memberErr == nil {
-				memberErr = fmt.Errorf("kvserver: replication member unavailable")
-			}
-			p.quorumErr = fmt.Errorf("kvserver: replication quorum lost (%d of %d members live, need %d): %w", live, voters, p.need, memberErr)
-			p.quorumFrom = p.mirrored
-		}
-	} else {
-		p.quorumErr = nil
-	}
+	return (p.core.need == 0 || seq < p.core.mirrored) && (!p.needWAL || seq < p.synced)
 }
 
 // enqueueLocked hands one emitted record to the pipeline. Caller holds
@@ -344,22 +128,19 @@ func (p *replPipe) recomputeQuorumLocked() {
 func (s *Store) enqueueLocked(seq uint64, rec kv.ReplRecord) {
 	p := &s.pipe
 	p.mu.Lock()
-	p.streamEpoch = s.streamEpoch
+	p.core.emit(seq, rec)
 	for _, m := range p.members {
-		if m.parked {
-			continue
-		}
-		m.queue = append(m.queue, rec)
-		select {
-		case m.wake <- struct{}{}:
-		default:
+		if !m.c.parked {
+			select {
+			case m.wake <- struct{}{}:
+			default:
+			}
 		}
 	}
-	walQueued := false
-	if s.wal != nil {
+	walQueued := s.wal != nil
+	if walQueued {
 		p.walQ = append(p.walQ, rec)
 		p.walQEnd = seq + 1
-		walQueued = true
 	}
 	p.mu.Unlock()
 	if walQueued {
@@ -382,13 +163,9 @@ func (s *Store) wakeFlusher() {
 func (s *Store) waitReplicated(seq uint64) error {
 	p := &s.pipe
 	p.mu.Lock()
-	if err := p.failureFor(seq); err != nil {
+	if err := p.core.failure(seq); err != nil || p.durableLocked(seq) {
 		p.mu.Unlock()
 		return err
-	}
-	if p.durableLocked(seq) {
-		p.mu.Unlock()
-		return nil
 	}
 	w := pipeWaiter{seq: seq, ch: make(chan error, 1)}
 	p.waiters = append(p.waiters, w)
@@ -400,12 +177,7 @@ func (s *Store) waitReplicated(seq uint64) error {
 		return err
 	case <-t.C:
 		p.mu.Lock()
-		for i := range p.waiters {
-			if p.waiters[i].ch == w.ch {
-				p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-				break
-			}
-		}
+		p.waiters = slices.DeleteFunc(p.waiters, func(o pipeWaiter) bool { return o.ch == w.ch })
 		p.mu.Unlock()
 		// The waiter may have been completed between the timeout and
 		// the removal; prefer that result.
@@ -424,64 +196,81 @@ func (s *Store) waitReplicated(seq uint64) error {
 //
 //yesqlint:allow repmublock -- each waiter channel is buffered (cap 1) and receives exactly one completion; the send cannot block
 func (p *replPipe) completeWaitersLocked() {
-	keep := p.waiters[:0]
-	for _, w := range p.waiters {
-		switch {
-		case p.failureFor(w.seq) != nil:
-			w.ch <- p.failureFor(w.seq)
-		case p.durableLocked(w.seq):
+	p.waiters = slices.DeleteFunc(p.waiters, func(w pipeWaiter) bool {
+		if err := p.core.failure(w.seq); err != nil {
+			w.ch <- err
+		} else if p.durableLocked(w.seq) {
 			w.ch <- nil
-		default:
-			keep = append(keep, w)
+		} else {
+			return false
+		}
+		return true
+	})
+}
+
+// carryOutLocked carries out the effects the core's last events
+// returned: it answers joins, publishes the lease, and re-judges the
+// waiters when the watermark moved or a window failed. Caller holds
+// pipe.mu.
+func (s *Store) carryOutLocked() {
+	p := &s.pipe
+	judge := false
+	for _, e := range p.core.out {
+		switch e.kind {
+		case effComplete, effFail:
+			judge = true
+		case effJoin:
+			for _, m := range p.members {
+				if m.c == e.m {
+					m.answerJoinLocked(e.err)
+				}
+			}
+		case effLease:
+			s.epochMu.Lock()
+			if until, ok := p.core.leaseFor(s.epoch); ok {
+				s.leaseUntil = until
+			}
+			s.epochMu.Unlock()
 		}
 	}
-	// Zero the tail so completed waiters' channels are collectable.
-	for i := len(keep); i < len(p.waiters); i++ {
-		p.waiters[i] = pipeWaiter{}
+	clear(p.core.out)
+	p.core.out = p.core.out[:0]
+	if judge {
+		p.completeWaitersLocked()
 	}
-	p.waiters = keep
+}
+
+// answerJoinLocked delivers the attach's outcome, which the core gives
+// once. Caller holds pipe.mu.
+//
+//yesqlint:allow repmublock -- joined is buffered (cap 1) and receives exactly one answer; the send cannot block
+func (m *mirrorMember) answerJoinLocked(err error) {
+	m.joined <- err
 }
 
 // AttachMirrorMember adds the replication member id, which has no
 // sender yet, and returns a channel that receives nil once the member
 // has acknowledged every record emitted before the attach, or the error
 // of its first failed send. The member's first batch is the probe at the
-// stream head. The membership in force decides its vote: a member it
-// lists is a voter from the start — the epoch already counts it — and
-// its sender retries it after a failure, as it retries any voter; one it
-// does not list joins as a learner, and votes — its acks count toward
-// the quorum watermark, and need is recomputed with it — once that
-// channel receives nil, while its first failed send ends its sender.
+// stream head. The membership this store installed decides its vote: a
+// member it lists is a voter from the start, and its sender retries it
+// after a failure, as it retries any voter; one it does not list is a
+// learner, whose first failed send ends its sender, and which votes once
+// an install lists it.
 func (s *Store) AttachMirrorMember(id string, send func(*kv.MirrorBatchReq) error) <-chan error {
 	joined := make(chan error, 1)
-	s.repMu.Lock()
-	s.epochMu.Lock()
-	listed := slices.Contains(s.epochMembers, id)
-	s.epochMu.Unlock()
 	p := &s.pipe
 	p.mu.Lock()
-	dup := slices.ContainsFunc(p.members, func(m *mirrorMember) bool { return m.id == id })
-	if !dup {
-		m := &mirrorMember{
-			id:      id,
-			send:    send,
-			next:    s.repSeq,
-			joined:  joined,
-			joinAt:  s.repSeq,
-			learner: !listed,
-			stopCh:  make(chan struct{}),
-			wake:    make(chan struct{}, 1),
-		}
-		p.streamEpoch = s.streamEpoch
+	c := p.core.attach(id)
+	if c != nil {
+		m := &mirrorMember{c: c, send: send, joined: joined, stopCh: make(chan struct{}), wake: make(chan struct{}, 1)}
 		p.members = append(p.members, m)
-		p.recomputeQuorumLocked()
-		p.completeWaitersLocked()
+		s.carryOutLocked()
 		p.senders.Add(1)
 		go s.memberLoop(m)
 	}
 	p.mu.Unlock()
-	s.repMu.Unlock()
-	if dup {
+	if c == nil {
 		joined <- fmt.Errorf("kvserver: member %s already has a sender", id)
 	}
 	return joined
@@ -491,43 +280,30 @@ func (s *Store) AttachMirrorMember(id string, send func(*kv.MirrorBatchReq) erro
 // not acking — the waiters still awaiting a quorum. It is the shutdown
 // path; a running group changes its members through InstallEpoch.
 func (s *Store) DetachAllMirrorMembers() {
-	s.detachMembers(func(*mirrorMember) bool { return true })
+	s.detachMembers(func(string) bool { return true })
 }
 
-// detachMembers stops and removes the members detach selects (see
-// detachMembersLocked).
-func (s *Store) detachMembers(detach func(*mirrorMember) bool) {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	s.detachMembersLocked(detach)
-}
-
-// detachMembersLocked stops and removes the members detach selects —
-// their senders stop and their queued records are dropped — then
-// re-judges the waiters: against the smaller group's quorum, or — when
-// the last voter just left — by failing the unacknowledged window, since
-// a detach must never ack a record too few members applied; records
-// emitted from there on simply no longer require acks. Detaching a
-// learner changes no waiter's fate. Caller holds repMu.
-func (s *Store) detachMembersLocked(detach func(*mirrorMember) bool) {
+// detachMembers stops and removes the members drop selects: their
+// senders stop and their queued records are dropped, and the waiters are
+// re-judged (see replCore.detach).
+func (s *Store) detachMembers(drop func(id string) bool) {
 	p := &s.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	had := p.hasMembersLocked()
-	var keep []*mirrorMember
-	for _, m := range p.members {
-		if detach(m) {
-			m.stopLocked()
-		} else {
-			keep = append(keep, m)
+	s.stopSendersLocked(p.core.detach(drop))
+}
+
+// stopSendersLocked carries out a detach of the members gone: their
+// joins are answered, then their senders stopped. Caller holds pipe.mu.
+func (s *Store) stopSendersLocked(gone []*coreMember) {
+	s.carryOutLocked()
+	s.pipe.members = slices.DeleteFunc(s.pipe.members, func(m *mirrorMember) bool {
+		if slices.Contains(gone, m.c) {
+			close(m.stopCh)
+			return true
 		}
-	}
-	p.members = keep
-	if had && !p.hasMembersLocked() {
-		p.failMirrorWindowLocked(s.repSeq, fmt.Errorf("kvserver: mirror detached while awaiting replication"))
-	}
-	p.recomputeQuorumLocked()
-	p.completeWaitersLocked()
+		return false
+	})
 }
 
 // ReplicaStatus is one attached replication member's progress, for
@@ -545,19 +321,13 @@ type ReplicaStatus struct {
 // progress — what makes a permanently-behind minority member
 // observable instead of silent.
 func (s *Store) ReplicationStatus() (head, watermark uint64, need int, members []ReplicaStatus) {
-	s.repMu.Lock()
-	head = s.repSeq
 	p := &s.pipe
 	p.mu.Lock()
-	watermark = p.mirrored
-	need = p.need
-	members = make([]ReplicaStatus, len(p.members))
-	for i, m := range p.members {
-		members[i] = ReplicaStatus{Member: m.id, AckedSeq: m.acked, Broken: m.broken}
+	defer p.mu.Unlock()
+	for _, m := range p.core.members {
+		members = append(members, ReplicaStatus{Member: m.id, AckedSeq: m.acked, Broken: m.broken})
 	}
-	p.mu.Unlock()
-	s.repMu.Unlock()
-	return head, watermark, need, members
+	return p.core.head, p.core.mirrored, p.core.need, members
 }
 
 // memberProgress is how far the member id has come: its ack mark plus
@@ -566,7 +336,7 @@ func (s *Store) memberProgress(id string) uint64 {
 	p := &s.pipe
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, m := range p.members {
+	for _, m := range p.core.members {
 		if m.id == id {
 			return m.acked + m.chunks
 		}
@@ -574,194 +344,102 @@ func (s *Store) memberProgress(id string) uint64 {
 	return 0
 }
 
-// failMirrorWindowLocked permanently fails the unacknowledged window
-// [mirrored, head): registered waiters in it get err now, and the
-// window is recorded so a waiter registering later (its committer had
-// released repMu but not yet called waitReplicated when the mirror
-// went away) fails identically instead of slipping past an emptied
-// member set. Caller holds pipe.mu.
-//
-//yesqlint:allow repmublock -- each waiter channel is buffered (cap 1) and receives exactly one completion; the send cannot block
-func (p *replPipe) failMirrorWindowLocked(head uint64, err error) {
-	if head > p.mirrored {
-		p.failRanges = append(p.failRanges, failRange{from: p.mirrored, to: head, err: err})
-		if len(p.failRanges) > failRangesMax {
-			p.failRanges = append(p.failRanges[:0], p.failRanges[len(p.failRanges)-failRangesMax:]...)
-		}
-	}
-	keep := p.waiters[:0]
-	for _, w := range p.waiters {
-		if w.seq >= p.mirrored {
-			w.ch <- err
-			continue
-		}
-		keep = append(keep, w)
-	}
-	for i := len(keep); i < len(p.waiters); i++ {
-		p.waiters[i] = pipeWaiter{}
-	}
-	p.waiters = keep
-}
-
-// memberLoop is one member's sender goroutine: woken by emissions, it
-// drains the member's queue in batches until empty, then sleeps. With
-// a configured GroupCommitInterval it waits that long after the first
-// wake to let a batch build; at the default (0) it flushes as soon as
-// it is free — a lone writer pays no added latency, while concurrent
-// writers naturally coalesce into whatever accumulated during the
-// previous batch's round trip. A member idle for a heartbeat period is
-// sent an empty batch; the first one, the probe, goes at once. After a
-// failed send the loop waits — a heartbeat period, doubling up to
-// LeaseDuration — and probes again at the stream head (reprobe). It
-// ends only on a detach, on a refusal carrying a newer configuration
+// memberLoop is one member's sender goroutine. It ends when the core
+// says so: on a detach, a refusal carrying a newer configuration
 // (adopted first: a deposed sender can have nothing accepted again), or
-// when the failure answered a join still waiting on it.
+// a learner's failed join. While the core has nothing for it, it sleeps
+// until the core's next deadline (the heartbeat, or the end of a
+// back-off) or an emission's wake; with a configured GroupCommitInterval
+// it waits that long after a wake to let a batch build, and at the
+// default (0) it sends as soon as it is free — a lone writer pays no
+// added latency, while concurrent writers coalesce into whatever
+// accumulated during the previous batch's round trip.
 func (s *Store) memberLoop(m *mirrorMember) {
 	defer s.pipe.senders.Done()
 	p := &s.pipe
-	heartbeat := max(s.cfg.LeaseDuration/3, time.Millisecond)
-	backoff := heartbeat
-	idle := time.NewTimer(0)
-	defer idle.Stop()
-	// One reusable timer for the batching wait and the backoff, stopped
-	// until first used; every wait drains it or ends the loop.
 	timer := time.NewTimer(time.Hour)
-	timer.Stop()
 	defer timer.Stop()
-	// wait sleeps d, and reports false if the member is detached first.
-	wait := func(d time.Duration) bool {
-		timer.Reset(d)
-		select {
-		case <-m.stopCh:
-			return false
-		case <-timer.C:
-			return true
-		}
-	}
 	for {
-		beat := false
-		select {
-		case <-m.stopCh:
+		p.mu.Lock()
+		act := p.core.tick(m.c, time.Now())
+		p.mu.Unlock()
+		switch act.kind {
+		case actStop:
 			return
-		case <-m.wake:
-		case <-idle.C:
-			beat = true
-		}
-		if d := s.cfg.GroupCommitInterval; d > 0 && !wait(d) {
-			return
-		}
-		for {
-			p.mu.Lock()
-			req := m.takeBatchLocked(p.streamEpoch, beat)
-			p.mu.Unlock()
-			if req == nil {
-				break
+		case actSend:
+			s.sendBatch(m, &kv.MirrorBatchReq{From: act.from, Epoch: act.epoch, Recs: act.recs})
+		case actPush:
+			s.pushSnapshot(m)
+		case actWait:
+			woke, ok := sleep(timer, time.Until(act.until), m.stopCh, m.wake)
+			if d := s.cfg.GroupCommitInterval; ok && woke && d > 0 {
+				_, ok = sleep(timer, d, m.stopCh, nil)
 			}
-			beat = false
-			if err := s.sendBatch(m, req); err != nil {
-				if !s.memberFailed(m, err) || !wait(backoff) {
-					return
-				}
-				backoff = min(2*backoff, s.cfg.LeaseDuration)
-				s.reprobe(m)
-				beat = true
-				continue
-			}
-			backoff = heartbeat
-			select {
-			case <-m.stopCh:
+			if !ok {
 				return
-			default:
 			}
 		}
-		if !idle.Stop() {
-			select {
-			case <-idle.C:
-			default:
-			}
-		}
-		idle.Reset(heartbeat)
 	}
 }
 
-// sendBatch sends one batch to the member and folds the reply into its
-// state. An accepted batch extends the member's lease grant and its ack
-// mark. A gap reply turns the queue into the retained records from the
-// backup's head (resendFrom); a backup the retained log does not reach,
-// or one whose history diverged, is rebuilt by a pushed snapshot
-// first. It returns the error that failed the member, or nil.
-func (s *Store) sendBatch(m *mirrorMember, req *kv.MirrorBatchReq) error {
+// sleep waits d on t, or until wake fires; it reports whether wake
+// fired, and false for ok once stop is closed.
+func sleep(t *time.Timer, d time.Duration, stop, wake <-chan struct{}) (woke, ok bool) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+	select {
+	case <-stop:
+		return false, false
+	case <-wake:
+		return true, true
+	case <-t.C:
+		return false, true
+	}
+}
+
+// sendBatch sends one batch to the member and feeds the reply to the
+// core. A gap reply restarts the member's queue at the backup's head
+// (resendFrom).
+func (s *Store) sendBatch(m *mirrorMember, req *kv.MirrorBatchReq) {
 	sentAt := time.Now()
 	err := m.send(req)
 	var gap *kv.StreamGapError
-	switch {
-	case err == nil:
-		s.extendLease(m.id, sentAt.Add(s.cfg.LeaseDuration))
-	case errors.As(err, &gap):
-		err = s.resendFrom(m, gap)
-	}
-	applied, pushed := err == nil && gap == nil, false
-	if errors.Is(err, errBehindLog) || errors.Is(err, kv.ErrDiverged) {
-		err = s.pushSnapshot(m)
-		pushed = err == nil
+	if errors.As(err, &gap) {
+		if err = s.resendFrom(m.c, gap); err == nil {
+			return
+		}
 	}
 	if err != nil {
-		return err
+		s.sendFailed(m, err)
+		return
+	}
+	if len(req.Recs) > 0 {
+		s.stats.MirrorBatches.Add(1)
+		s.stats.MirrorBatchRecords.Add(uint64(len(req.Recs)))
 	}
 	p := &s.pipe
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if applied {
-		m.acked = req.From + uint64(len(req.Recs))
-		if len(req.Recs) > 0 {
-			s.stats.MirrorBatches.Add(1)
-			s.stats.MirrorBatchRecords.Add(uint64(len(req.Recs)))
-		}
-	}
-	if applied || pushed {
-		m.broken, m.err = false, nil
-	}
-	if m.acked >= m.joinAt {
-		m.learner = false
-		m.answerJoinLocked(nil)
-	}
-	p.recomputeQuorumLocked()
-	p.completeWaitersLocked()
-	return nil
+	p.core.ack(m.c, sentAt, req.From+uint64(len(req.Recs)))
+	s.carryOutLocked()
+	p.mu.Unlock()
 }
 
-// memberFailed records a failed send: the member is broken, its queue
-// dropped and nothing queued for it until the sender probes again, and
-// waiters are re-judged without it. It reports whether the sender goes
-// on retrying: not after a refusal carrying a newer configuration (it
-// adopts that), nor for a learner, whose join the failure answered.
-func (s *Store) memberFailed(m *mirrorMember, err error) bool {
+// sendFailed feeds a failed send to the core, adopting first the newer
+// configuration a refusal carries.
+func (s *Store) sendFailed(m *mirrorMember, err error) {
 	var we *kv.WrongEpochError
-	deposed := errors.As(err, &we)
-	if deposed {
+	if errors.As(err, &we) {
 		s.AdoptEpoch(we.Epoch, we.Members)
 	}
 	p := &s.pipe
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	m.broken, m.err, m.parked, m.queue = true, err, true, nil
-	m.answerJoinLocked(err)
-	p.recomputeQuorumLocked()
-	p.completeWaitersLocked()
-	return !m.learner && !deposed
-}
-
-// reprobe points a broken member's queue at the stream head, under
-// repMu as an attach does, so the next batch — sent even empty — probes
-// the backup there and every record emitted from here on is queued for
-// it; the records emitted while the member was parked never were.
-func (s *Store) reprobe(m *mirrorMember) {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	p := &s.pipe
-	p.mu.Lock()
-	m.next, m.queue, m.parked = s.repSeq, nil, false
-	p.streamEpoch = s.streamEpoch
+	p.core.sendFailed(m.c, err, time.Now())
+	s.carryOutLocked()
 	p.mu.Unlock()
 }
 
@@ -769,21 +447,22 @@ func (s *Store) reprobe(m *mirrorMember) {
 // capture under repMu, streamed through the member's send as it is
 // encoded, one chunk per batch (kv.MirrorBatchReq.Snap, at its byte
 // offset Off) and an empty last one on which the backup installs it.
-// The source keeps no copy. The capture also restarts the member's
-// queue at its position, so the records emitted during the push follow
-// it from the queue, however far the retained log has moved on. A
-// store whose adopted epoch is past the one its stream installed has
-// been deposed, and pushes nothing.
-func (s *Store) pushSnapshot(m *mirrorMember) error {
+// The source keeps no copy. The capture restarts the member's queue at
+// its position, so the records emitted during the push follow it from
+// the queue, however far the retained log has moved on. A store whose
+// adopted epoch is past the one its stream installed has been deposed,
+// and pushes nothing.
+func (s *Store) pushSnapshot(m *mirrorMember) {
 	p := &s.pipe
 	s.repMu.Lock()
 	sn, epoch := s.captureSnapshotLocked(), s.streamEpoch
 	if sn.Epoch != epoch {
 		s.repMu.Unlock()
-		return &kv.WrongEpochError{Epoch: sn.Epoch, Members: sn.Members}
+		s.sendFailed(m, &kv.WrongEpochError{Epoch: sn.Epoch, Members: sn.Members})
+		return
 	}
 	p.mu.Lock()
-	m.queue, m.next, m.parked = nil, sn.Seq, false
+	p.core.capture(m.c, sn.Seq)
 	p.mu.Unlock()
 	s.repMu.Unlock()
 	s.stats.SnapshotsServed.Add(1)
@@ -799,12 +478,9 @@ func (s *Store) pushSnapshot(m *mirrorMember) error {
 			return err
 		}
 		off += uint64(len(piece))
-		s.extendLease(m.id, sentAt.Add(s.cfg.LeaseDuration))
 		p.mu.Lock()
-		m.chunks++
-		if last {
-			m.acked = sn.Seq
-		}
+		p.core.chunk(m.c, sentAt, last)
+		s.carryOutLocked()
 		p.mu.Unlock()
 		return nil
 	}
@@ -812,28 +488,9 @@ func (s *Store) pushSnapshot(m *mirrorMember) error {
 	if err == nil {
 		err = send(nil, true)
 	}
-	return err
-}
-
-// errDetached ends a push whose member was detached mid-way.
-var errDetached = errors.New("kvserver: mirror member detached")
-
-// answerJoinLocked delivers the attach's outcome, once. Caller holds
-// pipe.mu.
-//
-//yesqlint:allow repmublock -- joined is buffered (cap 1) and receives exactly one answer; the send cannot block
-func (m *mirrorMember) answerJoinLocked(err error) {
-	if m.joined != nil {
-		m.joined <- err
-		m.joined = nil
+	if err != nil {
+		s.sendFailed(m, err)
 	}
-}
-
-// stopLocked ends the member's sender and fails an attach still
-// waiting on it. Caller holds pipe.mu.
-func (m *mirrorMember) stopLocked() {
-	close(m.stopCh)
-	m.answerJoinLocked(errDetached)
 }
 
 // resendFrom answers a backup's gap reply. Under repMu, so the stream
@@ -842,9 +499,8 @@ func (m *mirrorMember) stopLocked() {
 // stream's head, or whose record below its head is not the one this
 // stream holds there, holds records this stream never had
 // (kv.ErrDiverged); one below the retained log lacks records that are
-// gone (errBehindLog). The sender answers either with a pushed
-// snapshot.
-func (s *Store) resendFrom(m *mirrorMember, gap *kv.StreamGapError) error {
+// gone (errBehindLog). The core answers either with a pushed snapshot.
+func (s *Store) resendFrom(m *coreMember, gap *kv.StreamGapError) error {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
 	head := gap.Head
@@ -866,9 +522,8 @@ func (s *Store) resendFrom(m *mirrorMember, gap *kv.StreamGapError) error {
 	}
 	p := &s.pipe
 	p.mu.Lock()
-	m.queue = append([]kv.ReplRecord(nil), s.commitLog[head-s.logBase:]...)
-	m.next = head
-	m.acked = head
+	p.core.gap(m, head, append([]kv.ReplRecord(nil), s.commitLog[head-s.logBase:]...))
+	s.carryOutLocked()
 	p.mu.Unlock()
 	return nil
 }
@@ -877,34 +532,6 @@ func (s *Store) resendFrom(m *mirrorMember, gap *kv.StreamGapError) error {
 // primary's retained log: the records it lacks were truncated, so its
 // sender pushes it a snapshot.
 var errBehindLog = errors.New("kvserver: backup is behind the retained log")
-
-// takeBatchLocked slices the member's next batch off its queue,
-// bounded by mirrorBatchMaxRecords and mirrorBatchBytes (at least one
-// record always goes — it crossed the wire once already, so it fits a
-// frame). It returns nil when there is nothing to send, unless beat asks for the
-// batch even empty (the probe or a heartbeat). Caller holds pipe.mu.
-func (m *mirrorMember) takeBatchLocked(epoch uint64, beat bool) *kv.MirrorBatchReq {
-	if len(m.queue) == 0 && !beat {
-		return nil
-	}
-	maxRecs := min(len(m.queue), mirrorBatchMaxRecords)
-	n, bytes := 0, 0
-	for n < maxRecs {
-		sz := recordSize(&m.queue[n])
-		if n > 0 && bytes+sz > mirrorBatchBytes {
-			break
-		}
-		bytes += sz
-		n++
-	}
-	req := &kv.MirrorBatchReq{From: m.next, Epoch: epoch, Recs: m.queue[:n:n]}
-	m.next += uint64(n)
-	m.queue = m.queue[n:]
-	if len(m.queue) == 0 {
-		m.queue = nil
-	}
-	return req
-}
 
 // startFlusherLocked starts the WAL flusher goroutine if it is not
 // already running. Caller holds repMu (OpenStore and attach paths).
@@ -935,14 +562,8 @@ func (s *Store) stopFlusher() {
 // first wake to let a batch build. (Mirror batches have per-member
 // sender goroutines; see memberLoop.)
 func (s *Store) flushLoop(stopCh chan struct{}) {
-	// One reusable batching timer for the loop's lifetime; allocated on
-	// the first wake that needs it, Reset on every later one.
-	var batchTimer *time.Timer
-	defer func() {
-		if batchTimer != nil {
-			batchTimer.Stop()
-		}
-	}()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	for {
 		select {
 		case <-stopCh:
@@ -950,15 +571,8 @@ func (s *Store) flushLoop(stopCh chan struct{}) {
 		case <-s.pipe.wake:
 		}
 		if d := s.cfg.GroupCommitInterval; d > 0 {
-			if batchTimer == nil {
-				batchTimer = time.NewTimer(d)
-			} else {
-				batchTimer.Reset(d)
-			}
-			select {
-			case <-stopCh:
+			if _, ok := sleep(timer, d, stopCh, nil); !ok {
 				return
-			case <-batchTimer.C:
 			}
 		}
 		for s.flushOnce() {
@@ -978,64 +592,50 @@ func (s *Store) flushOnce() bool {
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
 	p.mu.Lock()
-	walRecs := p.walQ
-	walTo := p.walQEnd
+	recs, to, w := p.walQ, p.walQEnd, p.wal
 	p.walQ = nil
-	w := p.wal
-	if len(walRecs) > 0 {
-		p.walFlushing = true
-	}
+	p.walFlushing = len(recs) > 0
 	p.mu.Unlock()
-	if len(walRecs) == 0 {
+	if len(recs) == 0 {
 		return false
 	}
-
-	walSynced, walErr := walAppendBatch(w, walRecs)
-
+	synced, err := w.appendBatch(recs)
 	p.mu.Lock()
 	p.walFlushing = false
 	p.walDone.Broadcast()
-	if walErr == nil {
-		if walTo > p.synced {
-			p.synced = walTo
-		}
-		if walSynced {
-			s.stats.WALSyncs.Add(1)
-		}
-	} else {
-		// Re-queue the failed batch AT THE FRONT: the records must
-		// reach the file in stream order with no gap (the wal's
-		// torn-tail repair assumes the retry starts exactly where
-		// the clean prefix ends), so they go out again before
-		// anything emitted since. Their waiters keep waiting — the
-		// retry may well succeed (transient disk error) and ack
-		// them; if the disk stays broken they time out as
-		// uncertain. A delayed self-wake drives the retry even if
-		// no new emission comes.
+	s.walWrittenLocked(recs, to, synced, err)
+	p.mu.Unlock()
+	return true
+}
+
+// walWrittenLocked folds one batched append of recs, up to seq to, into
+// the pipeline: on success the synced watermark advances and waiters
+// complete. A failed batch is re-queued AT THE FRONT: the records must
+// reach the file in stream order with no gap (the wal's torn-tail repair
+// assumes the retry starts exactly where the clean prefix ends). Their
+// waiters keep waiting — the retry may well succeed (a transient disk
+// error); if the disk stays broken they time out as uncertain — and a
+// delayed self-wake drives the retry even if no new emission comes. It
+// reports whether the append succeeded. Caller holds pipe.mu.
+func (s *Store) walWrittenLocked(recs []kv.ReplRecord, to uint64, synced bool, err error) bool {
+	p := &s.pipe
+	if err != nil {
 		s.stats.WALFailures.Add(1)
-		p.walQ = append(walRecs, p.walQ...)
+		p.walQ = append(recs, p.walQ...)
 		time.AfterFunc(walRetryDelay, s.wakeFlusher)
+		return false
+	}
+	p.synced = max(p.synced, to)
+	if synced {
+		s.stats.WALSyncs.Add(1)
 	}
 	p.completeWaitersLocked()
-	p.mu.Unlock()
 	return true
 }
 
 // walRetryDelay paces retries of a failed batched WAL append, so a
 // persistently broken disk does not spin the flusher.
 const walRetryDelay = 100 * time.Millisecond
-
-// walAppendBatch writes recs to the WAL in one batched append and
-// reports whether the append ended in an fsync. The wal pointer is the
-// caller's snapshot (pipe.wal under pipe.mu, or s.wal under repMu) —
-// the flusher must not read s.wal directly, which is written under
-// repMu.
-func walAppendBatch(w *wal, recs []kv.ReplRecord) (synced bool, err error) {
-	if w == nil {
-		return false, nil
-	}
-	return w.appendBatch(recs)
-}
 
 // discardWALLocked waits out any in-flight batched append and drops
 // the queued records without writing them — used when a snapshot
@@ -1078,28 +678,14 @@ func (s *Store) drainWALLocked() bool {
 	for p.walFlushing {
 		p.walDone.Wait()
 	}
-	recs := p.walQ
-	to := p.walQEnd
+	recs, to := p.walQ, p.walQEnd
 	p.walQ = nil
 	p.mu.Unlock()
 	if len(recs) == 0 {
 		return true
 	}
-	synced, err := walAppendBatch(s.wal, recs)
+	synced, err := s.wal.appendBatch(recs)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err != nil {
-		s.stats.WALFailures.Add(1)
-		p.walQ = append(recs, p.walQ...)
-		time.AfterFunc(walRetryDelay, s.wakeFlusher)
-		return false
-	}
-	if to > p.synced {
-		p.synced = to
-	}
-	if synced {
-		s.stats.WALSyncs.Add(1)
-	}
-	p.completeWaitersLocked()
-	return true
+	return s.walWrittenLocked(recs, to, synced, err)
 }

@@ -23,12 +23,17 @@ import (
 // reaches an empty member — with committed history, a decided two-phase
 // transaction and a prepared one — and a backup with a log at path that
 // holds records of another stream, still queued for its log. It then
-// attaches the backup, whose sender pushes it the primary's state. The
-// caller detaches the member and closes the backup's log.
+// attaches the backup, which the primary's membership lists, so its
+// acks count; its sender pushes it the primary's state. The caller
+// detaches the member and closes the backup's log.
 func pushIntoLoggedBackup(t *testing.T, path string) (primary, backup *Store, pendingTx uint64) {
 	t.Helper()
 	SetSnapChunkBytes(t, 256)
 	primary = NewStore(nil, Config{ReplicationLogMaxRecords: 8})
+	primary.SetSelf("primary")
+	if err := primary.InstallEpoch(2, []string{"primary", "backup"}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		commitPut(t, primary, kv.MakeOID(0, uint64(i)), "history")
 	}

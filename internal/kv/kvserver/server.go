@@ -149,22 +149,15 @@ func (s *Server) Reconfigure(epoch uint64, members []string) error {
 // stays a voter, whose sender retries it until it answers.
 func (s *Server) followMembership() {
 	members := s.store.Members()
-	var drop, add []string
+	s.detach(func(a string) bool { return !slices.Contains(members, a) })
+	var add []string
 	s.mirrorMu.Lock()
-	for a := range s.mirrorConns {
-		if !slices.Contains(members, a) {
-			drop = append(drop, a)
-		}
-	}
 	for _, a := range members[1:] {
 		if members[0] == s.Addr() && s.mirrorConns[a] == nil {
 			add = append(add, a)
 		}
 	}
 	s.mirrorMu.Unlock()
-	for _, a := range drop {
-		s.detach(a)
-	}
 	joins := make([]<-chan error, len(add))
 	for i, a := range add {
 		joins[i] = s.attach(a)
@@ -285,26 +278,17 @@ func (s *Server) awaitJoin(addr string, joined <-chan error) error {
 	}
 }
 
-// detach stops the member sender for addr and closes its connection.
-// Waiters are re-judged against the remaining members' quorum.
-func (s *Server) detach(addr string) {
-	s.store.detachMembers(func(m *mirrorMember) bool { return m.id == addr })
-	s.mirrorMu.Lock()
-	if mc, ok := s.mirrorConns[addr]; ok {
-		mc.closeLocked()
-		delete(s.mirrorConns, addr)
-	}
-	s.mirrorMu.Unlock()
-}
-
-// detachAll removes every member sender; in-flight durability waiters
-// fail (they are uncertain, not acked).
-func (s *Server) detachAll() {
-	s.store.DetachAllMirrorMembers()
+// detach stops the member senders drop selects and closes their
+// connections. Waiters are re-judged against the remaining members'
+// quorum; with none left, the unacknowledged ones fail (uncertain).
+func (s *Server) detach(drop func(addr string) bool) {
+	s.store.detachMembers(drop)
 	s.mirrorMu.Lock()
 	for addr, mc := range s.mirrorConns {
-		mc.closeLocked()
-		delete(s.mirrorConns, addr)
+		if drop(addr) {
+			mc.closeLocked()
+			delete(s.mirrorConns, addr)
+		}
 	}
 	s.mirrorMu.Unlock()
 }
@@ -445,7 +429,7 @@ func (s *Server) Close() error {
 	// dials, so none waits out a timeout on an unreachable backup.
 	// Remaining durability waiters (none can ack a client anymore) fail
 	// as uncertain.
-	s.detachAll()
+	s.detach(func(string) bool { return true })
 	s.store.pipe.senders.Wait()
 	return err
 }

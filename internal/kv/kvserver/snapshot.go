@@ -433,6 +433,9 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	// epoch is what the stream had installed there, whatever this
 	// replica's own stream had.
 	s.streamEpoch = sn.Epoch
+	s.pipe.mu.Lock()
+	s.pipe.core.restart(sn.Seq, sn.Epoch)
+	s.pipe.mu.Unlock()
 	s.installEpochState(sn.Epoch, append([]string(nil), sn.Members...))
 	// Rotate the WAL onto the snapshot, so the (best-effort) appends of
 	// the records mirrored next land in the new file's tail. A

@@ -100,6 +100,7 @@ func TestCommitRacingAttachIsCoveredByCapture(t *testing.T) {
 			// A short retained log: the attach, among commits, is answered
 			// by a pushed snapshot.
 			src, dst := NewStore(nil, Config{ReplicationLogMaxRecords: 8}), NewStore(nil, Config{})
+			src.SetSelf("src")
 			const writers = 4
 			var committed atomic.Uint64
 			stop := make(chan struct{})
@@ -134,6 +135,11 @@ func TestCommitRacingAttachIsCoveredByCapture(t *testing.T) {
 			}
 			if got := dst.Stats().SnapshotsInstalled; got == 0 {
 				t.Fatal("the member joined without a pushed snapshot; the test needs the push")
+			}
+			// As Server.Reconfigure does: the caught-up learner is listed,
+			// and votes from here on.
+			if err := src.InstallEpoch(2, []string{"src", "dst"}); err != nil {
+				t.Fatal(err)
 			}
 			waitCommits(50)
 			close(stop)

@@ -77,9 +77,8 @@ type Store struct {
 	streamEpoch uint64
 
 	// pipe is the group-commit replication pipeline: emitted records
-	// are queued here and a flusher goroutine batches them into mirror
-	// RPCs and WAL appends; committers wait on its durability watermark
-	// (see pipeline.go).
+	// are queued here for the WAL flusher and the member senders, and
+	// committers wait on its durability watermark (see pipeline.go).
 	pipe replPipe
 	// ckptBusy single-flights asynchronous checkpoint rotations: while
 	// one is encoding/rotating off-lock, further policy triggers only
@@ -96,8 +95,8 @@ type Store struct {
 	walTailBytes atomic.Int64
 
 	// epochMu guards the replication-group configuration and lease
-	// clocks. Lock order: repMu (and txMu) before epochMu; epochMu
-	// holders never take another store mutex.
+	// clocks. Lock order: repMu, txMu and pipe.mu before epochMu;
+	// epochMu holders never take another store mutex.
 	epochMu sync.Mutex
 	// epoch is the group's configuration number. A store is born at
 	// epoch 1 as the sole member of its own group, so it is never zero.
@@ -107,20 +106,16 @@ type Store struct {
 	// self is this member's advertised address (Server.Listen sets it);
 	// the role follows from its position in epochMembers.
 	self string
-	// memberLease is, on a primary, the end of its authority as granted
-	// by each backup member (keyed by the member's address): each mirror
-	// batch that member accepted, heartbeats included, extends its entry
-	// to send-time + LeaseDuration. The primary serves only while a
-	// MAJORITY of the group believes in it — its own vote plus
-	// unexpired grants from at least len(epochMembers)/2 backups (the
-	// quorum lease; a pair reduces to the old rule, one backup grant).
-	// grantUntil is, on a backup, the matching promise: no promotion is
-	// accepted before it. Each entry is measured from before the
-	// batch was sent and grantUntil from after it was received, so
-	// grantUntil >= the granted entry always — the primary stops
-	// serving before enough backups may vote it out.
-	memberLease map[string]time.Time
-	grantUntil  time.Time
+	// leaseUntil is, on a primary, the end of its authority: the
+	// majority-th latest grant among the backups of the membership it
+	// installed (see replCore; each accepted mirror batch, heartbeats
+	// included, grants send-time + LeaseDuration). grantUntil is, on a
+	// backup, the matching promise: no promotion is accepted before it.
+	// A grant is measured from before the batch was sent and grantUntil
+	// from after it was received, so grantUntil >= the grant always —
+	// the primary stops serving before enough backups may vote it out.
+	leaseUntil time.Time
+	grantUntil time.Time
 	// promoting freezes the grant clock: once a promotion has begun,
 	// no mirror batch is accepted (and therefore no
 	// ack can extend the old primary's authority), so the grant-expiry
