@@ -1,18 +1,19 @@
 // Command yesqlint runs the repository's invariant analyzers (see
 // internal/lint and its subpackages) over the given package patterns
-// and exits non-zero if any finding survives the //yesqlint:allow
-// suppressions.
+// and exits non-zero if any finding is reported.
 //
 // Usage:
 //
 //	go run ./cmd/yesqlint ./...
 //	go run ./cmd/yesqlint ./internal/kv/... ./internal/rpc
 //
-// The suite enforces, mechanically, the replication stack's safety
-// rules: no blocking under Store.repMu (repmublock), the
-// repMu → txMu → epochMu acquisition order (lockorder), no
+// The suite holds only rules whose breach the tests do not catch: the
+// Store's repMu → txMu → epochMu acquisition order (lockorder), no
 // error classification by string matching (errsentinel), and no
-// per-iteration timer allocation (timerloop).
+// per-iteration timer allocation (timerloop). That the commit path
+// never waits for replication under Store.repMu is pinned by
+// cluster.TestGroupCommitAmortizesMirrorAndFsync instead: a wait under
+// the lock turns every record into a batch of its own.
 package main
 
 import (
@@ -23,13 +24,11 @@ import (
 	"yesquel/internal/lint/analysis"
 	"yesquel/internal/lint/errsentinel"
 	"yesquel/internal/lint/lockorder"
-	"yesquel/internal/lint/repmublock"
 	"yesquel/internal/lint/timerloop"
 )
 
-// Suite is the full analyzer set, exported for the CLI test.
+// suite is the full analyzer set.
 var suite = []*analysis.Analyzer{
-	repmublock.Analyzer,
 	lockorder.Analyzer,
 	errsentinel.Analyzer,
 	timerloop.Analyzer,

@@ -15,20 +15,36 @@ import (
 )
 
 // TestGroupCommitAmortizesMirrorAndFsync is the group-commit
-// effectiveness check on a full replicated slot with a durable log:
+// effectiveness check on full replicated slots with a durable log:
 // 8 concurrent writers, every commit both mirrored and fsynced before
 // its acknowledgment — yet the batch counters must show strictly fewer
-// mirror round trips and strictly fewer fsyncs than commits (the
+// mirror round trips and strictly fewer fsyncs than transactions (the
 // amortization), while primary and backup still end byte-identical
-// (batching never reorders or splices the stream).
+// (batching never reorders or splices the stream). It runs once with
+// one-shot commits in one group and once with two-phase commits across
+// two, so each of the commit path's durability waits — the one-shot
+// commit's, the prepare's and the decision's — has to happen after its
+// record's emission and outside Store.repMu: a wait under the stream
+// lock serializes every writer behind one round trip and fsync, one
+// batch per record.
 func TestGroupCommitAmortizesMirrorAndFsync(t *testing.T) {
+	for _, groups := range []int{1, 2} {
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
+			testGroupCommitAmortizes(t, groups)
+		})
+	}
+}
+
+// testGroupCommitAmortizes runs the load on groups rf=2 groups, every
+// transaction writing one new object in each.
+func testGroupCommitAmortizes(t *testing.T, groups int) {
 	dir := t.TempDir()
 	// A small group-commit window makes the amortization deterministic:
 	// without it, batching depends on commits colliding during the
 	// previous batch's round trip, which a starved single-CPU host
 	// (e.g. the full suite running package tests in parallel) can
 	// serialize into one fsync per commit.
-	cl, err := cluster.StartReplicated(1, 2, kvserver.Config{
+	cl, err := cluster.StartReplicated(groups, 2, kvserver.Config{
 		LogPath: dir, LogSync: true, GroupCommitInterval: 500 * time.Microsecond,
 	})
 	if err != nil {
@@ -52,7 +68,9 @@ func TestGroupCommitAmortizesMirrorAndFsync(t *testing.T) {
 			defer c.Close()
 			for i := 0; i < perWorker; i++ {
 				tx := c.Begin()
-				tx.Put(c.NewOID(0), kv.NewPlain([]byte(fmt.Sprintf("w%d-%d", w, i))))
+				for g := 0; g < groups; g++ {
+					tx.Put(c.NewOID(uint16(g)), kv.NewPlain([]byte(fmt.Sprintf("w%d-%d", w, i))))
+				}
 				if err := tx.Commit(ctx); err != nil {
 					t.Errorf("worker %d commit %d: %v", w, i, err)
 					return
@@ -62,27 +80,34 @@ func TestGroupCommitAmortizesMirrorAndFsync(t *testing.T) {
 	}
 	wg.Wait()
 
-	g := cl.Groups[0]
-	if got, want := g.Backups[0].Store().StateDigest(), g.Primary.Store().StateDigest(); got != want {
-		t.Fatalf("after group-commit load: backup digest %x != primary digest %x", got, want)
-	}
 	const commits = workers * perWorker
-	st := g.Primary.Store().Stats()
-	if st.Commits+st.FastCommits != commits {
-		t.Fatalf("commit counters %d+%d != %d", st.Commits, st.FastCommits, commits)
+	for i, g := range cl.Groups {
+		if got, want := g.Backups[0].Store().StateDigest(), g.Primary.Store().StateDigest(); got != want {
+			t.Fatalf("group %d after group-commit load: backup digest %x != primary digest %x", i, got, want)
+		}
+		st := g.Primary.Store().Stats()
+		if st.Commits+st.FastCommits != commits {
+			t.Fatalf("group %d: commit counters %d+%d != %d", i, st.Commits, st.FastCommits, commits)
+		}
+		// A transaction's first replicated record on a primary is its
+		// one-shot commit in a lone group and its prepare across groups.
+		if first := st.FastCommits + st.Prepares; first != commits {
+			t.Fatalf("group %d: fast commits %d + prepares %d != %d", i, st.FastCommits, st.Prepares, commits)
+		}
+		if st.MirrorBatches == 0 || st.MirrorBatches >= commits {
+			t.Fatalf("group %d: mirror batches = %d for %d transactions (%d prepares): not amortized",
+				i, st.MirrorBatches, commits, st.Prepares)
+		}
+		if st.WALSyncs == 0 || st.WALSyncs >= commits {
+			t.Fatalf("group %d: wal syncs = %d for %d transactions under -log-sync: fsyncs not amortized", i, st.WALSyncs, commits)
+		}
+		if st.WALFailures != 0 {
+			t.Fatalf("group %d: wal failures: %d", i, st.WALFailures)
+		}
+		t.Logf("group %d: transactions=%d prepares=%d mirror_batches=%d (depth %.1f) wal_syncs=%d (%.2f fsync/transaction)",
+			i, commits, st.Prepares, st.MirrorBatches, float64(st.MirrorBatchRecords)/float64(st.MirrorBatches),
+			st.WALSyncs, float64(st.WALSyncs)/float64(commits))
 	}
-	if st.MirrorBatches == 0 || st.MirrorBatches >= commits {
-		t.Fatalf("mirror batches = %d for %d commits: no batching happened", st.MirrorBatches, commits)
-	}
-	if st.WALSyncs == 0 || st.WALSyncs >= commits {
-		t.Fatalf("wal syncs = %d for %d commits under -log-sync: fsyncs not amortized", st.WALSyncs, commits)
-	}
-	if st.WALFailures != 0 {
-		t.Fatalf("wal failures: %d", st.WALFailures)
-	}
-	t.Logf("commits=%d mirror_batches=%d (depth %.1f) wal_syncs=%d (%.2f fsync/commit)",
-		commits, st.MirrorBatches, float64(st.MirrorBatchRecords)/float64(st.MirrorBatches),
-		st.WALSyncs, float64(st.WALSyncs)/float64(commits))
 }
 
 // TestGroupCommitIsolatedPrimaryLosesNoAckedWrite blackholes the

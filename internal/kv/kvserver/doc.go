@@ -374,19 +374,17 @@
 //
 // # Invariants and linting
 //
-// The rules above lean on conventions no compiler checks, so the repo
-// carries its own analyzer suite (internal/lint, run as
-// `go run ./cmd/yesqlint ./...`, blocking in CI) that enforces them
-// mechanically:
+// The rules above lean on conventions no compiler checks. The tests
+// pin the commit path's: no durability wait happens under repMu, since
+// a wait there turns every record into a mirror batch and an fsync of
+// its own, which cluster.TestGroupCommitAmortizesMirrorAndFsync (the
+// commit and the prepare) and TestInstallDetachesUnnamedMembers
+// (InstallEpoch) see. The deliberate bounded waits under repMu (the
+// checkpoint drain, the snapshot-install rotation) say so in their doc
+// comments. The rules whose breach the tests do not reliably catch are
+// left to an analyzer suite (internal/lint, run as
+// `go run ./cmd/yesqlint ./...`, blocking in CI):
 //
-//   - repmublock: no blocking operation on a path holding repMu — no
-//     channel waits, selects, time.Sleep, RPC calls, or fsyncs.
-//     Blocking leaf functions are marked //yesqlint:blocking (e.g.
-//     rpc.(*Client).Call, the wal's batched fsync append) and the
-//     property propagates through same-package call chains. The few
-//     deliberate bounded waits under repMu (the checkpoint drain, the
-//     snapshot-install rotation) each carry a //yesqlint:allow with
-//     the justification inline.
 //   - lockorder: the store's mutexes nest in one global order —
 //     repMu, then txMu, then epochMu (the pipeline's mutex, which the
 //     analyzer does not track, sits after repMu and txMu and before
@@ -409,8 +407,4 @@
 // WrongEpochError, WrongSlotError or CompareError by its own wire
 // method — kv.WireErrorCode writes and kv.DecodeError reads. No success
 // reply carries a failure, and no client parses an error's text.
-//
-// Annotations: //yesqlint:blocking marks a leaf that blocks;
-// //yesqlint:allow <analyzer> -- <reason> suppresses one finding (on
-// the doc comment for a whole function, or on/above the line).
 package kvserver

@@ -192,9 +192,9 @@ func (s *Store) waitReplicated(seq uint64) error {
 
 // completeWaitersLocked answers every waiter that is now durable, and
 // fails those covered by a permanent failure (a detach window or a
-// lost quorum). Caller holds pipe.mu.
-//
-//yesqlint:allow repmublock -- each waiter channel is buffered (cap 1) and receives exactly one completion; the send cannot block
+// lost quorum). Caller holds pipe.mu. Each waiter's channel is
+// buffered (cap 1) and receives exactly one completion, so the send
+// cannot block.
 func (p *replPipe) completeWaitersLocked() {
 	p.waiters = slices.DeleteFunc(p.waiters, func(w pipeWaiter) bool {
 		if err := p.core.failure(w.seq); err != nil {
@@ -241,9 +241,8 @@ func (s *Store) carryOutLocked() {
 }
 
 // answerJoinLocked delivers the attach's outcome, which the core gives
-// once. Caller holds pipe.mu.
-//
-//yesqlint:allow repmublock -- joined is buffered (cap 1) and receives exactly one answer; the send cannot block
+// once. Caller holds pipe.mu. joined is buffered (cap 1) and receives
+// exactly one answer, so the send cannot block.
 func (m *mirrorMember) answerJoinLocked(err error) {
 	m.joined <- err
 }
@@ -640,9 +639,9 @@ const walRetryDelay = 100 * time.Millisecond
 // discardWALLocked waits out any in-flight batched append and drops
 // the queued records without writing them — used when a snapshot
 // install supersedes them (the snapshot covers their effects, and the
-// log file is about to be replaced wholesale). Caller holds repMu.
-//
-//yesqlint:allow repmublock -- deliberate bounded wait under repMu: at most one in-flight file write + fsync, never a network call
+// log file is about to be replaced wholesale). Caller holds repMu; the
+// wait is bounded: at most one in-flight file write and fsync, never a
+// network call.
 func (s *Store) discardWALLocked() {
 	if s.wal == nil {
 		return
@@ -667,8 +666,6 @@ func (s *Store) discardWALLocked() {
 // flusher's retry and the caller MUST NOT rotate (the still-queued
 // records are below the would-be snapshot's coverage; teed into its
 // tail by a later flush they would double-apply on replay).
-//
-//yesqlint:allow repmublock -- deliberate bounded wait under repMu: one file write + fsync, never a network call (the PR 5 checkpoint contract)
 func (s *Store) drainWALLocked() bool {
 	if s.wal == nil {
 		return true

@@ -356,9 +356,9 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 // write-ahead log, if any, is rotated onto the snapshot so a later
 // restart replays snapshot + tail. OpenStore also uses it to replay a
 // log's checkpoint frame into a fresh store (which has no log open yet,
-// so nothing is rotated). Caller holds repMu.
-//
-//yesqlint:allow repmublock -- deliberate: replacing the whole visible state must exclude concurrent stream applies, and the inline WAL rotation/close is bounded local file work, never a network call
+// so nothing is rotated). Caller holds repMu, on purpose: replacing the
+// whole visible state must exclude concurrent stream applies, and the
+// inline WAL rotation is bounded local file work, never a network call.
 func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	// Wipe: release every lock (waking blocked readers into a retry
 	// against the installed state) and drop all object and transaction

@@ -66,11 +66,10 @@ func (s *Store) Checkpoint() (uint64, error) {
 // never in the middle of one. async selects the policy flavour: the
 // newest half-cap of records is kept (see truncateLogLocked), and the
 // O(state) encode and the rotation run on a goroutine, off repMu. The
-// explicit Checkpoint truncates everything and finishes inline, so its
-// caller learns the rotation's outcome. A store without a write-ahead
-// log has nothing to rotate: its checkpoint is the truncation.
-//
-//yesqlint:allow repmublock -- deliberate: the explicit Checkpoint keeps the rotation inline under repMu (bounded local file work); the policy paths run finishCheckpoint on a goroutine, off-lock
+// explicit Checkpoint truncates everything and finishes inline, under
+// repMu (bounded local file work), so its caller learns the rotation's
+// outcome. A store without a write-ahead log has nothing to rotate: its
+// checkpoint is the truncation.
 func (s *Store) checkpointLocked(async bool) (uint64, error) {
 	if s.wal == nil {
 		s.truncateLogLocked(async)

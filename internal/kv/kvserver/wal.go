@@ -176,8 +176,6 @@ func appendFrame(out []byte, scratch *wire.Buffer, rec *kv.ReplRecord) []byte {
 // the group-commit amortization (the old per-record append paid a
 // fresh buffer, a lock, a write, and an fsync per record). It reports
 // whether it fsynced. A nil log (a store without one) appends nothing.
-//
-//yesqlint:blocking
 func (w *wal) appendBatch(recs []kv.ReplRecord) (synced bool, err error) {
 	if w == nil || len(recs) == 0 {
 		return false, nil

@@ -17,8 +17,7 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //yesqlint:allow suppression comments.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
@@ -28,7 +27,7 @@ type Analyzer struct {
 }
 
 // Pass carries one package's syntax and type information to an
-// analyzer, plus module-wide facts the driver collected up front.
+// analyzer.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -38,12 +37,8 @@ type Pass struct {
 	// Pkg and TypesInfo are the type-checked forms of Files.
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts exposes annotations harvested from every module-local
-	// package, so an analyzer can see that e.g. rpc.(*Client).Call is
-	// //yesqlint:blocking while analyzing kvserver.
-	Facts *Facts
-	// Report delivers one diagnostic. The driver owns suppression
-	// filtering (//yesqlint:allow) and aggregation.
+	// Report delivers one diagnostic to the driver, which aggregates
+	// them.
 	Report func(Diagnostic)
 }
 
@@ -56,61 +51,4 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-}
-
-// Facts holds module-wide annotation data collected by the loader
-// before any analyzer runs.
-type Facts struct {
-	// Blocking holds the canonical keys (see FuncKey) of functions
-	// annotated //yesqlint:blocking anywhere in the module. Analyzers
-	// treat a call to any of these as a blocking operation.
-	Blocking map[string]bool
-	// Allowed maps canonical function keys to the set of analyzer
-	// names suppressed for that whole function via a
-	// //yesqlint:allow <name> line in its doc comment.
-	Allowed map[string]map[string]bool
-}
-
-// FuncKey returns the canonical key for a function object:
-// "path.Name" for package functions and "path.(Recv).Name" for
-// methods (pointerness of the receiver is erased). The same keys are
-// produced syntactically by the loader's annotation scan, which is
-// what lets source-level comments in one package act as facts in
-// another.
-func FuncKey(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return fn.Pkg().Path() + ".(" + n.Obj().Name() + ")." + fn.Name()
-		}
-		return fn.Pkg().Path() + ".(?)." + fn.Name()
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
-}
-
-// SyntacticFuncKey builds the same canonical key from a FuncDecl
-// without type information.
-func SyntacticFuncKey(pkgPath string, d *ast.FuncDecl) string {
-	if d.Recv != nil && len(d.Recv.List) > 0 {
-		t := d.Recv.List[0].Type
-		if star, ok := t.(*ast.StarExpr); ok {
-			t = star.X
-		}
-		// Generic receivers (Type[T]) index the underlying name.
-		if idx, ok := t.(*ast.IndexExpr); ok {
-			t = idx.X
-		}
-		if id, ok := t.(*ast.Ident); ok {
-			return pkgPath + ".(" + id.Name + ")." + d.Name.Name
-		}
-		return pkgPath + ".(?)." + d.Name.Name
-	}
-	return pkgPath + "." + d.Name.Name
 }

@@ -14,8 +14,9 @@
 //	strings.Contains(app.Msg, ...)     // AppError's laundered text
 //	err.Error() == "..."               // equality on rendered text
 //
-// Nothing in the repository is exempt; a site that ever does need an
-// exemption carries //yesqlint:allow errsentinel with its justification.
+// Nothing in the repository is exempt. The tests do not catch the
+// fault: dbt.trySplit classifying a conflict by
+// strings.Contains(err.Error(), kv.ErrConflict.Error()) passes them.
 package errsentinel
 
 import (

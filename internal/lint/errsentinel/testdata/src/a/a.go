@@ -57,8 +57,3 @@ func emptyMsgCheck(app *AppError) bool { return app.Msg == "" }
 func nonErrorStrings(s string) bool {
 	return strings.Contains(s, "x") || s == "y"
 }
-
-//yesqlint:allow errsentinel -- sanctioned parser: extracts a structured payload from the message
-func sanctionedParser(app *AppError) bool {
-	return strings.Contains(app.Msg, ErrDiverged.Error())
-}

@@ -22,14 +22,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-
-	"yesquel/internal/lint/analysis"
 )
 
 // Package is one loaded, type-checked package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -41,7 +38,6 @@ type listEntry struct {
 	Dir        string
 	ImportPath string
 	Export     string
-	Standard   bool
 	GoFiles    []string
 }
 
@@ -77,21 +73,19 @@ func goList(dir string, args ...string) ([]listEntry, error) {
 }
 
 // Load type-checks the packages matching patterns (standard go
-// patterns: import paths, directories, ./...) rooted at dir, and
-// returns them together with the module-wide annotation facts.
-func Load(dir string, patterns ...string) ([]*Package, *analysis.Facts, error) {
-	jsonFields := "-json=Dir,ImportPath,Export,Standard,GoFiles"
-	// One -deps listing serves both needs: the export-data map for the
-	// type checker and the module-local file set for the annotation
-	// scan. A second, non-deps listing identifies which entries are
-	// the requested targets.
+// patterns: import paths, directories, ./...) rooted at dir.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	jsonFields := "-json=Dir,ImportPath,Export,GoFiles"
+	// The -deps listing compiles every dependency and names its export
+	// data for the type checker; the plain listing names the targets,
+	// which are type-checked from source.
 	deps, err := goList(dir, append([]string{"-export", "-deps", jsonFields}, patterns...)...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	targets, err := goList(dir, append([]string{jsonFields}, patterns...)...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	exports := make(map[string]string, len(deps))
 	for _, e := range deps {
@@ -99,11 +93,6 @@ func Load(dir string, patterns ...string) ([]*Package, *analysis.Facts, error) {
 			exports[e.ImportPath] = e.Export
 		}
 	}
-	// Targets are type-checked from source, so their export data (and
-	// that of any target importing another) must not shadow the need
-	// to compile; the gc importer only resolves IMPORTS, and a target
-	// importing a sibling target resolves it from export data too —
-	// which is fine: annotations come from the facts scan, not types.
 	fset := token.NewFileSet()
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
@@ -114,26 +103,15 @@ func Load(dir string, patterns ...string) ([]*Package, *analysis.Facts, error) {
 	}
 	imp := importer.ForCompiler(fset, "gc", lookup)
 
-	facts := &analysis.Facts{
-		Blocking: make(map[string]bool),
-		Allowed:  make(map[string]map[string]bool),
-	}
-	for _, e := range deps {
-		if e.Standard {
-			continue
-		}
-		scanAnnotations(fset, e, facts)
-	}
-
 	var pkgs []*Package
 	for _, t := range targets {
 		p, err := typecheck(fset, imp, t)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		pkgs = append(pkgs, p)
 	}
-	return pkgs, facts, nil
+	return pkgs, nil
 }
 
 func typecheck(fset *token.FileSet, imp types.Importer, e listEntry) (*Package, error) {
@@ -161,63 +139,9 @@ func typecheck(fset *token.FileSet, imp types.Importer, e listEntry) (*Package, 
 	}
 	return &Package{
 		ImportPath: e.ImportPath,
-		Dir:        e.Dir,
 		Fset:       fset,
 		Files:      files,
 		Types:      tpkg,
 		TypesInfo:  info,
 	}, nil
-}
-
-// scanAnnotations parses the package's files (syntax only) and records
-// //yesqlint:blocking and //yesqlint:allow annotations from function
-// doc comments under their canonical keys.
-func scanAnnotations(fset *token.FileSet, e listEntry, facts *analysis.Facts) {
-	for _, name := range e.GoFiles {
-		path := filepath.Join(e.Dir, name)
-		src, err := os.ReadFile(path)
-		if err != nil || !bytes.Contains(src, []byte("//yesqlint:")) {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
-		if err != nil {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			key := analysis.SyntacticFuncKey(e.ImportPath, fd)
-			for _, c := range fd.Doc.List {
-				switch {
-				case strings.HasPrefix(c.Text, "//yesqlint:blocking"):
-					facts.Blocking[key] = true
-				case strings.HasPrefix(c.Text, "//yesqlint:allow "):
-					for _, name := range AllowedNames(c.Text) {
-						if facts.Allowed[key] == nil {
-							facts.Allowed[key] = make(map[string]bool)
-						}
-						facts.Allowed[key][name] = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// AllowedNames parses a "//yesqlint:allow name1,name2 -- reason"
-// comment and returns the suppressed analyzer names.
-func AllowedNames(comment string) []string {
-	rest := strings.TrimPrefix(comment, "//yesqlint:allow ")
-	if i := strings.Index(rest, "--"); i >= 0 {
-		rest = rest[:i]
-	}
-	var names []string
-	for _, n := range strings.Split(rest, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
-	return names
 }

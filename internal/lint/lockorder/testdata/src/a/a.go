@@ -113,3 +113,26 @@ func (s *Store) goroutineNotOnPath() {
 	}()
 	s.epochMu.Unlock()
 }
+
+// clauseMerge: a mutex still held by any clause that falls out of a
+// switch counts as held after it; a clause that returns does not.
+func (s *Store) clauseMerge(k int) {
+	switch k {
+	case 0:
+		s.epochMu.Lock()
+	case 1:
+		s.repMu.Lock()
+		return
+	}
+	s.txMu.Lock() // want `acquiring txMu while holding epochMu`
+	s.txMu.Unlock()
+}
+
+// loopMerge: a mutex taken in a loop body may be held after the loop.
+func (s *Store) loopMerge(n int) {
+	for i := 0; i < n; i++ {
+		s.epochMu.Lock()
+	}
+	s.repMu.Lock() // want `acquiring repMu while holding epochMu`
+	s.repMu.Unlock()
+}

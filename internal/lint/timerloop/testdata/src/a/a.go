@@ -122,15 +122,3 @@ func afterOutsideLoop(ch chan int) {
 	case <-time.After(time.Second):
 	}
 }
-
-// allowedAfter demonstrates a line-level suppression.
-func allowedAfter(ch chan int) {
-	for {
-		select {
-		case <-ch:
-			return
-		//yesqlint:allow timerloop -- deliberate: demonstrates suppression
-		case <-time.After(time.Second):
-		}
-	}
-}

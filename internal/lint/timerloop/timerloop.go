@@ -8,7 +8,8 @@
 // the assignment targets a variable that outlives the loop).
 //
 // Test files are exempt: short-lived timer churn in tests is noise,
-// not a hot path.
+// not a hot path. The tests do not catch the fault: a time.After back
+// in Store.read's wait loop passes them.
 package timerloop
 
 import (

@@ -293,8 +293,6 @@ type clientConn struct {
 const defaultDialTimeout = 10 * time.Second
 
 // Dial connects to a server at addr with the default connect timeout.
-//
-//yesqlint:blocking
 func Dial(addr string) (*Client, error) {
 	return DialContext(context.Background(), addr, defaultDialTimeout)
 }
@@ -302,8 +300,6 @@ func Dial(addr string) (*Client, error) {
 // DialContext connects to a server at addr, failing after the given
 // connect timeout (0 = the package default), which also bounds each
 // dial by which the pool later grows, or when ctx is done.
-//
-//yesqlint:blocking
 func DialContext(ctx context.Context, addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = defaultDialTimeout
@@ -412,8 +408,6 @@ func (c *Client) checkIn(cn *clientConn, reuse bool) {
 }
 
 // Call issues method(req) and waits for the response or ctx done.
-//
-//yesqlint:blocking
 func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, error) {
 	cn, err := c.checkOut()
 	if err != nil {

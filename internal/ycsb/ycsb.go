@@ -252,16 +252,3 @@ func (z *Zipfian) Next() int64 {
 	}
 	return v
 }
-
-// Uniform draws integers uniformly in [0, n) — used for the uniform
-// variant of the scalability experiment.
-type Uniform struct {
-	rng *rand.Rand
-	n   int64
-}
-
-// NewUniform returns a uniform source over [0, n).
-func NewUniform(rng *rand.Rand, n int64) *Uniform { return &Uniform{rng: rng, n: n} }
-
-// Next draws the next value.
-func (u *Uniform) Next() int64 { return u.rng.Int63n(u.n) }

@@ -69,22 +69,6 @@ func TestZipfianSkew(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	u := NewUniform(rng, 100)
-	seen := make(map[int64]bool)
-	for i := 0; i < 10000; i++ {
-		v := u.Next()
-		if v < 0 || v >= 100 {
-			t.Fatalf("uniform out of range: %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) < 95 {
-		t.Fatalf("uniform coverage only %d/100", len(seen))
-	}
-}
-
 func TestInsertBaseDisjoint(t *testing.T) {
 	g1, _ := NewGenerator(WorkloadD, 100, 1)
 	g2, _ := NewGenerator(WorkloadD, 100, 2)
