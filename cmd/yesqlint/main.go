@@ -7,13 +7,14 @@
 //	go run ./cmd/yesqlint ./...
 //	go run ./cmd/yesqlint ./internal/kv/... ./internal/rpc
 //
-// The suite holds only rules whose breach the tests do not catch: the
-// Store's repMu → txMu → epochMu acquisition order (lockorder), no
+// The suite holds only rules whose breach the tests do not catch: no
 // error classification by string matching (errsentinel), and no
 // per-iteration timer allocation (timerloop). That the commit path
 // never waits for replication under Store.repMu is pinned by
 // cluster.TestGroupCommitAmortizesMirrorAndFsync instead: a wait under
-// the lock turns every record into a batch of its own.
+// the lock turns every record into a batch of its own. So is the
+// Store's lock order: each inversion that can be written among its
+// mutexes hangs tier-1 (see the kvserver package doc).
 package main
 
 import (
@@ -23,13 +24,11 @@ import (
 	"yesquel/internal/lint"
 	"yesquel/internal/lint/analysis"
 	"yesquel/internal/lint/errsentinel"
-	"yesquel/internal/lint/lockorder"
 	"yesquel/internal/lint/timerloop"
 )
 
 // suite is the full analyzer set.
 var suite = []*analysis.Analyzer{
-	lockorder.Analyzer,
 	errsentinel.Analyzer,
 	timerloop.Analyzer,
 }

@@ -5,7 +5,6 @@ package broken
 import (
 	"errors"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -25,20 +24,4 @@ func WaitAll(stop <-chan struct{}, n int) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-}
-
-// Store carries two of the store mutexes under their ranked names.
-type Store struct {
-	repMu   sync.Mutex
-	epochMu sync.Mutex
-	epoch   uint64
-}
-
-// Bump takes repMu under epochMu — the lockorder violation.
-func (s *Store) Bump() {
-	s.epochMu.Lock()
-	s.repMu.Lock()
-	s.epoch++
-	s.repMu.Unlock()
-	s.epochMu.Unlock()
 }

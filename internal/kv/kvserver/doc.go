@@ -40,19 +40,11 @@
 // applies it only at its own stream head; a backup that is behind (it
 // missed records, or is new) answers with its head, and the primary's
 // sender resends from there out of its retained tail, the same records
-// the write-ahead log holds.
-// That sender is the only way records reach a backup, and a member's
-// acks count only records its backup holds. A member the membership does
-// not list yet is attached before the epoch that adds it, and until
-// that epoch is installed it is a learner: caught up to the head it was
-// attached at, but the quorum neither waits for it nor fails with it. A backup ahead of the
-// primary's stream or diverged from it, or one whose gap the tail no
-// longer reaches back over, is rebuilt by the same sender: it pushes
-// the backup a snapshot of the primary's state down the mirror. A send
-// that fails does not end the sender: it backs off and probes the
-// member again, redialing, until the member answers — a backup that
-// died and came back at its address, even empty, rejoins with no
-// operator call.
+// the write-ahead log holds. That sender is the only way records reach
+// a backup: it also catches up learners, pushes snapshots to a backup
+// the tail no longer reaches or whose history diverged, and retries a
+// failed member without end, so a backup that came back at its address,
+// even empty, rejoins with no operator call (replcore.go).
 //
 // Placement is arithmetic: an OID's group is its slot modulo the group
 // count (kv.OID.Group), fixed when the cluster forms. A store told its
@@ -64,13 +56,15 @@
 // # Group commit and pipelined mirroring
 //
 // Emission and the durability wait are decoupled (pipeline.go), and
-// every decision of the primary's replication side — retry, resend,
-// push, learner to voter, quorum and lease — is one pure value, the
-// core (replcore.go), whose senders only carry out its actions. Every
-// commit, prepare and abort has one shape: emit the record, apply its
-// effects, record the decision — one repMu critical section — then wait
-// on the durability watermark outside it. What happens under repMu, on
-// every store — the invariants every consumer of the stream relies on:
+// every decision of the replication protocol is a pure value, with no
+// lock, clock or I/O: the primary's side is replCore (replcore.go),
+// whose member senders only carry out its actions, and the backup's side
+// is replicaCore (epoch.go), whose verdicts ApplyMirroredBatch only
+// carries out. Every commit, prepare and abort has one shape: emit the
+// record, apply its effects, record the decision — one repMu critical
+// section — then wait on the durability watermark outside it. What
+// happens under repMu, on every store — the invariants every consumer of
+// the stream relies on:
 //
 //   - sequence assignment and the epoch stamp;
 //   - the retained-tail append;
@@ -80,15 +74,9 @@
 //     lets snapshot captures and pushes claim exact coverage.
 //
 // What never happens under repMu: the mirror RPC and the
-// write-ahead-log write/fsync. Emitted records are queued to the
-// sinks: each attached member's sender goroutine coalesces whatever
-// accumulated — at any concurrency, everything emitted during the
-// previous batch's round trip — into ONE MirrorBatchReq RPC (one round
-// trip, one lease grant, one backup-side contiguous apply under one
-// stream-lock acquisition), and the WAL flusher into ONE batched append
-// (one buffer, one lock, one write, one fsync).
-// mirrorBatchMaxRecords caps a batch; Config.GroupCommitInterval
-// optionally lets one build.
+// write-ahead-log write/fsync. Each member's sender coalesces whatever
+// accumulated during its previous round trip into ONE mirror batch, and
+// the WAL flusher into ONE append and fsync (pipeline.go).
 //
 // The WATERMARK ACK RULE: a commit, prepare, or epoch change is
 // acknowledged only once its sequence number clears the durability
@@ -178,10 +166,10 @@
 //     send-time + Config.LeaseDuration. The member's sender is the one
 //     channel: a member sent nothing for LeaseDuration/3 gets an empty
 //     batch (the heartbeat), and a broken member grants nothing more.
-//     The backup symmetrically promises (its grant, recorded atomically
-//     with accepting the batch and measured from receipt,
-//     so the grant always outlasts the authority) not to accept a
-//     promotion before the grant expires. A promotion therefore waits
+//     The backup symmetrically promises (its grant, extended by the
+//     replica core's decision to accept the batch and measured from
+//     receipt, so the grant always outlasts the authority) not to
+//     accept a promotion before the grant expires. A promotion therefore waits
 //     out the grant (cluster.promote without force), which guarantees a
 //     partitioned stale primary stopped acknowledging reads AND writes
 //     before the new epoch acknowledges its first one. Orchestrators
@@ -196,39 +184,36 @@
 //     executed, so clients retry it safely after adopting the carried
 //     membership — including non-idempotent prepares and commits.
 //
+// The client path takes no lock to apply these rules: the configuration
+// in force is published as one immutable view (epoch, members, role, and
+// when the epoch came into force), replaced only when it changes, and
+// the primary's lease is a deadline stored into that view as monotonic-
+// clock nanoseconds, so an ack that moves it allocates nothing.
+//
 // Epochs also bound the orphan sweep: SweepOrphans may TTL-abort a
 // prepare only when the epoch under which it was accepted is provably
-// superseded (and the TTL, restarted at the bump, has given the
-// coordinator a redirect window). A prepare whose epoch is still
-// current is never unilaterally aborted — a participant that times out
-// after its coordinator decided commit would break atomicity; within a
-// stable epoch 2PC blocks, safely, and an operator can bump the epoch
-// to reap a provably dead coordinator's locks. This holds for every
-// store, a sole-member group included.
+// superseded (and a TTL, counted from the later of the prepare and the
+// bump, has given the coordinator a redirect window). A prepare whose
+// epoch is still current is never unilaterally aborted — a participant
+// that times out after its coordinator decided commit would break
+// atomicity; within a stable epoch 2PC blocks, safely, and an operator
+// can bump the epoch to reap a provably dead coordinator's locks. This
+// holds for every store, a sole-member group included.
 //
 // # Quorum groups
 //
-// The mirror pair generalizes to replication factors above 2: a
-// primary fans each batch out to N backup members in parallel (one
-// member loop, queue, and connection per member — pipeline.go — each
-// carrying out its member's actions from replcore.go), and
-// the durability watermark becomes "a MAJORITY of members have
-// acknowledged the sequence number, and it is fsynced locally when
-// LogSync demands it". With rf = 3 that means one backup ack
-// suffices, so a minority of backups being down, slow, or broken
-// stalls nothing: writes keep flowing at the speed of the fastest
-// majority, and a broken member's past acks still count toward
-// watermarks they already covered. Only when fewer live members
-// remain than a majority requires does the pipeline fail fast,
-// surfacing kv.ErrUncertain to in-flight commits instead of hanging.
+// A primary fans each batch out to its backups in parallel (one member
+// loop, queue, and connection per member), and a record is durable once
+// a MAJORITY of the group holds it (and it is fsynced locally when
+// LogSync demands it). With rf = 3 one backup ack suffices, so a
+// minority of backups down, slow, or broken stalls nothing; only when
+// fewer live members remain than a majority requires does the pipeline
+// fail fast, surfacing kv.ErrUncertain to in-flight commits.
 //
-// The lease generalizes the same way: a multi-member primary serves
-// while it holds unexpired grants from a MAJORITY of its backups
-// (every batch a member accepts, heartbeats included, is a grant) —
-// the same majority of the same installed membership the quorum counts,
-// kept in one table and published as one deadline — and a
-// promotion without force waits out the grants it observed. The two
-// majorities intersect, which is the whole safety argument: any
+// The lease counts the same majority of the same installed membership,
+// over one table (replcore.go), and a promotion without force waits out
+// the grants it observed. The two majorities intersect, which is the
+// whole safety argument: any
 // acknowledged write lives on at least one member of any electing
 // majority, and the member chosen by promotion is the MOST CAUGHT-UP
 // live member — the orchestrator freezes every live member
@@ -242,22 +227,15 @@
 // winner's stream stamped with a different epoch, the classic
 // isolated-old-primary-with-stranded-writes case — is rejected with
 // kv.ErrDiverged at every splice point and is rebuilt by a pushed
-// snapshot only:
-//
-//   - a mirror batch applies only at the replica's own head; otherwise
-//     the replica answers with its head, the epoch its stream installed
-//     there and a checksum of its record below it, and the sender
-//     resends only if its own retained record there matches both;
-//   - every applied record's epoch stamp must equal the epoch the
-//     replica's stream installed at that position (the per-record
-//     splice guard), so stranded old-epoch records can never be
-//     overlaid by a successor's re-stamped history, nor vice versa.
-//
-// A configuration change at the epoch a replica adopted out of band
-// must carry the membership it adopted, so a deposed primary that
-// re-forms its own group under the same epoch number collects no ack
-// from a loser waiting for its winner's record (WrongEpoch), nor
-// rebuilds it with a pushed snapshot, held to the same rule.
+// snapshot only: a gap reply carries the replica's head, the epoch its
+// stream installed there and a checksum of its record below it, and the
+// sender resends only if its own retained record there matches both;
+// and every applied record must carry the stamp the replica's stream
+// installed at its position (replicaCore.record). A configuration
+// change at the epoch a replica adopted out of band must carry the
+// membership it adopted (replicaCore.configOK), so a deposed primary
+// re-forming its own group under the same epoch number collects no ack
+// from a loser waiting for its winner's record, nor rebuilds it.
 //
 // # Batched reads
 //
@@ -381,16 +359,13 @@
 // commit and the prepare) and TestInstallDetachesUnnamedMembers
 // (InstallEpoch) see. The deliberate bounded waits under repMu (the
 // checkpoint drain, the snapshot-install rotation) say so in their doc
-// comments. The rules whose breach the tests do not reliably catch are
-// left to an analyzer suite (internal/lint, run as
-// `go run ./cmd/yesqlint ./...`, blocking in CI):
+// comments. They pin the lock order too: repMu before txMu, the shard
+// mutexes and pipe.mu, none of which is held with another (and the
+// client path takes none of them). Each inversion that can be written
+// among these four hangs tier-1 on every run. The rules whose breach the
+// tests do not reliably catch are left to an analyzer suite
+// (internal/lint, run as `go run ./cmd/yesqlint ./...`, blocking in CI):
 //
-//   - lockorder: the store's mutexes nest in one global order —
-//     repMu, then txMu, then epochMu (the pipeline's mutex, which the
-//     analyzer does not track, sits after repMu and txMu and before
-//     epochMu: the core's lease is published under both).
-//     Acquiring them in any other order (directly or via a
-//     same-package call) is flagged.
 //   - errsentinel: errors are classified by errors.Is/errors.As, an
 //     error reply after kv.DecodeError has turned its code and detail
 //     back into the typed error, never by comparing message text.

@@ -284,3 +284,36 @@ func TestMirrorRejectsStalePrimaryEpoch(t *testing.T) {
 		t.Fatalf("after catching up: epoch %d, seq %d; want 4, 4", l.Epoch(), l.ReplSeq())
 	}
 }
+
+// TestLeaseAllocBudget: the client path's epoch check reads the
+// published view and takes no lock, and publishing a primary's moved
+// lease — once per accepted batch — stores a deadline into that view:
+// neither allocates.
+func TestLeaseAllocBudget(t *testing.T) {
+	s := NewStore(nil, Config{})
+	s.SetSelf("a")
+	if err := s.InstallEpoch(2, []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckClientOp(2); !errors.Is(err, kv.ErrWrongEpoch) {
+		t.Fatalf("a pair's primary with no grant served: %v", err)
+	}
+	ack := func() {
+		s.pipe.mu.Lock()
+		s.pipe.core.leaseUntil = time.Now().Add(time.Hour)
+		s.pipe.core.out = append(s.pipe.core.out, replEffect{kind: effLease})
+		s.carryOutLocked()
+		s.pipe.mu.Unlock()
+	}
+	check := func() {
+		if err := s.CheckClientOp(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack()
+	for name, f := range map[string]func(){"lease publication": ack, "CheckClientOp": check} {
+		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {
+			t.Fatalf("%s: %.1f allocations, want none", name, allocs)
+		}
+	}
+}

@@ -161,7 +161,7 @@ func (s *Store) read(oid kv.OID, snap clock.Timestamp) (kv.Layered, clock.Timest
 			// were garbage-collected: what snap should see is gone, and
 			// "not found" would be a wrong answer (a hot tree root would
 			// read as dangling). The reader must take a fresh snapshot.
-			return kv.Layered{}, 0, false, fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
+			return kv.Layered{}, 0, false, fmt.Errorf("%w: snapshot predates GC horizon (versions trimmed past the retention window or the version cap)", kv.ErrConflict)
 		}
 		if !ok || v.Absent() {
 			return kv.Layered{}, 0, false, kv.ErrNotFound
@@ -250,7 +250,7 @@ func conflictLocked(obj *object, start clock.Timestamp, ops []*kv.Op) error {
 	if start <= obj.gcFloor {
 		// History below the GC floor is gone; we cannot prove the
 		// touched sets are disjoint.
-		return fmt.Errorf("%w: snapshot predates GC horizon", kv.ErrConflict)
+		return fmt.Errorf("%w: snapshot predates GC horizon (versions trimmed past the retention window or the version cap)", kv.ErrConflict)
 	}
 	txStructural := isStructural(ops)
 	for i := n - 1; i >= 0 && obj.versions[i].ts > start; i-- {

@@ -8,13 +8,14 @@ package kvserver
 // WAL append (one write, one fsync). Committers wait on the quorum and
 // synced watermarks before acknowledging the client.
 //
-// Every replication decision is the core's (replcore.go). Each member has
-// its own sender goroutine, so a dead member never stalls the others: it
-// asks the core for its next action, carries it out — a send, a snapshot
-// push, or a wait on one timer set to the core's next deadline — and
-// feeds the outcome back. What stays here is I/O and ordering: captures
-// under repMu, the divergence checks against commitLog, the sends, the
-// waiters, and the lease's publication under epochMu.
+// Every decision of the primary's side is the core's (replcore.go). Each
+// member has its own sender goroutine, so a dead member never stalls the
+// others: it asks the core for its next action, carries it out — a send,
+// a snapshot push, or a wait on one timer set to the core's next
+// deadline — and feeds the outcome back. What stays here is I/O and
+// ordering: captures under repMu, the divergence checks against
+// commitLog, the sends, the waiters, and the lease's publication into
+// the store's configuration view.
 
 import (
 	"errors"
@@ -63,9 +64,8 @@ type mirrorMember struct {
 }
 
 // replPipe is the per-store pipeline state. Lock order: repMu before
-// pipe.mu before epochMu and wal.mu; pipe.mu is never held across
-// network or disk I/O except by the checkpoint drain, which holds repMu
-// anyway.
+// pipe.mu before wal.mu; pipe.mu is never held across network or disk
+// I/O except by the checkpoint drain, which holds repMu anyway.
 type replPipe struct {
 	mu sync.Mutex
 	// walDone signals walFlushing transitions (checkpoint drains wait
@@ -226,11 +226,10 @@ func (s *Store) carryOutLocked() {
 				}
 			}
 		case effLease:
-			s.epochMu.Lock()
-			if until, ok := p.core.leaseFor(s.epoch); ok {
-				s.leaseUntil = until
+			v := s.view.Load()
+			if until, ok := p.core.leaseFor(v.epoch); ok {
+				v.setLease(until)
 			}
-			s.epochMu.Unlock()
 		}
 	}
 	clear(p.core.out)
@@ -454,7 +453,7 @@ func (s *Store) sendFailed(m *mirrorMember, err error) {
 func (s *Store) pushSnapshot(m *mirrorMember) {
 	p := &s.pipe
 	s.repMu.Lock()
-	sn, epoch := s.captureSnapshotLocked(), s.streamEpoch
+	sn, epoch := s.captureSnapshotLocked(), s.replica.streamEpoch
 	if sn.Epoch != epoch {
 		s.repMu.Unlock()
 		s.sendFailed(m, &kv.WrongEpochError{Epoch: sn.Epoch, Members: sn.Members})

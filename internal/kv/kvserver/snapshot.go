@@ -22,7 +22,7 @@ package kvserver
 // Two consumers share the format: the snapshot a primary's member
 // sender pushes, in chunks down the mirror, to a backup its retained log
 // no longer reaches or whose history diverged (pushSnapshot; the backup
-// installs it in acceptChunkLocked), and the write-ahead log's
+// installs it in ApplyMirroredBatch), and the write-ahead log's
 // checkpoint rotation (a restart replays the snapshot frame plus the
 // tail instead of the full history).
 
@@ -93,10 +93,7 @@ type snapDecision struct {
 // lock.
 func (s *Store) captureSnapshotLocked() *stateSnapshot {
 	sn := &stateSnapshot{Seq: s.repSeq, Clock: s.clock.Now()}
-	s.epochMu.Lock()
-	sn.Epoch = s.epoch
-	sn.Members = append([]string(nil), s.epochMembers...)
-	s.epochMu.Unlock()
+	sn.Epoch, sn.Members = s.replica.epoch, slices.Clone(s.replica.members)
 
 	type carriedTx struct {
 		txid uint64
@@ -346,7 +343,7 @@ func decodeSnapshot(p []byte) (*stateSnapshot, error) {
 // objects and version histories, the prepared- and decided-transaction
 // tables, the epoch and membership, and the stream position (repSeq
 // becomes the sequence the snapshot covers) — what a backup does with
-// the snapshot its primary pushed (acceptChunkLocked). Existing state
+// the snapshot its primary pushed (ApplyMirroredBatch). Existing state
 // is discarded and any blocked readers are woken, even when the
 // snapshot lies behind this replica's stream head: a replica whose
 // history DIVERGED from the group's (kv.ErrDiverged), such as an old
@@ -429,14 +426,13 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	s.commitLog = nil
 	s.commitLogBytes = 0
 	s.logBase = sn.Seq
-	// The snapshot's coverage includes every RecEpoch below its seq; its
-	// epoch is what the stream had installed there, whatever this
-	// replica's own stream had.
-	s.streamEpoch = sn.Epoch
 	s.pipe.mu.Lock()
 	s.pipe.core.restart(sn.Seq, sn.Epoch)
 	s.pipe.mu.Unlock()
-	s.installEpochState(sn.Epoch, append([]string(nil), sn.Members...))
+	// The snapshot's coverage includes every RecEpoch below its seq; its
+	// epoch is what the stream had installed there, whatever this
+	// replica's own stream had.
+	s.installLocked(sn.Epoch, sn.Members)
 	// Rotate the WAL onto the snapshot, so the (best-effort) appends of
 	// the records mirrored next land in the new file's tail. A
 	// rotation that never swapped files fails the install AND disables

@@ -1,6 +1,8 @@
 package kvserver
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +43,8 @@ type Store struct {
 	// retained-tail append, the hand-off to the sinks' queues, and the
 	// application of each record's effects all happen under it, so
 	// stream order, log order, and per-object version order agree on
-	// every replica. Lock order is repMu before shard mutexes.
+	// every replica. Lock order is repMu before txMu, the shard mutexes
+	// and pipe.mu (see the package doc).
 	repMu sync.Mutex
 	// repSeq is the next sequence number: the number of stream records
 	// (commits, prepares, decisions) this store has applied, natively
@@ -58,23 +61,13 @@ type Store struct {
 	// commitLogBytes is the estimated wire size of the retained log,
 	// maintained incrementally for the logMaxBytes bound.
 	commitLogBytes int
-	// pushed is the snapshot a primary is pushing to this backup, as far
-	// as its chunks have arrived, and pushFrom the seq it covers (see
-	// acceptChunkLocked). Guarded by repMu.
-	pushed   []byte
-	pushFrom uint64
-	// streamEpoch is the epoch installed BY THE STREAM at or below the
-	// current head: it advances only when a RecEpoch record is emitted
-	// or applied at its position (or a snapshot install seeds it), never
-	// by an out-of-band AdoptEpoch. That distinction is the splice
-	// guard: a deposed primary adopts the successor epoch from a
-	// rejection, but its STREAM still ends in the old epoch's records —
-	// so comparing incoming record stamps against streamEpoch (not
-	// epoch) still exposes the divergence. Every record applied at the
-	// head must be stamped with exactly streamEpoch; any other stamp
-	// means the record belongs to a history this replica never
-	// installed, rejected with kv.ErrDiverged. Guarded by repMu.
-	streamEpoch uint64
+	// replica is this member's configuration and its stream's acceptance
+	// state: the backup's side of the replication protocol (epoch.go). Its
+	// configuration is published as view. Guarded by repMu.
+	replica replicaCore
+	// pushed holds the bytes of the snapshot a primary is pushing to this
+	// backup, as far as replica has accepted its chunks. Guarded by repMu.
+	pushed []byte
 
 	// pipe is the group-commit replication pipeline: emitted records
 	// are queued here for the WAL flusher and the member senders, and
@@ -94,33 +87,11 @@ type Store struct {
 	// attaches it.
 	walTailBytes atomic.Int64
 
-	// epochMu guards the replication-group configuration and lease
-	// clocks. Lock order: repMu, txMu and pipe.mu before epochMu;
-	// epochMu holders never take another store mutex.
-	epochMu sync.Mutex
-	// epoch is the group's configuration number. A store is born at
-	// epoch 1 as the sole member of its own group, so it is never zero.
-	epoch uint64
-	// epochMembers is the current membership, acting primary first.
-	epochMembers []string
-	// self is this member's advertised address (Server.Listen sets it);
-	// the role follows from its position in epochMembers.
-	self string
-	// leaseUntil is, on a primary, the end of its authority: the
-	// majority-th latest grant among the backups of the membership it
-	// installed (see replCore; each accepted mirror batch, heartbeats
-	// included, grants send-time + LeaseDuration). grantUntil is, on a
-	// backup, the matching promise: no promotion is accepted before it.
-	// A grant is measured from before the batch was sent and grantUntil
-	// from after it was received, so grantUntil >= the grant always —
-	// the primary stops serving before enough backups may vote it out.
-	leaseUntil time.Time
-	grantUntil time.Time
-	// promoting freezes the grant clock: once a promotion has begun,
-	// no mirror batch is accepted (and therefore no
-	// ack can extend the old primary's authority), so the grant-expiry
-	// wait cannot be re-armed between the wait and the epoch install.
-	promoting bool
+	// view is the configuration in force as the client path reads it,
+	// with no lock (CheckClientOp, Epoch, Members): replica's, republished
+	// whole whenever it changes, with the lease the primary's core counts
+	// under it.
+	view atomic.Pointer[groupView]
 
 	// group is the index of the group this store serves, of groups
 	// groups (SetGroup). Both are set before the store serves and never
@@ -137,23 +108,186 @@ func NewStore(hlc *clock.HLC, cfg Config) *Store {
 	if hlc == nil {
 		hlc = clock.New()
 	}
+	cfg = cfg.withDefaults()
 	s := &Store{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		clock:   hlc,
 		txs:     make(map[uint64]*txRecord),
 		decided: make(map[uint64]decision),
-		// Born the sole primary of its own one-member group (named by
-		// SetSelf once it has an address), its stream starting in epoch 1.
-		epoch:        1,
-		streamEpoch:  1,
-		epochMembers: []string{""},
+		replica: newReplicaCore(cfg.LeaseDuration),
 	}
 	for i := range s.shard {
 		s.shard[i].objs = make(map[kv.OID]*object)
 	}
 	s.initPipe()
+	s.publishLocked()
 	return s
+}
+
+// OpenStore builds a store from cfg, replaying the write-ahead log when
+// cfg.LogPath is set: the snapshot checkpoint frame (if the log was
+// ever rotated) is installed first, then the record tail on top of it.
+// Subsequent stream records append to the same log. Prepares in the
+// log whose decision never made it are left staged in the prepared-
+// transaction table — a retried coordinator decision still lands, and
+// SweepOrphans reaps them if none comes. A Config with a negative value
+// is refused.
+func OpenStore(hlc *clock.HLC, cfg Config) (*Store, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	s := NewStore(hlc, cfg)
+	if cfg.LogPath == "" {
+		return s, nil
+	}
+	snapEnc, recs, err := replayWAL(cfg.LogPath)
+	if err != nil {
+		return nil, err
+	}
+	if snapEnc != nil {
+		sn, err := decodeSnapshot(snapEnc)
+		if err != nil {
+			// A checkpoint frame that passed its checksum but does not
+			// decode is a layout incompatibility, not a torn tail: every
+			// record in the file builds on the snapshot, so "recover what
+			// parses" would be an empty store wearing a real log's name.
+			return nil, fmt.Errorf("kvserver: log %s checkpoint snapshot: %w", cfg.LogPath, err)
+		}
+		s.repMu.Lock()
+		err = s.installSnapshotLocked(sn)
+		s.repMu.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("kvserver: log %s checkpoint snapshot: %w", cfg.LogPath, err)
+		}
+	}
+	for _, rec := range recs {
+		if err := s.applyReplicated(rec); err != nil {
+			// A semantically inconsistent record (e.g. a decision whose
+			// prepare was lost to a failed best-effort append on a
+			// backup) ends the usable log, like a torn tail: recover
+			// the prefix rather than refusing to start.
+			break
+		}
+	}
+	w, err := openWAL(cfg.LogPath, cfg.LogSync)
+	if err != nil {
+		return nil, err
+	}
+	s.repMu.Lock()
+	s.wal = w
+	s.pipe.mu.Lock()
+	// Replayed records are already on disk; the durability watermark
+	// starts at the head.
+	s.pipe.synced = s.repSeq
+	s.pipe.needWAL = true
+	s.pipe.wal = w
+	s.pipe.mu.Unlock()
+	s.startFlusherLocked()
+	s.repMu.Unlock()
+	return s, nil
 }
 
 // Clock returns the store's hybrid logical clock.
 func (s *Store) Clock() *clock.HLC { return s.clock }
+
+// groupView is the configuration in force as the client path reads it:
+// published whole (publishLocked) and never modified, but for the lease.
+type groupView struct {
+	epoch   uint64
+	members []string
+	role    string
+	since   time.Time // when epoch came into force (replicaCore.since)
+	// lease is, on a primary, the end of its authority under epoch
+	// (replCore.leaseFor), as monotonic nanoseconds after monoBase: stored
+	// on every change without allocating.
+	lease atomic.Int64
+}
+
+// monoBase is the origin of groupView.lease.
+var monoBase = time.Now()
+
+func (v *groupView) setLease(until time.Time) { v.lease.Store(int64(until.Sub(monoBase))) }
+
+// leaseValid reports whether the member holds the authority a lease
+// confers: sole members and non-primaries do (their authority questions
+// are answered by role), and a multi-member primary only until its lease
+// runs out.
+func (v *groupView) leaseValid() bool {
+	return len(v.members) <= 1 || v.role != RolePrimary || int64(time.Since(monoBase)) < v.lease.Load()
+}
+
+// publishLocked publishes replica's configuration as the view, with the
+// lease the primary's core holds under its epoch (none unless the core
+// installed it), under pipe.mu, where later leases are stored into it
+// (carryOutLocked). Caller holds repMu, or owns the store alone.
+func (s *Store) publishLocked() {
+	c := &s.replica
+	v := &groupView{epoch: c.epoch, members: slices.Clone(c.members), role: c.role(), since: c.since}
+	s.pipe.mu.Lock()
+	until, _ := s.pipe.core.leaseFor(v.epoch)
+	v.setLease(until)
+	s.view.Store(v)
+	s.pipe.mu.Unlock()
+}
+
+// SetSelf records this member's advertised address; the epoch role
+// (primary / backup / removed) follows from its position in the
+// current membership, where it keeps its place under the new name — a
+// fresh store stays the sole primary of its own group. Server.Listen
+// calls it with the bound address.
+func (s *Store) SetSelf(addr string) {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	s.replica.rename(addr)
+	s.publishLocked()
+}
+
+// Epoch returns the store's current replication-group epoch.
+func (s *Store) Epoch() uint64 { return s.view.Load().epoch }
+
+// Members returns a copy of the current membership, primary first.
+func (s *Store) Members() []string { return slices.Clone(s.view.Load().members) }
+
+// Role reports this member's role under the current epoch.
+func (s *Store) Role() string { return s.view.Load().role }
+
+// LeaseValid reports whether this member currently holds the authority
+// a lease confers (groupView.leaseValid).
+func (s *Store) LeaseValid() bool { return s.view.Load().leaseValid() }
+
+// GrantExpiry returns when the lease this member last granted runs
+// out; a non-forced promotion must wait until then, which is what
+// guarantees the deposed primary stopped serving first.
+func (s *Store) GrantExpiry() time.Time {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	return s.replica.grant
+}
+
+// BeginPromotion freezes this member's grant clock: from here until
+// the next epoch installs, every mirror batch is refused, so no
+// in-flight ack can extend the old primary's authority past the grant
+// expiry the promotion waits out.
+func (s *Store) BeginPromotion() {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	s.replica.beginPromotion()
+}
+
+// CheckClientOp gates a client operation (read or write) behind the
+// epoch discipline: only the current epoch's primary serves, only
+// while its lease is valid, and only for requests stamped with the
+// current epoch (or 0, a client that has not yet learned its group's
+// epoch and will from the response's piggyback). Every rejection is a
+// *WrongEpochError carrying the current epoch and membership, and
+// guarantees the operation was not executed. A lost quorum lease
+// rejects like a wrong role: a majority may already have promoted a
+// successor, and serving anything — even a read — could contradict it.
+func (s *Store) CheckClientOp(reqEpoch uint64) error {
+	v := s.view.Load()
+	if v.role != RolePrimary || reqEpoch != 0 && reqEpoch != v.epoch || !v.leaseValid() {
+		s.stats.WrongEpochRejects.Add(1)
+		return &kv.WrongEpochError{Epoch: v.epoch, Members: slices.Clone(v.members)}
+	}
+	return nil
+}

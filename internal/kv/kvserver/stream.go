@@ -1,9 +1,13 @@
 package kvserver
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
+	"time"
 
+	"yesquel/internal/clock"
 	"yesquel/internal/kv"
 	"yesquel/internal/wire"
 )
@@ -256,16 +260,10 @@ func (s *Store) maybeCheckpointSlackLocked(slack int) (bool, error) {
 // order, log order, per-object version order, and any state snapshot
 // captured under repMu all agree. Every record is stamped with the
 // epoch in effect when it enters the stream — except RecEpoch, whose
-// Epoch field carries the new epoch it installs.
+// Epoch field carries the new epoch it installs (InstallEpoch).
 func (s *Store) emitLocked(rec kv.ReplRecord) uint64 {
 	if rec.Kind != kv.RecEpoch {
-		s.epochMu.Lock()
-		rec.Epoch = s.epoch
-		s.epochMu.Unlock()
-	} else if rec.Epoch > s.streamEpoch {
-		// The stream itself is installing this epoch; record stamps from
-		// here on must match it (see streamEpoch).
-		s.streamEpoch = rec.Epoch
+		rec.Epoch = s.replica.epoch
 	}
 	return s.appendLocked(rec)
 }
@@ -284,4 +282,247 @@ func (s *Store) appendLocked(rec kv.ReplRecord) uint64 {
 	s.walTailBytes.Add(int64(size))
 	s.enqueueLocked(seq, rec)
 	return seq
+}
+
+// InstallEpoch moves the group to a new configuration, epoch newer than
+// the current one, as a RecEpoch record in the stream, so the whole group
+// agrees on the configuration history in stream order. The membership is
+// the quorum's and the lease's (replCore.install): the senders of the
+// members it does not name are detached before the record is emitted.
+// It returns once the record has cleared the durability watermark; a
+// replication failure leaves the epoch installed locally — the change is
+// real — and reports that the group has not acknowledged it.
+func (s *Store) InstallEpoch(newEpoch uint64, members []string) error {
+	s.repMu.Lock()
+	if cur := s.replica.epoch; newEpoch <= cur {
+		s.repMu.Unlock()
+		return fmt.Errorf("kvserver: epoch %d does not supersede current epoch %d", newEpoch, cur)
+	}
+	s.pipe.mu.Lock()
+	s.stopSendersLocked(s.pipe.core.install(newEpoch, members))
+	s.pipe.mu.Unlock()
+	rec := kv.ReplRecord{Kind: kv.RecEpoch, Epoch: newEpoch, Members: slices.Clone(members)}
+	seq := s.emitLocked(rec)
+	s.installLocked(rec.Epoch, rec.Members)
+	s.maybeCheckpointLocked()
+	s.repMu.Unlock()
+	if err := s.waitReplicated(seq); err != nil {
+		return fmt.Errorf("kvserver: replicating epoch %d: %w", newEpoch, err)
+	}
+	return nil
+}
+
+// AdoptEpoch installs a configuration this member learned out-of-band
+// (a deposed primary told of its successor via an ErrWrongEpoch
+// rejection). Unlike InstallEpoch it emits no stream record: this
+// member is not authoritative for the new epoch, it only needs to stop
+// serving the old one and redirect clients. No-op unless newEpoch is
+// newer.
+func (s *Store) AdoptEpoch(newEpoch uint64, members []string) {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	s.epochChangedLocked(s.replica.adopt(newEpoch, members, time.Now()))
+}
+
+// installLocked carries out replicaCore.install: the stream installed
+// epoch with members at its head. Caller holds repMu.
+func (s *Store) installLocked(epoch uint64, members []string) {
+	s.epochChangedLocked(s.replica.install(epoch, members, time.Now()))
+}
+
+func (s *Store) epochChangedLocked(changed bool) {
+	if changed {
+		s.publishLocked()
+		s.stats.EpochBumps.Add(1)
+	}
+}
+
+// applyReplicated installs a write-ahead-log record at the next
+// position in the stream during recovery, where sequence order is the
+// file order.
+func (s *Store) applyReplicated(rec kv.ReplRecord) error {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	if err := s.applyRecordLocked(rec); err != nil {
+		return err
+	}
+	s.maybeCheckpointLocked()
+	return nil
+}
+
+// ApplyMirroredBatch applies one group-commit batch from the primary
+// under ONE stream-lock acquisition — the backup half of the pipeline. It
+// carries out the replica core's verdicts (epoch.go): the batch is judged
+// first, which extends the grant before any ack can go out — even if the
+// apply then fails, an over-extended grant only delays a promotion. A
+// snapshot chunk's bytes are kept, and the last installs the snapshot,
+// replacing this replica's state and stream. A batch of records that does
+// not start at the head changes nothing: the gap reply carries a checksum
+// of the record below the head too, and the primary resends from there.
+// Otherwise the records are applied in order; an error on record k leaves
+// records 0..k-1 applied (a consistent prefix of the primary's stream)
+// and fails the batch. The replication-log bound runs once per batch,
+// with the live-mirror slack (see mirrorCheckpointSlack).
+func (s *Store) ApplyMirroredBatch(req *kv.MirrorBatchReq) error {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	c := &s.replica
+	if _, err := c.batch(req.Epoch, req.Recs, time.Now()); err != nil {
+		s.stats.WrongEpochRejects.Add(1)
+		return err
+	}
+	if len(req.Snap) > 0 || req.Last {
+		complete, err := c.chunk(req.Off, req.From, len(req.Snap), req.Last)
+		if err != nil {
+			return err
+		}
+		s.pushed = append(s.pushed[:req.Off], req.Snap...)
+		if !complete {
+			return nil
+		}
+		sn, err := decodeSnapshot(s.pushed)
+		s.pushed = nil
+		if err != nil {
+			return err
+		}
+		if err := c.snapshot(sn.Epoch, sn.Members, sn.Seq); err != nil {
+			var we *kv.WrongEpochError
+			if errors.As(err, &we) {
+				s.stats.WrongEpochRejects.Add(1)
+			}
+			return err
+		}
+		return s.installSnapshotLocked(sn)
+	}
+	s.pushed = nil
+	if gap := c.records(req.From, s.repSeq); gap != nil {
+		if s.repSeq > s.logBase {
+			gap.Last = recordChecksum(&s.commitLog[s.repSeq-1-s.logBase])
+		}
+		return gap
+	}
+	for i := range req.Recs {
+		if err := s.applyRecordLocked(req.Recs[i]); err != nil {
+			return err
+		}
+	}
+	s.maybeCheckpointSlackLocked(mirrorCheckpointSlack)
+	return nil
+}
+
+// applyRecordLocked applies one replicated stream record, once the
+// splice guard (replicaCore.record) passes it, and advances the stream
+// head. Caller holds repMu; per-object version order follows from
+// stream order. The record is appended to the replication log and this
+// replica's own write-ahead log, so a backup is durable and can itself
+// feed backups after a failover promotes it.
+func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
+	if err := s.replica.record(&rec, s.repSeq); err != nil {
+		return err
+	}
+	s.clock.Observe(rec.TS)
+	switch rec.Kind {
+	case kv.RecCommit:
+		s.applyCommittedOpsLocked(rec.TS, rec.Ops)
+		if rec.TxID != 0 {
+			s.recordDecision(rec.TxID, decision{commit: true, commitTS: rec.TS, replSeq: s.repSeq + 1})
+		}
+	case kv.RecPrepare:
+		if err := s.stageReplicatedPrepare(rec); err != nil {
+			return err
+		}
+	case kv.RecDecide:
+		s.txMu.Lock()
+		txRec := s.txs[rec.TxID]
+		delete(s.txs, rec.TxID)
+		s.txMu.Unlock()
+		if txRec == nil {
+			return fmt.Errorf("%w: decision for unknown tx %d: re-form the pair", kv.ErrDiverged, rec.TxID)
+		}
+		if rec.Commit {
+			s.applyStaged(rec.TxID, txRec.oids, rec.TS)
+		} else {
+			s.releaseLocks(rec.TxID, txRec.oids)
+		}
+		s.recordDecision(rec.TxID, decision{commit: rec.Commit, commitTS: rec.TS, replSeq: s.repSeq + 1})
+	case kv.RecEpoch:
+		// A configuration change flowing through the stream (or replayed
+		// from the log): roles and lease requirements follow from the
+		// membership; no object state changes.
+		s.installLocked(rec.Epoch, rec.Members)
+	default:
+		return fmt.Errorf("%w: replication record kind %d", kv.ErrBadRequest, rec.Kind)
+	}
+	// With a WAL the record also rides the batched flush — best-effort,
+	// since replicated state is already acknowledged upstream; a write
+	// error here only costs durability of this replica (WALFailures
+	// counts it), and batching keeps the backup's apply path — and
+	// therefore the primary's batch acknowledgment — off the fsync.
+	s.appendLocked(rec)
+	return nil
+}
+
+// applyCommittedOpsLocked installs one committed transaction's ops as
+// new versions at commitTS. Caller holds repMu.
+func (s *Store) applyCommittedOpsLocked(commitTS clock.Timestamp, ops []*kv.Op) {
+	oids, byOID := groupOps(ops)
+	for _, oid := range oids {
+		sh := s.shardFor(oid)
+		sh.mu.Lock()
+		obj := sh.objs[oid]
+		if obj == nil {
+			obj = &object{}
+			sh.objs[oid] = obj
+		}
+		// A bad record op ends the fold; keep what we have.
+		base, _ := newest(obj)
+		val, _ := applyOps(base, byOID[oid])
+		s.installVersionLocked(obj, commitTS, val, byOID[oid])
+		sh.mu.Unlock()
+	}
+}
+
+// stageReplicatedPrepare reconstructs a primary's prepare from a
+// stream record or a snapshot: the transaction enters the prepared
+// table and its write locks are taken, with the replicated proposed
+// timestamp and the value its ops produce staged as the primary's
+// prepare staged it, so a later promotion finds the in-flight
+// transaction intact. The primary validated conflicts and compares
+// before emitting the record and the stream is applied in order, so the
+// locks are free here and the ops apply to the base the primary's did;
+// a holder means the replicas diverged.
+func (s *Store) stageReplicatedPrepare(rec kv.ReplRecord) error {
+	oids, byOID := groupOps(rec.Ops)
+	s.txMu.Lock()
+	if _, dup := s.txs[rec.TxID]; dup {
+		s.txMu.Unlock()
+		return fmt.Errorf("%w: replicated duplicate prepare for tx %d", kv.ErrBadRequest, rec.TxID)
+	}
+	s.txs[rec.TxID] = &txRecord{oids: oids, replicated: true, epoch: rec.Epoch, preparedAt: time.Now()}
+	s.txMu.Unlock()
+	for _, oid := range oids {
+		sh := s.shardFor(oid)
+		sh.mu.Lock()
+		obj := sh.objs[oid]
+		if obj == nil {
+			obj = &object{}
+			sh.objs[oid] = obj
+		}
+		if obj.lock != nil {
+			holder := obj.lock.txid
+			sh.mu.Unlock()
+			s.releaseLocks(rec.TxID, oids)
+			s.txMu.Lock()
+			delete(s.txs, rec.TxID)
+			s.txMu.Unlock()
+			return fmt.Errorf("%w: replicated prepare for tx %d found %v locked by tx %d: re-form the pair", kv.ErrDiverged, rec.TxID, oid, holder)
+		}
+		// Validated by the primary's prepare on this same base, so an
+		// error is unreachable; the value reached is kept.
+		base, _ := newest(obj)
+		staged, _ := applyOps(base, byOID[oid])
+		obj.lock = &lockState{txid: rec.TxID, proposed: rec.TS, ops: byOID[oid], done: make(chan struct{}), staged: staged}
+		sh.mu.Unlock()
+	}
+	return nil
 }

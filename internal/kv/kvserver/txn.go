@@ -40,8 +40,8 @@ type txRecord struct {
 	// superseded; while it is current the coordinator may still
 	// legitimately drive a decided commit.
 	epoch uint64
-	// preparedAt drives the orphan-prepare TTL. An epoch bump resets it
-	// for prepares of older epochs, so a coordinator gets a full TTL
+	// preparedAt drives the orphan-prepare TTL, with the time the epoch
+	// that superseded it came into force: a coordinator gets a full TTL
 	// after a failover to redirect its decision.
 	preparedAt time.Time
 }
@@ -498,12 +498,13 @@ func (s *Store) abortLocked(txid uint64, rec *txRecord, orphan bool) {
 // SweepOrphans aborts prepares whose decision never arrived, subject
 // to the epoch discipline: a prepare may be TTL-aborted only when
 // the epoch under which it was accepted is provably superseded (the
-// group moved on — a failover or re-formation happened, and the TTL,
-// restarted at the bump, has since given the coordinator a full window
-// to redirect its decision to this member). A prepare whose epoch is
-// still current is NEVER unilaterally aborted: its coordinator may be
-// slow, partitioned, or mid-drive on a decided commit, and aborting
-// against a decided commit breaks atomicity. Within a stable epoch, 2PC
+// group moved on — a failover or re-formation happened, and a TTL,
+// counted from the later of the prepare and the bump, has since given
+// the coordinator a full window to redirect its decision to this
+// member). A prepare whose epoch is still current is NEVER
+// unilaterally aborted: its coordinator may be slow, partitioned, or
+// mid-drive on a decided commit, and aborting against a decided commit
+// breaks atomicity. Within a stable epoch, 2PC
 // blocks, safely; an operator can force an epoch bump to reap a
 // provably dead coordinator's locks.
 //
@@ -513,12 +514,12 @@ func (s *Store) abortLocked(txid uint64, rec *txRecord, orphan bool) {
 // were aborted.
 func (s *Store) SweepOrphans() int {
 	now := time.Now()
-	curEpoch := s.Epoch()
+	v := s.view.Load()
 	var victims []uint64
 	s.txMu.Lock()
 	for txid, rec := range s.txs {
 		// A prepare whose epoch is still current blocks, never aborts.
-		if rec.epoch < curEpoch && now.Sub(rec.preparedAt) >= prepareTTL {
+		if rec.epoch < v.epoch && now.Sub(rec.preparedAt) >= prepareTTL && now.Sub(v.since) >= prepareTTL {
 			victims = append(victims, txid)
 		}
 	}

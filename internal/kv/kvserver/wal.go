@@ -8,31 +8,22 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
-	"time"
 
-	"yesquel/internal/clock"
 	"yesquel/internal/kv"
 	"yesquel/internal/wire"
 )
 
-// Write-ahead log. When Config.LogPath is set, every replication
-// stream record (committed transaction, two-phase prepare, phase-two
-// decision) is appended (and optionally fsynced) to an append-only
-// file *before* its effects become visible, and OpenStore replays the
-// log on startup — including reconstructing the prepared-transaction
-// table from prepares whose decision had not arrived yet, so a
-// restarted participant can still apply the coordinator's outcome. The
-// format is length- and checksum-framed, so a torn final record (crash
-// mid-append) is detected and dropped rather than corrupting recovery.
-//
-// A snapshot checkpoint (Store.Checkpoint, or installing a transferred
-// snapshot) ROTATES the log: the file is atomically rewritten to hold a
-// single snapshot frame covering the stream up to the checkpoint, and
-// subsequent records append after it — so a restart replays snapshot +
-// tail instead of the full history, and the file's size is bounded by
-// the checkpoint cadence rather than the store's lifetime.
+// The write-ahead log's format. The log is an append-only file of
+// length- and checksum-framed frames, so a torn final frame (a crash
+// mid-append) is detected and dropped at replay (replayWAL) rather than
+// corrupting recovery. A checkpoint ROTATES it: the file is atomically
+// replaced by one that begins with the frames of a state snapshot
+// covering the stream up to the checkpoint, and records append after
+// them, so a replay reads a snapshot and a tail, and the file's size is
+// bounded by the checkpoint cadence rather than the store's lifetime.
+// What is logged, and when, is the stream's business (stream.go,
+// pipeline.go).
 //
 // File layout:
 //
@@ -463,356 +454,6 @@ func replayWAL(path string) (snapshot []byte, recs []kv.ReplRecord, err error) {
 			return snapshot, recs, nil
 		}
 	}
-}
-
-// OpenStore builds a store from cfg, replaying the write-ahead log when
-// cfg.LogPath is set: the snapshot checkpoint frame (if the log was
-// ever rotated) is installed first, then the record tail on top of it.
-// Subsequent stream records append to the same log. Prepares in the
-// log whose decision never made it are left staged in the prepared-
-// transaction table — a retried coordinator decision still lands, and
-// SweepOrphans reaps them if none comes. A Config with a negative value
-// is refused.
-func OpenStore(hlc *clock.HLC, cfg Config) (*Store, error) {
-	if err := cfg.check(); err != nil {
-		return nil, err
-	}
-	s := NewStore(hlc, cfg)
-	if cfg.LogPath == "" {
-		return s, nil
-	}
-	snapEnc, recs, err := replayWAL(cfg.LogPath)
-	if err != nil {
-		return nil, err
-	}
-	if snapEnc != nil {
-		sn, err := decodeSnapshot(snapEnc)
-		if err != nil {
-			// A checkpoint frame that passed its checksum but does not
-			// decode is a layout incompatibility, not a torn tail: every
-			// record in the file builds on the snapshot, so "recover what
-			// parses" would be an empty store wearing a real log's name.
-			return nil, fmt.Errorf("kvserver: log %s checkpoint snapshot: %w", cfg.LogPath, err)
-		}
-		s.repMu.Lock()
-		err = s.installSnapshotLocked(sn)
-		s.repMu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("kvserver: log %s checkpoint snapshot: %w", cfg.LogPath, err)
-		}
-	}
-	for _, rec := range recs {
-		if err := s.applyReplicated(rec); err != nil {
-			// A semantically inconsistent record (e.g. a decision whose
-			// prepare was lost to a failed best-effort append on a
-			// backup) ends the usable log, like a torn tail: recover
-			// the prefix rather than refusing to start.
-			break
-		}
-	}
-	w, err := openWAL(cfg.LogPath, cfg.LogSync)
-	if err != nil {
-		return nil, err
-	}
-	s.repMu.Lock()
-	s.wal = w
-	s.pipe.mu.Lock()
-	// Replayed records are already on disk; the durability watermark
-	// starts at the head.
-	s.pipe.synced = s.repSeq
-	s.pipe.needWAL = true
-	s.pipe.wal = w
-	s.pipe.mu.Unlock()
-	s.startFlusherLocked()
-	s.repMu.Unlock()
-	return s, nil
-}
-
-// applyReplicated installs a write-ahead-log record at the next
-// position in the stream during recovery, where sequence order is the
-// file order.
-func (s *Store) applyReplicated(rec kv.ReplRecord) error {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	if err := s.applyRecordLocked(rec); err != nil {
-		return err
-	}
-	s.maybeCheckpointLocked()
-	return nil
-}
-
-// ApplyMirroredBatch applies one group-commit batch from the primary
-// under ONE stream-lock acquisition — the backup half of the pipeline.
-// It refuses the batch while a promotion waits out the grant, or when
-// the sender's epoch is older than this replica's: the sender was
-// deposed, and acknowledging it would let a stale primary keep serving.
-// The guard reads the batch's epoch, not the records', because records
-// resent from the retained log legitimately carry older stamps. It also
-// refuses a batch carrying a configuration change that conflicts with
-// the epoch this replica adopted (see acceptConfigLocked).
-// Accepting extends the grant HERE, atomically with the decision to
-// accept (under repMu+epochMu, before any ack can go out): the primary
-// counts the ack as a lease grant measured from before it sent, so
-// the grant must always cover at least what the ack confers — even if
-// the apply later fails, an over-extended grant only delays a
-// promotion, never endangers it.
-//
-// A batch that does not start at this replica's stream head changes
-// nothing: the *kv.StreamGapError reply names the head, the epoch its
-// stream had installed there and a checksum of the record below it, and
-// the primary resends from that head. A batch with no records and a
-// snapshot piece is a chunk of a pushed snapshot (acceptChunkLocked);
-// any other batch drops a push left unfinished. Otherwise the records
-// are applied in order; an error on record k leaves records 0..k-1
-// applied (a consistent prefix of the primary's stream) and fails the
-// batch. The replication-log bound runs once per batch, with the
-// live-mirror slack (see mirrorCheckpointSlack): the primary is waiting
-// for the ack, so routine truncation is left to the server's checkpoint
-// ticker, with a hard ceiling so the memory bound never rests on a
-// ticker alone.
-func (s *Store) ApplyMirroredBatch(req *kv.MirrorBatchReq) error {
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	if err := s.acceptBatchLocked(req); err != nil {
-		return err
-	}
-	if len(req.Snap) > 0 || req.Last {
-		return s.acceptChunkLocked(req)
-	}
-	s.pushed = nil
-	if req.From != s.repSeq {
-		gap := &kv.StreamGapError{Head: s.repSeq, StreamEpoch: s.streamEpoch}
-		if s.repSeq > s.logBase {
-			gap.Last = recordChecksum(&s.commitLog[s.repSeq-1-s.logBase])
-		}
-		return gap
-	}
-	for i := range req.Recs {
-		if err := s.applyRecordLocked(req.Recs[i]); err != nil {
-			return err
-		}
-	}
-	s.maybeCheckpointSlackLocked(mirrorCheckpointSlack)
-	return nil
-}
-
-// acceptChunkLocked takes one chunk of a snapshot the primary is
-// pushing (see Store.pushSnapshot), accepted by the same rule as a
-// batch. A chunk at offset 0 starts a push; any other that does not
-// extend the one in progress exactly — a piece of an abandoned push,
-// arriving late — is refused. The last installs the snapshot, which
-// replaces this replica's state and stream, if its configuration passes
-// acceptConfigLocked, as a mirrored RecEpoch's must: a deposed primary
-// at the adopted epoch must not rebuild a member of the winner's group.
-// Caller holds repMu.
-func (s *Store) acceptChunkLocked(req *kv.MirrorBatchReq) error {
-	if req.Off == 0 {
-		s.pushed, s.pushFrom = nil, req.From
-	}
-	if req.Off != uint64(len(s.pushed)) || req.From != s.pushFrom {
-		return fmt.Errorf("%w: snapshot chunk at offset %d of the push of seq %d, which is at offset %d of seq %d", kv.ErrBadRequest, req.Off, req.From, len(s.pushed), s.pushFrom)
-	}
-	s.pushed = append(s.pushed, req.Snap...)
-	if !req.Last {
-		return nil
-	}
-	sn, err := decodeSnapshot(s.pushed)
-	s.pushed = nil
-	if err != nil {
-		return err
-	}
-	if sn.Seq != req.From {
-		return fmt.Errorf("%w: pushed snapshot covers seq %d, announced %d", kv.ErrBadRequest, sn.Seq, req.From)
-	}
-	// Epoch 1 is every store's birth epoch, a group of its own: no
-	// adopted membership to guard.
-	s.epochMu.Lock()
-	if sn.Epoch > 1 && !s.acceptConfigLocked(sn.Epoch, sn.Members) {
-		err = fmt.Errorf("pushed snapshot of a stale configuration at epoch %d: %w", sn.Epoch, s.wrongEpochLocked())
-	}
-	s.epochMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.installSnapshotLocked(sn)
-}
-
-// acceptBatchLocked is the split-brain guard on the mirror stream plus
-// the grant extension (see ApplyMirroredBatch). Caller holds repMu.
-func (s *Store) acceptBatchLocked(req *kv.MirrorBatchReq) error {
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	if s.promoting {
-		return fmt.Errorf("promotion in progress: %w", s.wrongEpochLocked())
-	}
-	if req.Epoch < s.epoch {
-		return fmt.Errorf("batch from deposed primary: %w", s.wrongEpochLocked())
-	}
-	for i := range req.Recs {
-		if rec := &req.Recs[i]; rec.Kind == kv.RecEpoch && !s.acceptConfigLocked(rec.Epoch, rec.Members) {
-			return fmt.Errorf("stale configuration change to epoch %d: %w", rec.Epoch, s.wrongEpochLocked())
-		}
-	}
-	if until := time.Now().Add(s.cfg.LeaseDuration); until.After(s.grantUntil) {
-		s.grantUntil = until
-	}
-	return nil
-}
-
-// acceptConfigLocked reports whether a mirrored RecEpoch, or a pushed
-// snapshot, may install its configuration here. One above the adopted
-// epoch advances it. One AT the adopted epoch must carry the membership
-// this replica adopted: a loser of a failover adopts its winner's epoch
-// out of band before the winner's RecEpoch reaches it, and a deposed
-// primary installing the same epoch number for its own group must not
-// collect this replica's ack — that would make two primaries at one
-// epoch. One below it is history a member still catching up to its
-// adopted epoch lacks (a configuration change its winner applied and it
-// missed); once its stream has installed the adopted epoch, nothing
-// older is legitimate. Caller holds repMu and epochMu.
-func (s *Store) acceptConfigLocked(epoch uint64, members []string) bool {
-	switch {
-	case epoch > s.epoch:
-		return true
-	case epoch == s.epoch:
-		return slices.Equal(members, s.epochMembers)
-	default:
-		return s.streamEpoch < s.epoch
-	}
-}
-
-// applyRecordLocked applies one replicated stream record and advances
-// the stream head. Caller holds repMu; per-object version order
-// follows from stream order. The record is appended to the replication
-// log and this replica's own write-ahead log, so a backup is durable
-// and can itself feed backups after a failover promotes it.
-func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
-	// The per-record epoch check — the splice guard. Every record except
-	// RecEpoch must be stamped with exactly the epoch this stream
-	// installed at or below the current head (streamEpoch), and a
-	// RecEpoch must advance it. A mismatch means the record belongs to a
-	// history this replica never installed: the classic case is a
-	// diverged-but-BEHIND replica fed by a successor whose retained log
-	// no longer reaches the record below its head — its stranded
-	// old-epoch records sit at sequence numbers the new stream
-	// re-stamped, so the positions all agree, and the first delivered
-	// record (stamped with the successor epoch the replica's stream never
-	// installed) is the only tell. The check is against the STREAM epoch,
-	// not the adopted one: a rejoining member that adopted the new epoch
-	// out of band must still apply the RecEpoch that installed it.
-	// Rejected with kv.ErrDiverged: such a replica is rebuilt by a
-	// pushed snapshot, never by record replay.
-	if rec.Kind == kv.RecEpoch && rec.Epoch <= s.streamEpoch || rec.Kind != kv.RecEpoch && rec.Epoch != s.streamEpoch {
-		return fmt.Errorf("%w: record at seq %d stamped epoch %d but this replica's stream installed epoch %d there: the histories diverged", kv.ErrDiverged, s.repSeq, rec.Epoch, s.streamEpoch)
-	}
-	s.clock.Observe(rec.TS)
-	switch rec.Kind {
-	case kv.RecCommit:
-		s.applyCommittedOpsLocked(rec.TS, rec.Ops)
-		if rec.TxID != 0 {
-			s.recordDecision(rec.TxID, decision{commit: true, commitTS: rec.TS, replSeq: s.repSeq + 1})
-		}
-	case kv.RecPrepare:
-		if err := s.stageReplicatedPrepare(rec); err != nil {
-			return err
-		}
-	case kv.RecDecide:
-		s.txMu.Lock()
-		txRec := s.txs[rec.TxID]
-		delete(s.txs, rec.TxID)
-		s.txMu.Unlock()
-		if txRec == nil {
-			return fmt.Errorf("%w: decision for unknown tx %d: re-form the pair", kv.ErrDiverged, rec.TxID)
-		}
-		if rec.Commit {
-			s.applyStaged(rec.TxID, txRec.oids, rec.TS)
-		} else {
-			s.releaseLocks(rec.TxID, txRec.oids)
-		}
-		s.recordDecision(rec.TxID, decision{commit: rec.Commit, commitTS: rec.TS, replSeq: s.repSeq + 1})
-	case kv.RecEpoch:
-		// A configuration change flowing through the stream (or replayed
-		// from the log): adopt the new epoch and membership. Roles and
-		// lease requirements follow from the membership; no object state
-		// changes. streamEpoch advances HERE — this is an epoch the
-		// stream itself installed, unlike an out-of-band AdoptEpoch.
-		s.streamEpoch = rec.Epoch
-		s.installEpochState(rec.Epoch, append([]string(nil), rec.Members...))
-	default:
-		return fmt.Errorf("%w: replication record kind %d", kv.ErrBadRequest, rec.Kind)
-	}
-	// With a WAL the record also rides the batched flush — best-effort,
-	// since replicated state is already acknowledged upstream; a write
-	// error here only costs durability of this replica (WALFailures
-	// counts it), and batching keeps the backup's apply path — and
-	// therefore the primary's batch acknowledgment — off the fsync.
-	s.appendLocked(rec)
-	return nil
-}
-
-// applyCommittedOpsLocked installs one committed transaction's ops as
-// new versions at commitTS. Caller holds repMu.
-func (s *Store) applyCommittedOpsLocked(commitTS clock.Timestamp, ops []*kv.Op) {
-	oids, byOID := groupOps(ops)
-	for _, oid := range oids {
-		sh := s.shardFor(oid)
-		sh.mu.Lock()
-		obj := sh.objs[oid]
-		if obj == nil {
-			obj = &object{}
-			sh.objs[oid] = obj
-		}
-		// A bad record op ends the fold; keep what we have.
-		base, _ := newest(obj)
-		val, _ := applyOps(base, byOID[oid])
-		s.installVersionLocked(obj, commitTS, val, byOID[oid])
-		sh.mu.Unlock()
-	}
-}
-
-// stageReplicatedPrepare reconstructs a primary's prepare from a
-// stream record or a snapshot: the transaction enters the prepared
-// table and its write locks are taken, with the replicated proposed
-// timestamp and the value its ops produce staged as the primary's
-// prepare staged it, so a later promotion finds the in-flight
-// transaction intact. The primary validated conflicts and compares
-// before emitting the record and the stream is applied in order, so the
-// locks are free here and the ops apply to the base the primary's did;
-// a holder means the replicas diverged.
-func (s *Store) stageReplicatedPrepare(rec kv.ReplRecord) error {
-	oids, byOID := groupOps(rec.Ops)
-	s.txMu.Lock()
-	if _, dup := s.txs[rec.TxID]; dup {
-		s.txMu.Unlock()
-		return fmt.Errorf("%w: replicated duplicate prepare for tx %d", kv.ErrBadRequest, rec.TxID)
-	}
-	s.txs[rec.TxID] = &txRecord{oids: oids, replicated: true, epoch: rec.Epoch, preparedAt: time.Now()}
-	s.txMu.Unlock()
-	for _, oid := range oids {
-		sh := s.shardFor(oid)
-		sh.mu.Lock()
-		obj := sh.objs[oid]
-		if obj == nil {
-			obj = &object{}
-			sh.objs[oid] = obj
-		}
-		if obj.lock != nil {
-			holder := obj.lock.txid
-			sh.mu.Unlock()
-			s.releaseLocks(rec.TxID, oids)
-			s.txMu.Lock()
-			delete(s.txs, rec.TxID)
-			s.txMu.Unlock()
-			return fmt.Errorf("%w: replicated prepare for tx %d found %v locked by tx %d: re-form the pair", kv.ErrDiverged, rec.TxID, oid, holder)
-		}
-		// Validated by the primary's prepare on this same base, so an
-		// error is unreachable; the value reached is kept.
-		base, _ := newest(obj)
-		staged, _ := applyOps(base, byOID[oid])
-		obj.lock = &lockState{txid: rec.TxID, proposed: rec.TS, ops: byOID[oid], done: make(chan struct{}), staged: staged}
-		sh.mu.Unlock()
-	}
-	return nil
 }
 
 // CloseLog drains the pipeline's queued records into the write-ahead

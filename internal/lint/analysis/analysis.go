@@ -34,8 +34,7 @@ type Pass struct {
 	// Files holds the parsed source files of the package under
 	// analysis (comments included).
 	Files []*ast.File
-	// Pkg and TypesInfo are the type-checked forms of Files.
-	Pkg       *types.Package
+	// TypesInfo is the type-checked form of Files.
 	TypesInfo *types.Info
 	// Report delivers one diagnostic to the driver, which aggregates
 	// them.

@@ -1,6 +1,6 @@
 // Package lint is the yesqlint driver: it loads packages and runs the
 // analyzer suite over them. The analyzers themselves live in
-// subpackages (lockorder, errsentinel, timerloop); cmd/yesqlint and the
+// subpackages (errsentinel, timerloop); cmd/yesqlint and the
 // analyzer tests both run them through Run. There is no suppression
 // comment: a finding is fixed, or the analyzer is changed.
 package lint
@@ -39,7 +39,6 @@ func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Find
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
-				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
 				Report: func(d analysis.Diagnostic) {
 					findings = append(findings, Finding{

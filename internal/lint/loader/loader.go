@@ -29,7 +29,6 @@ type Package struct {
 	ImportPath string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	Types      *types.Package
 	TypesInfo  *types.Info
 }
 
@@ -125,23 +124,17 @@ func typecheck(fset *token.FileSet, imp types.Importer, e listEntry) (*Package, 
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(e.ImportPath, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(e.ImportPath, fset, files, info); err != nil {
 		return nil, fmt.Errorf("loader: type-checking %s: %v", e.ImportPath, err)
 	}
 	return &Package{
 		ImportPath: e.ImportPath,
 		Fset:       fset,
 		Files:      files,
-		Types:      tpkg,
 		TypesInfo:  info,
 	}, nil
 }
