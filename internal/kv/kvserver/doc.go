@@ -235,7 +235,13 @@
 // change at the epoch a replica adopted out of band must carry the
 // membership it adopted (replicaCore.configOK), so a deposed primary
 // re-forming its own group under the same epoch number collects no ack
-// from a loser waiting for its winner's record, nor rebuilds it.
+// from a loser waiting for its winner's record, nor rebuilds it. A
+// snapshot claims its configuration as the one its stream installed, so
+// a store whose epoch in force was adopted out of band captures none
+// (captureSnapshotLocked): it pushes nothing, and its checkpoint
+// truncates the log without rotating the file, so a restart comes back
+// at the stream epoch its log installed and still accepts its winner's
+// RecEpoch.
 //
 // # Batched reads
 //

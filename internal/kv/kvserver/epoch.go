@@ -202,9 +202,13 @@ func (c *replicaCore) configOK(epoch uint64, members []string) bool {
 	case epoch == c.epoch:
 		return slices.Equal(members, c.members)
 	default:
-		return c.streamEpoch < c.epoch
+		return c.adopted()
 	}
 }
+
+// adopted reports whether the epoch in force came into force out of
+// band, past the one the stream installed.
+func (c *replicaCore) adopted() bool { return c.streamEpoch < c.epoch }
 
 // role is this member's role under the configuration in force.
 func (c *replicaCore) role() string {

@@ -173,6 +173,57 @@ func TestWALPersistsEpoch(t *testing.T) {
 	}
 }
 
+// TestAdoptedEpochCheckpointRotatesNoLog: the loser of a failover adopts
+// its winner's epoch out of band before the winner's RecEpoch reaches it.
+// A checkpoint then truncates but rotates no log, since a rotated log's
+// snapshot would claim on replay that the stream installed the adopted
+// epoch. So a restart comes back at the stream epoch the log installed,
+// and the winner's RecEpoch is accepted at its head, not refused as a
+// diverged history.
+func TestAdoptedEpochCheckpointRotatesNoLog(t *testing.T) {
+	cfg := Config{LogPath: t.TempDir() + "/wal.log"}
+	b, err := OpenStore(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetSelf("b")
+	put := kv.ReplRecord{Kind: kv.RecCommit, Epoch: 2, TS: b.Clock().Now(),
+		Ops: []*kv.Op{{Kind: kv.OpPut, OID: kv.MakeOID(0, 1), Value: kv.NewPlain([]byte("epoch-2"))}}}
+	if err := b.ApplyMirroredBatch(&kv.MirrorBatchReq{From: 0, Epoch: 2, Recs: []kv.ReplRecord{
+		{Kind: kv.RecEpoch, Epoch: 2, Members: []string{"a", "w", "b"}}, put,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	b.AdoptEpoch(3, []string{"w", "b"})
+	if _, err := b.Checkpoint(); err == nil {
+		t.Error("checkpoint at an adopted epoch says it rotated the log")
+	}
+	head, digest := b.ReplSeq(), b.StateDigest()
+	if err := b.CloseLog(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenStore(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.CloseLog()
+	r.repMu.Lock()
+	streamEpoch := r.replica.streamEpoch
+	r.repMu.Unlock()
+	if streamEpoch != 2 || r.ReplSeq() != head || r.StateDigest() != digest {
+		t.Fatalf("restart: stream epoch %d, head %d; want 2, %d and the same state", streamEpoch, r.ReplSeq(), head)
+	}
+	if err := r.ApplyMirroredBatch(&kv.MirrorBatchReq{From: head, Epoch: 3, Recs: []kv.ReplRecord{
+		{Kind: kv.RecEpoch, Epoch: 3, Members: []string{"w", "b"}},
+	}}); err != nil {
+		t.Fatalf("the winner's RecEpoch at the head after a restart: %v", err)
+	}
+	if r.Epoch() != 3 || r.ReplSeq() != head+1 {
+		t.Fatalf("after the winner's RecEpoch: epoch %d, head %d; want 3, %d", r.Epoch(), r.ReplSeq(), head+1)
+	}
+}
+
 // TestWALRefusesUnrecognizedFormat: a log written by a binary with a
 // different record layout must refuse to start loudly — the per-record
 // checksums cannot catch a field-layout change, so "recover what

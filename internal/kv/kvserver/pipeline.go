@@ -453,10 +453,11 @@ func (s *Store) sendFailed(m *mirrorMember, err error) {
 func (s *Store) pushSnapshot(m *mirrorMember) {
 	p := &s.pipe
 	s.repMu.Lock()
-	sn, epoch := s.captureSnapshotLocked(), s.replica.streamEpoch
-	if sn.Epoch != epoch {
+	sn := s.captureSnapshotLocked()
+	if sn == nil {
+		err := s.replica.wrongEpoch()
 		s.repMu.Unlock()
-		s.sendFailed(m, &kv.WrongEpochError{Epoch: sn.Epoch, Members: sn.Members})
+		s.sendFailed(m, err)
 		return
 	}
 	p.mu.Lock()
@@ -472,7 +473,7 @@ func (s *Store) pushSnapshot(m *mirrorMember) {
 		default:
 		}
 		sentAt := time.Now()
-		if err := m.send(&kv.MirrorBatchReq{From: sn.Seq, Epoch: epoch, Off: off, Snap: piece, Last: last}); err != nil {
+		if err := m.send(&kv.MirrorBatchReq{From: sn.Seq, Epoch: sn.Epoch, Off: off, Snap: piece, Last: last}); err != nil {
 			return err
 		}
 		off += uint64(len(piece))

@@ -91,7 +91,17 @@ type snapDecision struct {
 // are aliased, not copied — both are immutable once stored — and a
 // version is materialized only when the snapshot is encoded, off the
 // lock.
+//
+// A snapshot claims its configuration as the one its stream installed:
+// a pushed one installs it on the backup, a rotated log's on restart. So
+// a store whose epoch in force was adopted out of band, past the one
+// its stream installed (a deposed primary, or the loser of a failover
+// before its winner's RecEpoch arrives), captures nothing and returns
+// nil.
 func (s *Store) captureSnapshotLocked() *stateSnapshot {
+	if s.replica.adopted() {
+		return nil
+	}
 	sn := &stateSnapshot{Seq: s.repSeq, Clock: s.clock.Now()}
 	sn.Epoch, sn.Members = s.replica.epoch, slices.Clone(s.replica.members)
 

@@ -55,8 +55,10 @@ func recordChecksum(rec *kv.ReplRecord) uint32 {
 // snapshot. It returns the sequence number the checkpoint
 // covers. Unlike the policy (maybeCheckpointSlackLocked), which keeps a
 // half-cap tail and rotates the file only once the log has earned it,
-// the explicit checkpoint always rotates. A store without a
-// write-ahead log only truncates.
+// the explicit checkpoint always rotates — but for a store whose epoch
+// in force its stream has not installed (see captureSnapshotLocked):
+// that one truncates and returns an error saying it did not rotate. A
+// store without a write-ahead log only truncates.
 func (s *Store) Checkpoint() (uint64, error) {
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
@@ -91,6 +93,12 @@ func (s *Store) checkpointLocked(async bool) (uint64, error) {
 	// already-emitted records into the file.
 	sn := s.captureSnapshotLocked()
 	s.truncateLogLocked(async)
+	if sn == nil {
+		// The stream has not installed the epoch in force: the log keeps
+		// its file until it does (see captureSnapshotLocked).
+		s.ckptBusy.Store(false)
+		return 0, fmt.Errorf("kvserver: checkpoint truncated the log but did not rotate it: epoch %d was adopted, and the stream has installed only epoch %d", s.replica.epoch, s.replica.streamEpoch)
+	}
 	if !s.drainWALLocked() {
 		// Queued records could not reach the file; rotating now would
 		// let a later flush tee them after a snapshot that already

@@ -163,11 +163,14 @@ type Select struct {
 // Update is UPDATE ... SET.
 type Update struct {
 	Table string
-	Set   []struct {
-		Col string
-		E   Expr
-	}
+	Set   []Assignment
 	Where Expr
+}
+
+// Assignment is one SET col = expr of an UPDATE.
+type Assignment struct {
+	Col string
+	E   Expr
 }
 
 // Delete is DELETE FROM.

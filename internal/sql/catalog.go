@@ -417,19 +417,19 @@ func (cat *Catalog) CreateTable(ctx context.Context, tx *kvclient.Tx, st CreateT
 	}
 	// Create the table tree inside the same transaction: tree roots are
 	// plain kv objects, so this is atomic with the schema write.
-	return createTreeRootInTx(tx, cat.c, id)
+	createTreeRootInTx(tx, cat.c, id)
+	return nil
 }
 
 // createTreeRootInTx stages the root node of a fresh tree in tx,
 // mirroring dbt.Create but inside an enclosing transaction.
-func createTreeRootInTx(tx *kvclient.Tx, c *kvclient.Client, id uint64) error {
+func createTreeRootInTx(tx *kvclient.Tx, c *kvclient.Client, id uint64) {
 	root := kv.NewSuper()
 	root.Attrs[dbt.AttrHeight] = 0
 	root.Attrs[dbt.AttrTree] = id
 	root.LowKey = []byte{}
 	root.HighKey = nil
 	tx.Put(dbt.RootOID(id, c.NumServers()), root)
-	return nil
 }
 
 // DropTable removes the schema, its indexes, and marks the trees dead.
@@ -509,9 +509,7 @@ func (cat *Catalog) CreateIndex(ctx context.Context, tx *kvclient.Tx, st CreateI
 	if err := ct.Put(ctx, tx, key, wire.Encode(is, (*IndexSchema).wire)); err != nil {
 		return nil, err
 	}
-	if err := createTreeRootInTx(tx, cat.c, id); err != nil {
-		return nil, err
-	}
+	createTreeRootInTx(tx, cat.c, id)
 	cat.Invalidate(st.Table)
 	return is, nil
 }

@@ -166,10 +166,7 @@ func (e *env) eval(x Expr) (Value, error) {
 			if v.IsNull() {
 				return Null, nil
 			}
-			if v.Truthy() {
-				return Int(0), nil
-			}
-			return Int(1), nil
+			return boolVal(!v.Truthy()), nil
 		}
 		return Null, fmt.Errorf("sql: unknown unary op %s", t.Op)
 	case IsNull:
@@ -177,14 +174,7 @@ func (e *env) eval(x Expr) (Value, error) {
 		if err != nil {
 			return Null, err
 		}
-		res := v.IsNull()
-		if t.Not {
-			res = !res
-		}
-		if res {
-			return Int(1), nil
-		}
-		return Int(0), nil
+		return boolVal(v.IsNull() != t.Not), nil
 	case InList:
 		v, err := e.eval(t.E)
 		if err != nil {
@@ -204,19 +194,13 @@ func (e *env) eval(x Expr) (Value, error) {
 				continue
 			}
 			if Compare(v, lv) == 0 {
-				if t.Not {
-					return Int(0), nil
-				}
-				return Int(1), nil
+				return boolVal(!t.Not), nil
 			}
 		}
 		if anyNull {
 			return Null, nil
 		}
-		if t.Not {
-			return Int(1), nil
-		}
-		return Int(0), nil
+		return boolVal(t.Not), nil
 	case Between:
 		v, err := e.eval(t.E)
 		if err != nil {
@@ -234,13 +218,7 @@ func (e *env) eval(x Expr) (Value, error) {
 			return Null, nil
 		}
 		in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
-		if t.Not {
-			in = !in
-		}
-		if in {
-			return Int(1), nil
-		}
-		return Int(0), nil
+		return boolVal(in != t.Not), nil
 	case Call:
 		return e.evalScalarCall(t)
 	case aggRef:

@@ -68,9 +68,7 @@ func lex(src string) ([]token, error) {
 		c := l.src[l.pos]
 		switch {
 		case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-			if err := l.lexNumber(); err != nil {
-				return nil, err
-			}
+			l.lexNumber()
 		case c == '\'':
 			if err := l.lexString(); err != nil {
 				return nil, err
@@ -118,7 +116,7 @@ func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
 func isIdentStart(c byte) bool { return c == '_' || (c|0x20) >= 'a' && (c|0x20) <= 'z' }
 func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
 
-func (l *lexer) lexNumber() error {
+func (l *lexer) lexNumber() {
 	start := l.pos
 	isFloat := false
 	for l.pos < len(l.src) {
@@ -143,7 +141,6 @@ func (l *lexer) lexNumber() error {
 		kind = tokFloat
 	}
 	l.toks = append(l.toks, token{kind: kind, text: l.src[start:l.pos], pos: start})
-	return nil
 }
 
 func (l *lexer) lexString() error {

@@ -6,28 +6,55 @@ import (
 	"strconv"
 )
 
+// The parser is recursive descent over the lexer's tokens; every
+// production returns only its node. The first error ends the parse: fail
+// panics with a parseError, and parse — the one entry point — recovers
+// it and returns the error it carries. Any other panic is a bug and is
+// re-raised there, so a parseError never leaves this file.
+
 // Parse parses one SQL statement (a trailing semicolon is allowed).
 func Parse(src string) (Stmt, error) {
+	stmt, _, err := parse(src)
+	return stmt, err
+}
+
+// parse lexes and parses src as one statement, an optional ';' and the
+// end of input, and also returns the number of ? placeholders in it.
+func parse(src string) (stmt Stmt, nparams int, err error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p := &parser{toks: toks}
-	stmt, err := p.parseStmt()
-	if err != nil {
-		return nil, err
-	}
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(parseError)
+			if !ok {
+				panic(r)
+			}
+			stmt, nparams, err = nil, 0, pe.err
+		}
+	}()
+	stmt = p.parseStmt()
 	p.accept(tokSym, ";")
 	if p.cur().kind != tokEOF {
-		return nil, fmt.Errorf("sql: unexpected %s after statement", p.cur())
+		p.fail("sql: unexpected %s after statement", p.cur())
 	}
-	return stmt, nil
+	return stmt, p.params, nil
 }
+
+// parseError carries the error that ended a parse from fail to parse.
+type parseError struct{ err error }
 
 type parser struct {
 	toks   []token
 	pos    int
 	params int
+}
+
+// fail ends the parse with a formatted error.
+func (p *parser) fail(format string, args ...any) {
+	panic(parseError{fmt.Errorf(format, args...)})
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -46,52 +73,63 @@ func (p *parser) accept(kind tokKind, text string) bool {
 // acceptKw consumes a keyword.
 func (p *parser) acceptKw(kw string) bool { return p.accept(tokKeyword, kw) }
 
-func (p *parser) expect(kind tokKind, text string) (token, error) {
+// at reports whether the token off places past the current one is kind
+// with text.
+func (p *parser) at(off int, kind tokKind, text string) bool {
+	i := p.pos + off
+	return i < len(p.toks) && p.toks[i].kind == kind && p.toks[i].text == text
+}
+
+// expect consumes and returns the current token, which must match.
+func (p *parser) expect(kind tokKind, text string) token {
 	t := p.cur()
-	if t.kind == kind && (text == "" || t.text == text) {
-		p.pos++
-		return t, nil
+	if !p.accept(kind, text) {
+		want := text
+		if want == "" {
+			want = map[tokKind]string{tokIdent: "identifier", tokInt: "integer"}[kind]
+		}
+		p.fail("sql: expected %s, got %s", want, t)
 	}
-	want := text
-	if want == "" {
-		want = map[tokKind]string{tokIdent: "identifier", tokInt: "integer"}[kind]
-	}
-	return t, fmt.Errorf("sql: expected %s, got %s", want, t)
+	return t
 }
 
-func (p *parser) expectKw(kw string) error {
-	_, err := p.expect(tokKeyword, kw)
-	return err
-}
+func (p *parser) expectKw(kw string) { p.expect(tokKeyword, kw) }
 
-func (p *parser) ident() (string, error) {
-	t := p.cur()
-	// Allow non-reserved keywords (count, key, ...) as identifiers in
-	// easy positions? Keep strict: identifiers only.
-	if t.kind == tokIdent {
-		p.pos++
-		return t.text, nil
+func (p *parser) ident() string { return p.expect(tokIdent, "").text }
+
+// list parses one or more items separated by commas.
+func list[T any](p *parser, item func() T) []T {
+	var out []T
+	for {
+		out = append(out, item())
+		if !p.accept(tokSym, ",") {
+			return out
+		}
 	}
-	return "", fmt.Errorf("sql: expected identifier, got %s", t)
 }
 
-func (p *parser) parseStmt() (Stmt, error) {
+// parenList parses a parenthesised list.
+func parenList[T any](p *parser, item func() T) []T {
+	p.expect(tokSym, "(")
+	out := list(p, item)
+	p.expect(tokSym, ")")
+	return out
+}
+
+func (p *parser) parseStmt() Stmt {
 	t := p.cur()
 	if t.kind != tokKeyword {
-		return nil, fmt.Errorf("sql: expected statement, got %s", t)
+		p.fail("sql: expected statement, got %s", t)
 	}
 	switch t.text {
 	case "explain":
 		p.next()
-		inner, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
+		inner := p.parseStmt()
 		switch inner.(type) {
 		case Select, Update, Delete:
-			return Explain{Stmt: inner}, nil
+			return Explain{Stmt: inner}
 		}
-		return nil, fmt.Errorf("sql: EXPLAIN supports SELECT, UPDATE, and DELETE")
+		p.fail("sql: EXPLAIN supports SELECT, UPDATE, and DELETE")
 	case "create":
 		return p.parseCreate()
 	case "drop":
@@ -107,35 +145,42 @@ func (p *parser) parseStmt() (Stmt, error) {
 	case "begin":
 		p.next()
 		p.acceptKw("transaction")
-		return Begin{}, nil
+		return Begin{}
 	case "commit":
 		p.next()
-		return Commit{}, nil
+		return Commit{}
 	case "rollback":
 		p.next()
-		return Rollback{}, nil
+		return Rollback{}
 	}
-	return nil, fmt.Errorf("sql: unsupported statement %s", t)
+	p.fail("sql: unsupported statement %s", t)
+	return nil
 }
 
-func (p *parser) parseCreate() (Stmt, error) {
+func (p *parser) parseCreate() Stmt {
 	p.next() // create
 	unique := p.acceptKw("unique")
 	switch {
 	case p.acceptKw("table"):
 		if unique {
-			return nil, fmt.Errorf("sql: UNIQUE TABLE is not a thing")
+			p.fail("sql: UNIQUE TABLE is not a thing")
 		}
-		return p.parseCreateTable()
+		ine := p.parseIfNotExists()
+		name := p.ident()
+		return CreateTable{Name: name, IfNotExists: ine, Cols: parenList(p, p.parseColDef)}
 	case p.acceptKw("index"):
-		return p.parseCreateIndex(unique)
+		ine := p.parseIfNotExists()
+		name := p.ident()
+		p.expectKw("on")
+		table := p.ident()
+		return CreateIndex{Name: name, Table: table, Unique: unique, IfNotExists: ine, Cols: parenList(p, p.ident)}
 	}
-	return nil, fmt.Errorf("sql: expected TABLE or INDEX after CREATE, got %s", p.cur())
+	p.fail("sql: expected TABLE or INDEX after CREATE, got %s", p.cur())
+	return nil
 }
 
 func (p *parser) parseIfNotExists() bool {
-	if p.cur().kind == tokKeyword && p.cur().text == "if" {
-		p.next()
+	if p.acceptKw("if") {
 		p.acceptKw("not")
 		p.acceptKw("exists")
 		return true
@@ -143,43 +188,11 @@ func (p *parser) parseIfNotExists() bool {
 	return false
 }
 
-func (p *parser) parseCreateTable() (Stmt, error) {
-	ine := p.parseIfNotExists()
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokSym, "("); err != nil {
-		return nil, err
-	}
-	st := CreateTable{Name: name, IfNotExists: ine}
-	for {
-		col, err := p.parseColDef()
-		if err != nil {
-			return nil, err
-		}
-		st.Cols = append(st.Cols, col)
-		if p.accept(tokSym, ",") {
-			continue
-		}
-		break
-	}
-	if _, err := p.expect(tokSym, ")"); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-func (p *parser) parseColDef() (ColDef, error) {
-	var cd ColDef
-	name, err := p.ident()
-	if err != nil {
-		return cd, err
-	}
-	cd.Name = name
+func (p *parser) parseColDef() ColDef {
+	cd := ColDef{Name: p.ident()}
 	t := p.cur()
 	if t.kind != tokKeyword {
-		return cd, fmt.Errorf("sql: expected column type, got %s", t)
+		p.fail("sql: expected column type, got %s", t)
 	}
 	switch t.text {
 	case "integer", "int":
@@ -191,558 +204,268 @@ func (p *parser) parseColDef() (ColDef, error) {
 	case "blob":
 		cd.Type = TypeBlob
 	default:
-		return cd, fmt.Errorf("sql: unknown column type %s", t)
+		p.fail("sql: unknown column type %s", t)
 	}
 	p.next()
 	// VARCHAR(255)-style size, ignored.
 	if p.accept(tokSym, "(") {
-		if _, err := p.expect(tokInt, ""); err != nil {
-			return cd, err
-		}
-		if _, err := p.expect(tokSym, ")"); err != nil {
-			return cd, err
-		}
+		p.expect(tokInt, "")
+		p.expect(tokSym, ")")
 	}
 	for {
 		switch {
 		case p.acceptKw("primary"):
-			if err := p.expectKw("key"); err != nil {
-				return cd, err
-			}
+			p.expectKw("key")
 			cd.PrimaryKey = true
 		case p.acceptKw("not"):
-			if err := p.expectKw("null"); err != nil {
-				return cd, err
-			}
+			p.expectKw("null")
 			cd.NotNull = true
 		default:
-			return cd, nil
+			return cd
 		}
 	}
 }
 
-func (p *parser) parseCreateIndex(unique bool) (Stmt, error) {
-	ine := p.parseIfNotExists()
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("on"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokSym, "("); err != nil {
-		return nil, err
-	}
-	st := CreateIndex{Name: name, Table: table, Unique: unique, IfNotExists: ine}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		st.Cols = append(st.Cols, col)
-		if p.accept(tokSym, ",") {
-			continue
-		}
-		break
-	}
-	if _, err := p.expect(tokSym, ")"); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-func (p *parser) parseDrop() (Stmt, error) {
+func (p *parser) parseDrop() Stmt {
 	p.next() // drop
 	switch {
 	case p.acceptKw("table"):
 		ie := p.parseIfExists()
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return DropTable{Name: name, IfExists: ie}, nil
+		return DropTable{Name: p.ident(), IfExists: ie}
 	case p.acceptKw("index"):
 		ie := p.parseIfExists()
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return DropIndex{Name: name, IfExists: ie}, nil
+		return DropIndex{Name: p.ident(), IfExists: ie}
 	}
-	return nil, fmt.Errorf("sql: expected TABLE or INDEX after DROP")
+	p.fail("sql: expected TABLE or INDEX after DROP")
+	return nil
 }
 
 func (p *parser) parseIfExists() bool {
-	if p.cur().kind == tokKeyword && p.cur().text == "if" {
-		p.next()
+	if p.acceptKw("if") {
 		p.acceptKw("exists")
 		return true
 	}
 	return false
 }
 
-func (p *parser) parseInsert() (Stmt, error) {
+func (p *parser) parseInsert() Stmt {
 	p.next() // insert
-	if err := p.expectKw("into"); err != nil {
-		return nil, err
+	p.expectKw("into")
+	st := Insert{Table: p.ident()}
+	if p.at(0, tokSym, "(") {
+		st.Cols = parenList(p, p.ident)
 	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st := Insert{Table: table}
-	if p.accept(tokSym, "(") {
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, col)
-			if p.accept(tokSym, ",") {
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokSym, ")"); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.expectKw("values"); err != nil {
-		return nil, err
-	}
-	for {
-		if _, err := p.expect(tokSym, "("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if p.accept(tokSym, ",") {
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokSym, ")"); err != nil {
-			return nil, err
-		}
-		st.Rows = append(st.Rows, row)
-		if p.accept(tokSym, ",") {
-			continue
-		}
-		break
-	}
-	return st, nil
+	p.expectKw("values")
+	st.Rows = list(p, func() []Expr { return parenList(p, p.parseExpr) })
+	return st
 }
 
-func (p *parser) parseSelect() (Stmt, error) {
+func (p *parser) parseSelect() Stmt {
 	p.next() // select
 	st := Select{}
 	st.Distinct = p.acceptKw("distinct")
-	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
-		}
-		st.Items = append(st.Items, item)
-		if p.accept(tokSym, ",") {
-			continue
-		}
-		break
-	}
+	st.Items = list(p, p.parseSelectItem)
 	if p.acceptKw("from") {
-		tr, err := p.parseTableRef()
-		if err != nil {
-			return nil, err
-		}
+		tr := p.parseTableRef()
 		st.From = &tr
 		for {
 			inner := p.acceptKw("inner")
 			if !p.acceptKw("join") {
 				if inner {
-					return nil, fmt.Errorf("sql: expected JOIN after INNER")
+					p.fail("sql: expected JOIN after INNER")
 				}
 				break
 			}
-			right, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("on"); err != nil {
-				return nil, err
-			}
-			on, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.Joins = append(st.Joins, Join{Right: right, On: on})
+			right := p.parseTableRef()
+			p.expectKw("on")
+			st.Joins = append(st.Joins, Join{Right: right, On: p.parseExpr()})
 		}
 	}
 	if p.acceptKw("where") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = e
+		st.Where = p.parseExpr()
 	}
 	if p.acceptKw("group") {
-		if err := p.expectKw("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.GroupBy = append(st.GroupBy, e)
-			if p.accept(tokSym, ",") {
-				continue
-			}
-			break
-		}
+		p.expectKw("by")
+		st.GroupBy = list(p, p.parseExpr)
 	}
 	if p.acceptKw("having") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Having = e
+		st.Having = p.parseExpr()
 	}
 	if p.acceptKw("order") {
-		if err := p.expectKw("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{E: e}
+		p.expectKw("by")
+		st.OrderBy = list(p, func() OrderItem {
+			item := OrderItem{E: p.parseExpr()}
 			if p.acceptKw("desc") {
 				item.Desc = true
 			} else {
 				p.acceptKw("asc")
 			}
-			st.OrderBy = append(st.OrderBy, item)
-			if p.accept(tokSym, ",") {
-				continue
-			}
-			break
-		}
+			return item
+		})
 	}
 	if p.acceptKw("limit") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Limit = e
+		st.Limit = p.parseExpr()
 		if p.acceptKw("offset") {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.Offset = e
+			st.Offset = p.parseExpr()
 		}
 	}
-	return st, nil
+	return st
 }
 
-func (p *parser) parseSelectItem() (SelectItem, error) {
+func (p *parser) parseSelectItem() SelectItem {
 	// *, table.*
 	if p.accept(tokSym, "*") {
-		return SelectItem{E: Star{}}, nil
+		return SelectItem{E: Star{}}
 	}
-	if p.cur().kind == tokIdent && p.pos+2 < len(p.toks) &&
-		p.toks[p.pos+1].kind == tokSym && p.toks[p.pos+1].text == "." &&
-		p.toks[p.pos+2].kind == tokSym && p.toks[p.pos+2].text == "*" {
+	if p.cur().kind == tokIdent && p.at(1, tokSym, ".") && p.at(2, tokSym, "*") {
 		table := p.next().text
 		p.next() // .
 		p.next() // *
-		return SelectItem{E: Star{Table: table}}, nil
+		return SelectItem{E: Star{Table: table}}
 	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return SelectItem{}, err
-	}
-	item := SelectItem{E: e}
-	if p.acceptKw("as") {
-		alias, err := p.ident()
-		if err != nil {
-			return item, err
-		}
-		item.Alias = alias
-	} else if p.cur().kind == tokIdent {
-		item.Alias = p.next().text
-	}
-	return item, nil
+	item := SelectItem{E: p.parseExpr()}
+	item.Alias = p.parseAlias()
+	return item
 }
 
-func (p *parser) parseTableRef() (TableRef, error) {
-	name, err := p.ident()
-	if err != nil {
-		return TableRef{}, err
-	}
-	tr := TableRef{Name: name}
+// parseAlias parses an optional [AS] alias.
+func (p *parser) parseAlias() string {
 	if p.acceptKw("as") {
-		alias, err := p.ident()
-		if err != nil {
-			return tr, err
-		}
-		tr.Alias = alias
-	} else if p.cur().kind == tokIdent {
-		tr.Alias = p.next().text
+		return p.ident()
 	}
-	return tr, nil
+	if p.cur().kind == tokIdent {
+		return p.next().text
+	}
+	return ""
 }
 
-func (p *parser) parseUpdate() (Stmt, error) {
+func (p *parser) parseTableRef() TableRef {
+	tr := TableRef{Name: p.ident()}
+	tr.Alias = p.parseAlias()
+	return tr
+}
+
+func (p *parser) parseUpdate() Stmt {
 	p.next() // update
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("set"); err != nil {
-		return nil, err
-	}
-	st := Update{Table: table}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSym, "="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Set = append(st.Set, struct {
-			Col string
-			E   Expr
-		}{col, e})
-		if p.accept(tokSym, ",") {
-			continue
-		}
-		break
-	}
+	st := Update{Table: p.ident()}
+	p.expectKw("set")
+	st.Set = list(p, func() Assignment {
+		col := p.ident()
+		p.expect(tokSym, "=")
+		return Assignment{Col: col, E: p.parseExpr()}
+	})
 	if p.acceptKw("where") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = e
+		st.Where = p.parseExpr()
 	}
-	return st, nil
+	return st
 }
 
-func (p *parser) parseDelete() (Stmt, error) {
+func (p *parser) parseDelete() Stmt {
 	p.next() // delete
-	if err := p.expectKw("from"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st := Delete{Table: table}
+	p.expectKw("from")
+	st := Delete{Table: p.ident()}
 	if p.acceptKw("where") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = e
+		st.Where = p.parseExpr()
 	}
-	return st, nil
+	return st
 }
 
 // --- expressions (precedence climbing) ---
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() Expr { return p.parseOr() }
 
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseOr() Expr {
+	l := p.parseAnd()
 	for p.acceptKw("or") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = BinOp{Op: "or", L: l, R: r}
+		l = BinOp{Op: "or", L: l, R: p.parseAnd()}
 	}
-	return l, nil
+	return l
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseAnd() Expr {
+	l := p.parseNot()
 	for p.acceptKw("and") {
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = BinOp{Op: "and", L: l, R: r}
+		l = BinOp{Op: "and", L: l, R: p.parseNot()}
 	}
-	return l, nil
+	return l
 }
 
-func (p *parser) parseNot() (Expr, error) {
+func (p *parser) parseNot() Expr {
 	if p.acceptKw("not") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return UnOp{Op: "not", E: e}, nil
+		return UnOp{Op: "not", E: p.parseNot()}
 	}
 	return p.parseComparison()
 }
 
-func (p *parser) parseComparison() (Expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseComparison() Expr {
+	l := p.parseAdditive()
 	// IS [NOT] NULL
 	if p.acceptKw("is") {
 		not := p.acceptKw("not")
-		if err := p.expectKw("null"); err != nil {
-			return nil, err
-		}
-		return IsNull{E: l, Not: not}, nil
+		p.expectKw("null")
+		return IsNull{E: l, Not: not}
 	}
-	notIn := false
-	if p.cur().kind == tokKeyword && p.cur().text == "not" &&
-		p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tokKeyword &&
-		(p.toks[p.pos+1].text == "in" || p.toks[p.pos+1].text == "between" || p.toks[p.pos+1].text == "like") {
+	not := false
+	if p.at(0, tokKeyword, "not") &&
+		(p.at(1, tokKeyword, "in") || p.at(1, tokKeyword, "between") || p.at(1, tokKeyword, "like")) {
 		p.next()
-		notIn = true
+		not = true
 	}
-	if p.acceptKw("in") {
-		if _, err := p.expect(tokSym, "("); err != nil {
-			return nil, err
-		}
-		var list []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, e)
-			if p.accept(tokSym, ",") {
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokSym, ")"); err != nil {
-			return nil, err
-		}
-		return InList{E: l, List: list, Not: notIn}, nil
-	}
-	if p.acceptKw("between") {
-		lo, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("and"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return Between{E: l, Lo: lo, Hi: hi, Not: notIn}, nil
-	}
-	if p.acceptKw("like") {
-		r, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		e := Expr(BinOp{Op: "like", L: l, R: r})
-		if notIn {
+	switch {
+	case p.acceptKw("in"):
+		return InList{E: l, List: parenList(p, p.parseExpr), Not: not}
+	case p.acceptKw("between"):
+		lo := p.parseAdditive()
+		p.expectKw("and")
+		return Between{E: l, Lo: lo, Hi: p.parseAdditive(), Not: not}
+	case p.acceptKw("like"):
+		e := Expr(BinOp{Op: "like", L: l, R: p.parseAdditive()})
+		if not {
 			e = UnOp{Op: "not", E: e}
 		}
-		return e, nil
+		return e
 	}
 	t := p.cur()
 	if t.kind == tokSym {
 		switch t.text {
 		case "=", "<", "<=", ">", ">=":
 			p.next()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			return BinOp{Op: t.text, L: l, R: r}, nil
+			return BinOp{Op: t.text, L: l, R: p.parseAdditive()}
 		case "!=", "<>":
 			p.next()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			return BinOp{Op: "!=", L: l, R: r}, nil
+			return BinOp{Op: "!=", L: l, R: p.parseAdditive()}
 		}
 	}
-	return l, nil
+	return l
 }
 
-func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseAdditive() Expr {
+	l := p.parseMultiplicative()
 	for {
 		t := p.cur()
-		if t.kind == tokSym && (t.text == "+" || t.text == "-" || t.text == "||") {
-			p.next()
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = BinOp{Op: t.text, L: l, R: r}
-			continue
+		if t.kind != tokSym || (t.text != "+" && t.text != "-" && t.text != "||") {
+			return l
 		}
-		return l, nil
+		p.next()
+		l = BinOp{Op: t.text, L: l, R: p.parseMultiplicative()}
 	}
 }
 
-func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseMultiplicative() Expr {
+	l := p.parseUnary()
 	for {
 		t := p.cur()
-		if t.kind == tokSym && (t.text == "*" || t.text == "/" || t.text == "%") {
-			p.next()
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = BinOp{Op: t.text, L: l, R: r}
-			continue
+		if t.kind != tokSym || (t.text != "*" && t.text != "/" && t.text != "%") {
+			return l
 		}
-		return l, nil
+		p.next()
+		l = BinOp{Op: t.text, L: l, R: p.parseUnary()}
 	}
 }
 
-func (p *parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() Expr {
 	if p.accept(tokSym, "-") {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return UnOp{Op: "-", E: e}, nil
+		return UnOp{Op: "-", E: p.parseUnary()}
 	}
 	if p.accept(tokSym, "+") {
 		return p.parseUnary()
@@ -750,113 +473,80 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+func (p *parser) parsePrimary() Expr {
 	t := p.cur()
 	switch t.kind {
 	case tokInt:
 		p.next()
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("sql: bad integer %q", t.text)
+			p.fail("sql: bad integer %q", t.text)
 		}
-		return Lit{V: Int(i)}, nil
+		return Lit{V: Int(i)}
 	case tokFloat:
 		p.next()
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("sql: bad number %q", t.text)
+			p.fail("sql: bad number %q", t.text)
 		}
-		return Lit{V: Float(f)}, nil
+		return Lit{V: Float(f)}
 	case tokString:
 		p.next()
-		return Lit{V: Text(t.text)}, nil
+		return Lit{V: Text(t.text)}
 	case tokBlob:
 		p.next()
 		b, err := hex.DecodeString(t.text)
 		if err != nil {
-			return nil, fmt.Errorf("sql: bad blob literal")
+			p.fail("sql: bad blob literal")
 		}
-		return Lit{V: Blob(b)}, nil
+		return Lit{V: Blob(b)}
 	case tokParam:
 		p.next()
-		n := p.params
 		p.params++
-		return Param{N: n}, nil
+		return Param{N: p.params - 1}
 	case tokKeyword:
 		switch t.text {
 		case "null":
 			p.next()
-			return Lit{V: Null}, nil
+			return Lit{V: Null}
 		case "count", "sum", "avg", "min", "max":
 			return p.parseCall(t.text)
 		case "not":
 			p.next()
-			e, err := p.parseNot()
-			if err != nil {
-				return nil, err
-			}
-			return UnOp{Op: "not", E: e}, nil
+			return UnOp{Op: "not", E: p.parseNot()}
 		}
-		return nil, fmt.Errorf("sql: unexpected %s in expression", t)
 	case tokIdent:
 		// function call or column ref
-		if p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tokSym && p.toks[p.pos+1].text == "(" {
+		if p.at(1, tokSym, "(") {
 			return p.parseCall(t.text)
 		}
 		p.next()
 		if p.accept(tokSym, ".") {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return ColRef{Table: t.text, Col: col}, nil
+			return ColRef{Table: t.text, Col: p.ident()}
 		}
-		return ColRef{Col: t.text}, nil
+		return ColRef{Col: t.text}
 	case tokSym:
-		if t.text == "(" {
-			p.next()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokSym, ")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+		if p.accept(tokSym, "(") {
+			e := p.parseExpr()
+			p.expect(tokSym, ")")
+			return e
 		}
 	}
-	return nil, fmt.Errorf("sql: unexpected %s in expression", t)
+	p.fail("sql: unexpected %s in expression", t)
+	return nil
 }
 
-func (p *parser) parseCall(fn string) (Expr, error) {
+func (p *parser) parseCall(fn string) Expr {
 	p.next() // name
-	if _, err := p.expect(tokSym, "("); err != nil {
-		return nil, err
-	}
-	call := Call{Fn: fn}
+	p.expect(tokSym, "(")
 	if fn == "count" && p.accept(tokSym, "*") {
-		call.Star = true
-		if _, err := p.expect(tokSym, ")"); err != nil {
-			return nil, err
-		}
-		return call, nil
+		p.expect(tokSym, ")")
+		return Call{Fn: fn, Star: true}
 	}
-	call.Distinct = p.acceptKw("distinct")
+	call := Call{Fn: fn, Distinct: p.acceptKw("distinct")}
 	if !p.accept(tokSym, ")") {
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			call.Args = append(call.Args, e)
-			if p.accept(tokSym, ",") {
-				continue
-			}
-			break
-		}
-		if _, err := p.expect(tokSym, ")"); err != nil {
-			return nil, err
-		}
+		call.Args = list(p, p.parseExpr)
+		p.expect(tokSym, ")")
 	}
-	return call, nil
+	return call
 }

@@ -63,18 +63,9 @@ func (db *DB) parse(query string) (Stmt, int, error) {
 	if e, ok := db.parseCache[query]; ok {
 		return e.stmt, e.nparams, nil
 	}
-	toks, err := lex(query)
+	stmt, nparams, err := parse(query)
 	if err != nil {
 		return nil, 0, err
-	}
-	p := &parser{toks: toks}
-	stmt, err := p.parseStmt()
-	if err != nil {
-		return nil, 0, err
-	}
-	p.accept(tokSym, ";")
-	if p.cur().kind != tokEOF {
-		return nil, 0, fmt.Errorf("sql: unexpected %s after statement", p.cur())
 	}
 	if db.parseCache == nil {
 		db.parseCache = make(map[string]parsedEntry, 64)
@@ -85,6 +76,6 @@ func (db *DB) parse(query string) (Stmt, int, error) {
 		// values into SQL (their bug, not our memory leak).
 		db.parseCache = make(map[string]parsedEntry, 64)
 	}
-	db.parseCache[query] = parsedEntry{stmt: stmt, nparams: p.params}
-	return stmt, p.params, nil
+	db.parseCache[query] = parsedEntry{stmt: stmt, nparams: nparams}
+	return stmt, nparams, nil
 }
