@@ -17,7 +17,8 @@ import (
 var (
 	// ErrKeyNotFound reports a Get or Delete of an absent key.
 	ErrKeyNotFound = errors.New("dbt: key not found")
-	// ErrTreeNotFound reports opening a tree whose root does not exist.
+	// ErrTreeNotFound reports opening a tree whose root does not exist,
+	// or a descent that found the root gone: the tree was dropped.
 	ErrTreeNotFound = errors.New("dbt: tree not found")
 	// errStale is an internal signal that a descent followed stale
 	// routing information and must back down.
@@ -107,6 +108,36 @@ func Open(ctx context.Context, c *kvclient.Client, id uint64, cfg Config) (*Tree
 // transaction would not.
 func OpenUnchecked(c *kvclient.Client, id uint64, cfg Config) *Tree {
 	return newTree(c, id, cfg)
+}
+
+// Drop stages in tx the deletion of every node of the tree as tx sees it,
+// reading the inner nodes level by level, one round each, and no leaf. A
+// handle that outlives the drop finds none of the nodes it cached routes
+// to, and then no root: ErrTreeNotFound, never the dropped rows.
+func (t *Tree) Drop(ctx context.Context, tx *kvclient.Tx) error {
+	level := []kv.ReadBatchItem{{OID: t.root}}
+	for len(level) > 0 {
+		res, err := tx.ReadBatch(ctx, level)
+		if err != nil {
+			return err
+		}
+		var next []kv.ReadBatchItem
+		for i, r := range res {
+			tx.Delete(level[i].OID)
+			if !r.Found || r.Value.Attrs[AttrHeight] == 0 {
+				continue
+			}
+			for _, cell := range r.Value.Cells {
+				if child, err := childOID(cell); err == nil && r.Value.Attrs[AttrHeight] == 1 {
+					tx.Delete(child)
+				} else if err == nil {
+					next = append(next, kv.ReadBatchItem{OID: child})
+				}
+			}
+		}
+		level = next
+	}
+	return nil
 }
 
 func newTree(c *kvclient.Client, id uint64, cfg Config) *Tree {
@@ -315,9 +346,14 @@ func (t *Tree) descendOnce(ctx context.Context, tx *kvclient.Tx, key []byte, win
 			v, n, err := tx.ReadPart(ctx, cur, nodeWin.from, nodeWin.to, nodeWin.max)
 			if err != nil {
 				if errors.Is(err, kv.ErrNotFound) {
+					t.cache.invalidate(append(path, cur)...)
+					if cur == t.root {
+						// The root's OID never changes (RootOID, growRoot):
+						// an absent root is a dropped tree.
+						return leafInfo{}, ErrTreeNotFound
+					}
 					// Dangling pointer: the node was moved by a split
 					// newer than our routing information.
-					t.cache.invalidate(append(path, cur)...)
 					return leafInfo{}, fmt.Errorf("%w: dangling node %v", errStale, cur)
 				}
 				return leafInfo{}, err

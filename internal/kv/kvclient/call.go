@@ -10,60 +10,21 @@ import (
 	"yesquel/internal/rpc"
 )
 
-// callPolicy says how call handles a transport failure after the
-// request may have reached the server.
-type callPolicy int
-
-const (
-	// retryAlways: the operation is idempotent; retry on the next
-	// replica regardless of whether the first attempt was delivered.
-	// (A read retried on a backup while the primary is still alive is
-	// refused, not served stale: an unpromoted backup answers every
-	// client operation with ErrWrongEpoch.)
-	retryAlways callPolicy = iota
-	// retryUnsent: retry only when the request provably never left this
-	// process (rpc.ErrNotSent); a sent-but-unacknowledged attempt fails
-	// with the transport error. Used for Prepare: re-preparing on a
-	// backup while the primary may still hold the first vote would
-	// stage the transaction on two replicas at once.
-	retryUnsent
-	// retryUnsentUncertain: like retryUnsent, but a sent-but-
-	// unacknowledged attempt surfaces kv.ErrUncertain. Used for fast
-	// commits, which may have been applied and replicated before the
-	// acknowledgment was lost and are not idempotent (a one-shot
-	// transaction leaves no prepared state to retry against). Phase-two
-	// decisions of two-phase commit, by contrast, retry with
-	// retryAlways: prepares and decisions are replicated and
-	// remembered, so a duplicate is acknowledged server-side.
-	retryUnsentUncertain
-)
-
-// maxEpochHops bounds how many ErrWrongEpoch redirects that taught a
-// call nothing it will follow. A redirect past the epoch the request was
-// stamped with is not counted: the next attempt is stamped with a
-// strictly higher epoch, so those are bounded by the group's epochs.
-const maxEpochHops = 4
-
-// wrongEpochPause spaces the retries of a redirect that taught nothing
-// (see call).
+// wrongEpochPause spaces the attempts after a wrong-epoch refusal that
+// taught nothing (retryTable's nextMember).
 const wrongEpochPause = 2 * time.Millisecond
 
-// call issues method(enc(epoch)) against server slot's current
-// replica; enc re-encodes the request on every attempt so retries
-// always carry the freshest known group epoch. Transport failures
-// rotate the group to the next replica and retry according to policy.
-// An error reply is decoded once (kv.DecodeError) and its clock merged.
-// A reply of code CodeWrongEpoch guarantees the operation was not
-// executed, so — for every policy — the call retries. A request stamped
-// below the epoch the group now knows (this reply taught it, or a
-// concurrent call's did) was only stale: it retries at once on the
-// group's connection, which other calls may be using. A reply that
-// taught nothing rotates to the next replica.
-// Other error replies and context cancellation never fail over; they
-// return the decoded error.
-func (c *Client) call(ctx context.Context, server int, method string, enc func(epoch uint64) []byte, policy callPolicy) ([]byte, error) {
+// call issues method(enc(epoch)) against server slot's current replica,
+// encoding each attempt with the freshest epoch known. A failed attempt
+// is classed and method's row of retryTable says what follows; call
+// returns the last failure's class with its error. An error reply's
+// clock is merged; a transport failure drops the connection, pointing
+// the group at its next replica. The walk over the replicas restarts
+// when a newer epoch was learned, and ends one attempt past their count.
+func (c *Client) call(ctx context.Context, server int, method string, enc func(epoch uint64) []byte) ([]byte, failure, error) {
 	g := c.groups[server]
 	var lastErr error
+	last := notSent
 	epochHops := 0
 	// One reusable timer for every wrong-epoch pause of this call.
 	var pause *time.Timer
@@ -76,45 +37,53 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 		conn, err := g.get()
 		if err != nil {
 			if lastErr != nil {
-				return nil, lastErr
+				return nil, last, lastErr
 			}
-			return nil, err
+			return nil, notSent, err
 		}
 		stamp := g.epochNow()
 		resp, err := conn.Call(ctx, method, enc(stamp))
 		if err == nil {
-			return resp, nil
+			return resp, 0, nil
 		}
+		f := unanswered
 		var app *rpc.AppError
-		if errors.As(err, &app) {
+		switch {
+		case errors.As(err, &app):
 			// A failed commit may still have installed state at the
 			// server's clock: merging it makes this client's next snapshot
 			// cover whatever the failed call left behind.
-			err, ts := kv.DecodeError(err)
+			var ts kv.Timestamp
+			err, ts = kv.DecodeError(err)
 			c.hlc.Observe(ts)
+			f = errReply
 			var we *kv.WrongEpochError
-			if !errors.As(err, &we) {
-				return nil, err
+			if errors.As(err, &we) {
+				g.noteEpoch(we.Epoch, we.Members)
+				f = epochUntaught
+				if g.epochNow() > stamp {
+					f = epochTaught
+				}
 			}
-			lastErr = err
-			g.noteEpoch(we.Epoch, we.Members)
-			if g.epochNow() > stamp {
-				// This request was stale: start the replica walk over with
-				// the configuration now known (the preferred member may
-				// have changed under us).
-				attempt = -1
-				continue
+		case ctx.Err() != nil:
+			f = ctxDone
+		default:
+			g.invalidate(conn)
+			if errors.Is(err, rpc.ErrNotSent) {
+				f = notSent
 			}
-			if epochHops >= maxEpochHops {
-				return nil, err
-			}
+		}
+		lastErr, last = err, f
+		switch retry(method, f, epochHops) {
+		case fail:
+			return nil, f, err
+		case failUncertain:
+			return nil, f, fmt.Errorf("%w: %v", kv.ErrUncertain, err)
+		case nextMember:
+			// A backup's refusal, or a leaseless primary's: how a group looks
+			// while a promotion or a new epoch's first lease grant is in
+			// flight, which a walk that outran it would fail.
 			epochHops++
-			// Nothing new learned (a backup bounced us, or a primary
-			// without a lease): try the next replica — after a pause,
-			// because both are what a group looks like for the moment a
-			// promotion or a fresh epoch's first lease grant is in flight,
-			// and a walk that outruns it fails an operation the new
-			// configuration would have served.
 			g.invalidate(conn)
 			if pause == nil {
 				pause = time.NewTimer(wrongEpochPause)
@@ -124,23 +93,15 @@ func (c *Client) call(ctx context.Context, server int, method string, enc func(e
 			select {
 			case <-pause.C:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, ctxDone, ctx.Err()
 			}
-			continue
-		}
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		g.invalidate(conn)
-		lastErr = err
-		if policy != retryAlways && !errors.Is(err, rpc.ErrNotSent) {
-			if policy == retryUnsentUncertain {
-				return nil, fmt.Errorf("%w: %v", kv.ErrUncertain, err)
+		case retryNow:
+			if f == epochTaught {
+				attempt = -1
 			}
-			return nil, err
 		}
 	}
-	return nil, lastErr
+	return nil, last, lastErr
 }
 
 // observeAck merges an ack's clock and configuration piggybacks.
@@ -152,7 +113,7 @@ func (c *Client) observeAck(server int, ack *kv.Ack) {
 // Ping round-trips to server slot i, merging clocks and learning the
 // slot's current epoch and membership from the ack piggyback.
 func (c *Client) Ping(ctx context.Context, server int) error {
-	resp, err := c.call(ctx, server, kv.MethodPing, func(uint64) []byte { return nil }, retryAlways)
+	resp, _, err := c.call(ctx, server, kv.MethodPing, func(uint64) []byte { return nil })
 	if err != nil {
 		return err
 	}

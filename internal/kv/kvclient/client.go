@@ -5,6 +5,14 @@
 // snapshot isolation: buffered writes, first-committer-wins conflict
 // detection, one-round-trip fast commit for single-participant
 // transactions, and two-phase commit otherwise.
+//
+// Every call follows one retry table (commitcore.go), by method and by
+// how the attempt failed. A refused request was not executed and is
+// sent again; a lost request and a lost reply look alike to a client, so
+// only idempotent calls are re-sent after an attempt that got no reply.
+// A prepare never is — re-sent to another member it could stage the
+// transaction twice, so the transaction aborts — and nor is a fast
+// commit, which may have been applied: it fails with kv.ErrUncertain.
 package kvclient
 
 import (
@@ -26,28 +34,20 @@ import (
 // belongs to one goroutine, as in the paper's per-client query
 // processor).
 type Client struct {
-	// groups is the group list the client was opened with, group i
-	// owning every OID whose slot is i modulo its length. It never
-	// changes, so routing takes no lock; each group follows its own
-	// membership (replicaGroup).
-	groups []*replicaGroup
-
-	hlc *clock.HLC
-
-	nextTx  atomic.Uint64
-	nextOID atomic.Uint64
-
+	// groups is the group list the client was opened with (group i owns
+	// the OIDs whose slot is i modulo its length); it never changes, so
+	// routing takes no lock.
+	groups     []*replicaGroup
+	hlc        *clock.HLC
+	nextTx     atomic.Uint64
+	nextOID    atomic.Uint64
 	readRounds atomic.Uint64 // see ReadRounds
-
-	// hbStop terminates the membership heartbeat goroutine (see
-	// StartHeartbeat); hbMu guards restarts.
-	hbMu   sync.Mutex
-	hbStop chan struct{}
+	hbMu       sync.Mutex    // guards hbStop, which stops the heartbeat
+	hbStop     chan struct{}
 }
 
-// Open dials every storage server. The order of addrs defines server
-// slots: an OID with slot s lives on addrs[s % len(addrs)]. Each slot
-// has a single replica; use OpenReplicated for failover.
+// Open dials every storage server, one replica per slot: an OID with
+// slot s lives on addrs[s % len(addrs)]. OpenReplicated has failover.
 func Open(addrs []string) (*Client, error) {
 	groups := make([][]string, len(addrs))
 	for i, a := range addrs {
@@ -60,17 +60,11 @@ func Open(addrs []string) (*Client, error) {
 // lists the replica addresses for slot s, preferred (primary) first. An
 // OID lives in group slot % len(groups) (kv.OID.Group), so the list must
 // be the cluster's groups in the cluster's order; a group refuses an OID
-// it does not own with kv.ErrWrongSlot. The list never changes after
-// Open: each group follows its own membership, learned from the servers.
-// Reads and other idempotent operations transparently fail over to a
-// backup when the current replica dies; commits whose acknowledgment
-// is lost surface kv.ErrUncertain instead of retrying.
-//
-// Open also merges every server's clock into the client's before the
-// first transaction: a fresh client's wall clock may trail the
-// servers' hybrid logical clocks (their logical component runs ahead
-// under load), and a snapshot taken below already-committed timestamps
-// would silently miss that data.
+// it does not own with kv.ErrWrongSlot. Each group follows its own
+// membership, learned from the servers. Open merges every server's
+// clock into the client's before the first transaction: a fresh client's
+// wall clock may trail the servers' hybrid logical clocks, and a
+// snapshot below already-committed timestamps would miss that data.
 func OpenReplicated(groups [][]string) (*Client, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("kvclient: no servers")
@@ -92,26 +86,13 @@ func OpenReplicated(groups [][]string) (*Client, error) {
 	}
 	ctx := context.Background()
 	for s := range c.groups {
-		// One ping per slot merges the slot's clock and learns its
-		// current epoch and membership from the ack piggyback. The ping
-		// rotates across the slot's replicas, so a down replica is
-		// tolerated as long as ANY member of the group answers — a
-		// backup is enough (it carries the group's clock and knows the
-		// configuration), even though it would reject data operations.
+		// One ping per slot merges its clock and learns its epoch and
+		// membership; any member answers it, a backup too.
 		if err := c.Ping(ctx, s); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("kvclient: merging clock of server %d: %w", s, err)
 		}
 	}
-	// A client that stays idle across an entire epoch's lifetime would
-	// otherwise strand on dead addresses: ack piggybacks and redirects
-	// only reach a client that is talking. The heartbeat keeps an idle
-	// client's group view fresh from the same ping that seeded it —
-	// but only where there is a membership to follow: single-replica
-	// slots have no failover, and taxing every unreplicated client
-	// with a ping-per-second-per-slot would buy nothing. (Replicas
-	// learned later via piggybacks don't retrigger this; call
-	// StartHeartbeat manually for that unusual topology.)
 	for _, g := range c.groups {
 		if g.size() > 1 {
 			c.StartHeartbeat(DefaultHeartbeatInterval)
@@ -121,29 +102,23 @@ func OpenReplicated(groups [][]string) (*Client, error) {
 	return c, nil
 }
 
-// DefaultHeartbeatInterval is how often an otherwise idle client pings
-// each server slot to refresh its epoch and membership view (see
-// StartHeartbeat).
+// DefaultHeartbeatInterval is how often StartHeartbeat pings.
 const DefaultHeartbeatInterval = time.Second
 
-// heartbeatTimeout bounds one heartbeat ping's RPC time. Dialing a
-// blackholed replica is bounded separately by dialTimeout per replica
-// (get ignores the context), so a fully dead slot's ping can take a
-// few seconds — which is why the sweep pings slots concurrently: one
-// dead slot must not starve the others' refresh cadence.
+// heartbeatTimeout bounds one heartbeat ping. A dead slot's dials are
+// bounded apart (dialTimeout per replica), so slots are pinged
+// concurrently: one dead slot must not starve the others' refresh.
 const heartbeatTimeout = 2 * time.Second
 
-// StartHeartbeat (re)starts the background membership heartbeat: every
-// interval, the client pings each server slot (kv.MethodPing answers
-// from any replica, regardless of role), merging clocks and adopting
-// the epoch and membership the ack piggybacks. An ACTIVE client learns
-// configuration changes from its ordinary traffic; the heartbeat is
-// for the idle one — without it, a client that sleeps through a
-// failover AND the re-formation that retires the addresses it knows
-// wakes up stranded, with every replica it ever heard of dead.
-// OpenReplicated starts it at DefaultHeartbeatInterval; tests shorten
-// it to compress failover timelines. An interval <= 0 stops the
-// heartbeat without starting a new one.
+// StartHeartbeat (re)starts the membership heartbeat: every interval the
+// client pings each slot with several replicas, merging clocks and
+// adopting the epoch and membership the ack carries. A busy client learns
+// configuration changes from its traffic; an idle one that slept through
+// a failover and the re-formation that retired every address it knew
+// would wake up stranded. OpenReplicated starts it, at
+// DefaultHeartbeatInterval, when some slot has several replicas (one
+// that gains replicas later, by an ack, does not start it). An interval
+// <= 0 stops it.
 func (c *Client) StartHeartbeat(interval time.Duration) {
 	c.hbMu.Lock()
 	defer c.hbMu.Unlock()
@@ -165,11 +140,7 @@ func (c *Client) StartHeartbeat(interval time.Duration) {
 				return
 			case <-t.C:
 			}
-			// One concurrent ping per multi-replica slot (single-replica
-			// slots have no membership to follow): a slot whose replicas
-			// are all unreachable costs its own dial timeouts, not the
-			// others' freshness. The wait between ticks keeps at most
-			// one sweep in flight.
+			// Waiting for the sweep keeps at most one in flight.
 			var wg sync.WaitGroup
 			for s, g := range c.groups {
 				if g.size() <= 1 {
@@ -188,12 +159,9 @@ func (c *Client) StartHeartbeat(interval time.Duration) {
 	}()
 }
 
-// StopHeartbeat stops the background membership heartbeat.
-func (c *Client) StopHeartbeat() { c.StartHeartbeat(0) }
-
 // Close tears down all server connections.
 func (c *Client) Close() error {
-	c.StopHeartbeat()
+	c.StartHeartbeat(0)
 	for _, g := range c.groups {
 		g.close()
 	}

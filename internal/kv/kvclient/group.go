@@ -24,9 +24,8 @@ type replicaGroup struct {
 	cur      int    // index into addrs the connection (or next dial) uses
 	conn     *rpc.Client
 	connAddr string // address conn was dialed to
-	// closed marks the client torn down: no further dials. Without it,
-	// a heartbeat ping racing Close could re-dial after the teardown
-	// and leak the fresh connection.
+	// closed marks the client torn down: no further dials (a heartbeat
+	// racing Close would leak a fresh connection).
 	closed bool
 }
 

@@ -3,6 +3,7 @@ package kvclient
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"yesquel/internal/clock"
 	"yesquel/internal/kv"
@@ -10,13 +11,9 @@ import (
 
 // readItems is the one read path: it answers items at snap into out,
 // positionally (an absent object leaves Found=false, never an error),
-// in as few RPCs as the data's placement allows — one per owning group,
-// in parallel when there are several — and in one round. Items that
-// share one group — a single item always does — go out on the calling
-// goroutine with nothing built around them; of a round over k groups
-// the caller makes the first group's call itself and k-1 goroutines the
-// others'. When several groups fail, the first group's error is
-// returned.
+// in one round of one RPC per owning group. Items of one group go out on
+// the calling goroutine with nothing built around them. When several
+// groups fail, the first group's error is returned.
 func (c *Client) readItems(ctx context.Context, snap clock.Timestamp, items []kv.ReadBatchItem, out []kv.ReadBatchResult) error {
 	if len(items) == 0 {
 		return nil
@@ -42,12 +39,9 @@ func (c *Client) readItems(ctx context.Context, snap clock.Timestamp, items []kv
 	var parts []part
 	for i := range items {
 		s := c.ServerFor(items[i].OID)
-		at := 0
-		for at < len(parts) && parts[at].server != s {
-			at++
-		}
-		if at == len(parts) {
-			parts = append(parts, part{server: s})
+		at := slices.IndexFunc(parts, func(p part) bool { return p.server == s })
+		if at < 0 {
+			at, parts = len(parts), append(parts, part{server: s})
 		}
 		parts[at].idx = append(parts[at].idx, i)
 		parts[at].items = append(parts[at].items, items[i])
@@ -57,20 +51,15 @@ func (c *Client) readItems(ctx context.Context, snap clock.Timestamp, items []kv
 		p.res = make([]kv.ReadBatchResult, len(p.items))
 		p.err = c.readGroup(ctx, p.server, snap, p.items, p.res)
 	})
-	var err error
-	for i := range parts {
-		p := &parts[i]
+	for _, p := range parts {
 		if p.err != nil {
-			if err == nil {
-				err = p.err
-			}
-			continue
+			return p.err
 		}
 		for j, i := range p.idx {
 			out[i] = p.res[j]
 		}
 	}
-	return err
+	return nil
 }
 
 // ReadRounds counts the read rounds this client has made, one per
@@ -89,12 +78,12 @@ func (c *Client) readGroup(ctx context.Context, server int, snap clock.Timestamp
 	if one {
 		method = kv.MethodReadPart
 	}
-	respB, err := c.call(ctx, server, method, func(epoch uint64) []byte {
+	respB, _, err := c.call(ctx, server, method, func(epoch uint64) []byte {
 		if one {
 			return (&kv.ReadPartReq{Snap: snap, Epoch: epoch, Item: items[0]}).Encode()
 		}
 		return (&kv.ReadBatchReq{Snap: snap, Epoch: epoch, Items: items}).Encode()
-	}, retryAlways)
+	})
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package kvclient
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -14,41 +13,29 @@ import (
 // Tx is a snapshot-isolation transaction. Reads see the state as of the
 // start timestamp plus the transaction's own buffered writes; writes
 // are staged locally and sent to the servers only at Commit. A Tx is
-// not safe for concurrent use.
-//
-// A transaction keeps every base it fetched from the servers (its read
-// set, see readBase) until the end of the current statement: the layer
-// above marks where a statement ends (EndStatement), and a transaction
-// that never does is one statement. The set is therefore bounded by what
-// one statement read, and nothing one plan fetched is dropped for
-// another's sake.
+// not safe for concurrent use. It keeps every base it fetched (its read
+// set, see readBase) until the statement ends (EndStatement; a
+// transaction that never calls it is one statement).
 type Tx struct {
 	c     *Client
 	txid  uint64
 	start clock.Timestamp
 	done  bool
 
-	// Staged operations in program order, plus a per-OID index used for
-	// read-your-own-writes, made by the first write: a read-only
-	// transaction allocates none.
+	// Staged operations in program order, and a per-OID index of them
+	// for read-your-own-writes (none in a read-only transaction).
 	ops   []*kv.Op
 	byOID map[kv.OID][]*kv.Op
 
 	reads readSet
 
-	// after holds the OnCommit hooks and what they may ask; nil until
-	// the first is registered, so that a transaction without hooks (every
-	// read) pays nothing for them.
-	after *afterCommit
+	hooks  []commitHook // the OnCommit hooks, one per key, in registration order
+	commit *commitCore  // the commit, once it has run
 
-	// TestHookAfterVote, when non-nil, runs once after every
-	// participant voted yes and before any phase-two request is sent.
-	// Chaos tests use it to crash servers at the 2PC decision point;
-	// production code leaves it nil.
-	TestHookAfterVote func()
-	// TestHookBeforeAbort, when non-nil, runs before the abort fan-out
-	// that follows a failed prepare round. Tests use it to cancel the
-	// commit's context at the moment abortAll starts.
+	// Tests set these to act at the 2PC decision point: after every vote
+	// is yes and before any decision is sent, and before the abort
+	// fan-out that follows a failed prepare round.
+	TestHookAfterVote   func()
 	TestHookBeforeAbort func()
 }
 
@@ -125,27 +112,12 @@ func (t *Tx) SetBounds(oid kv.OID, low, high []byte) {
 // writes and wants one follow-up (a tree whose leaf the transaction grew
 // past its limit splits it there).
 func (t *Tx) OnCommit(key any, f func(context.Context)) {
-	if t.after == nil {
-		t.after = &afterCommit{}
-		t.after.hooks = t.after.oneHook[:0]
-	}
-	for _, h := range t.after.hooks {
+	for _, h := range t.hooks {
 		if h.key == key {
 			return
 		}
 	}
-	t.after.hooks = append(t.after.hooks, commitHook{key, f})
-}
-
-// afterCommit is what a transaction keeps for its OnCommit hooks: the
-// hooks, one per key in the order they were registered, and what the
-// last commit attempt's replies reported for the objects the transaction
-// bounded with kv.OpCmpMaxCells (Cells). The first of each lies inline.
-type afterCommit struct {
-	hooks    []commitHook
-	oneHook  [1]commitHook
-	cells    []cellsReply
-	oneCells [1]cellsReply
+	t.hooks = append(t.hooks, commitHook{key, f})
 }
 
 type commitHook struct {
@@ -157,53 +129,8 @@ type commitHook struct {
 // with, for an object the transaction bounded with a kv.OpCmpMaxCells op,
 // and whether the commit reported one: what a hook asks of an object its
 // transaction added cells to without reading it (a tree leaf it may have
-// to split). A transaction with no hooks keeps no counts.
-func (t *Tx) Cells(oid kv.OID) (int, bool) {
-	if t.after == nil {
-		return 0, false
-	}
-	for _, r := range t.after.cells {
-		j := 0
-		for _, op := range r.ops {
-			if op.Kind != kv.OpCmpMaxCells {
-				continue
-			}
-			if op.OID == oid {
-				return int(r.cells[j]), true
-			}
-			j++
-		}
-	}
-	return 0, false
-}
-
-// cellsReply is one participant's reply to a commit: cells answers, in op
-// order, the kv.OpCmpMaxCells ops among ops, the ops it was sent.
-type cellsReply struct {
-	ops   []*kv.Op
-	cells []uint64
-}
-
-// noteCells records a participant's cell counts. A reply that does not
-// answer each of its bounds reports nothing.
-func (t *Tx) noteCells(ops []*kv.Op, cells []uint64) {
-	if len(cells) == 0 || t.after == nil {
-		return
-	}
-	n := 0
-	for _, op := range ops {
-		if op.Kind == kv.OpCmpMaxCells {
-			n++
-		}
-	}
-	if n != len(cells) {
-		return
-	}
-	if t.after.cells == nil {
-		t.after.cells = t.after.oneCells[:0]
-	}
-	t.after.cells = append(t.after.cells, cellsReply{ops, cells})
-}
+// to split).
+func (t *Tx) Cells(oid kv.OID) (int, bool) { return t.commit.cells(oid) }
 
 // Read returns oid's value as this transaction sees it: the snapshot
 // version overlaid with the transaction's own staged operations.
@@ -215,11 +142,8 @@ func (t *Tx) Read(ctx context.Context, oid kv.OID) (*kv.Value, error) {
 // ReadPart returns a windowed view of a supervalue as this transaction
 // sees it: cells in [floor(from), to) capped at max, plus the node's
 // total cell count; the zero window (nil, nil, 0) is the whole object.
-// Compared with Read it ships only the needed cells over the network —
-// the mechanism that keeps DBT point operations off the bandwidth cliff
-// for large nodes. The transaction's staged operations are overlaid on
-// the window (see readItem for what that does to the cells and the
-// count).
+// Only the window crosses the network, which keeps DBT point operations
+// cheap on large nodes. Staged operations are overlaid (see readItem).
 func (t *Tx) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint32) (*kv.Value, int, error) {
 	res, err := t.readItem(ctx, kv.ReadBatchItem{OID: oid, Part: true, From: from, To: to, Max: max})
 	if err != nil {
@@ -231,14 +155,10 @@ func (t *Tx) ReadPart(ctx context.Context, oid kv.OID, from, to []byte, max uint
 	return res.Value, int(res.Total), nil
 }
 
-// ReadBatch performs len(items) reads at the transaction's snapshot in
-// as few RPCs as the data's placement allows: a Prefetch of the items,
-// then each answered from the read set. Staged operations are overlaid
-// item by item, so read-your-own-writes holds exactly as for ReadPart.
-//
-// Results are positional: results[i] answers items[i], with Found=false
-// for absent objects (never an error, unlike Read). Version is zero for
-// items that carry staged operations.
+// ReadBatch is a Prefetch of items, then each answered as ReadPart
+// would. results[i] answers items[i], with Found=false for an absent
+// object (never an error, unlike Read) and Version zero for one that
+// carries staged operations.
 func (t *Tx) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.ReadBatchResult, error) {
 	if err := t.Prefetch(ctx, items); err != nil {
 		return nil, err
@@ -253,17 +173,12 @@ func (t *Tx) ReadBatch(ctx context.Context, items []kv.ReadBatchItem) ([]kv.Read
 	return results, nil
 }
 
-// Prefetch brings the bases of items into the read set with one
-// Client.readItems round — one RPC per owning group, the groups in
-// parallel — so that the reads that follow, however they are issued
-// (ReadPart, Read, ReadBatch), are answered locally until the statement
-// ends. It is how a caller that can tell beforehand what it will read
-// turns N serial round trips into one, and as many callers as like may
-// plan within one statement: their bases accumulate. Items the set
-// already holds, and items a staged Put or Delete has overwritten, are
-// not fetched; if none is left there is no round. Prefetching is never
-// needed for correctness and never changes what a read returns: an item
-// that was not prefetched is simply read when it is asked for.
+// Prefetch brings the bases of items into the read set in one round (one
+// RPC per owning group, in parallel), so that the reads that follow are
+// answered locally until the statement ends: N serial round trips become
+// one. Prefetches within a statement accumulate. Items the set holds, or
+// a staged Put or Delete overwrote, are not fetched. It never changes
+// what a read returns.
 func (t *Tx) Prefetch(ctx context.Context, items []kv.ReadBatchItem) error {
 	if t.done {
 		return kv.ErrAborted
@@ -305,21 +220,15 @@ func lastOverwrite(staged []*kv.Op) int {
 	return -1
 }
 
-// readItem answers one item as this transaction sees it, and is the one
-// place a read meets the staged writes. The base is the servers' answer
-// at the snapshot (readBase: the read set, else the servers), or nothing
-// at all once a staged Put or Delete has overwritten the object. The
-// object's staged ops from that point on are applied on top
-// (kv.Overlay), so the result shares its untouched cells with the base.
-//
-// Over a fetched window, staged deltas land wherever they fall in the
-// node — extra cells outside the window are harmless, the callers select
-// by key. When the whole object is in hand — the zero window, or a
-// staged overwrite materialised locally — the window is cut from it.
-// Over a fetched window each staged insert counts into Total, which
-// makes it an upper bound (the key may have existed already; callers use
-// it only as a split heuristic); with the whole object in hand Total is
-// exact.
+// readItem answers one item as this transaction sees it, the one place
+// a read meets the staged writes: the base (readBase, or nothing once a
+// staged Put or Delete overwrote the object) with the object's staged ops
+// from then on applied on top (kv.Overlay, sharing untouched cells).
+// Over a fetched window staged deltas land wherever they fall (callers
+// select by key) and each staged insert counts into Total, an upper
+// bound used only as a split heuristic. With the whole object in hand
+// (the zero window, or a staged overwrite) the window is cut from it and
+// Total is exact.
 func (t *Tx) readItem(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchResult, error) {
 	if t.done {
 		return kv.ReadBatchResult{}, kv.ErrAborted
@@ -366,17 +275,11 @@ type readEntry struct {
 	base kv.ReadBatchResult
 }
 
-// readBase is the servers' answer to one item at the transaction's
-// snapshot, without the overlay of staged operations. Under snapshot
-// isolation that answer cannot change for the life of the transaction,
-// so the transaction keeps a read set and answers a repeat locally: a
-// Get followed by a Put or Delete of the same key asks for the same
-// window of the same leaf twice, and pays for one read; so does a node
-// read whole twice; and a statement that planned its reads (Prefetch)
-// finds every one of them here. The set holds what the current statement
-// read (see Tx) and is emptied when it ends. Returned values are shared
-// between callers and must not be modified (kv.Overlay copies before it
-// edits).
+// readBase is the servers' answer to one item at the snapshot, without
+// the staged operations. Under snapshot isolation it cannot change, so
+// the read set answers a repeat locally (a Get then a Put of one key
+// reads its leaf window once; a Prefetch plans a statement's reads). The
+// values are shared and must not be modified (kv.Overlay copies).
 func (t *Tx) readBase(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchResult, error) {
 	if base, ok := t.reads.get(it); ok {
 		return base, nil
@@ -391,11 +294,10 @@ func (t *Tx) readBase(ctx context.Context, it kv.ReadBatchItem) (kv.ReadBatchRes
 	return out[0], nil
 }
 
-// readSet holds a statement's read entries: the first few inline (a
-// point statement allocates nothing for them), the rest by a hash of
-// the item. A hit is checked against the item itself, and an entry whose
-// hash collides with an older one's replaces it: a collision costs a
-// read again, never a wrong answer.
+// readSet holds a statement's read entries, the first few inline, the
+// rest by a hash of the item. A hit is checked against the item, and a
+// colliding entry replaces the older: a collision costs a read, never a
+// wrong answer.
 type readSet struct {
 	first [4]readEntry
 	n     int
@@ -478,12 +380,11 @@ func ownKeys(items []kv.ReadBatchItem) {
 	}
 }
 
-// Commit atomically applies the staged writes. Read-only transactions
-// commit locally with no communication. Transactions touching one
-// server use the one-round-trip fast path; otherwise two-phase commit
-// runs across the participants. On conflict, Commit returns
-// kv.ErrConflict, and when a staged compare op fails, the participant's
-// *kv.CompareError; either way the transaction has no effect.
+// Commit atomically applies the staged writes: a read-only transaction
+// with no communication, one touching one group by fast commit, others by
+// two-phase commit. On conflict it returns kv.ErrConflict, and when a
+// staged compare op fails the participant's *kv.CompareError; either way
+// the transaction has no effect.
 func (t *Tx) Commit(ctx context.Context) error {
 	if t.done {
 		return kv.ErrAborted
@@ -494,160 +395,104 @@ func (t *Tx) Commit(ctx context.Context) error {
 	}
 
 	err := t.commitOps(ctx)
-	if err == nil && t.after != nil {
-		for _, h := range t.after.hooks {
+	if err == nil {
+		for _, h := range t.hooks {
 			h.f(ctx)
 		}
 	}
 	return err
 }
 
-// commitOps partitions the staged ops by participant group, then
-// fast-commits (one participant) or runs two-phase commit (several).
+// commitOps carries out the commit its core decides (commitcore.go):
+// each round of actions goes out at once, and what came of it goes back.
 func (t *Tx) commitOps(ctx context.Context) error {
-	byServer := make(map[int][]*kv.Op)
-	var servers []int
-	for _, op := range t.ops {
-		s := t.c.ServerFor(op.OID)
-		if _, ok := byServer[s]; !ok {
-			servers = append(servers, s)
-		}
-		byServer[s] = append(byServer[s], op)
-	}
-
-	if len(servers) == 1 {
-		return t.fastCommit(ctx, servers[0], byServer[servers[0]])
-	}
-	return t.twoPhaseCommit(ctx, servers, byServer)
-}
-
-// fastCommit is not idempotent: if the request was sent and the
-// connection died before the acknowledgment, the commit may have been
-// applied (and replicated), so call surfaces kv.ErrUncertain. When the
-// request provably never left (the primary died earlier), call retries
-// on the backup, which re-executes the whole one-shot transaction.
-func (t *Tx) fastCommit(ctx context.Context, server int, ops []*kv.Op) error {
-	respB, err := t.c.call(ctx, server, kv.MethodFastCommit, func(epoch uint64) []byte {
-		return (&kv.FastCommitReq{TxID: t.txid, Start: t.start, Ops: ops, Epoch: epoch}).Encode()
-	}, retryUnsentUncertain)
-	if err != nil {
-		return err
-	}
-	resp, err := kv.DecodeFastCommitResp(respB)
-	if err != nil {
-		return err
-	}
-	t.c.hlc.Observe(resp.Clock)
-	t.c.hlc.Observe(resp.CommitTS)
-	t.noteCells(ops, resp.Cells)
-	return nil
-}
-
-func (t *Tx) twoPhaseCommit(ctx context.Context, servers []int, byServer map[int][]*kv.Op) error {
-	type vote struct {
-		proposed clock.Timestamp
-		cells    []uint64
-		err      error
-	}
-	votes := make([]vote, len(servers))
-	fanOut(len(servers), func(i int) {
-		s := servers[i]
-		// Prepare retries on a backup only when the request provably
-		// never reached the primary (it was already dead) — or when
-		// it was rejected with ErrWrongEpoch, which guarantees
-		// nothing was staged. If the ack was merely lost, the
-		// primary may hold the vote, and re-preparing elsewhere
-		// would stage the transaction twice; the transaction aborts
-		// instead.
-		respB, err := t.c.call(ctx, s, kv.MethodPrepare, func(epoch uint64) []byte {
-			return (&kv.PrepareReq{TxID: t.txid, Start: t.start, Ops: byServer[s], Epoch: epoch}).Encode()
-		}, retryUnsent)
-		if err != nil {
-			votes[i].err = err
-			return
-		}
-		resp, err := kv.DecodePrepareResp(respB)
-		if err != nil {
-			votes[i].err = err
-			return
-		}
-		t.c.hlc.Observe(resp.Clock)
-		votes[i].proposed, votes[i].cells = resp.Proposed, resp.Cells
-	})
-
-	commitTS := clock.Timestamp(0)
-	var firstErr error
-	for _, v := range votes {
-		switch {
-		case v.err != nil:
-			if firstErr == nil {
-				firstErr = v.err
+	core := newCommitCore(t.ops, len(t.c.groups))
+	t.commit = core
+	acts := core.start()
+	for acts[0].kind != actDone {
+		ctx, cancel := t.round(ctx, acts[0].kind)
+		if round := acts; len(round) == 1 {
+			acts = t.send(ctx, core, round[0])() // a fast commit: nothing built around it
+		} else {
+			events := make([]func() []commitAction, len(round))
+			fanOut(len(round), func(i int) { events[i] = t.send(ctx, core, round[i]) })
+			for _, event := range events {
+				acts = event() // the round's last answer returns the next round
 			}
-		case v.proposed > commitTS:
-			commitTS = v.proposed
 		}
+		cancel()
 	}
-	if firstErr != nil {
-		t.abortAll(ctx, servers)
-		return firstErr
+	if core.commitTS != 0 {
+		t.c.hlc.Observe(core.commitTS)
 	}
-	for i, s := range servers {
-		t.noteCells(byServer[s], votes[i].cells)
-	}
-
-	// Decision point: all participants voted yes. The transaction is
-	// now decided-committed, and the coordinator's job is to drive that
-	// decision to every participant's replica group — on a detached,
-	// timeout-bounded context: the caller's context expiring mid-drive
-	// must not stop the fan-out halfway, or a decided-commit ends up
-	// applied on some participants and orphan-aborted on the rest.
-	if t.TestHookAfterVote != nil {
-		t.TestHookAfterVote()
-	}
-	ctx, cancelDecide := context.WithTimeout(context.WithoutCancel(ctx), decideTimeout)
-	defer cancelDecide()
-	errs := make([]error, len(servers))
-	fanOut(len(servers), func(i int) {
-		s := servers[i]
-		// The decision may be retried on any replica: prepares are
-		// replicated before the yes vote, so a promoted backup holds
-		// the prepared transaction, and decided outcomes are
-		// remembered server-side, so a duplicate CommitReq (lost
-		// acknowledgment, then retry) is acknowledged rather than
-		// rejected. (A retry reaching an unpromoted backup while the
-		// primary is alive but unreachable is answered with
-		// ErrWrongEpoch, so split brain is prevented, not merely
-		// detected: the decision lands only on the epoch's primary.)
-		respB, err := t.c.call(ctx, s, kv.MethodCommit, func(epoch uint64) []byte {
-			return (&kv.CommitReq{TxID: t.txid, CommitTS: commitTS, Epoch: epoch}).Encode()
-		}, retryAlways)
-		if err != nil {
-			errs[i] = fmt.Errorf("commit on server %d: %w", s, err)
-			return
-		}
-		if ack, err := kv.DecodeAck(respB); err == nil {
-			t.c.observeAck(s, ack)
-		}
-	})
-	t.c.hlc.Observe(commitTS)
-	for _, err := range errs {
-		if err != nil {
-			// The transaction is decided-committed but a participant's
-			// whole replica group was unreachable for the full drive
-			// window. Surface the error: callers must not assume the write
-			// is readable everywhere. The participant keeps the prepare
-			// (within its epoch the orphan sweep never aborts it), so a
-			// retried decision still lands once the group is reachable.
-			return fmt.Errorf("kv: commit incomplete: %w", err)
-		}
-	}
-	return nil
+	return acts[0].err
 }
 
-// fanOut runs call(0), …, call(n-1) at once and returns when all have:
-// the first on the calling goroutine, which would otherwise only wait,
-// the rest on goroutines of their own. Every round a client makes to
-// several groups — reads, prepares, decisions, aborts — goes out this way.
+// round returns the context a round of kind goes out on, after the test
+// hook that precedes it. The decision and the abort are driven on a
+// detached, bounded context: the caller's ending mid-decision must not
+// leave the commit applied on some participants and orphan-aborted on
+// the rest, and the caller's context is often why the prepares failed.
+func (t *Tx) round(ctx context.Context, kind actKind) (context.Context, context.CancelFunc) {
+	hook, timeout := t.TestHookAfterVote, decideTimeout
+	switch kind {
+	case actAbort:
+		hook, timeout = t.TestHookBeforeAbort, abortTimeout
+	case actFastCommit, actPrepare:
+		return ctx, func() {}
+	}
+	if hook != nil {
+		hook()
+	}
+	return context.WithTimeout(context.WithoutCancel(ctx), timeout)
+}
+
+// send carries out one action of core and returns the event that
+// answers it.
+func (t *Tx) send(ctx context.Context, core *commitCore, a commitAction) func() []commitAction {
+	p := &core.parts[a.p]
+	method := [...]string{actFastCommit: kv.MethodFastCommit, actPrepare: kv.MethodPrepare, actDecide: kv.MethodCommit, actAbort: kv.MethodAbort}[a.kind]
+	resp, f, err := t.c.call(ctx, p.server, method, func(epoch uint64) []byte {
+		switch a.kind {
+		case actFastCommit:
+			return (&kv.FastCommitReq{TxID: t.txid, Start: t.start, Ops: p.ops, Epoch: epoch}).Encode()
+		case actPrepare:
+			return (&kv.PrepareReq{TxID: t.txid, Start: t.start, Ops: p.ops, Epoch: epoch}).Encode()
+		case actDecide:
+			return (&kv.CommitReq{TxID: t.txid, CommitTS: a.ts, Epoch: epoch}).Encode()
+		}
+		return (&kv.AbortReq{TxID: t.txid, Epoch: epoch}).Encode()
+	})
+	var proposed clock.Timestamp
+	var cells []uint64
+	switch {
+	case a.kind >= actDecide:
+		if ack, derr := kv.DecodeAck(resp); err == nil && derr == nil {
+			t.c.observeAck(p.server, ack)
+		}
+		return func() []commitAction { return core.acked(a.p, err) }
+	case err != nil && !f.replied():
+		return func() []commitAction { return core.sendFailed(a.p, f != notSent, err) }
+	case err != nil:
+	case a.kind == actFastCommit:
+		var v *kv.FastCommitResp
+		if v, err = kv.DecodeFastCommitResp(resp); err == nil {
+			t.c.hlc.Observe(v.Clock)
+			proposed, cells = v.CommitTS, v.Cells
+		}
+	default:
+		var v *kv.PrepareResp
+		if v, err = kv.DecodePrepareResp(resp); err == nil {
+			t.c.hlc.Observe(v.Clock)
+			proposed, cells = v.Proposed, v.Cells
+		}
+	}
+	return func() []commitAction { return core.voted(a.p, proposed, cells, err) }
+}
+
+// fanOut runs call(0), …, call(n-1) at once and returns when all have,
+// the first on the calling goroutine: how every round a client makes to
+// several groups goes out.
 func fanOut(n int, call func(i int)) {
 	var wg sync.WaitGroup
 	for i := 1; i < n; i++ {
@@ -664,34 +509,9 @@ func fanOut(n int, call func(i int)) {
 // abortTimeout bounds the abort fan-out after a failed prepare round.
 const abortTimeout = 5 * time.Second
 
-// decideTimeout bounds the phase-two decision drive: long enough to
-// ride out a failover to the backup, bounded so a caller is not
-// wedged on a fully dark replica group.
+// decideTimeout bounds the decision drive: long enough to ride out a
+// failover, short enough not to wedge a caller on a dark group.
 const decideTimeout = 10 * time.Second
-
-func (t *Tx) abortAll(ctx context.Context, servers []int) {
-	if t.TestHookBeforeAbort != nil {
-		t.TestHookBeforeAbort()
-	}
-	// Run the abort RPCs on a detached, timeout-bounded context: the
-	// caller's context is often already cancelled or past its deadline
-	// when prepares fail (that may be *why* they failed), and dying
-	// with it would leave reachable participants holding their prepare
-	// locks until the orphan sweep.
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
-	defer cancel()
-	fanOut(len(servers), func(i int) {
-		s := servers[i]
-		respB, err := t.c.call(ctx, s, kv.MethodAbort, func(epoch uint64) []byte {
-			return (&kv.AbortReq{TxID: t.txid, Epoch: epoch}).Encode()
-		}, retryAlways)
-		if err == nil {
-			if ack, err := kv.DecodeAck(respB); err == nil {
-				t.c.observeAck(s, ack)
-			}
-		}
-	})
-}
 
 // Abort discards the transaction. Since writes are buffered
 // client-side, nothing is on the servers yet; Abort is local.

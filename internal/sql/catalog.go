@@ -209,9 +209,10 @@ func (h *indexHints) put(value []byte, rows [][]byte) {
 }
 
 // Catalog caches schemas and open tree handles for one client. Schemas
-// are invalidated on DDL through this catalog; concurrent DDL from
-// other clients is detected lazily (a vanished tree surfaces as
-// ErrTreeNotFound and drops the cache entry).
+// are invalidated on DDL through this catalog; DDL from other clients is
+// detected lazily: a statement whose handle names a dropped tree meets
+// dbt.ErrTreeNotFound, which drops every cached handle (Close), and an
+// auto-commit statement runs once more on what the catalog now says.
 type Catalog struct {
 	c       *kvclient.Client
 	treeCfg dbt.Config
@@ -456,7 +457,9 @@ func (cat *Catalog) DropTable(ctx context.Context, tx *kvclient.Tx, st DropTable
 	if err := ct.Delete(ctx, tx, key); err != nil {
 		return err
 	}
-	tx.Delete(dbt.RootOID(ts.TreeID, cat.c.NumServers()))
+	if err := cat.dropTree(ctx, tx, ts.TreeID); err != nil {
+		return err
+	}
 	// Drop dependent indexes.
 	indexes, err := scanCatalog(ctx, tx, ct, catKeyIndex, (*IndexSchema).wire)
 	if err != nil {
@@ -467,7 +470,9 @@ func (cat *Catalog) DropTable(ctx context.Context, tx *kvclient.Tx, st DropTable
 			if err := ct.Delete(ctx, tx, []byte(catKeyIndex+is.Name)); err != nil {
 				return err
 			}
-			tx.Delete(dbt.RootOID(is.TreeID, cat.c.NumServers()))
+			if err := cat.dropTree(ctx, tx, is.TreeID); err != nil {
+				return err
+			}
 		}
 	}
 	cat.Invalidate(st.Name)
@@ -538,7 +543,16 @@ func (cat *Catalog) DropIndex(ctx context.Context, tx *kvclient.Tx, st DropIndex
 	if err := ct.Delete(ctx, tx, key); err != nil {
 		return err
 	}
-	tx.Delete(dbt.RootOID(is.TreeID, cat.c.NumServers()))
+	if err := cat.dropTree(ctx, tx, is.TreeID); err != nil {
+		return err
+	}
 	cat.Invalidate(is.Table)
 	return nil
+}
+
+// dropTree stages, in tx, the deletion of every node of tree id (see
+// dbt.Tree.Drop): a handle another session cached then meets
+// dbt.ErrTreeNotFound instead of reading what was dropped.
+func (cat *Catalog) dropTree(ctx context.Context, tx *kvclient.Tx, id uint64) error {
+	return dbt.OpenUnchecked(cat.c, id, cat.treeCfg).Drop(ctx, tx)
 }

@@ -183,8 +183,14 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 
 	if db.tx != nil {
 		// Inside an explicit transaction: no auto-retry (the snapshot is
-		// pinned; the application owns conflict handling at COMMIT).
-		return db.runStmt(ctx, db.tx, stmt, args, false)
+		// pinned; the application owns conflict handling at COMMIT). A
+		// tree another session dropped surfaces, and the next statement
+		// reopens the handles.
+		res, rows, err := db.runStmt(ctx, db.tx, stmt, args, false)
+		if errors.Is(err, dbt.ErrTreeNotFound) {
+			db.cat.Close()
+		}
+		return res, rows, err
 	}
 
 	// Auto-commit: one kv transaction per statement, retried on
@@ -198,7 +204,7 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 	// exception is an UPDATE or DELETE by key whose row was not there: that
 	// affected nothing.
 	var lastErr error
-	blind := true
+	blind, reopened := true, false
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		tx := db.c.Begin()
 		res, rows, err := db.runStmt(ctx, tx, stmt, args, blind)
@@ -226,6 +232,12 @@ func (db *DB) runParsed(ctx context.Context, stmt Stmt, args []Value) (Result, *
 			// On the read path a compare fails when a transaction that
 			// committed after this one's snapshot changed what it checked:
 			// a conflict, which the next attempt reads afresh.
+		} else if errors.Is(err, dbt.ErrTreeNotFound) && !reopened {
+			// A cached handle names a tree another session's DDL dropped:
+			// reopen the handles from the catalog and run once more.
+			db.cat.Close()
+			reopened = true
+			continue
 		} else if !errors.Is(err, kv.ErrConflict) {
 			return Result{}, nil, err
 		}
