@@ -84,9 +84,9 @@ func wireCases() []wireCase {
 		{Kind: RecEpoch, Epoch: 3, Members: []string{"a:1", "b:2"}},
 	}
 	encValue := bufEncoder(func(b *wire.Buffer, v **Value) { EncodeValue(b, *v) })
-	decValue := readerDecoder(DecodeValue)
+	decValue := readerDecoder(decodeValue)
 	encOp := bufEncoder(func(b *wire.Buffer, op **Op) { EncodeOp(b, *op) })
-	decOp := readerDecoder(DecodeOp)
+	decOp := readerDecoder(decodeOp)
 	cases := []wireCase{
 		newCase("Value tombstone", new(*Value), encValue, decValue),
 		newCase("Value plain", func() **Value { v := NewPlain([]byte("payload")); return &v }(), encValue, decValue),
@@ -265,7 +265,7 @@ func TestHostileCountsAllocateLittle(t *testing.T) {
 		{"PrepareReq ops", commit, func(p []byte) (any, error) { return DecodePrepareReq(p) }},
 		{"FastCommitResp cells", commit, func(p []byte) (any, error) { return DecodeFastCommitResp(p) }},
 		{"PrepareResp cells", commit, func(p []byte) (any, error) { return DecodePrepareResp(p) }},
-		{"Value cells", super, func(p []byte) (any, error) { return DecodeValue(wire.NewReader(p)) }},
+		{"Value cells", super, func(p []byte) (any, error) { return decodeValue(wire.NewReader(p)) }},
 		{"MirrorBatchReq records", []byte{0, 0}, func(p []byte) (any, error) { return DecodeMirrorBatchReq(p) }},
 		{"ReadBatchResp results", nil, func(p []byte) (any, error) { return DecodeReadBatchResp(p) }},
 	} {

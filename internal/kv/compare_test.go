@@ -188,7 +188,7 @@ func TestCompareOpsRoundTrip(t *testing.T) {
 	for i, op := range ops {
 		b := wire.NewBuffer(64)
 		EncodeOp(b, op)
-		got, err := DecodeOp(wire.NewReader(b.Bytes()))
+		got, err := decodeOp(wire.NewReader(b.Bytes()))
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}

@@ -823,8 +823,8 @@ func optionalPair(c *wire.Codec, a, b *[]byte) {
 // EncodeValue appends v to b. A nil value encodes as a tombstone.
 func EncodeValue(b *wire.Buffer, v *Value) { wire.EncodeTo(b, &v, WireValue) }
 
-// DecodeValue reads a value encoded by EncodeValue.
-func DecodeValue(r *wire.Reader) (v *Value, err error) {
+// decodeValue reads a value encoded by EncodeValue.
+func decodeValue(r *wire.Reader) (v *Value, err error) {
 	err = wire.DecodeFrom(r, &v, ErrBadRequest, WireValue)
 	return v, err
 }
@@ -877,8 +877,8 @@ func WireOps(ops *[]*Op, c *wire.Codec) {
 // EncodeOp appends op to b.
 func EncodeOp(b *wire.Buffer, op *Op) { wire.EncodeTo(b, op, (*Op).wire) }
 
-// DecodeOp reads an op encoded by EncodeOp.
-func DecodeOp(r *wire.Reader) (*Op, error) {
+// decodeOp reads an op encoded by EncodeOp.
+func decodeOp(r *wire.Reader) (*Op, error) {
 	op := new(Op)
 	return op, wire.DecodeFrom(r, op, ErrBadRequest, (*Op).wire)
 }

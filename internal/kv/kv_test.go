@@ -54,7 +54,7 @@ func TestValueEncodeDecodePlain(t *testing.T) {
 		v := NewPlain(data)
 		b := wire.NewBuffer(64)
 		EncodeValue(b, v)
-		got, err := DecodeValue(wire.NewReader(b.Bytes()))
+		got, err := decodeValue(wire.NewReader(b.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestValueEncodeDecodePlain(t *testing.T) {
 func TestValueEncodeDecodeNil(t *testing.T) {
 	b := wire.NewBuffer(4)
 	EncodeValue(b, nil)
-	got, err := DecodeValue(wire.NewReader(b.Bytes()))
+	got, err := decodeValue(wire.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestValueEncodeDecodeSuper(t *testing.T) {
 	v := makeTestSuper()
 	b := wire.NewBuffer(256)
 	EncodeValue(b, v)
-	got, err := DecodeValue(wire.NewReader(b.Bytes()))
+	got, err := decodeValue(wire.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestValueEncodeDecodeSuperEmptyVsNilBounds(t *testing.T) {
 	v.LowKey = []byte{} // empty but present
 	b := wire.NewBuffer(64)
 	EncodeValue(b, v)
-	got, err := DecodeValue(wire.NewReader(b.Bytes()))
+	got, err := decodeValue(wire.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestOpEncodeDecodeAllKinds(t *testing.T) {
 	for i, op := range ops {
 		b := wire.NewBuffer(256)
 		EncodeOp(b, op)
-		got, err := DecodeOp(wire.NewReader(b.Bytes()))
+		got, err := decodeOp(wire.NewReader(b.Bytes()))
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}

@@ -28,17 +28,18 @@ type Config struct {
 	// written in commit order but a host crash can lose the tail.
 	LogSync bool
 	// ReplicationLogMaxRecords bounds the stream tail every store retains
-	// in memory (what a mirror resends to a backup that is behind). The
-	// promise is about memory and it is strict: when the tail
-	// exceeds this many records it is cut to its newest half, so a backup
-	// that falls behind the retained tail catches up by a pushed snapshot
-	// + tail instead of a full-history replay. It is also
-	// the floor of the write-ahead log's rotation cadence — the file is
-	// considered only when the tail is cut — but no longer its trigger:
-	// the log is rotated onto a state snapshot once the records appended
-	// since the last one amount to the state's own size (see
-	// "Checkpoints" in the package comment), which bounds the file and a
-	// restart's replay at about twice the state whatever this is set to.
+	// in memory (what a mirror resends to a backup that is behind): when
+	// the tail exceeds this many records it is cut to its newest half, so
+	// a backup that falls behind the retained tail catches up by a pushed
+	// snapshot + tail instead of a full-history replay. No cut shortens a
+	// member's send queue, so a lagging member, or one mid-push, holds
+	// records past the bound (see "Checkpoints" in the package comment).
+	// It is also the floor of the write-ahead log's rotation cadence — the
+	// file is considered only when the tail is cut — but no longer its
+	// trigger: the log is rotated onto a state snapshot once the records
+	// appended since the last one amount to the state's own size (see
+	// "Checkpoints"), which bounds the file and a restart's replay at
+	// about twice the state whatever this is set to.
 	// 0 (the default) bounds the tail by logMaxBytes of estimated
 	// record bytes instead, so no store's tail is unbounded.
 	ReplicationLogMaxRecords int

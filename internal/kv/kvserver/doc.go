@@ -61,8 +61,9 @@
 // whose member senders only carry out its actions, and the backup's side
 // is replicaCore (epoch.go), whose verdicts ApplyMirroredBatch only
 // carries out. Every commit, prepare and abort has one shape: emit the
-// record, apply its effects, record the decision — one repMu critical
-// section — then wait on the durability watermark outside it. What
+// record, apply its effects (a two-phase decision also enters the
+// decided table) — one repMu critical section — then wait on the
+// durability watermark outside it. What
 // happens under repMu, on every store — the invariants every consumer of
 // the stream relies on:
 //
@@ -118,7 +119,8 @@
 // not just whole commits, so in-flight two-phase transactions survive
 // a primary failure:
 //
-//   - RecCommit: a whole committed transaction (one-shot fast commits).
+//   - RecCommit: a whole committed transaction (a one-shot fast
+//     commit), which no member records in a transaction table.
 //   - RecPrepare: a participant's phase-one vote — the staged ops,
 //     compare ops included, and the locks they take, replicated before
 //     the yes vote is returned, even when every op is a compare. A
@@ -132,9 +134,15 @@
 // transaction table, making Commit/Abort idempotent: a coordinator
 // whose phase-two acknowledgment was lost re-sends the decision — to
 // the same server or to a promoted backup — and gets the recorded
-// outcome instead of "unknown transaction". Prepares whose decision
-// never arrives are handled by SweepOrphans under the epoch rules
-// below; a decided transaction is never swept.
+// outcome instead of "unknown transaction". A decision is carried out
+// by one step (decideLocked) wherever it is taken: the primary's
+// Commit and Abort and a replica's RecDecide. Only two-phase outcomes
+// enter the table. A fast commit takes and stages its locks as a
+// prepare does (lockOps) but enters neither the prepared nor the
+// decided table: nothing but itself resolves it, and its client never
+// re-sends it, so an entry would only evict an outcome a retried
+// decision still needs. Prepares whose decision never arrives are handled by SweepOrphans
+// under the epoch rules below; a decided transaction is never swept.
 //
 // # Epochs and leases
 //
@@ -276,21 +284,26 @@
 // and digest alike. A version's conflict metadata is its own commit's
 // ops, and capture copies pointers under repMu and materializes each
 // version off the lock, as it encodes. The ops are applied once per
-// commit per member: prepare keeps its dry run on the lock and commit
-// installs it, and a replica stages a replicated prepare's value the
-// same way when it takes the locks. And the two things a checkpoint
+// commit per member: taking a lock keeps its dry run, and the writes
+// among the ops, on the lock and the commit installs them, and a
+// replica stages a replicated prepare's value the same way when it
+// takes the locks. And the two things a checkpoint
 // does are bounded separately, each by what it costs:
 //
 //   - The stream tail every store retains IN MEMORY — what a mirror
-//     resends to a backup that is behind — is bounded strictly, by
+//     resends to a backup that is behind — is bounded by
 //     Config.ReplicationLogMaxRecords or, when that is 0, by 64 MiB of
 //     estimated record bytes (logMaxBytes). Past the bound the tail is
 //     cut to its newest half-cap (truncateLogLocked), which costs a
 //     copy of what is kept. A primary enforces the bound inline in its
 //     emit-and-apply paths, so its tail never exceeds the cap; a
 //     live-mirror backup leaves routine truncation to a one-second
-//     server ticker, with a hard inline ceiling at four times the cap so
-//     memory never rests on the ticker alone.
+//     server ticker, with a hard inline ceiling at four times the cap.
+//     The bound is not on every record in memory: each attached
+//     member's send queue (coreMember.queue) holds what was emitted
+//     since its last batch while it is not parked, and no cut shortens
+//     it, so a live member that lags, or one mid-push, holds records
+//     past the bound until its sender drains them.
 //   - The write-ahead log ON DISK is bounded by the state it describes:
 //     at most a snapshot prefix plus as many bytes of records again,
 //     about twice the state. Rotating the file (checkpointLocked:
@@ -323,9 +336,9 @@
 // path, on every store, holds repMu across a record's emission AND the
 // application of its effects, so a snapshot taken under repMu always
 // equals "every record below repSeq applied, none above" — the
-// contract a replica rebuilt from a pushed snapshot needs. Prepares
-// whose record has not entered the stream yet are skipped (their
-// records arrive in the tail).
+// contract a replica rebuilt from a pushed snapshot needs. Locks whose
+// record has not entered the stream yet (a prepare or a fast commit
+// still taking them) are skipped (their records arrive in the tail).
 //
 // A backup whose head is below the truncated log's base, or whose
 // history is not a prefix of the primary's stream (kv.ErrDiverged), is

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"yesquel/internal/clock"
 	"yesquel/internal/kv"
 )
 
@@ -156,7 +155,7 @@ func TestPromotedReplicaWaitsOnRetriedCommit(t *testing.T) {
 				attach()
 			}
 			// A two-phase commit (RecPrepare, RecDecide) and a fast commit
-			// (a RecCommit carrying its txid).
+			// (a RecCommit, which enters no decided table).
 			twoPhase := newTxID()
 			ts, err := p.Prepare(twoPhase, p.Clock().Now(), []*kv.Op{
 				{Kind: kv.OpPut, OID: kv.MakeOID(0, 1), Value: kv.NewPlain([]byte("2pc"))},
@@ -168,7 +167,7 @@ func TestPromotedReplicaWaitsOnRetriedCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 			fast := newTxID()
-			fastTS, err := p.FastCommit(fast, p.Clock().Now(), []*kv.Op{
+			_, err = p.FastCommit(fast, p.Clock().Now(), []*kv.Op{
 				{Kind: kv.OpPut, OID: kv.MakeOID(0, 2), Value: kv.NewPlain([]byte("fast"))},
 			})
 			if err != nil {
@@ -190,13 +189,11 @@ func TestPromotedReplicaWaitsOnRetriedCommit(t *testing.T) {
 			}
 			b.AttachMirrorMember("x", func(*kv.MirrorBatchReq) error { return errors.New("unreachable") })
 			defer b.DetachAllMirrorMembers()
-			for _, retry := range []struct {
-				txid uint64
-				ts   clock.Timestamp
-			}{{twoPhase, ts}, {fast, fastTS}} {
-				if err := b.Commit(retry.txid, retry.ts); !errors.Is(err, kv.ErrUncertain) {
-					t.Fatalf("retried commit of tx %d on the promoted replica: %v, want kv.ErrUncertain", retry.txid, err)
-				}
+			if err := b.Commit(twoPhase, ts); !errors.Is(err, kv.ErrUncertain) {
+				t.Fatalf("retried commit of tx %d on the promoted replica: %v, want kv.ErrUncertain", twoPhase, err)
+			}
+			if known, _ := b.Decided(fast); known {
+				t.Fatalf("the fast commit's tx %d entered the promoted replica's decided table", fast)
 			}
 		})
 	}

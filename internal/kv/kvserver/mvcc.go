@@ -288,39 +288,35 @@ func newest(obj *object) (kv.Layered, clock.Timestamp) {
 	return kv.Layered{}, 0
 }
 
-// applyStaged turns a prepared transaction's staged ops into visible
-// versions at commitTS and releases its locks: each lock carries the
-// value its ops produce (lockState.staged), which is installed as it
-// is. A lock whose ops are all compares held an object the transaction
-// only compared: it is released, and no version is made.
+// applyStaged turns a transaction's staged ops into visible versions at
+// commitTS and releases its locks: each lock carries the value its ops
+// produce (lockState.staged), which is installed as it is. A lock with
+// no writes held an object the transaction only compared: it is
+// released, and no version is made. Tombstones are kept until the
+// retention horizon passes (the sweeper removes them): erasing the
+// object now would also erase the conflict history a concurrent
+// transaction with an older snapshot still needs.
 func (s *Store) applyStaged(txid uint64, oids []kv.OID, commitTS clock.Timestamp) {
 	for _, oid := range oids {
 		sh := s.shardFor(oid)
 		sh.mu.Lock()
-		obj := sh.objs[oid]
-		if obj == nil || obj.lock == nil || obj.lock.txid != txid {
-			sh.mu.Unlock()
-			continue // defensive; cannot happen with a correct client
-		}
-		lock := obj.lock
-		writes := withoutCompares(lock.ops)
-		if len(writes) == 0 {
-			close(lock.done)
-			obj.lock = nil
-			if len(obj.versions) == 0 {
-				delete(sh.objs, oid)
+		if obj := sh.objs[oid]; obj != nil && obj.lock != nil && obj.lock.txid == txid {
+			if lock := obj.lock; len(lock.writes) > 0 {
+				s.installVersionLocked(obj, commitTS, lock.staged, lock.writes)
 			}
-			sh.mu.Unlock()
-			continue
+			sh.unlockLocked(oid, obj)
 		}
-		s.installVersionLocked(obj, commitTS, lock.staged, writes)
-		close(lock.done)
-		obj.lock = nil
-		// Tombstones are kept until the retention horizon passes (the
-		// sweeper removes them): erasing the object now would also
-		// erase the conflict history a concurrent transaction with an
-		// older snapshot still needs.
 		sh.mu.Unlock()
+	}
+}
+
+// unlockLocked releases obj's lock, waking the readers waiting on it,
+// and drops obj if the lock was all it held. Caller holds sh.mu.
+func (sh *shard) unlockLocked(oid kv.OID, obj *object) {
+	close(obj.lock.done)
+	obj.lock = nil
+	if len(obj.versions) == 0 {
+		delete(sh.objs, oid)
 	}
 }
 

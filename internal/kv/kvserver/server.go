@@ -507,7 +507,7 @@ func (s *Server) handlePrepare(_ context.Context, p []byte, reply *wire.Buffer) 
 			return err
 		}
 	}
-	proposed, cells, err := s.store.prepareVote(req.TxID, req.Start, req.Ops)
+	proposed, cells, err := s.store.prepare(req.TxID, req.Start, req.Ops)
 	if err != nil {
 		return err
 	}

@@ -10,25 +10,24 @@ import (
 	"yesquel/internal/kv"
 )
 
-// TestSnapshotSkipsUnreplicatedLockOnlyObjects: an in-flight
-// unreplicated prepare (mid-FastCommit, or a 2PC prepare whose record
-// has not entered the stream yet) stages its lock on a bare
+// TestSnapshotSkipsUnreplicatedLockOnlyObjects: a transaction whose
+// record has not entered the stream yet (mid-FastCommit, or a 2PC
+// prepare still taking its locks) stages its lock on a bare
 // zero-version object. A state snapshot captured in that window must
 // not materialize the object on the installer: if the transaction
-// later aborts without a stream decision, nothing would ever delete
-// the installer's copy, and the phantom would diverge StateDigest
-// forever.
+// later gives its locks up without a stream record, nothing would ever
+// delete the installer's copy, and the phantom would diverge
+// StateDigest forever.
 func TestSnapshotSkipsUnreplicatedLockOnlyObjects(t *testing.T) {
 	s := NewStore(nil, Config{})
 	commitPut(t, s, kv.MakeOID(0, 1), "real")
 
-	// Reproduce the mid-FastCommit state deterministically: lock staged
-	// with replicate=false, commit not yet run.
+	// Reproduce the mid-FastCommit state deterministically: the lock
+	// taken and staged, nothing emitted yet.
 	txid := newTxID()
-	inflight := kv.MakeOID(0, 2)
-	if _, _, err := s.prepare(txid, s.Clock().Now(), []*kv.Op{
-		{Kind: kv.OpPut, OID: inflight, Value: kv.NewPlain([]byte("inflight"))},
-	}, false); err != nil {
+	ops := []*kv.Op{{Kind: kv.OpPut, OID: kv.MakeOID(0, 2), Value: kv.NewPlain([]byte("inflight"))}}
+	oids, byOID := groupOps(ops)
+	if _, _, _, err := s.lockOps(txid, s.Clock().Now(), ops, oids, byOID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,9 +49,9 @@ func TestSnapshotSkipsUnreplicatedLockOnlyObjects(t *testing.T) {
 		t.Fatalf("installer holds %d objects, want 1 (the phantom lock-only object leaked)", r.NumObjects())
 	}
 
-	// The in-flight transaction aborts with no stream decision (its
-	// record never entered the stream); both replicas must agree.
-	s.Abort(txid)
+	// The in-flight transaction gives its locks up with no stream
+	// record; both replicas must agree.
+	s.releaseLocks(txid, oids)
 	if got, want := r.StateDigest(), s.StateDigest(); got != want {
 		t.Fatalf("installer digest %x != source digest %x after no-decision abort", got, want)
 	}

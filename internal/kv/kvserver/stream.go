@@ -432,9 +432,6 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 	switch rec.Kind {
 	case kv.RecCommit:
 		s.applyCommittedOpsLocked(rec.TS, rec.Ops)
-		if rec.TxID != 0 {
-			s.recordDecision(rec.TxID, decision{commit: true, commitTS: rec.TS, replSeq: s.repSeq + 1})
-		}
 	case kv.RecPrepare:
 		if err := s.stageReplicatedPrepare(rec); err != nil {
 			return err
@@ -447,12 +444,7 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 		if txRec == nil {
 			return fmt.Errorf("%w: decision for unknown tx %d: re-form the pair", kv.ErrDiverged, rec.TxID)
 		}
-		if rec.Commit {
-			s.applyStaged(rec.TxID, txRec.oids, rec.TS)
-		} else {
-			s.releaseLocks(rec.TxID, txRec.oids)
-		}
-		s.recordDecision(rec.TxID, decision{commit: rec.Commit, commitTS: rec.TS, replSeq: s.repSeq + 1})
+		s.decideLocked(rec.TxID, txRec.oids, decision{commit: rec.Commit, commitTS: rec.TS, replSeq: s.repSeq + 1})
 	case kv.RecEpoch:
 		// A configuration change flowing through the stream (or replayed
 		// from the log): roles and lease requirements follow from the
@@ -529,7 +521,7 @@ func (s *Store) stageReplicatedPrepare(rec kv.ReplRecord) error {
 		// error is unreachable; the value reached is kept.
 		base, _ := newest(obj)
 		staged, _ := applyOps(base, byOID[oid])
-		obj.lock = &lockState{txid: rec.TxID, proposed: rec.TS, ops: byOID[oid], done: make(chan struct{}), staged: staged}
+		obj.lock = &lockState{txid: rec.TxID, proposed: rec.TS, ops: byOID[oid], writes: withoutCompares(byOID[oid]), done: make(chan struct{}), staged: staged}
 		sh.mu.Unlock()
 	}
 	return nil

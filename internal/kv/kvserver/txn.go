@@ -15,12 +15,13 @@ type lockState struct {
 	txid     uint64
 	proposed clock.Timestamp
 	// ops are the transaction's ops on the object, compares included, as
-	// its RecPrepare carries them; the commit applies and streams only
-	// the writes among them.
-	ops  []*kv.Op
-	done chan struct{} // closed when the transaction resolves
+	// its RecPrepare carries them; writes are the ops minus the compares,
+	// filtered once when the lock is taken: what the commit installs and
+	// a fast commit's RecCommit carries.
+	ops, writes []*kv.Op
+	done        chan struct{} // closed when the lock is released
 	// staged is the value ops produce on the object's newest version,
-	// computed when the lock was taken — by prepare's dry run, or by
+	// computed when the lock was taken — by lockObject's dry run, or by
 	// stageReplicatedPrepare on a replica — so that commit installs it
 	// instead of applying the ops a second time. No version can land on
 	// the object under the lock: on a primary every write path takes
@@ -29,11 +30,14 @@ type lockState struct {
 	staged kv.Layered
 }
 
+// txRecord is a two-phase transaction prepared on this store. A fast
+// commit never enters the table: nothing but itself can resolve it.
 type txRecord struct {
 	oids []kv.OID
-	// replicated: a RecPrepare record for this transaction is in the
-	// replication stream, so the decision (commit or abort) must be
-	// replicated too.
+	// replicated: the prepare's RecPrepare record is in the replication
+	// stream, so the decision (commit or abort) must be replicated too.
+	// Until then the prepare is still taking its locks, and has not voted:
+	// a Commit is refused, and an abort emits nothing.
 	replicated bool
 	// epoch is the group epoch under which the prepare was accepted.
 	// SweepOrphans may only TTL-abort a prepare whose epoch has been
@@ -46,9 +50,11 @@ type txRecord struct {
 	preparedAt time.Time
 }
 
-// decision is a resolved transaction outcome, kept in the decided-
-// transaction table for decidedTTL so retried phase-two requests are
-// answered with the recorded outcome instead of "unknown tx".
+// decision is a two-phase transaction's resolved outcome, kept in the
+// decided-transaction table for decidedTTL so retried phase-two requests
+// are answered with the recorded outcome instead of "unknown tx". A fast
+// commit records none: its client never re-sends it, so its entry would
+// only evict an outcome a retried decision still needs.
 type decision struct {
 	commit   bool
 	commitTS clock.Timestamp
@@ -65,7 +71,9 @@ type decision struct {
 }
 
 // decidedMax bounds the decided-transaction table; beyond it the
-// oldest entries are evicted early (before their TTL).
+// oldest entries are evicted early (before their TTL). Only two-phase
+// outcomes enter it, so what it has to hold scales with the 2PC rate,
+// not with the commit rate.
 const decidedMax = 1 << 16
 
 // decidedEntry is one slot of the decided table's FIFO eviction queue.
@@ -90,6 +98,88 @@ func groupOps(ops []*kv.Op) ([]kv.OID, map[kv.OID][]*kv.Op) {
 	return oids, byOID
 }
 
+// lockOps takes txid's lock on each of oids, in order, each with its
+// ops (byOID, from groupOps) checked and staged by lockObject: the one
+// way Prepare and FastCommit take their locks. Once every lock is held
+// it chooses the proposed commit timestamp and publishes it on them.
+// Issuing it only then guarantees it exceeds the snapshot of every read
+// already served for these objects (each read Observed its snapshot
+// before finding the object unlocked), so the eventual commit timestamp
+// (>= proposed) cannot land below a snapshot that missed it. It returns
+// the locks (locks[i] is oids[i]'s), the proposed timestamp and, for
+// each OpCmpMaxCells op of ops in op order, the cell count of its object
+// with the transaction's ops applied (nil when ops bound nothing). On
+// failure it releases every lock it took.
+func (s *Store) lockOps(txid uint64, start clock.Timestamp, ops []*kv.Op, oids []kv.OID, byOID map[kv.OID][]*kv.Op) ([]*lockState, clock.Timestamp, []uint64, error) {
+	locks := make([]*lockState, 0, len(oids))
+	for _, oid := range oids {
+		lock, err := s.lockObject(txid, start, oid, byOID[oid])
+		if err != nil {
+			s.releaseLocks(txid, oids[:len(locks)])
+			if !errors.Is(err, kv.ErrCompare) {
+				s.stats.Conflicts.Add(1)
+			}
+			return nil, 0, nil, err
+		}
+		locks = append(locks, lock)
+	}
+	// Until now proposed was 0 (a sentinel): readers that hit a lock in
+	// this window waited conservatively.
+	proposed := s.clock.Observe(start)
+	for i, oid := range oids {
+		sh := s.shardFor(oid)
+		sh.mu.Lock()
+		locks[i].proposed = proposed
+		sh.mu.Unlock()
+	}
+	var cells []uint64
+	for _, op := range ops {
+		if op.Kind == kv.OpCmpMaxCells {
+			i, _ := slices.BinarySearch(oids, op.OID)
+			cells = append(cells, uint64(locks[i].staged.NumCells()))
+		}
+	}
+	return locks, proposed, cells, nil
+}
+
+// lockObject takes txid's lock on oid for ops, the transaction's ops on
+// it. First-committer-wins at cell granularity: a version committed
+// after start conflicts if either side is structural or their touch
+// sets intersect; purely commutative deltas on disjoint cells
+// (concurrent inserts into one DBT leaf) pass, and an object the
+// transaction only compares has nothing to conflict. The ops are then
+// applied, compares included, so the decision cannot fail later and has
+// nothing left to compute: the base cannot change under the lock.
+func (s *Store) lockObject(txid uint64, start clock.Timestamp, oid kv.OID, ops []*kv.Op) (*lockState, error) {
+	sh := s.shardFor(oid)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	obj := sh.objs[oid]
+	if obj == nil {
+		obj = &object{}
+	}
+	if obj.lock != nil {
+		return nil, fmt.Errorf("%w: %v locked by tx %d", kv.ErrConflict, oid, obj.lock.txid)
+	}
+	writes := withoutCompares(ops)
+	if len(writes) > 0 {
+		if err := conflictLocked(obj, start, writes); err != nil {
+			return nil, err
+		}
+	}
+	base, _ := newest(obj)
+	staged, err := applyOps(base, ops)
+	if err != nil {
+		if !errors.Is(err, kv.ErrCompare) {
+			err = fmt.Errorf("%w: %v", kv.ErrBadRequest, err)
+		}
+		return nil, err
+	}
+	obj.lock = &lockState{txid: txid, ops: ops, writes: writes, done: make(chan struct{}), staged: staged}
+	sh.objs[oid] = obj
+	return obj.lock, nil
+}
+
 // Prepare validates and locks the transaction's writes (phase one of
 // two-phase commit). On success it returns the proposed commit
 // timestamp (a lower bound chosen by this participant) — and the staged
@@ -104,36 +194,15 @@ func groupOps(ops []*kv.Op) ([]kv.OID, map[kv.OID][]*kv.Op) {
 // behind either. An object the transaction only compares is locked until
 // the decision like the others, and gets no version when it commits.
 func (s *Store) Prepare(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, error) {
-	proposed, _, err := s.prepareVote(txid, start, ops)
+	proposed, _, err := s.prepare(txid, start, ops)
 	return proposed, err
 }
 
-// prepareVote is Prepare, with the cell counts its yes vote reports
+// prepare is Prepare, with the cell counts its yes vote reports
 // (kv.PrepareResp.Cells).
-func (s *Store) prepareVote(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, []uint64, error) {
+func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, []uint64, error) {
 	s.stats.Prepares.Add(1)
-	return s.prepare(txid, start, ops, true)
-}
-
-// prepare implements Prepare. replicate=false is the one-shot fast-
-// commit path: its commit immediately follows, and the single
-// RecCommit record carries the ops, so a separate prepare record would
-// only double the stream traffic. It also returns, for each
-// OpCmpMaxCells op of ops in op order, the cell count of its object with
-// the transaction's ops applied (nil when ops bound nothing).
-func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replicate bool) (clock.Timestamp, []uint64, error) {
 	oids, byOID := groupOps(ops)
-	bounds := 0
-	for _, op := range ops {
-		if op.Kind == kv.OpCmpMaxCells {
-			bounds++
-		}
-	}
-	var counts []uint64 // oids[i]'s cells with the ops applied, when ops bound any
-	if bounds > 0 {
-		counts = make([]uint64, len(oids))
-	}
-
 	s.txMu.Lock()
 	if _, dup := s.txs[txid]; dup {
 		s.txMu.Unlock()
@@ -143,84 +212,18 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 	s.txs[txid] = rec
 	s.txMu.Unlock()
 
-	locked := make([]kv.OID, 0, len(oids))
-	fail := func(reason error) (clock.Timestamp, []uint64, error) {
-		s.releaseLocks(txid, locked)
+	_, proposed, cells, err := s.lockOps(txid, start, ops, oids, byOID)
+	if err != nil {
 		s.txMu.Lock()
 		delete(s.txs, txid)
 		s.txMu.Unlock()
-		if !errors.Is(reason, kv.ErrCompare) {
-			s.stats.Conflicts.Add(1)
-		}
-		return 0, nil, reason
-	}
-
-	for i, oid := range oids {
-		sh := s.shardFor(oid)
-		sh.mu.Lock()
-		obj := sh.objs[oid]
-		if obj == nil {
-			obj = &object{}
-			sh.objs[oid] = obj
-		}
-		if obj.lock != nil {
-			holder := obj.lock.txid
-			sh.mu.Unlock()
-			return fail(fmt.Errorf("%w: %v locked by tx %d", kv.ErrConflict, oid, holder))
-		}
-		// First-committer-wins at cell granularity: a version committed
-		// after our snapshot conflicts if either side is structural or
-		// their touch sets intersect. Purely commutative deltas on
-		// disjoint cells (concurrent inserts into one DBT leaf) pass, and
-		// an object the transaction only compares has nothing to conflict.
-		writes := withoutCompares(byOID[oid])
-		if len(writes) > 0 {
-			if err := conflictLocked(obj, start, writes); err != nil {
-				sh.mu.Unlock()
-				return fail(err)
-			}
-		}
-		// Apply the ops now, compares included, so commit cannot fail later
-		// and has nothing left to compute: the base cannot change while we
-		// hold the lock.
-		base, _ := newest(obj)
-		staged, applyErr := applyOps(base, byOID[oid])
-		if applyErr != nil {
-			sh.mu.Unlock()
-			if !errors.Is(applyErr, kv.ErrCompare) {
-				applyErr = fmt.Errorf("%w: %v", kv.ErrBadRequest, applyErr)
-			}
-			return fail(applyErr)
-		}
-		// proposed stays 0 (sentinel) until every lock is held; readers
-		// that hit the lock in this window wait conservatively.
-		obj.lock = &lockState{txid: txid, ops: byOID[oid], done: make(chan struct{}), staged: staged}
-		sh.mu.Unlock()
-		locked = append(locked, oid)
-		if counts != nil {
-			counts[i] = uint64(staged.NumCells())
-		}
-	}
-
-	// All locks held: choose the proposed commit timestamp. Issuing it
-	// only now guarantees it exceeds the snapshot of every read already
-	// served for these objects (each read Observed its snapshot before
-	// finding the object unlocked), so the eventual commit timestamp
-	// (>= proposed) cannot land below a snapshot that missed it.
-	proposed := s.clock.Observe(start)
-	for _, oid := range oids {
-		sh := s.shardFor(oid)
-		sh.mu.Lock()
-		if obj := sh.objs[oid]; obj != nil && obj.lock != nil && obj.lock.txid == txid {
-			obj.lock.proposed = proposed
-		}
-		sh.mu.Unlock()
+		return 0, nil, err
 	}
 
 	// Replicate the prepared state before voting yes: the vote promises
 	// the coordinator this participant can commit, so the promise must
-	// survive a primary failure. The emission and the replicated-flag
-	// publication are one repMu critical section: a state snapshot
+	// survive a primary failure. The replicated-flag publication and the
+	// emission are one repMu critical section: a state snapshot
 	// (captured under repMu) carries exactly the prepares whose
 	// RecPrepare is below its sequence number — rec.replicated set —
 	// and skips the rest, whose records land in the tail the snapshot
@@ -231,41 +234,29 @@ func (s *Store) prepare(txid uint64, start clock.Timestamp, ops []*kv.Op, replic
 	// record carries the compare ops too, so a promoted backup or a
 	// snapshot's installer holds the same locks, a participant that only
 	// compares included: its vote is a promise like any other.
-	if replicate {
-		s.repMu.Lock()
-		seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecPrepare, TxID: txid, TS: proposed, Ops: ops})
-		s.txMu.Lock()
-		if s.txs[txid] != rec {
-			// The orphan sweep (or an early coordinator abort) resolved
-			// the transaction while its prepare record was entering the
-			// stream — and, having seen an unreplicated prepare, emitted
-			// no decision. The stream is owed the abort; the vote is no.
-			s.txMu.Unlock()
-			s.emitLocked(kv.ReplRecord{Kind: kv.RecDecide, TxID: txid, Commit: false})
-			s.repMu.Unlock()
-			return 0, nil, fmt.Errorf("%w: tx %d aborted during prepare", kv.ErrConflict, txid)
-		}
-		rec.replicated = true
+	s.repMu.Lock()
+	s.txMu.Lock()
+	if s.txs[txid] != rec {
+		// An abort (the coordinator's, which gave up on another vote, or
+		// the orphan sweep's) resolved the transaction while it was taking
+		// its locks, and released only those it held then. Nothing of it
+		// is in the stream; the vote is no.
 		s.txMu.Unlock()
-		s.maybeCheckpointLocked()
+		s.releaseLocks(txid, oids)
 		s.repMu.Unlock()
-		if err := s.waitReplicated(seq); err != nil {
-			// abort resolves the prepared transaction if it is still
-			// staged (releasing the locks and emitting the owed abort
-			// decision) and is a no-op if something else already did.
-			s.abort(txid, false)
-			return 0, nil, fmt.Errorf("kv: replicating prepare: %w", err)
-		}
+		return 0, nil, fmt.Errorf("%w: tx %d aborted during prepare", kv.ErrConflict, txid)
 	}
-	if bounds == 0 {
-		return proposed, nil, nil
-	}
-	cells := make([]uint64, 0, bounds)
-	for _, op := range ops {
-		if op.Kind == kv.OpCmpMaxCells {
-			i, _ := slices.BinarySearch(oids, op.OID)
-			cells = append(cells, counts[i])
-		}
+	rec.replicated = true
+	s.txMu.Unlock()
+	seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecPrepare, TxID: txid, TS: proposed, Ops: ops})
+	s.maybeCheckpointLocked()
+	s.repMu.Unlock()
+	if err := s.waitReplicated(seq); err != nil {
+		// abort resolves the prepared transaction if it is still
+		// staged (releasing the locks and emitting the owed abort
+		// decision) and is a no-op if something else already did.
+		s.abort(txid, false)
+		return 0, nil, fmt.Errorf("kv: replicating prepare: %w", err)
 	}
 	return proposed, cells, nil
 }
@@ -319,21 +310,10 @@ func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err
 	// The per-object locks are still held here, so the replication
 	// stream order, the log order, and per-object version order all
 	// agree — on this store and, because batches apply in sequence, on
-	// the backup. A replicated prepare only needs the decision on the
-	// wire (RecDecide); otherwise the whole transaction rides in one
-	// RecCommit record.
-	out := s.commitRecord(txid, rec, commitTS)
-	if out.Kind == kv.RecCommit && len(out.Ops) == 0 {
-		// A fast commit that only compared objects here: it releases
-		// their locks and has nothing to stream or to wait for.
-		s.applyStaged(txid, rec.oids, commitTS)
-		s.recordDecision(txid, decision{commit: true, commitTS: commitTS})
-		s.repMu.Unlock()
-		return true, nil
-	}
-	seq := s.emitLocked(out)
-	s.applyStaged(txid, rec.oids, commitTS)
-	s.recordDecision(txid, decision{commit: true, commitTS: commitTS, replSeq: seq + 1})
+	// the backup. The prepare's record carried the ops: only the decision
+	// goes on the wire.
+	seq := s.emitLocked(kv.ReplRecord{Kind: kv.RecDecide, TxID: txid, TS: commitTS, Commit: true})
+	s.decideLocked(txid, rec.oids, decision{commit: true, commitTS: commitTS, replSeq: seq + 1})
 	s.maybeCheckpointLocked()
 	s.repMu.Unlock()
 	if err := s.waitReplicated(seq); err != nil {
@@ -347,24 +327,18 @@ func (s *Store) commit(txid uint64, commitTS clock.Timestamp) (applied bool, err
 	return true, nil
 }
 
-// commitRecord builds a committing transaction's stream record: a bare
-// RecDecide when the prepare was already replicated, otherwise a
-// RecCommit carrying the staged writes gathered from the objects' locks
-// (stable — the caller owns the transaction's resolution).
-func (s *Store) commitRecord(txid uint64, rec *txRecord, commitTS clock.Timestamp) kv.ReplRecord {
-	if rec.replicated {
-		return kv.ReplRecord{Kind: kv.RecDecide, TxID: txid, TS: commitTS, Commit: true}
+// decideLocked carries out a two-phase transaction's decision, the
+// transaction already taken from the prepared table: the one step the
+// primary's commit and abort and a replica's RecDecide share. A commit
+// installs the staged values, an abort releases the locks, and either
+// outcome enters the decided table. Caller holds repMu.
+func (s *Store) decideLocked(txid uint64, oids []kv.OID, d decision) {
+	if d.commit {
+		s.applyStaged(txid, oids, d.commitTS)
+	} else {
+		s.releaseLocks(txid, oids)
 	}
-	out := kv.ReplRecord{Kind: kv.RecCommit, TxID: txid, TS: commitTS}
-	for _, oid := range rec.oids {
-		sh := s.shardFor(oid)
-		sh.mu.Lock()
-		if obj := sh.objs[oid]; obj != nil && obj.lock != nil && obj.lock.txid == txid {
-			out.Ops = append(out.Ops, withoutCompares(obj.lock.ops)...)
-		}
-		sh.mu.Unlock()
-	}
-	return out
+	s.recordDecision(txid, d)
 }
 
 // withoutCompares returns ops minus their compare ops — what a commit
@@ -390,7 +364,7 @@ func withoutCompares(ops []*kv.Op) []*kv.Op {
 // already committed (ack it again, after its record's durability wait
 // — dup carries the recorded outcome), ErrConflict for one that
 // already aborted, ErrBadRequest for a transaction this store never
-// heard of.
+// heard of, or one whose prepare has not voted (that prepare goes on).
 func (s *Store) takePrepared(txid uint64) (*txRecord, decision, error) {
 	s.txMu.Lock()
 	defer s.txMu.Unlock()
@@ -404,6 +378,9 @@ func (s *Store) takePrepared(txid uint64) (*txRecord, decision, error) {
 			return nil, d, fmt.Errorf("%w: tx %d already aborted", kv.ErrConflict, txid)
 		}
 		return nil, decision{}, fmt.Errorf("%w: commit of unknown tx %d", kv.ErrBadRequest, txid)
+	}
+	if !rec.replicated {
+		return nil, decision{}, fmt.Errorf("%w: commit of tx %d before its prepare voted", kv.ErrBadRequest, txid)
 	}
 	delete(s.txs, txid)
 	return rec, decision{}, nil
@@ -470,29 +447,21 @@ func (s *Store) abort(txid uint64, orphan bool) {
 	if rec == nil {
 		return
 	}
-	s.abortLocked(txid, rec, orphan)
-	s.maybeCheckpointLocked()
-}
-
-// abortLocked resolves a transaction already removed from the prepared
-// table as aborted: decision emitted if owed, locks released, outcome
-// recorded — one repMu critical section. Caller holds repMu.
-//
-// A replicated prepare owes the stream its decision: the backup (and
-// the write-ahead log) must release the staged locks too. The abort
-// never waits on the durability watermark — locks must come free even
-// when the backup is unreachable; a missed record surfaces as a loud
-// sequence gap on the backup's next batch.
-func (s *Store) abortLocked(txid uint64, rec *txRecord, orphan bool) {
+	// A replicated prepare owes the stream its decision: the backup (and
+	// the write-ahead log) must release the staged locks too. The abort
+	// never waits on the durability watermark — locks must come free even
+	// when the backup is unreachable; a missed record surfaces as a loud
+	// sequence gap on the backup's next batch. A prepare still taking its
+	// locks releases what it took after this (prepare).
 	if rec.replicated {
 		s.emitLocked(kv.ReplRecord{Kind: kv.RecDecide, TxID: txid, Commit: false})
 	}
-	s.releaseLocks(txid, rec.oids)
-	s.recordDecision(txid, decision{commit: false})
+	s.decideLocked(txid, rec.oids, decision{})
 	s.stats.Aborts.Add(1)
 	if orphan {
 		s.stats.OrphanAborts.Add(1)
 	}
+	s.maybeCheckpointLocked()
 }
 
 // SweepOrphans aborts prepares whose decision never arrived, subject
@@ -534,24 +503,19 @@ func (s *Store) releaseLocks(txid uint64, oids []kv.OID) {
 	for _, oid := range oids {
 		sh := s.shardFor(oid)
 		sh.mu.Lock()
-		obj := sh.objs[oid]
-		if obj != nil && obj.lock != nil && obj.lock.txid == txid {
-			close(obj.lock.done)
-			obj.lock = nil
-			if len(obj.versions) == 0 {
-				delete(sh.objs, oid)
-			}
+		if obj := sh.objs[oid]; obj != nil && obj.lock != nil && obj.lock.txid == txid {
+			sh.unlockLocked(oid, obj)
 		}
 		sh.mu.Unlock()
 	}
 }
 
-// FastCommit executes a single-participant transaction in one step:
-// prepare and commit without a second round trip. It returns the commit
-// timestamp. The prepare is not replicated separately — the whole
-// transaction rides in one RecCommit stream record — and it counts
-// toward FastCommits alone, neither Prepares nor Commits (the counters
-// are disjoint). Its compare ops are checked as Prepare checks them.
+// FastCommit executes a single-participant transaction in one step: it
+// takes its locks as Prepare does (compares included) and commits at the
+// proposed timestamp, which it returns. It enters neither the prepared
+// nor the decided table: nothing but itself resolves it, and its client
+// never re-sends it. It rides in one RecCommit record and counts toward
+// FastCommits alone, neither Prepares nor Commits.
 func (s *Store) FastCommit(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, error) {
 	commitTS, _, err := s.fastCommit(txid, start, ops)
 	return commitTS, err
@@ -560,18 +524,49 @@ func (s *Store) FastCommit(txid uint64, start clock.Timestamp, ops []*kv.Op) (cl
 // fastCommit is FastCommit, with the cell counts its reply reports
 // (kv.FastCommitResp.Cells).
 func (s *Store) fastCommit(txid uint64, start clock.Timestamp, ops []*kv.Op) (clock.Timestamp, []uint64, error) {
-	proposed, cells, err := s.prepare(txid, start, ops, false)
+	oids, byOID := groupOps(ops)
+	locks, commitTS, cells, err := s.lockOps(txid, start, ops, oids, byOID)
 	if err != nil {
 		return 0, nil, err
 	}
-	if _, err := s.commit(txid, proposed); err != nil {
-		return 0, nil, err
+	out := kv.ReplRecord{Kind: kv.RecCommit, TxID: txid, TS: commitTS}
+	for _, lock := range locks {
+		out.Ops = append(out.Ops, lock.writes...)
+	}
+	if len(out.Ops) > 0 {
+		// Emitting the record and installing its writes are one repMu
+		// section, as in commit; the durability wait follows outside it.
+		s.repMu.Lock()
+		for _, lock := range locks {
+			select {
+			case <-lock.done:
+				// Only a snapshot install releases another's lock: this
+				// store was deposed and rebuilt while the locks were taken.
+				// Nothing is emitted; the transaction did not commit.
+				s.repMu.Unlock()
+				return 0, nil, fmt.Errorf("%w: tx %d lost its locks to a snapshot install", kv.ErrConflict, txid)
+			default:
+			}
+		}
+		seq := s.emitLocked(out)
+		s.applyStaged(txid, oids, commitTS)
+		s.maybeCheckpointLocked()
+		s.repMu.Unlock()
+		if err := s.waitReplicated(seq); err != nil {
+			// Applied here and in the local stream, but not acknowledged
+			// by the sinks: exactly what ErrUncertain names (see commit).
+			return 0, nil, fmt.Errorf("%w: replicating commit: %v", kv.ErrUncertain, err)
+		}
+	} else {
+		// It only compared objects here: it releases their locks and has
+		// nothing to stream or to wait for.
+		s.releaseLocks(txid, oids)
 	}
 	s.stats.FastCommits.Add(1)
-	return proposed, cells, nil
+	return commitTS, cells, nil
 }
 
-// IsLocked reports whether oid currently carries a prepare lock (tests).
+// IsLocked reports whether oid currently carries a lock (tests).
 func (s *Store) IsLocked(oid kv.OID) bool {
 	sh := s.shardFor(oid)
 	sh.mu.Lock()
