@@ -45,7 +45,7 @@ func main() {
 	mirror := flag.String("mirror", "", "backup server address(es), comma-separated, already running: this server attaches them and installs the group [this server, backups...] as a new epoch, so it serves under their lease grants and commits are acknowledged once a majority of the group holds them")
 	replLogMax := flag.Int("replication-log-max", 0, "bound the retained stream tail (what the mirror resends to a backup that is behind) to this many records: beyond it the server checkpoints (state snapshot + WAL rotation) and truncates, and a backup too far behind is pushed a snapshot of the primary's state (0 = the built-in byte bound)")
 	lease := flag.Duration("lease", 2*time.Second, "primary lease duration in a group of more than one member: how long the primary may serve after a backup last accepted one of its mirror batches, and how long a promotion must wait; a backup sent nothing for a third of it gets an empty batch, the heartbeat")
-	groupCommitInterval := flag.Duration("group-commit-interval", 0, "how long the replication pipeline waits after waking before flushing, letting a batch build (0 = flush as soon as free)")
+	groupCommitInterval := flag.Duration("group-commit-interval", 0, "how long a primary's log writer waits before writing, and a member sender after a wake before sending, letting a batch build (0 = as soon as free)")
 	statsEvery := flag.Duration("stats", 0, "periodically log epoch, role, lease state, and activity counters (0 = off)")
 	flag.Parse()
 	if *retention < 0 {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -24,13 +25,15 @@ import (
 
 // replWorkload drives `writers` concurrent clients against a 1-slot
 // cluster with the given replication factor for the given duration and
-// reports aggregate ops plus the slot's primary counters. It is the
+// reports aggregate ops, the process's CPU time over the load (client,
+// servers and transport, all in this process) and the slot's primary
+// counters. It is the
 // harness behind BenchmarkReplicationConcurrent: single-writer numbers hide the
 // write path's serialization entirely (one synchronous client observes
 // the same latency either way), so the concurrent variant is the one
 // that shows whether group commit is amortizing mirror round trips and
 // fsyncs — and, at rf=3, what the quorum fan-out costs over the pair.
-func replWorkload(tb testing.TB, writers, rf int, scfg kvserver.Config, d time.Duration) (ops int, st kvserver.StatsSnapshot) {
+func replWorkload(tb testing.TB, writers, rf int, scfg kvserver.Config, d time.Duration) (ops int, cpu time.Duration, st kvserver.StatsSnapshot) {
 	cl, err := cluster.StartReplicated(1, rf, scfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -39,6 +42,7 @@ func replWorkload(tb testing.TB, writers, rf int, scfg kvserver.Config, d time.D
 	ctx := context.Background()
 	var total atomic.Int64
 	var wg sync.WaitGroup
+	cpu0 := cpuTime()
 	deadline := time.Now().Add(d)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -64,7 +68,16 @@ func replWorkload(tb testing.TB, writers, rf int, scfg kvserver.Config, d time.D
 		}(w)
 	}
 	wg.Wait()
-	return int(total.Load()), cl.Stats()
+	return int(total.Load()), cpuTime() - cpu0, cl.Stats()
+}
+
+// cpuTime is the user and system CPU time this process has used.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // replReadResult summarizes one read-mostly replication workload run.
@@ -174,10 +187,11 @@ func replReadWorkload(tb testing.TB, workers, rf int, wl ycsb.Workload, d time.D
 
 // BenchmarkReplicationConcurrent measures the replicated write path
 // under concurrency, which a single writer's per-commit latency cannot
-// show. Sub-benchmarks cover 1 and 8 writers, plain and with a
-// per-commit-durable WAL (-log-sync equivalent); reported metrics are
-// ops/sec, achieved mirror batch depth, and fsyncs per commit (group
-// commit drives the latter below 1 under load).
+// show. Sub-benchmarks cover 1 and 8 writers at rf=1, 2 and 3, plain
+// and with a per-commit-durable WAL (-log-sync equivalent); reported
+// metrics are ops/sec, the CPU time of the whole process per commit,
+// achieved mirror batch depth, and fsyncs per commit (group commit
+// drives the latter below 1 under load).
 func BenchmarkReplicationConcurrent(b *testing.B) {
 	run := func(b *testing.B, writers, rf int, logSync bool) {
 		// One fixed-duration workload per iteration; each iteration
@@ -191,9 +205,12 @@ func BenchmarkReplicationConcurrent(b *testing.B) {
 				scfg.LogSync = true
 			}
 			start := time.Now()
-			ops, st := replWorkload(b, writers, rf, scfg, 500*time.Millisecond)
+			ops, cpu, st := replWorkload(b, writers, rf, scfg, 500*time.Millisecond)
 			elapsed := time.Since(start).Seconds()
 			b.ReportMetric(float64(ops)/elapsed, "ops/s")
+			if ops > 0 {
+				b.ReportMetric(float64(cpu.Microseconds())/float64(ops), "cpu-µs/commit")
+			}
 			if st.MirrorBatches > 0 {
 				b.ReportMetric(float64(st.MirrorBatchRecords)/float64(st.MirrorBatches), "batch-depth")
 			}
@@ -202,7 +219,7 @@ func BenchmarkReplicationConcurrent(b *testing.B) {
 			}
 		}
 	}
-	for _, rf := range []int{2, 3} {
+	for _, rf := range []int{1, 2, 3} {
 		for _, logSync := range []bool{false, true} {
 			for _, w := range []int{1, 8} {
 				rf, logSync, w := rf, logSync, w

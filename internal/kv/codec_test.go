@@ -85,7 +85,7 @@ func wireCases() []wireCase {
 	}
 	encValue := bufEncoder(func(b *wire.Buffer, v **Value) { EncodeValue(b, *v) })
 	decValue := readerDecoder(decodeValue)
-	encOp := bufEncoder(func(b *wire.Buffer, op **Op) { EncodeOp(b, *op) })
+	encOp := bufEncoder(func(b *wire.Buffer, op **Op) { encodeOp(b, *op) })
 	decOp := readerDecoder(decodeOp)
 	cases := []wireCase{
 		newCase("Value tombstone", new(*Value), encValue, decValue),

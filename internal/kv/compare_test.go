@@ -187,7 +187,7 @@ func TestCompareOpsRoundTrip(t *testing.T) {
 	bases := []*Value{nil, makeTestSuper(), NewSuper()}
 	for i, op := range ops {
 		b := wire.NewBuffer(64)
-		EncodeOp(b, op)
+		encodeOp(b, op)
 		got, err := decodeOp(wire.NewReader(b.Bytes()))
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)

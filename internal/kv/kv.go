@@ -874,10 +874,10 @@ func WireOps(ops *[]*Op, c *wire.Codec) {
 	}
 }
 
-// EncodeOp appends op to b.
-func EncodeOp(b *wire.Buffer, op *Op) { wire.EncodeTo(b, op, (*Op).wire) }
+// encodeOp appends op to b.
+func encodeOp(b *wire.Buffer, op *Op) { wire.EncodeTo(b, op, (*Op).wire) }
 
-// decodeOp reads an op encoded by EncodeOp.
+// decodeOp reads an op encoded by encodeOp.
 func decodeOp(r *wire.Reader) (*Op, error) {
 	op := new(Op)
 	return op, wire.DecodeFrom(r, op, ErrBadRequest, (*Op).wire)

@@ -287,7 +287,7 @@ func TestOpEncodeDecodeAllKinds(t *testing.T) {
 	}
 	for i, op := range ops {
 		b := wire.NewBuffer(256)
-		EncodeOp(b, op)
+		encodeOp(b, op)
 		got, err := decodeOp(wire.NewReader(b.Bytes()))
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)

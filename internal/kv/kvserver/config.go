@@ -31,9 +31,12 @@ type Config struct {
 	// in memory (what a mirror resends to a backup that is behind): when
 	// the tail exceeds this many records it is cut to its newest half, so
 	// a backup that falls behind the retained tail catches up by a pushed
-	// snapshot + tail instead of a full-history replay. No cut shortens a
-	// member's send queue, so a lagging member, or one mid-push, holds
-	// records past the bound (see "Checkpoints" in the package comment).
+	// snapshot + tail instead of a full-history replay. The tail is the
+	// one copy of the stream a store keeps, so the bound is on every
+	// record in memory; only the records the write-ahead log does not
+	// hold yet, and those a member being caught up from a pushed
+	// snapshot still needs, are kept past it (see "Checkpoints" in the
+	// package comment).
 	// It is also the floor of the write-ahead log's rotation cadence — the
 	// file is considered only when the tail is cut — but no longer its
 	// trigger: the log is rotated onto a state snapshot once the records
@@ -52,11 +55,13 @@ type Config struct {
 	// but less tolerance for mirror-path hiccups. Only meaningful in a
 	// group of more than one member.
 	LeaseDuration time.Duration
-	// GroupCommitInterval is how long the replication pipeline waits
-	// after waking before it flushes, letting a batch build (default 0:
-	// flush as soon as the flusher is free — a lone writer pays no
-	// added latency, and concurrent writers still coalesce into
-	// whatever accumulated during the previous batch's round trip).
+	// GroupCommitInterval is how long a primary's write-ahead-log
+	// writer (the committer or aborter whose turn it is) waits before
+	// writing, and a member's sender after a wake before it sends,
+	// letting a batch build (default 0: write and send as soon as free
+	// — a lone writer pays no added latency, and concurrent writers
+	// still coalesce into whatever accumulated during the previous
+	// write or round trip).
 	GroupCommitInterval time.Duration
 }
 

@@ -441,7 +441,7 @@ func TestSnapshotStreamsInExactChunks(t *testing.T) {
 // cell of the leaf but its rebase every sixteenth commit. A deep copy of
 // the leaf is 130 allocations on its own (a store that deep-copied the
 // leaf per commit made 283), so it cannot come back under these
-// budgets, which leave room for the log flusher's batching to vary.
+// budgets, which leave room for the log writers' batching to vary.
 //
 // Without a log the bytes are held to a budget too, averaged over two
 // rebases' worth of commits: 5,958 per commit when each version copied

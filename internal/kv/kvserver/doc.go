@@ -62,8 +62,8 @@
 // is replicaCore (epoch.go), whose verdicts ApplyMirroredBatch only
 // carries out. Every commit, prepare and abort has one shape: emit the
 // record, apply its effects (a two-phase decision also enters the
-// decided table) — one repMu critical section — then wait on the
-// durability watermark outside it. What
+// decided table) — one repMu critical section — then write the
+// write-ahead log and wait on the durability watermark outside it. What
 // happens under repMu, on every store — the invariants every consumer of
 // the stream relies on:
 //
@@ -75,15 +75,25 @@
 //     lets snapshot captures and pushes claim exact coverage.
 //
 // What never happens under repMu: the mirror RPC and the
-// write-ahead-log write/fsync. Each member's sender coalesces whatever
-// accumulated during its previous round trip into ONE mirror batch, and
-// the WAL flusher into ONE append and fsync (pipeline.go).
+// write-ahead-log write/fsync. The retained tail is the one copy of the
+// stream a store keeps, and both sinks read it at a cursor. Each
+// member's sender cuts whatever accumulated past its member's position
+// during its previous round trip into ONE mirror batch. Whoever emitted
+// or applied records — a committer, an aborter, the mirror handler —
+// writes them to the log once it has released repMu, and one writer at
+// a time takes the whole tail past the log's cursor, so the records of
+// the writers queued behind it ride the same ONE append and fsync
+// (pipeline.go: writeWAL). No goroutine of its own moves records to
+// the log.
 //
 // The WATERMARK ACK RULE: a commit, prepare, or epoch change is
 // acknowledged only once its sequence number clears the durability
 // watermark — covered by a quorum of member acknowledgments (when
 // members are attached) AND written to the WAL (when there is one;
-// fsynced when LogSync is set). With no sink the watermark is the
+// fsynced when LogSync is set). A backup acks a batch only after its
+// own log holds it: the mirror handler writes the batch's records once
+// it has applied them, with no coalescing wait, and then replies. With
+// no sink the watermark is the
 // stream head and the wait returns at once. A batch that fails (backup
 // dead, gap, divergence, epoch reject) fails every waiter whose record
 // rode in it: commits surface kv.ErrUncertain (the record is in the local
@@ -93,7 +103,8 @@
 // Waiters never succeed on a record the backup did not apply, so "an
 // acked write survives primary failure" holds unchanged while N
 // concurrent writers share each round trip and fsync. Abort decisions
-// remain fire-and-forget. Throughput under concurrency scales with the
+// remain fire-and-forget: the aborter writes its record to the log and
+// waits for no ack. Throughput under concurrency scales with the
 // batch depth instead of serializing on one round-trip-plus-fsync per
 // record (BenchmarkReplicationConcurrent).
 //
@@ -210,8 +221,9 @@
 //
 // # Quorum groups
 //
-// A primary fans each batch out to its backups in parallel (one member
-// loop, queue, and connection per member), and a record is durable once
+// A primary fans each batch out to its backups in parallel (one sender
+// and connection per member, each reading the retained tail at its
+// member's position), and a record is durable once
 // a MAJORITY of the group holds it (and it is fsynced locally when
 // LogSync demands it). With rf = 3 one backup ack suffices, so a
 // minority of backups down, slow, or broken stalls nothing; only when
@@ -296,14 +308,18 @@
 //     estimated record bytes (logMaxBytes). Past the bound the tail is
 //     cut to its newest half-cap (truncateLogLocked), which costs a
 //     copy of what is kept. A primary enforces the bound inline in its
-//     emit-and-apply paths, so its tail never exceeds the cap; a
-//     live-mirror backup leaves routine truncation to a one-second
-//     server ticker, with a hard inline ceiling at four times the cap.
-//     The bound is not on every record in memory: each attached
-//     member's send queue (coreMember.queue) holds what was emitted
-//     since its last batch while it is not parked, and no cut shortens
-//     it, so a live member that lags, or one mid-push, holds records
-//     past the bound until its sender drains them.
+//     emit-and-apply paths; a live-mirror backup leaves routine
+//     truncation to a one-second server ticker, with a hard inline
+//     ceiling at four times the cap. The tail is the one copy of the
+//     stream a store keeps — no sink queues records of its own — so
+//     the bound is on every record in memory, and strict with one
+//     exception: a cut never passes the floor, the records the
+//     write-ahead log does not hold yet and, from a snapshot push's
+//     capture until its member has been sent up to the head, every
+//     record from the capture on (replCore.floor), so a push catches
+//     up however much is committed meanwhile. A member
+//     that lags without a push holds nothing: once a cut passes its
+//     position, its sender pushes it a snapshot.
 //   - The write-ahead log ON DISK is bounded by the state it describes:
 //     at most a snapshot prefix plus as many bytes of records again,
 //     about twice the state. Rotating the file (checkpointLocked:
@@ -347,7 +363,8 @@
 // chunks as it is encoded, each an otherwise empty mirror batch under
 // the batch's epoch and lease rule. On the last chunk the backup
 // installs it, replacing its state wholesale and, with a log, rotating
-// it; the records since the capture follow from the member's queue. A
+// it; the records since the capture follow from the retained tail,
+// which keeps them until the member has been sent up to the head. A
 // push cut short installs nothing. A diverged backup's discarded records
 // were never held by a majority, so no acknowledged write is lost. A
 // late-joining or long-dead replica costs the current state's size
@@ -380,8 +397,9 @@
 // checkpoint drain, the snapshot-install rotation) say so in their doc
 // comments. They pin the lock order too: repMu before txMu, the shard
 // mutexes and pipe.mu, none of which is held with another (and the
-// client path takes none of them). Each inversion that can be written
-// among these four hangs tier-1 on every run. The rules whose breach the
+// client path takes none of them), and flushMu, the log's one writer,
+// between repMu and pipe.mu. Each inversion that can be written among
+// these five hangs tier-1 on every run. The rules whose breach the
 // tests do not reliably catch are left to an analyzer suite
 // (internal/lint, run as `go run ./cmd/yesqlint ./...`, blocking in CI):
 //

@@ -1,12 +1,16 @@
 package kvserver
 
 // Group-commit replication pipeline. Record EMISSION (under repMu) is
-// decoupled from the DURABILITY WAIT: emission hands the record to the
-// sinks — the write-ahead log's flusher and each member's sender — which
-// coalesce what accumulated into batched MirrorBatchReq RPCs (one round
-// trip, one lease grant, one contiguous apply per batch) and one batched
-// WAL append (one write, one fsync). Committers wait on the quorum and
-// synced watermarks before acknowledging the client.
+// decoupled from the DURABILITY WAIT. The store keeps one copy of the
+// stream, its retained tail (commitLog), and every sink reads it at a
+// cursor: the write-ahead log at walCursor, each member's sender at its
+// member's position. Whoever emitted or applied records writes them to
+// the log once it has released repMu (writeWAL: one writer at a time,
+// each taking the whole tail past the cursor, so concurrent writers
+// share one write and one fsync), and each sender cuts what accumulated
+// past its position into a batched MirrorBatchReq RPC (one round trip,
+// one lease grant, one contiguous apply per batch). Committers wait on
+// the quorum and log watermarks before acknowledging the client.
 //
 // Every decision of the primary's side is the core's (replcore.go). Each
 // member has its own sender goroutine, so a dead member never stalls the
@@ -14,8 +18,8 @@ package kvserver
 // a snapshot push, or a wait on one timer set to the core's next
 // deadline — and feeds the outcome back. What stays here is I/O and
 // ordering: captures under repMu, the divergence checks against
-// commitLog, the sends, the waiters, and the lease's publication into
-// the store's configuration view.
+// commitLog, the log writes, the sends, the waiters, and the lease's
+// publication into the store's configuration view.
 
 import (
 	"errors"
@@ -58,51 +62,28 @@ type pipeWaiter struct {
 type mirrorMember struct {
 	c      *coreMember
 	send   func(*kv.MirrorBatchReq) error
-	joined chan error // answers the attach
-	stopCh chan struct{}
-	wake   chan struct{}
+	joined chan error    // answers the attach
+	wake   chan struct{} // an emission, or the core ended the sender
 }
 
 // replPipe is the per-store pipeline state. Lock order: repMu before
-// pipe.mu before wal.mu; pipe.mu is never held across network or disk
-// I/O except by the checkpoint drain, which holds repMu anyway.
+// flushMu before pipe.mu before wal.mu; pipe.mu is never held across
+// network or disk I/O.
 type replPipe struct {
 	mu sync.Mutex
-	// walDone signals walFlushing transitions (checkpoint drains wait
-	// for the in-flight WAL write so rotation cannot strand records).
-	walDone *sync.Cond
 
 	core    replCore
 	members []*mirrorMember // the core's members' senders
 
-	// walQ holds records awaiting the batched write-ahead-log append.
-	walQ []kv.ReplRecord
-	// walQEnd is the sequence number after walQ's last record.
-	walQEnd uint64
-	// synced: the WAL covers seq < synced (fsynced when LogSync);
-	// needWAL: the store has a write-ahead log, so waiters require it.
-	synced  uint64
-	needWAL bool
+	// walCursor is where the write-ahead log's writers read the retained
+	// tail: the log holds every record below it (fsynced when LogSync).
+	walCursor uint64
 
 	waiters []pipeWaiter
 
-	// wal mirrors s.wal for the flusher: s.wal is written under repMu
-	// (OpenStore, snapshot-install failure), which the flusher never
-	// holds, so it reads this copy under pipe.mu instead.
-	wal *wal
-
-	// walFlushing marks an in-flight batched WAL write (the flusher
-	// holds it across appendBatch only).
-	walFlushing bool
-
-	// flushMu serializes whole WAL flush passes (batch grab + I/O +
-	// watermark update): a stop/start race can briefly leave an old
-	// flusher goroutine finishing its drain while the new one starts.
+	// flushMu picks one write-ahead-log writer at a time: it is held
+	// across a write's cut of the tail, its I/O and the cursor's move.
 	flushMu sync.Mutex
-
-	// stopCh is non-nil while the WAL flusher goroutine runs.
-	stopCh chan struct{}
-	wake   chan struct{}
 
 	// senders counts the member senders still running: Server.Close
 	// waits for the ones it detached.
@@ -110,8 +91,6 @@ type replPipe struct {
 }
 
 func (s *Store) initPipe() {
-	s.pipe.walDone = sync.NewCond(&s.pipe.mu)
-	s.pipe.wake = make(chan struct{}, 1)
 	s.pipe.core = newReplCore(s.cfg.LeaseDuration)
 }
 
@@ -119,51 +98,96 @@ func (s *Store) initPipe() {
 // durability requirement currently in force: a quorum of voters holds
 // it (while any voter is attached), and the WAL does (while there is
 // one). Caller holds pipe.mu.
-func (p *replPipe) durableLocked(seq uint64) bool {
-	return (p.core.need == 0 || seq < p.core.mirrored) && (!p.needWAL || seq < p.synced)
-}
-
-// enqueueLocked hands one emitted record to the pipeline. Caller holds
-// repMu (emission order is queue order is stream order).
-func (s *Store) enqueueLocked(seq uint64, rec kv.ReplRecord) {
+func (s *Store) durableLocked(seq uint64) bool {
 	p := &s.pipe
-	p.mu.Lock()
-	p.core.emit(seq, rec)
-	for _, m := range p.members {
-		if !m.c.parked {
-			select {
-			case m.wake <- struct{}{}:
-			default:
-			}
-		}
-	}
-	walQueued := s.wal != nil
-	if walQueued {
-		p.walQ = append(p.walQ, rec)
-		p.walQEnd = seq + 1
-	}
-	p.mu.Unlock()
-	if walQueued {
-		s.wakeFlusher()
-	}
+	return (p.core.need == 0 || seq < p.core.mirrored) && (s.wal == nil || seq < p.walCursor)
 }
 
-func (s *Store) wakeFlusher() {
+// wakeUp tells m's sender the core has something for it. wake is
+// buffered (cap 1), so a wake already pending covers this one.
+func (m *mirrorMember) wakeUp() {
 	select {
-	case s.pipe.wake <- struct{}{}:
+	case m.wake <- struct{}{}:
 	default:
 	}
 }
 
-// waitReplicated blocks until the record at seq is durable under the
-// store's configured guarantees — acknowledged by a quorum of attached
-// members, and fsynced when LogSync — or returns the error that failed
-// it. Callers must NOT hold repMu: the wait happening outside the
-// stream lock is the whole point of group commit.
-func (s *Store) waitReplicated(seq uint64) error {
+// writeWAL makes the write-ahead log hold every record below to, writing
+// the retained records from its cursor on. Whatever goroutine emitted or
+// applied them calls it once it has released repMu. flushMu picks one
+// writer at a time, and a writer finding its records written returns at
+// once: each write takes the whole tail past the cursor, so it covers
+// the records of the writers queued behind it. A writer that waits
+// (wait: a primary's committer or aborter) first lets a configured
+// GroupCommitInterval pass, holding flushMu, so the batch builds. It
+// reports whether the log holds the records; a failed write leaves the
+// cursor where it was, for the next writer to rewrite from there.
+func (s *Store) writeWAL(to uint64, wait bool) bool {
+	p := &s.pipe
+	p.flushMu.Lock()
+	defer p.flushMu.Unlock()
+	p.mu.Lock()
+	done := s.wal == nil || to <= p.walCursor
+	p.mu.Unlock()
+	if done {
+		return true
+	}
+	if d := s.cfg.GroupCommitInterval; wait && d > 0 {
+		time.Sleep(d)
+	}
+	return s.flushLocked()
+}
+
+// flushLocked writes the retained records the write-ahead log lacks in
+// one batched append, then advances the cursor and completes the
+// waiters it made durable. The records between the cursor and the head
+// are never truncated (truncateLogLocked), and no other writer runs, so
+// the file receives them in stream order with no gap; a failed append
+// leaves the cursor, and the next one repairs the torn tail before
+// rewriting them (wal.appendBatch). Caller holds flushMu.
+func (s *Store) flushLocked() bool {
 	p := &s.pipe
 	p.mu.Lock()
-	if err := p.core.failure(seq); err != nil || p.durableLocked(seq) {
+	w, from := s.wal, p.walCursor
+	var recs []kv.ReplRecord
+	if w != nil {
+		recs = s.commitLog[from-s.logBase:]
+	}
+	p.mu.Unlock()
+	if len(recs) == 0 {
+		return true
+	}
+	synced, err := w.appendBatch(recs)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err != nil {
+		s.stats.WALFailures.Add(1)
+		return false
+	}
+	p.walCursor = from + uint64(len(recs))
+	if synced {
+		s.stats.WALSyncs.Add(1)
+	}
+	s.completeWaitersLocked()
+	return true
+}
+
+// walRetryDelay paces a waiter's retries of a failed write-ahead-log
+// append, so a persistently broken disk does not spin it.
+const walRetryDelay = 100 * time.Millisecond
+
+// waitReplicated blocks until the record at seq is durable under the
+// store's configured guarantees — acknowledged by a quorum of attached
+// members, and in the write-ahead log (fsynced when LogSync) — or
+// returns the error that failed it. It writes the log first
+// (writeWAL), and retries that write while it fails. Callers must NOT
+// hold repMu: the wait happening outside the stream lock is the whole
+// point of group commit.
+func (s *Store) waitReplicated(seq uint64) error {
+	written := s.writeWAL(seq+1, true)
+	p := &s.pipe
+	p.mu.Lock()
+	if err := p.core.failure(seq); err != nil || s.durableLocked(seq) {
 		p.mu.Unlock()
 		return err
 	}
@@ -172,21 +196,33 @@ func (s *Store) waitReplicated(seq uint64) error {
 	p.mu.Unlock()
 	t := time.NewTimer(replWaitTimeout)
 	defer t.Stop()
-	select {
-	case err := <-w.ch:
-		return err
-	case <-t.C:
-		p.mu.Lock()
-		p.waiters = slices.DeleteFunc(p.waiters, func(o pipeWaiter) bool { return o.ch == w.ch })
-		p.mu.Unlock()
-		// The waiter may have been completed between the timeout and
-		// the removal; prefer that result.
+	var retry <-chan time.Time
+	if !written {
+		tk := time.NewTicker(walRetryDelay)
+		defer tk.Stop()
+		retry = tk.C
+	}
+	for {
 		select {
 		case err := <-w.ch:
 			return err
-		default:
+		case <-retry:
+			if s.writeWAL(seq+1, false) {
+				retry = nil
+			}
+		case <-t.C:
+			p.mu.Lock()
+			p.waiters = slices.DeleteFunc(p.waiters, func(o pipeWaiter) bool { return o.ch == w.ch })
+			p.mu.Unlock()
+			// The waiter may have been completed between the timeout and
+			// the removal; prefer that result.
+			select {
+			case err := <-w.ch:
+				return err
+			default:
+			}
+			return fmt.Errorf("kvserver: timed out awaiting replication of seq %d", seq)
 		}
-		return fmt.Errorf("kvserver: timed out awaiting replication of seq %d", seq)
 	}
 }
 
@@ -195,11 +231,12 @@ func (s *Store) waitReplicated(seq uint64) error {
 // lost quorum). Caller holds pipe.mu. Each waiter's channel is
 // buffered (cap 1) and receives exactly one completion, so the send
 // cannot block.
-func (p *replPipe) completeWaitersLocked() {
+func (s *Store) completeWaitersLocked() {
+	p := &s.pipe
 	p.waiters = slices.DeleteFunc(p.waiters, func(w pipeWaiter) bool {
 		if err := p.core.failure(w.seq); err != nil {
 			w.ch <- err
-		} else if p.durableLocked(w.seq) {
+		} else if s.durableLocked(w.seq) {
 			w.ch <- nil
 		} else {
 			return false
@@ -235,7 +272,7 @@ func (s *Store) carryOutLocked() {
 	clear(p.core.out)
 	p.core.out = p.core.out[:0]
 	if judge {
-		p.completeWaitersLocked()
+		s.completeWaitersLocked()
 	}
 }
 
@@ -261,7 +298,7 @@ func (s *Store) AttachMirrorMember(id string, send func(*kv.MirrorBatchReq) erro
 	p.mu.Lock()
 	c := p.core.attach(id)
 	if c != nil {
-		m := &mirrorMember{c: c, send: send, joined: joined, stopCh: make(chan struct{}), wake: make(chan struct{}, 1)}
+		m := &mirrorMember{c: c, send: send, joined: joined, wake: make(chan struct{}, 1)}
 		p.members = append(p.members, m)
 		s.carryOutLocked()
 		p.senders.Add(1)
@@ -282,8 +319,7 @@ func (s *Store) DetachAllMirrorMembers() {
 }
 
 // detachMembers stops and removes the members drop selects: their
-// senders stop and their queued records are dropped, and the waiters are
-// re-judged (see replCore.detach).
+// senders stop, and the waiters are re-judged (see replCore.detach).
 func (s *Store) detachMembers(drop func(id string) bool) {
 	p := &s.pipe
 	p.mu.Lock()
@@ -292,12 +328,13 @@ func (s *Store) detachMembers(drop func(id string) bool) {
 }
 
 // stopSendersLocked carries out a detach of the members gone: their
-// joins are answered, then their senders stopped. Caller holds pipe.mu.
+// joins are answered, then their senders woken to find they stop. Caller
+// holds pipe.mu.
 func (s *Store) stopSendersLocked(gone []*coreMember) {
 	s.carryOutLocked()
 	s.pipe.members = slices.DeleteFunc(s.pipe.members, func(m *mirrorMember) bool {
 		if slices.Contains(gone, m.c) {
-			close(m.stopCh)
+			m.wakeUp()
 			return true
 		}
 		return false
@@ -345,13 +382,14 @@ func (s *Store) memberProgress(id string) uint64 {
 // memberLoop is one member's sender goroutine. It ends when the core
 // says so: on a detach, a refusal carrying a newer configuration
 // (adopted first: a deposed sender can have nothing accepted again), or
-// a learner's failed join. While the core has nothing for it, it sleeps
-// until the core's next deadline (the heartbeat, or the end of a
-// back-off) or an emission's wake; with a configured GroupCommitInterval
-// it waits that long after a wake to let a batch build, and at the
-// default (0) it sends as soon as it is free — a lone writer pays no
-// added latency, while concurrent writers coalesce into whatever
-// accumulated during the previous batch's round trip.
+// a learner's failed join. Each batch the core cuts from the retained
+// tail at the member's position. While the core has nothing for it, it
+// sleeps until the core's next deadline (the heartbeat, or the end of a
+// back-off) or a wake; with a configured GroupCommitInterval it waits
+// that long after a wake to let a batch build, and at the default (0) it
+// sends as soon as it is free — a lone writer pays no added latency,
+// while concurrent writers coalesce into whatever accumulated during the
+// previous batch's round trip.
 func (s *Store) memberLoop(m *mirrorMember) {
 	defer s.pipe.senders.Done()
 	p := &s.pipe
@@ -359,7 +397,7 @@ func (s *Store) memberLoop(m *mirrorMember) {
 	defer timer.Stop()
 	for {
 		p.mu.Lock()
-		act := p.core.tick(m.c, time.Now())
+		act := p.core.tick(m.c, time.Now(), s.commitLog, s.logBase)
 		p.mu.Unlock()
 		switch act.kind {
 		case actStop:
@@ -369,20 +407,15 @@ func (s *Store) memberLoop(m *mirrorMember) {
 		case actPush:
 			s.pushSnapshot(m)
 		case actWait:
-			woke, ok := sleep(timer, time.Until(act.until), m.stopCh, m.wake)
-			if d := s.cfg.GroupCommitInterval; ok && woke && d > 0 {
-				_, ok = sleep(timer, d, m.stopCh, nil)
-			}
-			if !ok {
-				return
+			if sleep(timer, time.Until(act.until), m.wake) && s.cfg.GroupCommitInterval > 0 {
+				sleep(timer, s.cfg.GroupCommitInterval, nil)
 			}
 		}
 	}
 }
 
-// sleep waits d on t, or until wake fires; it reports whether wake
-// fired, and false for ok once stop is closed.
-func sleep(t *time.Timer, d time.Duration, stop, wake <-chan struct{}) (woke, ok bool) {
+// sleep waits d on t, or until wake fires, and reports whether it did.
+func sleep(t *time.Timer, d time.Duration, wake <-chan struct{}) bool {
 	if !t.Stop() {
 		select {
 		case <-t.C:
@@ -391,17 +424,15 @@ func sleep(t *time.Timer, d time.Duration, stop, wake <-chan struct{}) (woke, ok
 	}
 	t.Reset(d)
 	select {
-	case <-stop:
-		return false, false
 	case <-wake:
-		return true, true
+		return true
 	case <-t.C:
-		return false, true
+		return false
 	}
 }
 
 // sendBatch sends one batch to the member and feeds the reply to the
-// core. A gap reply restarts the member's queue at the backup's head
+// core. A gap reply moves the member's position to the backup's head
 // (resendFrom).
 func (s *Store) sendBatch(m *mirrorMember, req *kv.MirrorBatchReq) {
 	sentAt := time.Now()
@@ -445,11 +476,12 @@ func (s *Store) sendFailed(m *mirrorMember, err error) {
 // capture under repMu, streamed through the member's send as it is
 // encoded, one chunk per batch (kv.MirrorBatchReq.Snap, at its byte
 // offset Off) and an empty last one on which the backup installs it.
-// The source keeps no copy. The capture restarts the member's queue at
-// its position, so the records emitted during the push follow it from
-// the queue, however far the retained log has moved on. A store whose
-// adopted epoch is past the one its stream installed has been deposed,
-// and pushes nothing.
+// The source keeps no copy. The capture moves the member's position to
+// the snapshot's, and the retained tail keeps every record from there on
+// until the member has been sent up to the head (replCore.floor), so the
+// records emitted during the push follow it from the tail however many
+// they are. A store whose adopted epoch is past the one its stream
+// installed has been deposed, and pushes nothing.
 func (s *Store) pushSnapshot(m *mirrorMember) {
 	p := &s.pipe
 	s.repMu.Lock()
@@ -467,10 +499,11 @@ func (s *Store) pushSnapshot(m *mirrorMember) {
 	s.stats.SnapshotsServed.Add(1)
 	var off uint64
 	send := func(piece []byte, last bool) error {
-		select {
-		case <-m.stopCh:
+		p.mu.Lock()
+		stopped := m.c.stop
+		p.mu.Unlock()
+		if stopped {
 			return errDetached
-		default:
 		}
 		sentAt := time.Now()
 		if err := m.send(&kv.MirrorBatchReq{From: sn.Seq, Epoch: sn.Epoch, Off: off, Snap: piece, Last: last}); err != nil {
@@ -493,8 +526,8 @@ func (s *Store) pushSnapshot(m *mirrorMember) {
 }
 
 // resendFrom answers a backup's gap reply. Under repMu, so the stream
-// cannot move, the member's queue becomes the retained records from the
-// backup's head on, and its ack mark that head. A backup past this
+// cannot move, the member's position and its ack mark become the
+// backup's head, from which its sender resends the retained records. A backup past this
 // stream's head, or whose record below its head is not the one this
 // stream holds there, holds records this stream never had
 // (kv.ErrDiverged); one below the retained log lacks records that are
@@ -521,7 +554,7 @@ func (s *Store) resendFrom(m *coreMember, gap *kv.StreamGapError) error {
 	}
 	p := &s.pipe
 	p.mu.Lock()
-	p.core.gap(m, head, append([]kv.ReplRecord(nil), s.commitLog[head-s.logBase:]...))
+	p.core.gap(m, head)
 	s.carryOutLocked()
 	p.mu.Unlock()
 	return nil
@@ -532,157 +565,17 @@ func (s *Store) resendFrom(m *coreMember, gap *kv.StreamGapError) error {
 // sender pushes it a snapshot.
 var errBehindLog = errors.New("kvserver: backup is behind the retained log")
 
-// startFlusherLocked starts the WAL flusher goroutine if it is not
-// already running. Caller holds repMu (OpenStore and attach paths).
-func (s *Store) startFlusherLocked() {
-	p := &s.pipe
-	p.mu.Lock()
-	if p.stopCh == nil {
-		p.stopCh = make(chan struct{})
-		go s.flushLoop(p.stopCh)
-	}
-	p.mu.Unlock()
-}
-
-func (s *Store) stopFlusher() {
-	p := &s.pipe
-	p.mu.Lock()
-	stop := p.stopCh
-	p.stopCh = nil
-	p.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
-}
-
-// flushLoop is the write-ahead log's batcher: woken by emissions, it
-// drains the WAL queue in batched appends until empty, then sleeps.
-// With a configured GroupCommitInterval it waits that long after the
-// first wake to let a batch build. (Mirror batches have per-member
-// sender goroutines; see memberLoop.)
-func (s *Store) flushLoop(stopCh chan struct{}) {
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		select {
-		case <-stopCh:
-			return
-		case <-s.pipe.wake:
-		}
-		if d := s.cfg.GroupCommitInterval; d > 0 {
-			if _, ok := sleep(timer, d, stopCh, nil); !ok {
-				return
-			}
-		}
-		for s.flushOnce() {
-			select {
-			case <-stopCh:
-				return
-			default:
-			}
-		}
-	}
-}
-
-// flushOnce performs one batched WAL append, then advances the synced
-// watermark and completes waiters. It reports whether it did any work.
-func (s *Store) flushOnce() bool {
+// drainWALLocked writes every retained record the write-ahead log
+// lacks before a checkpoint rotation: a record written after the
+// rotation began would be teed in after a snapshot that already covers
+// it and double-apply on replay. It waits out any write in flight
+// (bounded: one file write and fsync, never a network call), then
+// writes the rest itself. Caller holds repMu, so no record can be
+// emitted while it runs. It reports whether the log holds every
+// record — false means the caller MUST NOT rotate.
+func (s *Store) drainWALLocked() bool {
 	p := &s.pipe
 	p.flushMu.Lock()
 	defer p.flushMu.Unlock()
-	p.mu.Lock()
-	recs, to, w := p.walQ, p.walQEnd, p.wal
-	p.walQ = nil
-	p.walFlushing = len(recs) > 0
-	p.mu.Unlock()
-	if len(recs) == 0 {
-		return false
-	}
-	synced, err := w.appendBatch(recs)
-	p.mu.Lock()
-	p.walFlushing = false
-	p.walDone.Broadcast()
-	s.walWrittenLocked(recs, to, synced, err)
-	p.mu.Unlock()
-	return true
-}
-
-// walWrittenLocked folds one batched append of recs, up to seq to, into
-// the pipeline: on success the synced watermark advances and waiters
-// complete. A failed batch is re-queued AT THE FRONT: the records must
-// reach the file in stream order with no gap (the wal's torn-tail repair
-// assumes the retry starts exactly where the clean prefix ends). Their
-// waiters keep waiting — the retry may well succeed (a transient disk
-// error); if the disk stays broken they time out as uncertain — and a
-// delayed self-wake drives the retry even if no new emission comes. It
-// reports whether the append succeeded. Caller holds pipe.mu.
-func (s *Store) walWrittenLocked(recs []kv.ReplRecord, to uint64, synced bool, err error) bool {
-	p := &s.pipe
-	if err != nil {
-		s.stats.WALFailures.Add(1)
-		p.walQ = append(recs, p.walQ...)
-		time.AfterFunc(walRetryDelay, s.wakeFlusher)
-		return false
-	}
-	p.synced = max(p.synced, to)
-	if synced {
-		s.stats.WALSyncs.Add(1)
-	}
-	p.completeWaitersLocked()
-	return true
-}
-
-// walRetryDelay paces retries of a failed batched WAL append, so a
-// persistently broken disk does not spin the flusher.
-const walRetryDelay = 100 * time.Millisecond
-
-// discardWALLocked waits out any in-flight batched append and drops
-// the queued records without writing them — used when a snapshot
-// install supersedes them (the snapshot covers their effects, and the
-// log file is about to be replaced wholesale). Caller holds repMu; the
-// wait is bounded: at most one in-flight file write and fsync, never a
-// network call.
-func (s *Store) discardWALLocked() {
-	if s.wal == nil {
-		return
-	}
-	p := &s.pipe
-	p.mu.Lock()
-	for p.walFlushing {
-		p.walDone.Wait()
-	}
-	p.walQ = nil
-	p.mu.Unlock()
-}
-
-// drainWALLocked forces every queued WAL record into the file before a
-// checkpoint rotation: a record left in the queue across the rotation
-// would be appended AFTER a snapshot that already covers it and
-// double-apply on replay. It waits out any in-flight batched append
-// (bounded: one file write + fsync, never a network call), then writes
-// the remainder itself. Caller holds repMu, so no new records can be
-// emitted while it runs. It reports whether the file now holds every
-// queued record — false means the records were re-queued for the
-// flusher's retry and the caller MUST NOT rotate (the still-queued
-// records are below the would-be snapshot's coverage; teed into its
-// tail by a later flush they would double-apply on replay).
-func (s *Store) drainWALLocked() bool {
-	if s.wal == nil {
-		return true
-	}
-	p := &s.pipe
-	p.mu.Lock()
-	for p.walFlushing {
-		p.walDone.Wait()
-	}
-	recs, to := p.walQ, p.walQEnd
-	p.walQ = nil
-	p.mu.Unlock()
-	if len(recs) == 0 {
-		return true
-	}
-	synced, err := s.wal.appendBatch(recs)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return s.walWrittenLocked(recs, to, synced, err)
+	return s.flushLocked()
 }

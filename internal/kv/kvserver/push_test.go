@@ -1,9 +1,9 @@
 package kvserver
 
 // Tests of a snapshot pushed into a backup that has a write-ahead log:
-// the install discards the records still queued for the backup's log and
-// rotates the file onto the snapshot (installSnapshotLocked →
-// discardWALLocked → wal.rotate), and the records mirrored after it
+// the install drops the records its log does not hold yet, moving the
+// log's cursor to the snapshot, and rotates the file onto the snapshot
+// (installSnapshotLocked → wal.rotate), and the records mirrored after it
 // append to the rotated file. A push cut mid-way is
 // TestKillPrimaryMidSnapshotInstallNoAckedWriteLoss. The branch where the
 // rotation fails before the new file is swapped in needs a file system
@@ -14,7 +14,9 @@ import (
 	"maps"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"yesquel/internal/kv"
 )
@@ -22,7 +24,7 @@ import (
 // pushIntoLoggedBackup builds a primary whose retained log no longer
 // reaches an empty member — with committed history, a decided two-phase
 // transaction and a prepared one — and a backup with a log at path that
-// holds records of another stream, still queued for its log. It then
+// holds records of another stream, not yet written to its log. It then
 // attaches the backup, which the primary's membership lists, so its
 // acks count; its sender pushes it the primary's state. The caller
 // detaches the member and closes the backup's log.
@@ -56,20 +58,27 @@ func pushIntoLoggedBackup(t *testing.T, path string) (primary, backup *Store, pe
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hold the backup's log flusher off, so the records of the other
-	// stream are still queued for its log when the snapshot arrives.
-	backup.pipe.flushMu.Lock()
-	catchUp(t, backup, other)
+	// Apply the other stream's records as a mirror handler does before
+	// its log write, so they are past the backup's log cursor when the
+	// snapshot arrives.
+	recs, err := retainedRecords(other, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup.repMu.Lock()
+	err = backup.applyBatchLocked(&kv.MirrorBatchReq{Epoch: other.Epoch(), Recs: recs})
+	backup.repMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	backup.pipe.mu.Lock()
-	queued := len(backup.pipe.walQ)
+	unwritten := backup.repSeq - backup.pipe.walCursor
 	backup.pipe.mu.Unlock()
-	if queued == 0 {
-		t.Fatal("test premise: no record queued for the backup's log")
+	if unwritten == 0 {
+		t.Fatal("test premise: every record of the backup's stream is in its log")
 	}
 	joined := primary.AttachMirrorMember("backup", backup.ApplyMirroredBatch)
-	err = <-joined
-	backup.pipe.flushMu.Unlock()
-	if err != nil {
+	if err := <-joined; err != nil {
 		t.Fatal(err)
 	}
 	if got := backup.Stats().SnapshotsInstalled; got != 1 {
@@ -117,7 +126,7 @@ func sameReplica(t *testing.T, got, want *Store) {
 
 // TestPushedSnapshotRotatesBackupLog: a kill -9 right after a pushed
 // snapshot's install leaves a log that replays to the primary's state —
-// the records that were queued for the log at the install are gone, not
+// the records its log did not hold yet at the install are gone, not
 // written after the snapshot or before it.
 func TestPushedSnapshotRotatesBackupLog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "backup.log")
@@ -280,4 +289,120 @@ func TestSnapshotChunkMustExtendThePush(t *testing.T) {
 		t.Fatalf("backup installed %d snapshots, want 1", got)
 	}
 	sameReplica(t, backup, primary)
+}
+
+// waitCaughtUp waits until dst holds src's whole stream and state.
+func waitCaughtUp(t *testing.T, dst, src *Store) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for dst.ReplSeq() != src.ReplSeq() || dst.StateDigest() != src.StateDigest() {
+		if time.Now().After(deadline) {
+			t.Fatalf("member at seq %d, primary at %d: not caught up", dst.ReplSeq(), src.ReplSeq())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stallOnce is a member's send that stalls the first request gate
+// selects until release is closed, closing stalled once it is held.
+func stallOnce(dst *Store, gate func(*kv.MirrorBatchReq) bool) (send func(*kv.MirrorBatchReq) error, stalled, release chan struct{}) {
+	stalled, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	send = func(req *kv.MirrorBatchReq) error {
+		if gate(req) {
+			once.Do(func() {
+				close(stalled)
+				<-release
+			})
+		}
+		return dst.ApplyMirroredBatch(req)
+	}
+	return send, stalled, release
+}
+
+// TestLaggingMemberPushedSnapshot: a member whose batch stalls while
+// the primary commits past its retained-tail bound is passed by the
+// truncation. The primary keeps nothing for it below the tail — the
+// tail stays within its bound, the one copy of the stream — so once the
+// stalled batch lands, the member's sender pushes it a snapshot rather
+// than replaying records the primary no longer holds, and it ends
+// byte-identical.
+func TestLaggingMemberPushedSnapshot(t *testing.T) {
+	const bound = 8
+	primary := NewStore(nil, Config{ReplicationLogMaxRecords: bound})
+	primary.SetSelf("p")
+	if err := primary.InstallEpoch(2, []string{"p", "a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewStore(nil, Config{}), NewStore(nil, Config{})
+	sendB, stalled, release := stallOnce(b, func(req *kv.MirrorBatchReq) bool { return len(req.Recs) > 0 })
+	if err := <-primary.AttachMirrorMember("a", a.ApplyMirroredBatch); err != nil {
+		t.Fatal(err)
+	}
+	joinedB := primary.AttachMirrorMember("b", sendB)
+	defer primary.DetachAllMirrorMembers()
+	<-stalled
+	for i := 0; i < 5*bound; i++ {
+		commitPut(t, primary, kv.MakeOID(0, uint64(i)), "past the bound")
+	}
+	base, head := primary.LogBounds()
+	primary.pipe.mu.Lock()
+	next := primary.pipe.core.members[1].next
+	primary.pipe.mu.Unlock()
+	if head-base > bound || next >= base {
+		t.Fatalf("retained tail [%d,%d), lagging member at %d: want at most %d records, the member passed", base, head, next, bound)
+	}
+	close(release)
+	if err := <-joinedB; err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, b, primary)
+	if served, installed := primary.Stats().SnapshotsServed, b.Stats().SnapshotsInstalled; served != 1 || installed != 1 {
+		t.Fatalf("%d snapshots served, %d installed: want the lagging member pushed one", served, installed)
+	}
+}
+
+// TestPushCatchesUpPastTheTailBound: a member being pushed a snapshot
+// while the primary commits past its retained-tail bound still catches
+// up from the tail with that one push: truncation keeps every record
+// from the push's capture on, and cuts the tail back to its bound once
+// the member has been sent up to the head.
+func TestPushCatchesUpPastTheTailBound(t *testing.T) {
+	const bound = 8
+	SetSnapChunkBytes(t, 256)
+	primary := NewStore(nil, Config{ReplicationLogMaxRecords: bound})
+	primary.SetSelf("p")
+	if err := primary.InstallEpoch(2, []string{"p", "a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*bound; i++ {
+		commitPut(t, primary, kv.MakeOID(0, uint64(i)), "history")
+	}
+	a, b := NewStore(nil, Config{}), NewStore(nil, Config{})
+	sendB, stalled, release := stallOnce(b, func(req *kv.MirrorBatchReq) bool { return req.Snap != nil })
+	if err := <-primary.AttachMirrorMember("a", a.ApplyMirroredBatch); err != nil {
+		t.Fatal(err)
+	}
+	joinedB := primary.AttachMirrorMember("b", sendB)
+	defer primary.DetachAllMirrorMembers()
+	<-stalled
+	captured := primary.ReplSeq()
+	for i := 0; i < 5*bound; i++ {
+		commitPut(t, primary, kv.MakeOID(1, uint64(i)), "during the push")
+	}
+	if base, head := primary.LogBounds(); base > captured || head-base <= bound {
+		t.Fatalf("retained tail [%d,%d) during a push captured at %d: want it kept from the capture", base, head, captured)
+	}
+	close(release)
+	if err := <-joinedB; err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, b, primary)
+	if served, installed := primary.Stats().SnapshotsServed, b.Stats().SnapshotsInstalled; served != 2 || installed != 1 {
+		t.Fatalf("%d snapshots served, %d installed by the member: want one push each for a and b", served, installed)
+	}
+	commitPut(t, primary, kv.MakeOID(2, 0), "after the push")
+	if base, head := primary.LogBounds(); head-base > bound {
+		t.Fatalf("retained tail [%d,%d) after the push caught up: want at most %d records", base, head, bound)
+	}
 }

@@ -20,9 +20,9 @@ package kvserver
 // that install on. Only backup replies move an ack mark: a batch's ack,
 // a gap reply's head, an installed snapshot.
 //
-// FAILURE. A failed send breaks the member: its queue is dropped and
-// nothing is queued for it (parked) until its retry, a back-off later (a
-// heartbeat period, doubling up to the lease), probes at the stream head.
+// FAILURE. A failed send breaks the member (parked): its retry, a
+// back-off later (a heartbeat period, doubling up to the lease), probes
+// at the stream head.
 // It stays a voter, its past acks counting. With fewer live voters than
 // need the quorum is LOST: every waiter at or above the watermark fails
 // (uncertain), now or when it registers. A detach that leaves no voter
@@ -31,13 +31,20 @@ package kvserver
 // failed join, ends the sender; any other member is retried without end,
 // as Raft's leader retries AppendEntries.
 //
-// CATCH-UP. A batch says where it starts, and a backup applies it only
-// at its own head; otherwise it answers with its head (a gap), and the
-// member's queue restarts there from the retained log. A backup the log
-// no longer reaches, or whose history diverged, is pushed a snapshot
-// (Raft's InstallSnapshot), whose capture restarts the queue. A member's
-// first batch, the probe, goes at once at the head at its attach; its
-// join succeeds once it holds that head.
+// CATCH-UP. The core keeps no copy of the stream: each batch is cut
+// from the store's retained tail, passed in, at the member's position,
+// as a Raft leader sends each follower from its one log at nextIndex. A
+// batch says where it starts, and a backup applies it only at its own
+// head; otherwise it answers with its head (a gap), and the member's
+// position moves there. A backup the retained tail no longer reaches —
+// its position is below the tail's base, whether a gap reply says so or
+// a truncation passed it — or whose history diverged, is pushed a
+// snapshot (Raft's InstallSnapshot), whose capture moves its position to
+// the snapshot's. From the capture until a batch reaches the head, the
+// member holds the tail's floor: no truncation cuts a record it still
+// needs, so a push catches up however much is emitted meanwhile. A
+// member's first batch, the probe, goes at once at the head at its
+// attach; its join succeeds once it holds that head.
 //
 // LEASE. A batch the backup accepted is that member's grant, lasting the
 // lease from before it was sent; a member sent nothing for a third of
@@ -86,14 +93,14 @@ type coreMember struct {
 	voter   bool // the installed membership lists it
 	joining bool // its attach is not answered yet
 	joinAt  uint64
-	queue   []kv.ReplRecord // records awaiting its next batch, from next on
-	next    uint64
+	next    uint64 // the stream position its next batch starts at
 	acked   uint64 // its backup holds every record below acked
 	broken  bool   // its last send failed; retried from retryAt
 	err     error
-	parked  bool // nothing is queued for it until the retry
+	parked  bool // its retry probes at the stream head
 	push    bool // its backup needs a snapshot
 	pushing bool // a snapshot of the stream at pushSeq is being pushed
+	holds   bool // pushed a snapshot and not yet sent up to the head: the tail is kept from next
 	stop    bool // its sender ends: detached, deposed, or a learner's join failed
 	pushSeq uint64
 	chunks  uint64 // snapshot chunks accepted: a push's progress, which acked does not show
@@ -115,7 +122,7 @@ type replAction struct {
 type actionKind int
 
 const (
-	actWait actionKind = iota // until then, or an emission's wake
+	actWait actionKind = iota // until then, or a wake
 	actSend
 	actPush
 	actStop
@@ -158,16 +165,24 @@ func newReplCore(lease time.Duration) replCore {
 }
 
 // emit: the record at seq entered the stream.
-func (c *replCore) emit(seq uint64, rec kv.ReplRecord) {
+func (c *replCore) emit(seq uint64, rec *kv.ReplRecord) {
 	c.head = seq + 1
 	if rec.Kind == kv.RecEpoch {
 		c.streamEpoch = max(c.streamEpoch, rec.Epoch)
 	}
+}
+
+// floor is the lowest stream position a member still needs the
+// retained tail to hold: the position of each member that holds it (see
+// CATCH-UP), or the head.
+func (c *replCore) floor() uint64 {
+	f := c.head
 	for _, m := range c.members {
-		if !m.parked {
-			m.queue = append(m.queue, rec)
+		if m.holds {
+			f = min(f, m.next)
 		}
 	}
+	return f
 }
 
 // attach adds the member id at the stream head, a voter if the
@@ -223,11 +238,11 @@ func (c *replCore) install(epoch uint64, members []string) (gone []*coreMember) 
 }
 
 // restart: a snapshot installed moved the stream to head, in epoch;
-// every member's queue restarts there.
+// every member's position moves there.
 func (c *replCore) restart(head, epoch uint64) {
 	c.head, c.streamEpoch = head, epoch
 	for _, m := range c.members {
-		m.queue, m.next = nil, head
+		m.next, m.holds = head, false
 	}
 }
 
@@ -240,19 +255,19 @@ func (c *replCore) ack(m *coreMember, sentAt time.Time, upto uint64) {
 	}
 }
 
-// gap: m's backup is at head, and recs are this stream's records from
-// there on; its queue restarts there.
-func (c *replCore) gap(m *coreMember, head uint64, recs []kv.ReplRecord) {
+// gap: m's backup is at head, which the retained tail reaches; its
+// position moves there.
+func (c *replCore) gap(m *coreMember, head uint64) {
 	if !m.stop {
-		m.queue, m.next, m.acked = recs, head, head
+		m.next, m.acked = head, head
 		c.progress(m)
 	}
 }
 
 // capture: a snapshot of the stream at seq is being pushed to m; its
-// queue restarts there.
+// position moves there, and it holds the tail from there on.
 func (c *replCore) capture(m *coreMember, seq uint64) {
-	m.queue, m.next, m.parked, m.push, m.pushing, m.pushSeq = nil, seq, false, false, true, seq
+	m.next, m.parked, m.push, m.pushing, m.holds, m.pushSeq = seq, false, false, true, true, seq
 }
 
 // chunk: m's backup accepted a snapshot chunk sent at sentAt; on the
@@ -300,20 +315,22 @@ func (c *replCore) sendFailed(m *coreMember, err error, now time.Time) {
 	}
 	var we *kv.WrongEpochError
 	m.stop = errors.As(err, &we) || m.joining && !m.voter
-	m.broken, m.err, m.parked, m.pushing, m.queue = true, err, true, false, nil
+	m.broken, m.err, m.parked, m.pushing, m.holds = true, err, true, false, false
 	m.retryAt = now.Add(m.backoff)
 	m.backoff = min(2*m.backoff, c.lease)
 	c.answer(m, err)
 	c.recompute()
 }
 
-// tick returns m's next action at now: after a failure, the retry's
-// probe at the stream head once its back-off is over; a pushed
-// snapshot; the next batch off its queue, bounded by
-// mirrorBatchMaxRecords and mirrorBatchBytes (one record always goes:
-// it crossed the wire once already, so it fits a frame); an empty batch
-// once it is due a heartbeat; or else a wait until then.
-func (c *replCore) tick(m *coreMember, now time.Time) replAction {
+// tick returns m's next action at now, given the retained tail, whose
+// first record is at base: after a failure, the retry's probe at the
+// stream head once its back-off is over; a pushed snapshot, when its
+// backup needs one or its position is below base; the next batch of the
+// tail from its position, bounded by mirrorBatchMaxRecords and
+// mirrorBatchBytes (one record always goes: it crossed the wire once
+// already, so it fits a frame); an empty batch once it is due a
+// heartbeat; or else a wait until then.
+func (c *replCore) tick(m *coreMember, now time.Time, tail []kv.ReplRecord, base uint64) replAction {
 	switch {
 	case m.stop:
 		return replAction{kind: actStop}
@@ -321,24 +338,24 @@ func (c *replCore) tick(m *coreMember, now time.Time) replAction {
 		return replAction{kind: actWait, until: m.retryAt}
 	case m.parked:
 		m.next, m.parked = c.head, false
-	case m.push:
+	case m.push, m.next < base:
 		return replAction{kind: actPush}
-	case len(m.queue) == 0 && now.Before(m.beatAt):
+	case m.next == c.head && now.Before(m.beatAt):
 		return replAction{kind: actWait, until: m.beatAt}
 	}
+	recs := tail[m.next-base:]
 	n, bytes := 0, 0
-	for n < min(len(m.queue), mirrorBatchMaxRecords) {
-		sz := recordSize(&m.queue[n])
+	for n < min(len(recs), mirrorBatchMaxRecords) {
+		sz := recordSize(&recs[n])
 		if n > 0 && bytes+sz > mirrorBatchBytes {
 			break
 		}
 		bytes += sz
 		n++
 	}
-	a := replAction{kind: actSend, from: m.next, epoch: c.streamEpoch, recs: m.queue[:n:n]}
-	m.next += uint64(n)
-	if m.queue = m.queue[n:]; len(m.queue) == 0 {
-		m.queue = nil
+	a := replAction{kind: actSend, from: m.next, epoch: c.streamEpoch, recs: recs[:n:n]}
+	if m.next += uint64(n); m.next == c.head {
+		m.holds = false
 	}
 	m.beatAt = now.Add(c.heartbeat)
 	return a

@@ -23,10 +23,14 @@ const coreLease = 3 * time.Second
 // at is the tables' clock: ms milliseconds after an arbitrary origin.
 func at(ms int) time.Time { return time.Unix(1000, 0).Add(time.Duration(ms) * time.Millisecond) }
 
-// coreFixture is a core under test and the members attached to it.
+// coreFixture is a core under test, the members attached to it, and
+// the store's retained tail it cuts batches from: log[i] is the record
+// at base+i.
 type coreFixture struct {
-	c replCore
-	m map[string]*coreMember
+	c    replCore
+	m    map[string]*coreMember
+	log  []kv.ReplRecord
+	base uint64
 }
 
 func newCoreFixture(members ...string) *coreFixture {
@@ -47,13 +51,31 @@ func (f *coreFixture) attach(id string) {
 func (f *coreFixture) emit(n, size int) {
 	rec := kv.ReplRecord{Kind: kv.RecCommit, Ops: []*kv.Op{{Kind: kv.OpPut, Value: kv.NewPlain(make([]byte, size))}}}
 	for i := 0; i < n; i++ {
-		f.c.emit(f.c.head, rec)
+		f.log = append(f.log, rec)
+		f.c.emit(f.c.head, &rec)
 	}
+}
+
+// truncate cuts the tail below to, as truncateLogLocked does, but never
+// past the core's floor, and renders where the tail now starts.
+func (f *coreFixture) truncate(to uint64) string {
+	to = min(to, f.c.floor())
+	if to > f.base {
+		f.log = f.log[to-f.base:]
+		f.base = to
+	}
+	return fmt.Sprintf("tail from %d", f.base)
+}
+
+// restart installs a snapshot at head, which empties the tail.
+func (f *coreFixture) restart(head, epoch uint64) {
+	f.log, f.base = nil, head
+	f.c.restart(head, epoch)
 }
 
 // tick renders a member's next action at ms.
 func (f *coreFixture) tick(id string, ms int) string {
-	a := f.c.tick(f.m[id], at(ms))
+	a := f.c.tick(f.m[id], at(ms), f.log, f.base)
 	switch a.kind {
 	case actSend:
 		return fmt.Sprintf("send [%d,%d)", a.from, a.from+uint64(len(a.recs)))
@@ -140,6 +162,15 @@ func attachE(id string) func(*coreFixture) string {
 func emitE(n int) func(*coreFixture) string {
 	return func(f *coreFixture) string { f.emit(n, 8); return "" }
 }
+func truncE(to uint64) func(*coreFixture) string {
+	return func(f *coreFixture) string { return f.truncate(to) }
+}
+func captureE(id string, seq uint64) func(*coreFixture) string {
+	return func(f *coreFixture) string { f.c.capture(f.m[id], seq); return "" }
+}
+func pushChunkE(id string, sentMs int, last bool) func(*coreFixture) string {
+	return func(f *coreFixture) string { f.c.chunk(f.m[id], at(sentMs), last); return "" }
+}
 func tickE(id string, ms int) func(*coreFixture) string {
 	return func(f *coreFixture) string { return f.tick(id, ms) }
 }
@@ -188,11 +219,11 @@ func TestReplCoreJoinAckHeartbeatLease(t *testing.T) {
 }
 
 // TestReplCoreBrokenVoterRetriesAtTheHead: a failed send breaks the
-// member, drops its queue and parks it; it stays a voter, and the other
-// member's acks carry the quorum. After its back-off — a heartbeat
-// period, doubling up to the lease — its retry probes at the stream
-// head: what was emitted while it was parked was never queued for it.
-// An accepted probe heals it.
+// member and parks it; it stays a voter, and the other member's acks
+// carry the quorum. After its back-off — a heartbeat period, doubling
+// up to the lease — its retry probes at the stream head, not at its old
+// position: its backup's gap reply says what it lacks. An accepted
+// probe heals it.
 func TestReplCoreBrokenVoterRetriesAtTheHead(t *testing.T) {
 	runRows(t, newCoreFixture("p", "a", "b"), []coreRow{
 		{do: attachE("a"), want: " | "},
@@ -289,10 +320,11 @@ func TestReplCoreLearner(t *testing.T) {
 	})
 }
 
-// TestReplCoreGapAndPush: a gap reply restarts the member's queue at the
-// backup's head, and its ack mark there (resendFrom's queue reset). A
-// backup behind the retained log or diverged from it is pushed a
-// snapshot, whose capture restarts the queue; chunks grant the lease,
+// TestReplCoreGapAndPush: a gap reply moves the member's position to
+// the backup's head, and its ack mark there (resendFrom), and its next
+// batch is cut from the tail there. A backup behind the retained log or
+// diverged from it is pushed a snapshot, whose capture moves the
+// position to the snapshot's; chunks grant the lease,
 // and the last one heals the member and answers its join. A push that
 // fails breaks the member, whose retry probes again — and a push from a
 // store deposed meanwhile ends the sender.
@@ -303,7 +335,7 @@ func TestReplCoreGapAndPush(t *testing.T) {
 		{do: attachE("a"), want: " | "},
 		{do: tickE("a", 0), want: "send [5,5) | "},
 		{do: func(f *coreFixture) string {
-			f.c.gap(f.m["a"], 3, make([]kv.ReplRecord, 2))
+			f.c.gap(f.m["a"], 3)
 			return ""
 		}, want: " | complete 3", state: "need=1 mark=3 a{acked=3}"},
 		{do: tickE("a", 0), want: "send [3,5) | "},
@@ -326,6 +358,57 @@ func TestReplCoreGapAndPush(t *testing.T) {
 		{do: tickE("a", 1040), want: "push | "},
 		{do: failE("a", 1050, &kv.WrongEpochError{Epoch: 4}), want: " | "},
 		{do: tickE("a", 9000), want: "stop | "},
+	})
+}
+
+// TestReplCoreLaggingMemberPushed: the core keeps no record for a
+// member. One whose batch is still in flight when a truncation passes
+// its position — the primary committed past its tail bound meanwhile —
+// holds the tail for no one, and its next action is a pushed snapshot,
+// not records the tail no longer has.
+func TestReplCoreLaggingMemberPushed(t *testing.T) {
+	runRows(t, newCoreFixture("p", "a", "b"), []coreRow{
+		{do: attachE("a"), want: " | "},
+		{do: attachE("b"), want: " | "},
+		{do: emitE(2), want: " | "},
+		{do: tickE("a", 0), want: "send [0,2) | "},
+		{do: tickE("b", 0), want: "send [0,2) | "},
+		{do: ackE("a", 0, 2), want: " | join a <nil>; complete 2; lease 3000"},
+		{do: emitE(20), want: " | "},
+		{do: tickE("a", 10), want: "send [2,22) | "},
+		{do: ackE("a", 10, 22), want: " | complete 22; lease 3010"},
+		{do: truncE(14), want: "tail from 14 | "},
+		{do: ackE("b", 0, 2), want: " | join b <nil>"},
+		{do: tickE("b", 20), want: "push | ", state: "need=1 mark=22 a{acked=22} b{acked=2}"},
+		{do: captureE("b", 22), want: " | "},
+		{do: pushChunkE("b", 30, true), want: " | lease 3030"},
+		{do: tickE("b", 30), want: "wait 1000 | ", state: "need=1 mark=22 a{acked=22} b{acked=22}"},
+	})
+}
+
+// TestReplCorePushHoldsTheTail: a member being pushed a snapshot holds
+// the tail from its capture on, so the primary committing past its tail
+// bound during the push cuts nothing the member will be sent; once the
+// member has been sent up to the head, the tail is cut again.
+func TestReplCorePushHoldsTheTail(t *testing.T) {
+	f := newCoreFixture("p", "a")
+	f.emit(10, 8)
+	runRows(t, f, []coreRow{
+		{do: truncE(10), want: "tail from 10 | "},
+		{do: attachE("a"), want: " | "},
+		{do: tickE("a", 0), want: "send [10,10) | "},
+		{do: failE("a", 0, fmt.Errorf("wrapped: %w", errBehindLog)), want: " | "},
+		{do: tickE("a", 0), want: "push | "},
+		{do: captureE("a", 10), want: " | "},
+		{do: emitE(40), want: " | "},
+		{do: truncE(45), want: "tail from 10 | "},
+		{do: pushChunkE("a", 10, false), want: " | lease 3010"},
+		{do: emitE(10), want: " | "},
+		{do: truncE(55), want: "tail from 10 | "},
+		{do: pushChunkE("a", 20, true), want: " | join a <nil>; complete 10; lease 3020"},
+		{do: tickE("a", 20), want: "send [10,60) | "},
+		{do: truncE(55), want: "tail from 55 | "},
+		{do: ackE("a", 20, 60), want: " | complete 60", state: "need=1 mark=60 a{acked=60}"},
 	})
 }
 
@@ -428,12 +511,12 @@ func TestReplCoreLeaseRules(t *testing.T) {
 }
 
 // TestReplCoreRestart: a snapshot installed under the attached members
-// restarts every queue at its position.
+// moves every member's position to the snapshot's.
 func TestReplCoreRestart(t *testing.T) {
 	runRows(t, newCoreFixture("p", "a"), []coreRow{
 		{do: attachE("a"), want: " | "},
 		{do: emitE(2), want: " | "},
-		{do: func(f *coreFixture) string { f.c.restart(40, 1); return "" }, want: " | "},
+		{do: func(f *coreFixture) string { f.restart(40, 1); return "" }, want: " | "},
 		{do: emitE(1), want: " | "},
 		{do: tickE("a", 0), want: "send [40,41) | "},
 	})

@@ -433,10 +433,20 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	// record with the highest commit timestamp left the newest version of
 	// whatever it wrote, which no trim or sweep has removed yet.
 	s.streamTS.Store(uint64(maxTS))
+	// The tail, the members' positions and the log's cursor restart at
+	// the snapshot, under flushMu: a log write in flight holds records
+	// below the snapshot's coverage, and is waited out (bounded: one file
+	// write and fsync, never a network call). The records the log did not
+	// hold yet are dropped, not written: teed into the rotated file they
+	// would replay on top of a snapshot that already contains their
+	// effects.
+	s.pipe.flushMu.Lock()
+	defer s.pipe.flushMu.Unlock()
+	s.pipe.mu.Lock()
 	s.commitLog = nil
 	s.commitLogBytes = 0
 	s.logBase = sn.Seq
-	s.pipe.mu.Lock()
+	s.pipe.walCursor = sn.Seq
 	s.pipe.core.restart(sn.Seq, sn.Epoch)
 	s.pipe.mu.Unlock()
 	// The snapshot's coverage includes every RecEpoch below its seq; its
@@ -455,30 +465,17 @@ func (s *Store) installSnapshotLocked(sn *stateSnapshot) error {
 	// the path IS the snapshot file, and the in-memory install is
 	// already complete; the durability doubt is counted, not fatal.
 	if s.wal != nil {
-		// Quiesce the pipeline first: queued (and in-flight) batched
-		// appends hold records below the snapshot's coverage; teed into
-		// the rotated file they would replay on top of a snapshot that
-		// already contains their effects. The snapshot subsumes them, so
-		// they are dropped, not written.
-		s.discardWALLocked()
 		if swapped, err := s.wal.rotate(snapshotFrames(sn)); err != nil {
 			s.stats.CheckpointFailures.Add(1)
 			if !swapped {
 				s.wal.close()
-				s.wal = nil
 				s.pipe.mu.Lock()
-				s.pipe.needWAL = false
-				s.pipe.wal = nil
-				s.pipe.completeWaitersLocked()
+				s.wal = nil
+				s.completeWaitersLocked()
 				s.pipe.mu.Unlock()
 				return fmt.Errorf("kvserver: rotating log onto installed snapshot (write-ahead logging disabled on this replica): %w", err)
 			}
 		}
-		s.pipe.mu.Lock()
-		if sn.Seq > s.pipe.synced {
-			s.pipe.synced = sn.Seq
-		}
-		s.pipe.mu.Unlock()
 	}
 	// The log (rotated just now, or being replayed by OpenStore) begins at
 	// this snapshot, and any rotation that was in flight has finished.

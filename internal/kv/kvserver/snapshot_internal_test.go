@@ -60,8 +60,8 @@ func TestSnapshotSkipsUnreplicatedLockOnlyObjects(t *testing.T) {
 // TestCommitRacingAttachIsCoveredByCapture pins the seam a pushed
 // snapshot and the mirror meet at. A member rebuilt from a capture at
 // stream position C is owed the history below C through the capture,
-// and every record from C on through its sender, whose queue restarts at
-// C in the same repMu section as the capture. That only adds up if
+// and every record from C on through its sender, whose position moves
+// to C in the same repMu section as the capture. That only adds up if
 // every record below a capture's position has its effects in the
 // capture — emit and apply are one repMu section on every store, so no
 // commit can be counted below C yet applied after the capture.
@@ -150,7 +150,7 @@ func TestCommitRacingAttachIsCoveredByCapture(t *testing.T) {
 				t.Fatalf("member at seq %d, source at %d", got, want)
 			}
 			if got, want := dst.StateDigest(), src.StateDigest(); got != want {
-				t.Fatalf("member digest %x != source digest %x: a commit fell between the capture and the queue", got, want)
+				t.Fatalf("member digest %x != source digest %x: a commit fell between the capture and the member's position", got, want)
 			}
 			src.DetachAllMirrorMembers()
 		})

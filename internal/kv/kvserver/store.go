@@ -37,11 +37,13 @@ type Store struct {
 	decided  map[uint64]decision
 	decidedQ []decidedEntry
 
+	// wal is the write-ahead log, nil without one. It changes under
+	// repMu and pipe.mu, and is read under either.
 	wal *wal
 
 	// repMu orders the replication stream: sequence assignment, the
-	// retained-tail append, the hand-off to the sinks' queues, and the
-	// application of each record's effects all happen under it, so
+	// retained-tail append, and the application of each record's effects
+	// all happen under it, so
 	// stream order, log order, and per-object version order agree on
 	// every replica. Lock order is repMu before txMu, the shard mutexes
 	// and pipe.mu (see the package doc).
@@ -51,9 +53,13 @@ type Store struct {
 	// or replicated.
 	repSeq uint64
 	// commitLog holds the stream's retained tail: commitLog[i] is the
-	// record at sequence logBase+i. A checkpoint truncates the log and
+	// record at sequence logBase+i. It is the one copy of the stream the
+	// store keeps: the write-ahead log's writers and the member senders
+	// read it at their cursors. A checkpoint truncates the log and
 	// advances logBase; a backup behind logBase is pushed a snapshot,
-	// then the records from its position, instead of record replay.
+	// then the records from its position, instead of record replay. The
+	// tail and logBase change under repMu and pipe.mu, and are read
+	// under either.
 	commitLog []kv.ReplRecord
 	// logBase is the sequence number of commitLog[0] (records below it
 	// were truncated at the last checkpoint).
@@ -69,9 +75,9 @@ type Store struct {
 	// backup, as far as replica has accepted its chunks. Guarded by repMu.
 	pushed []byte
 
-	// pipe is the group-commit replication pipeline: emitted records
-	// are queued here for the WAL flusher and the member senders, and
-	// committers wait on its durability watermark (see pipeline.go).
+	// pipe is the group-commit replication pipeline: the log's cursor,
+	// the member senders, and the durability watermark committers wait
+	// on (see pipeline.go).
 	pipe replPipe
 	// ckptBusy single-flights asynchronous checkpoint rotations: while
 	// one is encoding/rotating off-lock, further policy triggers only
@@ -174,15 +180,12 @@ func OpenStore(hlc *clock.HLC, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s.repMu.Lock()
-	s.wal = w
 	s.pipe.mu.Lock()
-	// Replayed records are already on disk; the durability watermark
-	// starts at the head.
-	s.pipe.synced = s.repSeq
-	s.pipe.needWAL = true
-	s.pipe.wal = w
+	// Replayed records are already on disk; the log's cursor starts at
+	// the head.
+	s.wal = w
+	s.pipe.walCursor = s.repSeq
 	s.pipe.mu.Unlock()
-	s.startFlusherLocked()
 	s.repMu.Unlock()
 	return s, nil
 }

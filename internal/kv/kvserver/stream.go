@@ -65,8 +65,8 @@ func (s *Store) Checkpoint() (uint64, error) {
 	return s.checkpointLocked(false)
 }
 
-// checkpointLocked is the one checkpoint sequence: capture → truncate →
-// drain → beginRotate → finish. Caller holds repMu, and the visible
+// checkpointLocked is the one checkpoint sequence: capture → drain →
+// truncate → beginRotate → finish. Caller holds repMu, and the visible
 // state must be consistent with repSeq (every emitted record fully
 // applied) — true at the end of any emit-and-apply critical section,
 // never in the middle of one. async selects the policy flavour: the
@@ -90,8 +90,10 @@ func (s *Store) checkpointLocked(async bool) (uint64, error) {
 		return 0, fmt.Errorf("kvserver: a checkpoint rotation is already in progress")
 	}
 	// Under repMu: capture the minimal in-memory copy and write the
-	// already-emitted records into the file.
+	// already-emitted records into the file, so the truncation can cut
+	// them too.
 	sn := s.captureSnapshotLocked()
+	drained := s.drainWALLocked()
 	s.truncateLogLocked(async)
 	if sn == nil {
 		// The stream has not installed the epoch in force: the log keeps
@@ -99,14 +101,14 @@ func (s *Store) checkpointLocked(async bool) (uint64, error) {
 		s.ckptBusy.Store(false)
 		return 0, fmt.Errorf("kvserver: checkpoint truncated the log but did not rotate it: epoch %d was adopted, and the stream has installed only epoch %d", s.replica.epoch, s.replica.streamEpoch)
 	}
-	if !s.drainWALLocked() {
-		// Queued records could not reach the file; rotating now would
-		// let a later flush tee them after a snapshot that already
-		// covers them (double apply on replay). The truncation stands;
+	if !drained {
+		// Records could not reach the file; rotating now would let a
+		// later write tee them after a snapshot that already covers them
+		// (double apply on replay). The truncation stands, keeping them;
 		// the rotation waits for a drain that succeeds.
 		s.ckptBusy.Store(false)
 		s.stats.CheckpointFailures.Add(1)
-		return 0, fmt.Errorf("kvserver: checkpoint aborted: write-ahead log append failing; records re-queued for retry")
+		return 0, fmt.Errorf("kvserver: checkpoint aborted: write-ahead log append failing; records kept for retry")
 	}
 	s.wal.beginRotate()
 	// Everything appended so far is below the snapshot's coverage and
@@ -130,23 +132,44 @@ func (s *Store) checkpointLocked(async bool) (uint64, error) {
 // retaining half leaves headroom so the next append does not
 // immediately re-trip the bound. It is independent of any WAL rotation:
 // a backup behind logBase only needs an on-demand snapshot (the one
-// its sender pushes), not a rotated file, and a restart replays the
-// un-rotated log correctly — longer, but complete. Its cost is a copy
-// of the records it keeps, nothing that grows with the state. Caller
-// holds repMu.
+// its sender pushes when its position falls below logBase), not a
+// rotated file, and a restart replays the un-rotated log correctly —
+// longer, but complete. Its cost is a copy of the records it keeps,
+// nothing that grows with the state.
+//
+// It never cuts past the floor: the records the write-ahead log does
+// not hold yet, and those a member being caught up from a pushed
+// snapshot still needs (replCore.floor). While the floor holds it back,
+// a cut waits until it can drop at least half the tail, so each copy
+// is paid for by the records it frees. Caller holds repMu; the tail
+// changes under pipe.mu too, where the log writers and the member
+// senders read it.
 func (s *Store) truncateLogLocked(retainTail bool) {
-	keep, keepBytes := 0, 0
+	p := &s.pipe
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	floor := p.core.floor()
+	if s.wal != nil {
+		floor = min(floor, p.walCursor)
+	}
+	drop := int(floor - s.logBase)
+	if 2*drop < len(s.commitLog) {
+		return
+	}
 	if retainTail {
-		keep, keepBytes = s.retainableTailLocked()
+		drop = min(drop, len(s.commitLog)-s.retainableTailLocked())
 	}
-	if drop := len(s.commitLog) - keep; drop > 0 {
-		s.stats.LogRecordsTruncated.Add(uint64(drop))
-		// Copy the tail out so the dropped prefix's backing array is
-		// actually freed.
-		s.commitLog = append([]kv.ReplRecord(nil), s.commitLog[drop:]...)
-		s.commitLogBytes = keepBytes
-		s.logBase += uint64(drop)
+	if drop == 0 {
+		return
 	}
+	for i := range s.commitLog[:drop] {
+		s.commitLogBytes -= recordSize(&s.commitLog[i])
+	}
+	s.stats.LogRecordsTruncated.Add(uint64(drop))
+	// Copy the tail out so the dropped prefix's backing array is
+	// actually freed.
+	s.commitLog = append([]kv.ReplRecord(nil), s.commitLog[drop:]...)
+	s.logBase += uint64(drop)
 }
 
 // finishCheckpoint is the off-lock tail of a checkpoint: encode the
@@ -176,9 +199,9 @@ func (s *Store) finishCheckpoint(w *wal, sn *stateSnapshot, covered int64) error
 }
 
 // retainableTailLocked reports how many of the newest log records fit
-// within half of the tail's bound, and their estimated byte size (so
-// the caller need not rescan them). Caller holds repMu.
-func (s *Store) retainableTailLocked() (n, bytes int) {
+// within half of the tail's bound. Caller holds repMu.
+func (s *Store) retainableTailLocked() int {
+	n, bytes := 0, 0
 	maxRecords := s.cfg.ReplicationLogMaxRecords
 	for i := len(s.commitLog) - 1; i >= 0; i-- {
 		sz := recordSize(&s.commitLog[i])
@@ -188,7 +211,7 @@ func (s *Store) retainableTailLocked() (n, bytes int) {
 		n++
 		bytes += sz
 	}
-	return n, bytes
+	return n
 }
 
 // MaybeCheckpoint enforces the retained-tail bounds, reporting whether
@@ -251,17 +274,17 @@ func (s *Store) maybeCheckpointSlackLocked(slack int) (bool, error) {
 }
 
 // emitLocked appends one record to the replication stream: it assigns
-// the next sequence number, appends the record to the in-memory
-// replication log, and hands it to the group-commit pipeline, which
-// batches the mirror RPC and the write-ahead-log append off the stream
+// the next sequence number and appends the record to the retained tail,
+// from which the member senders batch the mirror RPCs off the stream
 // lock. Emission is purely local and cannot fail; callers whose
 // acknowledgment promises replication or durability (commits,
 // prepares, epoch changes) call waitReplicated with the returned
-// sequence number AFTER releasing repMu — that wait, outside the
-// stream lock, is what lets concurrent writers share round trips and
-// fsyncs. Callers whose record is fire-and-forget (abort decisions,
-// which must release locks no matter what) simply do not wait; a
-// missed record surfaces on the backup as a loud sequence gap.
+// sequence number AFTER releasing repMu, which writes the record to the
+// write-ahead log and waits — that wait, outside the stream lock, is
+// what lets concurrent writers share round trips and fsyncs. Callers
+// whose record is fire-and-forget (abort decisions, which must release
+// locks no matter what) only write the log (writeWAL); a missed record
+// surfaces on the backup as a loud sequence gap.
 //
 // Caller holds repMu — the native write paths hold it across the
 // emission AND the application of the record's effects, so stream
@@ -278,17 +301,25 @@ func (s *Store) emitLocked(rec kv.ReplRecord) uint64 {
 
 // appendLocked puts rec — emitted here, or applied from a primary's
 // stream or the write-ahead log — at the head of this store's stream:
-// the next sequence number, the retained tail, and the pipeline, which
-// must see every record (it feeds the sinks: the write-ahead log and
-// any attached members). Caller holds repMu.
+// the next sequence number and the retained tail, which the sinks read
+// (the write-ahead log and any attached members), whose senders it
+// wakes. Caller holds repMu.
 func (s *Store) appendLocked(rec kv.ReplRecord) uint64 {
 	seq := s.repSeq
 	s.repSeq++
-	s.commitLog = append(s.commitLog, rec)
 	size := recordSize(&rec)
 	s.commitLogBytes += size
 	s.walTailBytes.Add(int64(size))
-	s.enqueueLocked(seq, rec)
+	p := &s.pipe
+	p.mu.Lock()
+	s.commitLog = append(s.commitLog, rec)
+	p.core.emit(seq, &rec)
+	for _, m := range p.members {
+		if !m.c.parked {
+			m.wakeUp()
+		}
+	}
+	p.mu.Unlock()
 	return seq
 }
 
@@ -370,10 +401,23 @@ func (s *Store) applyReplicated(rec kv.ReplRecord) error {
 // Otherwise the records are applied in order; an error on record k leaves
 // records 0..k-1 applied (a consistent prefix of the primary's stream)
 // and fails the batch. The replication-log bound runs once per batch,
-// with the live-mirror slack (see mirrorCheckpointSlack).
+// with the live-mirror slack (see mirrorCheckpointSlack). Once repMu is
+// released, the records applied are written to the write-ahead log, with
+// no GroupCommitInterval wait (the sender coalesced the batch), so the
+// ack follows the write. The write is best-effort: a failure costs only
+// this replica's durability (WALFailures counts it), not the batch's
+// ack, and the next batch's write retries the records.
 func (s *Store) ApplyMirroredBatch(req *kv.MirrorBatchReq) error {
 	s.repMu.Lock()
-	defer s.repMu.Unlock()
+	err := s.applyBatchLocked(req)
+	head := s.repSeq
+	s.repMu.Unlock()
+	s.writeWAL(head, false)
+	return err
+}
+
+// applyBatchLocked is ApplyMirroredBatch under repMu.
+func (s *Store) applyBatchLocked(req *kv.MirrorBatchReq) error {
 	c := &s.replica
 	if _, err := c.batch(req.Epoch, req.Recs, time.Now()); err != nil {
 		s.stats.WrongEpochRejects.Add(1)
@@ -453,11 +497,8 @@ func (s *Store) applyRecordLocked(rec kv.ReplRecord) error {
 	default:
 		return fmt.Errorf("%w: replication record kind %d", kv.ErrBadRequest, rec.Kind)
 	}
-	// With a WAL the record also rides the batched flush — best-effort,
-	// since replicated state is already acknowledged upstream; a write
-	// error here only costs durability of this replica (WALFailures
-	// counts it), and batching keeps the backup's apply path — and
-	// therefore the primary's batch acknowledgment — off the fsync.
+	// The record joins this store's stream; the caller writes it to the
+	// write-ahead log once repMu is released (ApplyMirroredBatch).
 	s.appendLocked(rec)
 	return nil
 }

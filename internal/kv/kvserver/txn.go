@@ -439,22 +439,24 @@ func (s *Store) Abort(txid uint64) {
 
 func (s *Store) abort(txid uint64, orphan bool) {
 	s.repMu.Lock()
-	defer s.repMu.Unlock()
 	s.txMu.Lock()
 	rec := s.txs[txid]
 	delete(s.txs, txid)
 	s.txMu.Unlock()
 	if rec == nil {
+		s.repMu.Unlock()
 		return
 	}
 	// A replicated prepare owes the stream its decision: the backup (and
 	// the write-ahead log) must release the staged locks too. The abort
 	// never waits on the durability watermark — locks must come free even
 	// when the backup is unreachable; a missed record surfaces as a loud
-	// sequence gap on the backup's next batch. A prepare still taking its
-	// locks releases what it took after this (prepare).
+	// sequence gap on the backup's next batch. It only writes its record
+	// to the log once repMu is released. A prepare still taking its locks
+	// releases what it took after this (prepare).
+	var to uint64
 	if rec.replicated {
-		s.emitLocked(kv.ReplRecord{Kind: kv.RecDecide, TxID: txid, Commit: false})
+		to = s.emitLocked(kv.ReplRecord{Kind: kv.RecDecide, TxID: txid, Commit: false}) + 1
 	}
 	s.decideLocked(txid, rec.oids, decision{})
 	s.stats.Aborts.Add(1)
@@ -462,6 +464,8 @@ func (s *Store) abort(txid uint64, orphan bool) {
 		s.stats.OrphanAborts.Add(1)
 	}
 	s.maybeCheckpointLocked()
+	s.repMu.Unlock()
+	s.writeWAL(to, true)
 }
 
 // SweepOrphans aborts prepares whose decision never arrived, subject

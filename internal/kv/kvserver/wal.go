@@ -94,8 +94,8 @@ type wal struct {
 	// reason). The next append REPAIRS first: the file is truncated
 	// back to good — the byte size after the last fully successful
 	// append — removing the torn frame, and the failed batch's records
-	// (which the pipeline re-queues, never drops) are rewritten in
-	// order. A checkpoint rotation also clears the latch: the
+	// (the log's cursor stays before them, so the pipeline's next
+	// write starts with them) are rewritten in order. A checkpoint rotation also clears the latch: the
 	// replacement file is rebuilt from a state snapshot.
 	broken bool
 	good   int64
@@ -185,7 +185,7 @@ func (w *wal) appendBatch(recs []kv.ReplRecord) (synced bool, err error) {
 		// Repair first: drop the torn frame the earlier failure may
 		// have left (everything at or past good), so this batch —
 		// which the pipeline guarantees starts with the failed batch's
-		// re-queued records — continues the clean prefix gaplessly.
+		// records — continues the clean prefix gaplessly.
 		if err := w.f.Truncate(w.good); err != nil {
 			return false, fmt.Errorf("kvserver: truncating torn log tail: %w", err)
 		}
@@ -209,7 +209,7 @@ func (w *wal) appendBatch(recs []kv.ReplRecord) (synced bool, err error) {
 		// A rotation is writing the replacement file: these frames
 		// hold records the snapshot does not cover, so they must
 		// follow it. Teed only on full success — a failed batch is
-		// re-queued by the pipeline and teed when its retry lands, so
+		// rewritten by the pipeline and teed when its retry lands, so
 		// the replacement file gets each record exactly once.
 		w.tail = append(w.tail, out...)
 	}
@@ -456,15 +456,14 @@ func replayWAL(path string) (snapshot []byte, recs []kv.ReplRecord, err error) {
 	}
 }
 
-// CloseLog drains the pipeline's queued records into the write-ahead
-// log, stops its flusher, then flushes and closes it (if any).
+// CloseLog writes the retained records the write-ahead log lacks, then
+// flushes and closes it (if any).
 func (s *Store) CloseLog() error {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
 	if s.wal == nil {
 		return nil
 	}
-	s.repMu.Lock()
 	s.drainWALLocked()
-	s.repMu.Unlock()
-	s.stopFlusher()
 	return s.wal.close()
 }

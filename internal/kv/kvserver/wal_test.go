@@ -274,3 +274,68 @@ func TestWALManyCommitsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestWALFailureRetriedByItsWaiter: a write-ahead-log append fails
+// once, and nothing is emitted after it, so no later writer rewrites the
+// record. Its committer's wait retries the write itself: once the file
+// heals, the commit completes, WALFailures counts the one failure, and
+// a replay finds each record exactly once.
+func TestWALFailureRetriedByItsWaiter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.log")
+	s := walStore(t, path)
+	commitPut(t, s, kv.MakeOID(0, 1), "before")
+	readOnly, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer readOnly.Close()
+	w := s.wal
+	w.mu.Lock()
+	good := w.f
+	w.f = readOnly
+	w.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.FastCommit(newTxID(), s.Clock().Now(), []*kv.Op{
+			{Kind: kv.OpPut, OID: kv.MakeOID(0, 2), Value: kv.NewPlain([]byte("across the failure"))},
+		})
+		done <- err
+	}()
+	for s.Stats().WALFailures == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("commit returned %v before its log write could succeed", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	w.mu.Lock()
+	w.f = good
+	w.mu.Unlock()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the commit's wait did not retry its failed log write")
+	}
+	if n := s.Stats().WALFailures; n != 1 {
+		t.Fatalf("WALFailures = %d, want 1", n)
+	}
+	head := s.ReplSeq()
+	if err := s.CloseLog(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := replayWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(recs)) != head {
+		t.Fatalf("replay found %d records, the stream holds %d", len(recs), head)
+	}
+	r := walStore(t, path)
+	defer r.CloseLog()
+	if r.ReplSeq() != head || r.StateDigest() != s.StateDigest() {
+		t.Fatalf("reopened at seq %d (digest %x), want seq %d (digest %x)", r.ReplSeq(), r.StateDigest(), head, s.StateDigest())
+	}
+}
